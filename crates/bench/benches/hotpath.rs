@@ -1,17 +1,21 @@
-//! Criterion microbenchmarks for the four hot-path kernels of the speed
-//! pass (DESIGN.md §12): the branchless flat-array score loop, cached
-//! alias-table sampling, the arena-backed superstep exchange, and the
-//! zero-copy binary graph load. Each group reports element (or byte)
-//! throughput so regressions show up as rate drops, not just time blips.
+//! Criterion microbenchmarks for the hot-path kernels of DESIGN.md §12:
+//! the branchless flat-array score loop, cached alias-table sampling, the
+//! arena-backed superstep exchange, the zero-copy binary graph load, and
+//! the vertex-program superstep kernel. Each group reports element (or
+//! byte) throughput so regressions show up as rate drops, not just time
+//! blips.
 //!
 //!     cargo bench -p bpart-bench --bench hotpath
 
 use bpart_cluster::{Exchange, MessageArena, Router};
 use bpart_core::bpart::WeightedStream;
 use bpart_core::prelude::*;
+use bpart_engine::apps::{ConnectedComponents, PageRank};
+use bpart_engine::IterationEngine;
 use bpart_graph::{generate, io, CsrGraph};
 use bpart_walker::{CachedTransitions, Walker};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::sync::Arc;
 
 /// The twitter_like preset at 5% — big enough that the score loop
 /// dominates, small enough for tight bench iterations.
@@ -138,11 +142,31 @@ fn bench_binfmt_load(c: &mut Criterion) {
     group.finish();
 }
 
+/// The vertex-program superstep kernel through the iteration engine: one
+/// dense PageRank superstep (every vertex scatters along every out-edge)
+/// and a full CC run (both edge directions, shrinking frontier) at k=8.
+/// Throughput is the graph's edges per run, so the two rates are not
+/// comparable with each other, only with themselves across commits.
+fn bench_engine_superstep(c: &mut Criterion) {
+    let graph = Arc::new(bench_graph());
+    let partition = Arc::new(WeightedStream::default().partition(&graph, 8));
+    let engine = IterationEngine::default_for(graph.clone(), partition);
+    let mut group = c.benchmark_group("hotpath_engine_superstep");
+    group.throughput(Throughput::Elements(graph.num_edges() as u64));
+    group.sample_size(10);
+    group.bench_function("pagerank_1iter_k8", |b| {
+        b.iter(|| engine.run(&PageRank::new(1)))
+    });
+    group.bench_function("cc_k8", |b| b.iter(|| engine.run(&ConnectedComponents)));
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_flat_scoring,
     bench_alias_sampling,
     bench_arena_exchange,
-    bench_binfmt_load
+    bench_binfmt_load,
+    bench_engine_superstep
 );
 criterion_main!(benches);

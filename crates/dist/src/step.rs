@@ -1,36 +1,29 @@
 //! Worker-local BSP step logic.
 //!
-//! These state machines replicate the in-process engines' combine order
-//! *exactly* — same dense accumulator, same `touched.sort_unstable()`
-//! before draining, same sender-order inbox concatenation, same apply
-//! order — which is what makes the process backend bit-identical to the
-//! threaded oracle. Any deviation in floating-point evaluation order
-//! here shows up as a digest mismatch in the cross-backend tests.
+//! The vertex-program step is not implemented here: [`IterWorker`] holds
+//! the engine's own kernel ([`MachineStep`], the one the thread backend
+//! runs) and adds only what a process boundary needs — rows encoded into
+//! [`RowSeg`]s on the way out and decoded in sender order on the way in,
+//! and snapshots as bytes. Bit-identity with the thread backend therefore
+//! holds by construction for iteration apps. [`WalkWorker`] still mirrors
+//! the walk engine's step by hand, so any deviation in its order shows up
+//! as a digest mismatch in the cross-backend tests.
 
 use crate::error::ClusterError;
 use crate::proto::RowSeg;
 use crate::wire::{decode_all, encode_all, put_u32, put_u64, Reader, Wire};
 use bpart_cluster::Cluster;
-use bpart_engine::{ProgramContext, VertexProgram};
+use bpart_engine::kernel::Snapshot;
+use bpart_engine::{MachineStep, VertexProgram};
 use bpart_graph::VertexId;
 use bpart_walker::{WalkApp, Walker};
 
 /// One machine's share of an iteration-engine computation
-/// (PageRank-style vertex programs).
+/// (PageRank-style vertex programs): the engine's kernel plus the wire
+/// encoding of its rows and snapshots.
 pub struct IterWorker<P: VertexProgram> {
     program: P,
-    cluster: Cluster,
-    machine: usize,
-    /// Global -> owner-local index (valid for this machine's vertices).
-    local_of: Vec<u32>,
-    values: Vec<P::Value>,
-    active: Vec<bool>,
-    /// Dense per-target accumulator, indexed by global id (scratch).
-    acc: Vec<Option<P::Accum>>,
-    touched: Vec<VertexId>,
-    /// Self-addressed messages from the last scatter, applied after the
-    /// exchanged inbox (mirroring the engine's local-row append).
-    local_row: Vec<(VertexId, P::Accum)>,
+    step: MachineStep<P>,
 }
 
 impl<P: VertexProgram> IterWorker<P>
@@ -41,114 +34,30 @@ where
     /// Fresh worker for `machine`, initialized from the program's
     /// deterministic initial state.
     pub fn new(program: P, cluster: Cluster, machine: usize) -> Self {
-        let n = cluster.graph().num_vertices();
-        let mut local_of = vec![0u32; n];
-        for (li, &v) in cluster.local_vertices(machine as u32).iter().enumerate() {
-            local_of[v as usize] = li as u32;
-        }
-        let mut worker = IterWorker {
-            program,
-            cluster,
-            machine,
-            local_of,
-            values: Vec::new(),
-            active: Vec::new(),
-            acc: vec![None; n],
-            touched: Vec::new(),
-            local_row: Vec::new(),
-        };
-        worker.reinit();
-        worker
+        let step = MachineStep::new(&program, &cluster, machine as u32);
+        IterWorker { program, step }
     }
 
-    fn reinit(&mut self) {
-        let graph = self.cluster.graph();
-        let members = self.cluster.local_vertices(self.machine as u32);
-        self.values = members
-            .iter()
-            .map(|&v| self.program.init(v, graph))
-            .collect();
-        self.active = members
-            .iter()
-            .map(|&v| self.program.initially_active(v, graph))
-            .collect();
-    }
-
-    /// Clears scatter scratch a partially executed superstep may have
-    /// left behind (engine `rollback` semantics).
-    fn clear_scratch(&mut self) {
-        for &v in &self.touched {
-            self.acc[v as usize] = None;
-        }
-        self.touched.clear();
-        self.local_row.clear();
-    }
-
-    /// This machine's contribution to the global aggregate, summed in
-    /// member order (engine order).
+    /// This machine's contribution to the global aggregate.
     pub fn local_aggregate(&self) -> f64 {
-        let graph = self.cluster.graph();
-        self.cluster
-            .local_vertices(self.machine as u32)
-            .iter()
-            .zip(&self.values)
-            .map(|(&v, val)| self.program.aggregate(v, val, graph))
-            .sum::<f64>()
+        self.step.aggregate(&self.program)
     }
 
     /// Scatter phase: produces one encoded row per destination machine.
-    /// The self row is retained internally (it never crosses the wire)
+    /// The self row stays inside the kernel (it never crosses the wire)
     /// and its slot in the result is an empty segment.
     pub fn scatter(&mut self) -> Vec<RowSeg> {
-        let graph = self.cluster.graph();
-        let k = self.cluster.num_machines();
-        let m = self.machine as u32;
-        let members = self.cluster.local_vertices(m);
-        for (li, &u) in members.iter().enumerate() {
-            if !self.active[li] {
-                continue;
-            }
-            let Some(signal) = self.program.scatter(u, &self.values[li], graph) else {
-                continue;
-            };
-            for &v in graph.out_neighbors(u) {
-                accumulate(
-                    &self.program,
-                    &mut self.acc,
-                    &mut self.touched,
-                    v,
-                    signal.clone(),
-                );
-            }
-            if self.program.use_in_edges() {
-                for &v in graph.in_neighbors(u) {
-                    accumulate(
-                        &self.program,
-                        &mut self.acc,
-                        &mut self.touched,
-                        v,
-                        signal.clone(),
-                    );
-                }
-            }
-        }
-        // Drain in sorted-target order — the engine's arena staging order.
-        self.touched.sort_unstable();
-        let mut rows: Vec<Vec<(VertexId, P::Accum)>> = (0..k).map(|_| Vec::new()).collect();
-        for &v in &self.touched {
-            let acc = self.acc[v as usize]
-                .take()
-                .expect("touched implies accumulated");
-            rows[self.cluster.owner(v) as usize].push((v, acc));
-        }
-        self.touched.clear();
-        self.local_row = std::mem::take(&mut rows[self.machine]);
-        rows.into_iter().map(|row| encode_row(&row)).collect()
+        self.step.scatter(&self.program);
+        let mut rows = self.step.take_rows();
+        let segs = rows.iter().map(|row| encode_row(row)).collect();
+        rows.iter_mut().for_each(Vec::clear);
+        self.step.return_rows(rows);
+        segs
     }
 
     /// Exchange + apply: folds the driver's inbox (sender-order segments,
-    /// own slot empty) plus the retained self row, then applies. Returns
-    /// whether any local vertex stays active.
+    /// own slot empty), then applies. Returns whether any local vertex
+    /// stays active.
     pub fn apply(
         &mut self,
         inbox: &[RowSeg],
@@ -156,113 +65,56 @@ where
         aggregate: f64,
     ) -> Result<bool, ClusterError> {
         for seg in inbox {
-            for (v, a) in decode_row::<P::Accum>(seg)? {
-                accumulate(&self.program, &mut self.acc, &mut self.touched, v, a);
-            }
+            self.step.fold(&self.program, decode_row::<P::Accum>(seg)?);
         }
-        for (v, a) in std::mem::take(&mut self.local_row) {
-            accumulate(&self.program, &mut self.acc, &mut self.touched, v, a);
-        }
-        let graph = self.cluster.graph();
-        let ctx = ProgramContext {
-            iteration: superstep as usize,
-            num_vertices: graph.num_vertices(),
-            aggregate,
-        };
-        let members = self.cluster.local_vertices(self.machine as u32);
-        let mut any = false;
-        if self.program.apply_to_all() {
-            for (li, &v) in members.iter().enumerate() {
-                let incoming = self.acc[v as usize].take();
-                let active = self
-                    .program
-                    .apply(v, &mut self.values[li], incoming, &ctx, graph);
-                self.active[li] = active;
-                any |= active;
-            }
-            self.touched.clear();
-        } else {
-            self.active.iter_mut().for_each(|a| *a = false);
-            self.touched.sort_unstable();
-            for ti in 0..self.touched.len() {
-                let v = self.touched[ti];
-                let li = self.local_of[v as usize] as usize;
-                let incoming = self.acc[v as usize].take();
-                let active = self
-                    .program
-                    .apply(v, &mut self.values[li], incoming, &ctx, graph);
-                self.active[li] = active;
-                any |= active;
-            }
-            self.touched.clear();
-        }
-        Ok(any)
+        let applied = self
+            .step
+            .apply(&self.program, superstep as usize, aggregate);
+        Ok(applied.any_active)
     }
 
     /// Serializes `(values, active)` for a driver-held checkpoint.
     pub fn snapshot(&self) -> Vec<u8> {
+        let values = self.step.values();
         let mut out = Vec::new();
-        put_u32(&mut out, self.values.len() as u32);
-        encode_all(&self.values, &mut out);
-        for &a in &self.active {
-            out.push(a as u8);
-        }
+        put_u32(&mut out, values.len() as u32);
+        encode_all(values, &mut out);
+        out.extend(self.step.active().iter().map(|&a| a as u8));
         out
     }
 
     /// Restores from a snapshot (`None`: the deterministic initial
-    /// state), dropping any partial-superstep scratch.
+    /// state); the kernel drops any partial-superstep scratch.
     pub fn restore(&mut self, state: Option<&[u8]>) -> Result<(), ClusterError> {
-        self.clear_scratch();
-        match state {
-            None => self.reinit(),
-            Some(bytes) => {
-                let mut r = Reader::new(bytes);
-                let len = r.u32()? as usize;
-                if len != self.cluster.local_vertices(self.machine as u32).len() {
-                    return Err(ClusterError::corrupt("snapshot length mismatch"));
-                }
-                let mut values = Vec::with_capacity(len);
-                for _ in 0..len {
-                    values.push(P::Value::decode(&mut r)?);
-                }
-                let mut active = Vec::with_capacity(len);
-                for _ in 0..len {
-                    active.push(r.u8()? != 0);
-                }
-                if !r.is_empty() {
-                    return Err(ClusterError::corrupt("trailing bytes in snapshot"));
-                }
-                self.values = values;
-                self.active = active;
-            }
+        let Some(bytes) = state else {
+            self.step.reset(&self.program);
+            return Ok(());
+        };
+        let mut r = Reader::new(bytes);
+        let len = r.u32()? as usize;
+        if len != self.step.values().len() {
+            return Err(ClusterError::corrupt("snapshot length mismatch"));
         }
+        let mut values = Vec::with_capacity(len);
+        for _ in 0..len {
+            values.push(P::Value::decode(&mut r)?);
+        }
+        let mut active = Vec::with_capacity(len);
+        for _ in 0..len {
+            active.push(r.u8()? != 0);
+        }
+        if !r.is_empty() {
+            return Err(ClusterError::corrupt("trailing bytes in snapshot"));
+        }
+        self.step.restore(&Snapshot { values, active });
         Ok(())
     }
 
     /// Final local values (owner-local order) for the `Final` frame.
     pub fn final_result(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_all(&self.values, &mut out);
+        encode_all(self.step.values(), &mut out);
         out
-    }
-}
-
-/// Engine `accumulate`: fold into the dense slot, recording first touch.
-#[inline]
-fn accumulate<P: VertexProgram>(
-    program: &P,
-    acc: &mut [Option<P::Accum>],
-    touched: &mut Vec<VertexId>,
-    v: VertexId,
-    a: P::Accum,
-) {
-    match &mut acc[v as usize] {
-        Some(existing) => program.combine(existing, a),
-        slot @ None => {
-            *slot = Some(a);
-            touched.push(v);
-        }
     }
 }
 
@@ -457,7 +309,7 @@ impl WalkWorker {
 mod tests {
     use super::*;
     use bpart_core::{ChunkV, Partitioner};
-    use bpart_engine::apps::PageRank;
+    use bpart_engine::apps::{DistFrom, PageRank, Sssp};
     use bpart_graph::generate;
     use std::sync::Arc;
 
@@ -483,6 +335,90 @@ mod tests {
         let mut w2 = IterWorker::new(PageRank::new(5), cluster(3), 1);
         w2.restore(None).unwrap();
         assert_eq!(w2.final_result(), before);
+    }
+
+    impl Wire for Vec<DistFrom> {
+        fn encode(&self, out: &mut Vec<u8>) {
+            put_u32(out, self.len() as u32);
+            for d in self {
+                put_u32(out, d.from);
+                put_u64(out, d.dist);
+            }
+        }
+        fn decode(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
+            (0..r.u32()?)
+                .map(|_| {
+                    Ok(DistFrom {
+                        from: r.u32()?,
+                        dist: r.u64()?,
+                    })
+                })
+                .collect()
+        }
+    }
+
+    /// Runs three workers in lock-step in this process, as the driver
+    /// would, checkpointing every 2 supersteps. With `crash_at`, that
+    /// superstep is abandoned after every worker scattered and worker 0
+    /// already folded its inbox — occupied slots and retained self rows
+    /// are what a survivor holds when `Restore` arrives — and the run
+    /// replays from the last checkpoint. Returns the `Final` payloads.
+    fn run_in_process<P>(make: impl Fn() -> P, mut crash_at: Option<usize>) -> Vec<Vec<u8>>
+    where
+        P: VertexProgram,
+        P::Value: Wire,
+        P::Accum: Wire,
+    {
+        let mut workers: Vec<IterWorker<P>> = (0..3)
+            .map(|m| IterWorker::new(make(), cluster(3), m))
+            .collect();
+        let mut checkpoint: (usize, Vec<Option<Vec<u8>>>) = (0, vec![None; 3]);
+        let mut superstep = 0;
+        loop {
+            let aggregate: f64 = workers.iter().map(|w| w.local_aggregate()).sum();
+            let rows: Vec<Vec<RowSeg>> = workers.iter_mut().map(|w| w.scatter()).collect();
+            let inbox = |to: usize| -> Vec<RowSeg> { rows.iter().map(|r| r[to].clone()).collect() };
+            if crash_at == Some(superstep) {
+                crash_at = None;
+                let w = &mut workers[0];
+                for seg in inbox(0) {
+                    w.step.fold(&w.program, decode_row(&seg).unwrap());
+                }
+                for (w, state) in workers.iter_mut().zip(&checkpoint.1) {
+                    w.restore(state.as_deref()).unwrap();
+                }
+                superstep = checkpoint.0;
+                continue;
+            }
+            let mut any_active = false;
+            for (to, w) in workers.iter_mut().enumerate() {
+                any_active |= w.apply(&inbox(to), superstep as u64, aggregate).unwrap();
+            }
+            superstep += 1;
+            if superstep % 2 == 0 {
+                let states = workers.iter().map(|w| Some(w.snapshot())).collect();
+                checkpoint = (superstep, states);
+            }
+            let capped = make().max_iterations().is_some_and(|max| superstep >= max);
+            if capped || !any_active {
+                break;
+            }
+        }
+        assert_eq!(crash_at, None, "the run ended before the crash superstep");
+        workers.iter().map(|w| w.final_result()).collect()
+    }
+
+    /// A `crash@s` replay ends bit-equal to the fault-free run, from the
+    /// initial state (s = 1) and from a snapshot (s = 3), for plain `f64`
+    /// slots and for SSSP's heap-owning ones.
+    #[test]
+    fn replay_after_a_mid_superstep_restore_is_bit_equal() {
+        let clean = run_in_process(|| PageRank::new(5), None);
+        let sssp = run_in_process(|| Sssp::new(0), None);
+        for crash_at in [1, 3] {
+            assert_eq!(run_in_process(|| PageRank::new(5), Some(crash_at)), clean);
+            assert_eq!(run_in_process(|| Sssp::new(0), Some(crash_at)), sssp);
+        }
     }
 
     #[test]

@@ -14,4 +14,4 @@ pub use bfs::Bfs;
 pub use cc::ConnectedComponents;
 pub use delta_pagerank::{DeltaPageRank, RankState};
 pub use pagerank::{reference_pagerank, PageRank};
-pub use sssp::{edge_weight, reference_sssp, Sssp};
+pub use sssp::{edge_weight, reference_sssp, DistFrom, Sssp};

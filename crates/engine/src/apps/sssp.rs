@@ -41,7 +41,7 @@ impl Sssp {
 /// incident edge weight on apply (scatter cannot know the target under the
 /// one-signal-per-vertex Gemini model, so edges are re-weighted receiver
 /// side — equivalent, because weights are a pure function of endpoints).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DistFrom {
     /// Sending vertex.
     pub from: VertexId,

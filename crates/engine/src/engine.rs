@@ -9,12 +9,13 @@
 //! implicit checkpoint, so recovery works even with checkpointing
 //! disabled (at the price of replaying from superstep zero).
 
-use crate::program::{ProgramContext, VertexProgram};
+use crate::kernel::{MachineStep, Rows, ScatterOutcome, Snapshot};
+use crate::program::VertexProgram;
 use bpart_cluster::exec::{collect_results, for_each_machine, ExecMode};
 use bpart_cluster::MachineId;
 use bpart_cluster::{
-    Cluster, CostModel, Exchange, FaultPlan, FaultState, IterationRecord, MachineFailure,
-    MessageArena, Router, Telemetry, UnrecoverableFailure, WorkUnits,
+    Cluster, CostModel, Exchange, FaultPlan, FaultState, IterationRecord, MachineFailure, Router,
+    Telemetry, UnrecoverableFailure,
 };
 use bpart_core::Partition;
 use bpart_graph::{CsrGraph, VertexId};
@@ -60,50 +61,23 @@ pub struct IterationEngine {
     checkpoint_every: Option<usize>,
 }
 
-/// Per-machine outbox rows as taken from the arena: `rows[to]` holds the
-/// combined updates staged for machine `to`.
-type OutboxRows<A> = Vec<Vec<(VertexId, A)>>;
-
-/// Per-machine mutable state across iterations.
-struct MachineState<V, A> {
-    /// Local vertex values (indexed by local index).
-    values: Vec<V>,
-    /// Local activity flags.
-    active: Vec<bool>,
-    /// Dense per-target accumulator, indexed by *global* id (scratch).
-    acc: Vec<Option<A>>,
-    /// Targets touched in `acc` this phase.
-    touched: Vec<VertexId>,
-    /// Arena-staged combined updates (reset between supersteps).
-    outbox: MessageArena<(VertexId, A)>,
-}
-
 /// A globally consistent snapshot taken at a superstep boundary.
 struct Checkpoint<V> {
     /// The next superstep to run after restoring this snapshot.
     superstep: usize,
-    /// Per-machine `(values, active)` pairs.
-    machines: Vec<(Vec<V>, Vec<bool>)>,
+    /// One snapshot per machine.
+    machines: Vec<Snapshot<V>>,
 }
 
-fn snapshot<V: Clone, A>(states: &[MachineState<V, A>]) -> Vec<(Vec<V>, Vec<bool>)> {
-    states
-        .iter()
-        .map(|s| (s.values.clone(), s.active.clone()))
-        .collect()
+fn snapshot<P: VertexProgram>(steps: &[MachineStep<P>]) -> Vec<Snapshot<P::Value>> {
+    steps.iter().map(MachineStep::snapshot).collect()
 }
 
-/// Restores every machine to `checkpoint`, clearing scatter scratch that
-/// a partially executed (or panicked) superstep may have left behind.
-fn rollback<V: Clone, A>(states: &mut [MachineState<V, A>], checkpoint: &Checkpoint<V>) {
-    for (s, (values, active)) in states.iter_mut().zip(&checkpoint.machines) {
-        for &v in &s.touched {
-            s.acc[v as usize] = None;
-        }
-        s.touched.clear();
-        s.outbox.reset();
-        s.values.clone_from(values);
-        s.active.clone_from(active);
+/// Restores every machine to `checkpoint`; the kernel also clears the
+/// scratch a partially executed (or panicked) superstep left behind.
+fn rollback<P: VertexProgram>(steps: &mut [MachineStep<P>], checkpoint: &Checkpoint<P::Value>) {
+    for (s, snapshot) in steps.iter_mut().zip(&checkpoint.machines) {
+        s.restore(snapshot);
     }
 }
 
@@ -182,29 +156,7 @@ impl IterationEngine {
         let n = graph.num_vertices();
         let k = self.cluster.num_machines();
 
-        // Global -> (owner-local) index map, shared read-only.
-        let mut local_of = vec![0u32; n];
-        for m in 0..k {
-            for (li, &v) in self.cluster.local_vertices(m as u32).iter().enumerate() {
-                local_of[v as usize] = li as u32;
-            }
-        }
-
-        let mut states: Vec<MachineState<P::Value, P::Accum>> = (0..k)
-            .map(|m| {
-                let members = self.cluster.local_vertices(m as u32);
-                MachineState {
-                    values: members.iter().map(|&v| program.init(v, graph)).collect(),
-                    active: members
-                        .iter()
-                        .map(|&v| program.initially_active(v, graph))
-                        .collect(),
-                    acc: vec![None; n],
-                    touched: Vec::new(),
-                    outbox: MessageArena::new(k),
-                }
-            })
-            .collect();
+        let mut steps = MachineStep::for_cluster(program, &self.cluster);
 
         let telemetry = Telemetry::new();
         let mut faults = FaultState::new(self.faults.clone());
@@ -212,7 +164,7 @@ impl IterationEngine {
         // always possible, even with checkpointing disabled.
         let mut checkpoint = Checkpoint {
             superstep: 0,
-            machines: snapshot(&states),
+            machines: snapshot(&steps),
         };
         // `superstep` is the logical superstep being computed; it moves
         // backwards on rollback. `high_water` marks how far the run has
@@ -246,7 +198,7 @@ impl IterationEngine {
                     recovery,
                 });
                 bpart_obs::metrics::counter("cluster.recoveries").inc();
-                rollback(&mut states, &checkpoint);
+                rollback(&mut steps, &checkpoint);
                 superstep = checkpoint.superstep;
                 continue;
             }};
@@ -259,13 +211,11 @@ impl IterationEngine {
         let progress_gauge =
             PROGRESS.get_or_init(|| bpart_obs::metrics::gauge("cluster.progress_superstep"));
 
-        // Persistent messaging buffers: the router, the exchange, and the
-        // holder for self-addressed (machine-local) updates all keep their
-        // high-water capacity across supersteps, complementing the
-        // per-machine arenas in `MachineState`.
+        // Persistent messaging buffers: the router and the exchange keep
+        // their high-water capacity across supersteps, complementing the
+        // per-machine arenas inside the kernels.
         let mut router: Router<(VertexId, P::Accum)> = Router::new(k);
         let mut ex: Exchange<(VertexId, P::Accum)> = Exchange::default();
-        let mut local_rows: Vec<Vec<(VertexId, P::Accum)>> = (0..k).map(|_| Vec::new()).collect();
 
         loop {
             if let Some(max) = program.max_iterations() {
@@ -285,14 +235,7 @@ impl IterationEngine {
             }
 
             // Global aggregate over current values (e.g. PR dangling mass).
-            let agg_results = for_each_machine(self.mode, &mut states, |m, s| {
-                self.cluster
-                    .local_vertices(m)
-                    .iter()
-                    .zip(&s.values)
-                    .map(|(&v, val)| program.aggregate(v, val, graph))
-                    .sum::<f64>()
-            });
+            let agg_results = for_each_machine(self.mode, &mut steps, |_, s| s.aggregate(program));
             let aggregate: f64 = match collect_results(agg_results) {
                 Ok(parts) => parts.into_iter().sum(),
                 Err((machine, failure)) => {
@@ -301,62 +244,9 @@ impl IterationEngine {
             };
 
             // ---- scatter phase -------------------------------------------------
-            let cluster = &self.cluster;
-            type ScatterOut = (Vec<u64>, WorkUnits, bool);
-            let scatter_results = for_each_machine(self.mode, &mut states, |m, s| {
-                let mut work = WorkUnits::default();
-                debug_assert_eq!(s.outbox.staged(), 0);
-                let members = cluster.local_vertices(m);
-                let mut any_active = false;
-                // Raw (uncombined) cross-machine updates per destination:
-                // the network payload a Pregel-style system would ship.
-                // Messages are still delivered combined, but the paper
-                // attributes communication cost to edge cuts (§4.5), so
-                // the cost model charges per raw remote update.
-                let mut raw = vec![0u64; cluster.num_machines()];
-                for (li, &u) in members.iter().enumerate() {
-                    if !s.active[li] {
-                        continue;
-                    }
-                    any_active = true;
-                    let Some(signal) = program.scatter(u, &s.values[li], graph) else {
-                        continue;
-                    };
-                    let out = graph.out_neighbors(u);
-                    work.edges_scanned += out.len() as u64;
-                    for &v in out {
-                        let dest = cluster.owner(v);
-                        if dest != m {
-                            raw[dest as usize] += 1;
-                        }
-                        accumulate::<P>(program, s, v, signal.clone());
-                    }
-                    if program.use_in_edges() {
-                        let inn = graph.in_neighbors(u);
-                        work.edges_scanned += inn.len() as u64;
-                        for &v in inn {
-                            let dest = cluster.owner(v);
-                            if dest != m {
-                                raw[dest as usize] += 1;
-                            }
-                            accumulate::<P>(program, s, v, signal.clone());
-                        }
-                    }
-                }
-                // Drain the dense accumulator into the machine's arena as
-                // per-destination combined messages (sender-side
-                // combining); the arena buffers persist across supersteps.
-                s.touched.sort_unstable();
-                for &v in &s.touched {
-                    let acc = s.acc[v as usize]
-                        .take()
-                        .expect("touched implies accumulated");
-                    s.outbox.push(cluster.owner(v), (v, acc));
-                }
-                s.touched.clear();
-                (raw, work, any_active)
-            });
-            let scatter_out: Vec<ScatterOut> = match collect_results(scatter_results) {
+            let scatter_results =
+                for_each_machine(self.mode, &mut steps, |_, s| s.scatter(program));
+            let scatter_out: Vec<ScatterOutcome> = match collect_results(scatter_results) {
                 Ok(out) => out,
                 Err((machine, failure)) => {
                     recover_or_bail!(machine, failure, vec![0.0; k], replaying)
@@ -365,13 +255,13 @@ impl IterationEngine {
 
             let mut compute: Vec<f64> = scatter_out
                 .iter()
-                .map(|(_, w, _)| self.cost.compute_time(w))
+                .map(|out| self.cost.compute_time(&out.work))
                 .collect();
             // Raw update totals per machine (sent / received).
             let mut raw_sent = vec![0u64; k];
             let mut raw_received = vec![0u64; k];
-            for (from, (raw, _, _)) in scatter_out.iter().enumerate() {
-                for (to, &count) in raw.iter().enumerate() {
+            for (from, out) in scatter_out.iter().enumerate() {
+                for (to, &count) in out.raw.iter().enumerate() {
                     raw_sent[from] += count;
                     raw_received[to] += count;
                 }
@@ -399,22 +289,15 @@ impl IterationEngine {
                     recovery,
                 });
                 bpart_obs::metrics::counter("cluster.recoveries").inc();
-                rollback(&mut states, &checkpoint);
+                rollback(&mut steps, &checkpoint);
                 superstep = checkpoint.superstep;
                 continue;
             }
 
             // ---- exchange ------------------------------------------------------
-            let mut rows: Vec<OutboxRows<P::Accum>> =
-                states.iter_mut().map(|s| s.outbox.take_filled()).collect();
-            // Self-addressed updates stay machine-local: they are not
-            // network messages. Swap them into the persistent local-row
-            // holder before counting (the swapped-in buffer is last
-            // round's drained holder, so no capacity is lost either way).
-            for (m, row) in rows.iter_mut().enumerate() {
-                debug_assert!(local_rows[m].is_empty());
-                std::mem::swap(&mut row[m], &mut local_rows[m]);
-            }
+            // Self-addressed updates are not network messages: each
+            // kernel keeps its own and hands out an empty slot for it.
+            let rows: Vec<Rows<P::Accum>> = steps.iter_mut().map(|s| s.take_rows()).collect();
             // A malformed hand-back is a deterministic structural bug, so
             // replay cannot fix it: fail the run, not the process.
             if let Err(e) = router.put_rows(rows) {
@@ -456,72 +339,25 @@ impl IterationEngine {
                 }
             }
 
-            // Deliver local updates by re-staging them post-exchange.
             router.exchange_into(&mut ex);
-            for (m, own) in local_rows.iter_mut().enumerate() {
-                // Local messages are applied with the same mechanism but
-                // cost nothing on the network. `append` drains the holder
-                // for the next superstep, keeping its capacity.
-                ex.inboxes[m].append(own);
-            }
             // Hand the drained rows back to their arenas for reuse.
-            for (s, row) in states.iter_mut().zip(router.take_rows()) {
-                s.outbox.put_drained(row);
+            for (s, row) in steps.iter_mut().zip(router.take_rows()) {
+                s.return_rows(row);
             }
 
             // ---- apply phase ----------------------------------------------
-            let ctx = ProgramContext {
-                iteration: superstep,
-                num_vertices: n,
-                aggregate,
-            };
             let mut any_active_next = false;
             // Sequential over machines for inbox handoff; the per-machine
             // apply loops are the heavy part and stay identical in both
             // exec modes. Inboxes are drained (not consumed) so the
             // exchange buffers carry their capacity into the next round.
-            let apply_results: Vec<(WorkUnits, bool)> = {
-                let mut results = Vec::with_capacity(k);
-                for (m, s) in states.iter_mut().enumerate() {
-                    // Merge all incoming signals into the dense accumulator.
-                    for (v, a) in ex.inboxes[m].drain(..) {
-                        accumulate::<P>(program, s, v, a);
-                    }
-                    let mut work = WorkUnits::default();
-                    let mut any = false;
-                    let members = cluster.local_vertices(m as u32);
-                    if program.apply_to_all() {
-                        for (li, &v) in members.iter().enumerate() {
-                            let incoming = s.acc[v as usize].take();
-                            let active = program.apply(v, &mut s.values[li], incoming, &ctx, graph);
-                            s.active[li] = active;
-                            any |= active;
-                            work.vertices_updated += 1;
-                        }
-                        s.touched.clear();
-                    } else {
-                        // Only signalled vertices update; everyone else
-                        // goes (or stays) inactive.
-                        s.active.iter_mut().for_each(|a| *a = false);
-                        s.touched.sort_unstable();
-                        for ti in 0..s.touched.len() {
-                            let v = s.touched[ti];
-                            let li = local_of[v as usize] as usize;
-                            let incoming = s.acc[v as usize].take();
-                            let active = program.apply(v, &mut s.values[li], incoming, &ctx, graph);
-                            s.active[li] = active;
-                            any |= active;
-                            work.vertices_updated += 1;
-                        }
-                        s.touched.clear();
-                    }
-                    results.push((work, any));
-                }
-                results
-            };
-            for (m, (work, any)) in apply_results.iter().enumerate() {
-                compute[m] += self.cost.compute_time(work);
-                any_active_next |= any;
+            for (m, s) in steps.iter_mut().enumerate() {
+                // The inbox is already in sender order; the kernel folds
+                // its own self row after it.
+                s.fold(program, ex.inboxes[m].drain(..));
+                let applied = s.apply(program, superstep, aggregate);
+                compute[m] += self.cost.compute_time(&applied.work);
+                any_active_next |= applied.any_active;
             }
 
             // ---- checkpoint -----------------------------------------------
@@ -530,10 +366,10 @@ impl IterationEngine {
                     let _ckpt_span = bpart_obs::span("cluster.checkpoint");
                     checkpoint = Checkpoint {
                         superstep: superstep + 1,
-                        machines: snapshot(&states),
+                        machines: snapshot(&steps),
                     };
-                    for (m, s) in states.iter().enumerate() {
-                        compute[m] += self.cost.checkpoint_time(s.values.len() as u64);
+                    for (m, s) in steps.iter().enumerate() {
+                        compute[m] += self.cost.checkpoint_time(s.values().len() as u64);
                     }
                     bpart_obs::metrics::counter("cluster.checkpoints").inc();
                 }
@@ -580,9 +416,9 @@ impl IterationEngine {
 
         // Gather values back to global order.
         let mut values: Vec<Option<P::Value>> = vec![None; n];
-        for (m, s) in states.into_iter().enumerate() {
-            for (li, v) in self.cluster.local_vertices(m as u32).iter().enumerate() {
-                values[*v as usize] = Some(s.values[li].clone());
+        for (m, s) in steps.iter().enumerate() {
+            for (&v, value) in self.cluster.local_vertices(m as u32).iter().zip(s.values()) {
+                values[v as usize] = Some(value.clone());
             }
         }
         Ok(EngineRun {
@@ -602,30 +438,14 @@ fn restore_time<V>(cost: &CostModel, checkpoint: &Checkpoint<V>) -> f64 {
     checkpoint
         .machines
         .iter()
-        .map(|(values, _)| cost.checkpoint_time(values.len() as u64))
+        .map(|snapshot| cost.checkpoint_time(snapshot.values.len() as u64))
         .fold(0.0, f64::max)
-}
-
-/// Folds `a` into machine state's dense accumulator for target `v`.
-#[inline]
-fn accumulate<P: VertexProgram>(
-    program: &P,
-    s: &mut MachineState<P::Value, P::Accum>,
-    v: VertexId,
-    a: P::Accum,
-) {
-    match &mut s.acc[v as usize] {
-        Some(existing) => program.combine(existing, a),
-        slot @ None => {
-            *slot = Some(a);
-            s.touched.push(v);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::ProgramContext;
     use bpart_core::{ChunkV, HashPartitioner, Partitioner};
     use bpart_graph::generate;
 
@@ -765,25 +585,6 @@ mod tests {
         // combined: each of the 4 machines sends one update per remote
         // target = 18 messages
         assert_eq!(merged, 4 * 18);
-    }
-
-    #[test]
-    fn threaded_mode_matches_sequential() {
-        let graph = Arc::new(generate::erdos_renyi(150, 900, 9));
-        let partition = Arc::new(ChunkV.partition(&graph, 3));
-        let seq = IterationEngine::new(
-            Cluster::new(graph.clone(), partition.clone()),
-            CostModel::default(),
-            ExecMode::Sequential,
-        )
-        .run(&PushOnce);
-        let thr = IterationEngine::new(
-            Cluster::new(graph.clone(), partition),
-            CostModel::default(),
-            ExecMode::Threaded,
-        )
-        .run(&PushOnce);
-        assert_eq!(seq.values, thr.values);
     }
 
     fn faulted_engine(

@@ -33,7 +33,11 @@
 
 pub mod apps;
 pub mod engine;
+pub mod kernel;
+#[cfg(test)]
+mod oracle;
 pub mod program;
 
 pub use engine::{CommAccounting, EngineRun, IterationEngine};
+pub use kernel::MachineStep;
 pub use program::{ProgramContext, VertexProgram};

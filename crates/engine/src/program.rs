@@ -32,8 +32,11 @@ pub struct ProgramContext {
 pub trait VertexProgram: Sync {
     /// Per-vertex state.
     type Value: Clone + Send + Sync;
-    /// Signal payload (must combine associatively).
-    type Accum: Clone + Send;
+    /// Signal payload (must combine associatively). `Default` is only the
+    /// filler of a vacant accumulator slot: it is never combined or
+    /// delivered, so it need not be an identity of
+    /// [`combine`](VertexProgram::combine).
+    type Accum: Clone + Send + Default;
 
     /// Initial state of vertex `v`.
     fn init(&self, v: VertexId, graph: &CsrGraph) -> Self::Value;

@@ -7,10 +7,12 @@
 //! snapshots every registered stack and folds the observation into
 //! flamegraph-compatible *folded stack* counts (`a;b;leaf N` — one line
 //! per unique stack, `N` samples attributed to it). Because the snapshot
-//! and the push/pop both hold the stack's mutex, a sample is always a
-//! consistent prefix of what the thread actually had open — there are no
-//! torn stacks by construction (the `proptest_profile` integration test
-//! hammers this under churn).
+//! and the push/pop both hold the stack's mutex, a sample is exactly the
+//! spans the thread had open at one instant, in opening order — there are
+//! no torn stacks by construction. With guards closed innermost-first that
+//! is a prefix of what was opened; an out-of-order close removes just the
+//! closed frame (the `proptest_profile` integration test hammers the
+//! former under churn and pins the latter).
 //!
 //! The folded text is exported three ways: `--profile-out`, the live
 //! `/profile` endpoint, and — for the process backend — federated to the
@@ -130,8 +132,10 @@ pub(crate) fn push_live(name: &'static str) -> bool {
 pub(crate) fn pop_live(name: &'static str) {
     let new_leaf = LIVE.try_with(|ts| {
         let mut stack = ts.stack.lock().unwrap_or_else(|p| p.into_inner());
-        // Guards drop LIFO within a thread; be defensive about leaked
-        // guards anyway (mirrors the tracer's own OPEN handling).
+        // Guards usually drop LIFO within a thread. An out-of-order
+        // close (a leaked guard, a `Vec` of guards dropped front to back)
+        // removes the innermost frame of that name and leaves the rest in
+        // order, mirroring the tracer's own OPEN handling.
         if stack.last() == Some(&name) {
             stack.pop();
         } else if let Some(i) = stack.iter().rposition(|&n| std::ptr::eq(n, name)) {

@@ -5,9 +5,10 @@
 //! would race with the crate's parallel unit tests.
 //!
 //! The sampler and the span open/close path synchronise on each thread's
-//! live-stack mutex, so a sample must always be a consistent prefix of
-//! what the thread actually had open. The property hammers that under
-//! arbitrary churn:
+//! live-stack mutex, so a sample is exactly the set of spans the thread
+//! had open at one instant, in opening order. When guards close
+//! innermost-first — what scoped guards do — that is a prefix of what was
+//! opened. The property hammers that under arbitrary churn:
 //!
 //! 1. **No torn stacks** — every folded key is a `;`-join of real span
 //!    names in valid nesting order (here: a prefix of the fixed chain
@@ -57,7 +58,10 @@ proptest! {
                             guards.push(bpart_obs::span(name));
                         }
                         std::thread::yield_now();
-                        drop(guards);
+                        // Dropping the `Vec` would close outermost-first.
+                        while let Some(innermost) = guards.pop() {
+                            drop(innermost);
+                        }
                     }
                 });
             }
@@ -90,4 +94,40 @@ proptest! {
         set_profile_enabled(false);
         reset_profile();
     }
+}
+
+/// Out-of-order close is defined, not forbidden: closing a span that is
+/// not the innermost removes exactly that frame, and the frames that stay
+/// open keep their order. The sample is then no longer a prefix of what
+/// was opened, but it is still exactly what is open.
+#[test]
+fn out_of_order_close_removes_only_the_closed_frame() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    set_trace_enabled(true);
+    set_profile_enabled(true);
+    reset_profile();
+
+    let outer = bpart_obs::span("p.ooo.outer");
+    let middle = bpart_obs::span("p.ooo.middle");
+    let inner = bpart_obs::span("p.ooo.inner");
+    drop(outer);
+    sample_once();
+    drop(middle);
+    sample_once();
+    drop(inner);
+    sample_once();
+
+    let mut folded = folded_snapshot();
+    folded.sort();
+    assert_eq!(
+        folded,
+        vec![
+            ("p.ooo.inner".to_string(), 1),
+            ("p.ooo.middle;p.ooo.inner".to_string(), 1),
+        ]
+    );
+    assert_eq!(observation_count(), 2);
+
+    set_profile_enabled(false);
+    reset_profile();
 }
