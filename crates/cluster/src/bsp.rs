@@ -1,0 +1,311 @@
+//! The BSP superstep loop: one rollback-replay policy for every engine.
+//!
+//! [`drive`] owns everything about a run that does not depend on what a
+//! machine computes: the superstep counter and its replay high-water
+//! mark, panic-versus-injected-crash recovery (two strikes at one
+//! superstep end the run), link-fault accounting on the staged rows, the
+//! exchange and the hand-back of drained rows, checkpoint cadence and
+//! cost, straggler scaling, and the [`IterationRecord`] plus the
+//! `compute`/`comm`/`replay` span attributes of every superstep. An
+//! engine supplies a per-machine kernel ([`Machine`]) and a [`Program`]
+//! that says what one machine computes, what happens to an inbox, how
+//! traffic is charged, and when the run is over.
+//!
+//! The initial state is an implicit (free) checkpoint, so recovery works
+//! with checkpointing disabled, at the price of replaying from superstep
+//! zero. Kernels are deterministic, so a replay reproduces the fault-free
+//! state bit for bit; only the telemetry shows the damage.
+//!
+//! The process backend's supervision loop (`bpart_dist::driver`) is not
+//! built on this: its failures are observed (heartbeat loss), not
+//! injected, and its checkpoint is bytes on the far side of a socket.
+
+use crate::exec::{collect_results, for_each_machine, ExecMode};
+use crate::{
+    CostModel, Exchange, FaultPlan, FaultState, IterationRecord, MachineFailure, MachineId, Router,
+    RouterError, Telemetry, UnrecoverableFailure, WorkUnits,
+};
+use bpart_obs::analysis::join_timings;
+use bpart_obs::SpanGuard;
+use std::collections::HashMap;
+
+/// One machine's outgoing rows: `rows[to]` holds what it staged for `to`.
+pub type Rows<M> = Vec<Vec<M>>;
+
+/// One machine's superstep kernel, as the loop sees it.
+pub trait Machine: Send {
+    /// What travels between machines.
+    type Msg;
+    /// The state a checkpoint keeps.
+    type Snapshot;
+
+    /// Moves the rows the compute phase staged out of the kernel. Hand
+    /// them back, drained, with [`return_rows`](Machine::return_rows).
+    fn take_rows(&mut self) -> Rows<Self::Msg>;
+
+    /// Returns the drained rows so their buffers are reused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows have the wrong arity or still hold messages.
+    fn return_rows(&mut self, rows: Rows<Self::Msg>);
+
+    /// The state at a superstep boundary.
+    fn snapshot(&self) -> Self::Snapshot;
+
+    /// Rolls back to `snapshot`, dropping whatever a partially executed
+    /// (or panicked) superstep left in the scratch.
+    fn restore(&mut self, snapshot: &Self::Snapshot);
+
+    /// Units of state in `snapshot`, as the cost model charges them for
+    /// writing or restoring a checkpoint.
+    fn state_units(snapshot: &Self::Snapshot) -> u64;
+}
+
+/// The message type of a program's machines.
+pub type Msg<P> = <<P as Program>::Machine as Machine>::Msg;
+
+/// What an engine adds to the loop.
+pub trait Program: Sync {
+    /// The per-machine kernel.
+    type Machine: Machine;
+    /// What one machine's compute phase reports.
+    type Computed: Send;
+
+    /// Opens the span of `superstep` (its name, `superstep` and any
+    /// engine-specific attributes, the progress gauges), or returns
+    /// `None` when the run is over.
+    fn open(&mut self, superstep: usize, machines: &[Self::Machine]) -> Option<SpanGuard>;
+
+    /// One machine's compute phase; runs on its own thread in
+    /// [`ExecMode::Threaded`]. A panic here is a machine failure.
+    fn compute(&self, machine: &mut Self::Machine) -> Self::Computed;
+
+    /// Receives every machine's report once all of them computed, before
+    /// injected crashes fire; returns the work each one is charged for.
+    fn computed(&mut self, out: Vec<Self::Computed>, span: &mut SpanGuard) -> Vec<WorkUnits>;
+
+    /// Hands every machine its inbox (sender order) after the exchange;
+    /// returns the further work each one is charged for.
+    fn deliver(
+        &mut self,
+        superstep: usize,
+        machines: &mut [Self::Machine],
+        inboxes: &mut [Vec<Msg<Self>>],
+    ) -> Vec<WorkUnits>;
+
+    /// Per-machine `(sent, received)` message counts the communication
+    /// phase is charged for: by default what crossed the exchange.
+    fn traffic(&self, ex: &Exchange<Msg<Self>>) -> (Vec<u64>, Vec<u64>) {
+        (ex.sent.clone(), ex.received.clone())
+    }
+}
+
+/// How a run executes and what goes wrong during it.
+#[derive(Clone, Debug, Default)]
+pub struct Config {
+    /// Converts counted work into modelled time.
+    pub cost: CostModel,
+    /// Sequential or one thread per machine.
+    pub mode: ExecMode,
+    /// Faults injected during the run.
+    pub faults: FaultPlan,
+    /// Checkpoint after every this many supersteps (positive).
+    pub checkpoint_every: Option<usize>,
+}
+
+/// Modelled time to restore every machine from `snapshots` (machines
+/// restore in parallel, so the stall is the slowest restore).
+fn restore_time<M: Machine>(cost: &CostModel, snapshots: &[M::Snapshot]) -> f64 {
+    snapshots
+        .iter()
+        .map(|s| cost.checkpoint_time(M::state_units(s)))
+        .fold(0.0, f64::max)
+}
+
+/// Runs `program` over `machines` to completion, surviving injected
+/// faults and panicking machines via checkpoint rollback and replay.
+/// Returns the telemetry and the number of logical supersteps (replays
+/// are not double-counted; they appear in the telemetry).
+///
+/// Returns `Err` only when recovery cannot make progress: a machine
+/// panics at the same superstep on the replay attempt too, which a
+/// deterministic program would repeat forever — or a kernel hands back
+/// malformed rows, a structural bug no replay can fix.
+pub fn drive<P: Program>(
+    cfg: &Config,
+    program: &mut P,
+    machines: &mut [P::Machine],
+) -> Result<(Telemetry, usize), UnrecoverableFailure> {
+    let k = machines.len();
+    let telemetry = Telemetry::new();
+    let mut faults = FaultState::new(cfg.faults.clone());
+    let snapshot_all = |machines: &[P::Machine]| machines.iter().map(Machine::snapshot).collect();
+    // `(next superstep to run, one snapshot per machine)`.
+    let mut checkpoint: (usize, Vec<_>) = (0, snapshot_all(machines));
+    // `superstep` moves backwards on rollback; `high_water` marks how far
+    // the run ever got, so replays can be flagged.
+    let (mut superstep, mut high_water) = (0usize, 0usize);
+    let mut failures_at: HashMap<usize, u32> = HashMap::new();
+    // The router and exchange persist across supersteps so their buffers,
+    // like the kernels' arenas, keep their high-water capacity.
+    let mut router: Router<Msg<P>> = Router::new(k);
+    let mut ex: Exchange<Msg<P>> = Exchange::default();
+    let straggle = |faults: &FaultState, superstep: usize, compute: &mut [f64]| {
+        for (m, c) in compute.iter_mut().enumerate() {
+            *c *= faults.compute_factor(superstep, m as MachineId);
+        }
+    };
+
+    'run: while let Some(mut span) = program.open(superstep, machines) {
+        let replaying = superstep < high_water;
+        span.attr("replay", replaying);
+        if replaying {
+            // Replayed supersteps are what post-mortems read: pin them
+            // past the tail sampler's downsampling.
+            span.keep();
+        }
+
+        // The block either completes the superstep and `continue`s, or
+        // breaks with the wasted compute times and the faults that fired.
+        let (wasted, fired) = 'superstep: {
+            let shared: &P = program;
+            let results = for_each_machine(cfg.mode, machines, |_, s| shared.compute(s));
+            let out = match collect_results(results) {
+                Ok(out) => out,
+                Err((machine, failure)) => {
+                    // A panicked machine may have half-updated its state;
+                    // the superstep cannot complete. Give up if the replay
+                    // attempt failed too, otherwise roll back and retry.
+                    let attempts = failures_at.entry(superstep).or_insert(0);
+                    *attempts += 1;
+                    if *attempts >= 2 {
+                        return Err(UnrecoverableFailure {
+                            superstep,
+                            machine,
+                            failure,
+                        });
+                    }
+                    break 'superstep (vec![0.0; k], 1);
+                }
+            };
+            let mut compute: Vec<f64> = program
+                .computed(out, &mut span)
+                .iter()
+                .map(|w| cfg.cost.compute_time(w))
+                .collect();
+
+            // ---- the exchange barrier: injected crashes fire here ----------
+            let crashed = faults.take_crashes(superstep);
+            if !crashed.is_empty() {
+                // The compute phase ran and is wasted; it still counts
+                // toward waiting. The exchange never completes, so no comm
+                // is charged (the analyzer defaults it to zeros, matching
+                // the record).
+                straggle(&faults, superstep, &mut compute);
+                span.attr("compute", join_timings(&compute));
+                break 'superstep (compute, crashed.len() as u64);
+            }
+
+            // ---- exchange ----------------------------------------------------
+            let rows = machines.iter_mut().map(Machine::take_rows).collect();
+            if let Err(e) = router.put_rows(rows) {
+                let machine = match e {
+                    RouterError::DestArity { sender, .. } => sender,
+                    RouterError::SenderArity { .. } => 0,
+                };
+                return Err(UnrecoverableFailure {
+                    superstep,
+                    machine,
+                    failure: MachineFailure::Panic(Box::new(e.to_string())),
+                });
+            }
+            // Link faults act on the staged wire payload: a drop costs the
+            // sender a retransmission, a duplicate costs the receiver a
+            // discarded copy. Payloads still arrive exactly once.
+            let (mut sent_extra, mut received_extra) = (vec![0u64; k], vec![0u64; k]);
+            let mut link_events = 0u64;
+            if cfg.faults.has_link_faults() {
+                for (from, row) in router.staged_matrix().iter().enumerate() {
+                    for (to, &count) in row.iter().enumerate() {
+                        if count == 0 {
+                            continue;
+                        }
+                        let overhead = faults.link_overhead(
+                            superstep,
+                            from as MachineId,
+                            to as MachineId,
+                            count,
+                        );
+                        sent_extra[from] += overhead.dropped;
+                        received_extra[to] += overhead.duplicated;
+                        link_events += overhead.total();
+                    }
+                }
+            }
+            router.exchange_into(&mut ex);
+            for (s, row) in machines.iter_mut().zip(router.take_rows()) {
+                s.return_rows(row);
+            }
+            let delivered = program.deliver(superstep, machines, &mut ex.inboxes);
+            for (c, w) in compute.iter_mut().zip(&delivered) {
+                *c += cfg.cost.compute_time(w);
+            }
+
+            // ---- checkpoint --------------------------------------------------
+            if cfg
+                .checkpoint_every
+                .is_some_and(|every| (superstep + 1) % every == 0)
+            {
+                let _span = bpart_obs::span("cluster.checkpoint");
+                checkpoint = (superstep + 1, snapshot_all(machines));
+                for (c, s) in compute.iter_mut().zip(&checkpoint.1) {
+                    *c += cfg.cost.checkpoint_time(P::Machine::state_units(s));
+                }
+                bpart_obs::metrics::counter("cluster.checkpoints").inc();
+            }
+
+            // ---- telemetry ---------------------------------------------------
+            straggle(&faults, superstep, &mut compute);
+            let (mut sent, received) = program.traffic(&ex);
+            let comm: Vec<f64> = (0..k)
+                .map(|m| {
+                    sent[m] += sent_extra[m];
+                    cfg.cost.comm_time(sent[m], received[m] + received_extra[m])
+                })
+                .collect();
+            // Per-machine timings on the span (shortest round-trip `f64`
+            // formatting), so the critical-path analyzer reconstructs what
+            // `Telemetry::summary()` reports, bit-exactly.
+            span.attr("compute", join_timings(&compute));
+            span.attr("comm", join_timings(&comm));
+            telemetry.record(IterationRecord {
+                compute,
+                comm,
+                sent,
+                faults: link_events,
+                replay: replaying,
+                recovery: 0.0,
+            });
+            superstep += 1;
+            high_water = high_water.max(superstep);
+            continue 'run;
+        };
+
+        // ---- rollback: charge the restore, record the abandoned superstep ----
+        telemetry.record(IterationRecord {
+            compute: wasted,
+            comm: vec![0.0; k],
+            sent: vec![0; k],
+            faults: fired,
+            replay: replaying,
+            recovery: restore_time::<P::Machine>(&cfg.cost, &checkpoint.1),
+        });
+        bpart_obs::metrics::counter("cluster.recoveries").inc();
+        for (s, snapshot) in machines.iter_mut().zip(&checkpoint.1) {
+            s.restore(snapshot);
+        }
+        superstep = checkpoint.0;
+    }
+    Ok((telemetry, superstep))
+}

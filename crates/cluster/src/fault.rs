@@ -97,6 +97,17 @@ impl fmt::Display for UnrecoverableFailure {
 
 impl std::error::Error for UnrecoverableFailure {}
 
+impl UnrecoverableFailure {
+    /// Panics with the failure: re-raises the original payload of a
+    /// machine panic, the failure's description otherwise.
+    pub fn raise(self) -> ! {
+        match self.failure {
+            MachineFailure::Panic(payload) => std::panic::resume_unwind(payload),
+            MachineFailure::Crash { .. } => panic!("{self}"),
+        }
+    }
+}
+
 /// Kinds of link fault (directed machine pair).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum LinkKind {

@@ -22,7 +22,10 @@
 //!   a panicking closure surfaces as a recoverable per-machine failure,
 //! * [`fault::FaultPlan`] / [`fault::FaultState`] — deterministic fault
 //!   injection (machine crashes, stragglers, lossy links) applied at the
-//!   exchange barrier, driving the engines' checkpoint/rollback recovery.
+//!   exchange barrier,
+//! * [`bsp::drive`] — the one superstep loop both engines run: it owns
+//!   checkpoint/rollback recovery and every superstep's accounting, and
+//!   takes what a machine computes from a [`bsp::Program`].
 //!
 //! Every engine built on this crate counts work in *units*, not wall-clock
 //! seconds, so experiment output is deterministic and machine-independent;
@@ -30,6 +33,7 @@
 //! unit cost model reproduces faithfully (DESIGN.md §3).
 
 pub mod arena;
+pub mod bsp;
 pub mod cost;
 pub mod exec;
 pub mod fault;

@@ -113,14 +113,12 @@ pub struct AppOutput {
     pub recovery: RecoveryStats,
 }
 
-/// Driver-held checkpoint: per-worker snapshot bytes plus the driver's
-/// own counters at the same barrier. `states: None` is the implicit
-/// initial checkpoint (workers re-initialize deterministically).
+/// Driver-held checkpoint: per-worker snapshot bytes and the superstep
+/// they resume at. `states: None` is the implicit initial checkpoint
+/// (workers re-initialize deterministically).
 struct CheckpointStore {
     superstep: u64,
     states: Option<Vec<Vec<u8>>>,
-    total_steps: u64,
-    message_walks: u64,
 }
 
 struct Event {
@@ -616,11 +614,7 @@ impl Driver {
         let mut ckpt = CheckpointStore {
             superstep: 0,
             states: None,
-            total_steps: 0,
-            message_walks: 0,
         };
-        let mut total_steps = 0u64;
-        let mut message_walks = 0u64;
         let mut superstep = 0u64;
         // Highest superstep completed so far — a step at or below it is
         // a post-rollback replay (stamped on its span for `analyze`).
@@ -679,8 +673,6 @@ impl Driver {
                         agg = aggs.iter().sum();
                         walk_active = aggs.iter().map(|&a| a as u64).sum();
                         superstep = ckpt.superstep;
-                        total_steps = ckpt.total_steps;
-                        message_walks = ckpt.message_walks;
                         continue 'run;
                     }
                 };
@@ -715,18 +707,6 @@ impl Driver {
                 }
                 self.stats.link_retries += retries;
                 bpart_obs::metrics::counter("dist.link_retries").add(retries);
-            }
-            if is_walk {
-                message_walks += rows_matrix
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(from, row)| {
-                        row.iter()
-                            .enumerate()
-                            .filter(move |(to, _)| *to != from)
-                            .map(|(_, seg)| seg.count as u64)
-                    })
-                    .sum::<u64>();
             }
 
             // ---- exchange: inbox[to] = segments in sender order -----------
@@ -763,8 +743,6 @@ impl Driver {
                         agg = aggs.iter().sum();
                         walk_active = aggs.iter().map(|&a| a as u64).sum();
                         superstep = ckpt.superstep;
-                        total_steps = ckpt.total_steps;
-                        message_walks = ckpt.message_walks;
                         continue 'run;
                     }
                 };
@@ -797,12 +775,10 @@ impl Driver {
             high_water = Some(high_water.map_or(superstep, |h| h.max(superstep)));
 
             let active_total: u64 = done.iter().map(|(a, _, _)| a).sum();
-            let agg_parts: f64 = done.iter().map(|(_, a, _)| a).sum();
             if is_walk {
-                total_steps += agg_parts as u64;
                 walk_active = active_total;
             } else {
-                agg = agg_parts;
+                agg = done.iter().map(|(_, a, _)| a).sum();
             }
 
             if checkpoint_due {
@@ -815,8 +791,6 @@ impl Driver {
                 ckpt = CheckpointStore {
                     superstep: superstep + 1,
                     states: Some(states),
-                    total_steps,
-                    message_walks,
                 };
                 bpart_obs::metrics::counter("dist.checkpoints").inc();
             }
@@ -846,7 +820,6 @@ impl Driver {
         };
 
         let digest = self.assemble_digest(finals)?;
-        let _ = (total_steps, message_walks); // driver-side walk counters (parity with engine run stats)
         Ok(AppOutput {
             digest,
             supersteps: superstep,

@@ -2,9 +2,9 @@
 //! switch.
 //!
 //! The thread-simulated engines in `bpart-engine` / `bpart-walker` are
-//! the semantic oracle; this crate runs the *same* superstep order over
-//! a length-prefixed TCP frame protocol in a star topology (driver in
-//! the middle, one worker process per BSP machine). The contract is
+//! the semantic oracle; this crate runs the *same* per-machine kernels
+//! over a length-prefixed TCP frame protocol in a star topology (driver
+//! in the middle, one worker process per BSP machine). The contract is
 //! bit-identity: on a fixed [`JobSpec`], PageRank, connected components,
 //! and random walks produce byte-for-byte the same results on both
 //! backends — even when worker processes are `SIGKILL`ed mid-superstep
@@ -18,7 +18,8 @@
 //! * [`spec`] — a self-contained job description every process can
 //!   deterministically rebuild the cluster from;
 //! * [`transport`] — deadlines, backoff, heartbeats;
-//! * [`step`] — the superstep state machines that mirror the engines;
+//! * [`step`] — the engines' own per-machine kernels behind a
+//!   [`step::Worker`] that speaks rows and snapshots as bytes;
 //! * [`worker`] / [`driver`] — the two process roles.
 
 pub mod driver;
@@ -36,8 +37,11 @@ pub use error::ClusterError;
 pub use spec::{AppSpec, GraphSource, JobSpec};
 pub use worker::{run_worker, WorkerConfig};
 
+/// The walk engine's own merge of machine-local path logs.
+pub use bpart_walker::kernel::paths_from_log;
+
 use bpart_cluster::exec::ExecMode;
-use bpart_cluster::{CostModel, FaultPlan};
+use bpart_cluster::{Cluster, CostModel, FaultPlan, Telemetry};
 use bpart_graph::VertexId;
 use wire::{encode_all, Wire};
 
@@ -74,73 +78,72 @@ pub fn run_job(spec: &JobSpec, backend: &Backend) -> Result<AppOutput, ClusterEr
 }
 
 fn run_threads(spec: &JobSpec, cfg: &ThreadsConfig) -> Result<AppOutput, ClusterError> {
+    use bpart_engine::apps::{ConnectedComponents, PageRank};
+    use bpart_walker::apps::{DeepWalk, SimpleRandomWalk};
     let cluster = spec.build_cluster()?;
-    let checkpoint_every = cfg.checkpoint_every.or(spec.checkpoint_every);
-    let fail = |e: bpart_cluster::UnrecoverableFailure| ClusterError::unrecoverable(e.to_string());
-    match &spec.app {
-        AppSpec::PageRank { iters } => {
-            let mut engine =
-                bpart_engine::IterationEngine::new(cluster, CostModel::default(), cfg.mode)
-                    .with_faults(cfg.faults.clone());
-            if let Some(every) = checkpoint_every.filter(|&e| e > 0) {
-                engine = engine.with_checkpoint_every(every as usize);
-            }
-            let run = engine
-                .try_run(&bpart_engine::apps::PageRank::new(*iters))
-                .map_err(fail)?;
-            Ok(AppOutput {
-                digest: digest_wire(&run.values),
-                supersteps: run.iterations as u64,
-                recovery: threads_stats(&run.telemetry),
-            })
-        }
-        AppSpec::ConnectedComponents => {
-            let mut engine =
-                bpart_engine::IterationEngine::new(cluster, CostModel::default(), cfg.mode)
-                    .with_faults(cfg.faults.clone());
-            if let Some(every) = checkpoint_every.filter(|&e| e > 0) {
-                engine = engine.with_checkpoint_every(every as usize);
-            }
-            let run = engine
-                .try_run(&bpart_engine::apps::ConnectedComponents)
-                .map_err(fail)?;
-            Ok(AppOutput {
-                digest: digest_wire(&run.values),
-                supersteps: run.iterations as u64,
-                recovery: threads_stats(&run.telemetry),
-            })
-        }
+    let every = cfg
+        .checkpoint_every
+        .or(spec.checkpoint_every)
+        .filter(|&e| e > 0)
+        .map(|e| e as usize);
+    match spec.app {
+        AppSpec::PageRank { iters } => run_threads_iter(cluster, cfg, every, &PageRank::new(iters)),
+        AppSpec::ConnectedComponents => run_threads_iter(cluster, cfg, every, &ConnectedComponents),
         AppSpec::DeepWalk {
             walk_len,
             seed,
             per_vertex,
-        } => run_threads_walk(
-            cluster,
-            cfg,
-            checkpoint_every,
-            &bpart_walker::apps::DeepWalk::new(*walk_len),
-            *seed,
-            *per_vertex,
-        ),
+        } => {
+            let app = DeepWalk::new(walk_len);
+            run_threads_walk(cluster, cfg, every, &app, seed, per_vertex)
+        }
         AppSpec::SimpleWalk {
             walk_len,
             seed,
             per_vertex,
-        } => run_threads_walk(
-            cluster,
-            cfg,
-            checkpoint_every,
-            &bpart_walker::apps::SimpleRandomWalk::new(*walk_len),
-            *seed,
-            *per_vertex,
-        ),
+        } => {
+            let app = SimpleRandomWalk::new(walk_len);
+            run_threads_walk(cluster, cfg, every, &app, seed, per_vertex)
+        }
     }
 }
 
-fn run_threads_walk<A: bpart_walker::WalkApp>(
-    cluster: bpart_cluster::Cluster,
+fn threads_output(digest: u64, supersteps: usize, telemetry: &Telemetry) -> AppOutput {
+    AppOutput {
+        digest,
+        supersteps: supersteps as u64,
+        recovery: threads_stats(telemetry),
+    }
+}
+
+fn run_threads_iter<P: bpart_engine::VertexProgram>(
+    cluster: Cluster,
     cfg: &ThreadsConfig,
-    checkpoint_every: Option<u32>,
+    checkpoint_every: Option<usize>,
+    program: &P,
+) -> Result<AppOutput, ClusterError>
+where
+    P::Value: Wire,
+{
+    let mut engine = bpart_engine::IterationEngine::new(cluster, CostModel::default(), cfg.mode)
+        .with_faults(cfg.faults.clone());
+    if let Some(every) = checkpoint_every {
+        engine = engine.with_checkpoint_every(every);
+    }
+    let run = engine
+        .try_run(program)
+        .map_err(|e| ClusterError::unrecoverable(e.to_string()))?;
+    Ok(threads_output(
+        digest_wire(&run.values),
+        run.iterations,
+        &run.telemetry,
+    ))
+}
+
+fn run_threads_walk<A: bpart_walker::WalkApp>(
+    cluster: Cluster,
+    cfg: &ThreadsConfig,
+    checkpoint_every: Option<usize>,
     app: &A,
     seed: u64,
     per_vertex: u32,
@@ -148,8 +151,8 @@ fn run_threads_walk<A: bpart_walker::WalkApp>(
     let mut engine = bpart_walker::WalkEngine::new(cluster, CostModel::default(), cfg.mode)
         .with_faults(cfg.faults.clone())
         .with_recording();
-    if let Some(every) = checkpoint_every.filter(|&e| e > 0) {
-        engine = engine.with_checkpoint_every(every as usize);
+    if let Some(every) = checkpoint_every {
+        engine = engine.with_checkpoint_every(every);
     }
     let run = engine
         .try_run(app, &bpart_walker::WalkStarts::PerVertex(per_vertex), seed)
@@ -157,18 +160,18 @@ fn run_threads_walk<A: bpart_walker::WalkApp>(
     let paths = run
         .paths
         .ok_or_else(|| ClusterError::unrecoverable("walk engine did not record paths"))?;
-    Ok(AppOutput {
-        digest: digest_paths(&paths),
-        supersteps: run.iterations as u64,
-        recovery: threads_stats(&run.telemetry),
-    })
+    Ok(threads_output(
+        digest_paths(&paths),
+        run.iterations,
+        &run.telemetry,
+    ))
 }
 
 /// Maps the simulated engines' telemetry onto the process backend's
 /// recovery counters: link retries (fault-plan dropped + duplicated) and
 /// replayed supersteps are defined identically on both sides, which is
 /// what the drop-link parity fixture checks.
-fn threads_stats(telemetry: &bpart_cluster::Telemetry) -> RecoveryStats {
+fn threads_stats(telemetry: &Telemetry) -> RecoveryStats {
     RecoveryStats {
         link_retries: telemetry.total_faults(),
         replayed_supersteps: telemetry.replayed_supersteps() as u64,
@@ -206,22 +209,6 @@ pub fn digest_paths(paths: &[Vec<VertexId>]) -> u64 {
         }
     }
     digest_bytes(&buf)
-}
-
-/// Rebuilds per-walker paths from a merged `(walker, step, vertex)` log —
-/// the exact merge the walk engine performs across machine-local logs.
-pub fn paths_from_log(
-    mut log: Vec<(u64, u32, VertexId)>,
-    num_walkers: usize,
-) -> Vec<Vec<VertexId>> {
-    log.sort_unstable();
-    let mut paths = vec![Vec::new(); num_walkers];
-    for (id, _step, v) in log {
-        if let Some(p) = paths.get_mut(id as usize) {
-            p.push(v);
-        }
-    }
-    paths
 }
 
 #[cfg(test)]

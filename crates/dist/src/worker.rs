@@ -13,15 +13,16 @@
 //! already joined.
 
 use crate::error::ClusterError;
-use crate::proto::{DriverMsg, RowSeg, WorkerMsg};
+use crate::proto::{DriverMsg, WorkerMsg};
 use crate::spec::{AppSpec, JobSpec};
-use crate::step::{IterWorker, WalkWorker};
+use crate::step::{IterWorker, WalkWorker, Worker};
 use crate::transport::{
     connect_with_backoff, read_frame_blocking, Backoff, HeartbeatPump, SharedWriter,
 };
 use bpart_engine::apps::{ConnectedComponents, PageRank};
 use bpart_obs::{federation, tracer};
 use bpart_walker::apps::{DeepWalk, SimpleRandomWalk};
+use bpart_walker::WalkApp;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -46,134 +47,36 @@ pub struct WorkerConfig {
     pub heartbeat: Duration,
 }
 
-/// The app-specific half of the worker, dispatched once at `Job` time.
-enum WorkerApp {
-    PageRank(IterWorker<PageRank>),
-    Cc(IterWorker<ConnectedComponents>),
-    Walk {
-        worker: WalkWorker,
-        /// Steps executed in the superstep currently in flight.
-        steps: u64,
-    },
-}
-
-impl WorkerApp {
-    fn build(spec: &JobSpec, machine: usize) -> Result<WorkerApp, ClusterError> {
-        let cluster = spec.build_cluster()?;
-        Ok(match &spec.app {
-            AppSpec::PageRank { iters } => {
-                WorkerApp::PageRank(IterWorker::new(PageRank::new(*iters), cluster, machine))
-            }
-            AppSpec::ConnectedComponents => {
-                WorkerApp::Cc(IterWorker::new(ConnectedComponents, cluster, machine))
-            }
-            AppSpec::DeepWalk {
-                walk_len,
-                seed,
-                per_vertex,
-            } => WorkerApp::Walk {
-                worker: WalkWorker::new(
-                    Box::new(DeepWalk::new(*walk_len)),
-                    cluster,
-                    machine,
-                    *seed,
-                    *per_vertex,
-                ),
-                steps: 0,
-            },
-            AppSpec::SimpleWalk {
-                walk_len,
-                seed,
-                per_vertex,
-            } => WorkerApp::Walk {
-                worker: WalkWorker::new(
-                    Box::new(SimpleRandomWalk::new(*walk_len)),
-                    cluster,
-                    machine,
-                    *seed,
-                    *per_vertex,
-                ),
-                steps: 0,
-            },
-        })
-    }
-
-    /// The `Ready` aggregate: iteration apps report their local
-    /// aggregate sum, walk apps their queued-walker count.
-    fn ready_agg(&self) -> f64 {
-        match self {
-            WorkerApp::PageRank(w) => w.local_aggregate(),
-            WorkerApp::Cc(w) => w.local_aggregate(),
-            WorkerApp::Walk { worker, .. } => worker.queue_len() as f64,
+/// Builds the app-specific half of the worker, once, at `Job` time.
+fn build_app(spec: &JobSpec, machine: usize) -> Result<Box<dyn Worker>, ClusterError> {
+    let cluster = spec.build_cluster()?;
+    let walk = |app: Box<dyn WalkApp>, seed: u64, per_vertex: u32| {
+        Box::new(WalkWorker::new(
+            app,
+            cluster.clone(),
+            machine,
+            seed,
+            per_vertex,
+        ))
+    };
+    Ok(match spec.app {
+        AppSpec::PageRank { iters } => {
+            Box::new(IterWorker::new(PageRank::new(iters), cluster, machine))
         }
-    }
-
-    /// Local compute phase: scatter (iteration) or one walker step each
-    /// (walks). Returns the outgoing rows, self slot empty.
-    fn begin(&mut self) -> Vec<RowSeg> {
-        match self {
-            WorkerApp::PageRank(w) => w.scatter(),
-            WorkerApp::Cc(w) => w.scatter(),
-            WorkerApp::Walk { worker, steps } => {
-                let (n, rows) = worker.step();
-                *steps = n;
-                rows
-            }
+        AppSpec::ConnectedComponents => {
+            Box::new(IterWorker::new(ConnectedComponents, cluster, machine))
         }
-    }
-
-    /// Completes the superstep with the driver's inbox. Returns
-    /// `(active, agg)` for `StepDone`: iteration apps report
-    /// votes-to-continue and next-superstep aggregate; walk apps report
-    /// their new queue length and the steps just executed.
-    fn finish(
-        &mut self,
-        inbox: &[RowSeg],
-        superstep: u64,
-        aggregate: f64,
-    ) -> Result<(u64, f64), ClusterError> {
-        match self {
-            WorkerApp::PageRank(w) => {
-                let any = w.apply(inbox, superstep, aggregate)?;
-                Ok((any as u64, w.local_aggregate()))
-            }
-            WorkerApp::Cc(w) => {
-                let any = w.apply(inbox, superstep, aggregate)?;
-                Ok((any as u64, w.local_aggregate()))
-            }
-            WorkerApp::Walk { worker, steps } => {
-                worker.absorb(inbox)?;
-                Ok((worker.queue_len() as u64, *steps as f64))
-            }
-        }
-    }
-
-    fn snapshot(&self) -> Vec<u8> {
-        match self {
-            WorkerApp::PageRank(w) => w.snapshot(),
-            WorkerApp::Cc(w) => w.snapshot(),
-            WorkerApp::Walk { worker, .. } => worker.snapshot(),
-        }
-    }
-
-    fn restore(&mut self, state: Option<&[u8]>) -> Result<(), ClusterError> {
-        match self {
-            WorkerApp::PageRank(w) => w.restore(state),
-            WorkerApp::Cc(w) => w.restore(state),
-            WorkerApp::Walk { worker, steps } => {
-                *steps = 0;
-                worker.restore(state)
-            }
-        }
-    }
-
-    fn final_result(&self) -> Vec<u8> {
-        match self {
-            WorkerApp::PageRank(w) => w.final_result(),
-            WorkerApp::Cc(w) => w.final_result(),
-            WorkerApp::Walk { worker, .. } => worker.final_result(),
-        }
-    }
+        AppSpec::DeepWalk {
+            walk_len,
+            seed,
+            per_vertex,
+        } => walk(Box::new(DeepWalk::new(walk_len)), seed, per_vertex),
+        AppSpec::SimpleWalk {
+            walk_len,
+            seed,
+            per_vertex,
+        } => walk(Box::new(SimpleRandomWalk::new(walk_len)), seed, per_vertex),
+    })
 }
 
 /// Report position shared between the protocol loop and the flush
@@ -335,7 +238,7 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
     let DriverMsg::Job { spec, machine } = DriverMsg::from_frame(&frame)? else {
         return Err(ClusterError::corrupt("expected Job as the first frame"));
     };
-    let mut app = WorkerApp::build(&spec, machine as usize)?;
+    let mut app = build_app(&spec, machine as usize)?;
     send(&WorkerMsg::Ready {
         epoch: epoch.load(Ordering::Relaxed),
         agg: app.ready_agg(),

@@ -1,25 +1,25 @@
-//! The BSP iteration driver.
+//! The BSP iteration engine.
 //!
-//! Fault tolerance: the engine can run under a [`FaultPlan`] (injected
-//! machine crashes, stragglers, lossy links) with superstep
-//! checkpointing. Crashes trigger rollback to the last checkpoint and
-//! deterministic replay, so final values are bitwise-identical to a
-//! fault-free run — only the telemetry (wasted work, recovery time,
-//! replayed supersteps) shows the damage. The initial state acts as an
-//! implicit checkpoint, so recovery works even with checkpointing
-//! disabled (at the price of replaying from superstep zero).
+//! [`IterationEngine`] is a builder, a gather, and [`Iterate`]: the
+//! vertex-program half of a superstep (aggregate + scatter, then inbox
+//! fold + apply, on [`MachineStep`] kernels). The superstep loop itself —
+//! fault injection, checkpoint rollback and replay, telemetry — is
+//! [`bpart_cluster::bsp::drive`], shared with the walk engine. Crashes
+//! roll back to the last checkpoint and replay deterministically, so
+//! final values are bitwise-identical to a fault-free run; only the
+//! telemetry (wasted work, recovery time, replayed supersteps) shows the
+//! damage.
 
-use crate::kernel::{MachineStep, Rows, ScatterOutcome, Snapshot};
+use crate::kernel::{MachineStep, ScatterOutcome};
 use crate::program::VertexProgram;
-use bpart_cluster::exec::{collect_results, for_each_machine, ExecMode};
-use bpart_cluster::MachineId;
+use bpart_cluster::bsp::{self, Msg};
+use bpart_cluster::exec::ExecMode;
 use bpart_cluster::{
-    Cluster, CostModel, Exchange, FaultPlan, FaultState, IterationRecord, MachineFailure, Router,
-    Telemetry, UnrecoverableFailure,
+    Cluster, CostModel, Exchange, FaultPlan, Telemetry, UnrecoverableFailure, WorkUnits,
 };
 use bpart_core::Partition;
-use bpart_graph::{CsrGraph, VertexId};
-use std::collections::HashMap;
+use bpart_graph::CsrGraph;
+use bpart_obs::SpanGuard;
 use std::sync::Arc;
 
 /// Outcome of an engine run.
@@ -54,30 +54,93 @@ pub enum CommAccounting {
 /// A Gemini-like iteration engine bound to one cluster.
 pub struct IterationEngine {
     cluster: Cluster,
-    cost: CostModel,
-    mode: ExecMode,
     comm: CommAccounting,
-    faults: FaultPlan,
-    checkpoint_every: Option<usize>,
+    cfg: bsp::Config,
 }
 
-/// A globally consistent snapshot taken at a superstep boundary.
-struct Checkpoint<V> {
-    /// The next superstep to run after restoring this snapshot.
-    superstep: usize,
-    /// One snapshot per machine.
-    machines: Vec<Snapshot<V>>,
+/// One vertex program's run, as the superstep loop sees it.
+struct Iterate<'a, P> {
+    program: &'a P,
+    comm: CommAccounting,
+    /// Global aggregate over the values this superstep started from
+    /// (e.g. PageRank's dangling mass).
+    aggregate: f64,
+    /// Raw (uncombined) update totals per machine, `(sent, received)`.
+    raw: (Vec<u64>, Vec<u64>),
+    /// Whether the last completed superstep left any vertex active.
+    any_active: bool,
 }
 
-fn snapshot<P: VertexProgram>(steps: &[MachineStep<P>]) -> Vec<Snapshot<P::Value>> {
-    steps.iter().map(MachineStep::snapshot).collect()
-}
+impl<P: VertexProgram> bsp::Program for Iterate<'_, P> {
+    type Machine = MachineStep<P>;
+    type Computed = (f64, ScatterOutcome);
 
-/// Restores every machine to `checkpoint`; the kernel also clears the
-/// scratch a partially executed (or panicked) superstep left behind.
-fn rollback<P: VertexProgram>(steps: &mut [MachineStep<P>], checkpoint: &Checkpoint<P::Value>) {
-    for (s, snapshot) in steps.iter_mut().zip(&checkpoint.machines) {
-        s.restore(snapshot);
+    fn open(&mut self, superstep: usize, _: &[MachineStep<P>]) -> Option<SpanGuard> {
+        // Quiescence: once no vertex is active, no future superstep can
+        // change any state — stop regardless of the iteration cap (which
+        // is only an upper bound).
+        let capped = self
+            .program
+            .max_iterations()
+            .is_some_and(|max| superstep >= max);
+        if capped || !self.any_active {
+            return None;
+        }
+        // Live progress for the `/progress` monitoring endpoint.
+        bpart_obs::metrics::gauge("cluster.progress_superstep").set(superstep as f64);
+        let mut span = bpart_obs::span("cluster.superstep");
+        span.attr("superstep", superstep);
+        Some(span)
+    }
+
+    fn compute(&self, s: &mut MachineStep<P>) -> (f64, ScatterOutcome) {
+        (s.aggregate(self.program), s.scatter(self.program))
+    }
+
+    fn computed(&mut self, out: Vec<(f64, ScatterOutcome)>, _: &mut SpanGuard) -> Vec<WorkUnits> {
+        self.aggregate = out.iter().map(|(part, _)| *part).sum();
+        let (sent, received) = &mut self.raw;
+        sent.fill(0);
+        received.fill(0);
+        for (from, (_, scattered)) in out.iter().enumerate() {
+            for (to, &count) in scattered.raw.iter().enumerate() {
+                sent[from] += count;
+                received[to] += count;
+            }
+        }
+        out.into_iter()
+            .map(|(_, scattered)| scattered.work)
+            .collect()
+    }
+
+    fn deliver(
+        &mut self,
+        superstep: usize,
+        steps: &mut [MachineStep<P>],
+        inboxes: &mut [Vec<Msg<Self>>],
+    ) -> Vec<WorkUnits> {
+        self.any_active = false;
+        // Sequential over machines; inboxes are drained (not consumed) so
+        // the exchange buffers carry their capacity into the next round.
+        steps
+            .iter_mut()
+            .zip(inboxes)
+            .map(|(s, inbox)| {
+                // The inbox is already in sender order; the kernel folds
+                // its own self row after it.
+                s.fold(self.program, inbox.drain(..));
+                let applied = s.apply(self.program, superstep, self.aggregate);
+                self.any_active |= applied.any_active;
+                applied.work
+            })
+            .collect()
+    }
+
+    fn traffic(&self, ex: &Exchange<Msg<Self>>) -> (Vec<u64>, Vec<u64>) {
+        match self.comm {
+            CommAccounting::PerEdgeUpdate => self.raw.clone(),
+            CommAccounting::Combined => (ex.sent.clone(), ex.received.clone()),
+        }
     }
 }
 
@@ -86,11 +149,12 @@ impl IterationEngine {
     pub fn new(cluster: Cluster, cost: CostModel, mode: ExecMode) -> Self {
         IterationEngine {
             cluster,
-            cost,
-            mode,
             comm: CommAccounting::default(),
-            faults: FaultPlan::default(),
-            checkpoint_every: None,
+            cfg: bsp::Config {
+                cost,
+                mode,
+                ..bsp::Config::default()
+            },
         }
     }
 
@@ -102,7 +166,7 @@ impl IterationEngine {
 
     /// Injects faults from `plan` during the run (see [`FaultPlan`]).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
+        self.cfg.faults = plan;
         self
     }
 
@@ -110,7 +174,7 @@ impl IterationEngine {
     /// positive). Without this, recovery replays from the initial state.
     pub fn with_checkpoint_every(mut self, every: usize) -> Self {
         assert!(every > 0, "checkpoint interval must be positive");
-        self.checkpoint_every = Some(every);
+        self.cfg.checkpoint_every = Some(every);
         self
     }
 
@@ -132,14 +196,7 @@ impl IterationEngine {
     /// payload) on an unrecoverable machine failure. See
     /// [`try_run`](IterationEngine::try_run) for the fallible form.
     pub fn run<P: VertexProgram>(&self, program: &P) -> EngineRun<P::Value> {
-        match self.try_run(program) {
-            Ok(run) => run,
-            Err(UnrecoverableFailure {
-                failure: MachineFailure::Panic(payload),
-                ..
-            }) => std::panic::resume_unwind(payload),
-            Err(e) => panic!("{e}"),
-        }
+        self.try_run(program).unwrap_or_else(|e| e.raise())
     }
 
     /// Runs `program` to completion and returns values plus telemetry,
@@ -152,270 +209,19 @@ impl IterationEngine {
         &self,
         program: &P,
     ) -> Result<EngineRun<P::Value>, UnrecoverableFailure> {
-        let graph = self.cluster.graph();
-        let n = graph.num_vertices();
         let k = self.cluster.num_machines();
-
         let mut steps = MachineStep::for_cluster(program, &self.cluster);
-
-        let telemetry = Telemetry::new();
-        let mut faults = FaultState::new(self.faults.clone());
-        // The initial state is an implicit (free) checkpoint: recovery is
-        // always possible, even with checkpointing disabled.
-        let mut checkpoint = Checkpoint {
-            superstep: 0,
-            machines: snapshot(&steps),
+        let mut iterate = Iterate {
+            program,
+            comm: self.comm,
+            aggregate: 0.0,
+            raw: (vec![0; k], vec![0; k]),
+            any_active: true,
         };
-        // `superstep` is the logical superstep being computed; it moves
-        // backwards on rollback. `high_water` marks how far the run has
-        // ever progressed, so replays can be flagged in telemetry.
-        let mut superstep = 0usize;
-        let mut high_water = 0usize;
-        let mut failures_at: HashMap<usize, u32> = HashMap::new();
-
-        // Shared recovery path for machine failures (panics): charge the
-        // restore, record the aborted superstep, roll back — or give up if
-        // this superstep already failed once before (deterministic replay
-        // would fail forever).
-        macro_rules! recover_or_bail {
-            ($machine:expr, $failure:expr, $compute:expr, $replaying:expr) => {{
-                let attempts = failures_at.entry(superstep).or_insert(0);
-                *attempts += 1;
-                if *attempts >= 2 {
-                    return Err(UnrecoverableFailure {
-                        superstep,
-                        machine: $machine,
-                        failure: $failure,
-                    });
-                }
-                let recovery = restore_time(&self.cost, &checkpoint);
-                telemetry.record(IterationRecord {
-                    compute: $compute,
-                    comm: vec![0.0; k],
-                    sent: vec![0; k],
-                    faults: 1,
-                    replay: $replaying,
-                    recovery,
-                });
-                bpart_obs::metrics::counter("cluster.recoveries").inc();
-                rollback(&mut steps, &checkpoint);
-                superstep = checkpoint.superstep;
-                continue;
-            }};
-        }
-
-        use std::sync::OnceLock;
-        static PROGRESS: OnceLock<&'static bpart_obs::metrics::Gauge> = OnceLock::new();
-        // Live progress for the `/progress` monitoring endpoint: which
-        // superstep the engine is currently executing.
-        let progress_gauge =
-            PROGRESS.get_or_init(|| bpart_obs::metrics::gauge("cluster.progress_superstep"));
-
-        // Persistent messaging buffers: the router and the exchange keep
-        // their high-water capacity across supersteps, complementing the
-        // per-machine arenas inside the kernels.
-        let mut router: Router<(VertexId, P::Accum)> = Router::new(k);
-        let mut ex: Exchange<(VertexId, P::Accum)> = Exchange::default();
-
-        loop {
-            if let Some(max) = program.max_iterations() {
-                if superstep >= max {
-                    break;
-                }
-            }
-            let replaying = superstep < high_water;
-            progress_gauge.set(superstep as f64);
-            let mut step_span = bpart_obs::span("cluster.superstep");
-            step_span.attr("superstep", superstep);
-            step_span.attr("replay", replaying);
-            if replaying {
-                // Replayed supersteps are what post-mortems read: pin
-                // them past the tail sampler's downsampling.
-                step_span.keep();
-            }
-
-            // Global aggregate over current values (e.g. PR dangling mass).
-            let agg_results = for_each_machine(self.mode, &mut steps, |_, s| s.aggregate(program));
-            let aggregate: f64 = match collect_results(agg_results) {
-                Ok(parts) => parts.into_iter().sum(),
-                Err((machine, failure)) => {
-                    recover_or_bail!(machine, failure, vec![0.0; k], replaying)
-                }
-            };
-
-            // ---- scatter phase -------------------------------------------------
-            let scatter_results =
-                for_each_machine(self.mode, &mut steps, |_, s| s.scatter(program));
-            let scatter_out: Vec<ScatterOutcome> = match collect_results(scatter_results) {
-                Ok(out) => out,
-                Err((machine, failure)) => {
-                    recover_or_bail!(machine, failure, vec![0.0; k], replaying)
-                }
-            };
-
-            let mut compute: Vec<f64> = scatter_out
-                .iter()
-                .map(|out| self.cost.compute_time(&out.work))
-                .collect();
-            // Raw update totals per machine (sent / received).
-            let mut raw_sent = vec![0u64; k];
-            let mut raw_received = vec![0u64; k];
-            for (from, out) in scatter_out.iter().enumerate() {
-                for (to, &count) in out.raw.iter().enumerate() {
-                    raw_sent[from] += count;
-                    raw_received[to] += count;
-                }
-            }
-
-            // ---- the exchange barrier: injected crashes fire here --------------
-            let crashed = faults.take_crashes(superstep);
-            if !crashed.is_empty() {
-                // The computation phase ran and is wasted; the exchange
-                // never completes, so no communication is charged.
-                for (m, c) in compute.iter_mut().enumerate() {
-                    *c *= faults.compute_factor(superstep, m as MachineId);
-                }
-                // The wasted compute still counts toward waiting (the
-                // exchange never completes, so comm defaults to zeros in
-                // the analyzer — matching the record below).
-                step_span.attr("compute", bpart_obs::analysis::join_timings(&compute));
-                let recovery = restore_time(&self.cost, &checkpoint);
-                telemetry.record(IterationRecord {
-                    compute,
-                    comm: vec![0.0; k],
-                    sent: vec![0; k],
-                    faults: crashed.len() as u64,
-                    replay: replaying,
-                    recovery,
-                });
-                bpart_obs::metrics::counter("cluster.recoveries").inc();
-                rollback(&mut steps, &checkpoint);
-                superstep = checkpoint.superstep;
-                continue;
-            }
-
-            // ---- exchange ------------------------------------------------------
-            // Self-addressed updates are not network messages: each
-            // kernel keeps its own and hands out an empty slot for it.
-            let rows: Vec<Rows<P::Accum>> = steps.iter_mut().map(|s| s.take_rows()).collect();
-            // A malformed hand-back is a deterministic structural bug, so
-            // replay cannot fix it: fail the run, not the process.
-            if let Err(e) = router.put_rows(rows) {
-                let machine = match e {
-                    bpart_cluster::RouterError::DestArity { sender, .. } => sender,
-                    bpart_cluster::RouterError::SenderArity { .. } => 0,
-                };
-                return Err(UnrecoverableFailure {
-                    superstep,
-                    machine,
-                    failure: MachineFailure::Panic(Box::new(e.to_string())),
-                });
-            }
-
-            // Link faults act on the wire payload (the combined messages
-            // actually staged): drops cost the sender a retransmission,
-            // duplicates cost the receiver a discarded copy. Payloads
-            // still arrive exactly once, so values are unaffected.
-            let mut drop_extra_sent = vec![0u64; k];
-            let mut dup_extra_received = vec![0u64; k];
-            let mut link_events = 0u64;
-            if !self.faults.is_empty() {
-                let staged = router.staged_matrix();
-                for (from, row) in staged.iter().enumerate() {
-                    for (to, &count) in row.iter().enumerate() {
-                        if count == 0 {
-                            continue;
-                        }
-                        let overhead = faults.link_overhead(
-                            superstep,
-                            from as MachineId,
-                            to as MachineId,
-                            count,
-                        );
-                        drop_extra_sent[from] += overhead.dropped;
-                        dup_extra_received[to] += overhead.duplicated;
-                        link_events += overhead.total();
-                    }
-                }
-            }
-
-            router.exchange_into(&mut ex);
-            // Hand the drained rows back to their arenas for reuse.
-            for (s, row) in steps.iter_mut().zip(router.take_rows()) {
-                s.return_rows(row);
-            }
-
-            // ---- apply phase ----------------------------------------------
-            let mut any_active_next = false;
-            // Sequential over machines for inbox handoff; the per-machine
-            // apply loops are the heavy part and stay identical in both
-            // exec modes. Inboxes are drained (not consumed) so the
-            // exchange buffers carry their capacity into the next round.
-            for (m, s) in steps.iter_mut().enumerate() {
-                // The inbox is already in sender order; the kernel folds
-                // its own self row after it.
-                s.fold(program, ex.inboxes[m].drain(..));
-                let applied = s.apply(program, superstep, aggregate);
-                compute[m] += self.cost.compute_time(&applied.work);
-                any_active_next |= applied.any_active;
-            }
-
-            // ---- checkpoint -----------------------------------------------
-            if let Some(every) = self.checkpoint_every {
-                if (superstep + 1) % every == 0 {
-                    let _ckpt_span = bpart_obs::span("cluster.checkpoint");
-                    checkpoint = Checkpoint {
-                        superstep: superstep + 1,
-                        machines: snapshot(&steps),
-                    };
-                    for (m, s) in steps.iter().enumerate() {
-                        compute[m] += self.cost.checkpoint_time(s.values().len() as u64);
-                    }
-                    bpart_obs::metrics::counter("cluster.checkpoints").inc();
-                }
-            }
-
-            // ---- telemetry ------------------------------------------------
-            for (m, c) in compute.iter_mut().enumerate() {
-                *c *= faults.compute_factor(superstep, m as MachineId);
-            }
-            let (mut sent_counts, mut recv_counts) = match self.comm {
-                CommAccounting::PerEdgeUpdate => (raw_sent.clone(), raw_received.clone()),
-                CommAccounting::Combined => (ex.sent.clone(), ex.received.clone()),
-            };
-            for m in 0..k {
-                sent_counts[m] += drop_extra_sent[m];
-                recv_counts[m] += dup_extra_received[m];
-            }
-            let comm: Vec<f64> = (0..k)
-                .map(|m| self.cost.comm_time(sent_counts[m], recv_counts[m]))
-                .collect();
-            // Per-machine timings on the span (shortest round-trip f64
-            // formatting), so the critical-path analyzer reconstructs the
-            // same numbers `Telemetry::summary()` reports, bit-exactly.
-            step_span.attr("compute", bpart_obs::analysis::join_timings(&compute));
-            step_span.attr("comm", bpart_obs::analysis::join_timings(&comm));
-            telemetry.record(IterationRecord {
-                compute,
-                comm,
-                sent: sent_counts,
-                faults: link_events,
-                replay: replaying,
-                recovery: 0.0,
-            });
-
-            superstep += 1;
-            high_water = high_water.max(superstep);
-            // Quiescence: once no vertex is active, no future superstep
-            // can change any state — stop regardless of the iteration
-            // cap (which is only an upper bound).
-            if !any_active_next {
-                break;
-            }
-        }
+        let (telemetry, iterations) = bsp::drive(&self.cfg, &mut iterate, &mut steps)?;
 
         // Gather values back to global order.
-        let mut values: Vec<Option<P::Value>> = vec![None; n];
+        let mut values: Vec<Option<P::Value>> = vec![None; self.cluster.graph().num_vertices()];
         for (m, s) in steps.iter().enumerate() {
             for (&v, value) in self.cluster.local_vertices(m as u32).iter().zip(s.values()) {
                 values[v as usize] = Some(value.clone());
@@ -427,19 +233,9 @@ impl IterationEngine {
                 .map(|v| v.expect("every vertex owned"))
                 .collect(),
             telemetry,
-            iterations: superstep,
+            iterations,
         })
     }
-}
-
-/// Modelled time to restore every machine from `checkpoint` (machines
-/// restore in parallel, so the stall is the slowest restore).
-fn restore_time<V>(cost: &CostModel, checkpoint: &Checkpoint<V>) -> f64 {
-    checkpoint
-        .machines
-        .iter()
-        .map(|snapshot| cost.checkpoint_time(snapshot.values.len() as u64))
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -447,7 +243,7 @@ mod tests {
     use super::*;
     use crate::program::ProgramContext;
     use bpart_core::{ChunkV, HashPartitioner, Partitioner};
-    use bpart_graph::generate;
+    use bpart_graph::{generate, VertexId};
 
     /// Toy program: every vertex starts at 1 and pushes its value forward;
     /// each vertex becomes the sum of its in-signals for one iteration.

@@ -30,6 +30,7 @@
 //!    everything the caller folded.
 
 use crate::program::{ProgramContext, VertexProgram};
+use bpart_cluster::bsp::Machine;
 use bpart_cluster::{Cluster, MachineId, MessageArena, WorkUnits};
 use bpart_graph::VertexId;
 use std::sync::Arc;
@@ -177,7 +178,7 @@ impl<P: VertexProgram> MachineStep<P> {
 
     /// Scatter phase: signals every active vertex's neighbours, combining
     /// per target, then drains the combined updates into per-destination
-    /// rows in ascending target order (see [`take_rows`](Self::take_rows)).
+    /// rows in ascending target order (see [`Machine::take_rows`]).
     pub fn scatter(&mut self, program: &P) -> ScatterOutcome {
         let MachineStep {
             cluster,
@@ -224,26 +225,6 @@ impl<P: VertexProgram> MachineStep<P> {
             outbox.push(owner[v], (v as VertexId, std::mem::take(&mut slots[v])));
         });
         ScatterOutcome { raw, work }
-    }
-
-    /// Moves the rows the last scatter staged out of the kernel. The
-    /// self-addressed row stays inside (it is no network message), so
-    /// its slot in the result is empty. Hand the rows back, drained, with
-    /// [`return_rows`](Self::return_rows) before the next scatter.
-    pub fn take_rows(&mut self) -> Rows<P::Accum> {
-        let mut rows = self.outbox.take_filled();
-        debug_assert!(self.self_row.is_empty());
-        std::mem::swap(&mut rows[self.machine as usize], &mut self.self_row);
-        rows
-    }
-
-    /// Returns the drained rows so their buffers are reused.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have the wrong arity or still hold messages.
-    pub fn return_rows(&mut self, rows: Rows<P::Accum>) {
-        self.outbox.put_drained(rows);
     }
 
     /// Folds one sender's delivered row into the accumulator. Call once
@@ -308,29 +289,6 @@ impl<P: VertexProgram> MachineStep<P> {
         ApplyOutcome { work, any_active }
     }
 
-    /// The state a checkpoint keeps.
-    pub fn snapshot(&self) -> Snapshot<P::Value> {
-        Snapshot {
-            values: self.values.clone(),
-            active: self.active.clone(),
-        }
-    }
-
-    /// Rolls back to `snapshot`, dropping whatever a partially executed
-    /// (or panicked) superstep left in the scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot is not of this machine's vertex count.
-    pub fn restore(&mut self, snapshot: &Snapshot<P::Value>) {
-        let local = self.cluster.local_vertices(self.machine).len();
-        assert_eq!(snapshot.values.len(), local, "snapshot length mismatch");
-        assert_eq!(snapshot.active.len(), local, "snapshot length mismatch");
-        self.clear_scratch();
-        self.values.clone_from(&snapshot.values);
-        self.active.clone_from(&snapshot.active);
-    }
-
     /// Rolls back to the program's deterministic initial state.
     pub fn reset(&mut self, program: &P) {
         self.clear_scratch();
@@ -350,6 +308,49 @@ impl<P: VertexProgram> MachineStep<P> {
         drain_bits(&mut self.present, |v| slots[v] = P::Accum::default());
         self.outbox.reset();
         self.self_row.clear();
+    }
+}
+
+/// The loop-facing half of the kernel: rows out and back, checkpoints.
+impl<P: VertexProgram> Machine for MachineStep<P> {
+    type Msg = (VertexId, P::Accum);
+    type Snapshot = Snapshot<P::Value>;
+
+    /// The self-addressed row stays inside (it is no network message),
+    /// so its slot in the result is empty.
+    fn take_rows(&mut self) -> Rows<P::Accum> {
+        let mut rows = self.outbox.take_filled();
+        debug_assert!(self.self_row.is_empty());
+        std::mem::swap(&mut rows[self.machine as usize], &mut self.self_row);
+        rows
+    }
+
+    fn return_rows(&mut self, rows: Rows<P::Accum>) {
+        self.outbox.put_drained(rows);
+    }
+
+    fn snapshot(&self) -> Snapshot<P::Value> {
+        Snapshot {
+            values: self.values.clone(),
+            active: self.active.clone(),
+        }
+    }
+
+    /// # Panics
+    ///
+    /// Panics if the snapshot is not of this machine's vertex count.
+    fn restore(&mut self, snapshot: &Snapshot<P::Value>) {
+        let local = self.cluster.local_vertices(self.machine).len();
+        assert_eq!(snapshot.values.len(), local, "snapshot length mismatch");
+        assert_eq!(snapshot.active.len(), local, "snapshot length mismatch");
+        self.clear_scratch();
+        self.values.clone_from(&snapshot.values);
+        self.active.clone_from(&snapshot.active);
+    }
+
+    /// One unit per vertex value.
+    fn state_units(snapshot: &Snapshot<P::Value>) -> u64 {
+        snapshot.values.len() as u64
     }
 }
 

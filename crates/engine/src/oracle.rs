@@ -11,6 +11,7 @@ use crate::apps::{Bfs, ConnectedComponents, DistFrom, PageRank, Sssp};
 use crate::engine::{CommAccounting, IterationEngine};
 use crate::kernel::{ApplyOutcome, MachineStep, Rows, ScatterOutcome};
 use crate::program::{ProgramContext, VertexProgram};
+use bpart_cluster::bsp::Machine;
 use bpart_cluster::exec::ExecMode;
 use bpart_cluster::{Cluster, CostModel, IterationRecord, MachineId, WorkUnits};
 use bpart_core::Partition;
@@ -85,10 +86,10 @@ impl<P: VertexProgram> Step<P> for MachineStep<P> {
         MachineStep::scatter(self, program)
     }
     fn take_rows(&mut self) -> Rows<P::Accum> {
-        MachineStep::take_rows(self)
+        Machine::take_rows(self)
     }
     fn return_rows(&mut self, rows: Rows<P::Accum>) {
-        MachineStep::return_rows(self, rows)
+        Machine::return_rows(self, rows)
     }
     fn fold(&mut self, program: &P, row: Vec<(VertexId, P::Accum)>) {
         MachineStep::fold(self, program, row)

@@ -1,27 +1,28 @@
-//! The distributed walk driver.
+//! The distributed walk engine.
 //!
 //! One superstep = one step of every active walker (KnightKing's
 //! synchronous stepping). A walker whose new vertex belongs to another
 //! machine is transmitted at the barrier — the "message walks" the paper
 //! counts in Fig. 5b.
 //!
-//! Fault tolerance mirrors the iteration engine: under a [`FaultPlan`],
-//! machine crashes at the barrier roll all machines back to the last
-//! checkpoint (in-flight walker queues, path logs, and step counters)
-//! and replay. Each walker carries its own RNG, so replays reproduce the
-//! exact trajectories — recorded paths are bitwise-identical to a
-//! fault-free run, and only telemetry shows the recovery work.
+//! [`WalkEngine`] is a builder, walker seeding, a path merge, and
+//! [`Walk`]: the walk half of a superstep (step every queue, absorb every
+//! inbox, on [`WalkStep`] kernels). The superstep loop itself — fault
+//! injection, checkpoint rollback and replay, telemetry — is
+//! [`bpart_cluster::bsp::drive`], shared with the iteration engine. Each
+//! walker carries its own RNG and the step counters live in the
+//! checkpointed kernel state, so replays reproduce the exact trajectories
+//! and totals of a fault-free run; only telemetry shows the recovery work.
 
+use crate::kernel::{paths_from_log, WalkStep};
 use crate::walker::{WalkApp, Walker};
-use bpart_cluster::exec::{collect_results, for_each_machine, ExecMode};
-use bpart_cluster::MachineId;
-use bpart_cluster::{
-    Cluster, CostModel, Exchange, FaultPlan, FaultState, IterationRecord, MachineFailure,
-    MessageArena, Router, Telemetry, UnrecoverableFailure, WorkUnits,
-};
+use bpart_cluster::bsp;
+use bpart_cluster::exec::ExecMode;
+use bpart_cluster::{Cluster, CostModel, FaultPlan, Telemetry, UnrecoverableFailure, WorkUnits};
 use bpart_core::Partition;
 use bpart_graph::{CsrGraph, VertexId};
-use std::collections::HashMap;
+use bpart_obs::metrics;
+use bpart_obs::SpanGuard;
 use std::sync::Arc;
 
 /// Where walks start.
@@ -32,6 +33,27 @@ pub enum WalkStarts {
     PerVertex(u32),
     /// Explicit start vertices, one walker each.
     Explicit(Vec<VertexId>),
+}
+
+impl WalkStarts {
+    /// Number of walkers started on a graph of `n` vertices.
+    pub fn count(&self, n: usize) -> u64 {
+        match self {
+            WalkStarts::PerVertex(c) => n as u64 * *c as u64,
+            WalkStarts::Explicit(list) => list.len() as u64,
+        }
+    }
+
+    /// Every walker's `(id, start vertex)` on a graph of `n` vertices, in
+    /// id order — the one definition of walker numbering: copy `c` of
+    /// vertex `v` is walker `c·n + v`, explicit starts are numbered by
+    /// position.
+    pub fn walkers(&self, n: usize) -> impl Iterator<Item = (u64, VertexId)> + '_ {
+        (0..self.count(n)).map(move |id| match self {
+            WalkStarts::PerVertex(_) => (id, (id % n as u64) as VertexId),
+            WalkStarts::Explicit(list) => (id, list[id as usize]),
+        })
+    }
 }
 
 /// Outcome of a walk run.
@@ -55,36 +77,65 @@ pub struct WalkRun {
 /// A KnightKing-like walk engine bound to one cluster.
 pub struct WalkEngine {
     cluster: Cluster,
-    cost: CostModel,
-    mode: ExecMode,
     record_paths: bool,
-    faults: FaultPlan,
-    checkpoint_every: Option<usize>,
+    cfg: bsp::Config,
 }
 
-/// Per-machine state: the local walker queue, a local path log, and the
-/// reusable messaging/scratch buffers that persist across supersteps.
-struct MachineState {
-    queue: Vec<Walker>,
-    /// `(walker id, step index, vertex)` triples, merged after the run.
-    path_log: Vec<(u64, u32, VertexId)>,
-    /// Arena-staged migrating walkers (reset between supersteps).
-    outbox: MessageArena<Walker>,
-    /// Scratch for walkers staying local this superstep; swapped with
-    /// `queue` at the end of the step so both keep their capacity.
-    kept: Vec<Walker>,
+/// One walk app's run, as the superstep loop sees it.
+struct Walk<'a, A: ?Sized> {
+    app: &'a A,
 }
 
-/// One machine's checkpointed state: its walker queue plus its path log.
-type MachineSnapshot = (Vec<Walker>, Vec<(u64, u32, VertexId)>);
+impl<A: WalkApp + ?Sized> bsp::Program for Walk<'_, A> {
+    type Machine = WalkStep;
+    type Computed = WorkUnits;
 
-/// A consistent snapshot of the whole walk computation at a superstep
-/// boundary: per-machine queues/logs plus the global counters.
-struct Checkpoint {
-    superstep: usize,
-    machines: Vec<MachineSnapshot>,
-    total_steps: u64,
-    message_walks: u64,
+    fn open(&mut self, superstep: usize, steps: &[WalkStep]) -> Option<SpanGuard> {
+        let active: usize = steps.iter().map(WalkStep::queue_len).sum();
+        if active == 0 {
+            return None;
+        }
+        // Live progress for the `/progress` monitoring endpoint: current
+        // superstep and how many walkers are still in flight.
+        metrics::gauge("walker.progress_superstep").set(superstep as f64);
+        metrics::gauge("walker.progress_active").set(active as f64);
+        let mut span = bpart_obs::span("walker.superstep");
+        span.attr("superstep", superstep);
+        span.attr("active", active);
+        Some(span)
+    }
+
+    fn compute(&self, s: &mut WalkStep) -> WorkUnits {
+        s.step(self.app)
+    }
+
+    fn computed(&mut self, out: Vec<WorkUnits>, span: &mut SpanGuard) -> Vec<WorkUnits> {
+        let steps: u64 = out.iter().map(|w| w.steps).sum();
+        span.attr("steps", steps);
+        metrics::counter("walk.steps").add(steps);
+        // Per-machine steps in one superstep block: the load-skew signal of
+        // the paper's Fig. 4, bucketed in powers of ~4.
+        let per_block = metrics::histogram(
+            "walk.steps_per_block",
+            &[16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0],
+        );
+        for w in &out {
+            per_block.observe(w.steps as f64);
+        }
+        out
+    }
+
+    fn deliver(
+        &mut self,
+        _superstep: usize,
+        steps: &mut [WalkStep],
+        inboxes: &mut [Vec<Walker>],
+    ) -> Vec<WorkUnits> {
+        for (s, inbox) in steps.iter_mut().zip(inboxes) {
+            s.absorb(inbox);
+        }
+        vec![WorkUnits::default(); steps.len()]
+    }
 }
 
 impl WalkEngine {
@@ -92,11 +143,12 @@ impl WalkEngine {
     pub fn new(cluster: Cluster, cost: CostModel, mode: ExecMode) -> Self {
         WalkEngine {
             cluster,
-            cost,
-            mode,
             record_paths: false,
-            faults: FaultPlan::default(),
-            checkpoint_every: None,
+            cfg: bsp::Config {
+                cost,
+                mode,
+                ..bsp::Config::default()
+            },
         }
     }
 
@@ -117,7 +169,7 @@ impl WalkEngine {
 
     /// Injects faults from `plan` during the run (see [`FaultPlan`]).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
+        self.cfg.faults = plan;
         self
     }
 
@@ -126,7 +178,7 @@ impl WalkEngine {
     /// whole walk from its starts.
     pub fn with_checkpoint_every(mut self, every: usize) -> Self {
         assert!(every > 0, "checkpoint interval must be positive");
-        self.checkpoint_every = Some(every);
+        self.cfg.checkpoint_every = Some(every);
         self
     }
 
@@ -139,14 +191,8 @@ impl WalkEngine {
     /// the original payload) on an unrecoverable machine failure. See
     /// [`try_run`](WalkEngine::try_run) for the fallible form.
     pub fn run<A: WalkApp + ?Sized>(&self, app: &A, starts: &WalkStarts, seed: u64) -> WalkRun {
-        match self.try_run(app, starts, seed) {
-            Ok(run) => run,
-            Err(UnrecoverableFailure {
-                failure: MachineFailure::Panic(payload),
-                ..
-            }) => std::panic::resume_unwind(payload),
-            Err(e) => panic!("{e}"),
-        }
+        self.try_run(app, starts, seed)
+            .unwrap_or_else(|e| e.raise())
     }
 
     /// Runs `app` from the given starts under `seed`, surviving injected
@@ -160,367 +206,28 @@ impl WalkEngine {
         starts: &WalkStarts,
         seed: u64,
     ) -> Result<WalkRun, UnrecoverableFailure> {
-        let graph = self.cluster.graph();
-        let k = self.cluster.num_machines();
+        let mut steps = WalkStep::for_cluster(&self.cluster, starts, seed, self.record_paths);
+        let (telemetry, iterations) = bsp::drive(&self.cfg, &mut Walk { app }, &mut steps)?;
 
-        // Seed walkers onto their owners' queues.
-        let start_vertices: Vec<VertexId> = match starts {
-            WalkStarts::PerVertex(c) => {
-                let mut v = Vec::with_capacity(graph.num_vertices() * *c as usize);
-                for copy in 0..*c {
-                    let _ = copy;
-                    v.extend(graph.vertices());
-                }
-                v
-            }
-            WalkStarts::Explicit(list) => list.clone(),
-        };
-        let num_walkers = start_vertices.len() as u64;
-        let mut states: Vec<MachineState> = (0..k)
-            .map(|_| MachineState {
-                queue: Vec::new(),
-                path_log: Vec::new(),
-                outbox: MessageArena::new(k),
-                kept: Vec::new(),
-            })
-            .collect();
-        for (id, &v) in start_vertices.iter().enumerate() {
-            let walker = Walker::new(id as u64, v, seed);
-            let m = self.cluster.owner(v) as usize;
-            if self.record_paths {
-                states[m].path_log.push((walker.id, 0, v));
-            }
-            states[m].queue.push(walker);
-        }
-
-        let telemetry = Telemetry::new();
-        let mut total_steps = 0u64;
-        let mut message_walks = 0u64;
-        let mut faults = FaultState::new(self.faults.clone());
-        // The seeded start state is an implicit (free) checkpoint.
-        let mut checkpoint = Checkpoint {
-            superstep: 0,
-            machines: snapshot(&states),
+        let mut run = WalkRun {
+            telemetry,
             total_steps: 0,
             message_walks: 0,
+            iterations,
+            paths: None,
         };
-        let mut superstep = 0usize;
-        let mut high_water = 0usize;
-        let mut failures_at: HashMap<usize, u32> = HashMap::new();
-
-        use std::sync::OnceLock;
-        static STEPS: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
-        static STEPS_PER_BLOCK: OnceLock<&'static bpart_obs::metrics::Histogram> = OnceLock::new();
-        let steps_counter = STEPS.get_or_init(|| bpart_obs::metrics::counter("walk.steps"));
-        // Per-machine steps in one superstep block: the load-skew signal of
-        // the paper's Fig. 4, bucketed in powers of ~4.
-        let steps_hist = STEPS_PER_BLOCK.get_or_init(|| {
-            bpart_obs::metrics::histogram(
-                "walk.steps_per_block",
-                &[16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0],
-            )
-        });
-        static PROGRESS: OnceLock<&'static bpart_obs::metrics::Gauge> = OnceLock::new();
-        static ACTIVE: OnceLock<&'static bpart_obs::metrics::Gauge> = OnceLock::new();
-        // Live progress for the `/progress` monitoring endpoint: current
-        // superstep and how many walkers are still in flight.
-        let progress_gauge =
-            PROGRESS.get_or_init(|| bpart_obs::metrics::gauge("walker.progress_superstep"));
-        let active_gauge =
-            ACTIVE.get_or_init(|| bpart_obs::metrics::gauge("walker.progress_active"));
-
-        // The router and exchange persist across supersteps so their
-        // message buffers (like the per-machine arenas) are reused rather
-        // than reallocated at every barrier.
-        let mut router: Router<Walker> = Router::new(k);
-        let mut ex: Exchange<Walker> = Exchange::default();
-
-        loop {
-            let active: usize = states.iter().map(|s| s.queue.len()).sum();
-            if active == 0 {
-                break;
-            }
-            let replaying = superstep < high_water;
-            progress_gauge.set(superstep as f64);
-            active_gauge.set(active as f64);
-            let mut step_span = bpart_obs::span("walker.superstep");
-            step_span.attr("superstep", superstep);
-            step_span.attr("active", active);
-            if replaying {
-                step_span.attr("replay", true);
-                // Pin replayed supersteps past the tail sampler: they are
-                // exactly the spans a post-mortem needs at full detail.
-                step_span.keep();
-            }
-            let cluster = &self.cluster;
-            let record = self.record_paths;
-            let max_steps = app.walk_length();
-
-            // ---- one step per active walker -----------------------------------
-            // Migrating walkers go straight into the machine's persistent
-            // arena; local survivors into its `kept` scratch. Both keep
-            // their high-water capacity across supersteps.
-            let step_results = for_each_machine(self.mode, &mut states, |m, s| {
-                let mut work = WorkUnits::default();
-                debug_assert_eq!(s.kept.len(), 0);
-                debug_assert_eq!(s.outbox.staged(), 0);
-                for mut walker in s.queue.drain(..) {
-                    debug_assert_eq!(cluster.owner(walker.current), m);
-                    let next = app.next(&mut walker, graph);
-                    work.steps += 1;
-                    let Some(next) = next else {
-                        continue; // walk over (dead end / stop decision)
-                    };
-                    walker.advance(next);
-                    if record {
-                        s.path_log.push((walker.id, walker.step, next));
-                    }
-                    if walker.step >= max_steps {
-                        continue; // reached full length
-                    }
-                    let dest = cluster.owner(next);
-                    if dest == m {
-                        s.kept.push(walker);
-                    } else {
-                        s.outbox.push(dest, walker);
-                    }
-                }
-                std::mem::swap(&mut s.queue, &mut s.kept);
-                work
-            });
-            let step_out: Vec<WorkUnits> = match collect_results(step_results) {
-                Ok(out) => out,
-                Err((machine, failure)) => {
-                    // A panicked machine has drained (part of) its queue;
-                    // the superstep cannot complete. Give up if the replay
-                    // attempt failed too, otherwise roll back and retry.
-                    let attempts = failures_at.entry(superstep).or_insert(0);
-                    *attempts += 1;
-                    if *attempts >= 2 {
-                        return Err(UnrecoverableFailure {
-                            superstep,
-                            machine,
-                            failure,
-                        });
-                    }
-                    let recovery = restore_time(&self.cost, &checkpoint);
-                    telemetry.record(IterationRecord {
-                        compute: vec![0.0; k],
-                        comm: vec![0.0; k],
-                        sent: vec![0; k],
-                        faults: 1,
-                        replay: replaying,
-                        recovery,
-                    });
-                    bpart_obs::metrics::counter("cluster.recoveries").inc();
-                    restore(
-                        &mut states,
-                        &checkpoint,
-                        &mut total_steps,
-                        &mut message_walks,
-                    );
-                    superstep = checkpoint.superstep;
-                    continue;
-                }
-            };
-
-            let mut compute: Vec<f64> =
-                step_out.iter().map(|w| self.cost.compute_time(w)).collect();
-            let steps_this_round: u64 = step_out.iter().map(|w| w.steps).sum();
-            step_span.attr("steps", steps_this_round);
-            steps_counter.add(steps_this_round);
-            for w in &step_out {
-                steps_hist.observe(w.steps as f64);
-            }
-
-            // ---- the exchange barrier: injected crashes fire here --------------
-            let crashed = faults.take_crashes(superstep);
-            if !crashed.is_empty() {
-                // The stepping work is wasted; in-flight walkers on the
-                // crashed machine are lost, so everyone rolls back.
-                for (m, c) in compute.iter_mut().enumerate() {
-                    *c *= faults.compute_factor(superstep, m as MachineId);
-                }
-                // The wasted stepping work still counts toward waiting;
-                // comm defaults to zeros in the analyzer, matching the
-                // record below.
-                step_span.attr("compute", bpart_obs::analysis::join_timings(&compute));
-                let recovery = restore_time(&self.cost, &checkpoint);
-                telemetry.record(IterationRecord {
-                    compute,
-                    comm: vec![0.0; k],
-                    sent: vec![0; k],
-                    faults: crashed.len() as u64,
-                    replay: replaying,
-                    recovery,
-                });
-                bpart_obs::metrics::counter("cluster.recoveries").inc();
-                restore(
-                    &mut states,
-                    &checkpoint,
-                    &mut total_steps,
-                    &mut message_walks,
-                );
-                superstep = checkpoint.superstep;
-                continue;
-            }
-
-            total_steps += steps_this_round;
-
-            // ---- transmit migrating walkers ------------------------------------
-            // A malformed hand-back is a deterministic structural bug, so
-            // replay cannot fix it: fail the run, not the process.
-            if let Err(e) =
-                router.put_rows(states.iter_mut().map(|s| s.outbox.take_filled()).collect())
-            {
-                let machine = match e {
-                    bpart_cluster::RouterError::DestArity { sender, .. } => sender,
-                    bpart_cluster::RouterError::SenderArity { .. } => 0,
-                };
-                return Err(UnrecoverableFailure {
-                    superstep,
-                    machine,
-                    failure: MachineFailure::Panic(Box::new(e.to_string())),
-                });
-            }
-
-            // Link faults on walker transmissions: retransmitted drops and
-            // deduplicated duplicates cost time, never trajectories.
-            let mut drop_extra_sent = vec![0u64; k];
-            let mut dup_extra_received = vec![0u64; k];
-            let mut link_events = 0u64;
-            if !self.faults.is_empty() {
-                let staged = router.staged_matrix();
-                for (from, row) in staged.iter().enumerate() {
-                    for (to, &count) in row.iter().enumerate() {
-                        if count == 0 {
-                            continue;
-                        }
-                        let overhead = faults.link_overhead(
-                            superstep,
-                            from as MachineId,
-                            to as MachineId,
-                            count,
-                        );
-                        drop_extra_sent[from] += overhead.dropped;
-                        dup_extra_received[to] += overhead.duplicated;
-                        link_events += overhead.total();
-                    }
-                }
-            }
-
-            router.exchange_into(&mut ex);
-            message_walks += ex.sent.iter().sum::<u64>();
-            for (m, inbox) in ex.inboxes.iter_mut().enumerate() {
-                states[m].queue.append(inbox);
-            }
-            // Hand the drained rows back to their arenas for reuse.
-            for (s, row) in states.iter_mut().zip(router.take_rows()) {
-                s.outbox.put_drained(row);
-            }
-
-            // ---- checkpoint -----------------------------------------------
-            if let Some(every) = self.checkpoint_every {
-                if (superstep + 1) % every == 0 {
-                    let _ckpt_span = bpart_obs::span("cluster.checkpoint");
-                    checkpoint = Checkpoint {
-                        superstep: superstep + 1,
-                        machines: snapshot(&states),
-                        total_steps,
-                        message_walks,
-                    };
-                    for (m, s) in states.iter().enumerate() {
-                        compute[m] += self.cost.checkpoint_time(s.queue.len() as u64);
-                    }
-                    bpart_obs::metrics::counter("cluster.checkpoints").inc();
-                }
-            }
-
-            // ---- telemetry ------------------------------------------------
-            for (m, c) in compute.iter_mut().enumerate() {
-                *c *= faults.compute_factor(superstep, m as MachineId);
-            }
-            let sent: Vec<u64> = (0..k).map(|m| ex.sent[m] + drop_extra_sent[m]).collect();
-            let comm: Vec<f64> = (0..k)
-                .map(|m| {
-                    self.cost
-                        .comm_time(sent[m], ex.received[m] + dup_extra_received[m])
-                })
-                .collect();
-            // Per-machine timings on the span so the critical-path
-            // analyzer matches `Telemetry::summary()` bit-exactly.
-            step_span.attr("compute", bpart_obs::analysis::join_timings(&compute));
-            step_span.attr("comm", bpart_obs::analysis::join_timings(&comm));
-            telemetry.record(IterationRecord {
-                compute,
-                comm,
-                sent,
-                faults: link_events,
-                replay: replaying,
-                recovery: 0.0,
-            });
-            superstep += 1;
-            high_water = high_water.max(superstep);
+        let mut log = Vec::new();
+        for state in steps.iter().map(WalkStep::state) {
+            run.total_steps += state.steps;
+            run.message_walks += state.sent;
+            log.extend_from_slice(&state.path_log);
         }
-
-        // ---- merge recorded paths ----------------------------------------------
-        let paths = self.record_paths.then(|| {
-            let mut log: Vec<(u64, u32, VertexId)> =
-                states.into_iter().flat_map(|s| s.path_log).collect();
-            log.sort_unstable();
-            let mut paths: Vec<Vec<VertexId>> = vec![Vec::new(); num_walkers as usize];
-            for (id, step, v) in log {
-                debug_assert_eq!(paths[id as usize].len(), step as usize);
-                paths[id as usize].push(v);
-            }
-            paths
-        });
-
-        Ok(WalkRun {
-            telemetry,
-            total_steps,
-            message_walks,
-            iterations: superstep,
-            paths,
-        })
+        if self.record_paths {
+            let num_walkers = starts.count(self.cluster.graph().num_vertices());
+            run.paths = Some(paths_from_log(log, num_walkers as usize));
+        }
+        Ok(run)
     }
-}
-
-fn snapshot(states: &[MachineState]) -> Vec<MachineSnapshot> {
-    states
-        .iter()
-        .map(|s| (s.queue.clone(), s.path_log.clone()))
-        .collect()
-}
-
-/// Restores machine queues, path logs, and the run counters to
-/// `checkpoint` — replayed supersteps then re-accumulate them, keeping
-/// the logical totals identical to a fault-free run.
-fn restore(
-    states: &mut [MachineState],
-    checkpoint: &Checkpoint,
-    total_steps: &mut u64,
-    message_walks: &mut u64,
-) {
-    for (s, (queue, path_log)) in states.iter_mut().zip(&checkpoint.machines) {
-        s.queue.clone_from(queue);
-        s.path_log.clone_from(path_log);
-        // The abandoned superstep may have left staged walkers behind;
-        // the replay restages everything from the restored queues.
-        s.outbox.reset();
-        s.kept.clear();
-    }
-    *total_steps = checkpoint.total_steps;
-    *message_walks = checkpoint.message_walks;
-}
-
-/// Modelled time to restore every machine (in parallel) from `checkpoint`.
-fn restore_time(cost: &CostModel, checkpoint: &Checkpoint) -> f64 {
-    checkpoint
-        .machines
-        .iter()
-        .map(|(queue, _)| cost.checkpoint_time(queue.len() as u64))
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]

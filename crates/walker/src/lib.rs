@@ -36,11 +36,13 @@
 
 pub mod apps;
 pub mod engine;
+pub mod kernel;
 pub mod rng;
 pub mod walker;
 pub mod weighted;
 
 pub use engine::{WalkEngine, WalkRun, WalkStarts};
+pub use kernel::WalkStep;
 pub use rng::WalkerRng;
 pub use walker::{TransitionSampler, WalkApp, Walker};
 pub use weighted::{CachedTransitions, WeightedRandomWalk, WeightedTransitions};
