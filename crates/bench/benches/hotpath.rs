@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks for the hot-path kernels of DESIGN.md §12:
 //! the branchless flat-array score loop, cached alias-table sampling, the
-//! arena-backed superstep exchange, the zero-copy binary graph load, and
-//! the vertex-program superstep kernel. Each group reports element (or
-//! byte) throughput so regressions show up as rate drops, not just time
+//! arena-backed superstep exchange, the zero-copy binary graph load, the
+//! vertex-program superstep kernel, and the process backend's per-byte
+//! work (DESIGN.md §13: one frame across the wire, the path-log merge).
+//! Each group reports element (or byte) throughput so regressions show up as rate drops, not just time
 //! blips.
 //!
 //!     cargo bench -p bpart-bench --bench hotpath
@@ -10,11 +11,15 @@
 use bpart_cluster::{Exchange, MessageArena, Router};
 use bpart_core::bpart::WeightedStream;
 use bpart_core::prelude::*;
+use bpart_dist::frame;
+use bpart_dist::proto::{RowSeg, WorkerMsg};
 use bpart_engine::apps::{ConnectedComponents, PageRank};
 use bpart_engine::IterationEngine;
 use bpart_graph::{generate, io, CsrGraph};
+use bpart_walker::kernel::paths_from_log;
 use bpart_walker::{CachedTransitions, Walker};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The twitter_like preset at 5% — big enough that the score loop
@@ -161,12 +166,69 @@ fn bench_engine_superstep(c: &mut Criterion) {
     group.finish();
 }
 
+/// What the process backend does per byte. `step_data_1mib`: one 1 MiB
+/// `StepData` through a hop — encoded behind its header and checksummed,
+/// read back off a byte stream into a frame, checksummed again, decoded
+/// into borrowed row segments. `paths_from_log_1m`: the walk gather's merge
+/// of 1 M `(walker, step, vertex)` triples — 50 000 walkers × 20 steps,
+/// superstep-major with the walkers in a scrambled order, as machine logs
+/// hold them — into per-walker paths.
+fn bench_dist_frame(c: &mut Criterion) {
+    const MIB: usize = 1 << 20;
+    let mut group = c.benchmark_group("hotpath_dist_frame");
+
+    let row: Vec<u8> = (0..MIB / 2).map(|i| (i * 31) as u8).collect();
+    let seg = RowSeg {
+        count: (row.len() / 12) as u32,
+        data: Cow::Borrowed(&row[..]),
+    };
+    group.throughput(Throughput::Bytes(MIB as u64));
+    group.bench_function("step_data_1mib", |b| {
+        b.iter(|| {
+            let sent = WorkerMsg::StepData {
+                epoch: 0,
+                superstep: 1,
+                rows: vec![seg.clone(), seg.clone()],
+            };
+            let bytes = sent.to_frame().expect("1 MiB fits a frame");
+            let frame = frame::read_frame(&mut &bytes[..]).expect("intact frame");
+            let WorkerMsg::StepData { rows, .. } = WorkerMsg::from_frame(&frame).expect("decodes")
+            else {
+                unreachable!("sent StepData");
+            };
+            black_box(rows[1].data.len())
+        })
+    });
+
+    const WALKERS: u64 = 50_000;
+    const STEPS: u32 = 20;
+    let log: Vec<(u64, u32, u32)> = (0..STEPS)
+        .flat_map(|step| {
+            // 7919 is coprime to 50 000: a fixed scramble of the walkers.
+            (0..WALKERS).map(move |i| {
+                let id = i * 7919 % WALKERS;
+                (id, step, (id as u32).wrapping_mul(step + 1))
+            })
+        })
+        .collect();
+    group.throughput(Throughput::Elements(log.len() as u64));
+    group.sample_size(20);
+    group.bench_function("paths_from_log_1m", |b| {
+        b.iter(|| {
+            paths_from_log(|| log.iter().copied(), WALKERS as usize, STEPS - 1)
+                .expect("a whole log")
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_flat_scoring,
     bench_alias_sampling,
     bench_arena_exchange,
     bench_binfmt_load,
-    bench_engine_superstep
+    bench_engine_superstep,
+    bench_dist_frame
 );
 criterion_main!(benches);

@@ -1,6 +1,18 @@
 //! The driver: owns placement, superstep broadcast, barrier collection,
 //! and worker supervision.
 //!
+//! ## Boot and teardown
+//!
+//! A job costs one graph load plus one partition, and they overlap: the
+//! driver binds, spawns the workers, takes their joins and sends each its
+//! `Job` *before* it loads anything itself, so the workers read the graph
+//! while the driver reads and partitions it; the `Placement` frame then
+//! tells every worker who owns what (`run`). Teardown waits on events, not
+//! on a clock: a worker that got `Shutdown` hangs up, its reader thread
+//! reports the end of the stream, and the driver `wait()`s the child — one
+//! deadline covers all workers, and whoever is still connected when it
+//! passes is killed (`shutdown`).
+//!
 //! ## Supervision model
 //!
 //! Every worker connection gets a dedicated reader thread that stamps a
@@ -26,15 +38,18 @@
 //! RNG included, travels in the snapshot.
 
 use crate::error::ClusterError;
-use crate::frame;
+use crate::frame::{self, Frame};
 use crate::proto::{DriverMsg, RowSeg, WorkerMsg};
 use crate::spec::{AppSpec, JobSpec};
 use crate::transport::{read_frame_blocking, rpc_rtt_histogram};
-use crate::wire::decode_all;
+use crate::wire::{decode_all, path_triples, PATH_TRIPLE_LEN};
 use crate::{digest_wire, paths_from_log};
 use bpart_cluster::{Cluster, FaultPlan, FaultState, MachineId};
 use bpart_graph::VertexId;
 use bpart_obs::{federation, tracer};
+use bpart_walker::WalkStarts;
+use std::borrow::Cow;
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -121,31 +136,71 @@ struct CheckpointStore {
     states: Option<Vec<Vec<u8>>>,
 }
 
+/// What a reader thread saw on its connection: a frame that passed the
+/// checksum, or the error that ended the stream (the worker hung up, died,
+/// or garbled a frame) — the reader's last word.
 struct Event {
     machine: usize,
-    msg: Result<WorkerMsg, ClusterError>,
+    /// Which of the machine's connections this came from, so that what a
+    /// dead incarnation's reader still had to say is not taken for its
+    /// successor's.
+    conn: u64,
+    frame: Result<Frame, ClusterError>,
 }
 
 /// One worker process slot.
 struct Slot {
     child: Option<Child>,
     writer: Option<TcpStream>,
+    /// Counts the connections registered for this machine.
+    conn: u64,
+    /// The current connection's reader reported the end of its stream:
+    /// the worker hung up (it is exiting, or dead already).
+    hung_up: bool,
     last_seen: Arc<Mutex<Instant>>,
 }
 
-enum Collected<T> {
-    Done(Vec<T>),
+enum Collected {
+    /// The awaited frame of every machine, in machine order.
+    Done(Vec<Frame>),
     /// Machines declared dead while waiting.
     Dead(Vec<usize>),
 }
 
+/// Views collected frames through `pick`. `collect` keeps a frame only if
+/// its caller's filter took it, so a `None` here is a bug in this file.
+fn views<'f, T>(
+    frames: &'f [Frame],
+    pick: impl Fn(WorkerMsg<'f>) -> Option<T>,
+) -> Result<Vec<T>, ClusterError> {
+    frames
+        .iter()
+        .map(|frame| Ok(pick(WorkerMsg::from_frame(frame)?).expect("collect filtered on this")))
+        .collect()
+}
+
+fn ready_aggs(frames: &[Frame]) -> Result<Vec<f64>, ClusterError> {
+    views(frames, |msg| match msg {
+        WorkerMsg::Ready { agg, .. } => Some(agg),
+        _ => None,
+    })
+}
+
+fn is_ready(msg: &WorkerMsg<'_>) -> bool {
+    matches!(msg, WorkerMsg::Ready { .. })
+}
+
+/// How long `shutdown` gives the workers to hang up before it kills them.
+const SHUTDOWN_GRACE: Duration = Duration::from_millis(500);
+
 struct Driver {
     spec: JobSpec,
     cfg: ProcessConfig,
-    cluster: Cluster,
+    /// The encoded `Placement` frame, kept to be sent again to a respawned
+    /// worker. Empty until `run` has partitioned.
+    placement: Vec<u8>,
     addr: String,
     key: u64,
-    listener: Arc<TcpListener>,
     acceptor_stop: Arc<AtomicBool>,
     slots: Vec<Slot>,
     events: Receiver<Event>,
@@ -175,8 +230,10 @@ pub fn run_process(spec: &JobSpec, cfg: &ProcessConfig) -> Result<AppOutput, Clu
 }
 
 impl Driver {
+    /// Binds, spawns the workers, takes their joins and hands each its
+    /// `Job`. Nothing is loaded here: the workers start on the graph while
+    /// `run` loads and partitions it.
     fn start(spec: JobSpec, cfg: ProcessConfig) -> Result<Driver, ClusterError> {
-        let cluster = spec.build_cluster()?;
         let listener = TcpListener::bind("127.0.0.1:0")
             .map_err(|e| ClusterError::from_io("bind driver socket", &e))?;
         let addr = listener
@@ -191,14 +248,8 @@ impl Driver {
 
         let (events_tx, events) = channel::<Event>();
         let (join_tx, joins) = channel::<(u32, TcpStream)>();
-        let listener = Arc::new(listener);
         let acceptor_stop = Arc::new(AtomicBool::new(false));
-        spawn_acceptor(
-            Arc::clone(&listener),
-            Arc::clone(&acceptor_stop),
-            key,
-            join_tx,
-        );
+        spawn_acceptor(listener, Arc::clone(&acceptor_stop), key, join_tx);
 
         let k = cfg.workers;
         let crash_fired = vec![false; cfg.faults.crash_schedule().len()];
@@ -206,15 +257,16 @@ impl Driver {
             faults: FaultState::new(cfg.faults.clone()),
             spec,
             cfg,
-            cluster,
+            placement: Vec::new(),
             addr,
             key,
-            listener,
             acceptor_stop,
             slots: (0..k)
                 .map(|_| Slot {
                     child: None,
                     writer: None,
+                    conn: 0,
+                    hung_up: false,
                     last_seen: Arc::new(Mutex::new(Instant::now())),
                 })
                 .collect(),
@@ -240,13 +292,7 @@ impl Driver {
         }
         driver.wait_joins((0..k).collect())?;
         for m in 0..k {
-            driver.send_to(
-                m,
-                &DriverMsg::Job {
-                    spec: driver.spec.clone(),
-                    machine: m as u32,
-                },
-            );
+            driver.send_job(m)?;
         }
         Ok(driver)
     }
@@ -267,7 +313,11 @@ impl Driver {
             .stdout(Stdio::null())
             .spawn()
             .map_err(|e| ClusterError::unrecoverable(format!("spawn worker {m}: {e}")))?;
-        self.slots[m].child = Some(child);
+        let slot = &mut self.slots[m];
+        slot.child = Some(child);
+        // A fresh child has no connection yet, so none that hung up.
+        slot.writer = None;
+        slot.hung_up = false;
         Ok(())
     }
 
@@ -311,9 +361,12 @@ impl Driver {
             .unwrap_or_else(|e| e.into_inner()) = Instant::now();
         let reader = stream.try_clone().ok();
         self.slots[m].writer = Some(stream);
+        self.slots[m].conn += 1;
+        self.slots[m].hung_up = false;
         if let Some(reader) = reader {
             spawn_reader(
                 m,
+                self.slots[m].conn,
                 reader,
                 self._events_tx.clone(),
                 Arc::clone(&self.slots[m].last_seen),
@@ -321,19 +374,41 @@ impl Driver {
         }
     }
 
-    /// Best-effort frame send; a broken pipe is not a verdict (the
-    /// heartbeat supervisor will reach one).
-    fn send_to(&mut self, m: usize, msg: &DriverMsg) {
-        let (kind, payload) = msg.to_frame();
-        if let Some(w) = &mut self.slots[m].writer {
-            let _ = frame::write_frame(w, kind, &payload);
+    /// Best-effort write of one encoded frame; a broken pipe is not a
+    /// verdict (the heartbeat supervisor will reach one).
+    fn send_frame(&self, m: usize, frame: &[u8]) {
+        if let Some(mut w) = self.slots[m].writer.as_ref() {
+            let _ = w.write_all(frame);
         }
     }
 
-    fn broadcast(&mut self, msg: &DriverMsg) {
+    /// Encodes and sends; the error is the encoder's (a payload over
+    /// `MAX_PAYLOAD`), never the socket's.
+    fn send_to(&self, m: usize, msg: &DriverMsg<'_>) -> Result<(), ClusterError> {
+        self.send_frame(m, &msg.to_frame()?);
+        Ok(())
+    }
+
+    fn broadcast_frame(&self, frame: &[u8]) {
         for m in 0..self.cfg.workers {
-            self.send_to(m, msg);
+            self.send_frame(m, frame);
         }
+    }
+
+    /// Encodes once, sends to every worker.
+    fn broadcast(&self, msg: &DriverMsg<'_>) -> Result<(), ClusterError> {
+        self.broadcast_frame(&msg.to_frame()?);
+        Ok(())
+    }
+
+    fn send_job(&self, m: usize) -> Result<(), ClusterError> {
+        self.send_to(
+            m,
+            &DriverMsg::Job {
+                spec: self.spec.clone(),
+                machine: m as u32,
+            },
+        )
     }
 
     fn elapsed_since_seen(&self, m: usize) -> Duration {
@@ -344,18 +419,20 @@ impl Driver {
             .elapsed()
     }
 
-    /// Waits until `matcher` has produced a value for every machine.
-    /// Heartbeats refresh liveness as a side effect of the reader
-    /// threads; stale-epoch frames are discarded here.
-    fn collect<T>(
+    /// Waits until every machine has sent a frame `wanted` takes, and
+    /// returns those frames. Heartbeats refresh liveness as a side effect
+    /// of the reader threads; stale-epoch frames are discarded here. A
+    /// frame that passed its checksum and still does not decode is not a
+    /// fault to recover from: it fails the run as `FrameCorrupt`.
+    fn collect(
         &mut self,
         what: &str,
         deadline: Duration,
-        mut matcher: impl FnMut(WorkerMsg) -> Option<T>,
-    ) -> Result<Collected<T>, ClusterError> {
+        wanted: impl Fn(&WorkerMsg<'_>) -> bool,
+    ) -> Result<Collected, ClusterError> {
         let k = self.cfg.workers;
         let deadline_at = Instant::now() + deadline;
-        let mut out: Vec<Option<T>> = (0..k).map(|_| None).collect();
+        let mut out: Vec<Option<Frame>> = (0..k).map(|_| None).collect();
         let mut got = 0usize;
         loop {
             if got == k {
@@ -363,11 +440,18 @@ impl Driver {
                     out.into_iter().map(|t| t.expect("collected")).collect(),
                 ));
             }
+            // A wake-on-event wait: the timeout only bounds how stale the
+            // liveness check below can get while nothing arrives.
             match self.events.recv_timeout(Duration::from_millis(25)) {
                 Ok(Event {
                     machine,
-                    msg: Ok(msg),
+                    conn,
+                    frame: Ok(frame),
                 }) => {
+                    if conn != self.slots[machine].conn {
+                        continue; // a replaced incarnation's leftovers
+                    }
+                    let msg = WorkerMsg::from_frame(&frame)?;
                     if matches!(msg, WorkerMsg::Heartbeat { .. }) {
                         continue;
                     }
@@ -382,16 +466,18 @@ impl Driver {
                     if msg_epoch(&msg).is_some_and(|e| e != self.epoch) {
                         continue; // pre-recovery leftover
                     }
-                    if machine < k && out[machine].is_none() {
-                        if let Some(t) = matcher(msg) {
-                            out[machine] = Some(t);
-                            got += 1;
-                        }
+                    if out[machine].is_none() && wanted(&msg) {
+                        out[machine] = Some(frame);
+                        got += 1;
                     }
                 }
                 // A connection error is noted but not sentenced: the
                 // heartbeat check below is the only judge of death.
-                Ok(Event { msg: Err(_), .. }) => {}
+                Ok(Event {
+                    machine,
+                    conn,
+                    frame: Err(_),
+                }) => self.note_hang_up(machine, conn),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(ClusterError::unrecoverable("event channel closed"));
@@ -423,7 +509,7 @@ impl Driver {
     /// NTP-style clock sample from the `StepBegin` echo, then the
     /// snapshot/span/step-timing merge. Decode failures are logged and
     /// dropped — telemetry must never fail a run.
-    fn absorb_obs_report(&mut self, machine: usize, msg: WorkerMsg) {
+    fn absorb_obs_report(&mut self, machine: usize, msg: WorkerMsg<'_>) {
         let WorkerMsg::ObsReport {
             epoch,
             seq,
@@ -470,10 +556,10 @@ impl Driver {
                 comm_ns,
             },
         ));
-        if let Err(e) = store.absorb_report(machine as u32, epoch, seq, step, &metrics, &spans) {
+        if let Err(e) = store.absorb_report(machine as u32, epoch, seq, step, metrics, spans) {
             eprintln!("bpart: dropped obs report from worker {machine}: {e}");
         }
-        if let Err(e) = store.absorb_profile(machine as u32, epoch, seq, &profile) {
+        if let Err(e) = store.absorb_profile(machine as u32, epoch, seq, profile) {
             eprintln!("bpart: dropped obs profile from worker {machine}: {e}");
         }
     }
@@ -517,43 +603,31 @@ impl Driver {
                     let _ = child.kill();
                     let _ = child.wait();
                 }
-                self.slots[m].writer = None;
                 self.spawn_worker(m)?;
                 self.wait_joins(vec![m])?;
-                self.send_to(
-                    m,
-                    &DriverMsg::Job {
-                        spec: self.spec.clone(),
-                        machine: m as u32,
-                    },
-                );
+                // What every worker was told at boot, in the same order:
+                // the newcomer owns what its predecessor owned.
+                self.send_job(m)?;
+                self.send_frame(m, &self.placement);
             }
             // Everyone — survivors included — rolls back to the same
             // barrier, so the replay is globally consistent.
             for m in 0..self.cfg.workers {
-                let state = ckpt.states.as_ref().map(|s| s[m].clone());
                 self.send_to(
                     m,
                     &DriverMsg::Restore {
                         epoch: self.epoch,
                         superstep: ckpt.superstep,
-                        state,
+                        state: ckpt.states.as_ref().map(|s| &s[m][..]),
                     },
-                );
+                )?;
             }
-            match self.collect(
-                "Ready after restore",
-                self.cfg.setup_deadline,
-                |msg| match msg {
-                    WorkerMsg::Ready { agg, .. } => Some(agg),
-                    _ => None,
-                },
-            )? {
-                Collected::Done(aggs) => {
+            match self.collect("Ready after restore", self.cfg.setup_deadline, is_ready)? {
+                Collected::Done(ready) => {
                     if obs {
                         federation::global().recovering = false;
                     }
-                    return Ok(aggs);
+                    return ready_aggs(&ready);
                 }
                 Collected::Dead(more) => {
                     if obs {
@@ -588,6 +662,17 @@ impl Driver {
     fn run(&mut self) -> Result<AppOutput, ClusterError> {
         let k = self.cfg.workers;
         let is_walk = self.spec.app.is_walk();
+
+        // The workers have had their `Job` since `start` and are loading
+        // the graph; this is the one partitioner run of the whole job.
+        let cluster = self.spec.build_cluster()?;
+        self.placement = DriverMsg::Placement {
+            parts: self.spec.parts,
+            assignment: Cow::Borrowed(cluster.partition().assignment()),
+        }
+        .to_frame()?;
+        self.broadcast_frame(&self.placement);
+
         let max_supersteps: Option<u64> = match &self.spec.app {
             AppSpec::PageRank { iters } => Some(*iters as u64),
             _ => None,
@@ -595,19 +680,15 @@ impl Driver {
 
         // Initial `Ready`: aggregate parts (iteration) or queue lengths
         // (walks), computed from the deterministic initial state.
-        let ready =
-            match self.collect("initial Ready", self.cfg.setup_deadline, |msg| match msg {
-                WorkerMsg::Ready { agg, .. } => Some(agg),
-                _ => None,
-            })? {
-                Collected::Done(aggs) => aggs,
-                Collected::Dead(dead) => {
-                    return Err(ClusterError::WorkerDead {
-                        worker: dead[0] as MachineId,
-                        superstep: 0,
-                    })
-                }
-            };
+        let ready = match self.collect("initial Ready", self.cfg.setup_deadline, is_ready)? {
+            Collected::Done(ready) => ready_aggs(&ready)?,
+            Collected::Dead(dead) => {
+                return Err(ClusterError::WorkerDead {
+                    worker: dead[0] as MachineId,
+                    superstep: 0,
+                })
+            }
+        };
         let mut agg: f64 = ready.iter().sum();
         let mut walk_active: u64 = ready.iter().map(|&a| a as u64).sum();
 
@@ -655,28 +736,29 @@ impl Driver {
                 checkpoint: checkpoint_due,
                 sent_ns: tracer::now_ns(),
                 obs,
-            });
+            })?;
             self.fire_chaos_kills(superstep);
 
             // ---- barrier 1: everyone's outgoing rows ----------------------
-            let step_superstep = superstep;
-            let rows_matrix =
-                match self.collect("StepData", self.cfg.rpc_deadline, move |msg| match msg {
-                    WorkerMsg::StepData {
-                        superstep: s, rows, ..
-                    } if s == step_superstep => Some(rows),
-                    _ => None,
-                })? {
-                    Collected::Done(rows) => rows,
-                    Collected::Dead(dead) => {
-                        let aggs = self.recover(dead, superstep, &ckpt)?;
-                        agg = aggs.iter().sum();
-                        walk_active = aggs.iter().map(|&a| a as u64).sum();
-                        superstep = ckpt.superstep;
-                        continue 'run;
-                    }
-                };
-            let mut rows_matrix: Vec<Vec<RowSeg>> = rows_matrix;
+            let step_data = match self.collect(
+                "StepData",
+                self.cfg.rpc_deadline,
+                |msg| matches!(msg, WorkerMsg::StepData { superstep: s, .. } if *s == superstep),
+            )? {
+                Collected::Done(frames) => frames,
+                Collected::Dead(dead) => {
+                    let aggs = self.recover(dead, superstep, &ckpt)?;
+                    agg = aggs.iter().sum();
+                    walk_active = aggs.iter().map(|&a| a as u64).sum();
+                    superstep = ckpt.superstep;
+                    continue 'run;
+                }
+            };
+            // Row segments as they lie in the workers' frames.
+            let rows_matrix: Vec<Vec<RowSeg<'_>>> = views(&step_data, |msg| match msg {
+                WorkerMsg::StepData { rows, .. } => Some(rows),
+                _ => None,
+            })?;
             for (from, row) in rows_matrix.iter().enumerate() {
                 if row.len() != k {
                     return Err(ClusterError::corrupt(format!(
@@ -710,42 +792,47 @@ impl Driver {
             }
 
             // ---- exchange: inbox[to] = segments in sender order -----------
+            // Each segment is copied once, from the `StepData` frame it
+            // arrived in into the `Inbox` frame it leaves in.
             for to in 0..k {
-                let rows: Vec<RowSeg> = rows_matrix
-                    .iter_mut()
-                    .map(|row| std::mem::take(&mut row[to]))
-                    .collect();
                 self.send_to(
                     to,
                     &DriverMsg::Inbox {
                         epoch: self.epoch,
                         superstep,
-                        rows,
+                        rows: rows_matrix.iter().map(|row| row[to].clone()).collect(),
                     },
-                );
+                )?;
             }
+            // The superstep's rows are on their way; do not hold them across
+            // the barrier.
+            drop(rows_matrix);
+            drop(step_data);
 
             // ---- barrier 2: superstep applied everywhere ------------------
-            let done =
-                match self.collect("StepDone", self.cfg.rpc_deadline, move |msg| match msg {
-                    WorkerMsg::StepDone {
-                        superstep: s,
-                        active,
-                        agg,
-                        snapshot,
-                        ..
-                    } if s == step_superstep => Some((active, agg, snapshot)),
-                    _ => None,
-                })? {
-                    Collected::Done(done) => done,
-                    Collected::Dead(dead) => {
-                        let aggs = self.recover(dead, superstep, &ckpt)?;
-                        agg = aggs.iter().sum();
-                        walk_active = aggs.iter().map(|&a| a as u64).sum();
-                        superstep = ckpt.superstep;
-                        continue 'run;
-                    }
-                };
+            let step_done = match self.collect(
+                "StepDone",
+                self.cfg.rpc_deadline,
+                |msg| matches!(msg, WorkerMsg::StepDone { superstep: s, .. } if *s == superstep),
+            )? {
+                Collected::Done(frames) => frames,
+                Collected::Dead(dead) => {
+                    let aggs = self.recover(dead, superstep, &ckpt)?;
+                    agg = aggs.iter().sum();
+                    walk_active = aggs.iter().map(|&a| a as u64).sum();
+                    superstep = ckpt.superstep;
+                    continue 'run;
+                }
+            };
+            let done = views(&step_done, |msg| match msg {
+                WorkerMsg::StepDone {
+                    active,
+                    agg,
+                    snapshot,
+                    ..
+                } => Some((active, agg, snapshot)),
+                _ => None,
+            })?;
 
             // Stamp the superstep span with the federated per-worker
             // timings (every worker's ObsReport arrived before its
@@ -784,9 +871,11 @@ impl Driver {
             if checkpoint_due {
                 let mut states = Vec::with_capacity(k);
                 for (m, (_, _, snap)) in done.into_iter().enumerate() {
-                    states.push(snap.ok_or_else(|| {
+                    let snap = snap.ok_or_else(|| {
                         ClusterError::corrupt(format!("worker {m} omitted requested snapshot"))
-                    })?);
+                    })?;
+                    // The checkpoint outlives the frame it came in.
+                    states.push(snap.to_vec());
                 }
                 ckpt = CheckpointStore {
                     superstep: superstep + 1,
@@ -803,10 +892,9 @@ impl Driver {
         progress.set(superstep as f64);
 
         // ---- gather final results -----------------------------------------
-        self.broadcast(&DriverMsg::Finish { epoch: self.epoch });
-        let finals = match self.collect("Final", self.cfg.rpc_deadline, |msg| match msg {
-            WorkerMsg::Final { result, .. } => Some(result),
-            _ => None,
+        self.broadcast(&DriverMsg::Finish { epoch: self.epoch })?;
+        let finals = match self.collect("Final", self.cfg.rpc_deadline, |msg| {
+            matches!(msg, WorkerMsg::Final { .. })
         })? {
             Collected::Done(finals) => finals,
             Collected::Dead(dead) => {
@@ -819,7 +907,11 @@ impl Driver {
             }
         };
 
-        let digest = self.assemble_digest(finals)?;
+        let results = views(&finals, |msg| match msg {
+            WorkerMsg::Final { result, .. } => Some(result),
+            _ => None,
+        })?;
+        let digest = assemble_digest(&self.spec.app, &cluster, &results)?;
         Ok(AppOutput {
             digest,
             supersteps: superstep,
@@ -827,84 +919,43 @@ impl Driver {
         })
     }
 
-    /// Reassembles per-worker final payloads into the canonical global
-    /// result and digests it.
-    fn assemble_digest(&self, finals: Vec<Vec<u8>>) -> Result<u64, ClusterError> {
-        let n = self.cluster.graph().num_vertices();
-        match &self.spec.app {
-            AppSpec::PageRank { .. } => {
-                let values = self.gather_global::<f64>(finals, n)?;
-                Ok(digest_wire(&values))
-            }
-            AppSpec::ConnectedComponents => {
-                let values = self.gather_global::<VertexId>(finals, n)?;
-                Ok(digest_wire(&values))
-            }
-            AppSpec::DeepWalk { per_vertex, .. } | AppSpec::SimpleWalk { per_vertex, .. } => {
-                let mut log: Vec<(u64, u32, VertexId)> = Vec::new();
-                for bytes in &finals {
-                    log.extend(decode_all::<(u64, u32, VertexId)>(bytes)?);
-                }
-                let paths = paths_from_log(log, n * *per_vertex as usize);
-                Ok(crate::digest_paths(&paths))
-            }
-        }
+    /// The reader of `machine`'s connection `conn` reported the end of its
+    /// stream. Only the current connection's word counts.
+    fn note_hang_up(&mut self, machine: usize, conn: u64) {
+        let slot = &mut self.slots[machine];
+        slot.hung_up |= conn == slot.conn;
     }
 
-    fn gather_global<T: crate::wire::Wire + Clone + Default>(
-        &self,
-        finals: Vec<Vec<u8>>,
-        n: usize,
-    ) -> Result<Vec<T>, ClusterError> {
-        let mut values: Vec<T> = vec![T::default(); n];
-        for (m, bytes) in finals.iter().enumerate() {
-            let local: Vec<T> = decode_all(bytes)?;
-            let members = self.cluster.local_vertices(m as u32);
-            if local.len() != members.len() {
-                return Err(ClusterError::corrupt(format!(
-                    "worker {m} final length {} != {} members",
-                    local.len(),
-                    members.len()
-                )));
-            }
-            for (li, &v) in members.iter().enumerate() {
-                values[v as usize] = local[li].clone();
-            }
-        }
-        Ok(values)
-    }
-
-    /// Clean teardown: ask workers to exit, then make sure they did.
+    /// Clean teardown: ask the workers to exit, wait for each to hang up —
+    /// its reader thread reports the end of the stream — and reap them.
+    /// Whoever is still connected when the one deadline passes is killed.
     fn shutdown(&mut self) {
-        self.broadcast(&DriverMsg::Shutdown);
-        for slot in &mut self.slots {
-            if let Some(mut child) = slot.child.take() {
-                let mut exited = false;
-                for _ in 0..20 {
-                    if matches!(child.try_wait(), Ok(Some(_))) {
-                        exited = true;
-                        break;
-                    }
-                    thread::sleep(Duration::from_millis(25));
-                }
-                if !exited {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
+        let _ = self.broadcast(&DriverMsg::Shutdown);
+        let deadline = Instant::now() + SHUTDOWN_GRACE;
+        while self.slots.iter().any(|s| s.writer.is_some() && !s.hung_up) {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            match self.events.recv_timeout(remaining) {
+                Ok(Event {
+                    machine,
+                    conn,
+                    frame: Err(_),
+                }) => self.note_hang_up(machine, conn),
+                Ok(_) => {} // heartbeats and late frames
+                Err(_) => break,
             }
         }
-        // Wake the acceptor so its thread exits with the run.
-        self.acceptor_stop.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect(&self.addr);
-        let _ = self.listener.local_addr();
+        self.reap();
     }
-}
 
-impl Drop for Driver {
-    fn drop(&mut self) {
+    /// Waits for every child — a plain `wait` for one that hung up (it is
+    /// on its way out), a kill first for any other — then wakes the
+    /// acceptor so its thread ends with the run.
+    fn reap(&mut self) {
         for slot in &mut self.slots {
             if let Some(mut child) = slot.child.take() {
-                let _ = child.kill();
+                if !slot.hung_up {
+                    let _ = child.kill();
+                }
                 let _ = child.wait();
             }
         }
@@ -913,7 +964,76 @@ impl Drop for Driver {
     }
 }
 
-fn msg_epoch(msg: &WorkerMsg) -> Option<u32> {
+impl Drop for Driver {
+    fn drop(&mut self) {
+        self.reap();
+    }
+}
+
+/// Reassembles per-worker final payloads into the canonical global
+/// result and digests it. The payloads are bytes off the wire: what does
+/// not fit the cluster is `FrameCorrupt`, not a panic.
+fn assemble_digest(
+    app: &AppSpec,
+    cluster: &Cluster,
+    finals: &[&[u8]],
+) -> Result<u64, ClusterError> {
+    let n = cluster.graph().num_vertices();
+    match app {
+        AppSpec::PageRank { .. } => Ok(digest_wire(&gather_global::<f64>(cluster, finals)?)),
+        AppSpec::ConnectedComponents => {
+            Ok(digest_wire(&gather_global::<VertexId>(cluster, finals)?))
+        }
+        AppSpec::DeepWalk {
+            walk_len,
+            per_vertex,
+            ..
+        }
+        | AppSpec::SimpleWalk {
+            walk_len,
+            per_vertex,
+            ..
+        } => {
+            if let Some(m) = finals.iter().position(|b| b.len() % PATH_TRIPLE_LEN != 0) {
+                return Err(ClusterError::corrupt(format!(
+                    "worker {m} path log of {} bytes is not whole triples",
+                    finals[m].len()
+                )));
+            }
+            // Decoded on the fly, twice: the log is never materialized.
+            let triples = || finals.iter().flat_map(|bytes| path_triples(bytes));
+            let started = WalkStarts::PerVertex(*per_vertex).count(n) as usize;
+            let paths = paths_from_log(triples, started, *walk_len)
+                .map_err(|e| ClusterError::corrupt(e.to_string()))?;
+            Ok(crate::digest_paths(&paths))
+        }
+    }
+}
+
+/// Scatters the workers' owner-local values into global vertex order.
+fn gather_global<T: crate::wire::Wire + Clone + Default>(
+    cluster: &Cluster,
+    finals: &[&[u8]],
+) -> Result<Vec<T>, ClusterError> {
+    let mut values: Vec<T> = vec![T::default(); cluster.graph().num_vertices()];
+    for (m, bytes) in finals.iter().enumerate() {
+        let local: Vec<T> = decode_all(bytes)?;
+        let members = cluster.local_vertices(m as u32);
+        if local.len() != members.len() {
+            return Err(ClusterError::corrupt(format!(
+                "worker {m} final length {} != {} members",
+                local.len(),
+                members.len()
+            )));
+        }
+        for (li, &v) in members.iter().enumerate() {
+            values[v as usize] = local[li].clone();
+        }
+    }
+    Ok(values)
+}
+
+fn msg_epoch(msg: &WorkerMsg<'_>) -> Option<u32> {
     match msg {
         WorkerMsg::Join { .. } => None,
         WorkerMsg::Ready { epoch, .. }
@@ -929,7 +1049,7 @@ fn msg_epoch(msg: &WorkerMsg) -> Option<u32> {
 /// helper thread that reads the `Join` frame (so a slow client cannot
 /// stall the accept loop) and hands the authenticated stream over.
 fn spawn_acceptor(
-    listener: Arc<TcpListener>,
+    listener: TcpListener,
     stop: Arc<AtomicBool>,
     key: u64,
     join_tx: Sender<(u32, TcpStream)>,
@@ -967,12 +1087,14 @@ fn spawn_acceptor(
         .expect("spawn acceptor thread");
 }
 
-/// Per-connection reader: stamps liveness on every frame and forwards
-/// decoded messages. Exits on the first read or decode error — the
-/// frozen `last_seen` then lets the heartbeat supervisor reach the
-/// death verdict.
+/// Per-connection reader: stamps liveness on every frame that passes its
+/// checksum and forwards it. Exits on the first read error, reporting it
+/// as its last event — the frozen `last_seen` then lets the heartbeat
+/// supervisor reach the death verdict, and `shutdown` takes the same
+/// event as the worker's goodbye.
 fn spawn_reader(
     machine: usize,
+    conn: u64,
     mut stream: TcpStream,
     tx: Sender<Event>,
     last_seen: Arc<Mutex<Instant>>,
@@ -980,38 +1102,98 @@ fn spawn_reader(
     thread::Builder::new()
         .name(format!("dist-reader-{machine}"))
         .spawn(move || loop {
-            match read_frame_blocking(&mut stream) {
-                Ok(frame) => {
-                    *last_seen.lock().unwrap_or_else(|e| e.into_inner()) = Instant::now();
-                    match WorkerMsg::from_frame(&frame) {
-                        Ok(msg) => {
-                            if tx
-                                .send(Event {
-                                    machine,
-                                    msg: Ok(msg),
-                                })
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                        Err(e) => {
-                            let _ = tx.send(Event {
-                                machine,
-                                msg: Err(e),
-                            });
-                            return;
-                        }
-                    }
-                }
-                Err(e) => {
-                    let _ = tx.send(Event {
-                        machine,
-                        msg: Err(e),
-                    });
-                    return;
-                }
+            let frame = read_frame_blocking(&mut stream);
+            let ended = frame.is_err();
+            if !ended {
+                *last_seen.lock().unwrap_or_else(|e| e.into_inner()) = Instant::now();
+            }
+            let sent = tx.send(Event {
+                machine,
+                conn,
+                frame,
+            });
+            if ended || sent.is_err() {
+                return;
             }
         })
         .expect("spawn reader thread");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::GraphSource;
+    use crate::wire::encode_all;
+
+    fn cluster() -> Cluster {
+        JobSpec {
+            graph: GraphSource::ErdosRenyi {
+                n: 4,
+                m: 8,
+                seed: 1,
+            },
+            scheme: "chunk-v".into(),
+            parts: 2,
+            app: AppSpec::ConnectedComponents,
+            checkpoint_every: None,
+        }
+        .build_cluster()
+        .unwrap()
+    }
+
+    /// The two workers' `Final` payloads for these path logs, digested as
+    /// a length-2 DeepWalk from every one of the 4 vertices.
+    fn walk_digest(logs: [&[(u64, u32, VertexId)]; 2]) -> Result<u64, ClusterError> {
+        let finals = logs.map(|log| {
+            let mut bytes = Vec::new();
+            encode_all(log, &mut bytes);
+            bytes
+        });
+        let app = AppSpec::DeepWalk {
+            walk_len: 2,
+            seed: 0,
+            per_vertex: 1,
+        };
+        assemble_digest(&app, &cluster(), &[&finals[0], &finals[1]])
+    }
+
+    #[test]
+    fn path_logs_merge_across_workers_in_any_order() {
+        let digest = walk_digest([
+            &[(2, 1, 0), (0, 0, 0), (1, 0, 1), (0, 2, 1)],
+            &[(3, 0, 3), (0, 1, 2), (2, 0, 2)],
+        ]);
+        let paths = [vec![0, 2, 1], vec![1], vec![2, 0], vec![3]];
+        assert_eq!(digest, Ok(crate::digest_paths(&paths)));
+    }
+
+    #[test]
+    fn path_logs_that_are_not_paths_are_corrupt_frames() {
+        let corrupt = |logs| {
+            let err = walk_digest(logs).unwrap_err();
+            assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
+            err.to_string()
+        };
+        // A walker that was never started (4 were).
+        assert!(corrupt([&[(4, 0, 0)], &[]]).contains("walker 4"));
+        // A step past the walk length.
+        assert!(corrupt([&[(0, 0, 0)], &[(0, 3, 1)]]).contains("step 3"));
+        // One `(walker, step)` from two workers.
+        assert!(corrupt([&[(1, 0, 1)], &[(1, 0, 2)]]).contains("twice"));
+        // Bytes that are not whole triples.
+        let app = AppSpec::SimpleWalk {
+            walk_len: 2,
+            seed: 0,
+            per_vertex: 1,
+        };
+        let err = assemble_digest(&app, &cluster(), &[&[0; 17], &[]]).unwrap_err();
+        assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_final_of_the_wrong_length_is_a_corrupt_frame() {
+        let app = AppSpec::PageRank { iters: 1 };
+        let err = assemble_digest(&app, &cluster(), &[&[0; 8], &[0; 16]]).unwrap_err();
+        assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
+    }
 }

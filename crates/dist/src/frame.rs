@@ -7,7 +7,7 @@
 //! 0       4     magic    0x42_50_44_46 ("BPDF")
 //! 4       4     payload length `n` (<= MAX_PAYLOAD)
 //! 8       1     kind (message discriminant, see proto)
-//! 9       4     FNV-1a checksum over kind byte + payload
+//! 9       4     checksum over kind byte + payload (see [`checksum`])
 //! 13      n     payload
 //! ```
 //!
@@ -16,9 +16,14 @@
 //! frame that fails any validation surfaces as
 //! [`ClusterError::FrameCorrupt`] — the connection is then unusable
 //! (stream framing is lost) and supervision tears it down.
+//!
+//! A sender builds a frame in one buffer: [`begin`] leaves room for the
+//! header, the message appends its payload behind it, [`seal`] fills in
+//! kind, length and checksum. The bytes a socket write sees are the bytes
+//! the encoder wrote.
 
 use crate::error::ClusterError;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// `"BPDF"` — bpart dist frame.
 pub const MAGIC: u32 = 0x4250_4446;
@@ -39,33 +44,84 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// FNV-1a over the kind byte followed by the payload.
+/// FNV-1a (64-bit offset basis and prime) over the kind byte, then the
+/// payload as little-endian `u64` words, then its last `len % 8` bytes one
+/// at a time; the 64-bit state is folded to the header's 32 bits by xoring
+/// its halves. One multiply per eight bytes, so a frame is checked at
+/// about the speed it is read.
+///
+/// Every step is a bijection of the state, so two payloads of one length
+/// that differ anywhere end in different 64-bit states; the fold lets one
+/// such pair in 2³² through.
 fn checksum(kind: u8, payload: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    let mut step = |b: u8| {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    };
-    step(kind);
-    for &b in payload {
-        step(b);
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut step = |x: u64| h = (h ^ x).wrapping_mul(PRIME);
+    step(kind as u64);
+    let mut words = payload.chunks_exact(8);
+    for word in &mut words {
+        step(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
     }
-    h
+    for &byte in words.remainder() {
+        step(byte as u64);
+    }
+    (h ^ (h >> 32)) as u32
 }
 
-/// Encodes one frame into a fresh byte vector.
-pub fn encode(kind: u8, payload: &[u8]) -> Vec<u8> {
-    assert!(
-        payload.len() <= MAX_PAYLOAD as usize,
-        "payload exceeds MAX_PAYLOAD"
-    );
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&checksum(kind, payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Starts a frame: room for the header. Append the payload, then [`seal`].
+pub fn begin() -> Vec<u8> {
+    vec![0; HEADER_LEN]
+}
+
+/// Completes a frame started by [`begin`] as one of `kind`: writes the
+/// header in front of the payload. A payload over [`MAX_PAYLOAD`] is the
+/// sender's error, reported before a byte reaches the wire.
+pub fn seal(kind: u8, mut buf: Vec<u8>) -> Result<Vec<u8>, ClusterError> {
+    let len = buf.len() - HEADER_LEN;
+    if len > MAX_PAYLOAD as usize {
+        return Err(ClusterError::unrecoverable(format!(
+            "frame payload of {len} bytes exceeds MAX_PAYLOAD"
+        )));
+    }
+    let sum = checksum(kind, &buf[HEADER_LEN..]);
+    buf[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+    buf[4..8].copy_from_slice(&(len as u32).to_le_bytes());
+    buf[8] = kind;
+    buf[9..13].copy_from_slice(&sum.to_le_bytes());
+    Ok(buf)
+}
+
+/// Encodes one frame around an already-built payload.
+pub fn encode(kind: u8, payload: &[u8]) -> Result<Vec<u8>, ClusterError> {
+    let mut buf = begin();
+    buf.extend_from_slice(payload);
+    seal(kind, buf)
+}
+
+/// Validates a header: `(kind, payload length, stated checksum)`.
+fn parse_header(header: &[u8]) -> Result<(u8, usize, u32), ClusterError> {
+    let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    let magic = word(0);
+    if magic != MAGIC {
+        return Err(ClusterError::corrupt(format!("bad magic {magic:#010x}")));
+    }
+    let len = word(4);
+    if len > MAX_PAYLOAD {
+        return Err(ClusterError::corrupt(format!(
+            "length {len} exceeds MAX_PAYLOAD"
+        )));
+    }
+    Ok((header[8], len as usize, word(9)))
+}
+
+fn verify(kind: u8, payload: &[u8], want: u32) -> Result<(), ClusterError> {
+    let got = checksum(kind, payload);
+    if got != want {
+        return Err(ClusterError::corrupt(format!(
+            "checksum mismatch: stated {want:#010x}, computed {got:#010x}"
+        )));
+    }
+    Ok(())
 }
 
 /// Decodes the frame at the front of `buf`, returning it plus the number
@@ -78,19 +134,8 @@ pub fn decode(buf: &[u8]) -> Result<(Frame, usize), ClusterError> {
             buf.len()
         )));
     }
-    let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-    if magic != MAGIC {
-        return Err(ClusterError::corrupt(format!("bad magic {magic:#010x}")));
-    }
-    let len = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    if len > MAX_PAYLOAD {
-        return Err(ClusterError::corrupt(format!(
-            "length {len} exceeds MAX_PAYLOAD"
-        )));
-    }
-    let kind = buf[8];
-    let want = u32::from_le_bytes(buf[9..13].try_into().unwrap());
-    let total = HEADER_LEN + len as usize;
+    let (kind, len, want) = parse_header(&buf[..HEADER_LEN])?;
+    let total = HEADER_LEN + len;
     if buf.len() < total {
         return Err(ClusterError::corrupt(format!(
             "truncated payload: {} of {total} bytes",
@@ -98,12 +143,7 @@ pub fn decode(buf: &[u8]) -> Result<(Frame, usize), ClusterError> {
         )));
     }
     let payload = &buf[HEADER_LEN..total];
-    let got = checksum(kind, payload);
-    if got != want {
-        return Err(ClusterError::corrupt(format!(
-            "checksum mismatch: stated {want:#010x}, computed {got:#010x}"
-        )));
-    }
+    verify(kind, payload, want)?;
     Ok((
         Frame {
             kind,
@@ -111,12 +151,6 @@ pub fn decode(buf: &[u8]) -> Result<(Frame, usize), ClusterError> {
         },
         total,
     ))
-}
-
-/// Writes one frame to a stream (single buffered write).
-pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&encode(kind, payload))?;
-    w.flush()
 }
 
 /// Reads one frame from a stream. Header validation happens before the
@@ -127,26 +161,10 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<(
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, ClusterError> {
     let mut header = [0u8; HEADER_LEN];
     read_exact(r, &mut header, "frame header")?;
-    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    if magic != MAGIC {
-        return Err(ClusterError::corrupt(format!("bad magic {magic:#010x}")));
-    }
-    let len = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if len > MAX_PAYLOAD {
-        return Err(ClusterError::corrupt(format!(
-            "length {len} exceeds MAX_PAYLOAD"
-        )));
-    }
-    let kind = header[8];
-    let want = u32::from_le_bytes(header[9..13].try_into().unwrap());
-    let mut payload = vec![0u8; len as usize];
+    let (kind, len, want) = parse_header(&header)?;
+    let mut payload = vec![0u8; len];
     read_exact(r, &mut payload, "frame payload")?;
-    let got = checksum(kind, &payload);
-    if got != want {
-        return Err(ClusterError::corrupt(format!(
-            "checksum mismatch: stated {want:#010x}, computed {got:#010x}"
-        )));
-    }
+    verify(kind, &payload, want)?;
     Ok(Frame { kind, payload })
 }
 
@@ -169,7 +187,7 @@ mod tests {
     #[test]
     fn encode_decode_round_trip() {
         for (kind, payload) in [(1u8, vec![]), (7, vec![0xab; 3]), (255, (0..100).collect())] {
-            let bytes = encode(kind, &payload);
+            let bytes = encode(kind, &payload).unwrap();
             let (frame, used) = decode(&bytes).unwrap();
             assert_eq!(used, bytes.len());
             assert_eq!(frame, Frame { kind, payload });
@@ -178,8 +196,8 @@ mod tests {
 
     #[test]
     fn decode_consumes_only_one_frame() {
-        let mut bytes = encode(1, b"first");
-        let second = encode(2, b"second");
+        let mut bytes = encode(1, b"first").unwrap();
+        let second = encode(2, b"second").unwrap();
         bytes.extend_from_slice(&second);
         let (frame, used) = decode(&bytes).unwrap();
         assert_eq!(frame.payload, b"first");
@@ -189,21 +207,26 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic_and_checksum() {
-        let mut bytes = encode(3, b"payload");
+        let mut bytes = encode(3, b"payload").unwrap();
         bytes[0] ^= 0xff;
         assert!(matches!(
             decode(&bytes),
             Err(ClusterError::FrameCorrupt { .. })
         ));
-        let mut bytes = encode(3, b"payload");
+        let mut bytes = encode(3, b"payload").unwrap();
         *bytes.last_mut().unwrap() ^= 0x01;
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.to_string().contains("checksum"), "{err}");
+        // The kind byte is under the checksum too.
+        let mut bytes = encode(3, b"payload").unwrap();
+        bytes[8] = 4;
         let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
     }
 
     #[test]
     fn rejects_impossible_length_without_allocating() {
-        let mut bytes = encode(3, b"x");
+        let mut bytes = encode(3, b"x").unwrap();
         bytes[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("MAX_PAYLOAD"), "{err}");
@@ -212,11 +235,20 @@ mod tests {
         assert!(err.to_string().contains("MAX_PAYLOAD"), "{err}");
     }
 
+    /// What used to be an `assert!`: the sender gets an error to return.
+    #[test]
+    fn an_oversized_payload_is_a_typed_error_on_the_send_path() {
+        // Zeroed straight from the allocator, so the gigabyte is never touched.
+        let buf = vec![0u8; HEADER_LEN + MAX_PAYLOAD as usize + 1];
+        let err = seal(1, buf).unwrap_err();
+        assert!(matches!(err, ClusterError::Unrecoverable { .. }), "{err}");
+        assert!(err.to_string().contains("MAX_PAYLOAD"), "{err}");
+    }
+
     #[test]
     fn stream_round_trip_and_eof() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 9, b"hello").unwrap();
-        write_frame(&mut buf, 10, b"").unwrap();
+        let mut buf = encode(9, b"hello").unwrap();
+        buf.extend_from_slice(&encode(10, b"").unwrap());
         let mut cursor = &buf[..];
         assert_eq!(read_frame(&mut cursor).unwrap().payload, b"hello");
         assert_eq!(read_frame(&mut cursor).unwrap().kind, 10);

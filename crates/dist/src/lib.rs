@@ -15,9 +15,9 @@
 //! * [`frame`] — length-prefixed, checksummed wire frames;
 //! * [`wire`] — payload primitive encoding (no serde);
 //! * [`proto`] — typed driver/worker messages over frames;
-//! * [`spec`] — a self-contained job description every process can
-//!   deterministically rebuild the cluster from;
-//! * [`transport`] — deadlines, backoff, heartbeats;
+//! * [`spec`] — the job description: a graph source every process can
+//!   materialize, and the scheme the driver (alone) partitions by;
+//! * [`transport`] — deadlines, backoff, the interval pumps;
 //! * [`step`] — the engines' own per-machine kernels behind a
 //!   [`step::Worker`] that speaks rows and snapshots as bytes;
 //! * [`worker`] / [`driver`] — the two process roles.
@@ -223,12 +223,5 @@ mod tests {
         let p1 = digest_paths(&[vec![1, 2], vec![3]]);
         let p2 = digest_paths(&[vec![1], vec![2, 3]]);
         assert_ne!(p1, p2);
-    }
-
-    #[test]
-    fn paths_from_log_sorts_by_walker_then_step() {
-        let log = vec![(1u64, 1u32, 7u32), (0, 0, 2), (1, 0, 5), (0, 1, 4)];
-        let paths = paths_from_log(log, 2);
-        assert_eq!(paths, vec![vec![2, 4], vec![5, 7]]);
     }
 }

@@ -11,6 +11,7 @@
 //! kind  direction        message
 //! 1     worker -> driver Join      { worker_id, key }
 //! 2     driver -> worker Job       { spec, machine }
+//! 14    driver -> worker Placement { parts, assignment[n] }
 //! 3     worker -> driver Ready     { epoch, agg }
 //! 4     driver -> worker StepBegin { epoch, superstep, agg, checkpoint }
 //! 5     worker -> driver StepData  { epoch, superstep, rows[k] }
@@ -24,6 +25,17 @@
 //! 13    worker -> driver ObsReport { epoch, seq, step?, clock echoes, metrics, spans, profile }
 //! ```
 //!
+//! `Job` goes out the moment a worker joins, so the worker loads the graph
+//! while the driver loads and partitions it; `Placement` follows with the
+//! driver's vertex → machine map, and the worker answers it with `Ready`.
+//! A worker never partitions anything.
+//!
+//! A message is one value on both sides of the wire. The sender's
+//! [`to_frame`](WorkerMsg::to_frame) writes header and payload into one
+//! buffer; the receiver's [`from_frame`](WorkerMsg::from_frame) borrows
+//! every byte string from the frame it was read into, so row segments,
+//! snapshots and results are not copied to be looked at.
+//!
 //! `StepBegin` additionally carries the driver's send timestamp and an
 //! obs-collection flag; `ObsReport` echoes the timestamp back along with
 //! the worker's receive/send clocks, which is what lets the driver run
@@ -32,9 +44,11 @@
 //! the dist proto only ferries them.
 
 use crate::error::ClusterError;
-use crate::frame::Frame;
+use crate::frame::{self, Frame};
 use crate::spec::JobSpec;
 use crate::wire::{put_bytes, put_f64, put_u32, put_u64, Reader};
+use bpart_core::PartId;
+use std::borrow::Cow;
 
 /// Frame kinds (the `kind` byte of every frame).
 pub mod kind {
@@ -42,6 +56,8 @@ pub mod kind {
     pub const JOIN: u8 = 1;
     /// Driver ships the job spec and machine assignment.
     pub const JOB: u8 = 2;
+    /// Driver ships the partition it computed.
+    pub const PLACEMENT: u8 = 14;
     /// Worker finished (re)building local state.
     pub const READY: u8 = 3;
     /// Driver starts a superstep.
@@ -70,15 +86,20 @@ pub mod kind {
 /// One destination's worth of outgoing messages: the element count plus
 /// their back-to-back wire encoding. The count travels separately so the
 /// driver can do link-fault accounting without decoding app payloads.
+/// Owned where a worker encoded it, borrowed from the frame where it was
+/// received — the driver forwards segments without looking inside.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct RowSeg {
+pub struct RowSeg<'a> {
     /// Number of messages encoded in `data`.
     pub count: u32,
     /// Back-to-back `Wire` encodings.
-    pub data: Vec<u8>,
+    pub data: Cow<'a, [u8]>,
 }
 
-fn put_rows(out: &mut Vec<u8>, rows: &[RowSeg]) {
+fn put_rows(out: &mut Vec<u8>, rows: &[RowSeg<'_>]) {
+    // Room for all of it up front, so no segment is moved again by a later
+    // one's growth.
+    out.reserve(4 + rows.iter().map(|seg| 8 + seg.data.len()).sum::<usize>());
     put_u32(out, rows.len() as u32);
     for seg in rows {
         put_u32(out, seg.count);
@@ -86,19 +107,19 @@ fn put_rows(out: &mut Vec<u8>, rows: &[RowSeg]) {
     }
 }
 
-fn read_rows(r: &mut Reader<'_>) -> Result<Vec<RowSeg>, ClusterError> {
-    let n = r.u32()? as usize;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        rows.push(RowSeg {
-            count: r.u32()?,
-            data: r.bytes()?,
-        });
-    }
-    Ok(rows)
+/// The segment count comes off the wire, so nothing is reserved for it.
+fn read_rows<'a>(r: &mut Reader<'a>) -> Result<Vec<RowSeg<'a>>, ClusterError> {
+    (0..r.u32()?)
+        .map(|_| {
+            Ok(RowSeg {
+                count: r.u32()?,
+                data: Cow::Borrowed(r.bytes()?),
+            })
+        })
+        .collect()
 }
 
-fn put_opt_bytes(out: &mut Vec<u8>, v: &Option<Vec<u8>>) {
+fn put_opt_bytes(out: &mut Vec<u8>, v: Option<&[u8]>) {
     match v {
         Some(b) => {
             out.push(1);
@@ -108,7 +129,7 @@ fn put_opt_bytes(out: &mut Vec<u8>, v: &Option<Vec<u8>>) {
     }
 }
 
-fn read_opt_bytes(r: &mut Reader<'_>) -> Result<Option<Vec<u8>>, ClusterError> {
+fn read_opt_bytes<'a>(r: &mut Reader<'a>) -> Result<Option<&'a [u8]>, ClusterError> {
     Ok(match r.u8()? {
         0 => None,
         _ => Some(r.bytes()?),
@@ -117,13 +138,23 @@ fn read_opt_bytes(r: &mut Reader<'_>) -> Result<Option<Vec<u8>>, ClusterError> {
 
 /// Messages the driver sends to a worker.
 #[derive(Clone, Debug, PartialEq)]
-pub enum DriverMsg {
-    /// Job spec plus the worker's machine assignment.
+pub enum DriverMsg<'a> {
+    /// Job spec plus the worker's machine assignment. Sent at join, ahead
+    /// of the placement, so the worker loads the graph meanwhile.
     Job {
-        /// The job to rebuild locally.
+        /// The job: where the graph is and what to run on it.
         spec: JobSpec,
         /// Which BSP machine this worker plays.
         machine: u32,
+    },
+    /// The partition the driver computed. The worker builds its cluster
+    /// from this and from nothing else, so every process agrees on
+    /// ownership whatever partitioner produced it.
+    Placement {
+        /// Number of parts (= machines).
+        parts: u32,
+        /// Part of every vertex, in vertex order; each `< parts`.
+        assignment: Cow<'a, [PartId]>,
     },
     /// Begin a superstep: aggregate from the previous barrier, plus
     /// whether the worker must attach a snapshot to its `StepDone`.
@@ -152,7 +183,7 @@ pub enum DriverMsg {
         superstep: u64,
         /// One segment per sender, in machine order; the worker's own
         /// row arrives empty (it kept it locally).
-        rows: Vec<RowSeg>,
+        rows: Vec<RowSeg<'a>>,
     },
     /// Roll back to `superstep` with the given state (`None`: re-init
     /// from the deterministic initial state).
@@ -162,7 +193,7 @@ pub enum DriverMsg {
         /// Superstep to resume from.
         superstep: u64,
         /// Snapshot bytes, or `None` for the initial state.
-        state: Option<Vec<u8>>,
+        state: Option<&'a [u8]>,
     },
     /// The run is complete; send `Final`.
     Finish {
@@ -175,7 +206,7 @@ pub enum DriverMsg {
 
 /// Messages a worker sends to the driver.
 #[derive(Clone, Debug, PartialEq)]
-pub enum WorkerMsg {
+pub enum WorkerMsg<'a> {
     /// First frame after connecting: who am I, and the shared secret.
     Join {
         /// Worker id (machine id) assigned on the command line.
@@ -199,7 +230,7 @@ pub enum WorkerMsg {
         /// Superstep index.
         superstep: u64,
         /// One segment per destination, in machine order.
-        rows: Vec<RowSeg>,
+        rows: Vec<RowSeg<'a>>,
     },
     /// Superstep applied.
     StepDone {
@@ -213,14 +244,14 @@ pub enum WorkerMsg {
         /// Local aggregate contribution for the next superstep.
         agg: f64,
         /// State snapshot, present when `StepBegin` asked for one.
-        snapshot: Option<Vec<u8>>,
+        snapshot: Option<&'a [u8]>,
     },
     /// Final local result bytes.
     Final {
         /// Recovery epoch.
         epoch: u32,
         /// App-specific encoding of the local result.
-        result: Vec<u8>,
+        result: &'a [u8],
     },
     /// Liveness signal, sent on an interval by a dedicated thread.
     Heartbeat {
@@ -254,25 +285,32 @@ pub enum WorkerMsg {
         /// Worker clock at report send.
         send_ns: u64,
         /// `bpart_obs::federation::MetricsSnapshot` bytes (opaque here).
-        metrics: Vec<u8>,
+        metrics: &'a [u8],
         /// `bpart_obs::federation::encode_spans` bytes (opaque here).
-        spans: Vec<u8>,
+        spans: &'a [u8],
         /// Folded-stack profile text from the worker's continuous
         /// profiler (UTF-8; empty when profiling is off). Opaque here —
         /// validated and joined by `bpart_obs::federation`.
-        profile: Vec<u8>,
+        profile: &'a [u8],
     },
 }
 
-impl DriverMsg {
-    /// `(kind, payload)` for framing.
-    pub fn to_frame(&self) -> (u8, Vec<u8>) {
-        let mut out = Vec::new();
+impl<'a> DriverMsg<'a> {
+    /// The complete frame, header included, ready for one socket write.
+    /// Fails only when the payload outgrows [`frame::MAX_PAYLOAD`].
+    pub fn to_frame(&self) -> Result<Vec<u8>, ClusterError> {
+        let mut out = frame::begin();
         let kind = match self {
             DriverMsg::Job { spec, machine } => {
                 put_u32(&mut out, *machine);
                 put_bytes(&mut out, &spec.encode());
                 kind::JOB
+            }
+            DriverMsg::Placement { parts, assignment } => {
+                put_u32(&mut out, *parts);
+                put_u32(&mut out, assignment.len() as u32);
+                out.extend(assignment.iter().flat_map(|p| p.to_le_bytes()));
+                kind::PLACEMENT
             }
             DriverMsg::StepBegin {
                 epoch,
@@ -307,7 +345,7 @@ impl DriverMsg {
             } => {
                 put_u32(&mut out, *epoch);
                 put_u64(&mut out, *superstep);
-                put_opt_bytes(&mut out, state);
+                put_opt_bytes(&mut out, *state);
                 kind::RESTORE
             }
             DriverMsg::Finish { epoch } => {
@@ -316,17 +354,40 @@ impl DriverMsg {
             }
             DriverMsg::Shutdown => kind::SHUTDOWN,
         };
-        (kind, out)
+        frame::seal(kind, out)
     }
 
-    /// Decodes a driver frame.
-    pub fn from_frame(frame: &Frame) -> Result<DriverMsg, ClusterError> {
+    /// Decodes a driver frame, borrowing its byte strings.
+    pub fn from_frame(frame: &'a Frame) -> Result<Self, ClusterError> {
         let mut r = Reader::new(&frame.payload);
         let msg = match frame.kind {
             kind::JOB => {
                 let machine = r.u32()?;
-                let spec = JobSpec::decode(&r.bytes()?)?;
+                let spec = JobSpec::decode(r.bytes()?)?;
                 DriverMsg::Job { spec, machine }
+            }
+            kind::PLACEMENT => {
+                let parts = r.u32()?;
+                let n = r.u32()? as usize;
+                // Sliced out of the payload before anything is allocated:
+                // a length the frame cannot back is an underrun.
+                let bytes = r.take(n.checked_mul(4).ok_or_else(|| {
+                    ClusterError::corrupt(format!("placement of {n} vertices overflows"))
+                })?)?;
+                let assignment: Vec<PartId> = bytes
+                    .chunks_exact(4)
+                    .map(|b| PartId::from_le_bytes(b.try_into().expect("4-byte chunk")))
+                    .collect();
+                if let Some(v) = assignment.iter().position(|&p| p >= parts) {
+                    return Err(ClusterError::corrupt(format!(
+                        "placement puts vertex {v} on part {} of {parts}",
+                        assignment[v]
+                    )));
+                }
+                DriverMsg::Placement {
+                    parts,
+                    assignment: Cow::Owned(assignment),
+                }
             }
             kind::STEP_BEGIN => DriverMsg::StepBegin {
                 epoch: r.u32()?,
@@ -361,10 +422,11 @@ impl DriverMsg {
     }
 }
 
-impl WorkerMsg {
-    /// `(kind, payload)` for framing.
-    pub fn to_frame(&self) -> (u8, Vec<u8>) {
-        let mut out = Vec::new();
+impl<'a> WorkerMsg<'a> {
+    /// The complete frame, header included, ready for one socket write.
+    /// Fails only when the payload outgrows [`frame::MAX_PAYLOAD`].
+    pub fn to_frame(&self) -> Result<Vec<u8>, ClusterError> {
+        let mut out = frame::begin();
         let kind = match self {
             WorkerMsg::Join { worker_id, key } => {
                 put_u32(&mut out, *worker_id);
@@ -397,7 +459,7 @@ impl WorkerMsg {
                 put_u64(&mut out, *superstep);
                 put_u64(&mut out, *active);
                 put_f64(&mut out, *agg);
-                put_opt_bytes(&mut out, snapshot);
+                put_opt_bytes(&mut out, *snapshot);
                 kind::STEP_DONE
             }
             WorkerMsg::Final { epoch, result } => {
@@ -438,11 +500,11 @@ impl WorkerMsg {
                 kind::OBS_REPORT
             }
         };
-        (kind, out)
+        frame::seal(kind, out)
     }
 
-    /// Decodes a worker frame.
-    pub fn from_frame(frame: &Frame) -> Result<WorkerMsg, ClusterError> {
+    /// Decodes a worker frame, borrowing its byte strings.
+    pub fn from_frame(frame: &'a Frame) -> Result<Self, ClusterError> {
         let mut r = Reader::new(&frame.payload);
         let msg = match frame.kind {
             kind::JOIN => WorkerMsg::Join {
@@ -502,15 +564,20 @@ mod tests {
     use super::*;
     use crate::spec::{AppSpec, GraphSource};
 
-    fn round_trip_driver(msg: DriverMsg) {
-        let (kind, payload) = msg.to_frame();
-        let frame = Frame { kind, payload };
+    /// A sent frame as its receiver holds it.
+    fn received(bytes: &[u8]) -> Frame {
+        let (frame, used) = frame::decode(bytes).unwrap();
+        assert_eq!(used, bytes.len());
+        frame
+    }
+
+    fn round_trip_driver(msg: DriverMsg<'_>) {
+        let frame = received(&msg.to_frame().unwrap());
         assert_eq!(DriverMsg::from_frame(&frame).unwrap(), msg);
     }
 
-    fn round_trip_worker(msg: WorkerMsg) {
-        let (kind, payload) = msg.to_frame();
-        let frame = Frame { kind, payload };
+    fn round_trip_worker(msg: WorkerMsg<'_>) {
+        let frame = received(&msg.to_frame().unwrap());
         assert_eq!(WorkerMsg::from_frame(&frame).unwrap(), msg);
     }
 
@@ -529,6 +596,14 @@ mod tests {
                 checkpoint_every: Some(2),
             },
             machine: 1,
+        });
+        round_trip_driver(DriverMsg::Placement {
+            parts: 3,
+            assignment: Cow::Borrowed(&[0, 2, 1, 1, 0]),
+        });
+        round_trip_driver(DriverMsg::Placement {
+            parts: 1,
+            assignment: Cow::Borrowed(&[]),
         });
         round_trip_driver(DriverMsg::StepBegin {
             epoch: 1,
@@ -553,14 +628,14 @@ mod tests {
                 RowSeg::default(),
                 RowSeg {
                     count: 2,
-                    data: vec![1, 2, 3, 4],
+                    data: Cow::Borrowed(&[1, 2, 3, 4]),
                 },
             ],
         });
         round_trip_driver(DriverMsg::Restore {
             epoch: 2,
             superstep: 4,
-            state: Some(vec![9, 9]),
+            state: Some(&[9, 9]),
         });
         round_trip_driver(DriverMsg::Restore {
             epoch: 3,
@@ -586,7 +661,7 @@ mod tests {
             superstep: 9,
             rows: vec![RowSeg {
                 count: 1,
-                data: vec![0xff; 12],
+                data: Cow::Owned(vec![0xff; 12]),
             }],
         });
         round_trip_worker(WorkerMsg::StepDone {
@@ -594,11 +669,11 @@ mod tests {
             superstep: 9,
             active: 1,
             agg: 0.25,
-            snapshot: Some(vec![1, 2, 3]),
+            snapshot: Some(&[1, 2, 3]),
         });
         round_trip_worker(WorkerMsg::Final {
             epoch: 1,
-            result: vec![4, 5],
+            result: &[4, 5],
         });
         round_trip_worker(WorkerMsg::Heartbeat { epoch: 2 });
         round_trip_worker(WorkerMsg::ObsReport {
@@ -611,9 +686,9 @@ mod tests {
             echo_ns: 111,
             recv_ns: 222,
             send_ns: 333,
-            metrics: vec![1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-            spans: vec![1, 0, 0, 0, 0],
-            profile: b"dist.superstep;dist.compute 7\n".to_vec(),
+            metrics: &[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            spans: &[1, 0, 0, 0, 0],
+            profile: b"dist.superstep;dist.compute 7\n",
         });
         round_trip_worker(WorkerMsg::ObsReport {
             epoch: 0,
@@ -625,26 +700,78 @@ mod tests {
             echo_ns: 0,
             recv_ns: 0,
             send_ns: 0,
-            metrics: Vec::new(),
-            spans: Vec::new(),
-            profile: Vec::new(),
+            metrics: &[],
+            spans: &[],
+            profile: &[],
         });
     }
 
     #[test]
+    fn received_row_segments_borrow_the_frame() {
+        let sent = WorkerMsg::StepData {
+            epoch: 0,
+            superstep: 1,
+            rows: vec![RowSeg {
+                count: 3,
+                data: Cow::Owned(vec![7; 36]),
+            }],
+        };
+        let frame = received(&sent.to_frame().unwrap());
+        let WorkerMsg::StepData { rows, .. } = WorkerMsg::from_frame(&frame).unwrap() else {
+            panic!("not StepData");
+        };
+        let Cow::Borrowed(data) = rows[0].data else {
+            panic!("segment was copied out of the frame");
+        };
+        assert!(frame.payload.as_ptr_range().contains(&data.as_ptr()));
+    }
+
+    /// A placement naming a part that does not exist never becomes a
+    /// message (one of the wrong length is the worker's to catch: only it
+    /// knows `n`).
+    #[test]
+    fn placement_with_a_part_out_of_range_is_corrupt() {
+        let frame = received(
+            &DriverMsg::Placement {
+                parts: 2,
+                assignment: Cow::Borrowed(&[0, 1, 2, 0]),
+            }
+            .to_frame()
+            .unwrap(),
+        );
+        let err = DriverMsg::from_frame(&frame).unwrap_err();
+        assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
+        assert!(err.to_string().contains("vertex 2 on part 2 of 2"), "{err}");
+    }
+
+    /// A vertex count the payload cannot back is an underrun, not an
+    /// allocation.
+    #[test]
+    fn placement_claiming_more_vertices_than_it_carries_is_corrupt() {
+        let mut payload = Vec::new();
+        put_u32(&mut payload, 2);
+        put_u32(&mut payload, u32::MAX);
+        payload.extend_from_slice(&[0; 8]);
+        let frame = Frame {
+            kind: kind::PLACEMENT,
+            payload,
+        };
+        let err = DriverMsg::from_frame(&frame).unwrap_err();
+        assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
+    }
+
+    #[test]
     fn wrong_direction_is_rejected() {
-        let (kind, payload) = WorkerMsg::Heartbeat { epoch: 0 }.to_frame();
-        let frame = Frame { kind, payload };
+        let frame = received(&WorkerMsg::Heartbeat { epoch: 0 }.to_frame().unwrap());
         assert!(DriverMsg::from_frame(&frame).is_err());
-        let (kind, payload) = DriverMsg::Shutdown.to_frame();
-        let frame = Frame { kind, payload };
+        let frame = received(&DriverMsg::Shutdown.to_frame().unwrap());
         assert!(WorkerMsg::from_frame(&frame).is_err());
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let (kind, mut payload) = WorkerMsg::Heartbeat { epoch: 0 }.to_frame();
-        payload.push(0);
-        assert!(WorkerMsg::from_frame(&Frame { kind, payload }).is_err());
+        let mut frame = received(&WorkerMsg::Heartbeat { epoch: 0 }.to_frame().unwrap());
+        frame.payload.push(0);
+        assert!(WorkerMsg::from_frame(&frame).is_err());
     }
 }

@@ -1,13 +1,16 @@
-//! The job spec: everything a worker needs to rebuild its share of the
-//! computation from scratch.
+//! The job spec: where the graph is, how the driver partitions it, and
+//! what to run on it.
 //!
-//! The driver never ships the graph or the partition over the wire.
-//! Instead the spec names a deterministic graph *source* and a
-//! partitioning scheme; driver and every worker derive the identical
-//! cluster independently (the generators and partitioners are seeded and
-//! deterministic). This mirrors real deployments — machines load their
-//! input from shared storage — and makes respawning a dead worker cheap:
-//! send the spec again.
+//! The graph never crosses the wire: the spec names a deterministic
+//! *source* (a file on storage every process reaches, or a seeded
+//! generator) and every process materializes the identical CSR from it.
+//! The partition does cross it. Partitioning is a loader's job, done once:
+//! the driver resolves [`JobSpec::scheme`], partitions, and ships the
+//! assignment in a `Placement` frame; a worker reads `scheme` never and
+//! owns what it is told to own. So `k + 1` processes do not have to agree
+//! on a partitioner's every tie-break for the run to be right, a
+//! non-deterministic partitioner is as good as any, and respawning a dead
+//! worker costs one graph load plus two re-sent frames.
 
 use crate::error::ClusterError;
 use crate::wire::{put_f64, put_str, put_u32, put_u64, Reader};
@@ -102,7 +105,8 @@ impl AppSpec {
 pub struct JobSpec {
     /// Graph source (see [`GraphSource`]).
     pub graph: GraphSource,
-    /// Partitioning scheme name (the CLI `--scheme` vocabulary).
+    /// Partitioning scheme name (the CLI `--scheme` vocabulary). Only
+    /// the process that partitions looks at it.
     pub scheme: String,
     /// Number of parts = number of BSP machines = number of workers.
     pub parts: u32,
@@ -271,9 +275,8 @@ impl JobSpec {
         }
     }
 
-    /// Resolves the partitioning scheme. All supported schemes are
-    /// deterministic (sequential worker pool), so every process derives
-    /// the identical partition.
+    /// Resolves the partitioning scheme — the driver's call (and the
+    /// threads backend's); workers are handed its result.
     pub fn scheme(&self) -> Result<Box<dyn Partitioner>, ClusterError> {
         Ok(match self.scheme.as_str() {
             "chunk-v" => Box::new(ChunkV),
@@ -295,7 +298,8 @@ impl JobSpec {
         })
     }
 
-    /// Builds the full cluster (graph + partition) this spec describes.
+    /// Builds the full cluster (graph + partition) this spec describes:
+    /// one graph load and one partitioner run.
     pub fn build_cluster(&self) -> Result<Cluster, ClusterError> {
         let graph = Arc::new(self.load_graph()?);
         let partition = Arc::new(self.scheme()?.partition(&graph, self.parts as usize));

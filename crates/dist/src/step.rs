@@ -11,12 +11,13 @@
 
 use crate::error::ClusterError;
 use crate::proto::RowSeg;
-use crate::wire::{decode_all, encode_all, put_u32, put_u64, Reader, Wire};
+use crate::wire::{decode_all, encode_all, put_u32, put_u64, Reader, Wire, PATH_TRIPLE_LEN};
 use bpart_cluster::bsp::Machine;
 use bpart_cluster::Cluster;
 use bpart_engine::kernel::Snapshot;
 use bpart_engine::{MachineStep, VertexProgram};
 use bpart_walker::{kernel, WalkApp, WalkStarts, WalkStep, Walker};
+use std::borrow::Cow;
 
 /// One machine's share of a job, as the worker's protocol loop drives it.
 pub trait Worker {
@@ -28,15 +29,15 @@ pub trait Worker {
     /// queued walker (walks). Returns one encoded row per destination
     /// machine; the self slot is an empty segment (what a machine keeps
     /// for itself never crosses the wire).
-    fn begin(&mut self) -> Vec<RowSeg>;
+    fn begin(&mut self) -> Vec<RowSeg<'static>>;
 
     /// Completes the superstep with the driver's inbox (sender-order
-    /// segments, own slot empty). Returns `(active, agg)` for `StepDone`:
+    /// segments, own slot empty; read where the `Inbox` frame holds them). Returns `(active, agg)` for `StepDone`:
     /// iteration apps report votes-to-continue and the next superstep's
     /// aggregate; walk apps their new queue length and `0.0`.
     fn finish(
         &mut self,
-        inbox: &[RowSeg],
+        inbox: &[RowSeg<'_>],
         superstep: u64,
         aggregate: f64,
     ) -> Result<(u64, f64), ClusterError>;
@@ -52,16 +53,16 @@ pub trait Worker {
     fn final_result(&self) -> Vec<u8>;
 }
 
-fn encode_row<T: Wire>(row: &[T]) -> RowSeg {
+fn encode_row<T: Wire>(row: &[T]) -> RowSeg<'static> {
     let mut data = Vec::new();
     encode_all(row, &mut data);
     RowSeg {
         count: row.len() as u32,
-        data,
+        data: Cow::Owned(data),
     }
 }
 
-fn decode_row<T: Wire>(seg: &RowSeg) -> Result<Vec<T>, ClusterError> {
+fn decode_row<T: Wire>(seg: &RowSeg<'_>) -> Result<Vec<T>, ClusterError> {
     let items: Vec<T> = decode_all(&seg.data)?;
     if items.len() != seg.count as usize {
         return Err(ClusterError::corrupt(format!(
@@ -74,7 +75,7 @@ fn decode_row<T: Wire>(seg: &RowSeg) -> Result<Vec<T>, ClusterError> {
 }
 
 /// Encodes the rows the kernel staged and hands their buffers back.
-fn ship_rows<M: Machine>(step: &mut M) -> Vec<RowSeg>
+fn ship_rows<M: Machine>(step: &mut M) -> Vec<RowSeg<'static>>
 where
     M::Msg: Wire,
 {
@@ -117,14 +118,14 @@ where
         self.step.aggregate(&self.program)
     }
 
-    fn begin(&mut self) -> Vec<RowSeg> {
+    fn begin(&mut self) -> Vec<RowSeg<'static>> {
         self.step.scatter(&self.program);
         ship_rows(&mut self.step)
     }
 
     fn finish(
         &mut self,
-        inbox: &[RowSeg],
+        inbox: &[RowSeg<'_>],
         superstep: u64,
         aggregate: f64,
     ) -> Result<(u64, f64), ClusterError> {
@@ -212,12 +213,12 @@ impl Worker for WalkWorker {
         self.step.queue_len() as f64
     }
 
-    fn begin(&mut self) -> Vec<RowSeg> {
+    fn begin(&mut self) -> Vec<RowSeg<'static>> {
         self.step.step(&*self.app);
         ship_rows(&mut self.step)
     }
 
-    fn finish(&mut self, inbox: &[RowSeg], _: u64, _: f64) -> Result<(u64, f64), ClusterError> {
+    fn finish(&mut self, inbox: &[RowSeg<'_>], _: u64, _: f64) -> Result<(u64, f64), ClusterError> {
         for seg in inbox {
             self.step.absorb(&mut decode_row::<Walker>(seg)?);
         }
@@ -261,8 +262,9 @@ impl Worker for WalkWorker {
 
     /// Final local path log.
     fn final_result(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_all(&self.step.state().path_log, &mut out);
+        let log = &self.step.state().path_log;
+        let mut out = Vec::with_capacity(log.len() * PATH_TRIPLE_LEN);
+        encode_all(log, &mut out);
         out
     }
 }
@@ -343,8 +345,9 @@ mod tests {
             if walk && ready == 0.0 {
                 break;
             }
-            let rows: Vec<Vec<RowSeg>> = workers.iter_mut().map(|w| w.begin()).collect();
-            let inbox = |to: usize| -> Vec<RowSeg> { rows.iter().map(|r| r[to].clone()).collect() };
+            let rows: Vec<Vec<RowSeg<'_>>> = workers.iter_mut().map(|w| w.begin()).collect();
+            let inbox =
+                |to: usize| -> Vec<RowSeg<'_>> { rows.iter().map(|r| r[to].clone()).collect() };
             if crash_at == Some(superstep) {
                 crash_at = None;
                 // A walk must leave worker 0 with one sender's migrants

@@ -1,12 +1,14 @@
 //! Socket plumbing: deadline reads, atomic frame writes, bounded
 //! exponential backoff with deterministic jitter, and the worker-side
-//! heartbeat thread.
+//! interval threads (heartbeat, obs flush).
 
 use crate::error::ClusterError;
 use crate::frame::{self, Frame};
+use crate::proto::WorkerMsg;
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -159,9 +161,9 @@ impl SharedWriter {
         }
     }
 
-    /// Sends one frame atomically.
-    pub fn send(&self, kind: u8, payload: &[u8]) -> Result<(), ClusterError> {
-        let bytes = frame::encode(kind, payload);
+    /// Sends one message atomically, as the frame it encodes to.
+    pub fn send(&self, msg: &WorkerMsg<'_>) -> Result<(), ClusterError> {
+        let bytes = msg.to_frame()?;
         frame_bytes_histogram().observe(bytes.len() as f64);
         let mut stream = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         stream
@@ -171,66 +173,68 @@ impl SharedWriter {
     }
 }
 
-/// Worker-side heartbeat pump: a thread that sends `Heartbeat` frames on
-/// `interval` until stopped. The epoch cell is shared with the protocol
-/// loop so beats always carry the worker's current epoch.
-pub struct HeartbeatPump {
-    stop: Arc<AtomicBool>,
+/// A thread that runs `tick` every `interval` until it returns `false` or
+/// the pump is dropped. The thread sleeps in a `recv_timeout` on a channel
+/// whose sender the pump holds, so dropping the pump wakes it at once and
+/// `Drop` returns as soon as a tick in flight has finished — a worker told
+/// to shut down exits now, not at the end of its longest interval.
+pub struct Pump {
+    stop: Option<Sender<()>>,
     handle: Option<thread::JoinHandle<()>>,
 }
 
-impl HeartbeatPump {
-    /// Starts beating on `writer` every `interval`.
-    pub fn start(writer: SharedWriter, epoch: Arc<AtomicU32>, interval: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+impl Pump {
+    /// Starts the thread under `name`.
+    pub fn start(
+        name: &str,
+        interval: Duration,
+        mut tick: impl FnMut() -> bool + Send + 'static,
+    ) -> Self {
+        let (stop, stopped) = channel::<()>();
         let handle = thread::Builder::new()
-            .name("heartbeat".into())
+            .name(name.into())
             .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    thread::sleep(interval);
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let msg = crate::proto::WorkerMsg::Heartbeat {
-                        epoch: epoch.load(Ordering::Relaxed),
-                    };
-                    let (kind, payload) = msg.to_frame();
-                    if writer.send(kind, &payload).is_err() {
-                        // The driver is gone; the protocol loop will see
-                        // the same failure and exit. Stop beating.
+                // Nothing is ever sent: the wait ends by timeout (tick) or
+                // by the sender's drop (stop).
+                while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
+                    if !tick() {
                         break;
                     }
                 }
             })
-            .expect("spawn heartbeat thread");
-        HeartbeatPump {
-            stop,
+            .expect("spawn pump thread");
+        Pump {
+            stop: Some(stop),
             handle: Some(handle),
         }
     }
+}
 
-    /// Stops the pump and joins the thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+impl Drop for Pump {
+    fn drop(&mut self) {
+        drop(self.stop.take());
         if let Some(h) = self.handle.take() {
             h.join().ok();
         }
     }
 }
 
-impl Drop for HeartbeatPump {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
+/// Worker-side heartbeat pump: sends `Heartbeat` frames on `interval`
+/// until dropped. The epoch cell is shared with the protocol loop so beats
+/// always carry the worker's current epoch.
+pub fn heartbeat_pump(writer: SharedWriter, epoch: Arc<AtomicU32>, interval: Duration) -> Pump {
+    Pump::start("heartbeat", interval, move || {
+        let beat = WorkerMsg::Heartbeat {
+            epoch: epoch.load(Ordering::Relaxed),
+        };
+        // A failed send means the driver is gone; the protocol loop will
+        // see the same failure and exit. Stop beating.
+        writer.send(&beat).is_ok()
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::net::TcpListener;
 
@@ -289,14 +293,61 @@ mod tests {
         let _held = peer.join().unwrap().unwrap();
         let writer = SharedWriter::new(stream);
         let before = frame_bytes_histogram().count();
-        writer.send(1, &[0u8; 32]).expect("send");
-        writer.send(1, &vec![0u8; 2048]).expect("send");
+        for result in [&[0u8; 32][..], &[0u8; 2048]] {
+            let msg = WorkerMsg::Final { epoch: 0, result };
+            writer.send(&msg).expect("send");
+        }
         assert_eq!(frame_bytes_histogram().count(), before + 2);
         // The RTT histogram registers under its documented name.
         assert_eq!(rpc_rtt_histogram().bounds().len(), 7);
         let text = bpart_obs::metrics::prometheus_snapshot();
         assert!(text.contains("dist_frame_bytes_bucket"), "{text}");
         assert!(text.contains("dist_rpc_rtt_ns_count"), "{text}");
+    }
+
+    /// A connected `(worker-side writer, driver-side stream)` pair.
+    pub(crate) fn socket_pair() -> (SharedWriter, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        (SharedWriter::new(stream), peer)
+    }
+
+    /// Drops `pump` and asserts its thread was joined within 50 ms — the
+    /// teardown a worker's exit waits for.
+    pub(crate) fn assert_stops_at_once(pump: Pump) {
+        let started = Instant::now();
+        drop(pump);
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(50), "drop took {took:?}");
+    }
+
+    #[test]
+    fn a_pump_ticks_on_its_interval_and_ends_itself_on_false() {
+        let (tx, ticks) = channel();
+        let mut left = 3;
+        let pump = Pump::start("test-pump", Duration::from_millis(1), move || {
+            left -= 1;
+            tx.send(left).unwrap();
+            left > 0
+        });
+        assert_eq!(ticks.iter().collect::<Vec<_>>(), [2, 1, 0]);
+        drop(pump);
+    }
+
+    #[test]
+    fn heartbeat_pump_beats_and_stops_mid_interval() {
+        let (writer, mut peer) = socket_pair();
+        let epoch = Arc::new(AtomicU32::new(7));
+        let pump = heartbeat_pump(writer.clone(), Arc::clone(&epoch), Duration::from_millis(1));
+        let frame = read_frame_blocking(&mut peer).unwrap();
+        assert_eq!(
+            WorkerMsg::from_frame(&frame).unwrap(),
+            WorkerMsg::Heartbeat { epoch: 7 }
+        );
+        drop(pump);
+        // Ten seconds to the first beat: only the stop signal can end it.
+        assert_stops_at_once(heartbeat_pump(writer, epoch, Duration::from_secs(10)));
     }
 
     #[test]

@@ -32,7 +32,8 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ClusterError> {
+    /// Reads `n` raw bytes, borrowed from the payload.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], ClusterError> {
         if self.remaining() < n {
             return Err(ClusterError::corrupt(format!(
                 "payload underrun: wanted {n} bytes, {} left",
@@ -64,15 +65,16 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, ClusterError> {
+    /// Reads a length-prefixed byte string, borrowed from the payload.
+    pub fn bytes(&mut self) -> Result<&'a [u8], ClusterError> {
         let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, ClusterError> {
-        String::from_utf8(self.bytes()?).map_err(|_| ClusterError::corrupt("invalid utf-8"))
+        String::from_utf8(self.bytes()?.to_vec())
+            .map_err(|_| ClusterError::corrupt("invalid utf-8"))
     }
 }
 
@@ -193,6 +195,26 @@ impl Wire for (u64, u32, u32) {
     }
 }
 
+/// Wire size of one path-log triple.
+pub const PATH_TRIPLE_LEN: usize = 16;
+
+/// Decodes back-to-back path-log triples (a walk worker's `Final` payload)
+/// as they are asked for. The caller has checked that `buf` is whole
+/// triples; a ragged tail would be passed over.
+///
+/// The layout is the `Wire` impl's above, read with plain loads: this runs
+/// once per logged walker step, twice over, inside the path merge, where
+/// the checked cursor's `Result` per field cost five times the merge.
+pub fn path_triples(buf: &[u8]) -> impl Iterator<Item = (u64, u32, u32)> + '_ {
+    buf.chunks_exact(PATH_TRIPLE_LEN).map(|t| {
+        (
+            u64::from_le_bytes(t[0..8].try_into().expect("8 bytes")),
+            u32::from_le_bytes(t[8..12].try_into().expect("4 bytes")),
+            u32::from_le_bytes(t[12..16].try_into().expect("4 bytes")),
+        )
+    })
+}
+
 /// Encodes a slice of wire values back-to-back (no length prefix; the
 /// container framing supplies the boundary).
 pub fn encode_all<T: Wire>(items: &[T], out: &mut Vec<u8>) {
@@ -253,6 +275,15 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(a.rng.next_u64(), b.rng.next_u64());
         }
+    }
+
+    #[test]
+    fn path_triples_decode_lazily_what_encode_all_wrote() {
+        let log = vec![(7u64, 0u32, 3u32), (u64::MAX, 2, 9), (1, 1, 0)];
+        let mut out = Vec::new();
+        encode_all(&log, &mut out);
+        assert_eq!(out.len(), log.len() * PATH_TRIPLE_LEN);
+        assert_eq!(path_triples(&out).collect::<Vec<_>>(), log);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property-based tests for the wire frame codec: arbitrary payloads
-//! round-trip, and no truncation or length corruption is ever accepted.
+//! round-trip, and no truncation, length corruption or bit flip is ever
+//! accepted.
 
 use bpart_dist::error::ClusterError;
 use bpart_dist::frame::{self, HEADER_LEN, MAX_PAYLOAD};
@@ -13,7 +14,7 @@ proptest! {
         kind in 0u8..=255,
         payload in prop::collection::vec(0u8..=255, 0..512),
     ) {
-        let bytes = frame::encode(kind, &payload);
+        let bytes = frame::encode(kind, &payload).unwrap();
         prop_assert_eq!(bytes.len(), HEADER_LEN + payload.len());
 
         // Buffer decode consumes exactly one frame.
@@ -36,7 +37,7 @@ proptest! {
         payload in prop::collection::vec(0u8..=255, 0..256),
         cut in 0usize..1 << 16,
     ) {
-        let bytes = frame::encode(kind, &payload);
+        let bytes = frame::encode(kind, &payload).unwrap();
         // Cut strictly before the end: every proper prefix must be
         // rejected, never silently decoded.
         let keep = cut % bytes.len();
@@ -65,7 +66,7 @@ proptest! {
     ) {
         let true_len = payload.len() as u32;
         prop_assume!(stated != true_len);
-        let mut bytes = frame::encode(kind, &payload);
+        let mut bytes = frame::encode(kind, &payload).unwrap();
         bytes[4..8].copy_from_slice(&stated.to_le_bytes());
         let err = frame::decode(&bytes).unwrap_err();
         prop_assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{}", err);
@@ -83,10 +84,52 @@ proptest! {
         at in 0usize..1 << 16,
         xor in 1u8..=255,
     ) {
-        let mut bytes = frame::encode(kind, &payload);
+        let mut bytes = frame::encode(kind, &payload).unwrap();
         let at = HEADER_LEN + at % payload.len();
         bytes[at] ^= xor;
         let err = frame::decode(&bytes).unwrap_err();
         prop_assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{}", err);
+    }
+
+    /// The checksum reads the payload as 8-byte words and its last
+    /// `len % 8` bytes one at a time, so every tail length is its own code
+    /// path: the same bytes are framed at eight consecutive lengths, and
+    /// at each one a flipped bit anywhere in the frame — header fields
+    /// included — and a cut anywhere before its end are both refused.
+    #[test]
+    fn bit_flips_and_truncations_are_rejected_at_every_tail_length(
+        kind in 0u8..=255,
+        payload in prop::collection::vec(0u8..=255, 0..4100),
+        at in 0usize..1 << 24,
+        cut in 0usize..1 << 24,
+    ) {
+        for tail in 0..8 {
+            let payload = &payload[..payload.len().saturating_sub(tail)];
+            let bytes = frame::encode(kind, payload).unwrap();
+            let (frame, _) = frame::decode(&bytes).unwrap();
+            prop_assert_eq!(&frame.payload[..], payload);
+
+            let bit = at % (bytes.len() * 8);
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let err = frame::decode(&flipped).unwrap_err();
+            prop_assert!(
+                matches!(err, ClusterError::FrameCorrupt { .. }),
+                "bit {} of a {}-byte payload: {}", bit, payload.len(), err
+            );
+            // The stream reader sees a grown length as a hang-up.
+            let err = frame::read_frame(&mut &flipped[..]).unwrap_err();
+            prop_assert!(
+                matches!(
+                    err,
+                    ClusterError::FrameCorrupt { .. } | ClusterError::ConnReset { .. }
+                ),
+                "bit {} of a {}-byte payload, streamed: {}", bit, payload.len(), err
+            );
+
+            let keep = cut % bytes.len();
+            prop_assert!(frame::decode(&bytes[..keep]).is_err(), "kept {} bytes", keep);
+            prop_assert!(frame::read_frame(&mut &bytes[..keep]).is_err(), "kept {} bytes", keep);
+        }
     }
 }

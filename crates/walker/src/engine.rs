@@ -216,15 +216,19 @@ impl WalkEngine {
             iterations,
             paths: None,
         };
-        let mut log = Vec::new();
         for state in steps.iter().map(WalkStep::state) {
             run.total_steps += state.steps;
             run.message_walks += state.sent;
-            log.extend_from_slice(&state.path_log);
         }
         if self.record_paths {
             let num_walkers = starts.count(self.cluster.graph().num_vertices());
-            run.paths = Some(paths_from_log(log, num_walkers as usize));
+            let logs = || {
+                steps
+                    .iter()
+                    .flat_map(|s| s.state().path_log.iter().copied())
+            };
+            let paths = paths_from_log(logs, num_walkers as usize, app.walk_length());
+            run.paths = Some(paths.expect("the kernels log every step of every walker once"));
         }
         Ok(run)
     }

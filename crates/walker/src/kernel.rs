@@ -23,6 +23,7 @@ use crate::walker::{WalkApp, Walker};
 use bpart_cluster::bsp::{Machine, Rows};
 use bpart_cluster::{Cluster, MachineId, MessageArena, WorkUnits};
 use bpart_graph::VertexId;
+use std::fmt;
 
 /// One machine's walk state at a superstep boundary.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -40,21 +41,98 @@ pub struct Snapshot {
     pub sent: u64,
 }
 
-/// Rebuilds per-walker paths from the concatenated `(walker, step,
-/// vertex)` logs of every machine. Triples naming a walker that was never
-/// started are dropped: a log can come off the wire.
-pub fn paths_from_log(
-    mut log: Vec<(u64, u32, VertexId)>,
-    num_walkers: usize,
-) -> Vec<Vec<VertexId>> {
-    log.sort_unstable();
-    let mut paths = vec![Vec::new(); num_walkers];
-    for (id, _step, v) in log {
-        if let Some(p) = paths.get_mut(id as usize) {
-            p.push(v);
+/// Why machine-local path logs do not merge into whole paths. The thread
+/// backend's own logs never fail; the process backend's come off the wire.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum PathLogError {
+    /// A triple names a walker id at or past the started count.
+    UnknownWalker {
+        /// The walker id in the triple.
+        id: u64,
+    },
+    /// A step past the walk length, or past the end of the walker's own
+    /// path (its triples leave a gap).
+    StepOutOfRange {
+        /// The walker id in the triple.
+        id: u64,
+        /// The step index in the triple.
+        step: u32,
+    },
+    /// Two triples for one `(walker, step)`.
+    Duplicate {
+        /// The walker id in the triples.
+        id: u64,
+        /// The step index in the triples.
+        step: u32,
+    },
+}
+
+impl fmt::Display for PathLogError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PathLogError::UnknownWalker { id } => {
+                write!(f, "path log names walker {id}, never started")
+            }
+            PathLogError::StepOutOfRange { id, step } => {
+                write!(f, "path log of walker {id} has step {step} out of range")
+            }
+            PathLogError::Duplicate { id, step } => {
+                write!(f, "path log of walker {id} has step {step} twice")
+            }
         }
     }
-    paths
+}
+
+impl std::error::Error for PathLogError {}
+
+/// Rebuilds per-walker paths from the `(walker, step, vertex)` logs of
+/// every machine, in any order: one pass over `triples()` counts each
+/// walker's steps, a second writes `paths[walker][step] = vertex`. No
+/// triple is sorted or buffered, so the caller may decode them on the fly;
+/// that is why the log is a function handing out a fresh iterator.
+///
+/// `num_walkers` and `walk_len` (the app's step cap: a path has at most
+/// `walk_len + 1` vertices) bound what a log may claim and so what is
+/// allocated for it.
+pub fn paths_from_log<I>(
+    triples: impl Fn() -> I,
+    num_walkers: usize,
+    walk_len: u32,
+) -> Result<Vec<Vec<VertexId>>, PathLogError>
+where
+    I: Iterator<Item = (u64, u32, VertexId)>,
+{
+    /// No vertex has this id (ids stay below `n <= u32::MAX`), so it marks
+    /// a slot nothing was written to yet.
+    const UNSET: VertexId = VertexId::MAX;
+    let mut lens = vec![0u32; num_walkers];
+    for (id, step, _) in triples() {
+        let len = usize::try_from(id)
+            .ok()
+            .and_then(|i| lens.get_mut(i))
+            .ok_or(PathLogError::UnknownWalker { id })?;
+        if step > walk_len {
+            return Err(PathLogError::StepOutOfRange { id, step });
+        }
+        if *len > walk_len {
+            // More triples than the walk has steps: one repeats.
+            return Err(PathLogError::Duplicate { id, step });
+        }
+        *len += 1;
+    }
+    let mut paths: Vec<Vec<VertexId>> = lens.iter().map(|&len| vec![UNSET; len as usize]).collect();
+    for (id, step, v) in triples() {
+        // A walker's `len` triples with `len` distinct steps below `len`
+        // fill its path exactly; anything else trips one of these.
+        let slot = paths[id as usize]
+            .get_mut(step as usize)
+            .ok_or(PathLogError::StepOutOfRange { id, step })?;
+        if *slot != UNSET {
+            return Err(PathLogError::Duplicate { id, step });
+        }
+        *slot = v;
+    }
+    Ok(paths)
 }
 
 /// One machine's share of a walk computation.
@@ -220,5 +298,93 @@ impl Machine for WalkStep {
     /// One unit per in-flight walker.
     fn state_units(snapshot: &Snapshot) -> u64 {
         snapshot.queue.len() as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The merge `paths_from_log` replaced: sort every triple, then append
+    /// in order. Kept as the oracle.
+    fn paths_by_sorting(
+        mut log: Vec<(u64, u32, VertexId)>,
+        num_walkers: usize,
+    ) -> Vec<Vec<VertexId>> {
+        log.sort_unstable();
+        let mut paths = vec![Vec::new(); num_walkers];
+        for (id, _step, v) in log {
+            paths[id as usize].push(v);
+        }
+        paths
+    }
+
+    fn mix(x: u64) -> u64 {
+        let z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z ^ (z >> 27)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `lens[id]` vertices per walker: 0 is a walker that left no
+        /// triple, anything under 7 a walk that hit a dead end, no walker
+        /// at all an empty log. The triples arrive shuffled and cut into
+        /// machine logs at arbitrary points.
+        #[test]
+        fn placement_equals_the_sort_based_merge(
+            lens in prop::collection::vec(0u32..=7, 0..12),
+            machines in 1usize..5,
+            salt in 0u64..u64::MAX,
+        ) {
+            let mut log: Vec<(u64, u32, VertexId)> = Vec::new();
+            for (id, &len) in lens.iter().enumerate() {
+                for step in 0..len {
+                    let v = mix(salt ^ (id as u64) << 8 ^ step as u64) as VertexId % 1000;
+                    log.push((id as u64, step, v));
+                }
+            }
+            log.sort_by_key(|&(id, step, _)| mix(salt.wrapping_add(id << 8 | step as u64)));
+            let logs: Vec<&[(u64, u32, VertexId)]> =
+                log.chunks(log.len() / machines + 1).collect();
+            let placed = paths_from_log(|| logs.iter().copied().flatten().copied(), lens.len(), 6);
+            prop_assert_eq!(placed, Ok(paths_by_sorting(log.clone(), lens.len())));
+        }
+    }
+
+    #[test]
+    fn logs_that_are_not_paths_are_rejected() {
+        let merge = |log: &[(u64, u32, VertexId)]| paths_from_log(|| log.iter().copied(), 2, 3);
+        assert_eq!(merge(&[]), Ok(vec![vec![], vec![]]));
+        assert_eq!(merge(&[(1, 1, 8), (1, 0, 9)]), Ok(vec![vec![], vec![9, 8]]));
+        assert_eq!(
+            merge(&[(2, 0, 5)]),
+            Err(PathLogError::UnknownWalker { id: 2 })
+        );
+        assert_eq!(
+            merge(&[(u64::MAX, 0, 5)]),
+            Err(PathLogError::UnknownWalker { id: u64::MAX })
+        );
+        // Past the walk length, and past the end of a path with a gap.
+        assert_eq!(
+            merge(&[(0, 4, 5)]),
+            Err(PathLogError::StepOutOfRange { id: 0, step: 4 })
+        );
+        assert_eq!(
+            merge(&[(0, 0, 5), (0, 2, 6)]),
+            Err(PathLogError::StepOutOfRange { id: 0, step: 2 })
+        );
+        assert_eq!(
+            merge(&[(0, 0, 5), (0, 1, 6), (0, 1, 7)]),
+            Err(PathLogError::Duplicate { id: 0, step: 1 })
+        );
+        // More triples than steps exist is caught while counting, before
+        // anything is allocated for them.
+        let flood = [(1, 0, 5); 5];
+        assert_eq!(
+            merge(&flood),
+            Err(PathLogError::Duplicate { id: 1, step: 0 })
+        );
     }
 }
