@@ -2,17 +2,18 @@
 //! the branchless flat-array score loop, cached alias-table sampling, the
 //! arena-backed superstep exchange, the zero-copy binary graph load, the
 //! vertex-program superstep kernel, and the process backend's per-byte
-//! work (DESIGN.md §13: one frame across the wire, the path-log merge).
+//! work (DESIGN.md §13: one frame across the wire, a worker's slice of the
+//! graph into and out of its `Placement` frame, the path-log merge).
 //! Each group reports element (or byte) throughput so regressions show up as rate drops, not just time
 //! blips.
 //!
 //!     cargo bench -p bpart-bench --bench hotpath
 
-use bpart_cluster::{Exchange, MessageArena, Router};
+use bpart_cluster::{Cluster, Exchange, MessageArena, Router};
 use bpart_core::bpart::WeightedStream;
 use bpart_core::prelude::*;
 use bpart_dist::frame;
-use bpart_dist::proto::{RowSeg, WorkerMsg};
+use bpart_dist::proto::{DriverMsg, Placement, RowSeg, WorkerMsg};
 use bpart_engine::apps::{ConnectedComponents, PageRank};
 use bpart_engine::IterationEngine;
 use bpart_graph::{generate, io, CsrGraph};
@@ -169,7 +170,13 @@ fn bench_engine_superstep(c: &mut Criterion) {
 /// What the process backend does per byte. `step_data_1mib`: one 1 MiB
 /// `StepData` through a hop — encoded behind its header and checksummed,
 /// read back off a byte stream into a frame, checksummed again, decoded
-/// into borrowed row segments. `paths_from_log_1m`: the walk gather's merge
+/// into borrowed row segments. `slice_lj_half`: what booting one of two
+/// workers on `lj_like` ×1.0 costs in bytes moved — its `Placement`
+/// encoded from the driver's graph (assignment, tallies, out-lists of its
+/// half) and checksummed, then read off the stream as the worker reads it:
+/// summed again chunk by chunk while its arrays fill, and checked into the
+/// slice graph the worker runs on.
+/// `paths_from_log_1m`: the walk gather's merge
 /// of 1 M `(walker, step, vertex)` triples — 50 000 walkers × 20 steps,
 /// superstep-major with the walkers in a scrambled order, as machine logs
 /// hold them — into per-walker paths.
@@ -197,6 +204,21 @@ fn bench_dist_frame(c: &mut Criterion) {
                 unreachable!("sent StepData");
             };
             black_box(rows[1].data.len())
+        })
+    });
+
+    let graph = Arc::new(generate::lj_like().generate());
+    let halves = Arc::new(ChunkV.partition(&graph, 2));
+    let cluster = Cluster::new(graph, halves);
+    let placement = DriverMsg::Placement(Placement::of(&cluster, 0, false));
+    let wire_len = placement.to_frame().expect("half a graph fits").len();
+    group.throughput(Throughput::Bytes(wire_len as u64));
+    group.sample_size(10);
+    group.bench_function("slice_lj_half", |b| {
+        b.iter(|| {
+            let bytes = placement.to_frame().expect("half a graph fits");
+            let got = Placement::read_from(&bytes[..]).expect("intact placement");
+            black_box(got.slice.graph.num_edges())
         })
     });
 

@@ -1118,6 +1118,19 @@ fn run_process_cmd(
             .filter_map(|s| store.step_timings(s))
             .collect();
         let dead = store.dead_workers();
+        // What each worker said it holds (`part.*` gauges, set from its
+        // slice): the paper's two balance dimensions, and their bytes.
+        let holds = |m: usize| {
+            let (_, snapshot) = store.workers.get(&(m as u32))?.snapshot.as_ref()?;
+            let gauge = |name| snapshot.gauges.get(name).copied();
+            Some(format!(
+                ", holds {} vertices, {} edges ({:.2} MB slice)",
+                gauge("part.vertices")?,
+                gauge("part.edges")?,
+                gauge("part.slice_bytes")? / (1u64 << 20) as f64
+            ))
+        };
+        let holds: Vec<String> = (0..workers).map(|m| holds(m).unwrap_or_default()).collect();
         drop(store);
         if !steps.is_empty() {
             let measured = bpart_cluster::TelemetrySummary::from_steps(&steps);
@@ -1132,10 +1145,11 @@ fn run_process_cmd(
             ));
             for (m, row) in measured.machines.iter().enumerate() {
                 text.push_str(&format!(
-                    "    m{m}: compute {:.3}s, waiting {:.3}s ({:.1}%)\n",
+                    "    m{m}: compute {:.3}s, waiting {:.3}s ({:.1}%){}\n",
                     row.compute,
                     row.waiting,
-                    row.ratio * 100.0
+                    row.ratio * 100.0,
+                    holds.get(m).map_or("", String::as_str)
                 ));
             }
         }

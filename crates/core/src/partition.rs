@@ -52,6 +52,49 @@ impl Partition {
         }
     }
 
+    /// Wraps an assignment with tallies counted elsewhere — by whoever
+    /// holds the whole graph, for a process that holds only its own part of
+    /// it, where [`from_assignment`](Self::from_assignment) would count
+    /// zero edges for every other part.
+    ///
+    /// The vertex tallies are checked against the assignment. The edge
+    /// tallies cannot be, without the graph: a caller that holds a slice
+    /// checks its own part's against it.
+    pub fn from_tallies(
+        num_parts: usize,
+        assignment: Vec<PartId>,
+        vertex_counts: Vec<u64>,
+        edge_counts: Vec<u64>,
+    ) -> Result<Self, String> {
+        if num_parts == 0 {
+            return Err("need at least one part".into());
+        }
+        if vertex_counts.len() != num_parts || edge_counts.len() != num_parts {
+            return Err(format!(
+                "{} vertex and {} edge tallies for {num_parts} parts",
+                vertex_counts.len(),
+                edge_counts.len()
+            ));
+        }
+        let mut counted = vec![0u64; num_parts];
+        for (v, &p) in assignment.iter().enumerate() {
+            *counted
+                .get_mut(p as usize)
+                .ok_or_else(|| format!("vertex {v} on part {p} of {num_parts}"))? += 1;
+        }
+        if counted != vertex_counts {
+            return Err(format!(
+                "vertex tallies {vertex_counts:?} are not the assignment's {counted:?}"
+            ));
+        }
+        Ok(Partition {
+            num_parts,
+            assignment,
+            vertex_counts,
+            edge_counts,
+        })
+    }
+
     /// Number of parts `k`.
     #[inline]
     pub fn num_parts(&self) -> usize {
@@ -157,6 +200,32 @@ mod tests {
         assert_eq!(p.vertex_counts(), &[3, 2]);
         assert_eq!(p.edge_counts(), &[4 + 1 + 1, 1 + 1]);
         p.validate(&g).unwrap();
+    }
+
+    #[test]
+    fn shipped_tallies_make_the_same_partition() {
+        let g = generate::star(4);
+        let p = Partition::from_assignment(&g, 3, vec![0, 1, 1, 0, 0]);
+        let shipped = |vertices: &[u64], edges: &[u64]| {
+            Partition::from_tallies(
+                3,
+                p.assignment().to_vec(),
+                vertices.to_vec(),
+                edges.to_vec(),
+            )
+        };
+        assert_eq!(shipped(p.vertex_counts(), p.edge_counts()), Ok(p.clone()));
+        for (vertices, edges) in [
+            (&[3, 2][..], &[6, 2][..]),
+            (&[3, 2, 0], &[6, 2]),
+            (&[2, 3, 0], &[6, 2, 0]),
+            (&[3, 2, 1], &[6, 2, 0]),
+        ] {
+            assert!(shipped(vertices, edges).is_err(), "{vertices:?} {edges:?}");
+        }
+        let err = Partition::from_tallies(2, vec![0, 2], vec![1, 1], vec![0, 0]).unwrap_err();
+        assert!(err.contains("vertex 1 on part 2 of 2"), "{err}");
+        assert!(Partition::from_tallies(0, vec![], vec![], vec![]).is_err());
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //!
 //! ## Boot and teardown
 //!
-//! A job costs one graph load plus one partition, and they overlap: the
-//! driver binds, spawns the workers, takes their joins and sends each its
-//! `Job` *before* it loads anything itself, so the workers read the graph
-//! while the driver reads and partitions it; the `Placement` frame then
-//! tells every worker who owns what (`run`). Teardown waits on events, not
+//! A job costs one graph load plus one partition, both here: the driver is
+//! the only process that opens the job's graph source. It binds, spawns the
+//! workers, takes their joins and sends each its `Job` *before* it loads
+//! anything, so process start-up overlaps the load; then it partitions and
+//! sends every worker its own `Placement` frame — who owns what, and the
+//! adjacency of what that worker owns, encoded from the driver's graph
+//! straight into the frame and dropped once sent (`run`). A worker holds
+//! its part, not the graph. Teardown waits on events, not
 //! on a clock: a worker that got `Shutdown` hangs up, its reader thread
 //! reports the end of the stream, and the driver `wait()`s the child — one
 //! deadline covers all workers, and whoever is still connected when it
@@ -28,8 +31,10 @@
 //! ## Recovery
 //!
 //! On death the driver bumps the recovery *epoch*, respawns the dead
-//! process (within `max_respawns`), replays the job spec to it, and
-//! sends `Restore` to every worker: either the snapshot bytes from the
+//! process (within `max_respawns`), sends it the job spec and its slice
+//! again — encoded anew from the cluster the driver keeps for the final
+//! gather, so no frame is retained for the occasion — and sends `Restore`
+//! to every worker: either the snapshot bytes from the
 //! last driver-held checkpoint or `None` (re-initialize from the
 //! deterministic initial state). Workers answer `Ready` under the new
 //! epoch; frames stamped with an older epoch are discarded wherever they
@@ -39,7 +44,7 @@
 
 use crate::error::ClusterError;
 use crate::frame::{self, Frame};
-use crate::proto::{DriverMsg, RowSeg, WorkerMsg};
+use crate::proto::{DriverMsg, Placement, RowSeg, WorkerMsg};
 use crate::spec::{AppSpec, JobSpec};
 use crate::transport::{read_frame_blocking, rpc_rtt_histogram};
 use crate::wire::{decode_all, path_triples, PATH_TRIPLE_LEN};
@@ -48,7 +53,6 @@ use bpart_cluster::{Cluster, FaultPlan, FaultState, MachineId};
 use bpart_graph::VertexId;
 use bpart_obs::{federation, tracer};
 use bpart_walker::WalkStarts;
-use std::borrow::Cow;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -196,9 +200,6 @@ const SHUTDOWN_GRACE: Duration = Duration::from_millis(500);
 struct Driver {
     spec: JobSpec,
     cfg: ProcessConfig,
-    /// The encoded `Placement` frame, kept to be sent again to a respawned
-    /// worker. Empty until `run` has partitioned.
-    placement: Vec<u8>,
     addr: String,
     key: u64,
     acceptor_stop: Arc<AtomicBool>,
@@ -231,8 +232,8 @@ pub fn run_process(spec: &JobSpec, cfg: &ProcessConfig) -> Result<AppOutput, Clu
 
 impl Driver {
     /// Binds, spawns the workers, takes their joins and hands each its
-    /// `Job`. Nothing is loaded here: the workers start on the graph while
-    /// `run` loads and partitions it.
+    /// `Job`. Nothing is loaded here: `run` loads and partitions while the
+    /// worker processes finish starting up.
     fn start(spec: JobSpec, cfg: ProcessConfig) -> Result<Driver, ClusterError> {
         let listener = TcpListener::bind("127.0.0.1:0")
             .map_err(|e| ClusterError::from_io("bind driver socket", &e))?;
@@ -257,7 +258,6 @@ impl Driver {
             faults: FaultState::new(cfg.faults.clone()),
             spec,
             cfg,
-            placement: Vec::new(),
             addr,
             key,
             acceptor_stop,
@@ -389,15 +389,12 @@ impl Driver {
         Ok(())
     }
 
-    fn broadcast_frame(&self, frame: &[u8]) {
-        for m in 0..self.cfg.workers {
-            self.send_frame(m, frame);
-        }
-    }
-
     /// Encodes once, sends to every worker.
     fn broadcast(&self, msg: &DriverMsg<'_>) -> Result<(), ClusterError> {
-        self.broadcast_frame(&msg.to_frame()?);
+        let frame = msg.to_frame()?;
+        for m in 0..self.cfg.workers {
+            self.send_frame(m, &frame);
+        }
         Ok(())
     }
 
@@ -408,6 +405,16 @@ impl Driver {
                 spec: self.spec.clone(),
                 machine: m as u32,
             },
+        )
+    }
+
+    /// Sends machine `m` its placement: the partition and its slice of the
+    /// graph, written from `cluster` into a frame that lives for this send.
+    fn send_placement(&self, m: usize, cluster: &Cluster) -> Result<(), ClusterError> {
+        let in_lists = self.spec.app.uses_in_edges();
+        self.send_to(
+            m,
+            &DriverMsg::Placement(Placement::of(cluster, m as MachineId, in_lists)),
         )
     }
 
@@ -572,6 +579,7 @@ impl Driver {
         mut dead: Vec<usize>,
         superstep: u64,
         ckpt: &CheckpointStore,
+        cluster: &Cluster,
     ) -> Result<Vec<f64>, ClusterError> {
         self.stats.replayed_supersteps += superstep.saturating_sub(ckpt.superstep);
         bpart_obs::metrics::counter("dist.replayed_supersteps")
@@ -606,9 +614,9 @@ impl Driver {
                 self.spawn_worker(m)?;
                 self.wait_joins(vec![m])?;
                 // What every worker was told at boot, in the same order:
-                // the newcomer owns what its predecessor owned.
+                // the newcomer owns, and holds, what its predecessor did.
                 self.send_job(m)?;
-                self.send_frame(m, &self.placement);
+                self.send_placement(m, cluster)?;
             }
             // Everyone — survivors included — rolls back to the same
             // barrier, so the replay is globally consistent.
@@ -663,15 +671,13 @@ impl Driver {
         let k = self.cfg.workers;
         let is_walk = self.spec.app.is_walk();
 
-        // The workers have had their `Job` since `start` and are loading
-        // the graph; this is the one partitioner run of the whole job.
+        // The workers have had their `Job` since `start` and wait for
+        // their slices; this is the one graph load and the one partitioner
+        // run of the whole job.
         let cluster = self.spec.build_cluster()?;
-        self.placement = DriverMsg::Placement {
-            parts: self.spec.parts,
-            assignment: Cow::Borrowed(cluster.partition().assignment()),
+        for m in 0..k {
+            self.send_placement(m, &cluster)?;
         }
-        .to_frame()?;
-        self.broadcast_frame(&self.placement);
 
         let max_supersteps: Option<u64> = match &self.spec.app {
             AppSpec::PageRank { iters } => Some(*iters as u64),
@@ -747,7 +753,7 @@ impl Driver {
             )? {
                 Collected::Done(frames) => frames,
                 Collected::Dead(dead) => {
-                    let aggs = self.recover(dead, superstep, &ckpt)?;
+                    let aggs = self.recover(dead, superstep, &ckpt, &cluster)?;
                     agg = aggs.iter().sum();
                     walk_active = aggs.iter().map(|&a| a as u64).sum();
                     superstep = ckpt.superstep;
@@ -817,7 +823,7 @@ impl Driver {
             )? {
                 Collected::Done(frames) => frames,
                 Collected::Dead(dead) => {
-                    let aggs = self.recover(dead, superstep, &ckpt)?;
+                    let aggs = self.recover(dead, superstep, &ckpt, &cluster)?;
                     agg = aggs.iter().sum();
                     walk_active = aggs.iter().map(|&a| a as u64).sum();
                     superstep = ckpt.superstep;

@@ -21,6 +21,12 @@
 //! header, the message appends its payload behind it, [`seal`] fills in
 //! kind, length and checksum. The bytes a socket write sees are the bytes
 //! the encoder wrote.
+//!
+//! A receiver reads a frame whole ([`read_frame`]) — except the one frame
+//! that is as large as what is built from it, a worker's slice of the
+//! graph, which [`PayloadReader`] decodes as it arrives: the same header,
+//! the same checksum, verified before anything decoded is used, and no
+//! payload buffer beside the arrays being filled.
 
 use crate::error::ClusterError;
 use std::io::{self, Read};
@@ -53,19 +59,66 @@ pub struct Frame {
 /// Every step is a bijection of the state, so two payloads of one length
 /// that differ anywhere end in different 64-bit states; the fold lets one
 /// such pair in 2³² through.
-fn checksum(kind: u8, payload: &[u8]) -> u32 {
+///
+/// The payload may be fed in pieces of any length: bytes that do not fill
+/// a word yet wait in `tail` for the next piece.
+struct Checksum {
+    h: u64,
+    tail: [u8; 8],
+    tail_len: usize,
+}
+
+impl Checksum {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut step = |x: u64| h = (h ^ x).wrapping_mul(PRIME);
-    step(kind as u64);
-    let mut words = payload.chunks_exact(8);
-    for word in &mut words {
-        step(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+
+    fn new(kind: u8) -> Self {
+        let mut sum = Checksum {
+            h: 0xcbf2_9ce4_8422_2325,
+            tail: [0; 8],
+            tail_len: 0,
+        };
+        sum.step(kind as u64);
+        sum
     }
-    for &byte in words.remainder() {
-        step(byte as u64);
+
+    #[inline]
+    fn step(&mut self, x: u64) {
+        self.h = (self.h ^ x).wrapping_mul(Self::PRIME);
     }
-    (h ^ (h >> 32)) as u32
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        if self.tail_len > 0 {
+            let take = (8 - self.tail_len).min(bytes.len());
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < 8 {
+                return;
+            }
+            self.step(u64::from_le_bytes(self.tail));
+            self.tail_len = 0;
+        }
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.step(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    fn finish(mut self) -> u32 {
+        for i in 0..self.tail_len {
+            self.step(self.tail[i] as u64);
+        }
+        (self.h ^ (self.h >> 32)) as u32
+    }
+}
+
+fn checksum(kind: u8, payload: &[u8]) -> u32 {
+    let mut sum = Checksum::new(kind);
+    sum.update(payload);
+    sum.finish()
 }
 
 /// Starts a frame: room for the header. Append the payload, then [`seal`].
@@ -115,7 +168,10 @@ fn parse_header(header: &[u8]) -> Result<(u8, usize, u32), ClusterError> {
 }
 
 fn verify(kind: u8, payload: &[u8], want: u32) -> Result<(), ClusterError> {
-    let got = checksum(kind, payload);
+    verify_sum(checksum(kind, payload), want)
+}
+
+fn verify_sum(got: u32, want: u32) -> Result<(), ClusterError> {
     if got != want {
         return Err(ClusterError::corrupt(format!(
             "checksum mismatch: stated {want:#010x}, computed {got:#010x}"
@@ -166,6 +222,155 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ClusterError> {
     read_exact(r, &mut payload, "frame payload")?;
     verify(kind, &payload, want)?;
     Ok(Frame { kind, payload })
+}
+
+/// A frame's payload, decoded while it arrives.
+///
+/// [`open`](Self::open) reads and validates the header; the accessors then
+/// hand out the payload's fields straight off the stream, every byte
+/// passing through the checksum on its way; [`finish`](Self::finish)
+/// insists that the payload was consumed to its last byte and that the
+/// checksum is the header's. Until `finish` has returned `Ok`, what was
+/// decoded is unverified and must not be used. A count read off the wire
+/// is checked against the bytes the payload still has before anything is
+/// allocated for it.
+///
+/// [`over`](Self::over) reads a payload already received and verified (a
+/// [`Frame`]'s) through the same accessors, so a message has one decoder
+/// whichever way it came.
+pub struct PayloadReader<R> {
+    stream: R,
+    kind: u8,
+    remaining: usize,
+    /// The running checksum and the header's; `None` over a payload that
+    /// was verified when its frame was read.
+    check: Option<(Checksum, u32)>,
+    chunk: Vec<u8>,
+}
+
+/// Bytes a [`PayloadReader`] reads (and sums, and converts) at a time.
+const CHUNK: usize = 64 << 10;
+
+impl<'a> PayloadReader<&'a [u8]> {
+    /// Reads `frame`'s payload.
+    pub fn over(frame: &'a Frame) -> Self {
+        PayloadReader::new(&frame.payload[..], frame.kind, frame.payload.len(), None)
+    }
+}
+
+impl<R: Read> PayloadReader<R> {
+    fn new(stream: R, kind: u8, len: usize, check: Option<(Checksum, u32)>) -> Self {
+        PayloadReader {
+            stream,
+            kind,
+            remaining: len,
+            check,
+            chunk: vec![0; CHUNK],
+        }
+    }
+
+    /// Reads the header of the next frame on `stream`.
+    pub fn open(mut stream: R) -> Result<Self, ClusterError> {
+        let mut header = [0u8; HEADER_LEN];
+        read_exact(&mut stream, &mut header, "frame header")?;
+        let (kind, len, want) = parse_header(&header)?;
+        let check = Some((Checksum::new(kind), want));
+        Ok(PayloadReader::new(stream, kind, len, check))
+    }
+
+    /// The frame's kind byte.
+    pub fn kind(&self) -> u8 {
+        self.kind
+    }
+
+    /// Claims `count` values of `width` bytes from what the payload has
+    /// left, before a byte is read or allocated for them.
+    fn claim(&mut self, count: usize, width: usize) -> Result<usize, ClusterError> {
+        let bytes = count
+            .checked_mul(width)
+            .filter(|&bytes| bytes <= self.remaining)
+            .ok_or_else(|| {
+                ClusterError::corrupt(format!(
+                    "payload underrun: wanted {count} × {width} bytes, {} left",
+                    self.remaining
+                ))
+            })?;
+        self.remaining -= bytes;
+        Ok(bytes)
+    }
+
+    /// The next `n <= CHUNK` claimed bytes.
+    fn fill(&mut self, n: usize) -> Result<&[u8], ClusterError> {
+        let bytes = &mut self.chunk[..n];
+        read_exact(&mut self.stream, bytes, "frame payload")?;
+        if let Some((sum, _)) = &mut self.check {
+            sum.update(bytes);
+        }
+        Ok(bytes)
+    }
+
+    fn scalar<const W: usize>(&mut self) -> Result<[u8; W], ClusterError> {
+        let n = self.claim(1, W)?;
+        Ok(self.fill(n)?.try_into().expect("W bytes were filled"))
+    }
+
+    /// `count` values of `W` bytes each, in an array of their own.
+    fn array<const W: usize, T>(
+        &mut self,
+        count: usize,
+        from_le_bytes: fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, ClusterError> {
+        let mut left = self.claim(count, W)?;
+        let mut out = Vec::with_capacity(count);
+        while left > 0 {
+            // `CHUNK` is a multiple of every `W` in use, so no value
+            // straddles two fills.
+            let n = left.min(CHUNK);
+            let values = self.fill(n)?.chunks_exact(W);
+            out.extend(values.map(|b| from_le_bytes(b.try_into().expect("W-byte chunk"))));
+            left -= n;
+        }
+        Ok(out)
+    }
+
+    /// Reads one byte.
+    pub fn u8(&mut self) -> Result<u8, ClusterError> {
+        Ok(self.scalar::<1>()?[0])
+    }
+
+    /// Reads a little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, ClusterError> {
+        Ok(u32::from_le_bytes(self.scalar()?))
+    }
+
+    /// Reads a little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, ClusterError> {
+        Ok(u64::from_le_bytes(self.scalar()?))
+    }
+
+    /// Reads `count` little-endian `u32`s.
+    pub fn u32s(&mut self, count: usize) -> Result<Vec<u32>, ClusterError> {
+        self.array(count, u32::from_le_bytes)
+    }
+
+    /// Reads `count` little-endian `u64`s.
+    pub fn u64s(&mut self, count: usize) -> Result<Vec<u64>, ClusterError> {
+        self.array(count, u64::from_le_bytes)
+    }
+
+    /// Ends the payload: it must be used up, and its checksum the header's.
+    pub fn finish(self) -> Result<(), ClusterError> {
+        if self.remaining != 0 {
+            return Err(ClusterError::corrupt(format!(
+                "{} trailing bytes in frame of kind {}",
+                self.remaining, self.kind
+            )));
+        }
+        match self.check {
+            Some((sum, want)) => verify_sum(sum.finish(), want),
+            None => Ok(()),
+        }
+    }
 }
 
 fn read_exact(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<(), ClusterError> {
@@ -243,6 +448,91 @@ mod tests {
         let err = seal(1, buf).unwrap_err();
         assert!(matches!(err, ClusterError::Unrecoverable { .. }), "{err}");
         assert!(err.to_string().contains("MAX_PAYLOAD"), "{err}");
+    }
+
+    /// However a payload is cut into pieces, it sums to what it sums to
+    /// whole — the pieces' lengths need not be multiples of the word.
+    #[test]
+    fn checksum_of_pieces_is_the_checksum_of_the_whole() {
+        let payload: Vec<u8> = (0..1000u32).map(|i| (i * 7 + i / 13) as u8).collect();
+        for len in [0, 1, 7, 8, 9, 63, 64, 65, 1000] {
+            let whole = checksum(5, &payload[..len]);
+            for piece in [1, 3, 8, 13, 64] {
+                let mut sum = Checksum::new(5);
+                payload[..len].chunks(piece).for_each(|p| sum.update(p));
+                assert_eq!(sum.finish(), whole, "{len} bytes in pieces of {piece}");
+            }
+        }
+    }
+
+    fn sample_payload() -> Vec<u8> {
+        let mut payload = vec![9];
+        payload.extend_from_slice(&7u32.to_le_bytes());
+        payload.extend_from_slice(&u64::MAX.to_le_bytes());
+        (0..40_000u32).for_each(|v| payload.extend_from_slice(&v.to_le_bytes()));
+        (0..3u64).for_each(|v| payload.extend_from_slice(&(v << 40).to_le_bytes()));
+        payload
+    }
+
+    fn read_sample(r: &mut PayloadReader<impl Read>) -> Result<(), ClusterError> {
+        assert_eq!(r.u8()?, 9);
+        assert_eq!(r.u32()?, 7);
+        assert_eq!(r.u64()?, u64::MAX);
+        // More than one chunk, from an offset that is no multiple of 8.
+        assert_eq!(r.u32s(40_000)?, (0..40_000).collect::<Vec<u32>>());
+        assert_eq!(r.u64s(3)?, [0, 1 << 40, 2 << 40]);
+        Ok(())
+    }
+
+    #[test]
+    fn a_payload_decodes_off_the_stream_as_it_does_from_a_frame() {
+        let bytes = encode(14, &sample_payload()).unwrap();
+        let mut stream = &bytes[..];
+        let mut r = PayloadReader::open(&mut stream).unwrap();
+        assert_eq!(r.kind(), 14);
+        read_sample(&mut r).unwrap();
+        r.finish().unwrap();
+        assert!(stream.is_empty());
+        let (frame, _) = decode(&bytes).unwrap();
+        let mut r = PayloadReader::over(&frame);
+        read_sample(&mut r).unwrap();
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn a_streamed_payload_is_verified_and_bounded() {
+        let corrupt = |result: Result<(), ClusterError>| {
+            let err = result.unwrap_err();
+            assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
+            err.to_string()
+        };
+        // A flipped bit anywhere is a checksum mismatch at the end.
+        let mut bytes = encode(14, &sample_payload()).unwrap();
+        bytes[HEADER_LEN + 1000] ^= 0x10;
+        let mut r = PayloadReader::open(&bytes[..]).unwrap();
+        r.u8().unwrap();
+        r.u32().unwrap();
+        r.u64().unwrap();
+        r.u32s(40_000).unwrap();
+        r.u64s(3).unwrap();
+        assert!(corrupt(r.finish()).contains("checksum"));
+        // A payload not read to its end.
+        let bytes = encode(14, &sample_payload()).unwrap();
+        let mut r = PayloadReader::open(&bytes[..]).unwrap();
+        r.u8().unwrap();
+        assert!(corrupt(r.finish()).contains("trailing bytes"));
+        // Counts the payload cannot back allocate nothing.
+        let mut r = PayloadReader::open(&bytes[..]).unwrap();
+        for count in [40_010, usize::MAX / 2] {
+            assert!(corrupt(r.u32s(count).map(drop)).contains("underrun"));
+            assert!(corrupt(r.u64s(count).map(drop)).contains("underrun"));
+        }
+        // A stream that ends inside the payload is the peer hanging up.
+        let mut r = PayloadReader::open(&bytes[..bytes.len() - 100]).unwrap();
+        assert!(matches!(
+            read_sample(&mut r),
+            Err(ClusterError::ConnReset { .. })
+        ));
     }
 
     #[test]

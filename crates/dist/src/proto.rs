@@ -11,7 +11,7 @@
 //! kind  direction        message
 //! 1     worker -> driver Join      { worker_id, key }
 //! 2     driver -> worker Job       { spec, machine }
-//! 14    driver -> worker Placement { parts, assignment[n] }
+//! 14    driver -> worker Placement { parts, assignment[n], vertex_counts[k], edge_counts[k], slice }
 //! 3     worker -> driver Ready     { epoch, agg }
 //! 4     driver -> worker StepBegin { epoch, superstep, agg, checkpoint }
 //! 5     worker -> driver StepData  { epoch, superstep, rows[k] }
@@ -25,16 +25,23 @@
 //! 13    worker -> driver ObsReport { epoch, seq, step?, clock echoes, metrics, spans, profile }
 //! ```
 //!
-//! `Job` goes out the moment a worker joins, so the worker loads the graph
-//! while the driver loads and partitions it; `Placement` follows with the
-//! driver's vertex → machine map, and the worker answers it with `Ready`.
-//! A worker never partitions anything.
+//! `Job` goes out the moment a worker joins; `Placement` follows once the
+//! driver has loaded and partitioned the graph, with the vertex → machine
+//! map, the per-part tallies and the worker's [`Slice`] — the adjacency of
+//! the vertices it owns, which is all of the graph it will ever hold. The
+//! worker answers it with `Ready`. A worker never opens a graph source and
+//! never partitions anything.
 //!
 //! A message is one value on both sides of the wire. The sender's
 //! [`to_frame`](WorkerMsg::to_frame) writes header and payload into one
 //! buffer; the receiver's [`from_frame`](WorkerMsg::from_frame) borrows
 //! every byte string from the frame it was read into, so row segments,
-//! snapshots and results are not copied to be looked at.
+//! snapshots and results are not copied to be looked at. The two payloads
+//! that are as large as what they carry are also *built* in the frame: a
+//! `Placement` is encoded straight from the driver's graph, and a `Final`
+//! by [`WorkerMsg::final_frame`] from the worker's state. And a worker
+//! never holds its `Placement` as a frame at all: [`Placement::read_from`]
+//! decodes it while it arrives.
 //!
 //! `StepBegin` additionally carries the driver's send timestamp and an
 //! obs-collection flag; `ObsReport` echoes the timestamp back along with
@@ -44,11 +51,14 @@
 //! the dist proto only ferries them.
 
 use crate::error::ClusterError;
-use crate::frame::{self, Frame};
+use crate::frame::{self, Frame, PayloadReader};
 use crate::spec::JobSpec;
-use crate::wire::{put_bytes, put_f64, put_u32, put_u64, Reader};
+use crate::wire::{put_bytes, put_f64, put_u32, put_u32s, put_u64, Reader};
+use bpart_cluster::{Cluster, MachineId};
 use bpart_core::PartId;
+use bpart_graph::{CsrGraph, OwnedLists, VertexId};
 use std::borrow::Cow;
+use std::io::Read;
 
 /// Frame kinds (the `kind` byte of every frame).
 pub mod kind {
@@ -56,7 +66,7 @@ pub mod kind {
     pub const JOIN: u8 = 1;
     /// Driver ships the job spec and machine assignment.
     pub const JOB: u8 = 2;
-    /// Driver ships the partition it computed.
+    /// Driver ships the partition it computed and the worker's slice.
     pub const PLACEMENT: u8 = 14;
     /// Worker finished (re)building local state.
     pub const READY: u8 = 3;
@@ -136,26 +146,212 @@ fn read_opt_bytes<'a>(r: &mut Reader<'a>) -> Result<Option<&'a [u8]>, ClusterErr
     })
 }
 
+/// One machine's share of the graph: the vertices it owns and their
+/// adjacency lists.
+///
+/// ```text
+/// u32 count, count × u32   members, ascending
+/// lists                    the members' out-lists
+/// u8                       1: their in-lists follow
+/// lists                    the members' in-lists
+///
+/// lists := count × u32     list length per member
+///          u64 total       (= the sum of the lengths)
+///          total × u32     the lists, back to back; each sorted
+/// ```
+#[derive(Clone, Debug, PartialEq)]
+pub struct Slice<'a> {
+    /// The vertices the machine owns, ascending.
+    pub members: Cow<'a, [VertexId]>,
+    /// A graph over the global id space that has the members' lists: the
+    /// whole graph where the driver encodes from it; where a worker decoded
+    /// it, the graph of the slice itself
+    /// ([`CsrGraph::from_owned_lists`]) — the only graph a worker holds.
+    pub graph: Cow<'a, CsrGraph>,
+    /// Whether the in-lists travel too (the job's program signals along
+    /// in-edges).
+    pub in_lists: bool,
+}
+
+impl Slice<'_> {
+    /// Bytes of this slice on the wire, which is also what its adjacency
+    /// costs a worker to hold: four bytes per member, per list and per
+    /// edge end.
+    pub fn wire_len(&self) -> usize {
+        let graph = &*self.graph;
+        let edges = |degree: fn(&CsrGraph, VertexId) -> usize| {
+            self.members
+                .iter()
+                .map(|&v| degree(graph, v))
+                .sum::<usize>()
+        };
+        // Lengths, the `u64` total, targets.
+        let lists = |edges: usize| 4 * self.members.len() + 8 + 4 * edges;
+        let inn = if self.in_lists {
+            lists(edges(CsrGraph::in_degree))
+        } else {
+            0
+        };
+        4 + 4 * self.members.len() + lists(edges(CsrGraph::out_degree)) + 1 + inn
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        let graph = &*self.graph;
+        put_u32(out, self.members.len() as u32);
+        put_u32s(out, &self.members);
+        put_lists(out, &self.members, |v| graph.out_neighbors(v));
+        out.push(self.in_lists as u8);
+        if self.in_lists {
+            put_lists(out, &self.members, |v| graph.in_neighbors(v));
+        }
+    }
+
+    /// Decodes a slice of a graph of `n` vertices. What the lists must
+    /// satisfy to be a graph at all is [`CsrGraph::from_owned_lists`]'s to
+    /// check; whether it is the slice this worker was promised is the
+    /// worker's.
+    fn decode(r: &mut PayloadReader<impl Read>, n: usize) -> Result<Slice<'static>, ClusterError> {
+        let count = r.u32()? as usize;
+        let members = r.u32s(count)?;
+        let out = read_lists(r, count)?;
+        let inn = match r.u8()? {
+            0 => None,
+            _ => Some(read_lists(r, count)?),
+        };
+        let in_lists = inn.is_some();
+        let graph =
+            CsrGraph::from_owned_lists(n, &members, out, inn).map_err(ClusterError::corrupt)?;
+        Ok(Slice {
+            members: Cow::Owned(members),
+            graph: Cow::Owned(graph),
+            in_lists,
+        })
+    }
+}
+
+fn put_lists<'g>(
+    out: &mut Vec<u8>,
+    members: &[VertexId],
+    list: impl Fn(VertexId) -> &'g [VertexId],
+) {
+    let mut total = 0u64;
+    for &v in members {
+        let len = list(v).len();
+        put_u32(out, len as u32);
+        total += len as u64;
+    }
+    put_u64(out, total);
+    for &v in members {
+        put_u32s(out, list(v));
+    }
+}
+
+/// Both counts come off the wire; `PayloadReader::u32s` holds them against
+/// what the payload has left before it allocates.
+fn read_lists(
+    r: &mut PayloadReader<impl Read>,
+    members: usize,
+) -> Result<OwnedLists, ClusterError> {
+    let degrees = r.u32s(members)?;
+    let total = usize::try_from(r.u64()?)
+        .map_err(|_| ClusterError::corrupt("list section longer than memory"))?;
+    Ok(OwnedLists {
+        degrees,
+        targets: r.u32s(total)?,
+    })
+}
+
+/// What the driver tells a worker about the partition: who owns every
+/// vertex, what every part weighs, and the worker's own slice. The worker
+/// builds its cluster from this and from nothing else, so every process
+/// agrees on ownership whatever partitioner produced it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Placement<'a> {
+    /// Number of parts (= machines).
+    pub parts: u32,
+    /// Part of every vertex, in vertex order; each `< parts`.
+    pub assignment: Cow<'a, [PartId]>,
+    /// `|V_i|` per part.
+    pub vertex_counts: Cow<'a, [u64]>,
+    /// `|E_i|` (out-degree sums) per part, as the driver counted them on
+    /// the whole graph: a worker could count its own part's only.
+    pub edge_counts: Cow<'a, [u64]>,
+    /// The receiving worker's share of the graph.
+    pub slice: Slice<'a>,
+}
+
+impl Placement<'static> {
+    /// Reads the next frame on `stream`, which must be a `Placement`, as it
+    /// arrives: each array is filled off the wire, so a worker never holds
+    /// its slice twice — once as a frame and once as a graph — and has
+    /// nothing of that size to free before its app starts allocating.
+    /// Nothing is returned before the frame's checksum has been verified.
+    pub fn read_from(stream: impl Read) -> Result<Self, ClusterError> {
+        let mut r = PayloadReader::open(stream)?;
+        if r.kind() != kind::PLACEMENT {
+            return Err(ClusterError::corrupt(format!(
+                "expected a Placement frame, got kind {}",
+                r.kind()
+            )));
+        }
+        let placement = Placement::decode(&mut r)?;
+        r.finish()?;
+        Ok(placement)
+    }
+
+    fn decode(r: &mut PayloadReader<impl Read>) -> Result<Self, ClusterError> {
+        let parts = r.u32()?;
+        let n = r.u32()? as usize;
+        let assignment: Vec<PartId> = r.u32s(n)?;
+        if let Some(v) = assignment.iter().position(|&p| p >= parts) {
+            return Err(ClusterError::corrupt(format!(
+                "placement puts vertex {v} on part {} of {parts}",
+                assignment[v]
+            )));
+        }
+        Ok(Placement {
+            parts,
+            assignment: Cow::Owned(assignment),
+            vertex_counts: Cow::Owned(r.u64s(parts as usize)?),
+            edge_counts: Cow::Owned(r.u64s(parts as usize)?),
+            slice: Slice::decode(r, n)?,
+        })
+    }
+}
+
+impl<'a> Placement<'a> {
+    /// Machine `machine`'s placement under `cluster`, borrowing all of it:
+    /// [`DriverMsg::to_frame`] writes the slice from the cluster's graph
+    /// straight into the frame.
+    pub fn of(cluster: &'a Cluster, machine: MachineId, in_lists: bool) -> Self {
+        Placement {
+            parts: cluster.num_machines() as u32,
+            assignment: Cow::Borrowed(cluster.partition().assignment()),
+            vertex_counts: Cow::Borrowed(cluster.vertex_counts()),
+            edge_counts: Cow::Borrowed(cluster.edge_counts()),
+            slice: Slice {
+                members: Cow::Borrowed(cluster.local_vertices(machine)),
+                graph: Cow::Borrowed(cluster.graph()),
+                in_lists,
+            },
+        }
+    }
+}
+
 /// Messages the driver sends to a worker.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DriverMsg<'a> {
     /// Job spec plus the worker's machine assignment. Sent at join, ahead
-    /// of the placement, so the worker loads the graph meanwhile.
+    /// of the placement.
     Job {
         /// The job: where the graph is and what to run on it.
         spec: JobSpec,
         /// Which BSP machine this worker plays.
         machine: u32,
     },
-    /// The partition the driver computed. The worker builds its cluster
-    /// from this and from nothing else, so every process agrees on
-    /// ownership whatever partitioner produced it.
-    Placement {
-        /// Number of parts (= machines).
-        parts: u32,
-        /// Part of every vertex, in vertex order; each `< parts`.
-        assignment: Cow<'a, [PartId]>,
-    },
+    /// The partition the driver computed, and the worker's slice of the
+    /// graph under it.
+    Placement(Placement<'a>),
     /// Begin a superstep: aggregate from the previous barrier, plus
     /// whether the worker must attach a snapshot to its `StepDone`.
     StepBegin {
@@ -306,10 +502,27 @@ impl<'a> DriverMsg<'a> {
                 put_bytes(&mut out, &spec.encode());
                 kind::JOB
             }
-            DriverMsg::Placement { parts, assignment } => {
+            DriverMsg::Placement(placement) => {
+                let Placement {
+                    parts,
+                    assignment,
+                    vertex_counts,
+                    edge_counts,
+                    slice,
+                } = placement;
+                let tallies = vertex_counts.iter().chain(edge_counts.iter());
+                // One allocation for the one payload that is as large as
+                // the graph it carries.
+                out.reserve(
+                    8 + 4 * assignment.len()
+                        + 8 * (vertex_counts.len() + edge_counts.len())
+                        + slice.wire_len(),
+                );
                 put_u32(&mut out, *parts);
                 put_u32(&mut out, assignment.len() as u32);
-                out.extend(assignment.iter().flat_map(|p| p.to_le_bytes()));
+                put_u32s(&mut out, assignment);
+                tallies.for_each(|&c| put_u64(&mut out, c));
+                slice.encode(&mut out);
                 kind::PLACEMENT
             }
             DriverMsg::StepBegin {
@@ -367,27 +580,12 @@ impl<'a> DriverMsg<'a> {
                 DriverMsg::Job { spec, machine }
             }
             kind::PLACEMENT => {
-                let parts = r.u32()?;
-                let n = r.u32()? as usize;
-                // Sliced out of the payload before anything is allocated:
-                // a length the frame cannot back is an underrun.
-                let bytes = r.take(n.checked_mul(4).ok_or_else(|| {
-                    ClusterError::corrupt(format!("placement of {n} vertices overflows"))
-                })?)?;
-                let assignment: Vec<PartId> = bytes
-                    .chunks_exact(4)
-                    .map(|b| PartId::from_le_bytes(b.try_into().expect("4-byte chunk")))
-                    .collect();
-                if let Some(v) = assignment.iter().position(|&p| p >= parts) {
-                    return Err(ClusterError::corrupt(format!(
-                        "placement puts vertex {v} on part {} of {parts}",
-                        assignment[v]
-                    )));
-                }
-                DriverMsg::Placement {
-                    parts,
-                    assignment: Cow::Owned(assignment),
-                }
+                // The one message with a decoder of its own, shared with
+                // `Placement::read_from`.
+                let mut r = PayloadReader::over(frame);
+                let placement = Placement::decode(&mut r)?;
+                r.finish()?;
+                return Ok(DriverMsg::Placement(placement));
             }
             kind::STEP_BEGIN => DriverMsg::StepBegin {
                 epoch: r.u32()?,
@@ -503,6 +701,26 @@ impl<'a> WorkerMsg<'a> {
         frame::seal(kind, out)
     }
 
+    /// A [`Final`](WorkerMsg::Final) frame around a result that `write`
+    /// appends to the frame buffer itself: a path log as long as the walk
+    /// exists once as state and once as these bytes, never a third time in
+    /// between.
+    pub fn final_frame(
+        epoch: u32,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<Vec<u8>, ClusterError> {
+        let mut out = frame::begin();
+        put_u32(&mut out, epoch);
+        let prefix = out.len();
+        put_u32(&mut out, 0);
+        write(&mut out);
+        let len = u32::try_from(out.len() - prefix - 4).map_err(|_| {
+            ClusterError::unrecoverable("final result does not fit a length prefix")
+        })?;
+        out[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+        frame::seal(kind::FINAL, out)
+    }
+
     /// Decodes a worker frame, borrowing its byte strings.
     pub fn from_frame(frame: &'a Frame) -> Result<Self, ClusterError> {
         let mut r = Reader::new(&frame.payload);
@@ -563,6 +781,8 @@ impl<'a> WorkerMsg<'a> {
 mod tests {
     use super::*;
     use crate::spec::{AppSpec, GraphSource};
+    use bpart_core::Partition;
+    use std::sync::Arc;
 
     /// A sent frame as its receiver holds it.
     fn received(bytes: &[u8]) -> Frame {
@@ -596,14 +816,6 @@ mod tests {
                 checkpoint_every: Some(2),
             },
             machine: 1,
-        });
-        round_trip_driver(DriverMsg::Placement {
-            parts: 3,
-            assignment: Cow::Borrowed(&[0, 2, 1, 1, 0]),
-        });
-        round_trip_driver(DriverMsg::Placement {
-            parts: 1,
-            assignment: Cow::Borrowed(&[]),
         });
         round_trip_driver(DriverMsg::StepBegin {
             epoch: 1,
@@ -726,28 +938,174 @@ mod tests {
         assert!(frame.payload.as_ptr_range().contains(&data.as_ptr()));
     }
 
-    /// A placement naming a part that does not exist never becomes a
-    /// message (one of the wrong length is the worker's to catch: only it
-    /// knows `n`).
-    #[test]
-    fn placement_with_a_part_out_of_range_is_corrupt() {
-        let frame = received(
-            &DriverMsg::Placement {
-                parts: 2,
-                assignment: Cow::Borrowed(&[0, 1, 2, 0]),
-            }
-            .to_frame()
-            .unwrap(),
-        );
-        let err = DriverMsg::from_frame(&frame).unwrap_err();
-        assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
-        assert!(err.to_string().contains("vertex 2 on part 2 of 2"), "{err}");
+    /// Five vertices on three machines (machine 2 owns nothing), with a
+    /// self-loop, a duplicate edge and an isolated vertex.
+    fn cluster() -> Cluster {
+        let graph = CsrGraph::from_edges(5, &[(0, 1), (1, 1), (1, 3), (1, 3), (3, 0), (4, 1)]);
+        let partition = Partition::from_assignment(&graph, 3, vec![0, 1, 0, 1, 0]);
+        Cluster::new(Arc::new(graph), Arc::new(partition))
     }
 
-    /// A vertex count the payload cannot back is an underrun, not an
-    /// allocation.
+    /// A `Placement` payload from its parts, written field by field as the
+    /// module docs lay it out, so a test can put anything in any of them.
+    struct RawPlacement {
+        parts: u32,
+        assignment: Vec<u32>,
+        vertex_counts: Vec<u64>,
+        edge_counts: Vec<u64>,
+        members: Vec<u32>,
+        /// `(lengths, stated total, targets)`.
+        out: (Vec<u32>, u64, Vec<u32>),
+        inn: Option<(Vec<u32>, u64, Vec<u32>)>,
+    }
+
+    impl RawPlacement {
+        /// Machine 1 of [`cluster`]: vertices 1 and 3, in-lists included.
+        fn honest() -> Self {
+            RawPlacement {
+                parts: 3,
+                assignment: vec![0, 1, 0, 1, 0],
+                vertex_counts: vec![3, 2, 0],
+                edge_counts: vec![2, 4, 0],
+                members: vec![1, 3],
+                out: (vec![3, 1], 4, vec![1, 3, 3, 0]),
+                inn: Some((vec![3, 2], 5, vec![0, 1, 4, 1, 1])),
+            }
+        }
+
+        fn frame(&self) -> Frame {
+            let mut payload = Vec::new();
+            put_u32(&mut payload, self.parts);
+            put_u32(&mut payload, self.assignment.len() as u32);
+            self.assignment
+                .iter()
+                .for_each(|&p| put_u32(&mut payload, p));
+            let tallies = self.vertex_counts.iter().chain(&self.edge_counts);
+            tallies.for_each(|&c| put_u64(&mut payload, c));
+            put_u32(&mut payload, self.members.len() as u32);
+            self.members.iter().for_each(|&v| put_u32(&mut payload, v));
+            let lists =
+                |payload: &mut Vec<u8>, (lens, total, targets): &(Vec<u32>, u64, Vec<u32>)| {
+                    lens.iter().for_each(|&len| put_u32(payload, len));
+                    put_u64(payload, *total);
+                    targets.iter().for_each(|&t| put_u32(payload, t));
+                };
+            lists(&mut payload, &self.out);
+            payload.push(self.inn.is_some() as u8);
+            if let Some(inn) = &self.inn {
+                lists(&mut payload, inn);
+            }
+            Frame {
+                kind: kind::PLACEMENT,
+                payload,
+            }
+        }
+
+        fn corrupt(&self) -> String {
+            let err = DriverMsg::from_frame(&self.frame()).unwrap_err();
+            assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
+            err.to_string()
+        }
+    }
+
+    /// The driver encodes a machine's slice from the whole graph; what the
+    /// worker decodes is a graph of that slice alone, and encodes to the
+    /// same bytes.
     #[test]
-    fn placement_claiming_more_vertices_than_it_carries_is_corrupt() {
+    fn a_placement_carries_the_members_lists_and_round_trips() {
+        let cluster = cluster();
+        let sent = DriverMsg::Placement(Placement::of(&cluster, 1, true));
+        let bytes = sent.to_frame().unwrap();
+        let frame = received(&bytes);
+        assert_eq!(frame, RawPlacement::honest().frame());
+        let got = DriverMsg::from_frame(&frame).unwrap();
+        let DriverMsg::Placement(placement) = &got else {
+            panic!("not a Placement");
+        };
+        assert_eq!(placement.parts, 3);
+        assert_eq!(placement.assignment, cluster.partition().assignment());
+        assert_eq!(placement.vertex_counts, cluster.vertex_counts());
+        assert_eq!(placement.edge_counts, cluster.edge_counts());
+        let Slice {
+            members,
+            graph,
+            in_lists: true,
+        } = &placement.slice
+        else {
+            panic!("in-lists were sent");
+        };
+        assert_eq!(&members[..], [1, 3]);
+        assert_eq!(graph.num_vertices(), 5);
+        assert_eq!(graph.out_neighbors(1), [1, 3, 3]);
+        assert_eq!(graph.in_neighbors(1), [0, 1, 4]);
+        assert_eq!(graph.in_neighbors(3), [1, 1]);
+        assert_eq!(graph.num_edges(), 4);
+        assert!(graph.out_neighbors(0).is_empty() && graph.in_neighbors(0).is_empty());
+        assert_eq!(
+            placement.slice.wire_len(),
+            4 + 8 + (8 + 8 + 16) + 1 + (8 + 8 + 20)
+        );
+        assert_eq!(got.to_frame().unwrap(), bytes);
+        round_trip_driver(got);
+
+        // No in-lists asked for, none sent; a machine that owns nothing
+        // gets a slice of nothing.
+        let sent = DriverMsg::Placement(Placement::of(&cluster, 2, false));
+        let frame = received(&sent.to_frame().unwrap());
+        let DriverMsg::Placement(placement) = DriverMsg::from_frame(&frame).unwrap() else {
+            panic!("not a Placement");
+        };
+        assert!(placement.slice.members.is_empty() && !placement.slice.in_lists);
+        assert_eq!(placement.slice.graph.num_vertices(), 5);
+        assert_eq!(placement.slice.graph.num_edges(), 0);
+        assert_eq!(placement.slice.wire_len(), 4 + 8 + 1);
+    }
+
+    /// A worker reads its placement off the stream: the same message, and
+    /// nothing but a whole, intact `Placement` frame will do.
+    #[test]
+    fn a_placement_is_read_as_it_arrives() {
+        let cluster = cluster();
+        let bytes = DriverMsg::Placement(Placement::of(&cluster, 1, true))
+            .to_frame()
+            .unwrap();
+        let mut stream = &bytes[..];
+        let streamed = Placement::read_from(&mut stream).unwrap();
+        assert!(stream.is_empty());
+        assert_eq!(
+            DriverMsg::from_frame(&received(&bytes)).unwrap(),
+            DriverMsg::Placement(streamed)
+        );
+
+        let corrupt = |bytes: &[u8]| {
+            let err = Placement::read_from(bytes).unwrap_err();
+            assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
+            err.to_string()
+        };
+        // An edge tally decodes whatever it says: only the checksum knows.
+        let mut flipped = bytes.clone();
+        flipped[frame::HEADER_LEN + 8 + 20 + 24] ^= 1;
+        assert!(corrupt(&flipped).contains("checksum"));
+        let other = DriverMsg::Finish { epoch: 0 }.to_frame().unwrap();
+        assert!(corrupt(&other).contains("expected a Placement frame"));
+        let err = Placement::read_from(&bytes[..bytes.len() - 1]).unwrap_err();
+        assert!(matches!(err, ClusterError::ConnReset { .. }), "{err}");
+    }
+
+    /// A placement naming a part that does not exist never becomes a
+    /// message (whether it fits the job is the worker's to check).
+    #[test]
+    fn placement_with_a_part_out_of_range_is_corrupt() {
+        let mut raw = RawPlacement::honest();
+        raw.assignment[2] = 3;
+        assert!(raw.corrupt().contains("vertex 2 on part 3 of 3"));
+    }
+
+    /// Every count in a placement is backed by bytes before anything is
+    /// allocated for it.
+    #[test]
+    fn placement_claiming_more_than_it_carries_is_corrupt() {
+        // Vertices.
         let mut payload = Vec::new();
         put_u32(&mut payload, 2);
         put_u32(&mut payload, u32::MAX);
@@ -758,6 +1116,87 @@ mod tests {
         };
         let err = DriverMsg::from_frame(&frame).unwrap_err();
         assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
+        // Parts (the tallies), members, list targets.
+        let mut raw = RawPlacement::honest();
+        raw.parts = u32::MAX;
+        assert!(raw.corrupt().contains("underrun"));
+        let mut raw = RawPlacement::honest();
+        raw.members.truncate(1);
+        raw.corrupt();
+        let mut raw = RawPlacement::honest();
+        raw.inn.as_mut().unwrap().1 = u64::MAX;
+        raw.corrupt();
+        let mut raw = RawPlacement::honest();
+        raw.inn.as_mut().unwrap().1 = 1 << 40;
+        assert!(raw.corrupt().contains("underrun"));
+    }
+
+    /// List lengths that do not sum to the targets sent.
+    #[test]
+    fn slice_lists_that_do_not_add_up_are_corrupt() {
+        let mut raw = RawPlacement::honest();
+        raw.out.0[0] = 2;
+        assert!(raw
+            .corrupt()
+            .contains("out-list lengths sum to 3, 4 targets"));
+        let mut raw = RawPlacement::honest();
+        raw.inn.as_mut().unwrap().0[1] = 3;
+        assert!(raw
+            .corrupt()
+            .contains("in-list lengths sum to 6, 5 targets"));
+        // A stated total short of the targets leaves bytes behind.
+        let mut raw = RawPlacement::honest();
+        (raw.out.1, raw.inn) = (3, None);
+        assert!(raw
+            .corrupt()
+            .contains("out-list lengths sum to 4, 3 targets"));
+    }
+
+    #[test]
+    fn slice_target_out_of_range_is_corrupt() {
+        let mut raw = RawPlacement::honest();
+        raw.out.2[3] = 5;
+        assert!(raw
+            .corrupt()
+            .contains("target 5 out of range for 5 vertices"));
+    }
+
+    #[test]
+    fn slice_list_out_of_order_is_corrupt() {
+        let mut raw = RawPlacement::honest();
+        raw.out.2[..3].copy_from_slice(&[3, 1, 3]);
+        assert!(raw.corrupt().contains("out-list of vertex 1 is not sorted"));
+    }
+
+    #[test]
+    fn slice_members_out_of_order_or_range_are_corrupt() {
+        let mut raw = RawPlacement::honest();
+        raw.members = vec![3, 1];
+        assert!(raw.corrupt().contains("ascending"));
+        let mut raw = RawPlacement::honest();
+        raw.members = vec![1, 5];
+        assert!(raw.corrupt().contains("member 5 out of range"));
+    }
+
+    /// `final_frame` is `Final`'s encoder: same bytes, no copy in between.
+    #[test]
+    fn a_final_written_in_place_is_the_final_message() {
+        let result: Vec<u8> = (0..=40).collect();
+        let built = WorkerMsg::final_frame(7, |out| out.extend_from_slice(&result)).unwrap();
+        let sent = WorkerMsg::Final {
+            epoch: 7,
+            result: &result,
+        };
+        assert_eq!(built, sent.to_frame().unwrap());
+        assert_eq!(WorkerMsg::from_frame(&received(&built)).unwrap(), sent);
+        let empty = WorkerMsg::final_frame(0, |_| {}).unwrap();
+        assert_eq!(
+            WorkerMsg::from_frame(&received(&empty)).unwrap(),
+            WorkerMsg::Final {
+                epoch: 0,
+                result: &[]
+            }
+        );
     }
 
     #[test]

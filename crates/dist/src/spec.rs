@@ -1,32 +1,36 @@
 //! The job spec: where the graph is, how the driver partitions it, and
 //! what to run on it.
 //!
-//! The graph never crosses the wire: the spec names a deterministic
-//! *source* (a file on storage every process reaches, or a seeded
-//! generator) and every process materializes the identical CSR from it.
-//! The partition does cross it. Partitioning is a loader's job, done once:
-//! the driver resolves [`JobSpec::scheme`], partitions, and ships the
-//! assignment in a `Placement` frame; a worker reads `scheme` never and
-//! owns what it is told to own. So `k + 1` processes do not have to agree
-//! on a partitioner's every tie-break for the run to be right, a
-//! non-deterministic partitioner is as good as any, and respawning a dead
-//! worker costs one graph load plus two re-sent frames.
+//! Only the driver reads the first two. It opens the [`GraphSource`] (a
+//! file only it has to reach, or a seeded generator only it has to run),
+//! resolves [`JobSpec::scheme`], partitions once, and ships every worker a
+//! `Placement` frame: the assignment, the per-part tallies, and the
+//! adjacency of the vertices that worker owns. A worker reads `graph` and
+//! `scheme` never — it holds its slice, owns what it is told to own, and
+//! takes from the spec only the application and its machine count. So `k + 1`
+//! processes do not have to agree on a generator's or a partitioner's every
+//! tie-break for the run to be right, a non-deterministic partitioner is as
+//! good as any, a worker's memory is its part's size and not the graph's,
+//! and respawning a dead worker costs two re-sent frames.
 
 use crate::error::ClusterError;
 use crate::wire::{put_f64, put_str, put_u32, put_u64, Reader};
 use bpart_cluster::Cluster;
 use bpart_core::prelude::*;
+use bpart_engine::apps::{ConnectedComponents, PageRank};
+use bpart_engine::VertexProgram;
 use bpart_graph::{generate, io, CsrGraph};
 use bpart_multilevel::Multilevel;
 use std::fs::File;
 use std::sync::Arc;
 
-/// Where the graph comes from. Every variant is deterministic, so all
-/// processes materialize byte-identical CSR structures.
+/// Where the driver (or the threads backend) gets the graph from. Every
+/// variant is deterministic, so both backends run on byte-identical CSR
+/// structures.
 #[derive(Clone, Debug, PartialEq)]
 pub enum GraphSource {
     /// Load from a file (text edge list, or `.bpgr` binary by
-    /// extension) on storage every process can reach.
+    /// extension) the driver can reach.
     File(String),
     /// Generate a named preset (`lj_like`, `twitter_like`, ...) at a
     /// scale, optionally overriding the recipe seed.
@@ -87,6 +91,17 @@ impl AppSpec {
     /// True for the walk-engine apps.
     pub fn is_walk(&self) -> bool {
         matches!(self, AppSpec::DeepWalk { .. } | AppSpec::SimpleWalk { .. })
+    }
+
+    /// Whether the app's program signals along in-edges as well, so that a
+    /// worker's slice must carry its vertices' in-lists. The programs
+    /// themselves are asked.
+    pub fn uses_in_edges(&self) -> bool {
+        match self {
+            AppSpec::PageRank { iters } => PageRank::new(*iters).use_in_edges(),
+            AppSpec::ConnectedComponents => ConnectedComponents.use_in_edges(),
+            AppSpec::DeepWalk { .. } | AppSpec::SimpleWalk { .. } => false,
+        }
     }
 
     /// Display name (matches the CLI `--app` vocabulary).
@@ -240,7 +255,8 @@ impl JobSpec {
         })
     }
 
-    /// Materializes the graph from its source.
+    /// Materializes the graph from its source. Workers never call this:
+    /// theirs arrives in the `Placement` frame.
     pub fn load_graph(&self) -> Result<CsrGraph, ClusterError> {
         match &self.graph {
             GraphSource::File(path) => {

@@ -49,8 +49,9 @@ pub trait Worker {
     /// state); the kernel drops any partial-superstep scratch.
     fn restore(&mut self, state: Option<&[u8]>) -> Result<(), ClusterError>;
 
-    /// The local result for the `Final` frame.
-    fn final_result(&self) -> Vec<u8>;
+    /// Appends the local result to `out` — the `Final` frame's own buffer,
+    /// so the result is encoded once, where it is sent from.
+    fn final_result(&self, out: &mut Vec<u8>);
 }
 
 fn encode_row<T: Wire>(row: &[T]) -> RowSeg<'static> {
@@ -170,10 +171,8 @@ where
     }
 
     /// Final local values (owner-local order).
-    fn final_result(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_all(self.step.values(), &mut out);
-        out
+    fn final_result(&self, out: &mut Vec<u8>) {
+        encode_all(self.step.values(), out);
     }
 }
 
@@ -261,27 +260,37 @@ impl Worker for WalkWorker {
     }
 
     /// Final local path log.
-    fn final_result(&self) -> Vec<u8> {
+    fn final_result(&self, out: &mut Vec<u8>) {
         let log = &self.step.state().path_log;
-        let mut out = Vec::with_capacity(log.len() * PATH_TRIPLE_LEN);
-        encode_all(log, &mut out);
-        out
+        // As long as the log itself: grown by doubling, the buffer would be
+        // copied at half its final size, and both would be resident.
+        out.reserve_exact(log.len() * PATH_TRIPLE_LEN);
+        encode_all(log, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::AppSpec;
+    use crate::worker::tests::{raw_cluster, slice_clusters, sourceless_spec, RAW_MAX_N};
     use bpart_core::{ChunkV, Partitioner};
-    use bpart_engine::apps::{DistFrom, PageRank, Sssp};
+    use bpart_engine::apps::{ConnectedComponents, DistFrom, PageRank, Sssp};
     use bpart_graph::generate;
     use bpart_walker::apps::{DeepWalk, SimpleRandomWalk};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn cluster(k: usize) -> Cluster {
         let graph = Arc::new(generate::erdos_renyi(40, 160, 7));
         let partition = Arc::new(ChunkV.partition(&graph, k));
         Cluster::new(graph, partition)
+    }
+
+    fn final_of(w: &impl Worker) -> Vec<u8> {
+        let mut out = Vec::new();
+        w.final_result(&mut out);
+        out
     }
 
     #[test]
@@ -293,13 +302,27 @@ mod tests {
         // Self slot must be empty on the wire.
         assert_eq!(rows[1].count, 0);
         let snap = w.snapshot();
-        let before = w.final_result();
+        let before = final_of(&w);
         w.restore(Some(&snap)).unwrap();
-        assert_eq!(w.final_result(), before);
+        assert_eq!(final_of(&w), before);
         // Restoring the initial state resets values.
         let mut w2 = IterWorker::new(PageRank::new(5), cluster(3), 1);
         w2.restore(None).unwrap();
-        assert_eq!(w2.final_result(), before);
+        assert_eq!(final_of(&w2), before);
+    }
+
+    /// A result lands behind whatever the frame buffer already holds.
+    #[test]
+    fn final_result_appends_to_the_buffer_it_is_handed() {
+        let w = WalkWorker::new(Box::new(DeepWalk::new(4)), cluster(2), 0, 11, 2);
+        let mut out = vec![0xab; 13];
+        w.final_result(&mut out);
+        assert_eq!(out[..13], [0xab; 13]);
+        assert_eq!(out[13..], final_of(&w));
+        assert_eq!(
+            out.len(),
+            13 + w.step.state().path_log.len() * PATH_TRIPLE_LEN
+        );
     }
 
     impl Wire for Vec<DistFrom> {
@@ -322,23 +345,35 @@ mod tests {
         }
     }
 
-    /// Runs three workers in lock-step in this process, as the driver
-    /// would (`cap`: its superstep cap; `walk`: whether the run ends on
-    /// empty queues rather than on votes), checkpointing every 2
-    /// supersteps. With `crash_at`, that superstep is abandoned after every
-    /// worker ran its compute phase and worker 0 already finished on two
-    /// of its three inbox segments — retained self rows, wrongly applied
-    /// values, a half-absorbed queue are what survivors hold when
-    /// `Restore` arrives — and the run replays from the last checkpoint.
-    /// Returns the `Final` payloads.
+    /// Everything a lock-step run put on the wire, in order.
+    #[derive(Debug, Default, PartialEq)]
+    struct Transcript {
+        /// Each compute phase's rows, `rows[from][to]`.
+        rows: Vec<Vec<Vec<RowSeg<'static>>>>,
+        /// Every worker's snapshot at every checkpoint.
+        snapshots: Vec<Vec<u8>>,
+        /// The `Final` payloads.
+        finals: Vec<Vec<u8>>,
+    }
+
+    /// Runs `k` workers in lock-step in this process, as the driver would
+    /// (`cap`: its superstep cap; `walk`: whether the run ends on empty
+    /// queues rather than on votes), checkpointing every 2 supersteps. With
+    /// `crash_at`, that superstep is abandoned after every worker ran its
+    /// compute phase and worker 0 already finished on all but the last of
+    /// its inbox segments — retained self rows, wrongly applied values, a
+    /// half-absorbed queue are what survivors hold when `Restore` arrives —
+    /// and the run replays from the last checkpoint.
     fn run_in_process<W: Worker>(
+        k: usize,
         make: impl Fn(usize) -> W,
         (cap, walk): (Option<usize>, bool),
         mut crash_at: Option<usize>,
-    ) -> Vec<Vec<u8>> {
-        let mut workers: Vec<W> = (0..3).map(make).collect();
-        let mut checkpoint: (usize, Vec<Option<Vec<u8>>>) = (0, vec![None; 3]);
+    ) -> Transcript {
+        let mut workers: Vec<W> = (0..k).map(make).collect();
+        let mut checkpoint: (usize, Vec<Option<Vec<u8>>>) = (0, vec![None; k]);
         let mut superstep = 0;
+        let mut transcript = Transcript::default();
         loop {
             // The aggregate of an iteration app, the queued walkers of a walk.
             let ready: f64 = workers.iter().map(|w| w.ready_agg()).sum();
@@ -346,15 +381,16 @@ mod tests {
                 break;
             }
             let rows: Vec<Vec<RowSeg<'_>>> = workers.iter_mut().map(|w| w.begin()).collect();
+            transcript.rows.push(rows.clone());
             let inbox =
                 |to: usize| -> Vec<RowSeg<'_>> { rows.iter().map(|r| r[to].clone()).collect() };
             if crash_at == Some(superstep) {
                 crash_at = None;
                 // A walk must leave worker 0 with one sender's migrants
                 // queued and the other's undelivered.
-                assert!(!walk || (inbox(0)[1].count > 0 && inbox(0)[2].count > 0));
+                assert!(!walk || inbox(0)[1..].iter().all(|seg| seg.count > 0));
                 workers[0]
-                    .finish(&inbox(0)[..2], superstep as u64, ready)
+                    .finish(&inbox(0)[..k - 1], superstep as u64, ready)
                     .unwrap();
                 for (w, state) in workers.iter_mut().zip(&checkpoint.1) {
                     w.restore(state.as_deref()).unwrap();
@@ -368,15 +404,17 @@ mod tests {
             }
             superstep += 1;
             if superstep % 2 == 0 {
-                let states = workers.iter().map(|w| Some(w.snapshot())).collect();
-                checkpoint = (superstep, states);
+                let states: Vec<Vec<u8>> = workers.iter().map(|w| w.snapshot()).collect();
+                transcript.snapshots.extend(states.iter().cloned());
+                checkpoint = (superstep, states.into_iter().map(Some).collect());
             }
             if cap.is_some_and(|max| superstep >= max) || (!walk && active == 0) {
                 break;
             }
         }
         assert_eq!(crash_at, None, "the run ended before the crash superstep");
-        workers.iter().map(|w| w.final_result()).collect()
+        transcript.finals = workers.iter().map(final_of).collect();
+        transcript
     }
 
     /// A `crash@s` replay ends bit-equal to the fault-free run, from the
@@ -385,10 +423,10 @@ mod tests {
     #[test]
     fn replay_after_a_mid_superstep_restore_is_bit_equal() {
         fn check<W: Worker>(make: impl Fn(usize) -> W + Copy, end: (Option<usize>, bool)) {
-            let clean = run_in_process(make, end, None);
+            let clean = run_in_process(3, make, end, None).finals;
             assert!(clean.iter().all(|result| !result.is_empty()));
             for crash_at in [1, 3] {
-                assert_eq!(run_in_process(make, end, Some(crash_at)), clean);
+                assert_eq!(run_in_process(3, make, end, Some(crash_at)).finals, clean);
             }
         }
         check(
@@ -403,6 +441,57 @@ mod tests {
             |app: fn() -> Box<dyn WalkApp>| move |m| WalkWorker::new(app(), cluster(3), m, 11, 2);
         check(walk(|| Box::new(SimpleRandomWalk::new(6))), (None, true));
         check(walk(|| Box::new(DeepWalk::new(6))), (None, true));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Workers that hold only their slice — the cluster `run_worker`
+        /// builds from its `Placement` frame — put the same bytes on the
+        /// wire as workers over the whole graph: every row, every snapshot,
+        /// every final. PageRank reads out-lists, out-degrees and the
+        /// dangling-mass aggregate; CC the in-lists too; DeepWalk seeds and
+        /// steps walkers.
+        #[test]
+        fn workers_over_slices_are_byte_equal_to_workers_over_the_graph(
+            n in 0..RAW_MAX_N,
+            pick in 0usize..4,
+            edges in prop::collection::vec((0u32..1 << 16, 0u32..1 << 16), 0..120),
+            parts in prop::collection::vec(0u32..8, RAW_MAX_N),
+            seed in 0..u64::MAX,
+        ) {
+            let full = raw_cluster(n, pick, &edges, &parts);
+            let k = full.num_machines();
+            let sliced = |app: AppSpec| slice_clusters(&sourceless_spec(k as u32, app), &full);
+
+            let slices = sliced(AppSpec::PageRank { iters: 4 });
+            let end = (Some(4), false);
+            let pagerank = |c: &Cluster, m| IterWorker::new(PageRank::new(4), c.clone(), m);
+            prop_assert!(
+                run_in_process(k, |m| pagerank(&slices[m], m), end, None)
+                    == run_in_process(k, |m| pagerank(&full, m), end, None),
+                "pagerank transcripts differ"
+            );
+
+            let slices = sliced(AppSpec::ConnectedComponents);
+            let end = (None, false);
+            let cc = |c: &Cluster, m| IterWorker::new(ConnectedComponents, c.clone(), m);
+            prop_assert!(
+                run_in_process(k, |m| cc(&slices[m], m), end, None)
+                    == run_in_process(k, |m| cc(&full, m), end, None),
+                "cc transcripts differ"
+            );
+
+            let slices = sliced(AppSpec::DeepWalk { walk_len: 5, seed, per_vertex: 2 });
+            let end = (None, true);
+            let deepwalk =
+                |c: &Cluster, m| WalkWorker::new(Box::new(DeepWalk::new(5)), c.clone(), m, seed, 2);
+            prop_assert!(
+                run_in_process(k, |m| deepwalk(&slices[m], m), end, None)
+                    == run_in_process(k, |m| deepwalk(&full, m), end, None),
+                "deepwalk transcripts differ"
+            );
+        }
     }
 
     #[test]
@@ -429,7 +518,7 @@ mod tests {
         let snap = w.snapshot();
         let mut w2 = WalkWorker::new(app(), cluster(2), 0, 11, 2);
         w2.restore(Some(&snap)).unwrap();
-        assert_eq!(w2.final_result(), w.final_result());
+        assert_eq!(final_of(&w2), final_of(&w));
         assert_eq!(w2.ready_agg(), w.ready_agg());
     }
 }

@@ -163,11 +163,15 @@ impl SharedWriter {
 
     /// Sends one message atomically, as the frame it encodes to.
     pub fn send(&self, msg: &WorkerMsg<'_>) -> Result<(), ClusterError> {
-        let bytes = msg.to_frame()?;
+        self.send_frame(&msg.to_frame()?)
+    }
+
+    /// Sends one already encoded frame atomically.
+    pub fn send_frame(&self, bytes: &[u8]) -> Result<(), ClusterError> {
         frame_bytes_histogram().observe(bytes.len() as f64);
         let mut stream = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         stream
-            .write_all(&bytes)
+            .write_all(bytes)
             .and_then(|()| stream.flush())
             .map_err(|e| ClusterError::from_io("send frame", &e))
     }

@@ -83,6 +83,17 @@ pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends `u32`s little-endian, back to back. The bytes are written in
+/// place, a whole slice at a time: a slice of the graph is millions of
+/// them, and a capacity check per value is most of what encoding one costs.
+pub fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    let at = out.len();
+    out.resize(at + 4 * values.len(), 0);
+    for (bytes, v) in out[at..].chunks_exact_mut(4).zip(values) {
+        bytes.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
 /// Appends a `u64` little-endian.
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -258,6 +269,13 @@ mod tests {
     fn underrun_is_a_typed_error() {
         let mut r = Reader::new(&[1, 2]);
         assert!(matches!(r.u64(), Err(ClusterError::FrameCorrupt { .. })));
+    }
+
+    #[test]
+    fn u32_arrays_are_written_in_place() {
+        let mut out = vec![0xff];
+        put_u32s(&mut out, &[7, 0x0102_0304]);
+        assert_eq!(out, [0xff, 7, 0, 0, 0, 4, 3, 2, 1]);
     }
 
     #[test]

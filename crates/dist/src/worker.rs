@@ -1,10 +1,11 @@
 //! The supervised worker loop: one OS process playing one BSP machine.
 //!
 //! A worker is a frame-driven state machine. It connects to the driver
-//! (with backoff) and is told its job at once, so it loads the graph while
-//! the driver is still partitioning it; the `Placement` that follows says
-//! which vertices are whose, and the worker builds its cluster from that —
-//! it never resolves the job's scheme or runs a partitioner. Then it
+//! (with backoff) and is told its job at once; the `Placement` that follows
+//! says which vertices are whose and carries the adjacency of the ones that
+//! are this worker's, and the worker builds its cluster from that alone —
+//! it never opens the job's graph source, resolves its scheme or runs a
+//! partitioner, and holds no more of the graph than its part. Then it
 //! reacts to driver frames: `StepBegin` runs the local compute phase and
 //! ships outgoing rows, `Inbox` completes the superstep, `Restore` rolls
 //! state back (or re-initializes) under a new epoch, `Finish` ships the
@@ -16,16 +17,15 @@
 //! already joined.
 
 use crate::error::ClusterError;
-use crate::proto::{DriverMsg, WorkerMsg};
+use crate::proto::{DriverMsg, Placement, WorkerMsg};
 use crate::spec::{AppSpec, JobSpec};
 use crate::step::{IterWorker, WalkWorker, Worker};
 use crate::transport::{
     connect_with_backoff, heartbeat_pump, read_frame_blocking, Backoff, Pump, SharedWriter,
 };
 use bpart_cluster::Cluster;
-use bpart_core::{PartId, Partition};
+use bpart_core::Partition;
 use bpart_engine::apps::{ConnectedComponents, PageRank};
-use bpart_graph::CsrGraph;
 use bpart_obs::{federation, tracer};
 use bpart_walker::apps::{DeepWalk, SimpleRandomWalk};
 use bpart_walker::WalkApp;
@@ -53,31 +53,88 @@ pub struct WorkerConfig {
     pub heartbeat: Duration,
 }
 
-/// The cluster a shipped placement describes over the graph this process
-/// loaded. The placement is the driver's word on ownership, but it is
-/// also bytes off a socket: one that does not fit the job or the graph is
-/// refused before `Partition::from_assignment` could panic on it.
-fn placed_cluster(
+/// The cluster of machine `machine` under a shipped placement: the driver's
+/// partition over the graph of this machine's slice. The placement is the
+/// driver's word on ownership, but it is also bytes off a socket, so what
+/// does not fit the job, or does not fit itself, is refused here — before a
+/// constructor could panic on it, and before a kernel could read a list
+/// the slice does not have.
+pub(crate) fn placed_cluster(
     spec: &JobSpec,
-    graph: CsrGraph,
-    parts: u32,
-    assignment: Vec<PartId>,
+    machine: u32,
+    placement: Placement<'_>,
 ) -> Result<Cluster, ClusterError> {
+    let Placement {
+        parts,
+        assignment,
+        vertex_counts,
+        edge_counts,
+        slice,
+    } = placement;
     if parts == 0 || parts != spec.parts {
         return Err(ClusterError::corrupt(format!(
             "placement over {parts} parts for a job of {}",
             spec.parts
         )));
     }
-    if assignment.len() != graph.num_vertices() {
+    if machine >= parts {
         return Err(ClusterError::corrupt(format!(
-            "placement covers {} vertices, the graph has {}",
-            assignment.len(),
-            graph.num_vertices()
+            "job for machine {machine} of a {parts}-part placement"
         )));
     }
-    let partition = Partition::from_assignment(&graph, parts as usize, assignment);
-    Ok(Cluster::new(Arc::new(graph), Arc::new(partition)))
+    if slice.in_lists != spec.app.uses_in_edges() {
+        return Err(ClusterError::corrupt(format!(
+            "slice {} in-lists for {}",
+            if slice.in_lists { "with" } else { "without" },
+            spec.app.name()
+        )));
+    }
+    if slice.graph.num_vertices() != assignment.len() {
+        return Err(ClusterError::corrupt(format!(
+            "placement covers {} vertices, the slice spans {}",
+            assignment.len(),
+            slice.graph.num_vertices()
+        )));
+    }
+    // The tallies are the driver's: this process could count the edges of
+    // its own part only.
+    let partition = Partition::from_tallies(
+        parts as usize,
+        assignment.into_owned(),
+        vertex_counts.into_owned(),
+        edge_counts.into_owned(),
+    )
+    .map_err(ClusterError::corrupt)?;
+    let (owned, edges) = (
+        partition.vertex_counts()[machine as usize],
+        partition.edge_counts()[machine as usize],
+    );
+    if slice.members.len() as u64 != owned {
+        return Err(ClusterError::corrupt(format!(
+            "slice of {} members, machine {machine} owns {owned} vertices",
+            slice.members.len()
+        )));
+    }
+    if let Some(&v) = slice
+        .members
+        .iter()
+        .find(|&&v| partition.part_of(v) != machine)
+    {
+        return Err(ClusterError::corrupt(format!(
+            "slice for machine {machine} holds vertex {v} of machine {}",
+            partition.part_of(v)
+        )));
+    }
+    if slice.graph.num_edges() as u64 != edges {
+        return Err(ClusterError::corrupt(format!(
+            "slice of {} out-edges, machine {machine} owns {edges}",
+            slice.graph.num_edges()
+        )));
+    }
+    Ok(Cluster::new(
+        Arc::new(slice.graph.into_owned()),
+        Arc::new(partition),
+    ))
 }
 
 /// Builds the app-specific half of the worker over its placed cluster.
@@ -111,25 +168,23 @@ fn build_app(spec: &JobSpec, cluster: Cluster, machine: usize) -> Box<dyn Worker
     }
 }
 
-/// The first two frames of a worker's life: `Job`, then `Placement`. The
-/// graph is loaded between them, while the driver — which sent `Job` the
-/// moment this worker joined — loads and partitions its own copy.
+/// The first two frames of a worker's life: `Job`, then the `Placement`
+/// that brings its slice of the graph. Nothing is read from anywhere else.
 fn receive_job(reader: &mut TcpStream) -> Result<Box<dyn Worker>, ClusterError> {
     let frame = read_frame_blocking(reader)?;
     let DriverMsg::Job { spec, machine } = DriverMsg::from_frame(&frame)? else {
         return Err(ClusterError::corrupt("expected Job as the first frame"));
     };
-    let graph = spec.load_graph()?;
-    let frame = read_frame_blocking(reader)?;
-    let DriverMsg::Placement { parts, assignment } = DriverMsg::from_frame(&frame)? else {
-        return Err(ClusterError::corrupt("expected Placement after Job"));
-    };
-    if machine >= parts {
-        return Err(ClusterError::corrupt(format!(
-            "job for machine {machine} of a {parts}-part placement"
-        )));
-    }
-    let cluster = placed_cluster(&spec, graph, parts, assignment.into_owned())?;
+    // Decoded as it arrives (still without a deadline: the driver is
+    // loading and partitioning meanwhile).
+    let placement = Placement::read_from(&mut *reader)?;
+    let slice_bytes = placement.slice.wire_len();
+    let cluster = placed_cluster(&spec, machine, placement)?;
+    // What this machine holds, in the paper's two dimensions and in bytes.
+    let gauge = |name, value: usize| bpart_obs::metrics::gauge(name).set(value as f64);
+    gauge("part.vertices", cluster.local_vertices(machine).len());
+    gauge("part.edges", cluster.graph().num_edges());
+    gauge("part.slice_bytes", slice_bytes);
     Ok(build_app(&spec, cluster, machine as usize))
 }
 
@@ -401,13 +456,10 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                 if e != current {
                     continue;
                 }
-                writer.send(&WorkerMsg::Final {
-                    epoch: e,
-                    result: &app.final_result(),
-                })?;
+                writer.send_frame(&WorkerMsg::final_frame(e, |out| app.final_result(out))?)?;
             }
             DriverMsg::Shutdown => return Ok(()),
-            DriverMsg::Job { .. } | DriverMsg::Placement { .. } => {
+            DriverMsg::Job { .. } | DriverMsg::Placement(_) => {
                 return Err(ClusterError::corrupt("a second Job or Placement frame"));
             }
         }
@@ -415,44 +467,136 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::frame::{self, Frame};
     use crate::spec::GraphSource;
     use crate::transport::tests::{assert_stops_at_once, socket_pair};
     use crate::wire::decode_all;
-    use bpart_core::{ChunkV, HashPartitioner, Partitioner};
-    use bpart_graph::VertexId;
-    use std::borrow::Cow;
+    use bpart_core::{ChunkV, HashPartitioner, PartId, Partitioner};
+    use bpart_graph::{generate, CsrGraph, VertexId};
+    use proptest::prelude::*;
     use std::io::Write;
     use std::net::TcpListener;
     use std::thread;
 
-    fn spec() -> JobSpec {
+    /// A job whose graph source no process could open: whatever a worker
+    /// runs on came in its placement.
+    pub(crate) fn sourceless_spec(parts: u32, app: AppSpec) -> JobSpec {
         JobSpec {
-            graph: GraphSource::ErdosRenyi {
-                n: 90,
-                m: 400,
-                seed: 3,
-            },
+            graph: GraphSource::File("/nonexistent/never-opened.bpgr".into()),
             scheme: "hash".into(),
-            parts: 3,
-            app: AppSpec::ConnectedComponents,
+            parts,
+            app,
             checkpoint_every: None,
         }
     }
 
-    /// A real `run_worker` against a scripted driver: the job says `hash`,
-    /// the placement is Chunk-V's, and the worker owns Chunk-V's vertices.
-    /// CC's initial label of a vertex is its own id, so the `Final` of a
-    /// run of no supersteps is the worker's vertex set itself.
+    /// Machine `machine`'s placement as its worker receives it.
+    fn received(cluster: &Cluster, machine: u32, in_lists: bool) -> Frame {
+        let sent = DriverMsg::Placement(Placement::of(cluster, machine, in_lists));
+        frame::read_frame(&mut &sent.to_frame().unwrap()[..]).unwrap()
+    }
+
+    fn placement(frame: &Frame) -> Placement<'_> {
+        match DriverMsg::from_frame(frame).unwrap() {
+            DriverMsg::Placement(placement) => placement,
+            other => panic!("not a Placement: {other:?}"),
+        }
+    }
+
+    /// `cluster` as each of its machines holds it under `spec`: its slice,
+    /// off the wire.
+    pub(crate) fn slice_clusters(spec: &JobSpec, cluster: &Cluster) -> Vec<Cluster> {
+        (0..cluster.num_machines() as u32)
+            .map(|m| {
+                let frame = received(cluster, m, spec.app.uses_in_edges());
+                placed_cluster(spec, m, placement(&frame)).unwrap()
+            })
+            .collect()
+    }
+
+    /// Most vertices [`raw_cluster`] makes a graph of.
+    pub(crate) const RAW_MAX_N: usize = 40;
+
+    /// The cluster a property test's raw draws describe: `n` vertices, one
+    /// of `k` ∈ {1, 2, 3, 8} parts for each (some parts stay empty), and
+    /// `edges` folded into the id space — self-loops, duplicate edges and
+    /// isolated vertices included. Draw `n` below [`RAW_MAX_N`], `pick`
+    /// below 4 and `RAW_MAX_N` `parts`.
+    pub(crate) fn raw_cluster(
+        n: usize,
+        pick: usize,
+        edges: &[(u32, u32)],
+        parts: &[u32],
+    ) -> Cluster {
+        let k = [1, 2, 3, 8][pick];
+        let fold = |v: u32| v % n.max(1) as u32;
+        let edges: Vec<_> = edges.iter().map(|&(u, v)| (fold(u), fold(v))).collect();
+        let graph = CsrGraph::from_edges(n, if n == 0 { &[] } else { &edges });
+        let assignment = parts[..n].iter().map(|p| p % k).collect();
+        let partition = Partition::from_assignment(&graph, k as usize, assignment);
+        Cluster::new(Arc::new(graph), Arc::new(partition))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Each slice is exactly its members' lists; together the slices
+        /// are the graph; and every one of them carries the driver's
+        /// tallies for all parts, not what it could count itself.
+        #[test]
+        fn slices_partition_the_graph(
+            n in 0..RAW_MAX_N,
+            pick in 0usize..4,
+            edges in prop::collection::vec((0u32..1 << 16, 0u32..1 << 16), 0..120),
+            parts in prop::collection::vec(0u32..8, RAW_MAX_N),
+            in_lists in 0u8..2,
+        ) {
+            let cluster = raw_cluster(n, pick, &edges, &parts);
+            let in_lists = in_lists == 1;
+            let app = if in_lists {
+                AppSpec::ConnectedComponents
+            } else {
+                AppSpec::PageRank { iters: 1 }
+            };
+            let spec = sourceless_spec(cluster.num_machines() as u32, app);
+            let graph = cluster.graph();
+            let slices = slice_clusters(&spec, &cluster);
+            let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
+            for (m, slice) in slices.iter().enumerate() {
+                prop_assert_eq!(slice.partition(), cluster.partition());
+                prop_assert_eq!(slice.graph().num_vertices(), graph.num_vertices());
+                prop_assert_eq!(slice.graph().num_edges() as u64, cluster.edge_counts()[m]);
+                for v in graph.vertices() {
+                    let mine = cluster.owner(v) as usize == m;
+                    let (out, inn) = (slice.graph().out_neighbors(v), slice.graph().in_neighbors(v));
+                    prop_assert_eq!(out, if mine { graph.out_neighbors(v) } else { &[] });
+                    prop_assert_eq!(inn, if mine && in_lists { graph.in_neighbors(v) } else { &[] });
+                }
+                edges.extend(slice.graph().edges());
+            }
+            edges.sort_unstable();
+            prop_assert_eq!(edges, graph.edges().collect::<Vec<_>>());
+        }
+    }
+
+    /// A real `run_worker` against a scripted driver. The job names a graph
+    /// file that does not exist and says `hash`; the placement is Chunk-V's
+    /// over a graph only the driver side of this test ever had. The worker
+    /// completes, owning Chunk-V's vertices: CC's initial label of a vertex
+    /// is its own id, so the `Final` of a run of no supersteps is the
+    /// worker's vertex set itself.
     #[test]
-    fn a_worker_owns_what_the_placement_says_not_what_the_scheme_would() {
+    fn a_worker_opens_no_graph_source_and_owns_what_the_placement_says() {
         const MACHINE: u32 = 1;
-        let spec = spec();
-        let graph = spec.load_graph().unwrap();
-        let chunk_v = ChunkV.partition(&graph, 3);
+        let spec = sourceless_spec(3, AppSpec::ConnectedComponents);
+        assert!(spec.load_graph().is_err());
+        let graph = Arc::new(generate::erdos_renyi(90, 400, 3));
+        let chunk_v = Arc::new(ChunkV.partition(&graph, 3));
         let hash = HashPartitioner::default().partition(&graph, 3);
         assert_ne!(chunk_v.members(MACHINE), hash.members(MACHINE));
+        let cluster = Cluster::new(graph, chunk_v.clone());
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let cfg = WorkerConfig {
@@ -476,10 +620,7 @@ mod tests {
                 spec,
                 machine: MACHINE,
             },
-            DriverMsg::Placement {
-                parts: 3,
-                assignment: Cow::Borrowed(chunk_v.assignment()),
-            },
+            DriverMsg::Placement(Placement::of(&cluster, MACHINE, true)),
             DriverMsg::Finish { epoch: 0 },
         ] {
             driver.write_all(&msg.to_frame().unwrap()).unwrap();
@@ -503,18 +644,80 @@ mod tests {
         worker.join().unwrap().unwrap();
     }
 
+    /// Machine 1 of 3 over `erdos_renyi(90, 400, 3)` under Chunk-V, with a
+    /// placement bent by `bend` before the worker sees it.
+    fn bent(app: AppSpec, bend: impl FnOnce(&mut Placement<'_>)) -> Result<Cluster, ClusterError> {
+        let spec = sourceless_spec(3, app);
+        let graph = Arc::new(generate::erdos_renyi(90, 400, 3));
+        let partition = Arc::new(ChunkV.partition(&graph, 3));
+        let frame = received(&Cluster::new(graph, partition), 1, spec.app.uses_in_edges());
+        let mut placement = placement(&frame);
+        bend(&mut placement);
+        placed_cluster(&spec, 1, placement)
+    }
+
+    fn corrupt(bend: impl FnOnce(&mut Placement<'_>)) -> String {
+        let err = bent(AppSpec::ConnectedComponents, bend).unwrap_err();
+        assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
+        err.to_string()
+    }
+
+    /// Moves vertex `v` to `part` and keeps the vertex tallies true, so
+    /// that only the slice is left disagreeing with the assignment.
+    fn reassign(placement: &mut Placement<'_>, v: usize, part: PartId) {
+        let from = std::mem::replace(&mut placement.assignment.to_mut()[v], part);
+        let counts = placement.vertex_counts.to_mut();
+        counts[from as usize] -= 1;
+        counts[part as usize] += 1;
+    }
+
     #[test]
-    fn a_placement_that_does_not_fit_the_job_or_the_graph_is_corrupt() {
-        let spec = spec();
-        let graph = || spec.load_graph().unwrap();
-        for (parts, len) in [(3, 89), (3, 91), (2, 90), (0, 90)] {
-            let err = placed_cluster(&spec, graph(), parts, vec![0; len]).unwrap_err();
-            assert!(
-                matches!(err, ClusterError::FrameCorrupt { .. }),
-                "{parts} parts, {len} vertices: {err}"
-            );
-        }
-        assert!(placed_cluster(&spec, graph(), 3, vec![2; 90]).is_ok());
+    fn a_placement_that_does_not_fit_the_job_is_corrupt() {
+        assert!(bent(AppSpec::ConnectedComponents, |_| {}).is_ok());
+        assert!(corrupt(|p| p.parts = 2).contains("2 parts for a job of 3"));
+        assert!(corrupt(|p| p.parts = 0).contains("0 parts"));
+        // PageRank does not read in-lists, CC does.
+        assert!(corrupt(|p| p.slice.in_lists = false).contains("without in-lists for cc"));
+        let err = bent(AppSpec::PageRank { iters: 1 }, |p| p.slice.in_lists = true).unwrap_err();
+        assert!(
+            err.to_string().contains("with in-lists for pagerank"),
+            "{err}"
+        );
+        // A machine the placement has no part for.
+        let spec = sourceless_spec(3, AppSpec::ConnectedComponents);
+        let graph = Arc::new(generate::erdos_renyi(90, 400, 3));
+        let cluster = Cluster::new(graph.clone(), Arc::new(ChunkV.partition(&graph, 3)));
+        let frame = received(&cluster, 1, true);
+        let err = placed_cluster(&spec, 3, placement(&frame)).unwrap_err();
+        assert!(err.to_string().contains("machine 3 of a 3-part"), "{err}");
+    }
+
+    #[test]
+    fn a_slice_that_is_not_the_machines_share_is_corrupt() {
+        // Chunk-V: machine 1 owns vertices 30..60.
+        // One vertex more assigned to the machine than its slice brings.
+        assert!(corrupt(|p| reassign(p, 0, 1)).contains("slice of 30 members, machine 1 owns 31"));
+        // As many, but one of them is another machine's.
+        let err = corrupt(|p| {
+            reassign(p, 0, 1);
+            reassign(p, 45, 0);
+        });
+        assert!(err.contains("holds vertex 45 of machine 0"), "{err}");
+        // The slice's edges are not what the driver counted for the part.
+        let err = corrupt(|p| p.edge_counts.to_mut()[1] += 1);
+        assert!(err.contains("out-edges, machine 1 owns"), "{err}");
+        // Tallies that are not the assignment's, or not one per part.
+        assert!(corrupt(|p| p.vertex_counts.to_mut()[0] += 1).contains("vertex tallies"));
+        assert!(corrupt(|p| p.edge_counts.to_mut().truncate(2)).contains("2 edge tallies"));
+        // An assignment for another graph.
+        let err = corrupt(|p| {
+            p.assignment.to_mut().push(0);
+            p.vertex_counts.to_mut()[0] += 1;
+        });
+        assert!(
+            err.contains("covers 91 vertices, the slice spans 90"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -23,6 +23,58 @@ pub struct CsrGraph {
     in_targets: Vec<VertexId>,
 }
 
+/// The adjacency lists of a vertex subset, back to back in the subset's
+/// order: the first `degrees[0]` entries of `targets` are the first
+/// vertex's list, and so on. What [`CsrGraph::from_owned_lists`] takes.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct OwnedLists {
+    /// List length per vertex of the subset.
+    pub degrees: Vec<u32>,
+    /// The lists themselves, concatenated; each sorted ascending.
+    pub targets: Vec<VertexId>,
+}
+
+impl OwnedLists {
+    /// Checks the lists against the `members` they belong to and the id
+    /// space `0..n`, and returns the offset array that places them there
+    /// (every other vertex's list empty).
+    fn offsets(&self, n: usize, members: &[VertexId], what: &str) -> Result<Vec<u64>, String> {
+        if self.degrees.len() != members.len() {
+            return Err(format!(
+                "{} {what}-lists for {} members",
+                self.degrees.len(),
+                members.len()
+            ));
+        }
+        let total: u64 = self.degrees.iter().map(|&d| d as u64).sum();
+        if total != self.targets.len() as u64 {
+            return Err(format!(
+                "{what}-list lengths sum to {total}, {} targets given",
+                self.targets.len()
+            ));
+        }
+        if let Some(&t) = self.targets.iter().find(|&&t| t as usize >= n) {
+            return Err(format!(
+                "{what}-list target {t} out of range for {n} vertices"
+            ));
+        }
+        let mut offsets = vec![0u64; n + 1];
+        let mut at = 0usize;
+        for (&v, &d) in members.iter().zip(&self.degrees) {
+            let list = &self.targets[at..at + d as usize];
+            if !list.windows(2).all(|w| w[0] <= w[1]) {
+                return Err(format!("{what}-list of vertex {v} is not sorted"));
+            }
+            offsets[v as usize + 1] = d as u64;
+            at += d as usize;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        Ok(offsets)
+    }
+}
+
 impl CsrGraph {
     /// Builds a graph with `num_vertices` vertices from a list of directed
     /// edges. Edges may arrive in any order; they are counting-sorted by
@@ -89,6 +141,47 @@ impl CsrGraph {
             in_offsets,
             in_targets,
         }
+    }
+
+    /// Builds the graph a machine that owns `members` holds: `n` vertices
+    /// in the *global* id space, the members' out-lists (and in-lists, when
+    /// given) in place, every other vertex's lists empty. Degrees,
+    /// neighbours and [`num_edges`](Self::num_edges) are therefore those of
+    /// the slice; [`num_vertices`](Self::num_vertices) is the whole
+    /// graph's. With `inn` absent every in-list is empty.
+    ///
+    /// The arguments may come from outside the program, so nothing is
+    /// assumed of them: members not strictly ascending or `>= n`, list
+    /// lengths that do not add up to the targets given, a target `>= n`
+    /// and an unsorted list are each an `Err` saying which.
+    pub fn from_owned_lists(
+        n: usize,
+        members: &[VertexId],
+        out: OwnedLists,
+        inn: Option<OwnedLists>,
+    ) -> Result<Self, String> {
+        if let Some(w) = members.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!(
+                "members not strictly ascending: {} then {}",
+                w[0], w[1]
+            ));
+        }
+        if let Some(&v) = members.last().filter(|&&v| v as usize >= n) {
+            return Err(format!("member {v} out of range for {n} vertices"));
+        }
+        // Members ascend, so their lists back to back are already in CSR
+        // order: the target arrays are adopted as they are.
+        let offsets = out.offsets(n, members, "out")?;
+        let (in_offsets, in_targets) = match inn {
+            Some(inn) => (inn.offsets(n, members, "in")?, inn.targets),
+            None => (vec![0; n + 1], Vec::new()),
+        };
+        Ok(CsrGraph {
+            offsets,
+            targets: out.targets,
+            in_offsets,
+            in_targets,
+        })
     }
 
     /// Counting-sort pass shared by the forward and transposed adjacency.
@@ -336,6 +429,85 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
         CsrGraph::from_edges(2, &[(0, 2)]);
+    }
+
+    /// The lists of `members` as `graph` holds them.
+    fn lists_of(graph: &CsrGraph, members: &[VertexId]) -> (OwnedLists, OwnedLists) {
+        let lists = |list: fn(&CsrGraph, VertexId) -> &[VertexId]| OwnedLists {
+            degrees: members
+                .iter()
+                .map(|&v| list(graph, v).len() as u32)
+                .collect(),
+            targets: members
+                .iter()
+                .flat_map(|&v| list(graph, v).to_vec())
+                .collect(),
+        };
+        (
+            lists(CsrGraph::out_neighbors),
+            lists(CsrGraph::in_neighbors),
+        )
+    }
+
+    #[test]
+    fn owned_lists_are_the_members_lists_and_nothing_else() {
+        // Self-loop, duplicate edge, an isolated vertex (4), a member with
+        // no out-edges (3).
+        let g = CsrGraph::from_edges(6, &[(0, 1), (1, 1), (1, 3), (1, 3), (2, 0), (5, 1)]);
+        let members = [1, 3];
+        let (out, inn) = lists_of(&g, &members);
+        let slice = CsrGraph::from_owned_lists(6, &members, out.clone(), Some(inn)).unwrap();
+        assert_eq!(slice.num_vertices(), 6);
+        assert_eq!(slice.num_edges(), 3);
+        for v in g.vertices() {
+            let (want_out, want_in): (&[VertexId], &[VertexId]) = if members.contains(&v) {
+                (g.out_neighbors(v), g.in_neighbors(v))
+            } else {
+                (&[], &[])
+            };
+            assert_eq!(slice.out_neighbors(v), want_out, "out of {v}");
+            assert_eq!(slice.in_neighbors(v), want_in, "in of {v}");
+        }
+        // Without in-lists every in-list is empty.
+        let slice = CsrGraph::from_owned_lists(6, &members, out, None).unwrap();
+        assert_eq!(slice.out_neighbors(1), &[1, 3, 3]);
+        assert!(g.vertices().all(|v| slice.in_degree(v) == 0));
+        // Every vertex a member: the graph itself.
+        let all: Vec<VertexId> = g.vertices().collect();
+        let (out, inn) = lists_of(&g, &all);
+        assert_eq!(
+            CsrGraph::from_owned_lists(6, &all, out, Some(inn)).unwrap(),
+            g
+        );
+        // No members: no edges, same id space.
+        let empty = CsrGraph::from_owned_lists(6, &[], OwnedLists::default(), None).unwrap();
+        assert_eq!((empty.num_vertices(), empty.num_edges()), (6, 0));
+    }
+
+    #[test]
+    fn owned_lists_that_do_not_fit_are_errors_not_panics() {
+        let lists = |degrees: &[u32], targets: &[VertexId]| OwnedLists {
+            degrees: degrees.to_vec(),
+            targets: targets.to_vec(),
+        };
+        let err = |members: &[VertexId], out: OwnedLists, inn: Option<OwnedLists>| {
+            CsrGraph::from_owned_lists(4, members, out, inn).unwrap_err()
+        };
+        let ok = || lists(&[1, 2], &[3, 0, 2]);
+        assert!(CsrGraph::from_owned_lists(4, &[0, 2], ok(), Some(ok())).is_ok());
+        assert!(err(&[2, 0], ok(), None).contains("ascending"));
+        assert!(err(&[2, 2], ok(), None).contains("ascending"));
+        assert!(err(&[0, 4], ok(), None).contains("member 4 out of range"));
+        assert!(err(&[0, 2], lists(&[1], &[3]), None).contains("1 out-lists for 2 members"));
+        assert!(err(&[0, 2], lists(&[1, 1], &[3, 0, 2]), None).contains("sum to 2, 3 targets"));
+        assert!(err(&[0, 2], lists(&[1, 3], &[3, 0, 2]), None).contains("sum to 4, 3 targets"));
+        assert!(err(&[0, 2], lists(&[1, 2], &[3, 0, 4]), None).contains("target 4 out of range"));
+        assert!(err(&[0, 2], lists(&[1, 2], &[3, 2, 0]), None).contains("vertex 2 is not sorted"));
+        assert!(
+            err(&[0, 2], ok(), Some(lists(&[3, 0], &[1, 0, 2]))).contains("in-list of vertex 0")
+        );
+        // A degree sum that overflows nothing: it is compared as u64.
+        assert!(err(&[0, 2], lists(&[u32::MAX, u32::MAX], &[]), None).contains("sum to"));
     }
 
     #[test]

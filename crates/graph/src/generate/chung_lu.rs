@@ -119,14 +119,17 @@ pub fn chung_lu(config: &ChungLuConfig) -> CsrGraph {
         Vec::new()
     };
 
-    let mut pool: Vec<Edge> = Vec::with_capacity(m + m / 8);
+    let mut pool: Vec<Edge> = Vec::new();
     // Sample in rounds: collisions and self-loops shrink each batch, so we
     // oversample the deficit by 15% until the deduplicated pool is full.
+    // The pool stays sorted; only a round's own batch is sorted, then
+    // merged in (the last rounds are after a handful of edges).
     let mut rounds = 0;
     while pool.len() < m {
         let deficit = m - pool.len();
-        let batch = deficit + deficit / 7 + 8;
-        for _ in 0..batch {
+        let draws = deficit + deficit / 7 + 8;
+        let mut batch: Vec<Edge> = Vec::with_capacity(draws);
+        for _ in 0..draws {
             let u = table.sample(&mut rng) as VertexId;
             let r: f64 = rng.random();
             let v = if r < config.community {
@@ -142,9 +145,10 @@ pub fn chung_lu(config: &ChungLuConfig) -> CsrGraph {
             } else {
                 table.sample(&mut rng) as VertexId
             };
-            pool.push((u, v));
+            batch.push((u, v));
         }
-        normalize(&mut pool);
+        normalize(&mut batch);
+        merge_sorted(&mut pool, batch);
         rounds += 1;
         assert!(
             rounds < 64,
@@ -154,6 +158,31 @@ pub fn chung_lu(config: &ChungLuConfig) -> CsrGraph {
     }
     sample_exactly(&mut pool, m, config.seed);
     CsrGraph::from_edges(n, &pool)
+}
+
+/// Merges `batch` into `pool`, both sorted and duplicate-free, leaving
+/// `pool` sorted and duplicate-free: the edge set `normalize` would make of
+/// their concatenation, without sorting `pool` again. Edges move from the
+/// back, and only down to where the last new edge lands.
+fn merge_sorted(pool: &mut Vec<Edge>, mut batch: Vec<Edge>) {
+    if pool.is_empty() {
+        *pool = batch;
+        return;
+    }
+    batch.retain(|edge| pool.binary_search(edge).is_err());
+    let (mut i, mut j) = (pool.len(), batch.len());
+    let mut k = i + j;
+    pool.resize(k, (0, 0));
+    while j > 0 {
+        k -= 1;
+        if i > 0 && pool[i - 1] > batch[j - 1] {
+            i -= 1;
+            pool[k] = pool[i];
+        } else {
+            j -= 1;
+            pool[k] = batch[j];
+        }
+    }
 }
 
 /// Seeded hash assigning vertex `v` to one of `count` communities.
@@ -281,6 +310,25 @@ mod tests {
             near > near0 + 0.2,
             "locality should raise near share: {near} vs {near0}"
         );
+    }
+
+    #[test]
+    fn merge_sorted_is_normalize_of_the_concatenation() {
+        let cases: [(&[Edge], &[Edge]); 5] = [
+            (&[], &[(0, 1), (2, 0)]),
+            (&[(0, 1), (2, 0)], &[]),
+            (&[(1, 2), (3, 4)], &[(0, 9), (1, 2), (2, 2), (5, 0)]),
+            (&[(1, 2), (3, 4)], &[(1, 2), (3, 4)]),
+            (&[(4, 0), (4, 1)], &[(0, 0), (1, 0)]),
+        ];
+        for (pool, batch) in cases {
+            let mut want = [pool, batch].concat();
+            want.sort_unstable();
+            want.dedup();
+            let mut got = pool.to_vec();
+            merge_sorted(&mut got, batch.to_vec());
+            assert_eq!(got, want, "{pool:?} + {batch:?}");
+        }
     }
 
     #[test]

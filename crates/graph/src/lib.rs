@@ -42,7 +42,7 @@ pub mod stats;
 pub mod traversal;
 
 pub use builder::GraphBuilder;
-pub use csr::CsrGraph;
+pub use csr::{CsrGraph, OwnedLists};
 pub use edgelist::EdgeList;
 
 /// Vertex identifier.

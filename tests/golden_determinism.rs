@@ -29,14 +29,37 @@ fn graph_hash(g: &bpart_graph::CsrGraph) -> u64 {
 
 #[test]
 fn generator_output_is_pinned() {
-    let g = generate::twitter_like().generate_scaled(0.02);
-    assert_eq!(g.num_vertices(), 2_000);
-    assert_eq!(g.num_edges(), 71_440);
-    assert_eq!(
-        graph_hash(&g),
-        0xf763_8149_1963_70ef,
-        "twitter_like @ 0.02 changed — update EXPERIMENTS.md if intentional"
-    );
+    // Per preset of `ALL_PRESETS`, at two scales: (scale, vertices, edges,
+    // edge-list hash), recorded before `chung_lu` stopped re-sorting its
+    // whole pool every round.
+    let pinned = [
+        [
+            (0.02, 1_500, 44_985, 0x1cd7_7535_5c0d_da91u64),
+            (0.3, 22_500, 674_775, 0xd877_cb0f_47e6_30bc),
+        ],
+        [
+            (0.02, 2_000, 71_440, 0xf763_8149_1963_70ef),
+            (0.3, 30_000, 1_071_600, 0xe365_1a96_8c8a_a077),
+        ],
+        [
+            (0.02, 2_400, 131_688, 0x1b28_ec63_05ec_a2a8),
+            (0.3, 36_000, 1_975_320, 0x8ee3_6cee_66de_5f69),
+        ],
+    ];
+    for (preset, cases) in generate::ALL_PRESETS.iter().zip(pinned) {
+        let preset = preset();
+        for (scale, vertices, edges, hash) in cases {
+            let g = preset.generate_scaled(scale);
+            assert_eq!(g.num_vertices(), vertices, "{} @ {scale}", preset.name);
+            assert_eq!(g.num_edges(), edges, "{} @ {scale}", preset.name);
+            assert_eq!(
+                graph_hash(&g),
+                hash,
+                "{} @ {scale} changed — update EXPERIMENTS.md if intentional",
+                preset.name
+            );
+        }
+    }
 }
 
 #[test]
