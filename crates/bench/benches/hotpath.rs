@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks for the hot-path kernels of DESIGN.md §12:
-//! the branchless flat-array score loop, cached alias-table sampling, the
+//! the branchless flat-array score loop, the placement kernel at two part
+//! counts, cached alias-table sampling, the
 //! arena-backed superstep exchange, the zero-copy binary graph load, the
 //! vertex-program superstep kernel, and the process backend's per-byte
 //! work (DESIGN.md §13: one frame across the wire, a worker's slice of the
@@ -44,6 +45,24 @@ fn bench_flat_scoring(c: &mut Criterion) {
     group.bench_function("bpart_p1_seq_k8", |b| {
         b.iter(|| WeightedStream::default().partition(&graph, 8))
     });
+    group.finish();
+}
+
+/// The placement kernel's dependence on `k`: the resident phase-1 pass over
+/// `lj_like` ×1.0 — `Pass::place` once per vertex — at 16 and at 128 parts.
+/// The tally is `O(deg)` and `choose` `O(k)`, and the lightest part is
+/// tracked rather than rescanned, so edges/s should fall by much less than
+/// the 8× between the two part counts.
+fn bench_place(c: &mut Criterion) {
+    let graph = generate::lj_like().generate();
+    let mut group = c.benchmark_group("hotpath_place");
+    group.throughput(Throughput::Elements(graph.num_edges() as u64));
+    group.sample_size(10);
+    for k in [16, 128] {
+        group.bench_function(format!("k{k}"), |b| {
+            b.iter(|| WeightedStream::default().partition(&graph, k))
+        });
+    }
     group.finish();
 }
 
@@ -247,6 +266,7 @@ fn bench_dist_frame(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_flat_scoring,
+    bench_place,
     bench_alias_sampling,
     bench_arena_exchange,
     bench_binfmt_load,

@@ -1,7 +1,7 @@
 //! Out-of-core memory-ceiling bench — partition a graph many times larger
 //! than the allowed buffer memory and *prove* the residency claim.
 //!
-//! The pipeline (DESIGN.md §14) promises `O(n + buffer)` resident memory.
+//! The shard loop (DESIGN.md §14) promises `O(n + one shard)` resident memory.
 //! This bench makes that promise falsifiable:
 //!
 //! 1. The **parent** generates the friendster_like preset at the harness
@@ -11,14 +11,14 @@
 //!    partitioners for the bit-identity and cut comparison.
 //! 2. For each streaming scheme it re-executes **itself as a child
 //!    process** (`BPART_OOM_CHILD=1`) that applies a hard `RLIMIT_AS`
-//!    ceiling, streams the shards through the staged pipeline, and
+//!    ceiling, walks the shards through the placement kernel, and
 //!    reports its own `VmHWM` peak RSS plus an FNV-1a hash of the
 //!    assignment on stdout as `key=value` lines. A fresh process means
 //!    the high-water mark covers *only* the out-of-core pass — graph
 //!    generation and sharding (the unconstrained prep phase) never touch
 //!    the measured process.
-//! 3. Results land in `BENCH_oom.json` (peak-RSS and per-stage occupancy
-//!    columns) and `results/history/oom.json` for `bpart obs diff`
+//! 3. Results land in `BENCH_oom.json` (peak RSS and the loop's
+//!    fetch/commit busy times) and `results/history/oom.json` for `bpart obs diff`
 //!    against the checked-in `baseline-oom.json`.
 //!
 //! With `BPART_GATE=1` the binary exits non-zero if any child's peak RSS
@@ -93,12 +93,8 @@ fn child_main() {
     );
     for s in &outcome.pipeline.stages {
         let p = format!("stage_{}", s.name);
-        println!("{p}_batches={}", s.batches);
+        println!("{p}_shards={}", s.shards);
         println!("{p}_busy_secs={}", s.busy_secs);
-        println!("{p}_send_stalls={}", s.send_stalls);
-        println!("{p}_recv_stalls={}", s.recv_stalls);
-        println!("{p}_max_occupancy={}", s.max_occupancy);
-        println!("{p}_channel_capacity={}", s.channel_capacity);
     }
 }
 
@@ -169,8 +165,8 @@ fn main() {
 
     // The buffer budget is 1/16 of the on-disk stream (floored so tiny
     // `BPART_SCALE` runs stay functional), making data ≥ 10× budget by
-    // construction; shards are a quarter of the budget so several batches
-    // and one mapped shard together stay inside it.
+    // construction; shards are a quarter of the budget so the one mapped
+    // shard stays well inside it.
     let est_stream_bytes = 8 * n as u64 + 8 * m as u64;
     let buffer_budget = (est_stream_bytes / 16).max(64 * 1024);
     let shard_target = (buffer_budget / 4).max(4 * 1024);
@@ -186,7 +182,7 @@ fn main() {
     // RSS ceiling: process baseline + the dense O(n) state + a generous
     // multiple of the buffer budget. Deliberately far below the stream
     // size once the data outgrows the fixed base, so an O(m) regression
-    // in the pipeline trips the gate on real CI scales.
+    // in the shard loop trips the gate on real CI scales.
     let rss_ceiling = 24 * 1024 * 1024 + 8 * n as u64 + 16 * buffer_budget;
     // The RLIMIT_AS ceiling adds slack for what address space counts and
     // RSS does not (thread stack reservations, allocator arenas, the
@@ -249,45 +245,25 @@ fn main() {
     println!("{}", render_table(&header, &rows));
     for r in &runs {
         println!(
-            "{} stage occupancy: fetch {}/{} map {}/{} commit {}/{} \
-             (stalls send/recv: fetch {}/{}, map {}/{}, commit {}/{})",
+            "{} shard loop: {} shards, fetch busy {:.3}s, commit busy {:.3}s",
             r.name,
-            r.child_u64("stage_fetch_max_occupancy"),
-            r.child_u64("stage_fetch_channel_capacity"),
-            r.child_u64("stage_map_max_occupancy"),
-            r.child_u64("stage_map_channel_capacity"),
-            r.child_u64("stage_commit_max_occupancy"),
-            r.child_u64("stage_commit_channel_capacity"),
-            r.child_u64("stage_fetch_send_stalls"),
-            r.child_u64("stage_fetch_recv_stalls"),
-            r.child_u64("stage_map_send_stalls"),
-            r.child_u64("stage_map_recv_stalls"),
-            r.child_u64("stage_commit_send_stalls"),
-            r.child_u64("stage_commit_recv_stalls"),
+            r.child_u64("stage_commit_shards"),
+            r.child_f64("stage_fetch_busy_secs"),
+            r.child_f64("stage_commit_busy_secs"),
         );
     }
 
     let items: Vec<String> = runs
         .iter()
         .map(|r| {
-            let stages: Vec<String> = ["fetch", "map", "commit", "track"]
+            let stages: Vec<String> = ["fetch", "commit"]
                 .iter()
                 .map(|stage| {
                     let key = |suffix: &str| format!("stage_{stage}_{suffix}");
                     json::object(&[
                         ("stage", json::string(stage)),
-                        ("batches", r.child_u64(&key("batches")).to_string()),
+                        ("shards", r.child_u64(&key("shards")).to_string()),
                         ("busy_secs", json::number(r.child_f64(&key("busy_secs")))),
-                        ("send_stalls", r.child_u64(&key("send_stalls")).to_string()),
-                        ("recv_stalls", r.child_u64(&key("recv_stalls")).to_string()),
-                        (
-                            "max_occupancy",
-                            r.child_u64(&key("max_occupancy")).to_string(),
-                        ),
-                        (
-                            "channel_capacity",
-                            r.child_u64(&key("channel_capacity")).to_string(),
-                        ),
                     ])
                 })
                 .collect();

@@ -46,8 +46,12 @@ pub enum Command {
         parts: usize,
         scheme: String,
         out: Option<String>,
-        threads: usize,
-        buffer_size: usize,
+        /// `None` = flag not given (resident default 1; rejected with
+        /// shard input, which has no worker pool).
+        threads: Option<usize>,
+        /// `None` = flag not given (resident default
+        /// [`bpart_core::DEFAULT_BUFFER_SIZE`]; rejected with shard input).
+        buffer_size: Option<usize>,
         input_format: String,
         shard_dir: Option<String>,
         mem_ceiling_mb: Option<u64>,
@@ -379,6 +383,8 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 None => None,
             };
             let (threads, buffer_size) = parse_parallel(&flags)?;
+            let threads = threads.unwrap_or(1);
+            let buffer_size = buffer_size.unwrap_or(bpart_core::DEFAULT_BUFFER_SIZE);
             let obs = parse_obs(&flags);
             check_unknown(
                 &flags,
@@ -590,27 +596,20 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     }
 }
 
-/// Parses the shared `--threads` / `--buffer-size` worker-pool flags
-/// (defaults: 1 thread — the exact sequential path — and
-/// [`bpart_core::DEFAULT_BUFFER_SIZE`]). Both must be at least 1.
-fn parse_parallel(flags: &[(&str, &str)]) -> Result<(usize, usize), ParseError> {
-    let threads = match get_optional(flags, "threads") {
-        Some(s) => s.parse().map_err(|_| err(format!("bad --threads {s:?}")))?,
-        None => 1,
+/// Parses the shared `--threads` / `--buffer-size` worker-pool flags, `None`
+/// where a flag was not given (the defaults are 1 thread — the exact
+/// sequential path — and [`bpart_core::DEFAULT_BUFFER_SIZE`]). Both must be
+/// at least 1.
+fn parse_parallel(flags: &[(&str, &str)]) -> Result<(Option<usize>, Option<usize>), ParseError> {
+    let at_least_one = |name: &str| match get_optional(flags, name) {
+        Some(s) => match s.parse::<usize>() {
+            Ok(0) => Err(err(format!("--{name} must be at least 1"))),
+            Ok(value) => Ok(Some(value)),
+            Err(_) => Err(err(format!("bad --{name} {s:?}"))),
+        },
+        None => Ok(None),
     };
-    if threads == 0 {
-        return Err(err("--threads must be at least 1"));
-    }
-    let buffer_size = match get_optional(flags, "buffer-size") {
-        Some(s) => s
-            .parse()
-            .map_err(|_| err(format!("bad --buffer-size {s:?}")))?,
-        None => bpart_core::DEFAULT_BUFFER_SIZE,
-    };
-    if buffer_size == 0 {
-        return Err(err("--buffer-size must be at least 1"));
-    }
-    Ok((threads, buffer_size))
+    Ok((at_least_one("threads")?, at_least_one("buffer-size")?))
 }
 
 /// Parses the shared observability flags (all optional; see DESIGN.md
@@ -710,8 +709,8 @@ mod tests {
                 parts: 8,
                 scheme: "bpart".into(),
                 out: None,
-                threads: 1,
-                buffer_size: bpart_core::DEFAULT_BUFFER_SIZE,
+                threads: None,
+                buffer_size: None,
                 input_format: "auto".into(),
                 shard_dir: None,
                 mem_ceiling_mb: None,
@@ -1005,8 +1004,8 @@ mod tests {
                 buffer_size,
                 ..
             } => {
-                assert_eq!(threads, 4);
-                assert_eq!(buffer_size, 1024);
+                assert_eq!(threads, Some(4));
+                assert_eq!(buffer_size, Some(1024));
             }
             other => panic!("expected Partition, got {other:?}"),
         }

@@ -65,10 +65,8 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 *parts,
                 scheme,
                 out.as_deref(),
-                ParallelConfig {
-                    threads: *threads,
-                    buffer_size: *buffer_size,
-                },
+                *threads,
+                *buffer_size,
                 input_format,
                 shard_dir.as_deref(),
                 *mem_ceiling_mb,
@@ -525,10 +523,7 @@ pub fn scheme_with_parallel(
             ..Default::default()
         })),
         "ldg" => Box::new(Ldg::default()),
-        "bpart" => Box::new(BPart::new(BPartConfig {
-            parallel,
-            ..Default::default()
-        })),
+        "bpart" => Box::new(bpart_with(parallel)),
         "bpart-p1" => Box::new(bpart_core::bpart::WeightedStream::new(BPartConfig {
             parallel,
             ..Default::default()
@@ -541,6 +536,13 @@ pub fn scheme_with_parallel(
                 scheme_names().join(", ")
             )))
         }
+    })
+}
+
+fn bpart_with(parallel: ParallelConfig) -> BPart {
+    BPart::new(BPartConfig {
+        parallel,
+        ..Default::default()
     })
 }
 
@@ -669,7 +671,8 @@ fn partition_cmd(
     parts: usize,
     scheme_name: &str,
     out: Option<&str>,
-    parallel: ParallelConfig,
+    threads: Option<usize>,
+    buffer_size: Option<usize>,
     input_format: &str,
     shard_dir: Option<&str>,
     mem_ceiling_mb: Option<u64>,
@@ -684,17 +687,46 @@ fn partition_cmd(
     if let PartitionInput::Shards(dir) =
         resolve_partition_input(graph_path, input_format, shard_dir)
     {
-        return partition_ooc_cmd(&dir, parts, scheme_name, out, parallel, ceiling_note, obs);
+        // The shard pass is one sequential loop: there is no worker pool to
+        // size and no batch for `--buffer-size` to mean anything.
+        if threads.or(buffer_size).is_some() {
+            return Err(fail(
+                "--threads and --buffer-size do not apply to shard input: the out-of-core \
+pass is one sequential loop over the shards (its memory knob is `bpart shard --shard-bytes`)",
+            ));
+        }
+        return partition_ooc_cmd(&dir, parts, scheme_name, out, ceiling_note, obs);
     }
+    let parallel = ParallelConfig {
+        threads: threads.unwrap_or(1),
+        buffer_size: buffer_size.unwrap_or(bpart_core::DEFAULT_BUFFER_SIZE),
+    };
     let graph = load_graph(graph_path)?;
     let scheme = scheme_with_parallel(scheme_name, parallel)?;
     let start = Instant::now();
-    let (partition, stats) = scheme.partition_with_stats(&graph, parts);
+    // Only BPart has layers to report; it is run for its trace, which
+    // `partition_with_stats` folds away.
+    let mut combine_note = String::new();
+    let (partition, stats) = if scheme_name == "bpart" {
+        let (partition, trace) = bpart_with(parallel).partition_with_trace(&graph, parts);
+        let mut stats = StreamStats::default();
+        trace.iter().for_each(|layer| stats.merge(&layer.stream));
+        let forced: usize = trace.iter().map(|layer| layer.forced).sum();
+        combine_note = format!(
+            "  combine layers:  {} ({forced} of {parts} parts frozen by the layer budget, \
+not by threshold)\n",
+            trace.len()
+        );
+        (partition, stats)
+    } else {
+        scheme.partition_with_stats(&graph, parts)
+    };
     let elapsed = start.elapsed().as_secs_f64();
     let quality = metrics::quality(&graph, &partition);
     let mut text = render_quality(&quality, &partition, scheme.name());
     text.push_str(&ceiling_note);
     text.push_str(&format!("  partition time:  {elapsed:.3}s\n"));
+    text.push_str(&combine_note);
     text.push_str(&stream_stats_report(&stats));
     if let Some(path) = out {
         let file = File::create(path).map_err(|e| fail(format!("cannot create {path}: {e}")))?;
@@ -733,26 +765,22 @@ fn ooc_scheme_by_name(name: &str) -> Result<(bpart_core::OocScheme, &'static str
     }
 }
 
-/// The out-of-core partition path: stream the shard directory through the
-/// staged pipeline, report the same quality lines the resident path does
+/// The out-of-core partition path: walk the shard directory through the
+/// placement kernel, report the same quality lines the resident path does
 /// (cut recomputed by re-streaming the shards — the graph is never
-/// resident), plus per-stage pipeline telemetry.
+/// resident), plus where the loop spent its time.
 fn partition_ooc_cmd(
     shard_path: &str,
     parts: usize,
     scheme_name: &str,
     out: Option<&str>,
-    parallel: ParallelConfig,
     ceiling_note: String,
     obs: &ObsFlags,
 ) -> Result<String, CliError> {
     let (scheme, label) = ooc_scheme_by_name(scheme_name)?;
     let shards = pio::ShardSet::open(Path::new(shard_path))
         .map_err(|e| fail(format!("{shard_path}: {e}")))?;
-    let mut config = bpart_core::OocConfig::new(parts, scheme);
-    // `--buffer-size` is the shared memory knob: resident streaming uses
-    // it as the weight-sync window, the pipeline as records per batch.
-    config.batch_vertices = parallel.buffer_size;
+    let config = bpart_core::OocConfig::new(parts, scheme);
     let start = Instant::now();
     let outcome = bpart_core::stream_assign_ooc(&shards, &config)
         .map_err(|e| fail(format!("{shard_path}: {e}")))?;
@@ -787,18 +815,17 @@ fn partition_ooc_cmd(
         shards.max_shard_bytes()
     ));
     text.push_str(&format!("  partition time:  {elapsed:.3}s\n"));
-    text.push_str(&stream_stats_report(&outcome.stats));
-    text.push_str("  pipeline stages:\n");
+    text.push_str(&format!(
+        "  throughput:      {:.0} vertices/s (1 thread)\n",
+        outcome.stats.vertices_per_sec()
+    ));
+    text.push_str("  shard loop:\n");
     for s in &outcome.pipeline.stages {
         text.push_str(&format!(
-            "    {:<7} {} batches, busy {:.3}s, stalls {}/{} (send/recv), peak occupancy {}/{}\n",
+            "    {:<7} {} shards, busy {:.3}s\n",
             format!("{}:", s.name),
-            s.batches,
-            s.busy_secs,
-            s.send_stalls,
-            s.recv_stalls,
-            s.max_occupancy,
-            s.channel_capacity
+            s.shards,
+            s.busy_secs
         ));
     }
     if let Some(path) = out {
@@ -819,7 +846,7 @@ fn partition_ooc_cmd(
             shard_path,
             scheme_name,
             parts,
-            &parallel,
+            &ParallelConfig::default(),
         );
         rec.set_metric("wall_time_secs", elapsed);
         rec.set_metric("cut_ratio", cut_ratio);
@@ -1371,14 +1398,18 @@ mod tests {
             parts: 4,
             scheme: "bpart".into(),
             out: Some(pp.clone()),
-            threads: 1,
-            buffer_size: bpart_core::DEFAULT_BUFFER_SIZE,
+            threads: None,
+            buffer_size: None,
             input_format: "auto".into(),
             shard_dir: None,
             mem_ceiling_mb: None,
             obs: ObsFlags::default(),
         });
         assert!(out.contains("edge-cut ratio"), "{out}");
+        assert!(
+            out.contains("of 4 parts frozen by the layer budget"),
+            "{out}"
+        );
 
         let out = runs(Command::Quality {
             graph: gp.clone(),
@@ -1441,8 +1472,8 @@ mod tests {
             parts: 4,
             scheme: "hash".into(),
             out: Some(pp.clone()),
-            threads: 1,
-            buffer_size: bpart_core::DEFAULT_BUFFER_SIZE,
+            threads: None,
+            buffer_size: None,
             input_format: "auto".into(),
             shard_dir: None,
             mem_ceiling_mb: None,
@@ -1472,8 +1503,8 @@ mod tests {
             parts: 4,
             scheme: "fennel".into(),
             out: None,
-            threads: 2,
-            buffer_size: 128,
+            threads: Some(2),
+            buffer_size: Some(128),
             input_format: "auto".into(),
             shard_dir: None,
             mem_ceiling_mb: None,
@@ -1545,16 +1576,36 @@ mod tests {
             parts: 4,
             scheme: "fennel".into(),
             out: Some(pp.clone()),
-            threads: 1,
-            buffer_size: 256,
+            threads: None,
+            buffer_size: None,
             input_format: "auto".into(),
             shard_dir: None,
             mem_ceiling_mb: None,
             obs: ObsFlags::default(),
         });
         assert!(out.contains("out-of-core"), "{out}");
-        assert!(out.contains("pipeline stages:"), "{out}");
+        assert!(out.contains("shard loop:"), "{out}");
         assert!(out.contains("fetch:"), "{out}");
+        assert!(out.contains("(1 thread)"), "{out}");
+
+        // The shard pass has no worker pool and no batches: the resident
+        // knobs are refused, not silently reinterpreted.
+        for (threads, buffer_size) in [(None, Some(256)), (Some(2), None)] {
+            let e = run(&Command::Partition {
+                graph: sd.clone(),
+                parts: 4,
+                scheme: "fennel".into(),
+                out: None,
+                threads,
+                buffer_size,
+                input_format: "auto".into(),
+                shard_dir: None,
+                mem_ceiling_mb: None,
+                obs: ObsFlags::default(),
+            })
+            .unwrap_err();
+            assert!(e.to_string().contains("do not apply to shard input"), "{e}");
+        }
 
         // The streamed assignment is bit-identical to the resident run.
         let graph = load_graph(&gp).unwrap();
@@ -1568,8 +1619,8 @@ mod tests {
             parts: 4,
             scheme: "bpart".into(),
             out: None,
-            threads: 1,
-            buffer_size: bpart_core::DEFAULT_BUFFER_SIZE,
+            threads: None,
+            buffer_size: None,
             input_format: "shards".into(),
             shard_dir: None,
             mem_ceiling_mb: None,
@@ -1609,8 +1660,8 @@ mod tests {
             parts: 4,
             scheme: "bpart-p1".into(),
             out: None,
-            threads: 1,
-            buffer_size: bpart_core::DEFAULT_BUFFER_SIZE,
+            threads: None,
+            buffer_size: None,
             input_format: "shards".into(),
             shard_dir: Some(sd.clone()),
             mem_ceiling_mb: None,
@@ -1855,8 +1906,8 @@ mod tests {
             parts: 4,
             scheme: "bpart".into(),
             out: None,
-            threads: 1,
-            buffer_size: bpart_core::DEFAULT_BUFFER_SIZE,
+            threads: None,
+            buffer_size: None,
             input_format: "auto".into(),
             shard_dir: None,
             mem_ceiling_mb: None,

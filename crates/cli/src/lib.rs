@@ -107,7 +107,7 @@ OUT-OF-CORE (partition graphs bigger than RAM; see DESIGN.md §14):
   bpart shard GRAPH --out-dir DIR   split GRAPH into a self-describing
                      shard directory (.bpgr inputs convert zero-copy via
                      mmap); --shard-bytes caps each shard (default 64 MiB)
-                     and thereby the pipeline's largest resident buffer
+                     and thereby the one mapping the partition pass holds
   --input-format F   partition input kind: auto (default; detects shard
                      directories by their manifest), text, binary, shards
   --shard-dir DIR    stream from this shard directory (implies shards;
@@ -116,9 +116,12 @@ OUT-OF-CORE (partition graphs bigger than RAM; see DESIGN.md §14):
                      an out-of-core run that regresses to O(graph) memory
                      fails instead of quietly succeeding
   Out-of-core runs support the streaming schemes (fennel, bpart-p1) and
-  produce bit-identical assignments to their in-memory counterparts.
+  produce bit-identical assignments to their in-memory counterparts. The
+  pass is one sequential loop over the shards, one mapped at a time
+  (memory O(n + one shard)): --threads and --buffer-size do not apply to
+  shard input and are refused with it.
 
-PARALLEL STREAMING (partition/run, streaming schemes only):
+PARALLEL STREAMING (partition/run, resident input, streaming schemes only):
   --threads T      scoring worker threads (default 1 = exact sequential)
   --buffer-size B  vertices scored per weight-sync window (default 4096);
                    B=1 reproduces the sequential result for any T
@@ -142,8 +145,8 @@ OBSERVABILITY (partition/run; see DESIGN.md §10–11):
                       supersteps keep full detail in the span ring, fast
                       repetitive ones downsample (DESIGN.md §16)
   A --serve-addr server also exposes /profile (live folded stacks) and
-  /alerts (built-in metric rules: worker-death, straggler, pipeline-stall,
-  replay-storm, rpc-rtt-p99); firing alerts turn /healthz degraded and
+  /alerts (built-in metric rules: worker-death, straggler, replay-storm,
+  rpc-rtt-p99); firing alerts turn /healthz degraded and
   `bpart obs alerts ADDR` pretty-prints them.
 
 REPORT (post-mortem on --trace-out files; several TRACEs — the driver's

@@ -94,6 +94,11 @@ pub struct LayerTrace {
     pub pieces: usize,
     /// Number of combined subgraphs frozen at this layer.
     pub frozen: usize,
+    /// How many of those were frozen by the layer budget alone: groups of
+    /// the last layer that missed a balance threshold (or would have left a
+    /// remainder that cannot average out) and were frozen anyway. Zero
+    /// means the ε-balance of this layer's parts holds by threshold.
+    pub forced: usize,
     /// Vertices still unassigned after this layer.
     pub remaining_vertices: usize,
     /// Throughput telemetry of this layer's streaming pass: vertices/sec,
@@ -137,10 +142,13 @@ impl BPart {
         use std::sync::OnceLock;
         static ROUNDS: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
         static MISSES: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
+        static FORCED: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
         let rounds_counter =
             ROUNDS.get_or_init(|| bpart_obs::metrics::counter("combine.repartition_rounds"));
         let misses_counter =
             MISSES.get_or_init(|| bpart_obs::metrics::counter("combine.threshold_misses"));
+        let forced_counter =
+            FORCED.get_or_init(|| bpart_obs::metrics::counter("combine.forced_freezes"));
 
         for layer in 1..=cfg.max_layers {
             if parts_left == 0 {
@@ -148,13 +156,15 @@ impl BPart {
             }
             if parts_left == 1 {
                 // A single remaining part holds everything left by
-                // construction; no split can improve it.
+                // construction; no split can improve it. It is within both
+                // thresholds because the freeze before it passed `rest_ok`.
                 freeze(&mut assignment, &remaining, next_part);
                 remaining.clear();
                 trace.push(LayerTrace {
                     layer,
                     pieces: 1,
                     frozen: 1,
+                    forced: 0,
                     remaining_vertices: 0,
                     stream: StreamStats::default(),
                 });
@@ -187,6 +197,7 @@ impl BPart {
 
             let last = layer == cfg.max_layers;
             let mut frozen_here = 0usize;
+            let mut forced_here = 0usize;
             let mut new_remaining: Vec<VertexId> = Vec::new();
             for group in groups {
                 let within = |value: f64, target: f64, eps: f64| {
@@ -206,7 +217,9 @@ impl BPart {
                         cfg.epsilon_edge,
                     )
                 };
-                if last || (self_ok && rest_ok) {
+                let balanced = self_ok && rest_ok;
+                if last || balanced {
+                    forced_here += usize::from(!balanced);
                     rem_v -= group.vertex_count as f64;
                     rem_e -= group.edge_count as f64;
                     freeze(&mut assignment, &group.vertices, next_part);
@@ -219,6 +232,7 @@ impl BPart {
                 }
             }
             remaining = new_remaining;
+            forced_counter.add(forced_here as u64);
             layer_span.attr("layer", layer);
             layer_span.attr("pieces", pieces);
             layer_span.attr("frozen", frozen_here);
@@ -227,14 +241,15 @@ impl BPart {
                 layer,
                 pieces,
                 frozen: frozen_here,
+                forced: forced_here,
                 remaining_vertices: remaining.len(),
                 stream: stream_stats,
             });
         }
 
         debug_assert!(remaining.is_empty(), "final layer must freeze everything");
-        // Unused part ids (k > n corner) stay empty; map any sentinel to the
-        // last part defensively (cannot happen for non-empty layers).
+        // Unused part ids (k > n corner) stay empty; map any sentinel to
+        // part 0 defensively (cannot happen for non-empty layers).
         for a in &mut assignment {
             if *a == UNASSIGNED {
                 *a = 0;

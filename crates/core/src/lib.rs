@@ -67,7 +67,6 @@ pub use partitioner::Partitioner;
 pub use stream::StreamOrder;
 pub use streaming::pipeline::{
     ooc_cut_ratio, stream_assign_ooc, OocConfig, OocOutcome, OocScheme, PipelineStats, StageStats,
-    DEFAULT_BATCH_VERTICES, DEFAULT_CHANNEL_CAPACITY,
 };
 pub use streaming::{BufferRecord, ParallelConfig, StreamError, StreamStats, DEFAULT_BUFFER_SIZE};
 

@@ -37,10 +37,8 @@
 //! The vendored `rayon` stand-in executes sequentially, so the worker pool
 //! is built directly on [`std::thread::scope`].
 
-use super::{
-    seed_state, BufferRecord, FlatParts, FlatScorer, StreamConfig, StreamOutcome, StreamStats,
-    UNASSIGNED,
-};
+use super::kernel::{FlatParts, Pass};
+use super::{begin_pass, finish_pass, BufferRecord, StreamConfig, StreamOutcome, UNASSIGNED};
 use crate::partition::PartId;
 use bpart_graph::{CsrGraph, VertexId};
 use std::time::Instant;
@@ -53,106 +51,36 @@ const REFINE_PASSES: usize = 1;
 /// overlay stores for vertices a restream round has taken out of their part.
 const NOT_OVERLAID: PartId = PartId::MAX - 1;
 
-/// Mutable global state of a buffered pass, shared by the commit barriers.
-struct GlobalState {
-    assignment: Vec<PartId>,
-    vertex_counts: Vec<u64>,
-    edge_counts: Vec<u64>,
-    parts: FlatParts,
-    // Commit-phase scratch (same trash-slot trick as the sequential pass:
-    // `k` part slots plus one absorbing unassigned neighbors branchlessly).
-    nbr_counts: Vec<u32>,
-}
-
-impl GlobalState {
-    fn remove(&mut self, graph: &CsrGraph, v: VertexId, delta: f64, scorer: &FlatScorer) {
-        let old = self.assignment[v as usize];
-        debug_assert_ne!(old, UNASSIGNED);
-        self.assignment[v as usize] = UNASSIGNED;
-        self.vertex_counts[old as usize] -= 1;
-        self.edge_counts[old as usize] -= graph.out_degree(v) as u64;
-        self.parts.remove(old, delta, scorer);
-    }
-
-    fn apply(
-        &mut self,
-        graph: &CsrGraph,
-        v: VertexId,
-        part: PartId,
-        delta: f64,
-        scorer: &FlatScorer,
-    ) {
-        self.assignment[v as usize] = part;
-        self.vertex_counts[part as usize] += 1;
-        self.edge_counts[part as usize] += graph.out_degree(v) as u64;
-        self.parts.add(part, delta, scorer);
-    }
-
-    /// Commits one proposal, rescoring against the live weights when the
-    /// stale snapshot let the proposed part fill past its capacity.
-    fn commit(
-        &mut self,
-        graph: &CsrGraph,
-        scorer: &FlatScorer,
-        v: VertexId,
-        p: PartId,
-        delta: f64,
-    ) {
-        let min_part = self.parts.min_part();
-        let part = if self.parts.weight(p) >= scorer.capacity && p != min_part {
-            let trash = self.nbr_counts.len() - 1;
-            for &w in graph.out_neighbors(v).iter().chain(graph.in_neighbors(v)) {
-                let q = self.assignment[w as usize] as usize;
-                self.nbr_counts[q.min(trash)] += 1;
-            }
-            let repaired = scorer.choose(&self.nbr_counts[..trash], &self.parts, min_part);
-            self.nbr_counts.fill(0);
-            repaired
-        } else {
-            p
-        };
-        self.apply(graph, v, part, delta, scorer);
-    }
-}
-
 /// Runs one buffered-parallel streaming pass. See the module docs for the
-/// buffer/snapshot/commit/restream protocol.
+/// buffer/snapshot/commit/restream protocol. The committed state is one
+/// [`Pass`]; workers only read it and propose.
 pub(super) fn stream_assign_buffered(
     graph: &CsrGraph,
     config: &StreamConfig<'_>,
     weight_delta: &(impl Fn(VertexId) -> f64 + Sync),
 ) -> StreamOutcome {
     let k = config.num_parts;
-    assert!(k > 0, "need at least one part");
     let threads = config.parallel.threads.max(1);
     let buffer_size = config.parallel.buffer_size.max(1);
+    assert!(
+        (k as u64) < NOT_OVERLAID as u64,
+        "part count {k} overflows the PartId sentinel space"
+    );
 
-    let (assignment, vertex_counts, edge_counts, weights) = seed_state(graph, config, weight_delta);
-    let scorer = FlatScorer::new(config);
-    let mut state = GlobalState {
-        assignment,
-        vertex_counts,
-        edge_counts,
-        parts: FlatParts::new(weights, &scorer),
-        nbr_counts: vec![0u32; k + 1],
-    };
+    let mut pass = begin_pass(graph, config, weight_delta);
+    let shape = |v: VertexId| (graph.out_degree(v) as u64, weight_delta(v));
     // One reusable scratch per worker slot, shared across all buffers and
     // restream rounds of the pass — snapshot scoring allocates nothing per
     // chunk beyond its proposal vector.
     let mut scratches: Vec<ChunkScratch> = (0..threads)
-        .map(|_| ChunkScratch::new(graph.num_vertices(), k, &scorer))
+        .map(|_| ChunkScratch::new(graph.num_vertices(), &pass))
         .collect();
     let mut records = Vec::with_capacity(config.order.len() / buffer_size + 1);
 
-    use std::sync::OnceLock;
-    static SCORE_NS: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
-    static COMMIT_NS: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
-    static PROGRESS: OnceLock<&'static bpart_obs::metrics::Gauge> = OnceLock::new();
-    let score_ns = SCORE_NS.get_or_init(|| bpart_obs::metrics::counter("stream.score_ns"));
-    let commit_ns = COMMIT_NS.get_or_init(|| bpart_obs::metrics::counter("stream.commit_ns"));
+    let score_ns = bpart_obs::metrics::counter("stream.score_ns");
+    let commit_ns = bpart_obs::metrics::counter("stream.commit_ns");
     // Live buffer progress for the `/progress` monitoring endpoint.
-    let progress_gauge =
-        PROGRESS.get_or_init(|| bpart_obs::metrics::gauge("stream.progress_buffers"));
+    let progress_gauge = bpart_obs::metrics::gauge("stream.progress_buffers");
 
     for (buffer_idx, buffer) in config.order.chunks(buffer_size).enumerate() {
         progress_gauge.set((buffer_idx + 1) as f64);
@@ -163,9 +91,10 @@ pub(super) fn stream_assign_buffered(
         // Restreaming: take the whole buffer out of its old parts before the
         // snapshot, so workers never count a buffer vertex's stale placement.
         for &v in buffer {
-            if state.assignment[v as usize] != UNASSIGNED {
+            if pass.assignment[v as usize] != UNASSIGNED {
                 debug_assert!(config.previous.is_some(), "vertex {v} streamed twice");
-                state.remove(graph, v, weight_delta(v), &scorer);
+                let (out_deg, delta) = shape(v);
+                pass.unplace(v, out_deg, delta);
             }
         }
 
@@ -181,18 +110,9 @@ pub(super) fn stream_assign_buffered(
                     .iter()
                     .zip(scratches.iter_mut())
                     .map(|(&chunk, scratch)| {
-                        let state = &state;
-                        let scorer = &scorer;
+                        let pass = &pass;
                         s.spawn(move || {
-                            score_chunk(
-                                graph,
-                                chunk,
-                                state,
-                                scorer,
-                                weight_delta,
-                                restream,
-                                scratch,
-                            )
+                            score_chunk(graph, chunk, pass, weight_delta, restream, scratch)
                         })
                     })
                     .collect();
@@ -202,16 +122,22 @@ pub(super) fn stream_assign_buffered(
                     .collect()
             });
 
-            // Commit barrier: reconcile the workers' weight deltas in buffer
-            // order, repairing capacity overshoot against the live weights.
+            // Commit barrier: apply the proposals in buffer order. A
+            // proposal whose part filled past its capacity behind the stale
+            // snapshot is rescored against the live weights by the kernel.
             let sync_start = Instant::now();
             for (chunk, proposal) in chunks.iter().zip(&proposals) {
                 for (&v, &p) in chunk.iter().zip(proposal) {
-                    let delta = weight_delta(v);
+                    let (out_deg, delta) = shape(v);
                     if restream {
-                        state.remove(graph, v, delta, &scorer);
+                        pass.unplace(v, out_deg, delta);
                     }
-                    state.commit(graph, &scorer, v, p, delta);
+                    if pass.accepts(p) {
+                        pass.commit(v, p, out_deg, delta);
+                    } else {
+                        let neighbours = graph.out_neighbors(v).iter().chain(graph.in_neighbors(v));
+                        pass.place(v, out_deg, delta, neighbours.copied());
+                    }
                 }
             }
             sync_secs += sync_start.elapsed().as_secs_f64();
@@ -231,20 +157,14 @@ pub(super) fn stream_assign_buffered(
         });
     }
 
-    StreamOutcome {
-        assignment: state.assignment,
-        vertex_counts: state.vertex_counts,
-        edge_counts: state.edge_counts,
-        buffers: records,
-        stats: StreamStats::default(),
-    }
+    finish_pass(pass, records)
 }
 
 /// Reusable per-worker scratch for [`score_chunk`]: the private weight
-/// snapshot, a dense proposal overlay, and the neighbor-tally arrays. One
+/// snapshot, a dense proposal overlay, and the neighbor-tally slots. One
 /// scratch is allocated per worker slot per pass and reused across every
 /// buffer and restream round, so snapshot scoring does no per-call
-/// allocation (the satellite fix for the old per-chunk `clone`/`HashMap`).
+/// allocation.
 struct ChunkScratch {
     /// Private copy of the frozen part weights and penalties.
     parts: FlatParts,
@@ -253,18 +173,15 @@ struct ChunkScratch {
     /// O(chunk), not O(n).
     overlay: Vec<PartId>,
     /// `k` part slots plus a trailing trash slot absorbing unassigned
-    /// neighbors (branchless tally, as in the sequential pass).
+    /// neighbors (branchless tally, as in the kernel).
     nbr_counts: Vec<u32>,
 }
 
 impl ChunkScratch {
-    fn new(n: usize, k: usize, scorer: &FlatScorer) -> Self {
-        assert!(
-            (k as u64) < NOT_OVERLAID as u64,
-            "part count {k} overflows the PartId sentinel space"
-        );
+    fn new(n: usize, pass: &Pass) -> Self {
+        let k = pass.vertex_counts.len();
         ChunkScratch {
-            parts: FlatParts::new(vec![0.0; k], scorer),
+            parts: FlatParts::new(vec![0.0; k], &pass.scorer),
             overlay: vec![NOT_OVERLAID; n],
             nbr_counts: vec![0u32; k + 1],
         }
@@ -275,18 +192,19 @@ impl ChunkScratch {
 /// overlay of the chunk's own proposals. In restream mode each vertex is
 /// first taken out of its committed part (locally) so it re-scores itself
 /// with the rest of the buffer visible. Pure w.r.t. shared state: the only
-/// output is the proposal vector, applied later at the commit barrier.
+/// output is the proposal vector, applied later at the commit barrier — so
+/// this keeps its own two-level tally and never touches [`Pass::place`].
 fn score_chunk(
     graph: &CsrGraph,
     chunk: &[VertexId],
-    state: &GlobalState,
-    scorer: &FlatScorer,
+    pass: &Pass,
     weight_delta: &(impl Fn(VertexId) -> f64 + Sync),
     restream: bool,
     scratch: &mut ChunkScratch,
 ) -> Vec<PartId> {
-    let base_assignment = &state.assignment;
-    scratch.parts.copy_from(&state.parts);
+    let base_assignment = &pass.assignment;
+    let scorer = &pass.scorer;
+    scratch.parts.copy_from(&pass.parts);
     let ChunkScratch {
         parts,
         overlay,
@@ -298,14 +216,11 @@ fn score_chunk(
     for &v in chunk {
         if restream {
             // Take the vertex out of its committed part before re-scoring,
-            // mirroring the sequential restream rule chunk-locally.
-            let local = overlay[v as usize];
-            let old = if local == NOT_OVERLAID {
-                base_assignment[v as usize]
-            } else {
-                local
-            };
+            // mirroring the sequential restream rule chunk-locally. Each
+            // vertex is visited once per call, so it is not overlaid yet.
+            let old = base_assignment[v as usize];
             debug_assert_ne!(old, UNASSIGNED, "restream round on unplaced vertex");
+            debug_assert_eq!(overlay[v as usize], NOT_OVERLAID);
             overlay[v as usize] = UNASSIGNED;
             parts.remove(old, weight_delta(v), scorer);
         }
@@ -318,12 +233,11 @@ fn score_chunk(
             let p = if local == NOT_OVERLAID { base } else { local } as usize;
             nbr_counts[p.min(trash)] += 1;
         }
-        let part = scorer.choose(&nbr_counts[..trash], parts, parts.min_part());
+        let part = scorer.choose(&nbr_counts[..trash], parts);
+        nbr_counts.fill(0);
         proposals.push(part);
         overlay[v as usize] = part;
         parts.add(part, weight_delta(v), scorer);
-
-        nbr_counts.fill(0);
     }
 
     // Restore the overlay sentinel so the next chunk borrowing this
@@ -380,36 +294,6 @@ mod tests {
             for &c in &out.vertex_counts {
                 assert!(c <= cap, "threads={threads}: part size {c} > {cap}");
             }
-        }
-    }
-
-    #[test]
-    fn buffer_size_one_matches_sequential_exactly() {
-        let g = generate::twitter_like().generate_scaled(0.005);
-        let order: Vec<VertexId> = g.vertices().collect();
-        let seq = stream_assign(
-            &g,
-            &config(&g, 8, &order, ParallelConfig::default()),
-            |_| 1.0,
-        );
-        for threads in [2, 4] {
-            let par = stream_assign(
-                &g,
-                &config(
-                    &g,
-                    8,
-                    &order,
-                    ParallelConfig {
-                        threads,
-                        buffer_size: 1,
-                    },
-                ),
-                |_| 1.0,
-            );
-            assert_eq!(
-                par.assignment, seq.assignment,
-                "threads={threads} diverged from sequential at buffer_size=1"
-            );
         }
     }
 

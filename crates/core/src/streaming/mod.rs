@@ -15,15 +15,25 @@
 //! Exactness note: for parts with no neighbors of `v` the score reduces to
 //! the pure penalty, which (for `γ ≥ 1`, `α ≥ 0`) is maximized by the
 //! minimum-weight part. The scorer exploits this with flat per-partition
-//! state ([`FlatParts`]): weights, cached penalties, and neighbor counts
-//! live in contiguous arrays sized to `k`, and each vertex is placed by two
-//! branch-predictable linear reductions — an argmin over the weights for
-//! the lightest part and an argmax over `count − penalty` for the winner —
-//! instead of per-partition branches and a lazy min-heap. Because the
-//! penalty is cached per part and refreshed only when a weight changes,
-//! the scoring loop itself contains no `powf`. The pre-flat scalar
-//! implementation is retained in [`oracle`] and differential proptests
-//! hold the two bit-identical.
+//! state ([`kernel::FlatParts`]): weights, cached penalties, and neighbor
+//! counts live in contiguous arrays sized to `k`, and each vertex is placed
+//! by one branch-predictable argmax over `count − penalty` in which the
+//! lightest part stays a legal target even at capacity. Because the penalty
+//! is cached per part and refreshed only when a weight changes, the scoring
+//! loop contains no `powf`; because at most one weight changes per placed
+//! vertex, the lightest part is tracked across updates and rescanned only
+//! when it was the part that grew. The pre-flat scalar implementation — a
+//! lazy min-heap nominating the lightest part, `powf` per candidate — is
+//! retained in [`oracle`] and differential proptests hold the two
+//! bit-identical.
+//!
+//! ## One kernel, thin drivers
+//!
+//! [`kernel::Pass`] holds the state of a pass and its `place(v, out_deg,
+//! delta, neighbours)` is the only tally → choose → commit → reset in the
+//! crate. The resident pass below walks a [`CsrGraph`] in stream order,
+//! [`pipeline::stream_assign_ooc`] walks mapped shards, and [`buffered`]
+//! commits its workers' proposals through the same `Pass`.
 //!
 //! ## Execution modes
 //!
@@ -37,10 +47,12 @@
 //! capacity overshoot the stale snapshots allowed).
 
 mod buffered;
+mod kernel;
 pub mod pipeline;
 
 use crate::partition::PartId;
 use bpart_graph::{CsrGraph, VertexId};
+use kernel::{FlatScorer, Pass};
 use std::fmt;
 use std::time::Instant;
 
@@ -147,17 +159,6 @@ pub struct BufferRecord {
     pub sync_secs: f64,
 }
 
-impl BufferRecord {
-    /// Scoring throughput of this buffer.
-    pub fn vertices_per_sec(&self) -> f64 {
-        if self.secs > 0.0 {
-            self.vertices as f64 / self.secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Aggregate throughput telemetry of one or more streaming passes.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StreamStats {
@@ -248,182 +249,39 @@ pub(crate) fn fennel_alpha(n: usize, m: u64, k: usize, gamma: f64) -> Result<f64
     Ok(m as f64 * (k as f64).powf(gamma - 1.0) / (n as f64).powf(gamma))
 }
 
-/// Flat per-partition balance state: the weights `W_i` and their cached
-/// penalties `α·γ·W_i^(γ−1)` laid out in two contiguous `f64` arrays sized
-/// to `k`. The penalty is a pure function of the weight, so it is refreshed
-/// once per weight *update* (one or two per streamed vertex) rather than
-/// recomputed per candidate per vertex — the scoring loop itself never
-/// calls `powf`. Both arrays are scanned whole by linear reductions
-/// ([`min_part`](FlatParts::min_part), [`FlatScorer::choose`]) that the
-/// compiler can unroll and vectorize.
-pub(crate) struct FlatParts {
-    weights: Vec<f64>,
-    penalties: Vec<f64>,
-}
-
-impl FlatParts {
-    fn new(weights: Vec<f64>, scorer: &FlatScorer) -> Self {
-        let penalties = weights.iter().map(|&w| scorer.penalty(w)).collect();
-        FlatParts { weights, penalties }
-    }
-
-    fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    #[inline]
-    fn weight(&self, p: PartId) -> f64 {
-        self.weights[p as usize]
-    }
-
-    /// Sets one part's weight and refreshes its cached penalty.
-    #[inline]
-    fn set(&mut self, p: PartId, w: f64, scorer: &FlatScorer) {
-        self.weights[p as usize] = w;
-        self.penalties[p as usize] = scorer.penalty(w);
-    }
-
-    /// Adds an assignment's `delta` to one part.
-    #[inline]
-    fn add(&mut self, p: PartId, delta: f64, scorer: &FlatScorer) {
-        self.set(p, self.weights[p as usize] + delta, scorer);
-    }
-
-    /// Removes a restreamed vertex's `delta`, clamped at zero: accumulated
-    /// rounding error must not leave a drained part slightly negative — a
-    /// negative weight would NaN-poison the balance penalty via `powf`.
-    #[inline]
-    fn remove(&mut self, p: PartId, delta: f64, scorer: &FlatScorer) {
-        self.set(p, (self.weights[p as usize] - delta).max(0.0), scorer);
-    }
-
-    /// Overwrites this state with a snapshot of another of the same `k`
-    /// (reusable-scratch copy — no allocation).
-    fn copy_from(&mut self, other: &FlatParts) {
-        self.weights.copy_from_slice(&other.weights);
-        self.penalties.copy_from_slice(&other.penalties);
-    }
-
-    /// Argmin over the flat weight array: the globally lightest part, with
-    /// the smallest id winning ties (the order the lazy min-heap this
-    /// replaces used to produce).
-    #[inline]
-    fn min_part(&self) -> PartId {
-        let mut best = 0usize;
-        let mut best_w = self.weights[0];
-        for (p, &w) in self.weights.iter().enumerate().skip(1) {
-            if w < best_w {
-                best = p;
-                best_w = w;
-            }
-        }
-        best as PartId
-    }
-}
-
-/// The Fennel objective evaluated as one flat pass over all `k` parts.
-/// Shared by the sequential pass, the buffered workers, and the
-/// commit-barrier repair so every mode applies identical scoring and
-/// tie-breaking (higher score, then lighter part, then smaller part id).
-///
-/// Exactness: scoring every part is equivalent to the scalar scorer's
-/// "neighbor parts + lightest part" candidate set. A part with no
-/// neighbors of `v` scores the pure penalty `−α·γ·W^(γ−1)`; for `γ ≥ 1`
-/// and `α ≥ 0` that is maximized at the minimum weight, and the
-/// (weight, id) tie-break then selects exactly the part the lazy heap
-/// would have nominated. Score arithmetic is kept bit-for-bit identical
-/// to the scalar form (`(α·γ)·W^(γ−1)` — `a*b*c` associates left), so the
-/// flat pass reproduces the [`oracle`] choice exactly; the differential
-/// proptests below hold the two to byte equality.
-pub(crate) struct FlatScorer {
-    /// Fused penalty coefficient `α·γ`.
-    coef: f64,
-    /// Penalty exponent `γ−1`.
-    exponent: f64,
-    capacity: f64,
-}
-
-impl FlatScorer {
-    fn new(config: &StreamConfig<'_>) -> Self {
-        FlatScorer {
-            coef: config.alpha * config.gamma,
-            exponent: config.gamma - 1.0,
-            capacity: config.capacity,
-        }
-    }
-
-    /// Balance penalty of one part at weight `w`.
-    #[inline]
-    fn penalty(&self, w: f64) -> f64 {
-        self.coef * w.powf(self.exponent)
-    }
-
-    /// Picks the winning part: one branch-predictable pass over the flat
-    /// neighbor counts and cached penalties. Parts at capacity are masked
-    /// to `−∞` unless they are the lightest part, which always remains a
-    /// legal target — the same rule the scalar scorer applied per branch.
-    fn choose(&self, nbr_counts: &[u32], parts: &FlatParts, min_part: PartId) -> PartId {
-        debug_assert_eq!(nbr_counts.len(), parts.len());
-        let mut best_p: PartId = 0;
-        let mut best_s = f64::NEG_INFINITY;
-        let mut best_w = f64::INFINITY;
-        for (p, ((&nbr, &w), &pen)) in nbr_counts
-            .iter()
-            .zip(&parts.weights)
-            .zip(&parts.penalties)
-            .enumerate()
-        {
-            let p = p as PartId;
-            let open = w < self.capacity || p == min_part;
-            let score = if open {
-                nbr as f64 - pen
-            } else {
-                f64::NEG_INFINITY
-            };
-            // Ids ascend with the loop, so on a full (score, weight) tie
-            // the earlier — smaller — id is kept, completing the scalar
-            // scorer's three-level tie-break.
-            if score > best_s || (score == best_s && w < best_w) {
-                best_s = score;
-                best_w = w;
-                best_p = p;
-            }
-        }
-        best_p
-    }
-}
-
-/// Seeds assignment/count/weight state from `config.previous` (restreaming)
-/// or all-[`UNASSIGNED`]. Shared by the sequential and buffered paths.
-fn seed_state(
+/// The [`Pass`] a streaming pass starts from: empty, or — restreaming —
+/// tallied from `config.previous`. Shared by the sequential and buffered
+/// paths.
+fn begin_pass(
     graph: &CsrGraph,
     config: &StreamConfig<'_>,
     weight_delta: &(impl Fn(VertexId) -> f64 + Sync),
-) -> (Vec<PartId>, Vec<u64>, Vec<u64>, Vec<f64>) {
-    let k = config.num_parts;
-    let n = graph.num_vertices();
-    let assignment = match config.previous {
-        Some(prev) => {
-            assert_eq!(prev.len(), n, "previous assignment must cover the graph");
-            prev.to_vec()
+) -> Pass {
+    let scorer = FlatScorer::new(config.gamma, config.alpha, config.capacity);
+    match config.previous {
+        Some(previous) => {
+            assert_eq!(
+                previous.len(),
+                graph.num_vertices(),
+                "previous assignment must cover the graph"
+            );
+            Pass::resume(config.num_parts, scorer, previous, |v| {
+                (graph.out_degree(v) as u64, weight_delta(v))
+            })
         }
-        None => vec![UNASSIGNED; n],
-    };
-    let mut vertex_counts = vec![0u64; k];
-    let mut edge_counts = vec![0u64; k];
-    let mut weights = vec![0f64; k];
-    if config.previous.is_some() {
-        for v in 0..n as u32 {
-            let p = assignment[v as usize];
-            if p != UNASSIGNED {
-                assert!((p as usize) < k, "previous part id {p} out of range");
-                vertex_counts[p as usize] += 1;
-                edge_counts[p as usize] += graph.out_degree(v) as u64;
-                weights[p as usize] += weight_delta(v);
-            }
-        }
+        None => Pass::new(graph.num_vertices(), config.num_parts, scorer),
     }
-    (assignment, vertex_counts, edge_counts, weights)
+}
+
+/// Finishes a pass into its outcome; [`stream_assign`] fills in the stats.
+fn finish_pass(pass: Pass, buffers: Vec<BufferRecord>) -> StreamOutcome {
+    StreamOutcome {
+        assignment: pass.assignment,
+        vertex_counts: pass.vertex_counts,
+        edge_counts: pass.edge_counts,
+        buffers,
+        stats: StreamStats::default(),
+    }
 }
 
 /// Runs one streaming pass. `weight_delta(v)` is how much assigning `v`
@@ -435,17 +293,11 @@ pub(crate) fn stream_assign(
     config: &StreamConfig<'_>,
     weight_delta: impl Fn(VertexId) -> f64 + Sync,
 ) -> StreamOutcome {
-    use std::sync::OnceLock;
-    static VERTICES: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
-    static EDGES: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
-    static PASS_NS: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
-    static SYNC_NS: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
-    static PASSES: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
+    use bpart_obs::metrics::counter;
     // Pass count for the `/progress` view (restreaming schemes run
     // several passes; this is the coarse partition-stage progress signal).
-    PASSES
-        .get_or_init(|| bpart_obs::metrics::counter("stream.passes"))
-        .inc();
+    // Counters are looked up by name: five lookups per pass are noise.
+    counter("stream.passes").inc();
 
     let mut span = bpart_obs::span("stream.pass");
     let start = Instant::now();
@@ -467,86 +319,38 @@ pub(crate) fn stream_assign(
     span.attr("vertices", outcome.stats.vertices);
     span.attr("threads", outcome.stats.threads);
     span.attr("buffers", outcome.stats.buffers);
-    VERTICES
-        .get_or_init(|| bpart_obs::metrics::counter("stream.vertices"))
-        .add(outcome.stats.vertices as u64);
-    EDGES
-        .get_or_init(|| bpart_obs::metrics::counter("stream.edges"))
-        .add(outcome.stats.edges);
-    PASS_NS
-        .get_or_init(|| bpart_obs::metrics::counter("stream.pass_ns"))
-        .add((outcome.stats.secs * 1e9) as u64);
-    SYNC_NS
-        .get_or_init(|| bpart_obs::metrics::counter("stream.sync_ns"))
-        .add((outcome.stats.sync_secs * 1e9) as u64);
+    counter("stream.vertices").add(outcome.stats.vertices as u64);
+    counter("stream.edges").add(outcome.stats.edges);
+    counter("stream.pass_ns").add((outcome.stats.secs * 1e9) as u64);
+    counter("stream.sync_ns").add((outcome.stats.sync_secs * 1e9) as u64);
     outcome
 }
 
-/// The exact sequential pass (historical behaviour, golden-test stable),
-/// placing each vertex with the flat-array reductions of [`FlatScorer`].
+/// The exact sequential pass (historical behaviour, golden-test stable):
+/// the kernel driven over the resident graph in stream order.
 fn stream_assign_sequential(
     graph: &CsrGraph,
     config: &StreamConfig<'_>,
     weight_delta: &(impl Fn(VertexId) -> f64 + Sync),
 ) -> StreamOutcome {
-    let k = config.num_parts;
-    assert!(k > 0, "need at least one part");
-
-    let (mut assignment, mut vertex_counts, mut edge_counts, weights) =
-        seed_state(graph, config, weight_delta);
-    let scorer = FlatScorer::new(config);
-    let mut parts = FlatParts::new(weights, &scorer);
-
-    // Scratch neighbor tallies: one slot per part plus a trailing trash
-    // slot that absorbs unassigned neighbors ([`UNASSIGNED`] ≥ `k`, so
-    // `min(k)` routes it there). The per-neighbor tally is branchless —
-    // mid-stream the assigned/unassigned branch is a coin flip the
-    // predictor loses constantly — and the per-vertex reset is a `k+1`-word
-    // memset instead of touched-list bookkeeping.
-    let mut nbr_counts = vec![0u32; k + 1];
-    let trash = k;
-
+    let mut pass = begin_pass(graph, config, weight_delta);
     for &v in config.order {
+        let out_deg = graph.out_degree(v) as u64;
+        let delta = weight_delta(v);
         // Restreaming: take the vertex out of its old part before scoring.
-        let old = assignment[v as usize];
-        if old != UNASSIGNED {
+        if pass.assignment[v as usize] != UNASSIGNED {
             debug_assert!(config.previous.is_some(), "vertex {v} streamed twice");
-            assignment[v as usize] = UNASSIGNED;
-            vertex_counts[old as usize] -= 1;
-            edge_counts[old as usize] -= graph.out_degree(v) as u64;
-            parts.remove(old, weight_delta(v), &scorer);
+            pass.unplace(v, out_deg, delta);
         }
-
-        // Tally already-placed neighbors per part (undirected neighborhood;
-        // the two directions as separate slice loops so each vectorizes).
-        for &w in graph.out_neighbors(v) {
-            let p = assignment[w as usize] as usize;
-            nbr_counts[p.min(trash)] += 1;
-        }
-        for &w in graph.in_neighbors(v) {
-            let p = assignment[w as usize] as usize;
-            nbr_counts[p.min(trash)] += 1;
-        }
-
-        let part = scorer.choose(&nbr_counts[..k], &parts, parts.min_part());
-        assignment[v as usize] = part;
-        vertex_counts[part as usize] += 1;
-        edge_counts[part as usize] += graph.out_degree(v) as u64;
-        parts.add(part, weight_delta(v), &scorer);
-
-        nbr_counts.fill(0);
+        // Undirected neighborhood, out- then in-neighbors; `place` folds
+        // the chain, so each direction is its own plain slice loop.
+        let neighbours = graph.out_neighbors(v).iter().chain(graph.in_neighbors(v));
+        pass.place(v, out_deg, delta, neighbours.copied());
     }
-
-    StreamOutcome {
-        assignment,
-        vertex_counts,
-        edge_counts,
-        buffers: Vec::new(),
-        stats: StreamStats::default(),
-    }
+    finish_pass(pass, Vec::new())
 }
 
-/// The pre-flat scalar implementation, retained verbatim as the
+/// The pre-flat scalar implementation, retained as the
 /// differential-test oracle: a lazy min-heap nominates the lightest part
 /// and only "neighbor parts + min part" are scored, with `powf` evaluated
 /// per candidate. The flat path must reproduce its choices bit for bit.
@@ -622,17 +426,17 @@ pub(crate) mod oracle {
         fn choose(
             &self,
             touched: &[PartId],
-            nbr_counts: &[u32],
+            seen: &[u32],
             weights: &[f64],
             min_part: PartId,
         ) -> PartId {
             let mut best: Option<(f64, f64, PartId)> = None; // (score, weight, part)
             for &p in touched {
-                self.consider(p, nbr_counts[p as usize], weights, min_part, &mut best);
+                self.consider(p, seen[p as usize], weights, min_part, &mut best);
             }
             self.consider(
                 min_part,
-                nbr_counts[min_part as usize],
+                seen[min_part as usize],
                 weights,
                 min_part,
                 &mut best,
@@ -651,8 +455,22 @@ pub(crate) mod oracle {
         let k = config.num_parts;
         assert!(k > 0, "need at least one part");
 
-        let (mut assignment, mut vertex_counts, mut edge_counts, mut weights) =
-            seed_state(graph, config, weight_delta);
+        // Its own seeding, so the oracle shares nothing with the kernel.
+        let mut assignment = match config.previous {
+            Some(previous) => previous.to_vec(),
+            None => vec![UNASSIGNED; graph.num_vertices()],
+        };
+        let mut vertex_counts = vec![0u64; k];
+        let mut edge_counts = vec![0u64; k];
+        let mut weights = vec![0f64; k];
+        for v in graph.vertices() {
+            let p = assignment[v as usize];
+            if p != UNASSIGNED {
+                vertex_counts[p as usize] += 1;
+                edge_counts[p as usize] += graph.out_degree(v) as u64;
+                weights[p as usize] += weight_delta(v);
+            }
+        }
         let mut min_tracker = MinWeight::new(&weights);
         let scorer = Scorer {
             alpha: config.alpha,
@@ -660,7 +478,7 @@ pub(crate) mod oracle {
             capacity: config.capacity,
         };
 
-        let mut nbr_counts = vec![0u32; k];
+        let mut seen = vec![0u32; k];
         let mut touched: Vec<PartId> = Vec::new();
 
         for &v in config.order {
@@ -676,15 +494,15 @@ pub(crate) mod oracle {
             for &w in graph.out_neighbors(v).iter().chain(graph.in_neighbors(v)) {
                 let p = assignment[w as usize];
                 if p != UNASSIGNED {
-                    if nbr_counts[p as usize] == 0 {
+                    if seen[p as usize] == 0 {
                         touched.push(p);
                     }
-                    nbr_counts[p as usize] += 1;
+                    seen[p as usize] += 1;
                 }
             }
 
             let min_part = min_tracker.min_part(&weights);
-            let part = scorer.choose(&touched, &nbr_counts, &weights, min_part);
+            let part = scorer.choose(&touched, &seen, &weights, min_part);
             assignment[v as usize] = part;
             vertex_counts[part as usize] += 1;
             edge_counts[part as usize] += graph.out_degree(v) as u64;
@@ -692,7 +510,7 @@ pub(crate) mod oracle {
             min_tracker.push(part, weights[part as usize]);
 
             for &p in &touched {
-                nbr_counts[p as usize] = 0;
+                seen[p as usize] = 0;
             }
             touched.clear();
         }
@@ -888,18 +706,41 @@ mod tests {
         use bpart_graph::generate;
         use proptest::prelude::*;
 
-        fn assert_outcomes_match(flat: &StreamOutcome, scalar: &StreamOutcome) {
-            assert_eq!(flat.assignment, scalar.assignment);
-            assert_eq!(flat.vertex_counts, scalar.vertex_counts);
-            assert_eq!(flat.edge_counts, scalar.edge_counts);
+        /// Holds the kernel to the scalar oracle on a first pass, on a full
+        /// restream over its result, and on a partial restream (odd
+        /// vertices, descending) — the last two exercise `unplace`.
+        fn assert_kernel_matches_oracle(
+            g: &CsrGraph,
+            config: StreamConfig<'_>,
+            delta: &(impl Fn(VertexId) -> f64 + Sync),
+        ) {
+            let same = |config: &StreamConfig<'_>| {
+                let flat = stream_assign_sequential(g, config, delta);
+                let scalar = oracle::stream_sequential(g, config, delta);
+                assert_eq!(flat.assignment, scalar.assignment);
+                assert_eq!(flat.vertex_counts, scalar.vertex_counts);
+                assert_eq!(flat.edge_counts, scalar.edge_counts);
+                flat.assignment
+            };
+            let first = same(&config);
+            let second = same(&StreamConfig {
+                previous: Some(&first),
+                ..config
+            });
+            let n = g.num_vertices() as VertexId;
+            let odd_descending: Vec<VertexId> = (0..n).rev().filter(|v| v % 2 == 1).collect();
+            same(&StreamConfig {
+                previous: Some(&second),
+                order: &odd_descending,
+                ..config
+            });
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// The flat-array scorer is bit-identical to the scalar oracle
-            /// across random graphs, part counts, and α/γ settings —
-            /// including a restream round over the committed assignment.
+            /// The kernel is bit-identical to the scalar oracle across
+            /// random graphs, part counts, and α/γ settings.
             #[test]
             fn flat_scorer_matches_scalar_oracle(
                 seed in 0u64..10_000,
@@ -910,27 +751,16 @@ mod tests {
             ) {
                 let g = generate::erdos_renyi(120, 900, seed);
                 let order: Vec<VertexId> = g.vertices().collect();
-                let alpha = fennel_alpha(120, 900, k, gamma).unwrap() * alpha_scale;
                 let config = StreamConfig {
                     num_parts: k,
                     gamma,
-                    alpha,
+                    alpha: fennel_alpha(120, 900, k, gamma).unwrap() * alpha_scale,
                     capacity: load * 120.0 / k as f64,
                     order: &order,
                     previous: None,
                     parallel: ParallelConfig::default(),
                 };
-                let flat = stream_assign_sequential(&g, &config, &|_| 1.0);
-                let scalar = oracle::stream_sequential(&g, &config, &|_| 1.0);
-                assert_outcomes_match(&flat, &scalar);
-
-                let again = StreamConfig {
-                    previous: Some(&flat.assignment),
-                    ..config
-                };
-                let flat2 = stream_assign_sequential(&g, &again, &|_| 1.0);
-                let scalar2 = oracle::stream_sequential(&g, &again, &|_| 1.0);
-                assert_outcomes_match(&flat2, &scalar2);
+                assert_kernel_matches_oracle(&g, config, &|_| 1.0);
             }
 
             /// Same differential contract under BPart's two-dimensional
@@ -955,9 +785,7 @@ mod tests {
                     parallel: ParallelConfig::default(),
                 };
                 let delta = |v: VertexId| c + (1.0 - c) * g.out_degree(v) as f64 / d_bar;
-                let flat = stream_assign_sequential(&g, &config, &delta);
-                let scalar = oracle::stream_sequential(&g, &config, &delta);
-                assert_outcomes_match(&flat, &scalar);
+                assert_kernel_matches_oracle(&g, config, &delta);
             }
         }
     }

@@ -1,64 +1,46 @@
-//! Out-of-core staged streaming: fetcher → mapper → committer → tracker.
+//! Out-of-core streaming: the placement kernel driven over mapped shards.
 //!
-//! The in-memory engine alternates IO, scoring, and commit in one loop and
-//! requires the whole graph resident. This module replays the *same*
-//! sequential scoring pass from a shard directory
-//! ([`crate::pio::ShardSet`]) through an explicit pipeline of stages
-//! connected by bounded channels, so disk IO, record decoding, and
-//! flat-array scoring overlap instead of alternating:
+//! The resident pass needs the whole graph in memory. This module replays
+//! the *same* sequential pass from a shard directory
+//! ([`crate::pio::ShardSet`]) as one loop on one thread:
 //!
 //! ```text
-//! fetcher ──raw batches──▶ mapper ──decoded batches──▶ committer ──reports──▶ tracker
-//!   (mmap one shard at      (decode + validate,          (exact sequential      (obs gauges,
-//!    a time, copy record     precompute weight            scoring, owns the      aggregate
-//!    bytes into batches)     deltas)                      O(n) assignment)       telemetry)
+//! for each shard, in order:       open + map it            ("fetch")
+//!   for each record, in order:    validate neighbour ids,
+//!                                 Pass::place(v, out_deg, δ, neighbours)   ("commit")
+//!   unmap
 //! ```
+//!
+//! A record's little-endian neighbour ids are decoded straight out of the
+//! mapping into the kernel's tally — nothing is copied, batched or handed
+//! between threads. The mapping is read front to back, so the operating
+//! system's read-ahead is what overlaps disk with scoring; page-ins are
+//! therefore taken (and timed) inside the record loop, not in "fetch".
 //!
 //! ## Memory model
 //!
-//! Resident memory is `O(n + buffer)`, never `O(m)`: the committer owns the
-//! dense assignment (`4n` bytes) plus `O(k)` part state; each channel holds
-//! at most `channel_capacity` batches of `batch_vertices` records; and the
-//! fetcher maps exactly one shard at a time (the shard size chosen at
+//! Resident memory is `O(n + one shard)`, never `O(m)`: the [`Pass`] owns
+//! the dense assignment (`4n` bytes) plus `O(k)` part state, and exactly one
+//! shard is mapped at a time (the shard size chosen at
 //! [`write_shards`](crate::pio::write_shards) time bounds that mapping).
-//! Edge data streams through and is dropped batch by batch.
-//!
-//! ## Backpressure
-//!
-//! Channels are `std::sync::mpsc::sync_channel`s wrapped with occupancy
-//! and stall accounting: a producer that finds its channel full counts a
-//! *send stall* and blocks; a consumer that finds it empty counts a *recv
-//! stall* and blocks. Both feed `pipeline.*` obs counters/gauges (visible
-//! live on `/progress`) and the per-stage [`StageStats`] the `stream_oom`
-//! bench renders as stage-occupancy columns.
 //!
 //! ## Oracle contract
 //!
-//! The committer reproduces [`stream_assign_sequential`]'s pass bit for
-//! bit: shard records store each vertex's full undirected neighborhood in
-//! tally order (out-neighbors then in-neighbors), the committer applies
-//! the identical [`FlatScorer`] arithmetic in natural vertex order, and α,
-//! capacity, and weight deltas are derived with the same expressions the
-//! in-memory partitioners use. On a fixed seed, the out-of-core assignment
-//! equals the in-memory one exactly — the in-memory path *is* the test
-//! oracle, not an approximation target.
+//! The loop reproduces the resident sequential pass bit for bit: shard
+//! records store each vertex's full undirected neighborhood in tally order
+//! (out-neighbors then in-neighbors), both passes place through the one
+//! [`Pass::place`] in natural vertex order, and α, capacity, and weight
+//! deltas are derived with the same expressions the in-memory partitioners
+//! use. On a fixed seed, the out-of-core assignment equals the in-memory
+//! one exactly — the in-memory path *is* the test oracle, not an
+//! approximation target.
 
-use super::{
-    fennel_alpha, FlatParts, FlatScorer, ParallelConfig, StreamConfig, StreamStats, UNASSIGNED,
-};
+use super::kernel::{FlatScorer, Pass};
+use super::{fennel_alpha, StreamStats};
 use crate::partition::PartId;
-use crate::pio::{PioError, ShardSet};
+use crate::pio::{PioError, ShardReader, ShardSet};
 use bpart_graph::VertexId;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Default records per pipeline batch.
-pub const DEFAULT_BATCH_VERTICES: usize = 256;
-
-/// Default batches in flight per channel.
-pub const DEFAULT_CHANNEL_CAPACITY: usize = 4;
+use std::time::Instant;
 
 /// Which scoring scheme the out-of-core pass runs. Both reuse the exact
 /// in-memory arithmetic; they differ only in balance weight and default
@@ -90,14 +72,6 @@ pub struct OocConfig {
     /// Override for the per-part capacity multiple; `None` uses the
     /// scheme's default (1.1 for Fennel, 1.15 for BPart-P1).
     pub load_factor: Option<f64>,
-    /// Records per batch flowing through the channels.
-    pub batch_vertices: usize,
-    /// Batches in flight per channel.
-    pub channel_capacity: usize,
-    /// Diagnostic throttle: sleep this long per committed batch. Used by
-    /// the backpressure tests (and demos) to force the upstream stages to
-    /// run ahead and stall against the channel bounds.
-    pub commit_throttle: Option<Duration>,
 }
 
 impl OocConfig {
@@ -109,40 +83,34 @@ impl OocConfig {
             gamma: 1.5,
             alpha: None,
             load_factor: None,
-            batch_vertices: DEFAULT_BATCH_VERTICES,
-            channel_capacity: DEFAULT_CHANNEL_CAPACITY,
-            commit_throttle: None,
         }
     }
 }
 
-/// Telemetry of one pipeline stage.
+/// Where one side of the shard loop spent its time.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageStats {
-    /// Stage name ("fetch", "map", "commit", "track").
+    /// "fetch" (open, map and unmap each shard) or "commit" (the record
+    /// loop: validation, placement, and the page-ins it triggers).
     pub name: &'static str,
-    /// Batches processed.
-    pub batches: u64,
+    /// Shards processed.
+    pub shards: u64,
     /// Vertex records processed.
     pub vertices: u64,
-    /// Time spent doing work (excludes channel waits).
+    /// Time spent in this side of the loop.
     pub busy_secs: f64,
-    /// Times this stage blocked pushing downstream (its output channel was
-    /// full — downstream is the bottleneck).
+    /// Always 0: one thread walks the shards, so nothing waits on a
+    /// neighbour stage. Kept (with `recv_stalls`) for readers of the
+    /// earlier threaded pipeline's telemetry.
     pub send_stalls: u64,
-    /// Times this stage blocked waiting upstream (its input channel was
-    /// empty — upstream is the bottleneck).
+    /// Always 0, see `send_stalls`.
     pub recv_stalls: u64,
-    /// Peak batches observed in this stage's output channel.
-    pub max_occupancy: usize,
-    /// Bound of this stage's output channel (0 = no output channel).
-    pub channel_capacity: usize,
 }
 
-/// Per-stage telemetry of a whole pipeline run.
+/// Telemetry of a whole out-of-core pass.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineStats {
-    /// fetch, map, commit, track — in flow order.
+    /// fetch, commit — in loop order.
     pub stages: Vec<StageStats>,
 }
 
@@ -154,8 +122,7 @@ impl PipelineStats {
 }
 
 /// Result of an out-of-core pass: the dense assignment plus the same
-/// aggregates the in-memory engine reports, and the per-stage pipeline
-/// telemetry.
+/// aggregates the in-memory engine reports, and the loop's telemetry.
 #[derive(Debug)]
 pub struct OocOutcome {
     /// Part per vertex, natural order.
@@ -166,171 +133,18 @@ pub struct OocOutcome {
     pub vertex_counts: Vec<u64>,
     /// Per-part out-degree sums.
     pub edge_counts: Vec<u64>,
-    /// Aggregate throughput (sync_secs = committer idle time).
+    /// Aggregate throughput (`buffers` = shards read, `sync_secs` = time
+    /// outside the record loop).
     pub stats: StreamStats,
-    /// Per-stage pipeline telemetry.
+    /// fetch/commit split of the loop.
     pub pipeline: PipelineStats,
 }
 
-// ---------------------------------------------------------------------------
-// Bounded channels with occupancy + stall accounting
-// ---------------------------------------------------------------------------
-
-/// Shared accounting of one bounded channel. Occupancy is computed as
-/// `sent − received`, clamped to the channel bound: the two counters are
-/// updated after the underlying send/recv, so the difference can lag by
-/// one on each side, but a `sync_channel` physically cannot hold more than
-/// its bound — the clamp masks exactly that counter lag and nothing else.
-struct ChannelAccounting {
-    capacity: usize,
-    sent: AtomicU64,
-    received: AtomicU64,
-    max_occupancy: AtomicUsize,
-    send_stalls: AtomicU64,
-    recv_stalls: AtomicU64,
-    occupancy_gauge: &'static bpart_obs::metrics::Gauge,
-    send_stall_counter: &'static bpart_obs::metrics::Counter,
-    recv_stall_counter: &'static bpart_obs::metrics::Counter,
-    /// Aggregate across every stage and direction — the numerator the
-    /// `pipeline-stall` alert rule ratios against `pipeline.batches`.
-    total_stall_counter: &'static bpart_obs::metrics::Counter,
-}
-
-struct BoundedSender<T> {
-    tx: SyncSender<T>,
-    acct: Arc<ChannelAccounting>,
-}
-
-struct BoundedReceiver<T> {
-    rx: Receiver<T>,
-    acct: Arc<ChannelAccounting>,
-}
-
-/// A bounded channel whose occupancy and stalls feed the obs registry as
-/// `pipeline.<name>.{occupancy,send_stalls,recv_stalls}`.
-fn bounded<T>(name: &str, capacity: usize) -> (BoundedSender<T>, BoundedReceiver<T>) {
-    let capacity = capacity.max(1);
-    let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
-    let acct = Arc::new(ChannelAccounting {
-        capacity,
-        sent: AtomicU64::new(0),
-        received: AtomicU64::new(0),
-        max_occupancy: AtomicUsize::new(0),
-        send_stalls: AtomicU64::new(0),
-        recv_stalls: AtomicU64::new(0),
-        occupancy_gauge: bpart_obs::metrics::gauge(&format!("pipeline.{name}.occupancy")),
-        send_stall_counter: bpart_obs::metrics::counter(&format!("pipeline.{name}.send_stalls")),
-        recv_stall_counter: bpart_obs::metrics::counter(&format!("pipeline.{name}.recv_stalls")),
-        total_stall_counter: bpart_obs::metrics::counter("pipeline.stalls"),
-    });
-    (
-        BoundedSender {
-            tx,
-            acct: Arc::clone(&acct),
-        },
-        BoundedReceiver { rx, acct },
-    )
-}
-
-impl<T> BoundedSender<T> {
-    /// Sends, counting a stall if the channel is full. Returns `false`
-    /// when the receiver is gone (pipeline aborted) — the producer should
-    /// stop.
-    fn send(&self, item: T) -> bool {
-        let item = match self.tx.try_send(item) {
-            Ok(()) => {
-                self.after_send();
-                return true;
-            }
-            Err(TrySendError::Disconnected(_)) => return false,
-            Err(TrySendError::Full(item)) => {
-                self.acct.send_stalls.fetch_add(1, Ordering::Relaxed);
-                self.acct.send_stall_counter.inc();
-                self.acct.total_stall_counter.inc();
-                item
-            }
-        };
-        if self.tx.send(item).is_err() {
-            return false;
-        }
-        self.after_send();
-        true
-    }
-
-    fn after_send(&self) {
-        let sent = self.acct.sent.fetch_add(1, Ordering::Relaxed) + 1;
-        let received = self.acct.received.load(Ordering::Relaxed);
-        let occ = (sent.saturating_sub(received) as usize).min(self.acct.capacity);
-        self.acct.max_occupancy.fetch_max(occ, Ordering::Relaxed);
-        self.acct.occupancy_gauge.set(occ as f64);
-    }
-}
-
-impl<T> BoundedReceiver<T> {
-    /// Receives, counting a stall if the channel is empty. `None` when the
-    /// channel is closed and drained.
-    fn recv(&self) -> Option<T> {
-        let item = match self.rx.try_recv() {
-            Ok(item) => item,
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => return None,
-            Err(std::sync::mpsc::TryRecvError::Empty) => {
-                self.acct.recv_stalls.fetch_add(1, Ordering::Relaxed);
-                self.acct.recv_stall_counter.inc();
-                self.acct.total_stall_counter.inc();
-                self.rx.recv().ok()?
-            }
-        };
-        let received = self.acct.received.fetch_add(1, Ordering::Relaxed) + 1;
-        let sent = self.acct.sent.load(Ordering::Relaxed);
-        self.acct
-            .occupancy_gauge
-            .set((sent.saturating_sub(received) as usize).min(self.acct.capacity) as f64);
-        Some(item)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batches
-// ---------------------------------------------------------------------------
-
-/// What the fetcher ships: raw record bytes for a run of consecutive
-/// vertices, copied out of the shard mapping (the copy *is* the read — it
-/// is what forces the page in) so the mapping can be dropped per shard.
-struct RawBatch {
-    first_vertex: VertexId,
-    out_degs: Vec<u32>,
-    /// Prefix offsets into `nbr_bytes`, `out_degs.len() + 1` entries.
-    nbr_ends: Vec<usize>,
-    nbr_bytes: Vec<u8>,
-}
-
-/// What the mapper ships: decoded neighbor ids (validated `< n`) plus the
-/// precomputed per-vertex weight deltas, ready for branchless tallying.
-struct VertexBatch {
-    first_vertex: VertexId,
-    out_degs: Vec<u32>,
-    /// Prefix offsets into `nbrs`, `out_degs.len() + 1` entries.
-    nbr_ends: Vec<usize>,
-    nbrs: Vec<VertexId>,
-    deltas: Vec<f64>,
-}
-
-/// What the committer ships to the tracker after each batch.
-struct BatchReport {
-    vertices: u64,
-    edges: u64,
-}
-
-// ---------------------------------------------------------------------------
-// The pipeline
-// ---------------------------------------------------------------------------
-
 /// Runs one out-of-core streaming pass over `shards`.
 ///
-/// See the module docs for the stage layout, memory model, and oracle
-/// contract. Errors (truncated or corrupt shards, IO failures) propagate
-/// through the channels and abort the whole pipeline with the originating
-/// [`PioError`].
+/// See the module docs for the loop, memory model, and oracle contract.
+/// Errors (truncated or corrupt shards, IO failures) abort the pass with
+/// the originating [`PioError`].
 pub fn stream_assign_ooc(shards: &ShardSet, config: &OocConfig) -> Result<OocOutcome, PioError> {
     let k = config.num_parts;
     assert!(k > 0, "need at least one part");
@@ -354,7 +168,6 @@ pub fn stream_assign_ooc(shards: &ShardSet, config: &OocConfig) -> Result<OocOut
 
     // Scheme parameters — the exact expressions the in-memory partitioners
     // use, so the scores (and therefore the assignment) match bit for bit.
-    let gamma = config.gamma;
     let (load_default, d_bar) = match config.scheme {
         OocScheme::Fennel => (1.1, 1.0),
         OocScheme::BPartP1 { .. } => (1.15, (m as f64 / n as f64).max(f64::MIN_POSITIVE)),
@@ -362,348 +175,109 @@ pub fn stream_assign_ooc(shards: &ShardSet, config: &OocConfig) -> Result<OocOut
     let load = config.load_factor.unwrap_or(load_default);
     let alpha = match config.alpha {
         Some(a) => a,
-        None => fennel_alpha(n, m, k, gamma).expect("n > 0 checked above"),
+        None => fennel_alpha(n, m, k, config.gamma).expect("n > 0 checked above"),
     };
-    let capacity = load * n as f64 / k as f64;
-    let delta_of = move |out_deg: u32| -> f64 {
+    let scorer = FlatScorer::new(config.gamma, alpha, load * n as f64 / k as f64);
+    let delta_of = |out_deg: u32| -> f64 {
         match config.scheme {
             OocScheme::Fennel => 1.0,
             OocScheme::BPartP1 { c } => c + (1.0 - c) * out_deg as f64 / d_bar,
         }
     };
 
-    let batch_vertices = config.batch_vertices.max(1);
-    let channel_capacity = config.channel_capacity.max(1);
-    let throttle = config.commit_throttle;
-
-    let (raw_tx, raw_rx) = bounded::<Result<RawBatch, PioError>>("fetch", channel_capacity);
-    let (dec_tx, dec_rx) = bounded::<Result<VertexBatch, PioError>>("map", channel_capacity);
-    let (rep_tx, rep_rx) = bounded::<BatchReport>("commit", channel_capacity);
-    // Accounting handles survive the channel endpoints being moved into
-    // (and dropped by) the stage threads.
-    let fetch_acct = Arc::clone(&raw_rx.acct);
-    let map_acct = Arc::clone(&dec_rx.acct);
-    let rep_acct = Arc::clone(&rep_rx.acct);
-
     let start = Instant::now();
-    #[allow(clippy::type_complexity)]
-    let result: Result<(Vec<PartId>, Vec<u64>, Vec<u64>, PipelineStats, f64), PioError> =
-        std::thread::scope(|scope| {
-            // --- fetcher: shard IO → raw batches --------------------------
-            let fetch = scope.spawn({
-                let raw_tx = raw_tx;
-                move || {
-                    let mut busy = 0f64;
-                    let mut batches = 0u64;
-                    let mut vertices = 0u64;
-                    'shards: for s in 0..shards.num_shards() {
-                        let t0 = Instant::now();
-                        let mut reader = match shards.open_shard(s) {
-                            Ok(r) => r,
-                            Err(e) => {
-                                busy += t0.elapsed().as_secs_f64();
-                                let _ = raw_tx.send(Err(e));
-                                break 'shards;
-                            }
-                        };
-                        busy += t0.elapsed().as_secs_f64();
-                        let mut exhausted = false;
-                        while !exhausted {
-                            let t0 = Instant::now();
-                            let mut batch = RawBatch {
-                                first_vertex: 0,
-                                out_degs: Vec::with_capacity(batch_vertices),
-                                nbr_ends: Vec::with_capacity(batch_vertices + 1),
-                                nbr_bytes: Vec::new(),
-                            };
-                            batch.nbr_ends.push(0);
-                            let mut first = true;
-                            let mut fill_err = None;
-                            while batch.out_degs.len() < batch_vertices {
-                                match reader.next_record() {
-                                    Ok(Some(rec)) => {
-                                        if first {
-                                            batch.first_vertex = rec.vertex;
-                                            first = false;
-                                        }
-                                        batch.out_degs.push(rec.out_deg);
-                                        batch.nbr_bytes.extend_from_slice(rec.raw_nbr_bytes());
-                                        batch.nbr_ends.push(batch.nbr_bytes.len());
-                                    }
-                                    Ok(None) => {
-                                        exhausted = true;
-                                        break;
-                                    }
-                                    Err(e) => {
-                                        fill_err = Some(e);
-                                        break;
-                                    }
-                                }
-                            }
-                            busy += t0.elapsed().as_secs_f64();
-                            if !batch.out_degs.is_empty() {
-                                batches += 1;
-                                vertices += batch.out_degs.len() as u64;
-                                if !raw_tx.send(Ok(batch)) {
-                                    break 'shards;
-                                }
-                            }
-                            if let Some(e) = fill_err {
-                                let _ = raw_tx.send(Err(e));
-                                break 'shards;
-                            }
-                        }
-                    }
-                    (batches, vertices, busy)
-                }
-            });
-
-            // --- mapper: decode + validate → vertex batches ---------------
-            let map = scope.spawn({
-                let dec_tx = dec_tx;
-                move || {
-                    let mut busy = 0f64;
-                    let mut batches = 0u64;
-                    let mut vertices = 0u64;
-                    while let Some(msg) = raw_rx.recv() {
-                        let raw = match msg {
-                            Ok(raw) => raw,
-                            Err(e) => {
-                                let _ = dec_tx.send(Err(e));
-                                break;
-                            }
-                        };
-                        let t0 = Instant::now();
-                        let count = raw.out_degs.len();
-                        let mut out = VertexBatch {
-                            first_vertex: raw.first_vertex,
-                            out_degs: raw.out_degs,
-                            nbr_ends: Vec::with_capacity(count + 1),
-                            nbrs: Vec::with_capacity(raw.nbr_bytes.len() / 4),
-                            deltas: Vec::with_capacity(count),
-                        };
-                        out.nbr_ends.push(0);
-                        let mut bad: Option<VertexId> = None;
-                        for i in 0..count {
-                            let bytes = &raw.nbr_bytes[raw.nbr_ends[i]..raw.nbr_ends[i + 1]];
-                            for c in bytes.chunks_exact(4) {
-                                let w = VertexId::from_le_bytes(c.try_into().unwrap());
-                                if w as usize >= n {
-                                    bad = Some(w);
-                                }
-                                out.nbrs.push(w);
-                            }
-                            out.nbr_ends.push(out.nbrs.len());
-                            out.deltas.push(delta_of(out.out_degs[i]));
-                        }
-                        busy += t0.elapsed().as_secs_f64();
-                        if let Some(w) = bad {
-                            let _ = dec_tx.send(Err(PioError::Format(format!(
-                                "neighbor id {w} out of range (n = {n})"
-                            ))));
-                            break;
-                        }
-                        batches += 1;
-                        vertices += count as u64;
-                        if !dec_tx.send(Ok(out)) {
-                            break;
-                        }
-                    }
-                    (batches, vertices, busy)
-                }
-            });
-
-            // --- tracker: telemetry sink ----------------------------------
-            let track = scope.spawn(move || {
-                let committed = bpart_obs::metrics::gauge("pipeline.committed_vertices");
-                let batch_counter = bpart_obs::metrics::counter("pipeline.batches");
-                let mut busy = 0f64;
-                let mut batches = 0u64;
-                let mut vertices = 0u64;
-                let mut edges = 0u64;
-                while let Some(report) = rep_rx.recv() {
-                    let t0 = Instant::now();
-                    batches += 1;
-                    vertices += report.vertices;
-                    edges += report.edges;
-                    committed.set(vertices as f64);
-                    batch_counter.inc();
-                    busy += t0.elapsed().as_secs_f64();
-                }
-                (batches, vertices, edges, busy)
-            });
-
-            // --- committer: exact sequential scoring (this thread) --------
-            let mut assignment = vec![UNASSIGNED; n];
-            let mut vertex_counts = vec![0u64; k];
-            let mut edge_counts = vec![0u64; k];
-            let scorer = FlatScorer::new(&StreamConfig {
-                num_parts: k,
-                gamma,
-                alpha,
-                capacity,
-                order: &[],
-                previous: None,
-                parallel: ParallelConfig::default(),
-            });
-            let mut parts = FlatParts::new(vec![0f64; k], &scorer);
-            let mut nbr_counts = vec![0u32; k + 1];
-            let trash = k;
-
-            let mut commit_busy = 0f64;
-            let mut commit_batches = 0u64;
-            let mut expected_next: VertexId = 0;
-            let mut error: Option<PioError> = None;
-            while let Some(msg) = dec_rx.recv() {
-                let batch = match msg {
-                    Ok(batch) => batch,
-                    Err(e) => {
-                        error = Some(e);
-                        break;
-                    }
-                };
-                if let Some(t) = throttle {
-                    std::thread::sleep(t);
-                }
-                let t0 = Instant::now();
-                if batch.first_vertex != expected_next {
-                    error = Some(PioError::Format(format!(
-                        "stream gap: expected vertex {expected_next}, batch starts at {}",
-                        batch.first_vertex
-                    )));
-                    break;
-                }
-                let count = batch.out_degs.len();
-                let mut edges_in_batch = 0u64;
-                for i in 0..count {
-                    let v = batch.first_vertex + i as VertexId;
-                    // Tally in stored (out-then-in) order — identical
-                    // counts to the in-memory branchless pass.
-                    for &w in &batch.nbrs[batch.nbr_ends[i]..batch.nbr_ends[i + 1]] {
-                        let p = assignment[w as usize] as usize;
-                        nbr_counts[p.min(trash)] += 1;
-                    }
-                    let part = scorer.choose(&nbr_counts[..k], &parts, parts.min_part());
-                    assignment[v as usize] = part;
-                    vertex_counts[part as usize] += 1;
-                    edge_counts[part as usize] += batch.out_degs[i] as u64;
-                    edges_in_batch += batch.out_degs[i] as u64;
-                    parts.add(part, batch.deltas[i], &scorer);
-                    nbr_counts.fill(0);
-                }
-                expected_next += count as VertexId;
-                commit_busy += t0.elapsed().as_secs_f64();
-                commit_batches += 1;
-                let _ = rep_tx.send(BatchReport {
-                    vertices: count as u64,
-                    edges: edges_in_batch,
-                });
-            }
-            // Close our channel ends: the mapper's pending sends fail and
-            // it exits, which drops the raw receiver and unblocks the
-            // fetcher; dropping the report sender lets the tracker drain
-            // and exit. Only then join.
-            let committed_vertices = expected_next as u64;
-            drop(dec_rx);
-            drop(rep_tx);
-            let (fetch_batches, fetch_vertices, fetch_busy) = fetch.join().expect("fetcher");
-            let (map_batches, map_vertices, map_busy) = map.join().expect("mapper");
-            let (track_batches, track_vertices, _track_edges, track_busy) =
-                track.join().expect("tracker");
-
-            if let Some(e) = error {
-                return Err(e);
-            }
-            if expected_next as usize != n {
-                return Err(PioError::Format(format!(
-                    "stream ended early: {expected_next} of {n} vertices committed"
-                )));
-            }
-
-            let stage = |name: &'static str,
-                         batches: u64,
-                         vertices: u64,
-                         busy: f64,
-                         out: Option<&ChannelAccounting>,
-                         inn: Option<&ChannelAccounting>| {
-                StageStats {
-                    name,
-                    batches,
-                    vertices,
-                    busy_secs: busy,
-                    send_stalls: out.map_or(0, |a| a.send_stalls.load(Ordering::Relaxed)),
-                    recv_stalls: inn.map_or(0, |a| a.recv_stalls.load(Ordering::Relaxed)),
-                    max_occupancy: out.map_or(0, |a| a.max_occupancy.load(Ordering::Relaxed)),
-                    channel_capacity: out.map_or(0, |a| a.capacity),
-                }
-            };
-            let pipeline = PipelineStats {
-                stages: vec![
-                    stage(
-                        "fetch",
-                        fetch_batches,
-                        fetch_vertices,
-                        fetch_busy,
-                        Some(&fetch_acct),
-                        None,
-                    ),
-                    stage(
-                        "map",
-                        map_batches,
-                        map_vertices,
-                        map_busy,
-                        Some(&map_acct),
-                        Some(&fetch_acct),
-                    ),
-                    stage(
-                        "commit",
-                        commit_batches,
-                        committed_vertices,
-                        commit_busy,
-                        Some(&rep_acct),
-                        Some(&map_acct),
-                    ),
-                    stage(
-                        "track",
-                        track_batches,
-                        track_vertices,
-                        track_busy,
-                        None,
-                        Some(&rep_acct),
-                    ),
-                ],
-            };
-            Ok((
-                assignment,
-                vertex_counts,
-                edge_counts,
-                pipeline,
-                commit_busy,
-            ))
-        });
-
-    let (assignment, vertex_counts, edge_counts, pipeline, commit_busy) = result?;
+    let readers = (0..shards.num_shards()).map(|s| shards.open_shard(s));
+    let (pass, pipeline) = place_shards(Pass::new(n, k, scorer), readers, delta_of)?;
     let secs = start.elapsed().as_secs_f64();
-    let stats = StreamStats {
-        vertices: n,
-        edges: m,
-        buffers: pipeline.stage("commit").map_or(0, |s| s.batches as usize),
-        secs,
-        // The committer's idle time: what it spent waiting on upstream
-        // stages — the pipelined analogue of the buffered engine's
-        // commit-barrier stalls.
-        sync_secs: (secs - commit_busy).max(0.0),
-        threads: 4,
-    };
-    span.attr("batches", stats.buffers);
     Ok(OocOutcome {
-        assignment,
+        assignment: pass.assignment,
         num_parts: k,
-        vertex_counts,
-        edge_counts,
-        stats,
+        vertex_counts: pass.vertex_counts,
+        edge_counts: pass.edge_counts,
+        stats: StreamStats {
+            vertices: n,
+            edges: m,
+            buffers: shards.num_shards(),
+            secs,
+            sync_secs: pipeline.stages[0].busy_secs,
+            threads: 1,
+        },
         pipeline,
     })
+}
+
+/// The shard loop: places every record of every reader, in order, through
+/// `pass`. Readers are opened lazily, one at a time; the previous mapping is
+/// dropped before the next is created. Fails with a typed error on a reader
+/// error, on a record that is not the next unplaced vertex, on a neighbour
+/// id outside the pass, and when the readers run out before the pass is
+/// full.
+fn place_shards(
+    mut pass: Pass,
+    readers: impl Iterator<Item = Result<ShardReader, PioError>>,
+    delta_of: impl Fn(u32) -> f64,
+) -> Result<(Pass, PipelineStats), PioError> {
+    let n = pass.assignment.len();
+    let committed = bpart_obs::metrics::gauge("pipeline.committed_vertices");
+    let mut commit_secs = 0.0;
+    let mut shards = 0u64;
+    let mut placed = 0usize;
+    let last = n.saturating_sub(1) as VertexId;
+
+    let start = Instant::now();
+    for reader in readers {
+        let mut reader = reader?;
+        let opened = Instant::now();
+        while let Some(rec) = reader.next_record()? {
+            if rec.vertex as usize != placed || placed == n {
+                return Err(PioError::Format(format!(
+                    "stream gap: expected vertex {placed} of {n}, record is vertex {}",
+                    rec.vertex
+                )));
+            }
+            // Neighbour ids are validated in the same pass that tallies
+            // them: the decode notes an id outside the pass and hands the
+            // kernel a clamped one, so a corrupt id can neither index out of
+            // bounds nor go unreported — the pass it polluted is dropped.
+            let mut bad = None;
+            let neighbours = rec.nbrs().map(|w| {
+                if w > last {
+                    bad = Some(w);
+                    return last;
+                }
+                w
+            });
+            let delta = delta_of(rec.out_deg);
+            pass.place(rec.vertex, rec.out_deg as u64, delta, neighbours);
+            if let Some(w) = bad {
+                return Err(PioError::Format(format!(
+                    "neighbor id {w} out of range (n = {n})"
+                )));
+            }
+            placed += 1;
+        }
+        commit_secs += opened.elapsed().as_secs_f64();
+        shards += 1;
+        // Live progress for `/progress`, once per shard.
+        committed.set(placed as f64);
+    }
+    if placed != n {
+        return Err(PioError::Format(format!(
+            "stream ended early: {placed} of {n} vertices committed"
+        )));
+    }
+    // Whatever the loop did outside the record loops: open, map, unmap.
+    let fetch_secs = (start.elapsed().as_secs_f64() - commit_secs).max(0.0);
+    let stage = |name, busy_secs| StageStats {
+        name,
+        shards,
+        vertices: placed as u64,
+        busy_secs,
+        send_stalls: 0,
+        recv_stalls: 0,
+    };
+    let stages = vec![stage("fetch", fetch_secs), stage("commit", commit_secs)];
+    Ok((pass, PipelineStats { stages }))
 }
 
 /// Computes the directed edge-cut ratio of `assignment` by re-streaming
@@ -742,11 +316,10 @@ pub fn ooc_cut_ratio(shards: &ShardSet, assignment: &[PartId]) -> Result<f64, Pi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bpart::WeightedStream;
     use crate::fennel::Fennel;
+    use crate::metrics;
     use crate::partitioner::Partitioner;
-    use crate::pio::{shard_file_name, write_shards};
-    use crate::{metrics, PartId};
+    use crate::pio::{shard_file_name, write_shards, MANIFEST_NAME};
     use bpart_graph::generate;
     use std::path::PathBuf;
 
@@ -758,132 +331,40 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn ooc_fennel_is_bit_identical_to_the_in_memory_oracle() {
-        let g = generate::twitter_like().generate_scaled(0.01);
-        let k = 8;
-        let dir = temp_shards("fennel-oracle", &g, 32 * 1024);
-        let shards = ShardSet::open(&dir).unwrap();
-        assert!(shards.num_shards() > 1, "want a multi-shard stream");
-
-        let ooc = stream_assign_ooc(&shards, &OocConfig::new(k, OocScheme::Fennel)).unwrap();
-        let oracle = Fennel::default().partition(&g, k);
-
-        assert_eq!(ooc.assignment, oracle.assignment(), "assignments diverge");
-        assert_eq!(ooc.vertex_counts, oracle.vertex_counts());
-        assert_eq!(ooc.edge_counts, oracle.edge_counts());
-        // The streamed cut equals the in-memory metric on the same
-        // assignment.
-        let streamed = ooc_cut_ratio(&shards, &ooc.assignment).unwrap();
-        let resident = metrics::edge_cut_ratio(&g, &oracle);
-        assert!(
-            (streamed - resident).abs() < 1e-12,
-            "cut mismatch: streamed {streamed} vs resident {resident}"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn fennel_ooc(dir: &std::path::Path, k: usize) -> Result<OocOutcome, PioError> {
+        stream_assign_ooc(&ShardSet::open(dir)?, &OocConfig::new(k, OocScheme::Fennel))
     }
 
+    /// Identity with the resident pass on the benchmark presets, for both
+    /// schemes, is `tests/one_kernel.rs`; this pins that shard size is a
+    /// memory knob only, and that the streamed cut is the resident metric.
     #[test]
-    fn ooc_bpart_p1_is_bit_identical_to_the_in_memory_oracle() {
-        let g = generate::lj_like().generate_scaled(0.01);
-        let k = 8;
-        let dir = temp_shards("p1-oracle", &g, 32 * 1024);
-        let shards = ShardSet::open(&dir).unwrap();
-
-        let ooc =
-            stream_assign_ooc(&shards, &OocConfig::new(k, OocScheme::BPartP1 { c: 0.5 })).unwrap();
-        let oracle = WeightedStream::default().partition(&g, k);
-
-        assert_eq!(ooc.assignment, oracle.assignment(), "assignments diverge");
-        assert_eq!(ooc.vertex_counts, oracle.vertex_counts());
-        assert_eq!(ooc.edge_counts, oracle.edge_counts());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn slow_committer_backpressure_bounds_occupancy_and_counts_stalls() {
-        let g = generate::erdos_renyi(2_000, 12_000, 7);
-        let k = 4;
-        let dir = temp_shards("backpressure", &g, 8 * 1024);
-        let shards = ShardSet::open(&dir).unwrap();
-
-        let mut config = OocConfig::new(k, OocScheme::Fennel);
-        config.batch_vertices = 64;
-        config.channel_capacity = 2;
-        config.commit_throttle = Some(Duration::from_millis(2));
-        let ooc = stream_assign_ooc(&shards, &config).unwrap();
-
-        // Bounded channels: no stage's output channel ever held more than
-        // its bound.
-        for s in &ooc.pipeline.stages {
-            assert!(
-                s.max_occupancy <= s.channel_capacity.max(s.max_occupancy.min(2)),
-                "stage {} occupancy {} exceeds capacity {}",
-                s.name,
-                s.max_occupancy,
-                s.channel_capacity
-            );
-            if s.channel_capacity > 0 {
-                assert!(
-                    s.max_occupancy <= s.channel_capacity,
-                    "stage {} occupancy {} exceeds capacity {}",
-                    s.name,
-                    s.max_occupancy,
-                    s.channel_capacity
-                );
-            }
-        }
-        // The throttled committer forces the upstream stages to stall
-        // against the bounds: the fetcher and/or mapper must have blocked
-        // pushing downstream at least once.
-        let fetch = ooc.pipeline.stage("fetch").unwrap();
-        let map = ooc.pipeline.stage("map").unwrap();
-        assert!(
-            fetch.send_stalls + map.send_stalls > 0,
-            "expected backpressure stalls, got fetch {} map {}",
-            fetch.send_stalls,
-            map.send_stalls
-        );
-        // And the full channels show up as peak occupancy at the bound.
-        assert_eq!(map.max_occupancy, map.channel_capacity);
-
-        // Throttling must not change the result: still bit-identical to
-        // the sequential in-memory pass.
-        let oracle = Fennel::default().partition(&g, k);
-        assert_eq!(ooc.assignment, oracle.assignment());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn batch_and_channel_shape_never_changes_the_assignment() {
+    fn shard_size_never_changes_the_assignment() {
         let g = generate::erdos_renyi(600, 4_000, 21);
         let k = 5;
-        let dir = temp_shards("shapes", &g, 4 * 1024);
-        let shards = ShardSet::open(&dir).unwrap();
-        let baseline = stream_assign_ooc(&shards, &OocConfig::new(k, OocScheme::Fennel)).unwrap();
-        for (batch, cap) in [(1, 1), (7, 2), (1024, 8)] {
-            let mut config = OocConfig::new(k, OocScheme::Fennel);
-            config.batch_vertices = batch;
-            config.channel_capacity = cap;
-            let run = stream_assign_ooc(&shards, &config).unwrap();
+        let oracle = Fennel::default().partition(&g, k);
+        for (name, bytes) in [("tiny", 1), ("small", 4 * 1024), ("one", u64::MAX)] {
+            let dir = temp_shards(name, &g, bytes);
+            let run = fennel_ooc(&dir, k).unwrap();
             assert_eq!(
-                run.assignment, baseline.assignment,
-                "batch {batch} cap {cap} diverged"
+                run.assignment,
+                oracle.assignment(),
+                "{name} shards diverged"
             );
+            let streamed = ooc_cut_ratio(&ShardSet::open(&dir).unwrap(), &run.assignment).unwrap();
+            assert!((streamed - metrics::edge_cut_ratio(&g, &oracle)).abs() < 1e-12);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn truncated_shard_aborts_the_pipeline_with_a_typed_error() {
+    fn truncated_shard_aborts_the_pass_with_a_typed_error() {
         let g = generate::erdos_renyi(400, 3_000, 3);
         let dir = temp_shards("truncated", &g, u64::MAX);
         let path = dir.join(shard_file_name(0));
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 6]).unwrap();
-
-        let shards = ShardSet::open(&dir).unwrap();
-        match stream_assign_ooc(&shards, &OocConfig::new(4, OocScheme::Fennel)) {
+        match fennel_ooc(&dir, 4) {
             Err(PioError::Truncated { .. }) => {}
             other => panic!("expected Truncated abort, got {:?}", other.map(|o| o.stats)),
         }
@@ -891,7 +372,56 @@ mod tests {
     }
 
     #[test]
-    fn empty_stream_returns_an_empty_outcome() {
+    fn out_of_range_neighbour_is_a_typed_error_not_an_index_panic() {
+        let g = generate::erdos_renyi(50, 300, 5);
+        let dir = temp_shards("bad-nbr", &g, u64::MAX);
+        let path = dir.join(shard_file_name(0));
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The last four bytes are the last record's last neighbour id.
+        let at = bytes.len() - 4;
+        bytes[at..].copy_from_slice(&50u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match fennel_ooc(&dir, 4) {
+            Err(PioError::Format(msg)) => assert!(msg.contains("neighbor id 50"), "{msg}"),
+            other => panic!("expected Format error, got {:?}", other.map(|o| o.stats)),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn vertex_gap_and_short_stream_are_typed_errors() {
+        let g = generate::erdos_renyi(300, 2_000, 9);
+        let dir = temp_shards("gap", &g, 4 * 1024);
+        let shards = ShardSet::open(&dir).unwrap();
+        assert!(shards.num_shards() >= 3);
+        let pass = || Pass::new(300, 4, FlatScorer::new(1.5, 0.1, 90.0));
+        // Shard 1 skipped: shard 2's first record is not the next vertex.
+        let skipping = [0, 2].into_iter().map(|s| shards.open_shard(s));
+        match place_shards(pass(), skipping, |_| 1.0) {
+            Err(PioError::Format(msg)) => assert!(msg.contains("stream gap"), "{msg}"),
+            other => panic!("expected a gap error, got {:?}", other.map(|o| o.1)),
+        }
+        // A stream that stops after its first shard, and no shards at all.
+        for count in [1, 0] {
+            let short = (0..count).map(|s| shards.open_shard(s));
+            match place_shards(pass(), short, |_| 1.0) {
+                Err(PioError::Format(msg)) => assert!(msg.contains("ended early"), "{msg}"),
+                other => panic!("expected an early end, got {:?}", other.map(|o| o.1)),
+            }
+        }
+        // A pass smaller than the stream: the surplus record is a gap too.
+        let small = Pass::new(10, 4, FlatScorer::new(1.5, 0.1, 90.0));
+        let all = (0..shards.num_shards()).map(|s| shards.open_shard(s));
+        assert!(matches!(
+            place_shards(small, all, |_| 1.0),
+            Err(PioError::Format(_))
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn empty_shard_sets_are_handled_without_panicking() {
+        // n = 0: one empty shard, an empty outcome.
         let g = bpart_graph::CsrGraph::from_edges(0, &[]);
         let dir = temp_shards("empty", &g, 1024);
         let shards = ShardSet::open(&dir).unwrap();
@@ -899,31 +429,40 @@ mod tests {
         assert!(ooc.assignment.is_empty());
         assert_eq!(ooc.vertex_counts, vec![0, 0, 0]);
         assert_eq!(ooc_cut_ratio(&shards, &ooc.assignment).unwrap(), 0.0);
+        // A manifest that lists no shards for n > 0 is rejected on open.
+        let mut manifest = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
+        manifest[8..16].copy_from_slice(&7u64.to_le_bytes());
+        manifest[24..28].copy_from_slice(&0u32.to_le_bytes());
+        std::fs::write(dir.join(MANIFEST_NAME), &manifest).unwrap();
+        assert!(matches!(ShardSet::open(&dir), Err(PioError::Format(_))));
+        // And a directory without a manifest is an IO error.
+        std::fs::remove_file(dir.join(MANIFEST_NAME)).unwrap();
+        assert!(matches!(ShardSet::open(&dir), Err(PioError::Io(_))));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn stats_report_the_stream_and_stage_structure() {
+    fn stats_report_the_stream_and_the_two_sides_of_the_loop() {
         let g = generate::erdos_renyi(500, 2_500, 9);
         let dir = temp_shards("stats", &g, 8 * 1024);
         let shards = ShardSet::open(&dir).unwrap();
-        let mut config = OocConfig::new(4, OocScheme::Fennel);
-        config.batch_vertices = 100;
-        let ooc = stream_assign_ooc(&shards, &config).unwrap();
+        let ooc = stream_assign_ooc(&shards, &OocConfig::new(4, OocScheme::Fennel)).unwrap();
         assert_eq!(ooc.stats.vertices, 500);
         assert_eq!(ooc.stats.edges, 2_500);
+        assert_eq!(ooc.stats.threads, 1);
+        assert_eq!(ooc.stats.buffers, shards.num_shards());
         assert!(ooc.stats.secs > 0.0);
         assert!(ooc.stats.sync_secs <= ooc.stats.secs);
         let names: Vec<&str> = ooc.pipeline.stages.iter().map(|s| s.name).collect();
-        assert_eq!(names, ["fetch", "map", "commit", "track"]);
-        for name in ["fetch", "map", "commit", "track"] {
-            let s = ooc.pipeline.stage(name).unwrap();
-            assert_eq!(s.vertices, 500, "stage {name}");
-            assert!(s.batches >= 5, "stage {name} saw {} batches", s.batches);
+        assert_eq!(names, ["fetch", "commit"]);
+        for s in &ooc.pipeline.stages {
+            assert_eq!(s.vertices, 500, "stage {}", s.name);
+            assert_eq!(s.shards as usize, shards.num_shards(), "stage {}", s.name);
+            assert_eq!(s.send_stalls + s.recv_stalls, 0, "stage {}", s.name);
         }
+        assert!(ooc.pipeline.stage("map").is_none());
         // ooc_cut_ratio rejects a wrong-length assignment.
         assert!(ooc_cut_ratio(&shards, &ooc.assignment[1..]).is_err());
-        let _: Vec<PartId> = ooc.assignment;
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

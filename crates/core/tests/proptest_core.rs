@@ -115,6 +115,25 @@ proptest! {
         for w in trace.windows(2) {
             prop_assert!(w[1].remaining_vertices <= w[0].remaining_vertices);
         }
+        // Only the last layer of the budget may freeze a group that missed
+        // a threshold, and every part frozen earlier is within both.
+        let cfg = *BPart::default().config();
+        let (target_v, target_e) = (150.0 / k as f64, 1_200.0 / k as f64);
+        let mut within = 0;
+        for part in 0..k {
+            let v = p.vertex_counts()[part] as f64;
+            let e = p.edge_counts()[part] as f64;
+            within += usize::from(
+                (v - target_v).abs() <= cfg.epsilon_vertex * target_v
+                    && (e - target_e).abs() <= cfg.epsilon_edge * target_e,
+            );
+        }
+        let forced: usize = trace.iter().map(|t| t.forced).sum();
+        prop_assert!(within + forced >= k, "{} within, {} forced, k = {}", within, forced, k);
+        for t in &trace {
+            prop_assert!(t.forced <= t.frozen);
+            prop_assert!(t.forced == 0 || t.layer == cfg.max_layers);
+        }
     }
 
     #[test]

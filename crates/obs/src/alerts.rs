@@ -26,8 +26,8 @@
 //! surfaces state on the `/alerts` endpoint and `bpart obs alerts`, and
 //! folds firing rules into the structured `/healthz` degraded state.
 //! Built-in rules cover the incidents the distributed backend actually
-//! produces: worker death, stragglers, pipeline stalls, and
-//! checkpoint-replay storms.
+//! produces: worker death, stragglers, checkpoint-replay storms, and
+//! RPC tail latency.
 
 use crate::metrics::{self, MetricView};
 use std::collections::{HashMap, VecDeque};
@@ -440,19 +440,6 @@ pub fn install_builtin_rules() {
             for_duration: Duration::from_millis(500),
             cooldown: Duration::from_secs(30),
         },
-        // Out-of-core pipeline spending more time stalled than moving
-        // batches means the stage budget is mis-sized.
-        Rule {
-            name: "pipeline-stall".into(),
-            kind: RuleKind::Ratio {
-                num: "pipeline.stalls".into(),
-                den: "pipeline.batches".into(),
-                op: Op::Gt,
-                value: 2.0,
-            },
-            for_duration: Duration::from_millis(500),
-            cooldown: Duration::from_secs(30),
-        },
         // Replay storm: supersteps being replayed faster than one every
         // two seconds sustained means recovery is thrashing.
         Rule {
@@ -741,13 +728,7 @@ mod tests {
         install_builtin_rules();
         install_builtin_rules();
         let engine = global().engine.lock().unwrap_or_else(|p| p.into_inner());
-        for name in [
-            "worker-death",
-            "straggler",
-            "pipeline-stall",
-            "replay-storm",
-            "rpc-rtt-p99",
-        ] {
+        for name in ["worker-death", "straggler", "replay-storm", "rpc-rtt-p99"] {
             assert!(engine.has_rule(name), "missing builtin {name}");
         }
         assert_eq!(

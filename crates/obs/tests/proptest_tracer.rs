@@ -26,6 +26,19 @@ use std::sync::Mutex;
 /// more properties later — keep the lock explicit).
 static SERIAL: Mutex<()> = Mutex::new(());
 
+#[test]
+fn disabled_spans_record_nothing() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    set_trace_enabled(false);
+    {
+        let mut g = bpart_obs::span("t.disabled.span");
+        g.attr("ignored", 1);
+        assert!(g.id().is_none());
+    }
+    assert!(snapshot().iter().all(|s| s.name != "t.disabled.span"));
+    set_trace_enabled(true);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
