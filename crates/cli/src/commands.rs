@@ -188,28 +188,17 @@ impl<'a> ObsExports<'a> {
         if obs.trace_out.is_some() || obs.serve_addr.is_some() || obs.profile_out.is_some() {
             bpart_obs::set_trace_enabled(true);
             bpart_obs::clear_trace();
-            // Long runs can opt the span ring into tail-based sampling:
-            // slow/faulted supersteps keep full detail, fast repetitive
-            // ones downsample (DESIGN.md §16).
-            if std::env::var("BPART_TAIL_SAMPLE").as_deref() == Ok("1") {
-                bpart_obs::sampling::set_tail_sampling_enabled(true);
-            }
         }
         // The continuous profiler runs whenever its output has somewhere
         // to go: a --profile-out file or the live /profile endpoint.
         if obs.profile_out.is_some() || obs.serve_addr.is_some() {
             bpart_obs::profile::reset_profile();
             bpart_obs::profile::set_profile_enabled(true);
-            // A no-op unless the binary was built with --features
-            // alloc-profile (which installs SpanAlloc as the global
-            // allocator); with it, heap bytes land on the innermost span.
-            bpart_obs::profile::set_alloc_profile_enabled(true);
             bpart_obs::profile::start_sampler(bpart_obs::profile::DEFAULT_SAMPLE_INTERVAL);
         }
         // The alert engine watches the registry in the background while a
-        // live server is up (that's what turns /healthz degraded); the
-        // built-in rules are installed either way so `finish` can report
-        // anything that fired during the run.
+        // live server is up (that's what turns /healthz degraded), and
+        // `finish` reports anything still firing at the end of the run.
         if obs.serve_addr.is_some() {
             bpart_obs::alerts::install_builtin_rules();
             bpart_obs::alerts::start_evaluator(std::time::Duration::from_millis(250));
@@ -229,73 +218,66 @@ impl<'a> ObsExports<'a> {
         Ok(ObsExports { obs, server })
     }
 
+    /// Every file is the view its endpoint serves, rendered once more at
+    /// the end: this process and, after a process-backend run, every
+    /// worker that reported.
     fn finish(mut self, text: &mut String) -> Result<(), CliError> {
-        if let Some(path) = self.obs.trace_out.as_deref() {
-            let written = bpart_obs::export::write_trace_jsonl(Path::new(path))
-                .map_err(|e| fail(format!("cannot write trace {path}: {e}")))?;
-            text.push_str(&format!(
-                "  wrote {written} spans to {path} (inspect with `bpart report {path}`)\n"
-            ));
+        use bpart_obs::export;
+        // The background threads stop first, so what they count is final.
+        if self.obs.profile_out.is_some() || self.obs.serve_addr.is_some() {
+            bpart_obs::profile::stop_sampler();
+            bpart_obs::profile::set_profile_enabled(false);
         }
+        if self.obs.serve_addr.is_some() {
+            bpart_obs::alerts::stop_evaluator();
+        }
+        let local = bpart_obs::snapshot::Snapshot::capture(&mut 0);
         if self.obs.trace_out.is_some()
             || self.obs.serve_addr.is_some()
             || self.obs.profile_out.is_some()
         {
             bpart_obs::set_trace_enabled(false);
         }
-        if let Some(path) = self.obs.metrics_out.as_deref() {
-            bpart_obs::export::write_metrics_text(Path::new(path))
-                .map_err(|e| fail(format!("cannot write metrics {path}: {e}")))?;
-            // A process-backend run also snapshots every worker's
-            // federated series (worker="N"-labelled), same as /metrics.
-            let federated = bpart_obs::federation::global().prometheus_federated();
-            if !federated.is_empty() {
-                use std::io::Write as _;
-                std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(path)
-                    .and_then(|mut f| f.write_all(federated.as_bytes()))
-                    .map_err(|e| fail(format!("cannot append federated metrics {path}: {e}")))?;
+        let store = bpart_obs::federation::global();
+        let sources = store.sources(&local);
+        let write = |what: &str, path: &str, body: &str| {
+            export::write(Path::new(path), body)
+                .map_err(|e| fail(format!("cannot write {what} {path}: {e}")))
+        };
+        if let Some(path) = self.obs.trace_out.as_deref() {
+            let dropped = bpart_obs::tracer::dropped_spans();
+            if dropped > 0 {
+                eprintln!("warning: trace ring overflowed; {dropped} oldest spans were dropped");
             }
+            let jsonl = export::spans_jsonl(&sources);
+            write("trace", path, &jsonl)?;
+            text.push_str(&format!(
+                "  wrote {} spans to {path} (inspect with `bpart report {path}`)\n",
+                jsonl.lines().count()
+            ));
+        }
+        if let Some(path) = self.obs.metrics_out.as_deref() {
+            write("metrics", path, &export::prometheus(&sources))?;
             text.push_str(&format!("  wrote metrics snapshot to {path}\n"));
         }
-        if self.obs.profile_out.is_some() || self.obs.serve_addr.is_some() {
-            bpart_obs::profile::stop_sampler();
-            bpart_obs::profile::set_profile_enabled(false);
-            bpart_obs::profile::set_alloc_profile_enabled(false);
-        }
         if let Some(path) = self.obs.profile_out.as_deref() {
-            // The cluster-wide flame view: the driver's own folded
-            // stacks plus every federated worker profile, clock-aligned
-            // by construction (counts, not timestamps).
-            let mut folded = bpart_obs::federation::global().cluster_profile_folded();
-            // Allocator attribution rides along as comment lines (the
-            // folded parser skips `#`), populated only under the CLI's
-            // alloc-profile feature.
-            for (span, bytes, allocs) in bpart_obs::profile::alloc_snapshot() {
-                folded.push_str(&format!(
-                    "# alloc: {span} {bytes} bytes / {allocs} allocs\n"
-                ));
-            }
-            if let Some(parent) = Path::new(path).parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent)
-                        .map_err(|e| fail(format!("cannot create {}: {e}", parent.display())))?;
-                }
-            }
-            std::fs::write(path, &folded)
-                .map_err(|e| fail(format!("cannot write profile {path}: {e}")))?;
+            write("profile", path, &export::folded(&sources))?;
             text.push_str(&format!(
                 "  wrote folded profile to {path} (render with `bpart report --profile {path}`)\n"
             ));
         }
         if self.obs.serve_addr.is_some() {
-            bpart_obs::alerts::stop_evaluator();
-            let fired = bpart_obs::alerts::firing();
+            let fired: Vec<&str> = local
+                .alerts
+                .iter()
+                .filter(|a| a.phase == bpart_obs::alerts::Phase::Firing)
+                .map(|a| a.name.as_str())
+                .collect();
             if !fired.is_empty() {
                 text.push_str(&format!("  alerts firing at exit: {}\n", fired.join(", ")));
             }
         }
+        drop(store);
         if let Some(server) = self.server.take() {
             let addr = server.addr();
             server.shutdown();
@@ -340,13 +322,12 @@ fn write_history(
     Ok(())
 }
 
-/// Parses one or more trace files (the driver's plus the per-worker
-/// exports of a process-backend run) and merges them into one view
-/// sorted by (already clock-aligned) start timestamps. Span ids in
-/// worker exports live in disjoint per-worker ranges; should a foreign
-/// trace still collide, its ids are shifted past everything seen so far
-/// (intra-file parent links move with them, cross-file links — worker
-/// roots nesting under driver superstep spans — are left untouched).
+/// Parses one or more trace files and merges them into one view sorted by
+/// start timestamp. One `--trace-out` file already holds a whole run —
+/// a process-backend driver's spans and its workers', clock-aligned, in
+/// disjoint id ranges; several files are for comparing runs, so when a
+/// file's ids collide with those seen so far they are shifted past them
+/// (parent links within the file move with them).
 fn report_cmd(
     traces: &[String],
     critical_path: bool,
@@ -356,7 +337,7 @@ fn report_cmd(
     if profile {
         return report_profile_cmd(traces);
     }
-    let mut all: Vec<bpart_obs::report::ParsedSpan> = Vec::new();
+    let mut all: Vec<bpart_obs::snapshot::Span> = Vec::new();
     let mut used: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
     for trace_path in traces {
         let text = std::fs::read_to_string(trace_path)
@@ -1044,7 +1025,7 @@ fn run_process_cmd(
 
     // Cluster-wide observability federation: armed when any obs export
     // was requested, off otherwise so a plain run ships no telemetry
-    // frames at all (the CI overhead gate measures exactly that).
+    // frames at all.
     let obs_on = obs.trace_out.is_some()
         || obs.metrics_out.is_some()
         || obs.serve_addr.is_some()
@@ -1148,8 +1129,8 @@ fn run_process_cmd(
         // What each worker said it holds (`part.*` gauges, set from its
         // slice): the paper's two balance dimensions, and their bytes.
         let holds = |m: usize| {
-            let (_, snapshot) = store.workers.get(&(m as u32))?.snapshot.as_ref()?;
-            let gauge = |name| snapshot.gauges.get(name).copied();
+            let metrics = &store.workers.get(&(m as u32))?.snapshot.metrics;
+            let gauge = |name| metrics.gauges.get(name).copied();
             Some(format!(
                 ", holds {} vertices, {} edges ({:.2} MB slice)",
                 gauge("part.vertices")?,
@@ -1182,58 +1163,19 @@ fn run_process_cmd(
         }
         // Driver-side RPC round-trip quantiles, from the same shared
         // bucket estimator the rpc-rtt-p99 alert rule reads.
-        let mut rtt_line = None;
-        bpart_obs::metrics::visit_metrics(|name, view| {
-            if name != "dist.rpc_rtt_ns" {
-                return;
-            }
-            if let bpart_obs::metrics::MetricView::Histogram {
-                bounds, buckets, ..
-            } = view
-            {
-                let q = |q| {
-                    bpart_obs::metrics::quantile_from_buckets(&bounds, &buckets, q)
-                        .map_or("n/a".to_string(), |v| format!("{:.2}ms", v / 1e6))
-                };
-                rtt_line = Some(format!(
-                    "  rpc rtt:         p50 {}, p99 {}\n",
-                    q(0.5),
-                    q(0.99)
-                ));
-            }
-        });
-        if let Some(line) = rtt_line {
-            text.push_str(&line);
+        let registry = bpart_obs::metrics::capture();
+        let rtt = |q| registry.quantile("dist.rpc_rtt_ns", q);
+        if let (Some(p50), Some(p99)) = (rtt(0.5), rtt(0.99)) {
+            text.push_str(&format!(
+                "  rpc rtt:         p50 {:.2}ms, p99 {:.2}ms\n",
+                p50 / 1e6,
+                p99 / 1e6
+            ));
         }
         if dead > 0 {
             text.push_str(&format!(
                 "  stale workers:   {dead} (last pre-death snapshots retained)\n"
             ));
-        }
-        // Per-worker trace exports next to the driver's own --trace-out
-        // file; `bpart report` merges them into one aligned view.
-        if let Some(tpath) = obs.trace_out.as_deref() {
-            let store = federation::global();
-            let worker_ids: Vec<u32> = store.workers.keys().copied().collect();
-            drop(store);
-            let mut exported = Vec::new();
-            for w in worker_ids {
-                let Some(jsonl) = federation::global().worker_trace_jsonl(w) else {
-                    continue;
-                };
-                let wpath = format!("{tpath}.worker{w}.jsonl");
-                std::fs::write(&wpath, jsonl)
-                    .map_err(|e| fail(format!("cannot write worker trace {wpath}: {e}")))?;
-                exported.push(wpath);
-            }
-            if !exported.is_empty() {
-                text.push_str(&format!(
-                    "  wrote {} worker traces ({} …; merge with `bpart report {tpath} {}`)\n",
-                    exported.len(),
-                    exported[0],
-                    exported.join(" "),
-                ));
-            }
         }
     }
 

@@ -127,8 +127,9 @@ PARALLEL STREAMING (partition/run, resident input, streaming schemes only):
                    B=1 reproduces the sequential result for any T
 
 OBSERVABILITY (partition/run; see DESIGN.md §10–11):
-  --trace-out FILE    dump hierarchical phase spans as JSON lines; render
-                      the flame-style tree with `bpart report FILE`
+  --trace-out FILE    dump hierarchical phase spans as JSON lines (on a
+                      process-backend run the workers' too); render the
+                      flame-style tree with `bpart report FILE`
   --metrics-out FILE  dump the counter/gauge/histogram registry as a
                       Prometheus-style text snapshot
   --serve-addr ADDR   serve /metrics /spans /healthz /progress over HTTP
@@ -141,17 +142,14 @@ OBSERVABILITY (partition/run; see DESIGN.md §10–11):
   --profile-out FILE  continuous-profiler flamegraph (folded-stack text);
                       on a process-backend run this merges the driver's
                       and every worker's profile into one cluster view
-  BPART_TAIL_SAMPLE=1 (env) tail-based span sampling: slow/faulted
-                      supersteps keep full detail in the span ring, fast
-                      repetitive ones downsample (DESIGN.md §16)
   A --serve-addr server also exposes /profile (live folded stacks) and
   /alerts (built-in metric rules: worker-death, straggler, replay-storm,
   rpc-rtt-p99); firing alerts turn /healthz degraded and
   `bpart obs alerts ADDR` pretty-prints them.
 
-REPORT (post-mortem on --trace-out files; several TRACEs — the driver's
-plus the per-worker exports a process-backend run leaves next to it —
-merge into one clock-aligned view):
+REPORT (post-mortem on --trace-out files; one file holds a whole run, a
+process-backend driver's spans and its workers' on one clock; several
+TRACEs merge into one view):
   --critical-path       per-superstep gating machine + per-machine blame
                         table (paper Fig. 13) instead of the span tree
   --profile             merge folded-stack PROFILE files (--profile-out)

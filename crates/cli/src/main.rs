@@ -2,14 +2,6 @@
 
 use std::process::ExitCode;
 
-// With `--features alloc-profile`, heap traffic is attributed to the
-// innermost live span (surfaced as `# alloc:` lines in `--profile-out`
-// dumps). Recording stays off until the profiler arms it at run start.
-#[cfg(feature = "alloc-profile")]
-#[global_allocator]
-static ALLOC: bpart_obs::profile::SpanAlloc<std::alloc::System> =
-    bpart_obs::profile::SpanAlloc(std::alloc::System);
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match bpart_cli::dispatch(&argv) {

@@ -160,11 +160,6 @@ pub fn drive<P: Program>(
     'run: while let Some(mut span) = program.open(superstep, machines) {
         let replaying = superstep < high_water;
         span.attr("replay", replaying);
-        if replaying {
-            // Replayed supersteps are what post-mortems read: pin them
-            // past the tail sampler's downsampling.
-            span.keep();
-        }
 
         // The block either completes the superstep and `continue`s, or
         // breaks with the wasted compute times and the faults that fired.

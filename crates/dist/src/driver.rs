@@ -514,8 +514,7 @@ impl Driver {
 
     /// Folds one worker `ObsReport` into the global federation store:
     /// NTP-style clock sample from the `StepBegin` echo, then the
-    /// snapshot/span/step-timing merge. Decode failures are logged and
-    /// dropped — telemetry must never fail a run.
+    /// snapshot and the step timings.
     fn absorb_obs_report(&mut self, machine: usize, msg: WorkerMsg<'_>) {
         let WorkerMsg::ObsReport {
             epoch,
@@ -527,9 +526,7 @@ impl Driver {
             echo_ns,
             recv_ns,
             send_ns,
-            metrics,
-            spans,
-            profile,
+            snapshot,
         } = msg
         else {
             return;
@@ -563,12 +560,7 @@ impl Driver {
                 comm_ns,
             },
         ));
-        if let Err(e) = store.absorb_report(machine as u32, epoch, seq, step, metrics, spans) {
-            eprintln!("bpart: dropped obs report from worker {machine}: {e}");
-        }
-        if let Err(e) = store.absorb_profile(machine as u32, epoch, seq, profile) {
-            eprintln!("bpart: dropped obs profile from worker {machine}: {e}");
-        }
+        store.absorb(machine as u32, epoch, seq, step, snapshot);
     }
 
     /// Kills, respawns, and restores after `dead` workers were declared
@@ -724,15 +716,13 @@ impl Driver {
                 .checkpoint_every
                 .is_some_and(|every| every > 0 && (superstep + 1) % every as u64 == 0);
             let obs = federation::collection_enabled();
-            // One driver-side span per superstep; worker spans nest
-            // under it via the span id noted in the federation store.
+            // One driver-side span per superstep; an exported trace nests
+            // each worker's `worker.superstep` of the same epoch and
+            // superstep under it.
             let mut step_span = obs.then(|| {
                 let mut g = tracer::span("cluster.superstep");
                 g.attr("superstep", superstep.to_string());
                 g.attr("epoch", self.epoch.to_string());
-                if let Some(id) = g.id() {
-                    federation::global().note_superstep_span(self.epoch, superstep, id);
-                }
                 g
             });
             self.broadcast(&DriverMsg::StepBegin {
@@ -859,9 +849,6 @@ impl Driver {
                 drop(store);
                 if high_water.is_some_and(|h| superstep <= h) {
                     g.attr("replay", "true");
-                    // Replayed supersteps are post-mortem gold: pin them
-                    // past the tail sampler so the ring keeps full detail.
-                    g.keep();
                 }
             }
             drop(step_span);

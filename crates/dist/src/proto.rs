@@ -22,7 +22,7 @@
 //! 10    worker -> driver Final     { epoch, result }
 //! 11    worker -> driver Heartbeat { epoch }
 //! 12    driver -> worker Shutdown  { }
-//! 13    worker -> driver ObsReport { epoch, seq, step?, clock echoes, metrics, spans, profile }
+//! 13    worker -> driver ObsReport { epoch, seq, step?, clock echoes, snapshot }
 //! ```
 //!
 //! `Job` goes out the moment a worker joins; `Placement` follows once the
@@ -46,17 +46,21 @@
 //! `StepBegin` additionally carries the driver's send timestamp and an
 //! obs-collection flag; `ObsReport` echoes the timestamp back along with
 //! the worker's receive/send clocks, which is what lets the driver run
-//! its NTP-style clock-offset estimate. The metrics/span payloads inside
-//! `ObsReport` are opaque byte blobs owned by `bpart_obs::federation` —
-//! the dist proto only ferries them.
+//! its NTP-style clock-offset estimate. The report itself is one
+//! `bpart_obs::snapshot::Snapshot` — the worker as it would describe
+//! itself on its own `/metrics`, `/spans` and `/profile` — encoded here
+//! like every other payload, so a corrupt one is a
+//! [`ClusterError::FrameCorrupt`] like any other.
 
 use crate::error::ClusterError;
 use crate::frame::{self, Frame, PayloadReader};
 use crate::spec::JobSpec;
-use crate::wire::{put_bytes, put_f64, put_u32, put_u32s, put_u64, Reader};
+use crate::wire::{put_bytes, put_f64, put_str, put_u32, put_u32s, put_u64, Reader};
 use bpart_cluster::{Cluster, MachineId};
 use bpart_core::PartId;
 use bpart_graph::{CsrGraph, OwnedLists, VertexId};
+use bpart_obs::alerts::{AlertStatus, Phase};
+use bpart_obs::snapshot::{HistogramValue, Metrics, Snapshot, Span};
 use std::borrow::Cow;
 use std::io::Read;
 
@@ -88,8 +92,8 @@ pub mod kind {
     pub const HEARTBEAT: u8 = 11;
     /// Driver tells the worker to exit cleanly.
     pub const SHUTDOWN: u8 = 12;
-    /// Worker ships an observability snapshot (metrics + span delta +
-    /// superstep timings) to the driver's federation store.
+    /// Worker ships a snapshot of itself (plus superstep timings and
+    /// clock echoes) to the driver's federation store.
     pub const OBS_REPORT: u8 = 13;
 }
 
@@ -338,6 +342,149 @@ impl<'a> Placement<'a> {
     }
 }
 
+/// Reads a counted list. The count comes off the wire, so nothing is
+/// reserved for it: a list that claims more than the payload holds ends
+/// at the underrun.
+fn read_list<T>(
+    r: &mut Reader<'_>,
+    mut item: impl FnMut(&mut Reader<'_>) -> Result<T, ClusterError>,
+) -> Result<Vec<T>, ClusterError> {
+    (0..r.u32()?).map(|_| item(r)).collect()
+}
+
+fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
+    out.push(v.is_some() as u8);
+    put_u64(out, v.unwrap_or(0));
+}
+
+fn read_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, ClusterError> {
+    let (tag, v) = (r.u8()?, r.u64()?);
+    match tag {
+        0 => Ok(None),
+        1 => Ok(Some(v)),
+        t => Err(ClusterError::corrupt(format!("option tag {t}"))),
+    }
+}
+
+/// A worker's snapshot of itself: metrics by kind, spans, folded profile,
+/// alert states — every list counted, every string length-prefixed.
+fn put_snapshot(out: &mut Vec<u8>, snapshot: &Snapshot) {
+    let Metrics {
+        counters,
+        gauges,
+        histograms,
+    } = &snapshot.metrics;
+    put_u32(out, counters.len() as u32);
+    for (name, v) in counters {
+        put_str(out, name);
+        put_u64(out, *v);
+    }
+    put_u32(out, gauges.len() as u32);
+    for (name, v) in gauges {
+        put_str(out, name);
+        put_f64(out, *v);
+    }
+    put_u32(out, histograms.len() as u32);
+    for (name, h) in histograms {
+        put_str(out, name);
+        put_u32(out, h.bounds.len() as u32);
+        h.bounds.iter().for_each(|&b| put_f64(out, b));
+        put_u32(out, h.buckets.len() as u32);
+        h.buckets.iter().for_each(|&b| put_u64(out, b));
+        put_u64(out, h.count);
+        put_f64(out, h.sum);
+    }
+    put_u32(out, snapshot.spans.len() as u32);
+    for s in &snapshot.spans {
+        put_u64(out, s.id);
+        put_opt_u64(out, s.parent);
+        put_str(out, &s.name);
+        put_u64(out, s.thread);
+        put_u64(out, s.start_ns);
+        put_u64(out, s.dur_ns);
+        put_u32(out, s.attrs.len() as u32);
+        for (k, v) in &s.attrs {
+            put_str(out, k);
+            put_str(out, v);
+        }
+    }
+    put_u32(out, snapshot.profile.len() as u32);
+    for (stack, count) in &snapshot.profile {
+        put_str(out, stack);
+        put_u64(out, *count);
+    }
+    put_u32(out, snapshot.alerts.len() as u32);
+    for a in &snapshot.alerts {
+        put_str(out, &a.name);
+        out.push(match a.phase {
+            Phase::Ok => 0,
+            Phase::Pending => 1,
+            Phase::Firing => 2,
+        });
+        put_opt_u64(out, a.value.map(f64::to_bits));
+        put_str(out, &a.condition);
+        put_u64(out, a.fired_at_ns);
+    }
+}
+
+fn read_snapshot(r: &mut Reader<'_>) -> Result<Snapshot, ClusterError> {
+    let counters = read_list(r, |r| Ok((r.str()?, r.u64()?)))?;
+    let gauges = read_list(r, |r| Ok((r.str()?, r.f64()?)))?;
+    let histograms = read_list(r, |r| {
+        let name = r.str()?;
+        let h = HistogramValue {
+            bounds: read_list(r, |r| r.f64())?,
+            buckets: read_list(r, |r| r.u64())?,
+            count: r.u64()?,
+            sum: r.f64()?,
+        };
+        if h.buckets.len() != h.bounds.len() + 1 {
+            return Err(ClusterError::corrupt(format!(
+                "histogram {name:?}: {} buckets for {} bounds",
+                h.buckets.len(),
+                h.bounds.len()
+            )));
+        }
+        Ok((name, h))
+    })?;
+    let spans = read_list(r, |r| {
+        Ok(Span {
+            id: r.u64()?,
+            parent: read_opt_u64(r)?,
+            name: r.str()?,
+            thread: r.u64()?,
+            start_ns: r.u64()?,
+            dur_ns: r.u64()?,
+            attrs: read_list(r, |r| Ok((r.str()?, r.str()?)))?,
+        })
+    })?;
+    let profile = read_list(r, |r| Ok((r.str()?, r.u64()?)))?;
+    let alerts = read_list(r, |r| {
+        Ok(AlertStatus {
+            name: r.str()?,
+            phase: match r.u8()? {
+                0 => Phase::Ok,
+                1 => Phase::Pending,
+                2 => Phase::Firing,
+                p => return Err(ClusterError::corrupt(format!("alert phase {p}"))),
+            },
+            value: read_opt_u64(r)?.map(f64::from_bits),
+            condition: r.str()?,
+            fired_at_ns: r.u64()?,
+        })
+    })?;
+    Ok(Snapshot {
+        metrics: Metrics {
+            counters: counters.into_iter().collect(),
+            gauges: gauges.into_iter().collect(),
+            histograms: histograms.into_iter().collect(),
+        },
+        spans,
+        profile,
+        alerts,
+    })
+}
+
 /// Messages the driver sends to a worker.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DriverMsg<'a> {
@@ -454,9 +601,9 @@ pub enum WorkerMsg<'a> {
         /// Recovery epoch.
         epoch: u32,
     },
-    /// Observability snapshot: metrics registry + span-ring delta +
-    /// (optionally) one superstep's compute/exchange timings, plus the
-    /// clock echoes for offset estimation. Sent after each applied
+    /// The worker's snapshot of itself, (optionally) one superstep's
+    /// compute/exchange timings, and the clock echoes for offset
+    /// estimation. Sent after each applied
     /// superstep (before `StepDone`, so the driver absorbs the timings
     /// ahead of the barrier) and on a low-rate timer so a SIGKILLed
     /// worker still leaves its last snapshot behind.
@@ -480,14 +627,9 @@ pub enum WorkerMsg<'a> {
         recv_ns: u64,
         /// Worker clock at report send.
         send_ns: u64,
-        /// `bpart_obs::federation::MetricsSnapshot` bytes (opaque here).
-        metrics: &'a [u8],
-        /// `bpart_obs::federation::encode_spans` bytes (opaque here).
-        spans: &'a [u8],
-        /// Folded-stack profile text from the worker's continuous
-        /// profiler (UTF-8; empty when profiling is off). Opaque here —
-        /// validated and joined by `bpart_obs::federation`.
-        profile: &'a [u8],
+        /// The worker now; its spans are those closed since its
+        /// previous report.
+        snapshot: Snapshot,
     },
 }
 
@@ -679,9 +821,7 @@ impl<'a> WorkerMsg<'a> {
                 echo_ns,
                 recv_ns,
                 send_ns,
-                metrics,
-                spans,
-                profile,
+                snapshot,
             } => {
                 put_u32(&mut out, *epoch);
                 put_u64(&mut out, *seq);
@@ -692,9 +832,7 @@ impl<'a> WorkerMsg<'a> {
                 put_u64(&mut out, *echo_ns);
                 put_u64(&mut out, *recv_ns);
                 put_u64(&mut out, *send_ns);
-                put_bytes(&mut out, metrics);
-                put_bytes(&mut out, spans);
-                put_bytes(&mut out, profile);
+                put_snapshot(&mut out, snapshot);
                 kind::OBS_REPORT
             }
         };
@@ -760,9 +898,7 @@ impl<'a> WorkerMsg<'a> {
                 echo_ns: r.u64()?,
                 recv_ns: r.u64()?,
                 send_ns: r.u64()?,
-                metrics: r.bytes()?,
-                spans: r.bytes()?,
-                profile: r.bytes()?,
+                snapshot: read_snapshot(&mut r)?,
             },
             k => {
                 return Err(ClusterError::corrupt(format!(
@@ -888,20 +1024,7 @@ mod tests {
             result: &[4, 5],
         });
         round_trip_worker(WorkerMsg::Heartbeat { epoch: 2 });
-        round_trip_worker(WorkerMsg::ObsReport {
-            epoch: 1,
-            seq: 12,
-            superstep: 6,
-            has_step: true,
-            compute_ns: 42_000_000,
-            comm_ns: 9_000_000,
-            echo_ns: 111,
-            recv_ns: 222,
-            send_ns: 333,
-            metrics: &[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-            spans: &[1, 0, 0, 0, 0],
-            profile: b"dist.superstep;dist.compute 7\n",
-        });
+        round_trip_worker(obs_report());
         round_trip_worker(WorkerMsg::ObsReport {
             epoch: 0,
             seq: 1,
@@ -912,10 +1035,175 @@ mod tests {
             echo_ns: 0,
             recv_ns: 0,
             send_ns: 0,
-            metrics: &[],
-            spans: &[],
-            profile: &[],
+            snapshot: Snapshot::default(),
         });
+    }
+
+    /// An `ObsReport` with something in every field of its snapshot: all
+    /// three metric kinds, a root and a child span with attributes, a
+    /// profile, and alerts in each phase with and without a value.
+    pub(crate) fn obs_report() -> WorkerMsg<'static> {
+        let mut metrics = Metrics::default();
+        metrics.counters.insert("dist.frames".into(), 7);
+        metrics.gauges.insert("part.edges".into(), -0.0);
+        metrics.gauges.insert("tiny".into(), f64::MIN_POSITIVE);
+        metrics.histograms.insert(
+            "dist.frame_bytes".into(),
+            HistogramValue {
+                bounds: vec![64.0, 4096.0],
+                buckets: vec![4, 1, 0],
+                count: 5,
+                sum: 700.0,
+            },
+        );
+        let span = |id, parent, name: &str, attrs: &[(&str, &str)]| Span {
+            id,
+            parent,
+            name: name.into(),
+            thread: 3,
+            start_ns: 1000 * id,
+            dur_ns: 10,
+            attrs: attrs.iter().map(|&(k, v)| (k.into(), v.into())).collect(),
+        };
+        let alert = |name: &str, phase, value| AlertStatus {
+            name: name.into(),
+            phase,
+            value,
+            condition: format!("{name} > 0"),
+            fired_at_ns: 9,
+        };
+        WorkerMsg::ObsReport {
+            epoch: 1,
+            seq: 12,
+            superstep: 6,
+            has_step: true,
+            compute_ns: 42_000_000,
+            comm_ns: 9_000_000,
+            echo_ns: 111,
+            recv_ns: 222,
+            send_ns: 333,
+            snapshot: Snapshot {
+                metrics,
+                spans: vec![
+                    span(
+                        4,
+                        None,
+                        "worker.superstep",
+                        &[("superstep", "6"), ("é", "\"")],
+                    ),
+                    span(5, Some(4), "worker.compute", &[]),
+                ],
+                profile: vec![("dist.superstep;dist.compute".into(), 7)],
+                alerts: vec![
+                    alert("a", Phase::Ok, None),
+                    alert("b", Phase::Pending, Some(0.5)),
+                    alert("c", Phase::Firing, Some(f64::INFINITY)),
+                ],
+            },
+        }
+    }
+
+    #[test]
+    fn an_obs_report_cut_or_claiming_too_much_is_corrupt() {
+        let bytes = obs_report().to_frame().unwrap();
+        let payload = &bytes[frame::HEADER_LEN..];
+        let corrupt = |payload: &[u8]| {
+            let frame = received(&frame::encode(kind::OBS_REPORT, payload).unwrap());
+            match WorkerMsg::from_frame(&frame) {
+                Err(ClusterError::FrameCorrupt { .. }) => {}
+                other => panic!("{} bytes decoded as {other:?}", payload.len()),
+            }
+        };
+        // Every proper prefix underruns somewhere; trailing bytes are
+        // refused, not ignored.
+        for keep in 0..payload.len() {
+            corrupt(&payload[..keep]);
+        }
+        corrupt(&[payload, &[0]].concat());
+        // The fixed fields end at byte 61; the counter count follows. A
+        // count the payload cannot hold ends at the underrun, with nothing
+        // reserved for it.
+        let mut greedy = payload.to_vec();
+        greedy[61..65].copy_from_slice(&u32::MAX.to_le_bytes());
+        corrupt(&greedy);
+    }
+
+    #[test]
+    fn an_obs_report_with_a_bad_tag_or_shape_is_corrupt() {
+        let decode = |msg: &WorkerMsg<'_>, edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = msg.to_frame().unwrap();
+            let mut payload = bytes.split_off(frame::HEADER_LEN);
+            edit(&mut payload);
+            let frame = received(&frame::encode(kind::OBS_REPORT, &payload).unwrap());
+            WorkerMsg::from_frame(&frame).map(|_| ())
+        };
+        let report = |snapshot| WorkerMsg::ObsReport {
+            epoch: 0,
+            seq: 0,
+            superstep: 0,
+            has_step: false,
+            compute_ns: 0,
+            comm_ns: 0,
+            echo_ns: 0,
+            recv_ns: 0,
+            send_ns: 0,
+            snapshot,
+        };
+        let is_corrupt =
+            |r: Result<(), ClusterError>| matches!(r, Err(ClusterError::FrameCorrupt { .. }));
+
+        // One root span: its parent tag is the byte after the three empty
+        // metric lists, the span count and the id.
+        let one_span = report(Snapshot {
+            spans: vec![Span {
+                id: 1,
+                parent: None,
+                name: "s".into(),
+                thread: 0,
+                start_ns: 0,
+                dur_ns: 0,
+                attrs: vec![],
+            }],
+            ..Snapshot::default()
+        });
+        let tag_at = 61 + 4 * 4 + 8;
+        assert!(decode(&one_span, &|_| {}).is_ok());
+        assert!(is_corrupt(decode(&one_span, &|p| p[tag_at] = 2)));
+
+        // One alert: its phase byte follows the five empty lists' counts,
+        // the alert count and the one-letter name.
+        let one_alert = report(Snapshot {
+            alerts: vec![AlertStatus {
+                name: "a".into(),
+                phase: Phase::Ok,
+                value: None,
+                condition: String::new(),
+                fired_at_ns: 0,
+            }],
+            ..Snapshot::default()
+        });
+        let phase_at = 61 + 6 * 4 + 4 + 1;
+        assert!(decode(&one_alert, &|_| {}).is_ok());
+        assert!(is_corrupt(decode(&one_alert, &|p| p[phase_at] = 3)));
+
+        // A histogram needs one bucket more than it has bounds.
+        let mut lopsided = Snapshot::default();
+        lopsided.metrics.histograms.insert(
+            "h".into(),
+            HistogramValue {
+                bounds: vec![1.0],
+                buckets: vec![1],
+                count: 1,
+                sum: 1.0,
+            },
+        );
+        assert!(is_corrupt(decode(&report(lopsided), &|_| {})));
+
+        // A name that is not UTF-8.
+        let mut named = Snapshot::default();
+        named.metrics.counters.insert("ab".into(), 1);
+        let name_at = 61 + 4 + 4;
+        assert!(is_corrupt(decode(&report(named), &|p| p[name_at] = 0xff)));
     }
 
     #[test]

@@ -26,7 +26,8 @@ use crate::transport::{
 use bpart_cluster::Cluster;
 use bpart_core::Partition;
 use bpart_engine::apps::{ConnectedComponents, PageRank};
-use bpart_obs::{federation, tracer};
+use bpart_obs::snapshot::Snapshot;
+use bpart_obs::tracer;
 use bpart_walker::apps::{DeepWalk, SimpleRandomWalk};
 use bpart_walker::WalkApp;
 use std::net::TcpStream;
@@ -189,15 +190,15 @@ fn receive_job(reader: &mut TcpStream) -> Result<Box<dyn Worker>, ClusterError> 
 }
 
 /// Report position shared between the protocol loop and the flush
-/// thread: the next sequence number and the span-ring watermark (spans
-/// already shipped).
+/// thread: the last sequence number and the tracer close-order cursor
+/// (spans before it are already shipped).
 #[derive(Debug, Default)]
 struct ObsPosition {
     seq: u64,
-    span_watermark: u64,
+    span_cursor: u64,
 }
 
-/// Ships one `ObsReport` built from the current registry/ring state,
+/// Ships one `ObsReport` — a snapshot of this process as of now —
 /// advancing the shared position. `step` is
 /// `(superstep, compute_ns, comm_ns)`; `echo` is
 /// `(driver sent_ns, worker recv_ns)` from the last observed
@@ -209,15 +210,10 @@ fn send_obs_report(
     step: Option<(u64, u64, u64)>,
     echo: (u64, u64),
 ) -> Result<(), ClusterError> {
-    let (seq, metrics, spans, profile) = {
+    let (seq, snapshot) = {
         let mut pos = position.lock().unwrap_or_else(|e| e.into_inner());
         pos.seq += 1;
-        (
-            pos.seq,
-            federation::MetricsSnapshot::capture().to_bytes(),
-            federation::encode_span_delta(&mut pos.span_watermark),
-            bpart_obs::profile::render_folded().into_bytes(),
-        )
+        (pos.seq, Snapshot::capture(&mut pos.span_cursor))
     };
     let (superstep, compute_ns, comm_ns) = step.unwrap_or((0, 0, 0));
     writer.send(&WorkerMsg::ObsReport {
@@ -230,9 +226,7 @@ fn send_obs_report(
         echo_ns: echo.0,
         recv_ns: echo.1,
         send_ns: tracer::now_ns(),
-        metrics: &metrics,
-        spans: &spans,
-        profile: &profile,
+        snapshot,
     })
 }
 
@@ -354,9 +348,6 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                     bpart_obs::set_trace_enabled(true);
                     bpart_obs::profile::set_profile_enabled(true);
                     bpart_obs::profile::start_sampler(bpart_obs::profile::DEFAULT_SAMPLE_INTERVAL);
-                    if std::env::var("BPART_TAIL_SAMPLE").as_deref() == Ok("1") {
-                        bpart_obs::sampling::set_tail_sampling_enabled(true);
-                    }
                     obs_enabled.store(true, Ordering::Relaxed);
                 }
                 let mut span = obs.then(|| {
@@ -415,7 +406,7 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                         g.attr("comm_ns", comm_ns.to_string());
                     }
                     // Close the span first so this step's own span is
-                    // inside the delta shipped with its report.
+                    // among those shipped with its report.
                     step_span = None;
                     // Before StepDone on the same connection, so the
                     // driver absorbs the timings before the barrier

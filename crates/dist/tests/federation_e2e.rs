@@ -73,7 +73,8 @@ fn sigkilled_worker_leaves_its_last_snapshot_in_the_federated_store() {
     assert_eq!(store.dead_workers(), 0);
     assert!(!store.recovering, "recovery flag leaked past the run");
 
-    let prom = store.prometheus_federated();
+    let local = bpart_obs::snapshot::Snapshot::default();
+    let prom = bpart_obs::export::prometheus(&store.sources(&local));
     for w in 0..3 {
         assert!(
             prom.contains(&format!("bpart_federation_seq{{worker=\"{w}\"}}")),
@@ -97,7 +98,7 @@ fn sigkilled_worker_leaves_its_last_snapshot_in_the_federated_store() {
 
     // Clock samples were taken over the live RPC path.
     assert!(
-        store.workers.values().any(|w| w.min_rtt_ns != u64::MAX),
+        store.workers.values().any(|w| w.clock.is_some()),
         "no clock sample recorded"
     );
 }

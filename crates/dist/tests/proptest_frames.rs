@@ -1,10 +1,63 @@
 //! Property-based tests for the wire frame codec: arbitrary payloads
 //! round-trip, and no truncation, length corruption or bit flip is ever
-//! accepted.
+//! accepted. The one message whose payload is a tree of counted lists —
+//! `ObsReport`, a worker's snapshot of itself — is held to the same.
 
 use bpart_dist::error::ClusterError;
 use bpart_dist::frame::{self, HEADER_LEN, MAX_PAYLOAD};
+use bpart_dist::proto::WorkerMsg;
+use bpart_obs::alerts::{AlertStatus, Phase};
+use bpart_obs::snapshot::{HistogramValue, Snapshot, Span};
 use proptest::prelude::*;
+
+/// A snapshot built from `seeds`, one entry of some kind per seed, so
+/// every list of the encoding takes every small length. Values are the
+/// seed's bits: NaNs, infinities and negative zeros included.
+fn snapshot_from(seeds: &[u64]) -> Snapshot {
+    let mut snapshot = Snapshot::default();
+    for (i, &seed) in seeds.iter().enumerate() {
+        let name = format!("m{}.é{seed:x}", seed % 7);
+        let float = f64::from_bits(seed);
+        match seed % 6 {
+            0 => {
+                snapshot.metrics.counters.insert(name, seed);
+            }
+            1 => {
+                snapshot.metrics.gauges.insert(name, float);
+            }
+            2 => {
+                let bounds: Vec<f64> = (0..seed % 4).map(|b| b as f64).collect();
+                let h = HistogramValue {
+                    buckets: vec![seed; bounds.len() + 1],
+                    bounds,
+                    count: seed,
+                    sum: float,
+                };
+                snapshot.metrics.histograms.insert(name, h);
+            }
+            3 => snapshot.spans.push(Span {
+                id: seed,
+                parent: (seed % 4 == 3).then_some(seed / 2),
+                name,
+                thread: i as u64,
+                start_ns: seed,
+                dur_ns: seed / 3,
+                attrs: (0..seed % 3)
+                    .map(|a| (format!("k{a}"), format!("{seed}\"\n")))
+                    .collect(),
+            }),
+            4 => snapshot.profile.push((name, seed)),
+            _ => snapshot.alerts.push(AlertStatus {
+                name,
+                phase: [Phase::Ok, Phase::Pending, Phase::Firing][(seed % 3) as usize],
+                value: (seed % 5 > 1).then_some(float),
+                condition: format!("x > {seed}"),
+                fired_at_ns: seed,
+            }),
+        }
+    }
+    snapshot
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -131,5 +184,49 @@ proptest! {
             prop_assert!(frame::decode(&bytes[..keep]).is_err(), "kept {} bytes", keep);
             prop_assert!(frame::read_frame(&mut &bytes[..keep]).is_err(), "kept {} bytes", keep);
         }
+    }
+
+    #[test]
+    fn obs_reports_round_trip_and_no_cut_or_flip_is_accepted(
+        seeds in prop::collection::vec(0u64..u64::MAX, 0..24),
+        head in (0u32..4, 0u64..1 << 40, 0u8..2),
+        at in 0usize..1 << 24,
+        cut in 0usize..1 << 24,
+    ) {
+        let msg = WorkerMsg::ObsReport {
+            epoch: head.0,
+            seq: head.1,
+            superstep: head.1 / 3,
+            has_step: head.2 == 1,
+            compute_ns: head.1,
+            comm_ns: head.1 / 2,
+            echo_ns: 1,
+            recv_ns: 2,
+            send_ns: 3,
+            snapshot: snapshot_from(&seeds),
+        };
+        let bytes = msg.to_frame().unwrap();
+        let (frame, used) = frame::decode(&bytes).unwrap();
+        prop_assert_eq!(used, bytes.len());
+        // Compared as encoded: a NaN gauge is not equal to itself, its
+        // bits are.
+        let back = WorkerMsg::from_frame(&frame).unwrap();
+        prop_assert_eq!(back.to_frame().unwrap(), bytes.clone());
+
+        // The frame refuses any cut and any flipped bit ...
+        let keep = cut % bytes.len();
+        prop_assert!(frame::decode(&bytes[..keep]).is_err(), "kept {} bytes", keep);
+        let bit = at % (bytes.len() * 8);
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        prop_assert!(frame::decode(&flipped).is_err(), "bit {}", bit);
+
+        // ... and the message refuses a payload cut anywhere, even one
+        // that arrives under a good checksum.
+        let payload = &bytes[HEADER_LEN..];
+        let short = frame::encode(frame.kind, &payload[..cut % payload.len()]).unwrap();
+        let (short, _) = frame::decode(&short).unwrap();
+        let err = WorkerMsg::from_frame(&short).unwrap_err();
+        prop_assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{}", err);
     }
 }

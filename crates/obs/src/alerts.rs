@@ -1,11 +1,11 @@
 //! Declarative metric-rule alerting.
 //!
-//! A [`Rule`] watches the metrics registry and fires when its condition
-//! holds: a [`RuleKind::Threshold`] on a counter/gauge, a
-//! [`RuleKind::Ratio`] of two counters, a [`RuleKind::BurnRate`]
-//! (per-second increase of a counter over a sliding window), or a
-//! [`RuleKind::Quantile`] over a histogram's `le` buckets (via the shared
-//! estimator in [`crate::metrics::quantile_from_buckets`]).
+//! A [`Rule`] watches a process's [`Metrics`] and fires when its
+//! condition holds: a [`RuleKind::Threshold`] on a counter/gauge, a
+//! [`RuleKind::BurnRate`] (per-second increase of a counter over a
+//! sliding window), or a [`RuleKind::Quantile`] over a histogram's `le`
+//! buckets (via the shared estimator in
+//! [`crate::metrics::quantile_from_buckets`]).
 //!
 //! Each rule runs a small hysteresis state machine ([`Phase`]):
 //!
@@ -29,10 +29,10 @@
 //! produces: worker death, stragglers, checkpoint-replay storms, and
 //! RPC tail latency.
 
-use crate::metrics::{self, MetricView};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use crate::snapshot::Metrics;
+use crate::ticker::Ticker;
+use std::collections::VecDeque;
+use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 /// Comparison operator for rule conditions.
@@ -64,19 +64,11 @@ impl Op {
     }
 }
 
-/// What a rule computes from the registry each evaluation.
+/// What a rule computes from the metrics each evaluation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RuleKind {
     /// Current value of a counter or gauge compared to a constant.
     Threshold { metric: String, op: Op, value: f64 },
-    /// Ratio of two counters/gauges (`num / den`); a zero or missing
-    /// denominator makes the condition false (no divide-by-zero alarms).
-    Ratio {
-        num: String,
-        den: String,
-        op: Op,
-        value: f64,
-    },
     /// Per-second increase of a counter over a sliding window.
     BurnRate {
         metric: String,
@@ -179,48 +171,6 @@ impl RuleState {
     }
 }
 
-/// A point-in-time view of the metrics registry, resolvable by name.
-pub struct MetricValues {
-    map: HashMap<String, MetricView>,
-}
-
-impl MetricValues {
-    /// Captures every registered metric.
-    pub fn capture() -> Self {
-        let mut map = HashMap::new();
-        metrics::visit_metrics(|name, view| {
-            map.insert(name.to_string(), view);
-        });
-        MetricValues { map }
-    }
-
-    /// Builds a view from explicit values (tests, offline evaluation).
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (String, MetricView)>) -> Self {
-        MetricValues {
-            map: pairs.into_iter().collect(),
-        }
-    }
-
-    /// Scalar value of a counter or gauge, `None` when absent or a
-    /// histogram (histograms are only addressable via `Quantile`).
-    fn scalar(&self, name: &str) -> Option<f64> {
-        match self.map.get(name)? {
-            MetricView::Counter(v) => Some(*v as f64),
-            MetricView::Gauge(v) => Some(*v),
-            MetricView::Histogram { .. } => None,
-        }
-    }
-
-    fn quantile(&self, name: &str, q: f64) -> Option<f64> {
-        match self.map.get(name)? {
-            MetricView::Histogram {
-                bounds, buckets, ..
-            } => metrics::quantile_from_buckets(bounds, buckets, q),
-            _ => None,
-        }
-    }
-}
-
 /// Snapshot of one rule's evaluation, as rendered on `/alerts`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AlertStatus {
@@ -272,18 +222,11 @@ impl AlertEngine {
     fn observe(
         kind: &RuleKind,
         state: &mut RuleState,
-        values: &MetricValues,
+        values: &Metrics,
         now_ns: u64,
     ) -> Option<f64> {
         match kind {
             RuleKind::Threshold { metric, .. } => values.scalar(metric),
-            RuleKind::Ratio { num, den, .. } => {
-                let d = values.scalar(den)?;
-                if d == 0.0 {
-                    return None;
-                }
-                Some(values.scalar(num)? / d)
-            }
             RuleKind::BurnRate { metric, window, .. } => {
                 let v = values.scalar(metric)?;
                 state.window.push_back((now_ns, v));
@@ -309,12 +252,6 @@ impl AlertEngine {
             RuleKind::Threshold { metric, op, value } => {
                 format!("{metric} {} {value}", op.symbol())
             }
-            RuleKind::Ratio {
-                num,
-                den,
-                op,
-                value,
-            } => format!("{num}/{den} {} {value}", op.symbol()),
             RuleKind::BurnRate {
                 metric,
                 window,
@@ -336,13 +273,12 @@ impl AlertEngine {
 
     /// Evaluates every rule against `values` at `now_ns` and returns the
     /// resulting statuses.
-    pub fn step(&mut self, values: &MetricValues, now_ns: u64) -> Vec<AlertStatus> {
+    pub fn step(&mut self, values: &Metrics, now_ns: u64) -> Vec<AlertStatus> {
         let mut out = Vec::with_capacity(self.rules.len());
         for (rule, state) in &mut self.rules {
             let observed = Self::observe(&rule.kind, state, values, now_ns);
             let (op, threshold) = match &rule.kind {
                 RuleKind::Threshold { op, value, .. }
-                | RuleKind::Ratio { op, value, .. }
                 | RuleKind::BurnRate { op, value, .. }
                 | RuleKind::Quantile { op, value, .. } => (*op, *value),
             };
@@ -367,21 +303,6 @@ impl AlertEngine {
             .map(|(r, _)| r.name.clone())
             .collect()
     }
-
-    /// Current statuses without re-evaluating (phases as of the last
-    /// [`step`](Self::step)).
-    pub fn statuses(&self) -> Vec<AlertStatus> {
-        self.rules
-            .iter()
-            .map(|(rule, state)| AlertStatus {
-                name: rule.name.clone(),
-                phase: state.phase,
-                value: None,
-                condition: Self::condition_string(&rule.kind),
-                fired_at_ns: state.fired_at_ns,
-            })
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -391,12 +312,7 @@ struct GlobalAlerts {
     engine: Mutex<AlertEngine>,
     /// Statuses from the most recent evaluation (what `/alerts` renders).
     last: Mutex<Vec<AlertStatus>>,
-    evaluator: Mutex<Option<EvaluatorHandle>>,
-}
-
-struct EvaluatorHandle {
-    stop: Arc<AtomicBool>,
-    join: std::thread::JoinHandle<()>,
+    evaluator: Mutex<Option<Ticker>>,
 }
 
 fn global() -> &'static GlobalAlerts {
@@ -484,9 +400,9 @@ pub fn add_rule(rule: Rule) {
 }
 
 /// Evaluates the global engine against the live registry now; returns
-/// the fresh statuses (also retained for [`alerts_json`]).
+/// the fresh statuses (also retained for [`last`]).
 pub fn evaluate_now() -> Vec<AlertStatus> {
-    let values = MetricValues::capture();
+    let values = crate::metrics::capture();
     let now = crate::tracer::now_ns();
     let statuses = global()
         .engine
@@ -497,21 +413,20 @@ pub fn evaluate_now() -> Vec<AlertStatus> {
     statuses
 }
 
-/// Names of currently-firing rules (from the most recent evaluation).
-pub fn firing() -> Vec<String> {
+/// Statuses from the most recent evaluation: the `alerts` of a
+/// [`crate::snapshot::Snapshot`].
+pub fn last() -> Vec<AlertStatus> {
     global()
-        .engine
+        .last
         .lock()
         .unwrap_or_else(|p| p.into_inner())
-        .firing()
+        .clone()
 }
 
-/// Renders the most recent evaluation as a JSON array (the `/alerts`
-/// body). Call [`evaluate_now`] first for a fresh view.
-pub fn alerts_json() -> String {
-    let last = global().last.lock().unwrap_or_else(|p| p.into_inner());
+/// Renders statuses as a JSON array (the `/alerts` body).
+pub fn render_json(statuses: &[AlertStatus]) -> String {
     let mut out = String::from("[");
-    for (i, s) in last.iter().enumerate() {
+    for (i, s) in statuses.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -535,32 +450,20 @@ pub fn start_evaluator(interval: Duration) -> bool {
     if slot.is_some() {
         return false;
     }
-    let stop = Arc::new(AtomicBool::new(false));
-    let thread_stop = Arc::clone(&stop);
-    let join = std::thread::Builder::new()
-        .name("bpart-alerts".into())
-        .spawn(move || {
-            while !thread_stop.load(Ordering::Relaxed) {
-                evaluate_now();
-                std::thread::sleep(interval);
-            }
-        })
-        .expect("spawn alert evaluator");
-    *slot = Some(EvaluatorHandle { stop, join });
+    *slot = Some(Ticker::start("bpart-alerts", interval, || {
+        evaluate_now();
+    }));
     true
 }
 
 /// Stops the background evaluator (no-op when none is running).
 pub fn stop_evaluator() {
-    let handle = global()
+    let evaluator = global()
         .evaluator
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .take();
-    if let Some(handle) = handle {
-        handle.stop.store(true, Ordering::Relaxed);
-        let _ = handle.join.join();
-    }
+    drop(evaluator);
 }
 
 #[cfg(test)]
@@ -580,8 +483,10 @@ mod tests {
         }
     }
 
-    fn values(v: f64) -> MetricValues {
-        MetricValues::from_pairs([("x".to_string(), MetricView::Gauge(v))])
+    fn values(v: f64) -> Metrics {
+        let mut m = Metrics::default();
+        m.gauges.insert("x".to_string(), v);
+        m
     }
 
     const MS: u64 = 1_000_000;
@@ -627,38 +532,9 @@ mod tests {
     fn missing_metric_is_not_a_condition() {
         let mut e = AlertEngine::new();
         e.add_rule(threshold_rule(0, 0));
-        let empty = MetricValues::from_pairs([]);
-        let s = &e.step(&empty, 0)[0];
+        let s = &e.step(&Metrics::default(), 0)[0];
         assert_eq!(s.phase, Phase::Ok);
         assert_eq!(s.value, None);
-    }
-
-    #[test]
-    fn ratio_rule_ignores_zero_denominator() {
-        let mut e = AlertEngine::new();
-        e.add_rule(Rule {
-            name: "r".into(),
-            kind: RuleKind::Ratio {
-                num: "a".into(),
-                den: "b".into(),
-                op: Op::Gt,
-                value: 0.5,
-            },
-            for_duration: Duration::ZERO,
-            cooldown: Duration::ZERO,
-        });
-        let zero_den = MetricValues::from_pairs([
-            ("a".to_string(), MetricView::Counter(5)),
-            ("b".to_string(), MetricView::Counter(0)),
-        ]);
-        assert_eq!(e.step(&zero_den, 0)[0].phase, Phase::Ok);
-        let hot = MetricValues::from_pairs([
-            ("a".to_string(), MetricView::Counter(5)),
-            ("b".to_string(), MetricView::Counter(4)),
-        ]);
-        let s = &e.step(&hot, MS)[0];
-        assert_eq!(s.phase, Phase::Firing);
-        assert_eq!(s.value, Some(1.25));
     }
 
     #[test]
@@ -675,7 +551,11 @@ mod tests {
             for_duration: Duration::ZERO,
             cooldown: Duration::ZERO,
         });
-        let at = |v: u64| MetricValues::from_pairs([("c".to_string(), MetricView::Counter(v))]);
+        let at = |v: u64| {
+            let mut m = Metrics::default();
+            m.counters.insert("c".to_string(), v);
+            m
+        };
         let sec = 1_000_000_000u64;
         // First sample: no rate yet.
         assert_eq!(e.step(&at(0), 0)[0].value, None);
@@ -709,15 +589,16 @@ mod tests {
         });
         // 90 fast observations (≤10), 10 slow (≤1000): p99 lands deep in
         // the slow bucket, over the 100 threshold.
-        let v = MetricValues::from_pairs([(
+        let mut v = Metrics::default();
+        v.histograms.insert(
             "h".to_string(),
-            MetricView::Histogram {
+            crate::snapshot::HistogramValue {
                 bounds: vec![10.0, 1000.0],
                 buckets: vec![90, 10, 0],
                 count: 100,
                 sum: 0.0,
             },
-        )]);
+        );
         let s = &e.step(&v, 0)[0];
         assert_eq!(s.phase, Phase::Firing);
         assert!(s.value.unwrap() > 100.0, "p99 {:?}", s.value);
@@ -756,7 +637,7 @@ mod tests {
             cooldown: Duration::ZERO,
         });
         evaluate_now();
-        let json = alerts_json();
+        let json = render_json(&last());
         assert!(json.contains("\"json-probe\""), "{json}");
         assert!(json.contains("\"phase\":\"ok\""), "{json}");
         assert!(json.contains("alerts.test.never_registered"), "{json}");

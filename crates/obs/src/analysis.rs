@@ -17,7 +17,7 @@
 
 use std::fmt::Write as _;
 
-use crate::report::ParsedSpan;
+use crate::snapshot::Span;
 
 /// Span names that carry per-machine superstep timings.
 const SUPERSTEP_SPANS: [&str; 2] = ["cluster.superstep", "walker.superstep"];
@@ -161,31 +161,30 @@ pub struct Straggler {
 /// critical-path rollup. Fails with a hint when the trace has no
 /// superstep spans carrying timing attributes (old traces, or a
 /// partition-only run).
-pub fn analyze(spans: &[ParsedSpan]) -> Result<CriticalPath, String> {
-    let mut timed: Vec<(&ParsedSpan, SuperstepTiming)> = Vec::new();
+pub fn analyze(spans: &[Span]) -> Result<CriticalPath, String> {
+    let mut timed: Vec<(&Span, SuperstepTiming)> = Vec::new();
     for s in spans {
         if !SUPERSTEP_SPANS.contains(&s.name.as_str()) {
             continue;
         }
-        let Some(compute) = s.attrs.get("compute") else {
+        let Some(compute) = s.attr("compute") else {
             // Aborted supersteps (crash before the record) carry no
             // timings and contribute zero waiting; skip them.
             continue;
         };
         let compute = parse_timings(compute)
             .map_err(|e| format!("span {} ({}): compute: {e}", s.id, s.name))?;
-        let comm = match s.attrs.get("comm") {
+        let comm = match s.attr("comm") {
             Some(c) => {
                 parse_timings(c).map_err(|e| format!("span {} ({}): comm: {e}", s.id, s.name))?
             }
             None => vec![0.0; compute.len()],
         };
         let superstep = s
-            .attrs
-            .get("superstep")
+            .attr("superstep")
             .and_then(|v| v.parse().ok())
             .unwrap_or(0);
-        let replay = s.attrs.get("replay").is_some_and(|v| v == "true");
+        let replay = s.attr("replay") == Some("true");
         timed.push((
             s,
             SuperstepTiming {
@@ -341,8 +340,8 @@ pub fn render(cp: &CriticalPath, factor: f64) -> String {
 mod tests {
     use super::*;
 
-    fn step_span(id: u64, start_ns: u64, name: &str, attrs: &[(&str, String)]) -> ParsedSpan {
-        ParsedSpan {
+    fn step_span(id: u64, start_ns: u64, name: &str, attrs: &[(&str, String)]) -> Span {
+        Span {
             id,
             parent: None,
             name: name.to_string(),

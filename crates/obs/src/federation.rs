@@ -1,382 +1,43 @@
-//! Cluster-wide observability federation for the process backend.
+//! What only a driver knows about its workers' observability.
 //!
-//! A `--backend process` run used to be a telemetry blind spot: every
-//! worker's metrics registry and span ring lived (and died) inside the
-//! worker process, so the driver's `/metrics` showed only its own
-//! `dist.*` counters. This module is the merge point: workers serialise
-//! point-in-time snapshots of their registry ([`MetricsSnapshot`]),
-//! deltas of their span ring ([`encode_span_delta`]), and per-superstep
-//! compute/exchange timings; the transport ferries them as opaque bytes
-//! (the wire codec here is owned by obs, not by the dist proto); and the
-//! driver absorbs them into a process-global [`FederationStore`] that the
-//! live endpoints and exporters read.
+//! Every worker of a `--backend process` run ships [`Snapshot`]s of itself
+//! (the `dist` protocol's `ObsReport`); the driver absorbs them into the
+//! process-global [`FederationStore`], and the views in [`crate::export`]
+//! render each worker beside the driver through [`FederationStore::sources`].
+//! A snapshot says everything a worker knows about itself; the store adds
+//! what it cannot know:
 //!
-//! Design rules, each load-bearing:
-//!
-//! * **Merging is associative, commutative, and idempotent.** Every
-//!   per-worker field merges by a deterministic total order — snapshots
-//!   by `(epoch, seq)` (encoded-bytes tie-break), superstep samples by
-//!   `(epoch, compute, comm)`, spans keyed by `(epoch, id)` — so
-//!   re-delivered or reordered reports (the timer flush races the
-//!   per-superstep piggyback) cannot corrupt the view. The proptests in
-//!   `crates/obs/tests/proptest_federation.rs` hold these laws.
+//! * **Which report is newest.** Reports are ordered by `(epoch, seq)` —
+//!   a respawned worker restarts `seq` under a bumped epoch — and the
+//!   timer flush races the per-superstep piggyback, so frames arrive
+//!   reordered and duplicated. The latest snapshot is the one with the
+//!   greatest key; spans are unioned by `(epoch, id)`; superstep samples
+//!   keep the greatest `(epoch, compute, comm)`. On an equal key the first
+//!   arrival stays: a real duplicate is identical. So the store is a
+//!   function of the *set* of reports absorbed
+//!   (`tests/proptest_federation.rs`).
 //! * **Worker identity is a label.** Federated series render with a
 //!   `worker="3"` label; [`worker_label`] is injective (decimal digits
 //!   only), so sanitisation can never alias two workers.
 //! * **Clocks are aligned, not trusted.** Each report echoes the
 //!   driver's `StepBegin` send timestamp plus the worker's receive/send
-//!   timestamps (all on [`crate::tracer::now_ns`], the same clock spans
-//!   are recorded on). The driver runs the NTP-style estimate
+//!   timestamps (all on [`crate::tracer::now_ns`], the clock spans are
+//!   recorded on). The driver runs the NTP-style estimate
 //!   `offset = ((t1−t0)+(t2−t3))/2`, keeps the minimum-RTT sample, and
-//!   rebases worker span timelines by it at export time.
+//!   worker spans are rebased by it when exported.
 //! * **Death leaves a snapshot behind.** [`FederationStore::mark_dead`]
-//!   flags the worker stale and pins its last snapshot; a fresh report
+//!   flags the worker stale and pins its last metrics; a fresh report
 //!   (respawn) clears the flag. `/healthz` turns structured — `ok` /
 //!   `degraded` with a dead-worker count and recovery flag — only when a
 //!   distributed driver enables it; standalone runs keep the plain `ok`.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use crate::export::escape_json;
-use crate::metrics::{self, MetricView};
-use crate::tracer;
-
-// ---------------------------------------------------------------------------
-// Wire codec: tiny hand-rolled little-endian byte format (obs owns this;
-// the dist proto carries the encoded payloads as opaque `Vec<u8>`).
-// ---------------------------------------------------------------------------
-
-const SNAPSHOT_VERSION: u8 = 1;
-const SPANS_VERSION: u8 = 1;
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { rest: bytes }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.rest.len() < n {
-            return Err(format!(
-                "truncated federation payload: need {n} bytes, have {}",
-                self.rest.len()
-            ));
-        }
-        let (head, tail) = self.rest.split_at(n);
-        self.rest = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        // A corrupt length must not trigger a huge allocation.
-        if len > self.rest.len() {
-            return Err(format!(
-                "truncated federation string: len {len} exceeds remaining {}",
-                self.rest.len()
-            ));
-        }
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|e| format!("bad utf-8: {e}"))
-    }
-
-    fn end(&self) -> Result<(), String> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "trailing bytes in federation payload: {}",
-                self.rest.len()
-            ))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Metrics snapshots
-// ---------------------------------------------------------------------------
-
-/// A histogram's full state at snapshot time.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HistSnapshot {
-    /// Finite ascending upper bounds (the `+Inf` bucket is implicit).
-    pub bounds: Vec<f64>,
-    /// Non-cumulative per-bucket counts, `bounds.len() + 1` entries.
-    pub buckets: Vec<u64>,
-    pub count: u64,
-    pub sum: f64,
-}
-
-/// A point-in-time copy of one process's whole metrics registry.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    pub counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, f64>,
-    pub histograms: BTreeMap<String, HistSnapshot>,
-}
-
-impl MetricsSnapshot {
-    /// Snapshots the live registry of the calling process.
-    pub fn capture() -> Self {
-        let mut snap = MetricsSnapshot::default();
-        metrics::visit_metrics(|name, view| match view {
-            MetricView::Counter(v) => {
-                snap.counters.insert(name.to_string(), v);
-            }
-            MetricView::Gauge(v) => {
-                snap.gauges.insert(name.to_string(), v);
-            }
-            MetricView::Histogram {
-                bounds,
-                buckets,
-                count,
-                sum,
-            } => {
-                snap.histograms.insert(
-                    name.to_string(),
-                    HistSnapshot {
-                        bounds,
-                        buckets,
-                        count,
-                        sum,
-                    },
-                );
-            }
-        });
-        snap
-    }
-
-    /// Serialises the snapshot for the `ObsReport` wire frame.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = vec![SNAPSHOT_VERSION];
-        put_u32(&mut out, self.counters.len() as u32);
-        for (name, v) in &self.counters {
-            put_str(&mut out, name);
-            put_u64(&mut out, *v);
-        }
-        put_u32(&mut out, self.gauges.len() as u32);
-        for (name, v) in &self.gauges {
-            put_str(&mut out, name);
-            put_f64(&mut out, *v);
-        }
-        put_u32(&mut out, self.histograms.len() as u32);
-        for (name, h) in &self.histograms {
-            put_str(&mut out, name);
-            put_u32(&mut out, h.bounds.len() as u32);
-            for b in &h.bounds {
-                put_f64(&mut out, *b);
-            }
-            put_u32(&mut out, h.buckets.len() as u32);
-            for b in &h.buckets {
-                put_u64(&mut out, *b);
-            }
-            put_u64(&mut out, h.count);
-            put_f64(&mut out, h.sum);
-        }
-        out
-    }
-
-    /// Parses a [`to_bytes`](Self::to_bytes) payload.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut r = Reader::new(bytes);
-        let version = r.u8()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(format!("unknown snapshot version {version}"));
-        }
-        let mut snap = MetricsSnapshot::default();
-        for _ in 0..r.u32()? {
-            let name = r.string()?;
-            let v = r.u64()?;
-            snap.counters.insert(name, v);
-        }
-        for _ in 0..r.u32()? {
-            let name = r.string()?;
-            let v = r.f64()?;
-            snap.gauges.insert(name, v);
-        }
-        for _ in 0..r.u32()? {
-            let name = r.string()?;
-            let n_bounds = r.u32()? as usize;
-            let mut bounds = Vec::with_capacity(n_bounds.min(1024));
-            for _ in 0..n_bounds {
-                bounds.push(r.f64()?);
-            }
-            let n_buckets = r.u32()? as usize;
-            let mut buckets = Vec::with_capacity(n_buckets.min(1024));
-            for _ in 0..n_buckets {
-                buckets.push(r.u64()?);
-            }
-            let count = r.u64()?;
-            let sum = r.f64()?;
-            snap.histograms.insert(
-                name,
-                HistSnapshot {
-                    bounds,
-                    buckets,
-                    count,
-                    sum,
-                },
-            );
-        }
-        r.end()?;
-        Ok(snap)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Span deltas
-// ---------------------------------------------------------------------------
-
-/// One span shipped across the wire (owned strings — the worker's
-/// `&'static str` names don't survive process boundaries).
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireSpan {
-    pub id: u64,
-    pub parent: Option<u64>,
-    pub name: String,
-    pub thread: u64,
-    pub start_ns: u64,
-    pub dur_ns: u64,
-    pub attrs: Vec<(String, String)>,
-}
-
-/// Encodes the tracer-ring spans with `id > *watermark` (the delta since
-/// the last report) and advances the watermark. Span ids are monotonic
-/// within a process, so the watermark makes repeated flushes ship each
-/// span exactly once.
-pub fn encode_span_delta(watermark: &mut u64) -> Vec<u8> {
-    let ring = tracer::snapshot();
-    let fresh: Vec<WireSpan> = ring
-        .iter()
-        .filter(|s| s.id > *watermark)
-        .map(|s| WireSpan {
-            id: s.id,
-            parent: s.parent,
-            name: s.name.to_string(),
-            thread: s.thread,
-            start_ns: s.start_ns,
-            dur_ns: s.dur_ns,
-            attrs: s
-                .attrs
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        })
-        .collect();
-    if let Some(max_id) = fresh.iter().map(|s| s.id).max() {
-        *watermark = (*watermark).max(max_id);
-    }
-    encode_spans(&fresh)
-}
-
-/// Serialises spans for the `ObsReport` wire frame.
-pub fn encode_spans(spans: &[WireSpan]) -> Vec<u8> {
-    let mut out = vec![SPANS_VERSION];
-    put_u32(&mut out, spans.len() as u32);
-    for s in spans {
-        put_u64(&mut out, s.id);
-        match s.parent {
-            Some(p) => {
-                out.push(1);
-                put_u64(&mut out, p);
-            }
-            None => out.push(0),
-        }
-        put_str(&mut out, &s.name);
-        put_u64(&mut out, s.thread);
-        put_u64(&mut out, s.start_ns);
-        put_u64(&mut out, s.dur_ns);
-        put_u32(&mut out, s.attrs.len() as u32);
-        for (k, v) in &s.attrs {
-            put_str(&mut out, k);
-            put_str(&mut out, v);
-        }
-    }
-    out
-}
-
-/// Parses an [`encode_spans`] payload.
-pub fn decode_spans(bytes: &[u8]) -> Result<Vec<WireSpan>, String> {
-    let mut r = Reader::new(bytes);
-    let version = r.u8()?;
-    if version != SPANS_VERSION {
-        return Err(format!("unknown span-delta version {version}"));
-    }
-    let n = r.u32()? as usize;
-    let mut spans = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let id = r.u64()?;
-        let parent = match r.u8()? {
-            0 => None,
-            1 => Some(r.u64()?),
-            other => return Err(format!("bad parent tag {other}")),
-        };
-        let name = r.string()?;
-        let thread = r.u64()?;
-        let start_ns = r.u64()?;
-        let dur_ns = r.u64()?;
-        let n_attrs = r.u32()? as usize;
-        let mut attrs = Vec::with_capacity(n_attrs.min(64));
-        for _ in 0..n_attrs {
-            let k = r.string()?;
-            let v = r.string()?;
-            attrs.push((k, v));
-        }
-        spans.push(WireSpan {
-            id,
-            parent,
-            name,
-            thread,
-            start_ns,
-            dur_ns,
-            attrs,
-        });
-    }
-    r.end()?;
-    Ok(spans)
-}
-
-// ---------------------------------------------------------------------------
-// The federated store
-// ---------------------------------------------------------------------------
+use crate::alerts::{AlertStatus, Phase};
+use crate::export::{escape_json, Source};
+use crate::snapshot::{Metrics, Snapshot};
 
 /// One superstep's compute/exchange timing sample from one worker.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -386,118 +47,41 @@ pub struct StepSample {
     pub comm_ns: u64,
 }
 
-/// Everything the driver knows about one worker's observability.
-#[derive(Clone, Debug, PartialEq)]
+/// The best clock sample of one worker.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ClockSample {
+    /// Round trip of the exchange the estimate came from.
+    pub rtt_ns: u64,
+    /// Estimated `worker_clock − driver_clock`.
+    pub offset_ns: i64,
+}
+
+/// Everything the driver holds about one worker.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WorkerObs {
-    /// Latest registry snapshot, keyed by the report that carried it.
-    /// `(epoch, seq)` orders lexicographically, so a respawned worker
-    /// (fresh seq, bumped epoch) still supersedes pre-death reports.
-    pub snapshot: Option<((u32, u64), MetricsSnapshot)>,
-    /// Per-superstep timing samples (replays overwrite via the
-    /// deterministic `(epoch, compute, comm)` max).
+    /// `(epoch, seq)` of the report `snapshot`'s metrics, profile and
+    /// alerts came from; `None` before the first report.
+    pub key: Option<(u32, u64)>,
+    /// The worker as of that report, with every span shipped so far —
+    /// worker span ids restart on respawn, but respawn bumps the epoch.
+    pub snapshot: Snapshot,
+    /// `(epoch, id)` of each of `snapshot.spans`, ascending.
+    span_keys: Vec<(u32, u64)>,
+    /// Per-superstep timing samples.
     pub steps: BTreeMap<u64, StepSample>,
-    /// Spans shipped so far, deduped by `(epoch, id)` — worker span ids
-    /// restart on respawn, but respawn bumps the epoch.
-    pub spans: BTreeMap<(u32, u64), WireSpan>,
+    /// The minimum-RTT clock sample (it bounds the offset error the
+    /// tightest); `None` until a report echoes a `StepBegin`.
+    pub clock: Option<ClockSample>,
     /// True between a detected death and the next fresh report.
     pub stale: bool,
     /// Observed deaths of this worker slot.
     pub deaths: u64,
-    /// The snapshot pinned when the worker last died (kept even after a
+    /// The metrics pinned when the worker last died (kept even after a
     /// respawn starts reporting, for post-mortem reads).
-    pub last_pre_death: Option<MetricsSnapshot>,
-    /// Estimated `worker_clock − driver_clock` from the min-RTT sample.
-    pub offset_ns: i64,
-    /// The RTT of the best (kept) clock sample; `u64::MAX` = none yet.
-    pub min_rtt_ns: u64,
-    /// Latest folded-stack profile text from the worker's continuous
-    /// profiler, keyed like the snapshot by the `(epoch, seq)` of the
-    /// report that carried it (profiles are cumulative counts, so the
-    /// newest report supersedes older ones wholesale).
-    pub profile: Option<((u32, u64), Vec<u8>)>,
+    pub last_pre_death: Option<Metrics>,
 }
 
-impl Default for WorkerObs {
-    fn default() -> Self {
-        WorkerObs {
-            snapshot: None,
-            steps: BTreeMap::new(),
-            spans: BTreeMap::new(),
-            stale: false,
-            deaths: 0,
-            last_pre_death: None,
-            offset_ns: 0,
-            // Sentinel: no clock sample yet, so any real RTT wins.
-            min_rtt_ns: u64::MAX,
-            profile: None,
-        }
-    }
-}
-
-impl WorkerObs {
-    fn merge_from(&mut self, other: &WorkerObs) {
-        // Snapshot: max (epoch, seq); encoded-bytes tie-break keeps the
-        // pick deterministic even on adversarial equal-key inputs.
-        self.snapshot = match (self.snapshot.take(), other.snapshot.clone()) {
-            (None, b) => b,
-            (a, None) => a,
-            (Some((ka, sa)), Some((kb, sb))) => {
-                if (kb, sb.to_bytes()) > (ka, sa.to_bytes()) {
-                    Some((kb, sb))
-                } else {
-                    Some((ka, sa))
-                }
-            }
-        };
-        for (step, sample) in &other.steps {
-            let slot = self.steps.entry(*step).or_insert(*sample);
-            if (sample.epoch, sample.compute_ns, sample.comm_ns)
-                > (slot.epoch, slot.compute_ns, slot.comm_ns)
-            {
-                *slot = *sample;
-            }
-        }
-        for (key, span) in &other.spans {
-            let slot = self.spans.entry(*key).or_insert_with(|| span.clone());
-            if encode_spans(std::slice::from_ref(span)) > encode_spans(std::slice::from_ref(slot)) {
-                *slot = span.clone();
-            }
-        }
-        self.stale |= other.stale;
-        self.deaths = self.deaths.max(other.deaths);
-        self.last_pre_death = match (self.last_pre_death.take(), other.last_pre_death.clone()) {
-            (None, b) => b,
-            (a, None) => a,
-            (Some(a), Some(b)) => {
-                if b.to_bytes() > a.to_bytes() {
-                    Some(b)
-                } else {
-                    Some(a)
-                }
-            }
-        };
-        // Clock: min-RTT wins; equal RTTs break to the lower offset.
-        if (other.min_rtt_ns, other.offset_ns) < (self.min_rtt_ns, self.offset_ns) {
-            self.min_rtt_ns = other.min_rtt_ns;
-            self.offset_ns = other.offset_ns;
-        }
-        // Profile: same max-(epoch, seq) join as the snapshot, with the
-        // raw-bytes tie-break keeping equal keys deterministic.
-        self.profile = match (self.profile.take(), other.profile.clone()) {
-            (None, b) => b,
-            (a, None) => a,
-            (Some((ka, pa)), Some((kb, pb))) => {
-                if (kb, &pb) > (ka, &pa) {
-                    Some((kb, pb))
-                } else {
-                    Some((ka, pa))
-                }
-            }
-        };
-    }
-}
-
-/// The driver's cluster-wide observability view.
+/// The driver's cluster-wide observability state.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FederationStore {
     pub workers: BTreeMap<u32, WorkerObs>,
@@ -508,174 +92,82 @@ pub struct FederationStore {
     pub health_enabled: bool,
     /// True while a recovery (rollback/replay) is in flight.
     pub recovering: bool,
-    /// Driver span ids per `(epoch, superstep)`, so exported worker
-    /// spans can parent under the driver's superstep spans.
-    pub superstep_span_ids: BTreeMap<(u32, u64), u64>,
 }
 
 impl FederationStore {
-    /// Merges `other` into `self`. Associative, commutative, and
-    /// idempotent — see the module docs and the federation proptests.
-    pub fn merge_from(&mut self, other: &FederationStore) {
-        for (worker, obs) in &other.workers {
-            self.workers.entry(*worker).or_default().merge_from(obs);
-        }
-        self.cluster_size = self.cluster_size.max(other.cluster_size);
-        self.health_enabled |= other.health_enabled;
-        self.recovering |= other.recovering;
-        for (key, id) in &other.superstep_span_ids {
-            let slot = self.superstep_span_ids.entry(*key).or_insert(*id);
-            *slot = (*slot).max(*id);
-        }
-    }
-
-    /// Pure two-store merge (the form the algebraic proptests exercise).
-    pub fn merge(a: &FederationStore, b: &FederationStore) -> FederationStore {
-        let mut out = a.clone();
-        out.merge_from(b);
-        out
-    }
-
-    /// Absorbs one decoded `ObsReport`: snapshot + span delta + optional
-    /// superstep timing sample. Idempotent per `(worker, epoch, seq)`;
-    /// a fresh (strictly newer) report clears the stale flag.
-    #[allow(clippy::too_many_arguments)]
-    pub fn absorb_report(
+    /// Absorbs one worker report: its snapshot (whose spans are the delta
+    /// since the worker's previous report) and, after a superstep, that
+    /// step's timing sample. A strictly newer report clears the stale
+    /// flag; a duplicate changes nothing.
+    pub fn absorb(
         &mut self,
         worker: u32,
         epoch: u32,
         seq: u64,
         step: Option<(u64, StepSample)>,
-        metrics_bytes: &[u8],
-        spans_bytes: &[u8],
-    ) -> Result<(), String> {
-        let snapshot = MetricsSnapshot::from_bytes(metrics_bytes)?;
-        let spans = decode_spans(spans_bytes)?;
-        let entry = self.workers.entry(worker).or_default();
-        let key = (epoch, seq);
-        // Same join as `merge_from`: max (epoch, seq), encoded-bytes
-        // tie-break on an equal key, so replayed frames commute with
-        // fresh ones. A strictly newer report also clears staleness.
-        match &entry.snapshot {
-            Some((k, _)) if key > *k => {
-                entry.snapshot = Some((key, snapshot));
-                entry.stale = false;
-            }
-            Some((k, old)) if key == *k && snapshot.to_bytes() > old.to_bytes() => {
-                entry.snapshot = Some((key, snapshot));
-            }
-            Some(_) => {}
-            None => {
-                entry.snapshot = Some((key, snapshot));
-                entry.stale = false;
+        report: Snapshot,
+    ) {
+        let obs = self.workers.entry(worker).or_default();
+        let Snapshot {
+            metrics,
+            spans,
+            profile,
+            alerts,
+        } = report;
+        for span in spans {
+            let key = (epoch, span.id);
+            // Close order is nearly id order, so this is nearly a push.
+            if let Err(at) = obs.span_keys.binary_search(&key) {
+                obs.span_keys.insert(at, key);
+                obs.snapshot.spans.insert(at, span);
             }
         }
-        for span in spans {
-            let slot = entry
-                .spans
-                .entry((epoch, span.id))
-                .or_insert_with(|| span.clone());
-            if encode_spans(std::slice::from_ref(&span)) > encode_spans(std::slice::from_ref(slot))
-            {
-                *slot = span;
-            }
+        if obs.key.map_or(true, |held| (epoch, seq) > held) {
+            obs.key = Some((epoch, seq));
+            obs.snapshot.metrics = metrics;
+            obs.snapshot.profile = profile;
+            obs.snapshot.alerts = alerts;
+            obs.stale = false;
         }
         if let Some((superstep, sample)) = step {
-            let slot = entry.steps.entry(superstep).or_insert(sample);
+            let slot = obs.steps.entry(superstep).or_insert(sample);
             if (sample.epoch, sample.compute_ns, sample.comm_ns)
                 > (slot.epoch, slot.compute_ns, slot.comm_ns)
             {
                 *slot = sample;
             }
         }
-        Ok(())
     }
 
-    /// Absorbs one worker's folded-stack profile blob (shipped alongside
-    /// the ObsReport payloads). Same `(epoch, seq)` max-join as the
-    /// metrics snapshot: replayed or reordered frames commute. Empty
-    /// blobs are ignored (the worker's profiler was off or has no
-    /// samples yet); malformed folded text is rejected so a corrupt
-    /// frame cannot poison the cluster flame view.
-    pub fn absorb_profile(
-        &mut self,
-        worker: u32,
-        epoch: u32,
-        seq: u64,
-        folded: &[u8],
-    ) -> Result<(), String> {
-        if folded.is_empty() {
-            return Ok(());
-        }
-        let text = std::str::from_utf8(folded).map_err(|e| format!("profile not UTF-8: {e}"))?;
-        crate::profile::parse_folded(text).map_err(|e| format!("profile malformed: {e}"))?;
-        let entry = self.workers.entry(worker).or_default();
-        let key = (epoch, seq);
-        match &entry.profile {
-            Some((k, _)) if key > *k => entry.profile = Some((key, folded.to_vec())),
-            Some((k, old)) if key == *k && folded > old.as_slice() => {
-                entry.profile = Some((key, folded.to_vec()));
-            }
-            Some(_) => {}
-            None => entry.profile = Some((key, folded.to_vec())),
-        }
-        Ok(())
-    }
-
-    /// Renders the cluster-wide flame view as folded-stack text: the
-    /// driver's own profiler counts prefixed `driver;`, then each
-    /// worker's federated profile prefixed `worker:N;` — one merged,
-    /// flamegraph-compatible document (`--profile-out`, `/profile`, and
-    /// the input to `bpart report --profile`). Lines sort by worker then
-    /// count so the output is deterministic for a given state.
-    pub fn cluster_profile_folded(&self) -> String {
-        let mut out = String::new();
-        for (stack, count) in crate::profile::folded_snapshot() {
-            let _ = writeln!(out, "driver;{stack} {count}");
-        }
-        for (worker, obs) in &self.workers {
-            let Some((_, blob)) = &obs.profile else {
-                continue;
-            };
-            let Ok(text) = std::str::from_utf8(blob) else {
-                continue;
-            };
-            let Ok(lines) = crate::profile::parse_folded(text) else {
-                continue;
-            };
-            let label = worker_label(*worker);
-            for (stack, count) in lines {
-                let _ = writeln!(out, "worker:{label};{stack} {count}");
-            }
-        }
-        out
-    }
-
-    /// Records one clock sample for `worker`; the minimum-RTT sample is
-    /// kept (it bounds the offset error the tightest).
+    /// Records one clock sample for `worker`; the minimum-RTT one is kept.
     pub fn record_clock_sample(&mut self, worker: u32, rtt_ns: u64, offset_ns: i64) {
-        let entry = self.workers.entry(worker).or_default();
-        if (rtt_ns, offset_ns) < (entry.min_rtt_ns, entry.offset_ns) {
-            entry.min_rtt_ns = rtt_ns;
-            entry.offset_ns = offset_ns;
+        let obs = self.workers.entry(worker).or_default();
+        if obs
+            .clock
+            .map_or(true, |c| (rtt_ns, offset_ns) < (c.rtt_ns, c.offset_ns))
+        {
+            obs.clock = Some(ClockSample { rtt_ns, offset_ns });
         }
     }
 
-    /// Marks `worker` dead: the stale flag raises and the last snapshot
-    /// is pinned for post-mortem reads.
+    /// Marks `worker` dead: the stale flag raises and its last metrics
+    /// are pinned for post-mortem reads.
     pub fn mark_dead(&mut self, worker: u32) {
-        let entry = self.workers.entry(worker).or_default();
-        entry.stale = true;
-        entry.deaths += 1;
-        if let Some((_, snap)) = &entry.snapshot {
-            entry.last_pre_death = Some(snap.clone());
+        let obs = self.workers.entry(worker).or_default();
+        obs.stale = true;
+        obs.deaths += 1;
+        if obs.key.is_some() {
+            obs.last_pre_death = Some(obs.snapshot.metrics.clone());
         }
     }
 
-    /// Notes the driver-side span id of an open superstep span, so
-    /// exported worker spans can nest under it.
-    pub fn note_superstep_span(&mut self, epoch: u32, superstep: u64, span_id: u64) {
-        self.superstep_span_ids.insert((epoch, superstep), span_id);
+    /// The sources of a cluster-wide view: `local` first, then every
+    /// worker in id order.
+    pub fn sources<'a>(&'a self, local: &'a Snapshot) -> Vec<Source<'a>> {
+        let workers = self.workers.iter().map(|(&w, obs)| Source::Worker(w, obs));
+        std::iter::once(Source::Local(local))
+            .chain(workers)
+            .collect()
     }
 
     /// Per-worker `(compute, comm)` seconds for `superstep`, in worker
@@ -700,209 +192,32 @@ impl FederationStore {
         self.workers.values().filter(|w| w.stale).count()
     }
 
-    /// Renders every federated worker series in the Prometheus text
-    /// exposition, each qualified with a `worker="N"` label, plus
-    /// per-worker federation meta-series (staleness, report seq, clock
-    /// offset/RTT, death count). Appended to the driver's own
-    /// `/metrics` body.
-    pub fn prometheus_federated(&self) -> String {
-        let mut out = String::new();
-        for (worker, obs) in &self.workers {
-            let label = worker_label(*worker);
-            let _ = writeln!(
-                out,
-                "bpart_federation_stale{{worker=\"{label}\"}} {}",
-                u64::from(obs.stale)
-            );
-            let _ = writeln!(
-                out,
-                "bpart_federation_deaths{{worker=\"{label}\"}} {}",
-                obs.deaths
-            );
-            if obs.min_rtt_ns != u64::MAX {
-                let _ = writeln!(
-                    out,
-                    "bpart_federation_clock_offset_ns{{worker=\"{label}\"}} {}",
-                    obs.offset_ns
-                );
-                let _ = writeln!(
-                    out,
-                    "bpart_federation_rtt_ns{{worker=\"{label}\"}} {}",
-                    obs.min_rtt_ns
-                );
-            }
-            let Some(((epoch, seq), snap)) = &obs.snapshot else {
-                continue;
-            };
-            let _ = writeln!(out, "bpart_federation_seq{{worker=\"{label}\"}} {seq}");
-            let _ = writeln!(out, "bpart_federation_epoch{{worker=\"{label}\"}} {epoch}");
-            for (name, v) in &snap.counters {
-                let pname = metrics::sanitize_name(name);
-                let _ = writeln!(out, "{pname}{{worker=\"{label}\"}} {v}");
-            }
-            for (name, v) in &snap.gauges {
-                let pname = metrics::sanitize_name(name);
-                let _ = writeln!(out, "{pname}{{worker=\"{label}\"}} {}", fmt_prom_f64(*v));
-            }
-            for (name, h) in &snap.histograms {
-                let pname = metrics::sanitize_name(name);
-                let mut cumulative = 0u64;
-                for (i, c) in h.buckets.iter().enumerate() {
-                    cumulative += c;
-                    let le = h
-                        .bounds
-                        .get(i)
-                        .copied()
-                        .map_or_else(|| "+Inf".to_string(), fmt_prom_f64);
-                    let _ = writeln!(
-                        out,
-                        "{pname}_bucket{{worker=\"{label}\",le=\"{le}\"}} {cumulative}"
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "{pname}_sum{{worker=\"{label}\"}} {}",
-                    fmt_prom_f64(h.sum)
-                );
-                let _ = writeln!(out, "{pname}_count{{worker=\"{label}\"}} {}", h.count);
-            }
-        }
-        // The driver's own RPC round-trip distribution, reduced to the
-        // quantile series dashboards watch. Goes through the shared
-        // bucket-math estimator in `metrics::quantile_from_buckets` —
-        // the same one the alert engine's `rpc-rtt-p99` rule reads.
-        metrics::visit_metrics(|name, view| {
-            if name != "dist.rpc_rtt_ns" {
-                return;
-            }
-            if let MetricView::Histogram {
-                bounds, buckets, ..
-            } = view
-            {
-                for (q, tag) in [(0.5, "p50"), (0.9, "p90"), (0.99, "p99")] {
-                    if let Some(v) = metrics::quantile_from_buckets(&bounds, &buckets, q) {
-                        let _ = writeln!(out, "bpart_federation_rtt_{tag} {}", fmt_prom_f64(v));
-                    }
-                }
-            }
-        });
-        out
-    }
-
-    /// The per-worker section of the `/progress` JSON body: one object
-    /// per worker with its report position, staleness, clock estimate,
-    /// and the counters of its latest snapshot.
-    pub fn progress_json_workers(&self) -> String {
-        let mut parts = Vec::new();
-        for (worker, obs) in &self.workers {
-            let mut entry = String::new();
-            let _ = write!(
-                entry,
-                "\"{}\":{{\"stale\":{},\"deaths\":{}",
-                worker_label(*worker),
-                obs.stale,
-                obs.deaths
-            );
-            if let Some(((epoch, seq), snap)) = &obs.snapshot {
-                let _ = write!(entry, ",\"epoch\":{epoch},\"seq\":{seq}");
-                let counters: Vec<String> = snap
-                    .counters
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\":{v}", escape_json(k)))
-                    .collect();
-                let _ = write!(entry, ",\"counters\":{{{}}}", counters.join(","));
-            }
-            if obs.min_rtt_ns != u64::MAX {
-                let _ = write!(
-                    entry,
-                    ",\"offset_ns\":{},\"rtt_ns\":{}",
-                    obs.offset_ns, obs.min_rtt_ns
-                );
-            }
-            let _ = write!(entry, ",\"supersteps\":{}", obs.steps.len());
-            entry.push('}');
-            parts.push(entry);
-        }
-        format!("{{{}}}", parts.join(","))
-    }
-
     /// The `/healthz` body. Plain `ok` until a distributed driver
     /// enables structured health; then JSON with `ok`/`degraded`, the
-    /// dead-worker count, the recovery-in-progress flag, and any
-    /// currently-firing alert rules (a fired rule alone is enough to
-    /// turn the state degraded).
-    pub fn health_body(&self) -> String {
+    /// dead-worker count, the recovery-in-progress flag, and the firing
+    /// rules among `alerts` (a fired rule alone is enough to turn the
+    /// state degraded).
+    pub fn health_body(&self, alerts: &[AlertStatus]) -> String {
         if !self.health_enabled {
             return "ok\n".to_string();
         }
         let dead = self.dead_workers();
-        let firing = crate::alerts::firing();
+        let firing: Vec<String> = alerts
+            .iter()
+            .filter(|a| a.phase == Phase::Firing)
+            .map(|a| format!("\"{}\"", escape_json(&a.name)))
+            .collect();
         let status = if dead > 0 || self.recovering || !firing.is_empty() {
             "degraded"
         } else {
             "ok"
         };
-        let alerts: Vec<String> = firing
-            .iter()
-            .map(|name| format!("\"{}\"", escape_json(name)))
-            .collect();
         format!(
             "{{\"status\":\"{status}\",\"workers\":{},\"dead\":{dead},\"recovering\":{},\"alerts\":[{}]}}\n",
             self.cluster_size,
             self.recovering,
-            alerts.join(",")
+            firing.join(",")
         )
-    }
-
-    /// One worker's federated span timeline as JSONL, rebased onto the
-    /// driver's clock (subtracting the estimated offset, saturating at
-    /// zero) and remapped into a per-worker id range disjoint from the
-    /// driver's tracer ids. Root `worker.superstep` spans parent under
-    /// the driver's matching `cluster.superstep` span when one was
-    /// noted, so the merged report nests worker work under driver
-    /// supersteps. Returns `None` when the worker shipped no spans.
-    pub fn worker_trace_jsonl(&self, worker: u32) -> Option<String> {
-        let obs = self.workers.get(&worker)?;
-        if obs.spans.is_empty() {
-            return None;
-        }
-        let base = worker_span_id_base(worker);
-        let mut out = String::new();
-        for ((epoch, _), span) in &obs.spans {
-            let id = base + span.id;
-            let parent = match span.parent {
-                Some(p) => Some(base + p),
-                None => self.parent_for_root(*epoch, span),
-            };
-            let start_ns = rebase_ns(span.start_ns, obs.offset_ns);
-            let parent_str = parent.map_or_else(|| "null".to_string(), |p| p.to_string());
-            let attrs: Vec<String> = span
-                .attrs
-                .iter()
-                .map(|(k, v)| format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)))
-                .collect();
-            let _ = writeln!(
-                out,
-                "{{\"id\":{id},\"parent\":{parent_str},\"name\":\"{}\",\"thread\":{},\"start_ns\":{start_ns},\"dur_ns\":{},\"attrs\":{{{}}}}}",
-                escape_json(&span.name),
-                span.thread,
-                span.dur_ns,
-                attrs.join(","),
-            );
-        }
-        Some(out)
-    }
-
-    fn parent_for_root(&self, epoch: u32, span: &WireSpan) -> Option<u64> {
-        if span.name != "worker.superstep" {
-            return None;
-        }
-        let superstep: u64 = span
-            .attrs
-            .iter()
-            .find(|(k, _)| k == "superstep")
-            .and_then(|(_, v)| v.parse().ok())?;
-        self.superstep_span_ids.get(&(epoch, superstep)).copied()
     }
 }
 
@@ -921,20 +236,8 @@ pub fn worker_label(worker: u32) -> String {
 
 /// Base of the exported span-id range for `worker`: far above any live
 /// driver tracer id, and disjoint per worker.
-fn worker_span_id_base(worker: u32) -> u64 {
+pub(crate) fn worker_span_id_base(worker: u32) -> u64 {
     (u64::from(worker) + 1) << 40
-}
-
-fn fmt_prom_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -945,9 +248,8 @@ static COLLECTION_ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Turns federation collection on/off process-wide. The CLI enables it
 /// when any obs export surface is active (`--trace-out`, `--serve-addr`,
-/// `--metrics-out`); the driver propagates the flag to workers in
-/// `StepBegin`, so a no-obs run ships no reports at all (the ≤3%
-/// federation-overhead gate depends on this).
+/// `--metrics-out`, …); the driver propagates the flag to workers in
+/// `StepBegin`, so a no-obs run ships no reports at all.
 pub fn set_collection_enabled(enabled: bool) {
     COLLECTION_ENABLED.store(enabled, Ordering::Relaxed);
 }
@@ -976,98 +278,66 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export;
+    use crate::snapshot::{HistogramValue, Span};
 
-    fn sample_snapshot(v: u64) -> MetricsSnapshot {
-        let mut s = MetricsSnapshot::default();
-        s.counters.insert("dist.frames".to_string(), v);
-        s.gauges.insert("cluster.progress".to_string(), v as f64);
-        s.histograms.insert(
+    fn sample_metrics(v: u64) -> Metrics {
+        let mut m = Metrics::default();
+        m.counters.insert("dist.frames".to_string(), v);
+        m.gauges.insert("cluster.progress".to_string(), v as f64);
+        m.histograms.insert(
             "dist.frame_bytes".to_string(),
-            HistSnapshot {
+            HistogramValue {
                 bounds: vec![64.0, 4096.0],
                 buckets: vec![v, 1, 0],
                 count: v + 1,
                 sum: 100.0 * v as f64,
             },
         );
-        s
+        m
     }
 
-    fn sample_span(id: u64, superstep: u64) -> WireSpan {
-        WireSpan {
+    fn report(v: u64) -> Snapshot {
+        Snapshot {
+            metrics: sample_metrics(v),
+            ..Snapshot::default()
+        }
+    }
+
+    fn sample_span(id: u64, superstep: u64) -> Span {
+        Span {
             id,
             parent: None,
             name: "worker.superstep".to_string(),
             thread: 0,
             start_ns: 1000 * id,
             dur_ns: 10,
-            attrs: vec![("superstep".to_string(), superstep.to_string())],
+            attrs: vec![
+                ("superstep".to_string(), superstep.to_string()),
+                ("epoch".to_string(), "0".to_string()),
+            ],
         }
     }
 
-    #[test]
-    fn snapshot_codec_roundtrips() {
-        let snap = sample_snapshot(7);
-        let back = MetricsSnapshot::from_bytes(&snap.to_bytes()).expect("decode");
-        assert_eq!(back, snap);
-        // Empty snapshot roundtrips too.
-        let empty = MetricsSnapshot::default();
-        assert_eq!(
-            MetricsSnapshot::from_bytes(&empty.to_bytes()).unwrap(),
-            empty
-        );
-    }
-
-    #[test]
-    fn snapshot_codec_rejects_corrupt_payloads() {
-        let bytes = sample_snapshot(3).to_bytes();
-        assert!(MetricsSnapshot::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        assert!(MetricsSnapshot::from_bytes(&[]).is_err());
-        assert!(MetricsSnapshot::from_bytes(&[99]).is_err(), "bad version");
-        // Trailing garbage is rejected, not ignored.
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert!(MetricsSnapshot::from_bytes(&extended).is_err());
-    }
-
-    #[test]
-    fn span_codec_roundtrips_deltas() {
-        let spans = vec![
-            sample_span(4, 0),
-            WireSpan {
-                parent: Some(4),
-                name: "worker.compute".to_string(),
-                attrs: vec![],
-                ..sample_span(5, 0)
-            },
-        ];
-        let back = decode_spans(&encode_spans(&spans)).expect("decode");
-        assert_eq!(back, spans);
-        assert!(decode_spans(&[]).is_err());
-        let enc = encode_spans(&spans);
-        assert!(decode_spans(&enc[..enc.len() - 3]).is_err());
+    fn step(epoch: u32, superstep: u64, compute_ns: u64) -> Option<(u64, StepSample)> {
+        let sample = StepSample {
+            epoch,
+            compute_ns,
+            comm_ns: compute_ns / 2,
+        };
+        Some((superstep, sample))
     }
 
     #[test]
     fn absorb_is_idempotent_per_worker_seq() {
         let mut store = FederationStore::default();
-        let metrics = sample_snapshot(5).to_bytes();
-        let spans = encode_spans(&[sample_span(1, 0)]);
-        let step = Some((
-            0,
-            StepSample {
-                epoch: 0,
-                compute_ns: 100,
-                comm_ns: 50,
-            },
-        ));
-        store
-            .absorb_report(2, 0, 1, step, &metrics, &spans)
-            .unwrap();
+        let sent = Snapshot {
+            spans: vec![sample_span(1, 0)],
+            ..report(5)
+        };
+        store.absorb(2, 0, 1, step(0, 0, 100), sent.clone());
         let once = store.clone();
-        store
-            .absorb_report(2, 0, 1, step, &metrics, &spans)
-            .unwrap();
+        store.absorb(2, 0, 1, step(0, 0, 100), sent);
         assert_eq!(store, once, "re-delivery must be a no-op");
     }
 
@@ -1078,68 +348,55 @@ mod tests {
             health_enabled: true,
             ..Default::default()
         };
-        let metrics = sample_snapshot(9).to_bytes();
-        store
-            .absorb_report(1, 0, 1, None, &metrics, &encode_spans(&[]))
-            .unwrap();
+        store.absorb(1, 0, 1, None, report(9));
         store.mark_dead(1);
         assert!(store.workers[&1].stale);
         assert_eq!(store.workers[&1].deaths, 1);
         assert_eq!(
             store.workers[&1].last_pre_death,
-            Some(sample_snapshot(9)),
+            Some(sample_metrics(9)),
             "death must pin the last snapshot"
         );
         assert_eq!(store.dead_workers(), 1);
-        assert!(store.health_body().contains("\"status\":\"degraded\""));
+        assert!(store.health_body(&[]).contains("\"status\":\"degraded\""));
 
         // The respawned worker reports under a bumped epoch: stale clears.
-        let metrics2 = sample_snapshot(2).to_bytes();
-        store
-            .absorb_report(1, 1, 1, None, &metrics2, &encode_spans(&[]))
-            .unwrap();
+        store.absorb(1, 1, 1, None, report(2));
         assert!(!store.workers[&1].stale);
         assert_eq!(store.dead_workers(), 0);
         // But the pre-death snapshot stays pinned.
-        assert_eq!(store.workers[&1].last_pre_death, Some(sample_snapshot(9)));
+        assert_eq!(store.workers[&1].last_pre_death, Some(sample_metrics(9)));
     }
 
     #[test]
     fn stale_report_does_not_regress_the_snapshot() {
         let mut store = FederationStore::default();
-        store
-            .absorb_report(
-                0,
-                1,
-                5,
-                None,
-                &sample_snapshot(50).to_bytes(),
-                &encode_spans(&[]),
-            )
-            .unwrap();
-        // An older (epoch, seq) report arrives late: ignored for the
-        // snapshot, spans still deduped in.
-        store
-            .absorb_report(
-                0,
-                0,
-                9,
-                None,
-                &sample_snapshot(1).to_bytes(),
-                &encode_spans(&[]),
-            )
-            .unwrap();
-        let ((epoch, seq), snap) = store.workers[&0].snapshot.clone().unwrap();
-        assert_eq!((epoch, seq), (1, 5));
-        assert_eq!(snap, sample_snapshot(50));
+        let newest = Snapshot {
+            profile: vec![("a;b".to_string(), 3)],
+            ..report(50)
+        };
+        store.absorb(0, 1, 5, None, newest.clone());
+        // An older (epoch, seq) report arrives late: its metrics and
+        // profile are ignored, its spans still join the union.
+        let late = Snapshot {
+            spans: vec![sample_span(4, 1)],
+            profile: vec![("stale".to_string(), 9)],
+            ..report(1)
+        };
+        store.absorb(0, 0, 9, None, late);
+        let obs = &store.workers[&0];
+        assert_eq!(obs.key, Some((1, 5)));
+        assert_eq!(obs.snapshot.metrics, newest.metrics);
+        assert_eq!(obs.snapshot.profile, newest.profile);
+        assert_eq!(obs.snapshot.spans, [sample_span(4, 1)]);
     }
 
     #[test]
     fn health_body_defaults_to_plain_ok() {
-        // Satellite 1: standalone (non-distributed) processes keep the
-        // exact liveness body the serve tests assert on.
+        // Standalone (non-distributed) processes keep the exact liveness
+        // body the serve tests assert on.
         let store = FederationStore::default();
-        assert_eq!(store.health_body(), "ok\n");
+        assert_eq!(store.health_body(&[]), "ok\n");
     }
 
     #[test]
@@ -1150,18 +407,29 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            store.health_body(),
+            store.health_body(&[]),
             "{\"status\":\"ok\",\"workers\":4,\"dead\":0,\"recovering\":false,\"alerts\":[]}\n"
         );
         store.recovering = true;
         assert_eq!(
-            store.health_body(),
+            store.health_body(&[]),
             "{\"status\":\"degraded\",\"workers\":4,\"dead\":0,\"recovering\":true,\"alerts\":[]}\n"
         );
         store.recovering = false;
+        let alert = |name: &str, phase| AlertStatus {
+            name: name.to_string(),
+            phase,
+            value: None,
+            condition: String::new(),
+            fired_at_ns: 0,
+        };
+        assert_eq!(
+            store.health_body(&[alert("quiet", Phase::Pending), alert("loud", Phase::Firing)]),
+            "{\"status\":\"degraded\",\"workers\":4,\"dead\":0,\"recovering\":false,\"alerts\":[\"loud\"]}\n"
+        );
         store.mark_dead(2);
         assert_eq!(
-            store.health_body(),
+            store.health_body(&[]),
             "{\"status\":\"degraded\",\"workers\":4,\"dead\":1,\"recovering\":false,\"alerts\":[]}\n"
         );
     }
@@ -1172,24 +440,9 @@ mod tests {
             cluster_size: 2,
             ..Default::default()
         };
-        let m = MetricsSnapshot::default().to_bytes();
-        let sample = |c: u64| {
-            Some((
-                3u64,
-                StepSample {
-                    epoch: 0,
-                    compute_ns: c,
-                    comm_ns: c / 2,
-                },
-            ))
-        };
-        store
-            .absorb_report(0, 0, 1, sample(2_000_000_000), &m, &encode_spans(&[]))
-            .unwrap();
+        store.absorb(0, 0, 1, step(0, 3, 2_000_000_000), Snapshot::default());
         assert_eq!(store.step_timings(3), None, "partial rows must not leak");
-        store
-            .absorb_report(1, 0, 1, sample(1_000_000_000), &m, &encode_spans(&[]))
-            .unwrap();
+        store.absorb(1, 0, 1, step(0, 3, 1_000_000_000), Snapshot::default());
         let (compute, comm) = store.step_timings(3).expect("complete row");
         assert_eq!(compute, vec![2.0, 1.0]);
         assert_eq!(comm, vec![1.0, 0.5]);
@@ -1199,103 +452,64 @@ mod tests {
     #[test]
     fn prometheus_federated_labels_every_series() {
         let mut store = FederationStore::default();
-        store
-            .absorb_report(
-                3,
-                0,
-                2,
-                None,
-                &sample_snapshot(6).to_bytes(),
-                &encode_spans(&[]),
-            )
-            .unwrap();
+        store.absorb(3, 0, 2, None, report(6));
         store.record_clock_sample(3, 5000, -120);
-        let text = store.prometheus_federated();
-        assert!(text.contains("dist_frames{worker=\"3\"} 6"), "{text}");
-        assert!(text.contains("cluster_progress{worker=\"3\"} 6"), "{text}");
-        assert!(
-            text.contains("dist_frame_bytes_bucket{worker=\"3\",le=\"64\"} 6"),
-            "{text}"
-        );
-        assert!(
-            text.contains("dist_frame_bytes_bucket{worker=\"3\",le=\"+Inf\"} 7"),
-            "{text}"
-        );
-        assert!(
-            text.contains("bpart_federation_stale{worker=\"3\"} 0"),
-            "{text}"
-        );
-        assert!(
-            text.contains("bpart_federation_seq{worker=\"3\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("bpart_federation_clock_offset_ns{worker=\"3\"} -120"),
-            "{text}"
-        );
+        let local = Snapshot::default();
+        let text = export::prometheus(&store.sources(&local));
+        for line in [
+            "dist_frames{worker=\"3\"} 6",
+            "cluster_progress{worker=\"3\"} 6",
+            "dist_frame_bytes_bucket{worker=\"3\",le=\"64\"} 6",
+            "dist_frame_bytes_bucket{worker=\"3\",le=\"+Inf\"} 7",
+            "bpart_federation_stale{worker=\"3\"} 0",
+            "bpart_federation_seq{worker=\"3\"} 2",
+            "bpart_federation_clock_offset_ns{worker=\"3\"} -120",
+        ] {
+            assert!(text.contains(line), "missing {line}:\n{text}");
+        }
         store.mark_dead(3);
         assert!(
-            store
-                .prometheus_federated()
+            export::prometheus(&store.sources(&local))
                 .contains("bpart_federation_stale{worker=\"3\"} 1"),
             "death must surface as staleness"
         );
     }
 
     #[test]
-    fn profile_blobs_join_by_epoch_seq_and_reject_garbage() {
-        let mut store = FederationStore::default();
-        store.absorb_profile(1, 0, 1, b"a;b 3\nc 1\n").unwrap();
-        // An older (epoch, seq) replay must not regress the blob.
-        store.absorb_profile(1, 0, 0, b"stale 9\n").unwrap();
-        assert_eq!(
-            store.workers[&1].profile,
-            Some(((0, 1), b"a;b 3\nc 1\n".to_vec()))
-        );
-        // A newer key replaces it.
-        store.absorb_profile(1, 1, 0, b"newer 2\n").unwrap();
-        assert_eq!(
-            store.workers[&1].profile,
-            Some(((1, 0), b"newer 2\n".to_vec()))
-        );
-        // Same key: byte-wise max wins, so duplicate delivery commutes.
-        store.absorb_profile(1, 1, 0, b"aaaaa 1\n").unwrap();
-        assert_eq!(
-            store.workers[&1].profile,
-            Some(((1, 0), b"newer 2\n".to_vec()))
-        );
-        // Empty blobs are a silent no-op (profiler off on that worker).
-        store.absorb_profile(2, 0, 0, b"").unwrap();
-        assert!(store.workers.get(&2).map_or(true, |w| w.profile.is_none()));
-        // Malformed folded text and non-UTF-8 are rejected outright.
-        assert!(store.absorb_profile(3, 0, 0, b"no-count-token").is_err());
-        assert!(store
-            .absorb_profile(3, 0, 0, &[0xff, 0xfe, 0x20, 0x31])
-            .is_err());
-    }
-
-    #[test]
     fn cluster_profile_folded_prefixes_worker_sections() {
         let mut store = FederationStore::default();
-        store.absorb_profile(1, 0, 1, b"a;b 3\nc 1\n").unwrap();
-        store.absorb_profile(2, 0, 1, b"x 5\n").unwrap();
-        let folded = store.cluster_profile_folded();
-        assert!(folded.contains("worker:1;a;b 3\n"), "{folded}");
-        assert!(folded.contains("worker:1;c 1\n"), "{folded}");
-        assert!(folded.contains("worker:2;x 5\n"), "{folded}");
+        let profiled = |stacks: &[(&str, u64)]| Snapshot {
+            profile: stacks.iter().map(|&(s, n)| (s.to_string(), n)).collect(),
+            ..Snapshot::default()
+        };
+        store.absorb(1, 0, 1, None, profiled(&[("a;b", 3), ("c", 1)]));
+        store.absorb(2, 0, 1, None, profiled(&[("x", 5)]));
+        let local = profiled(&[("main", 2)]);
+        let folded = export::folded(&store.sources(&local));
+        assert_eq!(
+            folded,
+            "driver;main 2\nworker:1;a;b 3\nworker:1;c 1\nworker:2;x 5\n"
+        );
         // The merged document must itself be valid folded text.
         crate::profile::parse_folded(&folded).expect("cluster view parses");
     }
 
     #[test]
     fn prometheus_federated_emits_rtt_quantiles() {
-        // The series reads the driver's live `dist.rpc_rtt_ns` histogram
-        // through the shared quantile estimator.
-        let h = metrics::histogram("dist.rpc_rtt_ns", &[1_000.0, 1_000_000.0]);
-        h.observe(500.0);
-        h.observe(600.0);
-        let text = FederationStore::default().prometheus_federated();
-        assert!(text.contains("bpart_federation_rtt_p50 "), "{text}");
+        // Read from the local `dist.rpc_rtt_ns` histogram through the
+        // shared quantile estimator.
+        let mut local = Snapshot::default();
+        local.metrics.histograms.insert(
+            "dist.rpc_rtt_ns".to_string(),
+            HistogramValue {
+                bounds: vec![1_000.0, 1_000_000.0],
+                buckets: vec![2, 0, 0],
+                count: 2,
+                sum: 1100.0,
+            },
+        );
+        let text = export::prometheus(&FederationStore::default().sources(&local));
+        assert!(text.contains("bpart_federation_rtt_p50 500\n"), "{text}");
         assert!(text.contains("bpart_federation_rtt_p90 "), "{text}");
         assert!(text.contains("bpart_federation_rtt_p99 "), "{text}");
     }
@@ -1303,73 +517,59 @@ mod tests {
     #[test]
     fn progress_json_lists_workers() {
         let mut store = FederationStore::default();
-        store
-            .absorb_report(
-                0,
-                1,
-                4,
-                Some((
-                    2,
-                    StepSample {
-                        epoch: 1,
-                        compute_ns: 10,
-                        comm_ns: 5,
-                    },
-                )),
-                &sample_snapshot(3).to_bytes(),
-                &encode_spans(&[]),
-            )
-            .unwrap();
-        let json = store.progress_json_workers();
-        assert!(json.contains("\"0\":{"), "{json}");
-        assert!(json.contains("\"stale\":false"), "{json}");
-        assert!(json.contains("\"epoch\":1,\"seq\":4"), "{json}");
-        assert!(json.contains("\"dist.frames\":3"), "{json}");
-        assert!(json.contains("\"supersteps\":1"), "{json}");
+        store.absorb(0, 1, 4, step(1, 2, 10), report(3));
+        let json = export::progress_json(&store.sources(&Snapshot::default()));
+        assert_eq!(
+            json,
+            "{\"counters\":{},\"gauges\":{},\"histograms\":{},\"workers\":{\"0\":{\"stale\":false,\
+             \"deaths\":0,\"epoch\":1,\"seq\":4,\"counters\":{\"dist.frames\":3},\"supersteps\":1}}}"
+        );
     }
 
     #[test]
     fn worker_trace_rebases_and_nests_under_driver_supersteps() {
         let mut store = FederationStore::default();
-        store.note_superstep_span(0, 7, 42);
-        let spans = vec![
-            sample_span(1, 7),
-            WireSpan {
-                parent: Some(1),
-                name: "worker.compute".to_string(),
-                attrs: vec![],
-                ..sample_span(2, 7)
-            },
-        ];
-        store
-            .absorb_report(
-                0,
-                0,
-                1,
-                None,
-                &MetricsSnapshot::default().to_bytes(),
-                &encode_spans(&spans),
-            )
-            .unwrap();
+        let child = Span {
+            parent: Some(1),
+            name: "worker.compute".to_string(),
+            attrs: vec![],
+            ..sample_span(2, 7)
+        };
+        let sent = Snapshot {
+            spans: vec![sample_span(1, 7), child],
+            ..Snapshot::default()
+        };
+        store.absorb(0, 0, 1, None, sent);
         store.record_clock_sample(0, 100, 600);
-        let jsonl = store.worker_trace_jsonl(0).expect("trace");
-        let base = 1u64 << 40;
+        // The driver's span of the same (epoch, superstep) is in the view.
+        let local = Snapshot {
+            spans: vec![Span {
+                name: "cluster.superstep".to_string(),
+                ..sample_span(42, 7)
+            }],
+            ..Snapshot::default()
+        };
+        let jsonl = export::spans_jsonl(&store.sources(&local));
+        let (root, nested) = ((1u64 << 40) + 1, (1u64 << 40) + 2);
         // Root worker.superstep parents under driver span 42; timestamps
-        // are rebased by the −600ns offset (1000 → 400, saturating).
-        assert!(
-            jsonl.contains(&format!("\"id\":{},\"parent\":42", base + 1)),
-            "{jsonl}"
-        );
-        assert!(
-            jsonl.contains(&format!("\"id\":{},\"parent\":{}", base + 2, base + 1)),
-            "{jsonl}"
-        );
-        assert!(jsonl.contains("\"start_ns\":400"), "{jsonl}");
-        assert!(jsonl.contains("\"start_ns\":1400"), "{jsonl}");
+        // are rebased by the 600ns offset (1000 → 400, saturating).
+        for part in [
+            format!("\"id\":{root},\"parent\":42,"),
+            format!("\"id\":{nested},\"parent\":{root},"),
+            "\"start_ns\":400,".to_string(),
+            "\"start_ns\":1400,".to_string(),
+        ] {
+            assert!(jsonl.contains(&part), "missing {part}:\n{jsonl}");
+        }
         // And the output parses with the report reader.
         let parsed = crate::report::parse_trace_jsonl(&jsonl).expect("parse");
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(store.worker_trace_jsonl(9), None);
+        assert_eq!(parsed.len(), 3);
+        // Without the driver's span the worker root stays a root.
+        let alone = export::spans_jsonl(&store.sources(&Snapshot::default()));
+        assert!(
+            alone.contains(&format!("\"id\":{root},\"parent\":null,")),
+            "{alone}"
+        );
     }
 
     #[test]
@@ -1386,51 +586,8 @@ mod tests {
         store.record_clock_sample(0, 9000, 500);
         store.record_clock_sample(0, 3000, -200);
         store.record_clock_sample(0, 7000, 999);
-        let w = &store.workers[&0];
-        assert_eq!((w.min_rtt_ns, w.offset_ns), (3000, -200));
-    }
-
-    #[test]
-    fn merge_unions_workers_and_keeps_newest() {
-        let mut a = FederationStore::default();
-        a.absorb_report(
-            0,
-            0,
-            1,
-            None,
-            &sample_snapshot(1).to_bytes(),
-            &encode_spans(&[]),
-        )
-        .unwrap();
-        let mut b = FederationStore::default();
-        b.absorb_report(
-            0,
-            0,
-            3,
-            None,
-            &sample_snapshot(8).to_bytes(),
-            &encode_spans(&[]),
-        )
-        .unwrap();
-        b.absorb_report(
-            1,
-            0,
-            1,
-            None,
-            &sample_snapshot(2).to_bytes(),
-            &encode_spans(&[]),
-        )
-        .unwrap();
-        let ab = FederationStore::merge(&a, &b);
-        let ba = FederationStore::merge(&b, &a);
-        assert_eq!(ab, ba, "merge must be commutative");
-        assert_eq!(ab.workers.len(), 2);
-        assert_eq!(
-            ab.workers[&0].snapshot.as_ref().unwrap().0,
-            (0, 3),
-            "newest (epoch, seq) wins"
-        );
-        assert_eq!(FederationStore::merge(&ab, &b), ab, "idempotent");
+        let clock = store.workers[&0].clock.expect("sampled");
+        assert_eq!((clock.rtt_ns, clock.offset_ns), (3000, -200));
     }
 
     #[test]

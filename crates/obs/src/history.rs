@@ -29,7 +29,7 @@ use std::io;
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::export::{ensure_parent_dir, escape_json};
+use crate::export::escape_json;
 use crate::report::Parser;
 
 /// One run's history record.
@@ -135,8 +135,8 @@ impl RunRecord {
                     "graph" => record.graph = p.string()?,
                     "git_rev" => record.git_rev = p.string()?,
                     "unix_time" => record.unix_time = p.u64()?,
-                    "config" => record.config = p.string_map()?,
-                    "metrics" => record.metrics = p.f64_map()?,
+                    "config" => record.config = p.object(Parser::string)?.into_iter().collect(),
+                    "metrics" => record.metrics = p.object(Parser::f64)?.into_iter().collect(),
                     other => return Err(format!("unknown key {other:?}")),
                 }
                 if !p.try_consume(',') {
@@ -155,8 +155,7 @@ impl RunRecord {
     /// Writes the record to `path`, creating missing parent directories
     /// (history lands under `results/history/`, which need not exist).
     pub fn write(&self, path: &Path) -> io::Result<()> {
-        ensure_parent_dir(path)?;
-        std::fs::write(path, format!("{}\n", self.to_json()))
+        crate::export::write(path, &format!("{}\n", self.to_json()))
     }
 
     /// Reads a record back from `path`.

@@ -16,9 +16,13 @@
 //!   stay on unconditionally. Handles are `&'static` and lock-free on the
 //!   hot path (the registry lock is only taken at lookup time, which call
 //!   sites cache in a `OnceLock`).
-//! * **Exporters** ([`export`]) — a JSONL trace dump, a Prometheus-style
-//!   text exposition of the registry, and a flame-style span-tree report
-//!   ([`report`]) rendered by the `bpart report` CLI subcommand.
+//! * **Snapshot** ([`snapshot`]) — one process at one instant: its
+//!   metrics, closed spans, folded profile and alert states, captured
+//!   locally or decoded from a worker's report.
+//! * **Exporters** ([`export`]) — every external format as one function
+//!   over snapshots: Prometheus text, span JSONL, folded stacks and the
+//!   `/progress` JSON, whether served or written, driver or worker; plus
+//!   the flame-style span-tree report ([`report`]) of `bpart report`.
 //! * **Live serving** ([`serve`]) — a std-only background HTTP server
 //!   (`--serve-addr`) exposing `/metrics`, `/spans`, `/healthz`,
 //!   `/progress`, `/profile`, and `/alerts` while a job runs.
@@ -26,20 +30,16 @@
 //!   span tree: which machine gated each superstep, per-machine blame
 //!   (critical-path time vs barrier waiting, the automated Fig. 13
 //!   reading), and straggler detection (`bpart report --critical-path`).
-//! * **Federation** ([`federation`]) — cluster-wide merging of worker
-//!   metrics snapshots, span deltas, and superstep timings for the
-//!   multi-process backend: `worker="N"`-labelled series on `/metrics`,
-//!   clock-offset-aligned trace export, and degraded-aware `/healthz`.
+//! * **Federation** ([`federation`]) — what a multi-process driver alone
+//!   knows of its workers: each one's latest snapshot, superstep timings,
+//!   clock offset and staleness, behind the `worker="N"`-labelled series,
+//!   the clock-aligned trace and the degraded-aware `/healthz`.
 //! * **Continuous profiler** ([`profile`]) — a background sampler that
 //!   snapshots each thread's live span stack into flamegraph-compatible
 //!   folded-stack counts (`--profile-out`, `/profile`, and the cluster
-//!   flame view in `bpart report --profile`), plus an optional
-//!   global-allocator wrapper attributing bytes to the innermost span.
-//! * **Tail-based sampling** ([`sampling`]) — admission control for the
-//!   span ring on long runs: slow/flagged spans keep full detail, fast
-//!   repetitive ones downsample probabilistically.
-//! * **Alerting** ([`alerts`]) — declarative threshold / ratio /
-//!   burn-rate / quantile rules over the metrics registry with
+//!   flame view in `bpart report --profile`).
+//! * **Alerting** ([`alerts`]) — declarative threshold / burn-rate /
+//!   quantile rules over a process's metrics with
 //!   for-duration + cooldown hysteresis, evaluated in the background,
 //!   served on `/alerts`, and folded into `/healthz` degraded state.
 //! * **Run history** ([`history`]) — one JSON record per run under
@@ -85,8 +85,9 @@ pub mod metrics;
 pub mod profile;
 pub mod report;
 pub mod rss;
-pub mod sampling;
 pub mod serve;
+pub mod snapshot;
+mod ticker;
 pub mod tracer;
 pub mod validate;
 

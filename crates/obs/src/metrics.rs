@@ -23,6 +23,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+use crate::export::{self, Source};
+use crate::snapshot::{HistogramValue, Metrics, Snapshot};
+
 /// A monotonically increasing `u64` counter.
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -220,43 +223,29 @@ pub fn histogram(name: &str, bounds: &[f64]) -> &'static Histogram {
     }
 }
 
-/// A point-in-time copy of one registered metric's value, as yielded by
-/// [`visit_metrics`]. Histograms carry their full bucket layout so a
-/// consumer (the federation snapshot) can reproduce the distribution,
-/// not just count/sum.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MetricView {
-    Counter(u64),
-    Gauge(f64),
-    Histogram {
-        /// Finite ascending upper bounds (the `+Inf` bucket is implicit).
-        bounds: Vec<f64>,
-        /// Non-cumulative per-bucket counts, `bounds.len() + 1` entries.
-        buckets: Vec<u64>,
-        count: u64,
-        sum: f64,
-    },
-}
-
-/// Calls `f` once per registered metric, in name order, with a
-/// point-in-time value snapshot. This is the enumeration surface the
-/// federation layer serialises worker registries through; the registry
-/// lock is held for the duration, so keep `f` cheap.
-pub fn visit_metrics(mut f: impl FnMut(&str, MetricView)) {
-    let reg = registry();
-    for (name, metric) in reg.iter() {
-        let view = match metric {
-            Metric::Counter(c) => MetricView::Counter(c.get()),
-            Metric::Gauge(g) => MetricView::Gauge(g.get()),
-            Metric::Histogram(h) => MetricView::Histogram {
-                bounds: h.bounds().to_vec(),
-                buckets: h.bucket_counts(),
-                count: h.count(),
-                sum: h.sum(),
-            },
-        };
-        f(name, view);
+/// A point-in-time copy of every registered metric.
+pub fn capture() -> Metrics {
+    let mut out = Metrics::default();
+    for (name, metric) in registry().iter() {
+        match metric {
+            Metric::Counter(c) => {
+                out.counters.insert(name.clone(), c.get());
+            }
+            Metric::Gauge(g) => {
+                out.gauges.insert(name.clone(), g.get());
+            }
+            Metric::Histogram(h) => {
+                let value = HistogramValue {
+                    bounds: h.bounds().to_vec(),
+                    buckets: h.bucket_counts(),
+                    count: h.count(),
+                    sum: h.sum(),
+                };
+                out.histograms.insert(name.clone(), value);
+            }
+        }
     }
+    out
 }
 
 /// Sanitises a dotted metric name for the Prometheus exposition format
@@ -293,7 +282,7 @@ pub fn json_f64(v: f64) -> String {
 /// Prometheus-style buckets: `bounds` are the finite ascending upper
 /// bounds, `buckets` the **non-cumulative** per-bucket counts with the
 /// implicit `+Inf` bucket last (`bounds.len() + 1` entries — exactly what
-/// [`Histogram::bucket_counts`] and [`MetricView::Histogram`] carry).
+/// [`Histogram::bucket_counts`] and [`HistogramValue`] carry).
 ///
 /// Uses Prometheus `histogram_quantile` semantics: linear interpolation
 /// within the bucket containing the rank, a lower edge of 0 for the first
@@ -335,114 +324,17 @@ pub fn quantile_from_buckets(bounds: &[f64], buckets: &[u64], q: f64) -> Option<
     None
 }
 
-fn fmt_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
-    }
-}
-
-/// Renders every registered metric in the Prometheus text exposition
-/// format (sorted by name; histograms as cumulative `_bucket{le=...}`
-/// series plus `_sum`/`_count`).
-///
-/// Sanitisation can alias distinct registered names (`a.b` and `a_b`
-/// both become `a_b`); that is a caller bug the snapshot must not hide,
-/// so colliding names are flagged with a `# warning:` comment line (and
-/// once on stderr) instead of silently merging into one series name.
+/// This process's registry in the Prometheus text exposition format:
+/// [`export::prometheus`] over a capture of it.
 pub fn prometheus_snapshot() -> String {
-    let reg = registry();
-    let mut sanitized_to_names: BTreeMap<String, Vec<&str>> = BTreeMap::new();
-    for name in reg.keys() {
-        sanitized_to_names
-            .entry(sanitize_name(name))
-            .or_default()
-            .push(name);
-    }
-    let mut out = String::new();
-    for (sanitized, names) in &sanitized_to_names {
-        if names.len() > 1 {
-            let list = names.join("\", \"");
-            out.push_str(&format!(
-                "# warning: sanitised name collision: \"{list}\" all map to {sanitized}\n"
-            ));
-            eprintln!(
-                "warning: metric names \"{list}\" all sanitise to {sanitized:?}; \
-                 their exposition series alias each other"
-            );
-        }
-    }
-    for (name, metric) in reg.iter() {
-        let pname = sanitize_name(name);
-        match metric {
-            Metric::Counter(c) => {
-                out.push_str(&format!("# TYPE {pname} counter\n"));
-                out.push_str(&format!("{pname} {}\n", c.get()));
-            }
-            Metric::Gauge(g) => {
-                out.push_str(&format!("# TYPE {pname} gauge\n"));
-                out.push_str(&format!("{pname} {}\n", fmt_f64(g.get())));
-            }
-            Metric::Histogram(h) => {
-                out.push_str(&format!("# TYPE {pname} histogram\n"));
-                let counts = h.bucket_counts();
-                let mut cumulative = 0u64;
-                for (i, c) in counts.iter().enumerate() {
-                    cumulative += c;
-                    let le = h
-                        .bounds()
-                        .get(i)
-                        .copied()
-                        .map_or_else(|| "+Inf".to_string(), fmt_f64);
-                    out.push_str(&format!("{pname}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-                }
-                out.push_str(&format!("{pname}_sum {}\n", fmt_f64(h.sum())));
-                out.push_str(&format!("{pname}_count {}\n", h.count()));
-            }
-        }
-    }
-    out
+    export::prometheus(&[Source::Local(&local())])
 }
 
-/// Renders the registry as one JSON object — the `/progress` endpoint's
-/// body. Names are the *original* dotted names (no Prometheus
-/// sanitisation), values grouped by kind; non-finite `f64`s become
-/// `null` (JSON has no NaN/Inf):
-///
-/// ```text
-/// {"counters":{"cluster.supersteps":41},
-///  "gauges":{"cluster.progress_superstep":40},
-///  "histograms":{"walk.steps_per_block":{"count":7,"sum":120}}}
-/// ```
-pub fn json_snapshot() -> String {
-    use crate::export::escape_json;
-    let reg = registry();
-    let mut counters = Vec::new();
-    let mut gauges = Vec::new();
-    let mut histograms = Vec::new();
-    for (name, metric) in reg.iter() {
-        let key = escape_json(name);
-        match metric {
-            Metric::Counter(c) => counters.push(format!("\"{key}\":{}", c.get())),
-            Metric::Gauge(g) => gauges.push(format!("\"{key}\":{}", json_f64(g.get()))),
-            Metric::Histogram(h) => histograms.push(format!(
-                "\"{key}\":{{\"count\":{},\"sum\":{}}}",
-                h.count(),
-                json_f64(h.sum()),
-            )),
-        }
+fn local() -> Snapshot {
+    Snapshot {
+        metrics: capture(),
+        ..Snapshot::default()
     }
-    format!(
-        "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
-        counters.join(","),
-        gauges.join(","),
-        histograms.join(","),
-    )
 }
 
 #[cfg(test)]
@@ -595,7 +487,7 @@ mod tests {
         let h = histogram("t.jsonsnap.hist", &[1.0]);
         h.observe(0.5);
         h.observe(3.0);
-        let text = json_snapshot();
+        let text = export::progress_json(&[Source::Local(&local())]);
         assert!(text.contains("\"t.jsonsnap.count\":4"), "{text}");
         assert!(text.contains("\"t.jsonsnap.gauge\":1.5"), "{text}");
         assert!(text.contains("\"t.jsonsnap.poisoned\":null"), "{text}");
@@ -609,23 +501,18 @@ mod tests {
     }
 
     #[test]
-    fn visit_metrics_yields_point_in_time_views() {
+    fn capture_yields_point_in_time_values() {
         counter("t.visit.count").add(9);
         gauge("t.visit.gauge").set(0.5);
         let h = histogram("t.visit.hist", &[2.0]);
         h.observe(1.0);
         h.observe(5.0);
-        let mut seen = std::collections::BTreeMap::new();
-        visit_metrics(|name, view| {
-            if name.starts_with("t.visit.") {
-                seen.insert(name.to_string(), view);
-            }
-        });
-        assert_eq!(seen["t.visit.count"], MetricView::Counter(9));
-        assert_eq!(seen["t.visit.gauge"], MetricView::Gauge(0.5));
+        let seen = capture();
+        assert_eq!(seen.counters["t.visit.count"], 9);
+        assert_eq!(seen.gauges["t.visit.gauge"], 0.5);
         assert_eq!(
-            seen["t.visit.hist"],
-            MetricView::Histogram {
+            seen.histograms["t.visit.hist"],
+            HistogramValue {
                 bounds: vec![2.0],
                 buckets: vec![1, 1],
                 count: 2,

@@ -2,29 +2,19 @@
 //! span tree with per-phase totals.
 //!
 //! The parser is a minimal hand-rolled JSON object reader sized exactly
-//! to what [`crate::export`] emits (flat objects, string/number/null
-//! values, one nested `attrs` string map). It rejects malformed lines
-//! with a line-numbered error, which is what makes it double as the CI
-//! trace validator.
+//! to what [`crate::export::spans_jsonl`] emits (flat objects,
+//! string/number/null values, one nested `attrs` string map). It rejects
+//! malformed lines with a line-numbered error, which is what makes it
+//! double as the CI trace validator.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A span parsed back from JSONL (owned strings; attrs as a map).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParsedSpan {
-    pub id: u64,
-    pub parent: Option<u64>,
-    pub name: String,
-    pub thread: u64,
-    pub start_ns: u64,
-    pub dur_ns: u64,
-    pub attrs: BTreeMap<String, String>,
-}
+use crate::snapshot::Span;
 
 /// Parses a whole JSONL trace. Empty lines are skipped; any malformed
 /// line fails the whole parse with its 1-based line number.
-pub fn parse_trace_jsonl(text: &str) -> Result<Vec<ParsedSpan>, String> {
+pub fn parse_trace_jsonl(text: &str) -> Result<Vec<Span>, String> {
     let mut spans = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -35,7 +25,7 @@ pub fn parse_trace_jsonl(text: &str) -> Result<Vec<ParsedSpan>, String> {
     Ok(spans)
 }
 
-fn parse_span_line(line: &str) -> Result<ParsedSpan, String> {
+fn parse_span_line(line: &str) -> Result<Span, String> {
     let mut p = Parser::new(line);
     let mut id = None;
     let mut parent = None;
@@ -43,7 +33,7 @@ fn parse_span_line(line: &str) -> Result<ParsedSpan, String> {
     let mut thread = None;
     let mut start_ns = None;
     let mut dur_ns = None;
-    let mut attrs = BTreeMap::new();
+    let mut attrs = Vec::new();
     p.expect('{')?;
     if !p.try_consume('}') {
         loop {
@@ -56,7 +46,7 @@ fn parse_span_line(line: &str) -> Result<ParsedSpan, String> {
                 "thread" => thread = Some(p.u64()?),
                 "start_ns" => start_ns = Some(p.u64()?),
                 "dur_ns" => dur_ns = Some(p.u64()?),
-                "attrs" => attrs = p.string_map()?,
+                "attrs" => attrs = p.object(Parser::string)?,
                 other => return Err(format!("unknown key {other:?}")),
             }
             if !p.try_consume(',') {
@@ -66,7 +56,7 @@ fn parse_span_line(line: &str) -> Result<ParsedSpan, String> {
         p.expect('}')?;
     }
     p.end()?;
-    Ok(ParsedSpan {
+    Ok(Span {
         id: id.ok_or("missing \"id\"")?,
         parent,
         name: name.ok_or("missing \"name\"")?,
@@ -156,24 +146,27 @@ impl<'a> Parser<'a> {
         num.parse().map_err(|e| format!("bad number {num:?}: {e}"))
     }
 
-    /// A `{"name": number, ...}` object (the history metrics map).
-    pub(crate) fn f64_map(&mut self) -> Result<BTreeMap<String, f64>, String> {
-        let mut map = BTreeMap::new();
+    /// A `{"key": value, ...}` object whose values `value` reads, in
+    /// document order (span attributes, the history config and metrics).
+    pub(crate) fn object<V>(
+        &mut self,
+        value: impl Fn(&mut Self) -> Result<V, String>,
+    ) -> Result<Vec<(String, V)>, String> {
+        let mut pairs = Vec::new();
         self.expect('{')?;
         if self.try_consume('}') {
-            return Ok(map);
+            return Ok(pairs);
         }
         loop {
             let key = self.string()?;
             self.expect(':')?;
-            let value = self.f64()?;
-            map.insert(key, value);
+            pairs.push((key, value(self)?));
             if !self.try_consume(',') {
                 break;
             }
         }
         self.expect('}')?;
-        Ok(map)
+        Ok(pairs)
     }
 
     fn u64_or_null(&mut self) -> Result<Option<u64>, String> {
@@ -230,25 +223,6 @@ impl<'a> Parser<'a> {
             }
         }
     }
-
-    pub(crate) fn string_map(&mut self) -> Result<BTreeMap<String, String>, String> {
-        let mut map = BTreeMap::new();
-        self.expect('{')?;
-        if self.try_consume('}') {
-            return Ok(map);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(':')?;
-            let value = self.string()?;
-            map.insert(key, value);
-            if !self.try_consume(',') {
-                break;
-            }
-        }
-        self.expect('}')?;
-        Ok(map)
-    }
 }
 
 fn truncate(s: &str) -> &str {
@@ -272,9 +246,9 @@ pub struct TreeNode {
 
 /// Aggregates parsed spans into a forest: children grouped under their
 /// parent's node by name, recursively, sorted by total time descending.
-pub fn build_tree(spans: &[ParsedSpan]) -> Vec<TreeNode> {
+pub fn build_tree(spans: &[Span]) -> Vec<TreeNode> {
     let known: std::collections::HashSet<u64> = spans.iter().map(|s| s.id).collect();
-    let mut children_of: BTreeMap<Option<u64>, Vec<&ParsedSpan>> = BTreeMap::new();
+    let mut children_of: BTreeMap<Option<u64>, Vec<&Span>> = BTreeMap::new();
     for s in spans {
         // A span whose parent was evicted from the ring becomes a root
         // rather than vanishing from the report.
@@ -286,7 +260,7 @@ pub fn build_tree(spans: &[ParsedSpan]) -> Vec<TreeNode> {
 
 fn build_level(
     parent: Option<u64>,
-    children_of: &BTreeMap<Option<u64>, Vec<&ParsedSpan>>,
+    children_of: &BTreeMap<Option<u64>, Vec<&Span>>,
 ) -> Vec<TreeNode> {
     let Some(spans) = children_of.get(&parent) else {
         return Vec::new();
@@ -337,7 +311,7 @@ fn fmt_ns(ns: u64) -> String {
 
 /// Renders the flame-style tree plus a flat per-phase totals table —
 /// the output of `bpart report <trace.jsonl>`.
-pub fn render_report(spans: &[ParsedSpan]) -> String {
+pub fn render_report(spans: &[Span]) -> String {
     let mut out = String::new();
     if spans.is_empty() {
         out.push_str("trace is empty (was tracing enabled via --trace-out?)\n");
@@ -465,10 +439,7 @@ mod tests {
         let parsed = parse_trace_jsonl(&jsonl).expect("roundtrip parse");
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].name, "t.report.root");
-        assert_eq!(
-            parsed[0].attrs.get("note").map(String::as_str),
-            Some("a\"b")
-        );
+        assert_eq!(parsed[0].attr("note"), Some("a\"b"));
         assert_eq!(parsed[1].parent, Some(1));
         assert_eq!(parsed[1].dur_ns, 40);
     }

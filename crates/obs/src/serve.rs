@@ -1,5 +1,5 @@
 //! Live monitoring: a std-only background HTTP/1.1 server over the
-//! tracer ring and metrics registry.
+//! views of [`crate::export`].
 //!
 //! Production systems are scraped while they run; a post-mortem trace
 //! dump is no help three hours into a large partition job. [`start`]
@@ -11,11 +11,15 @@
 //! |-------------|-------------------------------------------------------|
 //! | `/healthz`  | `ok` liveness probe; structured `ok`/`degraded` JSON  |
 //! |             | (dead workers, recovery, firing alerts) on drivers    |
-//! | `/metrics`  | Prometheus exposition + federated `worker="N"` series |
-//! | `/spans`    | the current tracer ring as JSONL (`trace_to_jsonl`)   |
-//! | `/progress` | registry JSON + per-worker `"workers"` section        |
-//! | `/profile`  | cluster-wide folded-stack flamegraph text             |
+//! | `/metrics`  | Prometheus exposition ([`export::prometheus`])        |
+//! | `/spans`    | spans as JSONL ([`export::spans_jsonl`])              |
+//! | `/progress` | registry JSON ([`export::progress_json`])             |
+//! | `/profile`  | folded-stack flamegraph text ([`export::folded`])     |
 //! | `/alerts`   | a fresh alert-rule evaluation as a JSON array         |
+//!
+//! Each view covers this process and, on a distributed driver, every
+//! worker that has reported — what the matching `--*-out` file holds at
+//! the end of the run, as of now.
 //!
 //! The responder is hand-rolled on purpose: the crate's zero-dependency
 //! rule (see the crate docs) covers the serving layer too, and the
@@ -39,37 +43,11 @@ use std::time::{Duration, Instant};
 /// thread while *reading* its request. The per-read socket timeout below
 /// resets on every received byte, so without this overall deadline a
 /// client dribbling one byte every few hundred milliseconds could wedge
-/// the server — and the CI obs-serve smoke job — indefinitely.
+/// the server — and the CI `obs` job — indefinitely.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 
-use crate::{export, federation, metrics, tracer};
-
-/// The `/metrics` body: this process's own registry, plus — when a
-/// distributed driver has absorbed worker reports — every federated
-/// worker series with its `worker="N"` label appended after.
-fn federated_metrics_body() -> String {
-    let mut body = metrics::prometheus_snapshot();
-    let federated = federation::global().prometheus_federated();
-    body.push_str(&federated);
-    body
-}
-
-/// The `/progress` body: the local registry JSON, with a `"workers"`
-/// section spliced in when the federation store has worker entries.
-fn federated_progress_body() -> String {
-    let body = metrics::json_snapshot();
-    let store = federation::global();
-    if store.workers.is_empty() {
-        return body;
-    }
-    let workers = store.progress_json_workers();
-    drop(store);
-    // json_snapshot always ends with `}`; splice before it.
-    match body.strip_suffix('}') {
-        Some(head) => format!("{head},\"workers\":{workers}}}"),
-        None => body,
-    }
-}
+use crate::snapshot::{spans_since, Snapshot};
+use crate::{alerts, export, federation, metrics, profile};
 
 /// A running monitoring server; shut it down explicitly with
 /// [`shutdown`](ServeHandle::shutdown) (dropping the handle also stops
@@ -211,9 +189,18 @@ fn handle_connection(stream: TcpStream) -> io::Result<()> {
             "only GET is supported\n".to_string(),
         )
     } else {
+        // Each view reads one part of the local snapshot; only that part
+        // is captured.
+        let view = |local: Snapshot, render: fn(&[export::Source<'_>]) -> String| {
+            render(&federation::global().sources(&local))
+        };
+        let registry = || Snapshot {
+            metrics: metrics::capture(),
+            ..Snapshot::default()
+        };
         match path {
             "/healthz" => {
-                let body = federation::global().health_body();
+                let body = federation::global().health_body(&alerts::last());
                 let content_type = if body.starts_with('{') {
                     "application/json"
                 } else {
@@ -224,22 +211,32 @@ fn handle_connection(stream: TcpStream) -> io::Result<()> {
             "/metrics" => (
                 "200 OK",
                 "text/plain; version=0.0.4; charset=utf-8",
-                federated_metrics_body(),
+                view(registry(), export::prometheus),
             ),
-            "/spans" => (
+            "/progress" => (
                 "200 OK",
-                "application/x-ndjson",
-                export::trace_to_jsonl(&tracer::snapshot()),
+                "application/json",
+                view(registry(), export::progress_json),
             ),
-            "/progress" => ("200 OK", "application/json", federated_progress_body()),
-            "/profile" => (
-                "200 OK",
-                "text/plain; charset=utf-8",
-                federation::global().cluster_profile_folded(),
-            ),
+            "/spans" => {
+                let local = Snapshot {
+                    spans: spans_since(&mut 0),
+                    ..Snapshot::default()
+                };
+                let body = view(local, export::spans_jsonl);
+                ("200 OK", "application/x-ndjson", body)
+            }
+            "/profile" => {
+                let local = Snapshot {
+                    profile: profile::folded_snapshot(),
+                    ..Snapshot::default()
+                };
+                let body = view(local, export::folded);
+                ("200 OK", "text/plain; charset=utf-8", body)
+            }
             "/alerts" => {
-                crate::alerts::evaluate_now();
-                ("200 OK", "application/json", crate::alerts::alerts_json())
+                let body = alerts::render_json(&alerts::evaluate_now());
+                ("200 OK", "application/json", body)
             }
             _ => (
                 "404 Not Found",
@@ -306,22 +303,10 @@ mod tests {
         assert!(status.contains("200"), "{status}");
         assert!(body.contains("t_serve_requests 3"), "{body}");
 
-        // The tracer ring is shared with concurrently running tests (one
-        // of which shrinks its capacity), so retry if our span is evicted
-        // between recording and scraping.
-        let mut span_served = false;
-        for _ in 0..5 {
-            {
-                let _s = crate::span("t.serve.span");
-            }
-            let (status, body) = get(addr, "/spans");
-            assert!(status.contains("200"), "{status}");
-            if body.contains("\"name\":\"t.serve.span\"") {
-                span_served = true;
-                break;
-            }
-        }
-        assert!(span_served, "/spans never contained the recorded span");
+        drop(crate::span("t.serve.span"));
+        let (status, body) = get(addr, "/spans");
+        assert!(status.contains("200"), "{status}");
+        assert!(body.contains("\"name\":\"t.serve.span\""), "{body}");
 
         let (status, body) = get(addr, "/progress");
         assert!(status.contains("200"), "{status}");
@@ -359,20 +344,12 @@ mod tests {
         // process-global and another test resets it concurrently.
         let mut seen = false;
         for _ in 0..5 {
-            {
-                let mut snap = federation::MetricsSnapshot::default();
-                snap.counters.insert("t.serve.fed".to_string(), 11);
-                federation::global()
-                    .absorb_report(
-                        7,
-                        0,
-                        1,
-                        None,
-                        &snap.to_bytes(),
-                        &federation::encode_spans(&[]),
-                    )
-                    .expect("absorb");
-            }
+            let mut report = Snapshot::default();
+            report
+                .metrics
+                .counters
+                .insert("t.serve.fed".to_string(), 11);
+            federation::global().absorb(7, 0, 1, None, report);
             let (status, metrics_body) = get(addr, "/metrics");
             assert!(status.contains("200"), "{status}");
             let (status, progress_body) = get(addr, "/progress");
@@ -416,9 +393,11 @@ mod tests {
         // process-global and another test resets it concurrently.
         let mut seen = false;
         for _ in 0..5 {
-            federation::global()
-                .absorb_profile(31, 0, 1, b"t.serve.profiled;leaf 4\n")
-                .expect("absorb profile");
+            let report = Snapshot {
+                profile: vec![("t.serve.profiled;leaf".to_string(), 4)],
+                ..Snapshot::default()
+            };
+            federation::global().absorb(31, 0, 1, None, report);
             let (status, content_type, body) = get_full(addr, "/profile");
             assert!(status.contains("200"), "{status}");
             assert_eq!(content_type, "text/plain; charset=utf-8");

@@ -19,6 +19,7 @@
 //! worker thread becomes a root for that thread.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -52,7 +53,15 @@ struct TracerState {
     dropped: AtomicU64,
     capacity: AtomicUsize,
     epoch: OnceLock<Instant>,
-    ring: Mutex<Vec<SpanRecord>>,
+    ring: Mutex<Ring>,
+}
+
+/// The retained spans, oldest first, and how many were ever pushed: span
+/// number `closed - spans.len()` is at the front.
+#[derive(Default)]
+struct Ring {
+    spans: VecDeque<SpanRecord>,
+    closed: u64,
 }
 
 fn state() -> &'static TracerState {
@@ -64,7 +73,7 @@ fn state() -> &'static TracerState {
         dropped: AtomicU64::new(0),
         capacity: AtomicUsize::new(DEFAULT_RING_CAPACITY),
         epoch: OnceLock::new(),
-        ring: Mutex::new(Vec::new()),
+        ring: Mutex::new(Ring::default()),
     })
 }
 
@@ -112,13 +121,27 @@ pub fn now_ns() -> u64 {
 /// that run.
 pub fn clear_trace() {
     let s = state();
-    s.ring.lock().expect("tracer ring poisoned").clear();
+    s.ring.lock().expect("tracer ring poisoned").spans.clear();
     s.dropped.store(0, Ordering::Relaxed);
 }
 
 /// Snapshot (clone) of the retained spans, oldest first.
 pub fn snapshot() -> Vec<SpanRecord> {
-    state().ring.lock().expect("tracer ring poisoned").clone()
+    closed_since(&mut 0)
+}
+
+/// The retained spans that closed at or after position `cursor` of the
+/// process's close order, oldest first; `cursor` moves past them. The
+/// position counts closes, not ids: a span is numbered when it enters the
+/// ring, so one that closes after its children is numbered after them and
+/// a reader that resumes from its cursor misses neither. Spans evicted
+/// before they were read are lost (and counted in [`dropped_spans`]).
+pub fn closed_since(cursor: &mut u64) -> Vec<SpanRecord> {
+    let ring = state().ring.lock().expect("tracer ring poisoned");
+    let oldest = ring.closed - ring.spans.len() as u64;
+    let skip = (cursor.saturating_sub(oldest) as usize).min(ring.spans.len());
+    *cursor = ring.closed;
+    ring.spans.range(skip..).cloned().collect()
 }
 
 /// Opens a span; it records itself when the guard drops. When tracing is
@@ -150,7 +173,6 @@ pub fn span(name: &'static str) -> SpanGuard {
             started: Instant::now(),
             attrs: Vec::new(),
             profiled,
-            keep: false,
         }),
     }
 }
@@ -165,8 +187,6 @@ struct OpenSpan {
     attrs: Vec<(&'static str, String)>,
     /// Whether this span pushed onto the profiler's live stack.
     profiled: bool,
-    /// Pin against tail sampling (see [`SpanGuard::keep`]).
-    keep: bool,
 }
 
 /// An open span; closes (and records) on drop.
@@ -186,17 +206,6 @@ impl SpanGuard {
     /// The span id, when recording (useful in tests).
     pub fn id(&self) -> Option<u64> {
         self.open.as_ref().map(|o| o.id)
-    }
-
-    /// Pins this span against tail-based sampling: it is always admitted
-    /// to the ring regardless of the downsampling policy. Fault, replay,
-    /// and stall sites call this so incident context survives long runs
-    /// at full detail (see [`crate::sampling`]). A no-op on an inert
-    /// guard and when tail sampling is off.
-    pub fn keep(&mut self) {
-        if let Some(open) = &mut self.open {
-            open.keep = true;
-        }
     }
 }
 
@@ -219,11 +228,6 @@ impl Drop for SpanGuard {
             crate::profile::pop_live(open.name);
         }
         let dur_ns = open.started.elapsed().as_nanos() as u64;
-        // Tail-based admission: the stack bookkeeping above already
-        // happened, so a sampled-out span simply leaves no record.
-        if !crate::sampling::admit(open.name, dur_ns, open.keep) {
-            return;
-        }
         let record = SpanRecord {
             id: open.id,
             parent: open.parent,
@@ -236,14 +240,13 @@ impl Drop for SpanGuard {
         let s = state();
         let cap = s.capacity.load(Ordering::Relaxed);
         let mut ring = s.ring.lock().expect("tracer ring poisoned");
-        if ring.len() >= cap {
-            // Evict the oldest overflow in one drain (amortised O(1) per
-            // span for the common cap-by-one case).
-            let excess = ring.len() + 1 - cap;
-            ring.drain(..excess);
-            s.dropped.fetch_add(excess as u64, Ordering::Relaxed);
+        // Usually one eviction; more after the capacity was lowered.
+        while ring.spans.len() >= cap {
+            ring.spans.pop_front();
+            s.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.push(record);
+        ring.spans.push_back(record);
+        ring.closed += 1;
     }
 }
 

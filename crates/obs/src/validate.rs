@@ -12,10 +12,11 @@
 
 use std::collections::BTreeMap;
 
-use crate::report::{parse_trace_jsonl, ParsedSpan};
+use crate::report::parse_trace_jsonl;
+use crate::snapshot::Span;
 
 /// Parses a JSONL trace and rejects an empty one.
-pub fn check_trace(text: &str) -> Result<Vec<ParsedSpan>, String> {
+pub fn check_trace(text: &str) -> Result<Vec<Span>, String> {
     let spans = parse_trace_jsonl(text)?;
     if spans.is_empty() {
         return Err("trace holds no spans (was tracing enabled?)".to_string());

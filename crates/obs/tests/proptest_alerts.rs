@@ -16,12 +16,14 @@
 //! serialization.
 
 use bpart_obs::alerts::{AlertEngine, Op, Phase, Rule, RuleKind};
-use bpart_obs::metrics::MetricView;
+use bpart_obs::snapshot::Metrics;
 use proptest::prelude::*;
 use std::time::Duration;
 
-fn values(v: f64) -> bpart_obs::alerts::MetricValues {
-    bpart_obs::alerts::MetricValues::from_pairs([("x".to_string(), MetricView::Gauge(v))])
+fn values(v: f64) -> Metrics {
+    let mut m = Metrics::default();
+    m.gauges.insert("x".to_string(), v);
+    m
 }
 
 proptest! {

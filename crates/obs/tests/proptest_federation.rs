@@ -1,134 +1,114 @@
-//! Property tests for the federation merge algebra.
+//! Property tests for the law the driver relies on when it absorbs
+//! worker reports.
 //!
-//! The driver merges worker `ObsReport`s in whatever order the network
-//! delivers them, retries can duplicate them, and two stores may be
-//! merged wholesale (e.g. when reconciling a restarted driver). For the
-//! federated view to be trustworthy, the merge must therefore be a
-//! semilattice join:
+//! The network delivers `ObsReport`s in any order — the worker's timer
+//! flush races its per-superstep report — and a retry can deliver one
+//! twice. The federated view is trustworthy only if it does not depend on
+//! any of that:
 //!
-//! 1. **Associative + commutative** — `merge` gives the same store for
-//!    any grouping and order of inputs.
-//! 2. **Idempotent** — merging a store with itself (or absorbing a
-//!    duplicated report) changes nothing.
+//! 1. **A function of the set** — absorbing any permutation of a set of
+//!    reports, with any of them duplicated, yields the same store.
+//! 2. **Newer clears stale** — a report strictly newer than the one held
+//!    clears the flag a death raised; an older or equal one does not.
 //! 3. **Injective worker labels** — Prometheus label sanitisation can
 //!    never collide two distinct workers into one series.
 //!
-//! Stores are built through the real `absorb_report` wire path (encoded
-//! snapshot + span bytes), not synthetic structs, so the properties
-//! cover the codec too.
+//! What a worker reports under one `(worker, epoch, seq)` is one thing, so
+//! the generated content is a function of that key.
 
-use bpart_obs::federation::{encode_spans, FederationStore, MetricsSnapshot, StepSample, WireSpan};
+use bpart_obs::federation::{FederationStore, StepSample};
+use bpart_obs::snapshot::{Snapshot, Span};
 use proptest::prelude::*;
 
-/// One synthetic worker report: identity, payload knobs, and a step
-/// timing sample, all small enough to force collisions across cases.
-type Report = ((u32, u32, u64), (u64, u64, u64));
+/// The identity of one report: `(worker, epoch, seq)`.
+type Key = (u32, u32, u64);
 
-fn report_strategy() -> impl Strategy<Value = Vec<Report>> {
-    prop::collection::vec(
-        (
-            // (worker, epoch, seq): tiny domains so reports collide.
-            (0u32..3, 0u32..3, 0u64..4),
-            // (counter value, superstep, compute_ns).
-            (0u64..100, 0u64..4, 0u64..1_000),
-        ),
-        0..10,
-    )
+fn keys_strategy() -> impl Strategy<Value = Vec<Key>> {
+    // Tiny domains, so keys repeat and reports contend for every slot.
+    prop::collection::vec((0u32..3, 0u32..3, 0u64..4), 0..10)
 }
 
-/// Applies one report through the real wire path.
-fn absorb(store: &mut FederationStore, r: &Report) {
-    let ((worker, epoch, seq), (value, superstep, compute_ns)) = *r;
-    let mut snap = MetricsSnapshot::default();
-    snap.counters.insert("t.prop.counter".to_string(), value);
-    snap.gauges.insert("t.prop.gauge".to_string(), value as f64);
-    let spans = encode_spans(&[WireSpan {
+/// Absorbs the report `key` names. Two seqs of an epoch share a superstep
+/// and two epochs share span ids, as replays and respawns make them.
+fn absorb(store: &mut FederationStore, key: Key) {
+    let (worker, epoch, seq) = key;
+    let value = u64::from(worker) * 100 + u64::from(epoch) * 10 + seq;
+    let mut report = Snapshot::default();
+    report
+        .metrics
+        .counters
+        .insert("t.prop.counter".to_string(), value);
+    report
+        .metrics
+        .gauges
+        .insert("t.prop.gauge".to_string(), value as f64);
+    report.profile.push(("t.prop;stack".to_string(), value));
+    report.spans.push(Span {
         id: seq + 1,
         parent: None,
         name: "t.prop.span".to_string(),
-        thread: worker as u64,
-        start_ns: compute_ns,
+        thread: u64::from(worker),
+        start_ns: value,
         dur_ns: value,
-        attrs: vec![("superstep".to_string(), superstep.to_string())],
-    }]);
-    store
-        .absorb_report(
-            worker,
-            epoch,
-            seq,
-            Some((
-                superstep,
-                StepSample {
-                    epoch,
-                    compute_ns,
-                    comm_ns: value,
-                },
-            )),
-            &snap.to_bytes(),
-            &spans,
-        )
-        .expect("absorb synthetic report");
+        attrs: vec![("epoch".to_string(), epoch.to_string())],
+    });
+    let sample = StepSample {
+        epoch,
+        compute_ns: value,
+        comm_ns: seq,
+    };
+    store.absorb(worker, epoch, seq, Some((seq / 2, sample)), report);
 }
 
-fn store_from(reports: &[Report]) -> FederationStore {
+fn store_from(keys: &[Key]) -> FederationStore {
     let mut store = FederationStore::default();
-    for r in reports {
-        absorb(&mut store, r);
+    for &key in keys {
+        absorb(&mut store, key);
     }
     store
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn merge_is_associative_commutative_and_idempotent(
-        ra in report_strategy(),
-        rb in report_strategy(),
-        rc in report_strategy(),
-    ) {
-        let (a, b, c) = (store_from(&ra), store_from(&rb), store_from(&rc));
-        let ab_c = FederationStore::merge(&FederationStore::merge(&a, &b), &c);
-        let a_bc = FederationStore::merge(&a, &FederationStore::merge(&b, &c));
-        prop_assert_eq!(&ab_c, &a_bc, "merge must be associative");
-        prop_assert_eq!(
-            FederationStore::merge(&a, &b),
-            FederationStore::merge(&b, &a),
-            "merge must be commutative"
-        );
-        prop_assert_eq!(
-            FederationStore::merge(&a, &a),
-            a.clone(),
-            "merge must be idempotent"
-        );
-        // Merging a combined store back into a part is also a no-op.
-        prop_assert_eq!(FederationStore::merge(&ab_c, &a_bc), ab_c);
-    }
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn absorb_order_and_duplicates_do_not_matter(
-        reports in report_strategy(),
-        rotate in 0usize..10,
-        dup in 0usize..10,
+        keys in keys_strategy(),
+        swaps in prop::collection::vec((0usize..64, 0usize..64), 0..16),
+        dups in prop::collection::vec(0usize..64, 0..4),
     ) {
-        let forward = store_from(&reports);
+        let forward = store_from(&keys);
 
-        // Any rotation + reversal of the delivery order converges to
-        // the same store.
-        let mut shuffled = reports.clone();
-        if !shuffled.is_empty() {
-            let k = rotate % shuffled.len();
-            shuffled.rotate_left(k);
-            shuffled.reverse();
+        // Any permutation (a product of transpositions) of the delivery
+        // order, with some reports delivered twice, converges to the same
+        // store.
+        let mut delivered = keys.clone();
+        if !keys.is_empty() {
+            for &(a, b) in &swaps {
+                delivered.swap(a % keys.len(), b % keys.len());
+            }
+            for &d in &dups {
+                let at = d % (delivered.len() + 1);
+                delivered.insert(at, keys[d % keys.len()]);
+            }
         }
-        prop_assert_eq!(&store_from(&shuffled), &forward, "absorb order leaked");
+        prop_assert_eq!(&store_from(&delivered), &forward, "delivery order leaked");
+    }
 
-        // Replaying one report (a retried frame) is invisible.
-        let mut with_dup = forward.clone();
-        if !reports.is_empty() {
-            absorb(&mut with_dup, &reports[dup % reports.len()]);
-        }
-        prop_assert_eq!(&with_dup, &forward, "duplicate report changed the store");
+    #[test]
+    fn a_strictly_newer_report_clears_stale(
+        keys in keys_strategy(),
+        worker in 0u32..3,
+        next in (0u32..3, 0u64..4),
+    ) {
+        let mut store = store_from(&keys);
+        store.mark_dead(worker);
+        let held = store.workers[&worker].key;
+        absorb(&mut store, (worker, next.0, next.1));
+        let obs = &store.workers[&worker];
+        prop_assert_eq!(obs.stale, !held.map_or(true, |held| next > held));
+        prop_assert_eq!(obs.key, held.max(Some(next)));
+        prop_assert_eq!(obs.deaths, 1);
     }
 
     #[test]
