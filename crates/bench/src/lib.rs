@@ -58,11 +58,7 @@ pub fn datasets() -> Vec<(String, CsrGraph)> {
 
 /// One named dataset at the harness scale.
 pub fn dataset(name: &str) -> CsrGraph {
-    let preset = generate::ALL_PRESETS
-        .iter()
-        .map(|p| p())
-        .find(|p| p.name == name)
-        .unwrap_or_else(|| panic!("unknown dataset {name}"));
+    let preset = generate::preset_by_name(name).unwrap_or_else(|e| panic!("{e}"));
     preset.generate_scaled(scale())
 }
 
@@ -288,7 +284,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown dataset")]
+    #[should_panic(expected = "unknown preset")]
     fn unknown_dataset_panics() {
         dataset("nope");
     }

@@ -68,9 +68,8 @@ pub enum Command {
     /// `bpart quality GRAPH PARTITION`
     Quality { graph: String, partition: String },
     /// `bpart run GRAPH --parts K [--scheme S] [--app A] [--iters N]
-    /// [--walk-len L] [--seed N] [--mode M] [--backend threads|process]
-    /// [--workers N] [--fault-plan SPEC] [--checkpoint-every N]
-    /// [--threads T] [--buffer-size B] [+ observability flags]`
+    /// [--walk-len L] [--seed N] [--backend threads|process] [--mode M]
+    /// [--fault-plan SPEC] [--checkpoint-every N] [+ observability flags]`
     Run {
         graph: String,
         parts: usize,
@@ -79,13 +78,12 @@ pub enum Command {
         iters: usize,
         walk_len: u32,
         seed: u64,
+        /// How the threads backend steps its machines; `--mode` is refused
+        /// with `--backend process`, whose machines are processes.
         mode: String,
         backend: String,
-        workers: Option<usize>,
         fault_plan: Option<String>,
         checkpoint_every: Option<usize>,
-        threads: usize,
-        buffer_size: usize,
         obs: ObsFlags,
     },
     /// `bpart worker --connect ADDR --worker-id N --key K
@@ -343,14 +341,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 Some(s) => s.parse().map_err(|_| err(format!("bad --seed {s:?}")))?,
                 None => 42,
             };
-            let mode = get_optional(&flags, "mode")
-                .unwrap_or("sequential")
-                .to_string();
-            if mode != "sequential" && mode != "threaded" {
-                return Err(err(format!(
-                    "--mode must be sequential or threaded, got {mode:?}"
-                )));
-            }
             let backend = get_optional(&flags, "backend")
                 .unwrap_or("threads")
                 .to_string();
@@ -359,16 +349,19 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     "--backend must be threads or process, got {backend:?}"
                 )));
             }
-            let workers = match get_optional(&flags, "workers") {
-                Some(s) => {
-                    let w: usize = s.parse().map_err(|_| err(format!("bad --workers {s:?}")))?;
-                    if w == 0 {
-                        return Err(err("--workers must be at least 1"));
-                    }
-                    Some(w)
-                }
-                None => None,
-            };
+            let mode = get_optional(&flags, "mode");
+            if mode.is_some() && backend == "process" {
+                return Err(err(
+                    "--mode applies to the threads backend only: with --backend process \
+                     every machine is a process of its own",
+                ));
+            }
+            let mode = mode.unwrap_or("sequential").to_string();
+            if mode != "sequential" && mode != "threaded" {
+                return Err(err(format!(
+                    "--mode must be sequential or threaded, got {mode:?}"
+                )));
+            }
             let fault_plan = get_optional(&flags, "fault-plan").map(str::to_string);
             let checkpoint_every = match get_optional(&flags, "checkpoint-every") {
                 Some(s) => {
@@ -382,9 +375,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 }
                 None => None,
             };
-            let (threads, buffer_size) = parse_parallel(&flags)?;
-            let threads = threads.unwrap_or(1);
-            let buffer_size = buffer_size.unwrap_or(bpart_core::DEFAULT_BUFFER_SIZE);
             let obs = parse_obs(&flags);
             check_unknown(
                 &flags,
@@ -397,11 +387,8 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     "seed",
                     "mode",
                     "backend",
-                    "workers",
                     "fault-plan",
                     "checkpoint-every",
-                    "threads",
-                    "buffer-size",
                     "trace-out",
                     "metrics-out",
                     "serve-addr",
@@ -420,11 +407,8 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 seed,
                 mode,
                 backend,
-                workers,
                 fault_plan,
                 checkpoint_every,
-                threads,
-                buffer_size,
                 obs,
             })
         }
@@ -596,7 +580,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     }
 }
 
-/// Parses the shared `--threads` / `--buffer-size` worker-pool flags, `None`
+/// Parses `partition`'s `--threads` / `--buffer-size` worker-pool flags, `None`
 /// where a flag was not given (the defaults are 1 thread — the exact
 /// sequential path — and [`bpart_core::DEFAULT_BUFFER_SIZE`]). Both must be
 /// at least 1.
@@ -1011,7 +995,7 @@ mod tests {
         }
         assert!(p(&["partition", "g", "--parts", "4", "--threads", "0"]).is_err());
         assert!(p(&["partition", "g", "--parts", "4", "--buffer-size", "0"]).is_err());
-        assert!(p(&["run", "g", "--parts", "4", "--threads", "zig"]).is_err());
+        assert!(p(&["partition", "g", "--parts", "4", "--threads", "zig"]).is_err());
     }
 
     #[test]
@@ -1047,11 +1031,8 @@ mod tests {
                 seed: 42,
                 mode: "sequential".into(),
                 backend: "threads".into(),
-                workers: None,
                 fault_plan: None,
                 checkpoint_every: None,
-                threads: 1,
-                buffer_size: bpart_core::DEFAULT_BUFFER_SIZE,
                 obs: ObsFlags::default(),
             }
         );
@@ -1096,32 +1077,36 @@ mod tests {
         assert!(p(&["run", "g", "--parts", "4", "--checkpoint-every", "0"]).is_err());
         assert!(p(&["run", "g", "--parts", "4", "--mode", "turbo"]).is_err());
         assert!(p(&["run", "g", "--parts", "4", "--backend", "carrier-pigeon"]).is_err());
-        assert!(p(&["run", "g", "--parts", "4", "--workers", "0"]).is_err());
         assert!(p(&["run", "g", "--parts", "0"]).is_err());
         assert!(p(&["run"]).is_err());
     }
 
+    /// `run` partitions sequentially and starts one worker per part: the
+    /// worker-pool flags belong to `partition`, and there is no worker
+    /// count to get wrong.
+    #[test]
+    fn run_refuses_the_options_it_no_longer_has() {
+        for flag in ["--threads", "--buffer-size", "--workers"] {
+            let e = p(&["run", "g", "--parts", "4", flag, "4"]).unwrap_err();
+            assert_eq!(e.to_string(), format!("unknown flag {flag}"));
+        }
+    }
+
     #[test]
     fn parses_run_with_process_backend() {
-        let cmd = p(&[
-            "run",
-            "g.txt",
-            "--parts",
-            "4",
-            "--backend",
-            "process",
-            "--workers",
-            "4",
-        ])
-        .unwrap();
-        match cmd {
-            Command::Run {
-                backend, workers, ..
-            } => {
+        let process = ["run", "g.txt", "--parts", "4", "--backend", "process"];
+        match p(&process).unwrap() {
+            Command::Run { backend, parts, .. } => {
                 assert_eq!(backend, "process");
-                assert_eq!(workers, Some(4));
+                assert_eq!(parts, 4);
             }
             other => panic!("expected Run, got {other:?}"),
+        }
+        // Its machines are processes: there is no stepping mode to choose,
+        // and choosing one is an error, not a flag that is dropped.
+        for mode in ["sequential", "threaded"] {
+            let e = p(&[&process[..], &["--mode", mode]].concat()).unwrap_err();
+            assert!(e.to_string().contains("threads backend only"), "{e}");
         }
     }
 

@@ -4,19 +4,18 @@
 use crate::args::{Command, ObsFlags};
 use crate::USAGE;
 use bpart_cluster::exec::ExecMode;
-use bpart_cluster::{Cluster, CostModel, FaultPlan, Telemetry};
+use bpart_cluster::FaultPlan;
 use bpart_core::pio;
 use bpart_core::prelude::*;
-use bpart_engine::apps::{ConnectedComponents, PageRank};
-use bpart_engine::IterationEngine;
-use bpart_graph::{generate, io, stats, CsrGraph};
-use bpart_multilevel::Multilevel;
-use bpart_walker::apps::{DeepWalk, SimpleRandomWalk};
-use bpart_walker::{WalkEngine, WalkStarts};
+use bpart_dist::spec::is_binary_graph;
+use bpart_dist::{
+    AppOutput, AppSpec, Backend, ClusterError, GraphSource, JobSpec, ProcessConfig, Scheme,
+    ThreadsConfig, TimeUnit, SCHEMES,
+};
+use bpart_graph::{io, stats, CsrGraph};
 use std::fmt;
 use std::fs::File;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Errors surfaced to the user with context.
@@ -35,11 +34,23 @@ fn fail(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
+/// A job that cannot be described or started (an unknown name, an
+/// unreadable graph) is reported by its reason alone; `unrecoverable:` is
+/// kept for what goes wrong in mid-run.
+impl From<ClusterError> for CliError {
+    fn from(e: ClusterError) -> Self {
+        match e {
+            ClusterError::Unrecoverable { reason } => fail(reason),
+            other => fail(other.to_string()),
+        }
+    }
+}
+
 /// Executes a parsed command and returns its printable output.
 pub fn run(command: &Command) -> Result<String, CliError> {
     match command {
         Command::Help => Ok(USAGE.to_string()),
-        Command::Schemes => Ok(scheme_names().join("\n") + "\n"),
+        Command::Schemes => Ok(SCHEMES.iter().map(|s| format!("{}\n", s.name)).collect()),
         Command::Generate {
             preset,
             scale,
@@ -92,47 +103,19 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             seed,
             mode,
             backend,
-            workers,
             fault_plan,
             checkpoint_every,
-            threads,
-            buffer_size,
             obs,
         } => {
             let exports = ObsExports::begin(obs)?;
-            let mut text = if backend == "process" {
-                run_process_cmd(
-                    graph,
-                    *parts,
-                    scheme,
-                    app,
-                    *iters,
-                    *walk_len,
-                    *seed,
-                    *workers,
-                    fault_plan.as_deref(),
-                    *checkpoint_every,
-                    obs,
-                )?
-            } else {
-                run_cmd(
-                    graph,
-                    *parts,
-                    scheme,
-                    app,
-                    *iters,
-                    *walk_len,
-                    *seed,
-                    mode,
-                    fault_plan.as_deref(),
-                    *checkpoint_every,
-                    ParallelConfig {
-                        threads: *threads,
-                        buffer_size: *buffer_size,
-                    },
-                    obs,
-                )?
+            let spec = JobSpec {
+                graph: GraphSource::File(graph.clone()),
+                scheme: scheme.clone(),
+                parts: *parts as u32,
+                app: AppSpec::by_name(app, *iters, *walk_len, *seed)?,
+                checkpoint_every: checkpoint_every.map(|every| every as u32),
             };
+            let mut text = run_cmd(graph, &spec, backend, mode, fault_plan.as_deref(), obs)?;
             exports.finish(&mut text)?;
             Ok(text)
         }
@@ -287,15 +270,14 @@ impl<'a> ObsExports<'a> {
     }
 }
 
-/// Builds the run-history record shared by `partition` and `run`, stamping
-/// the configuration common to both.
+/// Starts the run-history record of a `partition` or a `run`, stamping the
+/// configuration common to both.
 fn history_record(
     obs: &ObsFlags,
     label: &str,
     graph_path: &str,
     scheme: &str,
     parts: usize,
-    parallel: &ParallelConfig,
 ) -> bpart_obs::history::RunRecord {
     let mut rec = bpart_obs::history::RunRecord::new(label, graph_path);
     if let Some(rev) = obs.git_rev.as_deref() {
@@ -303,8 +285,6 @@ fn history_record(
     }
     rec.set_config("scheme", scheme);
     rec.set_config("parts", parts);
-    rec.set_config("threads", parallel.threads);
-    rec.set_config("buffer_size", parallel.buffer_size);
     rec
 }
 
@@ -468,67 +448,9 @@ fn obs_diff_cmd(
     Ok(rendered)
 }
 
-/// All scheme names accepted by `--scheme`.
-pub fn scheme_names() -> Vec<&'static str> {
-    vec![
-        "chunk-v",
-        "chunk-e",
-        "hash",
-        "fennel",
-        "ldg",
-        "bpart",
-        "bpart-p1",
-        "multilevel",
-        "gd",
-    ]
-}
-
 /// Resolves a scheme name to a partitioner with a sequential worker pool.
 pub fn scheme_by_name(name: &str) -> Result<Box<dyn Partitioner>, CliError> {
-    scheme_with_parallel(name, ParallelConfig::default())
-}
-
-/// Resolves a scheme name to a partitioner, threading the worker-pool shape
-/// into the streaming schemes (`fennel`, `bpart`, `bpart-p1`). The other
-/// schemes are not stream-based and ignore it.
-pub fn scheme_with_parallel(
-    name: &str,
-    parallel: ParallelConfig,
-) -> Result<Box<dyn Partitioner>, CliError> {
-    Ok(match name {
-        "chunk-v" => Box::new(ChunkV),
-        "chunk-e" => Box::new(ChunkE),
-        "hash" => Box::new(HashPartitioner::default()),
-        "fennel" => Box::new(Fennel::new(FennelConfig {
-            parallel,
-            ..Default::default()
-        })),
-        "ldg" => Box::new(Ldg::default()),
-        "bpart" => Box::new(bpart_with(parallel)),
-        "bpart-p1" => Box::new(bpart_core::bpart::WeightedStream::new(BPartConfig {
-            parallel,
-            ..Default::default()
-        })),
-        "multilevel" => Box::new(Multilevel::default()),
-        "gd" => Box::new(GdPartitioner::default()),
-        other => {
-            return Err(fail(format!(
-                "unknown scheme {other:?}; available: {}",
-                scheme_names().join(", ")
-            )))
-        }
-    })
-}
-
-fn bpart_with(parallel: ParallelConfig) -> BPart {
-    BPart::new(BPartConfig {
-        parallel,
-        ..Default::default()
-    })
-}
-
-fn is_binary_graph(path: &str) -> bool {
-    Path::new(path).extension().is_some_and(|e| e == "bpgr")
+    Ok((Scheme::by_name(name)?.build)(ParallelConfig::default()))
 }
 
 fn is_binary_partition(path: &str) -> bool {
@@ -537,16 +459,7 @@ fn is_binary_partition(path: &str) -> bool {
 
 /// Loads a graph from text or binary by extension.
 pub fn load_graph(path: &str) -> Result<CsrGraph, CliError> {
-    if is_binary_graph(path) {
-        // Zero-copy load: parses out of an mmap view when possible,
-        // falling back to an owned read.
-        io::load_binary(path).map_err(|e| fail(format!("{path}: {e}")))
-    } else {
-        let file = File::open(path).map_err(|e| fail(format!("cannot open {path}: {e}")))?;
-        Ok(io::read_edge_list(file)
-            .map_err(|e| fail(format!("{path}: {e}")))?
-            .into_csr())
-    }
+    Ok(GraphSource::File(path.to_string()).load()?)
 }
 
 /// Saves a graph as text or binary by extension.
@@ -565,19 +478,8 @@ fn generate_cmd(
     seed: Option<u64>,
     out: &str,
 ) -> Result<String, CliError> {
-    let mut recipe = generate::ALL_PRESETS
-        .iter()
-        .map(|p| p())
-        .find(|p| p.name == preset)
-        .ok_or_else(|| {
-            fail(format!(
-                "unknown preset {preset:?}; available: lj_like, twitter_like, friendster_like"
-            ))
-        })?;
-    if let Some(s) = seed {
-        recipe.seed = s;
-    }
-    let graph = recipe.generate_scaled(scale);
+    let name = preset.to_string();
+    let graph = GraphSource::Preset { name, scale, seed }.load()?;
     save_graph(&graph, out)?;
     Ok(format!(
         "wrote {out}: {} vertices, {} edges (preset {preset}, scale {scale})\n",
@@ -646,6 +548,62 @@ fn resolve_partition_input(
     }
 }
 
+/// What a partitioner produced, resident or out of core: everything the
+/// report, the `--out` file and the history record are made of.
+struct Partitioned<'a> {
+    /// The partitioner's display name.
+    label: String,
+    vertex_counts: &'a [u64],
+    edge_counts: &'a [u64],
+    cut_ratio: f64,
+    assignment: &'a [PartId],
+    stats: StreamStats,
+    elapsed: f64,
+    /// Lines only this way of running has (memory ceiling, combine layers,
+    /// buffers, the shard loop).
+    extra: String,
+}
+
+/// The one partition report: quality lines, time and throughput, then the
+/// `--out` file (text or binary by extension) and the history record begun
+/// in `rec`.
+fn partition_report(
+    p: &Partitioned<'_>,
+    out: Option<&str>,
+    mut rec: bpart_obs::history::RunRecord,
+    obs: &ObsFlags,
+) -> Result<String, CliError> {
+    let parts = p.vertex_counts.len();
+    let mut text = render_quality(&p.label, p.vertex_counts, p.edge_counts, p.cut_ratio);
+    text.push_str(&format!("  partition time:  {:.3}s\n", p.elapsed));
+    text.push_str(&format!(
+        "  throughput:      {:.0} vertices/s ({} thread{})\n",
+        p.stats.vertices_per_sec(),
+        p.stats.threads,
+        if p.stats.threads == 1 { "" } else { "s" },
+    ));
+    text.push_str(&p.extra);
+    if let Some(path) = out {
+        let file = File::create(path).map_err(|e| fail(format!("cannot create {path}: {e}")))?;
+        if is_binary_partition(path) {
+            pio::write_binary_assignment(parts, p.assignment, file)
+        } else {
+            pio::write_text_assignment(parts, p.assignment, file)
+        }
+        .map_err(|e| fail(format!("{path}: {e}")))?;
+        text.push_str(&format!("  wrote {path}\n"));
+    }
+    if let Some(hpath) = obs.history_out.as_deref() {
+        rec.set_metric("wall_time_secs", p.elapsed);
+        rec.set_metric("cut_ratio", p.cut_ratio);
+        rec.set_metric("vertex_bias", metrics::bias(p.vertex_counts));
+        rec.set_metric("edge_bias", metrics::bias(p.edge_counts));
+        rec.set_metric("throughput_vps", p.stats.vertices_per_sec());
+        write_history(&rec, hpath, &mut text)?;
+    }
+    Ok(text)
+}
+
 #[allow(clippy::too_many_arguments)]
 fn partition_cmd(
     graph_path: &str,
@@ -659,11 +617,11 @@ fn partition_cmd(
     mem_ceiling_mb: Option<u64>,
     obs: &ObsFlags,
 ) -> Result<String, CliError> {
-    let mut ceiling_note = String::new();
+    let mut extra = String::new();
     if let Some(mb) = mem_ceiling_mb {
         bpart_obs::rss::set_address_space_limit(mb * 1024 * 1024)
             .map_err(|e| fail(format!("cannot apply --mem-ceiling {mb}: {e}")))?;
-        ceiling_note = format!("  mem ceiling:     {mb} MB (RLIMIT_AS)\n");
+        extra = format!("  mem ceiling:     {mb} MB (RLIMIT_AS)\n");
     }
     if let PartitionInput::Shards(dir) =
         resolve_partition_input(graph_path, input_format, shard_dir)
@@ -676,167 +634,106 @@ fn partition_cmd(
 pass is one sequential loop over the shards (its memory knob is `bpart shard --shard-bytes`)",
             ));
         }
-        return partition_ooc_cmd(&dir, parts, scheme_name, out, ceiling_note, obs);
+        return partition_ooc_cmd(&dir, parts, scheme_name, out, extra, obs);
     }
     let parallel = ParallelConfig {
         threads: threads.unwrap_or(1),
         buffer_size: buffer_size.unwrap_or(bpart_core::DEFAULT_BUFFER_SIZE),
     };
+    let scheme = (Scheme::by_name(scheme_name)?.build)(parallel);
     let graph = load_graph(graph_path)?;
-    let scheme = scheme_with_parallel(scheme_name, parallel)?;
     let start = Instant::now();
     // Only BPart has layers to report; it is run for its trace, which
     // `partition_with_stats` folds away.
-    let mut combine_note = String::new();
     let (partition, stats) = if scheme_name == "bpart" {
-        let (partition, trace) = bpart_with(parallel).partition_with_trace(&graph, parts);
+        let (partition, trace) =
+            bpart_dist::spec::bpart(parallel).partition_with_trace(&graph, parts);
         let mut stats = StreamStats::default();
         trace.iter().for_each(|layer| stats.merge(&layer.stream));
         let forced: usize = trace.iter().map(|layer| layer.forced).sum();
-        combine_note = format!(
+        extra.push_str(&format!(
             "  combine layers:  {} ({forced} of {parts} parts frozen by the layer budget, \
 not by threshold)\n",
             trace.len()
-        );
+        ));
         (partition, stats)
     } else {
         scheme.partition_with_stats(&graph, parts)
     };
     let elapsed = start.elapsed().as_secs_f64();
-    let quality = metrics::quality(&graph, &partition);
-    let mut text = render_quality(&quality, &partition, scheme.name());
-    text.push_str(&ceiling_note);
-    text.push_str(&format!("  partition time:  {elapsed:.3}s\n"));
-    text.push_str(&combine_note);
-    text.push_str(&stream_stats_report(&stats));
-    if let Some(path) = out {
-        let file = File::create(path).map_err(|e| fail(format!("cannot create {path}: {e}")))?;
-        if is_binary_partition(path) {
-            pio::write_binary(&partition, file).map_err(|e| fail(format!("{path}: {e}")))?;
-        } else {
-            pio::write_text(&partition, file).map_err(|e| fail(format!("{path}: {e}")))?;
-        }
-        text.push_str(&format!("  wrote {path}\n"));
+    // Buffer detail only appears for buffered-parallel runs.
+    if stats.buffers > 0 {
+        extra.push_str(&format!(
+            "  buffers:         {} (sync stall {:.1}%)\n",
+            stats.buffers,
+            stats.sync_stall_ratio() * 100.0
+        ));
     }
-    if let Some(hpath) = obs.history_out.as_deref() {
-        let mut rec = history_record(obs, "partition", graph_path, scheme_name, parts, &parallel);
-        rec.set_metric("wall_time_secs", elapsed);
-        rec.set_metric("cut_ratio", quality.cut_ratio);
-        rec.set_metric("vertex_bias", quality.vertex_bias);
-        rec.set_metric("edge_bias", quality.edge_bias);
-        rec.set_metric("throughput_vps", stats.vertices_per_sec());
-        write_history(&rec, hpath, &mut text)?;
-    }
-    Ok(text)
-}
-
-/// Maps a `--scheme` name to its out-of-core equivalent. Only the
-/// streaming schemes have one — the others need the whole graph resident
-/// by construction.
-fn ooc_scheme_by_name(name: &str) -> Result<(bpart_core::OocScheme, &'static str), CliError> {
-    match name {
-        "fennel" => Ok((bpart_core::OocScheme::Fennel, "Fennel (out-of-core)")),
-        "bpart-p1" => Ok((
-            bpart_core::OocScheme::BPartP1 { c: 0.5 },
-            "BPart-P1 (out-of-core)",
-        )),
-        other => Err(fail(format!(
-            "scheme {other:?} has no out-of-core path; shards support: fennel, bpart-p1"
-        ))),
-    }
+    let mut rec = history_record(obs, "partition", graph_path, scheme_name, parts);
+    rec.set_config("threads", parallel.threads);
+    rec.set_config("buffer_size", parallel.buffer_size);
+    let partitioned = Partitioned {
+        label: scheme.name().to_string(),
+        vertex_counts: partition.vertex_counts(),
+        edge_counts: partition.edge_counts(),
+        cut_ratio: metrics::edge_cut_ratio(&graph, &partition),
+        assignment: partition.assignment(),
+        stats,
+        elapsed,
+        extra,
+    };
+    partition_report(&partitioned, out, rec, obs)
 }
 
 /// The out-of-core partition path: walk the shard directory through the
-/// placement kernel, report the same quality lines the resident path does
-/// (cut recomputed by re-streaming the shards — the graph is never
-/// resident), plus where the loop spent its time.
+/// placement kernel and report what the resident path does (cut recomputed
+/// by re-streaming the shards — the graph is never resident), plus where
+/// the loop spent its time. Only the streaming schemes have a shard-loop
+/// scorer; the others need the whole graph resident by construction.
 fn partition_ooc_cmd(
     shard_path: &str,
     parts: usize,
     scheme_name: &str,
     out: Option<&str>,
-    ceiling_note: String,
+    mut extra: String,
     obs: &ObsFlags,
 ) -> Result<String, CliError> {
-    let (scheme, label) = ooc_scheme_by_name(scheme_name)?;
-    let shards = pio::ShardSet::open(Path::new(shard_path))
-        .map_err(|e| fail(format!("{shard_path}: {e}")))?;
-    let config = bpart_core::OocConfig::new(parts, scheme);
+    let scheme = Scheme::by_name(scheme_name)?;
+    let config = bpart_core::OocConfig::new(parts, scheme.out_of_core()?);
+    let named = |e: &dyn fmt::Display| fail(format!("{shard_path}: {e}"));
+    let shards = pio::ShardSet::open(Path::new(shard_path)).map_err(|e| named(&e))?;
     let start = Instant::now();
-    let outcome = bpart_core::stream_assign_ooc(&shards, &config)
-        .map_err(|e| fail(format!("{shard_path}: {e}")))?;
+    let outcome = bpart_core::stream_assign_ooc(&shards, &config).map_err(|e| named(&e))?;
     let elapsed = start.elapsed().as_secs_f64();
-    let cut_ratio = bpart_core::ooc_cut_ratio(&shards, &outcome.assignment)
-        .map_err(|e| fail(format!("{shard_path}: {e}")))?;
+    let cut_ratio =
+        bpart_core::ooc_cut_ratio(&shards, &outcome.assignment).map_err(|e| named(&e))?;
 
-    let mut text = format!("partition: {label} ({parts} parts)\n");
-    text.push_str(&format!(
-        "  vertex bias:     {:.4}\n",
-        metrics::bias(&outcome.vertex_counts)
-    ));
-    text.push_str(&format!(
-        "  edge bias:       {:.4}\n",
-        metrics::bias(&outcome.edge_counts)
-    ));
-    text.push_str(&format!(
-        "  vertex fairness: {:.4}\n",
-        metrics::jain_fairness(&outcome.vertex_counts)
-    ));
-    text.push_str(&format!(
-        "  edge fairness:   {:.4}\n",
-        metrics::jain_fairness(&outcome.edge_counts)
-    ));
-    text.push_str(&format!("  edge-cut ratio:  {cut_ratio:.4}\n"));
-    text.push_str(&format!("  |V_i|:           {:?}\n", outcome.vertex_counts));
-    text.push_str(&format!("  |E_i|:           {:?}\n", outcome.edge_counts));
-    text.push_str(&ceiling_note);
-    text.push_str(&format!(
-        "  shards:          {} ({} bytes max resident)\n",
+    extra.push_str(&format!(
+        "  shards:          {} ({} bytes max resident)\n  shard loop:\n",
         shards.num_shards(),
         shards.max_shard_bytes()
     ));
-    text.push_str(&format!("  partition time:  {elapsed:.3}s\n"));
-    text.push_str(&format!(
-        "  throughput:      {:.0} vertices/s (1 thread)\n",
-        outcome.stats.vertices_per_sec()
-    ));
-    text.push_str("  shard loop:\n");
     for s in &outcome.pipeline.stages {
-        text.push_str(&format!(
+        extra.push_str(&format!(
             "    {:<7} {} shards, busy {:.3}s\n",
             format!("{}:", s.name),
             s.shards,
             s.busy_secs
         ));
     }
-    if let Some(path) = out {
-        let file = File::create(path).map_err(|e| fail(format!("cannot create {path}: {e}")))?;
-        if is_binary_partition(path) {
-            pio::write_binary_assignment(parts, &outcome.assignment, file)
-                .map_err(|e| fail(format!("{path}: {e}")))?;
-        } else {
-            pio::write_text_assignment(parts, &outcome.assignment, file)
-                .map_err(|e| fail(format!("{path}: {e}")))?;
-        }
-        text.push_str(&format!("  wrote {path}\n"));
-    }
-    if let Some(hpath) = obs.history_out.as_deref() {
-        let mut rec = history_record(
-            obs,
-            "partition-ooc",
-            shard_path,
-            scheme_name,
-            parts,
-            &ParallelConfig::default(),
-        );
-        rec.set_metric("wall_time_secs", elapsed);
-        rec.set_metric("cut_ratio", cut_ratio);
-        rec.set_metric("vertex_bias", metrics::bias(&outcome.vertex_counts));
-        rec.set_metric("edge_bias", metrics::bias(&outcome.edge_counts));
-        rec.set_metric("throughput_vps", outcome.stats.vertices_per_sec());
-        write_history(&rec, hpath, &mut text)?;
-    }
-    Ok(text)
+    let resident = (scheme.build)(ParallelConfig::default());
+    let partitioned = Partitioned {
+        label: format!("{} (out-of-core)", resident.name()),
+        vertex_counts: &outcome.vertex_counts,
+        edge_counts: &outcome.edge_counts,
+        cut_ratio,
+        assignment: &outcome.assignment,
+        stats: outcome.stats,
+        elapsed,
+        extra,
+    };
+    let rec = history_record(obs, "partition-ooc", shard_path, scheme_name, parts);
+    partition_report(&partitioned, out, rec, obs)
 }
 
 /// `bpart shard`: split a graph into the out-of-core shard directory.
@@ -883,284 +780,98 @@ fn quality_cmd(graph_path: &str, partition_path: &str) -> Result<String, CliErro
     } else {
         pio::read_text(&graph, file).map_err(|e| fail(format!("{partition_path}: {e}")))?
     };
-    Ok(report(&graph, &partition, partition_path))
+    Ok(render_quality(
+        partition_path,
+        partition.vertex_counts(),
+        partition.edge_counts(),
+        metrics::edge_cut_ratio(&graph, &partition),
+    ))
 }
 
-/// All application names accepted by `run --app`.
-pub fn app_names() -> Vec<&'static str> {
-    vec!["pagerank", "cc", "deepwalk", "walk"]
-}
-
-#[allow(clippy::too_many_arguments)]
+/// `bpart run`: describes the job as a [`JobSpec`] and where it runs as a
+/// [`Backend`], runs it, and reports it — one path, whichever backend.
+///
+/// On `--backend process` the fault-free threads oracle runs in-process as
+/// well and the two result digests must agree bit for bit (recovery from
+/// any fault-plan crashes included) — a mismatch fails the command, which
+/// is what the CI chaos job leans on.
 fn run_cmd(
     graph_path: &str,
-    parts: usize,
-    scheme_name: &str,
-    app: &str,
-    iters: usize,
-    walk_len: u32,
-    seed: u64,
+    spec: &JobSpec,
+    backend_name: &str,
     mode: &str,
     fault_plan: Option<&str>,
-    checkpoint_every: Option<usize>,
-    parallel: ParallelConfig,
     obs: &ObsFlags,
 ) -> Result<String, CliError> {
-    let graph = Arc::new(load_graph(graph_path)?);
-    let scheme = scheme_with_parallel(scheme_name, parallel)?;
-    let (partition, partition_stats) = scheme.partition_with_stats(&graph, parts);
-    // The cut ratio is recomputed here (rather than threaded out of the
-    // partitioner) so history records carry it for every scheme.
-    let quality = metrics::quality(&graph, &partition);
-    let partition = Arc::new(partition);
-    let mode = match mode {
-        "threaded" => ExecMode::Threaded,
-        _ => ExecMode::Sequential,
-    };
-    let plan = match fault_plan {
-        Some(spec) => spec
-            .parse::<FaultPlan>()
-            .map_err(|e| fail(format!("bad --fault-plan: {e}")))?,
-        None => FaultPlan::default(),
-    };
-
-    let mut out = format!(
-        "run: {app} on {graph_path} ({} vertices, {} edges), {} scheme, {parts} machines\n",
-        graph.num_vertices(),
-        graph.num_edges(),
-        scheme.name(),
-    );
-    let run_start = Instant::now();
-    let (telemetry, iterations) = match app {
-        "pagerank" | "cc" => {
-            let mut engine =
-                IterationEngine::new(Cluster::new(graph, partition), CostModel::default(), mode)
-                    .with_faults(plan);
-            if let Some(every) = checkpoint_every {
-                engine = engine.with_checkpoint_every(every);
-            }
-            if app == "pagerank" {
-                let run = engine
-                    .try_run(&PageRank::new(iters))
-                    .map_err(|e| fail(format!("run failed: {e}")))?;
-                (run.telemetry, run.iterations)
-            } else {
-                let run = engine
-                    .try_run(&ConnectedComponents)
-                    .map_err(|e| fail(format!("run failed: {e}")))?;
-                (run.telemetry, run.iterations)
-            }
-        }
-        "deepwalk" | "walk" => {
-            let mut engine =
-                WalkEngine::new(Cluster::new(graph, partition), CostModel::default(), mode)
-                    .with_faults(plan);
-            if let Some(every) = checkpoint_every {
-                engine = engine.with_checkpoint_every(every);
-            }
-            let starts = WalkStarts::PerVertex(1);
-            let run = if app == "deepwalk" {
-                engine.try_run(&DeepWalk::new(walk_len), &starts, seed)
-            } else {
-                engine.try_run(&SimpleRandomWalk::new(walk_len), &starts, seed)
-            }
-            .map_err(|e| fail(format!("run failed: {e}")))?;
-            out.push_str(&format!(
-                "  walker steps:    {}\n  message walks:   {}\n",
-                run.total_steps, run.message_walks
-            ));
-            (run.telemetry, run.iterations)
-        }
-        other => {
-            return Err(fail(format!(
-                "unknown app {other:?}; available: {}",
-                app_names().join(", ")
-            )))
-        }
-    };
-    let wall = run_start.elapsed().as_secs_f64();
-    telemetry.record_partition(partition_stats);
-    out.push_str(&telemetry_report(&telemetry, iterations));
-    if let Some(hpath) = obs.history_out.as_deref() {
-        let mut rec = history_record(obs, "run", graph_path, scheme_name, parts, &parallel);
-        rec.set_config("app", app);
-        rec.set_config("iters", iters);
-        rec.set_config("mode", mode_name(mode));
-        rec.set_config("seed", seed);
-        rec.set_metric("wall_time_secs", wall);
-        rec.set_metric("cut_ratio", quality.cut_ratio);
-        rec.set_metric("total_time_units", telemetry.total_time());
-        rec.set_metric("waiting_ratio", telemetry.waiting_ratio());
-        rec.set_metric("supersteps", iterations as f64);
-        rec.set_metric("messages", telemetry.total_messages() as f64);
-        rec.set_metric("faults", telemetry.total_faults() as f64);
-        rec.set_metric("replayed_steps", telemetry.replayed_supersteps() as f64);
-        rec.set_metric("recovery_time_units", telemetry.total_recovery_time());
-        write_history(&rec, hpath, &mut out)?;
-    }
-    Ok(out)
-}
-
-/// `run --backend process`: the job runs on real supervised worker
-/// processes, and the thread-simulated oracle runs in-process alongside
-/// it. The two result digests must agree bit-for-bit (recovery from any
-/// fault-plan crashes included) — a mismatch fails the command, which is
-/// what the CI chaos job leans on.
-#[allow(clippy::too_many_arguments)]
-fn run_process_cmd(
-    graph_path: &str,
-    parts: usize,
-    scheme_name: &str,
-    app: &str,
-    iters: usize,
-    walk_len: u32,
-    seed: u64,
-    workers: Option<usize>,
-    fault_plan: Option<&str>,
-    checkpoint_every: Option<usize>,
-    obs: &ObsFlags,
-) -> Result<String, CliError> {
-    use bpart_dist::{AppSpec, Backend, GraphSource, JobSpec, ProcessConfig, ThreadsConfig};
     use bpart_obs::federation;
-
-    // Cluster-wide observability federation: armed when any obs export
-    // was requested, off otherwise so a plain run ships no telemetry
-    // frames at all.
-    let obs_on = obs.trace_out.is_some()
-        || obs.metrics_out.is_some()
-        || obs.serve_addr.is_some()
-        || obs.history_out.is_some()
-        || obs.profile_out.is_some();
-    federation::reset();
-    federation::set_collection_enabled(obs_on);
-
-    let workers = workers.unwrap_or(parts);
-    if workers != parts {
-        return Err(fail(format!(
-            "--workers {workers} must equal --parts {parts}: each worker process plays one machine"
-        )));
-    }
-    let plan = match fault_plan {
-        Some(spec) => spec
+    let faults = match fault_plan {
+        Some(plan) => plan
             .parse::<FaultPlan>()
             .map_err(|e| fail(format!("bad --fault-plan: {e}")))?,
         None => FaultPlan::default(),
     };
-    let app_spec = match app {
-        "pagerank" => AppSpec::PageRank { iters },
-        "cc" => AppSpec::ConnectedComponents,
-        "deepwalk" => AppSpec::DeepWalk {
-            walk_len,
-            seed,
-            per_vertex: 1,
-        },
-        "walk" => AppSpec::SimpleWalk {
-            walk_len,
-            seed,
-            per_vertex: 1,
-        },
-        other => {
-            return Err(fail(format!(
-                "unknown app {other:?}; available: {}",
-                app_names().join(", ")
-            )))
-        }
+    let process = backend_name == "process";
+    // Cluster-wide observability federation: armed when any obs export was
+    // requested, off otherwise so a plain run ships no telemetry frames at
+    // all.
+    let exports = [
+        &obs.trace_out,
+        &obs.metrics_out,
+        &obs.serve_addr,
+        &obs.history_out,
+        &obs.profile_out,
+    ];
+    let federated = process && exports.iter().any(|o| o.is_some());
+    let backend = if process {
+        federation::reset();
+        federation::set_collection_enabled(federated);
+        let exe = std::env::current_exe()
+            .map_err(|e| fail(format!("cannot locate own executable: {e}")))?;
+        let worker = vec![exe.to_string_lossy().into_owned(), "worker".to_string()];
+        let mut cfg = ProcessConfig::new(spec.parts as usize, worker);
+        cfg.faults = faults;
+        Backend::Process(cfg)
+    } else {
+        Backend::Threads(ThreadsConfig {
+            mode: match mode {
+                "threaded" => ExecMode::Threaded,
+                _ => ExecMode::Sequential,
+            },
+            faults,
+            checkpoint_every: None,
+        })
     };
-    let spec = JobSpec {
-        graph: GraphSource::File(graph_path.to_string()),
-        scheme: scheme_name.to_string(),
-        parts: parts as u32,
-        app: app_spec,
-        checkpoint_every: checkpoint_every.map(|e| e as u32),
+
+    let start = Instant::now();
+    let out = bpart_dist::run_job(spec, &backend)?;
+    let wall = start.elapsed().as_secs_f64();
+    let oracle = if process {
+        // The oracle runs fault-free: recovery must be transparent, so the
+        // process result has to match the undisturbed simulation. Tracing
+        // is muted for it — its modelled `cluster.superstep` spans use
+        // abstract time units and would corrupt the measured trace's blame
+        // table.
+        let trace_was = bpart_obs::trace_enabled();
+        bpart_obs::set_trace_enabled(false);
+        let oracle = bpart_dist::run_job(spec, &Backend::Threads(ThreadsConfig::default()));
+        bpart_obs::set_trace_enabled(trace_was);
+        Some(oracle?)
+    } else {
+        None
     };
 
-    let exe =
-        std::env::current_exe().map_err(|e| fail(format!("cannot locate own executable: {e}")))?;
-    let mut cfg = ProcessConfig::new(
-        workers,
-        vec![exe.to_string_lossy().into_owned(), "worker".to_string()],
-    );
-    cfg.faults = plan;
-
-    let run_start = Instant::now();
-    let out = bpart_dist::run_job(&spec, &Backend::Process(cfg))
-        .map_err(|e| fail(format!("process backend failed: {e}")))?;
-    let wall = run_start.elapsed().as_secs_f64();
-    // The oracle runs fault-free: recovery must be transparent, so the
-    // process result has to match the undisturbed simulation. Tracing is
-    // muted for it — its modelled `cluster.superstep` spans use abstract
-    // time units and would corrupt the measured trace's blame table.
-    let trace_was = bpart_obs::trace_enabled();
-    bpart_obs::set_trace_enabled(false);
-    let oracle = bpart_dist::run_job(&spec, &Backend::Threads(ThreadsConfig::default()))
-        .map_err(|e| fail(format!("threads oracle failed: {e}")))?;
-    bpart_obs::set_trace_enabled(trace_was);
-
-    let identical = out.digest == oracle.digest && out.supersteps == oracle.supersteps;
+    let cut_ratio = metrics::edge_cut_ratio(out.cluster.graph(), out.cluster.partition());
     let mut text = format!(
-        "run: {app} on {graph_path}, {scheme_name} scheme, process backend ({workers} workers)\n"
+        "run: {} on {graph_path} ({} vertices, {} edges), {} scheme, {} machines, \
+{backend_name} backend\n",
+        spec.app.name(),
+        out.cluster.graph().num_vertices(),
+        out.cluster.graph().num_edges(),
+        spec.scheme,
+        spec.parts,
     );
-    text.push_str(&format!("  supersteps:      {}\n", out.supersteps));
-    text.push_str(&format!("  digest:          {:#018x}\n", out.digest));
-    text.push_str(&format!(
-        "  oracle digest:   {:#018x} (threads backend)\n",
-        oracle.digest
-    ));
-    text.push_str(&format!(
-        "  bit-identical:   {}\n",
-        if identical { "yes" } else { "NO" }
-    ));
-    let r = &out.recovery;
-    text.push_str(&format!(
-        "  recovery:        {} deaths, {} recoveries, {} respawns, {} replayed supersteps, {} link retries\n",
-        r.worker_deaths, r.recoveries, r.respawns, r.replayed_supersteps, r.link_retries
-    ));
-    text.push_str(&format!("  wall time:       {wall:.2}s\n"));
-
-    if obs_on {
-        // Measured Fig. 13 per-machine table from the federated worker
-        // reports: real wire wait vs. compute, next to the modelled
-        // numbers the threads backend prints (see EXPERIMENTS.md).
-        let store = federation::global();
-        let steps: Vec<(Vec<f64>, Vec<f64>)> = (0..out.supersteps)
-            .filter_map(|s| store.step_timings(s))
-            .collect();
-        let dead = store.dead_workers();
-        // What each worker said it holds (`part.*` gauges, set from its
-        // slice): the paper's two balance dimensions, and their bytes.
-        let holds = |m: usize| {
-            let metrics = &store.workers.get(&(m as u32))?.snapshot.metrics;
-            let gauge = |name| metrics.gauges.get(name).copied();
-            Some(format!(
-                ", holds {} vertices, {} edges ({:.2} MB slice)",
-                gauge("part.vertices")?,
-                gauge("part.edges")?,
-                gauge("part.slice_bytes")? / (1u64 << 20) as f64
-            ))
-        };
-        let holds: Vec<String> = (0..workers).map(|m| holds(m).unwrap_or_default()).collect();
-        drop(store);
-        if !steps.is_empty() {
-            let measured = bpart_cluster::TelemetrySummary::from_steps(&steps);
-            text.push_str(&format!(
-                "  measured (federated, {} of {} supersteps):\n",
-                steps.len(),
-                out.supersteps
-            ));
-            text.push_str(&format!(
-                "    total time:    {:.3}s (waiting ratio {:.3})\n",
-                measured.total_time, measured.waiting_ratio
-            ));
-            for (m, row) in measured.machines.iter().enumerate() {
-                text.push_str(&format!(
-                    "    m{m}: compute {:.3}s, waiting {:.3}s ({:.1}%){}\n",
-                    row.compute,
-                    row.waiting,
-                    row.ratio * 100.0,
-                    holds.get(m).map_or("", String::as_str)
-                ));
-            }
-        }
+    text.push_str(&run_report(&out, oracle.as_ref(), cut_ratio, wall));
+    if federated {
         // Driver-side RPC round-trip quantiles, from the same shared
         // bucket estimator the rpc-rtt-p99 alert rule reads.
         let registry = bpart_obs::metrics::capture();
@@ -1172,32 +883,21 @@ fn run_process_cmd(
                 p99 / 1e6
             ));
         }
+        let dead = federation::global().dead_workers();
         if dead > 0 {
             text.push_str(&format!(
                 "  stale workers:   {dead} (last pre-death snapshots retained)\n"
             ));
         }
     }
-
     if let Some(hpath) = obs.history_out.as_deref() {
-        let mut rec = bpart_obs::history::RunRecord::new("run-dist", graph_path);
-        if let Some(rev) = obs.git_rev.as_deref() {
-            rec = rec.with_git_rev(rev);
-        }
-        rec.set_config("scheme", scheme_name);
-        rec.set_config("parts", parts);
-        rec.set_config("app", app);
-        rec.set_config("workers", workers);
-        rec.set_metric("wall_time_secs", wall);
-        rec.set_metric("supersteps", out.supersteps as f64);
-        rec.set_metric("worker_deaths", r.worker_deaths as f64);
-        rec.set_metric("recoveries", r.recoveries as f64);
-        rec.set_metric("replayed_supersteps", r.replayed_supersteps as f64);
-        rec.set_metric("link_retries", r.link_retries as f64);
+        let mut rec = history_record(obs, "run", graph_path, &spec.scheme, spec.parts as usize);
+        rec.set_config("backend", backend_name);
+        rec.set_config("mode", if process { "processes" } else { mode });
+        run_history(&mut rec, &spec.app, &out, cut_ratio, wall);
         write_history(&rec, hpath, &mut text)?;
     }
-
-    if !identical {
+    if oracle.is_some_and(|o| (o.digest, o.supersteps) != (out.digest, out.supersteps)) {
         return Err(fail(format!(
             "process backend diverged from the threads oracle:\n{text}"
         )));
@@ -1205,65 +905,120 @@ fn run_process_cmd(
     Ok(text)
 }
 
-fn mode_name(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Threaded => "threaded",
-        ExecMode::Sequential => "sequential",
+/// A time in the unit the backend measured it in.
+fn show_time(unit: TimeUnit, t: f64) -> String {
+    match unit {
+        TimeUnit::Modelled => format!("{t:.2} units"),
+        TimeUnit::Seconds => format!("{t:.3}s"),
     }
 }
 
-/// Streaming throughput lines shared by `partition` and `run` output.
-/// Buffer detail only appears for buffered-parallel runs (`buffers > 0`);
-/// the sequential path and non-streaming schemes report throughput alone.
-fn stream_stats_report(stats: &StreamStats) -> String {
-    let mut out = format!(
-        "  throughput:      {:.0} vertices/s ({} thread{})\n",
-        stats.vertices_per_sec(),
-        stats.threads,
-        if stats.threads == 1 { "" } else { "s" },
+/// Per-machine compute and barrier waiting (the paper's Fig. 13 view: which
+/// machines sit idle at the superstep barrier and by how much) beside what
+/// each machine holds, the paper's two balance dimensions. Modelled units
+/// on the threads backend; on the process backend, seconds the workers
+/// measured — empty unless they were asked to report them.
+fn machine_table(out: &AppOutput) -> String {
+    let (unit, timing) = (out.time_unit, &out.timing);
+    if timing.machines.is_empty() {
+        return String::new();
+    }
+    let source = match unit {
+        TimeUnit::Modelled => "cost model",
+        TimeUnit::Seconds => "measured by the workers",
+    };
+    let mut text = format!(
+        "  total time:      {} ({source})\n  waiting ratio:   {:.4}\n",
+        show_time(unit, timing.total_time),
+        timing.waiting_ratio
     );
-    if stats.buffers > 0 {
-        out.push_str(&format!(
-            "  buffers:         {} (sync stall {:.1}%)\n",
-            stats.buffers,
-            stats.sync_stall_ratio() * 100.0
+    let (vertices, edges) = (out.cluster.vertex_counts(), out.cluster.edge_counts());
+    for (m, row) in timing.machines.iter().enumerate() {
+        text.push_str(&format!(
+            "    m{m}: compute {}, waiting {} ({:.1}%), holds {} vertices, {} edges\n",
+            show_time(unit, row.compute),
+            show_time(unit, row.waiting),
+            row.ratio * 100.0,
+            vertices[m],
+            edges[m]
         ));
     }
-    out
+    text
 }
 
-/// The telemetry summary shared by iteration and walk runs: the paper's
-/// aggregates plus the fault/recovery counters.
-fn telemetry_report(t: &Telemetry, iterations: usize) -> String {
-    let mut out = String::new();
-    if let Some(stats) = t.partition_stats() {
-        out.push_str("  partition stage:\n");
-        for line in stream_stats_report(&stats).lines() {
-            out.push_str(&format!("  {line}\n"));
+/// The one report of a run, whichever backend ran it; `oracle` is the
+/// threads run a process run is checked against.
+fn run_report(out: &AppOutput, oracle: Option<&AppOutput>, cut_ratio: f64, wall: f64) -> String {
+    let mut text = format!("  edge-cut ratio:  {cut_ratio:.4}\n");
+    text.push_str(&format!("  supersteps:      {}\n", out.supersteps));
+    text.push_str(&format!("  digest:          {:#018x}\n", out.digest));
+    if let Some(oracle) = oracle {
+        let identical = (oracle.digest, oracle.supersteps) == (out.digest, out.supersteps);
+        text.push_str(&format!(
+            "  oracle digest:   {:#018x} (threads backend)\n  bit-identical:   {}\n",
+            oracle.digest,
+            if identical { "yes" } else { "NO" }
+        ));
+    }
+    let r = &out.recovery;
+    text.push_str(&format!(
+        "  recovery:        {} deaths, {} recoveries, {} respawns, {} replayed supersteps, \
+{} link retries\n",
+        r.worker_deaths, r.recoveries, r.respawns, r.replayed_supersteps, r.link_retries
+    ));
+    text.push_str(&format!("  wall time:       {wall:.2}s\n"));
+    text.push_str(&machine_table(out));
+    if let Some(modelled) = &out.modelled {
+        text.push_str(&format!("  messages:        {}\n", modelled.messages));
+        text.push_str(&format!(
+            "  recovery time:   {}\n",
+            show_time(TimeUnit::Modelled, modelled.recovery_time)
+        ));
+        if let Some((steps, message_walks)) = modelled.walk {
+            text.push_str(&format!(
+                "  walker steps:    {steps}\n  message walks:   {message_walks}\n"
+            ));
         }
     }
-    out.push_str(&format!("  supersteps:      {iterations}\n"));
-    out.push_str(&format!("  total time:      {:.2} units\n", t.total_time()));
-    out.push_str(&format!("  waiting ratio:   {:.4}\n", t.waiting_ratio()));
-    // Per-machine waiting breakdown (the paper's Fig. 13 view): which
-    // machines sit idle at the superstep barrier and by how much.
-    let summary = t.summary();
-    for (m, w) in summary.machines.iter().enumerate() {
-        out.push_str(&format!(
-            "    m{m}: compute {:.2}, waiting {:.2} ({:.1}%)\n",
-            w.compute,
-            w.waiting,
-            w.ratio * 100.0
-        ));
+    text
+}
+
+/// Fills in the one `run` history record: the same keys whichever backend
+/// ran, with `time_unit` saying what `total_time_units` counts.
+fn run_history(
+    rec: &mut bpart_obs::history::RunRecord,
+    app: &AppSpec,
+    out: &AppOutput,
+    cut_ratio: f64,
+    wall: f64,
+) {
+    rec.set_config("app", app.name());
+    match *app {
+        AppSpec::PageRank { iters } => rec.set_config("iters", iters),
+        AppSpec::ConnectedComponents => {}
+        AppSpec::DeepWalk { walk_len, seed, .. } | AppSpec::SimpleWalk { walk_len, seed, .. } => {
+            rec.set_config("walk_len", walk_len);
+            rec.set_config("seed", seed);
+        }
     }
-    out.push_str(&format!("  messages:        {}\n", t.total_messages()));
-    out.push_str(&format!("  faults injected: {}\n", t.total_faults()));
-    out.push_str(&format!("  replayed steps:  {}\n", t.replayed_supersteps()));
-    out.push_str(&format!(
-        "  recovery time:   {:.2} units\n",
-        t.total_recovery_time()
-    ));
-    out
+    rec.set_config(
+        "time_unit",
+        match out.time_unit {
+            TimeUnit::Modelled => "cost-model units",
+            TimeUnit::Seconds => "seconds",
+        },
+    );
+    rec.set_metric("wall_time_secs", wall);
+    rec.set_metric("cut_ratio", cut_ratio);
+    rec.set_metric("supersteps", out.supersteps as f64);
+    rec.set_metric("total_time_units", out.timing.total_time);
+    rec.set_metric("waiting_ratio", out.timing.waiting_ratio);
+    let r = &out.recovery;
+    rec.set_metric("worker_deaths", r.worker_deaths as f64);
+    rec.set_metric("recoveries", r.recoveries as f64);
+    rec.set_metric("respawns", r.respawns as f64);
+    rec.set_metric("replayed_supersteps", r.replayed_supersteps as f64);
+    rec.set_metric("link_retries", r.link_retries as f64);
 }
 
 fn convert_cmd(src: &str, dst: &str) -> Result<String, CliError> {
@@ -1276,29 +1031,23 @@ fn convert_cmd(src: &str, dst: &str) -> Result<String, CliError> {
     ))
 }
 
-fn report(graph: &CsrGraph, partition: &Partition, label: &str) -> String {
-    render_quality(&metrics::quality(graph, partition), partition, label)
-}
-
-fn render_quality(q: &metrics::QualityReport, partition: &Partition, label: &str) -> String {
-    let mut out = String::new();
+/// The balance and cut lines of a partition, from its per-part tallies.
+fn render_quality(label: &str, vertex_counts: &[u64], edge_counts: &[u64], cut: f64) -> String {
+    let (bias, fairness) = (metrics::bias, metrics::jain_fairness);
+    let mut out = format!("partition: {label} ({} parts)\n", vertex_counts.len());
+    out.push_str(&format!("  vertex bias:     {:.4}\n", bias(vertex_counts)));
+    out.push_str(&format!("  edge bias:       {:.4}\n", bias(edge_counts)));
     out.push_str(&format!(
-        "partition: {label} ({} parts)\n",
-        partition.num_parts()
-    ));
-    out.push_str(&format!("  vertex bias:     {:.4}\n", q.vertex_bias));
-    out.push_str(&format!("  edge bias:       {:.4}\n", q.edge_bias));
-    out.push_str(&format!("  vertex fairness: {:.4}\n", q.vertex_jain));
-    out.push_str(&format!("  edge fairness:   {:.4}\n", q.edge_jain));
-    out.push_str(&format!("  edge-cut ratio:  {:.4}\n", q.cut_ratio));
-    out.push_str(&format!(
-        "  |V_i|:           {:?}\n",
-        partition.vertex_counts()
+        "  vertex fairness: {:.4}\n",
+        fairness(vertex_counts)
     ));
     out.push_str(&format!(
-        "  |E_i|:           {:?}\n",
-        partition.edge_counts()
+        "  edge fairness:   {:.4}\n",
+        fairness(edge_counts)
     ));
+    out.push_str(&format!("  edge-cut ratio:  {cut:.4}\n"));
+    out.push_str(&format!("  |V_i|:           {vertex_counts:?}\n"));
+    out.push_str(&format!("  |E_i|:           {edge_counts:?}\n"));
     out
 }
 
@@ -1456,28 +1205,6 @@ mod tests {
         assert!(out.contains("2 threads"), "{out}");
         assert!(out.contains("buffers:"), "{out}");
         assert!(out.contains("sync stall"), "{out}");
-
-        // The run command surfaces the partition stage in its telemetry.
-        let out = run(&Command::Run {
-            graph: gp.clone(),
-            parts: 4,
-            scheme: "bpart".into(),
-            app: "pagerank".into(),
-            iters: 2,
-            walk_len: 5,
-            seed: 7,
-            mode: "sequential".into(),
-            backend: "threads".into(),
-            workers: None,
-            fault_plan: None,
-            checkpoint_every: None,
-            threads: 2,
-            buffer_size: 128,
-            obs: ObsFlags::default(),
-        })
-        .unwrap();
-        assert!(out.contains("partition stage:"), "{out}");
-        assert!(out.contains("2 threads"), "{out}");
         std::fs::remove_file(graph_path).ok();
     }
 
@@ -1622,14 +1349,6 @@ mod tests {
     }
 
     #[test]
-    fn every_scheme_name_resolves() {
-        for name in scheme_names() {
-            scheme_by_name(name).unwrap();
-        }
-        assert!(scheme_by_name("nope").is_err());
-    }
-
-    #[test]
     fn gd_rejects_non_power_of_two_via_error_not_abort() {
         // The CLI relies on the library panic; verify the resolver at least
         // hands back the GD scheme so the binary reports the panic cleanly.
@@ -1648,11 +1367,8 @@ mod tests {
             seed: 7,
             mode: "sequential".into(),
             backend: "threads".into(),
-            workers: None,
             fault_plan: fault_plan.map(str::to_string),
             checkpoint_every: Some(2),
-            threads: 1,
-            buffer_size: bpart_core::DEFAULT_BUFFER_SIZE,
             obs: ObsFlags::default(),
         })
     }
@@ -1670,14 +1386,16 @@ mod tests {
 
         for app in ["pagerank", "cc", "deepwalk", "walk"] {
             let clean = run_on(gp.clone(), app, None).unwrap();
-            assert!(clean.contains("faults injected: 0"), "{app}: {clean}");
-            assert!(clean.contains("replayed steps:  0"), "{app}: {clean}");
+            let untouched = "recovery:        0 deaths, 0 recoveries, 0 respawns, \
+                             0 replayed supersteps, 0 link retries";
+            assert!(clean.contains(untouched), "{app}: {clean}");
 
             // crash at 3 with checkpoints every 2: rollback to the
             // superstep-2 checkpoint, so superstep 2 is replayed
             let faulted = run_on(gp.clone(), app, Some("crash@3:m1")).unwrap();
-            assert!(faulted.contains("faults injected: 1"), "{app}: {faulted}");
-            assert!(!faulted.contains("replayed steps:  0"), "{app}: {faulted}");
+            let recovered = "recovery:        1 deaths, 1 recoveries, 0 respawns, \
+                             1 replayed supersteps, 0 link retries";
+            assert!(faulted.contains(recovered), "{app}: {faulted}");
         }
 
         let e = run_on(gp.clone(), "pagerank", Some("crash@nope")).unwrap_err();
@@ -1686,6 +1404,109 @@ mod tests {
         assert!(e.to_string().contains("unknown app"), "{e}");
 
         std::fs::remove_file(graph_path).ok();
+    }
+
+    /// The threads backend has one implementation: what `bpart run` prints
+    /// is what `run_job` returns for the job the flags describe.
+    #[test]
+    fn run_on_threads_prints_the_digest_run_job_returns() {
+        let graph_path = tmp("run_digest.txt");
+        let gp = graph_path.to_str().unwrap().to_string();
+        runs(Command::Generate {
+            preset: "lj_like".into(),
+            scale: 0.01,
+            seed: Some(5),
+            out: gp.clone(),
+        });
+        for app in bpart_dist::APP_NAMES {
+            for (mode, exec) in [
+                ("sequential", ExecMode::Sequential),
+                ("threaded", ExecMode::Threaded),
+            ] {
+                let spec = JobSpec {
+                    graph: GraphSource::File(gp.clone()),
+                    scheme: "fennel".into(),
+                    parts: 3,
+                    app: AppSpec::by_name(app, 4, 6, 11).unwrap(),
+                    checkpoint_every: None,
+                };
+                let backend = Backend::Threads(ThreadsConfig {
+                    mode: exec,
+                    ..ThreadsConfig::default()
+                });
+                let expected = bpart_dist::run_job(&spec, &backend).unwrap();
+                let printed = runs(Command::Run {
+                    graph: gp.clone(),
+                    parts: 3,
+                    scheme: "fennel".into(),
+                    app: app.into(),
+                    iters: 4,
+                    walk_len: 6,
+                    seed: 11,
+                    mode: mode.into(),
+                    backend: "threads".into(),
+                    fault_plan: None,
+                    checkpoint_every: None,
+                    obs: ObsFlags::default(),
+                });
+                let digest = format!("  digest:          {:#018x}\n", expected.digest);
+                assert!(printed.contains(&digest), "{app} {mode}: {printed}");
+                let supersteps = format!("  supersteps:      {}\n", expected.supersteps);
+                assert!(printed.contains(&supersteps), "{app} {mode}: {printed}");
+            }
+        }
+        std::fs::remove_file(graph_path).ok();
+    }
+
+    /// A scheme nobody knows is answered with the scheme table, in the
+    /// words `JobSpec::scheme` uses, by every command that takes a scheme —
+    /// before any graph is opened or worker spawned.
+    #[test]
+    fn an_unknown_scheme_lists_the_table_whoever_is_asked() {
+        let spec = JobSpec {
+            graph: GraphSource::File("/no/such/graph".into()),
+            scheme: "nope".into(),
+            parts: 2,
+            app: AppSpec::ConnectedComponents,
+            checkpoint_every: None,
+        };
+        let expected = CliError::from(spec.scheme().err().unwrap()).to_string();
+        assert!(expected.starts_with("unknown scheme \"nope\"; available: chunk-v, "));
+        for backend in ["threads", "process"] {
+            let e = run(&Command::Run {
+                graph: "/no/such/graph".into(),
+                parts: 2,
+                scheme: "nope".into(),
+                app: "cc".into(),
+                iters: 1,
+                walk_len: 1,
+                seed: 1,
+                mode: "sequential".into(),
+                backend: backend.into(),
+                fault_plan: None,
+                checkpoint_every: None,
+                obs: ObsFlags::default(),
+            })
+            .unwrap_err();
+            assert_eq!(e.to_string(), expected, "{backend}");
+        }
+        for input_format in ["auto", "shards"] {
+            let e = run(&Command::Partition {
+                graph: "/no/such/graph".into(),
+                parts: 2,
+                scheme: "nope".into(),
+                out: None,
+                threads: None,
+                buffer_size: None,
+                input_format: input_format.into(),
+                shard_dir: None,
+                mem_ceiling_mb: None,
+                obs: ObsFlags::default(),
+            })
+            .unwrap_err();
+            assert_eq!(e.to_string(), expected, "{input_format}");
+        }
+        assert_eq!(scheme_by_name("nope").err().unwrap().to_string(), expected);
     }
 
     #[test]
@@ -1713,11 +1534,8 @@ mod tests {
             seed: 7,
             mode: "sequential".into(),
             backend: "threads".into(),
-            workers: None,
             fault_plan: None,
             checkpoint_every: None,
-            threads: 1,
-            buffer_size: bpart_core::DEFAULT_BUFFER_SIZE,
             obs: ObsFlags {
                 trace_out: Some(tp.clone()),
                 metrics_out: Some(mp.clone()),
@@ -1784,11 +1602,8 @@ mod tests {
             seed: 7,
             mode: "sequential".into(),
             backend: "threads".into(),
-            workers: None,
             fault_plan: None,
             checkpoint_every: None,
-            threads: 1,
-            buffer_size: bpart_core::DEFAULT_BUFFER_SIZE,
             obs: ObsFlags {
                 history_out: Some(ha.clone()),
                 git_rev: Some("testrev".into()),
@@ -1798,8 +1613,20 @@ mod tests {
         assert!(out.contains("wrote history record"), "{out}");
         let rec = bpart_obs::history::RunRecord::read(Path::new(&ha)).unwrap();
         assert_eq!(rec.git_rev, "testrev");
-        assert!(rec.metrics.contains_key("cut_ratio"), "{rec:?}");
-        assert!(rec.metrics.contains_key("waiting_ratio"), "{rec:?}");
+        assert_eq!(rec.label, "run");
+        assert_eq!(rec.config["backend"], "threads");
+        assert_eq!(rec.config["time_unit"], "cost-model units");
+        for metric in [
+            "cut_ratio",
+            "total_time_units",
+            "waiting_ratio",
+            "supersteps",
+            "worker_deaths",
+            "recoveries",
+            "replayed_supersteps",
+        ] {
+            assert!(rec.metrics.contains_key(metric), "{metric}: {rec:?}");
+        }
 
         // An identical candidate passes the diff gate...
         std::fs::copy(&hist_a, &hist_b).unwrap();

@@ -65,9 +65,8 @@ USAGE:
   bpart shard     GRAPH --out-dir DIR [--shard-bytes N]
   bpart quality   GRAPH PARTITION
   bpart run       GRAPH --parts K [--scheme NAME] [--app APP] [--iters N] \
-[--walk-len L] [--seed N] [--mode sequential|threaded] \
-[--backend threads|process] [--workers N] [--fault-plan SPEC] \
-[--checkpoint-every N] [--threads T] [--buffer-size B] \
+[--walk-len L] [--seed N] [--backend threads|process] \
+[--mode sequential|threaded] [--fault-plan SPEC] [--checkpoint-every N] \
 [+ OBSERVABILITY flags]
   bpart report    TRACE... [--critical-path] [--profile] [--straggler-factor F]
   bpart obs diff  BASELINE CANDIDATE [--watch M1,M2] [--threshold F]
@@ -92,12 +91,18 @@ FAULT PLANS (run --fault-plan):
   Crashed supersteps roll back to the last checkpoint (--checkpoint-every)
   and replay; results are identical to a fault-free run.
 
-DISTRIBUTED MODE (run --backend process):
+BACKENDS (run --backend; one job description, one report, either way):
+  --backend threads  (default) simulate the machines in this process;
+                     --mode sequential (default) steps them in turn,
+                     --mode threaded gives each its own thread. Times in
+                     the report are cost-model units
   --backend process  run each BSP machine as a real supervised worker
-                     process (spawned from this binary) over TCP; the
-                     thread-simulated oracle runs alongside and the
-                     command fails unless results are bit-identical
-  --workers N        worker process count; must equal --parts (default)
+                     process (one per part, spawned from this binary) over
+                     TCP; the thread-simulated oracle runs alongside and
+                     the command fails unless results are bit-identical.
+                     Times in the report are seconds the workers measured
+                     (reported when an OBSERVABILITY flag asks for them);
+                     --mode does not apply and is refused
   Fault-plan crash clauses become real SIGKILLs of worker processes:
   death is detected by heartbeat loss, state restores from the last
   driver-held checkpoint (--checkpoint-every), and the run replays to
@@ -121,7 +126,7 @@ OUT-OF-CORE (partition graphs bigger than RAM; see DESIGN.md §14):
   (memory O(n + one shard)): --threads and --buffer-size do not apply to
   shard input and are refused with it.
 
-PARALLEL STREAMING (partition/run, resident input, streaming schemes only):
+PARALLEL STREAMING (partition, resident input, streaming schemes only):
   --threads T      scoring worker threads (default 1 = exact sequential)
   --buffer-size B  vertices scored per weight-sync window (default 4096);
                    B=1 reproduces the sequential result for any T
@@ -183,6 +188,15 @@ mod tests {
     fn dispatch_marks_runtime_failures_as_run_errors() {
         let err = dispatch(&["stats".into(), "/no/such/graph".into()]).unwrap_err();
         assert!(matches!(err, DispatchError::Run(_)), "{err:?}");
+    }
+
+    #[test]
+    fn usage_names_every_scheme_app_and_preset() {
+        let presets = bpart_graph::generate::ALL_PRESETS.iter().map(|p| p().name);
+        let schemes = bpart_dist::SCHEMES.iter().map(|s| s.name);
+        for name in schemes.chain(bpart_dist::APP_NAMES).chain(presets) {
+            assert!(USAGE.contains(name), "usage does not mention {name}");
+        }
     }
 
     #[test]

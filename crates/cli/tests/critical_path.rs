@@ -27,11 +27,7 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 fn fixture_graph() -> CsrGraph {
-    let mut recipe = generate::ALL_PRESETS
-        .iter()
-        .map(|p| p())
-        .find(|p| p.name == "lj_like")
-        .unwrap();
+    let mut recipe = generate::preset_by_name("lj_like").unwrap();
     recipe.seed = 11;
     recipe.generate_scaled(0.02)
 }
@@ -98,7 +94,6 @@ fn report_critical_path_renders_gating_and_blame() {
     .unwrap();
     run(&Command::Run {
         backend: "threads".into(),
-        workers: None,
         graph: gp.clone(),
         parts: 4,
         scheme: "bpart".into(),
@@ -109,8 +104,6 @@ fn report_critical_path_renders_gating_and_blame() {
         mode: "sequential".into(),
         fault_plan: None,
         checkpoint_every: None,
-        threads: 1,
-        buffer_size: bpart_core::DEFAULT_BUFFER_SIZE,
         obs: ObsFlags {
             trace_out: Some(tp.clone()),
             ..ObsFlags::default()

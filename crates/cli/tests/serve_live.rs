@@ -61,7 +61,6 @@ fn serve_addr_answers_all_endpoints_during_a_run() {
     let worker = std::thread::spawn(move || {
         run(&Command::Run {
             backend: "threads".into(),
-            workers: None,
             graph: gp,
             parts: 4,
             scheme: "bpart".into(),
@@ -72,8 +71,6 @@ fn serve_addr_answers_all_endpoints_during_a_run() {
             mode: "sequential".into(),
             fault_plan: None,
             checkpoint_every: None,
-            threads: 1,
-            buffer_size: bpart_core::DEFAULT_BUFFER_SIZE,
             obs: ObsFlags {
                 serve_addr: Some("127.0.0.1:0".into()),
                 ..ObsFlags::default()

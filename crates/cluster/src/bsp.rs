@@ -279,6 +279,7 @@ pub fn drive<P: Program>(
                 comm,
                 sent,
                 faults: link_events,
+                crashed: 0,
                 replay: replaying,
                 recovery: 0.0,
             });
@@ -293,6 +294,7 @@ pub fn drive<P: Program>(
             comm: vec![0.0; k],
             sent: vec![0; k],
             faults: fired,
+            crashed: fired,
             replay: replaying,
             recovery: restore_time::<P::Machine>(&cfg.cost, &checkpoint.1),
         });

@@ -41,6 +41,10 @@ pub struct IterationRecord {
     /// Faults injected during this superstep (crashes fired plus messages
     /// dropped or duplicated on faulty links).
     pub faults: u64,
+    /// How many of `faults` were machines lost (an injected crash, or a
+    /// panic): nonzero exactly on a superstep that was abandoned and rolled
+    /// back. The rest of `faults` are link events.
+    pub crashed: u64,
     /// True when this record re-executes a superstep already completed
     /// before a rollback (recovery replay).
     pub replay: bool,
@@ -314,6 +318,19 @@ impl Telemetry {
         self.records.lock().iter().map(|r| r.faults).sum()
     }
 
+    /// Machines lost across the run (injected crashes and panics) — the
+    /// process backend's worker deaths.
+    pub fn crashes(&self) -> u64 {
+        self.records.lock().iter().map(|r| r.crashed).sum()
+    }
+
+    /// Supersteps abandoned and rolled back — the process backend's
+    /// recovery rounds.
+    pub fn rollbacks(&self) -> u64 {
+        let records = self.records.lock();
+        records.iter().filter(|r| r.crashed > 0).count() as u64
+    }
+
     /// Number of supersteps that were recovery replays of previously
     /// completed work. Zero unless a crash forced a rollback.
     pub fn replayed_supersteps(&self) -> usize {
@@ -483,6 +500,7 @@ mod tests {
             comm: vec![0.0, 0.0],
             sent: vec![0, 0],
             faults: 1,
+            crashed: 1,
             replay: false,
             recovery: 4.0,
         });
@@ -491,10 +509,12 @@ mod tests {
             comm: vec![1.0, 1.0],
             sent: vec![5, 5],
             faults: 0,
+            crashed: 0,
             replay: true,
             recovery: 0.0,
         });
         assert_eq!(t.total_faults(), 1);
+        assert_eq!((t.crashes(), t.rollbacks()), (1, 1));
         assert_eq!(t.replayed_supersteps(), 1);
         // Recovery time = 4.0 restore + 3.0 replayed superstep wall time.
         assert!((t.total_recovery_time() - 7.0).abs() < 1e-12);

@@ -48,8 +48,8 @@ use crate::proto::{DriverMsg, Placement, RowSeg, WorkerMsg};
 use crate::spec::{AppSpec, JobSpec};
 use crate::transport::{read_frame_blocking, rpc_rtt_histogram};
 use crate::wire::{decode_all, path_triples, PATH_TRIPLE_LEN};
-use crate::{digest_wire, paths_from_log};
-use bpart_cluster::{Cluster, FaultPlan, FaultState, MachineId};
+use crate::{digest_wire, paths_from_log, AppOutput, RecoveryStats, TimeUnit};
+use bpart_cluster::{Cluster, FaultPlan, FaultState, MachineId, TelemetrySummary};
 use bpart_graph::VertexId;
 use bpart_obs::{federation, tracer};
 use bpart_walker::WalkStarts;
@@ -102,34 +102,6 @@ impl ProcessConfig {
             faults: FaultPlan::default(),
         }
     }
-}
-
-/// What supervision had to do during a run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Workers declared dead (heartbeat loss or RPC deadline).
-    pub worker_deaths: u64,
-    /// Recovery rounds (epoch bumps).
-    pub recoveries: u64,
-    /// Supersteps re-executed after rollbacks.
-    pub replayed_supersteps: u64,
-    /// Link-level retransmissions/dedups charged by the fault plan.
-    pub link_retries: u64,
-    /// Worker processes respawned.
-    pub respawns: u64,
-}
-
-/// Outcome of a distributed run.
-#[derive(Clone, Debug)]
-pub struct AppOutput {
-    /// FNV-1a digest over the canonical result encoding (global-order
-    /// values for iteration apps, merged paths for walks) — the
-    /// cross-backend bit-identity token.
-    pub digest: u64,
-    /// Logical supersteps executed (replays not double-counted).
-    pub supersteps: u64,
-    /// Supervision counters.
-    pub recovery: RecoveryStats,
 }
 
 /// Driver-held checkpoint: per-worker snapshot bytes and the superstep
@@ -224,6 +196,9 @@ pub fn run_process(spec: &JobSpec, cfg: &ProcessConfig) -> Result<AppOutput, Clu
     if cfg.worker_cmd.is_empty() {
         return Err(ClusterError::unrecoverable("empty worker command"));
     }
+    // A scheme nobody knows is the caller's mistake: say so before a
+    // process is spawned for it.
+    spec.scheme()?;
     let mut driver = Driver::start(spec.clone(), cfg.clone())?;
     let out = driver.run();
     driver.shutdown();
@@ -905,10 +880,23 @@ impl Driver {
             _ => None,
         })?;
         let digest = assemble_digest(&self.spec.app, &cluster, &results)?;
+        // What the workers measured, when they were asked to report it.
+        let steps: Vec<_> = if federation::collection_enabled() {
+            let store = federation::global();
+            (0..superstep)
+                .filter_map(|s| store.step_timings(s))
+                .collect()
+        } else {
+            Vec::new()
+        };
         Ok(AppOutput {
             digest,
             supersteps: superstep,
             recovery: self.stats.clone(),
+            timing: TelemetrySummary::from_steps(&steps),
+            time_unit: TimeUnit::Seconds,
+            modelled: None,
+            cluster,
         })
     }
 

@@ -32,16 +32,16 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use driver::{run_process, AppOutput, ProcessConfig, RecoveryStats};
+pub use driver::{run_process, ProcessConfig};
 pub use error::ClusterError;
-pub use spec::{AppSpec, GraphSource, JobSpec};
+pub use spec::{AppSpec, GraphSource, JobSpec, Scheme, APP_NAMES, SCHEMES};
 pub use worker::{run_worker, WorkerConfig};
 
 /// The walk engine's own merge of machine-local path logs.
 pub use bpart_walker::kernel::paths_from_log;
 
 use bpart_cluster::exec::ExecMode;
-use bpart_cluster::{Cluster, CostModel, FaultPlan, Telemetry};
+use bpart_cluster::{Cluster, CostModel, FaultPlan, Telemetry, TelemetrySummary};
 use bpart_graph::VertexId;
 use wire::{encode_all, Wire};
 
@@ -67,9 +67,69 @@ pub enum Backend {
     Process(ProcessConfig),
 }
 
-/// Runs a job on the chosen backend and reports the result digest plus
-/// recovery telemetry. The digest is computed the same way on both
-/// backends, so equal digests mean bit-identical results.
+/// What recovery had to do during a run. Both backends count alike: a
+/// fault plan that kills one machine once reads one death and one recovery
+/// whether the machine was a thread's state or a process.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// Machines lost: workers declared dead (heartbeat loss or RPC
+    /// deadline), or simulated machines that crashed or panicked.
+    pub worker_deaths: u64,
+    /// Recovery rounds (epoch bumps; simulated rollbacks).
+    pub recoveries: u64,
+    /// Supersteps re-executed after rollbacks.
+    pub replayed_supersteps: u64,
+    /// Link-level retransmissions/dedups charged by the fault plan.
+    pub link_retries: u64,
+    /// Worker processes respawned (a simulated machine has none).
+    pub respawns: u64,
+}
+
+/// What [`AppOutput::timing`] is measured in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TimeUnit {
+    /// Cost-model units, from the simulated engines' telemetry.
+    Modelled,
+    /// Seconds the worker processes measured and reported to the driver.
+    Seconds,
+}
+
+/// Totals only the simulated engines keep.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ModelledTotals {
+    /// Messages the cost model charged (replayed supersteps included).
+    pub messages: u64,
+    /// Checkpoint restores plus replayed work, in cost-model units.
+    pub recovery_time: f64,
+    /// A walk app's `(walker steps, message walks)`.
+    pub walk: Option<(u64, u64)>,
+}
+
+/// Outcome of a run, on either backend: what a report of it needs.
+#[derive(Clone, Debug)]
+pub struct AppOutput {
+    /// FNV-1a digest over the canonical result encoding (global-order
+    /// values for iteration apps, merged paths for walks) — the
+    /// cross-backend bit-identity token.
+    pub digest: u64,
+    /// Logical supersteps executed (replays not double-counted).
+    pub supersteps: u64,
+    /// Recovery counters.
+    pub recovery: RecoveryStats,
+    /// The graph and the partition the job ran on (shared handles).
+    pub cluster: Cluster,
+    /// Per-machine compute and barrier waiting, in `time_unit`. It has no
+    /// machines when nothing was measured: a process-backend run with
+    /// federation collection off.
+    pub timing: TelemetrySummary,
+    /// The unit of `timing`.
+    pub time_unit: TimeUnit,
+    /// Present on the threads backend.
+    pub modelled: Option<ModelledTotals>,
+}
+
+/// Runs a job on the chosen backend. The digest is computed the same way
+/// on both backends, so equal digests mean bit-identical results.
 pub fn run_job(spec: &JobSpec, backend: &Backend) -> Result<AppOutput, ClusterError> {
     match backend {
         Backend::Process(cfg) => driver::run_process(spec, cfg),
@@ -108,11 +168,35 @@ fn run_threads(spec: &JobSpec, cfg: &ThreadsConfig) -> Result<AppOutput, Cluster
     }
 }
 
-fn threads_output(digest: u64, supersteps: usize, telemetry: &Telemetry) -> AppOutput {
+/// Maps a simulated run onto the one output. The recovery counters mean
+/// what the process backend's do — a fired crash is a death and a recovery
+/// round, only dropped and duplicated messages are link retries — which is
+/// what the drop-link parity fixture and the crash test below check.
+fn threads_output(
+    cluster: Cluster,
+    digest: u64,
+    supersteps: usize,
+    telemetry: &Telemetry,
+    walk: Option<(u64, u64)>,
+) -> AppOutput {
     AppOutput {
         digest,
         supersteps: supersteps as u64,
-        recovery: threads_stats(telemetry),
+        recovery: RecoveryStats {
+            worker_deaths: telemetry.crashes(),
+            recoveries: telemetry.rollbacks(),
+            replayed_supersteps: telemetry.replayed_supersteps() as u64,
+            link_retries: telemetry.total_faults() - telemetry.crashes(),
+            respawns: 0,
+        },
+        cluster,
+        timing: telemetry.summary(),
+        time_unit: TimeUnit::Modelled,
+        modelled: Some(ModelledTotals {
+            messages: telemetry.total_messages(),
+            recovery_time: telemetry.total_recovery_time(),
+            walk,
+        }),
     }
 }
 
@@ -125,8 +209,9 @@ fn run_threads_iter<P: bpart_engine::VertexProgram>(
 where
     P::Value: Wire,
 {
-    let mut engine = bpart_engine::IterationEngine::new(cluster, CostModel::default(), cfg.mode)
-        .with_faults(cfg.faults.clone());
+    let mut engine =
+        bpart_engine::IterationEngine::new(cluster.clone(), CostModel::default(), cfg.mode)
+            .with_faults(cfg.faults.clone());
     if let Some(every) = checkpoint_every {
         engine = engine.with_checkpoint_every(every);
     }
@@ -134,9 +219,11 @@ where
         .try_run(program)
         .map_err(|e| ClusterError::unrecoverable(e.to_string()))?;
     Ok(threads_output(
+        cluster,
         digest_wire(&run.values),
         run.iterations,
         &run.telemetry,
+        None,
     ))
 }
 
@@ -148,7 +235,7 @@ fn run_threads_walk<A: bpart_walker::WalkApp>(
     seed: u64,
     per_vertex: u32,
 ) -> Result<AppOutput, ClusterError> {
-    let mut engine = bpart_walker::WalkEngine::new(cluster, CostModel::default(), cfg.mode)
+    let mut engine = bpart_walker::WalkEngine::new(cluster.clone(), CostModel::default(), cfg.mode)
         .with_faults(cfg.faults.clone())
         .with_recording();
     if let Some(every) = checkpoint_every {
@@ -161,22 +248,12 @@ fn run_threads_walk<A: bpart_walker::WalkApp>(
         .paths
         .ok_or_else(|| ClusterError::unrecoverable("walk engine did not record paths"))?;
     Ok(threads_output(
+        cluster,
         digest_paths(&paths),
         run.iterations,
         &run.telemetry,
+        Some((run.total_steps, run.message_walks)),
     ))
-}
-
-/// Maps the simulated engines' telemetry onto the process backend's
-/// recovery counters: link retries (fault-plan dropped + duplicated) and
-/// replayed supersteps are defined identically on both sides, which is
-/// what the drop-link parity fixture checks.
-fn threads_stats(telemetry: &Telemetry) -> RecoveryStats {
-    RecoveryStats {
-        link_retries: telemetry.total_faults(),
-        replayed_supersteps: telemetry.replayed_supersteps() as u64,
-        ..RecoveryStats::default()
-    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -223,5 +300,75 @@ mod tests {
         let p1 = digest_paths(&[vec![1, 2], vec![3]]);
         let p2 = digest_paths(&[vec![1], vec![2, 3]]);
         assert_ne!(p1, p2);
+    }
+
+    fn threads_run(app: AppSpec, plan: &str) -> AppOutput {
+        let spec = JobSpec {
+            graph: GraphSource::ErdosRenyi {
+                n: 90,
+                m: 540,
+                seed: 5,
+            },
+            scheme: "chunk-v".into(),
+            parts: 3,
+            app,
+            checkpoint_every: Some(2),
+        };
+        let cfg = ThreadsConfig {
+            faults: plan.parse().unwrap(),
+            ..ThreadsConfig::default()
+        };
+        run_job(&spec, &Backend::Threads(cfg)).unwrap()
+    }
+
+    /// The process backend reports `1 deaths, 1 recoveries, 0 link retries`
+    /// for these plans (`cli/tests/process_run.rs`); so must the simulation.
+    #[test]
+    fn a_simulated_crash_is_a_death_and_a_recovery_not_a_link_retry() {
+        let walk = AppSpec::DeepWalk {
+            walk_len: 6,
+            seed: 3,
+            per_vertex: 1,
+        };
+        for app in [AppSpec::PageRank { iters: 6 }, walk] {
+            let clean = threads_run(app.clone(), "");
+            assert_eq!(clean.recovery, RecoveryStats::default());
+            // A crash on a checkpointed superstep has nothing to replay;
+            // one past it replays the superstep between.
+            for (plan, replayed) in [("crash@2:m1", 0), ("crash@3:m1", 1)] {
+                let out = threads_run(app.clone(), plan);
+                let expected = RecoveryStats {
+                    worker_deaths: 1,
+                    recoveries: 1,
+                    replayed_supersteps: replayed,
+                    ..RecoveryStats::default()
+                };
+                assert_eq!(out.recovery, expected, "{app:?} under {plan}");
+                assert_eq!(out.digest, clean.digest, "{app:?} under {plan}");
+            }
+        }
+    }
+
+    #[test]
+    fn link_retries_are_the_simulator_s_link_events() {
+        let plan = "drop@1-4:m0->m2:0.5;dup@2-5:m2->m1:0.25;seed=9";
+        let out = threads_run(AppSpec::PageRank { iters: 6 }, plan);
+        let engine = bpart_engine::IterationEngine::new(
+            out.cluster.clone(),
+            CostModel::default(),
+            ExecMode::Sequential,
+        )
+        .with_faults(plan.parse().unwrap())
+        .with_checkpoint_every(2);
+        let events = engine
+            .run(&bpart_engine::apps::PageRank::new(6))
+            .telemetry
+            .total_faults();
+        assert!(events > 0, "the plan's links carry no traffic");
+        let expected = RecoveryStats {
+            link_retries: events,
+            ..RecoveryStats::default()
+        };
+        assert_eq!(out.recovery, expected);
     }
 }

@@ -12,17 +12,123 @@
 //! tie-break for the run to be right, a non-deterministic partitioner is as
 //! good as any, a worker's memory is its part's size and not the graph's,
 //! and respawning a dead worker costs two re-sent frames.
+//!
+//! This file is also the one place a name becomes a thing: [`SCHEMES`] maps
+//! a `--scheme` name to its partitioner (and to its out-of-core scorer, if
+//! it has one), [`AppSpec::by_name`] an `--app` name to an application, and
+//! [`GraphSource::load`] a path or a preset name to a graph. Front ends
+//! list and resolve names through these, so a new scheme or app is one edit.
 
 use crate::error::ClusterError;
 use crate::wire::{put_f64, put_str, put_u32, put_u64, Reader};
 use bpart_cluster::Cluster;
 use bpart_core::prelude::*;
+use bpart_core::OocScheme;
 use bpart_engine::apps::{ConnectedComponents, PageRank};
 use bpart_engine::VertexProgram;
 use bpart_graph::{generate, io, CsrGraph};
 use bpart_multilevel::Multilevel;
 use std::fs::File;
+use std::path::Path;
 use std::sync::Arc;
+
+/// One row of the scheme vocabulary.
+pub struct Scheme {
+    /// The `--scheme` name.
+    pub name: &'static str,
+    /// Builds the partitioner. Only the streaming schemes read the
+    /// worker-pool shape; a job always passes the default (sequential).
+    pub build: fn(ParallelConfig) -> Box<dyn Partitioner>,
+    /// The shard loop's scorer, for the schemes that can run out of core.
+    pub out_of_core: Option<OocScheme>,
+}
+
+/// Every partitioning scheme there is, by name.
+pub const SCHEMES: [Scheme; 9] = [
+    Scheme::row("chunk-v", |_| Box::new(ChunkV), None),
+    Scheme::row("chunk-e", |_| Box::new(ChunkE), None),
+    Scheme::row("hash", |_| Box::new(HashPartitioner::default()), None),
+    Scheme::row(
+        "fennel",
+        |parallel| {
+            Box::new(Fennel::new(FennelConfig {
+                parallel,
+                ..Default::default()
+            }))
+        },
+        Some(OocScheme::Fennel),
+    ),
+    Scheme::row("ldg", |_| Box::new(Ldg::default()), None),
+    Scheme::row("bpart", |parallel| Box::new(bpart(parallel)), None),
+    Scheme::row(
+        "bpart-p1",
+        |parallel| {
+            Box::new(bpart_core::bpart::WeightedStream::new(BPartConfig {
+                parallel,
+                ..Default::default()
+            }))
+        },
+        Some(OocScheme::BPartP1 { c: 0.5 }),
+    ),
+    Scheme::row("multilevel", |_| Box::new(Multilevel::default()), None),
+    Scheme::row("gd", |_| Box::new(GdPartitioner::default()), None),
+];
+
+/// The `bpart` row's partitioner as its own type, for the caller that wants
+/// its layer trace.
+pub fn bpart(parallel: ParallelConfig) -> BPart {
+    BPart::new(BPartConfig {
+        parallel,
+        ..Default::default()
+    })
+}
+
+/// Comma-separated names of the schemes `keep` accepts.
+fn scheme_names(keep: impl Fn(&Scheme) -> bool) -> String {
+    let names: Vec<_> = SCHEMES.iter().filter(|s| keep(s)).map(|s| s.name).collect();
+    names.join(", ")
+}
+
+impl Scheme {
+    const fn row(
+        name: &'static str,
+        build: fn(ParallelConfig) -> Box<dyn Partitioner>,
+        out_of_core: Option<OocScheme>,
+    ) -> Scheme {
+        Scheme {
+            name,
+            build,
+            out_of_core,
+        }
+    }
+
+    /// The row called `name`.
+    pub fn by_name(name: &str) -> Result<&'static Scheme, ClusterError> {
+        SCHEMES.iter().find(|s| s.name == name).ok_or_else(|| {
+            ClusterError::unrecoverable(format!(
+                "unknown scheme {name:?}; available: {}",
+                scheme_names(|_| true)
+            ))
+        })
+    }
+
+    /// The scorer the shard loop runs this scheme with.
+    pub fn out_of_core(&self) -> Result<OocScheme, ClusterError> {
+        self.out_of_core.ok_or_else(|| {
+            ClusterError::unrecoverable(format!(
+                "scheme {:?} has no out-of-core path; shards support: {}",
+                self.name,
+                scheme_names(|s| s.out_of_core.is_some())
+            ))
+        })
+    }
+}
+
+/// Whether `path` names a binary CSR graph; anything else is a text edge
+/// list.
+pub fn is_binary_graph(path: &str) -> bool {
+    Path::new(path).extension().is_some_and(|e| e == "bpgr")
+}
 
 /// Where the driver (or the threads backend) gets the graph from. Every
 /// variant is deterministic, so both backends run on byte-identical CSR
@@ -51,6 +157,39 @@ pub enum GraphSource {
         /// Generator seed.
         seed: u64,
     },
+}
+
+impl GraphSource {
+    /// Materializes the graph. Workers never call this: theirs arrives in
+    /// the `Placement` frame.
+    pub fn load(&self) -> Result<CsrGraph, ClusterError> {
+        let named = |path: &str, e: &dyn std::fmt::Display| {
+            ClusterError::unrecoverable(format!("{path}: {e}"))
+        };
+        match self {
+            // Binary graphs parse out of an mmap view when possible.
+            GraphSource::File(path) if is_binary_graph(path) => {
+                io::load_binary(path).map_err(|e| named(path, &e))
+            }
+            GraphSource::File(path) => {
+                let file = File::open(path)
+                    .map_err(|e| ClusterError::unrecoverable(format!("cannot open {path}: {e}")))?;
+                let edges = io::read_edge_list(file).map_err(|e| named(path, &e))?;
+                Ok(edges.into_csr())
+            }
+            GraphSource::Preset { name, scale, seed } => {
+                let mut recipe =
+                    generate::preset_by_name(name).map_err(ClusterError::unrecoverable)?;
+                if let Some(s) = seed {
+                    recipe.seed = *s;
+                }
+                Ok(recipe.generate_scaled(*scale))
+            }
+            GraphSource::ErdosRenyi { n, m, seed } => {
+                Ok(generate::erdos_renyi(*n as usize, *m as usize, *seed))
+            }
+        }
+    }
 }
 
 /// Which application to run. The process backend supports a fixed, named
@@ -87,7 +226,42 @@ pub enum AppSpec {
     },
 }
 
+/// Every application there is, by its `--app` name.
+pub const APP_NAMES: [&str; 4] = ["pagerank", "cc", "deepwalk", "walk"];
+
 impl AppSpec {
+    /// The application called `name`, with the parameters it takes of the
+    /// ones a front end offers: `iters` for PageRank, `walk_len` and `seed`
+    /// for the walks (one walker per vertex).
+    pub fn by_name(
+        name: &str,
+        iters: usize,
+        walk_len: u32,
+        seed: u64,
+    ) -> Result<AppSpec, ClusterError> {
+        let per_vertex = 1;
+        Ok(match name {
+            "pagerank" => AppSpec::PageRank { iters },
+            "cc" => AppSpec::ConnectedComponents,
+            "deepwalk" => AppSpec::DeepWalk {
+                walk_len,
+                seed,
+                per_vertex,
+            },
+            "walk" => AppSpec::SimpleWalk {
+                walk_len,
+                seed,
+                per_vertex,
+            },
+            other => {
+                return Err(ClusterError::unrecoverable(format!(
+                    "unknown app {other:?}; available: {}",
+                    APP_NAMES.join(", ")
+                )))
+            }
+        })
+    }
+
     /// True for the walk-engine apps.
     pub fn is_walk(&self) -> bool {
         matches!(self, AppSpec::DeepWalk { .. } | AppSpec::SimpleWalk { .. })
@@ -255,70 +429,21 @@ impl JobSpec {
         })
     }
 
-    /// Materializes the graph from its source. Workers never call this:
-    /// theirs arrives in the `Placement` frame.
-    pub fn load_graph(&self) -> Result<CsrGraph, ClusterError> {
-        match &self.graph {
-            GraphSource::File(path) => {
-                if path.ends_with(".bpgr") {
-                    io::load_binary(path)
-                        .map_err(|e| ClusterError::unrecoverable(format!("{path}: {e}")))
-                } else {
-                    let file = File::open(path).map_err(|e| {
-                        ClusterError::unrecoverable(format!("cannot open {path}: {e}"))
-                    })?;
-                    Ok(io::read_edge_list(file)
-                        .map_err(|e| ClusterError::unrecoverable(format!("{path}: {e}")))?
-                        .into_csr())
-                }
-            }
-            GraphSource::Preset { name, scale, seed } => {
-                let mut recipe = generate::ALL_PRESETS
-                    .iter()
-                    .map(|p| p())
-                    .find(|p| p.name == *name)
-                    .ok_or_else(|| {
-                        ClusterError::unrecoverable(format!("unknown preset {name:?}"))
-                    })?;
-                if let Some(s) = seed {
-                    recipe.seed = *s;
-                }
-                Ok(recipe.generate_scaled(*scale))
-            }
-            GraphSource::ErdosRenyi { n, m, seed } => {
-                Ok(generate::erdos_renyi(*n as usize, *m as usize, *seed))
-            }
-        }
-    }
-
     /// Resolves the partitioning scheme — the driver's call (and the
     /// threads backend's); workers are handed its result.
     pub fn scheme(&self) -> Result<Box<dyn Partitioner>, ClusterError> {
-        Ok(match self.scheme.as_str() {
-            "chunk-v" => Box::new(ChunkV),
-            "chunk-e" => Box::new(ChunkE),
-            "hash" => Box::new(HashPartitioner::default()),
-            "fennel" => Box::new(Fennel::default()),
-            "ldg" => Box::new(Ldg::default()),
-            "bpart" => Box::new(BPart::default()),
-            "bpart-p1" => Box::new(bpart_core::bpart::WeightedStream::new(
-                BPartConfig::default(),
-            )),
-            "multilevel" => Box::new(Multilevel::default()),
-            "gd" => Box::new(GdPartitioner::default()),
-            other => {
-                return Err(ClusterError::unrecoverable(format!(
-                    "unknown scheme {other:?}"
-                )))
-            }
-        })
+        Ok((Scheme::by_name(&self.scheme)?.build)(
+            ParallelConfig::default(),
+        ))
     }
 
     /// Builds the full cluster (graph + partition) this spec describes:
     /// one graph load and one partitioner run.
     pub fn build_cluster(&self) -> Result<Cluster, ClusterError> {
-        let graph = Arc::new(self.load_graph()?);
-        let partition = Arc::new(self.scheme()?.partition(&graph, self.parts as usize));
+        // The name is checked before the graph is read for it.
+        let scheme = self.scheme()?;
+        let graph = Arc::new(self.graph.load()?);
+        let partition = Arc::new(scheme.partition(&graph, self.parts as usize));
         Ok(Cluster::new(graph, partition))
     }
 }
@@ -380,6 +505,42 @@ mod tests {
         let mut bytes = specs()[0].encode();
         bytes.push(0xff); // trailing junk
         assert!(JobSpec::decode(&bytes).is_err());
+    }
+
+    /// Every name in the two tables makes its thing, and a name in neither
+    /// is answered with the table, whoever is asked.
+    #[test]
+    fn every_name_constructs_and_an_unknown_one_lists_the_table() {
+        let mut spec = specs().remove(2);
+        for scheme in &SCHEMES {
+            spec.scheme = scheme.name.into();
+            spec.scheme().unwrap();
+            assert_eq!(scheme.out_of_core().is_ok(), scheme.out_of_core.is_some());
+        }
+        for name in APP_NAMES {
+            assert_eq!(AppSpec::by_name(name, 3, 4, 5).unwrap().name(), name);
+        }
+
+        spec.scheme = "nope".into();
+        let unknown = "unrecoverable: unknown scheme \"nope\"; available: chunk-v, chunk-e, \
+                       hash, fennel, ldg, bpart, bpart-p1, multilevel, gd";
+        assert_eq!(spec.scheme().err().unwrap().to_string(), unknown);
+        // Neither backend gets as far as loading a graph or spawning a
+        // worker for it.
+        use crate::{run_job, Backend, ProcessConfig, ThreadsConfig};
+        let threads = Backend::Threads(ThreadsConfig::default());
+        let process = Backend::Process(ProcessConfig::new(3, vec!["/no/such/worker".into()]));
+        for backend in [threads, process] {
+            assert_eq!(run_job(&spec, &backend).unwrap_err().to_string(), unknown);
+        }
+        assert_eq!(
+            AppSpec::by_name("nope", 3, 4, 5).unwrap_err().to_string(),
+            "unrecoverable: unknown app \"nope\"; available: pagerank, cc, deepwalk, walk"
+        );
+        assert_eq!(
+            Scheme::by_name("gd").unwrap().out_of_core().unwrap_err().to_string(),
+            "unrecoverable: scheme \"gd\" has no out-of-core path; shards support: fennel, bpart-p1"
+        );
     }
 
     #[test]

@@ -582,7 +582,7 @@ pub(crate) mod tests {
     fn a_worker_opens_no_graph_source_and_owns_what_the_placement_says() {
         const MACHINE: u32 = 1;
         let spec = sourceless_spec(3, AppSpec::ConnectedComponents);
-        assert!(spec.load_graph().is_err());
+        assert!(spec.graph.load().is_err());
         let graph = Arc::new(generate::erdos_renyi(90, 400, 3));
         let chunk_v = Arc::new(ChunkV.partition(&graph, 3));
         let hash = HashPartitioner::default().partition(&graph, 3);

@@ -116,6 +116,15 @@ pub fn friendster_like() -> DatasetPreset {
 /// The three presets in the order the paper tabulates them.
 pub const ALL_PRESETS: [fn() -> DatasetPreset; 3] = [lj_like, twitter_like, friendster_like];
 
+/// The preset called `name`; the error names the ones there are.
+pub fn preset_by_name(name: &str) -> Result<DatasetPreset, String> {
+    let mut presets = ALL_PRESETS.iter().map(|p| p());
+    presets.find(|p| p.name == name).ok_or_else(|| {
+        let names: Vec<_> = ALL_PRESETS.iter().map(|p| p().name).collect();
+        format!("unknown preset {name:?}; available: {}", names.join(", "))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,5 +168,16 @@ mod tests {
     fn all_presets_array_ordering() {
         let names: Vec<_> = ALL_PRESETS.iter().map(|f| f().name).collect();
         assert_eq!(names, vec!["lj_like", "twitter_like", "friendster_like"]);
+    }
+
+    #[test]
+    fn presets_are_found_by_name_or_listed() {
+        for preset in ALL_PRESETS {
+            assert_eq!(preset_by_name(preset().name).unwrap().seed, preset().seed);
+        }
+        assert_eq!(
+            preset_by_name("marsgraph").unwrap_err(),
+            "unknown preset \"marsgraph\"; available: lj_like, twitter_like, friendster_like"
+        );
     }
 }
