@@ -14,11 +14,11 @@ use bpart_cluster::{Cluster, Exchange, MessageArena, Router};
 use bpart_core::bpart::WeightedStream;
 use bpart_core::prelude::*;
 use bpart_dist::frame;
-use bpart_dist::proto::{DriverMsg, Placement, RowSeg, WorkerMsg};
+use bpart_dist::proto::{Placement, RowSeg, WorkerMsg};
 use bpart_engine::apps::{ConnectedComponents, PageRank};
 use bpart_engine::IterationEngine;
 use bpart_graph::{generate, io, CsrGraph};
-use bpart_walker::kernel::paths_from_log;
+use bpart_walker::PathTable;
 use bpart_walker::{CachedTransitions, Walker};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::borrow::Cow;
@@ -195,10 +195,10 @@ fn bench_engine_superstep(c: &mut Criterion) {
 /// half) and checksummed, then read off the stream as the worker reads it:
 /// summed again chunk by chunk while its arrays fill, and checked into the
 /// slice graph the worker runs on.
-/// `paths_from_log_1m`: the walk gather's merge
+/// `path_table_1m`: the walk gather's placement
 /// of 1 M `(walker, step, vertex)` triples — 50 000 walkers × 20 steps,
 /// superstep-major with the walkers in a scrambled order, as machine logs
-/// hold them — into per-walker paths.
+/// hold them — into one table of per-walker paths.
 fn bench_dist_frame(c: &mut Criterion) {
     const MIB: usize = 1 << 20;
     let mut group = c.benchmark_group("hotpath_dist_frame");
@@ -229,13 +229,18 @@ fn bench_dist_frame(c: &mut Criterion) {
     let graph = Arc::new(generate::lj_like().generate());
     let halves = Arc::new(ChunkV.partition(&graph, 2));
     let cluster = Cluster::new(graph, halves);
-    let placement = DriverMsg::Placement(Placement::of(&cluster, 0, false));
-    let wire_len = placement.to_frame().expect("half a graph fits").len();
+    let placement = Placement::of(&cluster, 0, false);
+    let sent = || {
+        let mut bytes = Vec::new();
+        placement.write_to(&mut bytes).expect("half a graph fits");
+        bytes
+    };
+    let wire_len = sent().len();
     group.throughput(Throughput::Bytes(wire_len as u64));
     group.sample_size(10);
     group.bench_function("slice_lj_half", |b| {
         b.iter(|| {
-            let bytes = placement.to_frame().expect("half a graph fits");
+            let bytes = sent();
             let got = Placement::read_from(&bytes[..]).expect("intact placement");
             black_box(got.slice.graph.num_edges())
         })
@@ -254,10 +259,14 @@ fn bench_dist_frame(c: &mut Criterion) {
         .collect();
     group.throughput(Throughput::Elements(log.len() as u64));
     group.sample_size(20);
-    group.bench_function("paths_from_log_1m", |b| {
+    group.bench_function("path_table_1m", |b| {
         b.iter(|| {
-            paths_from_log(|| log.iter().copied(), WALKERS as usize, STEPS - 1)
-                .expect("a whole log")
+            let mut table = PathTable::new(WALKERS as usize, STEPS - 1);
+            for &(id, step, v) in &log {
+                table.place(id, step, v).expect("a whole log");
+            }
+            table.seal().expect("a whole log");
+            table
         })
     });
     group.finish();

@@ -574,6 +574,7 @@ fn partition_report(
     obs: &ObsFlags,
 ) -> Result<String, CliError> {
     let parts = p.vertex_counts.len();
+    bpart_dist::publish_parts(p.vertex_counts, p.edge_counts);
     let mut text = render_quality(&p.label, p.vertex_counts, p.edge_counts, p.cut_ratio);
     text.push_str(&format!("  partition time:  {:.3}s\n", p.elapsed));
     text.push_str(&format!(
@@ -917,7 +918,8 @@ fn show_time(unit: TimeUnit, t: f64) -> String {
 /// machines sit idle at the superstep barrier and by how much) beside what
 /// each machine holds, the paper's two balance dimensions. Modelled units
 /// on the threads backend; on the process backend, seconds the workers
-/// measured — empty unless they were asked to report them.
+/// measured — empty unless they were asked to report them — and the bytes
+/// each worker process held at its peak.
 fn machine_table(out: &AppOutput) -> String {
     let (unit, timing) = (out.time_unit, &out.timing);
     if timing.machines.is_empty() {
@@ -935,13 +937,17 @@ fn machine_table(out: &AppOutput) -> String {
     let (vertices, edges) = (out.cluster.vertex_counts(), out.cluster.edge_counts());
     for (m, row) in timing.machines.iter().enumerate() {
         text.push_str(&format!(
-            "    m{m}: compute {}, waiting {} ({:.1}%), holds {} vertices, {} edges\n",
+            "    m{m}: compute {}, waiting {} ({:.1}%), holds {} vertices, {} edges",
             show_time(unit, row.compute),
             show_time(unit, row.waiting),
             row.ratio * 100.0,
             vertices[m],
             edges[m]
         ));
+        if let Some(&peak) = out.peak_rss_bytes.get(m) {
+            text.push_str(&format!(", peak {:.1} MB", peak as f64 / (1 << 20) as f64));
+        }
+        text.push('\n');
     }
     text
 }

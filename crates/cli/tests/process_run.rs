@@ -100,3 +100,58 @@ fn process_backend_runs_clean_without_faults() {
     );
     std::fs::remove_file(&graph).ok();
 }
+
+/// A walk's result is as long as the walk, and no process holds it twice:
+/// each worker sends its path log through one 64 KiB buffer, the driver
+/// decodes what arrives 64 KiB per connection at a time — and the run says
+/// so, beside the bytes every worker held at its peak.
+#[test]
+fn a_walk_result_streams_through_fixed_buffers_and_the_run_says_what_it_held() {
+    const WORKERS: u64 = 3;
+    let (graph, metrics) = (tmp("walk_graph.txt"), tmp("walk_metrics.prom"));
+    generate_graph(&graph);
+
+    let out = bpart()
+        .arg("run")
+        .arg(&graph)
+        .args(["--parts", "3", "--app", "deepwalk", "--backend", "process"])
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .output()
+        .expect("run bpart run --backend process");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stdout:\n{stdout}\nstderr:\n{stderr}");
+    assert!(stdout.contains("bit-identical:   yes"), "{stdout}");
+
+    let prom = std::fs::read_to_string(&metrics).expect("metrics snapshot");
+    let value = |series: &str| -> u64 {
+        let line = prom.lines().find_map(|l| l.strip_prefix(series));
+        let text = line.unwrap_or_else(|| panic!("no {series} in:\n{prom}"));
+        text.trim()
+            .parse()
+            .unwrap_or_else(|e| panic!("{series}{text}: {e}"))
+    };
+    let inflight = value("dist_final_inflight_bytes_max ");
+    assert!(
+        (1..=WORKERS).any(|readers| inflight == readers * 65536),
+        "{inflight} undecoded bytes for {WORKERS} workers"
+    );
+    for w in 0..WORKERS {
+        assert_eq!(
+            value(&format!("dist_final_buffer_bytes{{worker=\"{w}\"}} ")),
+            65536
+        );
+        assert!(value(&format!("proc_peak_rss_bytes{{worker=\"{w}\"}} ")) > 0);
+        let row = stdout
+            .lines()
+            .find(|l| l.trim_start().starts_with(&format!("m{w}:")));
+        let row = row.unwrap_or_else(|| panic!("no m{w} row in:\n{stdout}"));
+        assert!(
+            row.contains(" edges, peak ") && row.ends_with(" MB"),
+            "{row}"
+        );
+    }
+    std::fs::remove_file(&graph).ok();
+    std::fs::remove_file(&metrics).ok();
+}

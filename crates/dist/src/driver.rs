@@ -20,7 +20,10 @@
 //!
 //! Every worker connection gets a dedicated reader thread that stamps a
 //! shared `last_seen` instant on *every* frame (heartbeats included) and
-//! forwards protocol messages over one mpsc channel. The supervisor
+//! forwards protocol messages over one mpsc channel — all but the result
+//! inside a `Final`, which the reader decodes into the job's [`Gather`]
+//! while it arrives, 64 KiB at a time: the driver holds a result once, in
+//! the order it is digested in, and never as a frame. The supervisor
 //! (this module's single control thread) declares a worker dead only
 //! when its `last_seen` is older than the heartbeat timeout — a closed
 //! socket alone is not a verdict, so death detection is genuinely
@@ -43,20 +46,20 @@
 //! RNG included, travels in the snapshot.
 
 use crate::error::ClusterError;
-use crate::frame::{self, Frame};
-use crate::proto::{DriverMsg, Placement, RowSeg, WorkerMsg};
+use crate::frame::{self, Frame, PayloadReader};
+use crate::proto::{kind, DriverMsg, Placement, RowSeg, WorkerMsg};
 use crate::spec::{AppSpec, JobSpec};
-use crate::transport::{read_frame_blocking, rpc_rtt_histogram};
-use crate::wire::{decode_all, path_triples, PATH_TRIPLE_LEN};
-use crate::{digest_wire, paths_from_log, AppOutput, RecoveryStats, TimeUnit};
+use crate::transport::rpc_rtt_histogram;
+use crate::wire::{path_triples, PATH_TRIPLE_LEN};
+use crate::{digest_bytes, digest_paths, AppOutput, RecoveryStats, TimeUnit};
 use bpart_cluster::{Cluster, FaultPlan, FaultState, MachineId, TelemetrySummary};
 use bpart_graph::VertexId;
 use bpart_obs::{federation, tracer};
-use bpart_walker::WalkStarts;
-use std::io::Write;
+use bpart_walker::{PathTable, WalkStarts};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -112,16 +115,137 @@ struct CheckpointStore {
     states: Option<Vec<Vec<u8>>>,
 }
 
-/// What a reader thread saw on its connection: a frame that passed the
-/// checksum, or the error that ended the stream (the worker hung up, died,
-/// or garbled a frame) — the reader's last word.
+/// What a reader thread saw on its connection.
 struct Event {
     machine: usize,
     /// Which of the machine's connections this came from, so that what a
     /// dead incarnation's reader still had to say is not taken for its
     /// successor's.
     conn: u64,
-    frame: Result<Frame, ClusterError>,
+    heard: Heard,
+}
+
+enum Heard {
+    /// A frame that passed its checksum. A `Final` comes as its envelope —
+    /// the epoch and an empty result: what it carried is in the [`Gather`].
+    Frame(Frame),
+    /// The stream ended (the worker hung up, died, or garbled a frame) —
+    /// the reader's last word.
+    Ended,
+    /// A `Final` the gather refused, or one that failed its checksum after
+    /// it was placed: the result is unusable and the run over. Also the
+    /// reader's last word.
+    BadFinal(ClusterError),
+}
+
+/// Where the workers' `Final`s land: the job's result in the order it is
+/// digested in, filled by the reader threads while the results arrive.
+#[derive(Default)]
+struct Gather {
+    /// `None` until `run` asks the workers to finish: a `Final` nobody
+    /// asked for has nowhere to go.
+    sink: Mutex<Option<(Cluster, Gathered)>>,
+    /// Readers decoding a `Final` right now, and the most there were at
+    /// once: each holds [`frame::CHUNK`] bytes of payload not yet placed.
+    decoding: AtomicUsize,
+    most_decoding: AtomicUsize,
+}
+
+enum Gathered {
+    /// An iteration app's values in global vertex order and in wire form,
+    /// `width` bytes each: the bytes `digest_wire` would encode them to.
+    Values { width: usize, bytes: Vec<u8> },
+    /// A walk app's paths.
+    Paths(PathTable),
+}
+
+impl Gathered {
+    fn new(app: &AppSpec, n: usize) -> Gathered {
+        let values = |width: usize| Gathered::Values {
+            width,
+            bytes: vec![0; n * width],
+        };
+        match *app {
+            // As `Wire` writes a rank and a component label.
+            AppSpec::PageRank { .. } => values(std::mem::size_of::<f64>()),
+            AppSpec::ConnectedComponents => values(std::mem::size_of::<VertexId>()),
+            AppSpec::DeepWalk {
+                walk_len,
+                per_vertex,
+                ..
+            }
+            | AppSpec::SimpleWalk {
+                walk_len,
+                per_vertex,
+                ..
+            } => {
+                let started = WalkStarts::PerVertex(per_vertex).count(n) as usize;
+                Gathered::Paths(PathTable::new(started, walk_len))
+            }
+        }
+    }
+}
+
+impl Gather {
+    /// Decodes the `Final` that `payload` is into the sink, a piece at a
+    /// time (pieces are cut at multiples of [`frame::CHUNK`], so none
+    /// splits a value or a triple), and returns its epoch. What it placed
+    /// is unverified until `payload.finish()` has passed.
+    fn receive(
+        &self,
+        machine: usize,
+        payload: &mut PayloadReader<impl Read>,
+    ) -> Result<u32, ClusterError> {
+        let epoch = payload.u32()?;
+        let len = payload.u32()? as usize;
+        let mut at = 0;
+        loop {
+            let piece = payload.piece(len - at)?;
+            let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
+            let (cluster, gathered) = sink
+                .as_mut()
+                .ok_or_else(|| ClusterError::corrupt("a Final nobody asked for"))?;
+            let members = cluster.local_vertices(machine as MachineId);
+            // The one check of a result's length, ahead of its first byte
+            // (and, for nothing, of every later piece): a value for each
+            // of the machine's vertices, or whole path triples.
+            let whole = match gathered {
+                Gathered::Values { width, .. } => members.len() * *width,
+                Gathered::Paths(_) => len - len % PATH_TRIPLE_LEN,
+            };
+            frame::check_len(format_args!("worker {machine} final"), len, whole)?;
+            match gathered {
+                Gathered::Values { width, bytes } => {
+                    let values = piece.chunks_exact(*width).zip(&members[at / *width..]);
+                    for (value, &v) in values {
+                        bytes[v as usize * *width..][..*width].copy_from_slice(value);
+                    }
+                }
+                Gathered::Paths(table) => path_triples(piece)
+                    .try_for_each(|(id, step, v)| table.place(id, step, v))
+                    .map_err(|e| ClusterError::corrupt(e.to_string()))?,
+            }
+            at += piece.len();
+            if at == len {
+                return Ok(epoch);
+            }
+        }
+    }
+
+    /// The digest of the gathered result. Called once every machine's
+    /// `Final` has passed its checksum, and not before.
+    fn digest(&self) -> Result<u64, ClusterError> {
+        let sink = self.sink.lock().unwrap_or_else(|e| e.into_inner()).take();
+        match sink {
+            Some((_, Gathered::Values { bytes, .. })) => Ok(digest_bytes(&bytes)),
+            Some((_, Gathered::Paths(table))) => {
+                let sealed = table.seal();
+                sealed.map_err(|e| ClusterError::corrupt(e.to_string()))?;
+                Ok(digest_paths(&table))
+            }
+            None => Err(ClusterError::unrecoverable("no result was gathered")),
+        }
+    }
 }
 
 /// One worker process slot.
@@ -178,6 +302,7 @@ struct Driver {
     slots: Vec<Slot>,
     events: Receiver<Event>,
     _events_tx: Sender<Event>,
+    gather: Arc<Gather>,
     joins: Receiver<(u32, TcpStream)>,
     epoch: u32,
     stats: RecoveryStats,
@@ -200,9 +325,24 @@ pub fn run_process(spec: &JobSpec, cfg: &ProcessConfig) -> Result<AppOutput, Clu
     // process is spawned for it.
     spec.scheme()?;
     let mut driver = Driver::start(spec.clone(), cfg.clone())?;
-    let out = driver.run();
+    let mut out = driver.run();
+    // Each worker's last report — what it held — comes with its goodbye.
     driver.shutdown();
+    if let Ok(out) = &mut out {
+        out.peak_rss_bytes = worker_peaks(cfg.workers);
+    }
     out
+}
+
+/// Every worker's `proc.peak_rss_bytes`, if every worker reported one.
+fn worker_peaks(workers: usize) -> Vec<u64> {
+    let store = federation::global();
+    let peak = |m| {
+        let gauges = &store.workers.get(&(m as u32))?.snapshot.metrics.gauges;
+        Some(*gauges.get("proc.peak_rss_bytes")? as u64)
+    };
+    let peaks: Option<Vec<u64>> = (0..workers).map(peak).collect();
+    peaks.unwrap_or_default()
 }
 
 impl Driver {
@@ -247,6 +387,7 @@ impl Driver {
                 .collect(),
             events,
             _events_tx: events_tx,
+            gather: Arc::default(),
             joins,
             epoch: 0,
             stats: RecoveryStats::default(),
@@ -344,6 +485,7 @@ impl Driver {
                 self.slots[m].conn,
                 reader,
                 self._events_tx.clone(),
+                Arc::clone(&self.gather),
                 Arc::clone(&self.slots[m].last_seen),
             );
         }
@@ -384,13 +526,17 @@ impl Driver {
     }
 
     /// Sends machine `m` its placement: the partition and its slice of the
-    /// graph, written from `cluster` into a frame that lives for this send.
+    /// graph, written from `cluster` to the socket a piece at a time. Best
+    /// effort like every send: only the encoder's error is returned.
     fn send_placement(&self, m: usize, cluster: &Cluster) -> Result<(), ClusterError> {
         let in_lists = self.spec.app.uses_in_edges();
-        self.send_to(
-            m,
-            &DriverMsg::Placement(Placement::of(cluster, m as MachineId, in_lists)),
-        )
+        let Some(mut stream) = self.slots[m].writer.as_ref() else {
+            return Ok(());
+        };
+        match Placement::of(cluster, m as MachineId, in_lists).write_to(&mut stream) {
+            Err(ClusterError::ConnReset { .. } | ClusterError::Timeout { .. }) => Ok(()),
+            sent => sent,
+        }
     }
 
     fn elapsed_since_seen(&self, m: usize) -> Duration {
@@ -428,7 +574,7 @@ impl Driver {
                 Ok(Event {
                     machine,
                     conn,
-                    frame: Ok(frame),
+                    heard: Heard::Frame(frame),
                 }) => {
                     if conn != self.slots[machine].conn {
                         continue; // a replaced incarnation's leftovers
@@ -458,8 +604,14 @@ impl Driver {
                 Ok(Event {
                     machine,
                     conn,
-                    frame: Err(_),
+                    heard: Heard::Ended,
                 }) => self.note_hang_up(machine, conn),
+                // Part of the result is not what a worker computed: no
+                // recovery replays a gather.
+                Ok(Event {
+                    heard: Heard::BadFinal(e),
+                    ..
+                }) => return Err(e),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(ClusterError::unrecoverable("event channel closed"));
@@ -860,11 +1012,17 @@ impl Driver {
         progress.set(superstep as f64);
 
         // ---- gather final results -----------------------------------------
+        // The reader threads decode each `Final` into the sink while it
+        // arrives; what reaches `collect` is its envelope, sent only after
+        // the frame passed its checksum.
+        let result = Gathered::new(&self.spec.app, cluster.graph().num_vertices());
+        *self.gather.sink.lock().unwrap_or_else(|e| e.into_inner()) =
+            Some((cluster.clone(), result));
         self.broadcast(&DriverMsg::Finish { epoch: self.epoch })?;
-        let finals = match self.collect("Final", self.cfg.rpc_deadline, |msg| {
+        match self.collect("Final", self.cfg.rpc_deadline, |msg| {
             matches!(msg, WorkerMsg::Final { .. })
         })? {
-            Collected::Done(finals) => finals,
+            Collected::Done(_) => {}
             Collected::Dead(dead) => {
                 // The run is already past its last barrier; a death here
                 // cannot be replayed into the gather, so it is terminal.
@@ -875,11 +1033,11 @@ impl Driver {
             }
         };
 
-        let results = views(&finals, |msg| match msg {
-            WorkerMsg::Final { result, .. } => Some(result),
-            _ => None,
-        })?;
-        let digest = assemble_digest(&self.spec.app, &cluster, &results)?;
+        // Every machine's result is in and verified: now it may be read.
+        let digest = self.gather.digest()?;
+        let most = self.gather.most_decoding.load(Ordering::Relaxed);
+        bpart_obs::metrics::gauge("dist.final_inflight_bytes_max")
+            .set((most * frame::CHUNK) as f64);
         // What the workers measured, when they were asked to report it.
         let steps: Vec<_> = if federation::collection_enabled() {
             let store = federation::global();
@@ -896,6 +1054,7 @@ impl Driver {
             timing: TelemetrySummary::from_steps(&steps),
             time_unit: TimeUnit::Seconds,
             modelled: None,
+            peak_rss_bytes: Vec::new(),
             cluster,
         })
     }
@@ -919,9 +1078,15 @@ impl Driver {
                 Ok(Event {
                     machine,
                     conn,
-                    frame: Err(_),
-                }) => self.note_hang_up(machine, conn),
-                Ok(_) => {} // heartbeats and late frames
+                    heard: Heard::Frame(frame),
+                }) => {
+                    // Heartbeats, late frames — and a worker's last report.
+                    let current = conn == self.slots[machine].conn;
+                    if let (true, Ok(msg)) = (current, WorkerMsg::from_frame(&frame)) {
+                        self.absorb_obs_report(machine, msg);
+                    }
+                }
+                Ok(Event { machine, conn, .. }) => self.note_hang_up(machine, conn),
                 Err(_) => break,
             }
         }
@@ -949,69 +1114,6 @@ impl Drop for Driver {
     fn drop(&mut self) {
         self.reap();
     }
-}
-
-/// Reassembles per-worker final payloads into the canonical global
-/// result and digests it. The payloads are bytes off the wire: what does
-/// not fit the cluster is `FrameCorrupt`, not a panic.
-fn assemble_digest(
-    app: &AppSpec,
-    cluster: &Cluster,
-    finals: &[&[u8]],
-) -> Result<u64, ClusterError> {
-    let n = cluster.graph().num_vertices();
-    match app {
-        AppSpec::PageRank { .. } => Ok(digest_wire(&gather_global::<f64>(cluster, finals)?)),
-        AppSpec::ConnectedComponents => {
-            Ok(digest_wire(&gather_global::<VertexId>(cluster, finals)?))
-        }
-        AppSpec::DeepWalk {
-            walk_len,
-            per_vertex,
-            ..
-        }
-        | AppSpec::SimpleWalk {
-            walk_len,
-            per_vertex,
-            ..
-        } => {
-            if let Some(m) = finals.iter().position(|b| b.len() % PATH_TRIPLE_LEN != 0) {
-                return Err(ClusterError::corrupt(format!(
-                    "worker {m} path log of {} bytes is not whole triples",
-                    finals[m].len()
-                )));
-            }
-            // Decoded on the fly, twice: the log is never materialized.
-            let triples = || finals.iter().flat_map(|bytes| path_triples(bytes));
-            let started = WalkStarts::PerVertex(*per_vertex).count(n) as usize;
-            let paths = paths_from_log(triples, started, *walk_len)
-                .map_err(|e| ClusterError::corrupt(e.to_string()))?;
-            Ok(crate::digest_paths(&paths))
-        }
-    }
-}
-
-/// Scatters the workers' owner-local values into global vertex order.
-fn gather_global<T: crate::wire::Wire + Clone + Default>(
-    cluster: &Cluster,
-    finals: &[&[u8]],
-) -> Result<Vec<T>, ClusterError> {
-    let mut values: Vec<T> = vec![T::default(); cluster.graph().num_vertices()];
-    for (m, bytes) in finals.iter().enumerate() {
-        let local: Vec<T> = decode_all(bytes)?;
-        let members = cluster.local_vertices(m as u32);
-        if local.len() != members.len() {
-            return Err(ClusterError::corrupt(format!(
-                "worker {m} final length {} != {} members",
-                local.len(),
-                members.len()
-            )));
-        }
-        for (li, &v) in members.iter().enumerate() {
-            values[v as usize] = local[li].clone();
-        }
-    }
-    Ok(values)
 }
 
 fn msg_epoch(msg: &WorkerMsg<'_>) -> Option<u32> {
@@ -1078,26 +1180,55 @@ fn spawn_reader(
     conn: u64,
     mut stream: TcpStream,
     tx: Sender<Event>,
+    gather: Arc<Gather>,
     last_seen: Arc<Mutex<Instant>>,
 ) {
+    // No deadline: a worker is silent for as long as it computes.
+    stream.set_read_timeout(None).ok();
     thread::Builder::new()
         .name(format!("dist-reader-{machine}"))
         .spawn(move || loop {
-            let frame = read_frame_blocking(&mut stream);
-            let ended = frame.is_err();
+            let heard = hear(&mut stream, machine, &gather);
+            let ended = !matches!(heard, Heard::Frame(_));
             if !ended {
                 *last_seen.lock().unwrap_or_else(|e| e.into_inner()) = Instant::now();
             }
             let sent = tx.send(Event {
                 machine,
                 conn,
-                frame,
+                heard,
             });
             if ended || sent.is_err() {
                 return;
             }
         })
         .expect("spawn reader thread");
+}
+
+/// Reads the next frame of `machine`'s connection: whole, unless its header
+/// says `Final` — the one frame as large as the job's result, which is
+/// decoded into `gather` as it arrives and forwarded as its envelope.
+fn hear(stream: &mut TcpStream, machine: usize, gather: &Gather) -> Heard {
+    let Ok(mut payload) = PayloadReader::open(stream) else {
+        return Heard::Ended;
+    };
+    if payload.kind() != kind::FINAL {
+        return payload.into_frame().map_or(Heard::Ended, Heard::Frame);
+    }
+    let decoding = gather.decoding.fetch_add(1, Ordering::Relaxed) + 1;
+    gather.most_decoding.fetch_max(decoding, Ordering::Relaxed);
+    let envelope = gather.receive(machine, &mut payload).and_then(|epoch| {
+        payload.finish()?;
+        let envelope = WorkerMsg::Final { epoch, result: &[] }.to_frame()?;
+        Ok(frame::decode(&envelope)?.0)
+    });
+    gather.decoding.fetch_sub(1, Ordering::Relaxed);
+    match envelope {
+        Ok(envelope) => Heard::Frame(envelope),
+        // The connection's failure, not the result's.
+        Err(ClusterError::ConnReset { .. } | ClusterError::Timeout { .. }) => Heard::Ended,
+        Err(e) => Heard::BadFinal(e),
+    }
 }
 
 #[cfg(test)]
@@ -1120,6 +1251,28 @@ mod tests {
         }
         .build_cluster()
         .unwrap()
+    }
+
+    /// The digest of these `Final` results, one per worker, gathered as a
+    /// reader thread gathers them: off a stream, and verified before the
+    /// digest is taken.
+    fn assemble_digest(
+        app: &AppSpec,
+        cluster: &Cluster,
+        finals: &[&[u8]],
+    ) -> Result<u64, ClusterError> {
+        let result = Gathered::new(app, cluster.graph().num_vertices());
+        let gather = Gather {
+            sink: Mutex::new(Some((cluster.clone(), result))),
+            ..Gather::default()
+        };
+        for (m, &result) in finals.iter().enumerate() {
+            let sent = WorkerMsg::Final { epoch: 3, result }.to_frame()?;
+            let mut payload = PayloadReader::open(&sent[..])?;
+            assert_eq!(gather.receive(m, &mut payload)?, 3);
+            payload.finish()?;
+        }
+        gather.digest()
     }
 
     /// The two workers' `Final` payloads for these path logs, digested as

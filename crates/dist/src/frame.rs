@@ -22,14 +22,18 @@
 //! kind, length and checksum. The bytes a socket write sees are the bytes
 //! the encoder wrote.
 //!
-//! A receiver reads a frame whole ([`read_frame`]) — except the one frame
-//! that is as large as what is built from it, a worker's slice of the
-//! graph, which [`PayloadReader`] decodes as it arrives: the same header,
-//! the same checksum, verified before anything decoded is used, and no
-//! payload buffer beside the arrays being filled.
+//! A receiver reads a frame whole ([`read_frame`]).
+//!
+//! The two frames that are as large as what they are built from — a
+//! worker's slice of the graph and a worker's result — stream at both
+//! ends instead: [`write_streamed`] sends one through a [`PayloadWriter`],
+//! [`CHUNK`] bytes at a time, and a [`PayloadReader`] decodes it as it
+//! arrives. The same header, the same checksum, verified before anything
+//! decoded is used, and no payload buffer beside the arrays being read
+//! from or filled.
 
 use crate::error::ClusterError;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 
 /// `"BPDF"` — bpart dist frame.
 pub const MAGIC: u32 = 0x4250_4446;
@@ -130,18 +134,137 @@ pub fn begin() -> Vec<u8> {
 /// header in front of the payload. A payload over [`MAX_PAYLOAD`] is the
 /// sender's error, reported before a byte reaches the wire.
 pub fn seal(kind: u8, mut buf: Vec<u8>) -> Result<Vec<u8>, ClusterError> {
-    let len = buf.len() - HEADER_LEN;
+    let len = sendable(buf.len() - HEADER_LEN)?;
+    let sum = checksum(kind, &buf[HEADER_LEN..]);
+    buf[..HEADER_LEN].copy_from_slice(&header(kind, len, sum));
+    Ok(buf)
+}
+
+/// A payload length as the header holds it.
+fn sendable(len: usize) -> Result<u32, ClusterError> {
     if len > MAX_PAYLOAD as usize {
         return Err(ClusterError::unrecoverable(format!(
             "frame payload of {len} bytes exceeds MAX_PAYLOAD"
         )));
     }
-    let sum = checksum(kind, &buf[HEADER_LEN..]);
-    buf[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    buf[4..8].copy_from_slice(&(len as u32).to_le_bytes());
-    buf[8] = kind;
-    buf[9..13].copy_from_slice(&sum.to_le_bytes());
-    Ok(buf)
+    Ok(len as u32)
+}
+
+fn header(kind: u8, len: u32, sum: u32) -> [u8; HEADER_LEN] {
+    let mut header = [0; HEADER_LEN];
+    header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+    header[4..8].copy_from_slice(&len.to_le_bytes());
+    header[8] = kind;
+    header[9..13].copy_from_slice(&sum.to_le_bytes());
+    header
+}
+
+/// The one length rule of a payload that moves in pieces: its length is
+/// stated ahead of it — in the frame header, in a result's prefix — so what
+/// was stated has to be what is there.
+pub fn check_len(
+    what: impl std::fmt::Display,
+    stated: usize,
+    actual: usize,
+) -> Result<(), ClusterError> {
+    if stated != actual {
+        return Err(ClusterError::corrupt(format!(
+            "{what}: {stated} bytes stated, {actual} expected"
+        )));
+    }
+    Ok(())
+}
+
+/// A frame's payload, written while it is produced: the sender-side twin
+/// of [`PayloadReader`]. See [`write_streamed`].
+pub struct PayloadWriter<'a> {
+    /// What the first pass is for: the checksum the header states.
+    sum: Checksum,
+    /// Where the second pass sends header and payload, through the at most
+    /// [`CHUNK`] bytes of `buf`; `None` on the first.
+    out: Option<&'a mut dyn Write>,
+    buf: Vec<u8>,
+    /// The payload length the header states, and how much of it is written.
+    stated: usize,
+    written: usize,
+}
+
+/// Writes to `out` the frame of `kind` whose payload — exactly `len` bytes
+/// — `encode` produces: byte for byte what [`seal`] builds around the same
+/// payload, without the payload ever existing whole. The header goes first
+/// and holds the checksum, so `encode` runs twice — once into the checksum,
+/// once into `out` — and must write the same bytes both times.
+pub fn write_streamed(
+    out: &mut dyn Write,
+    kind: u8,
+    len: usize,
+    encode: impl Fn(&mut PayloadWriter<'_>) -> Result<(), ClusterError>,
+) -> Result<(), ClusterError> {
+    let stated = sendable(len)?;
+    let pass = |out, buf| PayloadWriter {
+        sum: Checksum::new(kind),
+        out,
+        buf,
+        stated: len,
+        written: 0,
+    };
+    let mut summed = pass(None, Vec::new());
+    encode(&mut summed)?;
+    check_len("streamed payload", len, summed.written)?;
+    let mut buf = Vec::with_capacity(CHUNK);
+    buf.extend_from_slice(&header(kind, stated, summed.sum.finish()));
+    let mut sent = pass(Some(&mut *out), buf);
+    encode(&mut sent)?;
+    check_len("streamed payload", len, sent.written)?;
+    let rest = sent.buf;
+    out.write_all(&rest)
+        .and_then(|()| out.flush())
+        .map_err(|e| ClusterError::from_io("send frame", &e))
+}
+
+impl PayloadWriter<'_> {
+    /// Writes `bytes` as they are.
+    pub fn bytes(&mut self, mut bytes: &[u8]) -> Result<(), ClusterError> {
+        self.written += bytes.len();
+        if self.written > self.stated {
+            return check_len("streamed payload", self.stated, self.written);
+        }
+        let Some(out) = &mut self.out else {
+            self.sum.update(bytes);
+            return Ok(());
+        };
+        while !bytes.is_empty() {
+            let room = CHUNK - self.buf.len();
+            let (now, later) = bytes.split_at(bytes.len().min(room));
+            self.buf.extend_from_slice(now);
+            if self.buf.len() == CHUNK {
+                out.write_all(&self.buf)
+                    .map_err(|e| ClusterError::from_io("send frame", &e))?;
+                self.buf.clear();
+            }
+            bytes = later;
+        }
+        Ok(())
+    }
+
+    /// Writes a little-endian `u32`.
+    pub fn u32(&mut self, v: u32) -> Result<(), ClusterError> {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    /// Writes little-endian `u32`s, back to back, converted a block at a
+    /// time: a slice of the graph is millions of them.
+    pub fn u32s(&mut self, values: &[u32]) -> Result<(), ClusterError> {
+        let mut block = [0u8; 4096];
+        for values in values.chunks(block.len() / 4) {
+            let bytes = &mut block[..4 * values.len()];
+            for (slot, v) in bytes.chunks_exact_mut(4).zip(values) {
+                slot.copy_from_slice(&v.to_le_bytes());
+            }
+            self.bytes(bytes)?;
+        }
+        Ok(())
+    }
 }
 
 /// Encodes one frame around an already-built payload.
@@ -165,10 +288,6 @@ fn parse_header(header: &[u8]) -> Result<(u8, usize, u32), ClusterError> {
         )));
     }
     Ok((header[8], len as usize, word(9)))
-}
-
-fn verify(kind: u8, payload: &[u8], want: u32) -> Result<(), ClusterError> {
-    verify_sum(checksum(kind, payload), want)
 }
 
 fn verify_sum(got: u32, want: u32) -> Result<(), ClusterError> {
@@ -199,7 +318,7 @@ pub fn decode(buf: &[u8]) -> Result<(Frame, usize), ClusterError> {
         )));
     }
     let payload = &buf[HEADER_LEN..total];
-    verify(kind, payload, want)?;
+    verify_sum(checksum(kind, payload), want)?;
     Ok((
         Frame {
             kind,
@@ -210,18 +329,27 @@ pub fn decode(buf: &[u8]) -> Result<(Frame, usize), ClusterError> {
 }
 
 /// Reads one frame from a stream. Header validation happens before the
-/// payload is read, so a corrupt length never triggers a giant
-/// allocation. I/O errors are mapped via [`ClusterError::from_io`]; a
-/// clean EOF at a frame boundary surfaces as `ConnReset` (the peer hung
-/// up).
+/// payload is read, and the payload buffer grows with the bytes that
+/// arrive, so a corrupt length never triggers a giant allocation. I/O
+/// errors are mapped via [`ClusterError::from_io`]; a clean EOF at a frame
+/// boundary surfaces as `ConnReset` (the peer hung up).
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, ClusterError> {
-    let mut header = [0u8; HEADER_LEN];
-    read_exact(r, &mut header, "frame header")?;
-    let (kind, len, want) = parse_header(&header)?;
-    let mut payload = vec![0u8; len];
-    read_exact(r, &mut payload, "frame payload")?;
-    verify(kind, &payload, want)?;
-    Ok(Frame { kind, payload })
+    PayloadReader::open(r)?.into_frame()
+}
+
+/// Reads `len` bytes into `payload`, which is given room as they arrive: a
+/// header can state a gibibyte, but only bytes that came are allocated for.
+fn read_growing(r: &mut impl Read, len: usize, payload: &mut Vec<u8>) -> Result<(), ClusterError> {
+    let got = r
+        .take(len as u64)
+        .read_to_end(payload)
+        .map_err(|e| ClusterError::from_io("frame payload", &e))?;
+    if got < len {
+        return Err(ClusterError::ConnReset {
+            detail: "frame payload: peer closed the connection".into(),
+        });
+    }
+    Ok(())
 }
 
 /// A frame's payload, decoded while it arrives.
@@ -234,48 +362,36 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ClusterError> {
 /// decoded is unverified and must not be used. A count read off the wire
 /// is checked against the bytes the payload still has before anything is
 /// allocated for it.
-///
-/// [`over`](Self::over) reads a payload already received and verified (a
-/// [`Frame`]'s) through the same accessors, so a message has one decoder
-/// whichever way it came.
 pub struct PayloadReader<R> {
     stream: R,
     kind: u8,
     remaining: usize,
-    /// The running checksum and the header's; `None` over a payload that
-    /// was verified when its frame was read.
-    check: Option<(Checksum, u32)>,
+    /// The running checksum and the header's.
+    sum: Checksum,
+    want: u32,
+    /// [`CHUNK`] bytes once the first piece is read.
     chunk: Vec<u8>,
 }
 
-/// Bytes a [`PayloadReader`] reads (and sums, and converts) at a time.
-const CHUNK: usize = 64 << 10;
-
-impl<'a> PayloadReader<&'a [u8]> {
-    /// Reads `frame`'s payload.
-    pub fn over(frame: &'a Frame) -> Self {
-        PayloadReader::new(&frame.payload[..], frame.kind, frame.payload.len(), None)
-    }
-}
+/// Bytes a [`PayloadReader`] reads (and sums, and converts) at a time, and
+/// a [`PayloadWriter`] sends at a time: all of a streamed payload that is
+/// ever in flight at either end.
+pub const CHUNK: usize = 64 << 10;
 
 impl<R: Read> PayloadReader<R> {
-    fn new(stream: R, kind: u8, len: usize, check: Option<(Checksum, u32)>) -> Self {
-        PayloadReader {
-            stream,
-            kind,
-            remaining: len,
-            check,
-            chunk: vec![0; CHUNK],
-        }
-    }
-
     /// Reads the header of the next frame on `stream`.
     pub fn open(mut stream: R) -> Result<Self, ClusterError> {
         let mut header = [0u8; HEADER_LEN];
         read_exact(&mut stream, &mut header, "frame header")?;
-        let (kind, len, want) = parse_header(&header)?;
-        let check = Some((Checksum::new(kind), want));
-        Ok(PayloadReader::new(stream, kind, len, check))
+        let (kind, remaining, want) = parse_header(&header)?;
+        Ok(PayloadReader {
+            stream,
+            kind,
+            remaining,
+            sum: Checksum::new(kind),
+            want,
+            chunk: Vec::new(),
+        })
     }
 
     /// The frame's kind byte.
@@ -301,11 +417,12 @@ impl<R: Read> PayloadReader<R> {
 
     /// The next `n <= CHUNK` claimed bytes.
     fn fill(&mut self, n: usize) -> Result<&[u8], ClusterError> {
+        if self.chunk.is_empty() {
+            self.chunk.resize(CHUNK, 0);
+        }
         let bytes = &mut self.chunk[..n];
         read_exact(&mut self.stream, bytes, "frame payload")?;
-        if let Some((sum, _)) = &mut self.check {
-            sum.update(bytes);
-        }
+        self.sum.update(bytes);
         Ok(bytes)
     }
 
@@ -358,6 +475,25 @@ impl<R: Read> PayloadReader<R> {
         self.array(count, u64::from_le_bytes)
     }
 
+    /// The next `want.min(CHUNK)` bytes as they lie on the wire: how a
+    /// field too long to want whole is taken, piece by piece.
+    pub fn piece(&mut self, want: usize) -> Result<&[u8], ClusterError> {
+        let n = self.claim(want.min(CHUNK), 1)?;
+        self.fill(n)
+    }
+
+    /// The whole frame, when its payload is wanted as bytes after all.
+    pub fn into_frame(mut self) -> Result<Frame, ClusterError> {
+        let mut payload = Vec::new();
+        read_growing(&mut self.stream, self.remaining, &mut payload)?;
+        self.sum.update(&payload);
+        verify_sum(self.sum.finish(), self.want)?;
+        Ok(Frame {
+            kind: self.kind,
+            payload,
+        })
+    }
+
     /// Ends the payload: it must be used up, and its checksum the header's.
     pub fn finish(self) -> Result<(), ClusterError> {
         if self.remaining != 0 {
@@ -366,10 +502,7 @@ impl<R: Read> PayloadReader<R> {
                 self.remaining, self.kind
             )));
         }
-        match self.check {
-            Some((sum, want)) => verify_sum(sum.finish(), want),
-            None => Ok(()),
-        }
+        verify_sum(self.sum.finish(), self.want)
     }
 }
 
@@ -450,6 +583,94 @@ mod tests {
         assert!(err.to_string().contains("MAX_PAYLOAD"), "{err}");
     }
 
+    /// A header may state up to `MAX_PAYLOAD`; what is allocated follows
+    /// the bytes that arrive, not the statement.
+    #[test]
+    fn a_stated_gibibyte_that_never_comes_allocates_nothing_like_it() {
+        let mut bytes = header(3, MAX_PAYLOAD, 0).to_vec();
+        bytes.extend_from_slice(&[7; 100]);
+        let mut payload = Vec::new();
+        let err = read_growing(
+            &mut &bytes[HEADER_LEN..],
+            MAX_PAYLOAD as usize,
+            &mut payload,
+        )
+        .unwrap_err();
+        assert!(matches!(err, ClusterError::ConnReset { .. }), "{err}");
+        assert_eq!(payload, [7; 100]);
+        assert!(payload.capacity() < 1 << 20, "{}", payload.capacity());
+        let err = read_frame(&mut &bytes[..]).unwrap_err();
+        assert!(matches!(err, ClusterError::ConnReset { .. }), "{err}");
+    }
+
+    /// A writer that keeps count of its `write` calls.
+    struct Pieces(Vec<usize>, Vec<u8>);
+
+    impl Write for Pieces {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.len());
+            self.1.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The sample payload through every accessor of the writer: the frame
+    /// `encode` builds, leaving in pieces of `CHUNK` bytes, the header at
+    /// the front of the first — and read back by the reader's accessors.
+    #[test]
+    fn a_streamed_frame_is_the_sealed_frame_in_chunks() {
+        let payload = sample_payload();
+        let write = |out: &mut PayloadWriter<'_>| {
+            out.bytes(&[9])?;
+            out.u32(7)?;
+            out.bytes(&u64::MAX.to_le_bytes())?;
+            out.u32s(&(0..40_000).collect::<Vec<u32>>())?;
+            [0u64, 1 << 40, 2 << 40]
+                .iter()
+                .try_for_each(|v| out.bytes(&v.to_le_bytes()))
+        };
+        let mut sent = Pieces(Vec::new(), Vec::new());
+        write_streamed(&mut sent, 14, payload.len(), write).unwrap();
+        assert_eq!(sent.1, encode(14, &payload).unwrap());
+        let total = HEADER_LEN + payload.len();
+        assert_eq!(sent.0, [CHUNK, CHUNK, total - 2 * CHUNK]);
+        let mut r = PayloadReader::open(&sent.1[..]).unwrap();
+        read_sample(&mut r).unwrap();
+        r.finish().unwrap();
+
+        // A length that is not what the encoder writes sends nothing.
+        for stated in [payload.len() - 1, payload.len() + 1] {
+            let mut sent = Pieces(Vec::new(), Vec::new());
+            let err = write_streamed(&mut sent, 14, stated, write).unwrap_err();
+            assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
+            assert!(sent.0.is_empty());
+        }
+        let err = write_streamed(&mut sent, 14, MAX_PAYLOAD as usize + 1, write).unwrap_err();
+        assert!(matches!(err, ClusterError::Unrecoverable { .. }), "{err}");
+    }
+
+    /// Pieces come in the order of the payload, each at most `CHUNK` long,
+    /// and cannot outrun a field's stated length or the payload's.
+    #[test]
+    fn a_long_field_is_taken_piece_by_piece() {
+        let field: Vec<u8> = (0..150_000u32).map(|i| (i % 251) as u8).collect();
+        let bytes = encode(10, &field).unwrap();
+        let mut r = PayloadReader::open(&bytes[..]).unwrap();
+        let mut got = Vec::new();
+        while got.len() < field.len() {
+            let piece = r.piece(field.len() - got.len()).unwrap();
+            assert!(!piece.is_empty() && piece.len() <= CHUNK);
+            got.extend_from_slice(piece);
+        }
+        assert_eq!(got, field);
+        let err = r.piece(1).unwrap_err();
+        assert!(err.to_string().contains("underrun"), "{err}");
+        r.finish().unwrap();
+    }
+
     /// However a payload is cut into pieces, it sums to what it sums to
     /// whole — the pieces' lengths need not be multiples of the word.
     #[test]
@@ -493,10 +714,9 @@ mod tests {
         read_sample(&mut r).unwrap();
         r.finish().unwrap();
         assert!(stream.is_empty());
-        let (frame, _) = decode(&bytes).unwrap();
-        let mut r = PayloadReader::over(&frame);
-        read_sample(&mut r).unwrap();
-        r.finish().unwrap();
+        // Read whole instead, the payload is those bytes.
+        let whole = PayloadReader::open(&bytes[..]).unwrap().into_frame();
+        assert_eq!(whole.unwrap(), decode(&bytes).unwrap().0);
     }
 
     #[test]

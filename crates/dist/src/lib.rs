@@ -37,9 +37,6 @@ pub use error::ClusterError;
 pub use spec::{AppSpec, GraphSource, JobSpec, Scheme, APP_NAMES, SCHEMES};
 pub use worker::{run_worker, WorkerConfig};
 
-/// The walk engine's own merge of machine-local path logs.
-pub use bpart_walker::kernel::paths_from_log;
-
 use bpart_cluster::exec::ExecMode;
 use bpart_cluster::{Cluster, CostModel, FaultPlan, Telemetry, TelemetrySummary};
 use bpart_graph::VertexId;
@@ -126,14 +123,52 @@ pub struct AppOutput {
     pub time_unit: TimeUnit,
     /// Present on the threads backend.
     pub modelled: Option<ModelledTotals>,
+    /// Peak resident bytes of every machine's process, as each reported it
+    /// when told to shut down. Empty where machines are not processes, and
+    /// when federation collection was off.
+    pub peak_rss_bytes: Vec<u64>,
 }
 
 /// Runs a job on the chosen backend. The digest is computed the same way
 /// on both backends, so equal digests mean bit-identical results.
 pub fn run_job(spec: &JobSpec, backend: &Backend) -> Result<AppOutput, ClusterError> {
-    match backend {
+    let out = match backend {
         Backend::Process(cfg) => driver::run_process(spec, cfg),
         Backend::Threads(cfg) => run_threads(spec, cfg),
+    };
+    publish_peak_rss();
+    out
+}
+
+/// Gauges `part.vertices{suffix}`, `part.edges{suffix}` and
+/// `part.slice_bytes{suffix}`: what a part holds, in the paper's two
+/// dimensions and in bytes. A worker process holds one part and names no
+/// suffix; the federated view labels it by worker.
+pub(crate) fn publish_part(suffix: &str, vertices: u64, edges: u64, slice_bytes: usize) {
+    let held = [
+        ("vertices", vertices as f64),
+        ("edges", edges as f64),
+        ("slice_bytes", slice_bytes as f64),
+    ];
+    for (name, value) in held {
+        bpart_obs::metrics::gauge(&format!("part.{name}{suffix}")).set(value);
+    }
+}
+
+/// The same for every part of a partition that one process holds whole (the
+/// threads backend, `bpart partition`), part `i` under the suffix `.m{i}`,
+/// its slice being the out-lists a worker would be sent for it.
+pub fn publish_parts(vertex_counts: &[u64], edge_counts: &[u64]) {
+    for (m, (&vertices, &edges)) in vertex_counts.iter().zip(edge_counts).enumerate() {
+        let slice = proto::slice_wire_len(vertices as usize, edges as usize, None);
+        publish_part(&format!(".m{m}"), vertices, edges, slice);
+    }
+}
+
+/// Gauge `proc.peak_rss_bytes`: this process's peak resident set so far.
+pub(crate) fn publish_peak_rss() {
+    if let Some(peak) = bpart_obs::rss::peak_rss_bytes() {
+        bpart_obs::metrics::gauge("proc.peak_rss_bytes").set(peak as f64);
     }
 }
 
@@ -141,6 +176,7 @@ fn run_threads(spec: &JobSpec, cfg: &ThreadsConfig) -> Result<AppOutput, Cluster
     use bpart_engine::apps::{ConnectedComponents, PageRank};
     use bpart_walker::apps::{DeepWalk, SimpleRandomWalk};
     let cluster = spec.build_cluster()?;
+    publish_parts(cluster.vertex_counts(), cluster.edge_counts());
     let every = cfg
         .checkpoint_every
         .or(spec.checkpoint_every)
@@ -197,6 +233,7 @@ fn threads_output(
             recovery_time: telemetry.total_recovery_time(),
             walk,
         }),
+        peak_rss_bytes: Vec::new(),
     }
 }
 
@@ -259,13 +296,16 @@ fn run_threads_walk<A: bpart_walker::WalkApp>(
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1_0000_0000_01b3;
 
+/// FNV-1a over `bytes`, continuing from state `h`.
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+}
+
 /// FNV-1a over raw bytes.
 pub fn digest_bytes(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv(FNV_OFFSET, bytes)
 }
 
 /// Digest of a value sequence via its canonical wire encoding.
@@ -276,16 +316,14 @@ pub fn digest_wire<T: Wire>(items: &[T]) -> u64 {
 }
 
 /// Digest of recorded walk paths (length-prefixed per path, so path
-/// boundaries are part of the identity).
-pub fn digest_paths(paths: &[Vec<VertexId>]) -> u64 {
-    let mut buf = Vec::with_capacity(paths.iter().map(|p| 4 + p.len() * 4).sum());
-    for p in paths {
-        buf.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        for &v in p {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    digest_bytes(&buf)
+/// boundaries are part of the identity), read where they lie: a
+/// [`PathTable`](bpart_walker::PathTable), or any list of paths.
+pub fn digest_paths<P: AsRef<[VertexId]>>(paths: impl IntoIterator<Item = P>) -> u64 {
+    paths.into_iter().fold(FNV_OFFSET, |h, path| {
+        let path = path.as_ref();
+        let h = fnv(h, &(path.len() as u32).to_le_bytes());
+        path.iter().fold(h, |h, v| fnv(h, &v.to_le_bytes()))
+    })
 }
 
 #[cfg(test)]

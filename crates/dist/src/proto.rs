@@ -35,13 +35,14 @@
 //! A message is one value on both sides of the wire. The sender's
 //! [`to_frame`](WorkerMsg::to_frame) writes header and payload into one
 //! buffer; the receiver's [`from_frame`](WorkerMsg::from_frame) borrows
-//! every byte string from the frame it was read into, so row segments,
-//! snapshots and results are not copied to be looked at. The two payloads
-//! that are as large as what they carry are also *built* in the frame: a
-//! `Placement` is encoded straight from the driver's graph, and a `Final`
-//! by [`WorkerMsg::final_frame`] from the worker's state. And a worker
-//! never holds its `Placement` as a frame at all: [`Placement::read_from`]
-//! decodes it while it arrives.
+//! every byte string from the frame it was read into, so row segments and
+//! snapshots are not copied to be looked at. The two payloads that are as
+//! large as what they carry are never a buffer at either end: a
+//! `Placement` leaves the driver's graph through
+//! [`Placement::write_to`] and a `Final` leaves the worker's state through
+//! [`write_final`], both [`frame::CHUNK`] bytes at a time; the worker
+//! decodes its `Placement` while it arrives ([`Placement::read_from`]), and
+//! the driver's reader threads do the same with every `Final`.
 //!
 //! `StepBegin` additionally carries the driver's send timestamp and an
 //! obs-collection flag; `ObsReport` echoes the timestamp back along with
@@ -53,16 +54,16 @@
 //! [`ClusterError::FrameCorrupt`] like any other.
 
 use crate::error::ClusterError;
-use crate::frame::{self, Frame, PayloadReader};
+use crate::frame::{self, Frame, PayloadReader, PayloadWriter};
 use crate::spec::JobSpec;
-use crate::wire::{put_bytes, put_f64, put_str, put_u32, put_u32s, put_u64, Reader};
+use crate::wire::{put_bytes, put_f64, put_str, put_u32, put_u64, Reader};
 use bpart_cluster::{Cluster, MachineId};
 use bpart_core::PartId;
 use bpart_graph::{CsrGraph, OwnedLists, VertexId};
 use bpart_obs::alerts::{AlertStatus, Phase};
 use bpart_obs::snapshot::{HistogramValue, Metrics, Snapshot, Span};
 use std::borrow::Cow;
-use std::io::Read;
+use std::io::{Read, Write};
 
 /// Frame kinds (the `kind` byte of every frame).
 pub mod kind {
@@ -177,10 +178,18 @@ pub struct Slice<'a> {
     pub in_lists: bool,
 }
 
+/// Bytes on the wire of a slice of `members` vertices with `out_edges`
+/// out-list entries (and `in_edges` in-list entries, when those travel),
+/// which is also what its adjacency costs a worker to hold: four bytes per
+/// member, per list and per edge end.
+pub fn slice_wire_len(members: usize, out_edges: usize, in_edges: Option<usize>) -> usize {
+    // Lengths, the `u64` total, targets.
+    let lists = |edges: usize| 4 * members + 8 + 4 * edges;
+    4 + 4 * members + lists(out_edges) + 1 + in_edges.map_or(0, lists)
+}
+
 impl Slice<'_> {
-    /// Bytes of this slice on the wire, which is also what its adjacency
-    /// costs a worker to hold: four bytes per member, per list and per
-    /// edge end.
+    /// Bytes of this slice on the wire ([`slice_wire_len`]).
     pub fn wire_len(&self) -> usize {
         let graph = &*self.graph;
         let edges = |degree: fn(&CsrGraph, VertexId) -> usize| {
@@ -189,25 +198,23 @@ impl Slice<'_> {
                 .map(|&v| degree(graph, v))
                 .sum::<usize>()
         };
-        // Lengths, the `u64` total, targets.
-        let lists = |edges: usize| 4 * self.members.len() + 8 + 4 * edges;
-        let inn = if self.in_lists {
-            lists(edges(CsrGraph::in_degree))
-        } else {
-            0
-        };
-        4 + 4 * self.members.len() + lists(edges(CsrGraph::out_degree)) + 1 + inn
+        slice_wire_len(
+            self.members.len(),
+            edges(CsrGraph::out_degree),
+            self.in_lists.then(|| edges(CsrGraph::in_degree)),
+        )
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut PayloadWriter<'_>) -> Result<(), ClusterError> {
         let graph = &*self.graph;
-        put_u32(out, self.members.len() as u32);
-        put_u32s(out, &self.members);
-        put_lists(out, &self.members, |v| graph.out_neighbors(v));
-        out.push(self.in_lists as u8);
+        out.u32(self.members.len() as u32)?;
+        out.u32s(&self.members)?;
+        put_lists(out, &self.members, |v| graph.out_neighbors(v))?;
+        out.bytes(&[self.in_lists as u8])?;
         if self.in_lists {
-            put_lists(out, &self.members, |v| graph.in_neighbors(v));
+            put_lists(out, &self.members, |v| graph.in_neighbors(v))?;
         }
+        Ok(())
     }
 
     /// Decodes a slice of a graph of `n` vertices. What the lists must
@@ -234,20 +241,18 @@ impl Slice<'_> {
 }
 
 fn put_lists<'g>(
-    out: &mut Vec<u8>,
+    out: &mut PayloadWriter<'_>,
     members: &[VertexId],
     list: impl Fn(VertexId) -> &'g [VertexId],
-) {
+) -> Result<(), ClusterError> {
     let mut total = 0u64;
     for &v in members {
         let len = list(v).len();
-        put_u32(out, len as u32);
+        out.u32(len as u32)?;
         total += len as u64;
     }
-    put_u64(out, total);
-    for &v in members {
-        put_u32s(out, list(v));
-    }
+    out.bytes(&total.to_le_bytes())?;
+    members.iter().try_for_each(|&v| out.u32s(list(v)))
 }
 
 /// Both counts come off the wire; `PayloadReader::u32s` holds them against
@@ -324,9 +329,25 @@ impl Placement<'static> {
 }
 
 impl<'a> Placement<'a> {
-    /// Machine `machine`'s placement under `cluster`, borrowing all of it:
-    /// [`DriverMsg::to_frame`] writes the slice from the cluster's graph
-    /// straight into the frame.
+    /// Writes this placement's frame to `out` in pieces: from a borrowed
+    /// one ([`of`](Self::of)), the driver's graph is the only copy of the
+    /// slice on the sending side.
+    pub fn write_to(&self, out: &mut dyn Write) -> Result<(), ClusterError> {
+        let len = 8
+            + 4 * self.assignment.len()
+            + 8 * (self.vertex_counts.len() + self.edge_counts.len())
+            + self.slice.wire_len();
+        frame::write_streamed(out, kind::PLACEMENT, len, |out| {
+            out.u32(self.parts)?;
+            out.u32(self.assignment.len() as u32)?;
+            out.u32s(&self.assignment)?;
+            let mut tallies = self.vertex_counts.iter().chain(self.edge_counts.iter());
+            tallies.try_for_each(|c| out.bytes(&c.to_le_bytes()))?;
+            self.slice.encode(out)
+        })
+    }
+
+    /// Machine `machine`'s placement under `cluster`, borrowing all of it.
     pub fn of(cluster: &'a Cluster, machine: MachineId, in_lists: bool) -> Self {
         Placement {
             parts: cluster.num_machines() as u32,
@@ -496,9 +517,6 @@ pub enum DriverMsg<'a> {
         /// Which BSP machine this worker plays.
         machine: u32,
     },
-    /// The partition the driver computed, and the worker's slice of the
-    /// graph under it.
-    Placement(Placement<'a>),
     /// Begin a superstep: aggregate from the previous barrier, plus
     /// whether the worker must attach a snapshot to its `StepDone`.
     StepBegin {
@@ -644,29 +662,6 @@ impl<'a> DriverMsg<'a> {
                 put_bytes(&mut out, &spec.encode());
                 kind::JOB
             }
-            DriverMsg::Placement(placement) => {
-                let Placement {
-                    parts,
-                    assignment,
-                    vertex_counts,
-                    edge_counts,
-                    slice,
-                } = placement;
-                let tallies = vertex_counts.iter().chain(edge_counts.iter());
-                // One allocation for the one payload that is as large as
-                // the graph it carries.
-                out.reserve(
-                    8 + 4 * assignment.len()
-                        + 8 * (vertex_counts.len() + edge_counts.len())
-                        + slice.wire_len(),
-                );
-                put_u32(&mut out, *parts);
-                put_u32(&mut out, assignment.len() as u32);
-                put_u32s(&mut out, assignment);
-                tallies.for_each(|&c| put_u64(&mut out, c));
-                slice.encode(&mut out);
-                kind::PLACEMENT
-            }
             DriverMsg::StepBegin {
                 epoch,
                 superstep,
@@ -721,14 +716,6 @@ impl<'a> DriverMsg<'a> {
                 let spec = JobSpec::decode(r.bytes()?)?;
                 DriverMsg::Job { spec, machine }
             }
-            kind::PLACEMENT => {
-                // The one message with a decoder of its own, shared with
-                // `Placement::read_from`.
-                let mut r = PayloadReader::over(frame);
-                let placement = Placement::decode(&mut r)?;
-                r.finish()?;
-                return Ok(DriverMsg::Placement(placement));
-            }
             kind::STEP_BEGIN => DriverMsg::StepBegin {
                 epoch: r.u32()?,
                 superstep: r.u64()?,
@@ -760,6 +747,25 @@ impl<'a> DriverMsg<'a> {
         }
         Ok(msg)
     }
+}
+
+/// Writes to `out` the [`Final`](WorkerMsg::Final) frame of a result of
+/// `result_len` bytes that `result` hands over in pieces — what
+/// `Final { epoch, result }.to_frame()` builds, without a sender ever
+/// holding its result a second time as bytes.
+pub fn write_final(
+    out: &mut dyn Write,
+    epoch: u32,
+    result_len: usize,
+    result: impl Fn(&mut PayloadWriter<'_>) -> Result<(), ClusterError>,
+) -> Result<(), ClusterError> {
+    let prefix = u32::try_from(result_len)
+        .map_err(|_| ClusterError::unrecoverable("final result does not fit a length prefix"))?;
+    frame::write_streamed(out, kind::FINAL, 8 + result_len, |out| {
+        out.u32(epoch)?;
+        out.u32(prefix)?;
+        result(out)
+    })
 }
 
 impl<'a> WorkerMsg<'a> {
@@ -837,26 +843,6 @@ impl<'a> WorkerMsg<'a> {
             }
         };
         frame::seal(kind, out)
-    }
-
-    /// A [`Final`](WorkerMsg::Final) frame around a result that `write`
-    /// appends to the frame buffer itself: a path log as long as the walk
-    /// exists once as state and once as these bytes, never a third time in
-    /// between.
-    pub fn final_frame(
-        epoch: u32,
-        write: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<Vec<u8>, ClusterError> {
-        let mut out = frame::begin();
-        put_u32(&mut out, epoch);
-        let prefix = out.len();
-        put_u32(&mut out, 0);
-        write(&mut out);
-        let len = u32::try_from(out.len() - prefix - 4).map_err(|_| {
-            ClusterError::unrecoverable("final result does not fit a length prefix")
-        })?;
-        out[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
-        frame::seal(kind::FINAL, out)
     }
 
     /// Decodes a worker frame, borrowing its byte strings.
@@ -1261,7 +1247,8 @@ mod tests {
             }
         }
 
-        fn frame(&self) -> Frame {
+        /// The frame on the wire.
+        fn bytes(&self) -> Vec<u8> {
             let mut payload = Vec::new();
             put_u32(&mut payload, self.parts);
             put_u32(&mut payload, self.assignment.len() as u32);
@@ -1283,17 +1270,21 @@ mod tests {
             if let Some(inn) = &self.inn {
                 lists(&mut payload, inn);
             }
-            Frame {
-                kind: kind::PLACEMENT,
-                payload,
-            }
+            frame::encode(kind::PLACEMENT, &payload).unwrap()
         }
 
         fn corrupt(&self) -> String {
-            let err = DriverMsg::from_frame(&self.frame()).unwrap_err();
+            let err = Placement::read_from(&self.bytes()[..]).unwrap_err();
             assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
             err.to_string()
         }
+    }
+
+    /// The frame `write_to` sends.
+    fn sent(placement: &Placement<'_>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        placement.write_to(&mut bytes).unwrap();
+        bytes
     }
 
     /// The driver encodes a machine's slice from the whole graph; what the
@@ -1302,14 +1293,9 @@ mod tests {
     #[test]
     fn a_placement_carries_the_members_lists_and_round_trips() {
         let cluster = cluster();
-        let sent = DriverMsg::Placement(Placement::of(&cluster, 1, true));
-        let bytes = sent.to_frame().unwrap();
-        let frame = received(&bytes);
-        assert_eq!(frame, RawPlacement::honest().frame());
-        let got = DriverMsg::from_frame(&frame).unwrap();
-        let DriverMsg::Placement(placement) = &got else {
-            panic!("not a Placement");
-        };
+        let bytes = sent(&Placement::of(&cluster, 1, true));
+        assert_eq!(bytes, RawPlacement::honest().bytes());
+        let placement = Placement::read_from(&bytes[..]).unwrap();
         assert_eq!(placement.parts, 3);
         assert_eq!(placement.assignment, cluster.partition().assignment());
         assert_eq!(placement.vertex_counts, cluster.vertex_counts());
@@ -1333,37 +1319,26 @@ mod tests {
             placement.slice.wire_len(),
             4 + 8 + (8 + 8 + 16) + 1 + (8 + 8 + 20)
         );
-        assert_eq!(got.to_frame().unwrap(), bytes);
-        round_trip_driver(got);
+        assert_eq!(sent(&placement), bytes);
 
         // No in-lists asked for, none sent; a machine that owns nothing
         // gets a slice of nothing.
-        let sent = DriverMsg::Placement(Placement::of(&cluster, 2, false));
-        let frame = received(&sent.to_frame().unwrap());
-        let DriverMsg::Placement(placement) = DriverMsg::from_frame(&frame).unwrap() else {
-            panic!("not a Placement");
-        };
+        let bytes = sent(&Placement::of(&cluster, 2, false));
+        let placement = Placement::read_from(&bytes[..]).unwrap();
         assert!(placement.slice.members.is_empty() && !placement.slice.in_lists);
         assert_eq!(placement.slice.graph.num_vertices(), 5);
         assert_eq!(placement.slice.graph.num_edges(), 0);
         assert_eq!(placement.slice.wire_len(), 4 + 8 + 1);
     }
 
-    /// A worker reads its placement off the stream: the same message, and
-    /// nothing but a whole, intact `Placement` frame will do.
+    /// A worker reads its placement off the stream, and nothing but a
+    /// whole, intact `Placement` frame will do.
     #[test]
     fn a_placement_is_read_as_it_arrives() {
-        let cluster = cluster();
-        let bytes = DriverMsg::Placement(Placement::of(&cluster, 1, true))
-            .to_frame()
-            .unwrap();
+        let bytes = sent(&Placement::of(&cluster(), 1, true));
         let mut stream = &bytes[..];
-        let streamed = Placement::read_from(&mut stream).unwrap();
+        Placement::read_from(&mut stream).unwrap();
         assert!(stream.is_empty());
-        assert_eq!(
-            DriverMsg::from_frame(&received(&bytes)).unwrap(),
-            DriverMsg::Placement(streamed)
-        );
 
         let corrupt = |bytes: &[u8]| {
             let err = Placement::read_from(bytes).unwrap_err();
@@ -1378,6 +1353,8 @@ mod tests {
         assert!(corrupt(&other).contains("expected a Placement frame"));
         let err = Placement::read_from(&bytes[..bytes.len() - 1]).unwrap_err();
         assert!(matches!(err, ClusterError::ConnReset { .. }), "{err}");
+        // And a worker's loop takes no second one for a message.
+        assert!(DriverMsg::from_frame(&received(&bytes)).is_err());
     }
 
     /// A placement naming a part that does not exist never becomes a
@@ -1398,11 +1375,8 @@ mod tests {
         put_u32(&mut payload, 2);
         put_u32(&mut payload, u32::MAX);
         payload.extend_from_slice(&[0; 8]);
-        let frame = Frame {
-            kind: kind::PLACEMENT,
-            payload,
-        };
-        let err = DriverMsg::from_frame(&frame).unwrap_err();
+        let bytes = frame::encode(kind::PLACEMENT, &payload).unwrap();
+        let err = Placement::read_from(&bytes[..]).unwrap_err();
         assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
         // Parts (the tallies), members, list targets.
         let mut raw = RawPlacement::honest();
@@ -1466,18 +1440,23 @@ mod tests {
         assert!(raw.corrupt().contains("member 5 out of range"));
     }
 
-    /// `final_frame` is `Final`'s encoder: same bytes, no copy in between.
+    /// `write_final` is `Final`'s encoder too: same bytes, no result held
+    /// as a buffer — and a result that is not the length it was announced
+    /// with never reaches the wire.
     #[test]
     fn a_final_written_in_place_is_the_final_message() {
         let result: Vec<u8> = (0..=40).collect();
-        let built = WorkerMsg::final_frame(7, |out| out.extend_from_slice(&result)).unwrap();
+        let pieces = |out: &mut PayloadWriter<'_>| result.chunks(7).try_for_each(|p| out.bytes(p));
+        let mut built = Vec::new();
+        write_final(&mut built, 7, result.len(), pieces).unwrap();
         let sent = WorkerMsg::Final {
             epoch: 7,
             result: &result,
         };
         assert_eq!(built, sent.to_frame().unwrap());
         assert_eq!(WorkerMsg::from_frame(&received(&built)).unwrap(), sent);
-        let empty = WorkerMsg::final_frame(0, |_| {}).unwrap();
+        let mut empty = Vec::new();
+        write_final(&mut empty, 0, 0, |_| Ok(())).unwrap();
         assert_eq!(
             WorkerMsg::from_frame(&received(&empty)).unwrap(),
             WorkerMsg::Final {
@@ -1485,6 +1464,12 @@ mod tests {
                 result: &[]
             }
         );
+        for announced in [result.len() - 1, result.len() + 1] {
+            let mut wire = Vec::new();
+            let err = write_final(&mut wire, 7, announced, pieces).unwrap_err();
+            assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
+            assert!(wire.is_empty());
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! loop (`worker.rs`) sees of either.
 
 use crate::error::ClusterError;
+use crate::frame::PayloadWriter;
 use crate::proto::RowSeg;
 use crate::wire::{decode_all, encode_all, put_u32, put_u64, Reader, Wire, PATH_TRIPLE_LEN};
 use bpart_cluster::bsp::Machine;
@@ -49,9 +50,27 @@ pub trait Worker {
     /// state); the kernel drops any partial-superstep scratch.
     fn restore(&mut self, state: Option<&[u8]>) -> Result<(), ClusterError>;
 
-    /// Appends the local result to `out` — the `Final` frame's own buffer,
-    /// so the result is encoded once, where it is sent from.
-    fn final_result(&self, out: &mut Vec<u8>);
+    /// Bytes of the local result: what `final_result` goes on to write, as
+    /// the `Final` frame states it before its first byte.
+    fn final_len(&self) -> usize;
+
+    /// Writes the local result in pieces, from the state it is held in: a
+    /// worker has no second copy of it as bytes.
+    fn final_result(&self, out: &mut PayloadWriter<'_>) -> Result<(), ClusterError>;
+}
+
+/// Hands `items`' wire encoding to `sink`, a few KiB at a time.
+fn encode_pieces<T: Wire>(
+    items: &[T],
+    mut sink: impl FnMut(&[u8]) -> Result<(), ClusterError>,
+) -> Result<(), ClusterError> {
+    let mut piece = Vec::new();
+    for block in items.chunks(256) {
+        piece.clear();
+        encode_all(block, &mut piece);
+        sink(&piece)?;
+    }
+    Ok(())
 }
 
 fn encode_row<T: Wire>(row: &[T]) -> RowSeg<'static> {
@@ -170,9 +189,21 @@ where
         Ok(())
     }
 
+    /// A value's width is its `Wire` impl's to know, so the values are
+    /// encoded once to be counted.
+    fn final_len(&self) -> usize {
+        let mut one = Vec::new();
+        let width = |value: &P::Value| {
+            one.clear();
+            value.encode(&mut one);
+            one.len()
+        };
+        self.step.values().iter().map(width).sum()
+    }
+
     /// Final local values (owner-local order).
-    fn final_result(&self, out: &mut Vec<u8>) {
-        encode_all(self.step.values(), out);
+    fn final_result(&self, out: &mut PayloadWriter<'_>) -> Result<(), ClusterError> {
+        encode_pieces(self.step.values(), |piece| out.bytes(piece))
     }
 }
 
@@ -259,19 +290,22 @@ impl Worker for WalkWorker {
         Ok(())
     }
 
-    /// Final local path log.
-    fn final_result(&self, out: &mut Vec<u8>) {
-        let log = &self.step.state().path_log;
-        // As long as the log itself: grown by doubling, the buffer would be
-        // copied at half its final size, and both would be resident.
-        out.reserve_exact(log.len() * PATH_TRIPLE_LEN);
-        encode_all(log, out);
+    fn final_len(&self) -> usize {
+        self.step.state().path_log.len() * PATH_TRIPLE_LEN
+    }
+
+    /// Final local path log, which is as long as the walk: the one result
+    /// that must not exist a second time as bytes.
+    fn final_result(&self, out: &mut PayloadWriter<'_>) -> Result<(), ClusterError> {
+        encode_pieces(&self.step.state().path_log, |piece| out.bytes(piece))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::HEADER_LEN;
+    use crate::proto::write_final;
     use crate::spec::AppSpec;
     use crate::worker::tests::{raw_cluster, slice_clusters, sourceless_spec, RAW_MAX_N};
     use bpart_core::{ChunkV, Partitioner};
@@ -287,10 +321,12 @@ mod tests {
         Cluster::new(graph, partition)
     }
 
+    /// The result as the driver receives it: the `Final` frame's payload
+    /// behind the epoch and the length prefix.
     fn final_of(w: &impl Worker) -> Vec<u8> {
-        let mut out = Vec::new();
-        w.final_result(&mut out);
-        out
+        let mut frame = Vec::new();
+        write_final(&mut frame, 0, w.final_len(), |out| w.final_result(out)).unwrap();
+        frame.split_off(HEADER_LEN + 8)
     }
 
     #[test]
@@ -311,18 +347,26 @@ mod tests {
         assert_eq!(final_of(&w2), before);
     }
 
-    /// A result lands behind whatever the frame buffer already holds.
+    /// A result written in pieces is the result encoded whole, and as long
+    /// as it was announced — for fixed-width values, for SSSP's heap-owning
+    /// ones, and for a path log of more than one piece.
     #[test]
-    fn final_result_appends_to_the_buffer_it_is_handed() {
-        let w = WalkWorker::new(Box::new(DeepWalk::new(4)), cluster(2), 0, 11, 2);
-        let mut out = vec![0xab; 13];
-        w.final_result(&mut out);
-        assert_eq!(out[..13], [0xab; 13]);
-        assert_eq!(out[13..], final_of(&w));
-        assert_eq!(
-            out.len(),
-            13 + w.step.state().path_log.len() * PATH_TRIPLE_LEN
-        );
+    fn final_result_writes_the_length_it_announced() {
+        fn check<T: Wire>(w: &impl Worker, state: &[T]) {
+            let mut whole = Vec::new();
+            encode_all(state, &mut whole);
+            assert!(!whole.is_empty());
+            assert_eq!(w.final_len(), whole.len());
+            assert_eq!(final_of(w), whole);
+        }
+        let mut w = IterWorker::new(PageRank::new(5), cluster(3), 1);
+        w.begin();
+        check(&w, w.step.values());
+        let w = IterWorker::new(Sssp::new(0), cluster(3), 0);
+        check(&w, w.step.values());
+        let w = WalkWorker::new(Box::new(DeepWalk::new(4)), cluster(2), 0, 11, 40);
+        assert!(w.step.state().path_log.len() > 256);
+        check(&w, &w.step.state().path_log);
     }
 
     impl Wire for Vec<DistFrom> {

@@ -3,8 +3,8 @@
 //! interval threads (heartbeat, obs flush).
 
 use crate::error::ClusterError;
-use crate::frame::{self, Frame};
-use crate::proto::WorkerMsg;
+use crate::frame::{self, Frame, PayloadWriter};
+use crate::proto::{write_final, WorkerMsg};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -174,6 +174,20 @@ impl SharedWriter {
             .write_all(bytes)
             .and_then(|()| stream.flush())
             .map_err(|e| ClusterError::from_io("send frame", &e))
+    }
+
+    /// Sends a `Final` whose result is written in pieces (see
+    /// [`write_final`]). The lock is held from the header to the last piece,
+    /// so no heartbeat lands inside the frame.
+    pub fn send_final(
+        &self,
+        epoch: u32,
+        result_len: usize,
+        result: impl Fn(&mut PayloadWriter<'_>) -> Result<(), ClusterError>,
+    ) -> Result<(), ClusterError> {
+        frame_bytes_histogram().observe((frame::HEADER_LEN + 8 + result_len) as f64);
+        let mut stream = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        write_final(&mut *stream, epoch, result_len, result)
     }
 }
 

@@ -83,17 +83,6 @@ pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends `u32`s little-endian, back to back. The bytes are written in
-/// place, a whole slice at a time: a slice of the graph is millions of
-/// them, and a capacity check per value is most of what encoding one costs.
-pub fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
-    let at = out.len();
-    out.resize(at + 4 * values.len(), 0);
-    for (bytes, v) in out[at..].chunks_exact_mut(4).zip(values) {
-        bytes.copy_from_slice(&v.to_le_bytes());
-    }
-}
-
 /// Appends a `u64` little-endian.
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -209,13 +198,13 @@ impl Wire for (u64, u32, u32) {
 /// Wire size of one path-log triple.
 pub const PATH_TRIPLE_LEN: usize = 16;
 
-/// Decodes back-to-back path-log triples (a walk worker's `Final` payload)
-/// as they are asked for. The caller has checked that `buf` is whole
-/// triples; a ragged tail would be passed over.
+/// Decodes back-to-back path-log triples (a piece of a walk worker's
+/// `Final` result) as they are asked for. The caller has checked that `buf`
+/// is whole triples; a ragged tail would be passed over.
 ///
 /// The layout is the `Wire` impl's above, read with plain loads: this runs
-/// once per logged walker step, twice over, inside the path merge, where
-/// the checked cursor's `Result` per field cost five times the merge.
+/// once per logged walker step inside the path gather, where the checked
+/// cursor's `Result` per field cost five times the placement.
 pub fn path_triples(buf: &[u8]) -> impl Iterator<Item = (u64, u32, u32)> + '_ {
     buf.chunks_exact(PATH_TRIPLE_LEN).map(|t| {
         (
@@ -269,13 +258,6 @@ mod tests {
     fn underrun_is_a_typed_error() {
         let mut r = Reader::new(&[1, 2]);
         assert!(matches!(r.u64(), Err(ClusterError::FrameCorrupt { .. })));
-    }
-
-    #[test]
-    fn u32_arrays_are_written_in_place() {
-        let mut out = vec![0xff];
-        put_u32s(&mut out, &[7, 0x0102_0304]);
-        assert_eq!(out, [0xff, 7, 0, 0, 0, 4, 3, 2, 1]);
     }
 
     #[test]

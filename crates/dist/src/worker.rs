@@ -17,6 +17,7 @@
 //! already joined.
 
 use crate::error::ClusterError;
+use crate::frame;
 use crate::proto::{DriverMsg, Placement, WorkerMsg};
 use crate::spec::{AppSpec, JobSpec};
 use crate::step::{IterWorker, WalkWorker, Worker};
@@ -181,11 +182,12 @@ fn receive_job(reader: &mut TcpStream) -> Result<Box<dyn Worker>, ClusterError> 
     let placement = Placement::read_from(&mut *reader)?;
     let slice_bytes = placement.slice.wire_len();
     let cluster = placed_cluster(&spec, machine, placement)?;
-    // What this machine holds, in the paper's two dimensions and in bytes.
-    let gauge = |name, value: usize| bpart_obs::metrics::gauge(name).set(value as f64);
-    gauge("part.vertices", cluster.local_vertices(machine).len());
-    gauge("part.edges", cluster.graph().num_edges());
-    gauge("part.slice_bytes", slice_bytes);
+    crate::publish_part(
+        "",
+        cluster.local_vertices(machine).len() as u64,
+        cluster.graph().num_edges() as u64,
+        slice_bytes,
+    );
     Ok(build_app(&spec, cluster, machine as usize))
 }
 
@@ -447,12 +449,20 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                 if e != current {
                     continue;
                 }
-                writer.send_frame(&WorkerMsg::final_frame(e, |out| app.final_result(out))?)?;
+                writer.send_final(e, app.final_len(), |out| app.final_result(out))?;
+                // All of the result that was ever held as bytes.
+                bpart_obs::metrics::gauge("dist.final_buffer_bytes").set(frame::CHUNK as f64);
             }
-            DriverMsg::Shutdown => return Ok(()),
-            DriverMsg::Job { .. } | DriverMsg::Placement(_) => {
-                return Err(ClusterError::corrupt("a second Job or Placement frame"));
+            DriverMsg::Shutdown => {
+                if obs_enabled.load(Ordering::Relaxed) {
+                    crate::publish_peak_rss();
+                    // The last word before hanging up: what this process
+                    // held. The driver waits for the hang-up either way.
+                    send_obs_report(&writer, &obs_position, current, None, (0, 0)).ok();
+                }
+                return Ok(());
             }
+            DriverMsg::Job { .. } => return Err(ClusterError::corrupt("a second Job frame")),
         }
     }
 }
@@ -460,7 +470,6 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::frame::{self, Frame};
     use crate::spec::GraphSource;
     use crate::transport::tests::{assert_stops_at_once, socket_pair};
     use crate::wire::decode_all;
@@ -484,16 +493,11 @@ pub(crate) mod tests {
     }
 
     /// Machine `machine`'s placement as its worker receives it.
-    fn received(cluster: &Cluster, machine: u32, in_lists: bool) -> Frame {
-        let sent = DriverMsg::Placement(Placement::of(cluster, machine, in_lists));
-        frame::read_frame(&mut &sent.to_frame().unwrap()[..]).unwrap()
-    }
-
-    fn placement(frame: &Frame) -> Placement<'_> {
-        match DriverMsg::from_frame(frame).unwrap() {
-            DriverMsg::Placement(placement) => placement,
-            other => panic!("not a Placement: {other:?}"),
-        }
+    fn received(cluster: &Cluster, machine: u32, in_lists: bool) -> Placement<'static> {
+        let mut sent = Vec::new();
+        let placement = Placement::of(cluster, machine, in_lists);
+        placement.write_to(&mut sent).unwrap();
+        Placement::read_from(&sent[..]).unwrap()
     }
 
     /// `cluster` as each of its machines holds it under `spec`: its slice,
@@ -501,8 +505,8 @@ pub(crate) mod tests {
     pub(crate) fn slice_clusters(spec: &JobSpec, cluster: &Cluster) -> Vec<Cluster> {
         (0..cluster.num_machines() as u32)
             .map(|m| {
-                let frame = received(cluster, m, spec.app.uses_in_edges());
-                placed_cluster(spec, m, placement(&frame)).unwrap()
+                let placement = received(cluster, m, spec.app.uses_in_edges());
+                placed_cluster(spec, m, placement).unwrap()
             })
             .collect()
     }
@@ -606,16 +610,15 @@ pub(crate) mod tests {
                 key: 9
             }
         );
-        for msg in [
-            DriverMsg::Job {
-                spec,
-                machine: MACHINE,
-            },
-            DriverMsg::Placement(Placement::of(&cluster, MACHINE, true)),
-            DriverMsg::Finish { epoch: 0 },
-        ] {
-            driver.write_all(&msg.to_frame().unwrap()).unwrap();
-        }
+        let job = DriverMsg::Job {
+            spec,
+            machine: MACHINE,
+        };
+        driver.write_all(&job.to_frame().unwrap()).unwrap();
+        let placement = Placement::of(&cluster, MACHINE, true);
+        placement.write_to(&mut driver).unwrap();
+        let finish = DriverMsg::Finish { epoch: 0 };
+        driver.write_all(&finish.to_frame().unwrap()).unwrap();
         let ready = read_frame_blocking(&mut driver).unwrap();
         assert!(matches!(
             WorkerMsg::from_frame(&ready).unwrap(),
@@ -641,8 +644,7 @@ pub(crate) mod tests {
         let spec = sourceless_spec(3, app);
         let graph = Arc::new(generate::erdos_renyi(90, 400, 3));
         let partition = Arc::new(ChunkV.partition(&graph, 3));
-        let frame = received(&Cluster::new(graph, partition), 1, spec.app.uses_in_edges());
-        let mut placement = placement(&frame);
+        let mut placement = received(&Cluster::new(graph, partition), 1, spec.app.uses_in_edges());
         bend(&mut placement);
         placed_cluster(&spec, 1, placement)
     }
@@ -678,8 +680,7 @@ pub(crate) mod tests {
         let spec = sourceless_spec(3, AppSpec::ConnectedComponents);
         let graph = Arc::new(generate::erdos_renyi(90, 400, 3));
         let cluster = Cluster::new(graph.clone(), Arc::new(ChunkV.partition(&graph, 3)));
-        let frame = received(&cluster, 1, true);
-        let err = placed_cluster(&spec, 3, placement(&frame)).unwrap_err();
+        let err = placed_cluster(&spec, 3, received(&cluster, 1, true)).unwrap_err();
         assert!(err.to_string().contains("machine 3 of a 3-part"), "{err}");
     }
 

@@ -1,10 +1,11 @@
 //! Property-based tests for the wire frame codec: arbitrary payloads
 //! round-trip, and no truncation, length corruption or bit flip is ever
 //! accepted. The one message whose payload is a tree of counted lists —
-//! `ObsReport`, a worker's snapshot of itself — is held to the same.
+//! `ObsReport`, a worker's snapshot of itself — is held to the same, and so
+//! is a frame that is written and read in pieces.
 
 use bpart_dist::error::ClusterError;
-use bpart_dist::frame::{self, HEADER_LEN, MAX_PAYLOAD};
+use bpart_dist::frame::{self, PayloadReader, HEADER_LEN, MAX_PAYLOAD};
 use bpart_dist::proto::WorkerMsg;
 use bpart_obs::alerts::{AlertStatus, Phase};
 use bpart_obs::snapshot::{HistogramValue, Snapshot, Span};
@@ -183,6 +184,52 @@ proptest! {
             let keep = cut % bytes.len();
             prop_assert!(frame::decode(&bytes[..keep]).is_err(), "kept {} bytes", keep);
             prop_assert!(frame::read_frame(&mut &bytes[..keep]).is_err(), "kept {} bytes", keep);
+        }
+    }
+
+    /// A payload handed to a `PayloadWriter` in arbitrary pieces leaves as
+    /// the frame `encode` builds around it whole; a `PayloadReader` takes
+    /// it back in pieces of other sizes; and with any one byte changed the
+    /// frame is refused — at the header, or by `finish`, which is before
+    /// anything the pieces were decoded into may be read.
+    #[test]
+    fn a_streamed_frame_is_the_encoded_frame_and_no_flip_is_accepted(
+        kind in 0u8..=255,
+        payload in prop::collection::vec(0u8..=255, 0..200_000),
+        cuts in prop::collection::vec(1usize..70_000, 1..8),
+        at in 0usize..1 << 24,
+        xor in 1u8..=255,
+    ) {
+        let mut streamed = Vec::new();
+        frame::write_streamed(&mut streamed, kind, payload.len(), |out| {
+            let (mut rest, mut cuts) = (&payload[..], cuts.iter().cycle());
+            while !rest.is_empty() {
+                let (piece, later) = rest.split_at(rest.len().min(*cuts.next().unwrap()));
+                out.bytes(piece)?;
+                rest = later;
+            }
+            Ok(())
+        }).unwrap();
+        prop_assert!(streamed == frame::encode(kind, &payload).unwrap());
+
+        // What a sink would be filled with, and whether it may be read.
+        let read = |bytes: &[u8]| -> Result<Vec<u8>, ClusterError> {
+            let mut r = PayloadReader::open(bytes)?;
+            let (mut sink, mut wants) = (Vec::new(), cuts.iter().rev().cycle());
+            while sink.len() < payload.len() {
+                let want = (payload.len() - sink.len()).min(*wants.next().unwrap());
+                sink.extend_from_slice(r.piece(want)?);
+            }
+            r.finish()?;
+            Ok(sink)
+        };
+        prop_assert!(read(&streamed).unwrap() == payload);
+
+        let mut flipped = streamed.clone();
+        flipped[at % streamed.len()] ^= xor;
+        match read(&flipped) {
+            Err(ClusterError::FrameCorrupt { .. } | ClusterError::ConnReset { .. }) => {}
+            other => prop_assert!(false, "byte {} flipped: {:?}", at % streamed.len(), other.map(|s| s.len())),
         }
     }
 

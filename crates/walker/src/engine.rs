@@ -5,7 +5,7 @@
 //! machine is transmitted at the barrier — the "message walks" the paper
 //! counts in Fig. 5b.
 //!
-//! [`WalkEngine`] is a builder, walker seeding, a path merge, and
+//! [`WalkEngine`] is a builder, walker seeding, a path table, and
 //! [`Walk`]: the walk half of a superstep (step every queue, absorb every
 //! inbox, on [`WalkStep`] kernels). The superstep loop itself — fault
 //! injection, checkpoint rollback and replay, telemetry — is
@@ -14,7 +14,7 @@
 //! checkpointed kernel state, so replays reproduce the exact trajectories
 //! and totals of a fault-free run; only telemetry shows the recovery work.
 
-use crate::kernel::{paths_from_log, WalkStep};
+use crate::kernel::{PathTable, WalkStep};
 use crate::walker::{WalkApp, Walker};
 use bpart_cluster::bsp;
 use bpart_cluster::exec::ExecMode;
@@ -71,7 +71,7 @@ pub struct WalkRun {
     pub iterations: usize,
     /// Recorded walk paths (walker id -> visited vertices, including the
     /// start), present when the engine was built with recording on.
-    pub paths: Option<Vec<Vec<VertexId>>>,
+    pub paths: Option<PathTable>,
 }
 
 /// A KnightKing-like walk engine bound to one cluster.
@@ -222,13 +222,13 @@ impl WalkEngine {
         }
         if self.record_paths {
             let num_walkers = starts.count(self.cluster.graph().num_vertices());
-            let logs = || {
-                steps
-                    .iter()
-                    .flat_map(|s| s.state().path_log.iter().copied())
-            };
-            let paths = paths_from_log(logs, num_walkers as usize, app.walk_length());
-            run.paths = Some(paths.expect("the kernels log every step of every walker once"));
+            let mut paths = PathTable::new(num_walkers as usize, app.walk_length());
+            let mut logged = steps.iter().flat_map(|s| &s.state().path_log);
+            logged
+                .try_for_each(|&(id, step, v)| paths.place(id, step, v))
+                .and_then(|()| paths.seal())
+                .expect("the kernels log every step of every walker once");
+            run.paths = Some(paths);
         }
         Ok(run)
     }

@@ -41,7 +41,7 @@ pub struct Snapshot {
     pub sent: u64,
 }
 
-/// Why machine-local path logs do not merge into whole paths. The thread
+/// Why machine-local path logs do not make whole paths. The thread
 /// backend's own logs never fail; the process backend's come off the wire.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PathLogError {
@@ -65,6 +65,13 @@ pub enum PathLogError {
         /// The step index in the triples.
         step: u32,
     },
+    /// A triple whose vertex is the one id no vertex has.
+    NotAVertex {
+        /// The walker id in the triple.
+        id: u64,
+        /// The step index in the triple.
+        step: u32,
+    },
 }
 
 impl fmt::Display for PathLogError {
@@ -79,60 +86,115 @@ impl fmt::Display for PathLogError {
             PathLogError::Duplicate { id, step } => {
                 write!(f, "path log of walker {id} has step {step} twice")
             }
+            PathLogError::NotAVertex { id, step } => {
+                write!(f, "path log of walker {id} has no vertex at step {step}")
+            }
         }
     }
 }
 
 impl std::error::Error for PathLogError {}
 
-/// Rebuilds per-walker paths from the `(walker, step, vertex)` logs of
-/// every machine, in any order: one pass over `triples()` counts each
-/// walker's steps, a second writes `paths[walker][step] = vertex`. No
-/// triple is sorted or buffered, so the caller may decode them on the fly;
-/// that is why the log is a function handing out a fresh iterator.
-///
-/// `num_walkers` and `walk_len` (the app's step cap: a path has at most
-/// `walk_len + 1` vertices) bound what a log may claim and so what is
-/// allocated for it.
-pub fn paths_from_log<I>(
-    triples: impl Fn() -> I,
-    num_walkers: usize,
-    walk_len: u32,
-) -> Result<Vec<Vec<VertexId>>, PathLogError>
-where
-    I: Iterator<Item = (u64, u32, VertexId)>,
-{
-    /// No vertex has this id (ids stay below `n <= u32::MAX`), so it marks
-    /// a slot nothing was written to yet.
-    const UNSET: VertexId = VertexId::MAX;
-    let mut lens = vec![0u32; num_walkers];
-    for (id, step, _) in triples() {
-        let len = usize::try_from(id)
-            .ok()
-            .and_then(|i| lens.get_mut(i))
-            .ok_or(PathLogError::UnknownWalker { id })?;
-        if step > walk_len {
+/// Every walker's path, in one allocation: walker `w`'s `lens[w]` vertices
+/// lie at `hops[w * stride..]`, where `stride` is the app's step cap plus
+/// one. It is built from the `(walker, step, vertex)` logs of every
+/// machine, in any order and interleaving, one [`place`](Self::place) per
+/// triple: nothing is sorted, counted first or buffered, so triples may be
+/// placed while they are decoded. The shape bounds what a log may claim
+/// before a triple is looked at; whether the triples were whole paths is
+/// [`seal`](Self::seal)'s to say.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PathTable {
+    stride: usize,
+    /// Per walker: one past the highest step placed.
+    lens: Vec<u32>,
+    /// `UNSET` where nothing was placed.
+    hops: Vec<VertexId>,
+    /// Triples placed: the sum of `lens` exactly when no path has a hole.
+    placed: u64,
+}
+
+/// No vertex has this id (ids stay below `n <= u32::MAX`), so it marks a
+/// slot nothing was written to yet.
+const UNSET: VertexId = VertexId::MAX;
+
+impl PathTable {
+    /// An empty table for `num_walkers` walks of at most `walk_len` steps.
+    pub fn new(num_walkers: usize, walk_len: u32) -> Self {
+        let stride = walk_len as usize + 1;
+        PathTable {
+            stride,
+            lens: vec![0; num_walkers],
+            hops: vec![UNSET; num_walkers * stride],
+            placed: 0,
+        }
+    }
+
+    /// Records that walker `id` was at `v` after `step` steps.
+    pub fn place(&mut self, id: u64, step: u32, v: VertexId) -> Result<(), PathLogError> {
+        let walker = usize::try_from(id).ok().filter(|&w| w < self.lens.len());
+        let walker = walker.ok_or(PathLogError::UnknownWalker { id })?;
+        if step as usize >= self.stride {
             return Err(PathLogError::StepOutOfRange { id, step });
         }
-        if *len > walk_len {
-            // More triples than the walk has steps: one repeats.
-            return Err(PathLogError::Duplicate { id, step });
+        if v == UNSET {
+            return Err(PathLogError::NotAVertex { id, step });
         }
-        *len += 1;
-    }
-    let mut paths: Vec<Vec<VertexId>> = lens.iter().map(|&len| vec![UNSET; len as usize]).collect();
-    for (id, step, v) in triples() {
-        // A walker's `len` triples with `len` distinct steps below `len`
-        // fill its path exactly; anything else trips one of these.
-        let slot = paths[id as usize]
-            .get_mut(step as usize)
-            .ok_or(PathLogError::StepOutOfRange { id, step })?;
+        let slot = &mut self.hops[walker * self.stride + step as usize];
         if *slot != UNSET {
             return Err(PathLogError::Duplicate { id, step });
         }
         *slot = v;
+        self.lens[walker] = self.lens[walker].max(step + 1);
+        self.placed += 1;
+        Ok(())
     }
-    Ok(paths)
+
+    /// Checks that what was placed is whole paths — a walker with `len`
+    /// triples has them at steps `0..len` — and names a path that is not.
+    pub fn seal(&self) -> Result<(), PathLogError> {
+        if self.lens.iter().map(|&len| len as u64).sum::<u64>() == self.placed {
+            return Ok(());
+        }
+        let holed = self.iter().position(|path| path.contains(&UNSET));
+        let id = holed.expect("a count that is off has a path with a hole");
+        Err(PathLogError::StepOutOfRange {
+            id: id as u64,
+            step: self.lens[id] - 1,
+        })
+    }
+
+    /// Number of walkers (paths), the ones that left no triple included.
+    pub fn len(&self) -> usize {
+        self.lens.len()
+    }
+
+    /// Whether the table has no walkers.
+    pub fn is_empty(&self) -> bool {
+        self.lens.is_empty()
+    }
+
+    /// The paths in walker order, each the vertices visited, start included.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[VertexId]> + Clone {
+        (0..self.len()).map(|walker| &self[walker])
+    }
+}
+
+impl std::ops::Index<usize> for PathTable {
+    type Output = [VertexId];
+
+    fn index(&self, walker: usize) -> &[VertexId] {
+        &self.hops[walker * self.stride..][..self.lens[walker] as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a PathTable {
+    type Item = &'a [VertexId];
+    type IntoIter = Box<dyn Iterator<Item = &'a [VertexId]> + 'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Box::new(self.iter())
+    }
 }
 
 /// One machine's share of a walk computation.
@@ -306,8 +368,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The merge `paths_from_log` replaced: sort every triple, then append
-    /// in order. Kept as the oracle.
+    /// The merge a table replaces: sort every triple, then append in order.
+    /// Kept as the oracle.
     fn paths_by_sorting(
         mut log: Vec<(u64, u32, VertexId)>,
         num_walkers: usize,
@@ -320,6 +382,20 @@ mod tests {
         paths
     }
 
+    /// Places `log` in the order given and seals.
+    fn table_of(
+        log: impl IntoIterator<Item = (u64, u32, VertexId)>,
+        num_walkers: usize,
+        walk_len: u32,
+    ) -> Result<PathTable, PathLogError> {
+        let mut table = PathTable::new(num_walkers, walk_len);
+        for (id, step, v) in log {
+            table.place(id, step, v)?;
+        }
+        table.seal()?;
+        Ok(table)
+    }
+
     fn mix(x: u64) -> u64 {
         let z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z ^ (z >> 27)
@@ -330,8 +406,9 @@ mod tests {
 
         /// `lens[id]` vertices per walker: 0 is a walker that left no
         /// triple, anything under 7 a walk that hit a dead end, no walker
-        /// at all an empty log. The triples arrive shuffled and cut into
-        /// machine logs at arbitrary points.
+        /// at all an empty log. The triples arrive shuffled, cut into
+        /// machine logs at arbitrary points, and the machines take turns
+        /// in an arbitrary interleaving — as reader threads do.
         #[test]
         fn placement_equals_the_sort_based_merge(
             lens in prop::collection::vec(0u32..=7, 0..12),
@@ -346,16 +423,28 @@ mod tests {
                 }
             }
             log.sort_by_key(|&(id, step, _)| mix(salt.wrapping_add(id << 8 | step as u64)));
-            let logs: Vec<&[(u64, u32, VertexId)]> =
-                log.chunks(log.len() / machines + 1).collect();
-            let placed = paths_from_log(|| logs.iter().copied().flatten().copied(), lens.len(), 6);
-            prop_assert_eq!(placed, Ok(paths_by_sorting(log.clone(), lens.len())));
+            let mut logs: Vec<std::slice::Iter<'_, _>> =
+                log.chunks(log.len() / machines + 1).map(<[_]>::iter).collect();
+            let mut turn = salt;
+            let interleaved = std::iter::from_fn(|| {
+                logs.retain(|log| log.len() > 0);
+                turn = mix(turn.wrapping_add(1));
+                let machine = turn as usize % logs.len().max(1);
+                logs.get_mut(machine)?.next().copied()
+            });
+            let table = table_of(interleaved, lens.len(), 6).unwrap();
+            let sorted = paths_by_sorting(log.clone(), lens.len());
+            prop_assert_eq!(table.len(), sorted.len());
+            prop_assert!(table.iter().eq(sorted.iter().map(Vec::as_slice)), "{:?}", table);
         }
     }
 
     #[test]
     fn logs_that_are_not_paths_are_rejected() {
-        let merge = |log: &[(u64, u32, VertexId)]| paths_from_log(|| log.iter().copied(), 2, 3);
+        let merge = |log: &[(u64, u32, VertexId)]| {
+            table_of(log.iter().copied(), 2, 3)
+                .map(|table| table.iter().map(<[_]>::to_vec).collect::<Vec<_>>())
+        };
         assert_eq!(merge(&[]), Ok(vec![vec![], vec![]]));
         assert_eq!(merge(&[(1, 1, 8), (1, 0, 9)]), Ok(vec![vec![], vec![9, 8]]));
         assert_eq!(
@@ -379,12 +468,33 @@ mod tests {
             merge(&[(0, 0, 5), (0, 1, 6), (0, 1, 7)]),
             Err(PathLogError::Duplicate { id: 0, step: 1 })
         );
-        // More triples than steps exist is caught while counting, before
-        // anything is allocated for them.
+        // More triples than steps exist: the second is already one too many.
         let flood = [(1, 0, 5); 5];
         assert_eq!(
             merge(&flood),
             Err(PathLogError::Duplicate { id: 1, step: 0 })
         );
+        // The id no vertex has would read as a slot still free.
+        assert_eq!(
+            merge(&[(0, 0, VertexId::MAX), (0, 0, 5)]),
+            Err(PathLogError::NotAVertex { id: 0, step: 0 })
+        );
+    }
+
+    #[test]
+    fn a_table_reads_as_a_list_of_paths() {
+        let table = table_of([(1, 1, 8), (1, 0, 9), (2, 0, 4)], 3, 1).unwrap();
+        assert_eq!((table.len(), table.is_empty()), (3, false));
+        assert_eq!(table[1], [9, 8]);
+        assert_eq!(table.iter().len(), 3);
+        let lens: Vec<usize> = (&table).into_iter().map(<[_]>::len).collect();
+        assert_eq!(lens, [0, 2, 1]);
+        // Arrival order is no part of a table.
+        assert_eq!(
+            table,
+            table_of([(2, 0, 4), (1, 0, 9), (1, 1, 8)], 3, 1).unwrap()
+        );
+        assert_ne!(table, table_of([(1, 0, 9), (1, 1, 8)], 3, 1).unwrap());
+        assert!(PathTable::default().is_empty());
     }
 }

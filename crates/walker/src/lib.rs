@@ -42,7 +42,7 @@ pub mod walker;
 pub mod weighted;
 
 pub use engine::{WalkEngine, WalkRun, WalkStarts};
-pub use kernel::WalkStep;
+pub use kernel::{PathTable, WalkStep};
 pub use rng::WalkerRng;
 pub use walker::{TransitionSampler, WalkApp, Walker};
 pub use weighted::{CachedTransitions, WeightedRandomWalk, WeightedTransitions};

@@ -4,14 +4,14 @@
 use bpart_bench::schemes_with_multilevel;
 use bpart_core::prelude::*;
 use bpart_graph::generate;
-use bpart_walker::{apps, WalkEngine, WalkStarts};
+use bpart_walker::{apps, PathTable, WalkEngine, WalkStarts};
 use std::sync::Arc;
 
 #[test]
 fn walk_paths_are_identical_under_every_scheme() {
     let graph = Arc::new(generate::twitter_like().generate_scaled(0.01));
     let starts = WalkStarts::PerVertex(2);
-    let mut reference: Option<Vec<Vec<u32>>> = None;
+    let mut reference: Option<PathTable> = None;
     for scheme in schemes_with_multilevel() {
         let partition = Arc::new(scheme.partition(&graph, 8));
         let run = WalkEngine::default_for(graph.clone(), partition)
