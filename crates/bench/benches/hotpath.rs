@@ -2,7 +2,8 @@
 //! the branchless flat-array score loop, the placement kernel at two part
 //! counts, cached alias-table sampling, the
 //! arena-backed superstep exchange, the zero-copy binary graph load, the
-//! vertex-program superstep kernel, and the process backend's per-byte
+//! vertex-program superstep kernel, the walk superstep kernel, and the
+//! process backend's per-byte
 //! work (DESIGN.md §13: one frame across the wire, a worker's slice of the
 //! graph into and out of its `Placement` frame, the path-log merge).
 //! Each group reports element (or byte) throughput so regressions show up as rate drops, not just time
@@ -10,6 +11,7 @@
 //!
 //!     cargo bench -p bpart-bench --bench hotpath
 
+use bpart_cluster::{exec::ExecMode, CostModel};
 use bpart_cluster::{Cluster, Exchange, MessageArena, Router};
 use bpart_core::bpart::WeightedStream;
 use bpart_core::prelude::*;
@@ -18,8 +20,8 @@ use bpart_dist::proto::{Placement, RowSeg, WorkerMsg};
 use bpart_engine::apps::{ConnectedComponents, PageRank};
 use bpart_engine::IterationEngine;
 use bpart_graph::{generate, io, CsrGraph};
-use bpart_walker::PathTable;
-use bpart_walker::{CachedTransitions, Walker};
+use bpart_walker::apps::{DeepWalk, Node2vec};
+use bpart_walker::{CachedTransitions, PathTable, WalkApp, WalkEngine, WalkStarts, Walker};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -186,6 +188,33 @@ fn bench_engine_superstep(c: &mut Criterion) {
     group.finish();
 }
 
+/// The walk superstep kernel through the thread engine, in the shape of the
+/// benchmark's `walks-fr` workload: `friendster_like` ×0.03 under BPart at
+/// k = 8, 16 walkers per vertex, no recording, sequential — DeepWalk (alias
+/// sampling) at the paper's 80 steps and node2vec (rejection sampling) at
+/// 40. Throughput is walker steps, so its inverse is the ns/step that
+/// `stream_scale` reports as `walk_ns_per_step` on another graph.
+fn bench_walk_step(c: &mut Criterion) {
+    let graph = Arc::new(generate::friendster_like().generate_scaled(0.03));
+    let partition = Arc::new(BPart::default().partition(&graph, 8));
+    let cluster = Cluster::new(graph, partition);
+    let engine = WalkEngine::new(cluster, CostModel::default(), ExecMode::Sequential);
+    let starts = WalkStarts::PerVertex(16);
+    let apps: [(&str, &dyn WalkApp); 2] = [
+        ("deepwalk_k8", &DeepWalk::new(80)),
+        ("node2vec_k8", &Node2vec::new(2.0, 0.5, 40)),
+    ];
+    let mut group = c.benchmark_group("walk_step");
+    group.sample_size(10);
+    for (name, app) in apps {
+        group.throughput(Throughput::Elements(
+            engine.run(app, &starts, 7).total_steps,
+        ));
+        group.bench_function(name, |b| b.iter(|| engine.run(app, &starts, 7).total_steps));
+    }
+    group.finish();
+}
+
 /// What the process backend does per byte. `step_data_1mib`: one 1 MiB
 /// `StepData` through a hop — encoded behind its header and checksummed,
 /// read back off a byte stream into a frame, checksummed again, decoded
@@ -215,6 +244,7 @@ fn bench_dist_frame(c: &mut Criterion) {
                 epoch: 0,
                 superstep: 1,
                 rows: vec![seg.clone(), seg.clone()],
+                paths: &[],
             };
             let bytes = sent.to_frame().expect("1 MiB fits a frame");
             let frame = frame::read_frame(&mut &bytes[..]).expect("intact frame");
@@ -280,6 +310,7 @@ criterion_group!(
     bench_arena_exchange,
     bench_binfmt_load,
     bench_engine_superstep,
+    bench_walk_step,
     bench_dist_frame
 );
 criterion_main!(benches);

@@ -25,7 +25,7 @@ use crate::{
     CostModel, Exchange, FaultPlan, FaultState, IterationRecord, MachineFailure, MachineId, Router,
     RouterError, Telemetry, UnrecoverableFailure, WorkUnits,
 };
-use bpart_obs::analysis::join_timings;
+use bpart_obs::analysis::Timings;
 use bpart_obs::SpanGuard;
 use std::collections::HashMap;
 
@@ -93,6 +93,11 @@ pub trait Program: Sync {
         machines: &mut [Self::Machine],
         inboxes: &mut [Vec<Msg<Self>>],
     ) -> Vec<WorkUnits>;
+
+    /// Told after a rollback that the run resumes at `superstep`: whatever
+    /// the program itself kept of later supersteps is void. The machines
+    /// were restored already.
+    fn rolled_back(&mut self, _superstep: usize) {}
 
     /// Per-machine `(sent, received)` message counts the communication
     /// phase is charged for: by default what crossed the exchange.
@@ -198,7 +203,7 @@ pub fn drive<P: Program>(
                 // is charged (the analyzer defaults it to zeros, matching
                 // the record).
                 straggle(&faults, superstep, &mut compute);
-                span.attr("compute", join_timings(&compute));
+                span.attr("compute", Timings(&compute));
                 break 'superstep (compute, crashed.len() as u64);
             }
 
@@ -272,8 +277,8 @@ pub fn drive<P: Program>(
             // Per-machine timings on the span (shortest round-trip `f64`
             // formatting), so the critical-path analyzer reconstructs what
             // `Telemetry::summary()` reports, bit-exactly.
-            span.attr("compute", join_timings(&compute));
-            span.attr("comm", join_timings(&comm));
+            span.attr("compute", Timings(&compute));
+            span.attr("comm", Timings(&comm));
             telemetry.record(IterationRecord {
                 compute,
                 comm,
@@ -303,6 +308,7 @@ pub fn drive<P: Program>(
             s.restore(snapshot);
         }
         superstep = checkpoint.0;
+        program.rolled_back(superstep);
     }
     Ok((telemetry, superstep))
 }

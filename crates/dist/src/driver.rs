@@ -23,7 +23,10 @@
 //! forwards protocol messages over one mpsc channel — all but the result
 //! inside a `Final`, which the reader decodes into the job's [`Gather`]
 //! while it arrives, 64 KiB at a time: the driver holds a result once, in
-//! the order it is digested in, and never as a frame. The supervisor
+//! the order it is digested in, and never as a frame. A walk's paths are
+//! there before its `Final`: every `StepData` brings the superstep's
+//! triples, which the reader places once the frame passed its checksum.
+//! The supervisor
 //! (this module's single control thread) declares a worker dead only
 //! when its `last_seen` is older than the heartbeat timeout — a closed
 //! socket alone is not a verdict, so death detection is genuinely
@@ -41,14 +44,16 @@
 //! last driver-held checkpoint or `None` (re-initialize from the
 //! deterministic initial state). Workers answer `Ready` under the new
 //! epoch; frames stamped with an older epoch are discarded wherever they
-//! surface. The superstep counter rolls back to the checkpoint and the
-//! run replays forward — bit-identically, because every worker's state,
-//! RNG included, travels in the snapshot.
+//! surface. The superstep counter rolls back to the checkpoint — and the
+//! path table of a walk with it, truncated to the hops the checkpoint had
+//! seen — and the run replays forward — bit-identically, because every
+//! worker's state, RNG included, travels in the snapshot.
 
 use crate::error::ClusterError;
 use crate::frame::{self, Frame, PayloadReader};
 use crate::proto::{kind, DriverMsg, Placement, RowSeg, WorkerMsg};
 use crate::spec::{AppSpec, JobSpec};
+use crate::step::WALK_FINAL_LEN;
 use crate::transport::rpc_rtt_histogram;
 use crate::wire::{path_triples, PATH_TRIPLE_LEN};
 use crate::{digest_bytes, digest_paths, AppOutput, RecoveryStats, TimeUnit};
@@ -59,7 +64,7 @@ use bpart_walker::{PathTable, WalkStarts};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -132,23 +137,27 @@ enum Heard {
     /// The stream ended (the worker hung up, died, or garbled a frame) —
     /// the reader's last word.
     Ended,
-    /// A `Final` the gather refused, or one that failed its checksum after
-    /// it was placed: the result is unusable and the run over. Also the
-    /// reader's last word.
-    BadFinal(ClusterError),
+    /// A `Final` or a superstep's path triples the gather refused, or a
+    /// `Final` that failed its checksum after it was placed: the result is
+    /// unusable and the run over. Also the reader's last word.
+    BadResult(ClusterError),
 }
 
-/// Where the workers' `Final`s land: the job's result in the order it is
+/// Where the workers' results land: the job's result in the order it is
 /// digested in, filled by the reader threads while the results arrive.
 #[derive(Default)]
 struct Gather {
-    /// `None` until `run` asks the workers to finish: a `Final` nobody
-    /// asked for has nowhere to go.
-    sink: Mutex<Option<(Cluster, Gathered)>>,
-    /// Readers decoding a `Final` right now, and the most there were at
-    /// once: each holds [`frame::CHUNK`] bytes of payload not yet placed.
-    decoding: AtomicUsize,
-    most_decoding: AtomicUsize,
+    /// `None` until `run` has a cluster: a result nobody asked for has
+    /// nowhere to go.
+    sink: Mutex<Option<Sink>>,
+}
+
+struct Sink {
+    cluster: Cluster,
+    gathered: Gathered,
+    /// The recovery epoch whose path triples are taken: what a superstep
+    /// abandoned by a rollback still had on the wire is not placed.
+    epoch: u32,
 }
 
 enum Gathered {
@@ -179,18 +188,59 @@ impl Gathered {
                 per_vertex,
                 ..
             } => {
-                let started = WalkStarts::PerVertex(per_vertex).count(n) as usize;
-                Gathered::Paths(PathTable::new(started, walk_len))
+                let starts = WalkStarts::PerVertex(per_vertex);
+                Gathered::Paths(PathTable::of_starts(&starts, n, walk_len))
             }
         }
     }
 }
 
 impl Gather {
+    fn sink(&self) -> std::sync::MutexGuard<'_, Option<Sink>> {
+        self.sink.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Places the path triples a worker sent with a superstep of `epoch`:
+    /// `paths` as a verified `StepData` frame held them.
+    fn place_paths(&self, epoch: u32, paths: &[u8]) -> Result<(), ClusterError> {
+        if paths.is_empty() {
+            return Ok(());
+        }
+        let mut sink = self.sink();
+        let Some(Sink {
+            gathered: Gathered::Paths(table),
+            epoch: current,
+            ..
+        }) = sink.as_mut()
+        else {
+            return Err(ClusterError::corrupt("path triples nobody asked for"));
+        };
+        if epoch != *current {
+            return Ok(()); // pre-recovery leftover
+        }
+        let whole = paths.len() - paths.len() % PATH_TRIPLE_LEN;
+        frame::check_len("path triples", paths.len(), whole)?;
+        path_triples(paths)
+            .try_for_each(|(id, step, v)| table.place(id, step, v))
+            .map_err(|e| ClusterError::corrupt(e.to_string()))
+    }
+
+    /// Enters recovery epoch `epoch`, resuming at `superstep`: a walk's
+    /// paths lose the hops of every later superstep — the replay brings
+    /// them again — and what still arrives under an older epoch is dropped.
+    fn roll_back(&self, epoch: u32, superstep: u64) {
+        if let Some(sink) = self.sink().as_mut() {
+            sink.epoch = epoch;
+            if let Gathered::Paths(table) = &mut sink.gathered {
+                table.truncate(superstep as u32);
+            }
+        }
+    }
+
     /// Decodes the `Final` that `payload` is into the sink, a piece at a
     /// time (pieces are cut at multiples of [`frame::CHUNK`], so none
-    /// splits a value or a triple), and returns its epoch. What it placed
-    /// is unverified until `payload.finish()` has passed.
+    /// splits a value), and returns its epoch. What it placed is
+    /// unverified until `payload.finish()` has passed.
     fn receive(
         &self,
         machine: usize,
@@ -201,29 +251,27 @@ impl Gather {
         let mut at = 0;
         loop {
             let piece = payload.piece(len - at)?;
-            let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-            let (cluster, gathered) = sink
+            let mut sink = self.sink();
+            let Sink {
+                cluster, gathered, ..
+            } = sink
                 .as_mut()
                 .ok_or_else(|| ClusterError::corrupt("a Final nobody asked for"))?;
             let members = cluster.local_vertices(machine as MachineId);
             // The one check of a result's length, ahead of its first byte
             // (and, for nothing, of every later piece): a value for each
-            // of the machine's vertices, or whole path triples.
+            // of the machine's vertices, or a walk's two counters — its
+            // paths came with the supersteps.
             let whole = match gathered {
                 Gathered::Values { width, .. } => members.len() * *width,
-                Gathered::Paths(_) => len - len % PATH_TRIPLE_LEN,
+                Gathered::Paths(_) => WALK_FINAL_LEN,
             };
             frame::check_len(format_args!("worker {machine} final"), len, whole)?;
-            match gathered {
-                Gathered::Values { width, bytes } => {
-                    let values = piece.chunks_exact(*width).zip(&members[at / *width..]);
-                    for (value, &v) in values {
-                        bytes[v as usize * *width..][..*width].copy_from_slice(value);
-                    }
+            if let Gathered::Values { width, bytes } = gathered {
+                let values = piece.chunks_exact(*width).zip(&members[at / *width..]);
+                for (value, &v) in values {
+                    bytes[v as usize * *width..][..*width].copy_from_slice(value);
                 }
-                Gathered::Paths(table) => path_triples(piece)
-                    .try_for_each(|(id, step, v)| table.place(id, step, v))
-                    .map_err(|e| ClusterError::corrupt(e.to_string()))?,
             }
             at += piece.len();
             if at == len {
@@ -235,10 +283,10 @@ impl Gather {
     /// The digest of the gathered result. Called once every machine's
     /// `Final` has passed its checksum, and not before.
     fn digest(&self) -> Result<u64, ClusterError> {
-        let sink = self.sink.lock().unwrap_or_else(|e| e.into_inner()).take();
-        match sink {
-            Some((_, Gathered::Values { bytes, .. })) => Ok(digest_bytes(&bytes)),
-            Some((_, Gathered::Paths(table))) => {
+        let sink = self.sink().take();
+        match sink.map(|sink| sink.gathered) {
+            Some(Gathered::Values { bytes, .. }) => Ok(digest_bytes(&bytes)),
+            Some(Gathered::Paths(table)) => {
                 let sealed = table.seal();
                 sealed.map_err(|e| ClusterError::corrupt(e.to_string()))?;
                 Ok(digest_paths(&table))
@@ -258,6 +306,36 @@ struct Slot {
     /// the worker hung up (it is exiting, or dead already).
     hung_up: bool,
     last_seen: Arc<Mutex<Instant>>,
+    spare: Arc<Spare>,
+}
+
+/// Payload buffers of a machine's last `StepData` and `StepDone`, handed
+/// back by the supervisor for the reader to read the next ones into: a
+/// superstep's frame lands in pages the one before already faulted in.
+struct Spare([Mutex<Vec<u8>>; 2]);
+
+impl Spare {
+    const KINDS: [u8; 2] = [kind::STEP_DATA, kind::STEP_DONE];
+
+    /// Each buffer's first allocation is made here, by the supervisor, on
+    /// purpose: an allocation grows in the heap it was made in, whichever
+    /// thread grows it, so a job's largest buffers live and die in the
+    /// supervisor's heap, which gives freed pages back, and not in the
+    /// malloc arenas of that job's reader threads, which glibc keeps
+    /// (EXPERIMENTS.md "Walkers, not history").
+    fn new() -> Spare {
+        Spare(Self::KINDS.map(|_| Mutex::new(Vec::with_capacity(frame::CHUNK))))
+    }
+
+    /// Leaves `buf` where the buffer for frames of `kind` is kept and
+    /// returns what was there; a kind none is kept for gets `buf` back.
+    fn swap(&self, kind: u8, buf: Vec<u8>) -> Vec<u8> {
+        let Some(at) = Self::KINDS.iter().position(|&k| k == kind) else {
+            return buf;
+        };
+        let mut kept = self.0[at].lock().unwrap_or_else(|e| e.into_inner());
+        std::mem::replace(&mut kept, buf)
+    }
 }
 
 enum Collected {
@@ -383,6 +461,7 @@ impl Driver {
                     conn: 0,
                     hung_up: false,
                     last_seen: Arc::new(Mutex::new(Instant::now())),
+                    spare: Arc::new(Spare::new()),
                 })
                 .collect(),
             events,
@@ -487,6 +566,7 @@ impl Driver {
                 self._events_tx.clone(),
                 Arc::clone(&self.gather),
                 Arc::clone(&self.slots[m].last_seen),
+                Arc::clone(&self.slots[m].spare),
             );
         }
     }
@@ -536,6 +616,14 @@ impl Driver {
         match Placement::of(cluster, m as MachineId, in_lists).write_to(&mut stream) {
             Err(ClusterError::ConnReset { .. } | ClusterError::Timeout { .. }) => Ok(()),
             sent => sent,
+        }
+    }
+
+    /// Hands the payload buffers of a barrier's frames (machine order) back
+    /// to the readers they came from.
+    fn recycle(&self, frames: Vec<Frame>) {
+        for (slot, frame) in self.slots.iter().zip(frames) {
+            slot.spare.swap(frame.kind, frame.payload);
         }
     }
 
@@ -609,7 +697,7 @@ impl Driver {
                 // Part of the result is not what a worker computed: no
                 // recovery replays a gather.
                 Ok(Event {
-                    heard: Heard::BadFinal(e),
+                    heard: Heard::BadResult(e),
                     ..
                 }) => return Err(e),
                 Err(RecvTimeoutError::Timeout) => {}
@@ -713,6 +801,7 @@ impl Driver {
         }
         loop {
             self.epoch += 1;
+            self.gather.roll_back(self.epoch, ckpt.superstep);
             self.stats.recoveries += 1;
             self.stats.worker_deaths += dead.len() as u64;
             bpart_obs::metrics::counter("dist.recoveries").inc();
@@ -797,6 +886,13 @@ impl Driver {
         for m in 0..k {
             self.send_placement(m, &cluster)?;
         }
+        // Where the result gathers: a walk's paths from its first superstep
+        // on, an iteration app's values once it is asked to finish.
+        *self.gather.sink() = Some(Sink {
+            gathered: Gathered::new(&self.spec.app, cluster.graph().num_vertices()),
+            cluster: cluster.clone(),
+            epoch: self.epoch,
+        });
 
         let max_supersteps: Option<u64> = match &self.spec.app {
             AppSpec::PageRank { iters } => Some(*iters as u64),
@@ -927,10 +1023,10 @@ impl Driver {
                     },
                 )?;
             }
-            // The superstep's rows are on their way; do not hold them across
-            // the barrier.
+            // The superstep's rows are on their way; the buffers they came
+            // in take the next superstep's.
             drop(rows_matrix);
-            drop(step_data);
+            self.recycle(step_data);
 
             // ---- barrier 2: superstep applied everywhere ------------------
             let step_done = match self.collect(
@@ -970,8 +1066,8 @@ impl Driver {
                     if mean > 0.0 {
                         bpart_obs::metrics::gauge("dist.straggler_factor").set(max / mean);
                     }
-                    g.attr("compute", bpart_obs::analysis::join_timings(&compute));
-                    g.attr("comm", bpart_obs::analysis::join_timings(&comm));
+                    g.attr("compute", bpart_obs::analysis::Timings(&compute));
+                    g.attr("comm", bpart_obs::analysis::Timings(&comm));
                 }
                 drop(store);
                 if high_water.is_some_and(|h| superstep <= h) {
@@ -1003,6 +1099,7 @@ impl Driver {
                 };
                 bpart_obs::metrics::counter("dist.checkpoints").inc();
             }
+            self.recycle(step_done);
 
             superstep += 1;
             if !is_walk && active_total == 0 {
@@ -1015,9 +1112,6 @@ impl Driver {
         // The reader threads decode each `Final` into the sink while it
         // arrives; what reaches `collect` is its envelope, sent only after
         // the frame passed its checksum.
-        let result = Gathered::new(&self.spec.app, cluster.graph().num_vertices());
-        *self.gather.sink.lock().unwrap_or_else(|e| e.into_inner()) =
-            Some((cluster.clone(), result));
         self.broadcast(&DriverMsg::Finish { epoch: self.epoch })?;
         match self.collect("Final", self.cfg.rpc_deadline, |msg| {
             matches!(msg, WorkerMsg::Final { .. })
@@ -1035,9 +1129,6 @@ impl Driver {
 
         // Every machine's result is in and verified: now it may be read.
         let digest = self.gather.digest()?;
-        let most = self.gather.most_decoding.load(Ordering::Relaxed);
-        bpart_obs::metrics::gauge("dist.final_inflight_bytes_max")
-            .set((most * frame::CHUNK) as f64);
         // What the workers measured, when they were asked to report it.
         let steps: Vec<_> = if federation::collection_enabled() {
             let store = federation::global();
@@ -1182,13 +1273,14 @@ fn spawn_reader(
     tx: Sender<Event>,
     gather: Arc<Gather>,
     last_seen: Arc<Mutex<Instant>>,
+    spare: Arc<Spare>,
 ) {
     // No deadline: a worker is silent for as long as it computes.
     stream.set_read_timeout(None).ok();
     thread::Builder::new()
         .name(format!("dist-reader-{machine}"))
         .spawn(move || loop {
-            let heard = hear(&mut stream, machine, &gather);
+            let heard = hear(&mut stream, machine, &gather, &spare);
             let ended = !matches!(heard, Heard::Frame(_));
             if !ended {
                 *last_seen.lock().unwrap_or_else(|e| e.into_inner()) = Instant::now();
@@ -1207,27 +1299,38 @@ fn spawn_reader(
 
 /// Reads the next frame of `machine`'s connection: whole, unless its header
 /// says `Final` — the one frame as large as the job's result, which is
-/// decoded into `gather` as it arrives and forwarded as its envelope.
-fn hear(stream: &mut TcpStream, machine: usize, gather: &Gather) -> Heard {
+/// decoded into `gather` as it arrives and forwarded as its envelope. A
+/// `StepData` is forwarded whole once the path triples it brought are in
+/// `gather` too.
+fn hear(stream: &mut TcpStream, machine: usize, gather: &Gather, spare: &Spare) -> Heard {
     let Ok(mut payload) = PayloadReader::open(stream) else {
         return Heard::Ended;
     };
-    if payload.kind() != kind::FINAL {
-        return payload.into_frame().map_or(Heard::Ended, Heard::Frame);
-    }
-    let decoding = gather.decoding.fetch_add(1, Ordering::Relaxed) + 1;
-    gather.most_decoding.fetch_max(decoding, Ordering::Relaxed);
-    let envelope = gather.receive(machine, &mut payload).and_then(|epoch| {
-        payload.finish()?;
-        let envelope = WorkerMsg::Final { epoch, result: &[] }.to_frame()?;
-        Ok(frame::decode(&envelope)?.0)
-    });
-    gather.decoding.fetch_sub(1, Ordering::Relaxed);
-    match envelope {
-        Ok(envelope) => Heard::Frame(envelope),
+    let result = if payload.kind() == kind::FINAL {
+        gather.receive(machine, &mut payload).and_then(|epoch| {
+            payload.finish()?;
+            let envelope = WorkerMsg::Final { epoch, result: &[] }.to_frame()?;
+            Ok(frame::decode(&envelope)?.0)
+        })
+    } else {
+        let buf = spare.swap(payload.kind(), Vec::new());
+        let Ok(frame) = payload.into_frame(buf) else {
+            return Heard::Ended;
+        };
+        // What else the frame says, and whether it decodes at all, is the
+        // supervisor's to find.
+        match (frame.kind == kind::STEP_DATA).then(|| WorkerMsg::from_frame(&frame)) {
+            Some(Ok(WorkerMsg::StepData { epoch, paths, .. })) => {
+                gather.place_paths(epoch, paths).map(|()| frame)
+            }
+            _ => Ok(frame),
+        }
+    };
+    match result {
+        Ok(frame) => Heard::Frame(frame),
         // The connection's failure, not the result's.
         Err(ClusterError::ConnReset { .. } | ClusterError::Timeout { .. }) => Heard::Ended,
-        Err(e) => Heard::BadFinal(e),
+        Err(e) => Heard::BadResult(e),
     }
 }
 
@@ -1253,19 +1356,22 @@ mod tests {
         .unwrap()
     }
 
+    /// A gather over `cluster()` for `app`, as `run` arms it.
+    fn gather(app: &AppSpec, cluster: &Cluster) -> Gather {
+        let sink = Sink {
+            gathered: Gathered::new(app, cluster.graph().num_vertices()),
+            cluster: cluster.clone(),
+            epoch: 3,
+        };
+        Gather {
+            sink: Mutex::new(Some(sink)),
+        }
+    }
+
     /// The digest of these `Final` results, one per worker, gathered as a
     /// reader thread gathers them: off a stream, and verified before the
     /// digest is taken.
-    fn assemble_digest(
-        app: &AppSpec,
-        cluster: &Cluster,
-        finals: &[&[u8]],
-    ) -> Result<u64, ClusterError> {
-        let result = Gathered::new(app, cluster.graph().num_vertices());
-        let gather = Gather {
-            sink: Mutex::new(Some((cluster.clone(), result))),
-            ..Gather::default()
-        };
+    fn assemble_digest(gather: &Gather, finals: &[&[u8]]) -> Result<u64, ClusterError> {
         for (m, &result) in finals.iter().enumerate() {
             let sent = WorkerMsg::Final { epoch: 3, result }.to_frame()?;
             let mut payload = PayloadReader::open(&sent[..])?;
@@ -1275,59 +1381,94 @@ mod tests {
         gather.digest()
     }
 
-    /// The two workers' `Final` payloads for these path logs, digested as
-    /// a length-2 DeepWalk from every one of the 4 vertices.
-    fn walk_digest(logs: [&[(u64, u32, VertexId)]; 2]) -> Result<u64, ClusterError> {
-        let finals = logs.map(|log| {
-            let mut bytes = Vec::new();
-            encode_all(log, &mut bytes);
-            bytes
-        });
-        let app = AppSpec::DeepWalk {
-            walk_len: 2,
-            seed: 0,
-            per_vertex: 1,
-        };
-        assemble_digest(&app, &cluster(), &[&finals[0], &finals[1]])
+    const DEEPWALK: AppSpec = AppSpec::DeepWalk {
+        walk_len: 2,
+        seed: 0,
+        per_vertex: 1,
+    };
+
+    type Triples<'a> = &'a [(u64, u32, VertexId)];
+
+    fn encoded(triples: Triples<'_>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_all(triples, &mut bytes);
+        bytes
+    }
+
+    /// The digest of a length-2 DeepWalk from every one of the 4 vertices
+    /// whose two workers sent these triples, a superstep's worth at a time,
+    /// and then their counters.
+    fn walk_digest(supersteps: &[[Triples<'_>; 2]]) -> Result<u64, ClusterError> {
+        let gather = gather(&DEEPWALK, &cluster());
+        for paths in supersteps.iter().flatten() {
+            gather.place_paths(3, &encoded(paths))?;
+        }
+        assemble_digest(&gather, &[&[0; WALK_FINAL_LEN], &[0; WALK_FINAL_LEN]])
     }
 
     #[test]
     fn path_logs_merge_across_workers_in_any_order() {
-        let digest = walk_digest([
-            &[(2, 1, 0), (0, 0, 0), (1, 0, 1), (0, 2, 1)],
-            &[(3, 0, 3), (0, 1, 2), (2, 0, 2)],
-        ]);
+        let digest = walk_digest(&[[&[(2, 1, 0), (0, 1, 2)], &[]], [&[], &[(0, 2, 1)]]]);
         let paths = [vec![0, 2, 1], vec![1], vec![2, 0], vec![3]];
         assert_eq!(digest, Ok(crate::digest_paths(&paths)));
     }
 
     #[test]
     fn path_logs_that_are_not_paths_are_corrupt_frames() {
-        let corrupt = |logs| {
-            let err = walk_digest(logs).unwrap_err();
+        let corrupt = |result: Result<u64, ClusterError>| {
+            let err = result.unwrap_err();
             assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
             err.to_string()
         };
         // A walker that was never started (4 were).
-        assert!(corrupt([&[(4, 0, 0)], &[]]).contains("walker 4"));
+        assert!(corrupt(walk_digest(&[[&[(4, 1, 0)], &[]]])).contains("walker 4"));
         // A step past the walk length.
-        assert!(corrupt([&[(0, 0, 0)], &[(0, 3, 1)]]).contains("step 3"));
-        // One `(walker, step)` from two workers.
-        assert!(corrupt([&[(1, 0, 1)], &[(1, 0, 2)]]).contains("twice"));
-        // Bytes that are not whole triples.
-        let app = AppSpec::SimpleWalk {
-            walk_len: 2,
-            seed: 0,
-            per_vertex: 1,
-        };
-        let err = assemble_digest(&app, &cluster(), &[&[0; 17], &[]]).unwrap_err();
-        assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
+        assert!(corrupt(walk_digest(&[[&[(0, 1, 0)], &[(0, 3, 1)]]])).contains("step 3"));
+        // One `(walker, step)` from two workers — or the start, which is
+        // the driver's to place.
+        assert!(corrupt(walk_digest(&[[&[(1, 1, 1)], &[(1, 1, 2)]]])).contains("twice"));
+        assert!(corrupt(walk_digest(&[[&[(1, 0, 1)], &[]]])).contains("twice"));
+        // A path with a hole, found when the table is sealed.
+        assert!(corrupt(walk_digest(&[[&[(1, 2, 1)], &[]]])).contains("step 2"));
+        // Bytes that are not whole triples, and triples of an app that
+        // records no paths.
+        let walks = gather(&DEEPWALK, &cluster());
+        corrupt(walks.place_paths(3, &[0; 17]).map(|()| 0));
+        let ranks = gather(&AppSpec::PageRank { iters: 1 }, &cluster());
+        let err = corrupt(ranks.place_paths(3, &encoded(&[(0, 1, 0)])).map(|()| 0));
+        assert!(err.contains("nobody asked for"), "{err}");
+        // A walk's `Final` is its two counters and nothing else.
+        corrupt(assemble_digest(&walks, &[&[0; 17], &[0; 16]]));
+        corrupt(assemble_digest(
+            &walks,
+            &[&encoded(&[(0, 1, 0), (0, 2, 1)]), &[0; 16]],
+        ));
+    }
+
+    /// What a rollback leaves of a walk's paths: the hops up to the
+    /// checkpoint's barrier, room for the replay to place the rest again,
+    /// and no ear for the epoch it ended.
+    #[test]
+    fn a_rollback_truncates_the_paths_and_drops_what_the_old_epoch_still_sends() {
+        let gather = gather(&DEEPWALK, &cluster());
+        let first: Triples<'_> = &[(0, 1, 2), (1, 1, 3), (2, 1, 0), (3, 1, 1)];
+        let second: Triples<'_> = &[(0, 2, 1), (1, 2, 0)];
+        gather.place_paths(3, &encoded(first)).unwrap();
+        gather.place_paths(3, &encoded(second)).unwrap();
+        // Back to the barrier after the first superstep, under epoch 4.
+        gather.roll_back(4, 1);
+        gather.place_paths(3, &encoded(&[(2, 2, 3)])).unwrap();
+        gather.place_paths(4, &encoded(second)).unwrap();
+        let err = gather.place_paths(4, &encoded(first)).unwrap_err();
+        assert!(err.to_string().contains("twice"), "{err}");
+        let paths = [vec![0, 2, 1], vec![1, 3, 0], vec![2, 0], vec![3, 1]];
+        assert_eq!(gather.digest(), Ok(crate::digest_paths(&paths)));
     }
 
     #[test]
     fn a_final_of_the_wrong_length_is_a_corrupt_frame() {
-        let app = AppSpec::PageRank { iters: 1 };
-        let err = assemble_digest(&app, &cluster(), &[&[0; 8], &[0; 16]]).unwrap_err();
+        let ranks = gather(&AppSpec::PageRank { iters: 1 }, &cluster());
+        let err = assemble_digest(&ranks, &[&[0; 8], &[0; 16]]).unwrap_err();
         assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
     }
 }

@@ -22,7 +22,10 @@
 //! kind, length and checksum. The bytes a socket write sees are the bytes
 //! the encoder wrote.
 //!
-//! A receiver reads a frame whole ([`read_frame`]).
+//! A receiver reads a frame whole ([`read_frame`]), and one that reads
+//! frame after frame hands the last payload's buffer to the next
+//! ([`read_frame_into`]): a superstep's megabytes land in pages the last
+//! superstep's already faulted in.
 //!
 //! The two frames that are as large as what they are built from — a
 //! worker's slice of the graph and a worker's result — stream at both
@@ -46,7 +49,7 @@ pub const MAX_PAYLOAD: u32 = 1 << 30;
 pub const HEADER_LEN: usize = 13;
 
 /// One decoded frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Frame {
     /// Message discriminant (see `proto`).
     pub kind: u8,
@@ -334,7 +337,13 @@ pub fn decode(buf: &[u8]) -> Result<(Frame, usize), ClusterError> {
 /// errors are mapped via [`ClusterError::from_io`]; a clean EOF at a frame
 /// boundary surfaces as `ConnReset` (the peer hung up).
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, ClusterError> {
-    PayloadReader::open(r)?.into_frame()
+    read_frame_into(r, Vec::new())
+}
+
+/// [`read_frame`] into `buf`, whose contents go and whose allocation stays:
+/// the payload of a frame the caller is done with.
+pub fn read_frame_into(r: &mut impl Read, buf: Vec<u8>) -> Result<Frame, ClusterError> {
+    PayloadReader::open(r)?.into_frame(buf)
 }
 
 /// Reads `len` bytes into `payload`, which is given room as they arrive: a
@@ -482,9 +491,10 @@ impl<R: Read> PayloadReader<R> {
         self.fill(n)
     }
 
-    /// The whole frame, when its payload is wanted as bytes after all.
-    pub fn into_frame(mut self) -> Result<Frame, ClusterError> {
-        let mut payload = Vec::new();
+    /// The whole frame, when its payload is wanted as bytes after all: in
+    /// `payload`'s allocation, grown if the frame is longer.
+    pub fn into_frame(mut self, mut payload: Vec<u8>) -> Result<Frame, ClusterError> {
+        payload.clear();
         read_growing(&mut self.stream, self.remaining, &mut payload)?;
         self.sum.update(&payload);
         verify_sum(self.sum.finish(), self.want)?;
@@ -603,6 +613,36 @@ mod tests {
         assert!(matches!(err, ClusterError::ConnReset { .. }), "{err}");
     }
 
+    /// A frame read into the last one's buffer keeps the allocation and
+    /// none of the bytes, longer or shorter than what was there — and a
+    /// stated length still allocates nothing by itself.
+    #[test]
+    fn a_frame_read_into_a_spent_buffer_reuses_its_allocation() {
+        let long: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let mut stream = Vec::new();
+        for payload in [&long[..], b"short", &long[..70_000], b""] {
+            stream.extend_from_slice(&encode(5, payload).unwrap());
+        }
+        let mut stream = &stream[..];
+        let first = read_frame_into(&mut stream, Vec::new()).unwrap();
+        assert_eq!(first.payload, long);
+        let (at, capacity) = (first.payload.as_ptr(), first.payload.capacity());
+        let mut buf = first.payload;
+        for want in [b"short".as_slice(), &long[..70_000], b""] {
+            let frame = read_frame_into(&mut stream, buf).unwrap();
+            assert_eq!(frame.payload, want);
+            assert_eq!(
+                (frame.payload.as_ptr(), frame.payload.capacity()),
+                (at, capacity)
+            );
+            buf = frame.payload;
+        }
+        let mut cut = header(3, MAX_PAYLOAD, 0).to_vec();
+        cut.extend_from_slice(&[7; 100]);
+        let err = read_frame_into(&mut &cut[..], Vec::with_capacity(64)).unwrap_err();
+        assert!(matches!(err, ClusterError::ConnReset { .. }), "{err}");
+    }
+
     /// A writer that keeps count of its `write` calls.
     struct Pieces(Vec<usize>, Vec<u8>);
 
@@ -715,7 +755,9 @@ mod tests {
         r.finish().unwrap();
         assert!(stream.is_empty());
         // Read whole instead, the payload is those bytes.
-        let whole = PayloadReader::open(&bytes[..]).unwrap().into_frame();
+        let whole = PayloadReader::open(&bytes[..])
+            .unwrap()
+            .into_frame(Vec::new());
         assert_eq!(whole.unwrap(), decode(&bytes).unwrap().0);
     }
 

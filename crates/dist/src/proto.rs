@@ -14,7 +14,7 @@
 //! 14    driver -> worker Placement { parts, assignment[n], vertex_counts[k], edge_counts[k], slice }
 //! 3     worker -> driver Ready     { epoch, agg }
 //! 4     driver -> worker StepBegin { epoch, superstep, agg, checkpoint }
-//! 5     worker -> driver StepData  { epoch, superstep, rows[k] }
+//! 5     worker -> driver StepData  { epoch, superstep, rows[k], paths }
 //! 6     driver -> worker Inbox     { epoch, superstep, rows[k] }
 //! 7     worker -> driver StepDone  { epoch, superstep, active, agg, snapshot? }
 //! 8     driver -> worker Restore   { epoch, superstep, state? }
@@ -111,10 +111,15 @@ pub struct RowSeg<'a> {
     pub data: Cow<'a, [u8]>,
 }
 
+/// Bytes `put_rows` writes.
+fn rows_len(rows: &[RowSeg<'_>]) -> usize {
+    4 + rows.iter().map(|seg| 8 + seg.data.len()).sum::<usize>()
+}
+
 fn put_rows(out: &mut Vec<u8>, rows: &[RowSeg<'_>]) {
     // Room for all of it up front, so no segment is moved again by a later
     // one's growth.
-    out.reserve(4 + rows.iter().map(|seg| 8 + seg.data.len()).sum::<usize>());
+    out.reserve(rows_len(rows));
     put_u32(out, rows.len() as u32);
     for seg in rows {
         put_u32(out, seg.count);
@@ -592,6 +597,10 @@ pub enum WorkerMsg<'a> {
         superstep: u64,
         /// One segment per destination, in machine order.
         rows: Vec<RowSeg<'a>>,
+        /// A walk's `(walker, step, vertex)` triples of this superstep,
+        /// back to back ([`PATH_TRIPLE_LEN`](crate::wire::PATH_TRIPLE_LEN)
+        /// bytes each): a worker keeps none. Empty for an iteration app.
+        paths: &'a [u8],
     },
     /// Superstep applied.
     StepDone {
@@ -788,10 +797,13 @@ impl<'a> WorkerMsg<'a> {
                 epoch,
                 superstep,
                 rows,
+                paths,
             } => {
                 put_u32(&mut out, *epoch);
                 put_u64(&mut out, *superstep);
+                out.reserve(rows_len(rows) + 4 + paths.len());
                 put_rows(&mut out, rows);
+                put_bytes(&mut out, paths);
                 kind::STEP_DATA
             }
             WorkerMsg::StepDone {
@@ -861,6 +873,7 @@ impl<'a> WorkerMsg<'a> {
                 epoch: r.u32()?,
                 superstep: r.u64()?,
                 rows: read_rows(&mut r)?,
+                paths: r.bytes()?,
             },
             kind::STEP_DONE => WorkerMsg::StepDone {
                 epoch: r.u32()?,
@@ -997,6 +1010,13 @@ mod tests {
                 count: 1,
                 data: Cow::Owned(vec![0xff; 12]),
             }],
+            paths: &[],
+        });
+        round_trip_worker(WorkerMsg::StepData {
+            epoch: 1,
+            superstep: 9,
+            rows: vec![RowSeg::default(); 2],
+            paths: &[7; 32],
         });
         round_trip_worker(WorkerMsg::StepDone {
             epoch: 1,
@@ -1201,15 +1221,17 @@ mod tests {
                 count: 3,
                 data: Cow::Owned(vec![7; 36]),
             }],
+            paths: &[9; 16],
         };
         let frame = received(&sent.to_frame().unwrap());
-        let WorkerMsg::StepData { rows, .. } = WorkerMsg::from_frame(&frame).unwrap() else {
+        let WorkerMsg::StepData { rows, paths, .. } = WorkerMsg::from_frame(&frame).unwrap() else {
             panic!("not StepData");
         };
         let Cow::Borrowed(data) = rows[0].data else {
             panic!("segment was copied out of the frame");
         };
         assert!(frame.payload.as_ptr_range().contains(&data.as_ptr()));
+        assert!(frame.payload.as_ptr_range().contains(&paths.as_ptr()));
     }
 
     /// Five vertices on three machines (machine 2 owns nothing), with a

@@ -5,9 +5,10 @@
 //! engine's ([`WalkStep`]) — the very kernels the thread backend runs —
 //! and both add only what a process boundary needs: rows encoded into
 //! [`RowSeg`]s on the way out and decoded in sender order on the way in,
-//! and snapshots as bytes. Bit-identity with the thread backend therefore
-//! holds by construction for every app. [`Worker`] is what the protocol
-//! loop (`worker.rs`) sees of either.
+//! a walk superstep's path triples as bytes, and snapshots as bytes.
+//! Bit-identity with the thread backend therefore holds by construction
+//! for every app. [`Worker`] is what the protocol loop (`worker.rs`) sees
+//! of either.
 
 use crate::error::ClusterError;
 use crate::frame::PayloadWriter;
@@ -29,8 +30,10 @@ pub trait Worker {
     /// Local compute phase: scatter (iteration) or one step of every
     /// queued walker (walks). Returns one encoded row per destination
     /// machine; the self slot is an empty segment (what a machine keeps
-    /// for itself never crosses the wire).
-    fn begin(&mut self) -> Vec<RowSeg<'static>>;
+    /// for itself never crosses the wire) — and, of a walk, the path
+    /// triples of the steps just taken, encoded back to back: they leave
+    /// with the rows, a worker keeps no history.
+    fn begin(&mut self) -> (Vec<RowSeg<'static>>, Vec<u8>);
 
     /// Completes the superstep with the driver's inbox (sender-order
     /// segments, own slot empty; read where the `Inbox` frame holds them). Returns `(active, agg)` for `StepDone`:
@@ -138,9 +141,9 @@ where
         self.step.aggregate(&self.program)
     }
 
-    fn begin(&mut self) -> Vec<RowSeg<'static>> {
+    fn begin(&mut self) -> (Vec<RowSeg<'static>>, Vec<u8>) {
         self.step.scatter(&self.program);
-        ship_rows(&mut self.step)
+        (ship_rows(&mut self.step), Vec::new())
     }
 
     fn finish(
@@ -207,8 +210,12 @@ where
     }
 }
 
+/// Bytes of a walk worker's `Final` result: its two `u64` counters.
+pub const WALK_FINAL_LEN: usize = 16;
+
 /// One machine's share of a walk-engine computation: the walk engine's
-/// kernel (recording on) plus the wire encoding of its rows and snapshots.
+/// kernel (recording on) plus the wire encoding of its rows, triples and
+/// snapshots.
 pub struct WalkWorker {
     app: Box<dyn WalkApp>,
     step: WalkStep,
@@ -243,9 +250,12 @@ impl Worker for WalkWorker {
         self.step.queue_len() as f64
     }
 
-    fn begin(&mut self) -> Vec<RowSeg<'static>> {
+    fn begin(&mut self) -> (Vec<RowSeg<'static>>, Vec<u8>) {
         self.step.step(&*self.app);
-        ship_rows(&mut self.step)
+        let triples = self.step.take_triples();
+        let mut paths = Vec::with_capacity(triples.len() * PATH_TRIPLE_LEN);
+        triples.for_each(|triple| triple.encode(&mut paths));
+        (ship_rows(&mut self.step), paths)
     }
 
     fn finish(&mut self, inbox: &[RowSeg<'_>], _: u64, _: f64) -> Result<(u64, f64), ClusterError> {
@@ -255,14 +265,12 @@ impl Worker for WalkWorker {
         Ok((self.step.queue_len() as u64, 0.0))
     }
 
-    /// `(queue, path_log, steps, sent)`.
+    /// `(queue, steps, sent)`.
     fn snapshot(&self) -> Vec<u8> {
         let state = self.step.state();
         let mut out = Vec::new();
         put_u32(&mut out, state.queue.len() as u32);
         encode_all(&state.queue, &mut out);
-        put_u64(&mut out, state.path_log.len() as u64);
-        encode_all(&state.path_log, &mut out);
         put_u64(&mut out, state.steps);
         put_u64(&mut out, state.sent);
         out
@@ -275,11 +283,8 @@ impl Worker for WalkWorker {
         };
         let mut r = Reader::new(bytes);
         let queue_len = r.u32()? as usize;
-        let queue = decode_n(&mut r, queue_len)?;
-        let log_len = r.u64()? as usize;
         let snapshot = kernel::Snapshot {
-            queue,
-            path_log: decode_n(&mut r, log_len)?,
+            queue: decode_n(&mut r, queue_len)?,
             steps: r.u64()?,
             sent: r.u64()?,
         };
@@ -291,13 +296,15 @@ impl Worker for WalkWorker {
     }
 
     fn final_len(&self) -> usize {
-        self.step.state().path_log.len() * PATH_TRIPLE_LEN
+        WALK_FINAL_LEN
     }
 
-    /// Final local path log, which is as long as the walk: the one result
-    /// that must not exist a second time as bytes.
+    /// The steps this machine executed and the walkers it sent: the paths
+    /// left with every superstep.
     fn final_result(&self, out: &mut PayloadWriter<'_>) -> Result<(), ClusterError> {
-        encode_pieces(&self.step.state().path_log, |piece| out.bytes(piece))
+        let state = self.step.state();
+        out.bytes(&state.steps.to_le_bytes())?;
+        out.bytes(&state.sent.to_le_bytes())
     }
 }
 
@@ -307,11 +314,13 @@ mod tests {
     use crate::frame::HEADER_LEN;
     use crate::proto::write_final;
     use crate::spec::AppSpec;
+    use crate::wire::path_triples;
     use crate::worker::tests::{raw_cluster, slice_clusters, sourceless_spec, RAW_MAX_N};
     use bpart_core::{ChunkV, Partitioner};
     use bpart_engine::apps::{ConnectedComponents, DistFrom, PageRank, Sssp};
     use bpart_graph::generate;
     use bpart_walker::apps::{DeepWalk, SimpleRandomWalk};
+    use bpart_walker::PathTable;
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -333,7 +342,8 @@ mod tests {
     fn iter_snapshot_round_trips() {
         let c = cluster(3);
         let mut w = IterWorker::new(PageRank::new(5), c, 1);
-        let rows = w.begin();
+        let (rows, paths) = w.begin();
+        assert!(paths.is_empty());
         assert_eq!(rows.len(), 3);
         // Self slot must be empty on the wire.
         assert_eq!(rows[1].count, 0);
@@ -349,7 +359,8 @@ mod tests {
 
     /// A result written in pieces is the result encoded whole, and as long
     /// as it was announced — for fixed-width values, for SSSP's heap-owning
-    /// ones, and for a path log of more than one piece.
+    /// ones, and for a walk's two counters, which is all of a walk that is
+    /// left on its worker.
     #[test]
     fn final_result_writes_the_length_it_announced() {
         fn check<T: Wire>(w: &impl Worker, state: &[T]) {
@@ -364,9 +375,30 @@ mod tests {
         check(&w, w.step.values());
         let w = IterWorker::new(Sssp::new(0), cluster(3), 0);
         check(&w, w.step.values());
-        let w = WalkWorker::new(Box::new(DeepWalk::new(4)), cluster(2), 0, 11, 40);
-        assert!(w.step.state().path_log.len() > 256);
-        check(&w, &w.step.state().path_log);
+        let mut w = WalkWorker::new(Box::new(DeepWalk::new(4)), cluster(2), 0, 11, 40);
+        let queued = w.step.queue_len();
+        let (_, paths) = w.begin();
+        // At most one triple per queued walker (a dead end leaves none),
+        // and they left with the superstep.
+        assert!(!paths.is_empty() && paths.len() <= queued * PATH_TRIPLE_LEN);
+        assert_eq!(paths.len() % PATH_TRIPLE_LEN, 0);
+        assert_eq!(w.step.take_triples().len(), 0);
+        let state = w.step.state();
+        assert_eq!(state.steps, queued as u64);
+        check(&w, &[state.steps, state.sent]);
+    }
+
+    /// A walk checkpoint is the queue and the two counters: 32 bytes per
+    /// walker behind their count, 16 bytes of counters, and no history
+    /// however far the walk has come.
+    #[test]
+    fn a_walk_snapshot_is_its_queue_and_two_counters() {
+        let mut w = WalkWorker::new(Box::new(DeepWalk::new(9)), cluster(1), 0, 11, 3);
+        for _ in 0..5 {
+            w.begin();
+            assert!(w.step.queue_len() > 0);
+            assert_eq!(w.snapshot().len(), 4 + 32 * w.step.queue_len() + 16);
+        }
     }
 
     impl Wire for Vec<DistFrom> {
@@ -389,43 +421,59 @@ mod tests {
         }
     }
 
-    /// Everything a lock-step run put on the wire, in order.
+    /// Everything a lock-step run put on the wire, in order, and what the
+    /// driver made of it.
     #[derive(Debug, Default, PartialEq)]
     struct Transcript {
         /// Each compute phase's rows, `rows[from][to]`.
         rows: Vec<Vec<Vec<RowSeg<'static>>>>,
+        /// Each compute phase's path triples, `paths[from]`.
+        paths: Vec<Vec<Vec<u8>>>,
         /// Every worker's snapshot at every checkpoint.
         snapshots: Vec<Vec<u8>>,
         /// The `Final` payloads.
         finals: Vec<Vec<u8>>,
+        /// A walk's paths: every superstep's triples placed as they came,
+        /// the abandoned ones truncated away.
+        table: Option<PathTable>,
     }
 
     /// Runs `k` workers in lock-step in this process, as the driver would
-    /// (`cap`: its superstep cap; `walk`: whether the run ends on empty
-    /// queues rather than on votes), checkpointing every 2 supersteps. With
-    /// `crash_at`, that superstep is abandoned after every worker ran its
-    /// compute phase and worker 0 already finished on all but the last of
+    /// (`cap`: its superstep cap; `walk`: the started table of a walk,
+    /// whose run ends on empty queues rather than on votes), checkpointing
+    /// every 2 supersteps. With `crash_at`, that superstep is abandoned
+    /// after every worker ran its compute phase — so its triples are in the
+    /// table — and worker 0 already finished on all but the last of
     /// its inbox segments — retained self rows, wrongly applied values, a
     /// half-absorbed queue are what survivors hold when `Restore` arrives —
     /// and the run replays from the last checkpoint.
     fn run_in_process<W: Worker>(
         k: usize,
         make: impl Fn(usize) -> W,
-        (cap, walk): (Option<usize>, bool),
+        (cap, walk): (Option<usize>, Option<PathTable>),
         mut crash_at: Option<usize>,
     ) -> Transcript {
         let mut workers: Vec<W> = (0..k).map(make).collect();
         let mut checkpoint: (usize, Vec<Option<Vec<u8>>>) = (0, vec![None; k]);
         let mut superstep = 0;
         let mut transcript = Transcript::default();
+        let mut table = walk;
+        let walk = table.is_some();
         loop {
             // The aggregate of an iteration app, the queued walkers of a walk.
             let ready: f64 = workers.iter().map(|w| w.ready_agg()).sum();
             if walk && ready == 0.0 {
                 break;
             }
-            let rows: Vec<Vec<RowSeg<'_>>> = workers.iter_mut().map(|w| w.begin()).collect();
+            let (rows, paths): (Vec<Vec<RowSeg<'_>>>, Vec<Vec<u8>>) =
+                workers.iter_mut().map(|w| w.begin()).unzip();
+            for (id, step, v) in paths.iter().flat_map(|paths| path_triples(paths)) {
+                let table = table.as_mut().expect("only a walk has paths");
+                assert_eq!(step as usize, superstep + 1);
+                table.place(id, step, v).unwrap();
+            }
             transcript.rows.push(rows.clone());
+            transcript.paths.push(paths);
             let inbox =
                 |to: usize| -> Vec<RowSeg<'_>> { rows.iter().map(|r| r[to].clone()).collect() };
             if crash_at == Some(superstep) {
@@ -440,6 +488,9 @@ mod tests {
                     w.restore(state.as_deref()).unwrap();
                 }
                 superstep = checkpoint.0;
+                if let Some(table) = &mut table {
+                    table.truncate(superstep as u32);
+                }
                 continue;
             }
             let mut active = 0;
@@ -458,33 +509,46 @@ mod tests {
         }
         assert_eq!(crash_at, None, "the run ended before the crash superstep");
         transcript.finals = workers.iter().map(final_of).collect();
+        if let Some(table) = &table {
+            table.seal().unwrap();
+        }
+        transcript.table = table;
         transcript
     }
 
     /// A `crash@s` replay ends bit-equal to the fault-free run, from the
     /// initial state (s = 1) and from a snapshot (s = 3), for plain `f64`
-    /// slots, for SSSP's heap-owning ones, and for walker queues.
+    /// slots, for SSSP's heap-owning ones, and for walker queues — whose
+    /// counters come back to the fault-free totals and whose paths, placed
+    /// superstep by superstep and truncated at the rollback, to the
+    /// fault-free table.
     #[test]
     fn replay_after_a_mid_superstep_restore_is_bit_equal() {
-        fn check<W: Worker>(make: impl Fn(usize) -> W + Copy, end: (Option<usize>, bool)) {
-            let clean = run_in_process(3, make, end, None).finals;
-            assert!(clean.iter().all(|result| !result.is_empty()));
+        type End = (Option<usize>, Option<PathTable>);
+        fn check<W: Worker>(make: impl Fn(usize) -> W + Copy, end: End) {
+            let clean = run_in_process(3, make, end.clone(), None);
+            assert!(clean.finals.iter().all(|result| !result.is_empty()));
             for crash_at in [1, 3] {
-                assert_eq!(run_in_process(3, make, end, Some(crash_at)).finals, clean);
+                let crashed = run_in_process(3, make, end.clone(), Some(crash_at));
+                assert_eq!(crashed.finals, clean.finals);
+                assert_eq!(crashed.table, clean.table);
+                assert!(crashed.paths.len() > clean.paths.len());
             }
         }
         check(
             |m| IterWorker::new(PageRank::new(5), cluster(3), m),
-            (Some(5), false),
+            (Some(5), None),
         );
         check(
             |m| IterWorker::new(Sssp::new(0), cluster(3), m),
-            (None, false),
+            (None, None),
         );
         let walk =
             |app: fn() -> Box<dyn WalkApp>| move |m| WalkWorker::new(app(), cluster(3), m, 11, 2);
-        check(walk(|| Box::new(SimpleRandomWalk::new(6))), (None, true));
-        check(walk(|| Box::new(DeepWalk::new(6))), (None, true));
+        let started = PathTable::of_starts(&WalkStarts::PerVertex(2), 40, 6);
+        let end = (None, Some(started));
+        check(walk(|| Box::new(SimpleRandomWalk::new(6))), end.clone());
+        check(walk(|| Box::new(DeepWalk::new(6))), end);
     }
 
     proptest! {
@@ -509,32 +573,37 @@ mod tests {
             let sliced = |app: AppSpec| slice_clusters(&sourceless_spec(k as u32, app), &full);
 
             let slices = sliced(AppSpec::PageRank { iters: 4 });
-            let end = (Some(4), false);
+            let end = || (Some(4), None);
             let pagerank = |c: &Cluster, m| IterWorker::new(PageRank::new(4), c.clone(), m);
             prop_assert!(
-                run_in_process(k, |m| pagerank(&slices[m], m), end, None)
-                    == run_in_process(k, |m| pagerank(&full, m), end, None),
+                run_in_process(k, |m| pagerank(&slices[m], m), end(), None)
+                    == run_in_process(k, |m| pagerank(&full, m), end(), None),
                 "pagerank transcripts differ"
             );
 
             let slices = sliced(AppSpec::ConnectedComponents);
-            let end = (None, false);
+            let end = || (None, None);
             let cc = |c: &Cluster, m| IterWorker::new(ConnectedComponents, c.clone(), m);
             prop_assert!(
-                run_in_process(k, |m| cc(&slices[m], m), end, None)
-                    == run_in_process(k, |m| cc(&full, m), end, None),
+                run_in_process(k, |m| cc(&slices[m], m), end(), None)
+                    == run_in_process(k, |m| cc(&full, m), end(), None),
                 "cc transcripts differ"
             );
 
             let slices = sliced(AppSpec::DeepWalk { walk_len: 5, seed, per_vertex: 2 });
-            let end = (None, true);
+            let end = || (None, Some(PathTable::of_starts(&WalkStarts::PerVertex(2), n, 5)));
             let deepwalk =
                 |c: &Cluster, m| WalkWorker::new(Box::new(DeepWalk::new(5)), c.clone(), m, seed, 2);
+            let over_slices = run_in_process(k, |m| deepwalk(&slices[m], m), end(), None);
             prop_assert!(
-                run_in_process(k, |m| deepwalk(&slices[m], m), end, None)
-                    == run_in_process(k, |m| deepwalk(&full, m), end, None),
+                over_slices == run_in_process(k, |m| deepwalk(&full, m), end(), None),
                 "deepwalk transcripts differ"
             );
+            // Every hop a worker reported left its machine with the
+            // superstep that took it.
+            let hops: usize = over_slices.table.iter().flatten().map(|path| path.len()).sum();
+            let shipped: usize = over_slices.paths.iter().flatten().map(Vec::len).sum();
+            prop_assert_eq!((hops - 2 * n) * PATH_TRIPLE_LEN, shipped);
         }
     }
 

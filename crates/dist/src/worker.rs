@@ -7,7 +7,8 @@
 //! it never opens the job's graph source, resolves its scheme or runs a
 //! partitioner, and holds no more of the graph than its part. Then it
 //! reacts to driver frames: `StepBegin` runs the local compute phase and
-//! ships outgoing rows, `Inbox` completes the superstep, `Restore` rolls
+//! ships outgoing rows (and a walk's path triples of the superstep),
+//! `Inbox` completes the superstep, `Restore` rolls
 //! state back (or re-initializes) under a new epoch, `Finish` ships the
 //! local result, `Shutdown` exits. A dedicated thread heartbeats the
 //! whole time, so the driver can tell "dead" from "busy".
@@ -17,7 +18,7 @@
 //! already joined.
 
 use crate::error::ClusterError;
-use crate::frame;
+use crate::frame::{self, Frame};
 use crate::proto::{DriverMsg, Placement, WorkerMsg};
 use crate::spec::{AppSpec, JobSpec};
 use crate::step::{IterWorker, WalkWorker, Worker};
@@ -328,8 +329,10 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
     // the span delta is encoded.
     let mut step_span: Option<tracer::SpanGuard> = None;
 
+    // Every frame is read into the allocation of the one before it.
+    let mut frame = Frame::default();
     loop {
-        let frame = read_frame_blocking(&mut reader)?;
+        frame = frame::read_frame_into(&mut reader, frame.payload)?;
         let current = epoch.load(Ordering::Relaxed);
         match DriverMsg::from_frame(&frame)? {
             DriverMsg::StepBegin {
@@ -359,12 +362,13 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                     g
                 });
                 let compute_started = Instant::now();
-                let rows = app.begin();
+                let (rows, paths) = app.begin();
                 let compute_ns = compute_started.elapsed().as_nanos() as u64;
                 writer.send(&WorkerMsg::StepData {
                     epoch: e,
                     superstep,
                     rows,
+                    paths: &paths,
                 })?;
                 if let Some(g) = &mut span {
                     g.attr("compute_ns", compute_ns.to_string());
@@ -450,8 +454,6 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                     continue;
                 }
                 writer.send_final(e, app.final_len(), |out| app.final_result(out))?;
-                // All of the result that was ever held as bytes.
-                bpart_obs::metrics::gauge("dist.final_buffer_bytes").set(frame::CHUNK as f64);
             }
             DriverMsg::Shutdown => {
                 if obs_enabled.load(Ordering::Relaxed) {

@@ -25,20 +25,25 @@ const SUPERSTEP_SPANS: [&str; 2] = ["cluster.superstep", "walker.superstep"];
 /// After this many per-superstep rows the rendering elides the middle.
 const MAX_STEP_ROWS: usize = 40;
 
-/// Joins per-machine timings into the attribute encoding: comma-joined
-/// `{}` (shortest round-trip) representations, e.g. `"1.5,0,0.25"`.
-pub fn join_timings(values: &[f64]) -> String {
-    let mut out = String::new();
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// Per-machine timings in the attribute encoding: comma-joined `{}`
+/// (shortest round-trip) representations, e.g. `"1.5,0,0.25"`. Handed to
+/// [`SpanGuard::attr`](crate::SpanGuard::attr) as it is, a span that is not
+/// recording formats nothing.
+pub struct Timings<'a>(pub &'a [f64]);
+
+impl std::fmt::Display for Timings<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, v) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            write!(f, "{v}")?;
         }
-        let _ = write!(out, "{v}");
+        Ok(())
     }
-    out
 }
 
-/// Parses a [`join_timings`] encoding back to the original values
+/// Parses a [`Timings`] encoding back to the original values
 /// (bit-exact: Rust's `f64` `Display` round-trips).
 pub fn parse_timings(s: &str) -> Result<Vec<f64>, String> {
     if s.is_empty() {
@@ -358,15 +363,15 @@ mod tests {
     fn timing_attrs(superstep: u64, compute: &[f64], comm: &[f64]) -> Vec<(&'static str, String)> {
         vec![
             ("superstep", superstep.to_string()),
-            ("compute", join_timings(compute)),
-            ("comm", join_timings(comm)),
+            ("compute", Timings(compute).to_string()),
+            ("comm", Timings(comm).to_string()),
         ]
     }
 
     #[test]
     fn timings_roundtrip_bit_exactly() {
         let values = vec![0.1, 1.0 / 3.0, 2.5e-17, 0.0, 123456.789, f64::MAX];
-        let parsed = parse_timings(&join_timings(&values)).unwrap();
+        let parsed = parse_timings(&Timings(&values).to_string()).unwrap();
         assert_eq!(values.len(), parsed.len());
         for (a, b) in values.iter().zip(&parsed) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
@@ -472,7 +477,7 @@ mod tests {
     fn replay_and_missing_comm_are_tolerated() {
         let attrs = vec![
             ("superstep", "4".to_string()),
-            ("compute", join_timings(&[3.0, 1.0])),
+            ("compute", Timings(&[3.0, 1.0]).to_string()),
             ("replay", "true".to_string()),
         ];
         let span = step_span(1, 0, "cluster.superstep", &attrs);

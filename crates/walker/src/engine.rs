@@ -7,9 +7,10 @@
 //!
 //! [`WalkEngine`] is a builder, walker seeding, a path table, and
 //! [`Walk`]: the walk half of a superstep (step every queue, absorb every
-//! inbox, on [`WalkStep`] kernels). The superstep loop itself — fault
-//! injection, checkpoint rollback and replay, telemetry — is
-//! [`bpart_cluster::bsp::drive`], shared with the iteration engine. Each
+//! inbox, place the superstep's triples, on [`WalkStep`] kernels). The
+//! superstep loop itself — fault injection, checkpoint rollback and replay,
+//! telemetry — is [`bpart_cluster::bsp::drive`], shared with the iteration
+//! engine. Each
 //! walker carries its own RNG and the step counters live in the
 //! checkpointed kernel state, so replays reproduce the exact trajectories
 //! and totals of a fault-free run; only telemetry shows the recovery work.
@@ -84,6 +85,8 @@ pub struct WalkEngine {
 /// One walk app's run, as the superstep loop sees it.
 struct Walk<'a, A: ?Sized> {
     app: &'a A,
+    /// Where every superstep's triples go, when recording.
+    paths: Option<PathTable>,
 }
 
 impl<A: WalkApp + ?Sized> bsp::Program for Walk<'_, A> {
@@ -133,8 +136,19 @@ impl<A: WalkApp + ?Sized> bsp::Program for Walk<'_, A> {
     ) -> Vec<WorkUnits> {
         for (s, inbox) in steps.iter_mut().zip(inboxes) {
             s.absorb(inbox);
+            if let Some(paths) = &mut self.paths {
+                s.take_triples()
+                    .try_for_each(|(id, step, v)| paths.place(id, step, v))
+                    .expect("the kernels report every step of every walker once");
+            }
         }
         vec![WorkUnits::default(); steps.len()]
+    }
+
+    fn rolled_back(&mut self, superstep: usize) {
+        if let Some(paths) = &mut self.paths {
+            paths.truncate(superstep as u32);
+        }
     }
 }
 
@@ -207,28 +221,26 @@ impl WalkEngine {
         seed: u64,
     ) -> Result<WalkRun, UnrecoverableFailure> {
         let mut steps = WalkStep::for_cluster(&self.cluster, starts, seed, self.record_paths);
-        let (telemetry, iterations) = bsp::drive(&self.cfg, &mut Walk { app }, &mut steps)?;
+        let n = self.cluster.graph().num_vertices();
+        let paths = self
+            .record_paths
+            .then(|| PathTable::of_starts(starts, n, app.walk_length()));
+        let mut walk = Walk { app, paths };
+        let (telemetry, iterations) = bsp::drive(&self.cfg, &mut walk, &mut steps)?;
 
         let mut run = WalkRun {
             telemetry,
             total_steps: 0,
             message_walks: 0,
             iterations,
-            paths: None,
+            paths: walk.paths,
         };
         for state in steps.iter().map(WalkStep::state) {
             run.total_steps += state.steps;
             run.message_walks += state.sent;
         }
-        if self.record_paths {
-            let num_walkers = starts.count(self.cluster.graph().num_vertices());
-            let mut paths = PathTable::new(num_walkers as usize, app.walk_length());
-            let mut logged = steps.iter().flat_map(|s| &s.state().path_log);
-            logged
-                .try_for_each(|&(id, step, v)| paths.place(id, step, v))
-                .and_then(|()| paths.seal())
-                .expect("the kernels log every step of every walker once");
-            run.paths = Some(paths);
+        if let Some(paths) = &run.paths {
+            paths.seal().expect("a path has every step up to its last");
         }
         Ok(run)
     }
@@ -370,6 +382,52 @@ mod tests {
             assert_eq!(run.telemetry.total_faults(), 1);
             assert!(run.telemetry.replayed_supersteps() > 0);
             assert!(run.telemetry.total_recovery_time() > 0.0);
+        }
+    }
+
+    /// The recorded table of a crashed run — superstep by superstep into
+    /// one table, truncated at the rollback, re-placed by the replay — is
+    /// the fault-free one: from the implicit checkpoint and from one every
+    /// 2 supersteps (a crash on the checkpointed barrier, s = 4, replays
+    /// nothing; s = 5 one; s = 3 without checkpoints everything), in both
+    /// execution modes, for walks of full length, walks that stop early
+    /// (their tables end at different steps) and walks that step in place.
+    #[test]
+    fn recorded_paths_survive_a_crash_for_every_kind_of_walk() {
+        use crate::apps::{DeepWalk, MetropolisHastings, Ppr};
+        let graph = Arc::new(generate::twitter_like().generate_scaled(0.01));
+        let partition = Arc::new(ChunkV.partition(&graph, 4));
+        let starts = WalkStarts::PerVertex(1);
+        let apps: [&dyn WalkApp; 3] = [
+            &DeepWalk::new(8),
+            &Ppr::new(0.3, 8),
+            &MetropolisHastings::new(8),
+        ];
+        for app in apps {
+            let engine = |mode| {
+                let cluster = Cluster::new(graph.clone(), partition.clone());
+                WalkEngine::new(cluster, CostModel::default(), mode).with_recording()
+            };
+            let clean = engine(ExecMode::Sequential).run(app, &starts, 29);
+            let paths = clean.paths.as_ref().unwrap();
+            assert!(paths.iter().any(|path| path.len() > 1), "{}", app.name());
+            for mode in [ExecMode::Sequential, ExecMode::Threaded] {
+                for (crash_at, checkpoint_every) in [(3, None), (4, Some(2)), (5, Some(2))] {
+                    let mut faulted = engine(mode).with_faults(FaultPlan::new().crash(crash_at, 1));
+                    if let Some(every) = checkpoint_every {
+                        faulted = faulted.with_checkpoint_every(every);
+                    }
+                    let run = faulted.run(app, &starts, 29);
+                    let what = format!(
+                        "{} {mode:?} crash@{crash_at} {checkpoint_every:?}",
+                        app.name()
+                    );
+                    assert_eq!(run.paths, clean.paths, "{what}");
+                    assert_eq!(run.total_steps, clean.total_steps, "{what}");
+                    assert_eq!(run.message_walks, clean.message_walks, "{what}");
+                    assert_eq!(run.telemetry.crashes(), 1, "{what}");
+                }
+            }
         }
     }
 

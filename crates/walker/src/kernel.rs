@@ -8,15 +8,23 @@
 //! (`bpart_dist::step::WalkWorker`) encodes them into frames. It is the
 //! walk-side twin of `bpart_engine::kernel::MachineStep`.
 //!
+//! A kernel holds walkers, not history: when recording, a superstep's
+//! `(walker, step, vertex)` triples wait in scratch until the barrier, where
+//! the caller [`take_triples`](WalkStep::take_triples) them into the run's
+//! one [`PathTable`] — the only place a path lives. A checkpoint is the
+//! queue and two counters; a rollback [`truncate`](PathTable::truncate)s
+//! what it abandons out of the table.
+//!
 //! # Ordering invariant
 //!
 //! A walker's trajectory depends only on its own RNG, so queue order
-//! cannot change a path — but it is the order of the path log, of every
-//! row, and of every snapshot, and both backends must produce the same
-//! bytes. The queue is therefore always: walkers seeded in global-id
-//! order; after a step, the walkers that stayed (`kept`, in queue order)
-//! *before* the migrants the caller [`absorb`](WalkStep::absorb)s in
-//! ascending sender order.
+//! cannot change a path — but it is the order of a superstep's triples, of
+//! every row, and of every snapshot, and both backends must produce the
+//! same bytes. The queue is therefore always: walkers seeded in global-id
+//! order; after a step, the walkers that stayed, compacted in place in
+//! queue order, *before* the migrants the caller
+//! [`absorb`](WalkStep::absorb)s in ascending sender order. A row holds
+//! its migrants in the queue order they left in.
 
 use crate::engine::WalkStarts;
 use crate::walker::{WalkApp, Walker};
@@ -30,9 +38,6 @@ use std::fmt;
 pub struct Snapshot {
     /// Walkers waiting on this machine.
     pub queue: Vec<Walker>,
-    /// `(walker id, step index, vertex)` triples, merged after the run
-    /// (empty unless recording).
-    pub path_log: Vec<(u64, u32, VertexId)>,
     /// Walker steps this machine executed. Part of the snapshot, so a
     /// rollback takes back what the abandoned supersteps counted and the
     /// total stays that of a fault-free run.
@@ -97,11 +102,13 @@ impl std::error::Error for PathLogError {}
 
 /// Every walker's path, in one allocation: walker `w`'s `lens[w]` vertices
 /// lie at `hops[w * stride..]`, where `stride` is the app's step cap plus
-/// one. It is built from the `(walker, step, vertex)` logs of every
-/// machine, in any order and interleaving, one [`place`](Self::place) per
-/// triple: nothing is sorted, counted first or buffered, so triples may be
-/// placed while they are decoded. The shape bounds what a log may claim
-/// before a triple is looked at; whether the triples were whole paths is
+/// one. It starts as every walker's start vertex
+/// ([`of_starts`](Self::of_starts)) and grows by the `(walker, step,
+/// vertex)` triples of every machine, superstep by superstep, in any order
+/// and interleaving, one [`place`](Self::place) per triple: nothing is
+/// sorted, counted first or buffered, so triples may be placed while they
+/// are decoded. The shape bounds what a machine may claim before a triple
+/// is looked at; whether the triples were whole paths is
 /// [`seal`](Self::seal)'s to say.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PathTable {
@@ -127,6 +134,31 @@ impl PathTable {
             lens: vec![0; num_walkers],
             hops: vec![UNSET; num_walkers * stride],
             placed: 0,
+        }
+    }
+
+    /// The table of a run from `starts` on a graph of `n` vertices: every
+    /// walker at its start vertex, step 0 — the one hop no kernel reports.
+    pub fn of_starts(starts: &WalkStarts, n: usize, walk_len: u32) -> Self {
+        let mut table = PathTable::new(starts.count(n) as usize, walk_len);
+        for (id, v) in starts.walkers(n) {
+            table.place(id, 0, v).expect("a start is a vertex");
+        }
+        table
+    }
+
+    /// Forgets every hop past step `last`: what a rollback to the barrier
+    /// of superstep `last` abandons, since in synchronous stepping a walker
+    /// has taken `s` steps after `s` supersteps. The replay places the
+    /// same triples again.
+    pub fn truncate(&mut self, last: u32) {
+        let keep = last.saturating_add(1);
+        for (len, path) in self.lens.iter_mut().zip(self.hops.chunks_mut(self.stride)) {
+            let dropped = path.get_mut(keep as usize..*len as usize);
+            let dropped = dropped.unwrap_or_default();
+            self.placed -= dropped.iter().filter(|&&v| v != UNSET).count() as u64;
+            dropped.fill(UNSET);
+            *len = (*len).min(keep);
         }
     }
 
@@ -203,12 +235,19 @@ pub struct WalkStep {
     machine: MachineId,
     record: bool,
     state: Snapshot,
-    /// Scratch for walkers staying local this superstep; swapped with the
-    /// queue at the end of the step so both keep their capacity.
-    kept: Vec<Walker>,
+    /// Scratch: where each queued walker goes after its step, in queue
+    /// order — this machine, another, or [`DONE`].
+    dests: Vec<MachineId>,
+    /// Scratch: the triples of the superstep in flight, in queue order,
+    /// until the barrier takes them (empty unless recording).
+    triples: Vec<(u64, u32, VertexId)>,
     /// Arena-staged migrating walkers (buffers persist across supersteps).
     outbox: MessageArena<Walker>,
 }
+
+/// The destination of a walker whose walk is over. No machine has this id:
+/// a partition has fewer parts than a `u32` counts.
+const DONE: MachineId = MachineId::MAX;
 
 impl WalkStep {
     /// One kernel per machine of `cluster`, seeded in a single pass.
@@ -222,20 +261,22 @@ impl WalkStep {
             .map(|m| WalkStep::new(cluster, m as MachineId, record))
             .collect();
         for (id, v) in starts.walkers(cluster.graph().num_vertices()) {
-            steps[cluster.owner(v) as usize].admit(Walker::new(id, v, seed));
+            let home = &mut steps[cluster.owner(v) as usize];
+            home.state.queue.push(Walker::new(id, v, seed));
         }
         steps
     }
 
     /// The kernel for `machine` with nothing queued ([`reset`](Self::reset)
-    /// seeds it). `record` turns the path log on.
+    /// seeds it). `record` turns the triples on.
     pub fn new(cluster: &Cluster, machine: MachineId, record: bool) -> Self {
         WalkStep {
             cluster: cluster.clone(),
             machine,
             record,
             state: Snapshot::default(),
-            kept: Vec::new(),
+            dests: Vec::new(),
+            triples: Vec::new(),
             outbox: MessageArena::new(cluster.num_machines()),
         }
     }
@@ -246,16 +287,9 @@ impl WalkStep {
         self.restore(&Snapshot::default());
         for (id, v) in starts.walkers(self.cluster.graph().num_vertices()) {
             if self.cluster.owner(v) == self.machine {
-                self.admit(Walker::new(id, v, seed));
+                self.state.queue.push(Walker::new(id, v, seed));
             }
         }
-    }
-
-    fn admit(&mut self, walker: Walker) {
-        if self.record {
-            self.state.path_log.push((walker.id, 0, walker.current));
-        }
-        self.state.queue.push(walker);
     }
 
     /// Walkers waiting on this machine.
@@ -268,55 +302,70 @@ impl WalkStep {
         &self.state
     }
 
-    /// One synchronous step of every queued walker. A walk ends when the
-    /// app says so (dead end / stop decision) or at full length; a walker
-    /// whose new vertex lives elsewhere is staged for its owner (see
-    /// [`Machine::take_rows`]), the rest go back on the queue.
+    /// One synchronous step of every queued walker, in two passes over the
+    /// queue. The first moves each walker where it stands and notes where
+    /// it goes next: a walk ends when the app says so (dead end / stop
+    /// decision) or at full length, any other walker belongs to the owner
+    /// of its new vertex. The second routes with every destination known:
+    /// a walker bound elsewhere is staged for its owner (see
+    /// [`Machine::take_rows`]), the rest close ranks in the queue, in order.
     pub fn step<A: WalkApp + ?Sized>(&mut self, app: &A) -> WorkUnits {
         let WalkStep {
             cluster,
             machine,
             record,
             state,
-            kept,
+            dests,
+            triples,
             outbox,
         } = self;
-        let Snapshot {
-            queue,
-            path_log,
-            steps,
-            ..
-        } = state;
         let (m, record) = (*machine, *record);
+        let queue = &mut state.queue;
         let graph = cluster.graph();
         let max_steps = app.walk_length();
-        debug_assert_eq!(kept.len(), 0);
         debug_assert_eq!(outbox.staged(), 0);
-        let mut work = WorkUnits::default();
-        for mut walker in queue.drain(..) {
+        dests.clear();
+        for walker in queue.iter_mut() {
             debug_assert_eq!(cluster.owner(walker.current), m);
-            let next = app.next(&mut walker, graph);
-            work.steps += 1;
-            let Some(next) = next else {
-                continue;
-            };
-            walker.advance(next);
-            if record {
-                path_log.push((walker.id, walker.step, next));
-            }
-            if walker.step >= max_steps {
-                continue;
-            }
-            let dest = cluster.owner(next);
+            dests.push(match app.next(walker, graph) {
+                Some(next) => {
+                    walker.advance(next);
+                    if record {
+                        triples.push((walker.id, walker.step, next));
+                    }
+                    if walker.step >= max_steps {
+                        DONE
+                    } else {
+                        cluster.owner(next)
+                    }
+                }
+                None => DONE,
+            });
+        }
+        // (`Vec::retain` over a destination iterator is this loop, 15 %
+        // slower.)
+        let mut stayed = 0;
+        for (at, &dest) in dests.iter().enumerate() {
             if dest == m {
-                kept.push(walker);
-            } else {
-                outbox.push(dest, walker);
+                queue[stayed] = queue[at];
+                stayed += 1;
+            } else if dest != DONE {
+                outbox.push(dest, queue[at]);
             }
         }
-        std::mem::swap(queue, kept);
-        *steps += work.steps;
-        work
+        queue.truncate(stayed);
+        let steps = dests.len() as u64;
+        state.steps += steps;
+        WorkUnits {
+            steps,
+            ..WorkUnits::default()
+        }
+    }
+
+    /// Hands over the triples of the steps taken since the last call: the
+    /// superstep's, when called at every barrier.
+    pub fn take_triples(&mut self) -> std::vec::Drain<'_, (u64, u32, VertexId)> {
+        self.triples.drain(..)
     }
 
     /// Appends one sender's delivered walkers to the queue, draining
@@ -348,13 +397,13 @@ impl Machine for WalkStep {
 
     fn restore(&mut self, snapshot: &Snapshot) {
         self.state.queue.clone_from(&snapshot.queue);
-        self.state.path_log.clone_from(&snapshot.path_log);
         self.state.steps = snapshot.steps;
         self.state.sent = snapshot.sent;
-        // The abandoned superstep may have left staged walkers behind;
-        // the replay restages everything from the restored queue.
+        // The abandoned superstep may have left staged walkers and untaken
+        // triples behind; the replay produces both again from the restored
+        // queue.
         self.outbox.reset();
-        self.kept.clear();
+        self.triples.clear();
     }
 
     /// One unit per in-flight walker.
@@ -437,6 +486,90 @@ mod tests {
             prop_assert_eq!(table.len(), sorted.len());
             prop_assert!(table.iter().eq(sorted.iter().map(Vec::as_slice)), "{:?}", table);
         }
+
+        /// A rollback to the barrier of superstep `last`, wherever the run
+        /// had got to: the truncated table is the table of the triples up
+        /// to step `last` — the sort-based merge of those — and placing the
+        /// abandoned ones again, as a replay does, is the untruncated table.
+        /// A run caught mid-superstep has placed some walkers' latest hop
+        /// and not others'.
+        #[test]
+        fn truncation_equals_the_merge_of_the_steps_kept(
+            lens in prop::collection::vec(0u32..=7, 0..12),
+            last in 0u32..8,
+            salt in 0u64..u64::MAX,
+        ) {
+            let vertex = |id: usize, step: u32| mix(salt ^ (id as u64) << 8 ^ step as u64) as VertexId % 1000;
+            let mut log: Vec<(u64, u32, VertexId)> = Vec::new();
+            for (id, &len) in lens.iter().enumerate() {
+                // Mid-superstep: a walker may be short of its latest hop.
+                let len = len - (len > 0 && mix(salt ^ id as u64) % 3 == 0) as u32;
+                log.extend((0..len).map(|step| (id as u64, step, vertex(id, step))));
+            }
+            let whole = table_of(log.iter().copied(), lens.len(), 6).unwrap();
+            let (kept, abandoned): (Vec<_>, Vec<_>) =
+                log.iter().copied().partition(|&(_, step, _)| step <= last);
+
+            let mut table = whole.clone();
+            table.truncate(last);
+            prop_assert_eq!(&table, &table_of(kept.iter().copied(), lens.len(), 6).unwrap());
+            let sorted = paths_by_sorting(kept, lens.len());
+            prop_assert!(table.iter().eq(sorted.iter().map(Vec::as_slice)), "{:?}", table);
+            table.seal().unwrap();
+
+            for (id, step, v) in abandoned {
+                table.place(id, step, v).unwrap();
+            }
+            prop_assert_eq!(table, whole);
+        }
+    }
+
+    #[test]
+    fn truncation_forgets_the_later_hops_and_only_those() {
+        let log = [
+            (0, 0, 5),
+            (0, 1, 6),
+            (0, 2, 7),
+            (1, 0, 8),
+            (2, 0, 9),
+            (2, 1, 3),
+        ];
+        let mut table = table_of(log, 4, 2).unwrap();
+        // Nothing lies past the walk's last step, or past where it got to.
+        table.truncate(2);
+        table.truncate(u32::MAX);
+        assert_eq!(table, table_of(log, 4, 2).unwrap());
+        table.truncate(0);
+        assert_eq!(
+            table,
+            table_of([(0, 0, 5), (1, 0, 8), (2, 0, 9)], 4, 2).unwrap()
+        );
+        // A forgotten hop can be placed again, once.
+        assert_eq!(table.place(2, 1, 4), Ok(()));
+        assert_eq!(
+            table.place(2, 1, 4),
+            Err(PathLogError::Duplicate { id: 2, step: 1 })
+        );
+        // A hole below the cut is still a hole.
+        let mut holed = PathTable::new(1, 3);
+        holed.place(0, 0, 1).unwrap();
+        holed.place(0, 2, 1).unwrap();
+        holed.place(0, 3, 1).unwrap();
+        holed.truncate(2);
+        assert_eq!(
+            holed.seal(),
+            Err(PathLogError::StepOutOfRange { id: 0, step: 2 })
+        );
+    }
+
+    #[test]
+    fn a_started_table_holds_every_walker_at_its_start() {
+        let table = PathTable::of_starts(&WalkStarts::PerVertex(2), 3, 4);
+        let paths: Vec<&[VertexId]> = table.iter().collect();
+        assert_eq!(paths, [[0], [1], [2], [0], [1], [2]]);
+        let table = PathTable::of_starts(&WalkStarts::Explicit(vec![7, 7, 1]), 9, 0);
+        assert_eq!(table.iter().collect::<Vec<_>>(), [[7], [7], [1]]);
+        table.seal().unwrap();
     }
 
     #[test]
