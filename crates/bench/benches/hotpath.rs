@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the hot-path kernels of DESIGN.md §12:
 //! the branchless flat-array score loop, the placement kernel at two part
 //! counts, cached alias-table sampling, the
-//! arena-backed superstep exchange, the zero-copy binary graph load, the
+//! arena-backed superstep exchange, the streamed binary graph load, the
 //! vertex-program superstep kernel, the walk superstep kernel, and the
 //! process backend's per-byte
 //! work (DESIGN.md §13: one frame across the wire, a worker's slice of the
@@ -11,14 +11,15 @@
 //!
 //!     cargo bench -p bpart-bench --bench hotpath
 
+use bpart_cluster::bsp::Machine;
 use bpart_cluster::{exec::ExecMode, CostModel};
-use bpart_cluster::{Cluster, Exchange, MessageArena, Router};
+use bpart_cluster::{Cluster, MessageArena};
 use bpart_core::bpart::WeightedStream;
 use bpart_core::prelude::*;
 use bpart_dist::frame;
 use bpart_dist::proto::{Placement, RowSeg, WorkerMsg};
 use bpart_engine::apps::{ConnectedComponents, PageRank};
-use bpart_engine::IterationEngine;
+use bpart_engine::{IterationEngine, MachineStep};
 use bpart_graph::{generate, io, CsrGraph};
 use bpart_walker::apps::{DeepWalk, Node2vec};
 use bpart_walker::{CachedTransitions, PathTable, WalkApp, WalkEngine, WalkStarts, Walker};
@@ -110,9 +111,11 @@ fn bench_alias_sampling(c: &mut Criterion) {
 }
 
 /// Arena-backed superstep exchange: stage messages into per-machine
-/// arenas, run the capacity-preserving barrier, drain the inboxes, and
-/// hand the rows back — the walker/iteration engines' per-superstep
-/// messaging round trip, with zero steady-state allocation.
+/// arenas, lend the rows, consume every `rows[from][to]` where it was
+/// staged (ascending sender per destination, as `bsp::drive` delivers),
+/// and hand the drained rows back — the walker/iteration engines'
+/// per-superstep messaging round trip, with zero steady-state allocation
+/// and no second copy of the messages.
 fn bench_arena_exchange(c: &mut Criterion) {
     const K: usize = 8;
     const MSGS_PER_MACHINE: usize = 4_000;
@@ -121,8 +124,7 @@ fn bench_arena_exchange(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("k8_roundtrip", |b| {
         let mut arenas: Vec<MessageArena<u64>> = (0..K).map(|_| MessageArena::new(K)).collect();
-        let mut router: Router<u64> = Router::new(K);
-        let mut ex: Exchange<u64> = Exchange::default();
+        let mut rows: Vec<Vec<Vec<u64>>> = Vec::with_capacity(K);
         let mut inbox_total = 0u64;
         b.iter(|| {
             for (from, arena) in arenas.iter_mut().enumerate() {
@@ -133,15 +135,14 @@ fn bench_arena_exchange(c: &mut Criterion) {
                     );
                 }
             }
-            router
-                .put_rows(arenas.iter_mut().map(|a| a.take_filled()).collect())
-                .unwrap();
-            router.exchange_into(&mut ex);
-            for inbox in &mut ex.inboxes {
-                inbox_total += inbox.len() as u64;
-                inbox.clear();
+            rows.extend(arenas.iter_mut().map(|a| a.take_filled()));
+            for to in 0..K {
+                for row in rows.iter_mut() {
+                    inbox_total += row[to].len() as u64;
+                    row[to].clear();
+                }
             }
-            for (arena, row) in arenas.iter_mut().zip(router.take_rows()) {
+            for (arena, row) in arenas.iter_mut().zip(rows.drain(..)) {
                 arena.put_drained(row);
             }
             black_box(inbox_total)
@@ -150,9 +151,10 @@ fn bench_arena_exchange(c: &mut Criterion) {
     group.finish();
 }
 
-/// Binary graph decode: the validated zero-copy byte parser against the
-/// same bytes through the owned streaming reader. Throughput is bytes/s
-/// of the on-disk format.
+/// Binary graph decode, the one streamed decoder entered twice: over a
+/// slice (length known: counts held against it, arrays reserved once) and
+/// over the same bytes as a reader of unknown length (arrays grow with
+/// what arrives). Throughput is bytes/s of the on-disk format.
 fn bench_binfmt_load(c: &mut Criterion) {
     let graph = bench_graph();
     let mut bytes = Vec::new();
@@ -174,6 +176,10 @@ fn bench_binfmt_load(c: &mut Criterion) {
 /// and a full CC run (both edge directions, shrinking frontier) at k=8.
 /// Throughput is the graph's edges per run, so the two rates are not
 /// comparable with each other, only with themselves across commits.
+/// `scatter_k8` is the scatter phase alone — every machine's signal,
+/// combine and drain into rows, then a rollback that discards them — in
+/// the shape of the benchmark's `pr-cc-tw` workload (`twitter_like` ×0.8
+/// under BPart at k = 8): its inverse is the engine's ns per edge.
 fn bench_engine_superstep(c: &mut Criterion) {
     let graph = Arc::new(bench_graph());
     let partition = Arc::new(WeightedStream::default().partition(&graph, 8));
@@ -185,6 +191,22 @@ fn bench_engine_superstep(c: &mut Criterion) {
         b.iter(|| engine.run(&PageRank::new(1)))
     });
     group.bench_function("cc_k8", |b| b.iter(|| engine.run(&ConnectedComponents)));
+
+    let graph = Arc::new(generate::twitter_like().generate_scaled(0.8));
+    let partition = Arc::new(BPart::default().partition(&graph, 8));
+    let cluster = Cluster::new(graph.clone(), partition);
+    let pagerank = PageRank::new(1);
+    let mut steps = MachineStep::for_cluster(&pagerank, &cluster);
+    let initial: Vec<_> = steps.iter().map(Machine::snapshot).collect();
+    group.throughput(Throughput::Elements(graph.num_edges() as u64));
+    group.bench_function("scatter_k8", |b| {
+        b.iter(|| {
+            for (step, snapshot) in steps.iter_mut().zip(&initial) {
+                black_box(step.scatter(&pagerank));
+                step.restore(snapshot);
+            }
+        })
+    });
     group.finish();
 }
 

@@ -13,10 +13,13 @@
 //! 1. compute phase — the owning machine [`push`](MessageArena::push)es
 //!    messages into its arena (disjoint per machine, so the threaded
 //!    executor needs no locks);
-//! 2. [`take_filled`](MessageArena::take_filled) moves the row into the
-//!    [`Router`](crate::Router) (one pointer move per destination);
-//! 3. [`Router::exchange_into`](crate::Router::exchange_into) drains
-//!    every buffer in place, leaving them empty with capacity intact;
+//! 2. [`take_filled`](MessageArena::take_filled) lends the row to the
+//!    superstep loop ([`bsp::drive`](crate::bsp::drive)) — one pointer move
+//!    per destination;
+//! 3. the loop's [`Program::deliver`](crate::bsp::Program::deliver) folds
+//!    every buffer into its destination machine where it lies and leaves
+//!    it drained, capacity intact — the staged rows are the exchange,
+//!    there is no second copy;
 //! 4. [`put_drained`](MessageArena::put_drained) hands the drained row
 //!    back for the next superstep.
 //!
@@ -35,7 +38,7 @@ use crate::MachineId;
 #[derive(Clone, Debug)]
 pub struct MessageArena<M> {
     /// `boxes[to]` — messages staged for machine `to`. Empty (`len == 0`,
-    /// outer `Vec` too) while the row is lent to the router.
+    /// outer `Vec` too) while the row is lent to the superstep loop.
     boxes: Vec<Vec<M>>,
     num_machines: usize,
     /// Largest number of messages staged in a single superstep.
@@ -85,18 +88,15 @@ impl<M> MessageArena<M> {
         self.high_water
     }
 
-    /// Moves the filled row out (for [`Router::put_rows`]), leaving the
-    /// arena rowless until [`put_drained`](MessageArena::put_drained)
-    /// returns it.
-    ///
-    /// [`Router::put_rows`]: crate::Router::put_rows
+    /// Moves the filled row out (for the exchange), leaving the arena
+    /// rowless until [`put_drained`](MessageArena::put_drained) returns it.
     pub fn take_filled(&mut self) -> Vec<Vec<M>> {
         let row = std::mem::take(&mut self.boxes);
         self.high_water = self.high_water.max(row.iter().map(Vec::len).sum());
         row
     }
 
-    /// Returns a drained row after the exchange. The row must match this
+    /// Returns a drained row after the delivery. The row must match this
     /// arena's machine count and be fully drained — handing back a
     /// non-empty row would leak its messages into the next superstep.
     ///
@@ -125,26 +125,33 @@ impl<M> MessageArena<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Router;
+
+    /// What a delivery does to the lent rows: `rows[from][to]` drained
+    /// into `inboxes[to]`, ascending sender.
+    fn deliver<M>(rows: &mut [Vec<Vec<M>>]) -> Vec<Vec<M>> {
+        let mut inboxes: Vec<Vec<M>> = rows.iter().map(|_| Vec::new()).collect();
+        for row in rows.iter_mut() {
+            for (to, staged) in row.iter_mut().enumerate() {
+                inboxes[to].append(staged);
+            }
+        }
+        inboxes
+    }
 
     #[test]
     fn lifecycle_round_trip_through_the_router() {
         let mut arenas: Vec<MessageArena<u32>> = (0..3).map(|_| MessageArena::new(3)).collect();
-        let mut router: Router<u32> = Router::new(3);
-        let mut ex = crate::router::Exchange::default();
 
         arenas[0].push(1, 10);
         arenas[0].push(1, 11);
         arenas[2].push(0, 20);
         assert_eq!(arenas[0].staged(), 2);
 
-        router
-            .put_rows(arenas.iter_mut().map(MessageArena::take_filled).collect())
-            .unwrap();
-        router.exchange_into(&mut ex);
-        assert_eq!(ex.inboxes[1], vec![10, 11]);
-        assert_eq!(ex.inboxes[0], vec![20]);
-        for (arena, row) in arenas.iter_mut().zip(router.take_rows()) {
+        let mut rows: Vec<_> = arenas.iter_mut().map(MessageArena::take_filled).collect();
+        let inboxes = deliver(&mut rows);
+        assert_eq!(inboxes[1], vec![10, 11]);
+        assert_eq!(inboxes[0], vec![20]);
+        for (arena, row) in arenas.iter_mut().zip(rows) {
             arena.put_drained(row);
         }
         assert_eq!(arenas[0].staged(), 0);
@@ -155,17 +162,13 @@ mod tests {
     #[test]
     fn capacity_survives_the_drain() {
         let mut arena: MessageArena<u64> = MessageArena::new(2);
-        let mut router: Router<u64> = Router::new(2);
-        let mut ex = crate::router::Exchange::default();
         for step in 0..4 {
             for i in 0..100 {
                 arena.push((i % 2) as MachineId, i);
             }
-            router
-                .put_rows(vec![arena.take_filled(), vec![Vec::new(), Vec::new()]])
-                .unwrap();
-            router.exchange_into(&mut ex);
-            arena.put_drained(router.take_rows().swap_remove(0));
+            let mut rows = vec![arena.take_filled(), vec![Vec::new(), Vec::new()]];
+            assert_eq!(deliver(&mut rows).iter().map(Vec::len).sum::<usize>(), 100);
+            arena.put_drained(rows.swap_remove(0));
             assert_eq!(arena.staged(), 0);
             if step > 0 {
                 // The drained buffers keep their high-water capacity.

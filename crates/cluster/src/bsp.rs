@@ -3,13 +3,27 @@
 //! [`drive`] owns everything about a run that does not depend on what a
 //! machine computes: the superstep counter and its replay high-water
 //! mark, panic-versus-injected-crash recovery (two strikes at one
-//! superstep end the run), link-fault accounting on the staged rows, the
-//! exchange and the hand-back of drained rows, checkpoint cadence and
+//! superstep end the run), the exchange (below), checkpoint cadence and
 //! cost, straggler scaling, and the [`IterationRecord`] plus the
 //! `compute`/`comm`/`replay` span attributes of every superstep. An
 //! engine supplies a per-machine kernel ([`Machine`]) and a [`Program`]
-//! that says what one machine computes, what happens to an inbox, how
-//! traffic is charged, and when the run is over.
+//! that says what one machine computes, how a machine folds a row it
+//! was sent, how traffic is charged, and when the run is over.
+//!
+//! # The exchange
+//!
+//! The `k × k` rows the machines staged *are* the exchange:
+//! `rows[from][to]` is what `from` sends `to`, and nothing is copied into
+//! an inbox. The loop takes every machine's rows (a row that does not
+//! cover every destination is a [`RouterError`], not an out-of-bounds
+//! index), reads the per-machine sent / received counts and the
+//! link-fault overhead off the row lengths, and hands the matrix to
+//! [`Program::deliver`], which folds `rows[from][to]` into machine `to`
+//! for `from` ascending — the delivery order every bit-identity guarantee
+//! rests on, and the one the process backend's workers follow too — and
+//! leaves every row drained. The rows then go back to the arenas they
+//! came from, capacity intact. So a superstep's messages exist once, in
+//! the buffers they were staged in.
 //!
 //! The initial state is an implicit (free) checkpoint, so recovery works
 //! with checkpointing disabled, at the price of replaying from superstep
@@ -22,15 +36,49 @@
 
 use crate::exec::{collect_results, for_each_machine, ExecMode};
 use crate::{
-    CostModel, Exchange, FaultPlan, FaultState, IterationRecord, MachineFailure, MachineId, Router,
-    RouterError, Telemetry, UnrecoverableFailure, WorkUnits,
+    CostModel, FaultPlan, FaultState, IterationRecord, MachineFailure, MachineId, Telemetry,
+    UnrecoverableFailure, WorkUnits,
 };
 use bpart_obs::analysis::Timings;
+use bpart_obs::metrics::Counter;
 use bpart_obs::SpanGuard;
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// One machine's outgoing rows: `rows[to]` holds what it staged for `to`.
 pub type Rows<M> = Vec<Vec<M>>;
+
+/// A machine's staged row does not cover every destination: the exchange
+/// indexes `rows[from][to]`, so a short row would surface as a confusing
+/// out-of-bounds panic and a long one would silently drop the excess
+/// destinations. Typed (rather than an `assert!`) so [`drive`] ends the
+/// run with an [`UnrecoverableFailure`] instead of aborting the process.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RouterError {
+    /// The offending sender.
+    pub sender: MachineId,
+    /// Machines in the run.
+    pub expected: usize,
+    /// Destinations in that sender's row.
+    pub got: usize,
+}
+
+impl fmt::Display for RouterError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let RouterError {
+            sender,
+            expected,
+            got,
+        } = self;
+        write!(
+            f,
+            "sender {sender}'s row must cover every destination ({expected}), got {got}"
+        )
+    }
+}
+
+impl std::error::Error for RouterError {}
 
 /// One machine's superstep kernel, as the loop sees it.
 pub trait Machine: Send {
@@ -85,13 +133,15 @@ pub trait Program: Sync {
     /// injected crashes fire; returns the work each one is charged for.
     fn computed(&mut self, out: Vec<Self::Computed>, span: &mut SpanGuard) -> Vec<WorkUnits>;
 
-    /// Hands every machine its inbox (sender order) after the exchange;
-    /// returns the further work each one is charged for.
+    /// Delivers the exchange in place: folds `rows[from][to]` into
+    /// `machines[to]` for `from` ascending, draining every row (the rows
+    /// go back to their machines next, which insist they are empty);
+    /// returns the further work each machine is charged for.
     fn deliver(
         &mut self,
         superstep: usize,
         machines: &mut [Self::Machine],
-        inboxes: &mut [Vec<Msg<Self>>],
+        rows: &mut [Rows<Msg<Self>>],
     ) -> Vec<WorkUnits>;
 
     /// Told after a rollback that the run resumes at `superstep`: whatever
@@ -100,9 +150,10 @@ pub trait Program: Sync {
     fn rolled_back(&mut self, _superstep: usize) {}
 
     /// Per-machine `(sent, received)` message counts the communication
-    /// phase is charged for: by default what crossed the exchange.
-    fn traffic(&self, ex: &Exchange<Msg<Self>>) -> (Vec<u64>, Vec<u64>) {
-        (ex.sent.clone(), ex.received.clone())
+    /// phase is charged for: by default `sent` and `received`, what
+    /// crossed the exchange.
+    fn traffic(&self, sent: &[u64], received: &[u64]) -> (Vec<u64>, Vec<u64>) {
+        (sent.to_vec(), received.to_vec())
     }
 }
 
@@ -152,10 +203,10 @@ pub fn drive<P: Program>(
     // the run ever got, so replays can be flagged.
     let (mut superstep, mut high_water) = (0usize, 0usize);
     let mut failures_at: HashMap<usize, u32> = HashMap::new();
-    // The router and exchange persist across supersteps so their buffers,
-    // like the kernels' arenas, keep their high-water capacity.
-    let mut router: Router<Msg<P>> = Router::new(k);
-    let mut ex: Exchange<Msg<P>> = Exchange::default();
+    // `rows[from][to]`, lent by the machines for the length of an exchange.
+    let mut rows: Vec<Rows<Msg<P>>> = Vec::with_capacity(k);
+    static MESSAGES: OnceLock<&'static Counter> = OnceLock::new();
+    static BYTES: OnceLock<&'static Counter> = OnceLock::new();
     let straggle = |faults: &FaultState, superstep: usize, compute: &mut [f64]| {
         for (m, c) in compute.iter_mut().enumerate() {
             *c *= faults.compute_factor(superstep, m as MachineId);
@@ -208,29 +259,36 @@ pub fn drive<P: Program>(
             }
 
             // ---- exchange ----------------------------------------------------
-            let rows = machines.iter_mut().map(Machine::take_rows).collect();
-            if let Err(e) = router.put_rows(rows) {
-                let machine = match e {
-                    RouterError::DestArity { sender, .. } => sender,
-                    RouterError::SenderArity { .. } => 0,
-                };
-                return Err(UnrecoverableFailure {
-                    superstep,
-                    machine,
-                    failure: MachineFailure::Panic(Box::new(e.to_string())),
-                });
+            for (from, s) in machines.iter_mut().enumerate() {
+                let row = s.take_rows();
+                if row.len() != k {
+                    let e = RouterError {
+                        sender: from as MachineId,
+                        expected: k,
+                        got: row.len(),
+                    };
+                    return Err(UnrecoverableFailure {
+                        superstep,
+                        machine: e.sender,
+                        failure: MachineFailure::Panic(Box::new(e.to_string())),
+                    });
+                }
+                rows.push(row);
             }
             // Link faults act on the staged wire payload: a drop costs the
             // sender a retransmission, a duplicate costs the receiver a
             // discarded copy. Payloads still arrive exactly once.
+            let (mut sent, mut received) = (vec![0u64; k], vec![0u64; k]);
             let (mut sent_extra, mut received_extra) = (vec![0u64; k], vec![0u64; k]);
             let mut link_events = 0u64;
-            if cfg.faults.has_link_faults() {
-                for (from, row) in router.staged_matrix().iter().enumerate() {
-                    for (to, &count) in row.iter().enumerate() {
-                        if count == 0 {
-                            continue;
-                        }
+            let link_faults = cfg.faults.has_link_faults();
+            let mut exchange = bpart_obs::span("cluster.exchange");
+            for (from, row) in rows.iter().enumerate() {
+                for (to, staged) in row.iter().enumerate() {
+                    let count = staged.len() as u64;
+                    sent[from] += count;
+                    received[to] += count;
+                    if link_faults && count > 0 {
                         let overhead = faults.link_overhead(
                             superstep,
                             from as MachineId,
@@ -243,11 +301,19 @@ pub fn drive<P: Program>(
                     }
                 }
             }
-            router.exchange_into(&mut ex);
-            for (s, row) in machines.iter_mut().zip(router.take_rows()) {
+            let messages: u64 = sent.iter().sum();
+            exchange.attr("messages", messages);
+            MESSAGES
+                .get_or_init(|| bpart_obs::metrics::counter("exchange.messages"))
+                .add(messages);
+            BYTES
+                .get_or_init(|| bpart_obs::metrics::counter("exchange.bytes"))
+                .add(messages * std::mem::size_of::<Msg<P>>() as u64);
+            drop(exchange);
+            let delivered = program.deliver(superstep, machines, &mut rows);
+            for (s, row) in machines.iter_mut().zip(rows.drain(..)) {
                 s.return_rows(row);
             }
-            let delivered = program.deliver(superstep, machines, &mut ex.inboxes);
             for (c, w) in compute.iter_mut().zip(&delivered) {
                 *c += cfg.cost.compute_time(w);
             }
@@ -267,7 +333,7 @@ pub fn drive<P: Program>(
 
             // ---- telemetry ---------------------------------------------------
             straggle(&faults, superstep, &mut compute);
-            let (mut sent, received) = program.traffic(&ex);
+            let (mut sent, received) = program.traffic(&sent, &received);
             let comm: Vec<f64> = (0..k)
                 .map(|m| {
                     sent[m] += sent_extra[m];

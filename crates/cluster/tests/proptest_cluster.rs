@@ -1,40 +1,150 @@
-//! Property-based tests for the BSP simulator: message conservation,
-//! telemetry bounds, and exec-mode equivalence hold for arbitrary inputs.
+//! Property-based tests for the BSP simulator: message conservation and
+//! delivery order through the superstep loop, telemetry bounds, and
+//! exec-mode equivalence hold for arbitrary inputs.
 
+use bpart_cluster::bsp::{self, Machine, Program, Rows};
 use bpart_cluster::exec::{for_each_machine, ExecMode};
 use bpart_cluster::{
-    CostModel, FaultPlan, FaultState, IterationRecord, Router, Telemetry, WorkUnits,
+    CostModel, FaultPlan, FaultState, IterationRecord, MachineId, MessageArena, RouterError,
+    Telemetry, WorkUnits,
 };
+use bpart_obs::SpanGuard;
 use proptest::prelude::*;
+
+/// A machine that stages what the script says and records, in delivery
+/// order, the `(sender, payload)` of everything it is handed.
+struct Node {
+    id: MachineId,
+    arena: MessageArena<u16>,
+    seen: Vec<(MachineId, u16)>,
+    /// Destinations in the row it hands the loop (`k` when sane).
+    arity: usize,
+}
+
+impl Machine for Node {
+    type Msg = u16;
+    type Snapshot = ();
+
+    fn take_rows(&mut self) -> Rows<u16> {
+        let mut row = self.arena.take_filled();
+        row.resize_with(self.arity, Vec::new);
+        row
+    }
+    fn return_rows(&mut self, rows: Rows<u16>) {
+        self.arena.put_drained(rows);
+    }
+    fn snapshot(&self) {}
+    fn restore(&mut self, _: &()) {}
+    fn state_units(_: &()) -> u64 {
+        0
+    }
+}
+
+/// One superstep that sends `sends` (`(from, to, payload)`, in order).
+struct Script<'a> {
+    sends: &'a [(MachineId, MachineId, u16)],
+}
+
+impl Program for Script<'_> {
+    type Machine = Node;
+    type Computed = ();
+
+    fn open(&mut self, superstep: usize, _: &[Node]) -> Option<SpanGuard> {
+        (superstep == 0).then(|| bpart_obs::span("cluster.superstep"))
+    }
+    fn compute(&self, node: &mut Node) {
+        for &(from, to, payload) in self.sends {
+            if from == node.id {
+                node.arena.push(to, payload);
+            }
+        }
+    }
+    fn computed(&mut self, out: Vec<()>, _: &mut SpanGuard) -> Vec<WorkUnits> {
+        vec![WorkUnits::default(); out.len()]
+    }
+    fn deliver(&mut self, _: usize, nodes: &mut [Node], rows: &mut [Rows<u16>]) -> Vec<WorkUnits> {
+        for (to, node) in nodes.iter_mut().enumerate() {
+            for (from, row) in rows.iter_mut().enumerate() {
+                node.seen
+                    .extend(row[to].drain(..).map(|p| (from as MachineId, p)));
+            }
+        }
+        vec![WorkUnits::default(); nodes.len()]
+    }
+}
+
+const K: usize = 6;
+
+fn nodes() -> Vec<Node> {
+    (0..K)
+        .map(|id| Node {
+            id: id as MachineId,
+            arena: MessageArena::new(K),
+            seen: Vec::new(),
+            arity: K,
+        })
+        .collect()
+}
+
+const MODES: [ExecMode; 2] = [ExecMode::Sequential, ExecMode::Threaded];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Every staged message is delivered exactly once, to its destination,
+    /// senders ascending and each sender's append order kept; the loop's
+    /// `sent` / `received` are the row lengths.
     #[test]
     fn router_conserves_every_message(
-        sends in prop::collection::vec((0u32..6, 0u32..6, 0u16..100), 0..200)
+        sends in prop::collection::vec((0u32..K as u32, 0u32..K as u32, 0u16..100), 0..200),
+        mode in 0usize..2,
     ) {
-        let mut router: Router<u16> = Router::new(6);
-        for &(from, to, payload) in &sends {
-            router.send(from, to, payload);
+        let mut nodes = nodes();
+        let cfg = bsp::Config { mode: MODES[mode], ..bsp::Config::default() };
+        let (telemetry, supersteps) =
+            bsp::drive(&cfg, &mut Script { sends: &sends }, &mut nodes).unwrap();
+        prop_assert_eq!(supersteps, 1);
+        for (to, node) in nodes.iter().enumerate() {
+            // A stable sort by sender of what was addressed to `to` is the
+            // one order the delivery may produce.
+            let mut expect: Vec<(MachineId, u16)> = sends
+                .iter()
+                .filter(|&&(_, t, _)| t as usize == to)
+                .map(|&(from, _, p)| (from, p))
+                .collect();
+            expect.sort_by_key(|&(from, _)| from);
+            prop_assert_eq!(&node.seen, &expect);
+            prop_assert_eq!(node.arena.staged(), 0);
         }
-        prop_assert_eq!(router.staged(), sends.len() as u64);
-        let ex = router.exchange();
-        prop_assert_eq!(ex.sent.iter().sum::<u64>(), sends.len() as u64);
-        prop_assert_eq!(ex.received.iter().sum::<u64>(), sends.len() as u64);
-        let delivered: usize = ex.inboxes.iter().map(Vec::len).sum();
-        prop_assert_eq!(delivered, sends.len());
-        // Per-destination counts match.
-        for to in 0..6usize {
-            let expect = sends.iter().filter(|&&(_, t, _)| t as usize == to).count();
-            prop_assert_eq!(ex.inboxes[to].len(), expect);
+        let record = &telemetry.records()[0];
+        let cost = CostModel::default();
+        for m in 0..K {
+            let sent = sends.iter().filter(|&&(f, _, _)| f as usize == m).count() as u64;
+            let received = sends.iter().filter(|&&(_, t, _)| t as usize == m).count() as u64;
+            prop_assert_eq!(record.sent[m], sent);
+            prop_assert_eq!(record.comm[m], cost.comm_time(sent, received));
         }
-        // Payload multiset is preserved.
-        let mut sent_payloads: Vec<u16> = sends.iter().map(|&(_, _, p)| p).collect();
-        let mut got_payloads: Vec<u16> = ex.inboxes.into_iter().flatten().collect();
-        sent_payloads.sort_unstable();
-        got_payloads.sort_unstable();
-        prop_assert_eq!(sent_payloads, got_payloads);
+        prop_assert_eq!(telemetry.total_messages(), sends.len() as u64);
+    }
+
+    /// A row that is short or long ends the run with the typed arity error:
+    /// no out-of-bounds panic, no silently dropped destination.
+    #[test]
+    fn malformed_rows_are_a_typed_error(
+        sender in 0usize..K,
+        arity in 0usize..2 * K,
+        mode in 0usize..2,
+    ) {
+        prop_assume!(arity != K);
+        let mut nodes = nodes();
+        nodes[sender].arity = arity;
+        let cfg = bsp::Config { mode: MODES[mode], ..bsp::Config::default() };
+        let sends = [(0, 1, 7), (sender as MachineId, 0, 8)];
+        let err = bsp::drive(&cfg, &mut Script { sends: &sends }, &mut nodes).unwrap_err();
+        prop_assert_eq!(err.machine as usize, sender);
+        let expected = RouterError { sender: sender as MachineId, expected: K, got: arity };
+        prop_assert_eq!(err.failure.panic_message(), Some(&*expected.to_string()));
+        prop_assert!(nodes.iter().all(|n| n.seen.is_empty()));
     }
 
     #[test]

@@ -334,6 +334,11 @@ fn stream_assign_sequential(
     weight_delta: &(impl Fn(VertexId) -> f64 + Sync),
 ) -> StreamOutcome {
     let mut pass = begin_pass(graph, config, weight_delta);
+    // A fresh pass in ascending order has placed nothing but vertices below
+    // `v` when it reaches `v`, and adjacency lists are sorted: only a list's
+    // prefix below `v` can be in a part, the rest would be tallied into the
+    // trash slot.
+    let only_below = config.previous.is_none() && config.order.windows(2).all(|w| w[0] < w[1]);
     for &v in config.order {
         let out_deg = graph.out_degree(v) as u64;
         let delta = weight_delta(v);
@@ -344,8 +349,12 @@ fn stream_assign_sequential(
         }
         // Undirected neighborhood, out- then in-neighbors; `place` folds
         // the chain, so each direction is its own plain slice loop.
-        let neighbours = graph.out_neighbors(v).iter().chain(graph.in_neighbors(v));
-        pass.place(v, out_deg, delta, neighbours.copied());
+        let (mut out, mut inn) = (graph.out_neighbors(v), graph.in_neighbors(v));
+        if only_below {
+            out = &out[..out.partition_point(|&w| w < v)];
+            inn = &inn[..inn.partition_point(|&w| w < v)];
+        }
+        pass.place(v, out_deg, delta, out.iter().chain(inn).copied());
     }
     finish_pass(pass, Vec::new())
 }

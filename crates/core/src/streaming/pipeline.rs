@@ -207,11 +207,11 @@ pub fn stream_assign_ooc(shards: &ShardSet, config: &OocConfig) -> Result<OocOut
 }
 
 /// The shard loop: places every record of every reader, in order, through
-/// `pass`. Readers are opened lazily, one at a time; the previous mapping is
-/// dropped before the next is created. Fails with a typed error on a reader
-/// error, on a record that is not the next unplaced vertex, on a neighbour
-/// id outside the pass, and when the readers run out before the pass is
-/// full.
+/// `pass`, which must be fresh (nothing placed). Readers are opened lazily,
+/// one at a time; the previous mapping is dropped before the next is
+/// created. Fails with a typed error on a reader error, on a record that is
+/// not the next unplaced vertex, on a neighbour id outside the pass, and
+/// when the readers run out before the pass is full.
 fn place_shards(
     mut pass: Pass,
     readers: impl Iterator<Item = Result<ShardReader, PioError>>,
@@ -235,17 +235,18 @@ fn place_shards(
                     rec.vertex
                 )));
             }
-            // Neighbour ids are validated in the same pass that tallies
-            // them: the decode notes an id outside the pass and hands the
-            // kernel a clamped one, so a corrupt id can neither index out of
-            // bounds nor go unreported — the pass it polluted is dropped.
+            // Every neighbour id is validated in the pass that tallies them,
+            // so a corrupt id can neither index out of bounds nor go
+            // unreported — the pass it polluted is dropped. Only ids below
+            // the record's own reach the kernel: records arrive in ascending
+            // order into a fresh pass, so no other vertex is in a part yet.
             let mut bad = None;
-            let neighbours = rec.nbrs().map(|w| {
+            let v = rec.vertex;
+            let neighbours = rec.nbrs().filter(|&w| {
                 if w > last {
                     bad = Some(w);
-                    return last;
                 }
-                w
+                w < v
             });
             let delta = delta_of(rec.out_deg);
             pass.place(rec.vertex, rec.out_deg as u64, delta, neighbours);

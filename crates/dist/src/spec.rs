@@ -167,7 +167,6 @@ impl GraphSource {
             ClusterError::unrecoverable(format!("{path}: {e}"))
         };
         match self {
-            // Binary graphs parse out of an mmap view when possible.
             GraphSource::File(path) if is_binary_graph(path) => {
                 io::load_binary(path).map_err(|e| named(path, &e))
             }

@@ -14,9 +14,7 @@ use crate::kernel::{MachineStep, ScatterOutcome};
 use crate::program::VertexProgram;
 use bpart_cluster::bsp::{self, Msg};
 use bpart_cluster::exec::ExecMode;
-use bpart_cluster::{
-    Cluster, CostModel, Exchange, FaultPlan, Telemetry, UnrecoverableFailure, WorkUnits,
-};
+use bpart_cluster::{Cluster, CostModel, FaultPlan, Telemetry, UnrecoverableFailure, WorkUnits};
 use bpart_core::Partition;
 use bpart_graph::CsrGraph;
 use bpart_obs::SpanGuard;
@@ -117,18 +115,20 @@ impl<P: VertexProgram> bsp::Program for Iterate<'_, P> {
         &mut self,
         superstep: usize,
         steps: &mut [MachineStep<P>],
-        inboxes: &mut [Vec<Msg<Self>>],
+        rows: &mut [bsp::Rows<Msg<Self>>],
     ) -> Vec<WorkUnits> {
         self.any_active = false;
-        // Sequential over machines; inboxes are drained (not consumed) so
-        // the exchange buffers carry their capacity into the next round.
+        // Sequential over machines; rows are drained (not consumed) so the
+        // arenas they return to keep their capacity.
         steps
             .iter_mut()
-            .zip(inboxes)
-            .map(|(s, inbox)| {
-                // The inbox is already in sender order; the kernel folds
-                // its own self row after it.
-                s.fold(self.program, inbox.drain(..));
+            .enumerate()
+            .map(|(to, s)| {
+                // Ascending sender; the kernel folds its own self row
+                // (whose slot here is empty) after them.
+                for row in rows.iter_mut() {
+                    s.fold(self.program, row[to].drain(..));
+                }
                 let applied = s.apply(self.program, superstep, self.aggregate);
                 self.any_active |= applied.any_active;
                 applied.work
@@ -136,10 +136,10 @@ impl<P: VertexProgram> bsp::Program for Iterate<'_, P> {
             .collect()
     }
 
-    fn traffic(&self, ex: &Exchange<Msg<Self>>) -> (Vec<u64>, Vec<u64>) {
+    fn traffic(&self, sent: &[u64], received: &[u64]) -> (Vec<u64>, Vec<u64>) {
         match self.comm {
             CommAccounting::PerEdgeUpdate => self.raw.clone(),
-            CommAccounting::Combined => (ex.sent.clone(), ex.received.clone()),
+            CommAccounting::Combined => (sent.to_vec(), received.to_vec()),
         }
     }
 }

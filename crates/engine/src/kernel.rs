@@ -3,8 +3,8 @@
 //! [`MachineStep`] is one machine's share of a superstep — aggregate,
 //! scatter, drain to per-destination rows, inbox fold, apply, scratch
 //! clear, snapshot/restore — and the only implementation of it: the
-//! thread backend ([`IterationEngine`](crate::IterationEngine)) moves the
-//! rows through the in-memory router, the process backend
+//! thread backend ([`IterationEngine`](crate::IterationEngine)) folds the
+//! rows where the senders staged them, the process backend
 //! (`bpart_dist::step::IterWorker`) encodes them into frames. Both call
 //! the same methods in the same order, so their results are bit-identical
 //! by construction.

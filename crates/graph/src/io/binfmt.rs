@@ -13,9 +13,24 @@
 //!
 //! The in-adjacency is rebuilt on load rather than stored — it is fully
 //! derivable and the rebuild is a linear counting sort.
+//!
+//! # One decoder
+//!
+//! Every way in — [`load_binary`](super::load_binary) on a file,
+//! [`read_binary`] on a reader, [`read_binary_bytes`] on a slice — is
+//! [`decode`] over a [`Read`]: the arrays are `read_exact` in pieces of at
+//! most [`PIECE`] bytes, decoded into the `Vec`s the [`CsrGraph`] keeps and
+//! checked while the piece is in cache. The input is never resident as a
+//! whole beside the arrays it becomes.
+//!
+//! When the input's length is known (a file, a slice) the header's counts
+//! are held against it before anything is allocated, and the arrays are
+//! then reserved exactly. When it is not (a reader), nothing is reserved
+//! ahead: the arrays grow with the bytes that arrive, so a header that
+//! promises 2⁴⁰ edges costs what its body actually delivers.
 
 use crate::{CsrGraph, Edge, GraphError, VertexId};
-use std::io::{BufWriter, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
 pub(crate) const MAGIC: [u8; 4] = *b"BPGR";
 pub(crate) const VERSION: u32 = 1;
@@ -28,130 +43,157 @@ pub(crate) const HEADER_LEN: usize = 4 + 4 + 8 + 8;
 /// allocation before the first offset is even read).
 pub(crate) const MAX_VERTICES: u64 = u32::MAX as u64;
 
-/// Validated header of a binary CSR file: `(n, m)` once magic, version,
-/// declared sizes, and the offset invariants have all been checked against
-/// `bytes`. Shared by the owned parser ([`read_binary_bytes`]) and the
-/// out-of-core view ([`super::oocsr::MappedCsr`]), so both accept exactly
-/// the same files.
-pub(crate) fn validate_header(bytes: &[u8]) -> Result<(usize, u64, Vec<u64>), GraphError> {
-    let truncated = || GraphError::Format("truncated header".into());
-    let magic = bytes.get(..4).ok_or_else(truncated)?;
+/// Bytes per `read_exact` / `write_all`: large enough that the call is
+/// noise beside the bytes it moves, small enough to be decoded and
+/// checked out of the private cache.
+const PIECE: usize = 64 * 1024;
+
+/// `read_exact`, an early end of input reported as the format error it is.
+fn fill<R: Read>(reader: &mut R, buf: &mut [u8], what: &str) -> Result<(), GraphError> {
+    reader.read_exact(buf).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => GraphError::Format(format!("truncated {what}")),
+        _ => GraphError::Io(e),
+    })
+}
+
+/// Reads `count` little-endian `W`-byte elements, a piece at a time, into
+/// a `Vec` — reserved up front only when `reserve` says the count has been
+/// held against the input's length — and hands every decoded piece to
+/// `check` together with the index of its first element.
+fn read_array<R: Read, T, const W: usize>(
+    reader: &mut R,
+    count: u64,
+    reserve: bool,
+    what: &str,
+    decode: impl Fn([u8; W]) -> T,
+    mut check: impl FnMut(&[T], usize) -> Result<(), GraphError>,
+) -> Result<Vec<T>, GraphError> {
+    let mut out: Vec<T> = Vec::with_capacity(if reserve { count as usize } else { 0 });
+    let mut buf = vec![0u8; PIECE.min((count as usize).saturating_mul(W))];
+    while (out.len() as u64) < count {
+        let start = out.len();
+        let take = ((count - start as u64).min((PIECE / W) as u64)) as usize;
+        let bytes = &mut buf[..take * W];
+        fill(reader, bytes, what)?;
+        out.extend(
+            bytes
+                .chunks_exact(W)
+                .map(|c| decode(c.try_into().expect("chunks_exact(W)"))),
+        );
+        check(&out[start..], start)?;
+    }
+    Ok(out)
+}
+
+/// Reads and validates everything up to the targets: magic, version, the
+/// declared counts — against `len`, the input's total length, when that is
+/// known — and the offsets array (starts at 0, monotone, ends at `m`).
+/// Returns `(n, m, offsets)`. Shared by [`decode`] and the out-of-core view
+/// ([`super::oocsr::MappedCsr`]), so both accept exactly the same files.
+pub(crate) fn read_offsets<R: Read>(
+    reader: &mut R,
+    len: Option<u64>,
+) -> Result<(usize, u64, Vec<u64>), GraphError> {
+    // Field by field, so a short input still reports the most specific
+    // problem (bad magic beats "truncated").
+    let mut magic = [0u8; 4];
+    fill(reader, &mut magic, "header")?;
     if magic != MAGIC {
         return Err(GraphError::Format(format!("bad magic {magic:?}")));
     }
-    let version = u32::from_le_bytes(bytes.get(4..8).ok_or_else(truncated)?.try_into().unwrap());
+    let mut version = [0u8; 4];
+    fill(reader, &mut version, "header")?;
+    let version = u32::from_le_bytes(version);
     if version != VERSION {
         return Err(GraphError::Format(format!("unsupported version {version}")));
     }
-    let header = bytes.get(..HEADER_LEN).ok_or_else(truncated)?;
-    let n64 = u64::from_le_bytes(header[8..16].try_into().unwrap());
+    let mut counts = [0u8; 16];
+    fill(reader, &mut counts, "header")?;
+    let n64 = u64::from_le_bytes(counts[..8].try_into().expect("8 bytes"));
+    let m = u64::from_le_bytes(counts[8..].try_into().expect("8 bytes"));
     if n64 > MAX_VERTICES {
         return Err(GraphError::Format(format!(
             "vertex count {n64} exceeds the u32 id space"
         )));
     }
     let n = n64 as usize;
-    let m64 = u64::from_le_bytes(header[16..24].try_into().unwrap());
-    let need = HEADER_LEN as u128 + (n as u128 + 1) * 8 + m64 as u128 * 4;
-    if (bytes.len() as u128) < need {
-        return Err(GraphError::Format(format!(
-            "file too short: {} bytes, header declares n = {n}, m = {m64}",
-            bytes.len()
-        )));
+    if let Some(len) = len {
+        let need = HEADER_LEN as u128 + (n as u128 + 1) * 8 + m as u128 * 4;
+        if (len as u128) < need {
+            return Err(GraphError::Format(format!(
+                "file too short: {len} bytes, header declares n = {n}, m = {m}"
+            )));
+        }
     }
-    let offsets_end = HEADER_LEN + (n + 1) * 8;
-    let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
-    offsets.extend(
-        bytes[HEADER_LEN..offsets_end]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
-    );
-    if offsets.first() != Some(&0) || offsets.last() != Some(&m64) {
+    let mut last = 0u64;
+    let offsets = read_array(
+        reader,
+        n64 + 1,
+        len.is_some(),
+        "offsets",
+        u64::from_le_bytes,
+        |piece, start| {
+            if start == 0 && piece[0] != 0 {
+                return Err(GraphError::Format("offset array endpoints invalid".into()));
+            }
+            for &o in piece {
+                if o < last {
+                    return Err(GraphError::Format("offsets not monotone".into()));
+                }
+                last = o;
+            }
+            Ok(())
+        },
+    )?;
+    if last != m {
         return Err(GraphError::Format("offset array endpoints invalid".into()));
     }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(GraphError::Format("offsets not monotone".into()));
-    }
-    Ok((n, m64, offsets))
+    Ok((n, m, offsets))
 }
 
-/// Serializes a graph to the binary CSR format.
-pub fn write_binary<W: Write>(graph: &CsrGraph, writer: W) -> Result<(), GraphError> {
-    let mut bw = BufWriter::new(writer);
-    bw.write_all(&MAGIC)?;
-    bw.write_all(&VERSION.to_le_bytes())?;
-    bw.write_all(&(graph.num_vertices() as u64).to_le_bytes())?;
-    bw.write_all(&(graph.num_edges() as u64).to_le_bytes())?;
-    for &o in graph.raw_offsets() {
-        bw.write_all(&o.to_le_bytes())?;
-    }
-    for &t in graph.raw_targets() {
-        bw.write_all(&t.to_le_bytes())?;
-    }
-    bw.flush()?;
-    Ok(())
-}
-
-/// Deserializes a graph from the binary CSR format, validating the header
-/// and the offset invariants.
+/// The one decoder. `len` is the input's total length when the caller
+/// knows it (see the module docs for what that buys).
 ///
-/// Owned-read convenience: slurps the stream and delegates to
-/// [`read_binary_bytes`]. When the source is a file, prefer
-/// [`load_binary`](super::load_binary), which memory-maps it instead of
-/// copying it through a `Vec`.
-pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    read_binary_bytes(&bytes)
-}
-
-/// Deserializes a graph from an in-memory byte view of the binary CSR
-/// format — the parser behind both [`read_binary`] and the mmap-backed
-/// [`load_binary`](super::load_binary).
-///
-/// Validation happens *before* any allocation: the header's declared
-/// counts are checked against `bytes.len()`, so a corrupt or truncated
-/// header fails with a clean format error instead of driving a huge
-/// pre-allocation. The offsets/targets regions are then bulk-decoded
-/// straight out of the view (`chunks_exact` + `from_le_bytes`, which the
-/// compiler lowers to wide copies on little-endian targets — no
-/// per-element reader calls, no intermediate buffers), and the
-/// in-adjacency is rebuilt with a single counting-sort pass. Trailing
-/// bytes after the arrays are ignored, matching the streaming reader's
-/// historical behaviour.
-pub fn read_binary_bytes(bytes: &[u8]) -> Result<CsrGraph, GraphError> {
-    // Field-by-field header checks (inside `validate_header`), so a short
-    // buffer still reports the most specific problem (bad magic beats
-    // "truncated").
-    let (n, m64, offsets) = validate_header(bytes)?;
-    let m = m64 as usize;
-    let offsets_end = HEADER_LEN + (n + 1) * 8;
-    let mut targets: Vec<VertexId> = Vec::with_capacity(m);
-    targets.extend(
-        bytes[offsets_end..offsets_end + m * 4]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
-    );
-    if let Some(&t) = targets.iter().find(|&&t| t as usize >= n) {
-        return Err(GraphError::Format(format!(
-            "target {t} out of range (n = {n})"
-        )));
-    }
-
-    // Fast path for well-formed files (everything `write_binary` emits):
-    // adjacency lists arrive sorted, so the arrays can be adopted as-is
-    // and only the in-adjacency needs deriving.
-    let lists_sorted = (0..n).all(|v| {
-        targets[offsets[v] as usize..offsets[v + 1] as usize]
-            .windows(2)
-            .all(|w| w[0] <= w[1])
-    });
-    if lists_sorted {
+/// Targets are range-checked (the error names the id) and tested for
+/// per-list sortedness piece by piece as they arrive. Sorted lists —
+/// everything [`write_binary`] emits — are adopted as they are and only
+/// the in-adjacency is derived; unsorted ones (a foreign writer) are
+/// rebuilt through [`CsrGraph::from_edges`], which re-establishes the
+/// per-list sort invariant. Bytes after the arrays are not read.
+pub(crate) fn decode<R: Read>(reader: &mut R, len: Option<u64>) -> Result<CsrGraph, GraphError> {
+    let (n, m, offsets) = read_offsets(reader, len)?;
+    // A list is sorted iff every descent `targets[i-1] > targets[i]` sits
+    // on a list boundary; `list` walks the offsets as descents are met.
+    let (mut prev, mut list, mut sorted) = (0 as VertexId, 0usize, true);
+    let targets = read_array(
+        reader,
+        m,
+        len.is_some(),
+        "targets",
+        VertexId::from_le_bytes,
+        |piece, start| {
+            for (i, &t) in piece.iter().enumerate() {
+                if t as usize >= n {
+                    return Err(GraphError::Format(format!(
+                        "target {t} out of range (n = {n})"
+                    )));
+                }
+                if t < prev && sorted {
+                    let at = (start + i) as u64;
+                    while offsets[list] < at {
+                        list += 1;
+                    }
+                    sorted = offsets[list] == at;
+                }
+                prev = t;
+            }
+            Ok(())
+        },
+    )?;
+    if sorted {
         return Ok(CsrGraph::from_sorted_csr(offsets, targets));
     }
-    // Unsorted lists (a foreign writer): rebuild through the public
-    // constructor, which re-establishes the per-list sort invariant.
-    let mut edges: Vec<Edge> = Vec::with_capacity(m);
+    let mut edges: Vec<Edge> = Vec::with_capacity(targets.len());
     for v in 0..n {
         for &t in &targets[offsets[v] as usize..offsets[v + 1] as usize] {
             edges.push((v as VertexId, t));
@@ -160,32 +202,113 @@ pub fn read_binary_bytes(bytes: &[u8]) -> Result<CsrGraph, GraphError> {
     Ok(CsrGraph::from_edges(n, &edges))
 }
 
+/// Serializes a graph to the binary CSR format, one `write_all` per
+/// [`PIECE`] of encoded bytes.
+pub fn write_binary<W: Write>(graph: &CsrGraph, mut writer: W) -> Result<(), GraphError> {
+    let mut buf: Vec<u8> = Vec::with_capacity(HEADER_LEN + PIECE);
+    buf.extend_from_slice(&MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(graph.num_vertices() as u64).to_le_bytes());
+    buf.extend_from_slice(&(graph.num_edges() as u64).to_le_bytes());
+    for piece in graph.raw_offsets().chunks(PIECE / 8) {
+        buf.extend(piece.iter().flat_map(|o| o.to_le_bytes()));
+        writer.write_all(&buf)?;
+        buf.clear();
+    }
+    for piece in graph.raw_targets().chunks(PIECE / 4) {
+        buf.extend(piece.iter().flat_map(|t| t.to_le_bytes()));
+        writer.write_all(&buf)?;
+        buf.clear();
+    }
+    writer.flush()?;
+    Ok(())
+}
+
+/// Deserializes a graph from a reader of unknown length: [`decode`] with
+/// nothing reserved ahead of the bytes that arrive. When the source is a
+/// file, [`load_binary`](super::load_binary) knows its length and reserves
+/// each array once.
+pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
+    decode(&mut reader, None)
+}
+
+/// Deserializes a graph from an in-memory byte view of the binary CSR
+/// format: [`decode`] over the slice, its length known. Trailing bytes
+/// after the arrays are ignored.
+pub fn read_binary_bytes(mut bytes: &[u8]) -> Result<CsrGraph, GraphError> {
+    let len = bytes.len() as u64;
+    decode(&mut bytes, Some(len))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// `bytes` through every way in: [`load_binary`](crate::io::load_binary)
+    /// on a file holding them, [`read_binary`] on a reader over them,
+    /// [`read_binary_bytes`] on the slice.
+    fn decode_all(bytes: &[u8]) -> [Result<CsrGraph, GraphError>; 3] {
+        static FILES: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "bpart-binfmt-test-{}-{}.bpgr",
+            std::process::id(),
+            FILES.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        let from_file = crate::io::load_binary(&path);
+        std::fs::remove_file(&path).unwrap();
+        [from_file, read_binary(bytes), read_binary_bytes(bytes)]
+    }
+
+    /// Every entry point rejects `bytes`, naming `needle`.
+    fn assert_rejected(bytes: &[u8], needle: &str) {
+        for (entry, result) in decode_all(bytes).into_iter().enumerate() {
+            let err = result.expect_err("corrupt input decoded").to_string();
+            assert!(err.contains(needle), "entry {entry}: {err}");
+        }
+    }
+
+    /// Every entry point decodes `bytes`, to the same graph.
+    fn assert_decoded(bytes: &[u8]) -> CsrGraph {
+        let [a, b, c] = decode_all(bytes).map(Result::unwrap);
+        assert_eq!(a, b);
+        assert_eq!(a, c);
+        a
+    }
+
+    fn encoded(g: &CsrGraph) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_binary(g, &mut buf).unwrap();
+        buf
+    }
 
     #[test]
     fn round_trip_random_graph() {
         let g = generate::erdos_renyi(300, 2_000, 17);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(buf.as_slice()).unwrap();
-        assert_eq!(g, g2);
+        assert_eq!(assert_decoded(&encoded(&g)), g);
     }
 
     #[test]
     fn round_trip_empty_graph() {
         let g = CsrGraph::from_edges(5, &[]);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        assert_eq!(read_binary(buf.as_slice()).unwrap(), g);
+        assert_eq!(assert_decoded(&encoded(&g)), g);
+    }
+
+    #[test]
+    fn arrays_longer_than_a_piece_round_trip() {
+        // Offsets (8 B × 20 001) and targets (4 B × 120 000) both span
+        // several pieces, so list boundaries and descents straddle them.
+        let g = generate::erdos_renyi(20_000, 120_000, 5);
+        let bytes = encoded(&g);
+        assert!(bytes.len() > 8 * PIECE);
+        assert_eq!(assert_decoded(&bytes), g);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let err = read_binary(&b"NOPE\x01\x00\x00\x00"[..]).unwrap_err();
-        assert!(err.to_string().contains("bad magic"));
+        assert_rejected(b"NOPE\x01\x00\x00\x00", "bad magic");
     }
 
     #[test]
@@ -196,17 +319,16 @@ mod tests {
         buf.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes()); // offsets[0]
-        let err = read_binary(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("version"));
+        assert_rejected(&buf, "version");
     }
 
     #[test]
     fn truncated_input_rejected() {
-        let g = generate::ring(10);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        buf.truncate(buf.len() - 3);
-        assert!(read_binary(buf.as_slice()).is_err());
+        let buf = encoded(&generate::ring(10));
+        // Mid-targets, mid-offsets, and right after the header.
+        for cut in [buf.len() - 3, HEADER_LEN + 20, HEADER_LEN] {
+            assert_rejected(&buf[..cut], "");
+        }
     }
 
     /// Byte offset of `offsets[i]` in the file layout.
@@ -216,22 +338,19 @@ mod tests {
 
     #[test]
     fn non_monotone_offsets_rejected() {
-        let g = generate::ring(4); // offsets [0, 1, 2, 3, 4]
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
+        let mut buf = encoded(&generate::ring(4)); // offsets [0, 1, 2, 3, 4]
         buf[offset_pos(1)..offset_pos(2)].copy_from_slice(&3u64.to_le_bytes());
-        let err = read_binary(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("not monotone"), "{err}");
+        assert_rejected(&buf, "not monotone");
     }
 
     #[test]
     fn offset_endpoint_mismatching_m_rejected() {
-        let g = generate::ring(4);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
+        let mut buf = encoded(&generate::ring(4));
         buf[offset_pos(4)..offset_pos(5)].copy_from_slice(&5u64.to_le_bytes());
-        let err = read_binary(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("endpoints invalid"), "{err}");
+        assert_rejected(&buf, "endpoints invalid");
+        let mut buf = encoded(&generate::ring(4));
+        buf[offset_pos(0)..offset_pos(1)].copy_from_slice(&1u64.to_le_bytes());
+        assert_rejected(&buf, "endpoints invalid");
     }
 
     #[test]
@@ -241,8 +360,7 @@ mod tests {
         buf.extend_from_slice(&VERSION.to_le_bytes());
         buf.extend_from_slice(&(u32::MAX as u64 + 1).to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());
-        let err = read_binary(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("u32 id space"), "{err}");
+        assert_rejected(&buf, "u32 id space");
     }
 
     #[test]
@@ -256,26 +374,23 @@ mod tests {
         buf.extend_from_slice(&(u32::MAX as u64).to_le_bytes());
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes()); // offsets[0], then EOF
-        assert!(read_binary(buf.as_slice()).is_err());
+        assert_rejected(&buf, "");
     }
 
     #[test]
     fn truncated_header_rejected() {
-        assert!(read_binary(&b"BPGR\x01\x00"[..]).is_err());
-        assert!(read_binary(&b"BP"[..]).is_err());
-        assert!(read_binary(&b""[..]).is_err());
+        for short in [&b"BPGR\x01\x00"[..], b"BP", b""] {
+            assert_rejected(short, "truncated header");
+        }
     }
 
     #[test]
     fn out_of_range_target_rejected() {
-        let g = generate::ring(4);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
+        let mut buf = encoded(&generate::ring(4));
         // Corrupt the last target to an out-of-range id.
         let len = buf.len();
         buf[len - 4..].copy_from_slice(&100u32.to_le_bytes());
-        let err = read_binary(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("out of range"), "{err}");
+        assert_rejected(&buf, "target 100 out of range");
     }
 
     #[test]
@@ -284,8 +399,7 @@ mod tests {
         // must still normalize them exactly like the old streaming reader
         // (which rebuilt through `from_edges`).
         let g = CsrGraph::from_edges(3, &[(0, 2), (0, 1), (1, 0)]);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
+        let mut buf = encoded(&g);
         // Swap vertex 0's two (sorted) targets so the list arrives as
         // [2, 1].
         let t0 = offset_pos(4); // targets start after offsets[0..=3]
@@ -294,17 +408,66 @@ mod tests {
         let second = u32::from_le_bytes(buf[b..b + 4].try_into().unwrap());
         buf[a..a + 4].copy_from_slice(&second.to_le_bytes());
         buf[b..b + 4].copy_from_slice(&first.to_le_bytes());
-        let reloaded = read_binary_bytes(&buf).unwrap();
-        assert_eq!(reloaded, g, "lists are re-sorted on load");
+        assert_eq!(assert_decoded(&buf), g, "lists are re-sorted on load");
+    }
+
+    #[test]
+    fn a_descent_on_a_list_boundary_is_not_unsorted() {
+        // [.., 3] | [0, ..]: the descent sits between two lists, also when
+        // empty lists share the boundary.
+        let g = CsrGraph::from_edges(5, &[(0, 3), (0, 4), (3, 0), (3, 1), (4, 0)]);
+        assert_eq!(assert_decoded(&encoded(&g)), g);
     }
 
     #[test]
     fn trailing_bytes_are_ignored() {
         let g = generate::erdos_renyi(50, 300, 3);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
+        let mut buf = encoded(&g);
         buf.extend_from_slice(b"junk after the arrays");
-        assert_eq!(read_binary_bytes(&buf).unwrap(), g);
+        assert_eq!(assert_decoded(&buf), g);
+    }
+
+    /// Hands out one byte per `read`, the least a reader may.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.len().min(buf.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_reader_of_single_bytes_decodes_the_same_graph() {
+        let g = generate::erdos_renyi(400, 3_000, 9);
+        let bytes = encoded(&g);
+        assert_eq!(read_binary(Trickle(&bytes)).unwrap(), g);
+        let err = read_binary(Trickle(&bytes[..bytes.len() - 1])).unwrap_err();
+        assert!(err.to_string().contains("truncated targets"), "{err}");
+    }
+
+    #[test]
+    fn write_binary_emits_whole_pieces() {
+        /// Counts the `write`s it is handed and their smallest size.
+        struct Pieces(Vec<usize>);
+        impl Write for Pieces {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let g = generate::erdos_renyi(20_000, 120_000, 5);
+        let mut pieces = Pieces(Vec::new());
+        write_binary(&g, &mut pieces).unwrap();
+        assert_eq!(pieces.0.iter().sum::<usize>(), encoded(&g).len());
+        // All but the last piece of each array carry a full 64 KiB.
+        let short = pieces.0.iter().filter(|&&len| len < PIECE).count();
+        assert!(short <= 2, "{:?}", pieces.0);
     }
 
     #[cfg(unix)]

@@ -1,8 +1,11 @@
 //! Read-only memory-mapped file views (unix only).
 //!
 //! [`Mmap`] maps a file `PROT_READ`/`MAP_PRIVATE` and exposes it as a
-//! `&[u8]`, letting the binary-graph loader parse straight out of the
-//! page cache instead of copying the file through an owned buffer.
+//! `&[u8]`, for the readers that serve data out of the page cache for as
+//! long as they live ([`MappedCsr`](super::MappedCsr), the partitioner's
+//! shard readers). [`load_binary`](super::load_binary) copies the file into
+//! the graph's own arrays and maps nothing: a mapping held beside them
+//! would count the file twice in the resident set.
 //!
 //! # Safety argument
 //!
@@ -26,10 +29,8 @@
 //! The one hazard mmap cannot rule out: if *another process* truncates
 //! the file while it is mapped, touching pages past the new end raises
 //! `SIGBUS`. Binary graph artifacts are written once and read many
-//! times; callers that cannot assume that should use the owned-read
-//! fallback ([`read_binary`](super::read_binary)), which
-//! [`load_binary`](super::load_binary) also takes automatically whenever
-//! mapping fails.
+//! times; callers that cannot assume that should read the file instead
+//! ([`load_binary`](super::load_binary)).
 
 use std::fs::File;
 use std::io;

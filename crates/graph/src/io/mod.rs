@@ -2,9 +2,11 @@
 //!
 //! * [`text`] — whitespace-separated `src dst` lines with `#` comments, the
 //!   format SNAP/KONECT dumps use, so real datasets drop in unchanged.
-//! * [`binfmt`] — fixed-header little-endian CSR dump for fast reloads.
-//! * [`mmap`] — read-only file mappings backing [`load_binary`]'s
-//!   zero-copy load path (unix only; other platforms use the owned read).
+//! * [`binfmt`] — fixed-header little-endian CSR dump for fast reloads,
+//!   read by one streamed decoder whatever the source.
+//! * [`mmap`] — read-only file mappings (unix only) for the readers that
+//!   serve data *from* the file: [`MappedCsr`] and the partitioner's shards.
+//!   Loading a graph maps nothing.
 //! * [`oocsr`] — out-of-core CSR view ([`MappedCsr`]) serving adjacency
 //!   straight from the mapping with `O(n)` resident memory.
 
@@ -21,23 +23,13 @@ pub use text::{read_edge_list, write_edge_list};
 use crate::{CsrGraph, GraphError};
 use std::path::Path;
 
-/// Loads a binary CSR graph from `path`.
-///
-/// Prefers parsing straight out of a memory-mapped view of the file
-/// (no owned copy of the bytes); falls back to an ordinary owned read
-/// when mapping is unavailable (non-unix platforms) or fails. Both paths
-/// run the same validated parser ([`read_binary_bytes`]) and produce
-/// identical graphs.
+/// Loads a binary CSR graph from `path`: the header's counts are held
+/// against the file's length before anything is allocated, then the arrays
+/// are read in 64 KiB pieces into the `Vec`s the graph keeps (the decoder
+/// of [`binfmt`]). The file is never mapped or held whole, so the load's
+/// peak is the graph's own.
 pub fn load_binary<P: AsRef<Path>>(path: P) -> Result<CsrGraph, GraphError> {
-    let path = path.as_ref();
-    #[cfg(unix)]
-    {
-        if let Ok(file) = std::fs::File::open(path) {
-            if let Ok(map) = mmap::Mmap::map(&file) {
-                return read_binary_bytes(&map);
-            }
-        }
-    }
-    let bytes = std::fs::read(path)?;
-    read_binary_bytes(&bytes)
+    let mut file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    binfmt::decode(&mut file, Some(len))
 }

@@ -10,9 +10,9 @@
 //!
 //! Contrast with [`load_binary`](super::load_binary), which materializes a
 //! full [`CsrGraph`] (owned out- *and* in-adjacency, `O(n + m)` resident).
-//! Both paths validate the same header invariants via the shared
-//! [`binfmt::validate_header`](super::binfmt) checks, so a file one
-//! accepts the other accepts.
+//! Both validate the header and the offsets with the same
+//! [`binfmt::read_offsets`](super::binfmt), so a file one accepts the other
+//! accepts.
 //!
 //! # Zero-copy safety
 //!
@@ -29,7 +29,7 @@
 //! way the public API is identical; [`is_zero_copy`](MappedCsr::is_zero_copy)
 //! reports which mode was selected.
 
-use super::binfmt::{validate_header, HEADER_LEN};
+use super::binfmt::{read_offsets, HEADER_LEN};
 use crate::{GraphError, VertexId};
 use std::path::Path;
 
@@ -75,7 +75,7 @@ impl MappedCsr {
 
     #[cfg(unix)]
     fn from_map(map: Mmap) -> Result<MappedCsr, GraphError> {
-        let (n, m, offsets) = validate_header(&map)?;
+        let (n, m, offsets) = read_offsets(&mut &map[..], Some(map.len() as u64))?;
         let targets_start = HEADER_LEN + (n + 1) * 8;
         let targets_bytes = &map[targets_start..targets_start + m as usize * 4];
         // Little-endian + aligned: keep the map and borrow from it.
@@ -98,7 +98,7 @@ impl MappedCsr {
     }
 
     fn from_owned_bytes(bytes: &[u8]) -> Result<MappedCsr, GraphError> {
-        let (n, m, offsets) = validate_header(bytes)?;
+        let (n, m, offsets) = read_offsets(&mut &bytes[..], Some(bytes.len() as u64))?;
         let targets_start = HEADER_LEN + (n + 1) * 8;
         let mut targets: Vec<VertexId> = Vec::with_capacity(m as usize);
         targets.extend(

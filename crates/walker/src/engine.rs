@@ -132,10 +132,12 @@ impl<A: WalkApp + ?Sized> bsp::Program for Walk<'_, A> {
         &mut self,
         _superstep: usize,
         steps: &mut [WalkStep],
-        inboxes: &mut [Vec<Walker>],
+        rows: &mut [bsp::Rows<Walker>],
     ) -> Vec<WorkUnits> {
-        for (s, inbox) in steps.iter_mut().zip(inboxes) {
-            s.absorb(inbox);
+        for (to, s) in steps.iter_mut().enumerate() {
+            for row in rows.iter_mut() {
+                s.absorb(&mut row[to]);
+            }
             if let Some(paths) = &mut self.paths {
                 s.take_triples()
                     .try_for_each(|(id, step, v)| paths.place(id, step, v))

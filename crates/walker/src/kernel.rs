@@ -3,8 +3,8 @@
 //! [`WalkStep`] is one machine's share of a walk superstep — one step of
 //! every queued walker, routing into "stays" and per-destination rows,
 //! inbox absorb, snapshot/restore, seeding — and the only implementation
-//! of it: the thread backend ([`WalkEngine`](crate::WalkEngine)) moves the
-//! rows through the in-memory router, the process backend
+//! of it: the thread backend ([`WalkEngine`](crate::WalkEngine)) absorbs
+//! the rows where the senders staged them, the process backend
 //! (`bpart_dist::step::WalkWorker`) encodes them into frames. It is the
 //! walk-side twin of `bpart_engine::kernel::MachineStep`.
 //!
