@@ -215,7 +215,7 @@ fn bench_engine_superstep(c: &mut Criterion) {
 /// k = 8, 16 walkers per vertex, no recording, sequential — DeepWalk (alias
 /// sampling) at the paper's 80 steps and node2vec (rejection sampling) at
 /// 40. Throughput is walker steps, so its inverse is the ns/step that
-/// `stream_scale` reports as `walk_ns_per_step` on another graph.
+/// the benchmark reports as `walker.deepwalk_ns_per_step` at full scale.
 fn bench_walk_step(c: &mut Criterion) {
     let graph = Arc::new(generate::friendster_like().generate_scaled(0.03));
     let partition = Arc::new(BPart::default().partition(&graph, 8));

@@ -8,7 +8,7 @@
 //! the fault-free time, the faulted time, the recovery share, and the
 //! overhead factor.
 
-use bpart_bench::{banner, dataset, f3, metric_slug, render_table, schemes, write_history_record};
+use bpart_bench::{banner, dataset, f3, render_table, schemes};
 use bpart_cluster::{Cluster, CostModel, FaultPlan};
 use bpart_engine::{apps::PageRank, IterationEngine};
 use bpart_walker::{apps::DeepWalk, WalkEngine, WalkStarts};
@@ -46,14 +46,12 @@ fn main() {
     let graph = Arc::new(dataset("lj_like"));
     let plan = FaultPlan::new().crash(CRASH_AT, 1);
 
-    let mut hist: Vec<(String, f64)> = Vec::new();
-    for (app, slug, run_app) in [
+    for (app, run_app) in [
         (
             "PageRank (10 iters)",
-            "pagerank",
             pagerank as fn(&Arc<_>, &Arc<_>, &FaultPlan) -> Outcome,
         ),
-        ("DeepWalk (len 10)", "deepwalk", deepwalk),
+        ("DeepWalk (len 10)", deepwalk),
     ] {
         let header: Vec<String> = [
             "scheme", "clean", "faulted", "recovery", "replays", "overhead",
@@ -65,12 +63,6 @@ fn main() {
         for scheme in schemes() {
             let partition = Arc::new(scheme.partition(&graph, MACHINES));
             let outcome = run_app(&graph, &partition, &plan);
-            let prefix = format!("{slug}_{}", metric_slug(scheme.name()));
-            // Modelled times are deterministic, so every column is safe
-            // to watch in `bpart obs diff`.
-            hist.push((format!("{prefix}_clean"), outcome.clean));
-            hist.push((format!("{prefix}_faulted"), outcome.faulted));
-            hist.push((format!("{prefix}_recovery"), outcome.recovery));
             let mut row = vec![scheme.name().to_string()];
             row.extend(outcome.row_cells());
             rows.push(row);
@@ -78,16 +70,6 @@ fn main() {
         println!("({app})");
         println!("{}", render_table(&header, &rows));
     }
-    write_history_record(
-        "faults",
-        "lj_like",
-        &[
-            ("machines", MACHINES.to_string()),
-            ("crash_at", CRASH_AT.to_string()),
-            ("checkpoint_every", CHECKPOINT_EVERY.to_string()),
-        ],
-        &hist,
-    );
     println!(
         "expected shape: recovery adds the rolled-back supersteps plus the\n\
          restore cost; the overhead factor stays modest with checkpointing\n\

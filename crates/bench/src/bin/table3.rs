@@ -1,10 +1,7 @@
 //! Table 3 — edge-cut ratio (cut edges / total edges) of the five schemes
 //! on the three datasets, k = 8.
 
-use bpart_bench::{
-    banner, datasets, f3, json, metric_slug, render_table, schemes, write_bench_json,
-    write_history_record,
-};
+use bpart_bench::{banner, datasets, f3, render_table, schemes};
 use bpart_core::metrics;
 
 fn main() {
@@ -13,36 +10,15 @@ fn main() {
     let mut header = vec!["scheme".to_string()];
     header.extend(data.iter().map(|(n, _)| n.clone()));
     let mut rows = Vec::new();
-    let mut records = Vec::new();
-    let mut hist: Vec<(String, f64)> = Vec::new();
     for scheme in schemes() {
         let mut row = vec![scheme.name().to_string()];
-        for (name, g) in &data {
+        for (_, g) in &data {
             let p = scheme.partition(g, 8);
-            let cut = metrics::edge_cut_ratio(g, &p);
-            row.push(f3(cut));
-            records.push(json::object(&[
-                ("scheme", json::string(scheme.name())),
-                ("dataset", json::string(name)),
-                ("cut_ratio", json::number(cut)),
-            ]));
-            hist.push((
-                format!("{}_{}_cut", metric_slug(scheme.name()), metric_slug(name)),
-                cut,
-            ));
+            row.push(f3(metrics::edge_cut_ratio(g, &p)));
         }
         rows.push(row);
     }
     println!("{}", render_table(&header, &rows));
-    write_bench_json(
-        "BENCH_table3.json",
-        &json::object(&[
-            ("bench", json::string("table3")),
-            ("k", "8".to_string()),
-            ("cuts", json::array(&records)),
-        ]),
-    );
-    write_history_record("table3", "all", &[("k", "8".to_string())], &hist);
     println!(
         "paper (full-scale) for comparison:\n\
          Chunk-V  0.576  0.748  0.659\n\

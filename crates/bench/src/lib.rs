@@ -14,7 +14,7 @@ use bpart_engine::{apps as eapps, IterationEngine};
 use bpart_graph::generate::{self, DatasetPreset};
 use bpart_graph::CsrGraph;
 use bpart_walker::{apps as wapps, WalkEngine, WalkStarts};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The scheme roster of the paper's §4 comparisons, in its ordering.
@@ -35,23 +35,41 @@ pub fn schemes_with_multilevel() -> Vec<Box<dyn Partitioner>> {
     all
 }
 
-/// Experiment scale factor from `BPART_SCALE` (default 0.2).
+/// `BPART_SCALE` as a scale factor: a positive, finite number.
+fn parse_scale(raw: &str) -> Result<f64, String> {
+    match raw.trim().parse::<f64>() {
+        Ok(s) if s > 0.0 && s.is_finite() => Ok(s),
+        _ => Err(format!(
+            "BPART_SCALE must be a positive number, got {raw:?}"
+        )),
+    }
+}
+
+/// Experiment scale factor from `BPART_SCALE` (default 0.2), read once per
+/// process. A value that is not a positive number ends the process with
+/// exit code 2 before any table is printed at a size nobody asked for.
 pub fn scale() -> f64 {
-    std::env::var("BPART_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|&s| s > 0.0)
-        .unwrap_or(0.2)
+    static SCALE: OnceLock<f64> = OnceLock::new();
+    *SCALE.get_or_init(|| match std::env::var("BPART_SCALE") {
+        Err(_) => 0.2,
+        Ok(raw) => parse_scale(&raw).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        }),
+    })
 }
 
 /// All three dataset presets generated at the harness scale.
 pub fn datasets() -> Vec<(String, CsrGraph)> {
-    let s = scale();
+    datasets_at(scale())
+}
+
+fn datasets_at(scale: f64) -> Vec<(String, CsrGraph)> {
     generate::ALL_PRESETS
         .iter()
         .map(|p| {
             let preset: DatasetPreset = p();
-            (preset.name.to_string(), preset.generate_scaled(s))
+            (preset.name.to_string(), preset.generate_scaled(scale))
         })
         .collect()
 }
@@ -101,106 +119,16 @@ pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
 
 /// Prints a banner naming the experiment and its configuration.
 pub fn banner(experiment: &str, detail: &str) {
+    let scale = scale();
     println!("== {experiment} ==");
     println!("   {detail}");
-    println!("   scale = {} (set BPART_SCALE to change)", scale());
+    println!("   scale = {scale} (set BPART_SCALE to change)");
     println!();
 }
 
 /// Formats a float with three decimals (the tables' standard precision).
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")
-}
-
-/// Minimal JSON emission for the `BENCH_*.json` CI artifacts. The workspace
-/// deliberately carries no serde; the harness output is flat enough that
-/// string assembly is all that is needed.
-pub mod json {
-    /// Quotes and escapes a string value.
-    pub fn string(v: &str) -> String {
-        let mut out = String::with_capacity(v.len() + 2);
-        out.push('"');
-        for c in v.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    /// Renders a float; non-finite values (which JSON cannot carry) become
-    /// `null`.
-    pub fn number(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            "null".to_string()
-        }
-    }
-
-    /// `{"k": v, ...}` from already-rendered values.
-    pub fn object(fields: &[(&str, String)]) -> String {
-        let body: Vec<String> = fields
-            .iter()
-            .map(|(k, v)| format!("{}: {v}", string(k)))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-
-    /// `[v, ...]` from already-rendered values.
-    pub fn array(items: &[String]) -> String {
-        format!("[{}]", items.join(", "))
-    }
-}
-
-/// Writes a `BENCH_*.json` artifact into the current directory and echoes
-/// the path, so CI can pick it up with a glob.
-pub fn write_bench_json(name: &str, payload: &str) {
-    std::fs::write(name, payload).unwrap_or_else(|e| panic!("cannot write {name}: {e}"));
-    println!("wrote {name}");
-}
-
-/// Lowercases a scheme/app label into a history-metric slug
-/// (`BPart-P1` → `bpart_p1`).
-pub fn metric_slug(label: &str) -> String {
-    label
-        .chars()
-        .map(|c| match c {
-            '-' | ' ' | '.' => '_',
-            c => c.to_ascii_lowercase(),
-        })
-        .collect()
-}
-
-/// Writes a run-history record to `results/history/<bench>.json` so CI
-/// can regression-diff headline bench metrics across commits with
-/// `bpart obs diff` (see DESIGN.md §11). The record carries the harness
-/// scale so mismatched baselines are visible in the diff header.
-pub fn write_history_record(
-    bench: &str,
-    graph: &str,
-    config: &[(&str, String)],
-    metrics: &[(String, f64)],
-) {
-    let mut rec = bpart_obs::history::RunRecord::new(bench, graph);
-    rec.set_config("scale", scale());
-    for (k, v) in config {
-        rec.set_config(k, v);
-    }
-    for (k, v) in metrics {
-        rec.set_metric(k, *v);
-    }
-    let path = format!("results/history/{bench}.json");
-    rec.write(std::path::Path::new(&path))
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("wrote {path}");
 }
 
 /// The paper's seven-application names in Fig. 14's order: five
@@ -255,10 +183,16 @@ mod tests {
 
     #[test]
     fn datasets_come_in_paper_order() {
-        std::env::set_var("BPART_SCALE", "0.01");
-        let names: Vec<_> = datasets().into_iter().map(|(n, _)| n).collect();
+        let names: Vec<_> = datasets_at(0.01).into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["lj_like", "twitter_like", "friendster_like"]);
-        std::env::remove_var("BPART_SCALE");
+    }
+
+    #[test]
+    fn a_scale_is_a_positive_number_or_an_error_naming_what_was_given() {
+        assert_eq!(parse_scale("0.02"), Ok(0.02));
+        for bad in ["O.2", "", "0", "-1", "nan", "inf"] {
+            assert!(parse_scale(bad).unwrap_err().contains(&format!("{bad:?}")));
+        }
     }
 
     #[test]
@@ -287,17 +221,5 @@ mod tests {
     #[should_panic(expected = "unknown preset")]
     fn unknown_dataset_panics() {
         dataset("nope");
-    }
-
-    #[test]
-    fn json_helpers_render_valid_documents() {
-        assert_eq!(json::string("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(json::number(1.5), "1.5");
-        assert_eq!(json::number(f64::INFINITY), "null");
-        let doc = json::object(&[
-            ("name", json::string("x")),
-            ("vals", json::array(&[json::number(1.0), json::number(2.0)])),
-        ]);
-        assert_eq!(doc, r#"{"name": "x", "vals": [1, 2]}"#);
     }
 }

@@ -89,12 +89,7 @@ pub enum Command {
     /// `bpart worker --connect ADDR --worker-id N --key K
     /// [--heartbeat-ms MS]` — internal: one supervised BSP worker
     /// process, spawned by the process backend (not listed in usage).
-    Worker {
-        connect: String,
-        worker_id: u32,
-        key: u64,
-        heartbeat_ms: u64,
-    },
+    Worker(bpart_dist::WorkerConfig),
     /// `bpart report TRACE... [--critical-path] [--profile]
     /// [--straggler-factor F]` — multiple traces (driver + per-worker
     /// exports) merge into one aligned view; `--profile` reads folded
@@ -412,34 +407,9 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 obs,
             })
         }
-        "worker" => {
-            let (flags, positional) = split_flags(&rest)?;
-            if !positional.is_empty() {
-                return Err(err(format!(
-                    "worker takes no positional arguments, got {positional:?}"
-                )));
-            }
-            let connect = get_required(&flags, "connect")?;
-            let worker_id: u32 = get_required(&flags, "worker-id")?
-                .parse()
-                .map_err(|_| err("bad --worker-id"))?;
-            let key: u64 = get_required(&flags, "key")?
-                .parse()
-                .map_err(|_| err("bad --key"))?;
-            let heartbeat_ms: u64 = match get_optional(&flags, "heartbeat-ms") {
-                Some(s) => s
-                    .parse()
-                    .map_err(|_| err(format!("bad --heartbeat-ms {s:?}")))?,
-                None => 100,
-            };
-            check_unknown(&flags, &["connect", "worker-id", "key", "heartbeat-ms"])?;
-            Ok(Command::Worker {
-                connect,
-                worker_id,
-                key,
-                heartbeat_ms,
-            })
-        }
+        "worker" => bpart_dist::WorkerConfig::from_args(rest.iter().map(|s| s.to_string()))
+            .map(Command::Worker)
+            .map_err(err),
         "report" => {
             // `--critical-path` / `--profile` are the CLI's boolean flags;
             // `split_flags` treats every `--x` as value-taking, so pull
@@ -1124,14 +1094,21 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Worker {
+            Command::Worker(bpart_dist::WorkerConfig {
                 connect: "127.0.0.1:4000".into(),
                 worker_id: 2,
                 key: 99,
-                heartbeat_ms: 100,
-            }
+                heartbeat: std::time::Duration::from_millis(100),
+            })
         );
         assert!(p(&["worker", "--connect", "x"]).is_err());
+        let rest = ["--worker-id", "0", "--key", "1"];
+        let with = |flag| p(&[&["worker", "--connect", "x"], &rest[..], &[flag, "0"]].concat());
+        match with("--heartbeat-ms").unwrap() {
+            Command::Worker(cfg) => assert_eq!(cfg.heartbeat.as_millis(), 1),
+            other => panic!("expected Worker, got {other:?}"),
+        }
+        assert!(with("--bogus").is_err());
     }
 
     #[test]

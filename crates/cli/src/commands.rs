@@ -119,19 +119,9 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             exports.finish(&mut text)?;
             Ok(text)
         }
-        Command::Worker {
-            connect,
-            worker_id,
-            key,
-            heartbeat_ms,
-        } => {
-            bpart_dist::run_worker(bpart_dist::WorkerConfig {
-                connect: connect.clone(),
-                worker_id: *worker_id,
-                key: *key,
-                heartbeat: std::time::Duration::from_millis((*heartbeat_ms).max(1)),
-            })
-            .map_err(|e| fail(format!("worker {worker_id} failed: {e}")))?;
+        Command::Worker(cfg) => {
+            bpart_dist::run_worker(cfg.clone())
+                .map_err(|e| fail(format!("worker {} failed: {e}", cfg.worker_id)))?;
             Ok(String::new())
         }
         Command::Report {
@@ -214,6 +204,9 @@ impl<'a> ObsExports<'a> {
         if self.obs.serve_addr.is_some() {
             bpart_obs::alerts::stop_evaluator();
         }
+        // `proc.peak_rss_bytes` as late as the snapshot can carry it: every
+        // path of the command has run.
+        bpart_dist::publish_peak_rss();
         let local = bpart_obs::snapshot::Snapshot::capture(&mut 0);
         if self.obs.trace_out.is_some()
             || self.obs.serve_addr.is_some()

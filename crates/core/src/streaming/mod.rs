@@ -188,16 +188,6 @@ impl StreamStats {
         }
     }
 
-    /// Streaming throughput in edges per second — the headline hot-path
-    /// metric (the score loop's cost scales with edges, not vertices).
-    pub fn edges_per_sec(&self) -> f64 {
-        if self.secs > 0.0 {
-            self.edges as f64 / self.secs
-        } else {
-            0.0
-        }
-    }
-
     /// Fraction of wall time spent in synchronization barriers. Clamped to
     /// non-negative so clock jitter on near-zero runs cannot surface as a
     /// (cosmetic) negative zero.
@@ -823,7 +813,6 @@ mod tests {
         assert_eq!(a.buffers, 3);
         assert_eq!(a.threads, 4);
         assert!((a.vertices_per_sec() - 100.0).abs() < 1e-9);
-        assert!((a.edges_per_sec() - 600.0).abs() < 1e-9);
         assert!((a.sync_stall_ratio() - (0.5 / 1.5)).abs() < 1e-9);
     }
 }

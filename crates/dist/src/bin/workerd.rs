@@ -5,53 +5,9 @@
 
 use bpart_dist::{run_worker, WorkerConfig};
 use std::process::ExitCode;
-use std::time::Duration;
-
-fn parse_args() -> Result<WorkerConfig, String> {
-    let mut connect = None;
-    let mut worker_id = None;
-    let mut key = None;
-    let mut heartbeat_ms = 100u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("missing value for {flag}"))
-        };
-        match flag.as_str() {
-            "--connect" => connect = Some(value("--connect")?),
-            "--worker-id" => {
-                worker_id = Some(
-                    value("--worker-id")?
-                        .parse::<u32>()
-                        .map_err(|e| format!("--worker-id: {e}"))?,
-                )
-            }
-            "--key" => {
-                key = Some(
-                    value("--key")?
-                        .parse::<u64>()
-                        .map_err(|e| format!("--key: {e}"))?,
-                )
-            }
-            "--heartbeat-ms" => {
-                heartbeat_ms = value("--heartbeat-ms")?
-                    .parse::<u64>()
-                    .map_err(|e| format!("--heartbeat-ms: {e}"))?
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(WorkerConfig {
-        connect: connect.ok_or("missing --connect")?,
-        worker_id: worker_id.ok_or("missing --worker-id")?,
-        key: key.ok_or("missing --key")?,
-        heartbeat: Duration::from_millis(heartbeat_ms.max(1)),
-    })
-}
 
 fn main() -> ExitCode {
-    let cfg = match parse_args() {
+    let cfg = match WorkerConfig::from_args(std::env::args().skip(1)) {
         Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("bpart-workerd: {e}");

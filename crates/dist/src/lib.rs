@@ -166,7 +166,7 @@ pub fn publish_parts(vertex_counts: &[u64], edge_counts: &[u64]) {
 }
 
 /// Gauge `proc.peak_rss_bytes`: this process's peak resident set so far.
-pub(crate) fn publish_peak_rss() {
+pub fn publish_peak_rss() {
     if let Some(peak) = bpart_obs::rss::peak_rss_bytes() {
         bpart_obs::metrics::gauge("proc.peak_rss_bytes").set(peak as f64);
     }

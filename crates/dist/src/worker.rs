@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 const OBS_FLUSH_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Worker process configuration (parsed from the command line).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkerConfig {
     /// Driver address (`host:port`).
     pub connect: String,
@@ -54,6 +54,38 @@ pub struct WorkerConfig {
     pub key: u64,
     /// Heartbeat interval.
     pub heartbeat: Duration,
+}
+
+impl WorkerConfig {
+    /// Parses the flags the driver starts a worker with — `--connect ADDR
+    /// --worker-id N --key K [--heartbeat-ms MS]`, 100 ms when not given,
+    /// at least 1 — for every entry point a worker has (`bpart-workerd`,
+    /// `bpart worker`).
+    pub fn from_args(mut args: impl Iterator<Item = String>) -> Result<WorkerConfig, String> {
+        fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+            value.parse().map_err(|_| format!("bad {flag} {value:?}"))
+        }
+        let (mut connect, mut worker_id, mut key) = (None, None, None);
+        let mut heartbeat_ms = 100u64;
+        while let Some(flag) = args.next() {
+            let value = args
+                .next()
+                .ok_or_else(|| format!("missing value for {flag}"))?;
+            match flag.as_str() {
+                "--connect" => connect = Some(value),
+                "--worker-id" => worker_id = Some(number(&flag, &value)?),
+                "--key" => key = Some(number(&flag, &value)?),
+                "--heartbeat-ms" => heartbeat_ms = number(&flag, &value)?,
+                other => return Err(format!("unknown flag {other}")),
+            }
+        }
+        Ok(WorkerConfig {
+            connect: connect.ok_or("missing --connect")?,
+            worker_id: worker_id.ok_or("missing --worker-id")?,
+            key: key.ok_or("missing --key")?,
+            heartbeat: Duration::from_millis(heartbeat_ms.max(1)),
+        })
+    }
 }
 
 /// The cluster of machine `machine` under a shipped placement: the driver's

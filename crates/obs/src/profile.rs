@@ -40,8 +40,6 @@ struct ThreadStack {
 
 struct ProfilerState {
     enabled: AtomicBool,
-    /// Sampling rounds completed (each visits every registered thread).
-    samples: AtomicU64,
     /// Non-empty-stack observations folded in (≥0 per thread per round).
     observations: AtomicU64,
     /// Weak registry: a thread's stack dies with its thread-local Arc, so
@@ -56,7 +54,6 @@ fn state() -> &'static ProfilerState {
     static STATE: OnceLock<ProfilerState> = OnceLock::new();
     STATE.get_or_init(|| ProfilerState {
         enabled: AtomicBool::new(false),
-        samples: AtomicU64::new(0),
         observations: AtomicU64::new(0),
         threads: Mutex::new(Vec::new()),
         folded: Mutex::new(HashMap::new()),
@@ -140,13 +137,7 @@ pub fn sample_once() {
         observed += 1;
     }
     drop(folded);
-    s.samples.fetch_add(1, Ordering::Relaxed);
     s.observations.fetch_add(observed, Ordering::Relaxed);
-}
-
-/// Sampling rounds taken since the last [`reset_profile`].
-pub fn sample_count() -> u64 {
-    state().samples.load(Ordering::Relaxed)
 }
 
 /// Non-empty-stack observations folded in since the last
@@ -155,12 +146,11 @@ pub fn observation_count() -> u64 {
     state().observations.load(Ordering::Relaxed)
 }
 
-/// Discards all folded counts and sample/observation counters (the thread
+/// Discards all folded counts and the observation counter (the thread
 /// registry survives — threads stay registered for their lifetime).
 pub fn reset_profile() {
     let s = state();
     s.folded.lock().unwrap_or_else(|p| p.into_inner()).clear();
-    s.samples.store(0, Ordering::Relaxed);
     s.observations.store(0, Ordering::Relaxed);
 }
 
@@ -255,7 +245,6 @@ mod tests {
         assert_eq!(ours, 2, "two samples saw the nested stack: {folded:?}");
         let total: u64 = folded.iter().map(|(_, v)| v).sum();
         assert_eq!(total, observation_count(), "folded counts must balance");
-        assert!(sample_count() >= 2);
         set_profile_enabled(false);
     }
 
@@ -308,12 +297,23 @@ mod tests {
     #[test]
     fn sampler_thread_starts_and_stops() {
         let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+        crate::set_trace_enabled(true);
+        set_profile_enabled(true);
+        reset_profile();
+        let live = crate::span("prof.sampler.live");
         assert!(start_sampler(Duration::from_millis(1)));
         assert!(!start_sampler(Duration::from_millis(1)), "idempotent");
         std::thread::sleep(Duration::from_millis(10));
         stop_sampler();
         stop_sampler(); // no-op
-        assert!(sample_count() > 0);
+        drop(live);
+        assert!(
+            folded_snapshot()
+                .iter()
+                .any(|(stack, _)| stack.ends_with("prof.sampler.live")),
+            "the sampler saw the span that was open while it ran"
+        );
+        set_profile_enabled(false);
         reset_profile();
     }
 }

@@ -1,23 +1,23 @@
 //! Process resident-memory introspection and limits (linux/unix).
 //!
-//! The out-of-core pipeline's whole claim is a memory bound, so the
-//! `stream_oom` bench and the `oom-gate` CI job need two primitives:
+//! A memory bound is only a claim until a process is held to it, so there
+//! are two primitives:
 //!
-//! * **measurement** — [`current_rss_bytes`] and [`peak_rss_bytes`] read
-//!   `VmRSS` / `VmHWM` from `/proc/self/status`. `VmHWM` is the kernel's
-//!   lifetime high-water mark for the process, which is exactly the number
-//!   an OOM killer would have seen — no sampling thread required.
+//! * **measurement** — [`peak_rss_bytes`] reads `VmHWM` from
+//!   `/proc/self/status`: the kernel's lifetime high-water mark for the
+//!   process, which is exactly the number an OOM killer would have seen —
+//!   no sampling thread required. Every process publishes it as the
+//!   `proc.peak_rss_bytes` gauge, and `crates/cli/tests/ooc_ceiling.rs` /
+//!   `resident_peak.rs` hold the real binary to a bound on it.
 //! * **enforcement** — [`set_address_space_limit`] applies `RLIMIT_AS` via
-//!   `setrlimit(2)`, so allocations beyond the ceiling *fail* instead of
-//!   merely being frowned upon. An `O(m)` slip in the streaming path then
-//!   aborts the run rather than quietly passing on a big CI host.
+//!   `setrlimit(2)` (`bpart partition --mem-ceiling`), so allocations
+//!   beyond the ceiling *fail* instead of merely being frowned upon.
 //!
 //! Constrained kernels (containers, grsecurity, non-linux) can omit or
-//! truncate `/proc/self/status` fields, so parsing goes through the
-//! typed [`try_current_rss_bytes`] / [`try_peak_rss_bytes`] API with a
-//! [`ProcStatusError`] naming exactly what went wrong — never a panic.
-//! The `Option`-returning wrappers are kept for callers (the oom gate)
-//! that treat any miss as "platform doesn't expose it".
+//! truncate `/proc/self/status` fields, so parsing goes through the typed
+//! [`try_peak_rss_bytes`] with a [`ProcStatusError`] naming exactly what
+//! went wrong — never a panic. [`peak_rss_bytes`] is for callers that
+//! treat any miss as "platform doesn't expose it".
 
 use std::fmt;
 
@@ -100,22 +100,10 @@ fn proc_status_bytes(key: &'static str) -> Result<u64, ProcStatusError> {
     }
 }
 
-/// Current resident set size in bytes (`VmRSS`), with a typed error when
-/// the kernel hides or mangles the field.
-pub fn try_current_rss_bytes() -> Result<u64, ProcStatusError> {
-    proc_status_bytes("VmRSS")
-}
-
 /// Lifetime peak resident set size in bytes (`VmHWM`), with a typed
 /// error when the kernel hides or mangles the field.
 pub fn try_peak_rss_bytes() -> Result<u64, ProcStatusError> {
     proc_status_bytes("VmHWM")
-}
-
-/// Current resident set size in bytes (`VmRSS`), if the platform exposes
-/// it.
-pub fn current_rss_bytes() -> Option<u64> {
-    try_current_rss_bytes().ok()
 }
 
 /// Lifetime peak resident set size in bytes (`VmHWM`), if the platform
@@ -149,9 +137,9 @@ mod ffi {
 ///
 /// Irreversible for the life of the process (a process may lower its soft
 /// limit but raising it back above the hard limit requires privilege), so
-/// callers apply it in a dedicated child process — see the `stream_oom`
-/// bench. Returns an error on platforms without `setrlimit` or when the
-/// kernel refuses the value.
+/// callers apply it in a process of their own (`bpart partition
+/// --mem-ceiling`). Returns an error on platforms without `setrlimit` or
+/// when the kernel refuses the value.
 pub fn set_address_space_limit(bytes: u64) -> std::io::Result<()> {
     #[cfg(unix)]
     {
@@ -252,15 +240,9 @@ VmPeak:\t  123456 kB
     #[test]
     #[cfg(target_os = "linux")]
     fn rss_readings_are_sane() {
-        let current = try_current_rss_bytes().expect("VmRSS should exist on linux");
         let peak = try_peak_rss_bytes().expect("VmHWM should exist on linux");
-        // A running test binary holds at least a few pages, and the peak
-        // can never undercut the present.
-        assert!(current > 64 * 1024, "current {current}");
-        assert!(peak >= current, "peak {peak} < current {current}");
-        // The Option wrappers agree with the typed API modulo racing
-        // allocations (both must at least be present).
-        assert!(current_rss_bytes().is_some());
+        // A running test binary has held at least a few pages.
+        assert!(peak > 64 * 1024, "peak {peak}");
         assert!(peak_rss_bytes().is_some());
     }
 
@@ -282,6 +264,6 @@ VmPeak:\t  123456 kB
 
     // set_address_space_limit is deliberately untested in-process: the
     // limit cannot be raised again and would poison every later test in
-    // this binary. The stream_oom bench exercises it end to end in a
-    // child process.
+    // this binary. `crates/cli/tests/ooc_ceiling.rs` exercises it end to
+    // end through `bpart partition --mem-ceiling`.
 }
