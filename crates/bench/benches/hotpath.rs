@@ -26,6 +26,7 @@ use bpart_walker::{CachedTransitions, PathTable, WalkApp, WalkEngine, WalkStarts
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::borrow::Cow;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The twitter_like preset at 5% — big enough that the score loop
 /// dominates, small enough for tight bench iterations.
@@ -111,11 +112,11 @@ fn bench_alias_sampling(c: &mut Criterion) {
 }
 
 /// Arena-backed superstep exchange: stage messages into per-machine
-/// arenas, lend the rows, consume every `rows[from][to]` where it was
-/// staged (ascending sender per destination, as `bsp::drive` delivers),
-/// and hand the drained rows back — the walker/iteration engines'
-/// per-superstep messaging round trip, with zero steady-state allocation
-/// and no second copy of the messages.
+/// arenas, take the rows, consume every `rows[from][to]` where it was
+/// staged (ascending sender per destination, as the walk engine's delivery
+/// does), and hand the drained rows back — the walk engine's per-superstep
+/// messaging round trip, with zero steady-state allocation and no second
+/// copy of the messages.
 fn bench_arena_exchange(c: &mut Criterion) {
     const K: usize = 8;
     const MSGS_PER_MACHINE: usize = 4_000;
@@ -176,10 +177,13 @@ fn bench_binfmt_load(c: &mut Criterion) {
 /// and a full CC run (both edge directions, shrinking frontier) at k=8.
 /// Throughput is the graph's edges per run, so the two rates are not
 /// comparable with each other, only with themselves across commits.
-/// `scatter_k8` is the scatter phase alone — every machine's signal,
-/// combine and drain into rows, then a rollback that discards them — in
+/// `scatter_k8` is the scatter phase alone — every machine's signal and
+/// combine into its send slots, then a rollback that vacates them — in
 /// the shape of the benchmark's `pr-cc-tw` workload (`twitter_like` ×0.8
 /// under BPart at k = 8): its inverse is the engine's ns per edge.
+/// `deliver_k8` is the other half of that superstep: the same scatter,
+/// untimed, then every machine folding the seven others' views of their
+/// send slots into its inbox and applying it.
 fn bench_engine_superstep(c: &mut Criterion) {
     let graph = Arc::new(bench_graph());
     let partition = Arc::new(WeightedStream::default().partition(&graph, 8));
@@ -205,6 +209,28 @@ fn bench_engine_superstep(c: &mut Criterion) {
                 black_box(step.scatter(&pagerank));
                 step.restore(snapshot);
             }
+        })
+    });
+    group.bench_function("deliver_k8", |b| {
+        b.iter_custom(|iters| {
+            let mut timed = Duration::ZERO;
+            for _ in 0..iters {
+                for (step, snapshot) in steps.iter_mut().zip(&initial) {
+                    step.restore(snapshot);
+                    step.scatter(&pagerank);
+                }
+                let start = Instant::now();
+                for to in 0..steps.len() {
+                    let (before, rest) = steps.split_at_mut(to);
+                    let (receiver, after) = rest.split_first_mut().expect("to < k");
+                    for sender in before.iter_mut().chain(after) {
+                        receiver.fold(&pagerank, sender.outgoing(to as u32));
+                    }
+                    black_box(receiver.apply(&pagerank, 0, 0.0));
+                }
+                timed += start.elapsed();
+            }
+            timed
         })
     });
     group.finish();

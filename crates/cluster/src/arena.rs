@@ -1,36 +1,35 @@
 //! Reusable per-machine message-staging arenas.
 //!
-//! A BSP superstep stages messages into per-destination buffers, ships
-//! them at the barrier, and starts over. Allocating those buffers fresh
-//! every superstep (the engines' original behaviour) churns the allocator
-//! in proportion to message volume. A [`MessageArena`] is the bump-style
-//! alternative: each machine keeps one staging row for the whole run, the
-//! buffers grow to their high-water mark once, and each superstep "resets"
-//! the arena by draining it — the capacity is retained, never dropped.
+//! A walk superstep stages its migrating walkers into per-destination
+//! buffers, ships them at the barrier, and starts over. Allocating those
+//! buffers fresh every superstep churns the allocator in proportion to
+//! message volume. A [`MessageArena`] is the bump-style alternative: each
+//! machine keeps one staging row for the whole run, the buffers grow to
+//! their high-water mark once, and each superstep "resets" the arena by
+//! draining it — the capacity is retained, never dropped. (The
+//! vertex-program kernel's accumulator slots are its messages.)
 //!
 //! Lifecycle per superstep:
 //!
 //! 1. compute phase — the owning machine [`push`](MessageArena::push)es
 //!    messages into its arena (disjoint per machine, so the threaded
 //!    executor needs no locks);
-//! 2. [`take_filled`](MessageArena::take_filled) lends the row to the
-//!    superstep loop ([`bsp::drive`](crate::bsp::drive)) — one pointer move
-//!    per destination;
-//! 3. the loop's [`Program::deliver`](crate::bsp::Program::deliver) folds
-//!    every buffer into its destination machine where it lies and leaves
-//!    it drained, capacity intact — the staged rows are the exchange,
-//!    there is no second copy;
-//! 4. [`put_drained`](MessageArena::put_drained) hands the drained row
-//!    back for the next superstep.
+//! 2. the superstep loop ([`bsp::drive`](crate::bsp::drive)) reads the
+//!    [`staged_per_destination`](MessageArena::staged_per_destination)
+//!    counts — all it ever sees of the messages;
+//! 3. the delivery [`take_filled`](MessageArena::take_filled)s the row —
+//!    one pointer move per destination — consumes every buffer where it
+//!    lies, leaving it drained with its capacity intact, and hands the row
+//!    back ([`put_drained`](MessageArena::put_drained)): the staged rows
+//!    are the exchange, there is no second copy.
 //!
 //! On a fault rollback the exchange never happens;
 //! [`reset`](MessageArena::reset) clears whatever was staged (again
 //! keeping capacity) so the replayed superstep starts from a clean arena.
 //!
-//! Message content and delivery order are completely unaffected — the
-//! arena only changes *where the bytes live*, so partitions, PageRank
-//! values, and walk traces stay bit-identical to the allocate-per-step
-//! engines (see the engines' determinism tests).
+//! Message content and delivery order are unaffected — the arena only
+//! changes *where the bytes live*, so walk traces stay bit-identical to an
+//! allocate-per-step engine (see the walk engine's determinism tests).
 
 use crate::MachineId;
 
@@ -38,7 +37,7 @@ use crate::MachineId;
 #[derive(Clone, Debug)]
 pub struct MessageArena<M> {
     /// `boxes[to]` — messages staged for machine `to`. Empty (`len == 0`,
-    /// outer `Vec` too) while the row is lent to the superstep loop.
+    /// outer `Vec` too) while the row is lent to a delivery.
     boxes: Vec<Vec<M>>,
     num_machines: usize,
     /// Largest number of messages staged in a single superstep.
@@ -60,11 +59,6 @@ impl<M> MessageArena<M> {
         }
     }
 
-    /// Number of machines (destination buffers).
-    pub fn num_machines(&self) -> usize {
-        self.num_machines
-    }
-
     /// Stages a message for machine `to`.
     #[inline]
     pub fn push(&mut self, to: MachineId, msg: M) {
@@ -74,6 +68,12 @@ impl<M> MessageArena<M> {
     /// Messages currently staged across all destinations.
     pub fn staged(&self) -> usize {
         self.boxes.iter().map(Vec::len).sum()
+    }
+
+    /// Messages currently staged for each destination, in machine order
+    /// (nothing while the row is lent).
+    pub fn staged_per_destination(&self) -> impl Iterator<Item = u64> + '_ {
+        self.boxes.iter().map(|staged| staged.len() as u64)
     }
 
     /// Total element capacity currently reserved across all destinations

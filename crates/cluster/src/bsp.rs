@@ -7,23 +7,22 @@
 //! cost, straggler scaling, and the [`IterationRecord`] plus the
 //! `compute`/`comm`/`replay` span attributes of every superstep. An
 //! engine supplies a per-machine kernel ([`Machine`]) and a [`Program`]
-//! that says what one machine computes, how a machine folds a row it
-//! was sent, how traffic is charged, and when the run is over.
+//! that says what one machine computes, how the machines hand each other
+//! what they staged, how traffic is charged, and when the run is over.
 //!
 //! # The exchange
 //!
-//! The `k × k` rows the machines staged *are* the exchange:
-//! `rows[from][to]` is what `from` sends `to`, and nothing is copied into
-//! an inbox. The loop takes every machine's rows (a row that does not
-//! cover every destination is a [`RouterError`], not an out-of-bounds
-//! index), reads the per-machine sent / received counts and the
-//! link-fault overhead off the row lengths, and hands the matrix to
-//! [`Program::deliver`], which folds `rows[from][to]` into machine `to`
+//! The loop never sees a message. After the compute phase every machine
+//! reports how many messages it [`staged`](Machine::staged) for each
+//! destination; the per-machine sent / received counts, the link-fault
+//! overhead, the `cluster.exchange` span and the `exchange.*` counters are
+//! all read off that `k × k` matrix of counts. Moving the data is
+//! [`Program::deliver`]'s: it hands machine `to` what `from` staged for it,
 //! for `from` ascending — the delivery order every bit-identity guarantee
-//! rests on, and the one the process backend's workers follow too — and
-//! leaves every row drained. The rows then go back to the arenas they
-//! came from, capacity intact. So a superstep's messages exist once, in
-//! the buffers they were staged in.
+//! rests on, and the one the process backend's workers follow too — in
+//! whatever form the kernel keeps it (the vertex-program kernel's
+//! accumulator slots, the walk kernel's arena rows). So a superstep's
+//! messages exist once, where their sender combined or staged them.
 //!
 //! The initial state is an implicit (free) checkpoint, so recovery works
 //! with checkpointing disabled, at the price of replaying from superstep
@@ -36,67 +35,26 @@
 
 use crate::exec::{collect_results, for_each_machine, ExecMode};
 use crate::{
-    CostModel, FaultPlan, FaultState, IterationRecord, MachineFailure, MachineId, Telemetry,
-    UnrecoverableFailure, WorkUnits,
+    CostModel, FaultPlan, FaultState, IterationRecord, MachineId, Telemetry, UnrecoverableFailure,
+    WorkUnits,
 };
 use bpart_obs::analysis::Timings;
 use bpart_obs::metrics::Counter;
 use bpart_obs::SpanGuard;
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::OnceLock;
-
-/// One machine's outgoing rows: `rows[to]` holds what it staged for `to`.
-pub type Rows<M> = Vec<Vec<M>>;
-
-/// A machine's staged row does not cover every destination: the exchange
-/// indexes `rows[from][to]`, so a short row would surface as a confusing
-/// out-of-bounds panic and a long one would silently drop the excess
-/// destinations. Typed (rather than an `assert!`) so [`drive`] ends the
-/// run with an [`UnrecoverableFailure`] instead of aborting the process.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RouterError {
-    /// The offending sender.
-    pub sender: MachineId,
-    /// Machines in the run.
-    pub expected: usize,
-    /// Destinations in that sender's row.
-    pub got: usize,
-}
-
-impl fmt::Display for RouterError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let RouterError {
-            sender,
-            expected,
-            got,
-        } = self;
-        write!(
-            f,
-            "sender {sender}'s row must cover every destination ({expected}), got {got}"
-        )
-    }
-}
-
-impl std::error::Error for RouterError {}
 
 /// One machine's superstep kernel, as the loop sees it.
 pub trait Machine: Send {
-    /// What travels between machines.
+    /// What travels between machines: the loop only ever asks its size.
     type Msg;
     /// The state a checkpoint keeps.
     type Snapshot;
 
-    /// Moves the rows the compute phase staged out of the kernel. Hand
-    /// them back, drained, with [`return_rows`](Machine::return_rows).
-    fn take_rows(&mut self) -> Rows<Self::Msg>;
-
-    /// Returns the drained rows so their buffers are reused.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have the wrong arity or still hold messages.
-    fn return_rows(&mut self, rows: Rows<Self::Msg>);
+    /// How many messages the compute phase staged for each machine of the
+    /// run, in machine order. What a machine keeps for itself is no
+    /// message: its own entry is 0.
+    fn staged(&self) -> Vec<u64>;
 
     /// The state at a superstep boundary.
     fn snapshot(&self) -> Self::Snapshot;
@@ -109,9 +67,6 @@ pub trait Machine: Send {
     /// writing or restoring a checkpoint.
     fn state_units(snapshot: &Self::Snapshot) -> u64;
 }
-
-/// The message type of a program's machines.
-pub type Msg<P> = <<P as Program>::Machine as Machine>::Msg;
 
 /// What an engine adds to the loop.
 pub trait Program: Sync {
@@ -133,16 +88,10 @@ pub trait Program: Sync {
     /// injected crashes fire; returns the work each one is charged for.
     fn computed(&mut self, out: Vec<Self::Computed>, span: &mut SpanGuard) -> Vec<WorkUnits>;
 
-    /// Delivers the exchange in place: folds `rows[from][to]` into
-    /// `machines[to]` for `from` ascending, draining every row (the rows
-    /// go back to their machines next, which insist they are empty);
+    /// Delivers the exchange: hands `machines[to]` what every other
+    /// machine staged for it, for `from` ascending, leaving nothing staged;
     /// returns the further work each machine is charged for.
-    fn deliver(
-        &mut self,
-        superstep: usize,
-        machines: &mut [Self::Machine],
-        rows: &mut [Rows<Msg<Self>>],
-    ) -> Vec<WorkUnits>;
+    fn deliver(&mut self, superstep: usize, machines: &mut [Self::Machine]) -> Vec<WorkUnits>;
 
     /// Told after a rollback that the run resumes at `superstep`: whatever
     /// the program itself kept of later supersteps is void. The machines
@@ -186,8 +135,7 @@ fn restore_time<M: Machine>(cost: &CostModel, snapshots: &[M::Snapshot]) -> f64 
 ///
 /// Returns `Err` only when recovery cannot make progress: a machine
 /// panics at the same superstep on the replay attempt too, which a
-/// deterministic program would repeat forever — or a kernel hands back
-/// malformed rows, a structural bug no replay can fix.
+/// deterministic program would repeat forever.
 pub fn drive<P: Program>(
     cfg: &Config,
     program: &mut P,
@@ -203,8 +151,6 @@ pub fn drive<P: Program>(
     // the run ever got, so replays can be flagged.
     let (mut superstep, mut high_water) = (0usize, 0usize);
     let mut failures_at: HashMap<usize, u32> = HashMap::new();
-    // `rows[from][to]`, lent by the machines for the length of an exchange.
-    let mut rows: Vec<Rows<Msg<P>>> = Vec::with_capacity(k);
     static MESSAGES: OnceLock<&'static Counter> = OnceLock::new();
     static BYTES: OnceLock<&'static Counter> = OnceLock::new();
     let straggle = |faults: &FaultState, superstep: usize, compute: &mut [f64]| {
@@ -259,22 +205,6 @@ pub fn drive<P: Program>(
             }
 
             // ---- exchange ----------------------------------------------------
-            for (from, s) in machines.iter_mut().enumerate() {
-                let row = s.take_rows();
-                if row.len() != k {
-                    let e = RouterError {
-                        sender: from as MachineId,
-                        expected: k,
-                        got: row.len(),
-                    };
-                    return Err(UnrecoverableFailure {
-                        superstep,
-                        machine: e.sender,
-                        failure: MachineFailure::Panic(Box::new(e.to_string())),
-                    });
-                }
-                rows.push(row);
-            }
             // Link faults act on the staged wire payload: a drop costs the
             // sender a retransmission, a duplicate costs the receiver a
             // discarded copy. Payloads still arrive exactly once.
@@ -283,9 +213,8 @@ pub fn drive<P: Program>(
             let mut link_events = 0u64;
             let link_faults = cfg.faults.has_link_faults();
             let mut exchange = bpart_obs::span("cluster.exchange");
-            for (from, row) in rows.iter().enumerate() {
-                for (to, staged) in row.iter().enumerate() {
-                    let count = staged.len() as u64;
+            for (from, s) in machines.iter().enumerate() {
+                for (to, count) in s.staged().into_iter().enumerate() {
                     sent[from] += count;
                     received[to] += count;
                     if link_faults && count > 0 {
@@ -308,12 +237,9 @@ pub fn drive<P: Program>(
                 .add(messages);
             BYTES
                 .get_or_init(|| bpart_obs::metrics::counter("exchange.bytes"))
-                .add(messages * std::mem::size_of::<Msg<P>>() as u64);
+                .add(messages * std::mem::size_of::<<P::Machine as Machine>::Msg>() as u64);
             drop(exchange);
-            let delivered = program.deliver(superstep, machines, &mut rows);
-            for (s, row) in machines.iter_mut().zip(rows.drain(..)) {
-                s.return_rows(row);
-            }
+            let delivered = program.deliver(superstep, machines);
             for (c, w) in compute.iter_mut().zip(&delivered) {
                 *c += cfg.cost.compute_time(w);
             }

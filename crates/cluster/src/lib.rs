@@ -7,11 +7,11 @@
 //!
 //! * [`Cluster`] — the machine set: the shared graph, the partition, and
 //!   ownership lookup,
-//! * [`arena::MessageArena`] — reusable per-machine staging rows that
-//!   keep their high-water capacity across supersteps, so steady-state
-//!   supersteps allocate nothing for messaging; the rows are also the
-//!   exchange — [`bsp::drive`] delivers them where they were staged, in
-//!   ascending sender order, and hands them back drained,
+//! * [`arena::MessageArena`] — the walk kernel's reusable per-machine
+//!   staging rows: they keep their high-water capacity across supersteps,
+//!   so steady-state supersteps allocate nothing for messaging, and they
+//!   are also the exchange — a delivery consumes them where they were
+//!   staged, in ascending sender order, and hands them back drained,
 //! * [`cost::CostModel`] / [`cost::WorkUnits`] — converts counted work
 //!   (walk steps, edges scanned, vertices updated, messages) into modelled
 //!   time, calibrated so compute dominates as on the paper's 56 Gbps fabric,
@@ -24,8 +24,10 @@
 //!   injection (machine crashes, stragglers, lossy links) applied at the
 //!   exchange barrier,
 //! * [`bsp::drive`] — the one superstep loop both engines run: it owns
-//!   checkpoint/rollback recovery and every superstep's accounting, and
-//!   takes what a machine computes from a [`bsp::Program`].
+//!   checkpoint/rollback recovery and every superstep's accounting (read
+//!   off per-destination counts: it never sees a message), and takes what
+//!   a machine computes and how machines hand over what they staged from a
+//!   [`bsp::Program`].
 //!
 //! Every engine built on this crate counts work in *units*, not wall-clock
 //! seconds, so experiment output is deterministic and machine-independent;
@@ -40,7 +42,6 @@ pub mod fault;
 pub mod telemetry;
 
 pub use arena::MessageArena;
-pub use bsp::RouterError;
 pub use cost::{CostModel, WorkUnits};
 pub use fault::{FaultPlan, FaultState, LinkOverhead, MachineFailure, UnrecoverableFailure};
 pub use telemetry::{IterationRecord, MachineWaiting, Telemetry, TelemetrySummary};
@@ -148,17 +149,17 @@ mod tests {
 }
 
 /// The exchange's tests. There is no router any more — [`bsp::drive`]
-/// delivers the staged rows where they lie — so these run the loop with a
-/// scripted program; they keep the module and the names they have had since
-/// a `Router` did the delivering, because each still pins the behaviour its
-/// name says.
+/// reads counts and the program moves the data — so these run the loop with
+/// a scripted program; they keep the module and the names they have had
+/// since a `Router` did the delivering, because each still pins the
+/// behaviour its name says.
 #[cfg(test)]
 mod router {
     mod tests {
-        use crate::bsp::{self, Machine, Program, Rows};
+        use crate::bsp::{self, Machine, Program};
         use crate::{
-            CostModel, FaultPlan, MachineId, MessageArena, RouterError, Telemetry,
-            UnrecoverableFailure, WorkUnits,
+            CostModel, FaultPlan, MachineId, MessageArena, Telemetry, UnrecoverableFailure,
+            WorkUnits,
         };
         use bpart_obs::SpanGuard;
 
@@ -168,8 +169,6 @@ mod router {
             arena: MessageArena<u32>,
             /// `(sender, payload)` in delivery order.
             seen: Vec<(MachineId, u32)>,
-            /// Destinations in the row it hands the loop (`k` when sane).
-            arity: usize,
             lent: usize,
             returned: usize,
         }
@@ -178,15 +177,9 @@ mod router {
             type Msg = u32;
             type Snapshot = ();
 
-            fn take_rows(&mut self) -> Rows<u32> {
-                self.lent += 1;
-                let mut row = self.arena.take_filled();
-                row.resize_with(self.arity, Vec::new);
-                row
-            }
-            fn return_rows(&mut self, rows: Rows<u32>) {
-                self.returned += 1;
-                self.arena.put_drained(rows);
+            /// A self-message is allowed here, and counted.
+            fn staged(&self) -> Vec<u64> {
+                self.arena.staged_per_destination().collect()
             }
             fn snapshot(&self) {}
             fn restore(&mut self, _: &()) {}
@@ -219,17 +212,25 @@ mod router {
             fn computed(&mut self, out: Vec<()>, _: &mut SpanGuard) -> Vec<WorkUnits> {
                 vec![WorkUnits::default(); out.len()]
             }
-            fn deliver(
-                &mut self,
-                _: usize,
-                nodes: &mut [Node],
-                rows: &mut [Rows<u32>],
-            ) -> Vec<WorkUnits> {
+            /// Take, consume in ascending sender order, put back — what the
+            /// walk engine's delivery does with its arenas.
+            fn deliver(&mut self, _: usize, nodes: &mut [Node]) -> Vec<WorkUnits> {
+                let mut rows: Vec<Vec<Vec<u32>>> = nodes
+                    .iter_mut()
+                    .map(|node| {
+                        node.lent += 1;
+                        node.arena.take_filled()
+                    })
+                    .collect();
                 for (to, node) in nodes.iter_mut().enumerate() {
                     for (from, row) in rows.iter_mut().enumerate() {
                         node.seen
                             .extend(row[to].drain(..).map(|p| (from as MachineId, p)));
                     }
+                }
+                for (node, row) in nodes.iter_mut().zip(rows) {
+                    node.returned += 1;
+                    node.arena.put_drained(row);
                 }
                 vec![WorkUnits::default(); nodes.len()]
             }
@@ -241,7 +242,6 @@ mod router {
                     id: id as MachineId,
                     arena: MessageArena::new(k),
                     seen: Vec::new(),
-                    arity: k,
                     lent: 0,
                     returned: 0,
                 })
@@ -332,14 +332,14 @@ mod router {
             )
             .unwrap();
             assert_eq!(nodes[1].seen, [(0, 9)]);
-            // Lent once and handed back once per superstep.
+            // One delivery per superstep: lent once, handed back once.
             assert!(nodes.iter().all(|n| n.lent == 3 && n.returned == 3));
         }
 
         #[test]
         fn staged_matrix_counts_per_link() {
-            // Link faults are charged per directed link, off the row lengths:
-            // everything on 0 -> 1 is retransmitted, nothing else is.
+            // Link faults are charged per directed link, off the staged
+            // counts: everything on 0 -> 1 is retransmitted, nothing else is.
             let mut nodes = nodes(3);
             let sends = vec![vec![(0, 1, 1), (0, 1, 2), (2, 0, 3), (1, 0, 4)]];
             let faults = FaultPlan::new().drop_link(0, 0, 0, 1, 1.0);
@@ -350,36 +350,6 @@ mod router {
             // The payloads still arrive exactly once.
             assert_eq!(nodes[1].seen, [(0, 1), (0, 2)]);
             assert_eq!(nodes[0].seen, [(1, 4), (2, 3)]);
-        }
-
-        fn arity_failure(k: usize, sender: usize, arity: usize) -> UnrecoverableFailure {
-            let mut nodes = nodes(k);
-            nodes[sender].arity = arity;
-            let err = run(&mut nodes, vec![vec![(0, 1, 7)]], FaultPlan::new()).unwrap_err();
-            let expected = RouterError {
-                sender: sender as MachineId,
-                expected: k,
-                got: arity,
-            };
-            assert_eq!(err.failure.panic_message(), Some(&*expected.to_string()));
-            assert!(expected.to_string().contains("cover every destination"));
-            // Nothing was delivered out of the malformed matrix.
-            assert!(nodes.iter().all(|n| n.seen.is_empty()));
-            err
-        }
-
-        #[test]
-        fn put_rows_rejects_wrong_inner_arity() {
-            // Sender 1's row is missing a destination — the delivery would
-            // index out of bounds.
-            let err = arity_failure(3, 1, 2);
-            assert_eq!((err.superstep, err.machine), (0, 1));
-        }
-
-        #[test]
-        fn put_rows_rejects_overlong_inner_rows() {
-            // An overlong row would silently drop the excess destinations.
-            assert_eq!(arity_failure(2, 0, 3).machine, 0);
         }
     }
 }

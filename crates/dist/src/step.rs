@@ -3,9 +3,10 @@
 //! Neither superstep is implemented here. [`IterWorker`] holds the
 //! iteration engine's kernel ([`MachineStep`]) and [`WalkWorker`] the walk
 //! engine's ([`WalkStep`]) — the very kernels the thread backend runs —
-//! and both add only what a process boundary needs: rows encoded into
-//! [`RowSeg`]s on the way out and decoded in sender order on the way in,
-//! a walk superstep's path triples as bytes, and snapshots as bytes.
+//! and both add only what a process boundary needs: what a kernel holds
+//! for each destination encoded into a [`RowSeg`] on the way out, segments
+//! read item by item into the kernel, in sender order, on the way in, a
+//! walk superstep's path triples as bytes, and snapshots as bytes.
 //! Bit-identity with the thread backend therefore holds by construction
 //! for every app. [`Worker`] is what the protocol loop (`worker.rs`) sees
 //! of either.
@@ -13,11 +14,12 @@
 use crate::error::ClusterError;
 use crate::frame::PayloadWriter;
 use crate::proto::RowSeg;
-use crate::wire::{decode_all, encode_all, put_u32, put_u64, Reader, Wire, PATH_TRIPLE_LEN};
+use crate::wire::{encode_all, put_u32, put_u64, Reader, Wire, PATH_TRIPLE_LEN};
 use bpart_cluster::bsp::Machine;
 use bpart_cluster::Cluster;
 use bpart_engine::kernel::Snapshot;
 use bpart_engine::{MachineStep, VertexProgram};
+use bpart_graph::VertexId;
 use bpart_walker::{kernel, WalkApp, WalkStarts, WalkStep, Walker};
 use std::borrow::Cow;
 
@@ -76,37 +78,25 @@ fn encode_pieces<T: Wire>(
     Ok(())
 }
 
-fn encode_row<T: Wire>(row: &[T]) -> RowSeg<'static> {
+/// Encodes `items` back to back, as they are produced, into one segment.
+fn encode_seg<T: Wire>(items: impl IntoIterator<Item = T>) -> RowSeg<'static> {
     let mut data = Vec::new();
-    encode_all(row, &mut data);
-    RowSeg {
-        count: row.len() as u32,
-        data: Cow::Owned(data),
-    }
+    let encode = |item: &T| item.encode(&mut data);
+    let count = items.into_iter().inspect(encode).count() as u32;
+    let data = Cow::Owned(data);
+    RowSeg { count, data }
 }
 
-fn decode_row<T: Wire>(seg: &RowSeg<'_>) -> Result<Vec<T>, ClusterError> {
-    let items: Vec<T> = decode_all(&seg.data)?;
-    if items.len() != seg.count as usize {
-        return Err(ClusterError::corrupt(format!(
-            "row segment count {} does not match payload ({})",
-            seg.count,
-            items.len()
-        )));
+/// A segment off the wire holds exactly the `count` items it says: `r`,
+/// having read that many, must have reached its end.
+fn whole(seg: &RowSeg<'_>, r: &Reader<'_>) -> Result<(), ClusterError> {
+    if r.is_empty() {
+        return Ok(());
     }
-    Ok(items)
-}
-
-/// Encodes the rows the kernel staged and hands their buffers back.
-fn ship_rows<M: Machine>(step: &mut M) -> Vec<RowSeg<'static>>
-where
-    M::Msg: Wire,
-{
-    let mut rows = step.take_rows();
-    let segs = rows.iter().map(|row| encode_row(row)).collect();
-    rows.iter_mut().for_each(Vec::clear);
-    step.return_rows(rows);
-    segs
+    let (past, count) = (r.remaining(), seg.count);
+    Err(ClusterError::corrupt(format!(
+        "{past} bytes past a row segment's {count} items"
+    )))
 }
 
 /// Decodes exactly `n` values at the cursor. `n` comes off the wire, so
@@ -141,9 +131,17 @@ where
         self.step.aggregate(&self.program)
     }
 
+    /// Every destination's segment is encoded straight out of the kernel's
+    /// send slots. One nothing is staged for stays empty: the machine's own
+    /// too — what it addressed to itself waits in the slots for `finish`.
     fn begin(&mut self) -> (Vec<RowSeg<'static>>, Vec<u8>) {
         self.step.scatter(&self.program);
-        (ship_rows(&mut self.step), Vec::new())
+        let mut segs = Vec::new();
+        for (to, count) in (0..).zip(self.step.staged()) {
+            let held = (count > 0).then(|| self.step.outgoing(to));
+            segs.push(encode_seg(held.into_iter().flatten()));
+        }
+        (segs, Vec::new())
     }
 
     fn finish(
@@ -152,8 +150,20 @@ where
         superstep: u64,
         aggregate: f64,
     ) -> Result<(u64, f64), ClusterError> {
+        // Folded item by item from the frame's bytes; what went in before
+        // an error surfaced is scratch a restore clears.
         for seg in inbox {
-            self.step.fold(&self.program, decode_row(seg)?);
+            let mut r = Reader::new(&seg.data);
+            for _ in 0..seg.count {
+                let (v, a) = <(VertexId, P::Accum)>::decode(&mut r)?;
+                // The inbox is indexed by where `v` lies on this machine.
+                if !self.step.owns(v) {
+                    let foreign = format!("row segment targets vertex {v}, not this machine's");
+                    return Err(ClusterError::corrupt(foreign));
+                }
+                self.step.fold(&self.program, [(v, a)]);
+            }
+            whole(seg, &r)?;
         }
         let applied = self
             .step
@@ -255,12 +265,21 @@ impl Worker for WalkWorker {
         let triples = self.step.take_triples();
         let mut paths = Vec::with_capacity(triples.len() * PATH_TRIPLE_LEN);
         triples.for_each(|triple| triple.encode(&mut paths));
-        (ship_rows(&mut self.step), paths)
+        let mut rows = self.step.outbox().take_filled();
+        let segs = rows
+            .iter_mut()
+            .map(|row| encode_seg(row.drain(..)))
+            .collect();
+        self.step.outbox().put_drained(rows);
+        (segs, paths)
     }
 
     fn finish(&mut self, inbox: &[RowSeg<'_>], _: u64, _: f64) -> Result<(u64, f64), ClusterError> {
         for seg in inbox {
-            self.step.absorb(&mut decode_row::<Walker>(seg)?);
+            let mut r = Reader::new(&seg.data);
+            let mut row: Vec<Walker> = decode_n(&mut r, seg.count as usize)?;
+            whole(seg, &r)?;
+            self.step.absorb(&mut row);
         }
         Ok((self.step.queue_len() as u64, 0.0))
     }
@@ -318,7 +337,7 @@ mod tests {
     use crate::worker::tests::{raw_cluster, slice_clusters, sourceless_spec, RAW_MAX_N};
     use bpart_core::{ChunkV, Partitioner};
     use bpart_engine::apps::{ConnectedComponents, DistFrom, PageRank, Sssp};
-    use bpart_graph::generate;
+    use bpart_graph::{generate, VertexId};
     use bpart_walker::apps::{DeepWalk, SimpleRandomWalk};
     use bpart_walker::PathTable;
     use proptest::prelude::*;
@@ -450,10 +469,20 @@ mod tests {
     fn run_in_process<W: Worker>(
         k: usize,
         make: impl Fn(usize) -> W,
+        end: (Option<usize>, Option<PathTable>),
+        crash_at: Option<usize>,
+    ) -> Transcript {
+        run_workers((0..k).map(make).collect(), end, crash_at)
+    }
+
+    /// [`run_in_process`] over workers the caller made, from the state they
+    /// are in.
+    fn run_workers<W: Worker>(
+        mut workers: Vec<W>,
         (cap, walk): (Option<usize>, Option<PathTable>),
         mut crash_at: Option<usize>,
     ) -> Transcript {
-        let mut workers: Vec<W> = (0..k).map(make).collect();
+        let k = workers.len();
         let mut checkpoint: (usize, Vec<Option<Vec<u8>>>) = (0, vec![None; k]);
         let mut superstep = 0;
         let mut transcript = Transcript::default();
@@ -549,6 +578,58 @@ mod tests {
         let end = (None, Some(started));
         check(walk(|| Box::new(SimpleRandomWalk::new(6))), end.clone());
         check(walk(|| Box::new(DeepWalk::new(6))), end);
+    }
+
+    /// A segment off the wire is folded item by item, so what is wrong
+    /// with it surfaces after part of it is in the inbox: a count that
+    /// disagrees with the payload either way, an item cut short, and — the
+    /// inbox being indexed by where a target lies on *this* machine — a
+    /// target past the graph or one another machine owns are each a
+    /// `FrameCorrupt`; the half-folded inbox is scratch, and a restore
+    /// replays to the clean result.
+    #[test]
+    fn hostile_segments_are_corrupt_and_a_restore_forgets_them() {
+        const ITEM: usize = 4 + 8;
+        let make = |m| IterWorker::new(PageRank::new(5), cluster(3), m);
+        let clean = run_in_process(3, make, (Some(5), None), None).finals;
+        let target = |seg: &mut RowSeg<'_>, v: VertexId| {
+            let at = seg.data.len() - ITEM;
+            seg.data.to_mut()[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        };
+        let elsewhere = cluster(3).local_vertices(1)[0];
+        type Spoil<'a> = &'a dyn Fn(&mut RowSeg<'_>);
+        let hostile: [(&str, Spoil<'_>); 6] = [
+            ("count above the payload", &|seg| seg.count += 1),
+            ("count below the payload", &|seg| seg.count -= 1),
+            ("cut mid-item", &|seg| {
+                let whole = seg.data.len();
+                seg.data.to_mut().truncate(whole - 3);
+            }),
+            ("target past the graph", &|seg| target(seg, 40)),
+            ("target no vertex has", &|seg| target(seg, VertexId::MAX)),
+            ("target another machine owns", &|seg| target(seg, elsewhere)),
+        ];
+        for (what, spoil) in hostile {
+            let mut workers: Vec<_> = (0..3).map(make).collect();
+            let ready: f64 = workers.iter().map(|w| w.ready_agg()).sum();
+            let rows: Vec<_> = workers.iter_mut().map(|w| w.begin().0).collect();
+            let mut inbox: Vec<RowSeg<'_>> = rows.iter().map(|r| r[0].clone()).collect();
+            // Sender 1's segment is folded whole, and all of sender 2's
+            // before its last item.
+            assert!(inbox[1].count > 0 && inbox[2].count > 1, "{what}");
+            assert_eq!(inbox[2].data.len(), inbox[2].count as usize * ITEM);
+            spoil(&mut inbox[2]);
+            let err = workers[0].finish(&inbox, 0, ready).unwrap_err();
+            assert!(
+                matches!(err, ClusterError::FrameCorrupt { .. }),
+                "{what}: {err}"
+            );
+            for w in &mut workers {
+                w.restore(None).unwrap();
+            }
+            let replayed = run_workers(workers, (Some(5), None), None).finals;
+            assert_eq!(replayed, clean, "{what}");
+        }
     }
 
     proptest! {

@@ -223,19 +223,20 @@ pub fn encode_all<T: Wire>(items: &[T], out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes wire values until the buffer is exhausted.
-pub fn decode_all<T: Wire>(buf: &[u8]) -> Result<Vec<T>, ClusterError> {
-    let mut r = Reader::new(buf);
-    let mut items = Vec::new();
-    while !r.is_empty() {
-        items.push(T::decode(&mut r)?);
-    }
-    Ok(items)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Decodes wire values until the buffer is exhausted: `encode_all`'s
+    /// inverse, which only tests need whole.
+    pub(crate) fn decode_all<T: Wire>(buf: &[u8]) -> Result<Vec<T>, ClusterError> {
+        let mut r = Reader::new(buf);
+        let mut items = Vec::new();
+        while !r.is_empty() {
+            items.push(T::decode(&mut r)?);
+        }
+        Ok(items)
+    }
 
     #[test]
     fn scalar_round_trips() {

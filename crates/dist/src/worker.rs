@@ -506,7 +506,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::spec::GraphSource;
     use crate::transport::tests::{assert_stops_at_once, socket_pair};
-    use crate::wire::decode_all;
+    use crate::wire::tests::decode_all;
     use bpart_core::{ChunkV, HashPartitioner, PartId, Partitioner};
     use bpart_graph::{generate, CsrGraph, VertexId};
     use proptest::prelude::*;

@@ -1,8 +1,9 @@
 //! The BSP iteration engine.
 //!
 //! [`IterationEngine`] is a builder, a gather, and [`Iterate`]: the
-//! vertex-program half of a superstep (aggregate + scatter, then inbox
-//! fold + apply, on [`MachineStep`] kernels). The superstep loop itself —
+//! vertex-program half of a superstep (aggregate + scatter, then every
+//! machine folding the others' send slots into its inbox + apply, on
+//! [`MachineStep`] kernels). The superstep loop itself —
 //! fault injection, checkpoint rollback and replay, telemetry — is
 //! [`bpart_cluster::bsp::drive`], shared with the walk engine. Crashes
 //! roll back to the last checkpoint and replay deterministically, so
@@ -12,9 +13,11 @@
 
 use crate::kernel::{MachineStep, ScatterOutcome};
 use crate::program::VertexProgram;
-use bpart_cluster::bsp::{self, Msg};
+use bpart_cluster::bsp;
 use bpart_cluster::exec::ExecMode;
-use bpart_cluster::{Cluster, CostModel, FaultPlan, Telemetry, UnrecoverableFailure, WorkUnits};
+use bpart_cluster::{
+    Cluster, CostModel, FaultPlan, MachineId, Telemetry, UnrecoverableFailure, WorkUnits,
+};
 use bpart_core::Partition;
 use bpart_graph::CsrGraph;
 use bpart_obs::SpanGuard;
@@ -111,25 +114,19 @@ impl<P: VertexProgram> bsp::Program for Iterate<'_, P> {
             .collect()
     }
 
-    fn deliver(
-        &mut self,
-        superstep: usize,
-        steps: &mut [MachineStep<P>],
-        rows: &mut [bsp::Rows<Msg<Self>>],
-    ) -> Vec<WorkUnits> {
+    fn deliver(&mut self, superstep: usize, steps: &mut [MachineStep<P>]) -> Vec<WorkUnits> {
         self.any_active = false;
-        // Sequential over machines; rows are drained (not consumed) so the
-        // arenas they return to keep their capacity.
-        steps
-            .iter_mut()
-            .enumerate()
-            .map(|(to, s)| {
-                // Ascending sender; the kernel folds its own self row
-                // (whose slot here is empty) after them.
-                for row in rows.iter_mut() {
-                    s.fold(self.program, row[to].drain(..));
+        // Sequential over machines: each folds what the others hold for it
+        // straight out of their send slots.
+        (0..steps.len())
+            .map(|to| {
+                let (before, rest) = steps.split_at_mut(to);
+                let (receiver, after) = rest.split_first_mut().expect("to < k");
+                // Ascending sender; the kernel folds its own view after them.
+                for sender in before.iter_mut().chain(after) {
+                    receiver.fold(self.program, sender.outgoing(to as MachineId));
                 }
-                let applied = s.apply(self.program, superstep, self.aggregate);
+                let applied = receiver.apply(self.program, superstep, self.aggregate);
                 self.any_active |= applied.any_active;
                 applied.work
             })
@@ -220,18 +217,19 @@ impl IterationEngine {
         };
         let (telemetry, iterations) = bsp::drive(&self.cfg, &mut iterate, &mut steps)?;
 
-        // Gather values back to global order.
-        let mut values: Vec<Option<P::Value>> = vec![None; self.cluster.graph().num_vertices()];
+        // Gather values back to global order: any value fills the array,
+        // then every vertex's own overwrites it.
+        let n = self.cluster.graph().num_vertices();
+        debug_assert_eq!(steps.iter().map(|s| s.values().len()).sum::<usize>(), n);
+        let filler = steps.iter().find_map(|s| s.values().first());
+        let mut values: Vec<P::Value> = filler.map_or(Vec::new(), |value| vec![value.clone(); n]);
         for (m, s) in steps.iter().enumerate() {
             for (&v, value) in self.cluster.local_vertices(m as u32).iter().zip(s.values()) {
-                values[v as usize] = Some(value.clone());
+                values[v as usize].clone_from(value);
             }
         }
         Ok(EngineRun {
-            values: values
-                .into_iter()
-                .map(|v| v.expect("every vertex owned"))
-                .collect(),
+            values,
             telemetry,
             iterations,
         })

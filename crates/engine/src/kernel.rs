@@ -1,43 +1,44 @@
 //! The per-machine vertex-program superstep kernel.
 //!
 //! [`MachineStep`] is one machine's share of a superstep — aggregate,
-//! scatter, drain to per-destination rows, inbox fold, apply, scratch
-//! clear, snapshot/restore — and the only implementation of it: the
-//! thread backend ([`IterationEngine`](crate::IterationEngine)) folds the
-//! rows where the senders staged them, the process backend
-//! (`bpart_dist::step::IterWorker`) encodes them into frames. Both call
-//! the same methods in the same order, so their results are bit-identical
-//! by construction.
+//! scatter, the views other machines read it through, inbox fold, apply,
+//! scratch clear, snapshot/restore — and the only implementation of it:
+//! the thread backend ([`IterationEngine`](crate::IterationEngine)) folds
+//! a sender's view straight into the receiver, the process backend
+//! (`bpart_dist::step::IterWorker`) encodes it into a frame and folds from
+//! the frame's bytes. Both call the same methods in the same order, so
+//! their results are bit-identical by construction.
 //!
 //! # Layout
 //!
-//! Combined signals live in a dense scratch indexed by *global* vertex
-//! id: `slots[v]` is a plain `size_of::<Accum>()`-byte slot and bit `v`
-//! of the `present` bitmap says whether it is occupied. A vacant slot
-//! holds `Accum::default()`, which is never combined or delivered.
+//! What a machine *sends* is combined in a dense scratch indexed by
+//! *global* vertex id: `slots[v]`, a plain `size_of::<Accum>()`-byte slot,
+//! occupied iff bit `v` of `present` is set. The slots are the messages,
+//! never copied into rows: [`MachineStep::outgoing`] reads the occupied
+//! slots one destination owns (`present & owned[to]`, a word at a time),
+//! vacating them. What a machine *receives* is combined in an inbox
+//! indexed by *owner-local* id (`inbox[li]`, bit `li` of `arrived`), so a
+//! fold never disturbs the machine's own send slots. A vacant slot of
+//! either holds `Accum::default()`, which is never combined or delivered.
 //!
 //! # Ordering invariant
 //!
 //! Floating-point folds are order-sensitive, so three orders are fixed:
 //!
-//! 1. **Ascending-target drain.** The bitmap is drained word by word,
-//!    lowest set bit first, so every per-destination row (and the apply
-//!    order of signal-driven programs) is in ascending target id.
-//! 2. **Sender-order fold.** The caller folds the exchanged rows in
+//! 1. **Ascending-target views.** A view walks the bitmap word by word,
+//!    lowest set bit first, so what one machine sends another (and the
+//!    apply order of signal-driven programs: local ids ascend with global
+//!    ones) is in ascending target id.
+//! 2. **Sender-order fold.** The caller folds the other machines' views in
 //!    ascending sender order via [`MachineStep::fold`].
-//! 3. **Self row last.** The row a machine addressed to itself never
-//!    leaves the kernel; [`MachineStep::apply`] folds it after
-//!    everything the caller folded.
+//! 3. **Own view last.** What a machine addressed to itself stays in its
+//!    send slots; [`MachineStep::apply`] folds that view after the others.
 
 use crate::program::{ProgramContext, VertexProgram};
 use bpart_cluster::bsp::Machine;
-use bpart_cluster::{Cluster, MachineId, MessageArena, WorkUnits};
+use bpart_cluster::{Cluster, MachineId, WorkUnits};
 use bpart_graph::VertexId;
 use std::sync::Arc;
-
-/// One machine's outgoing rows: `rows[to]` holds the combined updates
-/// staged for machine `to`, in ascending target order.
-pub type Rows<A> = Vec<Vec<(VertexId, A)>>;
 
 /// What one machine's scatter phase counted.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,22 +75,46 @@ pub struct MachineStep<P: VertexProgram> {
     machine: MachineId,
     /// Global id -> owner-local index.
     local_of: Arc<[u32]>,
+    /// Per machine, the bitmap of the global ids it owns.
+    owned: Arc<[Vec<u64>]>,
     values: Vec<P::Value>,
     active: Vec<bool>,
-    /// Dense accumulator slots, indexed by global id (scratch).
+    /// Send slots, indexed by global id (scratch).
     slots: Vec<P::Accum>,
     /// Bit `v` set: `slots[v]` is occupied (scratch).
     present: Vec<u64>,
-    /// Arena-staged combined updates (buffers persist across supersteps).
-    outbox: MessageArena<(VertexId, P::Accum)>,
-    /// The self-addressed row of the last scatter, folded by `apply`.
-    self_row: Vec<(VertexId, P::Accum)>,
+    /// Receive slots, indexed by owner-local id (scratch).
+    inbox: Vec<P::Accum>,
+    /// Bit `li` set: `inbox[li]` is occupied (scratch).
+    arrived: Vec<u64>,
 }
 
-/// Calls `f(v)` for every set bit in ascending `v`, clearing the bitmap.
+/// The occupied slots whose bit is in `mask`, in ascending index, each
+/// vacated as it is yielded.
 #[inline]
-fn drain_bits(present: &mut [u64], mut f: impl FnMut(usize)) {
-    for (wi, word) in present.iter_mut().enumerate() {
+fn drain_masked<'a, A: Default>(
+    slots: &'a mut [A],
+    occupied: &'a mut [u64],
+    mask: &'a [u64],
+) -> impl Iterator<Item = (VertexId, A)> + 'a {
+    let (mut next_word, mut bits) = (0, 0u64);
+    std::iter::from_fn(move || {
+        while bits == 0 {
+            bits = *occupied.get(next_word)? & mask[next_word];
+            next_word += 1;
+        }
+        let lowest = bits & bits.wrapping_neg();
+        bits ^= lowest;
+        occupied[next_word - 1] ^= lowest;
+        let i = (next_word - 1) << 6 | lowest.trailing_zeros() as usize;
+        Some((i as VertexId, std::mem::take(&mut slots[i])))
+    })
+}
+
+/// Calls `f(i)` for every set bit in ascending `i`, clearing the bitmap.
+#[inline]
+fn drain_bits(bitmap: &mut [u64], mut f: impl FnMut(usize)) {
+    for (wi, word) in bitmap.iter_mut().enumerate() {
         let mut bits = std::mem::take(word);
         while bits != 0 {
             f(wi << 6 | bits.trailing_zeros() as usize);
@@ -98,57 +123,53 @@ fn drain_bits(present: &mut [u64], mut f: impl FnMut(usize)) {
     }
 }
 
-/// Folds `a` into the slot of target `v`, marking it on first touch.
+/// Folds `a` into slot `i`, marking it in `occupied` on first touch.
 #[inline]
 fn accumulate<P: VertexProgram>(
     program: &P,
     slots: &mut [P::Accum],
-    present: &mut [u64],
-    v: VertexId,
+    occupied: &mut [u64],
+    i: usize,
     a: P::Accum,
 ) {
-    let v = v as usize;
-    let bit = 1u64 << (v & 63);
-    let word = &mut present[v >> 6];
+    let bit = 1u64 << (i & 63);
+    let word = &mut occupied[i >> 6];
     if *word & bit == 0 {
         *word |= bit;
-        slots[v] = a;
+        slots[i] = a;
     } else {
-        program.combine(&mut slots[v], a);
+        program.combine(&mut slots[i], a);
     }
 }
 
 impl<P: VertexProgram> MachineStep<P> {
     /// The kernel for `machine`, in the program's initial state.
     pub fn new(program: &P, cluster: &Cluster, machine: MachineId) -> Self {
-        Self::with_index(program, cluster, machine, local_index(cluster))
+        Self::with_index(program, cluster, machine, index(cluster))
     }
 
-    /// One kernel per machine of `cluster`, sharing the local index.
+    /// One kernel per machine of `cluster`, sharing the index.
     pub fn for_cluster(program: &P, cluster: &Cluster) -> Vec<Self> {
-        let local_of = local_index(cluster);
+        let shared = index(cluster);
         (0..cluster.num_machines())
-            .map(|m| Self::with_index(program, cluster, m as MachineId, local_of.clone()))
+            .map(|m| Self::with_index(program, cluster, m as MachineId, shared.clone()))
             .collect()
     }
 
-    fn with_index(
-        program: &P,
-        cluster: &Cluster,
-        machine: MachineId,
-        local_of: Arc<[u32]>,
-    ) -> Self {
-        let n = cluster.graph().num_vertices();
+    fn with_index(program: &P, cluster: &Cluster, machine: MachineId, index: Index) -> Self {
+        let (local_of, owned) = index;
+        let (n, local) = (local_of.len(), cluster.local_vertices(machine).len());
         let mut step = MachineStep {
             cluster: cluster.clone(),
             machine,
             local_of,
+            owned,
             values: Vec::new(),
             active: Vec::new(),
-            slots: std::iter::repeat_with(P::Accum::default).take(n).collect(),
+            slots: (0..n).map(|_| P::Accum::default()).collect(),
             present: vec![0; n.div_ceil(64)],
-            outbox: MessageArena::new(cluster.num_machines()),
-            self_row: Vec::new(),
+            inbox: (0..local).map(|_| P::Accum::default()).collect(),
+            arrived: vec![0; local.div_ceil(64)],
         };
         step.reset(program);
         step
@@ -164,6 +185,11 @@ impl<P: VertexProgram> MachineStep<P> {
         &self.active
     }
 
+    /// Whether this machine owns `v`: what [`fold`](Self::fold) requires.
+    pub fn owns(&self, v: VertexId) -> bool {
+        self.cluster.partition().assignment().get(v as usize) == Some(&self.machine)
+    }
+
     /// This machine's contribution to the global aggregate, summed in
     /// member order.
     pub fn aggregate(&self, program: &P) -> f64 {
@@ -177,8 +203,8 @@ impl<P: VertexProgram> MachineStep<P> {
     }
 
     /// Scatter phase: signals every active vertex's neighbours, combining
-    /// per target, then drains the combined updates into per-destination
-    /// rows in ascending target order (see [`Machine::take_rows`]).
+    /// per target into the send slots — where the combined updates stay
+    /// until [`outgoing`](Self::outgoing) reads them.
     pub fn scatter(&mut self, program: &P) -> ScatterOutcome {
         let MachineStep {
             cluster,
@@ -187,10 +213,9 @@ impl<P: VertexProgram> MachineStep<P> {
             active,
             slots,
             present,
-            outbox,
             ..
         } = self;
-        debug_assert_eq!(outbox.staged(), 0);
+        debug_assert!(present.iter().all(|&word| word == 0));
         let graph = cluster.graph();
         let owner = cluster.partition().assignment();
         let use_in_edges = program.use_in_edges();
@@ -209,34 +234,44 @@ impl<P: VertexProgram> MachineStep<P> {
             work.edges_scanned += out.len() as u64;
             for &v in out {
                 raw[owner[v as usize] as usize] += 1;
-                accumulate(program, slots, present, v, signal.clone());
+                accumulate(program, slots, present, v as usize, signal.clone());
             }
             if use_in_edges {
                 let inn = graph.in_neighbors(u);
                 work.edges_scanned += inn.len() as u64;
                 for &v in inn {
                     raw[owner[v as usize] as usize] += 1;
-                    accumulate(program, slots, present, v, signal.clone());
+                    accumulate(program, slots, present, v as usize, signal.clone());
                 }
             }
         }
         raw[*machine as usize] = 0;
-        drain_bits(present, |v| {
-            outbox.push(owner[v], (v as VertexId, std::mem::take(&mut slots[v])));
-        });
         ScatterOutcome { raw, work }
     }
 
-    /// Folds one sender's delivered row into the accumulator. Call once
-    /// per sender, in ascending sender order.
+    /// The combined updates this machine holds for the vertices `to` owns,
+    /// in ascending target id, vacated as they are read.
+    pub fn outgoing(&mut self, to: MachineId) -> impl Iterator<Item = (VertexId, P::Accum)> + '_ {
+        drain_masked(&mut self.slots, &mut self.present, &self.owned[to as usize])
+    }
+
+    /// Folds what one sender holds for this machine into the inbox. Call
+    /// once per other machine, in ascending sender order, with targets this
+    /// machine [`owns`](Self::owns).
     pub fn fold(&mut self, program: &P, row: impl IntoIterator<Item = (VertexId, P::Accum)>) {
+        let MachineStep {
+            local_of,
+            inbox,
+            arrived,
+            ..
+        } = self;
         for (v, a) in row {
-            accumulate(program, &mut self.slots, &mut self.present, v, a);
+            accumulate(program, inbox, arrived, local_of[v as usize] as usize, a);
         }
     }
 
-    /// Apply phase: folds the retained self row (last), then applies the
-    /// combined signals — to every local vertex in member order for
+    /// Apply phase: folds this machine's own view (last), then applies the
+    /// inbox — to every local vertex in member order for
     /// [`apply_to_all`](VertexProgram::apply_to_all) programs, otherwise
     /// to the signalled vertices in ascending id. `aggregate` is the
     /// global aggregate over the values this superstep started from.
@@ -245,17 +280,19 @@ impl<P: VertexProgram> MachineStep<P> {
             cluster,
             machine,
             local_of,
+            owned,
             values,
             active,
             slots,
             present,
-            self_row,
-            ..
+            inbox,
+            arrived,
         } = self;
-        for (v, a) in self_row.drain(..) {
-            accumulate(program, slots, present, v, a);
+        for (v, a) in drain_masked(slots, present, &owned[*machine as usize]) {
+            accumulate(program, inbox, arrived, local_of[v as usize] as usize, a);
         }
         let graph = cluster.graph();
+        let members = cluster.local_vertices(*machine);
         let ctx = ProgramContext {
             iteration: superstep,
             num_vertices: graph.num_vertices(),
@@ -263,27 +300,24 @@ impl<P: VertexProgram> MachineStep<P> {
         };
         let mut work = WorkUnits::default();
         let mut any_active = false;
+        let mut apply = |active: &mut [bool], li: usize, incoming: Option<P::Accum>| {
+            let stays = program.apply(members[li], &mut values[li], incoming, &ctx, graph);
+            active[li] = stays;
+            any_active |= stays;
+            work.vertices_updated += 1;
+        };
         if program.apply_to_all() {
-            for (li, &v) in cluster.local_vertices(*machine).iter().enumerate() {
-                let occupied = (present[v as usize >> 6] >> (v & 63)) & 1 != 0;
-                let incoming = occupied.then(|| std::mem::take(&mut slots[v as usize]));
-                let stays = program.apply(v, &mut values[li], incoming, &ctx, graph);
-                active[li] = stays;
-                any_active |= stays;
-                work.vertices_updated += 1;
+            for (li, slot) in inbox.iter_mut().enumerate() {
+                let occupied = (arrived[li >> 6] >> (li & 63)) & 1 != 0;
+                apply(active, li, occupied.then(|| std::mem::take(slot)));
             }
-            present.fill(0);
+            arrived.fill(0);
         } else {
             // Only signalled vertices update; everyone else goes (or
             // stays) inactive.
             active.fill(false);
-            drain_bits(present, |v| {
-                let li = local_of[v] as usize;
-                let incoming = Some(std::mem::take(&mut slots[v]));
-                let stays = program.apply(v as VertexId, &mut values[li], incoming, &ctx, graph);
-                active[li] = stays;
-                any_active |= stays;
-                work.vertices_updated += 1;
+            drain_bits(arrived, |li| {
+                apply(active, li, Some(std::mem::take(&mut inbox[li])))
             });
         }
         ApplyOutcome { work, any_active }
@@ -301,32 +335,27 @@ impl<P: VertexProgram> MachineStep<P> {
             .collect();
     }
 
-    /// Vacates every occupied slot (dropping what it owned), zeroes the
-    /// bitmap, and discards staged rows, keeping buffer capacity.
+    /// Vacates every occupied send slot and every occupied inbox slot
+    /// (dropping what they owned) and zeroes both bitmaps.
     fn clear_scratch(&mut self) {
-        let slots = &mut self.slots;
+        let MachineStep { slots, inbox, .. } = self;
         drain_bits(&mut self.present, |v| slots[v] = P::Accum::default());
-        self.outbox.reset();
-        self.self_row.clear();
+        drain_bits(&mut self.arrived, |li| inbox[li] = P::Accum::default());
     }
 }
 
-/// The loop-facing half of the kernel: rows out and back, checkpoints.
+/// The loop-facing half of the kernel: staged counts, checkpoints.
 impl<P: VertexProgram> Machine for MachineStep<P> {
     type Msg = (VertexId, P::Accum);
     type Snapshot = Snapshot<P::Value>;
 
-    /// The self-addressed row stays inside (it is no network message),
-    /// so its slot in the result is empty.
-    fn take_rows(&mut self) -> Rows<P::Accum> {
-        let mut rows = self.outbox.take_filled();
-        debug_assert!(self.self_row.is_empty());
-        std::mem::swap(&mut rows[self.machine as usize], &mut self.self_row);
-        rows
-    }
-
-    fn return_rows(&mut self, rows: Rows<P::Accum>) {
-        self.outbox.put_drained(rows);
+    /// One message per occupied send slot another machine owns.
+    fn staged(&self) -> Vec<u64> {
+        let ones = |(p, o): (&u64, &u64)| (p & o).count_ones() as u64;
+        let held = |owned: &Vec<u64>| self.present.iter().zip(owned).map(ones).sum();
+        let mut counts: Vec<u64> = self.owned.iter().map(held).collect();
+        counts[self.machine as usize] = 0;
+        counts
     }
 
     fn snapshot(&self) -> Snapshot<P::Value> {
@@ -354,15 +383,21 @@ impl<P: VertexProgram> Machine for MachineStep<P> {
     }
 }
 
-/// Global id -> owner-local index, for every machine of `cluster`.
-fn local_index(cluster: &Cluster) -> Arc<[u32]> {
-    let mut local_of = vec![0u32; cluster.graph().num_vertices()];
-    for m in 0..cluster.num_machines() {
+/// What the kernels of one cluster share: global id -> owner-local index,
+/// and per machine the bitmap of the global ids it owns.
+type Index = (Arc<[u32]>, Arc<[Vec<u64>]>);
+
+fn index(cluster: &Cluster) -> Index {
+    let n = cluster.graph().num_vertices();
+    let mut local_of = vec![0u32; n];
+    let mut owned = vec![vec![0u64; n.div_ceil(64)]; cluster.num_machines()];
+    for (m, bitmap) in owned.iter_mut().enumerate() {
         for (li, &v) in cluster.local_vertices(m as MachineId).iter().enumerate() {
             local_of[v as usize] = li as u32;
+            bitmap[v as usize >> 6] |= 1 << (v & 63);
         }
     }
-    local_of.into()
+    (local_of.into(), owned.into())
 }
 
 #[cfg(test)]
@@ -462,30 +497,38 @@ mod tests {
             .expect("two frontier vertices on one machine")
     }
 
-    /// One fault-free superstep over all machines, in the callers' order.
-    fn superstep<P: VertexProgram>(steps: &mut [MachineStep<P>], program: &P, superstep: usize) {
-        let aggregate: f64 = steps.iter().map(|s| s.aggregate(program)).sum();
-        let mut rows: Vec<Rows<P::Accum>> = steps
-            .iter_mut()
-            .map(|s| {
-                s.scatter(program);
-                s.take_rows()
-            })
-            .collect();
-        for (to, step) in steps.iter_mut().enumerate() {
-            for row in rows.iter_mut() {
-                step.fold(program, row[to].drain(..));
-            }
-        }
-        for (step, row) in steps.iter_mut().zip(rows) {
-            step.return_rows(row);
-            step.apply(program, superstep, aggregate);
+    /// Folds into `steps[to]` what every other machine holds for it, in
+    /// ascending sender order, as the callers do.
+    fn fold_others<P: VertexProgram>(steps: &mut [MachineStep<P>], program: &P, to: usize) {
+        let (before, rest) = steps.split_at_mut(to);
+        let (receiver, after) = rest.split_first_mut().unwrap();
+        for sender in before.iter_mut().chain(after) {
+            receiver.fold(program, sender.outgoing(to as MachineId));
         }
     }
 
-    /// A panic inside `scatter` of superstep `at` leaves bitmap words set
-    /// and slots occupied; `restore` clears both, and the replayed scatter
-    /// stages exactly what an undisturbed kernel stages.
+    /// One fault-free superstep over all machines, in the callers' order.
+    fn superstep<P: VertexProgram>(steps: &mut [MachineStep<P>], program: &P, superstep: usize) {
+        let aggregate: f64 = steps.iter().map(|s| s.aggregate(program)).sum();
+        for step in steps.iter_mut() {
+            step.scatter(program);
+        }
+        for to in 0..steps.len() {
+            fold_others(steps, program, to);
+            steps[to].apply(program, superstep, aggregate);
+        }
+    }
+
+    /// The per-destination counts the loop reads.
+    fn staged<P: VertexProgram>(step: &MachineStep<P>) -> Vec<u64> {
+        Machine::staged(step)
+    }
+
+    /// A panic inside `scatter` of superstep `at` leaves send slots occupied
+    /// and bitmap words set, here on top of an inbox the other machines'
+    /// views were already folded into; `restore` clears all four — slots,
+    /// bitmap, inbox, inbox bitmap — and the replayed scatter holds exactly
+    /// what an undisturbed kernel holds, for every destination.
     fn assert_restore_clears_a_torn_scatter<P>(inner: P, vertex: VertexId, at: usize)
     where
         P: VertexProgram + Clone,
@@ -500,10 +543,17 @@ mod tests {
             superstep(&mut torn, &faulty, s);
             superstep(&mut calm, &inner, s);
         }
-        let torn = &mut torn[machine];
-        let calm = &mut calm[machine];
-        let before = torn.snapshot();
+        let before = torn[machine].snapshot();
 
+        for step in torn
+            .iter_mut()
+            .filter(|step| step.machine as usize != machine)
+        {
+            step.scatter(&faulty);
+        }
+        fold_others(&mut torn, &faulty, machine);
+        let torn = &mut torn[machine];
+        assert!(torn.arrived.iter().any(|&w| w != 0));
         let panicked = catch_unwind(AssertUnwindSafe(|| torn.scatter(&faulty)));
         assert!(panicked.is_err());
         assert!(
@@ -514,12 +564,19 @@ mod tests {
         torn.restore(&before);
         assert!(torn.present.iter().all(|&w| w == 0));
         assert!(torn.slots.iter().all(|a| *a == P::Accum::default()));
-        assert_eq!(torn.outbox.staged(), 0);
-        assert!(torn.self_row.is_empty());
+        assert!(torn.arrived.iter().all(|&w| w == 0));
+        assert!(torn.inbox.iter().all(|a| *a == P::Accum::default()));
+        assert!(staged(torn).iter().all(|&count| count == 0));
 
+        let calm = &mut calm[machine];
         assert_eq!(torn.scatter(&faulty), calm.scatter(&inner));
-        assert_eq!(torn.take_rows(), calm.take_rows());
-        assert_eq!(torn.self_row, calm.self_row);
+        assert_eq!(staged(torn), staged(calm));
+        for to in 0..cluster.num_machines() as MachineId {
+            let held: Vec<_> = torn.outgoing(to).collect();
+            assert!(held.windows(2).all(|pair| pair[0].0 < pair[1].0));
+            assert_eq!(held, calm.outgoing(to).collect::<Vec<_>>(), "for {to}");
+        }
+        assert_eq!(staged(torn), vec![0; cluster.num_machines()]);
     }
 
     #[test]

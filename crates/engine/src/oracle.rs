@@ -2,14 +2,16 @@
 //!
 //! [`SortStep`] is the step as it was written before the kernel: an
 //! `Option` per accumulator slot, a `touched` list sorted before every
-//! drain, and a per-edge `owner(v) != m` branch. The differential tests
-//! drive it and [`MachineStep`] through the same minimal BSP loop and
-//! demand equal bits everywhere the two can be observed: per-destination
-//! rows (content *and* order), per-superstep records, final values.
+//! drain into per-destination rows — the only place a row survives — and a
+//! per-edge `owner(v) != m` branch. The differential tests drive it and
+//! [`MachineStep`] through the same minimal BSP loop and demand equal bits
+//! everywhere the two can be observed: what each machine hands each other
+//! one (content *and* order), the staged counts, per-superstep records,
+//! final values.
 
 use crate::apps::{Bfs, ConnectedComponents, DistFrom, PageRank, Sssp};
 use crate::engine::{CommAccounting, IterationEngine};
-use crate::kernel::{ApplyOutcome, MachineStep, Rows, ScatterOutcome};
+use crate::kernel::{ApplyOutcome, MachineStep, ScatterOutcome};
 use crate::program::{ProgramContext, VertexProgram};
 use bpart_cluster::bsp::Machine;
 use bpart_cluster::exec::ExecMode;
@@ -18,6 +20,10 @@ use bpart_core::Partition;
 use bpart_graph::{CsrGraph, VertexId};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// One machine's outgoing rows: `rows[to]` holds the combined updates
+/// staged for machine `to`, in ascending target order.
+type Rows<A> = Vec<Vec<(VertexId, A)>>;
 
 /// The sort-based step the kernel replaced.
 struct SortStep<P: VertexProgram> {
@@ -28,8 +34,8 @@ struct SortStep<P: VertexProgram> {
     active: Vec<bool>,
     acc: Vec<Option<P::Accum>>,
     touched: Vec<VertexId>,
+    /// The own row stays until `apply` folds it, last.
     rows: Rows<P::Accum>,
-    self_row: Vec<(VertexId, P::Accum)>,
 }
 
 impl<P: VertexProgram> SortStep<P> {
@@ -52,7 +58,6 @@ impl<P: VertexProgram> SortStep<P> {
             acc: vec![None; graph.num_vertices()],
             touched: Vec::new(),
             rows: vec![Vec::new(); cluster.num_machines()],
-            self_row: Vec::new(),
         }
     }
 
@@ -71,8 +76,10 @@ impl<P: VertexProgram> SortStep<P> {
 trait Step<P: VertexProgram> {
     fn aggregate(&self, program: &P) -> f64;
     fn scatter(&mut self, program: &P) -> ScatterOutcome;
-    fn take_rows(&mut self) -> Rows<P::Accum>;
-    fn return_rows(&mut self, rows: Rows<P::Accum>);
+    /// Message counts for each of the `k` destinations, the own entry 0.
+    fn staged(&self, k: usize) -> Vec<u64>;
+    /// What it holds for `to`, in the order it hands it over.
+    fn outgoing(&mut self, to: MachineId) -> Vec<(VertexId, P::Accum)>;
     fn fold(&mut self, program: &P, row: Vec<(VertexId, P::Accum)>);
     fn apply(&mut self, program: &P, superstep: usize, aggregate: f64) -> ApplyOutcome;
     fn values(&self) -> &[P::Value];
@@ -85,11 +92,13 @@ impl<P: VertexProgram> Step<P> for MachineStep<P> {
     fn scatter(&mut self, program: &P) -> ScatterOutcome {
         MachineStep::scatter(self, program)
     }
-    fn take_rows(&mut self) -> Rows<P::Accum> {
-        Machine::take_rows(self)
+    fn staged(&self, k: usize) -> Vec<u64> {
+        let counts = Machine::staged(self);
+        assert_eq!(counts.len(), k);
+        counts
     }
-    fn return_rows(&mut self, rows: Rows<P::Accum>) {
-        Machine::return_rows(self, rows)
+    fn outgoing(&mut self, to: MachineId) -> Vec<(VertexId, P::Accum)> {
+        MachineStep::outgoing(self, to).collect()
     }
     fn fold(&mut self, program: &P, row: Vec<(VertexId, P::Accum)>) {
         MachineStep::fold(self, program, row)
@@ -152,14 +161,15 @@ impl<P: VertexProgram> Step<P> for SortStep<P> {
         ScatterOutcome { raw, work }
     }
 
-    fn take_rows(&mut self) -> Rows<P::Accum> {
-        let mut rows = std::mem::take(&mut self.rows);
-        self.self_row = std::mem::take(&mut rows[self.machine as usize]);
-        rows
+    fn staged(&self, k: usize) -> Vec<u64> {
+        assert_eq!(self.rows.len(), k);
+        let mut counts: Vec<u64> = self.rows.iter().map(|row| row.len() as u64).collect();
+        counts[self.machine as usize] = 0;
+        counts
     }
 
-    fn return_rows(&mut self, rows: Rows<P::Accum>) {
-        self.rows = rows;
+    fn outgoing(&mut self, to: MachineId) -> Vec<(VertexId, P::Accum)> {
+        std::mem::take(&mut self.rows[to as usize])
     }
 
     fn fold(&mut self, program: &P, row: Vec<(VertexId, P::Accum)>) {
@@ -169,7 +179,7 @@ impl<P: VertexProgram> Step<P> for SortStep<P> {
     }
 
     fn apply(&mut self, program: &P, superstep: usize, aggregate: f64) -> ApplyOutcome {
-        for (v, a) in std::mem::take(&mut self.self_row) {
+        for (v, a) in self.outgoing(self.machine) {
             self.accumulate(program, v, a);
         }
         let cluster = self.cluster.clone();
@@ -213,6 +223,8 @@ impl<P: VertexProgram> Step<P> for SortStep<P> {
 struct Trace<P: VertexProgram> {
     /// `rows[superstep][from][to]`, self slots empty.
     rows: Vec<Vec<Rows<P::Accum>>>,
+    /// `staged[superstep][from][to]`.
+    staged: Vec<Vec<Vec<u64>>>,
     /// `(compute, comm, sent)` per superstep.
     records: Vec<(Vec<f64>, Vec<f64>, Vec<u64>)>,
     /// Final values, indexed by global vertex id.
@@ -231,6 +243,7 @@ fn drive<P: VertexProgram, S: Step<P>>(
     let k = cluster.num_machines();
     let mut trace = Trace {
         rows: Vec::new(),
+        staged: Vec::new(),
         records: Vec::new(),
         values: vec![None; cluster.graph().num_vertices()],
     };
@@ -244,15 +257,23 @@ fn drive<P: VertexProgram, S: Step<P>>(
             .iter()
             .map(|out| cost.compute_time(&out.work))
             .collect();
-        let mut rows: Vec<Rows<P::Accum>> = steps.iter_mut().map(|s| s.take_rows()).collect();
+        let staged: Vec<Vec<u64>> = steps.iter().map(|s| s.staged(k)).collect();
+        // The own view stays inside until `apply`.
+        let mut rows: Vec<Rows<P::Accum>> = vec![vec![Vec::new(); k]; k];
+        for (from, to) in (0..k).flat_map(|from| (0..k).map(move |to| (from, to))) {
+            if from != to {
+                rows[from][to] = steps[from].outgoing(to as MachineId);
+            }
+        }
         trace.rows.push(rows.clone());
         let (mut sent, mut received) = (vec![0u64; k], vec![0u64; k]);
         for from in 0..k {
             for to in 0..k {
                 let count = match comm {
                     CommAccounting::PerEdgeUpdate => scattered[from].raw[to],
-                    CommAccounting::Combined => rows[from][to].len() as u64,
+                    CommAccounting::Combined => staged[from][to],
                 };
+                assert_eq!(staged[from][to], rows[from][to].len() as u64);
                 sent[from] += count;
                 received[to] += count;
             }
@@ -263,8 +284,8 @@ fn drive<P: VertexProgram, S: Step<P>>(
                 steps[to].fold(program, std::mem::take(&mut row[to]));
             }
         }
-        for (m, (step, row)) in steps.iter_mut().zip(rows).enumerate() {
-            step.return_rows(row);
+        trace.staged.push(staged);
+        for (m, step) in steps.iter_mut().enumerate() {
             let applied = step.apply(program, superstep, aggregate);
             compute[m] += cost.compute_time(&applied.work);
             any_active |= applied.any_active;
@@ -358,6 +379,7 @@ where
             }
         }
     }
+    check("staged counts", kernel.staged == oracle.staged)?;
     check("values", kernel.values.bits() == oracle.values.bits())?;
 
     let records = |t: &Trace<P>| -> Vec<(Vec<u64>, Vec<u64>, Vec<u64>)> {

@@ -16,7 +16,7 @@
 //! and totals of a fault-free run; only telemetry shows the recovery work.
 
 use crate::kernel::{PathTable, WalkStep};
-use crate::walker::{WalkApp, Walker};
+use crate::walker::WalkApp;
 use bpart_cluster::bsp;
 use bpart_cluster::exec::ExecMode;
 use bpart_cluster::{Cluster, CostModel, FaultPlan, Telemetry, UnrecoverableFailure, WorkUnits};
@@ -128,12 +128,11 @@ impl<A: WalkApp + ?Sized> bsp::Program for Walk<'_, A> {
         out
     }
 
-    fn deliver(
-        &mut self,
-        _superstep: usize,
-        steps: &mut [WalkStep],
-        rows: &mut [bsp::Rows<Walker>],
-    ) -> Vec<WorkUnits> {
+    /// Takes every machine's staged rows, absorbs `rows[from][to]` into
+    /// machine `to` for `from` ascending where it lies, and hands the rows
+    /// back drained, capacity intact.
+    fn deliver(&mut self, _superstep: usize, steps: &mut [WalkStep]) -> Vec<WorkUnits> {
+        let mut rows: Vec<_> = steps.iter_mut().map(|s| s.outbox().take_filled()).collect();
         for (to, s) in steps.iter_mut().enumerate() {
             for row in rows.iter_mut() {
                 s.absorb(&mut row[to]);
@@ -143,6 +142,9 @@ impl<A: WalkApp + ?Sized> bsp::Program for Walk<'_, A> {
                     .try_for_each(|(id, step, v)| paths.place(id, step, v))
                     .expect("the kernels report every step of every walker once");
             }
+        }
+        for (s, row) in steps.iter_mut().zip(rows) {
+            s.outbox().put_drained(row);
         }
         vec![WorkUnits::default(); steps.len()]
     }

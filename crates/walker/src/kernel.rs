@@ -4,7 +4,7 @@
 //! every queued walker, routing into "stays" and per-destination rows,
 //! inbox absorb, snapshot/restore, seeding — and the only implementation
 //! of it: the thread backend ([`WalkEngine`](crate::WalkEngine)) absorbs
-//! the rows where the senders staged them, the process backend
+//! the rows out of the buffers the senders staged them in, the process backend
 //! (`bpart_dist::step::WalkWorker`) encodes them into frames. It is the
 //! walk-side twin of `bpart_engine::kernel::MachineStep`.
 //!
@@ -28,7 +28,7 @@
 
 use crate::engine::WalkStarts;
 use crate::walker::{WalkApp, Walker};
-use bpart_cluster::bsp::{Machine, Rows};
+use bpart_cluster::bsp::Machine;
 use bpart_cluster::{Cluster, MachineId, MessageArena, WorkUnits};
 use bpart_graph::VertexId;
 use std::fmt;
@@ -308,7 +308,8 @@ impl WalkStep {
     /// decision) or at full length, any other walker belongs to the owner
     /// of its new vertex. The second routes with every destination known:
     /// a walker bound elsewhere is staged for its owner (see
-    /// [`Machine::take_rows`]), the rest close ranks in the queue, in order.
+    /// [`outbox`](Self::outbox)) and counted as sent, the rest close ranks
+    /// in the queue, in order.
     pub fn step<A: WalkApp + ?Sized>(&mut self, app: &A) -> WorkUnits {
         let WalkStep {
             cluster,
@@ -356,6 +357,7 @@ impl WalkStep {
         queue.truncate(stayed);
         let steps = dests.len() as u64;
         state.steps += steps;
+        state.sent += outbox.staged() as u64;
         WorkUnits {
             steps,
             ..WorkUnits::default()
@@ -366,6 +368,14 @@ impl WalkStep {
     /// superstep's, when called at every barrier.
     pub fn take_triples(&mut self) -> std::vec::Drain<'_, (u64, u32, VertexId)> {
         self.triples.drain(..)
+    }
+
+    /// The staging arena: `take_filled` lends the rows the last step staged
+    /// — `rows[to]` the walkers bound for machine `to`, the self slot always
+    /// empty (walkers that stay never leave the queue) — to a delivery, and
+    /// `put_drained` takes them back.
+    pub fn outbox(&mut self) -> &mut MessageArena<Walker> {
+        &mut self.outbox
     }
 
     /// Appends one sender's delivered walkers to the queue, draining
@@ -379,16 +389,9 @@ impl Machine for WalkStep {
     type Msg = Walker;
     type Snapshot = Snapshot;
 
-    /// The self slot is always empty: walkers that stay never leave the
-    /// queue.
-    fn take_rows(&mut self) -> Rows<Walker> {
-        let rows = self.outbox.take_filled();
-        self.state.sent += rows.iter().map(|row| row.len() as u64).sum::<u64>();
-        rows
-    }
-
-    fn return_rows(&mut self, rows: Rows<Walker>) {
-        self.outbox.put_drained(rows);
+    /// The arena's row lengths.
+    fn staged(&self) -> Vec<u64> {
+        self.outbox.staged_per_destination().collect()
     }
 
     fn snapshot(&self) -> Snapshot {
