@@ -107,9 +107,6 @@ pub enum Command {
         watch: Vec<String>,
         threshold: f64,
     },
-    /// `bpart obs alerts ADDR` — fetch and pretty-print `/alerts` from a
-    /// live `--serve-addr` server.
-    ObsAlerts { addr: String },
     /// `bpart convert SRC DST`
     Convert { src: String, dst: String },
     /// `bpart schemes`
@@ -461,22 +458,9 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             })
         }
         "obs" => {
-            if let Some((&"alerts", tail)) = rest.split_first() {
-                let (flags, positional) = split_flags(tail)?;
-                check_unknown(&flags, &[])?;
-                return match positional.as_slice() {
-                    [addr] => Ok(Command::ObsAlerts {
-                        addr: addr.to_string(),
-                    }),
-                    other => Err(err(format!(
-                        "obs alerts takes one ADDR argument (a --serve-addr address), got {other:?}"
-                    ))),
-                };
-            }
             let Some((&"diff", tail)) = rest.split_first() else {
                 return Err(err(format!(
-                    "obs takes a `diff` or `alerts` subcommand (obs diff BASELINE CANDIDATE, \
-                     obs alerts ADDR), got {rest:?}"
+                    "obs takes a `diff` subcommand (obs diff BASELINE CANDIDATE), got {rest:?}"
                 )));
             };
             let (flags, positional) = split_flags(tail)?;
@@ -890,19 +874,6 @@ mod tests {
         assert!(p(&["obs", "diff", "a.json"]).is_err());
         assert!(p(&["obs", "diff", "a", "b", "--watch", ","]).is_err());
         assert!(p(&["obs", "diff", "a", "b", "--threshold", "-1"]).is_err());
-    }
-
-    #[test]
-    fn parses_obs_alerts() {
-        assert_eq!(
-            p(&["obs", "alerts", "127.0.0.1:9090"]).unwrap(),
-            Command::ObsAlerts {
-                addr: "127.0.0.1:9090".into(),
-            }
-        );
-        assert!(p(&["obs", "alerts"]).is_err());
-        assert!(p(&["obs", "alerts", "a", "b"]).is_err());
-        assert!(p(&["obs", "alerts", "addr", "--bogus", "x"]).is_err());
     }
 
     #[test]

@@ -136,7 +136,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             watch,
             threshold,
         } => obs_diff_cmd(a, b, watch, *threshold),
-        Command::ObsAlerts { addr } => obs_alerts_cmd(addr),
     }
 }
 
@@ -169,13 +168,6 @@ impl<'a> ObsExports<'a> {
             bpart_obs::profile::set_profile_enabled(true);
             bpart_obs::profile::start_sampler(bpart_obs::profile::DEFAULT_SAMPLE_INTERVAL);
         }
-        // The alert engine watches the registry in the background while a
-        // live server is up (that's what turns /healthz degraded), and
-        // `finish` reports anything still firing at the end of the run.
-        if obs.serve_addr.is_some() {
-            bpart_obs::alerts::install_builtin_rules();
-            bpart_obs::alerts::start_evaluator(std::time::Duration::from_millis(250));
-        }
         let server = match obs.serve_addr.as_deref() {
             Some(addr) => {
                 let handle = bpart_obs::serve::start(addr)
@@ -196,13 +188,10 @@ impl<'a> ObsExports<'a> {
     /// worker that reported.
     fn finish(mut self, text: &mut String) -> Result<(), CliError> {
         use bpart_obs::export;
-        // The background threads stop first, so what they count is final.
+        // The sampler stops first, so what it counts is final.
         if self.obs.profile_out.is_some() || self.obs.serve_addr.is_some() {
             bpart_obs::profile::stop_sampler();
             bpart_obs::profile::set_profile_enabled(false);
-        }
-        if self.obs.serve_addr.is_some() {
-            bpart_obs::alerts::stop_evaluator();
         }
         // `proc.peak_rss_bytes` as late as the snapshot can carry it: every
         // path of the command has run.
@@ -241,17 +230,6 @@ impl<'a> ObsExports<'a> {
             text.push_str(&format!(
                 "  wrote folded profile to {path} (render with `bpart report --profile {path}`)\n"
             ));
-        }
-        if self.obs.serve_addr.is_some() {
-            let fired: Vec<&str> = local
-                .alerts
-                .iter()
-                .filter(|a| a.phase == bpart_obs::alerts::Phase::Firing)
-                .map(|a| a.name.as_str())
-                .collect();
-            if !fired.is_empty() {
-                text.push_str(&format!("  alerts firing at exit: {}\n", fired.join(", ")));
-            }
         }
         drop(store);
         if let Some(server) = self.server.take() {
@@ -349,16 +327,23 @@ fn report_cmd(
 /// text, so it pipes straight into any flamegraph renderer.
 fn report_profile_cmd(paths: &[String]) -> Result<String, CliError> {
     let mut merged: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
+    let mut total = 0u64;
     for path in paths {
         let text =
             std::fs::read_to_string(path).map_err(|e| fail(format!("cannot open {path}: {e}")))?;
         for (stack, count) in
             bpart_obs::profile::parse_folded(&text).map_err(|e| fail(format!("{path}: {e}")))?
         {
+            // Every stack's sum is at most the total, so checking the
+            // total is enough.
+            total = total.checked_add(count).ok_or_else(|| {
+                fail(format!(
+                    "{path}: sample count overflows u64 at stack {stack:?}"
+                ))
+            })?;
             *merged.entry(stack).or_insert(0) += count;
         }
     }
-    let total: u64 = merged.values().sum();
     if total == 0 {
         return Ok("profile: no samples (was the profiler enabled?)\n".to_string());
     }
@@ -372,44 +357,6 @@ fn report_profile_cmd(paths: &[String]) -> Result<String, CliError> {
     );
     for (stack, count) in rows {
         out.push_str(&format!("{stack} {count}\n"));
-    }
-    Ok(out)
-}
-
-/// `bpart obs alerts ADDR`: one hand-rolled HTTP GET of `/alerts` from a
-/// live `--serve-addr` server, pretty-printed one rule per line.
-fn obs_alerts_cmd(addr: &str) -> Result<String, CliError> {
-    use std::io::{Read as _, Write as _};
-    let mut stream = std::net::TcpStream::connect(addr)
-        .map_err(|e| fail(format!("cannot connect to {addr}: {e}")))?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-        .ok();
-    write!(stream, "GET /alerts HTTP/1.1\r\nHost: {addr}\r\n\r\n")
-        .map_err(|e| fail(format!("cannot query {addr}: {e}")))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| fail(format!("cannot read from {addr}: {e}")))?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| fail(format!("malformed HTTP response from {addr}")))?;
-    let status = head.lines().next().unwrap_or("");
-    if !status.contains("200") {
-        return Err(fail(format!("{addr} answered {status}")));
-    }
-    // The body is the alerts_json array; re-render it one rule per line
-    // so a terminal read doesn't need a JSON tool.
-    let trimmed = body.trim().trim_start_matches('[').trim_end_matches(']');
-    let mut out = String::from("alerts:\n");
-    if trimmed.is_empty() {
-        out.push_str("  (no rules installed)\n");
-        return Ok(out);
-    }
-    // Objects are flat (no nested braces), so splitting on "},{" is safe.
-    for obj in trimmed.split("},{") {
-        let obj = obj.trim_start_matches('{').trim_end_matches('}');
-        out.push_str(&format!("  {obj}\n"));
     }
     Ok(out)
 }
@@ -867,7 +814,7 @@ fn run_cmd(
     text.push_str(&run_report(&out, oracle.as_ref(), cut_ratio, wall));
     if federated {
         // Driver-side RPC round-trip quantiles, from the same shared
-        // bucket estimator the rpc-rtt-p99 alert rule reads.
+        // bucket estimator as the bpart_federation_rtt_* series.
         let registry = bpart_obs::metrics::capture();
         let rtt = |q| registry.quantile("dist.rpc_rtt_ns", q);
         if let (Some(p50), Some(p99)) = (rtt(0.5), rtt(0.99)) {
@@ -880,7 +827,7 @@ fn run_cmd(
         let dead = federation::global().dead_workers();
         if dead > 0 {
             text.push_str(&format!(
-                "  stale workers:   {dead} (last pre-death snapshots retained)\n"
+                "  stale workers:   {dead} (last reports kept, flagged stale)\n"
             ));
         }
     }

@@ -70,7 +70,6 @@ USAGE:
 [+ OBSERVABILITY flags]
   bpart report    TRACE... [--critical-path] [--profile] [--straggler-factor F]
   bpart obs diff  BASELINE CANDIDATE [--watch M1,M2] [--threshold F]
-  bpart obs alerts ADDR
   bpart convert   SRC DST
   bpart schemes
 
@@ -147,10 +146,9 @@ OBSERVABILITY (partition/run; see DESIGN.md §10–11):
   --profile-out FILE  continuous-profiler flamegraph (folded-stack text);
                       on a process-backend run this merges the driver's
                       and every worker's profile into one cluster view
-  A --serve-addr server also exposes /profile (live folded stacks) and
-  /alerts (built-in metric rules: worker-death, straggler, replay-storm,
-  rpc-rtt-p99); firing alerts turn /healthz degraded and
-  `bpart obs alerts ADDR` pretty-prints them.
+  A --serve-addr server also exposes /profile (live folded stacks); on a
+  process-backend run /healthz reports dead workers, deaths so far and
+  recovery, and turns degraded once any of them is non-zero.
 
 REPORT (post-mortem on --trace-out files; one file holds a whole run, a
 process-backend driver's spans and its workers' on one clock; several

@@ -99,6 +99,38 @@ fn errors_exit_nonzero_with_usage_on_stderr() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("/no/such/file"));
 }
 
+/// A trace step timed on no machines and a profile whose counts overflow
+/// `u64` are bad input, not bugs: one `bpart: …` line and exit 1, never a
+/// panic (exit 101) or, in a release build, a silently wrapped total.
+#[test]
+fn hostile_report_inputs_exit_with_one_error_line() {
+    let (tp, trace) = tmp("hostile.jsonl");
+    let step = r#"{"id":1,"parent":null,"name":"cluster.superstep","thread":0,"start_ns":0,"dur_ns":1,"attrs":{"compute":""}}"#;
+    std::fs::write(&tp, format!("{step}\n")).unwrap();
+    let (fp, folded) = tmp("hostile.folded");
+    std::fs::write(&fp, format!("a {}\nb 1\n", u64::MAX)).unwrap();
+    let (one, fp1) = tmp("hostile_one.folded");
+    std::fs::write(&one, "a 1\n").unwrap();
+    for (args, names) in [
+        (vec!["report", &trace, "--critical-path"], "no machines"),
+        (vec!["report", "--profile", &folded], "stack \"b\""),
+        (vec!["report", "--profile", &fp1, &folded], "stack \"a\""),
+    ] {
+        let out = bpart().args(&args).output().expect("run report");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(
+            err.starts_with("bpart: ") && err.contains(names),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked at"), "{args:?}: {err}");
+    }
+    std::fs::remove_file(tp).ok();
+    std::fs::remove_file(fp).ok();
+    std::fs::remove_file(one).ok();
+}
+
 #[test]
 fn schemes_listing_matches_library_roster() {
     let out = bpart().arg("schemes").output().expect("run schemes");

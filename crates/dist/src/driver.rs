@@ -1059,13 +1059,6 @@ impl Driver {
             if let Some(g) = &mut step_span {
                 let store = federation::global();
                 if let Some((compute, comm)) = store.step_timings(superstep) {
-                    // The straggler factor the `straggler` alert rule
-                    // watches: slowest worker's compute vs the mean.
-                    let mean = compute.iter().sum::<f64>() / compute.len() as f64;
-                    let max = compute.iter().fold(0.0f64, |a, &b| a.max(b));
-                    if mean > 0.0 {
-                        bpart_obs::metrics::gauge("dist.straggler_factor").set(max / mean);
-                    }
                     g.attr("compute", bpart_obs::analysis::Timings(&compute));
                     g.attr("comm", bpart_obs::analysis::Timings(&comm));
                 }

@@ -60,7 +60,6 @@ use crate::wire::{put_bytes, put_f64, put_str, put_u32, put_u64, Reader};
 use bpart_cluster::{Cluster, MachineId};
 use bpart_core::PartId;
 use bpart_graph::{CsrGraph, OwnedLists, VertexId};
-use bpart_obs::alerts::{AlertStatus, Phase};
 use bpart_obs::snapshot::{HistogramValue, Metrics, Snapshot, Span};
 use std::borrow::Cow;
 use std::io::{Read, Write};
@@ -392,8 +391,8 @@ fn read_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, ClusterError> {
     }
 }
 
-/// A worker's snapshot of itself: metrics by kind, spans, folded profile,
-/// alert states — every list counted, every string length-prefixed.
+/// A worker's snapshot of itself: metrics by kind, spans, folded profile
+/// — every list counted, every string length-prefixed.
 fn put_snapshot(out: &mut Vec<u8>, snapshot: &Snapshot) {
     let Metrics {
         counters,
@@ -439,18 +438,6 @@ fn put_snapshot(out: &mut Vec<u8>, snapshot: &Snapshot) {
         put_str(out, stack);
         put_u64(out, *count);
     }
-    put_u32(out, snapshot.alerts.len() as u32);
-    for a in &snapshot.alerts {
-        put_str(out, &a.name);
-        out.push(match a.phase {
-            Phase::Ok => 0,
-            Phase::Pending => 1,
-            Phase::Firing => 2,
-        });
-        put_opt_u64(out, a.value.map(f64::to_bits));
-        put_str(out, &a.condition);
-        put_u64(out, a.fired_at_ns);
-    }
 }
 
 fn read_snapshot(r: &mut Reader<'_>) -> Result<Snapshot, ClusterError> {
@@ -485,20 +472,6 @@ fn read_snapshot(r: &mut Reader<'_>) -> Result<Snapshot, ClusterError> {
         })
     })?;
     let profile = read_list(r, |r| Ok((r.str()?, r.u64()?)))?;
-    let alerts = read_list(r, |r| {
-        Ok(AlertStatus {
-            name: r.str()?,
-            phase: match r.u8()? {
-                0 => Phase::Ok,
-                1 => Phase::Pending,
-                2 => Phase::Firing,
-                p => return Err(ClusterError::corrupt(format!("alert phase {p}"))),
-            },
-            value: read_opt_u64(r)?.map(f64::from_bits),
-            condition: r.str()?,
-            fired_at_ns: r.u64()?,
-        })
-    })?;
     Ok(Snapshot {
         metrics: Metrics {
             counters: counters.into_iter().collect(),
@@ -507,7 +480,6 @@ fn read_snapshot(r: &mut Reader<'_>) -> Result<Snapshot, ClusterError> {
         },
         spans,
         profile,
-        alerts,
     })
 }
 
@@ -1046,8 +1018,8 @@ mod tests {
     }
 
     /// An `ObsReport` with something in every field of its snapshot: all
-    /// three metric kinds, a root and a child span with attributes, a
-    /// profile, and alerts in each phase with and without a value.
+    /// three metric kinds, a root and a child span with attributes, and a
+    /// profile.
     pub(crate) fn obs_report() -> WorkerMsg<'static> {
         let mut metrics = Metrics::default();
         metrics.counters.insert("dist.frames".into(), 7);
@@ -1071,13 +1043,6 @@ mod tests {
             dur_ns: 10,
             attrs: attrs.iter().map(|&(k, v)| (k.into(), v.into())).collect(),
         };
-        let alert = |name: &str, phase, value| AlertStatus {
-            name: name.into(),
-            phase,
-            value,
-            condition: format!("{name} > 0"),
-            fired_at_ns: 9,
-        };
         WorkerMsg::ObsReport {
             epoch: 1,
             seq: 12,
@@ -1100,11 +1065,6 @@ mod tests {
                     span(5, Some(4), "worker.compute", &[]),
                 ],
                 profile: vec![("dist.superstep;dist.compute".into(), 7)],
-                alerts: vec![
-                    alert("a", Phase::Ok, None),
-                    alert("b", Phase::Pending, Some(0.5)),
-                    alert("c", Phase::Firing, Some(f64::INFINITY)),
-                ],
             },
         }
     }
@@ -1175,22 +1135,6 @@ mod tests {
         let tag_at = 61 + 4 * 4 + 8;
         assert!(decode(&one_span, &|_| {}).is_ok());
         assert!(is_corrupt(decode(&one_span, &|p| p[tag_at] = 2)));
-
-        // One alert: its phase byte follows the five empty lists' counts,
-        // the alert count and the one-letter name.
-        let one_alert = report(Snapshot {
-            alerts: vec![AlertStatus {
-                name: "a".into(),
-                phase: Phase::Ok,
-                value: None,
-                condition: String::new(),
-                fired_at_ns: 0,
-            }],
-            ..Snapshot::default()
-        });
-        let phase_at = 61 + 6 * 4 + 4 + 1;
-        assert!(decode(&one_alert, &|_| {}).is_ok());
-        assert!(is_corrupt(decode(&one_alert, &|p| p[phase_at] = 3)));
 
         // A histogram needs one bucket more than it has bounds.
         let mut lopsided = Snapshot::default();

@@ -7,7 +7,6 @@
 use bpart_dist::error::ClusterError;
 use bpart_dist::frame::{self, PayloadReader, HEADER_LEN, MAX_PAYLOAD};
 use bpart_dist::proto::WorkerMsg;
-use bpart_obs::alerts::{AlertStatus, Phase};
 use bpart_obs::snapshot::{HistogramValue, Snapshot, Span};
 use proptest::prelude::*;
 
@@ -19,7 +18,7 @@ fn snapshot_from(seeds: &[u64]) -> Snapshot {
     for (i, &seed) in seeds.iter().enumerate() {
         let name = format!("m{}.é{seed:x}", seed % 7);
         let float = f64::from_bits(seed);
-        match seed % 6 {
+        match seed % 5 {
             0 => {
                 snapshot.metrics.counters.insert(name, seed);
             }
@@ -47,14 +46,7 @@ fn snapshot_from(seeds: &[u64]) -> Snapshot {
                     .map(|a| (format!("k{a}"), format!("{seed}\"\n")))
                     .collect(),
             }),
-            4 => snapshot.profile.push((name, seed)),
-            _ => snapshot.alerts.push(AlertStatus {
-                name,
-                phase: [Phase::Ok, Phase::Pending, Phase::Firing][(seed % 3) as usize],
-                value: (seed % 5 > 1).then_some(float),
-                condition: format!("x > {seed}"),
-                fired_at_ns: seed,
-            }),
+            _ => snapshot.profile.push((name, seed)),
         }
     }
     snapshot

@@ -179,6 +179,9 @@ pub fn analyze(spans: &[Span]) -> Result<CriticalPath, String> {
         };
         let compute = parse_timings(compute)
             .map_err(|e| format!("span {} ({}): compute: {e}", s.id, s.name))?;
+        if compute.is_empty() {
+            return Err(format!("span {} ({}): compute: no machines", s.id, s.name));
+        }
         let comm = match s.attr("comm") {
             Some(c) => {
                 parse_timings(c).map_err(|e| format!("span {} ({}): comm: {e}", s.id, s.name))?
@@ -471,6 +474,13 @@ mod tests {
         ];
         let err = analyze(&spans).unwrap_err();
         assert!(err.contains("machine count changed"), "{err}");
+    }
+
+    #[test]
+    fn a_step_timed_on_no_machines_is_an_error_not_a_panic() {
+        let span = step_span(9, 0, "cluster.superstep", &[("compute", String::new())]);
+        let err = analyze(&[span]).unwrap_err();
+        assert_eq!(err, "span 9 (cluster.superstep): compute: no machines");
     }
 
     #[test]

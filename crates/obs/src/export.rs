@@ -19,7 +19,8 @@ use std::io;
 use std::path::Path;
 
 use crate::federation::{rebase_ns, worker_label, worker_span_id_base, WorkerObs};
-use crate::metrics::{json_f64, sanitize_name};
+use crate::json::{Num, Str};
+use crate::metrics::sanitize_name;
 use crate::snapshot::{HistogramValue, Snapshot, Span};
 use crate::tracer::SpanRecord;
 
@@ -39,23 +40,6 @@ impl<'a> Source<'a> {
             Source::Worker(_, obs) => &obs.snapshot,
         }
     }
-}
-
-/// Escapes a string for a JSON string literal (without the quotes).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn fmt_f64(v: f64) -> String {
@@ -82,8 +66,8 @@ enum Series<'a> {
 /// worker follows: what its driver knows of it (`bpart_federation_*`:
 /// staleness, deaths, clock estimate, report position), then the series of
 /// its latest snapshot by kind, every line labelled `worker="N"`. Last,
-/// the driver's RPC round-trip quantiles, from the same bucket estimator
-/// the `rpc-rtt-p99` alert rule reads.
+/// the driver's RPC round-trip quantiles, from the bucket estimator
+/// `bpart report`'s percentile columns share.
 ///
 /// Sanitisation can alias distinct names (`a.b` and `a_b` both become
 /// `a_b`); that is a caller bug the exposition must not hide, so colliding
@@ -209,7 +193,7 @@ pub fn progress_json(sources: &[Source<'_>]) -> String {
     fn object<V>(map: &BTreeMap<String, V>, value: impl Fn(&V) -> String) -> String {
         let entries: Vec<String> = map
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", escape_json(k), value(v)))
+            .map(|(k, v)| format!("{}:{}", Str(k), value(v)))
             .collect();
         format!("{{{}}}", entries.join(","))
     }
@@ -223,9 +207,9 @@ pub fn progress_json(sources: &[Source<'_>]) -> String {
                     out,
                     "\"counters\":{},\"gauges\":{},\"histograms\":{}",
                     counters(snapshot),
-                    object(&snapshot.metrics.gauges, |&v| json_f64(v)),
+                    object(&snapshot.metrics.gauges, |&v| Num(v).to_string()),
                     object(&snapshot.metrics.histograms, |h| {
-                        format!("{{\"count\":{},\"sum\":{}}}", h.count, json_f64(h.sum))
+                        format!("{{\"count\":{},\"sum\":{}}}", h.count, Num(h.sum))
                     }),
                 );
             }
@@ -304,13 +288,13 @@ pub fn spans_jsonl(sources: &[Source<'_>]) -> String {
             let attrs: Vec<String> = s
                 .attrs
                 .iter()
-                .map(|(k, v)| format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)))
+                .map(|(k, v)| format!("{}:{}", Str(k), Str(v)))
                 .collect();
             let _ = writeln!(
                 out,
-                "{{\"id\":{},\"parent\":{parent},\"name\":\"{}\",\"thread\":{},\"start_ns\":{},\"dur_ns\":{},\"attrs\":{{{}}}}}",
+                "{{\"id\":{},\"parent\":{parent},\"name\":{},\"thread\":{},\"start_ns\":{},\"dur_ns\":{},\"attrs\":{{{}}}}}",
                 base + s.id,
-                escape_json(&s.name),
+                Str(&s.name),
                 s.thread,
                 rebase_ns(s.start_ns, offset_ns),
                 s.dur_ns,
@@ -389,12 +373,6 @@ mod tests {
             "{\"id\":1,\"parent\":null,\"name\":\"t.export.root\",\"thread\":0,\"start_ns\":10,\"dur_ns\":100,\"attrs\":{\"layer\":\"2\"}}\n\
              {\"id\":2,\"parent\":1,\"name\":\"t.export.child\",\"thread\":0,\"start_ns\":20,\"dur_ns\":50,\"attrs\":{}}\n"
         );
-    }
-
-    #[test]
-    fn escape_json_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 
     #[test]

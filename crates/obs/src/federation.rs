@@ -26,18 +26,19 @@
 //!   `offset = ((t1−t0)+(t2−t3))/2`, keeps the minimum-RTT sample, and
 //!   worker spans are rebased by it when exported.
 //! * **Death leaves a snapshot behind.** [`FederationStore::mark_dead`]
-//!   flags the worker stale and pins its last metrics; a fresh report
-//!   (respawn) clears the flag. `/healthz` turns structured — `ok` /
-//!   `degraded` with a dead-worker count and recovery flag — only when a
+//!   flags the worker stale and counts the death; its last snapshot stays
+//!   until a fresh report (respawn) replaces it and clears the flag.
+//!   `/healthz` turns structured — `ok` / `degraded` with the dead-worker
+//!   count, the deaths so far and the recovery flag — only when a
 //!   distributed driver enables it; standalone runs keep the plain `ok`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use crate::alerts::{AlertStatus, Phase};
-use crate::export::{escape_json, Source};
-use crate::snapshot::{Metrics, Snapshot};
+use crate::export::Source;
+use crate::json::Str;
+use crate::snapshot::Snapshot;
 
 /// One superstep's compute/exchange timing sample from one worker.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -59,8 +60,8 @@ pub struct ClockSample {
 /// Everything the driver holds about one worker.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WorkerObs {
-    /// `(epoch, seq)` of the report `snapshot`'s metrics, profile and
-    /// alerts came from; `None` before the first report.
+    /// `(epoch, seq)` of the report `snapshot`'s metrics and profile came
+    /// from; `None` before the first report.
     pub key: Option<(u32, u64)>,
     /// The worker as of that report, with every span shipped so far —
     /// worker span ids restart on respawn, but respawn bumps the epoch.
@@ -76,9 +77,6 @@ pub struct WorkerObs {
     pub stale: bool,
     /// Observed deaths of this worker slot.
     pub deaths: u64,
-    /// The metrics pinned when the worker last died (kept even after a
-    /// respawn starts reporting, for post-mortem reads).
-    pub last_pre_death: Option<Metrics>,
 }
 
 /// The driver's cluster-wide observability state.
@@ -112,7 +110,6 @@ impl FederationStore {
             metrics,
             spans,
             profile,
-            alerts,
         } = report;
         for span in spans {
             let key = (epoch, span.id);
@@ -126,7 +123,6 @@ impl FederationStore {
             obs.key = Some((epoch, seq));
             obs.snapshot.metrics = metrics;
             obs.snapshot.profile = profile;
-            obs.snapshot.alerts = alerts;
             obs.stale = false;
         }
         if let Some((superstep, sample)) = step {
@@ -150,15 +146,11 @@ impl FederationStore {
         }
     }
 
-    /// Marks `worker` dead: the stale flag raises and its last metrics
-    /// are pinned for post-mortem reads.
+    /// Marks `worker` dead: the stale flag raises and the death counts.
     pub fn mark_dead(&mut self, worker: u32) {
         let obs = self.workers.entry(worker).or_default();
         obs.stale = true;
         obs.deaths += 1;
-        if obs.key.is_some() {
-            obs.last_pre_death = Some(obs.snapshot.metrics.clone());
-        }
     }
 
     /// The sources of a cluster-wide view: `local` first, then every
@@ -193,30 +185,22 @@ impl FederationStore {
     }
 
     /// The `/healthz` body. Plain `ok` until a distributed driver
-    /// enables structured health; then JSON with `ok`/`degraded`, the
-    /// dead-worker count, the recovery-in-progress flag, and the firing
-    /// rules among `alerts` (a fired rule alone is enough to turn the
-    /// state degraded).
-    pub fn health_body(&self, alerts: &[AlertStatus]) -> String {
+    /// enables structured health; then JSON with the dead-worker count,
+    /// the deaths so far (the sum of the `bpart_federation_deaths`
+    /// series) and the recovery-in-progress flag, `degraded` when any of
+    /// the three is set and `ok` otherwise.
+    pub fn health_body(&self) -> String {
         if !self.health_enabled {
             return "ok\n".to_string();
         }
         let dead = self.dead_workers();
-        let firing: Vec<String> = alerts
-            .iter()
-            .filter(|a| a.phase == Phase::Firing)
-            .map(|a| format!("\"{}\"", escape_json(&a.name)))
-            .collect();
-        let status = if dead > 0 || self.recovering || !firing.is_empty() {
-            "degraded"
-        } else {
-            "ok"
-        };
+        let deaths: u64 = self.workers.values().map(|w| w.deaths).sum();
+        let degraded = dead > 0 || self.recovering || deaths > 0;
         format!(
-            "{{\"status\":\"{status}\",\"workers\":{},\"dead\":{dead},\"recovering\":{},\"alerts\":[{}]}}\n",
+            "{{\"status\":{},\"workers\":{},\"dead\":{dead},\"deaths\":{deaths},\"recovering\":{}}}\n",
+            Str(if degraded { "degraded" } else { "ok" }),
             self.cluster_size,
             self.recovering,
-            firing.join(",")
         )
     }
 }
@@ -279,7 +263,7 @@ pub fn reset() {
 mod tests {
     use super::*;
     use crate::export;
-    use crate::snapshot::{HistogramValue, Span};
+    use crate::snapshot::{HistogramValue, Metrics, Span};
 
     fn sample_metrics(v: u64) -> Metrics {
         let mut m = Metrics::default();
@@ -353,19 +337,19 @@ mod tests {
         assert!(store.workers[&1].stale);
         assert_eq!(store.workers[&1].deaths, 1);
         assert_eq!(
-            store.workers[&1].last_pre_death,
-            Some(sample_metrics(9)),
-            "death must pin the last snapshot"
+            store.workers[&1].snapshot.metrics,
+            sample_metrics(9),
+            "death must leave the last snapshot behind"
         );
         assert_eq!(store.dead_workers(), 1);
-        assert!(store.health_body(&[]).contains("\"status\":\"degraded\""));
+        assert!(store.health_body().contains("\"status\":\"degraded\""));
 
-        // The respawned worker reports under a bumped epoch: stale clears.
+        // The respawned worker reports under a bumped epoch: stale clears
+        // and its report replaces the dead incarnation's.
         store.absorb(1, 1, 1, None, report(2));
         assert!(!store.workers[&1].stale);
         assert_eq!(store.dead_workers(), 0);
-        // But the pre-death snapshot stays pinned.
-        assert_eq!(store.workers[&1].last_pre_death, Some(sample_metrics(9)));
+        assert_eq!(store.workers[&1].snapshot.metrics, sample_metrics(2));
     }
 
     #[test]
@@ -396,7 +380,7 @@ mod tests {
         // Standalone (non-distributed) processes keep the exact liveness
         // body the serve tests assert on.
         let store = FederationStore::default();
-        assert_eq!(store.health_body(&[]), "ok\n");
+        assert_eq!(store.health_body(), "ok\n");
     }
 
     #[test]
@@ -406,32 +390,21 @@ mod tests {
             health_enabled: true,
             ..Default::default()
         };
-        assert_eq!(
-            store.health_body(&[]),
-            "{\"status\":\"ok\",\"workers\":4,\"dead\":0,\"recovering\":false,\"alerts\":[]}\n"
-        );
-        store.recovering = true;
-        assert_eq!(
-            store.health_body(&[]),
-            "{\"status\":\"degraded\",\"workers\":4,\"dead\":0,\"recovering\":true,\"alerts\":[]}\n"
-        );
-        store.recovering = false;
-        let alert = |name: &str, phase| AlertStatus {
-            name: name.to_string(),
-            phase,
-            value: None,
-            condition: String::new(),
-            fired_at_ns: 0,
+        let body = |status, dead, deaths, recovering| {
+            format!(
+                "{{\"status\":\"{status}\",\"workers\":4,\"dead\":{dead},\
+                 \"deaths\":{deaths},\"recovering\":{recovering}}}\n"
+            )
         };
-        assert_eq!(
-            store.health_body(&[alert("quiet", Phase::Pending), alert("loud", Phase::Firing)]),
-            "{\"status\":\"degraded\",\"workers\":4,\"dead\":0,\"recovering\":false,\"alerts\":[\"loud\"]}\n"
-        );
+        assert_eq!(store.health_body(), body("ok", 0, 0, false));
+        store.recovering = true;
+        assert_eq!(store.health_body(), body("degraded", 0, 0, true));
         store.mark_dead(2);
-        assert_eq!(
-            store.health_body(&[]),
-            "{\"status\":\"degraded\",\"workers\":4,\"dead\":1,\"recovering\":false,\"alerts\":[]}\n"
-        );
+        store.recovering = false;
+        assert_eq!(store.health_body(), body("degraded", 1, 1, false));
+        // Respawned, stale cleared: the one death still degrades the run.
+        store.absorb(2, 1, 1, None, report(1));
+        assert_eq!(store.health_body(), body("degraded", 0, 1, false));
     }
 
     #[test]

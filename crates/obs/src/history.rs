@@ -29,8 +29,7 @@ use std::io;
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::export::escape_json;
-use crate::report::Parser;
+use crate::json::{Num, Parser, Str};
 
 /// One run's history record.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -89,29 +88,21 @@ impl RunRecord {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"label\":\"{}\",\"graph\":\"{}\",\"git_rev\":\"{}\",\"unix_time\":{}",
-            escape_json(&self.label),
-            escape_json(&self.graph),
-            escape_json(&self.git_rev),
+            "{{\"label\":{},\"graph\":{},\"git_rev\":{},\"unix_time\":{}",
+            Str(&self.label),
+            Str(&self.graph),
+            Str(&self.git_rev),
             self.unix_time,
         );
         out.push_str(",\"config\":{");
         for (i, (k, v)) in self.config.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":\"{}\"", escape_json(k), escape_json(v));
+            let comma = if i > 0 { "," } else { "" };
+            let _ = write!(out, "{comma}{}:{}", Str(k), Str(v));
         }
         out.push_str("},\"metrics\":{");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            if v.is_finite() {
-                let _ = write!(out, "\"{}\":{v}", escape_json(k));
-            } else {
-                let _ = write!(out, "\"{}\":null", escape_json(k));
-            }
+        for (i, (k, &v)) in self.metrics.iter().enumerate() {
+            let comma = if i > 0 { "," } else { "" };
+            let _ = write!(out, "{comma}{}:{}", Str(k), Num(v));
         }
         out.push_str("}}");
         out

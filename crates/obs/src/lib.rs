@@ -17,15 +17,17 @@
 //!   hot path (the registry lock is only taken at lookup time, which call
 //!   sites cache in a `OnceLock`).
 //! * **Snapshot** ([`snapshot`]) — one process at one instant: its
-//!   metrics, closed spans, folded profile and alert states, captured
-//!   locally or decoded from a worker's report.
+//!   metrics, closed spans and folded profile, captured locally or
+//!   decoded from a worker's report.
 //! * **Exporters** ([`export`]) — every external format as one function
 //!   over snapshots: Prometheus text, span JSONL, folded stacks and the
 //!   `/progress` JSON, whether served or written, driver or worker; plus
 //!   the flame-style span-tree report ([`report`]) of `bpart report`.
+//!   Every JSON string and float is written, and every JSON body read
+//!   back, by [`json`].
 //! * **Live serving** ([`serve`]) — a std-only background HTTP server
 //!   (`--serve-addr`) exposing `/metrics`, `/spans`, `/healthz`,
-//!   `/progress`, `/profile`, and `/alerts` while a job runs.
+//!   `/progress` and `/profile` while a job runs.
 //! * **Analysis** ([`analysis`]) — critical-path reconstruction over the
 //!   span tree: which machine gated each superstep, per-machine blame
 //!   (critical-path time vs barrier waiting, the automated Fig. 13
@@ -33,15 +35,11 @@
 //! * **Federation** ([`federation`]) — what a multi-process driver alone
 //!   knows of its workers: each one's latest snapshot, superstep timings,
 //!   clock offset and staleness, behind the `worker="N"`-labelled series,
-//!   the clock-aligned trace and the degraded-aware `/healthz`.
+//!   the clock-aligned trace and the `/healthz` that counts deaths.
 //! * **Continuous profiler** ([`profile`]) — a background sampler that
 //!   snapshots each thread's live span stack into flamegraph-compatible
 //!   folded-stack counts (`--profile-out`, `/profile`, and the cluster
 //!   flame view in `bpart report --profile`).
-//! * **Alerting** ([`alerts`]) — declarative threshold / burn-rate /
-//!   quantile rules over a process's metrics with
-//!   for-duration + cooldown hysteresis, evaluated in the background,
-//!   served on `/alerts`, and folded into `/healthz` degraded state.
 //! * **Run history** ([`history`]) — one JSON record per run under
 //!   `results/history/`, diffed by `bpart obs diff` with watched-metric
 //!   regression gating.
@@ -76,11 +74,11 @@
 //! assert!(text.contains("doc_events"));
 //! ```
 
-pub mod alerts;
 pub mod analysis;
 pub mod export;
 pub mod federation;
 pub mod history;
+pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod report;

@@ -267,17 +267,6 @@ pub fn sanitize_name(name: &str) -> String {
     out
 }
 
-/// Formats an `f64` for JSON bodies: non-finite values become `null`
-/// (JSON has no NaN/Inf). Shared by the `/progress` and `/alerts`
-/// renderers.
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Estimates the `q`-quantile (`0.0 ..= 1.0`) of a histogram from its
 /// Prometheus-style buckets: `bounds` are the finite ascending upper
 /// bounds, `buckets` the **non-cumulative** per-bucket counts with the
@@ -291,8 +280,8 @@ pub fn json_f64(v: f64) -> String {
 /// empty histogram, a malformed shape, or `q` outside `[0, 1]`.
 ///
 /// This is the one shared bucket-math implementation — `bpart report`
-/// (span-duration percentiles), the alert engine's `Quantile` rules, and
-/// the federation RTT series all call it rather than re-deriving.
+/// (span-duration percentiles), the run report's `rpc rtt` line and the
+/// federation RTT series all call it rather than re-deriving.
 pub fn quantile_from_buckets(bounds: &[f64], buckets: &[u64], q: f64) -> Option<f64> {
     if !(0.0..=1.0).contains(&q) || buckets.len() != bounds.len() + 1 {
         return None;

@@ -1,15 +1,15 @@
 //! Trace report: parse a JSONL span dump back and render a flame-style
 //! span tree with per-phase totals.
 //!
-//! The parser is a minimal hand-rolled JSON object reader sized exactly
-//! to what [`crate::export::spans_jsonl`] emits (flat objects,
-//! string/number/null values, one nested `attrs` string map). It rejects
-//! malformed lines with a line-numbered error, which is what makes it
-//! double as the CI trace validator.
+//! Each line is one object of what [`crate::export::spans_jsonl`] emits,
+//! read with [`crate::json`]'s parser; a malformed line fails the parse
+//! with its line number, which is what makes it double as the CI trace
+//! validator.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::Parser;
 use crate::snapshot::Span;
 
 /// Parses a whole JSONL trace. Empty lines are skipped; any malformed
@@ -65,173 +65,6 @@ fn parse_span_line(line: &str) -> Result<Span, String> {
         dur_ns: dur_ns.ok_or("missing \"dur_ns\"")?,
         attrs,
     })
-}
-
-/// Character-level cursor over one JSON line. Shared with
-/// [`crate::history`], which parses its run records with the same
-/// machinery (hence the `pub(crate)` surface).
-pub(crate) struct Parser<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Parser<'a> {
-    pub(crate) fn new(s: &'a str) -> Self {
-        Parser { rest: s }
-    }
-
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
-
-    pub(crate) fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        match self.rest.strip_prefix(c) {
-            Some(rest) => {
-                self.rest = rest;
-                Ok(())
-            }
-            None => Err(format!("expected {c:?} at {:?}", truncate(self.rest))),
-        }
-    }
-
-    pub(crate) fn try_consume(&mut self, c: char) -> bool {
-        self.skip_ws();
-        if let Some(rest) = self.rest.strip_prefix(c) {
-            self.rest = rest;
-            true
-        } else {
-            false
-        }
-    }
-
-    pub(crate) fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("trailing input at {:?}", truncate(self.rest)))
-        }
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let digits: usize = self.rest.bytes().take_while(|b| b.is_ascii_digit()).count();
-        if digits == 0 {
-            return Err(format!("expected number at {:?}", truncate(self.rest)));
-        }
-        let (num, rest) = self.rest.split_at(digits);
-        self.rest = rest;
-        num.parse().map_err(|e| format!("bad number {num:?}: {e}"))
-    }
-
-    /// A JSON number as `f64`; a literal `null` parses as NaN (the
-    /// history emitters write `null` for non-finite values, and NaN
-    /// makes every regression comparison false, which is the safe read).
-    pub(crate) fn f64(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        if let Some(rest) = self.rest.strip_prefix("null") {
-            self.rest = rest;
-            return Ok(f64::NAN);
-        }
-        let len = self
-            .rest
-            .bytes()
-            .take_while(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-            .count();
-        if len == 0 {
-            return Err(format!("expected number at {:?}", truncate(self.rest)));
-        }
-        let (num, rest) = self.rest.split_at(len);
-        self.rest = rest;
-        num.parse().map_err(|e| format!("bad number {num:?}: {e}"))
-    }
-
-    /// A `{"key": value, ...}` object whose values `value` reads, in
-    /// document order (span attributes, the history config and metrics).
-    pub(crate) fn object<V>(
-        &mut self,
-        value: impl Fn(&mut Self) -> Result<V, String>,
-    ) -> Result<Vec<(String, V)>, String> {
-        let mut pairs = Vec::new();
-        self.expect('{')?;
-        if self.try_consume('}') {
-            return Ok(pairs);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(':')?;
-            pairs.push((key, value(self)?));
-            if !self.try_consume(',') {
-                break;
-            }
-        }
-        self.expect('}')?;
-        Ok(pairs)
-    }
-
-    fn u64_or_null(&mut self) -> Result<Option<u64>, String> {
-        self.skip_ws();
-        if let Some(rest) = self.rest.strip_prefix("null") {
-            self.rest = rest;
-            Ok(None)
-        } else {
-            self.u64().map(Some)
-        }
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
-        loop {
-            let (i, c) = chars
-                .next()
-                .ok_or_else(|| "unterminated string".to_string())?;
-            match c {
-                '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Ok(out);
-                }
-                '\\' => {
-                    let (_, esc) = chars.next().ok_or_else(|| "dangling escape".to_string())?;
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let (_, h) = chars
-                                    .next()
-                                    .ok_or_else(|| "truncated \\u escape".to_string())?;
-                                code = code * 16
-                                    + h.to_digit(16)
-                                        .ok_or_else(|| format!("bad hex digit {h:?}"))?;
-                            }
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("bad codepoint {code:#x}"))?,
-                            );
-                        }
-                        other => return Err(format!("bad escape \\{other}")),
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-    }
-}
-
-fn truncate(s: &str) -> &str {
-    let end = s
-        .char_indices()
-        .take(24)
-        .last()
-        .map_or(0, |(i, c)| i + c.len_utf8());
-    &s[..end]
 }
 
 /// One node of the aggregated span tree: all spans with the same name
@@ -331,8 +164,8 @@ pub fn render_report(spans: &[Span]) -> String {
 
     // Flat totals per span name, across all tree positions. Durations
     // also land in log-spaced `le` buckets so the p50/p99 columns come
-    // from the same quantile estimator as the alert rules and the
-    // federation RTT series (`metrics::quantile_from_buckets`).
+    // from the same quantile estimator as the federation RTT series
+    // (`metrics::quantile_from_buckets`).
     let mut flat: BTreeMap<&str, (u64, u64, Vec<u64>)> = BTreeMap::new();
     for s in spans {
         let e = flat

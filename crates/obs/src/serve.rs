@@ -4,18 +4,17 @@
 //! Production systems are scraped while they run; a post-mortem trace
 //! dump is no help three hours into a large partition job. [`start`]
 //! binds a `std::net::TcpListener` (port `0` picks a free port — the
-//! bound address is on the returned handle) and answers six read-only
+//! bound address is on the returned handle) and answers five read-only
 //! endpoints from a background thread:
 //!
 //! | path        | body                                                  |
 //! |-------------|-------------------------------------------------------|
 //! | `/healthz`  | `ok` liveness probe; structured `ok`/`degraded` JSON  |
-//! |             | (dead workers, recovery, firing alerts) on drivers    |
+//! |             | (dead workers, deaths, recovery) on drivers           |
 //! | `/metrics`  | Prometheus exposition ([`export::prometheus`])        |
 //! | `/spans`    | spans as JSONL ([`export::spans_jsonl`])              |
 //! | `/progress` | registry JSON ([`export::progress_json`])             |
 //! | `/profile`  | folded-stack flamegraph text ([`export::folded`])     |
-//! | `/alerts`   | a fresh alert-rule evaluation as a JSON array         |
 //!
 //! Each view covers this process and, on a distributed driver, every
 //! worker that has reported — what the matching `--*-out` file holds at
@@ -47,7 +46,7 @@ use std::time::{Duration, Instant};
 const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 
 use crate::snapshot::{spans_since, Snapshot};
-use crate::{alerts, export, federation, metrics, profile};
+use crate::{export, federation, metrics, profile};
 
 /// A running monitoring server; shut it down explicitly with
 /// [`shutdown`](ServeHandle::shutdown) (dropping the handle also stops
@@ -200,7 +199,7 @@ fn handle_connection(stream: TcpStream) -> io::Result<()> {
         };
         match path {
             "/healthz" => {
-                let body = federation::global().health_body(&alerts::last());
+                let body = federation::global().health_body();
                 let content_type = if body.starts_with('{') {
                     "application/json"
                 } else {
@@ -234,15 +233,11 @@ fn handle_connection(stream: TcpStream) -> io::Result<()> {
                 let body = view(local, export::folded);
                 ("200 OK", "text/plain; charset=utf-8", body)
             }
-            "/alerts" => {
-                let body = alerts::render_json(&alerts::evaluate_now());
-                ("200 OK", "application/json", body)
-            }
             _ => (
                 "404 Not Found",
                 "text/plain; charset=utf-8",
                 format!(
-                    "no such endpoint {path:?}; try /healthz /metrics /spans /progress /profile /alerts\n"
+                    "no such endpoint {path:?}; try /healthz /metrics /spans /progress /profile\n"
                 ),
             ),
         }
@@ -316,14 +311,7 @@ mod tests {
         let (status, content_type, body) = get_full(addr, "/flamegraph");
         assert!(status.contains("404"), "{status}");
         assert_eq!(content_type, "text/plain; charset=utf-8");
-        for endpoint in [
-            "/healthz",
-            "/metrics",
-            "/spans",
-            "/progress",
-            "/profile",
-            "/alerts",
-        ] {
+        for endpoint in ["/healthz", "/metrics", "/spans", "/progress", "/profile"] {
             assert!(
                 body.contains(endpoint),
                 "404 body missing {endpoint}: {body}"
@@ -367,16 +355,9 @@ mod tests {
     }
 
     #[test]
-    fn profile_and_alerts_endpoints_serve_typed_bodies() {
+    fn profile_endpoint_serves_typed_bodies() {
         let server = start("127.0.0.1:0").expect("bind");
         let addr = server.addr();
-
-        // /alerts: a fresh evaluation rendered as a JSON array.
-        let (status, content_type, body) = get_full(addr, "/alerts");
-        assert!(status.contains("200"), "{status}");
-        assert_eq!(content_type, "application/json");
-        assert!(body.starts_with('['), "{body}");
-        assert!(body.trim_end().ends_with(']'), "{body}");
 
         // /progress and /healthz carry explicit media types too.
         let (_, content_type, _) = get_full(addr, "/progress");

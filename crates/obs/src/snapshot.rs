@@ -1,16 +1,15 @@
 //! One process at one instant.
 //!
 //! A [`Snapshot`] is everything a process can say about itself: its
-//! metrics registry, the spans it has closed, its folded profile and the
-//! state of its alert rules. The local process builds one with
-//! [`Snapshot::capture`]; a worker's arrives over the wire (the `dist`
-//! protocol encodes the same type). Every external format — Prometheus
+//! metrics registry, the spans it has closed and its folded profile. The
+//! local process builds one with [`Snapshot::capture`]; a worker's
+//! arrives over the wire (the `dist` protocol encodes the same type).
+//! Every external format — Prometheus
 //! text, span JSONL, folded stacks, the `/progress` JSON — is a function
 //! of snapshots in [`crate::export`], whichever process they came from.
 
 use std::collections::BTreeMap;
 
-use crate::alerts::AlertStatus;
 use crate::tracer::{self, SpanRecord};
 
 /// A closed span with owned strings: what crosses a process boundary and
@@ -106,8 +105,6 @@ pub struct Snapshot {
     pub spans: Vec<Span>,
     /// Folded profile: `(a;b;leaf, samples)`, most sampled first.
     pub profile: Vec<(String, u64)>,
-    /// Alert rules as of their last evaluation.
-    pub alerts: Vec<AlertStatus>,
 }
 
 impl Snapshot {
@@ -120,7 +117,6 @@ impl Snapshot {
             metrics: crate::metrics::capture(),
             spans: spans_since(cursor),
             profile: crate::profile::folded_snapshot(),
-            alerts: crate::alerts::last(),
         }
     }
 }

@@ -1,5 +1,4 @@
-//! The background thread behind the profiler's sampler and the alert
-//! evaluator.
+//! The background thread behind the profiler's sampler.
 
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;

@@ -5,20 +5,19 @@
 //!
 //! The fixture was pinned before `Snapshot` existed, through the encoders
 //! it replaced (the registry's and the federation store's, spliced
-//! together by the server), and has one edit since: the worker lines that
-//! `/spans` gained when every view came to cover every source.
+//! together by the server), and has two edits since: the worker lines that
+//! `/spans` gained when every view came to cover every source, and the
+//! `/healthz` body that counts deaths where the alert rules' section was.
 //!
-//! The driver is this process (its registry, profiler and alert engine are
-//! global), so the test has a binary of its own.
+//! The driver is this process (its registry and profiler are global), so
+//! the test has a binary of its own.
 
-use bpart_obs::alerts::{self, Op, Rule, RuleKind};
 use bpart_obs::export::{self, Source};
 use bpart_obs::federation::{self, StepSample};
 use bpart_obs::snapshot::{HistogramValue, Snapshot, Span};
 use bpart_obs::{metrics, profile, serve};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
 
 fn get(addr: SocketAddr, path: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -44,7 +43,7 @@ fn span(id: u64, parent: Option<u64>, name: &str, at: (u64, u64), attrs: &[(&str
 
 #[test]
 fn every_view_of_one_driver_and_two_workers_is_pinned() {
-    // ---- the driver: this process's registry, profiler and alert rules ----
+    // ---- the driver: this process's registry and profiler ----------------
     metrics::counter("cluster.supersteps").add(41);
     metrics::gauge("dist.progress_superstep").set(40.0);
     metrics::gauge("golden.poisoned").set(f64::NAN);
@@ -67,47 +66,6 @@ fn every_view_of_one_driver_and_two_workers_is_pinned() {
     profile::set_profile_enabled(false);
     bpart_obs::set_trace_enabled(false);
     bpart_obs::clear_trace();
-
-    // One rule of each kind; `/alerts` evaluates them once, so one stays
-    // ok, one turns pending, and the burn rate has no rate yet.
-    let threshold = |metric: &str, op, value| RuleKind::Threshold {
-        metric: metric.into(),
-        op,
-        value,
-    };
-    let quantile = RuleKind::Quantile {
-        metric: "dist.rpc_rtt_ns".into(),
-        q: 0.5,
-        op: Op::Gt,
-        value: 1e12,
-    };
-    let burn = RuleKind::BurnRate {
-        metric: "cluster.supersteps".into(),
-        window: Duration::from_secs(10),
-        op: Op::Gt,
-        value: 0.5,
-    };
-    for (name, for_secs, kind) in [
-        (
-            "golden-ok",
-            0,
-            threshold("cluster.supersteps", Op::Gt, 100.0),
-        ),
-        (
-            "golden-pending",
-            3600,
-            threshold("dist.progress_superstep", Op::Ge, 1.0),
-        ),
-        ("golden-quantile", 0, quantile),
-        ("golden-burn", 0, burn),
-    ] {
-        alerts::add_rule(Rule {
-            name: name.into(),
-            kind,
-            for_duration: Duration::from_secs(for_secs),
-            cooldown: Duration::ZERO,
-        });
-    }
 
     // ---- two worker reports ----------------------------------------------
     {
@@ -167,14 +125,7 @@ fn every_view_of_one_driver_and_two_workers_is_pinned() {
     // ---- the views, as served ------------------------------------------------
     let server = serve::start("127.0.0.1:0").expect("bind");
     let mut doc = String::new();
-    for path in [
-        "/metrics",
-        "/progress",
-        "/profile",
-        "/healthz",
-        "/alerts",
-        "/spans",
-    ] {
+    for path in ["/metrics", "/progress", "/profile", "/healthz", "/spans"] {
         doc.push_str(&format!("=== {path} ===\n{}", get(server.addr(), path)));
         if !doc.ends_with('\n') {
             doc.push('\n');
