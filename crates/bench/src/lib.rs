@@ -1,20 +1,20 @@
 //! # bpart-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index); this library holds what they share: the scheme roster, dataset
-//! loading, wall-clock timing and plain-text table rendering.
-//!
-//! Every binary honours the `BPART_SCALE` environment variable (default
-//! `0.2`): datasets are generated at `scale ×` their preset size, so
-//! `BPART_SCALE=1.0 cargo run --release -p bpart-bench --bin table3`
-//! reproduces the full-size run while the default stays fast.
+//! Every table and figure of the paper's evaluation (index: DESIGN.md §4),
+//! plus `faults`, is one row of [`FIGURES`]: a name and a function from a
+//! [`Lab`] to a [`Figure`]. The `figures DIR [NAME…]` binary runs the rows
+//! and writes each figure's deterministic text to `DIR/NAME.txt` and its
+//! wall-clock text, if it has one, to `DIR/timings/NAME.txt`. `results/` is
+//! that directory at `BPART_SCALE=0.2`, the default, and CI diffs it.
+
+mod figures;
+
+pub use figures::FIGURES;
 
 use bpart_core::prelude::*;
-use bpart_engine::{apps as eapps, IterationEngine};
-use bpart_graph::generate::{self, DatasetPreset};
-use bpart_graph::CsrGraph;
-use bpart_walker::{apps as wapps, WalkEngine, WalkStarts};
-use std::sync::{Arc, OnceLock};
+use bpart_graph::{generate, CsrGraph};
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The scheme roster of the paper's §4 comparisons, in its ordering.
@@ -35,49 +35,77 @@ pub fn schemes_with_multilevel() -> Vec<Box<dyn Partitioner>> {
     all
 }
 
-/// `BPART_SCALE` as a scale factor: a positive, finite number.
-fn parse_scale(raw: &str) -> Result<f64, String> {
-    match raw.trim().parse::<f64>() {
-        Ok(s) if s > 0.0 && s.is_finite() => Ok(s),
-        _ => Err(format!(
-            "BPART_SCALE must be a positive number, got {raw:?}"
-        )),
+/// One figure's output: the text that depends only on the scale, and the
+/// wall-clock text that does not (`timings/NAME.txt`, never diffed).
+pub struct Figure {
+    pub text: String,
+    pub timings: Option<String>,
+}
+
+impl From<String> for Figure {
+    fn from(text: String) -> Figure {
+        Figure {
+            text,
+            timings: None,
+        }
     }
 }
 
-/// Experiment scale factor from `BPART_SCALE` (default 0.2), read once per
-/// process. A value that is not a positive number ends the process with
-/// exit code 2 before any table is printed at a size nobody asked for.
-pub fn scale() -> f64 {
-    static SCALE: OnceLock<f64> = OnceLock::new();
-    *SCALE.get_or_init(|| match std::env::var("BPART_SCALE") {
-        Err(_) => 0.2,
-        Ok(raw) => parse_scale(&raw).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2)
-        }),
-    })
+/// What the figures share at one scale: each preset is generated at most
+/// once, and each roster scheme partitions it at most once per part count.
+pub struct Lab {
+    scale: f64,
+    graphs: HashMap<String, Arc<CsrGraph>>,
+    partitions: HashMap<(String, &'static str, usize), Arc<Partition>>,
 }
 
-/// All three dataset presets generated at the harness scale.
-pub fn datasets() -> Vec<(String, CsrGraph)> {
-    datasets_at(scale())
-}
+impl Lab {
+    pub fn new(scale: f64) -> Lab {
+        let (graphs, partitions) = (HashMap::new(), HashMap::new());
+        Lab {
+            scale,
+            graphs,
+            partitions,
+        }
+    }
 
-fn datasets_at(scale: f64) -> Vec<(String, CsrGraph)> {
-    generate::ALL_PRESETS
-        .iter()
-        .map(|p| {
-            let preset: DatasetPreset = p();
-            (preset.name.to_string(), preset.generate_scaled(scale))
-        })
-        .collect()
-}
+    pub(crate) fn scale(&self) -> f64 {
+        self.scale
+    }
 
-/// One named dataset at the harness scale.
-pub fn dataset(name: &str) -> CsrGraph {
-    let preset = generate::preset_by_name(name).unwrap_or_else(|e| panic!("{e}"));
-    preset.generate_scaled(scale())
+    /// The preset called `name` at the lab's scale; panics naming the
+    /// presets if there is none.
+    pub(crate) fn graph(&mut self, name: &str) -> Arc<CsrGraph> {
+        let preset = || generate::preset_by_name(name).unwrap_or_else(|e| panic!("{e}"));
+        let make = || Arc::new(preset().generate_scaled(self.scale));
+        self.graphs.entry(name.into()).or_insert_with(make).clone()
+    }
+
+    /// Every preset, in the paper's order.
+    pub(crate) fn graphs(&mut self) -> Vec<(&'static str, Arc<CsrGraph>)> {
+        let names = generate::ALL_PRESETS.map(|p| p().name);
+        names.into_iter().map(|n| (n, self.graph(n))).collect()
+    }
+
+    /// Roster scheme `name`'s partition of preset `preset` into `k`
+    /// parts; panics if [`schemes_with_multilevel`] has no such scheme.
+    pub(crate) fn partition(&mut self, preset: &str, name: &str, k: usize) -> Arc<Partition> {
+        let graph = self.graph(preset);
+        let mut roster = schemes_with_multilevel().into_iter();
+        let scheme = roster.find(|s| s.name() == name);
+        let scheme = scheme.unwrap_or_else(|| panic!("{name:?} is not a roster scheme"));
+        let make = || Arc::new(scheme.partition(&graph, k));
+        let key = (preset.to_string(), scheme.name(), k);
+        self.partitions.entry(key).or_insert_with(make).clone()
+    }
+
+    /// The header every figure's text starts with.
+    pub(crate) fn banner(&self, experiment: &str, detail: &str) -> String {
+        let scale = self.scale;
+        format!(
+            "== {experiment} ==\n   {detail}\n   scale = {scale} (set BPART_SCALE to change)\n\n"
+        )
+    }
 }
 
 /// Times a closure, returning its result and elapsed seconds.
@@ -87,84 +115,30 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-/// Renders an aligned plain-text table: a header row plus data rows.
-pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
-    let cols = header.len();
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+/// Renders an aligned plain-text table: a header row, a rule, data rows.
+pub(crate) fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
     for row in rows {
-        assert_eq!(row.len(), cols, "ragged table row");
+        assert_eq!(row.len(), widths.len(), "ragged table row");
         for (w, cell) in widths.iter_mut().zip(row) {
             *w = (*w).max(cell.len());
         }
     }
-    let fmt_row = |cells: &[String]| -> String {
-        cells
+    let line = |cells: &[String]| {
+        let cells: Vec<_> = cells
             .iter()
             .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}", w = w))
-            .collect::<Vec<_>>()
-            .join("  ")
+            .map(|(c, w)| format!("{c:>w$}"))
+            .collect();
+        cells.join("  ") + "\n"
     };
-    let mut out = String::new();
-    out.push_str(&fmt_row(header));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&fmt_row(row));
-        out.push('\n');
-    }
-    out
-}
-
-/// Prints a banner naming the experiment and its configuration.
-pub fn banner(experiment: &str, detail: &str) {
-    let scale = scale();
-    println!("== {experiment} ==");
-    println!("   {detail}");
-    println!("   scale = {scale} (set BPART_SCALE to change)");
-    println!();
+    let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1));
+    line(header) + &rule + "\n" + &rows.iter().map(|row| line(row)).collect::<String>()
 }
 
 /// Formats a float with three decimals (the tables' standard precision).
-pub fn f3(x: f64) -> String {
+pub(crate) fn f3(x: f64) -> String {
     format!("{x:.3}")
-}
-
-/// The paper's seven-application names in Fig. 14's order: five
-/// KnightKing walk apps then the two Gemini iteration apps.
-pub fn app_names() -> Vec<&'static str> {
-    vec!["PPR", "RWJ", "RWD", "DeepWalk", "node2vec", "PR", "CC"]
-}
-
-/// Runs the paper's seven applications (§4.1 parameters: |V| walks, PPR
-/// stop 0.1, RWJ jump 0.2, 80-step corpus walks, PR 10 iterations, CC to
-/// convergence) on one partitioned cluster and returns each app's total
-/// modelled running time, in [`app_names`] order.
-pub fn run_paper_apps(graph: &Arc<CsrGraph>, partition: &Arc<Partition>, seed: u64) -> Vec<f64> {
-    let starts = WalkStarts::PerVertex(1);
-    let mut times = Vec::with_capacity(7);
-    let walk_apps: Vec<Box<dyn bpart_walker::WalkApp>> = vec![
-        Box::new(wapps::Ppr::new(0.1, 80)),
-        Box::new(wapps::Rwj::new(0.2, 10)),
-        Box::new(wapps::Rwd::new(0.2, 10)),
-        Box::new(wapps::DeepWalk::new(80)),
-        Box::new(wapps::Node2vec::new(2.0, 0.5, 80)),
-    ];
-    for app in &walk_apps {
-        let engine = WalkEngine::default_for(graph.clone(), partition.clone());
-        let run = engine.run(app.as_ref(), &starts, seed);
-        times.push(run.telemetry.total_time());
-    }
-    let engine = IterationEngine::default_for(graph.clone(), partition.clone());
-    times.push(engine.run(&eapps::PageRank::new(10)).telemetry.total_time());
-    times.push(
-        engine
-            .run(&eapps::ConnectedComponents)
-            .telemetry
-            .total_time(),
-    );
-    times
 }
 
 #[cfg(test)]
@@ -183,16 +157,22 @@ mod tests {
 
     #[test]
     fn datasets_come_in_paper_order() {
-        let names: Vec<_> = datasets_at(0.01).into_iter().map(|(n, _)| n).collect();
+        let names: Vec<_> = Lab::new(0.01)
+            .graphs()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
         assert_eq!(names, vec!["lj_like", "twitter_like", "friendster_like"]);
     }
 
     #[test]
-    fn a_scale_is_a_positive_number_or_an_error_naming_what_was_given() {
-        assert_eq!(parse_scale("0.02"), Ok(0.02));
-        for bad in ["O.2", "", "0", "-1", "nan", "inf"] {
-            assert!(parse_scale(bad).unwrap_err().contains(&format!("{bad:?}")));
-        }
+    fn a_lab_builds_each_graph_and_partition_once() {
+        let mut lab = Lab::new(0.01);
+        assert!(Arc::ptr_eq(&lab.graph("lj_like"), &lab.graph("lj_like")));
+        let p = lab.partition("lj_like", "Fennel", 4);
+        assert!(Arc::ptr_eq(&p, &lab.partition("lj_like", "Fennel", 4)));
+        assert!(!Arc::ptr_eq(&p, &lab.partition("lj_like", "Fennel", 8)));
+        assert_eq!(*p, Fennel::default().partition(&lab.graph("lj_like"), 4));
     }
 
     #[test]
@@ -220,6 +200,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown preset")]
     fn unknown_dataset_panics() {
-        dataset("nope");
+        Lab::new(0.01).graph("nope");
     }
 }

@@ -1,6 +1,7 @@
 //! Hand-rolled argument parsing (the workspace deliberately avoids heavy
 //! CLI dependencies; see DESIGN.md §6).
 
+use bpart_graph::generate;
 use std::fmt;
 
 /// The shared observability flags on `partition` and `run`: post-mortem
@@ -115,20 +116,28 @@ pub enum Command {
     Help,
 }
 
-/// Argument errors with a human-readable message.
+/// Argument errors with a human-readable message. `usage` says whether the
+/// flag listing helps: it does not after one out-of-range value, whose
+/// message is the whole story.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ParseError(pub String);
+pub struct ParseError {
+    pub message: String,
+    pub usage: bool,
+}
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        write!(f, "{}", self.message)
     }
 }
 
 impl std::error::Error for ParseError {}
 
 fn err(msg: impl Into<String>) -> ParseError {
-    ParseError(msg.into())
+    ParseError {
+        message: msg.into(),
+        usage: true,
+    }
 }
 
 /// Parses `argv` (without the program name).
@@ -149,13 +158,11 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 )));
             }
             let preset = get_required(&flags, "preset")?;
-            let scale = match get_optional(&flags, "scale") {
-                Some(s) => s.parse().map_err(|_| err(format!("bad --scale {s:?}")))?,
-                None => 1.0,
-            };
-            if scale <= 0.0 {
-                return Err(err("--scale must be positive"));
-            }
+            let scale = generate::parse_scale(get_optional(&flags, "scale").unwrap_or("1"))
+                .map_err(|e| ParseError {
+                    message: format!("--{e}"),
+                    usage: false,
+                })?;
             let seed = match get_optional(&flags, "seed") {
                 Some(s) => Some(s.parse().map_err(|_| err(format!("bad --seed {s:?}")))?),
                 None => None,

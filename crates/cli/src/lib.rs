@@ -31,7 +31,8 @@ pub use commands::{run, CliError};
 pub enum DispatchError {
     /// The arguments did not parse; usage is worth showing.
     Parse(String),
-    /// The command ran and failed; the message is the whole story.
+    /// The command ran and failed, or one argument's value is out of
+    /// range; the message is the whole story.
     Run(String),
 }
 
@@ -47,7 +48,10 @@ impl std::error::Error for DispatchError {}
 
 /// Entry point shared by `main.rs` and the tests: parse then run.
 pub fn dispatch(argv: &[String]) -> Result<String, DispatchError> {
-    let command = parse(argv).map_err(|e| DispatchError::Parse(e.to_string()))?;
+    let command = parse(argv).map_err(|e| match e.usage {
+        true => DispatchError::Parse(e.message),
+        false => DispatchError::Run(e.message),
+    })?;
     run(&command).map_err(|e| DispatchError::Run(e.to_string()))
 }
 

@@ -2,6 +2,7 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::time::{Duration, Instant};
 
 fn bpart() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bpart"))
@@ -129,6 +130,28 @@ fn hostile_report_inputs_exit_with_one_error_line() {
     std::fs::remove_file(tp).ok();
     std::fs::remove_file(fp).ok();
     std::fs::remove_file(one).ok();
+}
+
+/// A scale that is not a finite number > 0, or that would overflow a
+/// vertex id, is one `bpart: …` line and exit 1 — not a panic in the
+/// generator, and not a generator left running on an impossible size.
+#[test]
+fn bad_scales_exit_with_one_error_line() {
+    let (_, out) = tmp("bad_scale.txt");
+    for scale in ["nan", "inf", "1e300", "0"] {
+        let start = Instant::now();
+        let run = bpart()
+            .args(["generate", "--preset", "lj_like", "--scale", scale])
+            .args(["--out", &out])
+            .output()
+            .expect("run generate");
+        let err = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{scale}: {err}");
+        assert_eq!(err.lines().count(), 1, "{scale}: {err}");
+        assert!(err.contains(&format!("{scale:?}")), "{scale}: {err}");
+        assert!(!err.contains("panicked at"), "{scale}: {err}");
+        assert!(start.elapsed() < Duration::from_secs(1), "{scale}: slow");
+    }
 }
 
 #[test]

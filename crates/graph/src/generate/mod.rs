@@ -32,7 +32,7 @@ pub use chung_lu::{chung_lu, ChungLuConfig};
 pub use deterministic::{complete, grid, path, ring, star};
 pub use erdos_renyi::erdos_renyi;
 pub use presets::{
-    friendster_like, lj_like, preset_by_name, twitter_like, DatasetPreset, ALL_PRESETS,
+    friendster_like, lj_like, parse_scale, preset_by_name, twitter_like, DatasetPreset, ALL_PRESETS,
 };
 pub use rmat::{rmat, RmatConfig};
 pub use watts_strogatz::watts_strogatz;

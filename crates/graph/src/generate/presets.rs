@@ -12,7 +12,7 @@
 //! relative per-dataset edge-cut and bias orderings of Table 3 / §4.2.
 
 use super::chung_lu::{chung_lu, ChungLuConfig};
-use crate::CsrGraph;
+use crate::{CsrGraph, VertexId};
 
 /// A named synthetic dataset recipe.
 #[derive(Clone, Debug)]
@@ -116,6 +116,19 @@ pub fn friendster_like() -> DatasetPreset {
 /// The three presets in the order the paper tabulates them.
 pub const ALL_PRESETS: [fn() -> DatasetPreset; 3] = [lj_like, twitter_like, friendster_like];
 
+/// The one check on a dataset scale factor, for `bpart generate --scale`
+/// and `BPART_SCALE`: a finite number > 0 at which every preset's vertex
+/// count still fits a [`VertexId`]. The error quotes what was given.
+pub fn parse_scale(raw: &str) -> Result<f64, String> {
+    let largest = ALL_PRESETS.iter().map(|p| p().vertices).max().unwrap_or(0) as f64;
+    match raw.trim().parse::<f64>() {
+        Ok(s) if s > 0.0 && (largest * s).round() <= VertexId::MAX as f64 => Ok(s),
+        _ => Err(format!(
+            "scale must be a number > 0 that keeps every preset under 2^32 vertices, got {raw:?}"
+        )),
+    }
+}
+
 /// The preset called `name`; the error names the ones there are.
 pub fn preset_by_name(name: &str) -> Result<DatasetPreset, String> {
     let mut presets = ALL_PRESETS.iter().map(|p| p());
@@ -168,6 +181,15 @@ mod tests {
     fn all_presets_array_ordering() {
         let names: Vec<_> = ALL_PRESETS.iter().map(|f| f().name).collect();
         assert_eq!(names, vec!["lj_like", "twitter_like", "friendster_like"]);
+    }
+
+    #[test]
+    fn a_scale_is_a_positive_number_or_an_error_naming_what_was_given() {
+        assert_eq!(parse_scale("0.02"), Ok(0.02));
+        assert_eq!(parse_scale(" 1e4 "), Ok(1e4));
+        for bad in ["O.2", "", "0", "-1", "nan", "inf", "-inf", "1e300", "4e4"] {
+            assert!(parse_scale(bad).unwrap_err().contains(&format!("{bad:?}")));
+        }
     }
 
     #[test]
