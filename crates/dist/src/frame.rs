@@ -18,9 +18,9 @@
 //! (stream framing is lost) and supervision tears it down.
 //!
 //! A sender builds a frame in one buffer: [`begin`] leaves room for the
-//! header, the message appends its payload behind it, [`seal`] fills in
-//! kind, length and checksum. The bytes a socket write sees are the bytes
-//! the encoder wrote.
+//! header and allocates the payload's counted length behind it, the message
+//! puts its payload there, [`seal`] fills in kind, length and checksum. The
+//! bytes a socket write sees are the bytes the encoder wrote.
 //!
 //! A receiver reads a frame whole ([`read_frame`]), and one that reads
 //! frame after frame hands the last payload's buffer to the next
@@ -29,13 +29,14 @@
 //!
 //! The two frames that are as large as what they are built from — a
 //! worker's slice of the graph and a worker's result — stream at both
-//! ends instead: [`write_streamed`] sends one through a [`PayloadWriter`],
-//! [`CHUNK`] bytes at a time, and a [`PayloadReader`] decodes it as it
-//! arrives. The same header, the same checksum, verified before anything
-//! decoded is used, and no payload buffer beside the arrays being read
-//! from or filled.
+//! ends instead: [`write_streamed`] sends one through a [`PayloadWriter`]
+//! (the [`Sink`] the same `Wire::put` writes to), [`CHUNK`] bytes at a
+//! time, and a [`PayloadReader`] decodes it as it arrives. The same header,
+//! the same checksum, verified before anything decoded is used, and no
+//! payload buffer beside the arrays being read from or filled.
 
 use crate::error::ClusterError;
+use crate::wire::Sink;
 use std::io::{self, Read, Write};
 
 /// `"BPDF"` — bpart dist frame.
@@ -128,9 +129,12 @@ fn checksum(kind: u8, payload: &[u8]) -> u32 {
     sum.finish()
 }
 
-/// Starts a frame: room for the header. Append the payload, then [`seal`].
-pub fn begin() -> Vec<u8> {
-    vec![0; HEADER_LEN]
+/// Starts a frame of a `len`-byte payload: room for the header, and for
+/// the payload behind it. Put the payload, then [`seal`].
+pub fn begin(len: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + len);
+    buf.resize(HEADER_LEN, 0);
+    buf
 }
 
 /// Completes a frame started by [`begin`] as one of `kind`: writes the
@@ -181,98 +185,93 @@ pub fn check_len(
 /// A frame's payload, written while it is produced: the sender-side twin
 /// of [`PayloadReader`]. See [`write_streamed`].
 pub struct PayloadWriter<'a> {
-    /// What the first pass is for: the checksum the header states.
+    /// What the first pass is for: the length and the checksum the header
+    /// states.
     sum: Checksum,
     /// Where the second pass sends header and payload, through the at most
     /// [`CHUNK`] bytes of `buf`; `None` on the first.
     out: Option<&'a mut dyn Write>,
     buf: Vec<u8>,
-    /// The payload length the header states, and how much of it is written.
+    /// The payload length the first pass counted, and how much of it is
+    /// written.
     stated: usize,
     written: usize,
+    /// The second pass's first failure: what is put after it goes nowhere.
+    failed: Option<ClusterError>,
 }
 
-/// Writes to `out` the frame of `kind` whose payload — exactly `len` bytes
-/// — `encode` produces: byte for byte what [`seal`] builds around the same
-/// payload, without the payload ever existing whole. The header goes first
-/// and holds the checksum, so `encode` runs twice — once into the checksum,
-/// once into `out` — and must write the same bytes both times.
+/// Writes to `out` the frame of `kind` whose payload `encode` produces:
+/// byte for byte what [`seal`] builds around the same payload, without the
+/// payload ever existing whole. The header goes first and holds the length
+/// and the checksum, so `encode` runs twice — once to count and sum, once
+/// into `out` — and must write the same bytes both times. Returns the
+/// payload's length.
 pub fn write_streamed(
     out: &mut dyn Write,
     kind: u8,
-    len: usize,
-    encode: impl Fn(&mut PayloadWriter<'_>) -> Result<(), ClusterError>,
-) -> Result<(), ClusterError> {
-    let stated = sendable(len)?;
-    let pass = |out, buf| PayloadWriter {
+    encode: impl Fn(&mut PayloadWriter<'_>),
+) -> Result<usize, ClusterError> {
+    let pass = |out, buf, stated| PayloadWriter {
         sum: Checksum::new(kind),
         out,
         buf,
-        stated: len,
+        stated,
         written: 0,
+        failed: None,
     };
-    let mut summed = pass(None, Vec::new());
-    encode(&mut summed)?;
-    check_len("streamed payload", len, summed.written)?;
+    // A payload past the bound is not summed further.
+    let mut summed = pass(None, Vec::new(), MAX_PAYLOAD as usize);
+    encode(&mut summed);
+    let len = summed.written;
     let mut buf = Vec::with_capacity(CHUNK);
-    buf.extend_from_slice(&header(kind, stated, summed.sum.finish()));
-    let mut sent = pass(Some(&mut *out), buf);
-    encode(&mut sent)?;
-    check_len("streamed payload", len, sent.written)?;
-    let rest = sent.buf;
-    out.write_all(&rest)
+    buf.extend_from_slice(&header(kind, sendable(len)?, summed.sum.finish()));
+    let mut sent = pass(Some(&mut *out), buf, len);
+    encode(&mut sent);
+    let PayloadWriter {
+        buf,
+        written,
+        failed,
+        ..
+    } = sent;
+    failed.map_or(Ok(()), Err)?;
+    check_len("streamed payload", len, written)?;
+    out.write_all(&buf)
         .and_then(|()| out.flush())
-        .map_err(|e| ClusterError::from_io("send frame", &e))
+        .map_err(|e| ClusterError::from_io("send frame", &e))?;
+    Ok(len)
 }
 
-impl PayloadWriter<'_> {
-    /// Writes `bytes` as they are.
-    pub fn bytes(&mut self, mut bytes: &[u8]) -> Result<(), ClusterError> {
+impl Sink for PayloadWriter<'_> {
+    fn bytes(&mut self, mut bytes: &[u8]) {
         self.written += bytes.len();
-        if self.written > self.stated {
-            return check_len("streamed payload", self.stated, self.written);
+        if self.written > self.stated && self.failed.is_none() {
+            self.failed = check_len("streamed payload", self.stated, self.written).err();
         }
-        let Some(out) = &mut self.out else {
-            self.sum.update(bytes);
-            return Ok(());
-        };
-        while !bytes.is_empty() {
-            let room = CHUNK - self.buf.len();
-            let (now, later) = bytes.split_at(bytes.len().min(room));
-            self.buf.extend_from_slice(now);
-            if self.buf.len() == CHUNK {
-                out.write_all(&self.buf)
-                    .map_err(|e| ClusterError::from_io("send frame", &e))?;
-                self.buf.clear();
+        match &mut self.out {
+            _ if self.failed.is_some() => {}
+            None => self.sum.update(bytes),
+            Some(out) => {
+                while !bytes.is_empty() {
+                    let room = CHUNK - self.buf.len();
+                    let (now, later) = bytes.split_at(bytes.len().min(room));
+                    self.buf.extend_from_slice(now);
+                    if self.buf.len() == CHUNK {
+                        if let Err(e) = out.write_all(&self.buf) {
+                            self.failed = Some(ClusterError::from_io("send frame", &e));
+                            return;
+                        }
+                        self.buf.clear();
+                    }
+                    bytes = later;
+                }
             }
-            bytes = later;
         }
-        Ok(())
-    }
-
-    /// Writes a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) -> Result<(), ClusterError> {
-        self.bytes(&v.to_le_bytes())
-    }
-
-    /// Writes little-endian `u32`s, back to back, converted a block at a
-    /// time: a slice of the graph is millions of them.
-    pub fn u32s(&mut self, values: &[u32]) -> Result<(), ClusterError> {
-        let mut block = [0u8; 4096];
-        for values in values.chunks(block.len() / 4) {
-            let bytes = &mut block[..4 * values.len()];
-            for (slot, v) in bytes.chunks_exact_mut(4).zip(values) {
-                slot.copy_from_slice(&v.to_le_bytes());
-            }
-            self.bytes(bytes)?;
-        }
-        Ok(())
     }
 }
 
 /// Encodes one frame around an already-built payload.
 pub fn encode(kind: u8, payload: &[u8]) -> Result<Vec<u8>, ClusterError> {
-    let mut buf = begin();
+    let mut buf = begin(payload.len());
     buf.extend_from_slice(payload);
     seal(kind, buf)
 }
@@ -306,29 +305,15 @@ fn verify_sum(got: u32, want: u32) -> Result<(), ClusterError> {
 /// of bytes consumed. Rejects bad magic, impossible lengths, truncated
 /// buffers, and checksum mismatches.
 pub fn decode(buf: &[u8]) -> Result<(Frame, usize), ClusterError> {
-    if buf.len() < HEADER_LEN {
-        return Err(ClusterError::corrupt(format!(
-            "truncated header: {} of {HEADER_LEN} bytes",
+    let mut rest = buf;
+    match read_frame(&mut rest) {
+        Ok(frame) => Ok((frame, buf.len() - rest.len())),
+        Err(ClusterError::ConnReset { detail }) => Err(ClusterError::corrupt(format!(
+            "truncated: {detail} after {} bytes",
             buf.len()
-        )));
+        ))),
+        Err(e) => Err(e),
     }
-    let (kind, len, want) = parse_header(&buf[..HEADER_LEN])?;
-    let total = HEADER_LEN + len;
-    if buf.len() < total {
-        return Err(ClusterError::corrupt(format!(
-            "truncated payload: {} of {total} bytes",
-            buf.len()
-        )));
-    }
-    let payload = &buf[HEADER_LEN..total];
-    verify_sum(checksum(kind, payload), want)?;
-    Ok((
-        Frame {
-            kind,
-            payload: payload.to_vec(),
-        },
-        total,
-    ))
 }
 
 /// Reads one frame from a stream. Header validation happens before the
@@ -531,6 +516,7 @@ fn read_exact(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<(), Clust
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Wire;
 
     #[test]
     fn encode_decode_round_trip() {
@@ -657,23 +643,21 @@ mod tests {
         }
     }
 
-    /// The sample payload through every accessor of the writer: the frame
-    /// `encode` builds, leaving in pieces of `CHUNK` bytes, the header at
-    /// the front of the first — and read back by the reader's accessors.
+    /// The sample payload through the writer as a sink: the frame `encode`
+    /// builds, leaving in pieces of `CHUNK` bytes, the header at the front
+    /// of the first — and read back by the reader's accessors.
     #[test]
     fn a_streamed_frame_is_the_sealed_frame_in_chunks() {
         let payload = sample_payload();
         let write = |out: &mut PayloadWriter<'_>| {
-            out.bytes(&[9])?;
-            out.u32(7)?;
-            out.bytes(&u64::MAX.to_le_bytes())?;
-            out.u32s(&(0..40_000).collect::<Vec<u32>>())?;
-            [0u64, 1 << 40, 2 << 40]
-                .iter()
-                .try_for_each(|v| out.bytes(&v.to_le_bytes()))
+            out.bytes(&[9]);
+            7u32.put(out);
+            out.bytes(&u64::MAX.to_le_bytes());
+            out.u32s(&(0..40_000).collect::<Vec<u32>>());
+            [0u64, 1 << 40, 2 << 40].iter().for_each(|v| v.put(out));
         };
         let mut sent = Pieces(Vec::new(), Vec::new());
-        write_streamed(&mut sent, 14, payload.len(), write).unwrap();
+        assert_eq!(write_streamed(&mut sent, 14, write).unwrap(), payload.len());
         assert_eq!(sent.1, encode(14, &payload).unwrap());
         let total = HEADER_LEN + payload.len();
         assert_eq!(sent.0, [CHUNK, CHUNK, total - 2 * CHUNK]);
@@ -681,15 +665,26 @@ mod tests {
         read_sample(&mut r).unwrap();
         r.finish().unwrap();
 
-        // A length that is not what the encoder writes sends nothing.
-        for stated in [payload.len() - 1, payload.len() + 1] {
+        // An encoder that writes other bytes the second time, more or
+        // fewer, does not get its frame through.
+        for extra in [1, 0] {
+            let passes = std::cell::Cell::new(0);
+            let uneven = |out: &mut PayloadWriter<'_>| {
+                passes.set(passes.get() + 1);
+                write(out);
+                out.bytes(&vec![0; (passes.get() + extra) % 2]);
+            };
             let mut sent = Pieces(Vec::new(), Vec::new());
-            let err = write_streamed(&mut sent, 14, stated, write).unwrap_err();
+            let err = write_streamed(&mut sent, 14, uneven).unwrap_err();
             assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
-            assert!(sent.0.is_empty());
         }
-        let err = write_streamed(&mut sent, 14, MAX_PAYLOAD as usize + 1, write).unwrap_err();
+        // A payload over the bound sends nothing, and is not summed to its
+        // end: the zeroed gigabyte is never touched.
+        let huge = vec![0u8; MAX_PAYLOAD as usize + 1];
+        let mut sent = Pieces(Vec::new(), Vec::new());
+        let err = write_streamed(&mut sent, 14, |out| out.bytes(&huge)).unwrap_err();
         assert!(matches!(err, ClusterError::Unrecoverable { .. }), "{err}");
+        assert!(sent.0.is_empty());
     }
 
     /// Pieces come in the order of the payload, each at most `CHUNK` long,

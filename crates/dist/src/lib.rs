@@ -13,7 +13,8 @@
 //! Layer map:
 //!
 //! * [`frame`] — length-prefixed, checksummed wire frames;
-//! * [`wire`] — payload primitive encoding (no serde);
+//! * [`wire`] — the one payload codec: every value's `Wire` impl (no
+//!   serde);
 //! * [`proto`] — typed driver/worker messages over frames;
 //! * [`spec`] — the job description: a graph source every process can
 //!   materialize, and the scheme the driver (alone) partitions by;
@@ -244,7 +245,7 @@ fn run_threads_iter<P: bpart_engine::VertexProgram>(
     program: &P,
 ) -> Result<AppOutput, ClusterError>
 where
-    P::Value: Wire,
+    P::Value: for<'a> Wire<'a>,
 {
     let mut engine =
         bpart_engine::IterationEngine::new(cluster.clone(), CostModel::default(), cfg.mode)
@@ -309,7 +310,7 @@ pub fn digest_bytes(bytes: &[u8]) -> u64 {
 }
 
 /// Digest of a value sequence via its canonical wire encoding.
-pub fn digest_wire<T: Wire>(items: &[T]) -> u64 {
+pub fn digest_wire<T: for<'a> Wire<'a>>(items: &[T]) -> u64 {
     let mut buf = Vec::new();
     encode_all(items, &mut buf);
     digest_bytes(&buf)

@@ -20,7 +20,7 @@
 //! list and resolve names through these, so a new scheme or app is one edit.
 
 use crate::error::ClusterError;
-use crate::wire::{put_f64, put_str, put_u32, put_u64, Reader};
+use crate::wire::{self, Reader, Sink, Wire};
 use bpart_cluster::Cluster;
 use bpart_core::prelude::*;
 use bpart_core::OocScheme;
@@ -306,126 +306,13 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Serializes the spec for the `Job` frame.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match &self.graph {
-            GraphSource::File(path) => {
-                out.push(0);
-                put_str(&mut out, path);
-            }
-            GraphSource::Preset { name, scale, seed } => {
-                out.push(1);
-                put_str(&mut out, name);
-                put_f64(&mut out, *scale);
-                match seed {
-                    Some(s) => {
-                        out.push(1);
-                        put_u64(&mut out, *s);
-                    }
-                    None => out.push(0),
-                }
-            }
-            GraphSource::ErdosRenyi { n, m, seed } => {
-                out.push(2);
-                put_u32(&mut out, *n);
-                put_u32(&mut out, *m);
-                put_u64(&mut out, *seed);
-            }
-        }
-        put_str(&mut out, &self.scheme);
-        put_u32(&mut out, self.parts);
-        match &self.app {
-            AppSpec::PageRank { iters } => {
-                out.push(0);
-                put_u64(&mut out, *iters as u64);
-            }
-            AppSpec::ConnectedComponents => out.push(1),
-            AppSpec::DeepWalk {
-                walk_len,
-                seed,
-                per_vertex,
-            } => {
-                out.push(2);
-                put_u32(&mut out, *walk_len);
-                put_u64(&mut out, *seed);
-                put_u32(&mut out, *per_vertex);
-            }
-            AppSpec::SimpleWalk {
-                walk_len,
-                seed,
-                per_vertex,
-            } => {
-                out.push(3);
-                put_u32(&mut out, *walk_len);
-                put_u64(&mut out, *seed);
-                put_u32(&mut out, *per_vertex);
-            }
-        }
-        match self.checkpoint_every {
-            Some(every) => {
-                out.push(1);
-                put_u32(&mut out, every);
-            }
-            None => out.push(0),
-        }
-        out
-    }
-
-    /// Deserializes a `Job` frame payload.
-    pub fn decode(buf: &[u8]) -> Result<JobSpec, ClusterError> {
-        let mut r = Reader::new(buf);
-        let graph = match r.u8()? {
-            0 => GraphSource::File(r.str()?),
-            1 => {
-                let name = r.str()?;
-                let scale = r.f64()?;
-                let seed = match r.u8()? {
-                    0 => None,
-                    _ => Some(r.u64()?),
-                };
-                GraphSource::Preset { name, scale, seed }
-            }
-            2 => GraphSource::ErdosRenyi {
-                n: r.u32()?,
-                m: r.u32()?,
-                seed: r.u64()?,
-            },
-            t => return Err(ClusterError::corrupt(format!("unknown graph source {t}"))),
-        };
-        let scheme = r.str()?;
-        let parts = r.u32()?;
-        let app = match r.u8()? {
-            0 => AppSpec::PageRank {
-                iters: r.u64()? as usize,
-            },
-            1 => AppSpec::ConnectedComponents,
-            2 => AppSpec::DeepWalk {
-                walk_len: r.u32()?,
-                seed: r.u64()?,
-                per_vertex: r.u32()?,
-            },
-            3 => AppSpec::SimpleWalk {
-                walk_len: r.u32()?,
-                seed: r.u64()?,
-                per_vertex: r.u32()?,
-            },
-            t => return Err(ClusterError::corrupt(format!("unknown app {t}"))),
-        };
-        let checkpoint_every = match r.u8()? {
-            0 => None,
-            _ => Some(r.u32()?),
-        };
-        if !r.is_empty() {
-            return Err(ClusterError::corrupt("trailing bytes after job spec"));
-        }
-        Ok(JobSpec {
-            graph,
-            scheme,
-            parts,
-            app,
-            checkpoint_every,
-        })
+    /// The fields, in wire order; the `Wire` impl puts their length first.
+    fn put_fields(&self, out: &mut (impl Sink + ?Sized)) {
+        self.graph.put(out);
+        self.scheme.put(out);
+        self.parts.put(out);
+        self.app.put(out);
+        self.checkpoint_every.put(out);
     }
 
     /// Resolves the partitioning scheme — the driver's call (and the
@@ -444,6 +331,99 @@ impl JobSpec {
         let graph = Arc::new(self.graph.load()?);
         let partition = Arc::new(scheme.partition(&graph, self.parts as usize));
         Ok(Cluster::new(graph, partition))
+    }
+}
+
+/// A tag byte, then the source's fields.
+impl Wire<'_> for GraphSource {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        match self {
+            GraphSource::File(path) => {
+                0u8.put(out);
+                path.put(out);
+            }
+            GraphSource::Preset { name, scale, seed } => {
+                1u8.put(out);
+                name.put(out);
+                (*scale, *seed).put(out);
+            }
+            GraphSource::ErdosRenyi { n, m, seed } => (2u8, (*n, *m, *seed)).put(out),
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
+        Ok(match r.read::<u8>()? {
+            0 => GraphSource::File(r.read()?),
+            1 => GraphSource::Preset {
+                name: r.read()?,
+                scale: r.read()?,
+                seed: r.read()?,
+            },
+            2 => GraphSource::ErdosRenyi {
+                n: r.read()?,
+                m: r.read()?,
+                seed: r.read()?,
+            },
+            t => return Err(ClusterError::corrupt(format!("unknown graph source {t}"))),
+        })
+    }
+}
+
+/// A tag byte, then the app's parameters.
+impl Wire<'_> for AppSpec {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        match *self {
+            AppSpec::PageRank { iters } => (0u8, iters as u64).put(out),
+            AppSpec::ConnectedComponents => 1u8.put(out),
+            AppSpec::DeepWalk {
+                walk_len,
+                seed,
+                per_vertex,
+            } => (2u8, (walk_len, seed, per_vertex)).put(out),
+            AppSpec::SimpleWalk {
+                walk_len,
+                seed,
+                per_vertex,
+            } => (3u8, (walk_len, seed, per_vertex)).put(out),
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
+        Ok(match r.read::<u8>()? {
+            0 => AppSpec::PageRank {
+                iters: r.read::<u64>()? as usize,
+            },
+            1 => AppSpec::ConnectedComponents,
+            2 => AppSpec::DeepWalk {
+                walk_len: r.read()?,
+                seed: r.read()?,
+                per_vertex: r.read()?,
+            },
+            3 => AppSpec::SimpleWalk {
+                walk_len: r.read()?,
+                seed: r.read()?,
+                per_vertex: r.read()?,
+            },
+            t => return Err(ClusterError::corrupt(format!("unknown app {t}"))),
+        })
+    }
+}
+
+/// A byte string of its own: its length, then its fields.
+impl Wire<'_> for JobSpec {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        (wire::len(|n| self.put_fields(n)) as u32).put(out);
+        self.put_fields(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
+        let mut r = Reader::new(r.read()?);
+        let spec = JobSpec {
+            graph: r.read()?,
+            scheme: r.read()?,
+            parts: r.read()?,
+            app: r.read()?,
+            checkpoint_every: r.read()?,
+        };
+        r.end("job spec")?;
+        Ok(spec)
     }
 }
 
@@ -489,21 +469,34 @@ mod tests {
         ]
     }
 
+    fn encoded(spec: &JobSpec) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        spec.put(&mut bytes);
+        bytes
+    }
+
     #[test]
     fn specs_round_trip() {
         for spec in specs() {
-            let bytes = spec.encode();
-            assert_eq!(JobSpec::decode(&bytes).unwrap(), spec);
+            let bytes = encoded(&spec);
+            assert_eq!(Reader::new(&bytes).read::<JobSpec>().unwrap(), spec);
         }
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(JobSpec::decode(&[]).is_err());
-        assert!(JobSpec::decode(&[9, 0, 0]).is_err());
-        let mut bytes = specs()[0].encode();
-        bytes.push(0xff); // trailing junk
-        assert!(JobSpec::decode(&bytes).is_err());
+        let decode = |bytes: &[u8]| Reader::new(bytes).read::<JobSpec>();
+        assert!(decode(&[]).is_err());
+        assert!(decode(&[3, 0, 0, 0, 9, 0, 0]).is_err());
+        // Trailing junk inside the spec's own length.
+        let mut bytes = encoded(&specs()[0]);
+        bytes.push(0xff);
+        bytes[0] += 1;
+        let err = decode(&bytes).unwrap_err();
+        assert!(
+            err.to_string().contains("trailing bytes in job spec"),
+            "{err}"
+        );
     }
 
     /// Every name in the two tables makes its thing, and a name in neither

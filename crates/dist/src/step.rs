@@ -5,18 +5,19 @@
 //! engine's ([`WalkStep`]) — the very kernels the thread backend runs —
 //! and both add only what a process boundary needs: what a kernel holds
 //! for each destination encoded into a [`RowSeg`] on the way out, segments
-//! read item by item into the kernel, in sender order, on the way in, a
-//! walk superstep's path triples as bytes, and snapshots as bytes.
-//! Bit-identity with the thread backend therefore holds by construction
-//! for every app. [`Worker`] is what the protocol loop (`worker.rs`) sees
-//! of either.
+//! read item by item into the kernel, in sender order, on the way in —
+//! each vertex a segment or a snapshot names checked to be this machine's
+//! before a kernel indexes by it — a walk superstep's path triples as
+//! bytes, and snapshots and results as bytes, every value through its
+//! [`Wire`] impl. Bit-identity with the thread backend therefore holds by
+//! construction for every app. [`Worker`] is what the protocol loop
+//! (`worker.rs`) sees of either.
 
 use crate::error::ClusterError;
-use crate::frame::PayloadWriter;
 use crate::proto::RowSeg;
-use crate::wire::{encode_all, put_u32, put_u64, Reader, Wire, PATH_TRIPLE_LEN};
+use crate::wire::{encode_all, Reader, Sink, Wire, PATH_TRIPLE_LEN};
 use bpart_cluster::bsp::Machine;
-use bpart_cluster::Cluster;
+use bpart_cluster::{Cluster, MachineId};
 use bpart_engine::kernel::Snapshot;
 use bpart_engine::{MachineStep, VertexProgram};
 use bpart_graph::VertexId;
@@ -55,54 +56,19 @@ pub trait Worker {
     /// state); the kernel drops any partial-superstep scratch.
     fn restore(&mut self, state: Option<&[u8]>) -> Result<(), ClusterError>;
 
-    /// Bytes of the local result: what `final_result` goes on to write, as
-    /// the `Final` frame states it before its first byte.
-    fn final_len(&self) -> usize;
-
-    /// Writes the local result in pieces, from the state it is held in: a
-    /// worker has no second copy of it as bytes.
-    fn final_result(&self, out: &mut PayloadWriter<'_>) -> Result<(), ClusterError>;
-}
-
-/// Hands `items`' wire encoding to `sink`, a few KiB at a time.
-fn encode_pieces<T: Wire>(
-    items: &[T],
-    mut sink: impl FnMut(&[u8]) -> Result<(), ClusterError>,
-) -> Result<(), ClusterError> {
-    let mut piece = Vec::new();
-    for block in items.chunks(256) {
-        piece.clear();
-        encode_all(block, &mut piece);
-        sink(&piece)?;
-    }
-    Ok(())
+    /// Writes the local result, from the state it is held in: a worker has
+    /// no second copy of it as bytes. `write_final` calls it to count the
+    /// result, then to send it.
+    fn final_result(&self, out: &mut dyn Sink);
 }
 
 /// Encodes `items` back to back, as they are produced, into one segment.
-fn encode_seg<T: Wire>(items: impl IntoIterator<Item = T>) -> RowSeg<'static> {
+fn encode_seg<T: for<'a> Wire<'a>>(items: impl IntoIterator<Item = T>) -> RowSeg<'static> {
     let mut data = Vec::new();
-    let encode = |item: &T| item.encode(&mut data);
+    let encode = |item: &T| item.put(&mut data);
     let count = items.into_iter().inspect(encode).count() as u32;
     let data = Cow::Owned(data);
     RowSeg { count, data }
-}
-
-/// A segment off the wire holds exactly the `count` items it says: `r`,
-/// having read that many, must have reached its end.
-fn whole(seg: &RowSeg<'_>, r: &Reader<'_>) -> Result<(), ClusterError> {
-    if r.is_empty() {
-        return Ok(());
-    }
-    let (past, count) = (r.remaining(), seg.count);
-    Err(ClusterError::corrupt(format!(
-        "{past} bytes past a row segment's {count} items"
-    )))
-}
-
-/// Decodes exactly `n` values at the cursor. `n` comes off the wire, so
-/// nothing is reserved for it up front.
-fn decode_n<T: Wire>(r: &mut Reader<'_>, n: usize) -> Result<Vec<T>, ClusterError> {
-    (0..n).map(|_| T::decode(r)).collect()
 }
 
 /// One machine's share of an iteration-engine computation
@@ -124,8 +90,8 @@ impl<P: VertexProgram> IterWorker<P> {
 
 impl<P: VertexProgram> Worker for IterWorker<P>
 where
-    P::Value: Wire,
-    P::Accum: Wire,
+    P::Value: for<'a> Wire<'a>,
+    P::Accum: for<'a> Wire<'a>,
 {
     fn ready_agg(&self) -> f64 {
         self.step.aggregate(&self.program)
@@ -155,7 +121,7 @@ where
         for seg in inbox {
             let mut r = Reader::new(&seg.data);
             for _ in 0..seg.count {
-                let (v, a) = <(VertexId, P::Accum)>::decode(&mut r)?;
+                let (v, a): (VertexId, P::Accum) = r.read()?;
                 // The inbox is indexed by where `v` lies on this machine.
                 if !self.step.owns(v) {
                     let foreign = format!("row segment targets vertex {v}, not this machine's");
@@ -163,7 +129,7 @@ where
                 }
                 self.step.fold(&self.program, [(v, a)]);
             }
-            whole(seg, &r)?;
+            r.end("row segment")?;
         }
         let applied = self
             .step
@@ -175,7 +141,7 @@ where
     fn snapshot(&self) -> Vec<u8> {
         let values = self.step.values();
         let mut out = Vec::new();
-        put_u32(&mut out, values.len() as u32);
+        (values.len() as u32).put(&mut out);
         encode_all(values, &mut out);
         encode_all(self.step.active(), &mut out);
         out
@@ -187,36 +153,22 @@ where
             return Ok(());
         };
         let mut r = Reader::new(bytes);
-        let len = r.u32()? as usize;
+        let len = r.read::<u32>()? as usize;
         if len != self.step.values().len() {
             return Err(ClusterError::corrupt("snapshot length mismatch"));
         }
         let snapshot = Snapshot {
-            values: decode_n(&mut r, len)?,
-            active: decode_n(&mut r, len)?,
+            values: r.read_n(len)?,
+            active: r.read_n(len)?,
         };
-        if !r.is_empty() {
-            return Err(ClusterError::corrupt("trailing bytes in snapshot"));
-        }
+        r.end("snapshot")?;
         self.step.restore(&snapshot);
         Ok(())
     }
 
-    /// A value's width is its `Wire` impl's to know, so the values are
-    /// encoded once to be counted.
-    fn final_len(&self) -> usize {
-        let mut one = Vec::new();
-        let width = |value: &P::Value| {
-            one.clear();
-            value.encode(&mut one);
-            one.len()
-        };
-        self.step.values().iter().map(width).sum()
-    }
-
     /// Final local values (owner-local order).
-    fn final_result(&self, out: &mut PayloadWriter<'_>) -> Result<(), ClusterError> {
-        encode_pieces(self.step.values(), |piece| out.bytes(piece))
+    fn final_result(&self, out: &mut dyn Sink) {
+        encode_all(self.step.values(), out);
     }
 }
 
@@ -231,6 +183,9 @@ pub struct WalkWorker {
     step: WalkStep,
     starts: WalkStarts,
     seed: u64,
+    /// Who owns what, for the walkers that arrive.
+    cluster: Cluster,
+    machine: MachineId,
 }
 
 impl WalkWorker {
@@ -244,13 +199,31 @@ impl WalkWorker {
         per_vertex: u32,
     ) -> Self {
         let starts = WalkStarts::PerVertex(per_vertex);
-        let mut step = WalkStep::new(&cluster, machine as u32, true);
+        let machine = machine as MachineId;
+        let mut step = WalkStep::new(&cluster, machine, true);
         step.reset(&starts, seed);
         WalkWorker {
             app,
             step,
             starts,
             seed,
+            cluster,
+            machine,
+        }
+    }
+
+    /// `walkers`, each of which must stand on a vertex this machine owns:
+    /// the kernel steps a walker from its vertex's list, which the slice has
+    /// for this machine's vertices only.
+    fn owned(&self, walkers: Vec<Walker>) -> Result<Vec<Walker>, ClusterError> {
+        let assignment = self.cluster.partition().assignment();
+        let foreign = |w: &&Walker| assignment.get(w.current as usize) != Some(&self.machine);
+        match walkers.iter().find(foreign) {
+            None => Ok(walkers),
+            Some(w) => Err(ClusterError::corrupt(format!(
+                "walker {} stands on vertex {}, not this machine's",
+                w.id, w.current
+            ))),
         }
     }
 }
@@ -264,7 +237,7 @@ impl Worker for WalkWorker {
         self.step.step(&*self.app);
         let triples = self.step.take_triples();
         let mut paths = Vec::with_capacity(triples.len() * PATH_TRIPLE_LEN);
-        triples.for_each(|triple| triple.encode(&mut paths));
+        triples.for_each(|triple| triple.put(&mut paths));
         let mut rows = self.step.outbox().take_filled();
         let segs = rows
             .iter_mut()
@@ -277,8 +250,8 @@ impl Worker for WalkWorker {
     fn finish(&mut self, inbox: &[RowSeg<'_>], _: u64, _: f64) -> Result<(u64, f64), ClusterError> {
         for seg in inbox {
             let mut r = Reader::new(&seg.data);
-            let mut row: Vec<Walker> = decode_n(&mut r, seg.count as usize)?;
-            whole(seg, &r)?;
+            let mut row = self.owned(r.read_n(seg.count as usize)?)?;
+            r.end("row segment")?;
             self.step.absorb(&mut row);
         }
         Ok((self.step.queue_len() as u64, 0.0))
@@ -288,10 +261,8 @@ impl Worker for WalkWorker {
     fn snapshot(&self) -> Vec<u8> {
         let state = self.step.state();
         let mut out = Vec::new();
-        put_u32(&mut out, state.queue.len() as u32);
-        encode_all(&state.queue, &mut out);
-        put_u64(&mut out, state.steps);
-        put_u64(&mut out, state.sent);
+        state.queue.put(&mut out);
+        (state.steps, state.sent).put(&mut out);
         out
     }
 
@@ -301,29 +272,21 @@ impl Worker for WalkWorker {
             return Ok(());
         };
         let mut r = Reader::new(bytes);
-        let queue_len = r.u32()? as usize;
         let snapshot = kernel::Snapshot {
-            queue: decode_n(&mut r, queue_len)?,
-            steps: r.u64()?,
-            sent: r.u64()?,
+            queue: self.owned(r.read()?)?,
+            steps: r.read()?,
+            sent: r.read()?,
         };
-        if !r.is_empty() {
-            return Err(ClusterError::corrupt("trailing bytes in walk snapshot"));
-        }
+        r.end("walk snapshot")?;
         self.step.restore(&snapshot);
         Ok(())
     }
 
-    fn final_len(&self) -> usize {
-        WALK_FINAL_LEN
-    }
-
     /// The steps this machine executed and the walkers it sent: the paths
     /// left with every superstep.
-    fn final_result(&self, out: &mut PayloadWriter<'_>) -> Result<(), ClusterError> {
+    fn final_result(&self, out: &mut dyn Sink) {
         let state = self.step.state();
-        out.bytes(&state.steps.to_le_bytes())?;
-        out.bytes(&state.sent.to_le_bytes())
+        (state.steps, state.sent).put(out);
     }
 }
 
@@ -353,7 +316,7 @@ mod tests {
     /// behind the epoch and the length prefix.
     fn final_of(w: &impl Worker) -> Vec<u8> {
         let mut frame = Vec::new();
-        write_final(&mut frame, 0, w.final_len(), |out| w.final_result(out)).unwrap();
+        write_final(&mut frame, 0, |out| w.final_result(out)).unwrap();
         frame.split_off(HEADER_LEN + 8)
     }
 
@@ -376,17 +339,20 @@ mod tests {
         assert_eq!(final_of(&w2), before);
     }
 
-    /// A result written in pieces is the result encoded whole, and as long
-    /// as it was announced — for fixed-width values, for SSSP's heap-owning
-    /// ones, and for a walk's two counters, which is all of a walk that is
-    /// left on its worker.
+    /// A result written in pieces is the result encoded whole, behind the
+    /// length its pieces were counted to — for fixed-width values, for
+    /// SSSP's heap-owning ones, and for a walk's two counters, which is all
+    /// of a walk that is left on its worker.
     #[test]
     fn final_result_writes_the_length_it_announced() {
-        fn check<T: Wire>(w: &impl Worker, state: &[T]) {
+        fn check<T: for<'a> Wire<'a>>(w: &impl Worker, state: &[T]) {
             let mut whole = Vec::new();
             encode_all(state, &mut whole);
             assert!(!whole.is_empty());
-            assert_eq!(w.final_len(), whole.len());
+            let mut frame = Vec::new();
+            write_final(&mut frame, 0, |out| w.final_result(out)).unwrap();
+            let announced = &frame[HEADER_LEN + 4..HEADER_LEN + 8];
+            assert_eq!(announced, (whole.len() as u32).to_le_bytes());
             assert_eq!(final_of(w), whole);
         }
         let mut w = IterWorker::new(PageRank::new(5), cluster(3), 1);
@@ -420,23 +386,13 @@ mod tests {
         }
     }
 
-    impl Wire for Vec<DistFrom> {
-        fn encode(&self, out: &mut Vec<u8>) {
-            put_u32(out, self.len() as u32);
-            for d in self {
-                put_u32(out, d.from);
-                put_u64(out, d.dist);
-            }
+    impl Wire<'_> for DistFrom {
+        fn put(&self, out: &mut (impl Sink + ?Sized)) {
+            (self.from, self.dist).put(out);
         }
-        fn decode(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
-            (0..r.u32()?)
-                .map(|_| {
-                    Ok(DistFrom {
-                        from: r.u32()?,
-                        dist: r.u64()?,
-                    })
-                })
-                .collect()
+        fn read(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
+            let (from, dist) = r.read()?;
+            Ok(DistFrom { from, dist })
         }
     }
 
@@ -580,44 +536,28 @@ mod tests {
         check(walk(|| Box::new(DeepWalk::new(6))), end);
     }
 
-    /// A segment off the wire is folded item by item, so what is wrong
-    /// with it surfaces after part of it is in the inbox: a count that
-    /// disagrees with the payload either way, an item cut short, and — the
-    /// inbox being indexed by where a target lies on *this* machine — a
-    /// target past the graph or one another machine owns are each a
-    /// `FrameCorrupt`; the half-folded inbox is scratch, and a restore
-    /// replays to the clean result.
-    #[test]
-    fn hostile_segments_are_corrupt_and_a_restore_forgets_them() {
-        const ITEM: usize = 4 + 8;
-        let make = |m| IterWorker::new(PageRank::new(5), cluster(3), m);
-        let clean = run_in_process(3, make, (Some(5), None), None).finals;
-        let target = |seg: &mut RowSeg<'_>, v: VertexId| {
-            let at = seg.data.len() - ITEM;
-            seg.data.to_mut()[at..at + 4].copy_from_slice(&v.to_le_bytes());
-        };
-        let elsewhere = cluster(3).local_vertices(1)[0];
-        type Spoil<'a> = &'a dyn Fn(&mut RowSeg<'_>);
-        let hostile: [(&str, Spoil<'_>); 6] = [
-            ("count above the payload", &|seg| seg.count += 1),
-            ("count below the payload", &|seg| seg.count -= 1),
-            ("cut mid-item", &|seg| {
-                let whole = seg.data.len();
-                seg.data.to_mut().truncate(whole - 3);
-            }),
-            ("target past the graph", &|seg| target(seg, 40)),
-            ("target no vertex has", &|seg| target(seg, VertexId::MAX)),
-            ("target another machine owns", &|seg| target(seg, elsewhere)),
-        ];
+    type Spoil<'a> = &'a dyn Fn(&mut RowSeg<'_>);
+
+    /// Runs three workers of `make` one superstep, spoils sender 2's
+    /// segment (of `item`-byte items) for machine 0 in each `hostile` way,
+    /// and has machine 0 finish on it: a `FrameCorrupt` every time, and a
+    /// restore then replays to the clean run's results.
+    fn refused<W: Worker>(
+        make: impl Fn(usize) -> W,
+        end: impl Fn() -> (Option<usize>, Option<PathTable>),
+        item: usize,
+        hostile: &[(&str, Spoil<'_>)],
+    ) {
+        let clean = run_in_process(3, &make, end(), None);
         for (what, spoil) in hostile {
-            let mut workers: Vec<_> = (0..3).map(make).collect();
+            let mut workers: Vec<_> = (0..3).map(&make).collect();
             let ready: f64 = workers.iter().map(|w| w.ready_agg()).sum();
             let rows: Vec<_> = workers.iter_mut().map(|w| w.begin().0).collect();
             let mut inbox: Vec<RowSeg<'_>> = rows.iter().map(|r| r[0].clone()).collect();
-            // Sender 1's segment is folded whole, and all of sender 2's
+            // Sender 1's segment is taken whole, and all of sender 2's
             // before its last item.
             assert!(inbox[1].count > 0 && inbox[2].count > 1, "{what}");
-            assert_eq!(inbox[2].data.len(), inbox[2].count as usize * ITEM);
+            assert_eq!(inbox[2].data.len(), inbox[2].count as usize * item);
             spoil(&mut inbox[2]);
             let err = workers[0].finish(&inbox, 0, ready).unwrap_err();
             assert!(
@@ -627,9 +567,75 @@ mod tests {
             for w in &mut workers {
                 w.restore(None).unwrap();
             }
-            let replayed = run_workers(workers, (Some(5), None), None).finals;
-            assert_eq!(replayed, clean, "{what}");
+            let replayed = run_workers(workers, end(), None);
+            assert_eq!(replayed.finals, clean.finals, "{what}");
+            assert_eq!(replayed.table, clean.table, "{what}");
         }
+    }
+
+    /// Writes `v` at `at` bytes into the last `item` of `seg`.
+    fn plant(seg: &mut RowSeg<'_>, item: usize, at: usize, v: VertexId) {
+        let at = seg.data.len() - item + at;
+        seg.data.to_mut()[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// A segment off the wire is taken item by item, so what is wrong with
+    /// it surfaces after part of it is in: a count that disagrees with the
+    /// payload either way, an item cut short, and — a kernel indexing by
+    /// where a vertex lies on *this* machine, and stepping a walker from
+    /// its vertex's list, which a slice holds for this machine's vertices
+    /// only — a vertex past the graph or one another machine owns, as a
+    /// message's target or as where a walker stands, are each a
+    /// `FrameCorrupt`; what was taken is scratch, and a restore replays to
+    /// the clean result. A walk snapshot is held to the same.
+    #[test]
+    fn hostile_segments_are_corrupt_and_a_restore_forgets_them() {
+        const ITEM: usize = 4 + 8;
+        let elsewhere = cluster(3).local_vertices(1)[0];
+        let pagerank = |m| IterWorker::new(PageRank::new(5), cluster(3), m);
+        let target = |v| move |seg: &mut RowSeg<'_>| plant(seg, ITEM, 0, v);
+        refused(
+            pagerank,
+            || (Some(5), None),
+            ITEM,
+            &[
+                ("count above the payload", &|seg| seg.count += 1),
+                ("count below the payload", &|seg| seg.count -= 1),
+                ("cut mid-item", &|seg| {
+                    let whole = seg.data.len();
+                    seg.data.to_mut().truncate(whole - 3);
+                }),
+                ("target past the graph", &target(40)),
+                ("target no vertex has", &target(VertexId::MAX)),
+                ("target another machine owns", &target(elsewhere)),
+            ],
+        );
+
+        const WALKER: usize = 32;
+        let walk = |m| WalkWorker::new(Box::new(DeepWalk::new(6)), cluster(3), m, 11, 2);
+        let started = || {
+            (
+                None,
+                Some(PathTable::of_starts(&WalkStarts::PerVertex(2), 40, 6)),
+            )
+        };
+        // A walker's vertex follows its id and its source.
+        let standing = |v| move |seg: &mut RowSeg<'_>| plant(seg, WALKER, 12, v);
+        refused(
+            walk,
+            started,
+            WALKER,
+            &[
+                ("count above the payload", &|seg| seg.count += 1),
+                ("count below the payload", &|seg| seg.count -= 1),
+                ("walker past the graph", &standing(40)),
+                ("walker on another machine's vertex", &standing(elsewhere)),
+            ],
+        );
+        let mut workers: Vec<_> = (0..2).map(walk).collect();
+        let theirs = workers[1].snapshot();
+        let err = workers[0].restore(Some(&theirs)).unwrap_err();
+        assert!(matches!(err, ClusterError::FrameCorrupt { .. }), "{err}");
     }
 
     proptest! {
@@ -692,7 +698,7 @@ mod tests {
     fn iter_snapshot_rejects_wrong_length() {
         let mut w = IterWorker::new(PageRank::new(5), cluster(3), 0);
         let mut bad = Vec::new();
-        put_u32(&mut bad, 3);
+        3u32.put(&mut bad);
         assert!(w.restore(Some(&bad)).is_err());
     }
 

@@ -3,8 +3,9 @@
 //! interval threads (heartbeat, obs flush).
 
 use crate::error::ClusterError;
-use crate::frame::{self, Frame, PayloadWriter};
+use crate::frame::{self, Frame};
 use crate::proto::{write_final, WorkerMsg};
+use crate::wire::Sink;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -182,12 +183,12 @@ impl SharedWriter {
     pub fn send_final(
         &self,
         epoch: u32,
-        result_len: usize,
-        result: impl Fn(&mut PayloadWriter<'_>) -> Result<(), ClusterError>,
+        result: impl Fn(&mut dyn Sink),
     ) -> Result<(), ClusterError> {
-        frame_bytes_histogram().observe((frame::HEADER_LEN + 8 + result_len) as f64);
         let mut stream = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        write_final(&mut *stream, epoch, result_len, result)
+        let len = write_final(&mut *stream, epoch, result)?;
+        frame_bytes_histogram().observe((frame::HEADER_LEN + len) as f64);
+        Ok(())
     }
 }
 

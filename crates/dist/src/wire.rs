@@ -1,14 +1,18 @@
-//! Byte-level payload codec (little-endian, hand-rolled).
+//! Byte-level payload codec (little-endian, hand-rolled, no serde).
 //!
-//! No serde in the dependency tree, so payload encoding is explicit: a
-//! [`Reader`] cursor with checked accessors, `put_*` helpers for the
-//! write side, and a [`Wire`] trait for the few value types that cross
-//! the process boundary. `f64`s travel as IEEE-754 bit patterns, so a
-//! value decoded on the far side is the *same bits* — the foundation of
-//! the cross-backend bit-identity guarantee.
+//! Every value that crosses the process boundary says once, in its [`Wire`]
+//! impl, how it is written and read: `put` to a [`Sink`] — a `Vec<u8>`, a
+//! streamed frame's [`PayloadWriter`](crate::frame::PayloadWriter), or the
+//! byte counter behind [`len`], so no send-side length is a formula beside
+//! the encoder — and `read` off a checked [`Reader`], borrowing byte
+//! strings from the payload. `f64`s travel as IEEE-754 bit patterns, so a
+//! value decoded on the far side is the *same bits* — the foundation of the
+//! cross-backend bit-identity guarantee. A flag byte that is neither `0`
+//! nor `1` is corrupt wherever it is read ([`flag`]).
 
 use crate::error::ClusterError;
 use bpart_walker::{Walker, WalkerRng};
+use std::collections::BTreeMap;
 
 /// Checked read cursor over a payload slice.
 pub struct Reader<'a> {
@@ -22,22 +26,12 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    /// True when every byte has been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     /// Reads `n` raw bytes, borrowed from the payload.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], ClusterError> {
-        if self.remaining() < n {
+        let left = self.buf.len() - self.pos;
+        if left < n {
             return Err(ClusterError::corrupt(format!(
-                "payload underrun: wanted {n} bytes, {} left",
-                self.remaining()
+                "payload underrun: wanted {n} bytes, {left} left"
             )));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -45,153 +39,248 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, ClusterError> {
-        Ok(self.take(1)?[0])
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ClusterError> {
+        Ok(self.take(N)?.try_into().expect("N bytes were taken"))
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, ClusterError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    /// Reads one value.
+    pub fn read<T: Wire<'a>>(&mut self) -> Result<T, ClusterError> {
+        T::read(self)
     }
 
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, ClusterError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    /// Reads exactly `n` values. `n` comes off the wire, so nothing is
+    /// reserved for it: a count that claims more than the payload holds
+    /// ends at the underrun.
+    pub fn read_n<T: Wire<'a>>(&mut self, n: usize) -> Result<Vec<T>, ClusterError> {
+        (0..n).map(|_| T::read(self)).collect()
     }
 
-    /// Reads an `f64` as its exact bit pattern.
-    pub fn f64(&mut self) -> Result<f64, ClusterError> {
-        Ok(f64::from_bits(self.u64()?))
+    /// Ends `what`, which must have been read to its last byte.
+    pub fn end(&self, what: &str) -> Result<(), ClusterError> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            left => Err(ClusterError::corrupt(format!(
+                "{left} trailing bytes in {what}"
+            ))),
+        }
+    }
+}
+
+/// Where [`Wire::put`] writes.
+pub trait Sink {
+    /// Writes `bytes` as they are.
+    fn bytes(&mut self, bytes: &[u8]);
+
+    /// Writes little-endian `u32`s, back to back, converted a block at a
+    /// time: a slice of the graph is millions of them.
+    fn u32s(&mut self, values: &[u32]) {
+        let mut block = [0u8; 4096];
+        for values in values.chunks(block.len() / 4) {
+            let bytes = &mut block[..4 * values.len()];
+            for (slot, v) in bytes.chunks_exact_mut(4).zip(values) {
+                slot.copy_from_slice(&v.to_le_bytes());
+            }
+            self.bytes(bytes);
+        }
+    }
+}
+
+/// A message built whole, to be sealed into one frame.
+impl Sink for Vec<u8> {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// The byte counter: a sink that keeps only how much it was given.
+pub struct Len(usize);
+
+impl Sink for Len {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
     }
 
-    /// Reads a length-prefixed byte string, borrowed from the payload.
-    pub fn bytes(&mut self) -> Result<&'a [u8], ClusterError> {
-        let n = self.u32()? as usize;
-        self.take(n)
+    fn u32s(&mut self, values: &[u32]) {
+        self.0 += 4 * values.len();
     }
+}
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, ClusterError> {
-        String::from_utf8(self.bytes()?.to_vec())
+/// Bytes that `put` writes.
+pub fn len<T>(put: impl FnOnce(&mut Len) -> T) -> usize {
+    let mut counted = Len(0);
+    put(&mut counted);
+    counted.0
+}
+
+/// A value that crosses the process boundary byte-exactly; `'a` is the
+/// payload a value read may borrow from.
+pub trait Wire<'a>: Sized {
+    /// Writes `self` to `out`, which may be a `dyn Sink`: a worker's
+    /// result is written through one.
+    fn put(&self, out: &mut (impl Sink + ?Sized));
+    /// Reads one value at the cursor.
+    fn read(r: &mut Reader<'a>) -> Result<Self, ClusterError>;
+}
+
+impl Wire<'_> for u8 {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        out.bytes(&[*self]);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
+        Ok(r.take(1)?[0])
+    }
+}
+
+impl Wire<'_> for u32 {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        out.bytes(&self.to_le_bytes());
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
+        r.array().map(u32::from_le_bytes)
+    }
+}
+
+impl Wire<'_> for u64 {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        out.bytes(&self.to_le_bytes());
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
+        r.array().map(u64::from_le_bytes)
+    }
+}
+
+/// Its exact bit pattern.
+impl Wire<'_> for f64 {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        self.to_bits().put(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
+        r.read().map(f64::from_bits)
+    }
+}
+
+/// A flag byte.
+impl Wire<'_> for bool {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        (*self as u8).put(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
+        flag(r.read()?)
+    }
+}
+
+/// The one reading of a flag byte, buffered or streamed: `0` or `1`.
+pub fn flag(byte: u8) -> Result<bool, ClusterError> {
+    match byte {
+        0 => Ok(false),
+        1 => Ok(true),
+        t => Err(ClusterError::corrupt(format!("flag byte {t}"))),
+    }
+}
+
+/// A byte string: its length, then its bytes — borrowed from the payload
+/// when read.
+impl<'a> Wire<'a> for &'a [u8] {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        (self.len() as u32).put(out);
+        out.bytes(self);
+    }
+    fn read(r: &mut Reader<'a>) -> Result<Self, ClusterError> {
+        let n: u32 = r.read()?;
+        r.take(n as usize)
+    }
+}
+
+/// A UTF-8 string, as a byte string.
+impl Wire<'_> for String {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        self.as_bytes().put(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
+        String::from_utf8(r.read::<&[u8]>()?.to_vec())
             .map_err(|_| ClusterError::corrupt("invalid utf-8"))
     }
 }
 
-/// Appends a `u32` little-endian.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `u64` little-endian.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends an `f64` as its exact bit pattern.
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-/// Appends a length-prefixed byte string.
-pub fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
-    put_u32(out, v.len() as u32);
-    out.extend_from_slice(v);
-}
-
-/// Appends a length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, v: &str) {
-    put_bytes(out, v.as_bytes());
-}
-
-/// A value type that crosses the process boundary byte-exactly.
-pub trait Wire: Sized {
-    /// Appends the encoding of `self` to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
-    /// Decodes one value at the cursor.
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ClusterError>;
-}
-
-impl Wire for u32 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, *self);
+/// A flag, then the value if there is one.
+impl<'a, T: Wire<'a>> Wire<'a> for Option<T> {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        self.is_some().put(out);
+        if let Some(v) = self {
+            v.put(out);
+        }
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
-        r.u32()
+    fn read(r: &mut Reader<'a>) -> Result<Self, ClusterError> {
+        Ok(if r.read()? { Some(r.read()?) } else { None })
     }
 }
 
-impl Wire for u64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, *self);
+/// `(target vertex, accumulator)` — the iteration engines' message — and
+/// every other pair.
+impl<'a, A: Wire<'a>, B: Wire<'a>> Wire<'a> for (A, B) {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        self.0.put(out);
+        self.1.put(out);
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
-        r.u64()
-    }
-}
-
-impl Wire for f64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_f64(out, *self);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
-        r.f64()
+    fn read(r: &mut Reader<'a>) -> Result<Self, ClusterError> {
+        Ok((r.read()?, r.read()?))
     }
 }
 
-impl Wire for bool {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
+/// `(walker id, step, vertex)` path-log triples, and every other triple.
+impl<'a, A: Wire<'a>, B: Wire<'a>, C: Wire<'a>> Wire<'a> for (A, B, C) {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        self.0.put(out);
+        self.1.put(out);
+        self.2.put(out);
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
-        Ok(r.u8()? != 0)
+    fn read(r: &mut Reader<'a>) -> Result<Self, ClusterError> {
+        Ok((r.read()?, r.read()?, r.read()?))
     }
 }
 
-/// `(target vertex, accumulator)` pairs — the iteration engines' message
-/// payload.
-impl<A: Wire> Wire for (u32, A) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.0);
-        self.1.encode(out);
+/// A counted list: its length, then its items.
+impl<'a, T: Wire<'a>> Wire<'a> for Vec<T> {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        (self.len() as u32).put(out);
+        encode_all(self, out);
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
-        Ok((r.u32()?, A::decode(r)?))
+    fn read(r: &mut Reader<'a>) -> Result<Self, ClusterError> {
+        let n: u32 = r.read()?;
+        r.read_n(n as usize)
+    }
+}
+
+/// A map, as the counted list of its entries in key order.
+impl<'a, K: Wire<'a> + Ord, V: Wire<'a>> Wire<'a> for BTreeMap<K, V> {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        (self.len() as u32).put(out);
+        for (k, v) in self {
+            k.put(out);
+            v.put(out);
+        }
+    }
+    fn read(r: &mut Reader<'a>) -> Result<Self, ClusterError> {
+        Ok(r.read::<Vec<(K, V)>>()?.into_iter().collect())
     }
 }
 
 /// A migrating walker: 32 bytes, including its RNG state, so the far
 /// side continues the exact trajectory.
-impl Wire for Walker {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.id);
-        put_u32(out, self.source);
-        put_u32(out, self.current);
-        put_u32(out, self.previous);
-        put_u32(out, self.step);
-        put_u64(out, self.rng.to_bits());
+impl Wire<'_> for Walker {
+    fn put(&self, out: &mut (impl Sink + ?Sized)) {
+        (self.id, self.source, self.current).put(out);
+        (self.previous, self.step, self.rng.to_bits()).put(out);
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
+    fn read(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
         Ok(Walker {
-            id: r.u64()?,
-            source: r.u32()?,
-            current: r.u32()?,
-            previous: r.u32()?,
-            step: r.u32()?,
-            rng: WalkerRng::from_bits(r.u64()?),
+            id: r.read()?,
+            source: r.read()?,
+            current: r.read()?,
+            previous: r.read()?,
+            step: r.read()?,
+            rng: WalkerRng::from_bits(r.read()?),
         })
-    }
-}
-
-/// `(walker id, step, vertex)` path-log triples.
-impl Wire for (u64, u32, u32) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.0);
-        put_u32(out, self.1);
-        put_u32(out, self.2);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
-        Ok((r.u64()?, r.u32()?, r.u32()?))
     }
 }
 
@@ -215,11 +304,11 @@ pub fn path_triples(buf: &[u8]) -> impl Iterator<Item = (u64, u32, u32)> + '_ {
     })
 }
 
-/// Encodes a slice of wire values back-to-back (no length prefix; the
-/// container framing supplies the boundary).
-pub fn encode_all<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+/// Writes `items` back to back (no count; the container supplies the
+/// boundary).
+pub fn encode_all<'a, T: Wire<'a>>(items: &[T], out: &mut (impl Sink + ?Sized)) {
     for item in items {
-        item.encode(out);
+        item.put(out);
     }
 }
 
@@ -229,11 +318,11 @@ pub(crate) mod tests {
 
     /// Decodes wire values until the buffer is exhausted: `encode_all`'s
     /// inverse, which only tests need whole.
-    pub(crate) fn decode_all<T: Wire>(buf: &[u8]) -> Result<Vec<T>, ClusterError> {
+    pub(crate) fn decode_all<T: for<'a> Wire<'a>>(buf: &[u8]) -> Result<Vec<T>, ClusterError> {
         let mut r = Reader::new(buf);
         let mut items = Vec::new();
-        while !r.is_empty() {
-            items.push(T::decode(&mut r)?);
+        while r.end("items").is_err() {
+            items.push(r.read()?);
         }
         Ok(items)
     }
@@ -241,24 +330,27 @@ pub(crate) mod tests {
     #[test]
     fn scalar_round_trips() {
         let mut out = Vec::new();
-        put_u32(&mut out, 7);
-        put_u64(&mut out, u64::MAX);
-        put_f64(&mut out, -0.0);
-        put_f64(&mut out, f64::NAN);
-        put_str(&mut out, "héllo");
+        7u32.put(&mut out);
+        u64::MAX.put(&mut out);
+        (-0.0f64).put(&mut out);
+        f64::NAN.put(&mut out);
+        String::from("héllo").put(&mut out);
         let mut r = Reader::new(&out);
-        assert_eq!(r.u32().unwrap(), 7);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert!(r.f64().unwrap().is_nan());
-        assert_eq!(r.str().unwrap(), "héllo");
-        assert!(r.is_empty());
+        assert_eq!(r.read::<u32>().unwrap(), 7);
+        assert_eq!(r.read::<u64>().unwrap(), u64::MAX);
+        assert_eq!(r.read::<f64>().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert!(r.read::<f64>().unwrap().is_nan());
+        assert_eq!(r.read::<String>().unwrap(), "héllo");
+        r.end("scalars").unwrap();
     }
 
     #[test]
     fn underrun_is_a_typed_error() {
         let mut r = Reader::new(&[1, 2]);
-        assert!(matches!(r.u64(), Err(ClusterError::FrameCorrupt { .. })));
+        assert!(matches!(
+            r.read::<u64>(),
+            Err(ClusterError::FrameCorrupt { .. })
+        ));
     }
 
     #[test]
@@ -267,7 +359,7 @@ pub(crate) mod tests {
         w.advance(9);
         w.rng.next_u64();
         let mut out = Vec::new();
-        w.encode(&mut out);
+        w.put(&mut out);
         assert_eq!(out.len(), 32);
         let got: Vec<Walker> = decode_all(&out).unwrap();
         assert_eq!(got, vec![w]);
@@ -293,5 +385,20 @@ pub(crate) mod tests {
         let mut out = Vec::new();
         encode_all(&pairs, &mut out);
         assert_eq!(decode_all::<(u32, f64)>(&out).unwrap(), pairs);
+    }
+
+    /// What the counter counts is what a buffer is given, through every
+    /// provided method.
+    #[test]
+    fn the_counter_counts_what_the_buffer_holds() {
+        let value = (vec![String::from("é"); 3], Some(vec![1u32; 2000]), -1.5f64);
+        let mut out = Vec::new();
+        value.put(&mut out);
+        out.u32s(&[7; 1500]);
+        let counted = len(|n| {
+            value.put(n);
+            n.u32s(&[7; 1500]);
+        });
+        assert_eq!(counted, out.len());
     }
 }

@@ -485,7 +485,7 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                 if e != current {
                     continue;
                 }
-                writer.send_final(e, app.final_len(), |out| app.final_result(out))?;
+                writer.send_final(e, |out| app.final_result(out))?;
             }
             DriverMsg::Shutdown => {
                 if obs_enabled.load(Ordering::Relaxed) {
