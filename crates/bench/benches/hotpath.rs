@@ -1,8 +1,7 @@
 //! Criterion microbenchmarks for the hot-path kernels of DESIGN.md §12:
 //! the branchless flat-array score loop, the placement kernel at two part
-//! counts, cached alias-table sampling, the
-//! arena-backed superstep exchange, the streamed binary graph load, the
-//! vertex-program superstep kernel, the walk superstep kernel, and the
+//! counts, cached alias-table sampling, the streamed binary graph load,
+//! the vertex-program superstep kernel, the walk superstep kernel, and the
 //! process backend's per-byte
 //! work (DESIGN.md §13: one frame across the wire, a worker's slice of the
 //! graph into and out of its `Placement` frame, the path-log merge).
@@ -12,8 +11,8 @@
 //!     cargo bench -p bpart-bench --bench hotpath
 
 use bpart_cluster::bsp::Machine;
+use bpart_cluster::Cluster;
 use bpart_cluster::{exec::ExecMode, CostModel};
-use bpart_cluster::{Cluster, MessageArena};
 use bpart_core::bpart::WeightedStream;
 use bpart_core::prelude::*;
 use bpart_dist::frame;
@@ -108,47 +107,6 @@ fn bench_alias_sampling(c: &mut Criterion) {
             },
         );
     }
-    group.finish();
-}
-
-/// Arena-backed superstep exchange: stage messages into per-machine
-/// arenas, take the rows, consume every `rows[from][to]` where it was
-/// staged (ascending sender per destination, as the walk engine's delivery
-/// does), and hand the drained rows back — the walk engine's per-superstep
-/// messaging round trip, with zero steady-state allocation and no second
-/// copy of the messages.
-fn bench_arena_exchange(c: &mut Criterion) {
-    const K: usize = 8;
-    const MSGS_PER_MACHINE: usize = 4_000;
-    let mut group = c.benchmark_group("hotpath_arena_exchange");
-    group.throughput(Throughput::Elements((K * MSGS_PER_MACHINE) as u64));
-    group.sample_size(20);
-    group.bench_function("k8_roundtrip", |b| {
-        let mut arenas: Vec<MessageArena<u64>> = (0..K).map(|_| MessageArena::new(K)).collect();
-        let mut rows: Vec<Vec<Vec<u64>>> = Vec::with_capacity(K);
-        let mut inbox_total = 0u64;
-        b.iter(|| {
-            for (from, arena) in arenas.iter_mut().enumerate() {
-                for i in 0..MSGS_PER_MACHINE {
-                    arena.push(
-                        ((from + i) % K) as u32,
-                        (from * MSGS_PER_MACHINE + i) as u64,
-                    );
-                }
-            }
-            rows.extend(arenas.iter_mut().map(|a| a.take_filled()));
-            for to in 0..K {
-                for row in rows.iter_mut() {
-                    inbox_total += row[to].len() as u64;
-                    row[to].clear();
-                }
-            }
-            for (arena, row) in arenas.iter_mut().zip(rows.drain(..)) {
-                arena.put_drained(row);
-            }
-            black_box(inbox_total)
-        })
-    });
     group.finish();
 }
 
@@ -355,7 +313,6 @@ criterion_group!(
     bench_flat_scoring,
     bench_place,
     bench_alias_sampling,
-    bench_arena_exchange,
     bench_binfmt_load,
     bench_engine_superstep,
     bench_walk_step,

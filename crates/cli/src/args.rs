@@ -40,8 +40,9 @@ pub enum Command {
     /// `bpart stats GRAPH`
     Stats { graph: String },
     /// `bpart partition GRAPH --parts K [--scheme S] [--out FILE]
-    /// [--threads T] [--buffer-size B] [--input-format auto|text|binary|shards]
-    /// [--shard-dir DIR] [--mem-ceiling MB] [+ observability flags]`
+    /// [--threads T] [--buffer-size B] [--shard-dir DIR] [--mem-ceiling MB]
+    /// [+ observability flags]` — a GRAPH that is a shard directory (it
+    /// holds a manifest) is streamed out of core like `--shard-dir`.
     Partition {
         graph: String,
         parts: usize,
@@ -53,7 +54,6 @@ pub enum Command {
         /// `None` = flag not given (resident default
         /// [`bpart_core::DEFAULT_BUFFER_SIZE`]; rejected with shard input).
         buffer_size: Option<usize>,
-        input_format: String,
         shard_dir: Option<String>,
         mem_ceiling_mb: Option<u64>,
         obs: ObsFlags,
@@ -210,20 +210,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 .to_string();
             let out = get_optional(&flags, "out").map(str::to_string);
             let (threads, buffer_size) = parse_parallel(&flags)?;
-            let input_format = get_optional(&flags, "input-format")
-                .unwrap_or("auto")
-                .to_string();
-            if !["auto", "text", "binary", "shards"].contains(&input_format.as_str()) {
-                return Err(err(format!(
-                    "--input-format must be auto, text, binary, or shards, got {input_format:?}"
-                )));
-            }
             let shard_dir = get_optional(&flags, "shard-dir").map(str::to_string);
-            if shard_dir.is_some() && input_format != "auto" && input_format != "shards" {
-                return Err(err(format!(
-                    "--shard-dir conflicts with --input-format {input_format}"
-                )));
-            }
             // With --shard-dir the shard directory *is* the input, so the
             // GRAPH positional may be omitted.
             let graph = match (graph, shard_dir.as_deref()) {
@@ -254,7 +241,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     "out",
                     "threads",
                     "buffer-size",
-                    "input-format",
                     "shard-dir",
                     "mem-ceiling",
                     "trace-out",
@@ -272,7 +258,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 out,
                 threads,
                 buffer_size,
-                input_format,
                 shard_dir,
                 mem_ceiling_mb,
                 obs,
@@ -656,7 +641,6 @@ mod tests {
                 out: None,
                 threads: None,
                 buffer_size: None,
-                input_format: "auto".into(),
                 shard_dir: None,
                 mem_ceiling_mb: None,
                 obs: ObsFlags::default(),
@@ -673,20 +657,16 @@ mod tests {
             "8",
             "--scheme",
             "fennel",
-            "--input-format",
-            "shards",
             "--mem-ceiling",
             "512",
         ])
         .unwrap();
         match cmd {
             Command::Partition {
-                input_format,
                 shard_dir,
                 mem_ceiling_mb,
                 ..
             } => {
-                assert_eq!(input_format, "shards");
                 assert_eq!(shard_dir, None);
                 assert_eq!(mem_ceiling_mb, Some(512));
             }
@@ -702,31 +682,16 @@ mod tests {
         ])
         .unwrap();
         match cmd {
-            Command::Partition {
-                input_format,
-                shard_dir,
-                ..
-            } => {
-                assert_eq!(input_format, "auto");
+            Command::Partition { shard_dir, .. } => {
                 assert_eq!(shard_dir.as_deref(), Some("shards/"));
             }
             other => panic!("expected Partition, got {other:?}"),
         }
-        // Bad values and conflicting combinations are rejected.
-        assert!(p(&["partition", "g", "--parts", "4", "--input-format", "orc"]).is_err());
+        // Bad values are rejected, and so is the input-format flag, gone:
+        // the input's kind is read off the input.
         assert!(p(&["partition", "g", "--parts", "4", "--mem-ceiling", "0"]).is_err());
         assert!(p(&["partition", "g", "--parts", "4", "--mem-ceiling", "many"]).is_err());
-        assert!(p(&[
-            "partition",
-            "g",
-            "--parts",
-            "4",
-            "--input-format",
-            "text",
-            "--shard-dir",
-            "d"
-        ])
-        .is_err());
+        assert!(p(&["partition", "g", "--parts", "4", "--input-format", "text"]).is_err());
     }
 
     #[test]

@@ -65,7 +65,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             out,
             threads,
             buffer_size,
-            input_format,
             shard_dir,
             mem_ceiling_mb,
             obs,
@@ -78,7 +77,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 out.as_deref(),
                 *threads,
                 *buffer_size,
-                input_format,
                 shard_dir.as_deref(),
                 *mem_ceiling_mb,
                 obs,
@@ -460,32 +458,12 @@ fn stats_cmd(path: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// How the `partition` input resolves after `--input-format`/`--shard-dir`.
-enum PartitionInput {
-    /// Load the whole graph resident (text or binary by extension).
-    Resident,
-    /// Stream out-of-core from this shard directory.
-    Shards(String),
-}
-
-/// Resolves what `partition` should read. `auto` keeps the historical
-/// extension-based behaviour unless the path is a shard directory (or
-/// `--shard-dir` was given); `shards` forces the out-of-core path.
-fn resolve_partition_input(
-    graph_path: &str,
-    input_format: &str,
-    shard_dir: Option<&str>,
-) -> PartitionInput {
-    if let Some(dir) = shard_dir {
-        return PartitionInput::Shards(dir.to_string());
-    }
-    match input_format {
-        "shards" => PartitionInput::Shards(graph_path.to_string()),
-        "auto" if Path::new(graph_path).join(pio::MANIFEST_NAME).is_file() => {
-            PartitionInput::Shards(graph_path.to_string())
-        }
-        _ => PartitionInput::Resident,
-    }
+/// The shard directory `partition` streams from out of core: `--shard-dir`,
+/// or a GRAPH that holds a shard manifest. `None` loads the graph resident
+/// (text or binary by extension).
+fn shard_input<'a>(graph_path: &'a str, shard_dir: Option<&'a str>) -> Option<&'a str> {
+    let manifest = Path::new(graph_path).join(pio::MANIFEST_NAME);
+    shard_dir.or_else(|| manifest.is_file().then_some(graph_path))
 }
 
 /// What a partitioner produced, resident or out of core: everything the
@@ -553,7 +531,6 @@ fn partition_cmd(
     out: Option<&str>,
     threads: Option<usize>,
     buffer_size: Option<usize>,
-    input_format: &str,
     shard_dir: Option<&str>,
     mem_ceiling_mb: Option<u64>,
     obs: &ObsFlags,
@@ -564,9 +541,7 @@ fn partition_cmd(
             .map_err(|e| fail(format!("cannot apply --mem-ceiling {mb}: {e}")))?;
         extra = format!("  mem ceiling:     {mb} MB (RLIMIT_AS)\n");
     }
-    if let PartitionInput::Shards(dir) =
-        resolve_partition_input(graph_path, input_format, shard_dir)
-    {
+    if let Some(dir) = shard_input(graph_path, shard_dir) {
         // The shard pass is one sequential loop: there is no worker pool to
         // size and no batch for `--buffer-size` to mean anything.
         if threads.or(buffer_size).is_some() {
@@ -575,7 +550,7 @@ fn partition_cmd(
 pass is one sequential loop over the shards (its memory knob is `bpart shard --shard-bytes`)",
             ));
         }
-        return partition_ooc_cmd(&dir, parts, scheme_name, out, extra, obs);
+        return partition_ooc_cmd(dir, parts, scheme_name, out, extra, obs);
     }
     let parallel = ParallelConfig {
         threads: threads.unwrap_or(1),
@@ -1037,7 +1012,6 @@ mod tests {
             out: Some(pp.clone()),
             threads: None,
             buffer_size: None,
-            input_format: "auto".into(),
             shard_dir: None,
             mem_ceiling_mb: None,
             obs: ObsFlags::default(),
@@ -1111,7 +1085,6 @@ mod tests {
             out: Some(pp.clone()),
             threads: None,
             buffer_size: None,
-            input_format: "auto".into(),
             shard_dir: None,
             mem_ceiling_mb: None,
             obs: ObsFlags::default(),
@@ -1142,7 +1115,6 @@ mod tests {
             out: None,
             threads: Some(2),
             buffer_size: Some(128),
-            input_format: "auto".into(),
             shard_dir: None,
             mem_ceiling_mb: None,
             obs: ObsFlags::default(),
@@ -1184,8 +1156,8 @@ mod tests {
         assert!(out.contains("shards"), "{out}");
         assert!(out.contains("zero-copy"), "{out}");
 
-        // `--input-format auto` detects the shard directory by its
-        // manifest and takes the out-of-core path.
+        // A GRAPH that is a shard directory is found by its manifest and
+        // takes the out-of-core path.
         let out = runs(Command::Partition {
             graph: sd.clone(),
             parts: 4,
@@ -1193,7 +1165,6 @@ mod tests {
             out: Some(pp.clone()),
             threads: None,
             buffer_size: None,
-            input_format: "auto".into(),
             shard_dir: None,
             mem_ceiling_mb: None,
             obs: ObsFlags::default(),
@@ -1213,7 +1184,6 @@ mod tests {
                 out: None,
                 threads,
                 buffer_size,
-                input_format: "auto".into(),
                 shard_dir: None,
                 mem_ceiling_mb: None,
                 obs: ObsFlags::default(),
@@ -1236,7 +1206,6 @@ mod tests {
             out: None,
             threads: None,
             buffer_size: None,
-            input_format: "shards".into(),
             shard_dir: None,
             mem_ceiling_mb: None,
             obs: ObsFlags::default(),
@@ -1277,7 +1246,6 @@ mod tests {
             out: None,
             threads: None,
             buffer_size: None,
-            input_format: "shards".into(),
             shard_dir: Some(sd.clone()),
             mem_ceiling_mb: None,
             obs: ObsFlags {
@@ -1436,7 +1404,7 @@ mod tests {
             .unwrap_err();
             assert_eq!(e.to_string(), expected, "{backend}");
         }
-        for input_format in ["auto", "shards"] {
+        for shard_dir in [None, Some("/no/such/shards".to_string())] {
             let e = run(&Command::Partition {
                 graph: "/no/such/graph".into(),
                 parts: 2,
@@ -1444,13 +1412,12 @@ mod tests {
                 out: None,
                 threads: None,
                 buffer_size: None,
-                input_format: input_format.into(),
-                shard_dir: None,
+                shard_dir: shard_dir.clone(),
                 mem_ceiling_mb: None,
                 obs: ObsFlags::default(),
             })
             .unwrap_err();
-            assert_eq!(e.to_string(), expected, "{input_format}");
+            assert_eq!(e.to_string(), expected, "{shard_dir:?}");
         }
         assert_eq!(scheme_by_name("nope").err().unwrap().to_string(), expected);
     }
@@ -1623,7 +1590,6 @@ mod tests {
             out: None,
             threads: None,
             buffer_size: None,
-            input_format: "auto".into(),
             shard_dir: None,
             mem_ceiling_mb: None,
             obs: ObsFlags {

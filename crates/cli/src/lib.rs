@@ -64,8 +64,8 @@ USAGE:
 [--scale F] [--seed N] --out FILE
   bpart stats     GRAPH
   bpart partition GRAPH --parts K [--scheme NAME] [--out FILE] \
-[--threads T] [--buffer-size B] [--input-format auto|text|binary|shards] \
-[--shard-dir DIR] [--mem-ceiling MB] [+ OBSERVABILITY flags]
+[--threads T] [--buffer-size B] [--shard-dir DIR] [--mem-ceiling MB] \
+[+ OBSERVABILITY flags]
   bpart shard     GRAPH --out-dir DIR [--shard-bytes N]
   bpart quality   GRAPH PARTITION
   bpart run       GRAPH --parts K [--scheme NAME] [--app APP] [--iters N] \
@@ -116,10 +116,9 @@ OUT-OF-CORE (partition graphs bigger than RAM; see DESIGN.md §14):
                      shard directory (.bpgr inputs convert zero-copy via
                      mmap); --shard-bytes caps each shard (default 64 MiB)
                      and thereby the one mapping the partition pass holds
-  --input-format F   partition input kind: auto (default; detects shard
-                     directories by their manifest), text, binary, shards
-  --shard-dir DIR    stream from this shard directory (implies shards;
-                     the GRAPH positional may then be omitted)
+  --shard-dir DIR    stream from this shard directory (the GRAPH
+                     positional may then be omitted); a GRAPH that is a
+                     shard directory, found by its manifest, streams too
   --mem-ceiling MB   hard-cap the process address space via RLIMIT_AS —
                      an out-of-core run that regresses to O(graph) memory
                      fails instead of quietly succeeding

@@ -154,6 +154,41 @@ fn bad_scales_exit_with_one_error_line() {
     }
 }
 
+/// A fault plan that names a machine the run does not have is one `bpart:
+/// …` line and exit 1 on both backends, for every clause kind: not an
+/// index panic in the process driver, not a phantom crash in the
+/// simulation.
+#[test]
+fn fault_plans_naming_a_missing_machine_exit_with_one_error_line() {
+    let (gp, g) = tmp("fault_plan.txt");
+    let out = bpart()
+        .args([
+            "generate", "--preset", "lj_like", "--scale", "0.01", "--out", &g,
+        ])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+    for backend in ["threads", "process"] {
+        for plan in ["crash@1:m99", "straggle@0-2:m3:x2", "drop@0-2:m0->m3:0.5"] {
+            let run = bpart()
+                .args(["run", &g, "--parts", "3", "--backend", backend])
+                .args(["--fault-plan", plan])
+                .output()
+                .expect("run");
+            let err = String::from_utf8_lossy(&run.stderr);
+            let what = format!("{backend} {plan}: {err}");
+            assert_eq!(run.status.code(), Some(1), "{what}");
+            assert_eq!(err.lines().count(), 1, "{what}");
+            assert!(
+                err.starts_with("bpart: fault plan names machine m"),
+                "{what}"
+            );
+            assert!(!err.contains("panicked at"), "{what}");
+        }
+    }
+    std::fs::remove_file(gp).ok();
+}
+
 #[test]
 fn schemes_listing_matches_library_roster() {
     let out = bpart().arg("schemes").output().expect("run schemes");

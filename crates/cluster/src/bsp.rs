@@ -21,8 +21,9 @@
 //! for `from` ascending — the delivery order every bit-identity guarantee
 //! rests on, and the one the process backend's workers follow too — in
 //! whatever form the kernel keeps it (the vertex-program kernel's
-//! accumulator slots, the walk kernel's arena rows). So a superstep's
-//! messages exist once, where their sender combined or staged them.
+//! accumulator slots, the walk kernel's per-destination rows), read through
+//! the kernel's draining `outgoing(to)`. So a superstep's messages exist
+//! once, where their sender combined or staged them.
 //!
 //! The initial state is an implicit (free) checkpoint, so recovery works
 //! with checkpointing disabled, at the price of replaying from superstep
@@ -267,8 +268,8 @@ pub fn drive<P: Program>(
                 })
                 .collect();
             // Per-machine timings on the span (shortest round-trip `f64`
-            // formatting), so the critical-path analyzer reconstructs what
-            // `Telemetry::summary()` reports, bit-exactly.
+            // formatting): the critical-path analyzer folds them through the
+            // fold `Telemetry::summary()` uses, so the two agree bit-exactly.
             span.attr("compute", Timings(&compute));
             span.attr("comm", Timings(&comm));
             telemetry.record(IterationRecord {
@@ -303,4 +304,182 @@ pub fn drive<P: Program>(
         program.rolled_back(superstep);
     }
     Ok((telemetry, superstep))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Stages what the script says into plain per-destination rows and
+    /// records what it is delivered.
+    struct Node {
+        id: MachineId,
+        /// `rows[to]`: what this node staged for `to`, its own included.
+        rows: Vec<Vec<u32>>,
+        /// `(sender, payload)` in delivery order.
+        seen: Vec<(MachineId, u32)>,
+        deliveries: usize,
+    }
+
+    impl Machine for Node {
+        type Msg = u32;
+        type Snapshot = ();
+
+        /// A self-message is allowed here, and counted.
+        fn staged(&self) -> Vec<u64> {
+            self.rows.iter().map(|row| row.len() as u64).collect()
+        }
+        fn snapshot(&self) {}
+        fn restore(&mut self, _: &()) {}
+        fn state_units(_: &()) -> u64 {
+            0
+        }
+    }
+
+    /// `sends[superstep]` lists `(from, to, payload)`.
+    struct Script {
+        sends: Vec<Vec<(MachineId, MachineId, u32)>>,
+        at: usize,
+    }
+
+    impl Program for Script {
+        type Machine = Node;
+        type Computed = ();
+
+        fn open(&mut self, superstep: usize, _: &[Node]) -> Option<SpanGuard> {
+            self.at = superstep;
+            (superstep < self.sends.len()).then(|| bpart_obs::span("cluster.superstep"))
+        }
+        fn compute(&self, node: &mut Node) {
+            for &(from, to, payload) in &self.sends[self.at] {
+                if from == node.id {
+                    node.rows[to as usize].push(payload);
+                }
+            }
+        }
+        fn computed(&mut self, out: Vec<()>, _: &mut SpanGuard) -> Vec<WorkUnits> {
+            vec![WorkUnits::default(); out.len()]
+        }
+        /// Drains `rows[to]` of every sender in place, ascending — what
+        /// both engines' deliveries do.
+        fn deliver(&mut self, _: usize, nodes: &mut [Node]) -> Vec<WorkUnits> {
+            for to in 0..nodes.len() {
+                nodes[to].deliveries += 1;
+                for from in 0..nodes.len() {
+                    let arrived: Vec<u32> = nodes[from].rows[to].drain(..).collect();
+                    let from = from as MachineId;
+                    nodes[to]
+                        .seen
+                        .extend(arrived.into_iter().map(|p| (from, p)));
+                }
+            }
+            vec![WorkUnits::default(); nodes.len()]
+        }
+    }
+
+    fn nodes(k: usize) -> Vec<Node> {
+        (0..k)
+            .map(|id| Node {
+                id: id as MachineId,
+                rows: vec![Vec::new(); k],
+                seen: Vec::new(),
+                deliveries: 0,
+            })
+            .collect()
+    }
+
+    fn run(
+        nodes: &mut [Node],
+        sends: Vec<Vec<(MachineId, MachineId, u32)>>,
+        faults: FaultPlan,
+    ) -> Result<Telemetry, UnrecoverableFailure> {
+        let cfg = Config {
+            faults,
+            ..Config::default()
+        };
+        let mut script = Script { sends, at: 0 };
+        drive(&cfg, &mut script, nodes).map(|(telemetry, _)| telemetry)
+    }
+
+    #[test]
+    fn exchange_delivers_in_sender_order() {
+        let mut nodes = nodes(3);
+        // A self-message is allowed.
+        let sends = vec![vec![(2, 0, 20), (1, 0, 10), (1, 0, 11), (0, 0, 0)]];
+        let telemetry = run(&mut nodes, sends, FaultPlan::new()).unwrap();
+        assert_eq!(nodes[0].seen, [(0, 0), (1, 10), (1, 11), (2, 20)]);
+        assert!(nodes[1].seen.is_empty() && nodes[2].seen.is_empty());
+        let record = &telemetry.records()[0];
+        assert_eq!(record.sent, [1, 2, 1]);
+        // Received is `[4, 0, 0]`: it shows in the communication charge.
+        let cost = CostModel::default();
+        let comm = [(1, 4), (2, 0), (1, 0)].map(|(s, r)| cost.comm_time(s, r));
+        assert_eq!(record.comm, comm);
+    }
+
+    #[test]
+    fn exchange_drains_the_buffers() {
+        let mut nodes = nodes(2);
+        let telemetry = run(&mut nodes, vec![vec![(0, 1, 1)], vec![]], FaultPlan::new());
+        assert_eq!(telemetry.unwrap().records()[1].sent, [0, 0]);
+        // Nothing of the first superstep was delivered again in the second.
+        assert_eq!(nodes[1].seen, [(0, 1)]);
+        assert!(nodes.iter().all(|n| n.rows.iter().all(Vec::is_empty)));
+    }
+
+    #[test]
+    fn sent_totals_accumulate_across_supersteps() {
+        let mut nodes = nodes(2);
+        let sends = vec![vec![(0, 1, 1)], vec![(0, 1, 2), (1, 0, 3)]];
+        let telemetry = run(&mut nodes, sends, FaultPlan::new()).unwrap();
+        let totals = telemetry
+            .records()
+            .iter()
+            .fold([0, 0], |acc, r| [acc[0] + r.sent[0], acc[1] + r.sent[1]]);
+        assert_eq!(totals, [2, 1]);
+        assert_eq!(telemetry.total_messages(), 3);
+    }
+
+    #[test]
+    fn every_superstep_delivers_like_the_first() {
+        let mut nodes = nodes(3);
+        let sends: Vec<Vec<_>> = (0..3)
+            .map(|step| vec![(2, 0, 20 + step), (1, 0, 10 + step), (0, 2, 5 + step)])
+            .collect();
+        run(&mut nodes, sends, FaultPlan::new()).unwrap();
+        assert_eq!(
+            nodes[0].seen,
+            [(1, 10), (2, 20), (1, 11), (2, 21), (1, 12), (2, 22)]
+        );
+        assert_eq!(nodes[2].seen, [(0, 5), (0, 6), (0, 7)]);
+    }
+
+    #[test]
+    fn one_delivery_per_superstep() {
+        let mut nodes = nodes(2);
+        run(
+            &mut nodes,
+            vec![vec![(0, 1, 9)], vec![], vec![]],
+            FaultPlan::new(),
+        )
+        .unwrap();
+        assert_eq!(nodes[1].seen, [(0, 9)]);
+        assert!(nodes.iter().all(|n| n.deliveries == 3));
+    }
+
+    #[test]
+    fn staged_matrix_counts_per_link() {
+        // Link faults are charged per directed link, off the staged
+        // counts: everything on 0 -> 1 is retransmitted, nothing else is.
+        let mut nodes = nodes(3);
+        let sends = vec![vec![(0, 1, 1), (0, 1, 2), (2, 0, 3), (1, 0, 4)]];
+        let faults = FaultPlan::new().drop_link(0, 0, 0, 1, 1.0);
+        let telemetry = run(&mut nodes, sends, faults).unwrap();
+        let record = &telemetry.records()[0];
+        assert_eq!(record.sent, [2 + 2, 1, 1]);
+        assert_eq!(record.faults, 2);
+        // The payloads still arrive exactly once.
+        assert_eq!(nodes[1].seen, [(0, 1), (0, 2)]);
+        assert_eq!(nodes[0].seen, [(1, 4), (2, 3)]);
+    }
 }

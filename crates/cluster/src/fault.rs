@@ -259,6 +259,15 @@ impl FaultPlan {
             .collect()
     }
 
+    /// The highest machine id any crash, straggle or link clause names;
+    /// `None` when no clause names one.
+    pub fn max_machine(&self) -> Option<MachineId> {
+        let crashes = self.crashes.iter().map(|c| c.machine);
+        let stragglers = self.stragglers.iter().map(|s| s.machine);
+        let links = self.links.iter().flat_map(|l| [l.from, l.to]);
+        crashes.chain(stragglers).chain(links).max()
+    }
+
     /// True when the plan schedules any link drop/duplication faults.
     pub fn has_link_faults(&self) -> bool {
         !self.links.is_empty()

@@ -1,33 +1,14 @@
 //! Per-iteration, per-machine execution records and the paper's aggregates.
 //!
 //! One [`IterationRecord`] is appended per superstep. The aggregates match
-//! §4's metrics:
-//!
-//! * *total running time* — Σ over iterations of
-//!   `max_i(compute_i) + max_i(comm_i)` (the slowest machine gates each
-//!   phase, Fig. 1),
-//! * *waiting time* of machine `i` — Σ of `max(compute) − compute_i`
-//!   (time spent waiting for the slowest machine, §4.3),
-//! * *waiting ratio* — total waiting over all machines divided by
-//!   `machines × total running time` (Fig. 13).
+//! §4's metrics — total running time, each machine's waiting time, the
+//! waiting ratio (Fig. 13) — and are the records folded through
+//! [`bpart_obs::analysis::summarize`], the one fold the process driver and
+//! the critical-path analyzer use too.
 
-use bpart_core::StreamStats;
+use bpart_obs::analysis::{max_nan_propagating, summarize, Summary};
 use parking_lot::Mutex;
 use std::sync::OnceLock;
-
-/// NaN-propagating max fold. `f64::max` ignores NaN on *either* side
-/// (`NaN.max(x) == x`), so folding with it silently reports a poisoned
-/// compute time as the fastest machine; a NaN must instead poison the
-/// aggregate so it is visible in reports.
-fn max_nan_propagating(values: &[f64]) -> f64 {
-    values.iter().copied().fold(0.0, |acc, v| {
-        if acc.is_nan() || v.is_nan() {
-            f64::NAN
-        } else {
-            acc.max(v)
-        }
-    })
-}
 
 /// One superstep's timings.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -62,90 +43,6 @@ impl IterationRecord {
         let max_m = max_nan_propagating(&self.comm);
         max_c + max_m + self.recovery
     }
-
-    /// Waiting time of each machine in this superstep's computation phase.
-    /// A NaN compute time poisons every machine's waiting time (the barrier
-    /// release time is unknowable).
-    pub fn waiting(&self) -> Vec<f64> {
-        let max_c = max_nan_propagating(&self.compute);
-        self.compute.iter().map(|&c| max_c - c).collect()
-    }
-}
-
-/// Per-machine slice of a [`Telemetry::summary`]: the paper's Fig. 13
-/// quantities for one machine.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct MachineWaiting {
-    /// Total compute time across all supersteps.
-    pub compute: f64,
-    /// Total time spent waiting at the computation barrier.
-    pub waiting: f64,
-    /// This machine's waiting as a fraction of total running time
-    /// (`waiting / total_time`, Fig. 13's per-machine bar).
-    pub ratio: f64,
-}
-
-/// Run-level aggregate of a [`Telemetry`]: total time, the global waiting
-/// ratio, and the per-machine breakdown behind it.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TelemetrySummary {
-    /// Total modelled running time.
-    pub total_time: f64,
-    /// Global waiting ratio (Fig. 13's headline number).
-    pub waiting_ratio: f64,
-    /// Per-machine waiting breakdown, indexed by machine id.
-    pub machines: Vec<MachineWaiting>,
-}
-
-impl TelemetrySummary {
-    /// Builds the Fig. 13 summary directly from per-superstep
-    /// `(compute, comm)` per-machine timing rows — the *measured* path,
-    /// fed by the process backend's federated worker reports, where
-    /// [`Telemetry::summary`] is the modelled one. Uses the same
-    /// NaN-propagating folds, so measured and modelled tables are
-    /// directly comparable.
-    pub fn from_steps(steps: &[(Vec<f64>, Vec<f64>)]) -> TelemetrySummary {
-        let Some(first) = steps.first() else {
-            return TelemetrySummary::default();
-        };
-        let k = first.0.len();
-        let mut total_time = 0.0;
-        let mut compute = vec![0.0; k];
-        let mut waiting = vec![0.0; k];
-        for (c, m) in steps {
-            let max_c = max_nan_propagating(c);
-            total_time += max_c + max_nan_propagating(m);
-            for (acc, &x) in compute.iter_mut().zip(c) {
-                *acc += x;
-            }
-            for (acc, &x) in waiting.iter_mut().zip(c) {
-                *acc += max_c - x;
-            }
-        }
-        let machines: Vec<MachineWaiting> = waiting
-            .iter()
-            .zip(&compute)
-            .map(|(&w, &c)| MachineWaiting {
-                compute: c,
-                waiting: w,
-                ratio: if total_time > 0.0 {
-                    w / total_time
-                } else {
-                    0.0
-                },
-            })
-            .collect();
-        let waiting_ratio = if total_time == 0.0 || k == 0 {
-            0.0
-        } else {
-            waiting.iter().sum::<f64>() / (k as f64 * total_time)
-        };
-        TelemetrySummary {
-            total_time,
-            waiting_ratio,
-            machines,
-        }
-    }
 }
 
 /// Accumulates iteration records for one application run. Interior-mutable
@@ -159,7 +56,6 @@ impl TelemetrySummary {
 #[derive(Debug, Default)]
 pub struct Telemetry {
     records: Mutex<Vec<IterationRecord>>,
-    partition: Mutex<Option<StreamStats>>,
 }
 
 impl Telemetry {
@@ -222,84 +118,26 @@ impl Telemetry {
         self.records.lock().clone()
     }
 
-    /// Records the partitioning stage's streaming telemetry (buffer count,
-    /// worker threads, synchronization stalls). Called once before the
-    /// supersteps start; a later call overwrites the earlier record.
-    pub fn record_partition(&self, stats: StreamStats) {
-        *self.partition.lock() = Some(stats);
-    }
-
-    /// The partitioning stage's streaming telemetry, if recorded.
-    pub fn partition_stats(&self) -> Option<StreamStats> {
-        *self.partition.lock()
-    }
-
-    /// Partitioning throughput in vertices per second; zero when no
-    /// partition stage was recorded.
-    pub fn partition_throughput(&self) -> f64 {
-        self.partition.lock().map_or(0.0, |s| s.vertices_per_sec())
+    /// Fig. 13 in one call: total time, the global waiting ratio, and each
+    /// machine's compute, waiting, comm and gating.
+    pub fn summary(&self) -> Summary {
+        let records = self.records.lock();
+        summarize(
+            records
+                .iter()
+                .map(|r| (&r.compute[..], &r.comm[..], r.recovery)),
+        )
     }
 
     /// Total modelled running time (Σ per-iteration wall time).
     pub fn total_time(&self) -> f64 {
-        self.records.lock().iter().map(|r| r.wall_time()).sum()
-    }
-
-    /// Per-machine total waiting time across all iterations.
-    pub fn waiting_per_machine(&self) -> Vec<f64> {
-        let records = self.records.lock();
-        let Some(first) = records.first() else {
-            return Vec::new();
-        };
-        let mut waiting = vec![0.0; first.compute.len()];
-        for r in records.iter() {
-            for (w, x) in waiting.iter_mut().zip(r.waiting()) {
-                *w += x;
-            }
-        }
-        waiting
-    }
-
-    /// Fig. 13 in one call: total time, the global waiting ratio, and each
-    /// machine's waiting time and per-machine ratio.
-    pub fn summary(&self) -> TelemetrySummary {
-        let total_time = self.total_time();
-        let waiting = self.waiting_per_machine();
-        let mut compute = vec![0.0; waiting.len()];
-        for r in self.records.lock().iter() {
-            for (acc, &c) in compute.iter_mut().zip(&r.compute) {
-                *acc += c;
-            }
-        }
-        let machines: Vec<MachineWaiting> = waiting
-            .iter()
-            .zip(&compute)
-            .map(|(&w, &c)| MachineWaiting {
-                compute: c,
-                waiting: w,
-                ratio: if total_time > 0.0 {
-                    w / total_time
-                } else {
-                    0.0
-                },
-            })
-            .collect();
-        TelemetrySummary {
-            total_time,
-            waiting_ratio: self.waiting_ratio(),
-            machines,
-        }
+        self.summary().total_time
     }
 
     /// The paper's Fig. 13 metric: total waiting of all machines divided by
     /// `machines × total running time`. Zero when nothing was recorded.
     pub fn waiting_ratio(&self) -> f64 {
-        let total = self.total_time();
-        let waiting = self.waiting_per_machine();
-        if total == 0.0 || waiting.is_empty() {
-            return 0.0;
-        }
-        waiting.iter().sum::<f64>() / (waiting.len() as f64 * total)
+        self.summary().waiting_ratio
     }
 
     /// Total messages sent by all machines (Fig. 5b's "total message
@@ -368,11 +206,18 @@ mod tests {
         }
     }
 
+    /// Each machine's barrier wait in `r` alone, as the summary folds it.
+    fn waiting(r: &IterationRecord) -> Vec<f64> {
+        let t = Telemetry::new();
+        t.record(r.clone());
+        t.summary().machines.iter().map(|m| m.waiting).collect()
+    }
+
     #[test]
     fn wall_time_takes_the_slowest_of_each_phase() {
         let r = rec(vec![3.0, 5.0], vec![1.0, 0.5], vec![0, 0]);
         assert_eq!(r.wall_time(), 6.0);
-        assert_eq!(r.waiting(), vec![2.0, 0.0]);
+        assert_eq!(waiting(&r), vec![2.0, 0.0]);
     }
 
     #[test]
@@ -382,7 +227,8 @@ mod tests {
         t.record(rec(vec![1.0, 3.0], vec![1.0, 1.0], vec![3, 4]));
         assert_eq!(t.num_iterations(), 2);
         assert_eq!(t.total_time(), 4.0 + 4.0);
-        assert_eq!(t.waiting_per_machine(), vec![2.0, 2.0]);
+        let waiting: Vec<f64> = t.summary().machines.iter().map(|m| m.waiting).collect();
+        assert_eq!(waiting, vec![2.0, 2.0]);
         assert_eq!(t.total_messages(), 10);
         // waiting ratio: (2+2) / (2 machines * 8) = 0.25
         assert!((t.waiting_ratio() - 0.25).abs() < 1e-12);
@@ -400,31 +246,11 @@ mod tests {
         let t = Telemetry::new();
         assert_eq!(t.total_time(), 0.0);
         assert_eq!(t.waiting_ratio(), 0.0);
-        assert!(t.waiting_per_machine().is_empty());
+        assert!(t.summary().machines.is_empty());
         assert_eq!(t.total_messages(), 0);
         assert_eq!(t.total_faults(), 0);
         assert_eq!(t.replayed_supersteps(), 0);
         assert_eq!(t.total_recovery_time(), 0.0);
-    }
-
-    #[test]
-    fn partition_stage_stats_are_exposed() {
-        let t = Telemetry::new();
-        assert!(t.partition_stats().is_none());
-        assert_eq!(t.partition_throughput(), 0.0);
-        t.record_partition(StreamStats {
-            vertices: 1_000,
-            edges: 30_000,
-            buffers: 4,
-            secs: 0.5,
-            sync_secs: 0.1,
-            threads: 2,
-        });
-        let s = t.partition_stats().expect("recorded");
-        assert_eq!(s.vertices, 1_000);
-        assert_eq!(s.threads, 2);
-        assert!((t.partition_throughput() - 2_000.0).abs() < 1e-9);
-        assert!((s.sync_stall_ratio() - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -433,14 +259,14 @@ mod tests {
         // poisoned machine as instantaneous; the aggregate must go NaN.
         let r = rec(vec![3.0, f64::NAN], vec![1.0, 0.5], vec![0, 0]);
         assert!(r.wall_time().is_nan(), "NaN compute must poison wall_time");
-        assert!(r.waiting().iter().all(|w| w.is_nan()));
+        assert!(waiting(&r).iter().all(|w| w.is_nan()));
         // NaN first in the list (the accumulator side) must also survive.
         let r = rec(vec![f64::NAN, 3.0], vec![1.0, 0.5], vec![0, 0]);
         assert!(r.wall_time().is_nan());
         // A NaN comm time poisons wall_time but not compute waiting.
         let r = rec(vec![2.0, 1.0], vec![f64::NAN, 0.5], vec![0, 0]);
         assert!(r.wall_time().is_nan());
-        assert_eq!(r.waiting(), vec![0.0, 1.0]);
+        assert_eq!(waiting(&r), vec![0.0, 1.0]);
         // NaN-free records are untouched by the new fold.
         let r = rec(vec![3.0, 5.0], vec![1.0, 0.5], vec![0, 0]);
         assert_eq!(r.wall_time(), 6.0);
@@ -466,28 +292,6 @@ mod tests {
         let empty = Telemetry::new().summary();
         assert_eq!(empty.total_time, 0.0);
         assert!(empty.machines.is_empty());
-    }
-
-    #[test]
-    fn from_steps_matches_the_recorded_summary() {
-        // The measured path (raw per-step timing rows) must agree with
-        // the modelled path (recorded Telemetry) on identical inputs.
-        let steps = vec![
-            (vec![4.0, 2.0], vec![0.0, 0.0]),
-            (vec![1.0, 3.0], vec![1.0, 1.0]),
-        ];
-        let t = Telemetry::new();
-        for (c, m) in &steps {
-            t.record(rec(c.clone(), m.clone(), vec![0, 0]));
-        }
-        assert_eq!(TelemetrySummary::from_steps(&steps), t.summary());
-        // Empty input yields the empty summary; NaN poisons totals.
-        assert_eq!(
-            TelemetrySummary::from_steps(&[]),
-            TelemetrySummary::default()
-        );
-        let poisoned = TelemetrySummary::from_steps(&[(vec![1.0, f64::NAN], vec![0.0, 0.0])]);
-        assert!(poisoned.total_time.is_nan());
     }
 
     #[test]

@@ -5,17 +5,17 @@
 use bpart_cluster::bsp::{self, Machine, Program};
 use bpart_cluster::exec::{for_each_machine, ExecMode};
 use bpart_cluster::{
-    CostModel, FaultPlan, FaultState, IterationRecord, MachineId, MessageArena, Telemetry,
-    WorkUnits,
+    CostModel, FaultPlan, FaultState, IterationRecord, MachineId, Telemetry, WorkUnits,
 };
 use bpart_obs::SpanGuard;
 use proptest::prelude::*;
 
-/// A machine that stages what the script says and records, in delivery
-/// order, the `(sender, payload)` of everything it is handed.
+/// A machine that stages what the script says into plain per-destination
+/// rows and records, in delivery order, the `(sender, payload)` of
+/// everything it is handed.
 struct Node {
     id: MachineId,
-    arena: MessageArena<u16>,
+    rows: Vec<Vec<u16>>,
     seen: Vec<(MachineId, u16)>,
 }
 
@@ -25,7 +25,7 @@ impl Machine for Node {
 
     /// A self-message is allowed here, and counted.
     fn staged(&self) -> Vec<u64> {
-        self.arena.staged_per_destination().collect()
+        self.rows.iter().map(|row| row.len() as u64).collect()
     }
     fn snapshot(&self) {}
     fn restore(&mut self, _: &()) {}
@@ -49,26 +49,24 @@ impl Program for Script<'_> {
     fn compute(&self, node: &mut Node) {
         for &(from, to, payload) in self.sends {
             if from == node.id {
-                node.arena.push(to, payload);
+                node.rows[to as usize].push(payload);
             }
         }
     }
     fn computed(&mut self, out: Vec<()>, _: &mut SpanGuard) -> Vec<WorkUnits> {
         vec![WorkUnits::default(); out.len()]
     }
-    /// Take, consume in ascending sender order, put back — what the walk
-    /// engine's delivery does with its arenas.
+    /// Drains `rows[to]` of every sender in place, ascending — what both
+    /// engines' deliveries do.
     fn deliver(&mut self, _: usize, nodes: &mut [Node]) -> Vec<WorkUnits> {
-        let mut rows: Vec<Vec<Vec<u16>>> =
-            nodes.iter_mut().map(|n| n.arena.take_filled()).collect();
-        for (to, node) in nodes.iter_mut().enumerate() {
-            for (from, row) in rows.iter_mut().enumerate() {
-                node.seen
-                    .extend(row[to].drain(..).map(|p| (from as MachineId, p)));
+        for to in 0..nodes.len() {
+            for from in 0..nodes.len() {
+                let arrived: Vec<u16> = nodes[from].rows[to].drain(..).collect();
+                let from = from as MachineId;
+                nodes[to]
+                    .seen
+                    .extend(arrived.into_iter().map(|p| (from, p)));
             }
-        }
-        for (node, row) in nodes.iter_mut().zip(rows) {
-            node.arena.put_drained(row);
         }
         vec![WorkUnits::default(); nodes.len()]
     }
@@ -80,7 +78,7 @@ fn nodes() -> Vec<Node> {
     (0..K)
         .map(|id| Node {
             id: id as MachineId,
-            arena: MessageArena::new(K),
+            rows: vec![Vec::new(); K],
             seen: Vec::new(),
         })
         .collect()
@@ -95,7 +93,7 @@ proptest! {
     /// senders ascending and each sender's append order kept; the loop's
     /// `sent` / `received` are the staged counts.
     #[test]
-    fn router_conserves_every_message(
+    fn exchange_conserves_every_message(
         sends in prop::collection::vec((0u32..K as u32, 0u32..K as u32, 0u16..100), 0..200),
         mode in 0usize..2,
     ) {
@@ -114,7 +112,7 @@ proptest! {
                 .collect();
             expect.sort_by_key(|&(from, _)| from);
             prop_assert_eq!(&node.seen, &expect);
-            prop_assert_eq!(node.arena.staged(), 0);
+            prop_assert!(node.rows.iter().all(Vec::is_empty));
         }
         let record = &telemetry.records()[0];
         let cost = CostModel::default();

@@ -57,9 +57,9 @@ use crate::step::WALK_FINAL_LEN;
 use crate::transport::rpc_rtt_histogram;
 use crate::wire::{path_triples, PATH_TRIPLE_LEN};
 use crate::{digest_bytes, digest_paths, AppOutput, RecoveryStats, TimeUnit};
-use bpart_cluster::{Cluster, FaultPlan, FaultState, MachineId, TelemetrySummary};
+use bpart_cluster::{Cluster, FaultPlan, FaultState, MachineId};
 use bpart_graph::VertexId;
-use bpart_obs::{federation, tracer};
+use bpart_obs::{analysis, federation, tracer};
 use bpart_walker::{PathTable, WalkStarts};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -1135,7 +1135,7 @@ impl Driver {
             digest,
             supersteps: superstep,
             recovery: self.stats.clone(),
-            timing: TelemetrySummary::from_steps(&steps),
+            timing: analysis::summarize(steps.iter().map(|(c, m)| (&c[..], &m[..], 0.0))),
             time_unit: TimeUnit::Seconds,
             modelled: None,
             peak_rss_bytes: Vec::new(),

@@ -39,8 +39,9 @@ pub use spec::{AppSpec, GraphSource, JobSpec, Scheme, APP_NAMES, SCHEMES};
 pub use worker::{run_worker, WorkerConfig};
 
 use bpart_cluster::exec::ExecMode;
-use bpart_cluster::{Cluster, CostModel, FaultPlan, Telemetry, TelemetrySummary};
+use bpart_cluster::{Cluster, CostModel, FaultPlan, Telemetry};
 use bpart_graph::VertexId;
+use bpart_obs::analysis::Summary;
 use wire::{encode_all, Wire};
 
 /// Configuration for the in-process (thread-simulated) backend — the
@@ -119,7 +120,7 @@ pub struct AppOutput {
     /// Per-machine compute and barrier waiting, in `time_unit`. It has no
     /// machines when nothing was measured: a process-backend run with
     /// federation collection off.
-    pub timing: TelemetrySummary,
+    pub timing: Summary,
     /// The unit of `timing`.
     pub time_unit: TimeUnit,
     /// Present on the threads backend.
@@ -131,8 +132,19 @@ pub struct AppOutput {
 }
 
 /// Runs a job on the chosen backend. The digest is computed the same way
-/// on both backends, so equal digests mean bit-identical results.
+/// on both backends, so equal digests mean bit-identical results. A fault
+/// plan that names a machine the job does not have is refused first.
 pub fn run_job(spec: &JobSpec, backend: &Backend) -> Result<AppOutput, ClusterError> {
+    let faults = match backend {
+        Backend::Process(cfg) => &cfg.faults,
+        Backend::Threads(cfg) => &cfg.faults,
+    };
+    if let Some(m) = faults.max_machine().filter(|&m| m >= spec.parts) {
+        let parts = spec.parts;
+        return Err(ClusterError::unrecoverable(format!(
+            "fault plan names machine m{m}, but the job has {parts} machines"
+        )));
+    }
     let out = match backend {
         Backend::Process(cfg) => driver::run_process(spec, cfg),
         Backend::Threads(cfg) => run_threads(spec, cfg),

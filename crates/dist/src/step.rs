@@ -238,21 +238,20 @@ impl Worker for WalkWorker {
         let triples = self.step.take_triples();
         let mut paths = Vec::with_capacity(triples.len() * PATH_TRIPLE_LEN);
         triples.for_each(|triple| triple.put(&mut paths));
-        let mut rows = self.step.outbox().take_filled();
-        let segs = rows
-            .iter_mut()
-            .map(|row| encode_seg(row.drain(..)))
-            .collect();
-        self.step.outbox().put_drained(rows);
+        let mut segs = Vec::new();
+        for (to, count) in (0..).zip(self.step.staged()) {
+            let held = (count > 0).then(|| self.step.outgoing(to));
+            segs.push(encode_seg(held.into_iter().flatten()));
+        }
         (segs, paths)
     }
 
     fn finish(&mut self, inbox: &[RowSeg<'_>], _: u64, _: f64) -> Result<(u64, f64), ClusterError> {
         for seg in inbox {
             let mut r = Reader::new(&seg.data);
-            let mut row = self.owned(r.read_n(seg.count as usize)?)?;
+            let row = self.owned(r.read_n(seg.count as usize)?)?;
             r.end("row segment")?;
-            self.step.absorb(&mut row);
+            self.step.absorb(row);
         }
         Ok((self.step.queue_len() as u64, 0.0))
     }

@@ -35,38 +35,20 @@ pub struct EngineRun<V> {
     pub iterations: usize,
 }
 
-/// How the communication phase is charged.
-///
-/// Messages are always *delivered* combined (sender-side combining, as in
-/// Gemini); the accounting choice decides what the cost model sees.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CommAccounting {
-    /// Charge one unit per raw remote edge update — the payload a
-    /// Pregel/Giraph-style system ships, and the model under which
-    /// communication is proportional to edge cuts (the paper's §4.5
-    /// attribution). The default.
-    #[default]
-    PerEdgeUpdate,
-    /// Charge one unit per combined (machine, target) message — Gemini's
-    /// mirror-update volume. Blunts cut differences on dense apps.
-    Combined,
-}
-
 /// A Gemini-like iteration engine bound to one cluster.
 pub struct IterationEngine {
     cluster: Cluster,
-    comm: CommAccounting,
     cfg: bsp::Config,
 }
 
 /// One vertex program's run, as the superstep loop sees it.
 struct Iterate<'a, P> {
     program: &'a P,
-    comm: CommAccounting,
     /// Global aggregate over the values this superstep started from
     /// (e.g. PageRank's dangling mass).
     aggregate: f64,
-    /// Raw (uncombined) update totals per machine, `(sent, received)`.
+    /// Raw (uncombined) update totals per machine, `(sent, received)`: what
+    /// the communication phase is charged for.
     raw: (Vec<u64>, Vec<u64>),
     /// Whether the last completed superstep left any vertex active.
     any_active: bool,
@@ -133,11 +115,12 @@ impl<P: VertexProgram> bsp::Program for Iterate<'_, P> {
             .collect()
     }
 
-    fn traffic(&self, sent: &[u64], received: &[u64]) -> (Vec<u64>, Vec<u64>) {
-        match self.comm {
-            CommAccounting::PerEdgeUpdate => self.raw.clone(),
-            CommAccounting::Combined => (sent.to_vec(), received.to_vec()),
-        }
+    /// Messages are delivered combined (sender-side combining, as in
+    /// Gemini), but charged one unit per raw remote edge update — the
+    /// payload a Pregel-style system ships, under which communication is
+    /// proportional to the edge cut (the paper's §4.5 attribution).
+    fn traffic(&self, _sent: &[u64], _received: &[u64]) -> (Vec<u64>, Vec<u64>) {
+        self.raw.clone()
     }
 }
 
@@ -146,19 +129,12 @@ impl IterationEngine {
     pub fn new(cluster: Cluster, cost: CostModel, mode: ExecMode) -> Self {
         IterationEngine {
             cluster,
-            comm: CommAccounting::default(),
             cfg: bsp::Config {
                 cost,
                 mode,
                 ..bsp::Config::default()
             },
         }
-    }
-
-    /// Selects the communication accounting (see [`CommAccounting`]).
-    pub fn with_comm_accounting(mut self, comm: CommAccounting) -> Self {
-        self.comm = comm;
-        self
     }
 
     /// Injects faults from `plan` during the run (see [`FaultPlan`]).
@@ -210,7 +186,6 @@ impl IterationEngine {
         let mut steps = MachineStep::for_cluster(program, &self.cluster);
         let mut iterate = Iterate {
             program,
-            comm: self.comm,
             aggregate: 0.0,
             raw: (vec![0; k], vec![0; k]),
             any_active: true,
@@ -353,32 +328,6 @@ mod tests {
         // On a ring split into contiguous chunks, only chunk-boundary
         // signals cross machines: 4 cut edges = 4 messages.
         assert_eq!(records[0].sent.iter().sum::<u64>(), 4);
-    }
-
-    #[test]
-    fn combined_accounting_charges_less_than_per_edge() {
-        // Many sources per remote target: combining collapses them, so the
-        // Combined accounting must report (weakly) fewer messages and the
-        // values must be identical either way.
-        let graph = Arc::new(generate::complete(24));
-        let partition = Arc::new(ChunkV.partition(&graph, 4));
-        let per_edge =
-            IterationEngine::default_for(graph.clone(), partition.clone()).run(&PushOnce);
-        let combined = IterationEngine::default_for(graph.clone(), partition)
-            .with_comm_accounting(CommAccounting::Combined)
-            .run(&PushOnce);
-        assert_eq!(per_edge.values, combined.values);
-        let raw = per_edge.telemetry.total_messages();
-        let merged = combined.telemetry.total_messages();
-        assert!(merged < raw, "combined {merged} should be below raw {raw}");
-        // complete graph on 4 machines: every vertex signals 18 remote
-        // targets; combined messages = (machine, target) pairs = 3 * 24 per
-        // direction pattern
-        // every vertex signals its 18 remote neighbors: 24 x 18 raw updates
-        assert_eq!(raw, 24 * 18);
-        // combined: each of the 4 machines sends one update per remote
-        // target = 18 messages
-        assert_eq!(merged, 4 * 18);
     }
 
     fn faulted_engine(

@@ -44,8 +44,8 @@ use std::sync::Arc;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScatterOutcome {
     /// Raw (uncombined) cross-machine edge updates per destination — the
-    /// payload a Pregel-style system would ship, which the cost model
-    /// charges under per-edge accounting (the paper's §4.5 attribution).
+    /// payload a Pregel-style system would ship, and what the cost model
+    /// charges the communication phase for (the paper's §4.5 attribution).
     pub raw: Vec<u64>,
     /// Edges scanned.
     pub work: WorkUnits,

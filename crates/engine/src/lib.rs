@@ -38,6 +38,6 @@ pub mod kernel;
 mod oracle;
 pub mod program;
 
-pub use engine::{CommAccounting, EngineRun, IterationEngine};
+pub use engine::{EngineRun, IterationEngine};
 pub use kernel::MachineStep;
 pub use program::{ProgramContext, VertexProgram};

@@ -10,7 +10,7 @@
 //! final values.
 
 use crate::apps::{Bfs, ConnectedComponents, DistFrom, PageRank, Sssp};
-use crate::engine::{CommAccounting, IterationEngine};
+use crate::engine::IterationEngine;
 use crate::kernel::{ApplyOutcome, MachineStep, ScatterOutcome};
 use crate::program::{ProgramContext, VertexProgram};
 use bpart_cluster::bsp::Machine;
@@ -237,7 +237,6 @@ fn drive<P: VertexProgram, S: Step<P>>(
     mut steps: Vec<S>,
     program: &P,
     cluster: &Cluster,
-    comm: CommAccounting,
 ) -> Trace<P> {
     let cost = CostModel::default();
     let k = cluster.num_machines();
@@ -266,13 +265,11 @@ fn drive<P: VertexProgram, S: Step<P>>(
             }
         }
         trace.rows.push(rows.clone());
+        // Charged per raw edge update, whatever combining delivered.
         let (mut sent, mut received) = (vec![0u64; k], vec![0u64; k]);
         for from in 0..k {
             for to in 0..k {
-                let count = match comm {
-                    CommAccounting::PerEdgeUpdate => scattered[from].raw[to],
-                    CommAccounting::Combined => staged[from][to],
-                };
+                let count = scattered[from].raw[to];
                 assert_eq!(staged[from][to], rows[from][to].len() as u64);
                 sent[from] += count;
                 received[to] += count;
@@ -349,24 +346,18 @@ fn row_bits<A: Bits>(row: &[(VertexId, A)]) -> Vec<u64> {
 }
 
 /// Kernel, oracle and engine agree on `program` over `cluster`.
-fn assert_agree<P>(program: &P, cluster: &Cluster, comm: CommAccounting) -> Result<(), String>
+fn assert_agree<P>(program: &P, cluster: &Cluster) -> Result<(), String>
 where
     P: VertexProgram,
     P::Value: Bits,
     P::Accum: Bits,
 {
     let k = cluster.num_machines() as MachineId;
-    let kernel = drive(
-        MachineStep::for_cluster(program, cluster),
-        program,
-        cluster,
-        comm,
-    );
+    let kernel = drive(MachineStep::for_cluster(program, cluster), program, cluster);
     let oracle = drive(
         (0..k).map(|m| SortStep::new(program, cluster, m)).collect(),
         program,
         cluster,
-        comm,
     );
     let check = |what: &str, ok: bool| ok.then_some(()).ok_or(format!("{what} differ"));
 
@@ -391,9 +382,7 @@ where
     check("kernel records", records(&kernel) == records(&oracle))?;
 
     for mode in [ExecMode::Sequential, ExecMode::Threaded] {
-        let run = IterationEngine::new(cluster.clone(), CostModel::default(), mode)
-            .with_comm_accounting(comm)
-            .run(program);
+        let run = IterationEngine::new(cluster.clone(), CostModel::default(), mode).run(program);
         let engine_values: Vec<_> = run.values.into_iter().map(Some).collect();
         check(
             "engine values",
@@ -451,7 +440,6 @@ proptest! {
         parts in 0usize..PARTS.len(),
         density in 0u64..6,
         app in 0usize..4,
-        combined in 0usize..2,
         seed in 0u64..u64::MAX,
     ) {
         let mut state = seed | 1;
@@ -463,12 +451,11 @@ proptest! {
             state.wrapping_mul(0x2545_f491_4f6c_dd1d)
         };
         let cluster = random_cluster(SIZES[size], PARTS[parts], density, &mut rng);
-        let comm = [CommAccounting::PerEdgeUpdate, CommAccounting::Combined][combined];
         let agreed = match app {
-            0 => assert_agree(&PageRank::new(4), &cluster, comm),
-            1 => assert_agree(&ConnectedComponents, &cluster, comm),
-            2 => assert_agree(&Bfs::new(0), &cluster, comm),
-            _ => assert_agree(&Sssp::new(0), &cluster, comm),
+            0 => assert_agree(&PageRank::new(4), &cluster),
+            1 => assert_agree(&ConnectedComponents, &cluster),
+            2 => assert_agree(&Bfs::new(0), &cluster),
+            _ => assert_agree(&Sssp::new(0), &cluster),
         };
         prop_assert!(agreed.is_ok(), "{:?}", agreed);
     }

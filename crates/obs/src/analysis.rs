@@ -1,19 +1,22 @@
-//! Critical-path analysis over a recorded span tree: the automated
-//! version of reading the paper's Fig. 13.
+//! The paper's Fig. 13, folded once, and the critical path of a recorded
+//! span tree.
+//!
+//! [`summarize`] is the one fold of per-superstep timing rows into a run's
+//! numbers: total time (Σ of the slowest compute, the slowest comm and the
+//! recovery work, Fig. 1), each machine's barrier waiting (Σ of
+//! `max(compute) − compute_i`, §4.3), the waiting ratio (Fig. 13), and which
+//! machine gated each superstep. `Telemetry::summary` in `bpart-cluster`
+//! folds a simulated run's records through it, the process driver the
+//! seconds its workers measured, and [`analyze`] the timings it recovers
+//! from span attributes — so the blame table of `bpart report
+//! --critical-path` equals the run report because there is one fold.
 //!
 //! The engines attach per-machine `compute`/`comm` timing attributes to
 //! every `cluster.superstep` / `walker.superstep` span (comma-joined
 //! `f64` `Display` values — Rust's shortest round-trip formatting, so
 //! [`parse_timings`] recovers the original bits exactly). [`analyze`]
-//! reconstructs, per superstep, which machine *gated* the computation
-//! phase (the slowest one — everyone else waits at the barrier for it,
-//! paper §4.3) and rolls the steps up into a per-machine blame table:
-//! time spent on the critical path versus time spent waiting.
-//!
-//! Waiting uses the same fold as `Telemetry::summary()` in
-//! `bpart-cluster` (`max(compute) − compute_i`, summed in superstep
-//! order, NaN-propagating max seeded at `0.0`), so the blame totals
-//! agree with the run report *exactly*, not just to within rounding.
+//! orders the steps, checks their shape, folds them, and keeps them for
+//! the per-superstep rows and the straggler list.
 
 use std::fmt::Write as _;
 
@@ -57,9 +60,10 @@ pub fn parse_timings(s: &str) -> Result<Vec<f64>, String> {
         .collect()
 }
 
-/// NaN-propagating max seeded at `0.0` — byte-for-byte the fold
-/// `Telemetry` uses, so waiting times computed here match `summary()`.
-fn max_nan_propagating(values: &[f64]) -> f64 {
+/// NaN-propagating max seeded at `0.0`. `f64::max` ignores NaN on *either*
+/// side (`NaN.max(x) == x`), so folding with it would report a poisoned
+/// timing as the fastest machine; a NaN must poison the aggregate instead.
+pub fn max_nan_propagating(values: &[f64]) -> f64 {
     values.iter().copied().fold(0.0, |acc, v| {
         if acc.is_nan() || v.is_nan() {
             f64::NAN
@@ -67,6 +71,96 @@ fn max_nan_propagating(values: &[f64]) -> f64 {
             acc.max(v)
         }
     })
+}
+
+/// The machine that gated a computation phase: the slowest one (lowest
+/// index on ties; a NaN timing wins outright — a poisoned machine *is* the
+/// problem machine).
+fn gate(compute: &[f64]) -> usize {
+    let mut best = 0;
+    for (i, &c) in compute.iter().enumerate() {
+        if c.is_nan() {
+            return i;
+        }
+        if c > compute[best] {
+            best = i;
+        }
+    }
+    best
+}
+
+/// One machine's row of a [`Summary`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct MachineSummary {
+    /// Total compute time across all supersteps.
+    pub compute: f64,
+    /// Total time spent waiting at the computation barrier.
+    pub waiting: f64,
+    /// Total communication time across all supersteps.
+    pub comm: f64,
+    /// `waiting / total_time`: Fig. 13's per-machine bar.
+    pub ratio: f64,
+    /// Supersteps where this machine was the slowest (gated the barrier).
+    pub gated_steps: u64,
+    /// Compute time spent while gating — this machine's share of the
+    /// run's critical path.
+    pub critical_time: f64,
+}
+
+/// A run's Fig. 13 numbers, as [`summarize`] folds them.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Summary {
+    /// Total running time.
+    pub total_time: f64,
+    /// Total waiting of all machines over `machines × total_time` (Fig.
+    /// 13's headline number); zero when nothing ran.
+    pub waiting_ratio: f64,
+    /// Per-machine rows, indexed by machine id.
+    pub machines: Vec<MachineSummary>,
+}
+
+/// The one Fig. 13 fold. Each row is one superstep's per-machine compute
+/// and comm times and the recovery work charged with it, in superstep
+/// order; the machine count is the first row's. Every sum runs in row
+/// order, so callers that fold the same rows get the same bits.
+pub fn summarize<'a>(rows: impl IntoIterator<Item = (&'a [f64], &'a [f64], f64)>) -> Summary {
+    let mut rows = rows.into_iter().peekable();
+    let k = rows.peek().map_or(0, |(compute, _, _)| compute.len());
+    let mut machines = vec![MachineSummary::default(); k];
+    let mut total_time = 0.0;
+    for (compute, comm, recovery) in rows {
+        let max_c = max_nan_propagating(compute);
+        total_time += max_c + max_nan_propagating(comm) + recovery;
+        for (m, &c) in machines.iter_mut().zip(compute) {
+            m.compute += c;
+            m.waiting += max_c - c;
+        }
+        for (m, &c) in machines.iter_mut().zip(comm) {
+            m.comm += c;
+        }
+        let gate = gate(compute);
+        if let (Some(m), Some(&c)) = (machines.get_mut(gate), compute.get(gate)) {
+            m.gated_steps += 1;
+            m.critical_time += c;
+        }
+    }
+    for m in &mut machines {
+        m.ratio = if total_time > 0.0 {
+            m.waiting / total_time
+        } else {
+            0.0
+        };
+    }
+    let waiting_ratio = if total_time == 0.0 || k == 0 {
+        0.0
+    } else {
+        machines.iter().map(|m| m.waiting).sum::<f64>() / (k as f64 * total_time)
+    };
+    Summary {
+        total_time,
+        waiting_ratio,
+        machines,
+    }
 }
 
 /// One superstep's timings, recovered from its span attributes.
@@ -84,21 +178,9 @@ pub struct SuperstepTiming {
 }
 
 impl SuperstepTiming {
-    /// The machine that gated this superstep's computation phase: the
-    /// slowest one (lowest index on ties; a NaN timing wins outright —
-    /// a poisoned machine *is* the problem machine).
+    /// The machine that gated this superstep's computation phase.
     pub fn gating_machine(&self) -> usize {
-        let mut best = 0;
-        for (i, &c) in self.compute.iter().enumerate() {
-            let cur = self.compute[best];
-            if c.is_nan() {
-                return i;
-            }
-            if c > cur {
-                best = i;
-            }
-        }
-        best
+        gate(&self.compute)
     }
 
     /// Each machine's barrier wait this superstep (`max − compute_i`).
@@ -124,30 +206,13 @@ impl SuperstepTiming {
     }
 }
 
-/// One machine's row of the blame table.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MachineBlame {
-    /// Total compute time across all supersteps (matches
-    /// `MachineWaiting::compute`).
-    pub compute: f64,
-    /// Total barrier waiting time (matches `MachineWaiting::waiting`).
-    pub waiting: f64,
-    /// Total communication time across all supersteps.
-    pub comm: f64,
-    /// Supersteps where this machine was the slowest (gated the barrier).
-    pub gated_steps: u64,
-    /// Compute time spent while gating — this machine's share of the
-    /// run's critical path.
-    pub critical_time: f64,
-}
-
 /// The full analysis: per-superstep gating plus the per-machine rollup.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CriticalPath {
     /// Supersteps in execution (start-time) order.
     pub steps: Vec<SuperstepTiming>,
-    /// Blame rows indexed by machine id.
-    pub machines: Vec<MachineBlame>,
+    /// The steps' [`summarize`] rows, indexed by machine id.
+    pub machines: Vec<MachineSummary>,
 }
 
 /// A machine whose compute exceeded its superstep's median by the
@@ -212,7 +277,6 @@ pub fn analyze(spans: &[Span]) -> Result<CriticalPath, String> {
     timed.sort_by_key(|(s, _)| s.start_ns);
 
     let machines_n = timed[0].1.compute.len();
-    let mut machines = vec![MachineBlame::default(); machines_n];
     let mut steps = Vec::with_capacity(timed.len());
     for (s, t) in timed {
         if t.compute.len() != machines_n || t.comm.len() != machines_n {
@@ -223,20 +287,10 @@ pub fn analyze(spans: &[Span]) -> Result<CriticalPath, String> {
                 t.compute.len().max(t.comm.len()),
             ));
         }
-        for (m, w) in machines.iter_mut().zip(t.waiting()) {
-            m.waiting += w;
-        }
-        for (m, &c) in machines.iter_mut().zip(&t.compute) {
-            m.compute += c;
-        }
-        for (m, &c) in machines.iter_mut().zip(&t.comm) {
-            m.comm += c;
-        }
-        let gate = t.gating_machine();
-        machines[gate].gated_steps += 1;
-        machines[gate].critical_time += t.compute[gate];
         steps.push(t);
     }
+    let rows = steps.iter().map(|t| (&t.compute[..], &t.comm[..], 0.0));
+    let machines = summarize(rows).machines;
     Ok(CriticalPath { steps, machines })
 }
 
@@ -554,5 +608,31 @@ mod tests {
         let cp = analyze(&spans).unwrap();
         assert_eq!(cp.steps[0].gating_machine(), 1);
         assert!(cp.machines.iter().all(|m| m.waiting.is_nan()));
+    }
+
+    /// Recovery counts toward the total and nothing else; no rows is the
+    /// all-zero summary; a NaN poisons the total and every waiting time.
+    #[test]
+    fn summarize_charges_recovery_to_the_total_only() {
+        let rows: [(&[f64], &[f64], f64); 3] = [
+            (&[4.0, 2.0], &[0.0, 0.0], 0.0),
+            (&[2.0, 1.0], &[0.0, 0.0], 4.0),
+            (&[1.0, 3.0], &[1.0, 1.0], 0.0),
+        ];
+        let s = summarize(rows);
+        assert_eq!(s.total_time, 4.0 + 6.0 + 4.0);
+        assert_eq!(s.machines[0].waiting, 2.0);
+        assert_eq!(s.machines[1].waiting, 3.0);
+        assert_eq!(s.machines[0].ratio, 2.0 / 14.0);
+        assert_eq!(s.waiting_ratio, 5.0 / 28.0);
+        assert_eq!(
+            (s.machines[0].gated_steps, s.machines[1].gated_steps),
+            (2, 1)
+        );
+        assert_eq!(s.machines[0].critical_time, 6.0);
+        assert_eq!(summarize([]), Summary::default());
+        let poisoned = summarize([(&[1.0, f64::NAN][..], &[0.0, 0.0][..], 0.0)]);
+        assert!(poisoned.total_time.is_nan());
+        assert!(poisoned.machines.iter().all(|m| m.waiting.is_nan()));
     }
 }

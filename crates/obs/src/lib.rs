@@ -28,10 +28,11 @@
 //! * **Live serving** ([`serve`]) — a std-only background HTTP server
 //!   (`--serve-addr`) exposing `/metrics`, `/spans`, `/healthz`,
 //!   `/progress` and `/profile` while a job runs.
-//! * **Analysis** ([`analysis`]) — critical-path reconstruction over the
-//!   span tree: which machine gated each superstep, per-machine blame
-//!   (critical-path time vs barrier waiting, the automated Fig. 13
-//!   reading), and straggler detection (`bpart report --critical-path`).
+//! * **Analysis** ([`analysis`]) — the one Fig. 13 fold (total time,
+//!   waiting ratio, per-machine compute / waiting / comm / gating) that the
+//!   run report, the process driver and `bpart report --critical-path` all
+//!   call, plus critical-path reconstruction over the span tree and
+//!   straggler detection.
 //! * **Federation** ([`federation`]) — what a multi-process driver alone
 //!   knows of its workers: each one's latest snapshot, superstep timings,
 //!   clock offset and staleness, behind the `worker="N"`-labelled series,
@@ -43,9 +44,6 @@
 //! * **Run history** ([`history`]) — one JSON record per run under
 //!   `results/history/`, diffed by `bpart obs diff` with watched-metric
 //!   regression gating.
-//! * **Validation** ([`validate`]) — the structural checks behind the
-//!   `obs_check` CI gate (non-empty traces, well-formed expositions with
-//!   cumulative `le`-ordered histogram buckets).
 //!
 //! ## Naming scheme
 //!
@@ -87,7 +85,6 @@ pub mod serve;
 pub mod snapshot;
 mod ticker;
 pub mod tracer;
-pub mod validate;
 
 pub use tracer::{clear_trace, set_trace_enabled, span, trace_enabled, SpanGuard, SpanRecord};
 

@@ -164,4 +164,25 @@ fn every_view_of_one_driver_and_two_workers_is_pinned() {
         doc == golden,
         "views drifted from the fixture; actual:\n{doc}"
     );
+
+    // What the pin cannot show: an observation past every bound lands in
+    // the `+Inf` bucket only, and `_count` still equals that bucket.
+    let overflow = metrics::histogram("golden.overflow", &[1.0]);
+    for v in [0.5, 7.0, 9.0] {
+        overflow.observe(v);
+    }
+    let exposition = metrics::prometheus_snapshot();
+    let lines: Vec<&str> = exposition
+        .lines()
+        .filter(|l| l.starts_with("golden_overflow"))
+        .collect();
+    assert_eq!(
+        lines,
+        [
+            "golden_overflow_bucket{le=\"1\"} 1",
+            "golden_overflow_bucket{le=\"+Inf\"} 3",
+            "golden_overflow_sum 16.5",
+            "golden_overflow_count 3",
+        ]
+    );
 }
