@@ -46,3 +46,123 @@ pub use kernel::{PathTable, WalkStep};
 pub use rng::WalkerRng;
 pub use walker::{TransitionSampler, WalkApp, Walker};
 pub use weighted::{CachedTransitions, WeightedRandomWalk, WeightedTransitions};
+
+/// A superstep's message arena is the walk kernels' per-destination rows:
+/// [`WalkStep::step`] stages into them, the delivery drains them in place,
+/// a restore or [`reset`](WalkStep::reset) clears them, and none of the
+/// three gives their capacity back.
+#[cfg(test)]
+mod arena {
+    mod tests {
+        use crate::apps::SimpleRandomWalk;
+        use crate::engine::Walk;
+        use crate::{WalkStarts, WalkStep, Walker};
+        use bpart_cluster::bsp::{Machine, Program};
+        use bpart_cluster::{Cluster, MachineId};
+        use bpart_core::{ChunkV, Partitioner};
+        use std::sync::Arc;
+
+        const STARTS: WalkStarts = WalkStarts::PerVertex(4);
+        const SEED: u64 = 9;
+
+        /// Kernels of a walk over the complete graph on 30 vertices, cut
+        /// into three machines: almost every step leaves its machine.
+        fn kernels() -> Vec<WalkStep> {
+            let graph = Arc::new(bpart_graph::generate::complete(30));
+            let cluster = Cluster::new(graph.clone(), Arc::new(ChunkV.partition(&graph, 3)));
+            WalkStep::for_cluster(&cluster, &STARTS, SEED, false)
+        }
+
+        fn step_all(steps: &mut [WalkStep], app: &SimpleRandomWalk) {
+            for step in steps.iter_mut() {
+                step.step(app);
+            }
+        }
+
+        #[test]
+        fn lifecycle_round_trip_through_the_router() {
+            let app = SimpleRandomWalk::new(5);
+            let mut steps = kernels();
+            // A twin run, drained by hand, says what each receiver is owed.
+            let mut twin = kernels();
+            step_all(&mut steps, &app);
+            step_all(&mut twin, &app);
+            let mut expected: Vec<Vec<Walker>> =
+                twin.iter().map(|t| t.state().queue.clone()).collect();
+            for (to, queue) in expected.iter_mut().enumerate() {
+                for sender in twin.iter_mut() {
+                    queue.extend(sender.outgoing(to as MachineId));
+                }
+            }
+            let staged: Vec<Vec<u64>> = steps.iter().map(Machine::staged).collect();
+            assert!(staged.iter().flatten().sum::<u64>() > 0);
+            let reserved: Vec<usize> = steps.iter().map(WalkStep::reserved).collect();
+
+            let mut walk = Walk {
+                app: &app,
+                paths: None,
+            };
+            walk.deliver(0, &mut steps);
+            for (m, step) in steps.iter().enumerate() {
+                // Stayers first, then the migrants in ascending sender order.
+                assert_eq!(step.state().queue, expected[m], "machine {m}");
+                assert_eq!(step.staged(), [0, 0, 0]);
+                assert_eq!(step.reserved(), reserved[m]);
+            }
+            let arrived: usize = steps.iter().map(WalkStep::queue_len).sum();
+            assert_eq!(arrived, 30 * 4);
+        }
+
+        #[test]
+        fn capacity_survives_the_drain() {
+            let app = SimpleRandomWalk::new(6);
+            let mut steps = kernels();
+            let mut high_water = vec![0u64; steps.len()];
+            for superstep in 0..6 {
+                step_all(&mut steps, &app);
+                for (step, high) in steps.iter().zip(high_water.iter_mut()) {
+                    *high = (*high).max(step.staged().iter().sum());
+                }
+                Walk {
+                    app: &app,
+                    paths: None,
+                }
+                .deliver(superstep, &mut steps);
+                for (m, step) in steps.iter().enumerate() {
+                    assert_eq!(step.staged(), [0, 0, 0]);
+                    assert!(
+                        step.reserved() as u64 >= high_water[m],
+                        "superstep {superstep}, machine {m}: {} < {}",
+                        step.reserved(),
+                        high_water[m]
+                    );
+                }
+            }
+            assert!(steps.iter().all(|step| step.queue_len() == 0));
+            assert!(high_water.iter().all(|&high| high > 0));
+        }
+
+        #[test]
+        fn reset_clears_but_keeps_capacity() {
+            let app = SimpleRandomWalk::new(3);
+            let mut steps = kernels();
+            let step = &mut steps[0];
+            let seeded = step.snapshot();
+            step.step(&app);
+            let staged: u64 = step.staged().iter().sum();
+            assert!(staged > 0);
+            let reserved = step.reserved();
+
+            step.reset(&STARTS, SEED);
+            assert_eq!(step.staged(), [0, 0, 0]);
+            assert_eq!(step.reserved(), reserved);
+            assert_eq!(step.state().queue, seeded.queue);
+
+            step.step(&app);
+            assert_eq!(step.staged().iter().sum::<u64>(), staged);
+            step.restore(&seeded);
+            assert_eq!(step.staged(), [0, 0, 0]);
+            assert_eq!(step.reserved(), reserved);
+        }
+    }
+}
