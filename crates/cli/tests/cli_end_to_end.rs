@@ -154,6 +154,35 @@ fn bad_scales_exit_with_one_error_line() {
     }
 }
 
+/// A text graph naming vertex `u32::MAX` is one `bpart: …` line naming the
+/// line and exit 1 from every command that loads a graph: not a 2^32-vertex
+/// degree array that aborts the process.
+#[test]
+fn a_text_graph_naming_vertex_u32_max_exits_with_one_error_line() {
+    let (gp, g) = tmp("u32max.txt");
+    std::fs::write(&gp, "0 1\n1 4294967295\n").unwrap();
+    let (_, out) = tmp("u32max.bpgr");
+    let runs: [&[&str]; 4] = [
+        &["partition", &g, "--scheme", "hash", "--parts", "2"],
+        &["run", &g, "--parts", "2"],
+        &["convert", &g, &out],
+        &["stats", &g],
+    ];
+    for args in runs {
+        let run = bpart().args(args).output().expect("run bpart");
+        let err = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(
+            err.starts_with("bpart: ") && err.contains("line 2"),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("memory allocation"), "{args:?}: {err}");
+        assert!(!err.contains("panicked at"), "{args:?}: {err}");
+    }
+    std::fs::remove_file(gp).ok();
+}
+
 /// A fault plan that names a machine the run does not have is one `bpart:
 /// …` line and exit 1 on both backends, for every clause kind: not an
 /// index panic in the process driver, not a phantom crash in the

@@ -185,6 +185,13 @@ impl GraphSource {
                 Ok(recipe.generate_scaled(*scale))
             }
             GraphSource::ErdosRenyi { n, m, seed } => {
+                let capacity = *n as u64 * (*n as u64).saturating_sub(1);
+                if *m as u64 > capacity {
+                    return Err(ClusterError::unrecoverable(format!(
+                        "erdos-renyi graph: {m} edges do not fit on {n} vertices \
+                         (at most {capacity} without loops or duplicates)"
+                    )));
+                }
                 Ok(generate::erdos_renyi(*n as usize, *m as usize, *seed))
             }
         }
@@ -533,6 +540,26 @@ mod tests {
             Scheme::by_name("gd").unwrap().out_of_core().unwrap_err().to_string(),
             "unrecoverable: scheme \"gd\" has no out-of-core path; shards support: fennel, bpart-p1"
         );
+    }
+
+    /// An impossible `G(n, m)` is an error naming both, before anything is
+    /// generated, whoever runs the job; the full capacity still loads.
+    #[test]
+    fn an_impossible_erdos_renyi_graph_is_an_error() {
+        use crate::{run_job, Backend, ThreadsConfig};
+        let graph = |n, m| GraphSource::ErdosRenyi { n, m, seed: 1 };
+        let want = "unrecoverable: erdos-renyi graph: 7 edges do not fit on 3 vertices \
+                    (at most 6 without loops or duplicates)";
+        assert_eq!(graph(3, 7).load().unwrap_err().to_string(), want);
+        let mut spec = specs().remove(2);
+        spec.graph = graph(3, 7);
+        let threads = Backend::Threads(ThreadsConfig::default());
+        assert_eq!(run_job(&spec, &threads).unwrap_err().to_string(), want);
+        for (n, m) in [(0, 1), (1, 1)] {
+            assert!(graph(n, m).load().is_err(), "{n} {m}");
+        }
+        assert_eq!(graph(3, 6).load().unwrap().num_edges(), 6);
+        assert_eq!(graph(0, 0).load().unwrap().num_vertices(), 0);
     }
 
     #[test]

@@ -85,21 +85,35 @@ impl CsrGraph {
     ///
     /// Panics if any endpoint is `>= num_vertices`.
     pub fn from_edges(num_vertices: usize, edges: &[Edge]) -> Self {
-        let (offsets, targets) = Self::csr_of(num_vertices, edges.iter().map(|&(u, v)| (u, v)));
-        let (in_offsets, in_targets) =
-            Self::csr_of(num_vertices, edges.iter().map(|&(u, v)| (v, u)));
-        CsrGraph {
-            offsets,
-            targets,
-            in_offsets,
-            in_targets,
+        let n = num_vertices;
+        let mut offsets = vec![0u64; n + 1];
+        for &(u, v) in edges {
+            assert!(
+                (u as usize) < n && (v as usize) < n,
+                "edge ({u}, {v}) out of range for {n} vertices"
+            );
+            offsets[u as usize + 1] += 1;
         }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut targets = vec![0 as VertexId; edges.len()];
+        for &(u, v) in edges {
+            let c = &mut cursor[u as usize];
+            targets[*c as usize] = v;
+            *c += 1;
+        }
+        for v in 0..n {
+            targets[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
+        }
+        Self::from_sorted_csr(offsets, targets)
     }
 
     /// Builds a graph directly from already-valid CSR arrays, deriving the
-    /// in-adjacency with a single counting-sort pass — the fast path the
-    /// binary loader takes after validating a file's bytes, skipping the
-    /// edge-list materialization and re-sort [`from_edges`] would do.
+    /// in-adjacency with a single counting-sort pass — what [`from_edges`]
+    /// ends with, and where the binary loader and the generators' sorted
+    /// edge sets start.
     ///
     /// Callers must have established exactly the invariants `from_edges`
     /// produces: `offsets` monotone with `offsets[0] == 0` and
@@ -182,40 +196,6 @@ impl CsrGraph {
             in_offsets,
             in_targets,
         })
-    }
-
-    /// Counting-sort pass shared by the forward and transposed adjacency.
-    fn csr_of(
-        num_vertices: usize,
-        edges: impl Iterator<Item = Edge> + Clone,
-    ) -> (Vec<u64>, Vec<VertexId>) {
-        let mut degree = vec![0u64; num_vertices];
-        let mut num_edges = 0usize;
-        for (u, v) in edges.clone() {
-            assert!(
-                (u as usize) < num_vertices && (v as usize) < num_vertices,
-                "edge ({u}, {v}) out of range for {num_vertices} vertices"
-            );
-            degree[u as usize] += 1;
-            num_edges += 1;
-        }
-        let mut offsets = vec![0u64; num_vertices + 1];
-        for v in 0..num_vertices {
-            offsets[v + 1] = offsets[v] + degree[v];
-        }
-        let mut cursor = offsets[..num_vertices].to_vec();
-        let mut targets = vec![0 as VertexId; num_edges];
-        for (u, v) in edges {
-            let c = &mut cursor[u as usize];
-            targets[*c as usize] = v;
-            *c += 1;
-        }
-        // Sort each adjacency list for determinism and binary-searchability.
-        for v in 0..num_vertices {
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            targets[lo..hi].sort_unstable();
-        }
-        (offsets, targets)
     }
 
     /// Number of vertices.
@@ -332,6 +312,57 @@ impl CsrGraph {
             .into_iter()
             .map(|v| self.out_degree(v) as u64)
             .sum()
+    }
+}
+
+/// `from_edges` as it was: a counting sort and a per-list sort for each
+/// direction. Retained as the differential-test oracle.
+#[cfg(test)]
+impl CsrGraph {
+    pub(crate) fn from_edges_oracle(num_vertices: usize, edges: &[Edge]) -> Self {
+        let (offsets, targets) = Self::csr_of(num_vertices, edges.iter().map(|&(u, v)| (u, v)));
+        let (in_offsets, in_targets) =
+            Self::csr_of(num_vertices, edges.iter().map(|&(u, v)| (v, u)));
+        CsrGraph {
+            offsets,
+            targets,
+            in_offsets,
+            in_targets,
+        }
+    }
+
+    /// Counting-sort pass shared by the forward and transposed adjacency.
+    fn csr_of(
+        num_vertices: usize,
+        edges: impl Iterator<Item = Edge> + Clone,
+    ) -> (Vec<u64>, Vec<VertexId>) {
+        let mut degree = vec![0u64; num_vertices];
+        let mut num_edges = 0usize;
+        for (u, v) in edges.clone() {
+            assert!(
+                (u as usize) < num_vertices && (v as usize) < num_vertices,
+                "edge ({u}, {v}) out of range for {num_vertices} vertices"
+            );
+            degree[u as usize] += 1;
+            num_edges += 1;
+        }
+        let mut offsets = vec![0u64; num_vertices + 1];
+        for v in 0..num_vertices {
+            offsets[v + 1] = offsets[v] + degree[v];
+        }
+        let mut cursor = offsets[..num_vertices].to_vec();
+        let mut targets = vec![0 as VertexId; num_edges];
+        for (u, v) in edges {
+            let c = &mut cursor[u as usize];
+            targets[*c as usize] = v;
+            *c += 1;
+        }
+        // Sort each adjacency list for determinism and binary-searchability.
+        for v in 0..num_vertices {
+            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+            targets[lo..hi].sort_unstable();
+        }
+        (offsets, targets)
     }
 }
 
@@ -523,5 +554,28 @@ mod tests {
         let fast = CsrGraph::from_sorted_csr(g.raw_offsets().to_vec(), g.raw_targets().to_vec());
         assert_eq!(fast, g);
         assert_eq!(fast.in_neighbors(1), &[0, 0, 2]);
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Unsorted input with loops and duplicates builds what the two
+            /// per-direction counting sorts built.
+            #[test]
+            fn from_edges_is_the_oracle(
+                n in 1u32..40,
+                edges in prop::collection::vec((0u32..40, 0u32..40), 0..300),
+            ) {
+                let edges: Vec<Edge> = edges.into_iter().map(|(u, v)| (u % n, v % n)).collect();
+                prop_assert_eq!(
+                    CsrGraph::from_edges(n as usize, &edges),
+                    CsrGraph::from_edges_oracle(n as usize, &edges)
+                );
+            }
+        }
     }
 }

@@ -12,9 +12,9 @@
 //! near `max_degree`, which keeps collision (multi-edge) rates low enough
 //! that the deduplicated edge count converges to the target quickly.
 
-use super::{normalize, sample_exactly};
+use super::edgeset::{assert_capacity, draw_exactly};
 use crate::alias::AliasTable;
-use crate::{CsrGraph, Edge, VertexId};
+use crate::{CsrGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -84,13 +84,7 @@ impl ChungLuConfig {
 pub fn chung_lu(config: &ChungLuConfig) -> CsrGraph {
     let n = config.vertices;
     let m = config.edges;
-    assert!(n > 0 || m == 0, "cannot place edges in an empty graph");
-    if n > 1 {
-        assert!(
-            (m as u128) <= (n as u128) * (n as u128 - 1),
-            "edge count {m} exceeds simple-graph capacity"
-        );
-    }
+    assert_capacity(n, m);
     if m == 0 {
         return CsrGraph::from_edges(n, &[]);
     }
@@ -119,17 +113,11 @@ pub fn chung_lu(config: &ChungLuConfig) -> CsrGraph {
         Vec::new()
     };
 
-    let mut pool: Vec<Edge> = Vec::new();
-    // Sample in rounds: collisions and self-loops shrink each batch, so we
-    // oversample the deficit by 15% until the deduplicated pool is full.
-    // The pool stays sorted; only a round's own batch is sorted, then
-    // merged in (the last rounds are after a handful of edges).
-    let mut rounds = 0;
-    while pool.len() < m {
-        let deficit = m - pool.len();
-        let draws = deficit + deficit / 7 + 8;
-        let mut batch: Vec<Edge> = Vec::with_capacity(draws);
-        for _ in 0..draws {
+    // Sample in rounds: collisions and self-loops shrink each batch, so
+    // each round oversamples the deficit by 15% until the deduplicated set
+    // is full.
+    draw_exactly(n, m, config.seed, "chung-lu", |count, draws| {
+        for _ in 0..count {
             let u = table.sample(&mut rng) as VertexId;
             let r: f64 = rng.random();
             let v = if r < config.community {
@@ -145,44 +133,9 @@ pub fn chung_lu(config: &ChungLuConfig) -> CsrGraph {
             } else {
                 table.sample(&mut rng) as VertexId
             };
-            batch.push((u, v));
+            draws.push(u, v);
         }
-        normalize(&mut batch);
-        merge_sorted(&mut pool, batch);
-        rounds += 1;
-        assert!(
-            rounds < 64,
-            "chung-lu failed to reach {m} unique edges (got {}); weights too concentrated",
-            pool.len()
-        );
-    }
-    sample_exactly(&mut pool, m, config.seed);
-    CsrGraph::from_edges(n, &pool)
-}
-
-/// Merges `batch` into `pool`, both sorted and duplicate-free, leaving
-/// `pool` sorted and duplicate-free: the edge set `normalize` would make of
-/// their concatenation, without sorting `pool` again. Edges move from the
-/// back, and only down to where the last new edge lands.
-fn merge_sorted(pool: &mut Vec<Edge>, mut batch: Vec<Edge>) {
-    if pool.is_empty() {
-        *pool = batch;
-        return;
-    }
-    batch.retain(|edge| pool.binary_search(edge).is_err());
-    let (mut i, mut j) = (pool.len(), batch.len());
-    let mut k = i + j;
-    pool.resize(k, (0, 0));
-    while j > 0 {
-        k -= 1;
-        if i > 0 && pool[i - 1] > batch[j - 1] {
-            i -= 1;
-            pool[k] = pool[i];
-        } else {
-            j -= 1;
-            pool[k] = batch[j];
-        }
-    }
+    })
 }
 
 /// Seeded hash assigning vertex `v` to one of `count` communities.
@@ -211,6 +164,10 @@ fn build_weights(n: usize, m: usize, s: f64, max_degree: f64) -> Vec<f64> {
     }
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
+        if mid == lo || mid == hi {
+            // Out of precision: no later step moves `0.5 * (lo + hi)` off it.
+            break;
+        }
         if expected_max(mid) > target {
             lo = mid;
         } else {
@@ -314,6 +271,9 @@ mod tests {
 
     #[test]
     fn merge_sorted_is_normalize_of_the_concatenation() {
+        use super::super::edgeset::tests::{draws_of, set_of};
+        use super::super::oracle::{merge_sorted, normalize};
+        use crate::Edge;
         let cases: [(&[Edge], &[Edge]); 5] = [
             (&[], &[(0, 1), (2, 0)]),
             (&[(0, 1), (2, 0)], &[]),
@@ -328,6 +288,12 @@ mod tests {
             let mut got = pool.to_vec();
             merge_sorted(&mut got, batch.to_vec());
             assert_eq!(got, want, "{pool:?} + {batch:?}");
+            // The kernel also drops the loops a real batch never holds.
+            normalize(&mut want);
+            let mut set = set_of(pool);
+            set.add(draws_of(batch));
+            assert_eq!(set.len(), want.len(), "{pool:?} + {batch:?}");
+            assert_eq!(set.into_csr(10, 99, 0), CsrGraph::from_edges(10, &want));
         }
     }
 
@@ -347,5 +313,49 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn over_capacity_panics() {
         chung_lu(&ChungLuConfig::new(3, 10, 1));
+    }
+
+    /// Stopping once the midpoint repeats an endpoint lands on the offset
+    /// all sixty bisection steps reach.
+    #[test]
+    fn weights_stop_bisecting_where_sixty_steps_end() {
+        let sixty = |n: usize, m: usize, s: f64, max_degree: f64| {
+            let target = max_degree.clamp(1.0, n as f64);
+            let expected_max = |i0: f64| {
+                let total: f64 = (0..n).map(|i| (i as f64 + i0).powf(-s)).sum();
+                m as f64 * i0.powf(-s) / total
+            };
+            let (mut lo, mut hi) = (1e-3_f64, 1.0_f64);
+            while expected_max(hi) > target && hi < n as f64 * 4.0 {
+                hi *= 2.0;
+            }
+            for _ in 0..60 {
+                let mid = 0.5 * (lo + hi);
+                *(if expected_max(mid) > target {
+                    &mut lo
+                } else {
+                    &mut hi
+                }) = mid;
+            }
+            let i0 = 0.5 * (lo + hi);
+            (0..n)
+                .map(|i| (i as f64 + i0).powf(-s))
+                .collect::<Vec<f64>>()
+        };
+        for (n, m, s, max_degree) in [
+            (2_000, 71_440, 1.0, 140.0),
+            (1_500, 44_985, 0.85, 52.5),
+            (2_400, 131_688, 0.7, 48.0),
+            (500, 2_000, 0.75, 25.0),
+            (16, 100, 2.0, 1e9),
+            (3, 2, 0.5, 0.1),
+        ] {
+            let (got, want) = (
+                build_weights(n, m, s, max_degree),
+                sixty(n, m, s, max_degree),
+            );
+            let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{n} {m} {s} {max_degree}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Uniform `G(n, m)` random graphs.
 
-use super::{normalize, sample_exactly};
-use crate::{CsrGraph, Edge, VertexId};
+use super::edgeset::{assert_capacity, draw_exactly};
+use crate::{CsrGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -12,33 +12,15 @@ use rand::{RngExt, SeedableRng};
 ///
 /// Panics if `m` exceeds the simple-graph capacity.
 pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> CsrGraph {
-    assert!(n > 0 || m == 0, "cannot place edges in an empty graph");
-    if n > 1 {
-        assert!(
-            (m as u128) <= (n as u128) * (n as u128 - 1),
-            "edge count {m} exceeds simple-graph capacity"
-        );
-    }
-    if m == 0 {
-        return CsrGraph::from_edges(n, &[]);
-    }
+    assert_capacity(n, m);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut pool: Vec<Edge> = Vec::with_capacity(m + m / 8);
-    let mut rounds = 0;
-    while pool.len() < m {
-        let deficit = m - pool.len();
-        let batch = deficit + deficit / 7 + 8;
-        for _ in 0..batch {
+    draw_exactly(n, m, seed, "erdos-renyi", |count, draws| {
+        for _ in 0..count {
             let u = rng.random_range(0..n) as VertexId;
             let v = rng.random_range(0..n) as VertexId;
-            pool.push((u, v));
+            draws.push(u, v);
         }
-        normalize(&mut pool);
-        rounds += 1;
-        assert!(rounds < 64, "erdos-renyi failed to reach {m} unique edges");
-    }
-    sample_exactly(&mut pool, m, seed);
-    CsrGraph::from_edges(n, &pool)
+    })
 }
 
 #[cfg(test)]

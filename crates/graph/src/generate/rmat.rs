@@ -6,7 +6,7 @@
 //! whose hubs sit at low vertex ids — the same locality the Chung-Lu
 //! presets rely on.
 
-use super::{normalize, sample_exactly};
+use super::edgeset::{assert_capacity, draw_exactly};
 use crate::{CsrGraph, Edge, VertexId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -60,33 +60,14 @@ pub fn rmat(config: &RmatConfig) -> CsrGraph {
         config.a > 0.0 && config.b >= 0.0 && config.c >= 0.0 && d >= 0.0,
         "invalid quadrant probabilities"
     );
-    assert!(
-        (m as u128) <= (n as u128) * (n as u128 - 1),
-        "edge count {m} exceeds simple-graph capacity"
-    );
-    if m == 0 {
-        return CsrGraph::from_edges(n, &[]);
-    }
-
+    assert_capacity(n, m);
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut pool: Vec<Edge> = Vec::with_capacity(m + m / 8);
-    let mut rounds = 0;
-    while pool.len() < m {
-        let deficit = m - pool.len();
-        let batch = deficit + deficit / 7 + 8;
-        for _ in 0..batch {
-            pool.push(place_edge(config, &mut rng));
+    draw_exactly(n, m, config.seed, "rmat", |count, draws| {
+        for _ in 0..count {
+            let (u, v) = place_edge(config, &mut rng);
+            draws.push(u, v);
         }
-        normalize(&mut pool);
-        rounds += 1;
-        assert!(
-            rounds < 64,
-            "rmat failed to reach {m} unique edges (got {})",
-            pool.len()
-        );
-    }
-    sample_exactly(&mut pool, m, config.seed);
-    CsrGraph::from_edges(n, &pool)
+    })
 }
 
 /// One recursive quadrant descent.

@@ -7,7 +7,8 @@
 //! high `beta` approaches Erdős–Rényi — a useful contrast workload for
 //! partitioner benchmarks.
 
-use crate::{CsrGraph, Edge, VertexId};
+use super::edgeset::{Draws, EdgeSet};
+use crate::{CsrGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -22,7 +23,7 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> CsrGraph {
     assert!(k > 0 && k < n, "need 0 < k < n");
     assert!((0.0..=1.0).contains(&beta), "beta must be a probability");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges: Vec<Edge> = Vec::with_capacity(n * k);
+    let mut draws = Draws(Vec::with_capacity(n * k));
     for u in 0..n as VertexId {
         for d in 1..=(k / 2) as VertexId {
             for target in [
@@ -40,14 +41,14 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> CsrGraph {
                 } else {
                     target
                 };
-                edges.push((u, v));
+                draws.push(u, v);
             }
         }
     }
-    // Rewiring can create duplicates; deduplicate for a simple graph.
-    edges.sort_unstable();
-    edges.dedup();
-    CsrGraph::from_edges(n, &edges)
+    // Rewiring can create duplicates; the set keeps each edge once.
+    let mut set = EdgeSet::default();
+    set.add(draws);
+    set.into_csr(n, n * k, seed)
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Text edge-list IO (SNAP/KONECT style).
 //!
 //! Each non-comment line is `source<ws>target`; lines starting with `#` or
-//! `%` are comments; blank lines are skipped. Vertex ids are dense `u32`.
+//! `%` are comments; blank lines are skipped. Vertex ids are dense `u32`s
+//! below `u32::MAX`.
 
 use crate::{EdgeList, GraphError, VertexId};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -34,13 +35,15 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<EdgeList, GraphError> {
                 )))
             }
         };
-        let u: VertexId = su
-            .parse()
-            .map_err(|_| GraphError::Format(format!("line {lineno}: bad vertex id {su:?}")))?;
-        let v: VertexId = sv
-            .parse()
-            .map_err(|_| GraphError::Format(format!("line {lineno}: bad vertex id {sv:?}")))?;
-        edges.push(u, v);
+        // `VertexId::MAX` is no id: `n = 2^32` needs a 32 GiB degree array.
+        let id = |s: &str| match s.parse::<VertexId>() {
+            Ok(id) if id < VertexId::MAX => Ok(id),
+            _ => Err(GraphError::Format(format!(
+                "line {lineno}: bad vertex id {s:?} (ids are integers below {})",
+                VertexId::MAX
+            ))),
+        };
+        edges.push(id(su)?, id(sv)?);
     }
     Ok(edges)
 }
@@ -94,6 +97,20 @@ mod tests {
     fn bad_vertex_id_is_an_error() {
         let err = read_edge_list("0 x\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("bad vertex id"), "{err}");
+    }
+
+    #[test]
+    fn the_largest_u32_is_no_vertex_id() {
+        let err = read_edge_list("0 1\n1 4294967295\n".as_bytes()).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("line 2: bad vertex id \"4294967295\""),
+            "{err}"
+        );
+        let err = read_edge_list("4294967295 0\n".as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("line 1"), "{err}");
+        let el = read_edge_list("4294967294 0\n".as_bytes()).unwrap();
+        assert_eq!(el.num_vertices(), u32::MAX as usize);
     }
 
     #[test]

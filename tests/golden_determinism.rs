@@ -63,6 +63,66 @@ fn generator_output_is_pinned() {
 }
 
 #[test]
+fn other_generators_are_pinned() {
+    // (generator call, edges, edge-list hash), recorded before the
+    // generators shared one edge-set kernel. Sparse requests trim an
+    // overshooting round, dense ones take many rounds or fill the capacity,
+    // and rewiring makes duplicates.
+    use generate::{erdos_renyi, rmat, watts_strogatz, RmatConfig};
+    let pinned = [
+        (
+            "er(3000, 40000, 7)",
+            erdos_renyi(3_000, 40_000, 7),
+            40_000,
+            0x1e38_db58_ce5f_9108u64,
+        ),
+        (
+            "er(60, 3000, 5)",
+            erdos_renyi(60, 3_000, 5),
+            3_000,
+            0x99c6_73e1_f9d8_ef23,
+        ),
+        (
+            "er(10, 90, 3)",
+            erdos_renyi(10, 90, 3),
+            90,
+            0x5a99_2932_1c7d_7555,
+        ),
+        (
+            "rmat(12, 60000, 5)",
+            rmat(&RmatConfig::new(12, 60_000, 5)),
+            60_000,
+            0x8bf2_a838_9ae0_46f4,
+        ),
+        (
+            "rmat(9, 30000, 1)",
+            rmat(&RmatConfig::new(9, 30_000, 1)),
+            30_000,
+            0x1c83_5cf6_1c63_a7ba,
+        ),
+        (
+            "ws(4000, 10, 0.3, 9)",
+            watts_strogatz(4_000, 10, 0.3, 9),
+            39_977,
+            0xae40_53e5_9624_01fc,
+        ),
+        (
+            "ws(50, 48, 1.0, 2)",
+            watts_strogatz(50, 48, 1.0, 2),
+            1_521,
+            0x27c7_a489_1695_442f,
+        ),
+    ];
+    for (call, g, edges, hash) in pinned {
+        assert_eq!(
+            (g.num_edges(), graph_hash(&g)),
+            (edges, hash),
+            "{call} changed"
+        );
+    }
+}
+
+#[test]
 fn integer_partitioners_are_pinned() {
     let g = generate::twitter_like().generate_scaled(0.02);
     let cases: [(&dyn Partitioner, u64); 3] = [
