@@ -73,7 +73,7 @@ pub enum Command {
     /// [--fault-plan SPEC] [--checkpoint-every N] [+ observability flags]`
     Run {
         graph: String,
-        parts: usize,
+        parts: u32,
         scheme: String,
         app: String,
         iters: usize,
@@ -84,7 +84,7 @@ pub enum Command {
         mode: String,
         backend: String,
         fault_plan: Option<String>,
-        checkpoint_every: Option<usize>,
+        checkpoint_every: Option<u32>,
         obs: ObsFlags,
     },
     /// `bpart worker --connect ADDR --worker-id N --key K
@@ -199,12 +199,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     )))
                 }
             };
-            let parts: usize = get_required(&flags, "parts")?
-                .parse()
-                .map_err(|_| err("bad --parts"))?;
-            if parts == 0 {
-                return Err(err("--parts must be at least 1"));
-            }
+            let parts = parse_count("parts", &get_required(&flags, "parts")?)? as usize;
             let scheme = get_optional(&flags, "scheme")
                 .unwrap_or("bpart")
                 .to_string();
@@ -299,12 +294,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 [g] => g.to_string(),
                 other => return Err(err(format!("run takes one GRAPH argument, got {other:?}"))),
             };
-            let parts: usize = get_required(&flags, "parts")?
-                .parse()
-                .map_err(|_| err("bad --parts"))?;
-            if parts == 0 {
-                return Err(err("--parts must be at least 1"));
-            }
+            let parts = parse_count("parts", &get_required(&flags, "parts")?)?;
             let scheme = get_optional(&flags, "scheme")
                 .unwrap_or("bpart")
                 .to_string();
@@ -347,18 +337,9 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 )));
             }
             let fault_plan = get_optional(&flags, "fault-plan").map(str::to_string);
-            let checkpoint_every = match get_optional(&flags, "checkpoint-every") {
-                Some(s) => {
-                    let every: usize = s
-                        .parse()
-                        .map_err(|_| err(format!("bad --checkpoint-every {s:?}")))?;
-                    if every == 0 {
-                        return Err(err("--checkpoint-every must be at least 1"));
-                    }
-                    Some(every)
-                }
-                None => None,
-            };
+            let checkpoint_every = get_optional(&flags, "checkpoint-every")
+                .map(|s| parse_count("checkpoint-every", s))
+                .transpose()?;
             let obs = parse_obs(&flags);
             check_unknown(
                 &flags,
@@ -540,6 +521,19 @@ fn parse_parallel(flags: &[(&str, &str)]) -> Result<(Option<usize>, Option<usize
         None => Ok(None),
     };
     Ok((at_least_one("threads")?, at_least_one("buffer-size")?))
+}
+
+/// Parses `--name`'s value `s` as a part count or a superstep interval:
+/// a job carries both as `u32`, so a value outside `1..=u32::MAX` is
+/// refused by name rather than wrapped.
+fn parse_count(name: &str, s: &str) -> Result<u32, ParseError> {
+    match s.parse() {
+        Ok(count) if count > 0 => Ok(count),
+        _ => Err(ParseError {
+            message: format!("--{name} must be in 1..={}, got {s:?}", u32::MAX),
+            usage: false,
+        }),
+    }
 }
 
 /// Parses the shared observability flags (all optional; see DESIGN.md
@@ -981,6 +975,44 @@ mod tests {
                 assert_eq!(checkpoint_every, Some(2));
                 assert_eq!(mode, "threaded");
             }
+            other => panic!("expected Run, got {other:?}"),
+        }
+    }
+
+    /// A job counts parts and supersteps in `u32`: past `u32::MAX` is an
+    /// error naming the flag and its range, not a value that wraps (to one
+    /// part, to zero parts, to a checkpoint interval that never comes).
+    #[test]
+    fn counts_past_u32_max_are_refused_by_name() {
+        for (parts, every) in [
+            ("4294967297", "2"),
+            ("4294967296", "2"),
+            ("0", "2"),
+            ("-1", "2"),
+            ("2", "4294967296"),
+            ("2", "0"),
+        ] {
+            let e = p(&["run", "g", "--parts", parts, "--checkpoint-every", every]).unwrap_err();
+            let (flag, value) = if parts == "2" {
+                ("--checkpoint-every", every)
+            } else {
+                ("--parts", parts)
+            };
+            assert_eq!(
+                e.message,
+                format!("{flag} must be in 1..=4294967295, got {value:?}")
+            );
+            assert!(!e.usage, "{flag} {value}");
+        }
+        let e = p(&["partition", "g", "--parts", "4294967296"]).unwrap_err();
+        assert!(e.message.starts_with("--parts must be in 1..="), "{e}");
+        let max = u32::MAX.to_string();
+        match p(&["run", "g", "--parts", &max, "--checkpoint-every", &max]) {
+            Ok(Command::Run {
+                parts,
+                checkpoint_every,
+                ..
+            }) => assert_eq!((parts, checkpoint_every), (u32::MAX, Some(u32::MAX))),
             other => panic!("expected Run, got {other:?}"),
         }
     }

@@ -109,9 +109,9 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             let spec = JobSpec {
                 graph: GraphSource::File(graph.clone()),
                 scheme: scheme.clone(),
-                parts: *parts as u32,
+                parts: *parts,
                 app: AppSpec::by_name(app, *iters, *walk_len, *seed)?,
-                checkpoint_every: checkpoint_every.map(|every| every as u32),
+                checkpoint_every: *checkpoint_every,
             };
             let mut text = run_cmd(graph, &spec, backend, mode, fault_plan.as_deref(), obs)?;
             exports.finish(&mut text)?;

@@ -15,6 +15,19 @@ fn tmp(name: &str) -> (PathBuf, String) {
     (p, s)
 }
 
+/// Generates `lj_like` ×0.01 at `tmp(name)`: the graph the `run` rows use.
+fn small_graph(name: &str) -> (PathBuf, String) {
+    let (gp, g) = tmp(name);
+    let out = bpart()
+        .args([
+            "generate", "--preset", "lj_like", "--scale", "0.01", "--out", &g,
+        ])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+    (gp, g)
+}
+
 #[test]
 fn full_pipeline_through_the_binary() {
     let (gp, g) = tmp("pipe.txt");
@@ -189,14 +202,7 @@ fn a_text_graph_naming_vertex_u32_max_exits_with_one_error_line() {
 /// simulation.
 #[test]
 fn fault_plans_naming_a_missing_machine_exit_with_one_error_line() {
-    let (gp, g) = tmp("fault_plan.txt");
-    let out = bpart()
-        .args([
-            "generate", "--preset", "lj_like", "--scale", "0.01", "--out", &g,
-        ])
-        .output()
-        .expect("run generate");
-    assert!(out.status.success());
+    let (gp, g) = small_graph("fault_plan.txt");
     for backend in ["threads", "process"] {
         for plan in ["crash@1:m99", "straggle@0-2:m3:x2", "drop@0-2:m0->m3:0.5"] {
             let run = bpart()
@@ -210,6 +216,63 @@ fn fault_plans_naming_a_missing_machine_exit_with_one_error_line() {
             assert_eq!(err.lines().count(), 1, "{what}");
             assert!(
                 err.starts_with("bpart: fault plan names machine m"),
+                "{what}"
+            );
+            assert!(!err.contains("panicked at"), "{what}");
+        }
+    }
+    std::fs::remove_file(gp).ok();
+}
+
+/// A walk of length 0 runs on both backends: its paths are its starts,
+/// not a kernel panic (threads) or a path log blamed on the wire (process).
+#[test]
+fn a_walk_of_length_zero_runs_on_both_backends() {
+    let (gp, g) = small_graph("walk_len_0.bpgr");
+    for backend in ["threads", "process"] {
+        let run = bpart()
+            .args(["run", &g, "--parts", "3", "--app", "deepwalk"])
+            .args(["--walk-len", "0", "--backend", backend])
+            .output()
+            .expect("run");
+        let err = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(0), "{backend}: {err}");
+        assert!(String::from_utf8_lossy(&run.stdout).contains("digest:"));
+    }
+    std::fs::remove_file(gp).ok();
+}
+
+/// A part count or checkpoint interval past `u32::MAX` is one `bpart: …`
+/// line naming the flag, on both backends: not a job on the wrapped value.
+#[test]
+fn counts_past_u32_max_exit_with_one_error_line() {
+    let (gp, g) = small_graph("u32_counts.bpgr");
+    for backend in ["threads", "process"] {
+        let runs: [&[&str]; 3] = [
+            &["--parts", "4294967297"],
+            &["--parts", "4294967296"],
+            &[
+                "--parts",
+                "3",
+                "--fault-plan",
+                "crash@3:m1",
+                "--checkpoint-every",
+                "4294967296",
+            ],
+        ];
+        for flags in runs {
+            let run = bpart()
+                .args(["run", &g, "--backend", backend])
+                .args(flags)
+                .output()
+                .expect("run");
+            let err = String::from_utf8_lossy(&run.stderr);
+            let what = format!("{backend} {flags:?}: {err}");
+            assert_eq!(run.status.code(), Some(1), "{what}");
+            assert_eq!(err.lines().count(), 1, "{what}");
+            let flag = flags[flags.len() - 2];
+            assert!(
+                err.starts_with(&format!("bpart: {flag} must be in 1..=4294967295")),
                 "{what}"
             );
             assert!(!err.contains("panicked at"), "{what}");

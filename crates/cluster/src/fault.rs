@@ -279,7 +279,7 @@ impl FaultPlan {
     /// ```text
     /// seed=N                 seed for per-message decisions
     /// crash@S:mM             machine M crashes at superstep S
-    /// straggle@A-B:mM:xF     machine M runs F x slower on supersteps A..=B
+    /// straggle@A-B:mM:xF     machine M runs F x slower on supersteps A..=B (F >= 1)
     /// drop@A-B:mF->mT:P      link F->T drops each message with prob. P
     /// dup@A-B:mF->mT:P       link F->T duplicates each message with prob. P
     /// ```
@@ -323,6 +323,9 @@ impl FaultPlan {
                 let factor: f64 = factor
                     .parse()
                     .map_err(|_| bad(clause, "factor must be a number"))?;
+                if !(factor.is_finite() && factor >= 1.0) {
+                    return Err(bad(clause, "factor must be a finite number ≥ 1"));
+                }
                 plan = plan.straggler(first, last, machine, factor);
             } else if let Some((kind, rest)) = clause
                 .strip_prefix("drop@")
@@ -658,6 +661,13 @@ mod tests {
             "explode@1:m0",       // unknown clause
             "seed=abc",           // non-numeric seed
             "straggle@1:2:x2",    // machine without m prefix
+            // A factor below 1 or NaN would run as x1, inf as infinite time.
+            "straggle@0-3:m0:x-1",
+            "straggle@0-3:m0:x0",
+            "straggle@0-3:m0:x0.5",
+            "straggle@0-3:m0:xnan",
+            "straggle@0-3:m0:xinf",
+            "straggle@0-3:m0:x1e309",
         ] {
             assert!(FaultPlan::parse(spec).is_err(), "accepted {spec:?}");
         }

@@ -67,6 +67,24 @@ fn deepwalk_paths_are_bit_identical_across_backends() {
     assert_eq!(out.supersteps, oracle.supersteps);
 }
 
+/// A walk of length 0 takes no step on either backend: both digest the
+/// start vertices, and the simulation counts no step.
+#[test]
+fn a_walk_of_length_zero_is_its_starts_on_both_backends() {
+    let spec = spec(AppSpec::DeepWalk {
+        walk_len: 0,
+        seed: 42,
+        per_vertex: 2,
+    });
+    let oracle = run_job(&spec, &threads(FaultPlan::new())).unwrap();
+    let out = run_job(&spec, &process(FaultPlan::new())).unwrap();
+    let starts = bpart_dist::digest_paths((0..320u32).map(|id| [id % 160]));
+    assert_eq!(oracle.digest, starts);
+    assert_eq!(out.digest, oracle.digest);
+    assert_eq!(oracle.modelled.unwrap().walk, Some((0, 0)));
+    assert_eq!(out.supersteps, oracle.supersteps);
+}
+
 /// The tentpole acceptance test: a worker process is `SIGKILL`ed
 /// mid-superstep, its death is detected via heartbeat loss, state comes
 /// back from the driver-held checkpoint, the superstep is replayed, and

@@ -1,8 +1,7 @@
 //! Walker's alias method for O(1) sampling from a discrete distribution.
 //!
 //! Used by the Chung-Lu generator (endpoint sampling proportional to vertex
-//! weights) and by the random-walk engine (KnightKing-style static transition
-//! sampling). Construction is O(n); each draw costs one random index plus one
+//! weights). Construction is O(n); each draw costs one random index plus one
 //! random coin.
 
 use rand::{Rng, RngExt};

@@ -11,7 +11,6 @@
 //! * [`chung_lu`] — power-law random graph with controllable exponent,
 //!   average degree and maximum hub degree (used by the dataset presets),
 //! * [`rmat`] — Kronecker-style recursive matrix generator,
-//! * [`barabasi_albert`] — preferential attachment,
 //! * [`erdos_renyi`] — uniform `G(n, m)`,
 //! * [`watts_strogatz`] — small-world ring lattice with rewiring,
 //! * deterministic shapes — ring, star, path, grid, complete — for unit
@@ -19,7 +18,6 @@
 //! * presets — the [`lj_like`] / [`twitter_like`] / [`friendster_like`]
 //!   stand-ins with paper-matched average degrees.
 
-mod barabasi_albert;
 mod chung_lu;
 mod deterministic;
 mod edgeset;
@@ -28,7 +26,6 @@ mod presets;
 mod rmat;
 mod watts_strogatz;
 
-pub use barabasi_albert::barabasi_albert;
 pub use chung_lu::{chung_lu, ChungLuConfig};
 pub use deterministic::{complete, grid, path, ring, star};
 pub use erdos_renyi::erdos_renyi;

@@ -6,7 +6,6 @@
 //! steps).
 
 mod deepwalk;
-mod metropolis;
 mod node2vec;
 mod ppr;
 mod rwd;
@@ -14,7 +13,6 @@ mod rwj;
 mod simple;
 
 pub use deepwalk::DeepWalk;
-pub use metropolis::MetropolisHastings;
 pub use node2vec::Node2vec;
 pub use ppr::Ppr;
 pub use rwd::Rwd;

@@ -342,6 +342,22 @@ mod tests {
         assert_eq!(run.total_steps, 3);
     }
 
+    /// A walk of length 0 is over where it starts: no walker takes a step,
+    /// so every path is its start vertex and nothing is counted or sent.
+    #[test]
+    fn a_walk_of_length_zero_is_its_start() {
+        let graph = Arc::new(generate::complete(12));
+        let run = engine(&graph, ChunkV, 3).with_recording().run(
+            &SimpleRandomWalk::new(0),
+            &WalkStarts::PerVertex(2),
+            4,
+        );
+        assert_eq!((run.total_steps, run.message_walks), (0, 0));
+        let paths = run.paths.unwrap();
+        let starts: Vec<[VertexId; 1]> = (0..24).map(|id| [id % 12]).collect();
+        assert!(paths.iter().eq(starts.iter().map(|p| &p[..])), "{paths:?}");
+    }
+
     #[test]
     fn telemetry_load_matches_edge_mass_distribution() {
         // On a skewed graph with Chunk-V, the hub machine should execute
@@ -396,18 +412,16 @@ mod tests {
     /// 2 supersteps (a crash on the checkpointed barrier, s = 4, replays
     /// nothing; s = 5 one; s = 3 without checkpoints everything), in both
     /// execution modes, for walks of full length, walks that stop early
-    /// (their tables end at different steps) and walks that step in place.
+    /// (their tables end at different steps) and walks that step in place
+    /// (RWD returning to a source it has not left yet; the generated graph
+    /// has no self-loops, so no other walk here does).
     #[test]
     fn recorded_paths_survive_a_crash_for_every_kind_of_walk() {
-        use crate::apps::{DeepWalk, MetropolisHastings, Ppr};
+        use crate::apps::{DeepWalk, Ppr, Rwd};
         let graph = Arc::new(generate::twitter_like().generate_scaled(0.01));
         let partition = Arc::new(ChunkV.partition(&graph, 4));
         let starts = WalkStarts::PerVertex(1);
-        let apps: [&dyn WalkApp; 3] = [
-            &DeepWalk::new(8),
-            &Ppr::new(0.3, 8),
-            &MetropolisHastings::new(8),
-        ];
+        let apps: [&dyn WalkApp; 3] = [&DeepWalk::new(8), &Ppr::new(0.3, 8), &Rwd::new(0.2, 8)];
         for app in apps {
             let engine = |mode| {
                 let cluster = Cluster::new(graph.clone(), partition.clone());
@@ -416,6 +430,10 @@ mod tests {
             let clean = engine(ExecMode::Sequential).run(app, &starts, 29);
             let paths = clean.paths.as_ref().unwrap();
             assert!(paths.iter().any(|path| path.len() > 1), "{}", app.name());
+            let in_place = paths
+                .iter()
+                .any(|path| path.windows(2).any(|hop| hop[0] == hop[1]));
+            assert_eq!(in_place, app.name() == "RWD", "{}", app.name());
             for mode in [ExecMode::Sequential, ExecMode::Threaded] {
                 for (crash_at, checkpoint_every) in [(3, None), (4, Some(2)), (5, Some(2))] {
                     let mut faulted = engine(mode).with_faults(FaultPlan::new().crash(crash_at, 1));

@@ -311,7 +311,10 @@ impl WalkStep {
     /// queue. The first moves each walker where it stands and notes where
     /// it goes next: a walk ends when the app says so (dead end / stop
     /// decision) or at full length, any other walker belongs to the owner
-    /// of its new vertex. The second routes with every destination known:
+    /// of its new vertex. A queued walker is short of its length, except
+    /// where a walk of length 0 starts: there every walker is done where it
+    /// stands, without a step, and none is counted.
+    /// The second routes with every destination known:
     /// a walker bound elsewhere is staged in its owner's row and counted as
     /// sent, the rest close ranks in the queue, in order.
     pub fn step<A: WalkApp + ?Sized>(&mut self, app: &A) -> WorkUnits {
@@ -329,6 +332,10 @@ impl WalkStep {
         let graph = cluster.graph();
         let max_steps = app.walk_length();
         debug_assert!(rows.iter().all(Vec::is_empty));
+        if max_steps == 0 {
+            queue.clear();
+            return WorkUnits::default();
+        }
         dests.clear();
         for walker in queue.iter_mut() {
             debug_assert_eq!(cluster.owner(walker.current), m);

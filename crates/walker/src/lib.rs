@@ -39,13 +39,11 @@ pub mod engine;
 pub mod kernel;
 pub mod rng;
 pub mod walker;
-pub mod weighted;
 
 pub use engine::{WalkEngine, WalkRun, WalkStarts};
 pub use kernel::{PathTable, WalkStep};
 pub use rng::WalkerRng;
-pub use walker::{TransitionSampler, WalkApp, Walker};
-pub use weighted::{CachedTransitions, WeightedRandomWalk, WeightedTransitions};
+pub use walker::{WalkApp, Walker};
 
 /// A superstep's message arena is the walk kernels' per-destination rows:
 /// [`WalkStep::step`] stages into them, the delivery drains them in place,

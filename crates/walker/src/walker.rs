@@ -57,18 +57,6 @@ pub trait WalkApp: Sync {
     fn name(&self) -> &'static str;
 }
 
-/// A source of weighted out-transitions: draws `v`'s successor from the
-/// walker's own RNG, or `None` at dead ends. Implemented by the eager
-/// [`WeightedTransitions`](crate::weighted::WeightedTransitions) (one table
-/// per vertex, built up front) and the lazily-cached, degree-bucketed
-/// [`CachedTransitions`](crate::weighted::CachedTransitions); both must
-/// consume the RNG identically so walk traces do not depend on which
-/// sampler backs an app.
-pub trait TransitionSampler: Send + Sync {
-    /// Samples a weighted out-transition from `v`; `None` at dead ends.
-    fn sample(&self, walker: &mut Walker, graph: &CsrGraph, v: VertexId) -> Option<VertexId>;
-}
-
 /// Uniform choice among `v`'s out-neighbors; `None` at dead ends. The
 /// shared primitive most walk apps build on.
 #[inline]

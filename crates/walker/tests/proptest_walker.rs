@@ -60,38 +60,6 @@ proptest! {
     }
 
     #[test]
-    fn cached_alias_reuse_keeps_sample_streams_identical(
-        seed in 0u64..500,
-        walk_seed in 0u64..500,
-        max_weight in 1u32..16,
-        steps in 1u32..8,
-    ) {
-        // Alias-table reuse must be invisible: walks driven by the lazy
-        // degree-bucketed cache and by fresh eager tables are bit-equal.
-        use bpart_walker::{CachedTransitions, WeightedRandomWalk, WeightedTransitions};
-        let graph = Arc::new(generate::erdos_renyi(60, 480, seed));
-        let partition = Arc::new(ChunkV.partition(&graph, 4));
-        let starts = WalkStarts::PerVertex(1);
-        let eager = WeightedRandomWalk::new(
-            steps,
-            Arc::new(WeightedTransitions::synthetic(&graph, max_weight)),
-        );
-        let cached = WeightedRandomWalk::with_sampler(
-            steps,
-            Arc::new(CachedTransitions::synthetic(&graph, max_weight)),
-        );
-        let a = WalkEngine::default_for(graph.clone(), partition.clone())
-            .with_recording()
-            .run(&eager, &starts, walk_seed);
-        let b = WalkEngine::default_for(graph.clone(), partition)
-            .with_recording()
-            .run(&cached, &starts, walk_seed);
-        prop_assert_eq!(a.paths, b.paths);
-        prop_assert_eq!(a.total_steps, b.total_steps);
-        prop_assert_eq!(a.message_walks, b.message_walks);
-    }
-
-    #[test]
     fn walker_rng_streams_never_collide_across_ids(seed in 0u64..1000) {
         use bpart_walker::WalkerRng;
         let mut a = WalkerRng::new(seed, 1);

@@ -17,7 +17,6 @@ fn graph_zoo() -> Vec<(&'static str, CsrGraph)> {
             "rmat",
             generate::rmat(&generate::RmatConfig::new(9, 4_000, 3)),
         ),
-        ("barabasi_albert", generate::barabasi_albert(300, 3, 5)),
         (
             "twitter_like",
             generate::twitter_like().generate_scaled(0.01),
