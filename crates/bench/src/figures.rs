@@ -501,11 +501,7 @@ fn mtkahip(lab: &mut Lab) -> Figure {
     );
     let (mut rows, mut times) = (Vec::new(), Vec::new());
     for (name, g) in lab.graphs() {
-        let schemes: [&dyn Partitioner; 3] = [
-            &Multilevel::default(),
-            &GdPartitioner::default(),
-            &BPart::default(),
-        ];
+        let schemes: [&dyn Partitioner; 3] = [&Multilevel, &GdPartitioner, &BPart::default()];
         for scheme in schemes {
             let (p, secs) = timed(|| scheme.partition(&g, 8));
             let [bv, be] = [p.vertex_counts(), p.edge_counts()].map(|c| f3(metrics::bias(c)));
@@ -564,10 +560,9 @@ fn ablation(lab: &mut Lab) -> Figure {
         let cfg = BPartConfig { max_layers, ..d() };
         configs.push((format!("max_layers = {max_layers}"), cfg));
     }
-    for eps in [0.02, 0.05, 0.1, 0.2] {
-        let mut cfg = d();
-        (cfg.epsilon_vertex, cfg.epsilon_edge) = (eps, eps);
-        configs.push((format!("epsilon = {eps}"), cfg));
+    for epsilon in [0.02, 0.05, 0.1, 0.2] {
+        let cfg = BPartConfig { epsilon, ..d() };
+        configs.push((format!("epsilon = {epsilon}"), cfg));
     }
     for (order, label) in [
         (StreamOrder::Natural, "natural"),

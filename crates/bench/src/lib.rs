@@ -22,7 +22,7 @@ pub fn schemes() -> Vec<Box<dyn Partitioner>> {
     vec![
         Box::new(ChunkV),
         Box::new(ChunkE),
-        Box::new(Fennel::default()),
+        Box::new(Fennel),
         Box::new(HashPartitioner::default()),
         Box::new(BPart::default()),
     ]
@@ -31,7 +31,7 @@ pub fn schemes() -> Vec<Box<dyn Partitioner>> {
 /// Scheme roster plus the offline multilevel baseline (§4.2).
 pub fn schemes_with_multilevel() -> Vec<Box<dyn Partitioner>> {
     let mut all = schemes();
-    all.push(Box::new(bpart_multilevel::Multilevel::default()));
+    all.push(Box::new(bpart_multilevel::Multilevel));
     all
 }
 
@@ -172,7 +172,7 @@ mod tests {
         let p = lab.partition("lj_like", "Fennel", 4);
         assert!(Arc::ptr_eq(&p, &lab.partition("lj_like", "Fennel", 4)));
         assert!(!Arc::ptr_eq(&p, &lab.partition("lj_like", "Fennel", 8)));
-        assert_eq!(*p, Fennel::default().partition(&lab.graph("lj_like"), 4));
+        assert_eq!(*p, Fennel.partition(&lab.graph("lj_like"), 4));
     }
 
     #[test]

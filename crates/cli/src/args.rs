@@ -40,20 +40,14 @@ pub enum Command {
     /// `bpart stats GRAPH`
     Stats { graph: String },
     /// `bpart partition GRAPH --parts K [--scheme S] [--out FILE]
-    /// [--threads T] [--buffer-size B] [--shard-dir DIR] [--mem-ceiling MB]
-    /// [+ observability flags]` — a GRAPH that is a shard directory (it
-    /// holds a manifest) is streamed out of core like `--shard-dir`.
+    /// [--shard-dir DIR] [--mem-ceiling MB] [+ observability flags]` — a
+    /// GRAPH that is a shard directory (it holds a manifest) is streamed
+    /// out of core like `--shard-dir`.
     Partition {
         graph: String,
         parts: usize,
         scheme: String,
         out: Option<String>,
-        /// `None` = flag not given (resident default 1; rejected with
-        /// shard input, which has no worker pool).
-        threads: Option<usize>,
-        /// `None` = flag not given (resident default
-        /// [`bpart_core::DEFAULT_BUFFER_SIZE`]; rejected with shard input).
-        buffer_size: Option<usize>,
         shard_dir: Option<String>,
         mem_ceiling_mb: Option<u64>,
         obs: ObsFlags,
@@ -204,7 +198,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 .unwrap_or("bpart")
                 .to_string();
             let out = get_optional(&flags, "out").map(str::to_string);
-            let (threads, buffer_size) = parse_parallel(&flags)?;
             let shard_dir = get_optional(&flags, "shard-dir").map(str::to_string);
             // With --shard-dir the shard directory *is* the input, so the
             // GRAPH positional may be omitted.
@@ -234,8 +227,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     "parts",
                     "scheme",
                     "out",
-                    "threads",
-                    "buffer-size",
                     "shard-dir",
                     "mem-ceiling",
                     "trace-out",
@@ -251,8 +242,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 parts,
                 scheme,
                 out,
-                threads,
-                buffer_size,
                 shard_dir,
                 mem_ceiling_mb,
                 obs,
@@ -507,22 +496,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     }
 }
 
-/// Parses `partition`'s `--threads` / `--buffer-size` worker-pool flags, `None`
-/// where a flag was not given (the defaults are 1 thread — the exact
-/// sequential path — and [`bpart_core::DEFAULT_BUFFER_SIZE`]). Both must be
-/// at least 1.
-fn parse_parallel(flags: &[(&str, &str)]) -> Result<(Option<usize>, Option<usize>), ParseError> {
-    let at_least_one = |name: &str| match get_optional(flags, name) {
-        Some(s) => match s.parse::<usize>() {
-            Ok(0) => Err(err(format!("--{name} must be at least 1"))),
-            Ok(value) => Ok(Some(value)),
-            Err(_) => Err(err(format!("bad --{name} {s:?}"))),
-        },
-        None => Ok(None),
-    };
-    Ok((at_least_one("threads")?, at_least_one("buffer-size")?))
-}
-
 /// Parses `--name`'s value `s` as a part count or a superstep interval:
 /// a job carries both as `u32`, so a value outside `1..=u32::MAX` is
 /// refused by name rather than wrapped.
@@ -633,8 +606,6 @@ mod tests {
                 parts: 8,
                 scheme: "bpart".into(),
                 out: None,
-                threads: None,
-                buffer_size: None,
                 shard_dir: None,
                 mem_ceiling_mb: None,
                 obs: ObsFlags::default(),
@@ -877,35 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_parallel_flags() {
-        let cmd = p(&[
-            "partition",
-            "g.txt",
-            "--parts",
-            "8",
-            "--threads",
-            "4",
-            "--buffer-size",
-            "1024",
-        ])
-        .unwrap();
-        match cmd {
-            Command::Partition {
-                threads,
-                buffer_size,
-                ..
-            } => {
-                assert_eq!(threads, Some(4));
-                assert_eq!(buffer_size, Some(1024));
-            }
-            other => panic!("expected Partition, got {other:?}"),
-        }
-        assert!(p(&["partition", "g", "--parts", "4", "--threads", "0"]).is_err());
-        assert!(p(&["partition", "g", "--parts", "4", "--buffer-size", "0"]).is_err());
-        assert!(p(&["partition", "g", "--parts", "4", "--threads", "zig"]).is_err());
-    }
-
-    #[test]
     fn rejects_zero_parts_and_bad_scale() {
         assert!(p(&["partition", "g", "--parts", "0"]).is_err());
         assert!(p(&["generate", "--preset", "x", "--scale", "-1", "--out", "o"]).is_err());
@@ -913,7 +855,12 @@ mod tests {
 
     #[test]
     fn rejects_unknown_flags_and_commands() {
-        assert!(p(&["partition", "g", "--parts", "4", "--bogus", "1"]).is_err());
+        // The worker-pool flags are gone from `partition` too: it streams
+        // sequentially.
+        for flag in ["--bogus", "--threads"] {
+            let e = p(&["partition", "g", "--parts", "4", flag, "1"]).unwrap_err();
+            assert_eq!(e.to_string(), format!("unknown flag {flag}"));
+        }
         assert!(p(&["explode"]).is_err());
     }
 
@@ -1026,12 +973,11 @@ mod tests {
         assert!(p(&["run"]).is_err());
     }
 
-    /// `run` partitions sequentially and starts one worker per part: the
-    /// worker-pool flags belong to `partition`, and there is no worker
-    /// count to get wrong.
+    /// `run` partitions sequentially and starts one worker per part: there
+    /// is no worker pool to size and no worker count to get wrong.
     #[test]
     fn run_refuses_the_options_it_no_longer_has() {
-        for flag in ["--threads", "--buffer-size", "--workers"] {
+        for flag in ["--threads", "--workers"] {
             let e = p(&["run", "g", "--parts", "4", flag, "4"]).unwrap_err();
             assert_eq!(e.to_string(), format!("unknown flag {flag}"));
         }

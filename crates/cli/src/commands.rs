@@ -7,7 +7,7 @@ use bpart_cluster::exec::ExecMode;
 use bpart_cluster::FaultPlan;
 use bpart_core::pio;
 use bpart_core::prelude::*;
-use bpart_dist::spec::is_binary_graph;
+use bpart_dist::spec::{check_parts, is_binary_graph};
 use bpart_dist::{
     AppOutput, AppSpec, Backend, ClusterError, GraphSource, JobSpec, ProcessConfig, Scheme,
     ThreadsConfig, TimeUnit, SCHEMES,
@@ -63,8 +63,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             parts,
             scheme,
             out,
-            threads,
-            buffer_size,
             shard_dir,
             mem_ceiling_mb,
             obs,
@@ -75,8 +73,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 *parts,
                 scheme,
                 out.as_deref(),
-                *threads,
-                *buffer_size,
                 shard_dir.as_deref(),
                 *mem_ceiling_mb,
                 obs,
@@ -386,9 +382,9 @@ fn obs_diff_cmd(
     Ok(rendered)
 }
 
-/// Resolves a scheme name to a partitioner with a sequential worker pool.
+/// Resolves a scheme name to its partitioner.
 pub fn scheme_by_name(name: &str) -> Result<Box<dyn Partitioner>, CliError> {
-    Ok((Scheme::by_name(name)?.build)(ParallelConfig::default()))
+    Ok((Scheme::by_name(name)?.build)())
 }
 
 fn is_binary_partition(path: &str) -> bool {
@@ -478,7 +474,7 @@ struct Partitioned<'a> {
     stats: StreamStats,
     elapsed: f64,
     /// Lines only this way of running has (memory ceiling, combine layers,
-    /// buffers, the shard loop).
+    /// the shard loop).
     extra: String,
 }
 
@@ -496,10 +492,8 @@ fn partition_report(
     let mut text = render_quality(&p.label, p.vertex_counts, p.edge_counts, p.cut_ratio);
     text.push_str(&format!("  partition time:  {:.3}s\n", p.elapsed));
     text.push_str(&format!(
-        "  throughput:      {:.0} vertices/s ({} thread{})\n",
+        "  throughput:      {:.0} vertices/s (1 thread)\n",
         p.stats.vertices_per_sec(),
-        p.stats.threads,
-        if p.stats.threads == 1 { "" } else { "s" },
     ));
     text.push_str(&p.extra);
     if let Some(path) = out {
@@ -523,14 +517,11 @@ fn partition_report(
     Ok(text)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn partition_cmd(
     graph_path: &str,
     parts: usize,
     scheme_name: &str,
     out: Option<&str>,
-    threads: Option<usize>,
-    buffer_size: Option<usize>,
     shard_dir: Option<&str>,
     mem_ceiling_mb: Option<u64>,
     obs: &ObsFlags,
@@ -542,28 +533,16 @@ fn partition_cmd(
         extra = format!("  mem ceiling:     {mb} MB (RLIMIT_AS)\n");
     }
     if let Some(dir) = shard_input(graph_path, shard_dir) {
-        // The shard pass is one sequential loop: there is no worker pool to
-        // size and no batch for `--buffer-size` to mean anything.
-        if threads.or(buffer_size).is_some() {
-            return Err(fail(
-                "--threads and --buffer-size do not apply to shard input: the out-of-core \
-pass is one sequential loop over the shards (its memory knob is `bpart shard --shard-bytes`)",
-            ));
-        }
         return partition_ooc_cmd(dir, parts, scheme_name, out, extra, obs);
     }
-    let parallel = ParallelConfig {
-        threads: threads.unwrap_or(1),
-        buffer_size: buffer_size.unwrap_or(bpart_core::DEFAULT_BUFFER_SIZE),
-    };
-    let scheme = (Scheme::by_name(scheme_name)?.build)(parallel);
+    let scheme = scheme_by_name(scheme_name)?;
     let graph = load_graph(graph_path)?;
+    check_parts(parts, graph.num_vertices())?;
     let start = Instant::now();
     // Only BPart has layers to report; it is run for its trace, which
     // `partition_with_stats` folds away.
     let (partition, stats) = if scheme_name == "bpart" {
-        let (partition, trace) =
-            bpart_dist::spec::bpart(parallel).partition_with_trace(&graph, parts);
+        let (partition, trace) = bpart_dist::spec::bpart().partition_with_trace(&graph, parts);
         let mut stats = StreamStats::default();
         trace.iter().for_each(|layer| stats.merge(&layer.stream));
         let forced: usize = trace.iter().map(|layer| layer.forced).sum();
@@ -577,17 +556,7 @@ not by threshold)\n",
         scheme.partition_with_stats(&graph, parts)
     };
     let elapsed = start.elapsed().as_secs_f64();
-    // Buffer detail only appears for buffered-parallel runs.
-    if stats.buffers > 0 {
-        extra.push_str(&format!(
-            "  buffers:         {} (sync stall {:.1}%)\n",
-            stats.buffers,
-            stats.sync_stall_ratio() * 100.0
-        ));
-    }
-    let mut rec = history_record(obs, "partition", graph_path, scheme_name, parts);
-    rec.set_config("threads", parallel.threads);
-    rec.set_config("buffer_size", parallel.buffer_size);
+    let rec = history_record(obs, "partition", graph_path, scheme_name, parts);
     let partitioned = Partitioned {
         label: scheme.name().to_string(),
         vertex_counts: partition.vertex_counts(),
@@ -618,6 +587,7 @@ fn partition_ooc_cmd(
     let config = bpart_core::OocConfig::new(parts, scheme.out_of_core()?);
     let named = |e: &dyn fmt::Display| fail(format!("{shard_path}: {e}"));
     let shards = pio::ShardSet::open(Path::new(shard_path)).map_err(|e| named(&e))?;
+    check_parts(parts, shards.num_vertices())?;
     let start = Instant::now();
     let outcome = bpart_core::stream_assign_ooc(&shards, &config).map_err(|e| named(&e))?;
     let elapsed = start.elapsed().as_secs_f64();
@@ -637,7 +607,7 @@ fn partition_ooc_cmd(
             s.busy_secs
         ));
     }
-    let resident = (scheme.build)(ParallelConfig::default());
+    let resident = (scheme.build)();
     let partitioned = Partitioned {
         label: format!("{} (out-of-core)", resident.name()),
         vertex_counts: &outcome.vertex_counts,
@@ -754,7 +724,6 @@ fn run_cmd(
                 _ => ExecMode::Sequential,
             },
             faults,
-            checkpoint_every: None,
         })
     };
 
@@ -1010,8 +979,6 @@ mod tests {
             parts: 4,
             scheme: "bpart".into(),
             out: Some(pp.clone()),
-            threads: None,
-            buffer_size: None,
             shard_dir: None,
             mem_ceiling_mb: None,
             obs: ObsFlags::default(),
@@ -1083,8 +1050,6 @@ mod tests {
             parts: 4,
             scheme: "hash".into(),
             out: Some(pp.clone()),
-            threads: None,
-            buffer_size: None,
             shard_dir: None,
             mem_ceiling_mb: None,
             obs: ObsFlags::default(),
@@ -1096,34 +1061,6 @@ mod tests {
         assert!(out.contains("(4 parts)"), "{out}");
         std::fs::remove_file(graph_path).ok();
         std::fs::remove_file(parts_path).ok();
-    }
-
-    #[test]
-    fn parallel_partition_reports_buffer_telemetry() {
-        let graph_path = tmp("par.txt");
-        let gp = graph_path.to_str().unwrap().to_string();
-        runs(Command::Generate {
-            preset: "twitter_like".into(),
-            scale: 0.01,
-            seed: Some(3),
-            out: gp.clone(),
-        });
-        let out = runs(Command::Partition {
-            graph: gp.clone(),
-            parts: 4,
-            scheme: "fennel".into(),
-            out: None,
-            threads: Some(2),
-            buffer_size: Some(128),
-            shard_dir: None,
-            mem_ceiling_mb: None,
-            obs: ObsFlags::default(),
-        });
-        assert!(out.contains("throughput:"), "{out}");
-        assert!(out.contains("2 threads"), "{out}");
-        assert!(out.contains("buffers:"), "{out}");
-        assert!(out.contains("sync stall"), "{out}");
-        std::fs::remove_file(graph_path).ok();
     }
 
     #[test]
@@ -1163,8 +1100,6 @@ mod tests {
             parts: 4,
             scheme: "fennel".into(),
             out: Some(pp.clone()),
-            threads: None,
-            buffer_size: None,
             shard_dir: None,
             mem_ceiling_mb: None,
             obs: ObsFlags::default(),
@@ -1173,24 +1108,6 @@ mod tests {
         assert!(out.contains("shard loop:"), "{out}");
         assert!(out.contains("fetch:"), "{out}");
         assert!(out.contains("(1 thread)"), "{out}");
-
-        // The shard pass has no worker pool and no batches: the resident
-        // knobs are refused, not silently reinterpreted.
-        for (threads, buffer_size) in [(None, Some(256)), (Some(2), None)] {
-            let e = run(&Command::Partition {
-                graph: sd.clone(),
-                parts: 4,
-                scheme: "fennel".into(),
-                out: None,
-                threads,
-                buffer_size,
-                shard_dir: None,
-                mem_ceiling_mb: None,
-                obs: ObsFlags::default(),
-            })
-            .unwrap_err();
-            assert!(e.to_string().contains("do not apply to shard input"), "{e}");
-        }
 
         // The streamed assignment is bit-identical to the resident run.
         let graph = load_graph(&gp).unwrap();
@@ -1204,8 +1121,6 @@ mod tests {
             parts: 4,
             scheme: "bpart".into(),
             out: None,
-            threads: None,
-            buffer_size: None,
             shard_dir: None,
             mem_ceiling_mb: None,
             obs: ObsFlags::default(),
@@ -1244,8 +1159,6 @@ mod tests {
             parts: 4,
             scheme: "bpart-p1".into(),
             out: None,
-            threads: None,
-            buffer_size: None,
             shard_dir: Some(sd.clone()),
             mem_ceiling_mb: None,
             obs: ObsFlags {
@@ -1410,8 +1323,6 @@ mod tests {
                 parts: 2,
                 scheme: "nope".into(),
                 out: None,
-                threads: None,
-                buffer_size: None,
                 shard_dir: shard_dir.clone(),
                 mem_ceiling_mb: None,
                 obs: ObsFlags::default(),
@@ -1588,8 +1499,6 @@ mod tests {
             parts: 4,
             scheme: "bpart".into(),
             out: None,
-            threads: None,
-            buffer_size: None,
             shard_dir: None,
             mem_ceiling_mb: None,
             obs: ObsFlags {

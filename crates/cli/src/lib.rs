@@ -64,8 +64,7 @@ USAGE:
 [--scale F] [--seed N] --out FILE
   bpart stats     GRAPH
   bpart partition GRAPH --parts K [--scheme NAME] [--out FILE] \
-[--threads T] [--buffer-size B] [--shard-dir DIR] [--mem-ceiling MB] \
-[+ OBSERVABILITY flags]
+[--shard-dir DIR] [--mem-ceiling MB] [+ OBSERVABILITY flags]
   bpart shard     GRAPH --out-dir DIR [--shard-bytes N]
   bpart quality   GRAPH PARTITION
   bpart run       GRAPH --parts K [--scheme NAME] [--app APP] [--iters N] \
@@ -125,13 +124,7 @@ OUT-OF-CORE (partition graphs bigger than RAM; see DESIGN.md §14):
   Out-of-core runs support the streaming schemes (fennel, bpart-p1) and
   produce bit-identical assignments to their in-memory counterparts. The
   pass is one sequential loop over the shards, one mapped at a time
-  (memory O(n + one shard)): --threads and --buffer-size do not apply to
-  shard input and are refused with it.
-
-PARALLEL STREAMING (partition, resident input, streaming schemes only):
-  --threads T      scoring worker threads (default 1 = exact sequential)
-  --buffer-size B  vertices scored per weight-sync window (default 4096);
-                   B=1 reproduces the sequential result for any T
+  (memory O(n + one shard)).
 
 OBSERVABILITY (partition/run; see DESIGN.md §10–11):
   --trace-out FILE    dump hierarchical phase spans as JSON lines (on a

@@ -281,6 +281,133 @@ fn counts_past_u32_max_exit_with_one_error_line() {
     std::fs::remove_file(gp).ok();
 }
 
+/// Runs `bpart` with `args` and asserts the hostile-input contract: exit 1,
+/// one `bpart: …` line on stderr holding `names`, no panic and no aborted
+/// allocation.
+fn refused_in_one_line(args: &[&str], names: &str) {
+    let run = bpart().args(args).output().expect("run bpart");
+    let err = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{args:?}: {err}");
+    assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+    assert!(
+        err.starts_with("bpart: ") && err.contains(names),
+        "{args:?}: {err}"
+    );
+    assert!(!err.contains("memory allocation"), "{args:?}: {err}");
+    assert!(!err.contains("panicked at"), "{args:?}: {err}");
+}
+
+/// A walk whose path table cannot be allocated is refused before either
+/// backend starts, naming `--walk-len`, the walk count and the bytes: not
+/// an aborted allocation (and, on the process backend, workers left to
+/// report a reset connection).
+#[test]
+fn a_walk_too_long_to_record_exits_with_one_error_line() {
+    let (gp, g) = small_graph("long_walk.bpgr");
+    for backend in ["threads", "process"] {
+        let run = [
+            "run",
+            &g,
+            "--parts",
+            "2",
+            "--app",
+            "deepwalk",
+            "--backend",
+            backend,
+        ];
+        refused_in_one_line(
+            &[&run[..], &["--walk-len", "4294967295"]].concat(),
+            "--walk-len 4294967295: the paths of 750 walks take 12884901888000 bytes",
+        );
+    }
+    std::fs::remove_file(gp).ok();
+}
+
+/// More parts than vertices is one `bpart: …` line naming `--parts`
+/// wherever the vertex count is first known — `partition` on a graph or a
+/// shard directory, `run` on either backend (before a worker is spawned) —
+/// not a sentinel-overflow panic, nor a run that opens empty parts by the
+/// million.
+#[test]
+fn more_parts_than_vertices_exit_with_one_error_line() {
+    let (gp, g) = tmp("two_vertices.txt");
+    std::fs::write(&gp, "0 1\n1 0\n").unwrap();
+    let (sp, shards) = tmp("two_vertices_shards");
+    let out = bpart()
+        .args(["shard", &g, "--out-dir", &shards])
+        .output()
+        .expect("run shard");
+    assert!(out.status.success());
+    let runs: [&[&str]; 6] = [
+        &["partition", &g, "--parts", "3"],
+        &["partition", &g, "--parts", "4294967295"],
+        &["partition", &shards, "--parts", "3", "--scheme", "fennel"],
+        &["run", &g, "--parts", "3"],
+        &["run", &g, "--parts", "4294967295"],
+        &["run", &g, "--parts", "3", "--backend", "process"],
+    ];
+    for args in runs {
+        let parts = args[args.iter().position(|&a| a == "--parts").unwrap() + 1];
+        let names = format!("--parts {parts} is more than the graph's 2 vertices");
+        refused_in_one_line(args, &names);
+    }
+    let out = bpart()
+        .args(["partition", &g, "--parts", "2"])
+        .output()
+        .expect("run partition");
+    assert!(out.status.success());
+    std::fs::remove_file(gp).ok();
+    std::fs::remove_dir_all(sp).ok();
+}
+
+/// A partition file naming more parts than the graph has vertices is one
+/// `bpart: …` line from `quality`, in either format: not per-part tallies
+/// for four billion parts.
+#[test]
+fn partition_files_with_huge_part_counts_exit_with_one_error_line() {
+    let (gp, g) = small_graph("huge_k.bpgr");
+    let (tp, text) = tmp("huge_k.txt");
+    std::fs::write(&tp, "4294967295\n".repeat(750)).unwrap();
+    let (bp, binary) = tmp("huge_k.bppt");
+    let out = bpart()
+        .args(["partition", &g, "--parts", "4", "--out", &binary])
+        .output()
+        .expect("run partition");
+    assert!(out.status.success());
+    let mut bytes = std::fs::read(&bp).unwrap();
+    bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&bp, bytes).unwrap();
+    for (file, k) in [(&text, 4294967296u64), (&binary, 4294967295)] {
+        let names = format!("partition has {k} parts, more than the graph's 750 vertices");
+        refused_in_one_line(&["quality", &g, file], &names);
+    }
+    for p in [gp, tp, bp] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+/// A run of zero supersteps recovered in no time: `0.00`, not `-0.00`.
+#[test]
+fn an_empty_run_reports_positive_zero_recovery_time() {
+    let (gp, g) = small_graph("iters_0.bpgr");
+    for backend in ["threads", "process"] {
+        let run = bpart()
+            .args([
+                "run", &g, "--parts", "2", "--app", "pagerank", "--iters", "0",
+            ])
+            .args(["--backend", backend])
+            .output()
+            .expect("run");
+        assert!(run.status.success(), "{backend}");
+        let out = String::from_utf8_lossy(&run.stdout);
+        assert!(!out.contains("-0.0"), "{backend}: {out}");
+        if backend == "threads" {
+            assert!(out.contains("recovery time:   0.00 units\n"), "{out}");
+        }
+    }
+    std::fs::remove_file(gp).ok();
+}
+
 #[test]
 fn schemes_listing_matches_library_roster() {
     let out = bpart().arg("schemes").output().expect("run schemes");

@@ -90,27 +90,6 @@ pub fn collect_results<R>(
     Ok(ok)
 }
 
-/// [`for_each_machine`] for callers that treat any machine failure as
-/// fatal: re-raises the first panic on the calling thread (preserving the
-/// payload) and aborts on injected crashes.
-pub fn for_each_machine_infallible<S, R, F>(mode: ExecMode, states: &mut [S], f: F) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    F: Fn(MachineId, &mut S) -> R + Sync,
-{
-    for_each_machine(mode, states, f)
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(MachineFailure::Panic(payload)) => std::panic::resume_unwind(payload),
-            Err(failure @ MachineFailure::Crash { .. }) => {
-                panic!("machine failed without a recovery path: {failure:?}")
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,19 +154,5 @@ mod tests {
             assert_eq!(states[0], 100);
             assert_eq!(states[3], 103);
         }
-    }
-
-    #[test]
-    fn infallible_wrapper_reraises_the_panic_payload() {
-        let mut states = vec![(); 2];
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            for_each_machine_infallible(ExecMode::Sequential, &mut states, |m, _| {
-                if m == 1 {
-                    panic!("original payload");
-                }
-            })
-        }))
-        .unwrap_err();
-        assert_eq!(caught.downcast_ref::<&str>(), Some(&"original payload"));
     }
 }

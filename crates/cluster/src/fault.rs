@@ -245,11 +245,6 @@ impl FaultPlan {
         self.crashes.is_empty() && self.stragglers.is_empty() && self.links.is_empty()
     }
 
-    /// Number of scheduled crash faults.
-    pub fn num_crashes(&self) -> usize {
-        self.crashes.len()
-    }
-
     /// The scheduled crashes as `(superstep, machine)` pairs, in plan
     /// order. The process backend maps these onto real `SIGKILL`s.
     pub fn crash_schedule(&self) -> Vec<(usize, MachineId)> {

@@ -176,7 +176,9 @@ impl Telemetry {
     }
 
     /// Total recovery work charged across the run: checkpoint restores
-    /// plus the compute re-executed during replayed supersteps.
+    /// plus the compute re-executed during replayed supersteps. The fold
+    /// starts at +0.0: `Iterator::sum` of no terms is −0.0, which a run
+    /// report would print as `-0.00`.
     pub fn total_recovery_time(&self) -> f64 {
         self.records
             .lock()
@@ -189,7 +191,7 @@ impl Telemetry {
                 };
                 r.recovery + replayed
             })
-            .sum()
+            .fold(0.0, |total, t| total + t)
     }
 }
 
@@ -251,6 +253,13 @@ mod tests {
         assert_eq!(t.total_faults(), 0);
         assert_eq!(t.replayed_supersteps(), 0);
         assert_eq!(t.total_recovery_time(), 0.0);
+    }
+
+    #[test]
+    fn an_empty_run_recovers_in_positive_zero() {
+        let t = Telemetry::new();
+        assert!(t.total_recovery_time().is_sign_positive());
+        assert_eq!(format!("{:.2}", t.total_recovery_time()), "0.00");
     }
 
     #[test]

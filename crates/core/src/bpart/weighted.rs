@@ -10,7 +10,9 @@ use super::combine::Group;
 use super::BPartConfig;
 use crate::partition::Partition;
 use crate::partitioner::Partitioner;
-use crate::streaming::{fennel_alpha, stream_assign, StreamConfig, StreamStats, UNASSIGNED};
+use crate::streaming::{
+    fennel_alpha, stream_assign, StreamConfig, StreamStats, BPART_LOAD, GAMMA, UNASSIGNED,
+};
 use bpart_graph::{CsrGraph, VertexId};
 
 /// Streams `subset` into `pieces` pieces using the weighted balance
@@ -32,10 +34,7 @@ pub(super) fn split_into_pieces(
     // Average degree of the streamed remainder keeps the indicator's total
     // mass equal to n_sub, so the Fennel α calibration carries over.
     let d_bar = (m_sub as f64 / n_sub as f64).max(f64::MIN_POSITIVE);
-    let alpha = match cfg.alpha {
-        Some(a) => a,
-        None => fennel_alpha(n_sub, m_sub, pieces, cfg.gamma).expect("subset is non-empty"),
-    };
+    let alpha = fennel_alpha(n_sub, m_sub, pieces, GAMMA).expect("subset is non-empty");
     let order = cfg.order.order_subset(graph, subset);
     let c = cfg.c;
 
@@ -43,11 +42,10 @@ pub(super) fn split_into_pieces(
         graph,
         &StreamConfig {
             num_parts: pieces,
-            gamma: cfg.gamma,
+            gamma: GAMMA,
             alpha,
-            capacity: cfg.load_factor * n_sub as f64 / pieces as f64,
+            capacity: BPART_LOAD * n_sub as f64 / pieces as f64,
             order: &order,
-            previous: None,
             parallel: cfg.parallel,
         },
         |v| c + (1.0 - c) * graph.out_degree(v) as f64 / d_bar,
@@ -78,7 +76,7 @@ pub struct WeightedStream {
 }
 
 impl WeightedStream {
-    /// Weighted streaming with explicit tunables (`c`, γ, order, ...).
+    /// Weighted streaming with explicit settings (`c`, order, worker pool).
     pub fn new(config: BPartConfig) -> Self {
         WeightedStream { config }
     }

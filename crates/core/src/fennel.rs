@@ -5,64 +5,20 @@
 //! `|V_i ∩ N(v)| − α·γ·|V_i|^(γ−1)`: the neighbor-affinity term minimizes
 //! edge cuts, the penalty term balances the *vertex counts* — which is
 //! exactly why Fennel leaves edge counts skewed on power-law graphs
-//! (Limitation #1 in the paper).
+//! (Limitation #1 in the paper). It is the paper's baseline as stated, with
+//! nothing to set: one sequential pass in natural order, γ = 1.5, α =
+//! `m·k^(γ−1)/n^γ` and a hard budget of 1.1 · n/k vertices per part.
 
 use crate::partition::Partition;
 use crate::partitioner::Partitioner;
-use crate::stream::StreamOrder;
-use crate::streaming::{fennel_alpha, stream_assign, ParallelConfig, StreamConfig, StreamStats};
-use bpart_graph::CsrGraph;
-
-/// Tunables for [`Fennel`].
-#[derive(Clone, Copy, Debug)]
-pub struct FennelConfig {
-    /// Penalty exponent γ (paper default 1.5).
-    pub gamma: f64,
-    /// Override for α; `None` computes the classic `m·k^(γ−1)/n^γ`.
-    pub alpha: Option<f64>,
-    /// Hard per-part vertex budget as a multiple of `n/k` (default 1.1).
-    pub load_factor: f64,
-    /// Vertex visit order.
-    pub order: StreamOrder,
-    /// Number of streaming passes (ReFennel restreaming); passes after the
-    /// first rescore every vertex against the complete assignment, which
-    /// typically lowers the cut a few points at linear extra cost.
-    pub passes: usize,
-    /// Worker-pool shape: sequential by default, buffered-parallel when
-    /// `threads > 1` (see [`ParallelConfig`]).
-    pub parallel: ParallelConfig,
-}
-
-impl Default for FennelConfig {
-    fn default() -> Self {
-        FennelConfig {
-            gamma: 1.5,
-            alpha: None,
-            load_factor: 1.1,
-            order: StreamOrder::Natural,
-            passes: 1,
-            parallel: ParallelConfig::default(),
-        }
-    }
-}
+use crate::streaming::{
+    fennel_alpha, stream_assign, ParallelConfig, StreamConfig, StreamStats, FENNEL_LOAD, GAMMA,
+};
+use bpart_graph::{CsrGraph, VertexId};
 
 /// The Fennel streaming partitioner.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Fennel {
-    config: FennelConfig,
-}
-
-impl Fennel {
-    /// Fennel with explicit tunables.
-    pub fn new(config: FennelConfig) -> Self {
-        Fennel { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &FennelConfig {
-        &self.config
-    }
-}
+pub struct Fennel;
 
 impl Partitioner for Fennel {
     fn partition(&self, graph: &CsrGraph, num_parts: usize) -> Partition {
@@ -73,8 +29,6 @@ impl Partitioner for Fennel {
         assert!(num_parts > 0, "need at least one part");
         let n = graph.num_vertices();
         let m = graph.num_edges() as u64;
-        let cfg = &self.config;
-        assert!(cfg.passes >= 1, "need at least one streaming pass");
         if n == 0 {
             // Typed empty-stream guard: α is undefined over zero vertices
             // (fennel_alpha would report StreamError::EmptyStream), and the
@@ -84,33 +38,22 @@ impl Partitioner for Fennel {
                 StreamStats::default(),
             );
         }
-        let alpha = match cfg.alpha {
-            Some(a) => a,
-            None => fennel_alpha(n, m, num_parts, cfg.gamma).expect("n > 0 checked above"),
-        };
-        let order = cfg.order.order(graph);
-        let mut previous: Option<Vec<crate::partition::PartId>> = None;
-        let mut stats = StreamStats::default();
-        for _ in 0..cfg.passes {
-            let outcome = stream_assign(
-                graph,
-                &StreamConfig {
-                    num_parts,
-                    gamma: cfg.gamma,
-                    alpha,
-                    capacity: cfg.load_factor * n as f64 / num_parts as f64,
-                    order: &order,
-                    previous: previous.as_deref(),
-                    parallel: cfg.parallel,
-                },
-                |_| 1.0,
-            );
-            stats.merge(&outcome.stats);
-            previous = Some(outcome.assignment);
-        }
+        let order: Vec<VertexId> = graph.vertices().collect();
+        let outcome = stream_assign(
+            graph,
+            &StreamConfig {
+                num_parts,
+                gamma: GAMMA,
+                alpha: fennel_alpha(n, m, num_parts, GAMMA).expect("n > 0 checked above"),
+                capacity: FENNEL_LOAD * n as f64 / num_parts as f64,
+                order: &order,
+                parallel: ParallelConfig::default(),
+            },
+            |_| 1.0,
+        );
         (
-            Partition::from_assignment(graph, num_parts, previous.expect("at least one pass")),
-            stats,
+            Partition::from_assignment(graph, num_parts, outcome.assignment),
+            outcome.stats,
         )
     }
 
@@ -129,7 +72,7 @@ mod tests {
     fn balances_vertices_within_load_factor() {
         let g = generate::twitter_like().generate_scaled(0.02);
         let k = 8;
-        let p = Fennel::default().partition(&g, k);
+        let p = Fennel.partition(&g, k);
         p.validate(&g).unwrap();
         let cap = (1.1 * g.num_vertices() as f64 / k as f64).ceil() as u64 + 1;
         for &c in p.vertex_counts() {
@@ -142,7 +85,7 @@ mod tests {
     fn edges_stay_imbalanced_on_power_law_graphs() {
         // The limitation BPart fixes: Fennel's edge counts are skewed.
         let g = generate::twitter_like().generate_scaled(0.1);
-        let p = Fennel::default().partition(&g, 8);
+        let p = Fennel.partition(&g, 8);
         assert!(
             metrics::bias(p.edge_counts()) > 0.5,
             "edge bias = {}",
@@ -153,7 +96,7 @@ mod tests {
     #[test]
     fn cuts_fewer_edges_than_hash() {
         let g = generate::twitter_like().generate_scaled(0.02);
-        let fennel_cut = metrics::edge_cut_ratio(&g, &Fennel::default().partition(&g, 8));
+        let fennel_cut = metrics::edge_cut_ratio(&g, &Fennel.partition(&g, 8));
         let hash_cut = metrics::edge_cut_ratio(
             &g,
             &crate::hash::HashPartitioner::default().partition(&g, 8),
@@ -167,108 +110,24 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = generate::lj_like().generate_scaled(0.01);
-        let a = Fennel::default().partition(&g, 4);
-        let b = Fennel::default().partition(&g, 4);
+        let a = Fennel.partition(&g, 4);
+        let b = Fennel.partition(&g, 4);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn respects_custom_alpha_and_order() {
-        let g = generate::lj_like().generate_scaled(0.01);
-        let custom = Fennel::new(FennelConfig {
-            alpha: Some(5.0),
-            order: StreamOrder::Random(9),
-            ..Default::default()
-        });
-        let p = custom.partition(&g, 4);
-        p.validate(&g).unwrap();
-        assert_ne!(p, Fennel::default().partition(&g, 4));
-    }
-
-    #[test]
-    fn restreaming_does_not_hurt_the_cut() {
-        let g = generate::twitter_like().generate_scaled(0.02);
-        let one = Fennel::default().partition(&g, 8);
-        let three = Fennel::new(FennelConfig {
-            passes: 3,
-            ..Default::default()
-        })
-        .partition(&g, 8);
-        three.validate(&g).unwrap();
-        let cut1 = metrics::edge_cut_ratio(&g, &one);
-        let cut3 = metrics::edge_cut_ratio(&g, &three);
-        assert!(
-            cut3 <= cut1 + 0.02,
-            "restreamed cut {cut3} vs single-pass {cut1}"
-        );
-        // restreamed vertex balance still respects the cap
-        let cap = (1.1_f64 * g.num_vertices() as f64 / 8.0).ceil() as u64 + 1;
-        assert!(three.vertex_counts().iter().all(|&c| c <= cap));
     }
 
     #[test]
     fn empty_graph_short_circuits_the_undefined_alpha() {
         let g = bpart_graph::CsrGraph::from_edges(0, &[]);
-        let p = Fennel::default().partition(&g, 4);
+        let p = Fennel.partition(&g, 4);
         assert_eq!(p.vertex_counts(), &[0, 0, 0, 0]);
-        let (_, stats) = Fennel::default().partition_with_stats(&g, 4);
+        let (_, stats) = Fennel.partition_with_stats(&g, 4);
         assert_eq!(stats.vertices, 0);
-    }
-
-    #[test]
-    fn parallel_mode_is_deterministic_and_balanced() {
-        let g = generate::twitter_like().generate_scaled(0.02);
-        let k = 8;
-        // Buffer ≈ 6% of the stream, matching the deployed buffer/graph
-        // ratio (DEFAULT_BUFFER_SIZE vs benchmark-scale vertex counts); the
-        // quality envelope is only meaningful at realistic ratios.
-        let make = |threads| {
-            Fennel::new(FennelConfig {
-                parallel: crate::streaming::ParallelConfig {
-                    threads,
-                    buffer_size: 128,
-                },
-                ..Default::default()
-            })
-        };
-        let a = make(4).partition(&g, k);
-        let b = make(4).partition(&g, k);
-        assert_eq!(a, b, "parallel run must be deterministic");
-        a.validate(&g).unwrap();
-        let cap = (1.1 * g.num_vertices() as f64 / k as f64).ceil() as u64 + 1;
-        assert!(a.vertex_counts().iter().all(|&c| c <= cap));
-        // Quality envelope versus the sequential baseline.
-        let seq_cut = metrics::edge_cut_ratio(&g, &Fennel::default().partition(&g, k));
-        let par_cut = metrics::edge_cut_ratio(&g, &a);
-        assert!(
-            par_cut <= seq_cut * 1.05 + 0.01,
-            "parallel cut {par_cut} vs sequential {seq_cut}"
-        );
-    }
-
-    #[test]
-    fn parallel_stats_expose_buffer_telemetry() {
-        let g = generate::lj_like().generate_scaled(0.01);
-        let f = Fennel::new(FennelConfig {
-            parallel: crate::streaming::ParallelConfig {
-                threads: 2,
-                buffer_size: 256,
-            },
-            ..Default::default()
-        });
-        let (p, stats) = f.partition_with_stats(&g, 4);
-        p.validate(&g).unwrap();
-        assert_eq!(stats.vertices, g.num_vertices());
-        assert_eq!(stats.threads, 2);
-        assert_eq!(stats.buffers, g.num_vertices().div_ceil(256));
-        assert!(stats.sync_secs <= stats.secs);
-        assert!(stats.vertices_per_sec() > 0.0);
     }
 
     #[test]
     fn single_part_trivial() {
         let g = generate::ring(10);
-        let p = Fennel::default().partition(&g, 1);
+        let p = Fennel.partition(&g, 1);
         assert_eq!(p.vertex_counts(), &[10]);
         assert_eq!(metrics::edge_cut_ratio(&g, &p), 0.0);
     }
@@ -276,7 +135,7 @@ mod tests {
     #[test]
     fn k_larger_than_n() {
         let g = generate::ring(3);
-        let p = Fennel::default().partition(&g, 8);
+        let p = Fennel.partition(&g, 8);
         p.validate(&g).unwrap();
     }
 }

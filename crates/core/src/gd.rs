@@ -20,46 +20,21 @@ use crate::partition::{PartId, Partition};
 use crate::partitioner::Partitioner;
 use bpart_graph::{CsrGraph, VertexId};
 
-/// Tunables for [`GdPartitioner`].
-#[derive(Clone, Copy, Debug)]
-pub struct GdConfig {
-    /// Gradient iterations per bisection.
-    pub iterations: usize,
-    /// Gradient step size (scaled by 1/d̄ internally).
-    pub learning_rate: f64,
-    /// Alternating-projection rounds per step.
-    pub projection_rounds: usize,
-    /// Rounding sweep window around the vertex-median split, as a fraction
-    /// of the side size.
-    pub sweep_window: f64,
-    /// Seed for the initial relaxation.
-    pub seed: u64,
-}
-
-impl Default for GdConfig {
-    fn default() -> Self {
-        GdConfig {
-            iterations: 40,
-            learning_rate: 0.5,
-            projection_rounds: 3,
-            sweep_window: 0.05,
-            seed: 0x6D60,
-        }
-    }
-}
+/// Gradient iterations per bisection.
+const ITERATIONS: usize = 40;
+/// Gradient step size (scaled by 1/d̄ internally).
+const LEARNING_RATE: f64 = 0.5;
+/// Alternating-projection rounds per step.
+const PROJECTION_ROUNDS: usize = 3;
+/// Rounding sweep window around the vertex-median split, as a fraction of
+/// the side size.
+const SWEEP_WINDOW: f64 = 0.05;
+/// Seed for the initial relaxation.
+const SEED: u64 = 0x6D60;
 
 /// The GD recursive-bisection partitioner (power-of-two part counts only).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct GdPartitioner {
-    config: GdConfig,
-}
-
-impl GdPartitioner {
-    /// GD with explicit tunables.
-    pub fn new(config: GdConfig) -> Self {
-        GdPartitioner { config }
-    }
-}
+pub struct GdPartitioner;
 
 impl Partitioner for GdPartitioner {
     fn partition(&self, graph: &CsrGraph, num_parts: usize) -> Partition {
@@ -71,7 +46,7 @@ impl Partitioner for GdPartitioner {
         let n = graph.num_vertices();
         let mut assignment = vec![0 as PartId; n];
         let all: Vec<VertexId> = graph.vertices().collect();
-        bisect(graph, &self.config, &all, 0, num_parts, &mut assignment);
+        bisect(graph, &all, 0, num_parts, &mut assignment);
         Partition::from_assignment(graph, num_parts, assignment)
     }
 
@@ -83,7 +58,6 @@ impl Partitioner for GdPartitioner {
 /// Recursively bisects `side` into parts `[base, base + parts)`.
 fn bisect(
     graph: &CsrGraph,
-    cfg: &GdConfig,
     side: &[VertexId],
     base: PartId,
     parts: usize,
@@ -97,11 +71,10 @@ fn bisect(
         // the first part; the rest stay empty.
         return;
     }
-    let (left, right) = bisect_once(graph, cfg, side, base as u64);
-    bisect(graph, cfg, &left, base, parts / 2, assignment);
+    let (left, right) = bisect_once(graph, side, base as u64);
+    bisect(graph, &left, base, parts / 2, assignment);
     bisect(
         graph,
-        cfg,
         &right,
         base + (parts / 2) as PartId,
         parts / 2,
@@ -110,12 +83,7 @@ fn bisect(
 }
 
 /// One projected-gradient bisection of `side`.
-fn bisect_once(
-    graph: &CsrGraph,
-    cfg: &GdConfig,
-    side: &[VertexId],
-    salt: u64,
-) -> (Vec<VertexId>, Vec<VertexId>) {
+fn bisect_once(graph: &CsrGraph, side: &[VertexId], salt: u64) -> (Vec<VertexId>, Vec<VertexId>) {
     let n_all = graph.num_vertices();
     let m = side.len();
     // Local index over the side; MAX marks vertices outside it.
@@ -131,15 +99,15 @@ fn bisect_once(
     let mut x: Vec<f64> = side
         .iter()
         .map(|&v| {
-            let h = splitmix(cfg.seed ^ salt.wrapping_mul(0x9e37_79b9) ^ v as u64);
+            let h = splitmix(SEED ^ salt.wrapping_mul(0x9e37_79b9) ^ v as u64);
             (h >> 11) as f64 / (1u64 << 53) as f64 * 0.2 - 0.1
         })
         .collect();
-    project(&mut x, &degrees, deg_norm, cfg.projection_rounds);
+    project(&mut x, &degrees, deg_norm);
 
-    let lr = cfg.learning_rate / d_bar;
+    let lr = LEARNING_RATE / d_bar;
     let mut grad = vec![0.0f64; m];
-    for _ in 0..cfg.iterations {
+    for _ in 0..ITERATIONS {
         // Gradient of Σ x_u x_v over side-internal (undirected) edges.
         grad.iter_mut().for_each(|g| *g = 0.0);
         for (i, &u) in side.iter().enumerate() {
@@ -153,7 +121,7 @@ fn bisect_once(
         for (xi, gi) in x.iter_mut().zip(&grad) {
             *xi += lr * gi; // ascent on agreement
         }
-        project(&mut x, &degrees, deg_norm, cfg.projection_rounds);
+        project(&mut x, &degrees, deg_norm);
     }
 
     // Rounding: sort by relaxed value, then sweep a window around the
@@ -166,7 +134,7 @@ fn bisect_once(
     });
     let total_deg: f64 = degrees.iter().sum();
     let half = m / 2;
-    let window = ((m as f64 * cfg.sweep_window) as usize).max(1);
+    let window = ((m as f64 * SWEEP_WINDOW) as usize).max(1);
     let lo = half.saturating_sub(window);
     let hi = (half + window).min(m - 1).max(lo);
     let mut prefix = 0.0;
@@ -198,9 +166,9 @@ fn bisect_once(
 }
 
 /// Alternating projection onto `{Σx = 0} ∩ {Σ d·x = 0} ∩ [−1, 1]^n`.
-fn project(x: &mut [f64], degrees: &[f64], deg_norm: f64, rounds: usize) {
+fn project(x: &mut [f64], degrees: &[f64], deg_norm: f64) {
     let n = x.len() as f64;
-    for _ in 0..rounds {
+    for _ in 0..PROJECTION_ROUNDS {
         let mean: f64 = x.iter().sum::<f64>() / n;
         x.iter_mut().for_each(|v| *v -= mean);
         let dot: f64 = x.iter().zip(degrees).map(|(v, d)| v * d).sum();
@@ -231,7 +199,7 @@ mod tests {
     fn balances_both_dimensions_on_power_law_graphs() {
         let g = generate::twitter_like().generate_scaled(0.05);
         for k in [2usize, 4, 8] {
-            let p = GdPartitioner::default().partition(&g, k);
+            let p = GdPartitioner.partition(&g, k);
             p.validate(&g).unwrap();
             let q = metrics::quality(&g, &p);
             assert!(q.vertex_bias < 0.2, "k={k} vertex bias {}", q.vertex_bias);
@@ -242,7 +210,7 @@ mod tests {
     #[test]
     fn cut_beats_hash() {
         let g = generate::friendster_like().generate_scaled(0.02);
-        let gd_cut = metrics::edge_cut_ratio(&g, &GdPartitioner::default().partition(&g, 4));
+        let gd_cut = metrics::edge_cut_ratio(&g, &GdPartitioner.partition(&g, 4));
         let hash_cut = metrics::edge_cut_ratio(&g, &HashPartitioner::default().partition(&g, 4));
         assert!(gd_cut < hash_cut, "gd {gd_cut} vs hash {hash_cut}");
     }
@@ -250,8 +218,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = generate::lj_like().generate_scaled(0.01);
-        let a = GdPartitioner::default().partition(&g, 4);
-        let b = GdPartitioner::default().partition(&g, 4);
+        let a = GdPartitioner.partition(&g, 4);
+        let b = GdPartitioner.partition(&g, 4);
         assert_eq!(a, b);
     }
 
@@ -269,7 +237,7 @@ mod tests {
         }
         edges.push((0, 8));
         let g = CsrGraph::from_edges(16, &edges);
-        let p = GdPartitioner::default().partition(&g, 2);
+        let p = GdPartitioner.partition(&g, 2);
         let first = p.part_of(0);
         assert!((1..8).all(|v| p.part_of(v) == first), "clique 1 split");
         assert!(
@@ -283,7 +251,7 @@ mod tests {
     #[test]
     fn tiny_sides_terminate() {
         let g = generate::ring(3);
-        let p = GdPartitioner::default().partition(&g, 4);
+        let p = GdPartitioner.partition(&g, 4);
         p.validate(&g).unwrap();
     }
 
@@ -291,6 +259,6 @@ mod tests {
     #[should_panic(expected = "power-of-two")]
     fn non_power_of_two_panics() {
         let g = generate::ring(8);
-        GdPartitioner::default().partition(&g, 3);
+        GdPartitioner.partition(&g, 3);
     }
 }

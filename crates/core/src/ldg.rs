@@ -10,53 +10,27 @@
 
 use crate::partition::{PartId, Partition};
 use crate::partitioner::Partitioner;
-use crate::stream::StreamOrder;
 use bpart_graph::CsrGraph;
 
-/// Tunables for [`Ldg`].
-#[derive(Clone, Copy, Debug)]
-pub struct LdgConfig {
-    /// Per-part capacity as a multiple of `n/k` (default 1.1).
-    pub load_factor: f64,
-    /// Vertex visit order.
-    pub order: StreamOrder,
-}
+/// Per-part capacity `C` as a multiple of `n/k`.
+const LOAD_FACTOR: f64 = 1.1;
 
-impl Default for LdgConfig {
-    fn default() -> Self {
-        LdgConfig {
-            load_factor: 1.1,
-            order: StreamOrder::Natural,
-        }
-    }
-}
-
-/// The LDG streaming partitioner.
+/// The LDG streaming partitioner: natural order, `C = 1.1 · n/k`.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Ldg {
-    config: LdgConfig,
-}
-
-impl Ldg {
-    /// LDG with explicit tunables.
-    pub fn new(config: LdgConfig) -> Self {
-        Ldg { config }
-    }
-}
+pub struct Ldg;
 
 impl Partitioner for Ldg {
     fn partition(&self, graph: &CsrGraph, num_parts: usize) -> Partition {
         assert!(num_parts > 0, "need at least one part");
         let n = graph.num_vertices();
-        let capacity = (self.config.load_factor * n as f64 / num_parts as f64).max(1.0);
-        let order = self.config.order.order(graph);
+        let capacity = (LOAD_FACTOR * n as f64 / num_parts as f64).max(1.0);
 
         let mut assignment = vec![PartId::MAX; n];
         let mut sizes = vec![0u64; num_parts];
         let mut nbr_counts = vec![0u32; num_parts];
         let mut touched: Vec<PartId> = Vec::new();
 
-        for v in order {
+        for v in graph.vertices() {
             for &w in graph.out_neighbors(v).iter().chain(graph.in_neighbors(v)) {
                 let p = assignment[w as usize];
                 if p != PartId::MAX {
@@ -118,7 +92,7 @@ mod tests {
     fn balances_vertices_within_capacity() {
         let g = generate::twitter_like().generate_scaled(0.02);
         let k = 8;
-        let p = Ldg::default().partition(&g, k);
+        let p = Ldg.partition(&g, k);
         p.validate(&g).unwrap();
         let cap = (1.1_f64 * g.num_vertices() as f64 / k as f64).ceil() as u64 + 1;
         for &c in p.vertex_counts() {
@@ -130,7 +104,7 @@ mod tests {
     #[test]
     fn cuts_fewer_edges_than_hash() {
         let g = generate::twitter_like().generate_scaled(0.02);
-        let ldg = metrics::edge_cut_ratio(&g, &Ldg::default().partition(&g, 8));
+        let ldg = metrics::edge_cut_ratio(&g, &Ldg.partition(&g, 8));
         let hash = metrics::edge_cut_ratio(
             &g,
             &crate::hash::HashPartitioner::default().partition(&g, 8),
@@ -141,7 +115,7 @@ mod tests {
     #[test]
     fn leaves_edges_imbalanced_like_other_vertex_balancers() {
         let g = generate::twitter_like().generate_scaled(0.1);
-        let p = Ldg::default().partition(&g, 8);
+        let p = Ldg.partition(&g, 8);
         assert!(
             metrics::bias(p.edge_counts()) > 0.5,
             "edge bias {}",
@@ -152,13 +126,10 @@ mod tests {
     #[test]
     fn deterministic_and_covers_corners() {
         let g = generate::lj_like().generate_scaled(0.01);
-        assert_eq!(
-            Ldg::default().partition(&g, 4),
-            Ldg::default().partition(&g, 4)
-        );
+        assert_eq!(Ldg.partition(&g, 4), Ldg.partition(&g, 4));
         let tiny = generate::ring(3);
-        Ldg::default().partition(&tiny, 8).validate(&tiny).unwrap();
-        let p = Ldg::default().partition(&tiny, 1);
+        Ldg.partition(&tiny, 8).validate(&tiny).unwrap();
+        let p = Ldg.partition(&tiny, 1);
         assert_eq!(p.vertex_counts(), &[3]);
     }
 }

@@ -58,26 +58,26 @@ pub mod vcut;
 
 pub use bpart::{BPart, BPartConfig};
 pub use chunk::{ChunkE, ChunkV};
-pub use fennel::{Fennel, FennelConfig};
-pub use gd::{GdConfig, GdPartitioner};
+pub use fennel::Fennel;
+pub use gd::GdPartitioner;
 pub use hash::HashPartitioner;
-pub use ldg::{Ldg, LdgConfig};
+pub use ldg::Ldg;
 pub use partition::{PartId, Partition};
 pub use partitioner::Partitioner;
 pub use stream::StreamOrder;
 pub use streaming::pipeline::{
     ooc_cut_ratio, stream_assign_ooc, OocConfig, OocOutcome, OocScheme, PipelineStats, StageStats,
 };
-pub use streaming::{BufferRecord, ParallelConfig, StreamError, StreamStats, DEFAULT_BUFFER_SIZE};
+pub use streaming::{ParallelConfig, StreamError, StreamStats};
 
 /// Convenient glob import for examples and the harness.
 pub mod prelude {
     pub use crate::bpart::{BPart, BPartConfig};
     pub use crate::chunk::{ChunkE, ChunkV};
-    pub use crate::fennel::{Fennel, FennelConfig};
-    pub use crate::gd::{GdConfig, GdPartitioner};
+    pub use crate::fennel::Fennel;
+    pub use crate::gd::GdPartitioner;
     pub use crate::hash::HashPartitioner;
-    pub use crate::ldg::{Ldg, LdgConfig};
+    pub use crate::ldg::Ldg;
     pub use crate::metrics;
     pub use crate::partition::{PartId, Partition};
     pub use crate::partitioner::Partitioner;

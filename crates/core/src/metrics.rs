@@ -80,24 +80,6 @@ pub fn connectivity_matrix(graph: &CsrGraph, partition: &Partition) -> Vec<Vec<u
     matrix
 }
 
-/// Minimum number of (undirected-view) edge connections between any pair of
-/// distinct parts — the §3.3 connectivity guarantee. Returns `None` when
-/// `k < 2`.
-pub fn min_inter_part_connections(graph: &CsrGraph, partition: &Partition) -> Option<u64> {
-    let k = partition.num_parts();
-    if k < 2 {
-        return None;
-    }
-    let m = connectivity_matrix(graph, partition);
-    let mut min = u64::MAX;
-    for (i, row) in m.iter().enumerate() {
-        for (j, &forward) in row.iter().enumerate().skip(i + 1) {
-            min = min.min(forward + m[j][i]);
-        }
-    }
-    Some(min)
-}
-
 /// One-call quality summary for harness tables.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QualityReport {
@@ -173,14 +155,6 @@ mod tests {
         assert_eq!(m[0][1], 1); // 1->2
         assert_eq!(m[1][1], 1); // 2->3
         assert_eq!(m[1][0], 1); // 3->0
-        assert_eq!(min_inter_part_connections(&g, &p), Some(2));
-    }
-
-    #[test]
-    fn min_connections_undefined_for_single_part() {
-        let g = generate::ring(4);
-        let p = Partition::from_assignment(&g, 1, vec![0; 4]);
-        assert_eq!(min_inter_part_connections(&g, &p), None);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //!
 //! The vertex order is cut into buffers of `buffer_size`. For each buffer:
 //!
-//! 1. **Snapshot** — restreamed vertices are first removed from their old
-//!    parts; the part weights `W_i` are then frozen for the buffer.
+//! 1. **Snapshot** — the part weights `W_i` are frozen for the buffer.
 //! 2. **Score** — the buffer is split into `threads` contiguous chunks, one
 //!    scoped worker thread per chunk. Each worker streams its chunk
 //!    *sequentially* against the snapshot plus a private overlay of its own
@@ -67,7 +66,7 @@ pub(super) fn stream_assign_buffered(
         "part count {k} overflows the PartId sentinel space"
     );
 
-    let mut pass = begin_pass(graph, config, weight_delta);
+    let mut pass = begin_pass(graph, config);
     let shape = |v: VertexId| (graph.out_degree(v) as u64, weight_delta(v));
     // One reusable scratch per worker slot, shared across all buffers and
     // restream rounds of the pass — snapshot scoring allocates nothing per
@@ -87,16 +86,6 @@ pub(super) fn stream_assign_buffered(
         let mut buffer_span = bpart_obs::span("stream.buffer");
         let buffer_start = Instant::now();
         let mut sync_secs = 0.0;
-
-        // Restreaming: take the whole buffer out of its old parts before the
-        // snapshot, so workers never count a buffer vertex's stale placement.
-        for &v in buffer {
-            if pass.assignment[v as usize] != UNASSIGNED {
-                debug_assert!(config.previous.is_some(), "vertex {v} streamed twice");
-                let (out_deg, delta) = shape(v);
-                pass.unplace(v, out_deg, delta);
-            }
-        }
 
         let chunk_len = buffer.len().div_ceil(threads);
         let chunks: Vec<&[VertexId]> = buffer.chunks(chunk_len).collect();
@@ -267,7 +256,6 @@ mod tests {
                 .expect("non-empty graph"),
             capacity: 1.1 * graph.num_vertices() as f64 / k as f64,
             order,
-            previous: None,
             parallel,
         }
     }
@@ -333,23 +321,6 @@ mod tests {
         assert!(out.buffers.iter().all(|b| b.sync_secs <= b.secs));
         assert_eq!(out.stats.threads, 2);
         assert!(out.stats.secs > 0.0);
-    }
-
-    #[test]
-    fn parallel_restreaming_stays_valid() {
-        let g = generate::erdos_renyi(300, 2_400, 4);
-        let order: Vec<VertexId> = g.vertices().collect();
-        let shape = ParallelConfig {
-            threads: 3,
-            buffer_size: 50,
-        };
-        let first = stream_assign(&g, &config(&g, 4, &order, shape), |_| 1.0);
-        let mut again = config(&g, 4, &order, shape);
-        again.previous = Some(&first.assignment);
-        let second = stream_assign(&g, &again, |_| 1.0);
-        assert!(second.assignment.iter().all(|&p| p != UNASSIGNED));
-        assert_eq!(second.vertex_counts.iter().sum::<u64>(), 300);
-        assert_eq!(second.edge_counts.iter().sum::<u64>(), 2_400);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! weights and cached penalties ([`FlatParts`]), the dense assignment, the
 //! `|V_i|`/`|E_i|` tallies and the `k + 1` neighbour-tally slots — and
 //! [`Pass::place`] is the crate's only tally → [`FlatScorer::choose`] →
-//! commit → reset sequence; [`Pass::unplace`] is the only restream removal.
+//! commit → reset sequence; [`Pass::unplace`] is the only removal, which the
+//! buffered barrier's intra-buffer restream round makes.
 //! The resident pass, the shard loop and the buffered commit barrier are
 //! loops that hand it `(v, out_deg, delta, neighbours)`.
 
@@ -66,9 +67,10 @@ impl FlatParts {
         self.set(p, self.weights[p as usize] + delta, scorer);
     }
 
-    /// Removes a restreamed vertex's `delta`, clamped at zero: accumulated
-    /// rounding error must not leave a drained part slightly negative — a
-    /// negative weight would NaN-poison the balance penalty via `powf`.
+    /// Removes the `delta` of a vertex taken out of part `p`, clamped at
+    /// zero: accumulated rounding error must not leave a drained part
+    /// slightly negative — a negative weight would NaN-poison the balance
+    /// penalty via `powf`.
     #[inline]
     pub(super) fn remove(&mut self, p: PartId, delta: f64, scorer: &FlatScorer) {
         self.set(p, (self.weights[p as usize] - delta).max(0.0), scorer);
@@ -203,30 +205,6 @@ impl Pass {
         }
     }
 
-    /// Restreaming: a pass that starts from a `previous` assignment, every
-    /// placed vertex contributing `(out_deg, delta) = shape(v)` to its part.
-    pub(super) fn resume(
-        k: usize,
-        scorer: FlatScorer,
-        previous: &[PartId],
-        shape: impl Fn(VertexId) -> (u64, f64),
-    ) -> Self {
-        let mut pass = Pass::new(previous.len(), k, scorer);
-        let mut weights = vec![0f64; k];
-        for (v, &p) in previous.iter().enumerate() {
-            if p != UNASSIGNED {
-                assert!((p as usize) < k, "previous part id {p} out of range");
-                let (out_deg, delta) = shape(v as VertexId);
-                pass.vertex_counts[p as usize] += 1;
-                pass.edge_counts[p as usize] += out_deg;
-                weights[p as usize] += delta;
-            }
-        }
-        pass.assignment.copy_from_slice(previous);
-        pass.parts = FlatParts::new(weights, &scorer);
-        pass
-    }
-
     /// Places `v`: tallies its already-placed `neighbours` per part (in the
     /// order given — out- then in-neighbours everywhere), picks the winner,
     /// commits it and clears the tally slots. `v` must be unplaced.
@@ -271,7 +249,7 @@ impl Pass {
         self.parts.add(part, delta, &self.scorer);
     }
 
-    /// Restreaming: takes a placed `v` back out of its part.
+    /// Takes a placed `v` back out of its part (the buffered restream round).
     #[inline]
     pub(super) fn unplace(&mut self, v: VertexId, out_deg: u64, delta: f64) {
         let old = std::mem::replace(&mut self.assignment[v as usize], UNASSIGNED);
@@ -325,25 +303,5 @@ mod tests {
                 prop_assert!(parts.weights.iter().all(|&w| w >= 0.0));
             }
         }
-    }
-
-    #[test]
-    fn resume_tallies_the_previous_assignment() {
-        let scorer = FlatScorer::new(1.5, 0.5, 10.0);
-        let previous = [1, UNASSIGNED, 0, 1];
-        let mut pass = Pass::resume(2, scorer, &previous, |v| (v as u64, 1.0));
-        assert_eq!(pass.vertex_counts, [1, 2]);
-        assert_eq!(pass.edge_counts, [2, 3]);
-        assert_eq!(pass.parts.weights, [1.0, 2.0]);
-        assert_eq!(pass.parts.lightest, 0);
-        pass.unplace(2, 2, 1.0);
-        assert_eq!(pass.vertex_counts, [0, 2]);
-        assert_eq!(pass.edge_counts, [0, 3]);
-        // Vertex 1's neighbours 0 and 3 both sit in part 1: affinity wins
-        // over the lighter, empty part 0.
-        assert_eq!(pass.place(1, 5, 1.0, [0, 3, 2].into_iter()), 1);
-        assert_eq!(pass.assignment, [1, 1, UNASSIGNED, 1]);
-        assert_eq!(pass.edge_counts, [0, 8]);
-        assert!(pass.accepts(0) && pass.accepts(1));
     }
 }

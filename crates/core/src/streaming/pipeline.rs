@@ -36,15 +36,15 @@
 //! approximation target.
 
 use super::kernel::{FlatScorer, Pass};
-use super::{fennel_alpha, StreamStats};
+use super::{fennel_alpha, StreamStats, BPART_LOAD, FENNEL_LOAD, GAMMA};
 use crate::partition::PartId;
 use crate::pio::{PioError, ShardReader, ShardSet};
 use bpart_graph::VertexId;
 use std::time::Instant;
 
 /// Which scoring scheme the out-of-core pass runs. Both reuse the exact
-/// in-memory arithmetic; they differ only in balance weight and default
-/// load factor, mirroring [`Fennel`](crate::Fennel) (1.1, unit deltas) and
+/// in-memory arithmetic; they differ only in balance weight and load
+/// factor, mirroring [`Fennel`](crate::Fennel) (1.1, unit deltas) and
 /// [`BPart-P1`](crate::bpart::WeightedStream) (1.15, two-dimensional
 /// deltas).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -58,32 +58,19 @@ pub enum OocScheme {
     },
 }
 
-/// Tunables of one out-of-core pass.
+/// What one out-of-core pass computes: `num_parts` parts under `scheme`.
 #[derive(Clone, Copy, Debug)]
 pub struct OocConfig {
     /// Number of parts to open.
     pub num_parts: usize,
     /// Scoring scheme.
     pub scheme: OocScheme,
-    /// Fennel exponent γ (default 1.5).
-    pub gamma: f64,
-    /// Override for α; `None` computes the classic `m·k^(γ−1)/n^γ`.
-    pub alpha: Option<f64>,
-    /// Override for the per-part capacity multiple; `None` uses the
-    /// scheme's default (1.1 for Fennel, 1.15 for BPart-P1).
-    pub load_factor: Option<f64>,
 }
 
 impl OocConfig {
-    /// Defaults for `num_parts` parts under `scheme`.
+    /// A pass into `num_parts` parts under `scheme`.
     pub fn new(num_parts: usize, scheme: OocScheme) -> Self {
-        OocConfig {
-            num_parts,
-            scheme,
-            gamma: 1.5,
-            alpha: None,
-            load_factor: None,
-        }
+        OocConfig { num_parts, scheme }
     }
 }
 
@@ -168,16 +155,12 @@ pub fn stream_assign_ooc(shards: &ShardSet, config: &OocConfig) -> Result<OocOut
 
     // Scheme parameters — the exact expressions the in-memory partitioners
     // use, so the scores (and therefore the assignment) match bit for bit.
-    let (load_default, d_bar) = match config.scheme {
-        OocScheme::Fennel => (1.1, 1.0),
-        OocScheme::BPartP1 { .. } => (1.15, (m as f64 / n as f64).max(f64::MIN_POSITIVE)),
+    let (load, d_bar) = match config.scheme {
+        OocScheme::Fennel => (FENNEL_LOAD, 1.0),
+        OocScheme::BPartP1 { .. } => (BPART_LOAD, (m as f64 / n as f64).max(f64::MIN_POSITIVE)),
     };
-    let load = config.load_factor.unwrap_or(load_default);
-    let alpha = match config.alpha {
-        Some(a) => a,
-        None => fennel_alpha(n, m, k, config.gamma).expect("n > 0 checked above"),
-    };
-    let scorer = FlatScorer::new(config.gamma, alpha, load * n as f64 / k as f64);
+    let alpha = fennel_alpha(n, m, k, GAMMA).expect("n > 0 checked above");
+    let scorer = FlatScorer::new(GAMMA, alpha, load * n as f64 / k as f64);
     let delta_of = |out_deg: u32| -> f64 {
         match config.scheme {
             OocScheme::Fennel => 1.0,
@@ -343,7 +326,7 @@ mod tests {
     fn shard_size_never_changes_the_assignment() {
         let g = generate::erdos_renyi(600, 4_000, 21);
         let k = 5;
-        let oracle = Fennel::default().partition(&g, k);
+        let oracle = Fennel.partition(&g, k);
         for (name, bytes) in [("tiny", 1), ("small", 4 * 1024), ("one", u64::MAX)] {
             let dir = temp_shards(name, &g, bytes);
             let run = fennel_ooc(&dir, k).unwrap();

@@ -1,35 +1,30 @@
 //! Every driver of the placement kernel — the resident sequential pass,
-//! the shard loop, and the buffered barrier at `buffer_size = 1` — produces
-//! the same bytes: one assignment, one `|V_i|`, one `|E_i|`.
+//! the shard loop, and (for BPart's phase 1, the one scorer with a buffered
+//! mode) the buffered barrier at `buffer_size = 1` — produces the same
+//! bytes: one assignment, one `|V_i|`, one `|E_i|`.
 
 use bpart_core::bpart::WeightedStream;
 use bpart_core::pio::{write_shards, ShardSet};
 use bpart_core::{
-    stream_assign_ooc, BPartConfig, Fennel, FennelConfig, OocConfig, OocScheme, ParallelConfig,
-    Partitioner,
+    stream_assign_ooc, BPartConfig, Fennel, OocConfig, OocScheme, ParallelConfig, Partitioner,
 };
 use bpart_graph::generate;
 
 #[test]
 fn resident_shard_and_unit_buffer_drivers_agree_byte_for_byte() {
-    let unit_buffers = ParallelConfig {
-        threads: 3,
-        buffer_size: 1,
-    };
-    let fennel_buffered = Fennel::new(FennelConfig {
-        parallel: unit_buffers,
-        ..FennelConfig::default()
-    });
     let p1_buffered = WeightedStream::new(BPartConfig {
-        parallel: unit_buffers,
+        parallel: ParallelConfig {
+            threads: 3,
+            buffer_size: 1,
+        },
         ..BPartConfig::default()
     });
     let c = BPartConfig::default().c;
-    let schemes: [(&dyn Partitioner, &dyn Partitioner, OocScheme); 2] = [
-        (&Fennel::default(), &fennel_buffered, OocScheme::Fennel),
+    let schemes: [(&dyn Partitioner, Option<&dyn Partitioner>, OocScheme); 2] = [
+        (&Fennel, None, OocScheme::Fennel),
         (
             &WeightedStream::default(),
-            &p1_buffered,
+            Some(&p1_buffered),
             OocScheme::BPartP1 { c },
         ),
     ];
@@ -48,11 +43,13 @@ fn resident_shard_and_unit_buffer_drivers_agree_byte_for_byte() {
             for (resident, buffered, ooc_scheme) in schemes {
                 let what = format!("{} {} k={k}", preset().name, resident.name());
                 let resident = resident.partition(&g, k);
-                let buffered = buffered.partition(&g, k);
+                if let Some(buffered) = buffered {
+                    let buffered = buffered.partition(&g, k);
+                    assert_eq!(buffered.assignment(), resident.assignment(), "{what}");
+                    assert_eq!(buffered.vertex_counts(), resident.vertex_counts(), "{what}");
+                    assert_eq!(buffered.edge_counts(), resident.edge_counts(), "{what}");
+                }
                 let ooc = stream_assign_ooc(&shards, &OocConfig::new(k, ooc_scheme)).unwrap();
-                assert_eq!(buffered.assignment(), resident.assignment(), "{what}");
-                assert_eq!(buffered.vertex_counts(), resident.vertex_counts(), "{what}");
-                assert_eq!(buffered.edge_counts(), resident.edge_counts(), "{what}");
                 assert_eq!(ooc.assignment, resident.assignment(), "{what}");
                 assert_eq!(ooc.vertex_counts, resident.vertex_counts(), "{what}");
                 assert_eq!(ooc.edge_counts, resident.edge_counts(), "{what}");

@@ -58,7 +58,7 @@ use crate::transport::rpc_rtt_histogram;
 use crate::wire::{path_triples, PATH_TRIPLE_LEN};
 use crate::{digest_bytes, digest_paths, AppOutput, RecoveryStats, TimeUnit};
 use bpart_cluster::{Cluster, FaultPlan, FaultState, MachineId};
-use bpart_graph::VertexId;
+use bpart_graph::{CsrGraph, VertexId};
 use bpart_obs::{analysis, federation, tracer};
 use bpart_walker::{PathTable, WalkStarts};
 use std::io::{Read, Write};
@@ -402,8 +402,11 @@ pub fn run_process(spec: &JobSpec, cfg: &ProcessConfig) -> Result<AppOutput, Clu
     // A scheme nobody knows is the caller's mistake: say so before a
     // process is spawned for it.
     spec.scheme()?;
+    // So is a graph the job does not fit (more parts than vertices, a walk
+    // whose paths cannot be held).
+    let graph = spec.load_graph()?;
     let mut driver = Driver::start(spec.clone(), cfg.clone())?;
-    let mut out = driver.run();
+    let mut out = driver.run(graph);
     // Each worker's last report — what it held — comes with its goodbye.
     driver.shutdown();
     if let Ok(out) = &mut out {
@@ -425,7 +428,7 @@ fn worker_peaks(workers: usize) -> Vec<u64> {
 
 impl Driver {
     /// Binds, spawns the workers, takes their joins and hands each its
-    /// `Job`. Nothing is loaded here: `run` loads and partitions while the
+    /// `Job`. Nothing is partitioned here: `run` partitions while the
     /// worker processes finish starting up.
     fn start(spec: JobSpec, cfg: ProcessConfig) -> Result<Driver, ClusterError> {
         let listener = TcpListener::bind("127.0.0.1:0")
@@ -875,14 +878,13 @@ impl Driver {
         }
     }
 
-    fn run(&mut self) -> Result<AppOutput, ClusterError> {
+    fn run(&mut self, graph: CsrGraph) -> Result<AppOutput, ClusterError> {
         let k = self.cfg.workers;
         let is_walk = self.spec.app.is_walk();
 
         // The workers have had their `Job` since `start` and wait for
-        // their slices; this is the one graph load and the one partitioner
-        // run of the whole job.
-        let cluster = self.spec.build_cluster()?;
+        // their slices; this is the one partitioner run of the whole job.
+        let cluster = self.spec.cluster_on(graph)?;
         for m in 0..k {
             self.send_placement(m, &cluster)?;
         }

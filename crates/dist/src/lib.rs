@@ -18,7 +18,7 @@
 //! * [`proto`] — typed driver/worker messages over frames;
 //! * [`spec`] — the job description: a graph source every process can
 //!   materialize, and the scheme the driver (alone) partitions by;
-//! * [`transport`] — deadlines, backoff, the interval pumps;
+//! * [`transport`] — frame reads and writes, backoff, the interval pumps;
 //! * [`step`] — the engines' own per-machine kernels behind a
 //!   [`step::Worker`] that speaks rows and snapshots as bytes;
 //! * [`worker`] / [`driver`] — the two process roles.
@@ -52,8 +52,6 @@ pub struct ThreadsConfig {
     pub mode: ExecMode,
     /// Simulated fault plan (crashes, link faults).
     pub faults: FaultPlan,
-    /// Checkpoint interval override; defaults to the job spec's.
-    pub checkpoint_every: Option<u32>,
 }
 
 /// Where a job runs: simulated machines in this process, or real
@@ -190,11 +188,7 @@ fn run_threads(spec: &JobSpec, cfg: &ThreadsConfig) -> Result<AppOutput, Cluster
     use bpart_walker::apps::{DeepWalk, SimpleRandomWalk};
     let cluster = spec.build_cluster()?;
     publish_parts(cluster.vertex_counts(), cluster.edge_counts());
-    let every = cfg
-        .checkpoint_every
-        .or(spec.checkpoint_every)
-        .filter(|&e| e > 0)
-        .map(|e| e as usize);
+    let every = spec.checkpoint_every.filter(|&e| e > 0).map(|e| e as usize);
     match spec.app {
         AppSpec::PageRank { iters } => run_threads_iter(cluster, cfg, every, &PageRank::new(iters)),
         AppSpec::ConnectedComponents => run_threads_iter(cluster, cfg, every, &ConnectedComponents),

@@ -28,6 +28,7 @@ use bpart_engine::apps::{ConnectedComponents, PageRank};
 use bpart_engine::VertexProgram;
 use bpart_graph::{generate, io, CsrGraph};
 use bpart_multilevel::Multilevel;
+use bpart_walker::{PathTable, WalkStarts};
 use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
@@ -36,51 +37,45 @@ use std::sync::Arc;
 pub struct Scheme {
     /// The `--scheme` name.
     pub name: &'static str,
-    /// Builds the partitioner. Only the streaming schemes read the
-    /// worker-pool shape; a job always passes the default (sequential).
-    pub build: fn(ParallelConfig) -> Box<dyn Partitioner>,
+    /// Builds the partitioner.
+    pub build: fn() -> Box<dyn Partitioner>,
     /// The shard loop's scorer, for the schemes that can run out of core.
     pub out_of_core: Option<OocScheme>,
 }
 
 /// Every partitioning scheme there is, by name.
 pub const SCHEMES: [Scheme; 9] = [
-    Scheme::row("chunk-v", |_| Box::new(ChunkV), None),
-    Scheme::row("chunk-e", |_| Box::new(ChunkE), None),
-    Scheme::row("hash", |_| Box::new(HashPartitioner::default()), None),
-    Scheme::row(
-        "fennel",
-        |parallel| {
-            Box::new(Fennel::new(FennelConfig {
-                parallel,
-                ..Default::default()
-            }))
-        },
-        Some(OocScheme::Fennel),
-    ),
-    Scheme::row("ldg", |_| Box::new(Ldg::default()), None),
-    Scheme::row("bpart", |parallel| Box::new(bpart(parallel)), None),
+    Scheme::row("chunk-v", || Box::new(ChunkV), None),
+    Scheme::row("chunk-e", || Box::new(ChunkE), None),
+    Scheme::row("hash", || Box::new(HashPartitioner::default()), None),
+    Scheme::row("fennel", || Box::new(Fennel), Some(OocScheme::Fennel)),
+    Scheme::row("ldg", || Box::new(Ldg), None),
+    Scheme::row("bpart", || Box::new(bpart()), None),
     Scheme::row(
         "bpart-p1",
-        |parallel| {
-            Box::new(bpart_core::bpart::WeightedStream::new(BPartConfig {
-                parallel,
-                ..Default::default()
-            }))
-        },
+        || Box::new(bpart_core::bpart::WeightedStream::default()),
         Some(OocScheme::BPartP1 { c: 0.5 }),
     ),
-    Scheme::row("multilevel", |_| Box::new(Multilevel::default()), None),
-    Scheme::row("gd", |_| Box::new(GdPartitioner::default()), None),
+    Scheme::row("multilevel", || Box::new(Multilevel), None),
+    Scheme::row("gd", || Box::new(GdPartitioner), None),
 ];
 
 /// The `bpart` row's partitioner as its own type, for the caller that wants
 /// its layer trace.
-pub fn bpart(parallel: ParallelConfig) -> BPart {
-    BPart::new(BPartConfig {
-        parallel,
-        ..Default::default()
-    })
+pub fn bpart() -> BPart {
+    BPart::default()
+}
+
+/// Refuses more parts than the graph has vertices (an empty graph still
+/// takes one): past that every part only adds empty tallies, and BPart's
+/// first layer alone streams `2·parts` pieces.
+pub fn check_parts(parts: usize, num_vertices: usize) -> Result<(), ClusterError> {
+    if parts > num_vertices.max(1) {
+        return Err(ClusterError::unrecoverable(format!(
+            "--parts {parts} is more than the graph's {num_vertices} vertices"
+        )));
+    }
+    Ok(())
 }
 
 /// Comma-separated names of the schemes `keep` accepts.
@@ -92,7 +87,7 @@ fn scheme_names(keep: impl Fn(&Scheme) -> bool) -> String {
 impl Scheme {
     const fn row(
         name: &'static str,
-        build: fn(ParallelConfig) -> Box<dyn Partitioner>,
+        build: fn() -> Box<dyn Partitioner>,
         out_of_core: Option<OocScheme>,
     ) -> Scheme {
         Scheme {
@@ -325,19 +320,50 @@ impl JobSpec {
     /// Resolves the partitioning scheme — the driver's call (and the
     /// threads backend's); workers are handed its result.
     pub fn scheme(&self) -> Result<Box<dyn Partitioner>, ClusterError> {
-        Ok((Scheme::by_name(&self.scheme)?.build)(
-            ParallelConfig::default(),
-        ))
+        Ok((Scheme::by_name(&self.scheme)?.build)())
+    }
+
+    /// Loads the graph and checks that the job fits it: at most one part
+    /// per vertex and, for a walk, a path table that can be allocated. The
+    /// process driver calls it before it spawns a worker.
+    pub fn load_graph(&self) -> Result<CsrGraph, ClusterError> {
+        let graph = self.graph.load()?;
+        let n = graph.num_vertices();
+        check_parts(self.parts as usize, n)?;
+        if let AppSpec::DeepWalk {
+            walk_len,
+            per_vertex,
+            ..
+        }
+        | AppSpec::SimpleWalk {
+            walk_len,
+            per_vertex,
+            ..
+        } = self.app
+        {
+            let walks = WalkStarts::PerVertex(per_vertex).count(n);
+            PathTable::check_size(walks, walk_len).map_err(|bytes| {
+                ClusterError::unrecoverable(format!(
+                    "--walk-len {walk_len}: the paths of {walks} walks take {bytes} bytes, \
+                     more than can be allocated"
+                ))
+            })?;
+        }
+        Ok(graph)
+    }
+
+    /// Partitions `graph` by the spec's scheme into its parts.
+    pub fn cluster_on(&self, graph: CsrGraph) -> Result<Cluster, ClusterError> {
+        let partition = self.scheme()?.partition(&graph, self.parts as usize);
+        Ok(Cluster::new(Arc::new(graph), Arc::new(partition)))
     }
 
     /// Builds the full cluster (graph + partition) this spec describes:
     /// one graph load and one partitioner run.
     pub fn build_cluster(&self) -> Result<Cluster, ClusterError> {
         // The name is checked before the graph is read for it.
-        let scheme = self.scheme()?;
-        let graph = Arc::new(self.graph.load()?);
-        let partition = Arc::new(scheme.partition(&graph, self.parts as usize));
-        Ok(Cluster::new(graph, partition))
+        self.scheme()?;
+        self.cluster_on(self.load_graph()?)
     }
 }
 

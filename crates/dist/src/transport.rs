@@ -1,4 +1,4 @@
-//! Socket plumbing: deadline reads, atomic frame writes, bounded
+//! Socket plumbing: blocking reads, atomic frame writes, bounded
 //! exponential backoff with deterministic jitter, and the worker-side
 //! interval threads (heartbeat, obs flush).
 
@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Frame-size distribution (bytes on the wire, header included),
 /// observed on every [`SharedWriter::send`] in both driver and worker
@@ -112,31 +112,6 @@ pub fn connect_with_backoff(
             last_err.map(|e| e.to_string()).unwrap_or_default()
         ),
     })
-}
-
-/// Reads one frame with an absolute deadline. The socket read timeout is
-/// re-armed from the time remaining before every blocking read, so a
-/// peer dribbling bytes cannot stretch the deadline.
-pub fn read_frame_deadline(
-    stream: &mut TcpStream,
-    deadline: Instant,
-    what: &str,
-) -> Result<Frame, ClusterError> {
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() {
-        return Err(ClusterError::Timeout {
-            what: what.to_string(),
-        });
-    }
-    stream
-        .set_read_timeout(Some(remaining))
-        .map_err(|e| ClusterError::from_io(what, &e))?;
-    match frame::read_frame(stream) {
-        Err(ClusterError::Timeout { .. }) => Err(ClusterError::Timeout {
-            what: what.to_string(),
-        }),
-        other => other,
-    }
 }
 
 /// Reads one frame with no deadline (blocks until the peer sends or
@@ -256,6 +231,7 @@ pub fn heartbeat_pump(writer: SharedWriter, epoch: Arc<AtomicU32>, interval: Dur
 pub(crate) mod tests {
     use super::*;
     use std::net::TcpListener;
+    use std::time::Instant;
 
     #[test]
     fn backoff_grows_is_capped_and_jittered() {
@@ -367,22 +343,5 @@ pub(crate) mod tests {
         drop(pump);
         // Ten seconds to the first beat: only the stop signal can end it.
         assert_stops_at_once(heartbeat_pump(writer, epoch, Duration::from_secs(10)));
-    }
-
-    #[test]
-    fn deadline_read_times_out_against_a_silent_peer() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let _peer = thread::spawn(move || listener.accept().map(|(s, _)| s));
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let started = Instant::now();
-        let err = read_frame_deadline(
-            &mut stream,
-            Instant::now() + Duration::from_millis(80),
-            "test frame",
-        )
-        .unwrap_err();
-        assert!(matches!(err, ClusterError::Timeout { .. }), "{err}");
-        assert!(started.elapsed() < Duration::from_secs(5));
     }
 }

@@ -91,11 +91,8 @@ mod tests {
     #[test]
     fn partition_invariance() {
         let graph = Arc::new(generate::lj_like().generate_scaled(0.01));
-        let a = IterationEngine::default_for(
-            graph.clone(),
-            Arc::new(Fennel::default().partition(&graph, 4)),
-        )
-        .run(&ConnectedComponents);
+        let a = IterationEngine::default_for(graph.clone(), Arc::new(Fennel.partition(&graph, 4)))
+            .run(&ConnectedComponents);
         let b = IterationEngine::default_for(
             graph.clone(),
             Arc::new(HashPartitioner::default().partition(&graph, 4)),

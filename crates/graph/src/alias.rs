@@ -87,16 +87,6 @@ impl AliasTable {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         sample_slices(&self.prob, &self.alias, rng)
     }
-
-    /// The keep-probability column (scaled to [0, 1]).
-    pub fn probs(&self) -> &[f64] {
-        &self.prob
-    }
-
-    /// The alias column.
-    pub fn aliases(&self) -> &[u32] {
-        &self.alias
-    }
 }
 
 /// Draws one outcome from a decomposed alias table (`prob`/`alias` columns).

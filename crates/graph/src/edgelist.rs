@@ -1,9 +1,7 @@
 //! Mutable edge-list staging container.
 //!
-//! Generators and file readers accumulate edges here before freezing them
-//! into a [`CsrGraph`]. The container knows how to
-//! deduplicate, drop self-loops and symmetrize — the normalization steps
-//! real-world edge lists need before partitioning.
+//! The text reader accumulates edges here before freezing them into a
+//! [`CsrGraph`], growing the vertex universe to the largest id it meets.
 
 use crate::{CsrGraph, Edge, VertexId};
 
@@ -20,14 +18,6 @@ impl EdgeList {
         EdgeList {
             num_vertices,
             edges: Vec::new(),
-        }
-    }
-
-    /// Creates an edge list with pre-reserved capacity for `cap` edges.
-    pub fn with_capacity(num_vertices: usize, cap: usize) -> Self {
-        EdgeList {
-            num_vertices,
-            edges: Vec::with_capacity(cap),
         }
     }
 
@@ -59,30 +49,6 @@ impl EdgeList {
     /// The staged edges.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
-    }
-
-    /// Removes self-loops (`u == u`) in place; returns how many were removed.
-    pub fn remove_self_loops(&mut self) -> usize {
-        let before = self.edges.len();
-        self.edges.retain(|&(u, v)| u != v);
-        before - self.edges.len()
-    }
-
-    /// Sorts and removes duplicate directed edges in place; returns how many
-    /// duplicates were removed.
-    pub fn dedup(&mut self) -> usize {
-        let before = self.edges.len();
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        before - self.edges.len()
-    }
-
-    /// Adds the reverse of every edge, then deduplicates, producing a
-    /// symmetric (undirected-as-bidirected) edge set.
-    pub fn symmetrize(&mut self) {
-        let reversed: Vec<Edge> = self.edges.iter().map(|&(u, v)| (v, u)).collect();
-        self.edges.extend(reversed);
-        self.dedup();
     }
 
     /// Freezes the staged edges into a [`CsrGraph`].
@@ -123,27 +89,6 @@ mod tests {
         let mut el = EdgeList::new(100);
         el.push(0, 1);
         assert_eq!(el.num_vertices(), 100);
-    }
-
-    #[test]
-    fn remove_self_loops() {
-        let mut el: EdgeList = [(0, 0), (0, 1), (1, 1)].into_iter().collect();
-        assert_eq!(el.remove_self_loops(), 2);
-        assert_eq!(el.edges(), &[(0, 1)]);
-    }
-
-    #[test]
-    fn dedup_removes_repeats() {
-        let mut el: EdgeList = [(1, 0), (0, 1), (1, 0)].into_iter().collect();
-        assert_eq!(el.dedup(), 1);
-        assert_eq!(el.edges(), &[(0, 1), (1, 0)]);
-    }
-
-    #[test]
-    fn symmetrize_adds_reverse_edges_once() {
-        let mut el: EdgeList = [(0, 1), (1, 0), (1, 2)].into_iter().collect();
-        el.symmetrize();
-        assert_eq!(el.edges(), &[(0, 1), (1, 0), (1, 2), (2, 1)]);
     }
 
     #[test]

@@ -54,49 +54,17 @@ pub fn connected_components(graph: &CsrGraph) -> Vec<VertexId> {
     label
 }
 
-/// Number of weakly connected components.
-pub fn num_components(graph: &CsrGraph) -> usize {
-    let labels = connected_components(graph);
-    let mut distinct = labels;
-    distinct.sort_unstable();
-    distinct.dedup();
-    distinct.len()
-}
-
-/// True when the graph is weakly connected (or empty).
-pub fn is_connected(graph: &CsrGraph) -> bool {
-    graph.num_vertices() == 0 || num_components(graph) == 1
-}
-
-/// Extracts the subgraph induced by `vertices` with ids *relabelled* densely
-/// in the order given. Returns the subgraph and the old-id vector
-/// (new id -> old id).
-pub fn induced_subgraph(graph: &CsrGraph, vertices: &[VertexId]) -> (CsrGraph, Vec<VertexId>) {
-    let n = graph.num_vertices();
-    let mut new_id = vec![VertexId::MAX; n];
-    for (i, &v) in vertices.iter().enumerate() {
-        assert!((v as usize) < n, "vertex {v} out of range");
-        assert!(new_id[v as usize] == VertexId::MAX, "duplicate vertex {v}");
-        new_id[v as usize] = i as VertexId;
-    }
-    let mut edges = Vec::new();
-    for &u in vertices {
-        for &v in graph.out_neighbors(u) {
-            if new_id[v as usize] != VertexId::MAX {
-                edges.push((new_id[u as usize], new_id[v as usize]));
-            }
-        }
-    }
-    (
-        CsrGraph::from_edges(vertices.len(), &edges),
-        vertices.to_vec(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate;
+
+    fn num_components(graph: &CsrGraph) -> usize {
+        let mut distinct = connected_components(graph);
+        distinct.sort_unstable();
+        distinct.dedup();
+        distinct.len()
+    }
 
     #[test]
     fn bfs_on_a_path() {
@@ -120,37 +88,19 @@ mod tests {
         let labels = connected_components(&g);
         assert_eq!(labels, vec![0, 0, 0, 3, 3, 3]);
         assert_eq!(num_components(&g), 2);
-        assert!(!is_connected(&g));
     }
 
     #[test]
     fn weak_connectivity_ignores_direction() {
         // 0 -> 1 <- 2: weakly connected even though not strongly.
         let g = CsrGraph::from_edges(3, &[(0, 1), (2, 1)]);
-        assert!(is_connected(&g));
+        assert_eq!(num_components(&g), 1);
     }
 
     #[test]
     fn isolated_vertices_are_their_own_components() {
         let g = CsrGraph::from_edges(4, &[(0, 1)]);
         assert_eq!(num_components(&g), 3);
-    }
-
-    #[test]
-    fn induced_subgraph_relabels() {
-        let g = generate::complete(4);
-        let (sub, old) = induced_subgraph(&g, &[3, 1]);
-        assert_eq!(sub.num_vertices(), 2);
-        assert_eq!(sub.num_edges(), 2); // 3<->1 both directions
-        assert_eq!(old, vec![3, 1]);
-        assert_eq!(sub.out_neighbors(0), &[1]);
-    }
-
-    #[test]
-    fn induced_subgraph_drops_external_edges() {
-        let g = generate::path(4); // 0->1->2->3
-        let (sub, _) = induced_subgraph(&g, &[0, 2]);
-        assert_eq!(sub.num_edges(), 0);
     }
 
     #[test]

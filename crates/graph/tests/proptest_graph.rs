@@ -2,7 +2,7 @@
 //! invariants, IO round-trips, and generator contracts hold for arbitrary
 //! inputs.
 
-use bpart_graph::{generate, io, CsrGraph, Edge, EdgeList, VertexId};
+use bpart_graph::{generate, io, CsrGraph, Edge, VertexId};
 use proptest::prelude::*;
 
 /// Strategy: a small arbitrary edge set over up to 64 vertices.
@@ -109,17 +109,6 @@ proptest! {
         buf[byte] ^= 1 << bit;
         prop_assert!(io::read_binary_bytes(&buf).is_err());
         prop_assert!(io::read_binary(buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn symmetrize_makes_every_edge_bidirectional(edges in arb_edges()) {
-        let mut el: EdgeList = edges.into_iter().collect();
-        el.remove_self_loops();
-        el.symmetrize();
-        let g = el.into_csr();
-        for (u, v) in g.edges() {
-            prop_assert!(g.is_out_neighbor(v, u), "missing reverse of ({u}, {v})");
-        }
     }
 
     #[test]

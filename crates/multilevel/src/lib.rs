@@ -29,62 +29,35 @@ use bpart_core::{PartId, Partition, Partitioner};
 use bpart_graph::CsrGraph;
 use wgraph::WeightedGraph;
 
-/// Tunables for [`Multilevel`].
-#[derive(Clone, Copy, Debug)]
-pub struct MultilevelConfig {
-    /// Stop coarsening when the graph has at most `coarse_factor * k`
-    /// vertices (floored at 64).
-    pub coarse_factor: usize,
-    /// Label-propagation rounds per coarsening level.
-    pub lp_rounds: usize,
-    /// Allowed vertex imbalance: every part's vertex weight stays below
-    /// `(1 + imbalance) * n / k`.
-    pub imbalance: f64,
-    /// FM refinement passes per uncoarsening level.
-    pub refine_passes: usize,
-    /// Seed for tie-breaking in label propagation.
-    pub seed: u64,
-}
-
-impl Default for MultilevelConfig {
-    fn default() -> Self {
-        MultilevelConfig {
-            coarse_factor: 30,
-            // One LP round per level keeps dense (hub) communities coherent
-            // through contraction; more rounds smear them across clusters
-            // and accidentally balance edge counts, hiding the §4.2
-            // behaviour this baseline exists to show.
-            lp_rounds: 1,
-            imbalance: 0.03,
-            refine_passes: 3,
-            seed: 0x4d4c_5056,
-        }
-    }
-}
+/// Stop coarsening when the graph has at most `COARSE_FACTOR * k`
+/// vertices (floored at 64).
+const COARSE_FACTOR: usize = 30;
+/// Label-propagation rounds per coarsening level. One round keeps dense
+/// (hub) communities coherent through contraction; more rounds smear them
+/// across clusters and accidentally balance edge counts, hiding the §4.2
+/// behaviour this baseline exists to show.
+const LP_ROUNDS: usize = 1;
+/// Allowed vertex imbalance: every part's vertex weight stays below
+/// `(1 + IMBALANCE) * n / k` (Mt-KaHIP's 3 %).
+const IMBALANCE: f64 = 0.03;
+/// FM refinement passes per uncoarsening level.
+const REFINE_PASSES: usize = 3;
+/// Seed for tie-breaking in label propagation.
+const SEED: u64 = 0x4d4c_5056;
 
 /// The multilevel partitioner.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Multilevel {
-    config: MultilevelConfig,
-}
-
-impl Multilevel {
-    /// Multilevel partitioner with explicit tunables.
-    pub fn new(config: MultilevelConfig) -> Self {
-        Multilevel { config }
-    }
-}
+pub struct Multilevel;
 
 impl Partitioner for Multilevel {
     fn partition(&self, graph: &CsrGraph, num_parts: usize) -> Partition {
         assert!(num_parts > 0, "need at least one part");
-        let cfg = &self.config;
         let base = WeightedGraph::from_csr(graph);
         let n0 = base.total_vertex_weight();
-        let max_part_weight = ((1.0 + cfg.imbalance) * n0 as f64 / num_parts as f64).ceil() as u64;
+        let max_part_weight = ((1.0 + IMBALANCE) * n0 as f64 / num_parts as f64).ceil() as u64;
 
         // Coarsening: remember each level's graph and the projection map.
-        let coarse_limit = (cfg.coarse_factor * num_parts).max(64);
+        let coarse_limit = (COARSE_FACTOR * num_parts).max(64);
         let mut levels: Vec<(WeightedGraph, Vec<u32>)> = Vec::new();
         let mut current = base;
         let coarsen_rounds = bpart_obs::metrics::counter("multilevel.coarsen_rounds");
@@ -94,11 +67,11 @@ impl Partitioner for Multilevel {
             level_span.attr("vertices", current.num_vertices());
             let clusters = coarsen::label_propagation(
                 &current,
-                cfg.lp_rounds,
+                LP_ROUNDS,
                 // Cluster caps keep every coarse vertex placeable under the
                 // part weight bound.
                 (max_part_weight / 2).max(1),
-                cfg.seed ^ levels.len() as u64,
+                SEED ^ levels.len() as u64,
             );
             let (coarser, map) = current.contract(&clusters);
             coarsen_rounds.inc();
@@ -116,7 +89,7 @@ impl Partitioner for Multilevel {
             &mut labels,
             num_parts,
             max_part_weight,
-            cfg.refine_passes,
+            REFINE_PASSES,
         );
 
         // Uncoarsen with per-level refinement.
@@ -135,9 +108,9 @@ impl Partitioner for Multilevel {
                 &mut labels,
                 num_parts,
                 max_part_weight,
-                cfg.refine_passes,
+                REFINE_PASSES,
             );
-            refine_rounds.add(cfg.refine_passes as u64);
+            refine_rounds.add(REFINE_PASSES as u64);
             current = finer;
         }
         let _ = current;
@@ -159,7 +132,7 @@ mod tests {
     #[test]
     fn valid_partition_on_power_law_graph() {
         let g = generate::twitter_like().generate_scaled(0.02);
-        let p = Multilevel::default().partition(&g, 8);
+        let p = Multilevel.partition(&g, 8);
         p.validate(&g).unwrap();
     }
 
@@ -167,7 +140,7 @@ mod tests {
     fn vertices_tightly_balanced_edges_not() {
         // The defining behaviour §4.2 reports for Mt-KaHIP.
         let g = generate::twitter_like().generate_scaled(0.05);
-        let p = Multilevel::default().partition(&g, 8);
+        let p = Multilevel.partition(&g, 8);
         let v_bias = metrics::bias(p.vertex_counts());
         let e_bias = metrics::bias(p.edge_counts());
         assert!(v_bias < 0.05, "vertex bias {v_bias}");
@@ -183,7 +156,7 @@ mod tests {
     #[test]
     fn cut_beats_hash() {
         let g = generate::lj_like().generate_scaled(0.03);
-        let p = Multilevel::default().partition(&g, 4);
+        let p = Multilevel.partition(&g, 4);
         let cut = metrics::edge_cut_ratio(&g, &p);
         let hash_cut =
             metrics::edge_cut_ratio(&g, &bpart_core::HashPartitioner::default().partition(&g, 4));
@@ -193,15 +166,15 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = generate::lj_like().generate_scaled(0.01);
-        let a = Multilevel::default().partition(&g, 4);
-        let b = Multilevel::default().partition(&g, 4);
+        let a = Multilevel.partition(&g, 4);
+        let b = Multilevel.partition(&g, 4);
         assert_eq!(a, b);
     }
 
     #[test]
     fn tiny_graph_smaller_than_coarse_limit() {
         let g = generate::ring(20);
-        let p = Multilevel::default().partition(&g, 4);
+        let p = Multilevel.partition(&g, 4);
         p.validate(&g).unwrap();
         assert!(metrics::bias(p.vertex_counts()) < 0.5);
     }
@@ -209,7 +182,7 @@ mod tests {
     #[test]
     fn single_part() {
         let g = generate::ring(10);
-        let p = Multilevel::default().partition(&g, 1);
+        let p = Multilevel.partition(&g, 1);
         assert_eq!(p.vertex_counts(), &[10]);
     }
 }

@@ -21,12 +21,6 @@ pub use simple::SimpleRandomWalk;
 
 use crate::walker::WalkApp;
 
-/// The paper's seven-application suite labels (five walks + two iteration
-/// apps run by `bpart-engine`). Helper for harness tables.
-pub fn walk_app_names() -> Vec<&'static str> {
-    vec!["PPR", "RWJ", "RWD", "DeepWalk", "node2vec"]
-}
-
 /// Builds the paper's five walk applications with its stated parameters:
 /// PPR stop probability 0.1, RWJ jump probability 0.2, fixed-step walks
 /// for the rest.
@@ -48,7 +42,7 @@ mod tests {
     fn suite_matches_names() {
         let suite = paper_suite(4);
         let names: Vec<_> = suite.iter().map(|a| a.name()).collect();
-        assert_eq!(names, walk_app_names());
+        assert_eq!(names, ["PPR", "RWJ", "RWD", "DeepWalk", "node2vec"]);
         assert!(suite.iter().all(|a| a.walk_length() == 4));
     }
 }

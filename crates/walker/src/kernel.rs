@@ -128,6 +128,22 @@ pub struct PathTable {
 const UNSET: VertexId = VertexId::MAX;
 
 impl PathTable {
+    /// Whether the table of `num_walkers` walks of at most `walk_len` steps
+    /// can be allocated, checked by reserving (and freeing) its hop slots;
+    /// `Err` holds the bytes it would take. A front end asks before it
+    /// starts a run whose table [`new`](Self::new) would abort the process.
+    pub fn check_size(num_walkers: u64, walk_len: u32) -> Result<(), u128> {
+        let slots = num_walkers as u128 * (walk_len as u128 + 1);
+        let reserved = usize::try_from(slots)
+            .ok()
+            .is_some_and(|s| Vec::<VertexId>::new().try_reserve_exact(s).is_ok());
+        if reserved {
+            Ok(())
+        } else {
+            Err(slots * std::mem::size_of::<VertexId>() as u128)
+        }
+    }
+
     /// An empty table for `num_walkers` walks of at most `walk_len` steps.
     pub fn new(num_walkers: usize, walk_len: u32) -> Self {
         let stride = walk_len as usize + 1;
@@ -686,5 +702,14 @@ mod tests {
         );
         assert_ne!(table, table_of([(1, 0, 9), (1, 1, 8)], 3, 1).unwrap());
         assert!(PathTable::default().is_empty());
+    }
+
+    #[test]
+    fn a_table_too_large_to_allocate_is_refused_with_its_bytes() {
+        assert_eq!(PathTable::check_size(3, 4), Ok(()));
+        let bytes = 750u128 * (1 << 32) * 4;
+        assert_eq!(PathTable::check_size(750, u32::MAX), Err(bytes));
+        let bytes = u64::MAX as u128 * (1 << 32) * 4;
+        assert_eq!(PathTable::check_size(u64::MAX, u32::MAX), Err(bytes));
     }
 }

@@ -37,9 +37,9 @@ fn main() {
     let schemes: Vec<Box<dyn Partitioner>> = vec![
         Box::new(ChunkV),
         Box::new(ChunkE),
-        Box::new(Fennel::default()),
+        Box::new(Fennel),
         Box::new(HashPartitioner::default()),
-        Box::new(Multilevel::default()),
+        Box::new(Multilevel),
         Box::new(BPart::default()),
     ];
 

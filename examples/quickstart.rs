@@ -25,7 +25,7 @@ fn main() {
     let schemes: Vec<Box<dyn Partitioner>> = vec![
         Box::new(ChunkV),
         Box::new(ChunkE),
-        Box::new(Fennel::default()),
+        Box::new(Fennel),
         Box::new(HashPartitioner::default()),
         Box::new(BPart::default()),
     ];

@@ -34,7 +34,7 @@ fn bpart_is_two_dimensionally_balanced_on_all_presets() {
 fn baselines_fail_in_exactly_one_dimension() {
     let g = generate::twitter_like().generate_scaled(SCALE);
     // Chunk-V / Fennel: vertices balanced, edges not.
-    for scheme in [&ChunkV as &dyn Partitioner, &Fennel::default()] {
+    for scheme in [&ChunkV as &dyn Partitioner, &Fennel] {
         let p = scheme.partition(&g, 8);
         assert!(metrics::bias(p.vertex_counts()) < 0.15, "{}", scheme.name());
         assert!(metrics::bias(p.edge_counts()) > 0.5, "{}", scheme.name());
@@ -65,7 +65,7 @@ fn bpart_jain_fairness_stays_near_one_for_large_k() {
 fn bpart_cut_sits_between_fennel_and_hash() {
     let g = generate::friendster_like().generate_scaled(SCALE);
     let cut = |s: &dyn Partitioner| metrics::edge_cut_ratio(&g, &s.partition(&g, 8));
-    let fennel = cut(&Fennel::default());
+    let fennel = cut(&Fennel);
     let bpart = cut(&BPart::default());
     let hash = cut(&HashPartitioner::default());
     // BPart trades some cut for balance, so it should not beat Fennel by

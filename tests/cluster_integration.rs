@@ -88,7 +88,7 @@ fn threaded_engine_matches_sequential_results_exactly() {
 #[test]
 fn threaded_walker_matches_sequential_paths_exactly() {
     let graph = Arc::new(generate::lj_like().generate_scaled(0.02));
-    let partition = Arc::new(Fennel::default().partition(&graph, 6));
+    let partition = Arc::new(Fennel.partition(&graph, 6));
     let run_with = |mode: ExecMode| {
         WalkEngine::new(
             Cluster::new(graph.clone(), partition.clone()),

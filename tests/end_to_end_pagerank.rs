@@ -52,7 +52,7 @@ fn connected_components_match_reference_under_every_scheme() {
 #[test]
 fn bfs_and_sssp_match_references() {
     let graph = Arc::new(generate::twitter_like().generate_scaled(0.01));
-    let partition = Arc::new(bpart_core::Fennel::default().partition(&graph, 4));
+    let partition = Arc::new(bpart_core::Fennel.partition(&graph, 4));
     let engine = IterationEngine::default_for(graph.clone(), partition);
 
     let bfs = engine.run(&apps::Bfs::new(0));

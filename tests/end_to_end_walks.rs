@@ -58,7 +58,7 @@ fn message_walks_scale_with_edge_cut() {
         );
         (cut, run.message_walks)
     };
-    let (fennel_cut, fennel_msgs) = traffic(Fennel::default().partition(&graph, 8));
+    let (fennel_cut, fennel_msgs) = traffic(Fennel.partition(&graph, 8));
     let (hash_cut, hash_msgs) = traffic(HashPartitioner::default().partition(&graph, 8));
     assert!(fennel_cut < hash_cut);
     assert!(

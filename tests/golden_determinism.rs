@@ -144,7 +144,7 @@ fn integer_partitioners_are_pinned() {
 #[test]
 fn float_partitioners_are_run_to_run_stable() {
     let g = generate::twitter_like().generate_scaled(0.02);
-    for scheme in [&Fennel::default() as &dyn Partitioner, &BPart::default()] {
+    for scheme in [&Fennel as &dyn Partitioner, &BPart::default()] {
         let a = scheme.partition(&g, 8);
         let b = scheme.partition(&g, 8);
         assert_eq!(

@@ -4,14 +4,14 @@
 use bpart_core::prelude::*;
 use bpart_engine::{apps, IterationEngine};
 use bpart_graph::{generate, traversal};
-use bpart_multilevel::{Multilevel, MultilevelConfig};
+use bpart_multilevel::Multilevel;
 use std::sync::Arc;
 
 #[test]
 fn multilevel_balances_vertices_but_not_edges() {
     // The §4.2 shape at a scale where the skew shows.
     let g = generate::twitter_like().generate_scaled(0.2);
-    let p = Multilevel::default().partition(&g, 8);
+    let p = Multilevel.partition(&g, 8);
     let v = metrics::bias(p.vertex_counts());
     let e = metrics::bias(p.edge_counts());
     assert!(v < 0.05, "vertex bias {v} (paper: 0.03)");
@@ -27,11 +27,11 @@ fn multilevel_balances_vertices_but_not_edges() {
 fn multilevel_cut_beats_every_streaming_scheme() {
     // Offline partitioners see the whole graph and should win on cuts.
     let g = generate::lj_like().generate_scaled(0.05);
-    let ml_cut = metrics::edge_cut_ratio(&g, &Multilevel::default().partition(&g, 8));
+    let ml_cut = metrics::edge_cut_ratio(&g, &Multilevel.partition(&g, 8));
     for scheme in [
         &ChunkV as &dyn Partitioner,
         &ChunkE,
-        &Fennel::default(),
+        &Fennel,
         &HashPartitioner::default(),
     ] {
         let cut = metrics::edge_cut_ratio(&g, &scheme.partition(&g, 8));
@@ -46,45 +46,8 @@ fn multilevel_cut_beats_every_streaming_scheme() {
 #[test]
 fn multilevel_partitions_work_inside_the_engine() {
     let graph = Arc::new(generate::friendster_like().generate_scaled(0.01));
-    let partition = Arc::new(Multilevel::default().partition(&graph, 4));
+    let partition = Arc::new(Multilevel.partition(&graph, 4));
     let run =
         IterationEngine::default_for(graph.clone(), partition).run(&apps::ConnectedComponents);
     assert_eq!(run.values, traversal::connected_components(&graph));
-}
-
-#[test]
-fn config_knobs_change_behaviour_sanely() {
-    let g = generate::twitter_like().generate_scaled(0.02);
-    let loose = Multilevel::new(MultilevelConfig {
-        imbalance: 0.2,
-        ..Default::default()
-    })
-    .partition(&g, 8);
-    let tight = Multilevel::new(MultilevelConfig {
-        imbalance: 0.01,
-        ..Default::default()
-    })
-    .partition(&g, 8);
-    let loose_bias = metrics::bias(loose.vertex_counts());
-    let tight_bias = metrics::bias(tight.vertex_counts());
-    assert!(
-        tight_bias <= 0.02,
-        "tight imbalance must bind: {tight_bias}"
-    );
-    assert!(
-        loose_bias <= 0.25,
-        "loose imbalance is still bounded: {loose_bias}"
-    );
-    // Extra refinement never worsens the cut.
-    let none = Multilevel::new(MultilevelConfig {
-        refine_passes: 0,
-        ..Default::default()
-    })
-    .partition(&g, 8);
-    let many = Multilevel::new(MultilevelConfig {
-        refine_passes: 6,
-        ..Default::default()
-    })
-    .partition(&g, 8);
-    assert!(metrics::edge_cut_ratio(&g, &many) <= metrics::edge_cut_ratio(&g, &none) + 1e-9);
 }
