@@ -12,7 +12,7 @@ use bpart_engine::apps::{ConnectedComponents, PageRank};
 use bpart_engine::IterationEngine;
 use bpart_graph::{generate, stats, CsrGraph};
 use bpart_multilevel::Multilevel;
-use bpart_walker::apps::{DeepWalk, Node2vec, Ppr, Rwd, Rwj, SimpleRandomWalk};
+use bpart_walker::apps::{DeepWalk, Node2vec, Ppr, Rwd, Rwj};
 use bpart_walker::{WalkApp, WalkEngine, WalkRun, WalkStarts};
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -99,7 +99,7 @@ fn pieces(lab: &Lab) -> usize {
 /// 5|V| simple random walks of 4 steps (Figs. 4, 5, 12, 13).
 fn walks(g: &Arc<CsrGraph>, p: Arc<Partition>, seed: u64) -> WalkRun {
     let engine = WalkEngine::default_for(g.clone(), p);
-    engine.run(&SimpleRandomWalk::new(4), &WalkStarts::PerVertex(5), seed)
+    engine.run(&DeepWalk::new(4), &WalkStarts::PerVertex(5), seed)
 }
 
 /// Per-machine walk steps of [`walks`] on `k` machines, one row per scheme

@@ -6,8 +6,8 @@ use std::fmt;
 
 /// The shared observability flags on `partition` and `run`: post-mortem
 /// exports (`--trace-out`, `--metrics-out`), the live monitoring server
-/// (`--serve-addr`), and run-history emission (`--history-out`,
-/// `--git-rev`). All optional; see DESIGN.md §10–11.
+/// (`--serve-addr`), and run-history emission (`--history-out`). All
+/// optional; see DESIGN.md §10–11.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObsFlags {
     /// Write the span trace as JSONL here after the run.
@@ -19,9 +19,6 @@ pub struct ObsFlags {
     pub serve_addr: Option<String>,
     /// Append a run-history record (JSON) at this path after the run.
     pub history_out: Option<String>,
-    /// Git revision to stamp into the history record (defaults to
-    /// `$BPART_GIT_REV` / `$GITHUB_SHA` / `"unknown"`).
-    pub git_rev: Option<String>,
     /// Write the continuous profiler's folded-stack text here after the
     /// run (the cluster-wide flame view on distributed drivers).
     pub profile_out: Option<String>,
@@ -233,7 +230,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     "metrics-out",
                     "serve-addr",
                     "history-out",
-                    "git-rev",
                     "profile-out",
                 ],
             )?;
@@ -347,7 +343,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     "metrics-out",
                     "serve-addr",
                     "history-out",
-                    "git-rev",
                     "profile-out",
                 ],
             )?;
@@ -517,7 +512,6 @@ fn parse_obs(flags: &[(&str, &str)]) -> ObsFlags {
         metrics_out: get_optional(flags, "metrics-out").map(str::to_string),
         serve_addr: get_optional(flags, "serve-addr").map(str::to_string),
         history_out: get_optional(flags, "history-out").map(str::to_string),
-        git_rev: get_optional(flags, "git-rev").map(str::to_string),
         profile_out: get_optional(flags, "profile-out").map(str::to_string),
     }
 }
@@ -698,8 +692,6 @@ mod tests {
             "127.0.0.1:0",
             "--history-out",
             "results/history/run.json",
-            "--git-rev",
-            "abc123",
         ])
         .unwrap();
         match cmd {
@@ -708,7 +700,6 @@ mod tests {
                 assert_eq!(obs.metrics_out.as_deref(), Some("m.prom"));
                 assert_eq!(obs.serve_addr.as_deref(), Some("127.0.0.1:0"));
                 assert_eq!(obs.history_out.as_deref(), Some("results/history/run.json"));
-                assert_eq!(obs.git_rev.as_deref(), Some("abc123"));
             }
             other => panic!("expected Partition, got {other:?}"),
         }

@@ -238,16 +238,12 @@ impl<'a> ObsExports<'a> {
 /// Starts the run-history record of a `partition` or a `run`, stamping the
 /// configuration common to both.
 fn history_record(
-    obs: &ObsFlags,
     label: &str,
     graph_path: &str,
     scheme: &str,
     parts: usize,
 ) -> bpart_obs::history::RunRecord {
     let mut rec = bpart_obs::history::RunRecord::new(label, graph_path);
-    if let Some(rev) = obs.git_rev.as_deref() {
-        rec = rec.with_git_rev(rev);
-    }
     rec.set_config("scheme", scheme);
     rec.set_config("parts", parts);
     rec
@@ -542,7 +538,7 @@ fn partition_cmd(
     // Only BPart has layers to report; it is run for its trace, which
     // `partition_with_stats` folds away.
     let (partition, stats) = if scheme_name == "bpart" {
-        let (partition, trace) = bpart_dist::spec::bpart().partition_with_trace(&graph, parts);
+        let (partition, trace) = BPart::default().partition_with_trace(&graph, parts);
         let mut stats = StreamStats::default();
         trace.iter().for_each(|layer| stats.merge(&layer.stream));
         let forced: usize = trace.iter().map(|layer| layer.forced).sum();
@@ -556,7 +552,7 @@ not by threshold)\n",
         scheme.partition_with_stats(&graph, parts)
     };
     let elapsed = start.elapsed().as_secs_f64();
-    let rec = history_record(obs, "partition", graph_path, scheme_name, parts);
+    let rec = history_record("partition", graph_path, scheme_name, parts);
     let partitioned = Partitioned {
         label: scheme.name().to_string(),
         vertex_counts: partition.vertex_counts(),
@@ -618,7 +614,7 @@ fn partition_ooc_cmd(
         elapsed,
         extra,
     };
-    let rec = history_record(obs, "partition-ooc", shard_path, scheme_name, parts);
+    let rec = history_record("partition-ooc", shard_path, scheme_name, parts);
     partition_report(&partitioned, out, rec, obs)
 }
 
@@ -776,7 +772,7 @@ fn run_cmd(
         }
     }
     if let Some(hpath) = obs.history_out.as_deref() {
-        let mut rec = history_record(obs, "run", graph_path, &spec.scheme, spec.parts as usize);
+        let mut rec = history_record("run", graph_path, &spec.scheme, spec.parts as usize);
         rec.set_config("backend", backend_name);
         rec.set_config("mode", if process { "processes" } else { mode });
         run_history(&mut rec, &spec.app, &out, cut_ratio, wall);
@@ -886,7 +882,7 @@ fn run_history(
     match *app {
         AppSpec::PageRank { iters } => rec.set_config("iters", iters),
         AppSpec::ConnectedComponents => {}
-        AppSpec::DeepWalk { walk_len, seed, .. } | AppSpec::SimpleWalk { walk_len, seed, .. } => {
+        AppSpec::DeepWalk { walk_len, seed, .. } => {
             rec.set_config("walk_len", walk_len);
             rec.set_config("seed", seed);
         }
@@ -1211,7 +1207,7 @@ mod tests {
             out: gp.clone(),
         });
 
-        for app in ["pagerank", "cc", "deepwalk", "walk"] {
+        for app in ["pagerank", "cc", "deepwalk"] {
             let clean = run_on(gp.clone(), app, None).unwrap();
             let untouched = "recovery:        0 deaths, 0 recoveries, 0 respawns, \
                              0 replayed supersteps, 0 link retries";
@@ -1430,13 +1426,12 @@ mod tests {
             checkpoint_every: None,
             obs: ObsFlags {
                 history_out: Some(ha.clone()),
-                git_rev: Some("testrev".into()),
                 ..ObsFlags::default()
             },
         });
         assert!(out.contains("wrote history record"), "{out}");
         let rec = bpart_obs::history::RunRecord::read(Path::new(&ha)).unwrap();
-        assert_eq!(rec.git_rev, "testrev");
+        assert_eq!(rec.git_rev, bpart_obs::history::env_git_rev());
         assert_eq!(rec.label, "run");
         assert_eq!(rec.config["backend"], "threads");
         assert_eq!(rec.config["time_unit"], "cost-model units");

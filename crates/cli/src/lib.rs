@@ -81,12 +81,13 @@ SCHEMES:
   multilevel | gd
 
 APPS (run):
-  pagerank (default) | cc | deepwalk | walk
+  pagerank (default) | cc | deepwalk
 
 FAULT PLANS (run --fault-plan):
   semicolon-separated clauses, e.g. \"crash@3:m1;straggle@0-9:m2:x4;seed=7\":
   crash@S:mM            machine M crashes at superstep S
   straggle@A-B:mM:xF    machine M runs F times slower on supersteps A..=B
+                        (threads backend only: it scales modelled time)
   drop@A-B:mF->mT:P     link F->T drops (retransmits) messages with prob P
   dup@A-B:mF->mT:P      link F->T duplicates messages with prob P
   seed=N                seed for the per-link fault hashing
@@ -136,9 +137,8 @@ OBSERVABILITY (partition/run; see DESIGN.md §10–11):
                       while the job runs (e.g. 127.0.0.1:9090; port 0 picks
                       a free port, announced on stderr)
   --history-out FILE  append-style run-history record (JSON) with config,
-                      git rev, and headline metrics for `bpart obs diff`
-  --git-rev REV       revision stamped into the history record (defaults
-                      to $BPART_GIT_REV / $GITHUB_SHA)
+                      git rev ($BPART_GIT_REV, else $GITHUB_SHA), and
+                      headline metrics for `bpart obs diff`
   --profile-out FILE  continuous-profiler flamegraph (folded-stack text);
                       on a process-backend run this merges the driver's
                       and every worker's profile into one cluster view

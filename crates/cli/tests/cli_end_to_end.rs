@@ -121,12 +121,19 @@ fn hostile_report_inputs_exit_with_one_error_line() {
     let (tp, trace) = tmp("hostile.jsonl");
     let step = r#"{"id":1,"parent":null,"name":"cluster.superstep","thread":0,"start_ns":0,"dur_ns":1,"attrs":{"compute":""}}"#;
     std::fs::write(&tp, format!("{step}\n")).unwrap();
+    let (np, negative) = tmp("hostile_negative.jsonl");
+    let step = r#"{"id":1,"parent":null,"name":"cluster.superstep","thread":0,"start_ns":0,"dur_ns":1,"attrs":{"compute":"-5,1","comm":"-2,1"}}"#;
+    std::fs::write(&np, format!("{step}\n")).unwrap();
     let (fp, folded) = tmp("hostile.folded");
     std::fs::write(&fp, format!("a {}\nb 1\n", u64::MAX)).unwrap();
     let (one, fp1) = tmp("hostile_one.folded");
     std::fs::write(&one, "a 1\n").unwrap();
     for (args, names) in [
         (vec!["report", &trace, "--critical-path"], "no machines"),
+        (
+            vec!["report", &negative, "--critical-path"],
+            "span 1 (cluster.superstep): compute: negative timing \"-5\"",
+        ),
         (vec!["report", "--profile", &folded], "stack \"b\""),
         (vec!["report", "--profile", &fp1, &folded], "stack \"a\""),
     ] {
@@ -140,9 +147,9 @@ fn hostile_report_inputs_exit_with_one_error_line() {
         );
         assert!(!err.contains("panicked at"), "{args:?}: {err}");
     }
-    std::fs::remove_file(tp).ok();
-    std::fs::remove_file(fp).ok();
-    std::fs::remove_file(one).ok();
+    for path in [tp, np, fp, one] {
+        std::fs::remove_file(path).ok();
+    }
 }
 
 /// A scale that is not a finite number > 0, or that would overflow a
@@ -384,6 +391,55 @@ fn partition_files_with_huge_part_counts_exit_with_one_error_line() {
     for p in [gp, tp, bp] {
         std::fs::remove_file(p).ok();
     }
+}
+
+/// A straggle clause slows modelled compute, which only the threads backend
+/// has: the process backend refuses it by name instead of ignoring it.
+#[test]
+fn a_straggle_clause_on_the_process_backend_exits_with_one_error_line() {
+    let (gp, g) = small_graph("straggle_process.bpgr");
+    let run = [
+        "run", &g, "--parts", "2", "--app", "pagerank", "--iters", "3",
+    ];
+    let plan = ["--fault-plan", "straggle@0-5:m0:x10"];
+    refused_in_one_line(
+        &[&run[..], &["--backend", "process"], &plan].concat(),
+        "fault plan clause straggle@0-5:m0:x10 runs on the threads backend only",
+    );
+    let threads = bpart().args(run).args(plan).output().expect("run");
+    assert!(threads.status.success(), "{threads:?}");
+    std::fs::remove_file(gp).ok();
+}
+
+/// `obs diff` flags a watched metric that rises from a baseline of 0 or
+/// below, in both directions of a diff that a CI gate runs.
+#[test]
+fn obs_diff_flags_a_watched_metric_rising_from_zero_or_below() {
+    let (ap, a) = tmp("diff_base.json");
+    let (bp, b) = tmp("diff_cand.json");
+    for (base, cand, shown) in [("0", "5", "-"), ("-1e308", "1e308", "+inf%")] {
+        let record = |v: &str| format!(r#"{{"label":"run","metrics":{{"worker_deaths":{v}}}}}"#);
+        std::fs::write(&ap, record(base)).unwrap();
+        std::fs::write(&bp, record(cand)).unwrap();
+        let diff = |x: &str, y: &str| {
+            bpart()
+                .args(["obs", "diff", x, y, "--watch", "worker_deaths"])
+                .output()
+                .expect("run obs diff")
+        };
+        let rise = diff(&a, &b);
+        let err = String::from_utf8_lossy(&rise.stderr);
+        assert_eq!(rise.status.code(), Some(1), "{base} -> {cand}: {err}");
+        let row = err
+            .lines()
+            .find(|l| l.starts_with("worker_deaths"))
+            .unwrap();
+        assert!(row.contains(shown) && row.ends_with("REGRESSED"), "{row}");
+        let fall = diff(&b, &a);
+        assert!(fall.status.success(), "{cand} -> {base}: {fall:?}");
+    }
+    std::fs::remove_file(ap).ok();
+    std::fs::remove_file(bp).ok();
 }
 
 /// A run of zero supersteps recovered in no time: `0.00`, not `-0.00`.

@@ -116,8 +116,15 @@ pub struct Config {
     pub mode: ExecMode,
     /// Faults injected during the run.
     pub faults: FaultPlan,
-    /// Checkpoint after every this many supersteps (positive).
+    /// Checkpoint after every this many supersteps (see
+    /// [`checkpoint_due`]).
     pub checkpoint_every: Option<usize>,
+}
+
+/// Whether a run checkpointing every `every` supersteps takes one at the
+/// end of `superstep`; `None` and `Some(0)` mean never. Both backends ask.
+pub fn checkpoint_due(every: Option<usize>, superstep: usize) -> bool {
+    every.is_some_and(|every| every > 0 && (superstep + 1) % every == 0)
 }
 
 /// Modelled time to restore every machine from `snapshots` (machines
@@ -246,10 +253,7 @@ pub fn drive<P: Program>(
             }
 
             // ---- checkpoint --------------------------------------------------
-            if cfg
-                .checkpoint_every
-                .is_some_and(|every| (superstep + 1) % every == 0)
-            {
+            if checkpoint_due(cfg.checkpoint_every, superstep) {
                 let _span = bpart_obs::span("cluster.checkpoint");
                 checkpoint = (superstep + 1, snapshot_all(machines));
                 for (c, s) in compute.iter_mut().zip(&checkpoint.1) {

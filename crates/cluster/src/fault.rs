@@ -30,6 +30,7 @@
 //! string (the CLI's `--fault-plan`); see [`FaultPlan::parse`].
 
 use crate::MachineId;
+use bpart_graph::splitmix::{splitmix64, unit_f64};
 use std::any::Any;
 use std::collections::HashSet;
 use std::fmt;
@@ -245,15 +246,6 @@ impl FaultPlan {
         self.crashes.is_empty() && self.stragglers.is_empty() && self.links.is_empty()
     }
 
-    /// The scheduled crashes as `(superstep, machine)` pairs, in plan
-    /// order. The process backend maps these onto real `SIGKILL`s.
-    pub fn crash_schedule(&self) -> Vec<(usize, MachineId)> {
-        self.crashes
-            .iter()
-            .map(|c| (c.superstep, c.machine))
-            .collect()
-    }
-
     /// The highest machine id any crash, straggle or link clause names;
     /// `None` when no clause names one.
     pub fn max_machine(&self) -> Option<MachineId> {
@@ -261,6 +253,18 @@ impl FaultPlan {
         let stragglers = self.stragglers.iter().map(|s| s.machine);
         let links = self.links.iter().flat_map(|l| [l.from, l.to]);
         crashes.chain(stragglers).chain(links).max()
+    }
+
+    /// The plan's first straggle clause as it is written, if it has one.
+    pub fn straggle_clause(&self) -> Option<String> {
+        let straggler = self.stragglers.first()?.clone();
+        Some(
+            FaultPlan {
+                stragglers: vec![straggler],
+                ..FaultPlan::default()
+            }
+            .to_string(),
+        )
     }
 
     /// True when the plan schedules any link drop/duplication faults.
@@ -481,22 +485,6 @@ fn parse_range(s: &str, clause: &str) -> Result<(usize, usize), FaultPlanParseEr
     }
 }
 
-/// SplitMix64 finalizer — the stateless mixing function behind every
-/// per-message decision.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Converts 64 random bits to a float in `[0, 1)`.
-#[inline]
-fn unit(bits: u64) -> f64 {
-    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// Runtime fault tracker: owns a plan plus the set of already-fired
 /// crashes, so a replayed superstep does not crash again.
 #[derive(Clone, Debug)]
@@ -575,12 +563,12 @@ impl FaultState {
                 LinkKind::Drop => 0x5eed_d809u64,
                 LinkKind::Duplicate => 0xd0_91caau64,
             };
-            let base = mix(self.plan.seed ^ tag)
-                ^ mix(superstep as u64)
-                ^ mix(((from as u64) << 32) | to as u64);
+            let base = splitmix64(self.plan.seed ^ tag)
+                ^ splitmix64(superstep as u64)
+                ^ splitmix64(((from as u64) << 32) | to as u64);
             let mut hits = 0u64;
             for i in 0..messages {
-                if unit(mix(base ^ i)) < fault.probability {
+                if unit_f64(splitmix64(base ^ i)) < fault.probability {
                     hits += 1;
                 }
             }
@@ -634,9 +622,8 @@ mod tests {
     }
 
     #[test]
-    fn crash_schedule_lists_plan_order() {
-        let plan = FaultPlan::new().crash(4, 2).crash(1, 0);
-        assert_eq!(plan.crash_schedule(), vec![(4, 2), (1, 0)]);
+    fn only_link_clauses_are_link_faults() {
+        let plan = FaultPlan::new().crash(4, 2).straggler(0, 9, 1, 4.0);
         assert!(!plan.has_link_faults());
         assert!(FaultPlan::new()
             .drop_link(0, 1, 0, 1, 0.5)

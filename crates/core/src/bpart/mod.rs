@@ -37,6 +37,9 @@ use crate::stream::StreamOrder;
 use crate::streaming::{ParallelConfig, StreamStats, UNASSIGNED};
 use bpart_graph::{CsrGraph, VertexId};
 
+/// The paper's weight of the vertex dimension in Eq. 1, `c = ½`.
+pub const PAPER_C: f64 = 0.5;
+
 /// The four settings the paper's evaluation varies — `c`, ε, the layer
 /// budget and the stream order, which the `ablation` figure sweeps — plus
 /// phase 1's worker pool. Phase 1 always streams with Fennel's γ = 1.5, the
@@ -45,7 +48,7 @@ use bpart_graph::{CsrGraph, VertexId};
 #[derive(Clone, Copy, Debug)]
 pub struct BPartConfig {
     /// Weight of the vertex dimension in the balance indicator (Eq. 1);
-    /// `c = 0` balances edges only, `c = 1` vertices only. Paper default: ½.
+    /// `c = 0` balances edges only, `c = 1` vertices only. Default: [`PAPER_C`].
     pub c: f64,
     /// Relative tolerance ε for freezing a combined subgraph: both its
     /// vertex and its edge count must lie within `±ε` of the target.
@@ -63,7 +66,7 @@ pub struct BPartConfig {
 impl Default for BPartConfig {
     fn default() -> Self {
         BPartConfig {
-            c: 0.5,
+            c: PAPER_C,
             epsilon: 0.1,
             max_layers: 4,
             order: StreamOrder::Natural,

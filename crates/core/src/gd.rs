@@ -18,6 +18,7 @@
 
 use crate::partition::{PartId, Partition};
 use crate::partitioner::Partitioner;
+use bpart_graph::splitmix::{splitmix64, unit_f64};
 use bpart_graph::{CsrGraph, VertexId};
 
 /// Gradient iterations per bisection.
@@ -99,8 +100,7 @@ fn bisect_once(graph: &CsrGraph, side: &[VertexId], salt: u64) -> (Vec<VertexId>
     let mut x: Vec<f64> = side
         .iter()
         .map(|&v| {
-            let h = splitmix(SEED ^ salt.wrapping_mul(0x9e37_79b9) ^ v as u64);
-            (h >> 11) as f64 / (1u64 << 53) as f64 * 0.2 - 0.1
+            unit_f64(splitmix64(SEED ^ salt.wrapping_mul(0x9e37_79b9) ^ v as u64)) * 0.2 - 0.1
         })
         .collect();
     project(&mut x, &degrees, deg_norm);
@@ -178,14 +178,6 @@ fn project(x: &mut [f64], degrees: &[f64], deg_norm: f64) {
             *v = v.clamp(-1.0, 1.0);
         }
     }
-}
-
-#[inline]
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 
 use crate::partition::{PartId, Partition};
 use crate::partitioner::Partitioner;
+use bpart_graph::splitmix::splitmix64;
 use bpart_graph::CsrGraph;
 
 /// Seeded hash partitioner.
@@ -28,15 +29,6 @@ impl Default for HashPartitioner {
     fn default() -> Self {
         HashPartitioner::new(0x5EED)
     }
-}
-
-/// SplitMix64 finalizer — a high-quality, dependency-free integer mixer.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl Partitioner for HashPartitioner {

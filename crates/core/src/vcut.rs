@@ -18,6 +18,7 @@
 //! rather than engine execution.
 
 use crate::partition::PartId;
+use bpart_graph::splitmix::{mix64, GOLDEN_GAMMA};
 use bpart_graph::{CsrGraph, VertexId};
 
 /// An assignment of every *edge* to one of `k` parts, with the vertex
@@ -123,10 +124,7 @@ impl EdgePartitioner for RandomEdge {
         let assignment: Vec<PartId> = graph
             .edges()
             .map(|(u, v)| {
-                let mut x = ((u as u64) << 32 | v as u64) ^ self.seed;
-                x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                ((x ^ (x >> 31)) % num_parts as u64) as PartId
+                (mix64(((u as u64) << 32 | v as u64) ^ self.seed) % num_parts as u64) as PartId
             })
             .collect();
         EdgePartition::from_assignment(graph, num_parts, assignment)
@@ -171,13 +169,10 @@ impl EdgePartitioner for Hdrf {
 
         // Seeded Fisher-Yates over edge indices: the random-arrival stream.
         let mut order: Vec<u32> = (0..graph.num_edges() as u32).collect();
-        let mut state = self.seed ^ 0x9e37_79b9_7f4a_7c15;
+        let mut state = self.seed ^ GOLDEN_GAMMA;
         let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
+            state = state.wrapping_add(GOLDEN_GAMMA);
+            mix64(state)
         };
         for i in (1..order.len()).rev() {
             let j = (next() % (i as u64 + 1)) as usize;

@@ -57,7 +57,7 @@ use crate::step::WALK_FINAL_LEN;
 use crate::transport::rpc_rtt_histogram;
 use crate::wire::{path_triples, PATH_TRIPLE_LEN};
 use crate::{digest_bytes, digest_paths, AppOutput, RecoveryStats, TimeUnit};
-use bpart_cluster::{Cluster, FaultPlan, FaultState, MachineId};
+use bpart_cluster::{bsp, Cluster, FaultPlan, FaultState, MachineId};
 use bpart_graph::{CsrGraph, VertexId};
 use bpart_obs::{analysis, federation, tracer};
 use bpart_walker::{PathTable, WalkStarts};
@@ -179,11 +179,6 @@ impl Gathered {
             AppSpec::PageRank { .. } => values(std::mem::size_of::<f64>()),
             AppSpec::ConnectedComponents => values(std::mem::size_of::<VertexId>()),
             AppSpec::DeepWalk {
-                walk_len,
-                per_vertex,
-                ..
-            }
-            | AppSpec::SimpleWalk {
                 walk_len,
                 per_vertex,
                 ..
@@ -385,7 +380,6 @@ struct Driver {
     epoch: u32,
     stats: RecoveryStats,
     faults: FaultState,
-    crash_fired: Vec<bool>,
 }
 
 /// Runs `spec` on the process backend.
@@ -449,7 +443,6 @@ impl Driver {
         spawn_acceptor(listener, Arc::clone(&acceptor_stop), key, join_tx);
 
         let k = cfg.workers;
-        let crash_fired = vec![false; cfg.faults.crash_schedule().len()];
         let mut driver = Driver {
             faults: FaultState::new(cfg.faults.clone()),
             spec,
@@ -473,7 +466,6 @@ impl Driver {
             joins,
             epoch: 0,
             stats: RecoveryStats::default(),
-            crash_fired,
         };
 
         if federation::collection_enabled() {
@@ -866,12 +858,7 @@ impl Driver {
     /// the worker process, delivered right after `StepBegin` went out —
     /// mid-superstep, like the threaded engine's barrier crashes.
     fn fire_chaos_kills(&mut self, superstep: u64) {
-        let schedule = self.cfg.faults.crash_schedule();
-        for (i, &(s, m)) in schedule.iter().enumerate() {
-            if self.crash_fired[i] || s as u64 != superstep {
-                continue;
-            }
-            self.crash_fired[i] = true;
+        for m in self.faults.take_crashes(superstep as usize) {
             if let Some(child) = &mut self.slots[m as usize].child {
                 let _ = child.kill();
             }
@@ -936,10 +923,10 @@ impl Driver {
             }
             progress.set(superstep as f64);
 
-            let checkpoint_due = self
-                .spec
-                .checkpoint_every
-                .is_some_and(|every| every > 0 && (superstep + 1) % every as u64 == 0);
+            let checkpoint_due = bsp::checkpoint_due(
+                self.spec.checkpoint_every.map(|e| e as usize),
+                superstep as usize,
+            );
             let obs = federation::collection_enabled();
             // One driver-side span per superstep; an exported trace nests
             // each worker's `worker.superstep` of the same epoch and

@@ -18,7 +18,7 @@
 //! * [`proto`] — typed driver/worker messages over frames;
 //! * [`spec`] — the job description: a graph source every process can
 //!   materialize, and the scheme the driver (alone) partitions by;
-//! * [`transport`] — frame reads and writes, backoff, the interval pumps;
+//! * [`transport`] — frame reads and writes, backoff, the heartbeat;
 //! * [`step`] — the engines' own per-machine kernels behind a
 //!   [`step::Worker`] that speaks rows and snapshots as bytes;
 //! * [`worker`] / [`driver`] — the two process roles.
@@ -131,7 +131,8 @@ pub struct AppOutput {
 
 /// Runs a job on the chosen backend. The digest is computed the same way
 /// on both backends, so equal digests mean bit-identical results. A fault
-/// plan that names a machine the job does not have is refused first.
+/// plan that names a machine the job does not have is refused first, and
+/// on the process backend so is one with a straggle clause.
 pub fn run_job(spec: &JobSpec, backend: &Backend) -> Result<AppOutput, ClusterError> {
     let faults = match backend {
         Backend::Process(cfg) => &cfg.faults,
@@ -141,6 +142,12 @@ pub fn run_job(spec: &JobSpec, backend: &Backend) -> Result<AppOutput, ClusterEr
         let parts = spec.parts;
         return Err(ClusterError::unrecoverable(format!(
             "fault plan names machine m{m}, but the job has {parts} machines"
+        )));
+    }
+    if let (Backend::Process(_), Some(clause)) = (backend, faults.straggle_clause()) {
+        return Err(ClusterError::unrecoverable(format!(
+            "fault plan clause {clause} runs on the threads backend only: \
+             a straggler scales modelled compute time"
         )));
     }
     let out = match backend {
@@ -185,10 +192,10 @@ pub fn publish_peak_rss() {
 
 fn run_threads(spec: &JobSpec, cfg: &ThreadsConfig) -> Result<AppOutput, ClusterError> {
     use bpart_engine::apps::{ConnectedComponents, PageRank};
-    use bpart_walker::apps::{DeepWalk, SimpleRandomWalk};
+    use bpart_walker::apps::DeepWalk;
     let cluster = spec.build_cluster()?;
     publish_parts(cluster.vertex_counts(), cluster.edge_counts());
-    let every = spec.checkpoint_every.filter(|&e| e > 0).map(|e| e as usize);
+    let every = spec.checkpoint_every.map(|e| e as usize);
     match spec.app {
         AppSpec::PageRank { iters } => run_threads_iter(cluster, cfg, every, &PageRank::new(iters)),
         AppSpec::ConnectedComponents => run_threads_iter(cluster, cfg, every, &ConnectedComponents),
@@ -198,14 +205,6 @@ fn run_threads(spec: &JobSpec, cfg: &ThreadsConfig) -> Result<AppOutput, Cluster
             per_vertex,
         } => {
             let app = DeepWalk::new(walk_len);
-            run_threads_walk(cluster, cfg, every, &app, seed, per_vertex)
-        }
-        AppSpec::SimpleWalk {
-            walk_len,
-            seed,
-            per_vertex,
-        } => {
-            let app = SimpleRandomWalk::new(walk_len);
             run_threads_walk(cluster, cfg, every, &app, seed, per_vertex)
         }
     }

@@ -50,21 +50,17 @@ pub const SCHEMES: [Scheme; 9] = [
     Scheme::row("hash", || Box::new(HashPartitioner::default()), None),
     Scheme::row("fennel", || Box::new(Fennel), Some(OocScheme::Fennel)),
     Scheme::row("ldg", || Box::new(Ldg), None),
-    Scheme::row("bpart", || Box::new(bpart()), None),
+    Scheme::row("bpart", || Box::new(BPart::default()), None),
     Scheme::row(
         "bpart-p1",
         || Box::new(bpart_core::bpart::WeightedStream::default()),
-        Some(OocScheme::BPartP1 { c: 0.5 }),
+        Some(OocScheme::BPartP1 {
+            c: bpart_core::bpart::PAPER_C,
+        }),
     ),
     Scheme::row("multilevel", || Box::new(Multilevel), None),
     Scheme::row("gd", || Box::new(GdPartitioner), None),
 ];
-
-/// The `bpart` row's partitioner as its own type, for the caller that wants
-/// its layer trace.
-pub fn bpart() -> BPart {
-    BPart::default()
-}
 
 /// Refuses more parts than the graph has vertices (an empty graph still
 /// takes one): past that every part only adds empty tallies, and BPart's
@@ -215,20 +211,10 @@ pub enum AppSpec {
         /// Walkers started per vertex.
         per_vertex: u32,
     },
-    /// Simple uniform random walk (same shape as DeepWalk; kept distinct
-    /// because the CLI exposes both names).
-    SimpleWalk {
-        /// Walk length cap.
-        walk_len: u32,
-        /// Engine-wide RNG seed.
-        seed: u64,
-        /// Walkers started per vertex.
-        per_vertex: u32,
-    },
 }
 
 /// Every application there is, by its `--app` name.
-pub const APP_NAMES: [&str; 4] = ["pagerank", "cc", "deepwalk", "walk"];
+pub const APP_NAMES: [&str; 3] = ["pagerank", "cc", "deepwalk"];
 
 impl AppSpec {
     /// The application called `name`, with the parameters it takes of the
@@ -249,11 +235,6 @@ impl AppSpec {
                 seed,
                 per_vertex,
             },
-            "walk" => AppSpec::SimpleWalk {
-                walk_len,
-                seed,
-                per_vertex,
-            },
             other => {
                 return Err(ClusterError::unrecoverable(format!(
                     "unknown app {other:?}; available: {}",
@@ -265,7 +246,7 @@ impl AppSpec {
 
     /// True for the walk-engine apps.
     pub fn is_walk(&self) -> bool {
-        matches!(self, AppSpec::DeepWalk { .. } | AppSpec::SimpleWalk { .. })
+        matches!(self, AppSpec::DeepWalk { .. })
     }
 
     /// Whether the app's program signals along in-edges as well, so that a
@@ -275,7 +256,7 @@ impl AppSpec {
         match self {
             AppSpec::PageRank { iters } => PageRank::new(*iters).use_in_edges(),
             AppSpec::ConnectedComponents => ConnectedComponents.use_in_edges(),
-            AppSpec::DeepWalk { .. } | AppSpec::SimpleWalk { .. } => false,
+            AppSpec::DeepWalk { .. } => false,
         }
     }
 
@@ -285,7 +266,6 @@ impl AppSpec {
             AppSpec::PageRank { .. } => "pagerank",
             AppSpec::ConnectedComponents => "cc",
             AppSpec::DeepWalk { .. } => "deepwalk",
-            AppSpec::SimpleWalk { .. } => "walk",
         }
     }
 }
@@ -331,11 +311,6 @@ impl JobSpec {
         let n = graph.num_vertices();
         check_parts(self.parts as usize, n)?;
         if let AppSpec::DeepWalk {
-            walk_len,
-            per_vertex,
-            ..
-        }
-        | AppSpec::SimpleWalk {
             walk_len,
             per_vertex,
             ..
@@ -412,11 +387,6 @@ impl Wire<'_> for AppSpec {
                 seed,
                 per_vertex,
             } => (2u8, (walk_len, seed, per_vertex)).put(out),
-            AppSpec::SimpleWalk {
-                walk_len,
-                seed,
-                per_vertex,
-            } => (3u8, (walk_len, seed, per_vertex)).put(out),
         }
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
@@ -426,11 +396,6 @@ impl Wire<'_> for AppSpec {
             },
             1 => AppSpec::ConnectedComponents,
             2 => AppSpec::DeepWalk {
-                walk_len: r.read()?,
-                seed: r.read()?,
-                per_vertex: r.read()?,
-            },
-            3 => AppSpec::SimpleWalk {
                 walk_len: r.read()?,
                 seed: r.read()?,
                 per_vertex: r.read()?,
@@ -530,6 +495,14 @@ mod tests {
             err.to_string().contains("trailing bytes in job spec"),
             "{err}"
         );
+        // No app has tag 3.
+        let spec = &specs()[2];
+        let mut bytes = encoded(spec);
+        let at = bytes.len() - wire::len(|n| (spec.app.clone(), spec.checkpoint_every).put(n));
+        assert_eq!(bytes[at], 2, "DeepWalk's tag");
+        bytes[at] = 3;
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.to_string().ends_with("unknown app 3"), "{err}");
     }
 
     /// Every name in the two tables makes its thing, and a name in neither
@@ -560,7 +533,7 @@ mod tests {
         }
         assert_eq!(
             AppSpec::by_name("nope", 3, 4, 5).unwrap_err().to_string(),
-            "unrecoverable: unknown app \"nope\"; available: pagerank, cc, deepwalk, walk"
+            "unrecoverable: unknown app \"nope\"; available: pagerank, cc, deepwalk"
         );
         assert_eq!(
             Scheme::by_name("gd").unwrap().out_of_core().unwrap_err().to_string(),

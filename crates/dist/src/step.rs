@@ -300,7 +300,7 @@ mod tests {
     use bpart_core::{ChunkV, Partitioner};
     use bpart_engine::apps::{ConnectedComponents, DistFrom, PageRank, Sssp};
     use bpart_graph::{generate, VertexId};
-    use bpart_walker::apps::{DeepWalk, SimpleRandomWalk};
+    use bpart_walker::apps::DeepWalk;
     use bpart_walker::PathTable;
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -531,7 +531,7 @@ mod tests {
             |app: fn() -> Box<dyn WalkApp>| move |m| WalkWorker::new(app(), cluster(3), m, 11, 2);
         let started = PathTable::of_starts(&WalkStarts::PerVertex(2), 40, 6);
         let end = (None, Some(started));
-        check(walk(|| Box::new(SimpleRandomWalk::new(6))), end.clone());
+        check(walk(|| Box::new(DeepWalk::new(6))), end.clone());
         check(walk(|| Box::new(DeepWalk::new(6))), end);
     }
 
@@ -703,7 +703,7 @@ mod tests {
 
     #[test]
     fn walk_worker_seeds_in_global_id_order() {
-        let app = || Box::new(SimpleRandomWalk::new(4));
+        let app = || Box::new(DeepWalk::new(4));
         let w = WalkWorker::new(app(), cluster(2), 0, 11, 2);
         let ids: Vec<u64> = w
             .step

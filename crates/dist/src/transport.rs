@@ -6,10 +6,11 @@ use crate::error::ClusterError;
 use crate::frame::{self, Frame};
 use crate::proto::{write_final, WorkerMsg};
 use crate::wire::Sink;
+use bpart_graph::splitmix::{splitmix64, unit_f64};
+use bpart_obs::ticker::Ticker;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::Duration;
@@ -70,14 +71,8 @@ impl Backoff {
         let exp = self.base.saturating_mul(1u32 << attempt.min(16));
         let capped = exp.min(self.max);
         // splitmix64 of (seed, attempt) -> jitter factor in [0.75, 1.25).
-        let mut z = self
-            .seed
-            .wrapping_add(attempt as u64)
-            .wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        let jitter = 0.75 + (z >> 11) as f64 / (1u64 << 53) as f64 * 0.5;
+        let z = splitmix64(self.seed.wrapping_add(attempt as u64));
+        let jitter = 0.75 + unit_f64(z) * 0.5;
         capped.mul_f64(jitter)
     }
 }
@@ -167,57 +162,11 @@ impl SharedWriter {
     }
 }
 
-/// A thread that runs `tick` every `interval` until it returns `false` or
-/// the pump is dropped. The thread sleeps in a `recv_timeout` on a channel
-/// whose sender the pump holds, so dropping the pump wakes it at once and
-/// `Drop` returns as soon as a tick in flight has finished — a worker told
-/// to shut down exits now, not at the end of its longest interval.
-pub struct Pump {
-    stop: Option<Sender<()>>,
-    handle: Option<thread::JoinHandle<()>>,
-}
-
-impl Pump {
-    /// Starts the thread under `name`.
-    pub fn start(
-        name: &str,
-        interval: Duration,
-        mut tick: impl FnMut() -> bool + Send + 'static,
-    ) -> Self {
-        let (stop, stopped) = channel::<()>();
-        let handle = thread::Builder::new()
-            .name(name.into())
-            .spawn(move || {
-                // Nothing is ever sent: the wait ends by timeout (tick) or
-                // by the sender's drop (stop).
-                while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
-                    if !tick() {
-                        break;
-                    }
-                }
-            })
-            .expect("spawn pump thread");
-        Pump {
-            stop: Some(stop),
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Pump {
-    fn drop(&mut self) {
-        drop(self.stop.take());
-        if let Some(h) = self.handle.take() {
-            h.join().ok();
-        }
-    }
-}
-
 /// Worker-side heartbeat pump: sends `Heartbeat` frames on `interval`
 /// until dropped. The epoch cell is shared with the protocol loop so beats
 /// always carry the worker's current epoch.
-pub fn heartbeat_pump(writer: SharedWriter, epoch: Arc<AtomicU32>, interval: Duration) -> Pump {
-    Pump::start("heartbeat", interval, move || {
+pub fn heartbeat_pump(writer: SharedWriter, epoch: Arc<AtomicU32>, interval: Duration) -> Ticker {
+    Ticker::start("heartbeat", interval, move || {
         let beat = WorkerMsg::Heartbeat {
             epoch: epoch.load(Ordering::Relaxed),
         };
@@ -310,24 +259,11 @@ pub(crate) mod tests {
 
     /// Drops `pump` and asserts its thread was joined within 50 ms — the
     /// teardown a worker's exit waits for.
-    pub(crate) fn assert_stops_at_once(pump: Pump) {
+    pub(crate) fn assert_stops_at_once(pump: Ticker) {
         let started = Instant::now();
         drop(pump);
         let took = started.elapsed();
         assert!(took < Duration::from_millis(50), "drop took {took:?}");
-    }
-
-    #[test]
-    fn a_pump_ticks_on_its_interval_and_ends_itself_on_false() {
-        let (tx, ticks) = channel();
-        let mut left = 3;
-        let pump = Pump::start("test-pump", Duration::from_millis(1), move || {
-            left -= 1;
-            tx.send(left).unwrap();
-            left > 0
-        });
-        assert_eq!(ticks.iter().collect::<Vec<_>>(), [2, 1, 0]);
-        drop(pump);
     }
 
     #[test]

@@ -23,14 +23,15 @@ use crate::proto::{DriverMsg, Placement, WorkerMsg};
 use crate::spec::{AppSpec, JobSpec};
 use crate::step::{IterWorker, WalkWorker, Worker};
 use crate::transport::{
-    connect_with_backoff, heartbeat_pump, read_frame_blocking, Backoff, Pump, SharedWriter,
+    connect_with_backoff, heartbeat_pump, read_frame_blocking, Backoff, SharedWriter,
 };
 use bpart_cluster::Cluster;
 use bpart_core::Partition;
 use bpart_engine::apps::{ConnectedComponents, PageRank};
 use bpart_obs::snapshot::Snapshot;
+use bpart_obs::ticker::Ticker;
 use bpart_obs::tracer;
-use bpart_walker::apps::{DeepWalk, SimpleRandomWalk};
+use bpart_walker::apps::DeepWalk;
 use bpart_walker::WalkApp;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -195,11 +196,6 @@ fn build_app(spec: &JobSpec, cluster: Cluster, machine: usize) -> Box<dyn Worker
             seed,
             per_vertex,
         } => walk(Box::new(DeepWalk::new(walk_len)), seed, per_vertex),
-        AppSpec::SimpleWalk {
-            walk_len,
-            seed,
-            per_vertex,
-        } => walk(Box::new(SimpleRandomWalk::new(walk_len)), seed, per_vertex),
     }
 }
 
@@ -274,8 +270,8 @@ fn obs_flush_pump(
     enabled: Arc<AtomicBool>,
     position: Arc<Mutex<ObsPosition>>,
     interval: Duration,
-) -> Pump {
-    Pump::start("obs-flush", interval, move || {
+) -> Ticker {
+    Ticker::start("obs-flush", interval, move || {
         if !enabled.load(Ordering::Relaxed) {
             return true;
         }

@@ -109,7 +109,7 @@ fn sigkilled_worker_recovers_from_checkpoint_bit_identically() {
 /// logs (RNG state included), so replay reproduces the exact paths.
 #[test]
 fn sigkilled_walk_worker_recovers_bit_identically() {
-    let spec = spec(AppSpec::SimpleWalk {
+    let spec = spec(AppSpec::DeepWalk {
         walk_len: 8,
         seed: 7,
         per_vertex: 1,

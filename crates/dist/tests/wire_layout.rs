@@ -49,14 +49,6 @@ fn jobs() -> Vec<(String, DriverMsg<'static>)> {
                 per_vertex: 2,
             },
         ),
-        (
-            "walk",
-            AppSpec::SimpleWalk {
-                walk_len: 80,
-                seed: 42,
-                per_vertex: 1,
-            },
-        ),
     ];
     let mut jobs = Vec::new();
     for (g, graph) in &graphs {
@@ -336,32 +328,24 @@ const PINS: &[(&str, usize, u64)] = &[
     ("job/file/cc/-", 47, 0x691e83dbd953f64a),
     ("job/file/deepwalk/every", 67, 0xae660453e628ebfd),
     ("job/file/deepwalk/-", 63, 0x997ff10ab3a59875),
-    ("job/file/walk/every", 67, 0x4c4781d57f85cb16),
-    ("job/file/walk/-", 63, 0xa1b4440313e4ec56),
     ("job/preset/pagerank/every", 77, 0xf4f62be280d8fdfd),
     ("job/preset/pagerank/-", 73, 0x2234a9f2b1970ff5),
     ("job/preset/cc/every", 69, 0xac3397dda4493d5c),
     ("job/preset/cc/-", 65, 0x42902a0e1a3fea08),
     ("job/preset/deepwalk/every", 85, 0x922af0e062186624),
     ("job/preset/deepwalk/-", 81, 0x5d6fe66c7f9523d9),
-    ("job/preset/walk/every", 85, 0xea201c9ea7874f0a),
-    ("job/preset/walk/-", 81, 0xd70bd6613d9b081b),
     ("job/preset-unseeded/pagerank/every", 69, 0xb881d4d3258f7ae9),
     ("job/preset-unseeded/pagerank/-", 65, 0xa9f42640375e52b7),
     ("job/preset-unseeded/cc/every", 61, 0x3c7371e702569af1),
     ("job/preset-unseeded/cc/-", 57, 0x10bef51d41ec1a81),
     ("job/preset-unseeded/deepwalk/every", 77, 0x4ba14ec51e9230ac),
     ("job/preset-unseeded/deepwalk/-", 73, 0xbee85618fe351d25),
-    ("job/preset-unseeded/walk/every", 77, 0x097a951af5a36df5),
-    ("job/preset-unseeded/walk/-", 73, 0x39d1944e4c53c0e2),
     ("job/er/pagerank/every", 65, 0x1c4c733f651cb9f4),
     ("job/er/pagerank/-", 61, 0xf2ce99055e3ec370),
     ("job/er/cc/every", 57, 0x3563bcf1bf8d3e1c),
     ("job/er/cc/-", 53, 0x6ff381e7270f4361),
     ("job/er/deepwalk/every", 73, 0x8d2f698c0f7d239d),
     ("job/er/deepwalk/-", 69, 0x9edfb4430e40dcd1),
-    ("job/er/walk/every", 73, 0x682c622ec889033f),
-    ("job/er/walk/-", 69, 0x1832a145b97efd28),
     ("step_begin/on", 43, 0xfbffd4866576fba6),
     ("step_begin/off", 43, 0x0e3f8c9247ed660d),
     ("inbox", 53, 0xa8af995fa3f342fa),

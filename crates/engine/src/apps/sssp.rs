@@ -7,15 +7,13 @@
 //! agree exactly.
 
 use crate::program::{ProgramContext, VertexProgram};
+use bpart_graph::splitmix::mix64;
 use bpart_graph::{CsrGraph, VertexId};
 
 /// Deterministic synthetic weight for edge `(u, v)` in `1..=max_weight`.
 #[inline]
 pub fn edge_weight(u: VertexId, v: VertexId, max_weight: u32) -> u64 {
-    let mut x = ((u as u64) << 32) | v as u64;
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    (x ^ (x >> 31)) % max_weight as u64 + 1
+    mix64(((u as u64) << 32) | v as u64) % max_weight as u64 + 1
 }
 
 /// SSSP vertex program; distances are `u64::MAX` when unreachable.

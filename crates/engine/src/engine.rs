@@ -143,10 +143,9 @@ impl IterationEngine {
         self
     }
 
-    /// Checkpoints machine state every `every` supersteps (`every` must be
-    /// positive). Without this, recovery replays from the initial state.
+    /// Checkpoints machine state every `every` supersteps (0: never).
+    /// Without this, recovery replays from the initial state.
     pub fn with_checkpoint_every(mut self, every: usize) -> Self {
-        assert!(every > 0, "checkpoint interval must be positive");
         self.cfg.checkpoint_every = Some(every);
         self
     }

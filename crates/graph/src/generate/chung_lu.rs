@@ -14,6 +14,7 @@
 
 use super::edgeset::{assert_capacity, draw_exactly};
 use crate::alias::AliasTable;
+use crate::splitmix::mix64;
 use crate::{CsrGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -141,10 +142,7 @@ pub fn chung_lu(config: &ChungLuConfig) -> CsrGraph {
 /// Seeded hash assigning vertex `v` to one of `count` communities.
 #[inline]
 fn community_of(v: VertexId, seed: u64, count: usize) -> usize {
-    let mut x = v as u64 ^ seed.wrapping_mul(0x517c_c1b7_2722_0a95);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    ((x ^ (x >> 31)) % count as u64) as usize
+    (mix64(v as u64 ^ seed.wrapping_mul(0x517c_c1b7_2722_0a95)) % count as u64) as usize
 }
 
 /// Builds the weight vector `w_i = (i + i0)^(-s)` with `i0` chosen so the

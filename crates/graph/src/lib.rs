@@ -12,6 +12,7 @@
 //!   `*_like` dataset presets standing in for the paper's LiveJournal /
 //!   Twitter / Friendster graphs,
 //! * [`io`] — text edge-list and binary serialization,
+//! * [`splitmix`] — the SplitMix64 mixer every seeded hash shares,
 //! * [`stats`] — degree statistics (histogram, skew, power-law exponent),
 //! * [`traversal`] — BFS and connected components.
 //!
@@ -37,6 +38,7 @@ pub mod csr;
 pub mod edgelist;
 pub mod generate;
 pub mod io;
+pub mod splitmix;
 pub mod stats;
 pub mod traversal;
 

@@ -47,15 +47,16 @@ impl std::fmt::Display for Timings<'_> {
 }
 
 /// Parses a [`Timings`] encoding back to the original values
-/// (bit-exact: Rust's `f64` `Display` round-trips).
+/// (bit-exact: Rust's `f64` `Display` round-trips). A negative time, −inf
+/// included, is refused; NaN and +inf pass through to poison the fold.
 pub fn parse_timings(s: &str) -> Result<Vec<f64>, String> {
     if s.is_empty() {
         return Ok(Vec::new());
     }
     s.split(',')
-        .map(|t| {
-            t.parse::<f64>()
-                .map_err(|e| format!("bad timing {t:?}: {e}"))
+        .map(|t| match t.parse::<f64>() {
+            Ok(v) if v < 0.0 => Err(format!("negative timing {t:?}")),
+            parsed => parsed.map_err(|e| format!("bad timing {t:?}: {e}")),
         })
         .collect()
 }
@@ -435,6 +436,13 @@ mod tests {
         }
         assert_eq!(parse_timings("").unwrap(), Vec::<f64>::new());
         assert!(parse_timings("1.0,zebra").is_err());
+        assert!(parse_timings("1.0,-5").is_err());
+        assert!(parse_timings("-inf").is_err());
+        assert!(parse_timings("NaN,inf,-0")
+            .unwrap()
+            .iter()
+            .zip([f64::NAN, f64::INFINITY, -0.0])
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]

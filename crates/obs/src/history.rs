@@ -38,8 +38,8 @@ pub struct RunRecord {
     pub label: String,
     /// Input graph (path or generator name).
     pub graph: String,
-    /// Git revision the run was built from, as passed in by the caller
-    /// (`--git-rev`, `$GITHUB_SHA`); `"unknown"` when unavailable.
+    /// Git revision the run was built from, as the environment states it
+    /// ([`env_git_rev`]); `"unknown"` when unavailable.
     pub git_rev: String,
     /// Seconds since the Unix epoch when the record was created.
     pub unix_time: u64,
@@ -63,12 +63,6 @@ impl RunRecord {
             config: BTreeMap::new(),
             metrics: BTreeMap::new(),
         }
-    }
-
-    /// Overrides the git revision (the CLI's `--git-rev` flag).
-    pub fn with_git_rev(mut self, rev: &str) -> Self {
-        self.git_rev = rev.to_string();
-        self
     }
 
     /// Records one configuration key (stringly; it is provenance, not
@@ -229,7 +223,7 @@ impl DiffReport {
             let fmt = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |v| format!("{v:.6}"));
             let delta = match (d.a, d.b) {
                 (Some(a), Some(b)) if a != 0.0 && a.is_finite() && b.is_finite() => {
-                    format!("{:+.2}%", (b - a) * 100.0 / a)
+                    format!("{:+.2}%", (b - a) * 100.0 / a.abs())
                 }
                 _ => "-".to_string(),
             };
@@ -259,10 +253,11 @@ impl DiffReport {
 }
 
 /// Compares two records over the union of their metric names. A watched
-/// metric regresses when both values exist, the baseline is positive and
-/// finite, and `b > a × (1 + max_increase)` (lower is better). NaN on
-/// either side never counts as a regression — it shows as `-`/`NaN` in
-/// the table instead of failing the gate on unreadable data.
+/// metric regresses when both values exist and are finite and
+/// `b − a > max_increase × |a|` (lower is better), so a baseline of 0
+/// regresses on any rise. NaN on either side never counts as a regression
+/// — it shows as `-`/`NaN` in the table instead of failing the gate on
+/// unreadable data.
 pub fn diff(a: &RunRecord, b: &RunRecord, watches: &[Watch]) -> DiffReport {
     let mut names: Vec<&String> = a.metrics.keys().chain(b.metrics.keys()).collect();
     names.sort();
@@ -275,7 +270,7 @@ pub fn diff(a: &RunRecord, b: &RunRecord, watches: &[Watch]) -> DiffReport {
             let watch = watches.iter().find(|w| &w.metric == name);
             let regressed = match (watch, av, bv) {
                 (Some(w), Some(av), Some(bv)) => {
-                    av.is_finite() && av > 0.0 && bv > av * (1.0 + w.max_increase)
+                    av.is_finite() && bv.is_finite() && bv - av > w.max_increase * av.abs()
                 }
                 _ => false,
             };
@@ -300,7 +295,8 @@ mod tests {
     use super::*;
 
     fn sample() -> RunRecord {
-        let mut r = RunRecord::new("run", "lj_like").with_git_rev("abc123");
+        let mut r = RunRecord::new("run", "lj_like");
+        r.git_rev = "abc123".into();
         r.set_config("parts", 8);
         r.set_config("scheme", "bpart-p1");
         r.set_metric("wall_time_secs", 1.25);
@@ -391,6 +387,33 @@ mod tests {
         // A 1% change passes the 5% watch.
         b.set_metric("wall_time_secs", 1.01);
         assert!(!diff(&a, &b, &watches).has_regressions());
+    }
+
+    #[test]
+    fn diff_flags_a_rise_from_zero_or_below() {
+        let watches = [Watch::new("m", 0.05)];
+        let pair = |av: f64, bv: f64| {
+            let (mut a, mut b) = (sample(), sample());
+            a.metrics = BTreeMap::from([("m".to_string(), av)]);
+            b.metrics = BTreeMap::from([("m".to_string(), bv)]);
+            diff(&a, &b, &watches)
+        };
+        // A counter that was 0 and is no longer.
+        assert!(pair(0.0, 5.0).has_regressions());
+        assert!(!pair(0.0, 0.0).has_regressions());
+        // The delta column divides by the baseline's magnitude.
+        let text = pair(-2.0, -1.0).render();
+        assert!(
+            text.contains("+50.00%") && text.contains("REGRESSED"),
+            "{text}"
+        );
+        let text = pair(-1e308, 1e308).render();
+        assert!(
+            text.contains("+inf%") && text.contains("REGRESSED"),
+            "{text}"
+        );
+        assert!(!pair(-2.0, -3.0).has_regressions());
+        assert!(!pair(0.0, f64::NAN).has_regressions());
     }
 
     #[test]

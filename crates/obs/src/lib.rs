@@ -37,7 +37,8 @@
 //!   knows of its workers: each one's latest snapshot, superstep timings,
 //!   clock offset and staleness, behind the `worker="N"`-labelled series,
 //!   the clock-aligned trace and the `/healthz` that counts deaths.
-//! * **Continuous profiler** ([`profile`]) — a background sampler that
+//! * **Continuous profiler** ([`profile`]) — a background sampler (on the
+//!   one interval thread, [`ticker::Ticker`]) that
 //!   snapshots each thread's live span stack into flamegraph-compatible
 //!   folded-stack counts (`--profile-out`, `/profile`, and the cluster
 //!   flame view in `bpart report --profile`).
@@ -83,7 +84,7 @@ pub mod report;
 pub mod rss;
 pub mod serve;
 pub mod snapshot;
-mod ticker;
+pub mod ticker;
 pub mod tracer;
 
 pub use tracer::{clear_trace, set_trace_enabled, span, trace_enabled, SpanGuard, SpanRecord};

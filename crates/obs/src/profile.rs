@@ -192,14 +192,18 @@ pub fn parse_folded(text: &str) -> Result<Vec<(String, u64)>, String> {
     Ok(out)
 }
 
-/// Starts the background sampler at `interval` (idempotent: returns
-/// `false` if one is already running).
+/// Takes one sample now and starts the background sampler at `interval`
+/// (idempotent: returns `false` if one is already running).
 pub fn start_sampler(interval: Duration) -> bool {
     let mut slot = state().sampler.lock().unwrap_or_else(|p| p.into_inner());
     if slot.is_some() {
         return false;
     }
-    *slot = Some(Ticker::start("bpart-profiler", interval, sample_once));
+    sample_once();
+    *slot = Some(Ticker::start("bpart-profiler", interval, || {
+        sample_once();
+        true
+    }));
     true
 }
 

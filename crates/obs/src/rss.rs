@@ -14,96 +14,24 @@
 //!   beyond the ceiling *fail* instead of merely being frowned upon.
 //!
 //! Constrained kernels (containers, grsecurity, non-linux) can omit or
-//! truncate `/proc/self/status` fields, so parsing goes through the typed
-//! [`try_peak_rss_bytes`] with a [`ProcStatusError`] naming exactly what
-//! went wrong — never a panic. [`peak_rss_bytes`] is for callers that
-//! treat any miss as "platform doesn't expose it".
+//! truncate `/proc/self/status` fields, so a field that is missing or does
+//! not parse reads as `None` — never a panic.
 
-use std::fmt;
-
-/// Why a `/proc/self/status` field could not be read.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ProcStatusError {
-    /// `/proc/self/status` itself could not be read (non-linux, masked
-    /// procfs, …). Carries the OS error text.
-    Unreadable(String),
-    /// The file was read but the requested field is absent — constrained
-    /// kernels omit accounting fields, and truncated reads lose the tail.
-    MissingField(&'static str),
-    /// The field was present but its value didn't parse as `<kB> kB`.
-    Malformed { key: &'static str, line: String },
-}
-
-impl fmt::Display for ProcStatusError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProcStatusError::Unreadable(err) => {
-                write!(f, "/proc/self/status unreadable: {err}")
-            }
-            ProcStatusError::MissingField(key) => {
-                write!(f, "/proc/self/status has no {key} field")
-            }
-            ProcStatusError::Malformed { key, line } => {
-                write!(f, "/proc/self/status {key} line malformed: {line:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ProcStatusError {}
-
-/// Parses a `VmXXX:   1234 kB` line out of status-file `text`. Pure so
-/// fixture tests can exercise truncated and malformed files on any
+/// Parses a `VmXXX:   1234 kB` line out of status-file `text` into bytes:
+/// `None` when the field is absent or its value is not `<kB> kB` in range.
+/// Pure so fixture tests can exercise truncated and malformed files on any
 /// platform.
-fn parse_status_kb(text: &str, key: &'static str) -> Result<u64, ProcStatusError> {
-    for line in text.lines() {
-        let Some(rest) = line.strip_prefix(key) else {
-            continue;
-        };
-        // Guard against prefix collisions (`VmRSS` vs a hypothetical
-        // `VmRSSX`): the key must be followed by the colon.
-        let Some(rest) = rest.strip_prefix(':') else {
-            continue;
-        };
-        let Some(token) = rest.split_whitespace().next() else {
-            return Err(ProcStatusError::Malformed {
-                key,
-                line: line.to_string(),
-            });
-        };
-        let kb: u64 = token.parse().map_err(|_| ProcStatusError::Malformed {
-            key,
-            line: line.to_string(),
-        })?;
-        return kb.checked_mul(1024).ok_or(ProcStatusError::Malformed {
-            key,
-            line: line.to_string(),
-        });
-    }
-    Err(ProcStatusError::MissingField(key))
-}
-
-/// Reads and parses one field from the live `/proc/self/status`.
-fn proc_status_bytes(key: &'static str) -> Result<u64, ProcStatusError> {
-    #[cfg(target_os = "linux")]
-    {
-        let status = std::fs::read_to_string("/proc/self/status")
-            .map_err(|e| ProcStatusError::Unreadable(e.to_string()))?;
-        parse_status_kb(&status, key)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = key;
-        Err(ProcStatusError::Unreadable(
-            "no /proc/self/status on this platform".to_string(),
-        ))
-    }
-}
-
-/// Lifetime peak resident set size in bytes (`VmHWM`), with a typed
-/// error when the kernel hides or mangles the field.
-pub fn try_peak_rss_bytes() -> Result<u64, ProcStatusError> {
-    proc_status_bytes("VmHWM")
+fn parse_status_kb(text: &str, key: &str) -> Option<u64> {
+    // The colon guards against prefix collisions (`VmRSS` vs `VmRSSX`).
+    let value = text
+        .lines()
+        .find_map(|line| line.strip_prefix(key)?.strip_prefix(':'))?;
+    value
+        .split_whitespace()
+        .next()?
+        .parse::<u64>()
+        .ok()?
+        .checked_mul(1024)
 }
 
 /// Lifetime peak resident set size in bytes (`VmHWM`), if the platform
@@ -111,7 +39,15 @@ pub fn try_peak_rss_bytes() -> Result<u64, ProcStatusError> {
 /// process has done so far, including phases before the caller started
 /// caring — measure in a child process when isolating one phase.
 pub fn peak_rss_bytes() -> Option<u64> {
-    try_peak_rss_bytes().ok()
+    #[cfg(target_os = "linux")]
+    {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        parse_status_kb(&status, "VmHWM")
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        None
+    }
 }
 
 #[cfg(unix)]
@@ -191,59 +127,40 @@ VmPeak:\t  123456 kB
 
     #[test]
     fn parses_fields_from_a_full_status_file() {
-        assert_eq!(parse_status_kb(FULL_STATUS, "VmRSS"), Ok(65536 * 1024));
-        assert_eq!(parse_status_kb(FULL_STATUS, "VmHWM"), Ok(98304 * 1024));
+        assert_eq!(parse_status_kb(FULL_STATUS, "VmRSS"), Some(65536 * 1024));
+        assert_eq!(parse_status_kb(FULL_STATUS, "VmHWM"), Some(98304 * 1024));
     }
 
     #[test]
-    fn truncated_status_is_a_typed_missing_field_not_a_panic() {
-        assert_eq!(
-            parse_status_kb(TRUNCATED_STATUS, "VmHWM"),
-            Err(ProcStatusError::MissingField("VmHWM"))
-        );
-        assert_eq!(
-            parse_status_kb(TRUNCATED_STATUS, "VmRSS"),
-            Err(ProcStatusError::MissingField("VmRSS"))
-        );
-        // And the error renders something a human can act on.
-        let msg = ProcStatusError::MissingField("VmHWM").to_string();
-        assert!(msg.contains("VmHWM"), "{msg}");
+    fn truncated_status_is_none_not_a_panic() {
+        assert_eq!(parse_status_kb(TRUNCATED_STATUS, "VmHWM"), None);
+        assert_eq!(parse_status_kb(TRUNCATED_STATUS, "VmRSS"), None);
     }
 
     #[test]
-    fn malformed_values_are_typed_errors() {
+    fn malformed_values_are_none() {
         let garbage = "VmRSS:\tnot-a-number kB\n";
-        assert!(matches!(
-            parse_status_kb(garbage, "VmRSS"),
-            Err(ProcStatusError::Malformed { key: "VmRSS", .. })
-        ));
+        assert_eq!(parse_status_kb(garbage, "VmRSS"), None);
         let empty_value = "VmRSS:\n";
-        assert!(matches!(
-            parse_status_kb(empty_value, "VmRSS"),
-            Err(ProcStatusError::Malformed { key: "VmRSS", .. })
-        ));
+        assert_eq!(parse_status_kb(empty_value, "VmRSS"), None);
         // A kB count that would overflow the byte conversion.
         let huge = format!("VmRSS:\t{} kB\n", u64::MAX);
-        assert!(matches!(
-            parse_status_kb(&huge, "VmRSS"),
-            Err(ProcStatusError::Malformed { key: "VmRSS", .. })
-        ));
+        assert_eq!(parse_status_kb(&huge, "VmRSS"), None);
     }
 
     #[test]
     fn prefix_collisions_do_not_match() {
         // `VmRSSExtra` must not satisfy a `VmRSS` lookup.
         let tricky = "VmRSSExtra:\t10 kB\nVmRSS:\t20 kB\n";
-        assert_eq!(parse_status_kb(tricky, "VmRSS"), Ok(20 * 1024));
+        assert_eq!(parse_status_kb(tricky, "VmRSS"), Some(20 * 1024));
     }
 
     #[test]
     #[cfg(target_os = "linux")]
     fn rss_readings_are_sane() {
-        let peak = try_peak_rss_bytes().expect("VmHWM should exist on linux");
+        let peak = peak_rss_bytes().expect("VmHWM should exist on linux");
         // A running test binary has held at least a few pages.
         assert!(peak > 64 * 1024, "peak {peak}");
-        assert!(peak_rss_bytes().is_some());
     }
 
     #[test]

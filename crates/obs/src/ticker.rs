@@ -1,34 +1,37 @@
-//! The background thread behind the profiler's sampler.
+//! The one interval thread: the profiler's sampler, a worker's heartbeat
+//! and its obs flush all run on it.
 
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// A thread that calls `tick` at once and then every `interval` until the
-/// ticker is dropped. Between ticks it waits in a `recv_timeout` on a
-/// channel whose sender the ticker holds, so the drop wakes it: stopping
-/// returns as soon as a tick in flight has finished, not at the end of
-/// the interval.
-pub(crate) struct Ticker {
+/// A thread that waits `interval`, then calls `tick`, until the tick
+/// returns `false` or the ticker is dropped. It waits in a `recv_timeout`
+/// on a channel whose sender the ticker holds, so the drop wakes it:
+/// stopping returns as soon as a tick in flight has finished, not at the
+/// end of the interval — a worker told to shut down exits now.
+pub struct Ticker {
     stop: Option<Sender<()>>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl Ticker {
-    pub(crate) fn start(
+    /// Starts the thread under `name`.
+    pub fn start(
         name: &str,
         interval: Duration,
-        mut tick: impl FnMut() + Send + 'static,
+        mut tick: impl FnMut() -> bool + Send + 'static,
     ) -> Ticker {
         let (stop, stopped) = channel::<()>();
         let thread = std::thread::Builder::new()
             .name(name.into())
-            .spawn(move || loop {
-                tick();
-                // Nothing is ever sent: the wait ends by timeout (tick
-                // again) or by the sender's drop (stop).
-                if stopped.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
-                    break;
+            .spawn(move || {
+                // Nothing is ever sent: the wait ends by timeout (tick) or
+                // by the sender's drop (stop).
+                while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
+                    if !tick() {
+                        break;
+                    }
                 }
             })
             .expect("spawn ticker thread");
@@ -57,7 +60,7 @@ mod tests {
     fn a_ticker_ticks_on_its_interval() {
         let (tx, ticks) = channel();
         let ticker = Ticker::start("test-ticker", Duration::from_millis(1), move || {
-            let _ = tx.send(());
+            tx.send(()).is_ok()
         });
         for _ in 0..3 {
             ticks
@@ -68,13 +71,22 @@ mod tests {
     }
 
     #[test]
-    fn stopping_a_ten_second_ticker_returns_at_once() {
+    fn a_ticker_ends_itself_when_the_tick_returns_false() {
         let (tx, ticks) = channel();
-        let ticker = Ticker::start("test-ticker", Duration::from_secs(10), move || {
-            let _ = tx.send(());
+        let mut left = 3;
+        let ticker = Ticker::start("test-ticker", Duration::from_millis(1), move || {
+            left -= 1;
+            tx.send(left).unwrap();
+            left > 0
         });
-        // The first tick has run, so the thread is (about to be) waiting.
-        ticks.recv().expect("first tick");
+        // The iterator ends when the thread has exited and dropped `tx`.
+        assert_eq!(ticks.iter().collect::<Vec<_>>(), [2, 1, 0]);
+        drop(ticker);
+    }
+
+    #[test]
+    fn stopping_a_ten_second_ticker_returns_at_once() {
+        let ticker = Ticker::start("test-ticker", Duration::from_secs(10), || true);
         let started = Instant::now();
         drop(ticker);
         let took = started.elapsed();

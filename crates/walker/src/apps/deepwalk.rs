@@ -1,7 +1,9 @@
 //! DeepWalk (Perozzi et al., KDD '14): plain uniform random walks whose
 //! recorded vertex sequences feed a skip-gram model. The walk itself is a
-//! fixed-length first-order walk; run it with path recording enabled to
-//! produce the training corpus (see the `random_walk_corpus` example).
+//! fixed-length first-order walk — the same "simple random walk" behind the
+//! paper's load-balance experiments (Figs. 4, 12, 13) — run with path
+//! recording enabled to produce the training corpus (see the
+//! `random_walk_corpus` example).
 
 use crate::walker::{uniform_neighbor, WalkApp, Walker};
 use bpart_graph::{CsrGraph, VertexId};
@@ -40,6 +42,19 @@ mod tests {
     use bpart_core::{ChunkV, Partitioner};
     use bpart_graph::generate;
     use std::sync::Arc;
+
+    #[test]
+    fn walks_follow_edges() {
+        let g = generate::ring(6);
+        let mut w = Walker::new(0, 2, 1);
+        let app = DeepWalk::new(3);
+        for expect in [3u32, 4, 5] {
+            let next = app.next(&mut w, &g).unwrap();
+            assert_eq!(next, expect); // ring has one out-edge per vertex
+            w.advance(next);
+        }
+        assert_eq!(app.walk_length(), 3);
+    }
 
     #[test]
     fn corpus_walks_stay_on_edges() {

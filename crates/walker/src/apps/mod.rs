@@ -1,23 +1,20 @@
 //! Walk applications.
 //!
 //! The paper's five KnightKing workloads — [`Ppr`], [`Rwj`], [`Rwd`],
-//! [`DeepWalk`], [`Node2vec`] — plus [`SimpleRandomWalk`], the plain
-//! fixed-length walk its load-balance experiments use (5|V| walks of 4
-//! steps).
+//! [`DeepWalk`], [`Node2vec`]. [`DeepWalk`] is also the plain fixed-length
+//! uniform walk its load-balance experiments use (5|V| walks of 4 steps).
 
 mod deepwalk;
 mod node2vec;
 mod ppr;
 mod rwd;
 mod rwj;
-mod simple;
 
 pub use deepwalk::DeepWalk;
 pub use node2vec::Node2vec;
 pub use ppr::Ppr;
 pub use rwd::Rwd;
 pub use rwj::Rwj;
-pub use simple::SimpleRandomWalk;
 
 use crate::walker::WalkApp;
 

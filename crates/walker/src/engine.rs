@@ -192,11 +192,10 @@ impl WalkEngine {
         self
     }
 
-    /// Checkpoints in-flight walker state every `every` supersteps
-    /// (`every` must be positive). Without this, recovery replays the
-    /// whole walk from its starts.
+    /// Checkpoints in-flight walker state every `every` supersteps (0:
+    /// never). Without this, recovery replays the whole walk from its
+    /// starts.
     pub fn with_checkpoint_every(mut self, every: usize) -> Self {
-        assert!(every > 0, "checkpoint interval must be positive");
         self.cfg.checkpoint_every = Some(every);
         self
     }
@@ -254,7 +253,7 @@ impl WalkEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::SimpleRandomWalk;
+    use crate::apps::DeepWalk;
     use bpart_core::{ChunkE, ChunkV, HashPartitioner, Partitioner};
     use bpart_graph::generate;
 
@@ -265,8 +264,7 @@ mod tests {
     #[test]
     fn fixed_length_walks_take_exactly_len_iterations() {
         let graph = Arc::new(generate::complete(20));
-        let run =
-            engine(&graph, ChunkV, 4).run(&SimpleRandomWalk::new(4), &WalkStarts::PerVertex(2), 7);
+        let run = engine(&graph, ChunkV, 4).run(&DeepWalk::new(4), &WalkStarts::PerVertex(2), 7);
         assert_eq!(run.iterations, 4);
         assert_eq!(run.total_steps, 20 * 2 * 4);
     }
@@ -275,13 +273,12 @@ mod tests {
     fn paths_are_partition_invariant() {
         let graph = Arc::new(generate::twitter_like().generate_scaled(0.01));
         let starts = WalkStarts::PerVertex(1);
-        let a =
-            engine(&graph, ChunkV, 4)
-                .with_recording()
-                .run(&SimpleRandomWalk::new(6), &starts, 11);
+        let a = engine(&graph, ChunkV, 4)
+            .with_recording()
+            .run(&DeepWalk::new(6), &starts, 11);
         let b = engine(&graph, HashPartitioner::default(), 4)
             .with_recording()
-            .run(&SimpleRandomWalk::new(6), &starts, 11);
+            .run(&DeepWalk::new(6), &starts, 11);
         assert_eq!(a.paths, b.paths);
         assert_eq!(a.total_steps, b.total_steps);
     }
@@ -291,11 +288,8 @@ mod tests {
         // Ring split in two halves: a walker crosses the boundary exactly
         // when moving 3->4 or 7->0.
         let graph = Arc::new(generate::ring(8));
-        let run = engine(&graph, ChunkV, 2).run(
-            &SimpleRandomWalk::new(8),
-            &WalkStarts::Explicit(vec![0]),
-            3,
-        );
+        let run =
+            engine(&graph, ChunkV, 2).run(&DeepWalk::new(8), &WalkStarts::Explicit(vec![0]), 3);
         // the walk visits 8 consecutive vertices; it crosses machines at
         // 3->4 (transmitted) and at 7->0 — but the latter is its final
         // step, so the finished walker is never sent
@@ -306,8 +300,7 @@ mod tests {
     #[test]
     fn single_machine_sends_nothing() {
         let graph = Arc::new(generate::complete(12));
-        let run =
-            engine(&graph, ChunkE, 1).run(&SimpleRandomWalk::new(5), &WalkStarts::PerVertex(3), 9);
+        let run = engine(&graph, ChunkE, 1).run(&DeepWalk::new(5), &WalkStarts::PerVertex(3), 9);
         assert_eq!(run.message_walks, 0);
         assert_eq!(run.telemetry.total_messages(), 0);
     }
@@ -316,7 +309,7 @@ mod tests {
     fn recorded_paths_have_full_length() {
         let graph = Arc::new(generate::complete(10));
         let run = engine(&graph, ChunkV, 2).with_recording().run(
-            &SimpleRandomWalk::new(5),
+            &DeepWalk::new(5),
             &WalkStarts::PerVertex(1),
             1,
         );
@@ -332,7 +325,7 @@ mod tests {
     fn dead_ends_terminate_early() {
         let graph = Arc::new(generate::path(3)); // 0->1->2, 2 is a sink
         let run = engine(&graph, ChunkV, 2).with_recording().run(
-            &SimpleRandomWalk::new(10),
+            &DeepWalk::new(10),
             &WalkStarts::Explicit(vec![0]),
             5,
         );
@@ -348,7 +341,7 @@ mod tests {
     fn a_walk_of_length_zero_is_its_start() {
         let graph = Arc::new(generate::complete(12));
         let run = engine(&graph, ChunkV, 3).with_recording().run(
-            &SimpleRandomWalk::new(0),
+            &DeepWalk::new(0),
             &WalkStarts::PerVertex(2),
             4,
         );
@@ -363,8 +356,7 @@ mod tests {
         // On a skewed graph with Chunk-V, the hub machine should execute
         // far more steps than the rest (the paper's Fig. 4).
         let graph = Arc::new(generate::twitter_like().generate_scaled(0.02));
-        let run =
-            engine(&graph, ChunkV, 8).run(&SimpleRandomWalk::new(4), &WalkStarts::PerVertex(5), 13);
+        let run = engine(&graph, ChunkV, 8).run(&DeepWalk::new(4), &WalkStarts::PerVertex(5), 13);
         let records = run.telemetry.records();
         // Sum compute per machine over iterations 1.. (iteration 0 is
         // uniform because starts are per-vertex balanced).
@@ -384,7 +376,7 @@ mod tests {
     fn crash_recovery_reproduces_fault_free_walks() {
         let graph = Arc::new(generate::twitter_like().generate_scaled(0.01));
         let starts = WalkStarts::PerVertex(1);
-        let app = SimpleRandomWalk::new(8);
+        let app = DeepWalk::new(8);
         let clean = engine(&graph, ChunkV, 4)
             .with_recording()
             .run(&app, &starts, 21);
@@ -463,7 +455,7 @@ mod tests {
             .straggler(0, 9, 3, 4.0)
             .drop_link(0, 9, 0, 2, 0.5);
         let starts = WalkStarts::PerVertex(1);
-        let app = SimpleRandomWalk::new(6);
+        let app = DeepWalk::new(6);
         let seq = WalkEngine::new(
             Cluster::new(graph.clone(), partition.clone()),
             CostModel::default(),
@@ -495,7 +487,7 @@ mod tests {
     fn link_faults_leave_trajectories_alone() {
         let graph = Arc::new(generate::complete(16));
         let starts = WalkStarts::PerVertex(2);
-        let app = SimpleRandomWalk::new(5);
+        let app = DeepWalk::new(5);
         let clean = engine(&graph, ChunkV, 4)
             .with_recording()
             .run(&app, &starts, 3);

@@ -654,12 +654,12 @@ mod tests {
     /// nothing staged, and the replayed step stages the same walkers again.
     #[test]
     fn staged_is_what_outgoing_drains_and_a_restore_clears_it() {
-        use crate::apps::SimpleRandomWalk;
+        use crate::apps::DeepWalk;
         use bpart_core::{ChunkV, Partitioner};
         use std::sync::Arc;
         let graph = Arc::new(bpart_graph::generate::complete(24));
         let cluster = Cluster::new(graph.clone(), Arc::new(ChunkV.partition(&graph, 3)));
-        let app = SimpleRandomWalk::new(4);
+        let app = DeepWalk::new(4);
         let mut steps = WalkStep::for_cluster(&cluster, &WalkStarts::PerVertex(2), 5, false);
         let step = &mut steps[1];
         let start = step.snapshot();

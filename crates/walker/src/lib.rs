@@ -23,13 +23,13 @@
 //! ```
 //! use bpart_core::{ChunkV, Partitioner};
 //! use bpart_graph::generate;
-//! use bpart_walker::{apps::SimpleRandomWalk, WalkEngine, WalkStarts};
+//! use bpart_walker::{apps::DeepWalk, WalkEngine, WalkStarts};
 //! use std::sync::Arc;
 //!
 //! let graph = Arc::new(generate::erdos_renyi(100, 800, 7));
 //! let partition = Arc::new(ChunkV.partition(&graph, 4));
 //! let engine = WalkEngine::default_for(graph, partition);
-//! let run = engine.run(&SimpleRandomWalk::new(4), &WalkStarts::PerVertex(5), 42);
+//! let run = engine.run(&DeepWalk::new(4), &WalkStarts::PerVertex(5), 42);
 //! assert_eq!(run.iterations, 4); // one step per superstep
 //! assert_eq!(run.total_steps, 100 * 5 * 4);
 //! ```
@@ -52,7 +52,7 @@ pub use walker::{WalkApp, Walker};
 #[cfg(test)]
 mod arena {
     mod tests {
-        use crate::apps::SimpleRandomWalk;
+        use crate::apps::DeepWalk;
         use crate::engine::Walk;
         use crate::{WalkStarts, WalkStep, Walker};
         use bpart_cluster::bsp::{Machine, Program};
@@ -71,7 +71,7 @@ mod arena {
             WalkStep::for_cluster(&cluster, &STARTS, SEED, false)
         }
 
-        fn step_all(steps: &mut [WalkStep], app: &SimpleRandomWalk) {
+        fn step_all(steps: &mut [WalkStep], app: &DeepWalk) {
             for step in steps.iter_mut() {
                 step.step(app);
             }
@@ -79,7 +79,7 @@ mod arena {
 
         #[test]
         fn lifecycle_round_trip_through_the_router() {
-            let app = SimpleRandomWalk::new(5);
+            let app = DeepWalk::new(5);
             let mut steps = kernels();
             // A twin run, drained by hand, says what each receiver is owed.
             let mut twin = kernels();
@@ -113,7 +113,7 @@ mod arena {
 
         #[test]
         fn capacity_survives_the_drain() {
-            let app = SimpleRandomWalk::new(6);
+            let app = DeepWalk::new(6);
             let mut steps = kernels();
             let mut high_water = vec![0u64; steps.len()];
             for superstep in 0..6 {
@@ -142,7 +142,7 @@ mod arena {
 
         #[test]
         fn reset_clears_but_keeps_capacity() {
-            let app = SimpleRandomWalk::new(3);
+            let app = DeepWalk::new(3);
             let mut steps = kernels();
             let step = &mut steps[0];
             let seeded = step.snapshot();

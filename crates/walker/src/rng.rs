@@ -6,6 +6,8 @@
 //! assert that different partitioners produce byte-identical walks, and it
 //! mirrors KnightKing's walker-attached sampler state.
 
+use bpart_graph::splitmix::{mix64, unit_f64, GOLDEN_GAMMA};
+
 /// SplitMix64-based walker RNG (8 bytes of state, `Copy`, migrates freely).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalkerRng {
@@ -17,15 +19,15 @@ impl WalkerRng {
     pub fn new(seed: u64, id: u64) -> Self {
         // Decorrelate the stream from the raw id with one mix round.
         WalkerRng {
-            state: mix(seed ^ mix(id.wrapping_add(0x0DDB_1A5E))),
+            state: mix64(seed ^ mix64(id.wrapping_add(0x0DDB_1A5E))),
         }
     }
 
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        mix(self.state)
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        mix64(self.state)
     }
 
     /// Uniform value in `[0, bound)`.
@@ -43,7 +45,7 @@ impl WalkerRng {
     /// Uniform value in `[0, 1)`.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Bernoulli draw.
@@ -65,13 +67,6 @@ impl WalkerRng {
     pub fn from_bits(state: u64) -> Self {
         WalkerRng { state }
     }
-}
-
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

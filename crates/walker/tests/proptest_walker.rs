@@ -16,7 +16,7 @@ proptest! {
         let partition = Arc::new(ChunkV.partition(&graph, 4));
         let run = WalkEngine::default_for(graph.clone(), partition)
             .with_recording()
-            .run(&apps::SimpleRandomWalk::new(steps), &WalkStarts::PerVertex(1), seed);
+            .run(&apps::DeepWalk::new(steps), &WalkStarts::PerVertex(1), seed);
         let paths = run.paths.unwrap();
         prop_assert_eq!(paths.len(), 80);
         for (id, path) in paths.iter().enumerate() {
@@ -34,13 +34,13 @@ proptest! {
         let starts = WalkStarts::PerVertex(2);
         let a = WalkEngine::default_for(graph.clone(), Arc::new(ChunkV.partition(&graph, k)))
             .with_recording()
-            .run(&apps::SimpleRandomWalk::new(5), &starts, seed);
+            .run(&apps::DeepWalk::new(5), &starts, seed);
         let b = WalkEngine::default_for(
             graph.clone(),
             Arc::new(HashPartitioner::new(seed).partition(&graph, k)),
         )
         .with_recording()
-        .run(&apps::SimpleRandomWalk::new(5), &starts, seed);
+        .run(&apps::DeepWalk::new(5), &starts, seed);
         prop_assert_eq!(a.paths, b.paths);
         prop_assert_eq!(a.total_steps, b.total_steps);
     }
@@ -79,7 +79,7 @@ proptest! {
         use bpart_cluster::FaultPlan;
         let graph = Arc::new(generate::erdos_renyi(60, 480, seed));
         let partition = Arc::new(ChunkV.partition(&graph, 4));
-        let app = apps::SimpleRandomWalk::new(6);
+        let app = apps::DeepWalk::new(6);
         let starts = WalkStarts::PerVertex(1);
         let clean = WalkEngine::default_for(graph.clone(), partition.clone())
             .with_recording()

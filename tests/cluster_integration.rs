@@ -18,7 +18,7 @@ fn walk_steps_are_conserved_across_machines() {
     for k in [2usize, 8] {
         let partition = Arc::new(HashPartitioner::default().partition(&graph, k));
         let run = WalkEngine::default_for(graph.clone(), partition).run(
-            &wapps::SimpleRandomWalk::new(4),
+            &wapps::DeepWalk::new(4),
             &WalkStarts::PerVertex(3),
             11,
         );
@@ -37,7 +37,7 @@ fn message_totals_agree_between_run_and_telemetry() {
     let graph = Arc::new(generate::lj_like().generate_scaled(0.02));
     let partition = Arc::new(ChunkV.partition(&graph, 4));
     let run = WalkEngine::default_for(graph.clone(), partition).run(
-        &wapps::SimpleRandomWalk::new(4),
+        &wapps::DeepWalk::new(4),
         &WalkStarts::PerVertex(2),
         3,
     );
@@ -49,7 +49,7 @@ fn waiting_ratio_is_a_fraction_and_zero_for_one_machine() {
     let graph = Arc::new(generate::friendster_like().generate_scaled(0.02));
     let one = Arc::new(ChunkV.partition(&graph, 1));
     let run = WalkEngine::default_for(graph.clone(), one).run(
-        &wapps::SimpleRandomWalk::new(4),
+        &wapps::DeepWalk::new(4),
         &WalkStarts::PerVertex(1),
         5,
     );
@@ -57,7 +57,7 @@ fn waiting_ratio_is_a_fraction_and_zero_for_one_machine() {
 
     let eight = Arc::new(ChunkV.partition(&graph, 8));
     let run = WalkEngine::default_for(graph.clone(), eight).run(
-        &wapps::SimpleRandomWalk::new(4),
+        &wapps::DeepWalk::new(4),
         &WalkStarts::PerVertex(1),
         5,
     );
@@ -121,11 +121,7 @@ fn cost_model_scales_modelled_time_linearly() {
         cheap,
         ExecMode::Sequential,
     )
-    .run(
-        &wapps::SimpleRandomWalk::new(4),
-        &WalkStarts::PerVertex(1),
-        2,
-    );
+    .run(&wapps::DeepWalk::new(4), &WalkStarts::PerVertex(1), 2);
     let double = CostModel {
         step_cost: 2.0,
         message_cost: 0.0,
@@ -136,11 +132,7 @@ fn cost_model_scales_modelled_time_linearly() {
         double,
         ExecMode::Sequential,
     )
-    .run(
-        &wapps::SimpleRandomWalk::new(4),
-        &WalkStarts::PerVertex(1),
-        2,
-    );
+    .run(&wapps::DeepWalk::new(4), &WalkStarts::PerVertex(1), 2);
     let t1 = base.telemetry.total_time();
     let t2 = scaled.telemetry.total_time();
     assert!((t2 - 2.0 * t1).abs() < 1e-9, "{t2} vs 2 x {t1}");

@@ -52,7 +52,7 @@ fn message_walks_scale_with_edge_cut() {
     let traffic = |p: Partition| {
         let cut = metrics::edge_cut_ratio(&graph, &p);
         let run = WalkEngine::default_for(graph.clone(), Arc::new(p)).run(
-            &apps::SimpleRandomWalk::new(4),
+            &apps::DeepWalk::new(4),
             &WalkStarts::PerVertex(5),
             3,
         );
@@ -87,11 +87,7 @@ fn balanced_partition_cuts_walker_waiting_time() {
     let graph = Arc::new(generate::twitter_like().generate_scaled(0.05));
     let waiting = |p: Partition| {
         WalkEngine::default_for(graph.clone(), Arc::new(p))
-            .run(
-                &apps::SimpleRandomWalk::new(4),
-                &WalkStarts::PerVertex(5),
-                1,
-            )
+            .run(&apps::DeepWalk::new(4), &WalkStarts::PerVertex(5), 1)
             .telemetry
             .waiting_ratio()
     };
