@@ -533,7 +533,7 @@ fn partition_cmd(
     }
     let scheme = scheme_by_name(scheme_name)?;
     let graph = load_graph(graph_path)?;
-    check_parts(parts, graph.num_vertices())?;
+    check_parts(scheme_name, parts, graph.num_vertices())?;
     let start = Instant::now();
     // Only BPart has layers to report; it is run for its trace, which
     // `partition_with_stats` folds away.
@@ -583,7 +583,7 @@ fn partition_ooc_cmd(
     let config = bpart_core::OocConfig::new(parts, scheme.out_of_core()?);
     let named = |e: &dyn fmt::Display| fail(format!("{shard_path}: {e}"));
     let shards = pio::ShardSet::open(Path::new(shard_path)).map_err(|e| named(&e))?;
-    check_parts(parts, shards.num_vertices())?;
+    check_parts(scheme_name, parts, shards.num_vertices())?;
     let start = Instant::now();
     let outcome = bpart_core::stream_assign_ooc(&shards, &config).map_err(|e| named(&e))?;
     let elapsed = start.elapsed().as_secs_f64();
@@ -1169,14 +1169,6 @@ mod tests {
         std::fs::remove_file(graph_path).ok();
         std::fs::remove_file(hist_path).ok();
         std::fs::remove_dir_all(shard_dir).ok();
-    }
-
-    #[test]
-    fn gd_rejects_non_power_of_two_via_error_not_abort() {
-        // The CLI relies on the library panic; verify the resolver at least
-        // hands back the GD scheme so the binary reports the panic cleanly.
-        let s = scheme_by_name("gd").unwrap();
-        assert_eq!(s.name(), "GD");
     }
 
     fn run_on(graph: String, app: &str, fault_plan: Option<&str>) -> Result<String, CliError> {

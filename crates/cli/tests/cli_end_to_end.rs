@@ -411,6 +411,64 @@ fn a_straggle_clause_on_the_process_backend_exits_with_one_error_line() {
     std::fs::remove_file(gp).ok();
 }
 
+/// GD bisects recursively, so it takes only a power-of-two part count: any
+/// other is one `bpart: …` line naming the scheme and `--parts`, from
+/// `partition` and from `run` on either backend, not a partitioner panic.
+#[test]
+fn gd_with_a_part_count_not_a_power_of_two_exits_with_one_error_line() {
+    let (gp, g) = small_graph("gd_three_parts.bpgr");
+    let names = "--scheme gd bisects recursively: --parts 3 is not a power of two";
+    let gd = ["--parts", "3", "--scheme", "gd"];
+    refused_in_one_line(&[&["partition", &g][..], &gd].concat(), names);
+    for backend in ["threads", "process"] {
+        let run = [
+            "run",
+            &g,
+            "--app",
+            "pagerank",
+            "--iters",
+            "2",
+            "--backend",
+            backend,
+        ];
+        refused_in_one_line(&[&run[..], &gd].concat(), names);
+    }
+    std::fs::remove_file(gp).ok();
+}
+
+/// A link clause from a machine to itself can inject nothing (no machine
+/// sends itself a message), so both backends refuse it by name instead of
+/// running a plan that never fires.
+#[test]
+fn a_self_link_clause_exits_with_one_error_line() {
+    let (gp, g) = small_graph("self_link.bpgr");
+    for backend in ["threads", "process"] {
+        let run = [
+            "run",
+            &g,
+            "--parts",
+            "2",
+            "--scheme",
+            "chunk-v",
+            "--backend",
+            backend,
+        ];
+        let plan = [
+            "--app",
+            "pagerank",
+            "--iters",
+            "4",
+            "--fault-plan",
+            "drop@0-3:m1->m1:1.0",
+        ];
+        refused_in_one_line(
+            &[&run[..], &plan].concat(),
+            "fault plan clause drop@0-3:m1->m1:1 never fires",
+        );
+    }
+    std::fs::remove_file(gp).ok();
+}
+
 /// `obs diff` flags a watched metric that rises from a baseline of 0 or
 /// below, in both directions of a diff that a CI gate runs.
 #[test]
