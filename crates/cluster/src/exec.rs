@@ -73,23 +73,6 @@ where
     }
 }
 
-/// Splits per-machine outcomes into all-Ok results or the first failing
-/// machine. Engines call this after every fallible phase: either the
-/// superstep proceeds with complete results, or recovery rolls back to
-/// the last checkpoint.
-pub fn collect_results<R>(
-    results: Vec<Result<R, MachineFailure>>,
-) -> Result<Vec<R>, (MachineId, MachineFailure)> {
-    let mut ok = Vec::with_capacity(results.len());
-    for (m, result) in results.into_iter().enumerate() {
-        match result {
-            Ok(v) => ok.push(v),
-            Err(failure) => return Err((m as MachineId, failure)),
-        }
-    }
-    Ok(ok)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

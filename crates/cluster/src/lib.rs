@@ -19,13 +19,15 @@
 //! * [`fault::FaultPlan`] / [`fault::FaultState`] — deterministic fault
 //!   injection (machine crashes, stragglers, lossy links) applied at the
 //!   exchange barrier,
-//! * [`bsp::drive`] — the one superstep loop both engines run: it owns
-//!   checkpoint/rollback recovery and every superstep's accounting (read
-//!   off per-destination counts: it never sees a message), and takes what
-//!   a machine computes and how machines hand over what they staged from a
-//!   [`bsp::Program`]. Both engines' kernels stage a superstep's messages
-//!   where their sender put them (the vertex kernel's send slots, the walk
-//!   kernel's per-destination rows) and hand them over from there.
+//! * [`bsp::run`] — the one superstep loop, for both engines and both
+//!   backends: it owns checkpoint/rollback recovery and every superstep's
+//!   accounting (read off per-destination counts: it never sees a
+//!   message), and takes the superstep through the machines by a
+//!   [`bsp::Transport`]. [`bsp::drive`] is the in-process one, which takes
+//!   what a machine computes and how machines hand over what they staged
+//!   from a [`bsp::Program`]; both engines' kernels stage a superstep's
+//!   messages where their sender put them (the vertex kernel's send slots,
+//!   the walk kernel's per-destination rows) and hand them over from there.
 //!
 //! Every engine built on this crate counts work in *units*, not wall-clock
 //! seconds, so experiment output is deterministic and machine-independent;

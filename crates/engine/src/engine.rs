@@ -5,7 +5,8 @@
 //! machine folding the others' send slots into its inbox + apply, on
 //! [`MachineStep`] kernels). The superstep loop itself —
 //! fault injection, checkpoint rollback and replay, telemetry — is
-//! [`bpart_cluster::bsp::drive`], shared with the walk engine. Crashes
+//! [`bpart_cluster::bsp::run`], run in process by `bsp::drive` and shared
+//! with the walk engine and the process backend. Crashes
 //! roll back to the last checkpoint and replay deterministically, so
 //! final values are bitwise-identical to a fault-free run; only the
 //! telemetry (wasted work, recovery time, replayed supersteps) shows the

@@ -9,9 +9,9 @@
 //! [`Walk`]: the walk half of a superstep (step every queue, absorb every
 //! inbox, place the superstep's triples, on [`WalkStep`] kernels). The
 //! superstep loop itself — fault injection, checkpoint rollback and replay,
-//! telemetry — is [`bpart_cluster::bsp::drive`], shared with the iteration
-//! engine. Each
-//! walker carries its own RNG and the step counters live in the
+//! telemetry — is [`bpart_cluster::bsp::run`], run in process by
+//! `bsp::drive` and shared with the iteration engine and the process
+//! backend. Each walker carries its own RNG and the step counters live in the
 //! checkpointed kernel state, so replays reproduce the exact trajectories
 //! and totals of a fault-free run; only telemetry shows the recovery work.
 
