@@ -797,9 +797,9 @@ fn show_time(unit: TimeUnit, t: f64) -> String {
 /// Per-machine compute and barrier waiting (the paper's Fig. 13 view: which
 /// machines sit idle at the superstep barrier and by how much) beside what
 /// each machine holds, the paper's two balance dimensions. Modelled units
-/// on the threads backend; on the process backend, seconds the workers
-/// measured — empty unless they were asked to report them — and the bytes
-/// each worker process held at its peak.
+/// on the threads backend; on the process backend, the seconds the workers
+/// measured on every run, and the bytes each worker process held at its
+/// peak when they were asked to report it. Empty when no superstep ran.
 fn machine_table(out: &AppOutput) -> String {
     let (unit, timing) = (out.time_unit, &out.timing);
     if timing.machines.is_empty() {

@@ -2,7 +2,8 @@
 //! backend prints the same digest and supersteps, the same report lines in
 //! the same order (times in cost-model units on one, seconds on the other),
 //! counts a crash the same way, and writes history records with the same
-//! keys. Drives the real binary, like `process_run.rs`.
+//! keys. A process run is measured with no observability flag too. Drives
+//! the real binary, like `process_run.rs`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -52,15 +53,18 @@ fn both_backends_print_one_report_and_write_one_record() {
     bpart(&[
         "generate", "--preset", "lj_like", "--scale", "0.02", "--seed", "11", "--out", g,
     ]);
-    let run = |backend: &str, hist: &Path| {
+    let run = |backend: &str, hist: Option<&Path>| {
         let mut args = vec!["run", g, "--parts", "3", "--scheme", "fennel"];
         args.extend(["--app", "pagerank", "--iters", "6", "--backend", backend]);
         args.extend(["--fault-plan", "crash@3:m1", "--checkpoint-every", "2"]);
-        args.extend(["--history-out", hist.to_str().unwrap()]);
+        if let Some(hist) = hist {
+            args.extend(["--history-out", hist.to_str().unwrap()]);
+        }
         bpart(&args)
     };
-    let threads = run("threads", &hist_t);
-    let process = run("process", &hist_p);
+    let threads = run("threads", Some(&hist_t));
+    let process = run("process", Some(&hist_p));
+    let unobserved = run("process", None);
 
     for same in ["edge-cut ratio:", "supersteps:", "digest:"] {
         assert_eq!(line(&threads, same), line(&process, same));
@@ -102,6 +106,7 @@ fn both_backends_print_one_report_and_write_one_record() {
     ];
     assert_eq!(shared(&threads), expected);
     assert_eq!(shared(&process), expected);
+    assert_eq!(shared(&unobserved), expected);
 
     let (t, p) = (history(&hist_t), history(&hist_p));
     assert_eq!((t.label.as_str(), p.label.as_str()), ("run", "run"));

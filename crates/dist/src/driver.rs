@@ -43,7 +43,8 @@
 //! transport sends `StepBegin` (with the checkpoint flag), a `SIGKILL` for
 //! each crash the loop fired, collects `StepData` — whose row-segment
 //! counts are the loop's staged matrix — sends each worker its `Inbox` and
-//! collects `StepDone`, which brings the snapshot bytes the loop keeps.
+//! collects `StepDone`, which brings the snapshot bytes the loop keeps and
+//! the compute and exchange times the worker measured, the loop's record.
 //!
 //! To restore after a death the transport bumps the recovery *epoch*,
 //! respawns the dead process (within `max_respawns`), sends it the job
@@ -64,11 +65,11 @@ use crate::spec::{AppSpec, JobSpec};
 use crate::step::WALK_FINAL_LEN;
 use crate::transport::rpc_rtt_histogram;
 use crate::wire::{path_triples, PATH_TRIPLE_LEN};
-use crate::{digest_bytes, digest_paths, AppOutput, RecoveryStats, TimeUnit};
+use crate::{digest_bytes, digest_paths, AppOutput};
 use bpart_cluster::bsp::{self, Lost, Step, Stop, Transport};
 use bpart_cluster::{Cluster, FaultPlan, IterationRecord, MachineId};
 use bpart_graph::{CsrGraph, VertexId};
-use bpart_obs::{analysis, federation, tracer, SpanGuard};
+use bpart_obs::{federation, tracer, SpanGuard};
 use bpart_walker::{PathTable, WalkStarts};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -476,12 +477,9 @@ impl Driver {
         };
 
         if federation::collection_enabled() {
-            // Prime the federated view: the cluster size gates
-            // step_timings completeness, and the structured /healthz
-            // body only replaces the plain "ok" on obs runs.
-            let mut store = federation::global();
-            store.cluster_size = k;
-            store.health_enabled = true;
+            // The structured /healthz body, which counts the workers, only
+            // replaces the plain "ok" on obs runs.
+            federation::global().cluster_size = k;
         }
 
         for m in 0..k {
@@ -728,15 +726,11 @@ impl Driver {
 
     /// Folds one worker `ObsReport` into the global federation store:
     /// NTP-style clock sample from the `StepBegin` echo, then the
-    /// snapshot and the step timings.
+    /// snapshot.
     fn absorb_obs_report(&mut self, machine: usize, msg: WorkerMsg<'_>) {
         let WorkerMsg::ObsReport {
             epoch,
             seq,
-            superstep,
-            has_step,
-            compute_ns,
-            comm_ns,
             echo_ns,
             recv_ns,
             send_ns,
@@ -766,15 +760,7 @@ impl Driver {
                 offset.clamp(i64::MIN as i128, i64::MAX as i128) as i64,
             );
         }
-        let step = has_step.then_some((
-            superstep,
-            federation::StepSample {
-                epoch,
-                compute_ns,
-                comm_ns,
-            },
-        ));
-        store.absorb(machine as u32, epoch, seq, step, snapshot);
+        store.absorb(machine as u32, epoch, seq, snapshot);
     }
 
     /// Respawns worker `m` and hands it what every worker was told at
@@ -818,6 +804,7 @@ impl Driver {
             superstep: 0,
             agg: 0.0,
             active: None,
+            killed: Vec::new(),
             step_data: Vec::new(),
             snapshots: Vec::new(),
             comm: Vec::new(),
@@ -840,25 +827,9 @@ impl Driver {
 
         // Every machine's result is in and verified: now it may be read.
         let digest = self.gather.digest()?;
-        // What the workers measured, when they were asked to report it.
-        let steps: Vec<_> = if federation::collection_enabled() {
-            let store = federation::global();
-            (0..supersteps as u64)
-                .filter_map(|s| store.step_timings(s))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Ok(AppOutput {
-            digest,
-            supersteps: supersteps as u64,
-            recovery: RecoveryStats::read_off(&telemetry, respawns),
-            timing: analysis::summarize(steps.iter().map(|(c, m)| (&c[..], &m[..], 0.0))),
-            time_unit: TimeUnit::Seconds,
-            modelled: None,
-            peak_rss_bytes: Vec::new(),
-            cluster,
-        })
+        Ok(AppOutput::of_loop(
+            cluster, digest, supersteps, &telemetry, None, respawns,
+        ))
     }
 
     /// The reader of `machine`'s connection `conn` reported the end of its
@@ -923,15 +894,31 @@ fn lost(dead: Vec<usize>) -> Stop<(), ClusterError> {
     Stop::lost(dead.into_iter().map(|m| m as MachineId).collect(), None, ())
 }
 
+/// `stop`, naming beside the workers whose heartbeats stopped every worker
+/// the superstep `killed` and has not yet been blamed for: the driver knows
+/// its own kills, however far apart their last heartbeats were.
+fn blame(killed: &mut Vec<MachineId>, stop: Stop<(), ClusterError>) -> Stop<(), ClusterError> {
+    let Stop::Lost(mut lost) = stop else {
+        return stop;
+    };
+    lost.machines.append(killed);
+    lost.machines.sort_unstable();
+    lost.machines.dedup();
+    Stop::Lost(lost)
+}
+
 /// The process transport of the superstep loop: its machines are the
 /// worker processes. Where the simulator's records hold modelled units,
-/// these hold the seconds the workers measured (zeros when federation
-/// collection is off), and checkpoints and restores are charged nothing.
+/// these hold the seconds the workers measured, which every `StepDone`
+/// brings, and checkpoints and restores are charged nothing.
 struct Supervised<'d> {
     driver: &'d mut Driver,
     cluster: &'d Cluster,
     /// The superstep running.
     superstep: usize,
+    /// The workers the running superstep `SIGKILL`ed, until a loss names
+    /// them.
+    killed: Vec<MachineId>,
     /// The global aggregate the next superstep starts from.
     agg: f64,
     /// What the last barrier left active — walkers in flight (a walk app),
@@ -940,7 +927,7 @@ struct Supervised<'d> {
     /// The running superstep's `StepData` frames, between its barriers.
     step_data: Vec<Frame>,
     /// What the last `StepDone`s brought: each worker's snapshot bytes, and
-    /// the communication seconds the workers measured.
+    /// the exchange seconds it measured.
     snapshots: Vec<Option<Vec<u8>>>,
     comm: Vec<f64>,
     /// Workers respawned, against `max_respawns`.
@@ -975,12 +962,8 @@ impl Transport for Supervised<'_> {
             return None;
         }
         self.superstep = superstep;
-        // One driver-side span per superstep when the workers report: an
-        // exported trace nests each worker's `worker.superstep` of the same
-        // epoch and superstep under it.
-        if !federation::collection_enabled() {
-            return Some(SpanGuard::inert());
-        }
+        // An exported trace nests each worker's `worker.superstep` of the
+        // same epoch and superstep under this span.
         let mut span = tracer::span("cluster.superstep");
         span.attr("superstep", superstep);
         span.attr("epoch", self.driver.epoch);
@@ -1011,11 +994,13 @@ impl Transport for Supervised<'_> {
                 let _ = child.kill();
             }
         }
-        self.step_data = d.collect(
+        self.killed = crashes.to_vec();
+        let step_data = d.collect(
             "StepData",
             d.cfg.rpc_deadline,
             |msg| matches!(msg, WorkerMsg::StepData { superstep: s, .. } if *s == step),
-        )?;
+        );
+        self.step_data = step_data.map_err(|stop| blame(&mut self.killed, stop))?;
         let rows = step_rows(&self.step_data, k)?;
         let counts = rows
             .iter()
@@ -1025,7 +1010,7 @@ impl Transport for Supervised<'_> {
 
     /// Every worker's `Inbox` — the row segments addressed to it, in sender
     /// order, each copied once from the `StepData` frame it arrived in —
-    /// then every `StepDone`. Returns the compute seconds measured.
+    /// then every `StepDone`. Returns the compute seconds they brought.
     fn deliver(&mut self, superstep: usize) -> Step<Vec<f64>, Self> {
         let d = &mut *self.driver;
         let (k, step) = (d.cfg.workers, superstep as u64);
@@ -1051,34 +1036,36 @@ impl Transport for Supervised<'_> {
             "StepDone",
             d.cfg.rpc_deadline,
             |msg| matches!(msg, WorkerMsg::StepDone { superstep: s, .. } if *s == step),
-        )?;
+        );
+        let step_done = step_done.map_err(|stop| blame(&mut self.killed, stop))?;
         let done = views(&step_done, |msg| match msg {
             WorkerMsg::StepDone {
                 active,
                 agg,
+                compute_ns,
+                comm_ns,
                 snapshot,
                 ..
-            } => Some((active, agg, snapshot)),
+            } => Some((active, agg, compute_ns, comm_ns, snapshot)),
             _ => None,
         })?;
-        self.active = Some(done.iter().map(|(active, _, _)| active).sum());
+        let seconds = |ns: u64| ns as f64 / 1e9;
+        self.active = Some(done.iter().map(|&(active, ..)| active).sum());
         if !d.spec.app.is_walk() {
-            self.agg = done.iter().map(|(_, agg, _)| agg).sum();
+            self.agg = done.iter().map(|&(_, agg, ..)| agg).sum();
         }
+        let compute = done.iter().map(|&(_, _, ns, ..)| seconds(ns)).collect();
+        self.comm = done.iter().map(|&(.., ns, _)| seconds(ns)).collect();
         // A checkpoint outlives the frames it came in.
         self.snapshots = done
             .iter()
-            .map(|(_, _, snap)| snap.map(<[u8]>::to_vec))
+            .map(|(.., snap)| snap.map(<[u8]>::to_vec))
             .collect();
         d.recycle(step_done);
-
-        // Every worker's ObsReport arrived before its StepDone, so the
-        // barrier completing means the superstep's timings are here.
-        let measured = federation::collection_enabled()
-            .then(|| federation::global().step_timings(step))
-            .flatten();
-        let compute;
-        (compute, self.comm) = measured.unwrap_or_else(|| (vec![0.0; k], vec![0.0; k]));
+        if federation::collection_enabled() {
+            let mut store = federation::global();
+            (0..k as u32).for_each(|m| store.finished(m, step));
+        }
         Ok(compute)
     }
 

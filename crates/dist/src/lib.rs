@@ -84,23 +84,6 @@ pub struct RecoveryStats {
     pub respawns: u64,
 }
 
-impl RecoveryStats {
-    /// The counters of a run of the superstep loop, read off its telemetry
-    /// the same way on both backends: a lost machine is a death, an
-    /// abandoned superstep (or restore) a recovery round, a re-executed
-    /// superstep a replay, and only dropped and duplicated messages are
-    /// link retries. `respawns` is the process transport's own count.
-    pub(crate) fn read_off(telemetry: &Telemetry, respawns: u64) -> RecoveryStats {
-        RecoveryStats {
-            worker_deaths: telemetry.crashes(),
-            recoveries: telemetry.rollbacks(),
-            replayed_supersteps: telemetry.replayed_supersteps() as u64,
-            link_retries: telemetry.total_faults() - telemetry.crashes(),
-            respawns,
-        }
-    }
-}
-
 /// What [`AppOutput::timing`] is measured in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TimeUnit {
@@ -134,9 +117,9 @@ pub struct AppOutput {
     pub recovery: RecoveryStats,
     /// The graph and the partition the job ran on (shared handles).
     pub cluster: Cluster,
-    /// Per-machine compute and barrier waiting, in `time_unit`. It has no
-    /// machines when nothing was measured: a process-backend run with
-    /// federation collection off.
+    /// Per-machine compute and barrier waiting, in `time_unit`: the fold
+    /// of every record the superstep loop kept, wasted and replayed
+    /// supersteps included. It has no machines when no superstep ran.
     pub timing: Summary,
     /// The unit of `timing`.
     pub time_unit: TimeUnit,
@@ -146,6 +129,46 @@ pub struct AppOutput {
     /// when told to shut down. Empty where machines are not processes, and
     /// when federation collection was off.
     pub peak_rss_bytes: Vec<u64>,
+}
+
+impl AppOutput {
+    /// A run of the superstep loop, mapped onto the one output the same way
+    /// on both backends: every record it kept folded into `timing`, and the
+    /// recovery counters read off them — a lost machine is a death, an
+    /// abandoned superstep (or restore) a recovery round, a re-executed
+    /// superstep a replay, and only dropped and duplicated messages are
+    /// link retries. The records are in cost-model units exactly when a cost
+    /// model ran, whose totals `modelled` is; `respawns` is the process
+    /// transport's own count.
+    pub(crate) fn of_loop(
+        cluster: Cluster,
+        digest: u64,
+        supersteps: usize,
+        telemetry: &Telemetry,
+        modelled: Option<ModelledTotals>,
+        respawns: u64,
+    ) -> AppOutput {
+        let recovery = RecoveryStats {
+            worker_deaths: telemetry.crashes(),
+            recoveries: telemetry.rollbacks(),
+            replayed_supersteps: telemetry.replayed_supersteps() as u64,
+            link_retries: telemetry.total_faults() - telemetry.crashes(),
+            respawns,
+        };
+        AppOutput {
+            digest,
+            supersteps: supersteps as u64,
+            recovery,
+            cluster,
+            timing: telemetry.summary(),
+            time_unit: match modelled {
+                Some(_) => TimeUnit::Modelled,
+                None => TimeUnit::Seconds,
+            },
+            modelled,
+            peak_rss_bytes: Vec::new(),
+        }
+    }
 }
 
 /// Runs a job on the chosen backend. The digest is computed the same way
@@ -235,7 +258,8 @@ fn run_threads(spec: &JobSpec, cfg: &ThreadsConfig) -> Result<AppOutput, Cluster
     }
 }
 
-/// Maps a simulated run onto the one output.
+/// Maps a simulated run onto the one output, with the totals only a cost
+/// model keeps.
 fn threads_output(
     cluster: Cluster,
     digest: u64,
@@ -243,20 +267,12 @@ fn threads_output(
     telemetry: &Telemetry,
     walk: Option<(u64, u64)>,
 ) -> AppOutput {
-    AppOutput {
-        digest,
-        supersteps: supersteps as u64,
-        recovery: RecoveryStats::read_off(telemetry, 0),
-        cluster,
-        timing: telemetry.summary(),
-        time_unit: TimeUnit::Modelled,
-        modelled: Some(ModelledTotals {
-            messages: telemetry.total_messages(),
-            recovery_time: telemetry.total_recovery_time(),
-            walk,
-        }),
-        peak_rss_bytes: Vec::new(),
-    }
+    let modelled = ModelledTotals {
+        messages: telemetry.total_messages(),
+        recovery_time: telemetry.total_recovery_time(),
+        walk,
+    };
+    AppOutput::of_loop(cluster, digest, supersteps, telemetry, Some(modelled), 0)
 }
 
 fn run_threads_iter<P: bpart_engine::VertexProgram>(

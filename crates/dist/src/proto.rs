@@ -497,6 +497,11 @@ pub enum WorkerMsg<'a> {
         active: u64,
         /// Local aggregate contribution for the next superstep.
         agg: f64,
+        /// Computation-phase nanoseconds: `begin` plus `finish`.
+        compute_ns: u64,
+        /// Exchange-phase nanoseconds: from `StepData` sent to `Inbox`
+        /// arrived.
+        comm_ns: u64,
         /// State snapshot, present when `StepBegin` asked for one.
         snapshot: Option<&'a [u8]>,
     },
@@ -512,26 +517,16 @@ pub enum WorkerMsg<'a> {
         /// Recovery epoch.
         epoch: u32,
     },
-    /// The worker's snapshot of itself, (optionally) one superstep's
-    /// compute/exchange timings, and the clock echoes for offset
-    /// estimation. Sent after each applied
-    /// superstep (before `StepDone`, so the driver absorbs the timings
-    /// ahead of the barrier) and on a low-rate timer so a SIGKILLed
-    /// worker still leaves its last snapshot behind.
+    /// The worker's snapshot of itself and the clock echoes for offset
+    /// estimation. Sent after each applied superstep (before `StepDone`)
+    /// and on a low-rate timer so a SIGKILLed worker still leaves its last
+    /// snapshot behind.
     ObsReport {
         /// Recovery epoch.
         epoch: u32,
         /// Per-worker report sequence number (restarts on respawn; the
         /// bumped epoch keeps `(epoch, seq)` monotonic).
         seq: u64,
-        /// Superstep the timing sample belongs to (when `has_step`).
-        superstep: u64,
-        /// Whether this report carries a superstep timing sample.
-        has_step: bool,
-        /// Computation-phase nanoseconds for `superstep`.
-        compute_ns: u64,
-        /// Exchange-phase (StepData send → Inbox arrival) nanoseconds.
-        comm_ns: u64,
         /// Echo of the driver's `StepBegin.sent_ns` (0 = no sample).
         echo_ns: u64,
         /// Worker clock at `StepBegin` receipt.
@@ -691,10 +686,13 @@ impl<'a> WorkerMsg<'a> {
                 superstep,
                 active,
                 agg,
+                compute_ns,
+                comm_ns,
                 snapshot,
             } => {
                 (*epoch, *superstep, *active).put(out);
-                (*agg, *snapshot).put(out);
+                (*agg, *compute_ns, *comm_ns).put(out);
+                snapshot.put(out);
                 kind::STEP_DONE
             }
             WorkerMsg::Final { epoch, result } => {
@@ -708,17 +706,12 @@ impl<'a> WorkerMsg<'a> {
             WorkerMsg::ObsReport {
                 epoch,
                 seq,
-                superstep,
-                has_step,
-                compute_ns,
-                comm_ns,
                 echo_ns,
                 recv_ns,
                 send_ns,
                 snapshot,
             } => {
-                (*epoch, *seq, *superstep).put(out);
-                (*has_step, *compute_ns, *comm_ns).put(out);
+                (*epoch, *seq).put(out);
                 (*echo_ns, *recv_ns, *send_ns).put(out);
                 snapshot.put(out);
                 kind::OBS_REPORT
@@ -749,6 +742,8 @@ impl<'a> WorkerMsg<'a> {
                 superstep: r.read()?,
                 active: r.read()?,
                 agg: r.read()?,
+                compute_ns: r.read()?,
+                comm_ns: r.read()?,
                 snapshot: r.read()?,
             },
             kind::FINAL => WorkerMsg::Final {
@@ -759,10 +754,6 @@ impl<'a> WorkerMsg<'a> {
             kind::OBS_REPORT => WorkerMsg::ObsReport {
                 epoch: r.read()?,
                 seq: r.read()?,
-                superstep: r.read()?,
-                has_step: r.read()?,
-                compute_ns: r.read()?,
-                comm_ns: r.read()?,
                 echo_ns: r.read()?,
                 recv_ns: r.read()?,
                 send_ns: r.read()?,
@@ -890,6 +881,8 @@ mod tests {
             superstep: 9,
             active: 1,
             agg: 0.25,
+            compute_ns: 42_000_000,
+            comm_ns: 9_000_000,
             snapshot: Some(&[1, 2, 3]),
         });
         round_trip_worker(WorkerMsg::Final {
@@ -901,10 +894,6 @@ mod tests {
         round_trip_worker(WorkerMsg::ObsReport {
             epoch: 0,
             seq: 1,
-            superstep: 0,
-            has_step: false,
-            compute_ns: 0,
-            comm_ns: 0,
             echo_ns: 0,
             recv_ns: 0,
             send_ns: 0,
@@ -941,10 +930,6 @@ mod tests {
         WorkerMsg::ObsReport {
             epoch: 1,
             seq: 12,
-            superstep: 6,
-            has_step: true,
-            compute_ns: 42_000_000,
-            comm_ns: 9_000_000,
             echo_ns: 111,
             recv_ns: 222,
             send_ns: 333,
@@ -969,7 +954,7 @@ mod tests {
     #[test]
     fn the_obs_report_fixture_is_pinned() {
         let bytes = obs_report().to_frame().unwrap();
-        let pin = (435, 0xbe44_b0c8_cdc9_1ac3);
+        let pin = (410, 0x719e_ecf8_7041_24d7);
         assert_eq!((bytes.len(), crate::digest_bytes(&bytes)), pin);
     }
 
@@ -990,11 +975,11 @@ mod tests {
             corrupt(&payload[..keep]);
         }
         corrupt(&[payload, &[0]].concat());
-        // The fixed fields end at byte 61; the counter count follows. A
+        // The fixed fields end at byte 36; the counter count follows. A
         // count the payload cannot hold ends at the underrun, with nothing
         // reserved for it.
         let mut greedy = payload.to_vec();
-        greedy[61..65].copy_from_slice(&u32::MAX.to_le_bytes());
+        greedy[36..40].copy_from_slice(&u32::MAX.to_le_bytes());
         corrupt(&greedy);
     }
 
@@ -1010,10 +995,6 @@ mod tests {
         let report = |snapshot| WorkerMsg::ObsReport {
             epoch: 0,
             seq: 0,
-            superstep: 0,
-            has_step: false,
-            compute_ns: 0,
-            comm_ns: 0,
             echo_ns: 0,
             recv_ns: 0,
             send_ns: 0,
@@ -1036,7 +1017,7 @@ mod tests {
             }],
             ..Snapshot::default()
         });
-        let tag_at = 61 + 4 * 4 + 8;
+        let tag_at = 36 + 4 * 4 + 8;
         assert!(decode(&one_span, &|_| {}).is_ok());
         assert!(is_corrupt(decode(&one_span, &|p| p[tag_at] = 2)));
 
@@ -1056,7 +1037,7 @@ mod tests {
         // A name that is not UTF-8.
         let mut named = Snapshot::default();
         named.metrics.counters.insert("ab".into(), 1);
-        let name_at = 61 + 4 + 4;
+        let name_at = 36 + 4 + 4;
         assert!(is_corrupt(decode(&report(named), &|p| p[name_at] = 0xff)));
     }
 

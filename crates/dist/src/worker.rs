@@ -8,7 +8,8 @@
 //! partitioner, and holds no more of the graph than its part. Then it
 //! reacts to driver frames: `StepBegin` runs the local compute phase and
 //! ships outgoing rows (and a walk's path triples of the superstep),
-//! `Inbox` completes the superstep, `Restore` rolls
+//! `Inbox` completes the superstep — its `StepDone` brings the compute and
+//! exchange nanoseconds the worker measured — `Restore` rolls
 //! state back (or re-initializes) under a new epoch, `Finish` ships the
 //! local result, `Shutdown` exits. A dedicated thread heartbeats the
 //! whole time, so the driver can tell "dead" from "busy".
@@ -230,15 +231,12 @@ struct ObsPosition {
 }
 
 /// Ships one `ObsReport` — a snapshot of this process as of now —
-/// advancing the shared position. `step` is
-/// `(superstep, compute_ns, comm_ns)`; `echo` is
-/// `(driver sent_ns, worker recv_ns)` from the last observed
-/// `StepBegin` (zeros = no clock sample).
+/// advancing the shared position. `echo` is `(driver sent_ns, worker
+/// recv_ns)` from the last observed `StepBegin` (zeros = no clock sample).
 fn send_obs_report(
     writer: &SharedWriter,
     position: &Mutex<ObsPosition>,
     epoch: u32,
-    step: Option<(u64, u64, u64)>,
     echo: (u64, u64),
 ) -> Result<(), ClusterError> {
     let (seq, snapshot) = {
@@ -246,14 +244,9 @@ fn send_obs_report(
         pos.seq += 1;
         (pos.seq, Snapshot::capture(&mut pos.span_cursor))
     };
-    let (superstep, compute_ns, comm_ns) = step.unwrap_or((0, 0, 0));
     writer.send(&WorkerMsg::ObsReport {
         epoch,
         seq,
-        superstep,
-        has_step: step.is_some(),
-        compute_ns,
-        comm_ns,
         echo_ns: echo.0,
         recv_ns: echo.1,
         send_ns: tracer::now_ns(),
@@ -277,19 +270,12 @@ fn obs_flush_pump(
         }
         // A failed send means the driver is gone; the protocol loop
         // will see it too.
-        send_obs_report(
-            &writer,
-            &position,
-            epoch.load(Ordering::Relaxed),
-            None,
-            (0, 0),
-        )
-        .is_ok()
+        send_obs_report(&writer, &position, epoch.load(Ordering::Relaxed), (0, 0)).is_ok()
     })
 }
 
 /// A superstep in flight on the worker: protocol state from `StepBegin`
-/// plus the obs measurements the matching `Inbox` completes.
+/// plus the measurements the matching `Inbox` completes.
 struct PendingStep {
     superstep: u64,
     agg: f64,
@@ -350,7 +336,7 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
     })?;
 
     // The superstep phase in flight — populated by StepBegin, consumed
-    // by the matching Inbox (protocol state plus obs timings).
+    // by the matching Inbox (protocol state plus timings).
     let mut pending: Option<PendingStep> = None;
     // The `worker.superstep` span open for the pending step. Held
     // separately so dropping it (closing the span) is explicit before
@@ -442,22 +428,15 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                     // Close the span first so this step's own span is
                     // among those shipped with its report.
                     step_span = None;
-                    // Before StepDone on the same connection, so the
-                    // driver absorbs the timings before the barrier
-                    // completes and can stamp the superstep span.
-                    send_obs_report(
-                        &writer,
-                        &obs_position,
-                        e,
-                        Some((superstep, compute_ns, comm_ns)),
-                        step.echo,
-                    )?;
+                    send_obs_report(&writer, &obs_position, e, step.echo)?;
                 }
                 writer.send(&WorkerMsg::StepDone {
                     epoch: e,
                     superstep,
                     active,
                     agg: agg_out,
+                    compute_ns,
+                    comm_ns,
                     snapshot: snapshot.as_deref(),
                 })?;
             }
@@ -488,7 +467,7 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                     crate::publish_peak_rss();
                     // The last word before hanging up: what this process
                     // held. The driver waits for the hang-up either way.
-                    send_obs_report(&writer, &obs_position, current, None, (0, 0)).ok();
+                    send_obs_report(&writer, &obs_position, current, (0, 0)).ok();
                 }
                 return Ok(());
             }

@@ -7,9 +7,11 @@
 //! give the fault-free digest and superstep count, and read the same
 //! recovery counters as the simulation, with exactly one respawn.
 //!
-//! Tier 1 runs six fixed points, two per application, and one crash beside
+//! Tier 1 runs six fixed points, two per application, one crash beside
 //! lossy links (only completed supersteps charge link retries, on both
-//! backends). The whole sweep is `#[ignore]`d:
+//! backends), and every worker of a three-worker job killed at one
+//! superstep five times (one recovery round, as in the simulation). The
+//! whole sweep, which runs the last twenty times, is `#[ignore]`d:
 //!
 //! ```sh
 //! cargo test --release -p bpart-dist --test crash_sweep -- --ignored
@@ -36,7 +38,7 @@ fn apps() -> [AppSpec; 3] {
     ]
 }
 
-fn spec(app: AppSpec) -> JobSpec {
+fn spec(app: AppSpec, parts: u32) -> JobSpec {
     JobSpec {
         graph: GraphSource::ErdosRenyi {
             n: 160,
@@ -44,7 +46,7 @@ fn spec(app: AppSpec) -> JobSpec {
             seed: 11,
         },
         scheme: "chunk-v".to_string(),
-        parts: WORKERS,
+        parts,
         app,
         checkpoint_every: Some(2),
     }
@@ -58,9 +60,9 @@ fn threads(faults: FaultPlan) -> Backend {
 }
 
 /// The heartbeat settings of `process_backend.rs`.
-fn process(faults: FaultPlan) -> Backend {
+fn process(faults: FaultPlan, workers: u32) -> Backend {
     let worker = env!("CARGO_BIN_EXE_bpart-workerd").to_string();
-    let mut cfg = ProcessConfig::new(WORKERS as usize, vec![worker]);
+    let mut cfg = ProcessConfig::new(workers as usize, vec![worker]);
     cfg.heartbeat_interval = Duration::from_millis(50);
     cfg.heartbeat_timeout = Duration::from_millis(800);
     cfg.faults = faults;
@@ -77,12 +79,18 @@ fn crash_point(app: &AppSpec, superstep: u64, machine: u32) {
 /// the process run against the fault-free oracle and the simulation;
 /// returns what the simulation counted.
 fn crash_plan(app: &AppSpec, plan: &str) -> RecoveryStats {
-    let spec = spec(app.clone());
+    kill_plan(app, WORKERS, plan, 1)
+}
+
+/// The same for `plan` on a job of `parts` workers, `respawns` of which it
+/// kills.
+fn kill_plan(app: &AppSpec, parts: u32, plan: &str, respawns: u64) -> RecoveryStats {
+    let spec = spec(app.clone(), parts);
     let oracle = run_job(&spec, &threads(FaultPlan::new())).unwrap();
     let plan: FaultPlan = plan.parse().unwrap();
     let at = format!("{app:?} under {plan}");
     let simulated = run_job(&spec, &threads(plan.clone())).unwrap();
-    let real = run_job(&spec, &process(plan)).unwrap_or_else(|e| panic!("{at}: {e}"));
+    let real = run_job(&spec, &process(plan, parts)).unwrap_or_else(|e| panic!("{at}: {e}"));
     assert_eq!(real.digest, oracle.digest, "{at}: digest");
     assert_eq!(real.supersteps, oracle.supersteps, "{at}: supersteps");
     let (r, s) = (&real.recovery, &simulated.recovery);
@@ -93,8 +101,20 @@ fn crash_plan(app: &AppSpec, plan: &str) -> RecoveryStats {
         "{at}: replays {r:?}"
     );
     assert_eq!(r.link_retries, s.link_retries, "{at}: link retries {r:?}");
-    assert_eq!(r.respawns, 1, "{at}: respawns {r:?}");
+    assert_eq!(r.respawns, respawns, "{at}: respawns {r:?}");
     simulated.recovery
+}
+
+/// Kills all three workers of a job at superstep 1, `runs` times. Their
+/// last heartbeats may be up to an interval apart; the driver still counts
+/// one recovery round, because it knows whom it killed.
+fn three_kills_at_one_superstep(runs: usize) {
+    let pagerank = AppSpec::PageRank { iters: 5 };
+    for _ in 0..runs {
+        let plan = "crash@1:m0;crash@1:m1;crash@1:m2";
+        let simulated = kill_plan(&pagerank, 3, plan, 3);
+        assert_eq!((simulated.worker_deaths, simulated.recoveries), (3, 1));
+    }
 }
 
 #[test]
@@ -125,10 +145,16 @@ fn a_crash_beside_a_lossy_link_charges_the_simulation_s_retries() {
 }
 
 #[test]
-#[ignore = "the full sweep, about 30 runs; CI's test job runs it"]
+fn three_workers_killed_at_one_superstep_recover_in_one_round() {
+    three_kills_at_one_superstep(5);
+}
+
+#[test]
+#[ignore = "the full sweep, about 50 runs; CI's test job runs it"]
 fn every_crash_point_recovers_like_the_simulation() {
+    three_kills_at_one_superstep(20);
     for app in apps() {
-        let supersteps = run_job(&spec(app.clone()), &threads(FaultPlan::new()))
+        let supersteps = run_job(&spec(app.clone(), WORKERS), &threads(FaultPlan::new()))
             .unwrap()
             .supersteps;
         assert!(supersteps >= 2, "{app:?} runs {supersteps} supersteps");

@@ -42,11 +42,10 @@ fn process(faults: FaultPlan) -> Backend {
     Backend::Process(cfg)
 }
 
-/// The satellite acceptance test: worker 1 is `SIGKILL`ed at superstep
-/// 3, and after the run the federated store still carries (a) a death
-/// count on its `/metrics` series and (b) full per-worker step timings —
-/// the snapshot a later-killed worker leaves behind is exactly what the
-/// post-mortem reads.
+/// Worker 1 is `SIGKILL`ed at superstep 3, and after the run the federated
+/// store still carries a death count on its `/metrics` series — the
+/// snapshot a later-killed worker leaves behind is exactly what the
+/// post-mortem reads — while the run's timing is the workers' own.
 #[test]
 fn sigkilled_worker_leaves_its_last_snapshot_in_the_federated_store() {
     let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
@@ -81,14 +80,13 @@ fn sigkilled_worker_leaves_its_last_snapshot_in_the_federated_store() {
         "death count absent from /metrics:\n{prom}"
     );
 
-    // Every superstep the job ran has a complete 3-machine timing row;
-    // this is the measured Fig. 13 input.
-    for superstep in 0..out.supersteps {
-        let (compute, comm) = store
-            .step_timings(superstep)
-            .unwrap_or_else(|| panic!("superstep {superstep} timings incomplete"));
-        assert_eq!(compute.len(), 3);
-        assert_eq!(comm.len(), 3);
+    // The measured Fig. 13 input: every machine computed, in seconds.
+    assert_eq!(out.timing.machines.len(), 3);
+    assert!(out.timing.total_time > 0.0, "{:?}", out.timing);
+    assert!(out.timing.machines.iter().all(|m| m.compute > 0.0));
+    // `/progress` counts the supersteps each worker finished.
+    for (w, obs) in &store.workers {
+        assert_eq!(obs.supersteps, out.supersteps, "worker {w}");
     }
 
     // Clock samples were taken over the live RPC path.
@@ -100,7 +98,7 @@ fn sigkilled_worker_leaves_its_last_snapshot_in_the_federated_store() {
 
 /// With collection off (the default), a process-backend run must leave
 /// the federated store untouched — the zero-overhead guarantee the CI
-/// gate depends on.
+/// gate depends on — and is measured all the same.
 #[test]
 fn run_without_observability_ships_no_telemetry() {
     let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
@@ -108,6 +106,8 @@ fn run_without_observability_ships_no_telemetry() {
     federation::set_collection_enabled(false);
     let out = run_job(&spec(), &process(FaultPlan::new())).unwrap();
     assert_eq!(out.recovery.worker_deaths, 0);
+    assert_eq!(out.timing.machines.len(), 3);
+    assert!(out.timing.total_time > 0.0, "{:?}", out.timing);
     let store = federation::global();
     assert!(
         store.workers.is_empty(),

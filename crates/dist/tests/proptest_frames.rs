@@ -228,17 +228,13 @@ proptest! {
     #[test]
     fn obs_reports_round_trip_and_no_cut_or_flip_is_accepted(
         seeds in prop::collection::vec(0u64..u64::MAX, 0..24),
-        head in (0u32..4, 0u64..1 << 40, 0u8..2),
+        head in (0u32..4, 0u64..1 << 40),
         at in 0usize..1 << 24,
         cut in 0usize..1 << 24,
     ) {
         let msg = WorkerMsg::ObsReport {
             epoch: head.0,
             seq: head.1,
-            superstep: head.1 / 3,
-            has_step: head.2 == 1,
-            compute_ns: head.1,
-            comm_ns: head.1 / 2,
             echo_ns: 1,
             recv_ns: 2,
             send_ns: 3,

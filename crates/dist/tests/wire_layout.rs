@@ -214,6 +214,8 @@ fn worker_msgs() -> Vec<(&'static str, WorkerMsg<'static>)> {
                 superstep: 9,
                 active: 1,
                 agg: 0.25,
+                compute_ns: 42_000_000,
+                comm_ns: 9_000_000,
                 snapshot: Some(&[1, 2, 3]),
             },
         ),
@@ -224,6 +226,8 @@ fn worker_msgs() -> Vec<(&'static str, WorkerMsg<'static>)> {
                 superstep: 10,
                 active: 0,
                 agg: 0.0,
+                compute_ns: 0,
+                comm_ns: 0,
                 snapshot: None,
             },
         ),
@@ -240,10 +244,6 @@ fn worker_msgs() -> Vec<(&'static str, WorkerMsg<'static>)> {
             WorkerMsg::ObsReport {
                 epoch: 1,
                 seq: 12,
-                superstep: 6,
-                has_step: true,
-                compute_ns: 42_000_000,
-                comm_ns: 9_000_000,
                 echo_ns: 111,
                 recv_ns: 222,
                 send_ns: 333,
@@ -357,11 +357,11 @@ const PINS: &[(&str, usize, u64)] = &[
     ("ready", 25, 0x21dd6477b712d48b),
     ("step_data/rows", 61, 0x78cef4fecaaa9d7c),
     ("step_data/paths", 81, 0x62bbbe2f07907f1a),
-    ("step_done/snapshot", 49, 0xef02cf5db62c946f),
-    ("step_done/bare", 42, 0x4ca9599f0eb261fc),
+    ("step_done/snapshot", 65, 0xda34d1ffbbfe256f),
+    ("step_done/bare", 58, 0x28c2da1bf45929af),
     ("final", 23, 0x3f46157e6b4c6896),
     ("heartbeat", 17, 0x2dd1499c0eaea1d4),
-    ("obs_report", 410, 0x0f9cf1151af16798),
+    ("obs_report", 385, 0xfd5533868a2eb887),
     ("final/streamed", 62, 0x3b0f774b60374ba8),
     ("placement/in-lists", 170, 0x1f8aa821413b9078),
     ("placement/out-only", 134, 0x33c6cedecff3ce38),
@@ -449,15 +449,13 @@ fn flags() -> Vec<(&'static str, Vec<u8>, Vec<u8>, Decode)> {
         superstep: 9,
         active: 1,
         agg: 0.25,
-        snapshot,
-    };
-    let report = |has_step, parent| WorkerMsg::ObsReport {
-        epoch: 1,
-        seq: 12,
-        superstep: 6,
-        has_step,
         compute_ns: 4,
         comm_ns: 9,
+        snapshot,
+    };
+    let report = |parent| WorkerMsg::ObsReport {
+        epoch: 1,
+        seq: 12,
         echo_ns: 1,
         recv_ns: 2,
         send_ns: 3,
@@ -513,13 +511,8 @@ fn flags() -> Vec<(&'static str, Vec<u8>, Vec<u8>, Decode)> {
             worker,
         ),
         (
-            "ObsReport.has_step",
-            worker_pair(report(true, None), report(false, None)),
-            worker,
-        ),
-        (
             "Span.parent",
-            worker_pair(report(true, Some(4)), report(true, None)),
+            worker_pair(report(Some(4)), report(None)),
             worker,
         ),
         (

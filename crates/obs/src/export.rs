@@ -180,7 +180,8 @@ pub fn prometheus(sources: &[Source<'_>]) -> String {
 /// The `/progress` JSON object: the local registry under its *original*
 /// dotted names, grouped by kind, and — when the view has workers — a
 /// `"workers"` object with each one's report position, staleness, clock
-/// estimate and the counters of its latest snapshot. Non-finite `f64`s
+/// estimate, the counters of its latest snapshot and the supersteps it
+/// finished. Non-finite `f64`s
 /// become `null` (JSON has no NaN/Inf):
 ///
 /// ```text
@@ -234,7 +235,7 @@ pub fn progress_json(sources: &[Source<'_>]) -> String {
                         clock.offset_ns, clock.rtt_ns
                     );
                 }
-                let _ = write!(entry, ",\"supersteps\":{}}}", obs.steps.len());
+                let _ = write!(entry, ",\"supersteps\":{}}}", obs.supersteps);
                 workers.push(entry);
             }
         }

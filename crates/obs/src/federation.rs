@@ -11,9 +11,8 @@
 //!   a respawned worker restarts `seq` under a bumped epoch — and the
 //!   timer flush races the per-superstep piggyback, so frames arrive
 //!   reordered and duplicated. The latest snapshot is the one with the
-//!   greatest key; spans are unioned by `(epoch, id)`; superstep samples
-//!   keep the greatest `(epoch, compute, comm)`. On an equal key the first
-//!   arrival stays: a real duplicate is identical. So the store is a
+//!   greatest key; spans are unioned by `(epoch, id)`. On an equal key the
+//!   first arrival stays: a real duplicate is identical. So the store is a
 //!   function of the *set* of reports absorbed
 //!   (`tests/proptest_federation.rs`).
 //! * **Worker identity is a label.** Federated series render with a
@@ -30,7 +29,8 @@
 //!   until a fresh report (respawn) replaces it and clears the flag.
 //!   `/healthz` turns structured — `ok` / `degraded` with the dead-worker
 //!   count, the deaths so far and the recovery flag — only when a
-//!   distributed driver enables it; standalone runs keep the plain `ok`.
+//!   distributed driver has set its cluster size; standalone runs keep the
+//!   plain `ok`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,14 +39,6 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use crate::export::Source;
 use crate::json::Str;
 use crate::snapshot::Snapshot;
-
-/// One superstep's compute/exchange timing sample from one worker.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StepSample {
-    pub epoch: u32,
-    pub compute_ns: u64,
-    pub comm_ns: u64,
-}
 
 /// The best clock sample of one worker.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -68,8 +60,9 @@ pub struct WorkerObs {
     pub snapshot: Snapshot,
     /// `(epoch, id)` of each of `snapshot.spans`, ascending.
     span_keys: Vec<(u32, u64)>,
-    /// Per-superstep timing samples.
-    pub steps: BTreeMap<u64, StepSample>,
+    /// Supersteps the driver's barrier saw this worker finish: one past
+    /// the highest (`/progress`).
+    pub supersteps: u64,
     /// The minimum-RTT clock sample (it bounds the offset error the
     /// tightest); `None` until a report echoes a `StepBegin`.
     pub clock: Option<ClockSample>,
@@ -83,28 +76,18 @@ pub struct WorkerObs {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FederationStore {
     pub workers: BTreeMap<u32, WorkerObs>,
-    /// Expected worker count (gates [`step_timings`](Self::step_timings)).
+    /// The distributed driver's worker count; 0 in a standalone process,
+    /// whose `/healthz` keeps the plain `ok` body.
     pub cluster_size: usize,
-    /// True once a distributed driver owns this process's `/healthz`
-    /// (standalone runs keep the plain `ok` body).
-    pub health_enabled: bool,
     /// True while a recovery (rollback/replay) is in flight.
     pub recovering: bool,
 }
 
 impl FederationStore {
-    /// Absorbs one worker report: its snapshot (whose spans are the delta
-    /// since the worker's previous report) and, after a superstep, that
-    /// step's timing sample. A strictly newer report clears the stale
-    /// flag; a duplicate changes nothing.
-    pub fn absorb(
-        &mut self,
-        worker: u32,
-        epoch: u32,
-        seq: u64,
-        step: Option<(u64, StepSample)>,
-        report: Snapshot,
-    ) {
+    /// Absorbs one worker report: its snapshot, whose spans are the delta
+    /// since the worker's previous report. A strictly newer report clears
+    /// the stale flag; a duplicate changes nothing.
+    pub fn absorb(&mut self, worker: u32, epoch: u32, seq: u64, report: Snapshot) {
         let obs = self.workers.entry(worker).or_default();
         let Snapshot {
             metrics,
@@ -125,14 +108,12 @@ impl FederationStore {
             obs.snapshot.profile = profile;
             obs.stale = false;
         }
-        if let Some((superstep, sample)) = step {
-            let slot = obs.steps.entry(superstep).or_insert(sample);
-            if (sample.epoch, sample.compute_ns, sample.comm_ns)
-                > (slot.epoch, slot.compute_ns, slot.comm_ns)
-            {
-                *slot = sample;
-            }
-        }
+    }
+
+    /// Notes that `worker` finished `superstep`.
+    pub fn finished(&mut self, worker: u32, superstep: u64) {
+        let obs = self.workers.entry(worker).or_default();
+        obs.supersteps = obs.supersteps.max(superstep + 1);
     }
 
     /// Records one clock sample for `worker`; the minimum-RTT one is kept.
@@ -162,35 +143,18 @@ impl FederationStore {
             .collect()
     }
 
-    /// Per-worker `(compute, comm)` seconds for `superstep`, in worker
-    /// order — `Some` only when *every* expected worker has reported the
-    /// step (partial rows would skew the Fig. 13 blame table).
-    pub fn step_timings(&self, superstep: u64) -> Option<(Vec<f64>, Vec<f64>)> {
-        if self.cluster_size == 0 {
-            return None;
-        }
-        let mut compute = Vec::with_capacity(self.cluster_size);
-        let mut comm = Vec::with_capacity(self.cluster_size);
-        for worker in 0..self.cluster_size as u32 {
-            let sample = self.workers.get(&worker)?.steps.get(&superstep)?;
-            compute.push(sample.compute_ns as f64 / 1e9);
-            comm.push(sample.comm_ns as f64 / 1e9);
-        }
-        Some((compute, comm))
-    }
-
     /// Currently-stale (dead, not yet respawned-and-reporting) workers.
     pub fn dead_workers(&self) -> usize {
         self.workers.values().filter(|w| w.stale).count()
     }
 
-    /// The `/healthz` body. Plain `ok` until a distributed driver
-    /// enables structured health; then JSON with the dead-worker count,
+    /// The `/healthz` body. Plain `ok` until a distributed driver sets the
+    /// cluster size; then JSON with the dead-worker count,
     /// the deaths so far (the sum of the `bpart_federation_deaths`
     /// series) and the recovery-in-progress flag, `degraded` when any of
     /// the three is set and `ok` otherwise.
     pub fn health_body(&self) -> String {
-        if !self.health_enabled {
+        if self.cluster_size == 0 {
             return "ok\n".to_string();
         }
         let dead = self.dead_workers();
@@ -303,15 +267,6 @@ mod tests {
         }
     }
 
-    fn step(epoch: u32, superstep: u64, compute_ns: u64) -> Option<(u64, StepSample)> {
-        let sample = StepSample {
-            epoch,
-            compute_ns,
-            comm_ns: compute_ns / 2,
-        };
-        Some((superstep, sample))
-    }
-
     #[test]
     fn absorb_is_idempotent_per_worker_seq() {
         let mut store = FederationStore::default();
@@ -319,9 +274,9 @@ mod tests {
             spans: vec![sample_span(1, 0)],
             ..report(5)
         };
-        store.absorb(2, 0, 1, step(0, 0, 100), sent.clone());
+        store.absorb(2, 0, 1, sent.clone());
         let once = store.clone();
-        store.absorb(2, 0, 1, step(0, 0, 100), sent);
+        store.absorb(2, 0, 1, sent);
         assert_eq!(store, once, "re-delivery must be a no-op");
     }
 
@@ -329,10 +284,9 @@ mod tests {
     fn fresh_report_clears_stale_and_death_pins_snapshot() {
         let mut store = FederationStore {
             cluster_size: 3,
-            health_enabled: true,
             ..Default::default()
         };
-        store.absorb(1, 0, 1, None, report(9));
+        store.absorb(1, 0, 1, report(9));
         store.mark_dead(1);
         assert!(store.workers[&1].stale);
         assert_eq!(store.workers[&1].deaths, 1);
@@ -346,7 +300,7 @@ mod tests {
 
         // The respawned worker reports under a bumped epoch: stale clears
         // and its report replaces the dead incarnation's.
-        store.absorb(1, 1, 1, None, report(2));
+        store.absorb(1, 1, 1, report(2));
         assert!(!store.workers[&1].stale);
         assert_eq!(store.dead_workers(), 0);
         assert_eq!(store.workers[&1].snapshot.metrics, sample_metrics(2));
@@ -359,7 +313,7 @@ mod tests {
             profile: vec![("a;b".to_string(), 3)],
             ..report(50)
         };
-        store.absorb(0, 1, 5, None, newest.clone());
+        store.absorb(0, 1, 5, newest.clone());
         // An older (epoch, seq) report arrives late: its metrics and
         // profile are ignored, its spans still join the union.
         let late = Snapshot {
@@ -367,7 +321,7 @@ mod tests {
             profile: vec![("stale".to_string(), 9)],
             ..report(1)
         };
-        store.absorb(0, 0, 9, None, late);
+        store.absorb(0, 0, 9, late);
         let obs = &store.workers[&0];
         assert_eq!(obs.key, Some((1, 5)));
         assert_eq!(obs.snapshot.metrics, newest.metrics);
@@ -387,7 +341,6 @@ mod tests {
     fn health_body_reports_structured_states() {
         let mut store = FederationStore {
             cluster_size: 4,
-            health_enabled: true,
             ..Default::default()
         };
         let body = |status, dead, deaths, recovering| {
@@ -403,29 +356,14 @@ mod tests {
         store.recovering = false;
         assert_eq!(store.health_body(), body("degraded", 1, 1, false));
         // Respawned, stale cleared: the one death still degrades the run.
-        store.absorb(2, 1, 1, None, report(1));
+        store.absorb(2, 1, 1, report(1));
         assert_eq!(store.health_body(), body("degraded", 0, 1, false));
-    }
-
-    #[test]
-    fn step_timings_require_every_worker() {
-        let mut store = FederationStore {
-            cluster_size: 2,
-            ..Default::default()
-        };
-        store.absorb(0, 0, 1, step(0, 3, 2_000_000_000), Snapshot::default());
-        assert_eq!(store.step_timings(3), None, "partial rows must not leak");
-        store.absorb(1, 0, 1, step(0, 3, 1_000_000_000), Snapshot::default());
-        let (compute, comm) = store.step_timings(3).expect("complete row");
-        assert_eq!(compute, vec![2.0, 1.0]);
-        assert_eq!(comm, vec![1.0, 0.5]);
-        assert_eq!(store.step_timings(4), None);
     }
 
     #[test]
     fn prometheus_federated_labels_every_series() {
         let mut store = FederationStore::default();
-        store.absorb(3, 0, 2, None, report(6));
+        store.absorb(3, 0, 2, report(6));
         store.record_clock_sample(3, 5000, -120);
         let local = Snapshot::default();
         let text = export::prometheus(&store.sources(&local));
@@ -455,8 +393,8 @@ mod tests {
             profile: stacks.iter().map(|&(s, n)| (s.to_string(), n)).collect(),
             ..Snapshot::default()
         };
-        store.absorb(1, 0, 1, None, profiled(&[("a;b", 3), ("c", 1)]));
-        store.absorb(2, 0, 1, None, profiled(&[("x", 5)]));
+        store.absorb(1, 0, 1, profiled(&[("a;b", 3), ("c", 1)]));
+        store.absorb(2, 0, 1, profiled(&[("x", 5)]));
         let local = profiled(&[("main", 2)]);
         let folded = export::folded(&store.sources(&local));
         assert_eq!(
@@ -490,12 +428,16 @@ mod tests {
     #[test]
     fn progress_json_lists_workers() {
         let mut store = FederationStore::default();
-        store.absorb(0, 1, 4, step(1, 2, 10), report(3));
+        store.absorb(0, 1, 4, report(3));
+        // A replayed superstep is no further one.
+        for superstep in [0, 1, 0] {
+            store.finished(0, superstep);
+        }
         let json = export::progress_json(&store.sources(&Snapshot::default()));
         assert_eq!(
             json,
             "{\"counters\":{},\"gauges\":{},\"histograms\":{},\"workers\":{\"0\":{\"stale\":false,\
-             \"deaths\":0,\"epoch\":1,\"seq\":4,\"counters\":{\"dist.frames\":3},\"supersteps\":1}}}"
+             \"deaths\":0,\"epoch\":1,\"seq\":4,\"counters\":{\"dist.frames\":3},\"supersteps\":2}}}"
         );
     }
 
@@ -512,7 +454,7 @@ mod tests {
             spans: vec![sample_span(1, 7), child],
             ..Snapshot::default()
         };
-        store.absorb(0, 0, 1, None, sent);
+        store.absorb(0, 0, 1, sent);
         store.record_clock_sample(0, 100, 600);
         // The driver's span of the same (epoch, superstep) is in the view.
         let local = Snapshot {
@@ -576,9 +518,9 @@ mod tests {
     fn global_store_resets() {
         // Serialise against other tests that touch the global store.
         reset();
-        global().cluster_size = 5;
-        assert_eq!(global().cluster_size, 5);
+        global().recovering = true;
+        assert!(global().recovering);
         reset();
-        assert_eq!(global().cluster_size, 0);
+        assert!(!global().recovering);
     }
 }

@@ -29,14 +29,15 @@
 //!   (`--serve-addr`) exposing `/metrics`, `/spans`, `/healthz`,
 //!   `/progress` and `/profile` while a job runs.
 //! * **Analysis** ([`analysis`]) — the one Fig. 13 fold (total time,
-//!   waiting ratio, per-machine compute / waiting / comm / gating) that the
-//!   run report, the process driver and `bpart report --critical-path` all
-//!   call, plus critical-path reconstruction over the span tree and
-//!   straggler detection.
+//!   waiting ratio, per-machine compute / waiting / comm / gating) behind
+//!   the run report of either backend and `bpart report --critical-path`,
+//!   plus critical-path reconstruction over the span tree and straggler
+//!   detection.
 //! * **Federation** ([`federation`]) — what a multi-process driver alone
-//!   knows of its workers: each one's latest snapshot, superstep timings,
-//!   clock offset and staleness, behind the `worker="N"`-labelled series,
-//!   the clock-aligned trace and the `/healthz` that counts deaths.
+//!   knows of its workers: each one's latest snapshot, clock offset,
+//!   staleness and progress, behind the `worker="N"`-labelled series, the
+//!   clock-aligned trace and the `/healthz` that counts deaths. It is
+//!   observability only: the superstep loop reads nothing from it.
 //! * **Continuous profiler** ([`profile`]) — a background sampler (on the
 //!   one interval thread, [`ticker::Ticker`]) that
 //!   snapshots each thread's live span stack into flamegraph-compatible

@@ -337,7 +337,7 @@ mod tests {
                 .metrics
                 .counters
                 .insert("t.serve.fed".to_string(), 11);
-            federation::global().absorb(7, 0, 1, None, report);
+            federation::global().absorb(7, 0, 1, report);
             let (status, metrics_body) = get(addr, "/metrics");
             assert!(status.contains("200"), "{status}");
             let (status, progress_body) = get(addr, "/progress");
@@ -378,7 +378,7 @@ mod tests {
                 profile: vec![("t.serve.profiled;leaf".to_string(), 4)],
                 ..Snapshot::default()
             };
-            federation::global().absorb(31, 0, 1, None, report);
+            federation::global().absorb(31, 0, 1, report);
             let (status, content_type, body) = get_full(addr, "/profile");
             assert!(status.contains("200"), "{status}");
             assert_eq!(content_type, "text/plain; charset=utf-8");

@@ -195,12 +195,6 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// A guard that records nothing, for a span its caller opens only
-    /// sometimes.
-    pub fn inert() -> SpanGuard {
-        SpanGuard { open: None }
-    }
-
     /// Attaches a `key=value` attribute (value via `Display`). A no-op on
     /// an inert guard, so call sites need no enabled-check of their own.
     pub fn attr(&mut self, key: &'static str, value: impl std::fmt::Display) {

@@ -13,7 +13,7 @@
 //! the test has a binary of its own.
 
 use bpart_obs::export::{self, Source};
-use bpart_obs::federation::{self, StepSample};
+use bpart_obs::federation;
 use bpart_obs::snapshot::{HistogramValue, Snapshot, Span};
 use bpart_obs::{metrics, profile, serve};
 use std::io::{Read, Write};
@@ -71,18 +71,13 @@ fn every_view_of_one_driver_and_two_workers_is_pinned() {
     {
         let mut store = federation::global();
         store.cluster_size = 2;
-        store.health_enabled = true;
 
         // Worker 0: one report, then it dies.
         let mut w0 = Snapshot::default();
         w0.metrics.counters.insert("dist.frames".into(), 7);
         w0.metrics.gauges.insert("part.edges".into(), 120.0);
-        let step = StepSample {
-            epoch: 0,
-            compute_ns: 2_000_000,
-            comm_ns: 500_000,
-        };
-        store.absorb(0, 0, 3, Some((0, step)), w0);
+        store.absorb(0, 0, 3, w0);
+        store.finished(0, 0);
         store.mark_dead(0);
 
         // Worker 1: a histogram, a clock offset, nested spans, a profile.
@@ -118,7 +113,7 @@ fn every_view_of_one_driver_and_two_workers_is_pinned() {
             ("worker.superstep;compute".into(), 4),
             ("worker.superstep".into(), 1),
         ];
-        store.absorb(1, 1, 2, None, w1);
+        store.absorb(1, 1, 2, w1);
         store.record_clock_sample(1, 5_000, 600);
     }
 

@@ -16,7 +16,7 @@
 //! What a worker reports under one `(worker, epoch, seq)` is one thing, so
 //! the generated content is a function of that key.
 
-use bpart_obs::federation::{FederationStore, StepSample};
+use bpart_obs::federation::FederationStore;
 use bpart_obs::snapshot::{Snapshot, Span};
 use proptest::prelude::*;
 
@@ -28,8 +28,8 @@ fn keys_strategy() -> impl Strategy<Value = Vec<Key>> {
     prop::collection::vec((0u32..3, 0u32..3, 0u64..4), 0..10)
 }
 
-/// Absorbs the report `key` names. Two seqs of an epoch share a superstep
-/// and two epochs share span ids, as replays and respawns make them.
+/// Absorbs the report `key` names. Two epochs share span ids, as respawns
+/// make them.
 fn absorb(store: &mut FederationStore, key: Key) {
     let (worker, epoch, seq) = key;
     let value = u64::from(worker) * 100 + u64::from(epoch) * 10 + seq;
@@ -52,12 +52,7 @@ fn absorb(store: &mut FederationStore, key: Key) {
         dur_ns: value,
         attrs: vec![("epoch".to_string(), epoch.to_string())],
     });
-    let sample = StepSample {
-        epoch,
-        compute_ns: value,
-        comm_ns: seq,
-    };
-    store.absorb(worker, epoch, seq, Some((seq / 2, sample)), report);
+    store.absorb(worker, epoch, seq, report);
 }
 
 fn store_from(keys: &[Key]) -> FederationStore {
