@@ -469,6 +469,18 @@ fn a_self_link_clause_exits_with_one_error_line() {
     std::fs::remove_file(gp).ok();
 }
 
+/// A fault plan has one seed: a second `seed=` clause is refused by name
+/// rather than silently overriding the first.
+#[test]
+fn a_second_seed_clause_exits_with_one_error_line() {
+    let (gp, g) = small_graph("two_seeds.bpgr");
+    refused_in_one_line(
+        &["run", &g, "--parts", "2", "--fault-plan", "seed=1;seed=2"],
+        "bad fault clause \"seed=2\"",
+    );
+    std::fs::remove_file(gp).ok();
+}
+
 /// `obs diff` flags a watched metric that rises from a baseline of 0 or
 /// below, in both directions of a diff that a CI gate runs.
 #[test]

@@ -20,10 +20,15 @@
 //! transport's: machine `to` gets what `from` staged for it, for `from`
 //! ascending — the delivery order every bit-identity guarantee rests on.
 //!
-//! The initial state is an implicit (free) checkpoint, so recovery works
-//! with checkpointing disabled, at the price of replaying from superstep
-//! zero. Kernels are deterministic, so a replay reproduces the fault-free
-//! state bit for bit; only the telemetry shows the damage.
+//! The initial state is re-derived, never stored: a loss before the first
+//! checkpoint restores to `None`, which [`drive`] answers with
+//! [`Program::reset`] over every machine and a worker answers from its
+//! `Job` and `Placement` on `Restore(None)`. So recovery works with
+//! checkpointing disabled, at the price of replaying from superstep zero,
+//! and no copy of any machine is kept for it. The restore is still charged
+//! as a checkpoint of the initial state would be. Kernels are
+//! deterministic, so a replay reproduces the fault-free state bit for bit;
+//! only the telemetry shows the damage.
 //!
 //! # Two transports
 //!
@@ -330,9 +335,9 @@ pub trait Machine: Send {
     /// (or panicked) superstep left in the scratch.
     fn restore(&mut self, snapshot: &Self::Snapshot);
 
-    /// Units of state in `snapshot`, as the cost model charges them for
-    /// writing or restoring a checkpoint.
-    fn state_units(snapshot: &Self::Snapshot) -> u64;
+    /// Units of the live state, as the cost model charges them for writing
+    /// its snapshot or restoring one: read without taking a snapshot.
+    fn units(&self) -> u64;
 }
 
 /// What an engine adds to the in-process transport.
@@ -359,6 +364,10 @@ pub trait Program: Sync {
     /// machine staged for it, for `from` ascending, leaving nothing staged;
     /// returns the further work each machine is charged for.
     fn deliver(&mut self, superstep: usize, machines: &mut [Self::Machine]) -> Vec<WorkUnits>;
+
+    /// Puts every machine back in the run's initial state: the restore of
+    /// a loss before the first checkpoint, since none is kept.
+    fn reset(&self, machines: &mut [Self::Machine]);
 
     /// Told after a rollback that the run resumes at `superstep`: whatever
     /// the program itself kept of later supersteps is void. The machines
@@ -393,14 +402,12 @@ pub fn drive<P: Program>(
     program: &mut P,
     machines: &mut [P::Machine],
 ) -> Result<(Telemetry, usize), UnrecoverableFailure> {
-    let initial = Some(machines.iter().map(Machine::snapshot).collect());
     let (cost, mode) = (&cfg.cost, cfg.mode);
     let mut transport = InProcess {
         cost,
         mode,
         program,
         machines,
-        initial,
     };
     run(&cfg.faults, cfg.checkpoint_every, &mut transport)
 }
@@ -412,8 +419,6 @@ struct InProcess<'a, P: Program> {
     mode: ExecMode,
     program: &'a mut P,
     machines: &'a mut [P::Machine],
-    /// The initial state, until the first checkpoint replaces it.
-    initial: Option<Vec<<P::Machine as Machine>::Snapshot>>,
 }
 
 impl<P: Program> InProcess<'_, P> {
@@ -421,9 +426,9 @@ impl<P: Program> InProcess<'_, P> {
         work.iter().map(|w| self.cost.compute_time(w)).collect()
     }
 
-    /// Modelled time to write or restore each machine's `snapshot`.
-    fn state_times(&self, snapshot: &[<P::Machine as Machine>::Snapshot]) -> Vec<f64> {
-        let units = snapshot.iter().map(P::Machine::state_units);
+    /// Modelled time to write or restore each machine's state as it is.
+    fn state_times(&self) -> Vec<f64> {
+        let units = self.machines.iter().map(Machine::units);
         units.map(|u| self.cost.checkpoint_time(u)).collect()
     }
 }
@@ -481,9 +486,7 @@ impl<P: Program> Transport for InProcess<'_, P> {
     fn snapshot(&mut self) -> Result<(Self::Snapshot, Vec<f64>), UnrecoverableFailure> {
         let _span = bpart_obs::span("cluster.checkpoint");
         let snapshot: Self::Snapshot = self.machines.iter().map(Machine::snapshot).collect();
-        let cost = self.state_times(&snapshot);
-        // The loop restores from a checkpoint from now on.
-        self.initial = None;
+        let cost = self.state_times();
         bpart_obs::metrics::counter("cluster.checkpoints").inc();
         Ok((snapshot, cost))
     }
@@ -497,6 +500,8 @@ impl<P: Program> Transport for InProcess<'_, P> {
         pairs.map(|(&s, &r)| self.cost.comm_time(s, r)).collect()
     }
 
+    /// The initial state is re-derived, and charged as restoring its
+    /// checkpoint would be: by the units each machine holds once restored.
     /// Machines restore in parallel, so the stall is the slowest restore.
     fn restore(
         &mut self,
@@ -504,14 +509,16 @@ impl<P: Program> Transport for InProcess<'_, P> {
         snapshot: Option<&Self::Snapshot>,
         _lost: &[MachineId],
     ) -> Step<f64, Self> {
-        let snapshot = snapshot
-            .or(self.initial.as_ref())
-            .expect("kept until a checkpoint");
-        let stall = self.state_times(snapshot).into_iter().fold(0.0, f64::max);
-        bpart_obs::metrics::counter("cluster.recoveries").inc();
-        for (s, snapshot) in self.machines.iter_mut().zip(snapshot) {
-            s.restore(snapshot);
+        match snapshot {
+            Some(snapshot) => {
+                for (s, snapshot) in self.machines.iter_mut().zip(snapshot) {
+                    s.restore(snapshot);
+                }
+            }
+            None => self.program.reset(self.machines),
         }
+        let stall = self.state_times().into_iter().fold(0.0, f64::max);
+        bpart_obs::metrics::counter("cluster.recoveries").inc();
         self.program.rolled_back(superstep);
         Ok(stall)
     }
@@ -543,20 +550,32 @@ mod tests {
         /// `(sender, payload)` in delivery order.
         seen: Vec<(MachineId, u32)>,
         deliveries: usize,
+        /// Units of state: [`initial_units`] at the start, one more after
+        /// every compute phase. The snapshot is this count.
+        units: u64,
+    }
+
+    /// Node `id`'s units of initial state.
+    fn initial_units(id: MachineId) -> u64 {
+        10 * (id as u64 + 1)
     }
 
     impl Machine for Node {
         type Msg = u32;
-        type Snapshot = ();
+        type Snapshot = u64;
 
         /// A self-message is allowed here, and counted.
         fn staged(&self) -> Vec<u64> {
             self.rows.iter().map(|row| row.len() as u64).collect()
         }
-        fn snapshot(&self) {}
-        fn restore(&mut self, _: &()) {}
-        fn state_units(_: &()) -> u64 {
-            0
+        fn snapshot(&self) -> u64 {
+            self.units
+        }
+        fn restore(&mut self, units: &u64) {
+            self.units = *units;
+        }
+        fn units(&self) -> u64 {
+            self.units
         }
     }
 
@@ -564,6 +583,8 @@ mod tests {
     struct Script {
         sends: Vec<Vec<(MachineId, MachineId, u32)>>,
         at: usize,
+        /// The machines of every `reset`, in call order.
+        resets: std::sync::Mutex<Vec<Vec<MachineId>>>,
     }
 
     impl Program for Script {
@@ -575,6 +596,7 @@ mod tests {
             (superstep < self.sends.len()).then(|| bpart_obs::span("cluster.superstep"))
         }
         fn compute(&self, node: &mut Node) {
+            node.units += 1;
             for &(from, to, payload) in &self.sends[self.at] {
                 if from == node.id {
                     node.rows[to as usize].push(payload);
@@ -599,6 +621,13 @@ mod tests {
             }
             vec![WorkUnits::default(); nodes.len()]
         }
+        fn reset(&self, nodes: &mut [Node]) {
+            for node in nodes.iter_mut() {
+                node.units = initial_units(node.id);
+            }
+            let ids = nodes.iter().map(|node| node.id).collect();
+            self.resets.lock().unwrap().push(ids);
+        }
     }
 
     fn nodes(k: usize) -> Vec<Node> {
@@ -608,8 +637,17 @@ mod tests {
                 rows: vec![Vec::new(); k],
                 seen: Vec::new(),
                 deliveries: 0,
+                units: initial_units(id as MachineId),
             })
             .collect()
+    }
+
+    fn script(sends: Vec<Vec<(MachineId, MachineId, u32)>>) -> Script {
+        Script {
+            sends,
+            at: 0,
+            resets: Default::default(),
+        }
     }
 
     fn run(
@@ -621,8 +659,7 @@ mod tests {
             faults,
             ..Config::default()
         };
-        let mut script = Script { sends, at: 0 };
-        drive(&cfg, &mut script, nodes).map(|(telemetry, _)| telemetry)
+        drive(&cfg, &mut script(sends), nodes).map(|(telemetry, _)| telemetry)
     }
 
     #[test]
@@ -705,6 +742,51 @@ mod tests {
         // The payloads still arrive exactly once.
         assert_eq!(nodes[1].seen, [(0, 1), (0, 2)]);
         assert_eq!(nodes[0].seen, [(1, 4), (2, 3)]);
+    }
+
+    /// A loss before the first checkpoint re-derives the initial state:
+    /// one `Program::reset` of every machine per recovery round, charged
+    /// as restoring a checkpoint of the initial state (the slowest
+    /// machine's `checkpoint_time` of its initial units, not of the units
+    /// it had grown to). After a checkpoint the loop restores it, and
+    /// `reset` is never called.
+    #[test]
+    fn a_loss_before_the_first_checkpoint_resets_every_machine() {
+        let cost = CostModel::default();
+        // Machine 2 restores the most: 30 initial units, two more per
+        // checkpointed pair of supersteps.
+        for (plan, every, resets, stalls) in [
+            ("crash@1:m0;crash@2:m1", None, 2, vec![30, 30]),
+            ("crash@0:m2", Some(2), 1, vec![30]),
+            ("crash@3:m1;crash@5:m0", Some(2), 0, vec![32, 34]),
+        ] {
+            let cfg = Config {
+                faults: plan.parse().unwrap(),
+                checkpoint_every: every,
+                ..Config::default()
+            };
+            let mut nodes = nodes(3);
+            let mut script = script(vec![Vec::new(); 6]);
+            let (telemetry, supersteps) = drive(&cfg, &mut script, &mut nodes).unwrap();
+            assert_eq!(supersteps, 6, "{plan}");
+            let calls = script.resets.into_inner().unwrap();
+            assert_eq!(calls, vec![vec![0, 1, 2]; resets], "{plan}");
+            let recoveries: Vec<f64> = telemetry
+                .records()
+                .iter()
+                .filter(|r| r.crashed > 0)
+                .map(|r| r.recovery)
+                .collect();
+            let stalls: Vec<f64> = stalls
+                .into_iter()
+                .map(|u| cost.checkpoint_time(u))
+                .collect();
+            assert_eq!(recoveries, stalls, "{plan}");
+            // Every compute phase that completed is one unit more.
+            for node in &nodes {
+                assert_eq!(node.units, initial_units(node.id) + 6, "{plan}");
+            }
+        }
     }
 
     /// A transport whose phases lose what the script says, and that keeps

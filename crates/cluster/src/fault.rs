@@ -297,15 +297,21 @@ impl FaultPlan {
     /// ```
     ///
     /// Superstep ranges also accept a single value (`straggle@3:m0:x2`).
-    /// Whitespace around clauses is ignored.
+    /// Whitespace around clauses is ignored. A plan has one seed: a second
+    /// `seed=` clause is refused by name.
     pub fn parse(spec: &str) -> Result<FaultPlan, FaultPlanParseError> {
         let mut plan = FaultPlan::new();
+        let mut seeded = false;
         for clause in spec.split(';') {
             let clause = clause.trim();
             if clause.is_empty() {
                 continue;
             }
             if let Some(v) = clause.strip_prefix("seed=") {
+                if seeded {
+                    return Err(bad(clause, "a plan has one seed, and this is a second"));
+                }
+                seeded = true;
                 plan.seed = v
                     .trim()
                     .parse()
@@ -666,6 +672,25 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(spec).is_err(), "accepted {spec:?}");
         }
+    }
+
+    /// Two seeds would leave the last one in force without a word; the
+    /// second is refused and named, whatever lies between or after.
+    #[test]
+    fn parse_refuses_a_second_seed() {
+        for (spec, second) in [
+            ("seed=1;seed=2", "seed=2"),
+            ("seed=1; crash@3:m1; seed=1", "seed=1"),
+            ("seed=0;seed=7;seed=9", "seed=7"),
+        ] {
+            let err = FaultPlan::parse(spec).unwrap_err();
+            assert_eq!(err.clause, second, "{spec}");
+            assert!(err.to_string().contains("second"), "{err}");
+        }
+        assert_eq!(
+            FaultPlan::parse("seed=3").unwrap(),
+            FaultPlan::new().with_seed(3)
+        );
     }
 
     #[test]

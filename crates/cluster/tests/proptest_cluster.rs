@@ -29,7 +29,7 @@ impl Machine for Node {
     }
     fn snapshot(&self) {}
     fn restore(&mut self, _: &()) {}
-    fn state_units(_: &()) -> u64 {
+    fn units(&self) -> u64 {
         0
     }
 }
@@ -70,6 +70,8 @@ impl Program for Script<'_> {
         }
         vec![WorkUnits::default(); nodes.len()]
     }
+    /// Runs here inject no fault, so nothing is ever reset.
+    fn reset(&self, _: &mut [Node]) {}
 }
 
 const K: usize = 6;

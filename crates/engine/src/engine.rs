@@ -10,7 +10,12 @@
 //! roll back to the last checkpoint and replay deterministically, so
 //! final values are bitwise-identical to a fault-free run; only the
 //! telemetry (wasted work, recovery time, replayed supersteps) shows the
-//! damage.
+//! damage. Before the first checkpoint there is nothing to roll back to:
+//! `Iterate` re-derives every machine's initial values from the program
+//! ([`MachineStep::reset`]) instead of keeping a copy of them.
+//!
+//! The result is gathered by consuming the kernels, one at a time, so the
+//! `n`-value array is never built beside every machine's send slots.
 
 use crate::kernel::{MachineStep, ScatterOutcome};
 use crate::program::VertexProgram;
@@ -116,6 +121,14 @@ impl<P: VertexProgram> bsp::Program for Iterate<'_, P> {
             .collect()
     }
 
+    /// Re-derives every machine's initial values and activity from the
+    /// program.
+    fn reset(&self, steps: &mut [MachineStep<P>]) {
+        for step in steps {
+            step.reset(self.program);
+        }
+    }
+
     /// Messages are delivered combined (sender-side combining, as in
     /// Gemini), but charged one unit per raw remote edge update — the
     /// payload a Pregel-style system ships, under which communication is
@@ -192,15 +205,24 @@ impl IterationEngine {
         };
         let (telemetry, iterations) = bsp::drive(&self.cfg, &mut iterate, &mut steps)?;
 
-        // Gather values back to global order: any value fills the array,
-        // then every vertex's own overwrites it.
+        // Gather values back to global order, one kernel at a time, each
+        // dropped (its send slots with it) before its values are placed:
+        // the first value fills the array, then every vertex's own
+        // overwrites it. The last machine goes first: its kernel was
+        // allocated last, and freeing the kernels in that order leaves the
+        // process's peak resident set lowest (EXPERIMENTS.md, "Every walker
+        // held once").
         let n = self.cluster.graph().num_vertices();
         debug_assert_eq!(steps.iter().map(|s| s.values().len()).sum::<usize>(), n);
-        let filler = steps.iter().find_map(|s| s.values().first());
-        let mut values: Vec<P::Value> = filler.map_or(Vec::new(), |value| vec![value.clone(); n]);
-        for (m, s) in steps.iter().enumerate() {
-            for (&v, value) in self.cluster.local_vertices(m as u32).iter().zip(s.values()) {
-                values[v as usize].clone_from(value);
+        let mut values: Vec<P::Value> = Vec::new();
+        while let Some(s) = steps.pop() {
+            let local = s.into_values();
+            if values.is_empty() && !local.is_empty() {
+                values = vec![local[0].clone(); n];
+            }
+            let m = steps.len() as MachineId;
+            for (&v, value) in self.cluster.local_vertices(m).iter().zip(local) {
+                values[v as usize] = value;
             }
         }
         Ok(EngineRun {

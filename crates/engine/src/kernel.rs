@@ -185,6 +185,12 @@ impl<P: VertexProgram> MachineStep<P> {
         &self.active
     }
 
+    /// The local vertex values, in owner-local order; the scratch goes
+    /// with the kernel.
+    pub fn into_values(self) -> Vec<P::Value> {
+        self.values
+    }
+
     /// Whether this machine owns `v`: what [`fold`](Self::fold) requires.
     pub fn owns(&self, v: VertexId) -> bool {
         self.cluster.partition().assignment().get(v as usize) == Some(&self.machine)
@@ -378,8 +384,8 @@ impl<P: VertexProgram> Machine for MachineStep<P> {
     }
 
     /// One unit per vertex value.
-    fn state_units(snapshot: &Snapshot<P::Value>) -> u64 {
-        snapshot.values.len() as u64
+    fn units(&self) -> u64 {
+        self.values.len() as u64
     }
 }
 

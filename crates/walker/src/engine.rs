@@ -14,6 +14,10 @@
 //! backend. Each walker carries its own RNG and the step counters live in the
 //! checkpointed kernel state, so replays reproduce the exact trajectories
 //! and totals of a fault-free run; only telemetry shows the recovery work.
+//! A loss before the first checkpoint re-seeds every machine from the
+//! starts and the seed in one pass (`WalkStep::reset_all`, as seeding
+//! does), so a run holds its walkers once, in the queues, plus whatever
+//! is in flight between machines — never a copy for recovery.
 
 use crate::kernel::{PathTable, WalkStep};
 use crate::walker::WalkApp;
@@ -89,6 +93,10 @@ pub(crate) struct Walk<'a, A: ?Sized> {
     pub(crate) app: &'a A,
     /// Where every superstep's triples go, when recording.
     pub(crate) paths: Option<PathTable>,
+    /// Where the walks start, and their seed: the initial state a loss
+    /// before the first checkpoint re-derives.
+    pub(crate) starts: &'a WalkStarts,
+    pub(crate) seed: u64,
 }
 
 impl<A: WalkApp + ?Sized> bsp::Program for Walk<'_, A> {
@@ -148,6 +156,10 @@ impl<A: WalkApp + ?Sized> bsp::Program for Walk<'_, A> {
             }
         }
         vec![WorkUnits::default(); steps.len()]
+    }
+
+    fn reset(&self, steps: &mut [WalkStep]) {
+        WalkStep::reset_all(steps, self.starts, self.seed);
     }
 
     fn rolled_back(&mut self, superstep: usize) {
@@ -229,7 +241,12 @@ impl WalkEngine {
         let paths = self
             .record_paths
             .then(|| PathTable::of_starts(starts, n, app.walk_length()));
-        let mut walk = Walk { app, paths };
+        let mut walk = Walk {
+            app,
+            paths,
+            starts,
+            seed,
+        };
         let (telemetry, iterations) = bsp::drive(&self.cfg, &mut walk, &mut steps)?;
 
         let mut run = WalkRun {
@@ -400,7 +417,7 @@ mod tests {
 
     /// The recorded table of a crashed run — superstep by superstep into
     /// one table, truncated at the rollback, re-placed by the replay — is
-    /// the fault-free one: from the implicit checkpoint and from one every
+    /// the fault-free one: from the re-seeded start and from one every
     /// 2 supersteps (a crash on the checkpointed barrier, s = 4, replays
     /// nothing; s = 5 one; s = 3 without checkpoints everything), in both
     /// execution modes, for walks of full length, walks that stop early

@@ -281,11 +281,26 @@ impl WalkStep {
         let mut steps: Vec<WalkStep> = (0..cluster.num_machines())
             .map(|m| WalkStep::new(cluster, m as MachineId, record))
             .collect();
+        WalkStep::reset_all(&mut steps, starts, seed);
+        steps
+    }
+
+    /// Rolls every kernel of one cluster (`steps[m]` is machine `m`'s)
+    /// back to the seeded start state in a single pass over `starts`:
+    /// what [`reset`](Self::reset) does to one, without each machine
+    /// reading every start.
+    pub(crate) fn reset_all(steps: &mut [WalkStep], starts: &WalkStarts, seed: u64) {
+        for step in steps.iter_mut() {
+            step.restore(&Snapshot::default());
+        }
+        let Some(cluster) = steps.first().map(|step| step.cluster.clone()) else {
+            return;
+        };
+        debug_assert_eq!(steps.len(), cluster.num_machines());
         for (id, v) in starts.walkers(cluster.graph().num_vertices()) {
             let home = &mut steps[cluster.owner(v) as usize];
             home.state.queue.push(Walker::new(id, v, seed));
         }
-        steps
     }
 
     /// The kernel for `machine` with nothing queued ([`reset`](Self::reset)
@@ -441,8 +456,8 @@ impl Machine for WalkStep {
     }
 
     /// One unit per in-flight walker.
-    fn state_units(snapshot: &Snapshot) -> u64 {
-        snapshot.queue.len() as u64
+    fn units(&self) -> u64 {
+        self.state.queue.len() as u64
     }
 }
 

@@ -99,6 +99,8 @@ mod arena {
             let mut walk = Walk {
                 app: &app,
                 paths: None,
+                starts: &STARTS,
+                seed: SEED,
             };
             walk.deliver(0, &mut steps);
             for (m, step) in steps.iter().enumerate() {
@@ -124,6 +126,8 @@ mod arena {
                 Walk {
                     app: &app,
                     paths: None,
+                    starts: &STARTS,
+                    seed: SEED,
                 }
                 .deliver(superstep, &mut steps);
                 for (m, step) in steps.iter().enumerate() {
@@ -161,6 +165,38 @@ mod arena {
             step.restore(&seeded);
             assert_eq!(step.staged(), [0, 0, 0]);
             assert_eq!(step.reserved(), reserved);
+        }
+
+        /// The program's reset, a loss before the first checkpoint, puts
+        /// every machine back where seeding put it, midway through a walk
+        /// and with walkers staged, and keeps the rows' capacity.
+        #[test]
+        fn the_program_reset_reseeds_every_machine() {
+            let app = DeepWalk::new(4);
+            let seeded: Vec<Vec<Walker>> =
+                kernels().iter().map(|s| s.state().queue.clone()).collect();
+            let mut steps = kernels();
+            let mut walk = Walk {
+                app: &app,
+                paths: None,
+                starts: &STARTS,
+                seed: SEED,
+            };
+            step_all(&mut steps, &app);
+            walk.deliver(0, &mut steps);
+            step_all(&mut steps, &app);
+            let reserved: Vec<usize> = steps.iter().map(WalkStep::reserved).collect();
+            assert!(steps
+                .iter()
+                .any(|step| step.staged().iter().sum::<u64>() > 0));
+
+            walk.reset(&mut steps);
+            for (m, step) in steps.iter().enumerate() {
+                assert_eq!(step.state().queue, seeded[m], "machine {m}");
+                assert_eq!((step.state().steps, step.state().sent), (0, 0));
+                assert_eq!(step.staged(), [0, 0, 0]);
+                assert_eq!(step.reserved(), reserved[m]);
+            }
         }
     }
 }
