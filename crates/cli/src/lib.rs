@@ -82,6 +82,8 @@ SCHEMES:
 
 APPS (run):
   pagerank (default) | cc | deepwalk
+  pagerank reads --iters (default 10), deepwalk --walk-len (default 10)
+  and --seed (default 42), cc none: a flag the app does not read is refused
 
 FAULT PLANS (run --fault-plan):
   semicolon-separated clauses, e.g. \"crash@3:m1;straggle@0-9:m2:x4;seed=7\":

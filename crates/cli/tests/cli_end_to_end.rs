@@ -304,6 +304,54 @@ fn refused_in_one_line(args: &[&str], names: &str) {
     assert!(!err.contains("panicked at"), "{args:?}: {err}");
 }
 
+/// A flag the chosen app never reads is refused by name on either backend
+/// — `--iters` with `cc` (which runs to convergence) or `deepwalk`, a walk
+/// flag with `pagerank` or `cc` — instead of a run that ignores it.
+#[test]
+fn a_flag_the_app_never_reads_exits_with_one_error_line() {
+    let (gp, g) = small_graph("unread_flag.bpgr");
+    let refused = [
+        (
+            "cc",
+            "--iters",
+            "--iters does not apply to --app cc, which reads no app flag",
+        ),
+        ("cc", "--walk-len", "--walk-len does not apply to --app cc"),
+        ("cc", "--seed", "--seed does not apply to --app cc"),
+        (
+            "pagerank",
+            "--walk-len",
+            "--walk-len does not apply to --app pagerank, which reads --iters",
+        ),
+        (
+            "pagerank",
+            "--seed",
+            "--seed does not apply to --app pagerank",
+        ),
+        (
+            "deepwalk",
+            "--iters",
+            "--iters does not apply to --app deepwalk, which reads --walk-len and --seed",
+        ),
+    ];
+    for backend in ["threads", "process"] {
+        for (app, flag, names) in refused {
+            let run = [
+                "run",
+                &g,
+                "--parts",
+                "2",
+                "--app",
+                app,
+                "--backend",
+                backend,
+            ];
+            refused_in_one_line(&[&run[..], &[flag, "3"]].concat(), names);
+        }
+    }
+    std::fs::remove_file(gp).ok();
+}
+
 /// A walk whose path table cannot be allocated is refused before either
 /// backend starts, naming `--walk-len`, the walk count and the bytes: not
 /// an aborted allocation (and, on the process backend, workers left to
