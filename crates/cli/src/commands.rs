@@ -101,7 +101,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             checkpoint_every,
             obs,
         } => {
-            let exports = ObsExports::begin(obs)?;
             let spec = JobSpec {
                 graph: GraphSource::File(graph.clone()),
                 scheme: scheme.clone(),
@@ -109,6 +108,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 app: AppSpec::by_name(app, *iters, *walk_len, *seed)?,
                 checkpoint_every: *checkpoint_every,
             };
+            let exports = ObsExports::begin(obs)?;
             let mut text = run_cmd(graph, &spec, backend, mode, fault_plan.as_deref(), obs)?;
             exports.finish(&mut text)?;
             Ok(text)
@@ -1171,15 +1171,30 @@ mod tests {
         std::fs::remove_dir_all(shard_dir).ok();
     }
 
+    /// Of `iters`, `walk_len` and `seed`, the ones `app` reads.
+    fn read_by(
+        app: &str,
+        iters: usize,
+        walk_len: u32,
+        seed: u64,
+    ) -> (Option<usize>, Option<u32>, Option<u64>) {
+        match app {
+            "pagerank" => (Some(iters), None, None),
+            "deepwalk" => (None, Some(walk_len), Some(seed)),
+            _ => (None, None, None),
+        }
+    }
+
     fn run_on(graph: String, app: &str, fault_plan: Option<&str>) -> Result<String, CliError> {
+        let (iters, walk_len, seed) = read_by(app, 5, 5, 7);
         run(&Command::Run {
             graph,
             parts: 4,
             scheme: "chunk-v".into(),
             app: app.into(),
-            iters: 5,
-            walk_len: 5,
-            seed: 7,
+            iters,
+            walk_len,
+            seed,
             mode: "sequential".into(),
             backend: "threads".into(),
             fault_plan: fault_plan.map(str::to_string),
@@ -1238,11 +1253,12 @@ mod tests {
                 ("sequential", ExecMode::Sequential),
                 ("threaded", ExecMode::Threaded),
             ] {
+                let (iters, walk_len, seed) = read_by(app, 4, 6, 11);
                 let spec = JobSpec {
                     graph: GraphSource::File(gp.clone()),
                     scheme: "fennel".into(),
                     parts: 3,
-                    app: AppSpec::by_name(app, 4, 6, 11).unwrap(),
+                    app: AppSpec::by_name(app, iters, walk_len, seed).unwrap(),
                     checkpoint_every: None,
                 };
                 let backend = Backend::Threads(ThreadsConfig {
@@ -1255,9 +1271,9 @@ mod tests {
                     parts: 3,
                     scheme: "fennel".into(),
                     app: app.into(),
-                    iters: 4,
-                    walk_len: 6,
-                    seed: 11,
+                    iters,
+                    walk_len,
+                    seed,
                     mode: mode.into(),
                     backend: "threads".into(),
                     fault_plan: None,
@@ -1293,9 +1309,9 @@ mod tests {
                 parts: 2,
                 scheme: "nope".into(),
                 app: "cc".into(),
-                iters: 1,
-                walk_len: 1,
-                seed: 1,
+                iters: None,
+                walk_len: None,
+                seed: None,
                 mode: "sequential".into(),
                 backend: backend.into(),
                 fault_plan: None,
@@ -1341,9 +1357,9 @@ mod tests {
             parts: 4,
             scheme: "bpart".into(),
             app: "pagerank".into(),
-            iters: 3,
-            walk_len: 5,
-            seed: 7,
+            iters: Some(3),
+            walk_len: None,
+            seed: None,
             mode: "sequential".into(),
             backend: "threads".into(),
             fault_plan: None,
@@ -1409,9 +1425,9 @@ mod tests {
             parts: 4,
             scheme: "bpart".into(),
             app: "pagerank".into(),
-            iters: 3,
-            walk_len: 5,
-            seed: 7,
+            iters: Some(3),
+            walk_len: None,
+            seed: None,
             mode: "sequential".into(),
             backend: "threads".into(),
             fault_plan: None,

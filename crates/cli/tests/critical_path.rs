@@ -98,9 +98,9 @@ fn report_critical_path_renders_gating_and_blame() {
         parts: 4,
         scheme: "bpart".into(),
         app: "pagerank".into(),
-        iters: 5,
-        walk_len: 5,
-        seed: 7,
+        iters: Some(5),
+        walk_len: None,
+        seed: None,
         mode: "sequential".into(),
         fault_plan: None,
         checkpoint_every: None,

@@ -65,9 +65,9 @@ fn serve_addr_answers_all_endpoints_during_a_run() {
             parts: 4,
             scheme: "bpart".into(),
             app: "pagerank".into(),
-            iters: 1200,
-            walk_len: 5,
-            seed: 7,
+            iters: Some(1200),
+            walk_len: None,
+            seed: None,
             mode: "sequential".into(),
             fault_plan: None,
             checkpoint_every: None,

@@ -224,31 +224,58 @@ pub enum AppSpec {
 pub const APP_NAMES: [&str; 3] = ["pagerank", "cc", "deepwalk"];
 
 impl AppSpec {
-    /// The application called `name`, with the parameters it takes of the
-    /// ones a front end offers: `iters` for PageRank, `walk_len` and `seed`
-    /// for the walks (one walker per vertex).
+    /// The application called `name`, with the parameters it reads of the
+    /// ones a front end offers: `iters` (default 10) for PageRank,
+    /// `walk_len` (default 10) and `seed` (default 42) for the walks (one
+    /// walker per vertex), none for CC. A parameter given to an app that
+    /// never reads it is refused by its flag name, not ignored.
     pub fn by_name(
         name: &str,
-        iters: usize,
-        walk_len: u32,
-        seed: u64,
+        iters: Option<usize>,
+        walk_len: Option<u32>,
+        seed: Option<u64>,
     ) -> Result<AppSpec, ClusterError> {
-        let per_vertex = 1;
-        Ok(match name {
-            "pagerank" => AppSpec::PageRank { iters },
-            "cc" => AppSpec::ConnectedComponents,
-            "deepwalk" => AppSpec::DeepWalk {
-                walk_len,
-                seed,
-                per_vertex,
-            },
+        let (app, reads): (AppSpec, &[&str]) = match name {
+            "pagerank" => (
+                AppSpec::PageRank {
+                    iters: iters.unwrap_or(10),
+                },
+                &["iters"],
+            ),
+            "cc" => (AppSpec::ConnectedComponents, &[]),
+            "deepwalk" => (
+                AppSpec::DeepWalk {
+                    walk_len: walk_len.unwrap_or(10),
+                    seed: seed.unwrap_or(42),
+                    per_vertex: 1,
+                },
+                &["walk-len", "seed"],
+            ),
             other => {
                 return Err(ClusterError::unrecoverable(format!(
                     "unknown app {other:?}; available: {}",
                     APP_NAMES.join(", ")
                 )))
             }
-        })
+        };
+        let given = [
+            ("iters", iters.is_some()),
+            ("walk-len", walk_len.is_some()),
+            ("seed", seed.is_some()),
+        ];
+        let Some((flag, _)) = given
+            .into_iter()
+            .find(|(flag, given)| *given && !reads.contains(flag))
+        else {
+            return Ok(app);
+        };
+        let read = match reads {
+            [] => "no app flag".to_string(),
+            _ => format!("--{}", reads.join(" and --")),
+        };
+        Err(ClusterError::unrecoverable(format!(
+            "--{flag} does not apply to --app {name}, which reads {read}"
+        )))
     }
 
     /// True for the walk-engine apps.
@@ -524,8 +551,21 @@ mod tests {
             assert_eq!(scheme.out_of_core().is_ok(), scheme.out_of_core.is_some());
         }
         for name in APP_NAMES {
-            assert_eq!(AppSpec::by_name(name, 3, 4, 5).unwrap().name(), name);
+            assert_eq!(
+                AppSpec::by_name(name, None, None, None).unwrap().name(),
+                name
+            );
         }
+        assert_eq!(
+            AppSpec::by_name("pagerank", Some(3), None, None).unwrap(),
+            AppSpec::PageRank { iters: 3 }
+        );
+        assert_eq!(
+            AppSpec::by_name("cc", Some(3), None, None)
+                .unwrap_err()
+                .to_string(),
+            "unrecoverable: --iters does not apply to --app cc, which reads no app flag"
+        );
 
         spec.scheme = "nope".into();
         let unknown = "unrecoverable: unknown scheme \"nope\"; available: chunk-v, chunk-e, \
@@ -540,7 +580,9 @@ mod tests {
             assert_eq!(run_job(&spec, &backend).unwrap_err().to_string(), unknown);
         }
         assert_eq!(
-            AppSpec::by_name("nope", 3, 4, 5).unwrap_err().to_string(),
+            AppSpec::by_name("nope", None, None, None)
+                .unwrap_err()
+                .to_string(),
             "unrecoverable: unknown app \"nope\"; available: pagerank, cc, deepwalk"
         );
         assert_eq!(

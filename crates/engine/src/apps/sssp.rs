@@ -74,6 +74,11 @@ impl VertexProgram for Sssp {
         a.extend(b);
     }
 
+    /// Signals are lists, combined by concatenation.
+    fn identity(&self) -> Vec<DistFrom> {
+        Vec::new()
+    }
+
     fn apply(
         &self,
         v: VertexId,
@@ -157,6 +162,17 @@ mod tests {
         let run = IterationEngine::default_for(graph, partition).run(&Sssp::new(3));
         assert_eq!(run.values[0], u64::MAX);
         assert_eq!(run.values[3], 0);
+    }
+
+    #[test]
+    fn the_empty_list_is_an_identity_of_every_signal() {
+        let program = Sssp::new(0);
+        for dist in [0, 1, u64::MAX - 1, u64::MAX] {
+            let signal = program.scatter(7, &dist, &generate::path(8)).unwrap();
+            let mut slot = program.identity();
+            program.combine(&mut slot, signal.clone());
+            assert_eq!(slot, signal);
+        }
     }
 
     #[test]

@@ -258,6 +258,9 @@ mod tests {
         fn combine(&self, a: &mut u64, b: u64) {
             *a += b;
         }
+        fn identity(&self) -> u64 {
+            0
+        }
         fn apply(
             &self,
             _v: VertexId,
@@ -293,6 +296,9 @@ mod tests {
         }
         fn combine(&self, a: &mut u64, b: u64) {
             *a += b;
+        }
+        fn identity(&self) -> u64 {
+            0
         }
         fn apply(
             &self,
@@ -503,6 +509,9 @@ mod tests {
         }
         fn combine(&self, a: &mut u64, b: u64) {
             *a += b;
+        }
+        fn identity(&self) -> u64 {
+            0
         }
         fn apply(
             &self,

@@ -194,6 +194,9 @@ impl VertexProgram for PanicOnce {
     fn combine(&self, a: &mut f64, b: f64) {
         self.inner.combine(a, b)
     }
+    fn identity(&self) -> f64 {
+        self.inner.identity()
+    }
     fn apply(
         &self,
         v: VertexId,
