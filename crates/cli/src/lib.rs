@@ -106,7 +106,7 @@ BACKENDS (run --backend; one job description, one report, either way):
                      TCP; the thread-simulated oracle runs alongside and
                      the command fails unless results are bit-identical.
                      Times in the report are seconds the workers measured
-                     (reported when an OBSERVABILITY flag asks for them);
+                     (every run: each superstep's reply carries them);
                      --mode does not apply and is refused
   Fault-plan crash clauses become real SIGKILLs of worker processes:
   death is detected by heartbeat loss, state restores from the last

@@ -17,10 +17,10 @@
 //! [`ClusterError::FrameCorrupt`] — the connection is then unusable
 //! (stream framing is lost) and supervision tears it down.
 //!
-//! A sender builds a frame in one buffer: [`begin`] leaves room for the
-//! header and allocates the payload's counted length behind it, the message
-//! puts its payload there, [`seal`] fills in kind, length and checksum. The
-//! bytes a socket write sees are the bytes the encoder wrote.
+//! A sender builds a frame in one buffer ([`build`]): room for the header,
+//! the payload the message puts behind it, then kind, length and checksum in
+//! front. The bytes a socket write sees are the bytes the encoder wrote, and
+//! a buffer built again keeps its allocation.
 //!
 //! A receiver reads a frame whole ([`read_frame`]), and one that reads
 //! frame after frame hands the last payload's buffer to the next
@@ -129,22 +129,18 @@ fn checksum(kind: u8, payload: &[u8]) -> u32 {
     sum.finish()
 }
 
-/// Starts a frame of a `len`-byte payload: room for the header, and for
-/// the payload behind it. Put the payload, then [`seal`].
-pub fn begin(len: usize) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + len);
+/// Builds in `buf`, emptied, the frame whose payload `put` writes behind
+/// the header's room and whose kind it returns. A payload over
+/// [`MAX_PAYLOAD`] is the sender's error, reported before a byte reaches
+/// the wire.
+pub fn build(buf: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>) -> u8) -> Result<(), ClusterError> {
+    buf.clear();
     buf.resize(HEADER_LEN, 0);
-    buf
-}
-
-/// Completes a frame started by [`begin`] as one of `kind`: writes the
-/// header in front of the payload. A payload over [`MAX_PAYLOAD`] is the
-/// sender's error, reported before a byte reaches the wire.
-pub fn seal(kind: u8, mut buf: Vec<u8>) -> Result<Vec<u8>, ClusterError> {
+    let kind = put(buf);
     let len = sendable(buf.len() - HEADER_LEN)?;
     let sum = checksum(kind, &buf[HEADER_LEN..]);
     buf[..HEADER_LEN].copy_from_slice(&header(kind, len, sum));
-    Ok(buf)
+    Ok(())
 }
 
 /// A payload length as the header holds it.
@@ -271,9 +267,12 @@ impl Sink for PayloadWriter<'_> {
 
 /// Encodes one frame around an already-built payload.
 pub fn encode(kind: u8, payload: &[u8]) -> Result<Vec<u8>, ClusterError> {
-    let mut buf = begin(payload.len());
-    buf.extend_from_slice(payload);
-    seal(kind, buf)
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
+    build(&mut buf, |buf| {
+        buf.extend_from_slice(payload);
+        kind
+    })?;
+    Ok(buf)
 }
 
 /// Validates a header: `(kind, payload length, stated checksum)`.
@@ -573,8 +572,11 @@ mod tests {
     #[test]
     fn an_oversized_payload_is_a_typed_error_on_the_send_path() {
         // Zeroed straight from the allocator, so the gigabyte is never touched.
-        let buf = vec![0u8; HEADER_LEN + MAX_PAYLOAD as usize + 1];
-        let err = seal(1, buf).unwrap_err();
+        let oversized = |buf: &mut Vec<u8>| {
+            *buf = vec![0u8; HEADER_LEN + MAX_PAYLOAD as usize + 1];
+            1
+        };
+        let err = build(&mut Vec::new(), oversized).unwrap_err();
         assert!(matches!(err, ClusterError::Unrecoverable { .. }), "{err}");
         assert!(err.to_string().contains("MAX_PAYLOAD"), "{err}");
     }

@@ -308,7 +308,13 @@ impl<'a> Placement<'a> {
     }
 
     /// Machine `machine`'s placement under `cluster`, borrowing all of it.
+    /// Panics if `in_lists` asks for the lists of a graph that holds none.
     pub fn of(cluster: &'a Cluster, machine: MachineId, in_lists: bool) -> Self {
+        assert!(
+            !in_lists || cluster.graph().has_in_lists(),
+            "machine {machine}'s placement is to carry in-lists for an app that signals \
+             along in-edges, but the graph holds out-lists only"
+        );
         Placement {
             parts: cluster.num_machines() as u32,
             assignment: Cow::Borrowed(cluster.partition().assignment()),
@@ -543,9 +549,9 @@ impl<'a> DriverMsg<'a> {
     /// The complete frame, header included, ready for one socket write.
     /// Fails only when the payload outgrows [`frame::MAX_PAYLOAD`].
     pub fn to_frame(&self) -> Result<Vec<u8>, ClusterError> {
-        let mut out = frame::begin(wire::len(|n| self.put(n)));
-        let kind = self.put(&mut out);
-        frame::seal(kind, out)
+        let mut out = Vec::with_capacity(frame::HEADER_LEN + wire::len(|n| self.put(n)));
+        frame::build(&mut out, |out| self.put(out))?;
+        Ok(out)
     }
 
     /// Puts the payload; returns the frame's kind.
@@ -654,9 +660,9 @@ impl<'a> WorkerMsg<'a> {
     /// The complete frame, header included, ready for one socket write.
     /// Fails only when the payload outgrows [`frame::MAX_PAYLOAD`].
     pub fn to_frame(&self) -> Result<Vec<u8>, ClusterError> {
-        let mut out = frame::begin(wire::len(|n| self.put(n)));
-        let kind = self.put(&mut out);
-        frame::seal(kind, out)
+        let mut out = Vec::with_capacity(frame::HEADER_LEN + wire::len(|n| self.put(n)));
+        frame::build(&mut out, |out| self.put(out))?;
+        Ok(out)
     }
 
     /// Puts the payload; returns the frame's kind.
@@ -1182,6 +1188,23 @@ mod tests {
         assert_eq!(placement.slice.graph.num_edges(), 0);
         assert_eq!(placement.slice.wire_len(), 4 + 8 + 1);
         assert_eq!(bytes.len(), beside_slice + slice_wire_len(0, 0, None));
+    }
+
+    /// A driver whose app reads out-lists only has shed the in-lists: a
+    /// placement asking for them is refused, not sent empty.
+    #[test]
+    #[should_panic(
+        expected = "machine 1's placement is to carry in-lists for an app that \
+                               signals along in-edges, but the graph holds out-lists only"
+    )]
+    fn a_placement_refuses_in_lists_of_a_graph_without_them() {
+        let full = cluster();
+        let mut graph = full.graph().clone();
+        graph.shed_in_lists();
+        let shed = Cluster::new(Arc::new(graph), Arc::new(full.partition().clone()));
+        let out_only = sent(&Placement::of(&shed, 1, false));
+        assert_eq!(out_only, sent(&Placement::of(&full, 1, false)));
+        Placement::of(&shed, 1, true);
     }
 
     /// A worker reads its placement off the stream, and nothing but a

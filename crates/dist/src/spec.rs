@@ -362,9 +362,14 @@ impl JobSpec {
         Ok(graph)
     }
 
-    /// Partitions `graph` by the spec's scheme into its parts.
-    pub fn cluster_on(&self, graph: CsrGraph) -> Result<Cluster, ClusterError> {
+    /// Partitions `graph` by the spec's scheme on both directions, then keeps
+    /// those the app reads (gauge `proc.graph_bytes`: their bytes).
+    pub fn cluster_on(&self, mut graph: CsrGraph) -> Result<Cluster, ClusterError> {
         let partition = self.scheme()?.partition(&graph, self.parts as usize);
+        if !self.app.uses_in_edges() {
+            graph.shed_in_lists();
+        }
+        bpart_obs::metrics::gauge("proc.graph_bytes").set(graph.adjacency_bytes() as f64);
         Ok(Cluster::new(Arc::new(graph), Arc::new(partition)))
     }
 

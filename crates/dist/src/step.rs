@@ -4,8 +4,8 @@
 //! iteration engine's kernel ([`MachineStep`]) and [`WalkWorker`] the walk
 //! engine's ([`WalkStep`]) — the very kernels the thread backend runs —
 //! and both add only what a process boundary needs: what a kernel holds
-//! for each destination encoded into a [`RowSeg`] on the way out, segments
-//! read item by item into the kernel, in sender order, on the way in —
+//! for each destination encoded once, into the frame it leaves in, on the
+//! way out, segments read item by item into the kernel, in sender order —
 //! each vertex a segment or a snapshot names checked to be this machine's
 //! before a kernel indexes by it — a walk superstep's path triples as
 //! bytes, and snapshots and results as bytes, every value through its
@@ -15,14 +15,13 @@
 
 use crate::error::ClusterError;
 use crate::proto::RowSeg;
-use crate::wire::{encode_all, Reader, Sink, Wire, PATH_TRIPLE_LEN};
+use crate::wire::{self, encode_all, Reader, Sink, Wire, PATH_TRIPLE_LEN};
 use bpart_cluster::bsp::Machine;
 use bpart_cluster::{Cluster, MachineId};
 use bpart_engine::kernel::Snapshot;
 use bpart_engine::{MachineStep, VertexProgram};
 use bpart_graph::VertexId;
 use bpart_walker::{kernel, WalkApp, WalkStarts, WalkStep, Walker};
-use std::borrow::Cow;
 
 /// One machine's share of a job, as the worker's protocol loop drives it.
 pub trait Worker {
@@ -31,12 +30,23 @@ pub trait Worker {
     fn ready_agg(&self) -> f64;
 
     /// Local compute phase: scatter (iteration) or one step of every
-    /// queued walker (walks). Returns one encoded row per destination
-    /// machine; the self slot is an empty segment (what a machine keeps
-    /// for itself never crosses the wire) — and, of a walk, the path
-    /// triples of the steps just taken, encoded back to back: they leave
-    /// with the rows, a worker keeps no history.
-    fn begin(&mut self) -> (Vec<RowSeg<'static>>, Vec<u8>);
+    /// queued walker (walks). Puts `StepData`'s rows into `out`, one
+    /// segment per destination machine, the self slot empty (what a machine
+    /// keeps for itself never crosses the wire); then its paths: of a walk,
+    /// the triples of the steps just taken — a worker keeps no history.
+    fn begin_into(&mut self, out: &mut Vec<u8>);
+
+    /// [`begin_into`](Self::begin_into) as values: owned rows, and paths.
+    fn begin(&mut self) -> (Vec<RowSeg<'static>>, Vec<u8>) {
+        let mut bytes = Vec::new();
+        self.begin_into(&mut bytes);
+        let (rows, paths): (Vec<RowSeg>, &[u8]) = Reader::new(&bytes).read().expect("StepData");
+        let own = |seg: RowSeg| RowSeg {
+            count: seg.count,
+            data: seg.data.into_owned().into(),
+        };
+        (rows.into_iter().map(own).collect(), paths.to_vec())
+    }
 
     /// Completes the superstep with the driver's inbox (sender-order
     /// segments, own slot empty; read where the `Inbox` frame holds them). Returns `(active, agg)` for `StepDone`:
@@ -62,13 +72,21 @@ pub trait Worker {
     fn final_result(&self, out: &mut dyn Sink);
 }
 
-/// Encodes `items` back to back, as they are produced, into one segment.
-fn encode_seg<T: for<'a> Wire<'a>>(items: impl IntoIterator<Item = T>) -> RowSeg<'static> {
-    let mut data = Vec::new();
-    let encode = |item: &T| item.put(&mut data);
-    let count = items.into_iter().inspect(encode).count() as u32;
-    let data = Cow::Owned(data);
-    RowSeg { count, data }
+/// Gives `out` room for rows of `staged` messages of `item` bytes per
+/// destination and for the paths' length; puts the row count.
+fn start_rows(out: &mut Vec<u8>, staged: &[u64], item: usize) {
+    out.reserve_exact(8 + staged.iter().map(|&c| 8 + c as usize * item).sum::<usize>());
+    (staged.len() as u32).put(out);
+}
+
+/// Puts one row segment as its items are produced: count and byte length
+/// are filled in ahead of them once known.
+fn put_seg<T: for<'a> Wire<'a>>(out: &mut Vec<u8>, items: impl IntoIterator<Item = T>) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    let count = items.into_iter().map(|item| item.put(out)).count() as u64;
+    let count_then_len = count | ((out.len() - at - 8) as u64) << 32;
+    out[at..at + 8].copy_from_slice(&count_then_len.to_le_bytes());
 }
 
 /// One machine's share of an iteration-engine computation
@@ -100,14 +118,16 @@ where
     /// Every destination's segment is encoded straight out of the kernel's
     /// send slots. One nothing is staged for stays empty: the machine's own
     /// too — what it addressed to itself waits in the slots for `finish`.
-    fn begin(&mut self) -> (Vec<RowSeg<'static>>, Vec<u8>) {
+    fn begin_into(&mut self, out: &mut Vec<u8>) {
         self.step.scatter(&self.program);
-        let mut segs = Vec::new();
-        for (to, count) in (0..).zip(self.step.staged()) {
+        let staged = self.step.staged();
+        let item = wire::len(|n| (0 as VertexId, self.program.identity()).put(n));
+        start_rows(out, &staged, item);
+        for (to, count) in (0..).zip(staged) {
             let held = (count > 0).then(|| self.step.outgoing(to));
-            segs.push(encode_seg(held.into_iter().flatten()));
+            put_seg(out, held.into_iter().flatten());
         }
-        (segs, Vec::new())
+        0u32.put(out);
     }
 
     fn finish(
@@ -212,19 +232,17 @@ impl WalkWorker {
         }
     }
 
-    /// `walkers`, each of which must stand on a vertex this machine owns:
-    /// the kernel steps a walker from its vertex's list, which the slice has
-    /// for this machine's vertices only.
-    fn owned(&self, walkers: Vec<Walker>) -> Result<Vec<Walker>, ClusterError> {
+    /// `w`, which must stand on a vertex this machine owns: the kernel
+    /// steps a walker from its vertex's list, which the slice has for this
+    /// machine's vertices only.
+    fn owned(&self, w: Walker) -> Result<Walker, ClusterError> {
         let assignment = self.cluster.partition().assignment();
-        let foreign = |w: &&Walker| assignment.get(w.current as usize) != Some(&self.machine);
-        match walkers.iter().find(foreign) {
-            None => Ok(walkers),
-            Some(w) => Err(ClusterError::corrupt(format!(
-                "walker {} stands on vertex {}, not this machine's",
-                w.id, w.current
-            ))),
+        if assignment.get(w.current as usize) == Some(&self.machine) {
+            return Ok(w);
         }
+        let (id, v) = (w.id, w.current);
+        let foreign = format!("walker {id} stands on vertex {v}, not this machine's");
+        Err(ClusterError::corrupt(foreign))
     }
 }
 
@@ -233,25 +251,28 @@ impl Worker for WalkWorker {
         self.step.queue_len() as f64
     }
 
-    fn begin(&mut self) -> (Vec<RowSeg<'static>>, Vec<u8>) {
+    fn begin_into(&mut self, out: &mut Vec<u8>) {
         self.step.step(&*self.app);
-        let triples = self.step.take_triples();
-        let mut paths = Vec::with_capacity(triples.len() * PATH_TRIPLE_LEN);
-        triples.for_each(|triple| triple.put(&mut paths));
-        let mut segs = Vec::new();
-        for (to, count) in (0..).zip(self.step.staged()) {
+        let staged = self.step.staged();
+        start_rows(out, &staged, wire::len(|n| Walker::new(0, 0, 0).put(n)));
+        for (to, count) in (0..).zip(staged) {
             let held = (count > 0).then(|| self.step.outgoing(to));
-            segs.push(encode_seg(held.into_iter().flatten()));
+            put_seg(out, held.into_iter().flatten());
         }
-        (segs, paths)
+        let triples = self.step.take_triples();
+        out.reserve_exact(4 + triples.len() * PATH_TRIPLE_LEN);
+        ((triples.len() * PATH_TRIPLE_LEN) as u32).put(out);
+        triples.for_each(|triple| triple.put(out));
     }
 
     fn finish(&mut self, inbox: &[RowSeg<'_>], _: u64, _: f64) -> Result<(u64, f64), ClusterError> {
         for seg in inbox {
             let mut r = Reader::new(&seg.data);
-            let row = self.owned(r.read_n(seg.count as usize)?)?;
+            for _ in 0..seg.count {
+                let w = self.owned(r.read()?)?;
+                self.step.absorb([w]);
+            }
             r.end("row segment")?;
-            self.step.absorb(row);
         }
         Ok((self.step.queue_len() as u64, 0.0))
     }
@@ -271,8 +292,10 @@ impl Worker for WalkWorker {
             return Ok(());
         };
         let mut r = Reader::new(bytes);
+        let queue: Vec<Walker> = r.read()?;
+        queue.iter().try_for_each(|&w| self.owned(w).map(drop))?;
         let snapshot = kernel::Snapshot {
-            queue: self.owned(r.read()?)?,
+            queue,
             steps: r.read()?,
             sent: r.read()?,
         };
@@ -293,7 +316,7 @@ impl Worker for WalkWorker {
 mod tests {
     use super::*;
     use crate::frame::HEADER_LEN;
-    use crate::proto::write_final;
+    use crate::proto::{kind, write_final, WorkerMsg};
     use crate::spec::AppSpec;
     use crate::wire::path_triples;
     use crate::worker::tests::{raw_cluster, slice_clusters, sourceless_spec, RAW_MAX_N};
@@ -430,6 +453,46 @@ mod tests {
         run_workers((0..k).map(make).collect(), end, crash_at)
     }
 
+    /// `w`'s compute phase as the worker loop sends it — built in place in
+    /// `frame`, which holds an earlier superstep's — checked to be the
+    /// `StepData` message's frame byte for byte, and read back.
+    fn begin_in_place(
+        w: &mut impl Worker,
+        frame: &mut Vec<u8>,
+        superstep: usize,
+    ) -> (Vec<RowSeg<'static>>, Vec<u8>) {
+        let superstep = superstep as u64;
+        crate::frame::build(frame, |out| {
+            (3u32, superstep).put(out);
+            w.begin_into(out);
+            kind::STEP_DATA
+        })
+        .unwrap();
+        let (sent, len) = crate::frame::decode(frame).unwrap();
+        assert_eq!(len, frame.len());
+        let WorkerMsg::StepData {
+            epoch: 3,
+            rows,
+            paths,
+            ..
+        } = WorkerMsg::from_frame(&sent).unwrap()
+        else {
+            panic!("not the StepData of epoch 3");
+        };
+        let msg = WorkerMsg::StepData {
+            epoch: 3,
+            superstep,
+            rows: rows.clone(),
+            paths,
+        };
+        assert_eq!(&msg.to_frame().unwrap(), frame);
+        let own = |seg: RowSeg| RowSeg {
+            count: seg.count,
+            data: seg.data.into_owned().into(),
+        };
+        (rows.into_iter().map(own).collect(), paths.to_vec())
+    }
+
     /// [`run_in_process`] over workers the caller made, from the state they
     /// are in.
     fn run_workers<W: Worker>(
@@ -443,14 +506,17 @@ mod tests {
         let mut transcript = Transcript::default();
         let mut table = walk;
         let walk = table.is_some();
+        let mut frames = vec![Vec::new(); k];
         loop {
             // The aggregate of an iteration app, the queued walkers of a walk.
             let ready: f64 = workers.iter().map(|w| w.ready_agg()).sum();
             if walk && ready == 0.0 {
                 break;
             }
-            let (rows, paths): (Vec<Vec<RowSeg<'_>>>, Vec<Vec<u8>>) =
-                workers.iter_mut().map(|w| w.begin()).unzip();
+            let (rows, paths): (Vec<Vec<RowSeg<'_>>>, Vec<Vec<u8>>) = (workers.iter_mut())
+                .zip(&mut frames)
+                .map(|(w, frame)| begin_in_place(w, frame, superstep))
+                .unzip();
             for (id, step, v) in paths.iter().flat_map(|paths| path_triples(paths)) {
                 let table = table.as_mut().expect("only a walk has paths");
                 assert_eq!(step as usize, superstep + 1);

@@ -20,12 +20,13 @@
 
 use crate::error::ClusterError;
 use crate::frame::{self, Frame};
-use crate::proto::{DriverMsg, Placement, WorkerMsg};
+use crate::proto::{kind, DriverMsg, Placement, WorkerMsg};
 use crate::spec::{AppSpec, JobSpec};
 use crate::step::{IterWorker, WalkWorker, Worker};
 use crate::transport::{
     connect_with_backoff, heartbeat_pump, read_frame_blocking, Backoff, SharedWriter,
 };
+use crate::wire::Wire;
 use bpart_cluster::Cluster;
 use bpart_core::Partition;
 use bpart_engine::apps::{ConnectedComponents, PageRank};
@@ -218,6 +219,7 @@ fn receive_job(reader: &mut TcpStream) -> Result<Box<dyn Worker>, ClusterError> 
         cluster.graph().num_edges() as u64,
         slice_bytes,
     );
+    bpart_obs::metrics::gauge("proc.graph_bytes").set(cluster.graph().adjacency_bytes() as f64);
     Ok(build_app(&spec, cluster, machine as usize))
 }
 
@@ -343,8 +345,10 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
     // the span delta is encoded.
     let mut step_span: Option<tracer::SpanGuard> = None;
 
-    // Every frame is read into the allocation of the one before it.
+    // Every frame is read into the allocation of the one before it, and
+    // every `StepData` is built in the allocation of the last.
     let mut frame = Frame::default();
+    let mut step_data = Vec::new();
     loop {
         frame = frame::read_frame_into(&mut reader, frame.payload)?;
         let current = epoch.load(Ordering::Relaxed);
@@ -376,14 +380,13 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                     g
                 });
                 let compute_started = Instant::now();
-                let (rows, paths) = app.begin();
-                let compute_ns = compute_started.elapsed().as_nanos() as u64;
-                writer.send(&WorkerMsg::StepData {
-                    epoch: e,
-                    superstep,
-                    rows,
-                    paths: &paths,
+                frame::build(&mut step_data, |out| {
+                    (e, superstep).put(out);
+                    app.begin_into(out);
+                    kind::STEP_DATA
                 })?;
+                let compute_ns = compute_started.elapsed().as_nanos() as u64;
+                writer.send_frame(&step_data)?;
                 if let Some(g) = &mut span {
                     g.attr("compute_ns", compute_ns.to_string());
                 }

@@ -195,6 +195,11 @@ impl IterationEngine {
         &self,
         program: &P,
     ) -> Result<EngineRun<P::Value>, UnrecoverableFailure> {
+        assert!(
+            !program.use_in_edges() || self.cluster.graph().has_in_lists(),
+            "{} signals along in-edges, but the graph holds out-lists only",
+            std::any::type_name::<P>()
+        );
         let k = self.cluster.num_machines();
         let mut steps = MachineStep::for_cluster(program, &self.cluster);
         let mut iterate = Iterate {
@@ -316,6 +321,24 @@ mod tests {
         fn max_iterations(&self) -> Option<usize> {
             Some(self.0)
         }
+    }
+
+    /// CC signals along in-edges: a graph that shed them is refused by
+    /// name, not scattered over as if every in-list were empty. PageRank
+    /// runs on it.
+    #[test]
+    #[should_panic(
+        expected = "ConnectedComponents signals along in-edges, but the graph holds \
+                               out-lists only"
+    )]
+    fn a_program_that_reads_in_edges_refuses_a_graph_without_them() {
+        let mut graph = generate::star(4);
+        let partition = Arc::new(ChunkV.partition(&graph, 2));
+        graph.shed_in_lists();
+        let graph = Arc::new(graph);
+        let engine = IterationEngine::default_for(graph, partition);
+        engine.run(&crate::apps::PageRank::new(2));
+        engine.run(&crate::apps::ConnectedComponents);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::{Edge, VertexId};
 ///
 /// Out-edges of vertex `v` occupy `targets[offsets[v] .. offsets[v + 1]]`;
 /// the in-adjacency (`in_offsets` / `in_targets`) is the transpose built at
-/// construction time.
+/// construction time; a graph without in-lists keeps `in_offsets` empty.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CsrGraph {
     offsets: Vec<u64>,
@@ -162,7 +162,7 @@ impl CsrGraph {
     /// given) in place, every other vertex's lists empty. Degrees,
     /// neighbours and [`num_edges`](Self::num_edges) are therefore those of
     /// the slice; [`num_vertices`](Self::num_vertices) is the whole
-    /// graph's. With `inn` absent every in-list is empty.
+    /// graph's. With `inn` absent the graph holds no in-lists.
     ///
     /// The arguments may come from outside the program, so nothing is
     /// assumed of them: members not strictly ascending or `>= n`, list
@@ -188,7 +188,7 @@ impl CsrGraph {
         let offsets = out.offsets(n, members, "out")?;
         let (in_offsets, in_targets) = match inn {
             Some(inn) => (inn.offsets(n, members, "in")?, inn.targets),
-            None => (vec![0; n + 1], Vec::new()),
+            None => (Vec::new(), Vec::new()),
         };
         Ok(CsrGraph {
             offsets,
@@ -226,10 +226,10 @@ impl CsrGraph {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
     }
 
-    /// In-degree of `v`.
+    /// In-degree of `v` (0 without in-lists).
     #[inline]
     pub fn in_degree(&self, v: VertexId) -> usize {
-        (self.in_offsets[v as usize + 1] - self.in_offsets[v as usize]) as usize
+        self.in_neighbors(v).len()
     }
 
     /// Out-neighbors of `v`, sorted ascending.
@@ -242,14 +242,33 @@ impl CsrGraph {
         &self.targets[lo..hi]
     }
 
-    /// In-neighbors of `v`, sorted ascending.
+    /// In-neighbors of `v`, sorted ascending (none without in-lists).
     #[inline]
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
+        if !self.has_in_lists() {
+            return &[];
+        }
         let (lo, hi) = (
             self.in_offsets[v as usize] as usize,
             self.in_offsets[v as usize + 1] as usize,
         );
         &self.in_targets[lo..hi]
+    }
+
+    /// Whether the graph holds its in-lists.
+    pub fn has_in_lists(&self) -> bool {
+        !self.in_offsets.is_empty()
+    }
+
+    /// Frees the in-lists: from here on the graph holds none.
+    pub fn shed_in_lists(&mut self) {
+        (self.in_offsets, self.in_targets) = Default::default();
+    }
+
+    /// Bytes of the adjacency arrays held, in both directions.
+    pub fn adjacency_bytes(&self) -> usize {
+        8 * (self.offsets.len() + self.in_offsets.len())
+            + 4 * (self.targets.len() + self.in_targets.len())
     }
 
     /// True iff the directed edge `(u, v)` exists (binary search).
@@ -292,8 +311,8 @@ impl CsrGraph {
 
     /// Returns the transpose as a new graph (out becomes in and vice versa).
     ///
-    /// Cheap: both directions are already materialized, so this just swaps
-    /// the internal arrays.
+    /// Cheap: both directions are held (a graph without in-lists has no
+    /// transpose), so this just swaps the internal arrays.
     pub fn transpose(&self) -> CsrGraph {
         CsrGraph {
             offsets: self.in_offsets.clone(),
@@ -499,10 +518,15 @@ mod tests {
             assert_eq!(slice.out_neighbors(v), want_out, "out of {v}");
             assert_eq!(slice.in_neighbors(v), want_in, "in of {v}");
         }
-        // Without in-lists every in-list is empty.
+        // Without in-lists every in-list is empty, and no offset array is
+        // held for them.
         let slice = CsrGraph::from_owned_lists(6, &members, out, None).unwrap();
         assert_eq!(slice.out_neighbors(1), &[1, 3, 3]);
-        assert!(g.vertices().all(|v| slice.in_degree(v) == 0));
+        assert!(g
+            .vertices()
+            .all(|v| slice.in_degree(v) == 0 && slice.in_neighbors(v).is_empty()));
+        assert!(!slice.has_in_lists());
+        assert_eq!(slice.adjacency_bytes(), 8 * 7 + 4 * 3);
         // Every vertex a member: the graph itself.
         let all: Vec<VertexId> = g.vertices().collect();
         let (out, inn) = lists_of(&g, &all);
