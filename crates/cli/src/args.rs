@@ -19,7 +19,7 @@ pub struct ObsFlags {
     pub serve_addr: Option<String>,
     /// Append a run-history record (JSON) at this path after the run.
     pub history_out: Option<String>,
-    /// Write the continuous profiler's folded-stack text here after the
+    /// Write the spans' self times as folded-stack text here after the
     /// run (the cluster-wide flame view on distributed drivers).
     pub profile_out: Option<String>,
 }

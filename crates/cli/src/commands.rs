@@ -147,20 +147,13 @@ struct ObsExports<'a> {
 
 impl<'a> ObsExports<'a> {
     fn begin(obs: &'a ObsFlags) -> Result<Self, CliError> {
-        // The live /spans endpoint is only useful with tracing on, so
-        // --serve-addr arms the tracer just like --trace-out does; the
-        // profiler samples the tracer's live span stacks, so
-        // --profile-out must arm it too.
+        // The live /spans and /profile endpoints are only useful with
+        // tracing on, so --serve-addr arms the tracer just like
+        // --trace-out does; the flame view is folded from the spans, so
+        // --profile-out arms it too.
         if obs.trace_out.is_some() || obs.serve_addr.is_some() || obs.profile_out.is_some() {
             bpart_obs::set_trace_enabled(true);
             bpart_obs::clear_trace();
-        }
-        // The continuous profiler runs whenever its output has somewhere
-        // to go: a --profile-out file or the live /profile endpoint.
-        if obs.profile_out.is_some() || obs.serve_addr.is_some() {
-            bpart_obs::profile::reset_profile();
-            bpart_obs::profile::set_profile_enabled(true);
-            bpart_obs::profile::start_sampler(bpart_obs::profile::DEFAULT_SAMPLE_INTERVAL);
         }
         let server = match obs.serve_addr.as_deref() {
             Some(addr) => {
@@ -182,11 +175,6 @@ impl<'a> ObsExports<'a> {
     /// worker that reported.
     fn finish(mut self, text: &mut String) -> Result<(), CliError> {
         use bpart_obs::export;
-        // The sampler stops first, so what it counts is final.
-        if self.obs.profile_out.is_some() || self.obs.serve_addr.is_some() {
-            bpart_obs::profile::stop_sampler();
-            bpart_obs::profile::set_profile_enabled(false);
-        }
         // `proc.peak_rss_bytes` as late as the snapshot can carry it: every
         // path of the command has run.
         bpart_dist::publish_peak_rss();
@@ -312,8 +300,8 @@ fn report_cmd(
 
 /// `bpart report --profile`: merges one or more folded-stack profile
 /// files (`--profile-out`, or `/profile` scrapes) into a single flame
-/// view — identical stacks across files sum their counts — and renders
-/// it with per-stack sample shares. The output is itself valid folded
+/// view — identical stacks across files sum their nanoseconds — and
+/// renders it heaviest stack first. The output is itself valid folded
 /// text, so it pipes straight into any flamegraph renderer.
 fn report_profile_cmd(paths: &[String]) -> Result<String, CliError> {
     let mut merged: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
@@ -322,25 +310,23 @@ fn report_profile_cmd(paths: &[String]) -> Result<String, CliError> {
         let text =
             std::fs::read_to_string(path).map_err(|e| fail(format!("cannot open {path}: {e}")))?;
         for (stack, count) in
-            bpart_obs::profile::parse_folded(&text).map_err(|e| fail(format!("{path}: {e}")))?
+            bpart_obs::export::parse_folded(&text).map_err(|e| fail(format!("{path}: {e}")))?
         {
             // Every stack's sum is at most the total, so checking the
             // total is enough.
-            total = total.checked_add(count).ok_or_else(|| {
-                fail(format!(
-                    "{path}: sample count overflows u64 at stack {stack:?}"
-                ))
-            })?;
+            total = total
+                .checked_add(count)
+                .ok_or_else(|| fail(format!("{path}: count overflows u64 at stack {stack:?}")))?;
             *merged.entry(stack).or_insert(0) += count;
         }
     }
     if total == 0 {
-        return Ok("profile: no samples (was the profiler enabled?)\n".to_string());
+        return Ok("profile: no stacks (was anything traced?)\n".to_string());
     }
     let mut rows: Vec<(&String, &u64)> = merged.iter().collect();
     rows.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
     let mut out = format!(
-        "# profile: {} samples across {} stacks ({} files)\n",
+        "# profile: {} ns across {} stacks ({} files)\n",
         total,
         rows.len(),
         paths.len()
@@ -365,7 +351,7 @@ fn obs_diff_cmd(
         .iter()
         .map(|m| bpart_obs::history::Watch::new(m, threshold))
         .collect();
-    let report = bpart_obs::history::diff(&a, &b, &watches);
+    let report = bpart_obs::history::diff(&a, &b, &watches).map_err(fail)?;
     let rendered = report.render();
     if report.has_regressions() {
         // Returned as an error so the process exits non-zero; the rendered

@@ -141,9 +141,9 @@ OBSERVABILITY (partition/run; see DESIGN.md §10–11):
   --history-out FILE  append-style run-history record (JSON) with config,
                       git rev ($BPART_GIT_REV, else $GITHUB_SHA), and
                       headline metrics for `bpart obs diff`
-  --profile-out FILE  continuous-profiler flamegraph (folded-stack text);
-                      on a process-backend run this merges the driver's
-                      and every worker's profile into one cluster view
+  --profile-out FILE  flamegraph of the spans' self times in ns (folded-
+                      stack text); on a process-backend run the driver's
+                      and every worker's stacks in one cluster view
   A --serve-addr server also exposes /profile (live folded stacks); on a
   process-backend run /healthz reports dead workers, deaths so far and
   recovery, and turns degraded once any of them is non-zero.

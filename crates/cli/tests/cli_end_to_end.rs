@@ -560,6 +560,39 @@ fn obs_diff_flags_a_watched_metric_rising_from_zero_or_below() {
     std::fs::remove_file(bp).ok();
 }
 
+/// A watched metric that one record lacks fails `obs diff` in one line
+/// naming it, either way round: a typo in CI's watch list must not switch
+/// the gate off.
+#[test]
+fn obs_diff_fails_on_a_watched_metric_a_record_lacks() {
+    let (ap, a) = tmp("diff_has.json");
+    let (bp, b) = tmp("diff_lacks.json");
+    std::fs::write(&ap, r#"{"label":"run","metrics":{"recoveries":1}}"#).unwrap();
+    std::fs::write(
+        &bp,
+        r#"{"label":"run","metrics":{"recoveries":1,"other":2}}"#,
+    )
+    .unwrap();
+    for (args, side) in [
+        ([&a, &b, "--watch", "recoveries,other"], "baseline"),
+        ([&b, &a, "--watch", "recoveries,other"], "candidate"),
+    ] {
+        let out = bpart()
+            .args(["obs", "diff"])
+            .args(args)
+            .output()
+            .expect("run obs diff");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert_eq!(
+            err,
+            format!("bpart: watched metric \"other\" is missing from the {side}\n")
+        );
+    }
+    std::fs::remove_file(ap).ok();
+    std::fs::remove_file(bp).ok();
+}
+
 /// A run of zero supersteps recovered in no time: `0.00`, not `-0.00`.
 #[test]
 fn an_empty_run_reports_positive_zero_recovery_time() {

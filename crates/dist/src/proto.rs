@@ -379,14 +379,13 @@ impl Wire<'_> for Span {
     }
 }
 
-/// A worker's snapshot of itself: metrics by kind, spans, folded profile.
+/// A worker's snapshot of itself: metrics by kind, then spans.
 impl Wire<'_> for Snapshot {
     fn put(&self, out: &mut (impl Sink + ?Sized)) {
         self.metrics.counters.put(out);
         self.metrics.gauges.put(out);
         self.metrics.histograms.put(out);
         self.spans.put(out);
-        self.profile.put(out);
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
         Ok(Snapshot {
@@ -396,7 +395,6 @@ impl Wire<'_> for Snapshot {
                 histograms: r.read()?,
             },
             spans: r.read()?,
-            profile: r.read()?,
         })
     }
 }
@@ -908,8 +906,7 @@ mod tests {
     }
 
     /// An `ObsReport` with something in every field of its snapshot: all
-    /// three metric kinds, a root and a child span with attributes, and a
-    /// profile.
+    /// three metric kinds, and a root and a child span with attributes.
     pub(crate) fn obs_report() -> WorkerMsg<'static> {
         let mut metrics = Metrics::default();
         metrics.counters.insert("dist.frames".into(), 7);
@@ -950,7 +947,6 @@ mod tests {
                     ),
                     span(5, Some(4), "worker.compute", &[]),
                 ],
-                profile: vec![("dist.superstep;dist.compute".into(), 7)],
             },
         }
     }
@@ -960,7 +956,7 @@ mod tests {
     #[test]
     fn the_obs_report_fixture_is_pinned() {
         let bytes = obs_report().to_frame().unwrap();
-        let pin = (410, 0x719e_ecf8_7041_24d7);
+        let pin = (367, 0x2451_8d04_1bef_afec);
         assert_eq!((bytes.len(), crate::digest_bytes(&bytes)), pin);
     }
 

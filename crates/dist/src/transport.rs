@@ -1,18 +1,18 @@
 //! Socket plumbing: blocking reads, atomic frame writes, bounded
-//! exponential backoff with deterministic jitter, and the worker-side
-//! interval threads (heartbeat, obs flush).
+//! exponential backoff with deterministic jitter, and the worker's
+//! heartbeat thread.
 
 use crate::error::ClusterError;
 use crate::frame::{self, Frame};
 use crate::proto::{write_final, WorkerMsg};
 use crate::wire::Sink;
 use bpart_graph::splitmix::{splitmix64, unit_f64};
-use bpart_obs::ticker::Ticker;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 /// Frame-size distribution (bytes on the wire, header included),
@@ -162,6 +162,52 @@ impl SharedWriter {
     }
 }
 
+/// A thread that waits `interval`, then calls `tick`, until the tick
+/// returns `false` or the ticker is dropped. It waits in a `recv_timeout`
+/// on a channel whose sender the ticker holds, so the drop wakes it:
+/// stopping returns as soon as a tick in flight has finished, not at the
+/// end of the interval — a worker told to shut down exits now.
+pub struct Ticker {
+    stop: Option<Sender<()>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Ticker {
+    /// Starts the thread under `name`.
+    pub fn start(
+        name: &str,
+        interval: Duration,
+        mut tick: impl FnMut() -> bool + Send + 'static,
+    ) -> Ticker {
+        let (stop, stopped) = channel::<()>();
+        let thread = thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                // Nothing is ever sent: the wait ends by timeout (tick) or
+                // by the sender's drop (stop).
+                while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
+                    if !tick() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawn ticker thread");
+        Ticker {
+            stop: Some(stop),
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for Ticker {
+    fn drop(&mut self) {
+        drop(self.stop.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
 /// Worker-side heartbeat pump: sends `Heartbeat` frames on `interval`
 /// until dropped. The epoch cell is shared with the protocol loop so beats
 /// always carry the worker's current epoch.
@@ -177,7 +223,7 @@ pub fn heartbeat_pump(writer: SharedWriter, epoch: Arc<AtomicU32>, interval: Dur
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use std::net::TcpListener;
     use std::time::Instant;
@@ -250,16 +296,53 @@ pub(crate) mod tests {
     }
 
     /// A connected `(worker-side writer, driver-side stream)` pair.
-    pub(crate) fn socket_pair() -> (SharedWriter, TcpStream) {
+    fn socket_pair() -> (SharedWriter, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (peer, _) = listener.accept().unwrap();
         (SharedWriter::new(stream), peer)
     }
 
+    #[test]
+    fn a_ticker_ticks_on_its_interval() {
+        let (tx, ticks) = channel();
+        let ticker = Ticker::start("test-ticker", Duration::from_millis(1), move || {
+            tx.send(()).is_ok()
+        });
+        for _ in 0..3 {
+            ticks
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a tick within the deadline");
+        }
+        drop(ticker);
+    }
+
+    #[test]
+    fn a_ticker_ends_itself_when_the_tick_returns_false() {
+        let (tx, ticks) = channel();
+        let mut left = 3;
+        let ticker = Ticker::start("test-ticker", Duration::from_millis(1), move || {
+            left -= 1;
+            tx.send(left).unwrap();
+            left > 0
+        });
+        // The iterator ends when the thread has exited and dropped `tx`.
+        assert_eq!(ticks.iter().collect::<Vec<_>>(), [2, 1, 0]);
+        drop(ticker);
+    }
+
+    #[test]
+    fn stopping_a_ten_second_ticker_returns_at_once() {
+        let ticker = Ticker::start("test-ticker", Duration::from_secs(10), || true);
+        let started = Instant::now();
+        drop(ticker);
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(500), "stop took {took:?}");
+    }
+
     /// Drops `pump` and asserts its thread was joined within 50 ms — the
     /// teardown a worker's exit waits for.
-    pub(crate) fn assert_stops_at_once(pump: Ticker) {
+    fn assert_stops_at_once(pump: Ticker) {
         let started = Instant::now();
         drop(pump);
         let took = started.elapsed();

@@ -31,20 +31,13 @@ use bpart_cluster::Cluster;
 use bpart_core::Partition;
 use bpart_engine::apps::{ConnectedComponents, PageRank};
 use bpart_obs::snapshot::Snapshot;
-use bpart_obs::ticker::Ticker;
 use bpart_obs::tracer;
 use bpart_walker::apps::DeepWalk;
 use bpart_walker::WalkApp;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How often the background flush ships an `ObsReport` outside the
-/// superstep cadence. Low-rate by design: its job is to leave a final
-/// snapshot behind if the worker is SIGKILLed mid-superstep, not to
-/// stream metrics.
-const OBS_FLUSH_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Worker process configuration (parsed from the command line).
 #[derive(Clone, Debug, PartialEq)]
@@ -223,57 +216,35 @@ fn receive_job(reader: &mut TcpStream) -> Result<Box<dyn Worker>, ClusterError> 
     Ok(build_app(&spec, cluster, machine as usize))
 }
 
-/// Report position shared between the protocol loop and the flush
-/// thread: the last sequence number and the tracer close-order cursor
-/// (spans before it are already shipped).
+/// Where this worker's `ObsReport`s stand: the last sequence number and
+/// the tracer close-order cursor (spans before it are already shipped).
 #[derive(Debug, Default)]
 struct ObsPosition {
     seq: u64,
     span_cursor: u64,
 }
 
-/// Ships one `ObsReport` — a snapshot of this process as of now —
-/// advancing the shared position. `echo` is `(driver sent_ns, worker
-/// recv_ns)` from the last observed `StepBegin` (zeros = no clock sample).
-fn send_obs_report(
-    writer: &SharedWriter,
-    position: &Mutex<ObsPosition>,
-    epoch: u32,
-    echo: (u64, u64),
-) -> Result<(), ClusterError> {
-    let (seq, snapshot) = {
-        let mut pos = position.lock().unwrap_or_else(|e| e.into_inner());
-        pos.seq += 1;
-        (pos.seq, Snapshot::capture(&mut pos.span_cursor))
-    };
-    writer.send(&WorkerMsg::ObsReport {
-        epoch,
-        seq,
-        echo_ns: echo.0,
-        recv_ns: echo.1,
-        send_ns: tracer::now_ns(),
-        snapshot,
-    })
-}
-
-/// Background obs flush: ships a timer-driven `ObsReport` while
-/// collection is enabled, so a worker that later gets SIGKILLed still
-/// left its last snapshot on the driver.
-fn obs_flush_pump(
-    writer: SharedWriter,
-    epoch: Arc<AtomicU32>,
-    enabled: Arc<AtomicBool>,
-    position: Arc<Mutex<ObsPosition>>,
-    interval: Duration,
-) -> Ticker {
-    Ticker::start("obs-flush", interval, move || {
-        if !enabled.load(Ordering::Relaxed) {
-            return true;
-        }
-        // A failed send means the driver is gone; the protocol loop
-        // will see it too.
-        send_obs_report(&writer, &position, epoch.load(Ordering::Relaxed), (0, 0)).is_ok()
-    })
+impl ObsPosition {
+    /// Ships one `ObsReport` — a snapshot of this process as of now —
+    /// advancing the position. `echo` is `(driver sent_ns, worker
+    /// recv_ns)` from the last observed `StepBegin` (zeros = no clock
+    /// sample).
+    fn send(
+        &mut self,
+        writer: &SharedWriter,
+        epoch: u32,
+        echo: (u64, u64),
+    ) -> Result<(), ClusterError> {
+        self.seq += 1;
+        writer.send(&WorkerMsg::ObsReport {
+            epoch,
+            seq: self.seq,
+            echo_ns: echo.0,
+            recv_ns: echo.1,
+            send_ns: tracer::now_ns(),
+            snapshot: Snapshot::capture(&mut self.span_cursor),
+        })
+    }
 }
 
 /// A superstep in flight on the worker: protocol state from `StepBegin`
@@ -319,17 +290,10 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
     let _pump = heartbeat_pump(writer.clone(), Arc::clone(&epoch), cfg.heartbeat);
 
     // Obs federation state: armed by the first `StepBegin` carrying
-    // `obs: true` (the driver's collection flag propagates here), off
-    // otherwise so no-obs runs ship nothing.
-    let obs_enabled = Arc::new(AtomicBool::new(false));
-    let obs_position = Arc::new(Mutex::new(ObsPosition::default()));
-    let _obs_pump = obs_flush_pump(
-        writer.clone(),
-        Arc::clone(&epoch),
-        Arc::clone(&obs_enabled),
-        Arc::clone(&obs_position),
-        OBS_FLUSH_INTERVAL,
-    );
+    // `obs: true` (the driver's collection flag propagates here), `None`
+    // otherwise so no-obs runs ship nothing. A report rides with every
+    // `StepDone` and with the hang-up.
+    let mut reports: Option<ObsPosition> = None;
 
     let mut app = receive_job(&mut reader)?;
     writer.send(&WorkerMsg::Ready {
@@ -365,13 +329,11 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                     continue; // stale: sent before a recovery we joined
                 }
                 let recv_ns = tracer::now_ns();
-                if obs && !obs_enabled.load(Ordering::Relaxed) {
+                if obs && reports.is_none() {
                     // Driver runs with obs on: arm local collection so
                     // snapshots and span deltas have content to ship.
                     bpart_obs::set_trace_enabled(true);
-                    bpart_obs::profile::set_profile_enabled(true);
-                    bpart_obs::profile::start_sampler(bpart_obs::profile::DEFAULT_SAMPLE_INTERVAL);
-                    obs_enabled.store(true, Ordering::Relaxed);
+                    reports = Some(ObsPosition::default());
                 }
                 let mut span = obs.then(|| {
                     let mut g = tracer::span("worker.superstep");
@@ -424,14 +386,14 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                 let (active, agg_out) = app.finish(&rows, superstep, step.agg)?;
                 let compute_ns = step.compute_ns + finish_started.elapsed().as_nanos() as u64;
                 let snapshot = step.checkpoint.then(|| app.snapshot());
-                if obs_enabled.load(Ordering::Relaxed) {
+                if let Some(reports) = &mut reports {
                     if let Some(g) = &mut step_span {
                         g.attr("comm_ns", comm_ns.to_string());
                     }
                     // Close the span first so this step's own span is
                     // among those shipped with its report.
                     step_span = None;
-                    send_obs_report(&writer, &obs_position, e, step.echo)?;
+                    reports.send(&writer, e, step.echo)?;
                 }
                 writer.send(&WorkerMsg::StepDone {
                     epoch: e,
@@ -466,11 +428,11 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                 writer.send_final(e, |out| app.final_result(out))?;
             }
             DriverMsg::Shutdown => {
-                if obs_enabled.load(Ordering::Relaxed) {
+                if let Some(reports) = &mut reports {
                     crate::publish_peak_rss();
                     // The last word before hanging up: what this process
                     // held. The driver waits for the hang-up either way.
-                    send_obs_report(&writer, &obs_position, current, (0, 0)).ok();
+                    reports.send(&writer, current, (0, 0)).ok();
                 }
                 return Ok(());
             }
@@ -483,7 +445,6 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
 pub(crate) mod tests {
     use super::*;
     use crate::spec::GraphSource;
-    use crate::transport::tests::{assert_stops_at_once, socket_pair};
     use crate::wire::tests::decode_all;
     use bpart_core::{ChunkV, HashPartitioner, PartId, Partitioner};
     use bpart_graph::{generate, CsrGraph, VertexId};
@@ -722,19 +683,5 @@ pub(crate) mod tests {
             err.contains("covers 91 vertices, the slice spans 90"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn obs_flush_pump_stops_mid_interval() {
-        let (writer, _peer) = socket_pair();
-        // Enabled, and ten seconds from its first report: only the stop
-        // signal can end it.
-        assert_stops_at_once(obs_flush_pump(
-            writer,
-            Arc::new(AtomicU32::new(0)),
-            Arc::new(AtomicBool::new(true)),
-            Arc::new(Mutex::new(ObsPosition::default())),
-            Duration::from_secs(10),
-        ));
     }
 }

@@ -47,7 +47,7 @@ fn snapshot_from(seeds: &[u64]) -> Snapshot {
                     .map(|a| (format!("k{a}"), format!("{seed}\"\n")))
                     .collect(),
             }),
-            _ => snapshot.profile.push((name, seed)),
+            _ => {}
         }
     }
     snapshot

@@ -129,7 +129,7 @@ fn driver_msgs() -> Vec<(&'static str, DriverMsg<'static>)> {
 }
 
 /// A snapshot with every list of its encoding filled: counters, gauges,
-/// a histogram, a root span and a child with attributes, a profile.
+/// a histogram, and a root span and a child with attributes.
 fn snapshot() -> Snapshot {
     let mut snapshot = Snapshot::default();
     let metrics = &mut snapshot.metrics;
@@ -157,7 +157,6 @@ fn snapshot() -> Snapshot {
         span(4, None, vec![("superstep".into(), "6".into())]),
         span(5, Some(4), vec![]),
     ];
-    snapshot.profile = vec![("dist.superstep;dist.compute".into(), 7)];
     snapshot
 }
 
@@ -361,7 +360,7 @@ const PINS: &[(&str, usize, u64)] = &[
     ("step_done/bare", 58, 0x28c2da1bf45929af),
     ("final", 23, 0x3f46157e6b4c6896),
     ("heartbeat", 17, 0x2dd1499c0eaea1d4),
-    ("obs_report", 385, 0xfd5533868a2eb887),
+    ("obs_report", 342, 0x79cd887a2c0a87fb),
     ("final/streamed", 62, 0x3b0f774b60374ba8),
     ("placement/in-lists", 170, 0x1f8aa821413b9078),
     ("placement/out-only", 134, 0x33c6cedecff3ce38),

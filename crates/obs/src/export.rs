@@ -40,6 +40,20 @@ impl<'a> Source<'a> {
             Source::Worker(_, obs) => &obs.snapshot,
         }
     }
+
+    /// The spans, each with the epoch of the incarnation whose ids it
+    /// carries (a local span's is 0).
+    fn epoch_spans(self) -> Vec<(u32, &'a Span)> {
+        match self {
+            Source::Local(snapshot) => snapshot.spans.iter().map(|s| (0, s)).collect(),
+            Source::Worker(_, obs) => obs
+                .span_keys
+                .iter()
+                .map(|k| k.0)
+                .zip(&obs.snapshot.spans)
+                .collect(),
+        }
+    }
 }
 
 fn fmt_f64(v: f64) -> String {
@@ -250,10 +264,10 @@ pub fn progress_json(sources: &[Source<'_>]) -> String {
 /// Spans as JSONL (`/spans`, `--trace-out`), one object per line on one
 /// timeline. Local spans are written as recorded. A worker's are rebased
 /// onto the local clock by its estimated offset (saturating at zero) and
-/// moved into an id range of their own, far above any live tracer id; a
-/// root `worker.superstep` parents under the local `cluster.superstep`
-/// span of the same epoch and superstep when that span is in the view, so
-/// a report nests worker work under driver supersteps.
+/// moved into an id range of their incarnation's own, far above any live
+/// tracer id; a root `worker.superstep` parents under the local
+/// `cluster.superstep` of the same epoch and superstep when that span is in
+/// the view, so a report nests worker work under driver supersteps.
 pub fn spans_jsonl(sources: &[Source<'_>]) -> String {
     fn step_key(s: &Span) -> Option<(&str, &str)> {
         Some((s.attr("epoch")?, s.attr("superstep")?))
@@ -270,14 +284,12 @@ pub fn spans_jsonl(sources: &[Source<'_>]) -> String {
     }
     let mut out = String::new();
     for &source in sources {
-        let (base, offset_ns) = match source {
-            Source::Local(_) => (0, 0),
-            Source::Worker(worker, obs) => (
-                worker_span_id_base(worker),
-                obs.clock.map_or(0, |c| c.offset_ns),
-            ),
+        let (worker, offset_ns) = match source {
+            Source::Local(_) => (None, 0),
+            Source::Worker(worker, obs) => (Some(worker), obs.clock.map_or(0, |c| c.offset_ns)),
         };
-        for s in &source.snapshot().spans {
+        for (epoch, s) in source.epoch_spans() {
+            let base = worker.map_or(0, |w| worker_span_id_base(w, epoch));
             let parent = match s.parent {
                 Some(p) => Some(base + p),
                 None if base != 0 && s.name == "worker.superstep" => {
@@ -317,20 +329,83 @@ pub fn trace_to_jsonl(spans: &[SpanRecord]) -> String {
 }
 
 /// The flame view as folded-stack text (`/profile`, `--profile-out`, the
-/// input of `bpart report --profile`): local stacks prefixed `driver;`,
-/// each worker's `worker:N;` — one flamegraph-compatible document.
+/// input of `bpart report --profile`): each span's name path from its root,
+/// counting its self time in ns (its duration less its same-thread
+/// children's), under `driver;` or `worker:N;`. A span whose parent is not
+/// in its incarnation starts a stack, and `# dropped N spans` says the
+/// local ring evicted some.
 pub fn folded(sources: &[Source<'_>]) -> String {
-    let mut out = String::new();
+    let mut out = match crate::tracer::dropped_spans() {
+        0 => String::new(),
+        dropped => format!("# dropped {dropped} spans\n"),
+    };
     for &source in sources {
         let prefix = match source {
             Source::Local(_) => "driver".to_string(),
             Source::Worker(worker, _) => format!("worker:{}", worker_label(worker)),
         };
-        for (stack, count) in &source.snapshot().profile {
-            let _ = writeln!(out, "{prefix};{stack} {count}");
+        for (stack, ns) in fold(source.epoch_spans()) {
+            if ns > 0 {
+                let _ = writeln!(out, "{prefix};{stack} {ns}");
+            }
         }
     }
     out
+}
+
+/// One source's stacks and the self time each took, in nanoseconds.
+fn fold(mut spans: Vec<(u32, &Span)>) -> BTreeMap<String, i64> {
+    spans.sort_by_key(|&(epoch, s)| (epoch, s.id));
+    let (mut stacks, mut folded) = (Vec::<String>::new(), BTreeMap::new());
+    for &(epoch, s) in &spans {
+        // A parent opened first, so its id is smaller and its stack built;
+        // a link forward or to another thread starts a stack (no cycles).
+        let parent = s
+            .parent
+            .filter(|&p| p < s.id)
+            .and_then(|p| {
+                spans
+                    .binary_search_by_key(&(epoch, p), |&(e, t)| (e, t.id))
+                    .ok()
+            })
+            .filter(|&at| spans[at].1.thread == s.thread);
+        // `;` separates frames, whitespace ends the stack.
+        let frame = s.name.replace(|c: char| c == ';' || c.is_whitespace(), "_");
+        let stack = match parent {
+            Some(at) => {
+                *folded.get_mut(&stacks[at]).expect("parent folded first") -= s.dur_ns as i64;
+                format!("{};{frame}", stacks[at])
+            }
+            None => frame,
+        };
+        *folded.entry(stack.clone()).or_insert(0) += s.dur_ns as i64;
+        stacks.push(stack);
+    }
+    folded
+}
+
+/// Parses folded-stack text back into `(stack, count)` pairs. Lines
+/// starting with `#` and blank lines are ignored (the exporters use `#`
+/// for provenance comments). Returns a message naming the first bad line.
+pub fn parse_folded(text: &str) -> Result<Vec<(String, u64)>, String> {
+    let mut out = Vec::new();
+    for (idx, line) in text.lines().enumerate() {
+        let line = line.trim_end();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let Some((stack, count)) = line.rsplit_once(' ') else {
+            return Err(format!("line {}: no count field: {line:?}", idx + 1));
+        };
+        let count: u64 = count
+            .parse()
+            .map_err(|_| format!("line {}: bad count {count:?}", idx + 1))?;
+        if stack.is_empty() {
+            return Err(format!("line {}: empty stack", idx + 1));
+        }
+        out.push((stack.to_string(), count));
+    }
+    Ok(out)
 }
 
 /// Writes a rendered view to `path`, creating its parent directory if it
@@ -374,6 +449,184 @@ mod tests {
             "{\"id\":1,\"parent\":null,\"name\":\"t.export.root\",\"thread\":0,\"start_ns\":10,\"dur_ns\":100,\"attrs\":{\"layer\":\"2\"}}\n\
              {\"id\":2,\"parent\":1,\"name\":\"t.export.child\",\"thread\":0,\"start_ns\":20,\"dur_ns\":50,\"attrs\":{}}\n"
         );
+    }
+
+    fn span(id: u64, parent: Option<u64>, name: &str, thread: u64, dur_ns: u64) -> Span {
+        Span {
+            id,
+            parent,
+            name: name.to_string(),
+            thread,
+            start_ns: 0,
+            dur_ns,
+            attrs: vec![],
+        }
+    }
+
+    fn local(spans: Vec<Span>) -> Snapshot {
+        Snapshot {
+            spans,
+            ..Snapshot::default()
+        }
+    }
+
+    /// The view of one worker, 3, that absorbed `reports` as `(epoch, spans)`.
+    fn worker_store(reports: Vec<(u32, Vec<Span>)>) -> crate::federation::FederationStore {
+        let mut store = crate::federation::FederationStore::default();
+        for (seq, (epoch, spans)) in reports.into_iter().enumerate() {
+            store.absorb(3, epoch, seq as u64, local(spans));
+        }
+        store
+    }
+
+    #[test]
+    fn a_tree_folds_to_each_paths_self_time() {
+        // A root of 100 ns, two children of 30 and 20 (one with a child of
+        // 5), and a second root with the first root's name.
+        let spans = vec![
+            span(4, Some(2), "leaf", 0, 5),
+            span(2, Some(1), "a", 0, 30),
+            span(3, Some(1), "b", 0, 20),
+            span(1, None, "root", 0, 100),
+            span(5, None, "root", 0, 7),
+        ];
+        let folded = folded(&[Source::Local(&local(spans))]);
+        assert_eq!(
+            folded,
+            "driver;root 57\ndriver;root;a 25\ndriver;root;a;leaf 5\ndriver;root;b 20\n"
+        );
+    }
+
+    #[test]
+    fn each_sources_counts_sum_to_its_roots_durations() {
+        let driver = local(vec![
+            span(1, None, "cluster.superstep", 0, 900),
+            span(2, Some(1), "cluster.exchange", 0, 400),
+            span(3, Some(2), "cluster.wait", 0, 150),
+            // Another thread's root, and a span whose parent link crosses
+            // threads: roots both.
+            span(4, None, "pool.task", 1, 80),
+            span(5, Some(1), "pool.task", 2, 60),
+        ]);
+        let store = worker_store(vec![(
+            0,
+            vec![
+                span(1, None, "worker.superstep", 0, 500),
+                span(2, Some(1), "worker.compute", 0, 320),
+            ],
+        )]);
+        let text = folded(&store.sources(&driver));
+        let sum = |prefix: &str| -> u64 {
+            parse_folded(&text)
+                .unwrap()
+                .iter()
+                .filter(|(stack, _)| stack.starts_with(prefix))
+                .map(|(_, ns)| ns)
+                .sum()
+        };
+        assert_eq!(sum("driver;"), 900 + 80 + 60, "{text}");
+        assert_eq!(sum("worker:3;"), 500, "{text}");
+    }
+
+    #[test]
+    fn a_span_whose_parent_is_absent_starts_its_own_stack() {
+        let spans = vec![
+            span(7, Some(3), "orphan", 0, 40),
+            span(8, Some(7), "child", 0, 15),
+        ];
+        assert_eq!(
+            folded(&[Source::Local(&local(spans))]),
+            "driver;orphan 25\ndriver;orphan;child 15\n"
+        );
+    }
+
+    /// Worker 3 died in epoch 0 and its successor counted span ids from 1
+    /// again in epoch 1; both incarnations are in the view.
+    fn respawned_worker() -> crate::federation::FederationStore {
+        worker_store(vec![
+            (
+                0,
+                vec![
+                    span(1, None, "worker.superstep", 0, 100),
+                    span(2, Some(1), "worker.compute", 0, 60),
+                ],
+            ),
+            (
+                1,
+                vec![
+                    span(1, None, "worker.restore", 0, 30),
+                    span(2, Some(1), "worker.load", 0, 10),
+                    span(3, Some(2), "worker.compute", 0, 4),
+                ],
+            ),
+        ])
+    }
+
+    #[test]
+    fn colliding_ids_of_two_epochs_fold_under_their_own_parents() {
+        let store = respawned_worker();
+        let text = folded(&store.sources(&Snapshot::default()));
+        assert_eq!(
+            text,
+            "worker:3;worker.restore 20\n\
+             worker:3;worker.restore;worker.load 6\n\
+             worker:3;worker.restore;worker.load;worker.compute 4\n\
+             worker:3;worker.superstep 40\n\
+             worker:3;worker.superstep;worker.compute 60\n"
+        );
+    }
+
+    #[test]
+    fn two_epochs_get_disjoint_ids_and_the_report_counts_each_span_once() {
+        let store = respawned_worker();
+        let jsonl = spans_jsonl(&store.sources(&Snapshot::default()));
+        let spans = crate::report::parse_trace_jsonl(&jsonl).unwrap();
+        let mut ids: Vec<u64> = spans.iter().map(|s| s.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 5, "{jsonl}");
+        let tree = crate::report::build_tree(&spans);
+        let count = |name: &str| -> u64 {
+            fn walk(nodes: &[crate::report::TreeNode], name: &str) -> u64 {
+                nodes
+                    .iter()
+                    .map(|n| u64::from(n.name == name) * n.count + walk(&n.children, name))
+                    .sum()
+            }
+            walk(&tree, name)
+        };
+        for (name, n) in [
+            ("worker.superstep", 1),
+            ("worker.restore", 1),
+            ("worker.load", 1),
+            ("worker.compute", 2),
+        ] {
+            assert_eq!(count(name), n, "{name} in {tree:#?}");
+        }
+    }
+
+    #[test]
+    fn a_name_that_could_break_a_line_folds_to_one_that_parses() {
+        let spans = vec![span(1, None, "a;b c\nd", 0, 9)];
+        let text = folded(&[Source::Local(&local(spans))]);
+        assert_eq!(text.lines().count(), 1, "{text:?}");
+        assert_eq!(
+            parse_folded(&text).unwrap(),
+            [("driver;a_b_c_d".to_string(), 9)]
+        );
+    }
+
+    #[test]
+    fn folded_round_trips_through_parse() {
+        let text = "# provenance comment\na;b;c 12\nroot 3\n\n";
+        let parsed = parse_folded(text).unwrap();
+        assert_eq!(
+            parsed,
+            vec![("a;b;c".to_string(), 12), ("root".to_string(), 3)]
+        );
+        assert!(parse_folded("no-count-line\n").is_err());
+        assert!(parse_folded("stack notanumber\n").is_err());
+        assert!(parse_folded(" 7\n").is_err());
     }
 
     #[test]

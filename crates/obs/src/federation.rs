@@ -8,9 +8,9 @@
 //! what it cannot know:
 //!
 //! * **Which report is newest.** Reports are ordered by `(epoch, seq)` —
-//!   a respawned worker restarts `seq` under a bumped epoch — and the
-//!   timer flush races the per-superstep piggyback, so frames arrive
-//!   reordered and duplicated. The latest snapshot is the one with the
+//!   a respawned worker restarts `seq` and its span ids under a bumped
+//!   epoch — and a dead incarnation's last reports can still surface
+//!   after its successor's first. The latest snapshot is the one with the
 //!   greatest key; spans are unioned by `(epoch, id)`. On an equal key the
 //!   first arrival stays: a real duplicate is identical. So the store is a
 //!   function of the *set* of reports absorbed
@@ -52,14 +52,14 @@ pub struct ClockSample {
 /// Everything the driver holds about one worker.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WorkerObs {
-    /// `(epoch, seq)` of the report `snapshot`'s metrics and profile came
-    /// from; `None` before the first report.
+    /// `(epoch, seq)` of the report `snapshot`'s metrics came from; `None`
+    /// before the first report.
     pub key: Option<(u32, u64)>,
     /// The worker as of that report, with every span shipped so far —
     /// worker span ids restart on respawn, but respawn bumps the epoch.
     pub snapshot: Snapshot,
     /// `(epoch, id)` of each of `snapshot.spans`, ascending.
-    span_keys: Vec<(u32, u64)>,
+    pub(crate) span_keys: Vec<(u32, u64)>,
     /// Supersteps the driver's barrier saw this worker finish: one past
     /// the highest (`/progress`).
     pub supersteps: u64,
@@ -89,11 +89,7 @@ impl FederationStore {
     /// the stale flag; a duplicate changes nothing.
     pub fn absorb(&mut self, worker: u32, epoch: u32, seq: u64, report: Snapshot) {
         let obs = self.workers.entry(worker).or_default();
-        let Snapshot {
-            metrics,
-            spans,
-            profile,
-        } = report;
+        let Snapshot { metrics, spans } = report;
         for span in spans {
             let key = (epoch, span.id);
             // Close order is nearly id order, so this is nearly a push.
@@ -105,7 +101,6 @@ impl FederationStore {
         if obs.key.map_or(true, |held| (epoch, seq) > held) {
             obs.key = Some((epoch, seq));
             obs.snapshot.metrics = metrics;
-            obs.snapshot.profile = profile;
             obs.stale = false;
         }
     }
@@ -182,10 +177,12 @@ pub fn worker_label(worker: u32) -> String {
     worker.to_string()
 }
 
-/// Base of the exported span-id range for `worker`: far above any live
-/// driver tracer id, and disjoint per worker.
-pub(crate) fn worker_span_id_base(worker: u32) -> u64 {
-    (u64::from(worker) + 1) << 40
+/// Base of the exported span-id range of `worker`'s incarnation `epoch`:
+/// far above any live driver tracer id, and disjoint per worker and per
+/// epoch while a run has fewer than 256 epochs and an incarnation records
+/// fewer than 2^32 spans.
+pub(crate) fn worker_span_id_base(worker: u32, epoch: u32) -> u64 {
+    ((u64::from(worker) + 1) << 40) + (u64::from(epoch) << 32)
 }
 
 // ---------------------------------------------------------------------------
@@ -309,23 +306,18 @@ mod tests {
     #[test]
     fn stale_report_does_not_regress_the_snapshot() {
         let mut store = FederationStore::default();
-        let newest = Snapshot {
-            profile: vec![("a;b".to_string(), 3)],
-            ..report(50)
-        };
+        let newest = Snapshot { ..report(50) };
         store.absorb(0, 1, 5, newest.clone());
-        // An older (epoch, seq) report arrives late: its metrics and
-        // profile are ignored, its spans still join the union.
+        // An older (epoch, seq) report arrives late: its metrics are
+        // ignored, its spans still join the union.
         let late = Snapshot {
             spans: vec![sample_span(4, 1)],
-            profile: vec![("stale".to_string(), 9)],
             ..report(1)
         };
         store.absorb(0, 0, 9, late);
         let obs = &store.workers[&0];
         assert_eq!(obs.key, Some((1, 5)));
         assert_eq!(obs.snapshot.metrics, newest.metrics);
-        assert_eq!(obs.snapshot.profile, newest.profile);
         assert_eq!(obs.snapshot.spans, [sample_span(4, 1)]);
     }
 
@@ -389,20 +381,34 @@ mod tests {
     #[test]
     fn cluster_profile_folded_prefixes_worker_sections() {
         let mut store = FederationStore::default();
-        let profiled = |stacks: &[(&str, u64)]| Snapshot {
-            profile: stacks.iter().map(|&(s, n)| (s.to_string(), n)).collect(),
+        // `(id, parent, name, dur_ns)` of each span.
+        let traced = |spans: &[(u64, Option<u64>, &str, u64)]| Snapshot {
+            spans: spans
+                .iter()
+                .map(|&(id, parent, name, dur_ns)| Span {
+                    parent,
+                    name: name.to_string(),
+                    dur_ns,
+                    ..sample_span(id, 0)
+                })
+                .collect(),
             ..Snapshot::default()
         };
-        store.absorb(1, 0, 1, profiled(&[("a;b", 3), ("c", 1)]));
-        store.absorb(2, 0, 1, profiled(&[("x", 5)]));
-        let local = profiled(&[("main", 2)]);
+        store.absorb(
+            1,
+            0,
+            1,
+            traced(&[(1, None, "a", 3), (2, Some(1), "b", 3), (3, None, "c", 1)]),
+        );
+        store.absorb(2, 0, 1, traced(&[(1, None, "x", 5)]));
+        let local = traced(&[(1, None, "main", 2)]);
         let folded = export::folded(&store.sources(&local));
         assert_eq!(
             folded,
             "driver;main 2\nworker:1;a;b 3\nworker:1;c 1\nworker:2;x 5\n"
         );
         // The merged document must itself be valid folded text.
-        crate::profile::parse_folded(&folded).expect("cluster view parses");
+        export::parse_folded(&folded).expect("cluster view parses");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! headline numbers (wall time, cut ratio, plus whatever metrics the
 //! emitter attaches). `bpart obs diff a.json b.json` then compares two
 //! records metric by metric and fails (non-zero exit, via the CLI) when
-//! a *watched* metric regressed beyond its threshold; this is the gate
-//! that keeps the bench trajectory honest.
+//! a *watched* metric regressed beyond its threshold or is missing from
+//! either record.
 //!
 //! All metrics are lower-is-better by convention (times, ratios, cut
 //! fractions); a watched metric regresses when
@@ -19,9 +19,9 @@
 //! ```
 //!
 //! Cross-host caveat: wall times are only comparable between runs on the
-//! same machine. CI therefore watches the deterministic quality metrics
-//! (cut ratios, which are bit-identical for sequential streaming on any
-//! host) and leaves wall-time watching to same-host workflows.
+//! same machine. CI therefore watches only numbers bit-identical on any
+//! host — a chaos run's recovery counters, a sequential threads run's
+//! modelled metrics — and the speed trajectory is `benchmark/`'s.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -253,12 +253,24 @@ impl DiffReport {
 }
 
 /// Compares two records over the union of their metric names. A watched
-/// metric regresses when both values exist and are finite and
+/// metric regresses when both values are finite and
 /// `b − a > max_increase × |a|` (lower is better), so a baseline of 0
 /// regresses on any rise. NaN on either side never counts as a regression
 /// — it shows as `-`/`NaN` in the table instead of failing the gate on
-/// unreadable data.
-pub fn diff(a: &RunRecord, b: &RunRecord, watches: &[Watch]) -> DiffReport {
+/// unreadable data. A watched metric either record lacks (a renamed
+/// counter, a typo in the watch list) is an error naming it.
+pub fn diff(a: &RunRecord, b: &RunRecord, watches: &[Watch]) -> Result<DiffReport, String> {
+    for (record, side) in [(a, "baseline"), (b, "candidate")] {
+        if let Some(w) = watches
+            .iter()
+            .find(|w| !record.metrics.contains_key(&w.metric))
+        {
+            return Err(format!(
+                "watched metric {:?} is missing from the {side}",
+                w.metric
+            ));
+        }
+    }
     let mut names: Vec<&String> = a.metrics.keys().chain(b.metrics.keys()).collect();
     names.sort();
     names.dedup();
@@ -283,11 +295,11 @@ pub fn diff(a: &RunRecord, b: &RunRecord, watches: &[Watch]) -> DiffReport {
             }
         })
         .collect();
-    DiffReport {
+    Ok(DiffReport {
         a_label: a.label.clone(),
         b_label: b.label.clone(),
         deltas,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -364,7 +376,7 @@ mod tests {
             Watch::new("wall_time_secs", 0.05),
             Watch::new("cut_ratio", 0.05),
         ];
-        let report = diff(&a, &b, &watches);
+        let report = diff(&a, &b, &watches).unwrap();
         assert!(report.has_regressions());
         let wall = report
             .deltas
@@ -386,7 +398,7 @@ mod tests {
 
         // A 1% change passes the 5% watch.
         b.set_metric("wall_time_secs", 1.01);
-        assert!(!diff(&a, &b, &watches).has_regressions());
+        assert!(!diff(&a, &b, &watches).unwrap().has_regressions());
     }
 
     #[test]
@@ -396,7 +408,7 @@ mod tests {
             let (mut a, mut b) = (sample(), sample());
             a.metrics = BTreeMap::from([("m".to_string(), av)]);
             b.metrics = BTreeMap::from([("m".to_string(), bv)]);
-            diff(&a, &b, &watches)
+            diff(&a, &b, &watches).unwrap()
         };
         // A counter that was 0 and is no longer.
         assert!(pair(0.0, 5.0).has_regressions());
@@ -424,18 +436,37 @@ mod tests {
         b.set_metric("only_in_b", 2.0);
         a.set_metric("wall_time_secs", f64::NAN);
         b.set_metric("wall_time_secs", 99.0);
-        let watches = vec![
-            Watch::new("wall_time_secs", 0.05),
-            Watch::new("only_in_b", 0.05),
-        ];
-        let report = diff(&a, &b, &watches);
-        // NaN baseline and one-sided metrics never regress.
+        let watches = vec![Watch::new("wall_time_secs", 0.05)];
+        let report = diff(&a, &b, &watches).unwrap();
+        // A NaN baseline and unwatched one-sided metrics never regress.
         assert!(!report.has_regressions());
         assert_eq!(report.deltas.iter().filter(|d| d.a.is_none()).count(), 1);
         assert_eq!(report.deltas.iter().filter(|d| d.b.is_none()).count(), 1);
         let text = report.render();
         assert!(text.contains("only_in_a"), "{text}");
         assert!(text.contains("no watched regressions"), "{text}");
+    }
+
+    #[test]
+    fn a_watched_metric_missing_from_either_record_fails_the_diff() {
+        let (mut a, mut b) = (sample(), sample());
+        a.set_metric("recoveries", 1.0);
+        b.set_metric("recoveries", 1.0);
+        a.set_metric("only_in_a", 1.0);
+        b.set_metric("only_in_b", 1.0);
+        for (metric, side) in [("only_in_a", "candidate"), ("only_in_b", "baseline")] {
+            let watches = [Watch::new("recoveries", 0.05), Watch::new(metric, 0.05)];
+            assert_eq!(
+                diff(&a, &b, &watches),
+                Err(format!(
+                    "watched metric {metric:?} is missing from the {side}"
+                ))
+            );
+        }
+        // A typo is missing from both.
+        let typo = [Watch::new("recoverys", 0.05)];
+        assert!(diff(&a, &b, &typo).unwrap_err().contains("\"recoverys\""));
+        assert!(diff(&a, &b, &[Watch::new("recoveries", 0.05)]).is_ok());
     }
 
     #[test]

@@ -17,14 +17,13 @@
 //!   hot path (the registry lock is only taken at lookup time, which call
 //!   sites cache in a `OnceLock`).
 //! * **Snapshot** ([`snapshot`]) — one process at one instant: its
-//!   metrics, closed spans and folded profile, captured locally or
-//!   decoded from a worker's report.
+//!   metrics and closed spans, captured locally or decoded from a
+//!   worker's report.
 //! * **Exporters** ([`export`]) — every external format as one function
-//!   over snapshots: Prometheus text, span JSONL, folded stacks and the
-//!   `/progress` JSON, whether served or written, driver or worker; plus
-//!   the flame-style span-tree report ([`report`]) of `bpart report`.
-//!   Every JSON string and float is written, and every JSON body read
-//!   back, by [`json`].
+//!   over snapshots, served or written, driver or worker: Prometheus text,
+//!   span JSONL, the `/progress` JSON and the flame view (the spans' self
+//!   times as folded stacks); plus the span-tree report ([`report`]) of
+//!   `bpart report`. [`json`] writes and reads every JSON string and float.
 //! * **Live serving** ([`serve`]) — a std-only background HTTP server
 //!   (`--serve-addr`) exposing `/metrics`, `/spans`, `/healthz`,
 //!   `/progress` and `/profile` while a job runs.
@@ -38,11 +37,6 @@
 //!   staleness and progress, behind the `worker="N"`-labelled series, the
 //!   clock-aligned trace and the `/healthz` that counts deaths. It is
 //!   observability only: the superstep loop reads nothing from it.
-//! * **Continuous profiler** ([`profile`]) — a background sampler (on the
-//!   one interval thread, [`ticker::Ticker`]) that
-//!   snapshots each thread's live span stack into flamegraph-compatible
-//!   folded-stack counts (`--profile-out`, `/profile`, and the cluster
-//!   flame view in `bpart report --profile`).
 //! * **Run history** ([`history`]) — one JSON record per run under
 //!   `results/history/`, diffed by `bpart obs diff` with watched-metric
 //!   regression gating.
@@ -80,12 +74,10 @@ pub mod federation;
 pub mod history;
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod report;
 pub mod rss;
 pub mod serve;
 pub mod snapshot;
-pub mod ticker;
 pub mod tracer;
 
 pub use tracer::{clear_trace, set_trace_enabled, span, trace_enabled, SpanGuard, SpanRecord};

@@ -1,4 +1,4 @@
-//! Process resident-memory introspection and limits (linux/unix).
+//! Process resident-memory introspection and limits (Linux).
 //!
 //! A memory bound is only a claim until a process is held to it, so there
 //! are two primitives:
@@ -50,12 +50,12 @@ pub fn peak_rss_bytes() -> Option<u64> {
     }
 }
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 mod ffi {
     use std::os::raw::c_int;
 
-    /// `RLIMIT_AS` on linux (and the BSDs we care about): total virtual
-    /// address space.
+    /// `RLIMIT_AS` on Linux: total virtual address space. The number is
+    /// Linux's own (FreeBSD's 9 is `RLIMIT_SBSIZE`; macOS has no 9).
     pub const RLIMIT_AS: c_int = 9;
 
     #[repr(C)]
@@ -74,10 +74,10 @@ mod ffi {
 /// Irreversible for the life of the process (a process may lower its soft
 /// limit but raising it back above the hard limit requires privilege), so
 /// callers apply it in a process of their own (`bpart partition
-/// --mem-ceiling`). Returns an error on platforms without `setrlimit` or
-/// when the kernel refuses the value.
+/// --mem-ceiling`). Returns an error off Linux (`Unsupported`) or when the
+/// kernel refuses the value.
 pub fn set_address_space_limit(bytes: u64) -> std::io::Result<()> {
-    #[cfg(unix)]
+    #[cfg(target_os = "linux")]
     {
         let lim = ffi::Rlimit {
             rlim_cur: bytes,
@@ -90,12 +90,12 @@ pub fn set_address_space_limit(bytes: u64) -> std::io::Result<()> {
             Err(std::io::Error::last_os_error())
         }
     }
-    #[cfg(not(unix))]
+    #[cfg(not(target_os = "linux"))]
     {
         let _ = bytes;
         Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
-            "setrlimit is unavailable on this platform",
+            "an address-space limit is only set on Linux",
         ))
     }
 }

@@ -31,7 +31,7 @@
 //! same locks exports take). [`ServeHandle::shutdown`] stops the thread
 //! by flagging it and poking a wake-up connection through the listener.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Take, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -45,8 +45,12 @@ use std::time::{Duration, Instant};
 /// the server — and the CI `obs` job — indefinitely.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 
+/// Most bytes of a request the server reads; one that reaches the cap is
+/// answered `431` instead of being buffered for the whole deadline.
+const MAX_HEAD_BYTES: u64 = 8 * 1024;
+
 use crate::snapshot::{spans_since, Snapshot};
-use crate::{export, federation, metrics, profile};
+use crate::{export, federation, metrics};
 
 /// A running monitoring server; shut it down explicitly with
 /// [`shutdown`](ServeHandle::shutdown) (dropping the handle also stops
@@ -133,7 +137,7 @@ fn accept_loop(listener: TcpListener, stop: &AtomicBool) {
 /// enough: it loops internally, and the per-read timeout resets on every
 /// byte, so a slow-drip client could stretch a single line forever.
 fn read_line_deadline(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<Take<TcpStream>>,
     started: Instant,
     line: &mut String,
 ) -> io::Result<usize> {
@@ -166,7 +170,7 @@ fn handle_connection(stream: TcpStream) -> io::Result<()> {
     let started = Instant::now();
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream.take(MAX_HEAD_BYTES));
     let mut request_line = String::new();
     read_line_deadline(&mut reader, started, &mut request_line)?;
     // Drain headers up to the blank line; nothing in them matters here.
@@ -178,10 +182,17 @@ fn handle_connection(stream: TcpStream) -> io::Result<()> {
             break;
         }
     }
-    let mut stream = reader.into_inner();
+    let too_large = reader.get_ref().limit() == 0;
+    let mut stream = reader.into_inner().into_inner();
     let mut parts = request_line.split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let (status, content_type, body) = if method != "GET" {
+    let (status, content_type, body) = if too_large {
+        (
+            "431 Request Header Fields Too Large",
+            "text/plain; charset=utf-8",
+            format!("a request may send {MAX_HEAD_BYTES} bytes before its blank line\n"),
+        )
+    } else if method != "GET" {
         (
             "405 Method Not Allowed",
             "text/plain; charset=utf-8",
@@ -195,6 +206,10 @@ fn handle_connection(stream: TcpStream) -> io::Result<()> {
         };
         let registry = || Snapshot {
             metrics: metrics::capture(),
+            ..Snapshot::default()
+        };
+        let spans = || Snapshot {
+            spans: spans_since(&mut 0),
             ..Snapshot::default()
         };
         match path {
@@ -217,22 +232,16 @@ fn handle_connection(stream: TcpStream) -> io::Result<()> {
                 "application/json",
                 view(registry(), export::progress_json),
             ),
-            "/spans" => {
-                let local = Snapshot {
-                    spans: spans_since(&mut 0),
-                    ..Snapshot::default()
-                };
-                let body = view(local, export::spans_jsonl);
-                ("200 OK", "application/x-ndjson", body)
-            }
-            "/profile" => {
-                let local = Snapshot {
-                    profile: profile::folded_snapshot(),
-                    ..Snapshot::default()
-                };
-                let body = view(local, export::folded);
-                ("200 OK", "text/plain; charset=utf-8", body)
-            }
+            "/spans" => (
+                "200 OK",
+                "application/x-ndjson",
+                view(spans(), export::spans_jsonl),
+            ),
+            "/profile" => (
+                "200 OK",
+                "text/plain; charset=utf-8",
+                view(spans(), export::folded),
+            ),
             _ => (
                 "404 Not Found",
                 "text/plain; charset=utf-8",
@@ -248,7 +257,17 @@ fn handle_connection(stream: TcpStream) -> io::Result<()> {
     );
     stream.write_all(header.as_bytes())?;
     stream.write_all(body.as_bytes())?;
-    stream.flush()
+    stream.flush()?;
+    if too_large {
+        // Discard what the client still sends, up to the deadline: closing
+        // on unread bytes resets the connection, which can lose the answer.
+        stream.shutdown(std::net::Shutdown::Write)?;
+        let mut sink = [0u8; 4096];
+        while started.elapsed() < REQUEST_DEADLINE
+            && matches!(stream.read(&mut sink), Ok(n) if n > 0)
+        {}
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -374,15 +393,27 @@ mod tests {
         // process-global and another test resets it concurrently.
         let mut seen = false;
         for _ in 0..5 {
+            let span = |id, parent, name: &str, dur_ns| crate::snapshot::Span {
+                id,
+                parent,
+                name: name.to_string(),
+                thread: 0,
+                start_ns: 0,
+                dur_ns,
+                attrs: vec![],
+            };
             let report = Snapshot {
-                profile: vec![("t.serve.profiled;leaf".to_string(), 4)],
+                spans: vec![
+                    span(1, None, "t.serve.profiled", 4),
+                    span(2, Some(1), "leaf", 4),
+                ],
                 ..Snapshot::default()
             };
             federation::global().absorb(31, 0, 1, report);
             let (status, content_type, body) = get_full(addr, "/profile");
             assert!(status.contains("200"), "{status}");
             assert_eq!(content_type, "text/plain; charset=utf-8");
-            crate::profile::parse_folded(&body).expect("profile body parses as folded text");
+            export::parse_folded(&body).expect("profile body parses as folded text");
             if body.contains("worker:31;t.serve.profiled;leaf 4") {
                 seen = true;
                 break;
@@ -436,6 +467,32 @@ mod tests {
         );
 
         dribble.join().unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_oversized_request_head_gets_431_and_the_server_serves_on() {
+        let server = start("127.0.0.1:0").expect("bind");
+        let addr = server.addr();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        // 1 MiB with no newline: more than the socket buffers hold, so it
+        // is still being sent when the answer comes.
+        let send = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'G'; 1 << 20]);
+            let _ = writer.shutdown(std::net::Shutdown::Write);
+        });
+        let mut response = String::new();
+        stream
+            .read_to_string(&mut response)
+            .expect("read the answer");
+        assert!(
+            response.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+            "{response}"
+        );
+        send.join().unwrap();
+        let (status, _) = get(addr, "/healthz");
+        assert!(status.contains("200"), "{status}");
         server.shutdown();
     }
 

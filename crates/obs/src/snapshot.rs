@@ -1,7 +1,7 @@
 //! One process at one instant.
 //!
 //! A [`Snapshot`] is everything a process can say about itself: its
-//! metrics registry, the spans it has closed and its folded profile. The
+//! metrics registry and the spans it has closed. The
 //! local process builds one with [`Snapshot::capture`]; a worker's
 //! arrives over the wire (the `dist` protocol encodes the same type).
 //! Every external format — Prometheus
@@ -103,8 +103,6 @@ pub struct Snapshot {
     pub metrics: Metrics,
     /// Closed spans in close order.
     pub spans: Vec<Span>,
-    /// Folded profile: `(a;b;leaf, samples)`, most sampled first.
-    pub profile: Vec<(String, u64)>,
 }
 
 impl Snapshot {
@@ -116,7 +114,6 @@ impl Snapshot {
         Snapshot {
             metrics: crate::metrics::capture(),
             spans: spans_since(cursor),
-            profile: crate::profile::folded_snapshot(),
         }
     }
 }

@@ -159,10 +159,6 @@ pub fn span(name: &'static str) -> SpanGuard {
         open.push(id);
         (parent, THREAD_ORD.with(|&t| t))
     });
-    // The continuous profiler mirrors the open stack as a shared
-    // name stack the sampler thread can snapshot; the guard remembers
-    // whether it pushed so toggling profiling mid-span never unbalances.
-    let profiled = crate::profile::push_live(name);
     SpanGuard {
         open: Some(OpenSpan {
             id,
@@ -172,7 +168,6 @@ pub fn span(name: &'static str) -> SpanGuard {
             start_ns: epoch.elapsed().as_nanos() as u64,
             started: Instant::now(),
             attrs: Vec::new(),
-            profiled,
         }),
     }
 }
@@ -185,8 +180,6 @@ struct OpenSpan {
     start_ns: u64,
     started: Instant,
     attrs: Vec<(&'static str, String)>,
-    /// Whether this span pushed onto the profiler's live stack.
-    profiled: bool,
 }
 
 /// An open span; closes (and records) on drop.
@@ -224,9 +217,6 @@ impl Drop for SpanGuard {
                 stack.retain(|&id| id != open.id);
             }
         });
-        if open.profiled {
-            crate::profile::pop_live(open.name);
-        }
         let dur_ns = open.started.elapsed().as_nanos() as u64;
         let record = SpanRecord {
             id: open.id,

@@ -1,21 +1,25 @@
 //! Golden fixture for every external observability format: one driver and
 //! two worker reports — one worker stale, one with a histogram, a clock
-//! offset, nested spans and a profile — and the exact bytes of every
-//! endpoint and of each source's span lines, in `fixtures/golden_views.txt`.
+//! offset and nested spans — and the exact bytes of every endpoint and of
+//! each source's span lines, in `fixtures/golden_views.txt`.
 //!
 //! The fixture was pinned before `Snapshot` existed, through the encoders
 //! it replaced (the registry's and the federation store's, spliced
-//! together by the server), and has two edits since: the worker lines that
-//! `/spans` gained when every view came to cover every source, and the
-//! `/healthz` body that counts deaths where the alert rules' section was.
+//! together by the server), and has three edits since: the worker lines
+//! that `/spans` gained when every view came to cover every source; the
+//! `/healthz` body that counts deaths where the alert rules' section was;
+//! and, when the flame view came to be folded from spans instead of
+//! sampled, a `/profile` of worker 1's spans' self times in nanoseconds
+//! (the driver's ring is empty, as for `/spans`) and worker 1's span ids,
+//! which moved into the range of the epoch (1) that recorded them.
 //!
-//! The driver is this process (its registry and profiler are global), so
-//! the test has a binary of its own.
+//! The driver is this process (its registry is global), so the test has a
+//! binary of its own.
 
 use bpart_obs::export::{self, Source};
 use bpart_obs::federation;
 use bpart_obs::snapshot::{HistogramValue, Snapshot, Span};
-use bpart_obs::{metrics, profile, serve};
+use bpart_obs::{metrics, serve};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
@@ -43,7 +47,7 @@ fn span(id: u64, parent: Option<u64>, name: &str, at: (u64, u64), attrs: &[(&str
 
 #[test]
 fn every_view_of_one_driver_and_two_workers_is_pinned() {
-    // ---- the driver: this process's registry and profiler ----------------
+    // ---- the driver: this process's registry ------------------------------
     metrics::counter("cluster.supersteps").add(41);
     metrics::gauge("dist.progress_superstep").set(40.0);
     metrics::gauge("golden.poisoned").set(f64::NAN);
@@ -51,21 +55,6 @@ fn every_view_of_one_driver_and_two_workers_is_pinned() {
     for v in [500.0, 600.0, 2_000.0] {
         rtt.observe(v);
     }
-    bpart_obs::set_trace_enabled(true);
-    profile::set_profile_enabled(true);
-    {
-        let _outer = bpart_obs::span("drv.outer");
-        {
-            let _inner = bpart_obs::span("drv.inner");
-            for _ in 0..3 {
-                profile::sample_once();
-            }
-        }
-        profile::sample_once();
-    }
-    profile::set_profile_enabled(false);
-    bpart_obs::set_trace_enabled(false);
-    bpart_obs::clear_trace();
 
     // ---- two worker reports ----------------------------------------------
     {
@@ -80,7 +69,7 @@ fn every_view_of_one_driver_and_two_workers_is_pinned() {
         store.finished(0, 0);
         store.mark_dead(0);
 
-        // Worker 1: a histogram, a clock offset, nested spans, a profile.
+        // Worker 1: a histogram, a clock offset, nested spans.
         let mut w1 = Snapshot::default();
         w1.metrics.counters.insert("dist.frames".into(), 9);
         w1.metrics.gauges.insert("part.edges".into(), 130.5);
@@ -108,10 +97,6 @@ fn every_view_of_one_driver_and_two_workers_is_pinned() {
                 (10_500, 3_000),
                 &[("note", "a\"b")],
             ),
-        ];
-        w1.profile = vec![
-            ("worker.superstep;compute".into(), 4),
-            ("worker.superstep".into(), 1),
         ];
         store.absorb(1, 1, 2, w1);
         store.record_clock_sample(1, 5_000, 600);

@@ -42,7 +42,6 @@ fn absorb(store: &mut FederationStore, key: Key) {
         .metrics
         .gauges
         .insert("t.prop.gauge".to_string(), value as f64);
-    report.profile.push(("t.prop;stack".to_string(), value));
     report.spans.push(Span {
         id: seq + 1,
         parent: None,
