@@ -354,7 +354,7 @@ pub fn folded(sources: &[Source<'_>]) -> String {
 }
 
 /// One source's stacks and the self time each took, in nanoseconds.
-fn fold(mut spans: Vec<(u32, &Span)>) -> BTreeMap<String, i64> {
+fn fold(mut spans: Vec<(u32, &Span)>) -> BTreeMap<String, i128> {
     spans.sort_by_key(|&(epoch, s)| (epoch, s.id));
     let (mut stacks, mut folded) = (Vec::<String>::new(), BTreeMap::new());
     for &(epoch, s) in &spans {
@@ -373,12 +373,12 @@ fn fold(mut spans: Vec<(u32, &Span)>) -> BTreeMap<String, i64> {
         let frame = s.name.replace(|c: char| c == ';' || c.is_whitespace(), "_");
         let stack = match parent {
             Some(at) => {
-                *folded.get_mut(&stacks[at]).expect("parent folded first") -= s.dur_ns as i64;
+                *folded.get_mut(&stacks[at]).expect("parent folded first") -= i128::from(s.dur_ns);
                 format!("{};{frame}", stacks[at])
             }
             None => frame,
         };
-        *folded.entry(stack.clone()).or_insert(0) += s.dur_ns as i64;
+        *folded.entry(stack.clone()).or_insert(0) += i128::from(s.dur_ns);
         stacks.push(stack);
     }
     folded
