@@ -159,3 +159,53 @@ fn a_walk_worker_peaks_the_same_at_any_walk_length_and_the_run_says_what_it_held
     }
     std::fs::remove_file(&graph).ok();
 }
+
+/// A superstep abandoned by a death timed the wait for the heartbeat
+/// verdict, not work. When the killed worker dies before its `StepData`,
+/// each survivor's `worker.superstep` span of that superstep stays open
+/// until `Restore`: it must say `abandoned=true`, and it ships under the
+/// epoch it was opened in, so every worker span's exported id base
+/// (`(id >> 32) & 0xff`) is its `epoch` attribute. A normal superstep of
+/// this job takes milliseconds, so any span past half the heartbeat
+/// timeout is one that waited for the death.
+#[test]
+fn an_abandoned_superstep_span_says_so_under_its_own_epoch() {
+    let graph = tmp("abandoned_graph.txt");
+    let trace = tmp("abandoned_trace.jsonl");
+    generate_graph(&graph, "0.02");
+
+    let out = bpart()
+        .arg("run")
+        .arg(&graph)
+        .args(["--parts", "4", "--app", "pagerank", "--iters", "40"])
+        .args(["--backend", "process", "--fault-plan", "crash@3:m1"])
+        .arg("--trace-out")
+        .arg(&trace)
+        .output()
+        .expect("run bpart run --backend process");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stdout:\n{stdout}\nstderr:\n{stderr}");
+
+    let text = std::fs::read_to_string(&trace).expect("trace file");
+    let spans = bpart_obs::report::parse_trace_jsonl(&text).expect("valid trace");
+    let timeout = bpart_dist::ProcessConfig::new(4, Vec::new()).heartbeat_timeout;
+    let waited = timeout.as_nanos() as u64 / 2;
+    let worker_spans: Vec<_> = spans.iter().filter(|s| s.id >> 40 > 0).collect();
+    assert!(
+        worker_spans.iter().any(|s| s.name == "worker.superstep"),
+        "no worker spans in the trace"
+    );
+    for span in worker_spans {
+        let epoch: u64 = span
+            .attr("epoch")
+            .and_then(|e| e.parse().ok())
+            .unwrap_or_else(|| panic!("worker span without an epoch: {span:?}"));
+        assert_eq!((span.id >> 32) & 0xff, epoch, "{span:?}");
+        if span.name == "worker.superstep" && span.dur_ns > waited {
+            assert_eq!(span.attr("abandoned"), Some("true"), "{span:?}");
+        }
+    }
+    std::fs::remove_file(&graph).ok();
+    std::fs::remove_file(&trace).ok();
+}

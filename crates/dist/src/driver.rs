@@ -47,7 +47,7 @@
 //! the compute and exchange times the worker measured, the loop's record.
 //!
 //! To restore after a death the transport bumps the recovery *epoch*,
-//! respawns the dead process (within `max_respawns`), sends it the job
+//! respawns the dead process (within `MAX_RESPAWNS`), sends it the job
 //! spec and its slice again — encoded anew from the cluster the driver
 //! keeps for the final gather, so no frame is retained for the occasion —
 //! and sends `Restore` to every worker: either the snapshot bytes of the
@@ -92,14 +92,6 @@ pub struct ProcessConfig {
     pub heartbeat_interval: Duration,
     /// Silence longer than this declares a worker dead.
     pub heartbeat_timeout: Duration,
-    /// Per-barrier deadline: a worker that heartbeats but produces no
-    /// frame within this window is wedged and treated as dead.
-    pub rpc_deadline: Duration,
-    /// Deadline for joins, job rebuilds, and restores (graph generation
-    /// happens under this one, so it is the generous deadline).
-    pub setup_deadline: Duration,
-    /// Total respawn budget across the run.
-    pub max_respawns: u32,
     /// Fault plan: `crash@S:mM` clauses become real `SIGKILL`s of worker
     /// processes; link clauses are charged by the superstep loop, off the
     /// row-segment counts of each completed superstep.
@@ -107,17 +99,13 @@ pub struct ProcessConfig {
 }
 
 impl ProcessConfig {
-    /// Config with test-friendly defaults for `workers` processes
-    /// started by `worker_cmd`.
+    /// Defaults for `workers` processes started by `worker_cmd`.
     pub fn new(workers: usize, worker_cmd: Vec<String>) -> Self {
         ProcessConfig {
             workers,
             worker_cmd,
             heartbeat_interval: Duration::from_millis(100),
             heartbeat_timeout: Duration::from_millis(1500),
-            rpc_deadline: Duration::from_secs(30),
-            setup_deadline: Duration::from_secs(60),
-            max_respawns: 3,
             faults: FaultPlan::default(),
         }
     }
@@ -320,7 +308,7 @@ impl Spare {
     /// thread grows it, so a job's largest buffers live and die in the
     /// supervisor's heap, which gives freed pages back, and not in the
     /// malloc arenas of that job's reader threads, which glibc keeps
-    /// (EXPERIMENTS.md "Walkers, not history").
+    /// (results/history/experiments-pr01-42.md "Walkers, not history").
     fn new() -> Spare {
         Spare(Self::KINDS.map(|_| Mutex::new(Vec::with_capacity(frame::CHUNK))))
     }
@@ -377,6 +365,13 @@ fn is_ready(msg: &WorkerMsg<'_>) -> bool {
 
 /// How long `shutdown` gives the workers to hang up before it kills them.
 const SHUTDOWN_GRACE: Duration = Duration::from_millis(500);
+
+/// A worker that heartbeats but sends no awaited frame for this long is dead.
+const RPC_DEADLINE: Duration = Duration::from_secs(30);
+/// For joins and `Ready`s, each of which follows a cluster build.
+const SETUP_DEADLINE: Duration = Duration::from_secs(60);
+/// Respawns allowed across a run.
+const MAX_RESPAWNS: u64 = 3;
 
 struct Driver {
     spec: JobSpec,
@@ -519,7 +514,7 @@ impl Driver {
     /// Waits until every machine in `expect` has joined, registering
     /// connections (and reader threads) as they arrive.
     fn wait_joins(&mut self, mut expect: Vec<usize>) -> Result<(), ClusterError> {
-        let deadline = Instant::now() + self.cfg.setup_deadline;
+        let deadline = Instant::now() + SETUP_DEADLINE;
         while !expect.is_empty() {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
@@ -794,7 +789,7 @@ impl Driver {
 
         // Initial `Ready`: aggregate parts (iteration) or queue lengths
         // (walks), computed from the deterministic initial state.
-        let ready = self.collect("initial Ready", self.cfg.setup_deadline, is_ready);
+        let ready = self.collect("initial Ready", SETUP_DEADLINE, is_ready);
         let ready = ready_aggs(&ready.map_err(|stop| worker_dead(0, stop))?)?;
         let faults = self.cfg.faults.clone();
         let every = self.spec.checkpoint_every.map(|e| e as usize);
@@ -822,7 +817,7 @@ impl Driver {
         // replayed into the gather, so it is terminal.
         self.broadcast(&DriverMsg::Finish { epoch: self.epoch })?;
         let is_final = |msg: &WorkerMsg<'_>| matches!(msg, WorkerMsg::Final { .. });
-        let finals = self.collect("Final", self.cfg.rpc_deadline, is_final);
+        let finals = self.collect("Final", RPC_DEADLINE, is_final);
         finals.map_err(|stop| worker_dead(supersteps, stop))?;
 
         // Every machine's result is in and verified: now it may be read.
@@ -930,7 +925,7 @@ struct Supervised<'d> {
     /// the exchange seconds it measured.
     snapshots: Vec<Option<Vec<u8>>>,
     comm: Vec<f64>,
-    /// Workers respawned, against `max_respawns`.
+    /// Workers respawned, against `MAX_RESPAWNS`.
     respawns: u64,
 }
 
@@ -997,7 +992,7 @@ impl Transport for Supervised<'_> {
         self.killed = crashes.to_vec();
         let step_data = d.collect(
             "StepData",
-            d.cfg.rpc_deadline,
+            RPC_DEADLINE,
             |msg| matches!(msg, WorkerMsg::StepData { superstep: s, .. } if *s == step),
         );
         self.step_data = step_data.map_err(|stop| blame(&mut self.killed, stop))?;
@@ -1034,7 +1029,7 @@ impl Transport for Supervised<'_> {
 
         let step_done = d.collect(
             "StepDone",
-            d.cfg.rpc_deadline,
+            RPC_DEADLINE,
             |msg| matches!(msg, WorkerMsg::StepDone { superstep: s, .. } if *s == step),
         );
         let step_done = step_done.map_err(|stop| blame(&mut self.killed, stop))?;
@@ -1103,7 +1098,7 @@ impl Transport for Supervised<'_> {
         d.epoch += 1;
         d.gather.roll_back(d.epoch, superstep as u64);
         for &m in lost {
-            if self.respawns >= d.cfg.max_respawns as u64 {
+            if self.respawns >= MAX_RESPAWNS {
                 let (worker, superstep) = (m, self.superstep as u64);
                 return Err(ClusterError::WorkerDead { worker, superstep }.into());
             }
@@ -1123,7 +1118,7 @@ impl Transport for Supervised<'_> {
                 },
             )?;
         }
-        let ready = d.collect("Ready after restore", d.cfg.setup_deadline, is_ready)?;
+        let ready = d.collect("Ready after restore", SETUP_DEADLINE, is_ready)?;
         if obs {
             federation::global().recovering = false;
         }

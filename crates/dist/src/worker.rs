@@ -410,10 +410,14 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                 superstep: _,
                 state,
             } => {
-                // Recovery: adopt the new epoch unconditionally and
-                // discard any half-finished superstep.
+                // Recovery: adopt the new epoch. A half-finished superstep's
+                // span timed a wait for a death; it says so, under its epoch.
                 pending = None;
-                step_span = None;
+                if let (Some(mut g), Some(reports)) = (step_span.take(), &mut reports) {
+                    g.attr("abandoned", "true");
+                    drop(g);
+                    reports.send(&writer, current, (0, 0))?;
+                }
                 app.restore(state)?;
                 epoch.store(e, Ordering::Relaxed);
                 writer.send(&WorkerMsg::Ready {

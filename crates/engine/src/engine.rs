@@ -214,9 +214,9 @@ impl IterationEngine {
         // dropped (its send slots with it) before its values are placed:
         // the first value fills the array, then every vertex's own
         // overwrites it. The last machine goes first: its kernel was
-        // allocated last, and freeing the kernels in that order leaves the
-        // process's peak resident set lowest (EXPERIMENTS.md, "Every walker
-        // held once").
+        // allocated last, and freeing them in that order leaves the peak
+        // resident set lowest (results/history/experiments-pr01-42.md
+        // "Every walker held once").
         let n = self.cluster.graph().num_vertices();
         debug_assert_eq!(steps.iter().map(|s| s.values().len()).sum::<usize>(), n);
         let mut values: Vec<P::Value> = Vec::new();
