@@ -577,9 +577,9 @@ fn partition_ooc_cmd(
         bpart_core::ooc_cut_ratio(&shards, &outcome.assignment).map_err(|e| named(&e))?;
 
     extra.push_str(&format!(
-        "  shards:          {} ({} bytes max resident)\n  shard loop:\n",
+        "  shards:          {} (read through a {} KiB window)\n  shard loop:\n",
         shards.num_shards(),
-        shards.max_shard_bytes()
+        pio::SHARD_WINDOW_BYTES / 1024
     ));
     for s in &outcome.pipeline.stages {
         extra.push_str(&format!(

@@ -116,8 +116,8 @@ BACKENDS (run --backend; one job description, one report, either way):
 OUT-OF-CORE (partition graphs bigger than RAM; see DESIGN.md §14):
   bpart shard GRAPH --out-dir DIR   split GRAPH into a self-describing
                      shard directory (.bpgr inputs convert zero-copy via
-                     mmap); --shard-bytes caps each shard (default 64 MiB)
-                     and thereby the one mapping the partition pass holds
+                     mmap); --shard-bytes caps each shard (default 64 MiB);
+                     the partition pass reads a shard through a 64 KiB window
   --shard-dir DIR    stream from this shard directory (the GRAPH
                      positional may then be omitted); a GRAPH that is a
                      shard directory, found by its manifest, streams too
@@ -126,8 +126,8 @@ OUT-OF-CORE (partition graphs bigger than RAM; see DESIGN.md §14):
                      fails instead of quietly succeeding
   Out-of-core runs support the streaming schemes (fennel, bpart-p1) and
   produce bit-identical assignments to their in-memory counterparts. The
-  pass is one sequential loop over the shards, one mapped at a time
-  (memory O(n + one shard)).
+  pass is one sequential loop over the shards, each read through a 64 KiB
+  window (memory O(n) plus the window and the largest record).
 
 OBSERVABILITY (partition/run; see DESIGN.md §10–11):
   --trace-out FILE    dump hierarchical phase spans as JSON lines (on a

@@ -167,11 +167,14 @@ fn a_walk_worker_peaks_the_same_at_any_walk_length_and_the_run_says_what_it_held
 /// epoch it was opened in, so every worker span's exported id base
 /// (`(id >> 32) & 0xff`) is its `epoch` attribute. A normal superstep of
 /// this job takes milliseconds, so any span past half the heartbeat
-/// timeout is one that waited for the death.
+/// timeout is one that waited for the death. The flame view folds those
+/// spans under `worker.superstep[abandoned]`, so no survivor's
+/// `worker.superstep` stack is charged the wait as work.
 #[test]
 fn an_abandoned_superstep_span_says_so_under_its_own_epoch() {
     let graph = tmp("abandoned_graph.txt");
     let trace = tmp("abandoned_trace.jsonl");
+    let profile = tmp("abandoned_profile.folded");
     generate_graph(&graph, "0.02");
 
     let out = bpart()
@@ -181,6 +184,8 @@ fn an_abandoned_superstep_span_says_so_under_its_own_epoch() {
         .args(["--backend", "process", "--fault-plan", "crash@3:m1"])
         .arg("--trace-out")
         .arg(&trace)
+        .arg("--profile-out")
+        .arg(&profile)
         .output()
         .expect("run bpart run --backend process");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -206,6 +211,26 @@ fn an_abandoned_superstep_span_says_so_under_its_own_epoch() {
             assert_eq!(span.attr("abandoned"), Some("true"), "{span:?}");
         }
     }
-    std::fs::remove_file(&graph).ok();
-    std::fs::remove_file(&trace).ok();
+
+    let text = std::fs::read_to_string(&profile).expect("profile file");
+    let stacks = bpart_obs::export::parse_folded(&text).expect("valid folded stacks");
+    let is_worker = |stack: &str, frame: &str| {
+        stack
+            .split_once(';')
+            .is_some_and(|(root, rest)| root.starts_with("worker:") && rest == frame)
+    };
+    for (stack, ns) in &stacks {
+        if is_worker(stack, "worker.superstep") {
+            assert!(*ns <= waited, "{stack} carries {ns} ns of self time");
+        }
+    }
+    assert!(
+        stacks
+            .iter()
+            .any(|(stack, _)| is_worker(stack, "worker.superstep[abandoned]")),
+        "no abandoned superstep in the profile:\n{text}"
+    );
+    for path in [&graph, &trace, &profile] {
+        std::fs::remove_file(path).ok();
+    }
 }

@@ -11,9 +11,12 @@
 //!
 //! The out-of-core pipeline ([`crate::stream_assign_ooc`]) does not read a
 //! graph file — it reads a *shard directory*: the stream pre-serialized as
-//! per-vertex records in visit order, cut into bounded files so the
-//! partitioning pass maps one shard at a time and stays `O(buffer)`
-//! resident. Layout (all little-endian):
+//! per-vertex records in visit order, cut into files of at most a target
+//! size. A [`ShardReader`] reads a shard front to back through one
+//! [`SHARD_WINDOW_BYTES`] window plus one record buffer grown to the largest
+//! record, so a pass holds neither a shard nor the stream, whatever the
+//! shard size; the writer streams each record to its file the same way.
+//! Layout (all little-endian):
 //!
 //! ```text
 //! manifest.bpsm:   magic "BPSM", version u32, n u64, m u64,
@@ -34,7 +37,8 @@
 use crate::partition::{PartId, Partition};
 use bpart_graph::io::MappedCsr;
 use bpart_graph::{CsrGraph, GraphError, VertexId};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: [u8; 4] = *b"BPPT";
@@ -201,6 +205,10 @@ const SHARD_HEADER_LEN: usize = 4 + 4 + 8;
 /// The manifest's file name inside a shard directory.
 pub const MANIFEST_NAME: &str = "manifest.bpsm";
 
+/// The window a [`ShardReader`] reads its file through: what a pass holds
+/// of a shard beside the one record it is placing.
+pub const SHARD_WINDOW_BYTES: usize = 64 * 1024;
+
 /// Typed errors of the shard reader/writer.
 #[derive(Debug)]
 pub enum PioError {
@@ -267,7 +275,7 @@ pub struct ShardMeta {
     /// Vertex records in this shard.
     pub records: u64,
     /// Total file size in bytes (header included) — validated against the
-    /// real file size before mapping, so a truncated shard is caught
+    /// real file size before reading, so a truncated shard is caught
     /// up front with a typed error instead of a mid-parse surprise.
     pub bytes: u64,
 }
@@ -359,9 +367,9 @@ pub fn shard_file_name(index: usize) -> String {
 /// the current one would exceed `target_shard_bytes`. Returns the written
 /// manifest.
 ///
-/// Shard size is the out-of-core pipeline's *memory knob*: the partition
-/// pass maps exactly one shard at a time, so `target_shard_bytes` bounds
-/// the largest single resident buffer.
+/// Shard size sets how many files the stream is cut into, not what a pass
+/// holds: the writer streams each record to its file and the reader reads
+/// it back through one [`SHARD_WINDOW_BYTES`] window.
 pub fn write_shards(
     graph: &CsrGraph,
     dir: &Path,
@@ -372,11 +380,7 @@ pub fn write_shards(
         target_shard_bytes,
         graph.num_vertices() as u64,
         graph.num_edges() as u64,
-        |v, buf| {
-            let out = graph.out_neighbors(v);
-            let inn = graph.in_neighbors(v);
-            append_record(buf, out.len() as u32, out, inn);
-        },
+        |v| (graph.out_neighbors(v), graph.in_neighbors(v)),
     )
 }
 
@@ -385,7 +389,7 @@ pub fn write_shards(
 /// (`O(n + m)` of `u32`/`u64` index arrays, no neighbor copies of the
 /// out-direction) is held during conversion. This is the preprocessing
 /// step's memory floor — the *partitioning* pass that follows is
-/// `O(buffer)`.
+/// `O(n)` plus one window.
 pub fn write_shards_from_mapped(
     csr: &MappedCsr,
     dir: &Path,
@@ -411,111 +415,66 @@ pub fn write_shards_from_mapped(
             cursor[t as usize] += 1;
         }
     }
-    write_shards_inner(
-        dir,
-        target_shard_bytes,
-        n as u64,
-        csr.num_edges(),
-        |v, buf| {
-            let out = csr.out_neighbors(v);
-            let lo = in_offsets[v as usize] as usize;
-            let hi = in_offsets[v as usize + 1] as usize;
-            append_record(buf, out.len() as u32, out, &in_targets[lo..hi]);
-        },
-    )
+    write_shards_inner(dir, target_shard_bytes, n as u64, csr.num_edges(), |v| {
+        let lo = in_offsets[v as usize] as usize;
+        let hi = in_offsets[v as usize + 1] as usize;
+        (csr.out_neighbors(v), &in_targets[lo..hi])
+    })
 }
 
-fn append_record(buf: &mut Vec<u8>, out_deg: u32, out: &[VertexId], inn: &[VertexId]) {
-    buf.extend_from_slice(&out_deg.to_le_bytes());
-    buf.extend_from_slice(&((out.len() + inn.len()) as u32).to_le_bytes());
-    for &w in out.iter().chain(inn) {
-        buf.extend_from_slice(&w.to_le_bytes());
-    }
-}
-
-fn write_shards_inner(
+/// Streams every vertex's record — `neighbourhood(v)` is its out- and
+/// in-neighbours — into shard files. A shard's record count is written into
+/// its header when the shard ends, so no shard is ever held whole.
+fn write_shards_inner<'g>(
     dir: &Path,
     target_shard_bytes: u64,
     n: u64,
     m: u64,
-    mut record: impl FnMut(VertexId, &mut Vec<u8>),
+    neighbourhood: impl Fn(VertexId) -> (&'g [VertexId], &'g [VertexId]),
 ) -> Result<ShardManifest, PioError> {
     std::fs::create_dir_all(dir)?;
     let target = target_shard_bytes.max(SHARD_HEADER_LEN as u64 + 16);
-    let mut shards: Vec<ShardMeta> = Vec::new();
-    let mut records: Vec<Vec<u8>> = Vec::new();
-    let mut shard_bytes = SHARD_HEADER_LEN as u64;
-    let mut buf = Vec::new();
-
-    let flush = |records: &mut Vec<Vec<u8>>,
-                 shards: &mut Vec<ShardMeta>,
-                 shard_bytes: u64|
-     -> Result<(), PioError> {
-        let path = dir.join(shard_file_name(shards.len()));
-        let mut bw = BufWriter::new(std::fs::File::create(&path)?);
+    let create = |index: usize| -> Result<BufWriter<File>, PioError> {
+        let mut bw = BufWriter::new(File::create(dir.join(shard_file_name(index)))?);
         bw.write_all(&SHARD_MAGIC)?;
         bw.write_all(&SHARD_VERSION.to_le_bytes())?;
-        bw.write_all(&(records.len() as u64).to_le_bytes())?;
-        for r in records.iter() {
-            bw.write_all(r)?;
-        }
-        bw.flush()?;
-        shards.push(ShardMeta {
-            records: records.len() as u64,
-            bytes: shard_bytes,
-        });
-        records.clear();
-        Ok(())
+        bw.write_all(&0u64.to_le_bytes())?; // the record count, set by `finish`
+        Ok(bw)
     };
-
+    let finish = |mut bw: BufWriter<File>, meta: ShardMeta| -> Result<ShardMeta, PioError> {
+        bw.seek(SeekFrom::Start(8))?;
+        bw.write_all(&meta.records.to_le_bytes())?;
+        bw.flush()?;
+        Ok(meta)
+    };
+    let empty = ShardMeta {
+        records: 0,
+        bytes: SHARD_HEADER_LEN as u64,
+    };
+    let (mut shards, mut shard, mut meta) = (Vec::new(), create(0)?, empty);
     for v in 0..n as VertexId {
-        buf.clear();
-        record(v, &mut buf);
-        if !records.is_empty() && shard_bytes + buf.len() as u64 > target {
-            flush(&mut records, &mut shards, shard_bytes)?;
-            shard_bytes = SHARD_HEADER_LEN as u64;
+        let (out, inn) = neighbourhood(v);
+        let nbr_len = out.len() + inn.len();
+        let bytes = 8 + 4 * nbr_len as u64;
+        if meta.records > 0 && meta.bytes + bytes > target {
+            shards.push(finish(shard, meta)?);
+            (shard, meta) = (create(shards.len())?, empty);
         }
-        shard_bytes += buf.len() as u64;
-        records.push(std::mem::take(&mut buf));
+        shard.write_all(&(out.len() as u32).to_le_bytes())?;
+        shard.write_all(&(nbr_len as u32).to_le_bytes())?;
+        for &w in out.iter().chain(inn) {
+            shard.write_all(&w.to_le_bytes())?;
+        }
+        meta.records += 1;
+        meta.bytes += bytes;
     }
     // The final (possibly empty) shard — an empty stream still writes one
     // shard so the directory is self-describing.
-    flush(&mut records, &mut shards, shard_bytes)?;
+    shards.push(finish(shard, meta)?);
 
     let manifest = ShardManifest { n, m, shards };
     manifest.write(&dir.join(MANIFEST_NAME))?;
     Ok(manifest)
-}
-
-/// Bytes behind a shard file: a mapping where available, an owned read
-/// otherwise. Either way the parse below is identical.
-#[derive(Debug)]
-enum ShardBytes {
-    #[cfg(unix)]
-    Mapped(bpart_graph::io::mmap::Mmap),
-    Owned(Vec<u8>),
-}
-
-impl ShardBytes {
-    fn open(path: &Path) -> Result<ShardBytes, PioError> {
-        #[cfg(unix)]
-        {
-            if let Ok(file) = std::fs::File::open(path) {
-                if let Ok(map) = bpart_graph::io::mmap::Mmap::map(&file) {
-                    return Ok(ShardBytes::Mapped(map));
-                }
-            }
-        }
-        Ok(ShardBytes::Owned(std::fs::read(path)?))
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            #[cfg(unix)]
-            ShardBytes::Mapped(m) => m.as_bytes(),
-            ShardBytes::Owned(v) => v,
-        }
-    }
 }
 
 /// One decoded shard record: a vertex with its full undirected
@@ -540,19 +499,26 @@ impl ShardRecord<'_> {
     }
 }
 
-/// Streaming reader over one mapped shard file.
+/// Streaming reader over one shard file: the file is read front to back
+/// through a [`SHARD_WINDOW_BYTES`] window, and each record's neighbours
+/// are copied into one buffer, grown to the largest record read.
 #[derive(Debug)]
 pub struct ShardReader {
-    bytes: ShardBytes,
+    file: BufReader<File>,
     path: PathBuf,
+    /// The file's length at open; every length a record declares is held
+    /// against it before a byte is read or a buffer grown.
+    len: u64,
     /// Records the header declared.
     records: u64,
     /// Records handed out so far.
     cursor: u64,
     /// Byte position of the next record.
-    pos: usize,
+    pos: u64,
     /// Vertex id of the next record.
     next_vertex: VertexId,
+    /// The last record's neighbour bytes (a prefix of it).
+    record: Vec<u8>,
 }
 
 impl ShardReader {
@@ -568,15 +534,18 @@ impl ShardReader {
     /// position in the stream, taken from the manifest by
     /// [`ShardSet::open_shard`].
     pub fn open_at(path: &Path, first_vertex: VertexId) -> Result<ShardReader, PioError> {
-        let bytes = ShardBytes::open(path)?;
-        let b = bytes.as_slice();
-        if b.len() < SHARD_HEADER_LEN {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        if len < SHARD_HEADER_LEN as u64 {
             return Err(PioError::Truncated {
                 path: path.to_path_buf(),
                 expected: SHARD_HEADER_LEN as u64,
-                actual: b.len() as u64,
+                actual: len,
             });
         }
+        let mut file = BufReader::with_capacity(SHARD_WINDOW_BYTES, file);
+        let mut b = [0u8; SHARD_HEADER_LEN];
+        file.read_exact(&mut b)?;
         if b[..4] != SHARD_MAGIC {
             return Err(PioError::Format(format!("bad shard magic {:?}", &b[..4])));
         }
@@ -588,12 +557,14 @@ impl ShardReader {
         }
         let records = u64::from_le_bytes(b[8..16].try_into().unwrap());
         Ok(ShardReader {
-            bytes,
+            file,
             path: path.to_path_buf(),
+            len,
             records,
             cursor: 0,
-            pos: SHARD_HEADER_LEN,
+            pos: SHARD_HEADER_LEN as u64,
             next_vertex: first_vertex,
+            record: Vec::new(),
         })
     }
 
@@ -609,42 +580,47 @@ impl ShardReader {
         if self.cursor == self.records {
             return Ok(None);
         }
-        let b = self.bytes.as_slice();
-        let truncated = |expected: usize, actual: usize| PioError::Truncated {
+        let truncated = |expected: u64| PioError::Truncated {
             path: self.path.clone(),
-            expected: expected as u64,
-            actual: actual as u64,
+            expected,
+            actual: self.len,
         };
-        if self.pos + 8 > b.len() {
-            return Err(truncated(self.pos + 8, b.len()));
+        if self.pos + 8 > self.len {
+            return Err(truncated(self.pos + 8));
         }
-        let out_deg = u32::from_le_bytes(b[self.pos..self.pos + 4].try_into().unwrap());
-        let nbr_len = u32::from_le_bytes(b[self.pos + 4..self.pos + 8].try_into().unwrap());
+        let mut b = [0u8; 8];
+        self.file.read_exact(&mut b)?;
+        let out_deg = u32::from_le_bytes(b[..4].try_into().unwrap());
+        let nbr_len = u32::from_le_bytes(b[4..].try_into().unwrap());
         if (out_deg as u64) > (nbr_len as u64) {
             return Err(PioError::Format(format!(
                 "record for vertex {}: out_deg {out_deg} exceeds nbr_len {nbr_len}",
                 self.next_vertex
             )));
         }
-        let body = self.pos + 8;
-        let end = body + nbr_len as usize * 4;
-        if end > b.len() {
-            return Err(truncated(end, b.len()));
+        let end = self.pos + 8 + nbr_len as u64 * 4;
+        if end > self.len {
+            return Err(truncated(end));
         }
-        let record = ShardRecord {
-            vertex: self.next_vertex,
-            out_deg,
-            nbr_bytes: &b[body..end],
-        };
+        let bytes = nbr_len as usize * 4;
+        if self.record.len() < bytes {
+            self.record.reserve_exact(bytes - self.record.len());
+            self.record.resize(bytes, 0);
+        }
+        self.file.read_exact(&mut self.record[..bytes])?;
         self.pos = end;
         self.cursor += 1;
         self.next_vertex += 1;
-        Ok(Some(record))
+        Ok(Some(ShardRecord {
+            vertex: self.next_vertex - 1,
+            out_deg,
+            nbr_bytes: &self.record[..bytes],
+        }))
     }
 }
 
 /// An opened shard directory: the validated manifest plus per-shard
-/// first-vertex offsets. Individual shards are mapped lazily, one at a
+/// first-vertex offsets. Individual shards are opened lazily, one at a
 /// time, by [`open_shard`](Self::open_shard).
 #[derive(Debug)]
 pub struct ShardSet {
@@ -699,18 +675,7 @@ impl ShardSet {
         &self.manifest
     }
 
-    /// Largest single shard in bytes — the pipeline's peak per-shard
-    /// mapping cost.
-    pub fn max_shard_bytes(&self) -> u64 {
-        self.manifest
-            .shards
-            .iter()
-            .map(|s| s.bytes)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Maps shard `index`, validating its real size against the manifest
+    /// Opens shard `index`, validating its real size against the manifest
     /// (short file → [`PioError::Truncated`]) and its header against the
     /// manifest's record count.
     pub fn open_shard(&self, index: usize) -> Result<ShardReader, PioError> {
@@ -923,6 +888,133 @@ mod tests {
             ShardReader::open(&path),
             Err(PioError::Truncated { .. })
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The shard writer as it was when it held each shard's records in
+    /// memory, one `Vec<u8>` apiece: the oracle the streaming writer's
+    /// bytes are held to.
+    fn buffered_write_shards(g: &CsrGraph, dir: &Path, target_shard_bytes: u64) {
+        std::fs::create_dir_all(dir).unwrap();
+        let target = target_shard_bytes.max(SHARD_HEADER_LEN as u64 + 16);
+        let mut shards: Vec<ShardMeta> = Vec::new();
+        let mut records: Vec<Vec<u8>> = Vec::new();
+        let mut shard_bytes = SHARD_HEADER_LEN as u64;
+        let flush = |records: &mut Vec<Vec<u8>>, shards: &mut Vec<ShardMeta>, bytes: u64| {
+            let mut file = SHARD_MAGIC.to_vec();
+            file.extend_from_slice(&SHARD_VERSION.to_le_bytes());
+            file.extend_from_slice(&(records.len() as u64).to_le_bytes());
+            for r in records.iter() {
+                file.extend_from_slice(r);
+            }
+            std::fs::write(dir.join(shard_file_name(shards.len())), file).unwrap();
+            shards.push(ShardMeta {
+                records: records.len() as u64,
+                bytes,
+            });
+            records.clear();
+        };
+        for v in 0..g.num_vertices() as VertexId {
+            let (out, inn) = (g.out_neighbors(v), g.in_neighbors(v));
+            let mut buf = Vec::new();
+            buf.extend_from_slice(&(out.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&((out.len() + inn.len()) as u32).to_le_bytes());
+            for &w in out.iter().chain(inn) {
+                buf.extend_from_slice(&w.to_le_bytes());
+            }
+            if !records.is_empty() && shard_bytes + buf.len() as u64 > target {
+                flush(&mut records, &mut shards, shard_bytes);
+                shard_bytes = SHARD_HEADER_LEN as u64;
+            }
+            shard_bytes += buf.len() as u64;
+            records.push(buf);
+        }
+        flush(&mut records, &mut shards, shard_bytes);
+        let (n, m) = (g.num_vertices() as u64, g.num_edges() as u64);
+        ShardManifest { n, m, shards }
+            .write(&dir.join(MANIFEST_NAME))
+            .unwrap();
+    }
+
+    #[test]
+    fn streamed_shards_are_byte_identical_to_buffered_ones() {
+        let graphs = [
+            generate::erdos_renyi(300, 2_000, 11),
+            generate::star(20_000), // one record of 160 KB
+            CsrGraph::from_edges(0, &[]),
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            for target in [1, 4 * 1024, u64::MAX] {
+                let (a, b) = (temp_shard_dir("streamed"), temp_shard_dir("buffered"));
+                let manifest = write_shards(g, &a, target).unwrap();
+                buffered_write_shards(g, &b, target);
+                let mut names: Vec<String> =
+                    (0..manifest.shards.len()).map(shard_file_name).collect();
+                names.push(MANIFEST_NAME.to_string());
+                assert_eq!(std::fs::read_dir(&b).unwrap().count(), names.len());
+                for name in names {
+                    let (x, y) = (std::fs::read(a.join(&name)), std::fs::read(b.join(&name)));
+                    assert!(
+                        x.unwrap() == y.unwrap(),
+                        "graph {i}, target {target}: {name}"
+                    );
+                }
+                std::fs::remove_dir_all(&a).unwrap();
+                std::fs::remove_dir_all(&b).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_larger_than_the_window_reads_whole() {
+        // The hub's record is 8 + 4 · 40 000 bytes, about 2.4 windows.
+        let g = generate::star(20_000);
+        assert!(8 + 4 * g.in_degree(0) + 4 * g.out_degree(0) > 2 * SHARD_WINDOW_BYTES);
+        let dir = temp_shard_dir("wide");
+        write_shards(&g, &dir, u64::MAX).unwrap();
+        let records = collect_records(&ShardSet::open(&dir).unwrap());
+        assert_eq!(records.len(), g.num_vertices());
+        for (v, out_deg, nbrs) in records {
+            let expect: Vec<VertexId> = g
+                .out_neighbors(v)
+                .iter()
+                .chain(g.in_neighbors(v))
+                .copied()
+                .collect();
+            assert_eq!(out_deg as usize, g.out_degree(v), "vertex {v}");
+            assert_eq!(nbrs, expect, "vertex {v}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_cut_inside_a_record_is_truncated_naming_the_file() {
+        let g = generate::erdos_renyi(100, 800, 3);
+        let dir = temp_shard_dir("cut");
+        write_shards(&g, &dir, u64::MAX).unwrap();
+        let path = dir.join(shard_file_name(0));
+        let bytes = std::fs::read(&path).unwrap();
+        // The third record's header starts after two records.
+        let record = |v: VertexId| 8 + 4 * (g.out_degree(v) + g.in_degree(v));
+        let third = SHARD_HEADER_LEN + record(0) + record(1);
+        assert!(record(2) > 8, "the third record has a body");
+        for (cut, what) in [(third + 5, "record header"), (third + 10, "record body")] {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let mut reader = ShardReader::open(&path).unwrap();
+            assert!(reader.next_record().unwrap().is_some());
+            assert!(reader.next_record().unwrap().is_some());
+            match reader.next_record() {
+                Err(PioError::Truncated {
+                    path: named,
+                    actual,
+                    ..
+                }) => {
+                    assert_eq!(named, path, "{what}");
+                    assert_eq!(actual, cut as u64, "{what}");
+                }
+                other => panic!("{what}: expected Truncated, got {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -34,7 +34,7 @@
 //! [`kernel::Pass`] holds the state of a pass and its `place(v, out_deg,
 //! delta, neighbours)` is the only tally → choose → commit → reset in the
 //! crate. The resident pass below walks a [`CsrGraph`] in stream order,
-//! [`pipeline::stream_assign_ooc`] walks mapped shards, and [`buffered`]
+//! [`pipeline::stream_assign_ooc`] walks shard files, and [`buffered`]
 //! commits its workers' proposals through the same `Pass`.
 //!
 //! ## Execution modes

@@ -1,28 +1,29 @@
-//! Out-of-core streaming: the placement kernel driven over mapped shards.
+//! Out-of-core streaming: the placement kernel driven over a shard stream.
 //!
 //! The resident pass needs the whole graph in memory. This module replays
 //! the *same* sequential pass from a shard directory
 //! ([`crate::pio::ShardSet`]) as one loop on one thread:
 //!
 //! ```text
-//! for each shard, in order:       open + map it            ("fetch")
-//!   for each record, in order:    validate neighbour ids,
+//! for each shard, in order:       open it, read its header ("fetch")
+//!   for each record, in order:    read it, validate neighbour ids,
 //!                                 Pass::place(v, out_deg, δ, neighbours)   ("commit")
-//!   unmap
 //! ```
 //!
-//! A record's little-endian neighbour ids are decoded straight out of the
-//! mapping into the kernel's tally — nothing is copied, batched or handed
-//! between threads. The mapping is read front to back, so the operating
-//! system's read-ahead is what overlaps disk with scoring; page-ins are
+//! A record's little-endian neighbour ids are decoded out of the reader's
+//! one record buffer into the kernel's tally — nothing is batched or handed
+//! between threads. Each shard is read front to back, so the operating
+//! system's read-ahead is what overlaps disk with scoring; the reads are
 //! therefore taken (and timed) inside the record loop, not in "fetch".
 //!
 //! ## Memory model
 //!
-//! Resident memory is `O(n + one shard)`, never `O(m)`: the [`Pass`] owns
-//! the dense assignment (`4n` bytes) plus `O(k)` part state, and exactly one
-//! shard is mapped at a time (the shard size chosen at
-//! [`write_shards`](crate::pio::write_shards) time bounds that mapping).
+//! Resident memory is `O(n)` plus one window, never `O(m)` nor one shard:
+//! the [`Pass`] owns the dense assignment (`4n` bytes) plus `O(k)` part
+//! state, and the one open [`ShardReader`] holds a
+//! [`SHARD_WINDOW_BYTES`](crate::pio::SHARD_WINDOW_BYTES) window and a
+//! buffer the size of the largest record, whatever size the shards were
+//! cut at by [`write_shards`](crate::pio::write_shards).
 //!
 //! ## Oracle contract
 //!
@@ -77,8 +78,8 @@ impl OocConfig {
 /// Where one side of the shard loop spent its time.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageStats {
-    /// "fetch" (open, map and unmap each shard) or "commit" (the record
-    /// loop: validation, placement, and the page-ins it triggers).
+    /// "fetch" (open each shard and read its header) or "commit" (the
+    /// record loop: reads, validation and placement).
     pub name: &'static str,
     /// Shards processed.
     pub shards: u64,
@@ -191,8 +192,8 @@ pub fn stream_assign_ooc(shards: &ShardSet, config: &OocConfig) -> Result<OocOut
 
 /// The shard loop: places every record of every reader, in order, through
 /// `pass`, which must be fresh (nothing placed). Readers are opened lazily,
-/// one at a time; the previous mapping is dropped before the next is
-/// created. Fails with a typed error on a reader error, on a record that is
+/// one at a time; the previous reader is dropped before the next is
+/// opened. Fails with a typed error on a reader error, on a record that is
 /// not the next unplaced vertex, on a neighbour id outside the pass, and
 /// when the readers run out before the pass is full.
 fn place_shards(
@@ -250,7 +251,7 @@ fn place_shards(
             "stream ended early: {placed} of {n} vertices committed"
         )));
     }
-    // Whatever the loop did outside the record loops: open, map, unmap.
+    // Whatever the loop did outside the record loops: open, read a header.
     let fetch_secs = (start.elapsed().as_secs_f64() - commit_secs).max(0.0);
     let stage = |name, busy_secs| StageStats {
         name,
@@ -267,9 +268,10 @@ fn place_shards(
 /// Computes the directed edge-cut ratio of `assignment` by re-streaming
 /// the shards — the out-of-core analogue of
 /// [`metrics::edge_cut_ratio`](crate::metrics::edge_cut_ratio), needing
-/// `O(buffer)` memory instead of the resident graph. Only the first
-/// `out_deg` stored neighbors of each record (the out-neighbors) are
-/// counted, so every directed edge is counted exactly once.
+/// one window of memory beside `assignment` instead of the resident graph.
+/// Only the first `out_deg` stored neighbors of each record (the
+/// out-neighbors) are counted, so every directed edge is counted exactly
+/// once.
 pub fn ooc_cut_ratio(shards: &ShardSet, assignment: &[PartId]) -> Result<f64, PioError> {
     let m = shards.num_edges();
     if m == 0 {

@@ -1,9 +1,9 @@
 //! Read-only memory-mapped file views (unix only).
 //!
 //! [`Mmap`] maps a file `PROT_READ`/`MAP_PRIVATE` and exposes it as a
-//! `&[u8]`, for the readers that serve data out of the page cache for as
-//! long as they live ([`MappedCsr`](super::MappedCsr), the partitioner's
-//! shard readers). [`load_binary`](super::load_binary) copies the file into
+//! `&[u8]`, for the reader that serves data out of the page cache for as
+//! long as it lives, [`MappedCsr`](super::MappedCsr).
+//! [`load_binary`](super::load_binary) copies the file into
 //! the graph's own arrays and maps nothing: a mapping held beside them
 //! would count the file twice in the resident set.
 //!

@@ -4,15 +4,15 @@
 //!   format SNAP/KONECT dumps use, so real datasets drop in unchanged.
 //! * [`binfmt`] — fixed-header little-endian CSR dump for fast reloads,
 //!   read by one streamed decoder whatever the source.
-//! * [`mmap`] — read-only file mappings (unix only) for the readers that
-//!   serve data *from* the file: [`MappedCsr`] and the partitioner's shards.
-//!   Loading a graph maps nothing.
+//! * `mmap` — read-only file mappings (unix only) for the one reader that
+//!   serves data *from* the file, [`MappedCsr`]. Loading a graph maps
+//!   nothing, and the partitioner's shard reader reads through a window.
 //! * [`oocsr`] — out-of-core CSR view ([`MappedCsr`]) serving adjacency
 //!   straight from the mapping with `O(n)` resident memory.
 
 pub mod binfmt;
 #[cfg(unix)]
-pub mod mmap;
+pub(crate) mod mmap;
 pub mod oocsr;
 pub mod text;
 

@@ -332,8 +332,10 @@ pub fn trace_to_jsonl(spans: &[SpanRecord]) -> String {
 /// input of `bpart report --profile`): each span's name path from its root,
 /// counting its self time in ns (its duration less its same-thread
 /// children's), under `driver;` or `worker:N;`. A span whose parent is not
-/// in its incarnation starts a stack, and `# dropped N spans` says the
-/// local ring evicted some.
+/// in its incarnation starts a stack, a span carrying `abandoned=true` (a
+/// superstep that waited out a death) folds under `<name>[abandoned]`, not
+/// with the work of its name, and `# dropped N spans` says the local ring
+/// evicted some.
 pub fn folded(sources: &[Source<'_>]) -> String {
     let mut out = match crate::tracer::dropped_spans() {
         0 => String::new(),
@@ -370,7 +372,10 @@ fn fold(mut spans: Vec<(u32, &Span)>) -> BTreeMap<String, i128> {
             })
             .filter(|&at| spans[at].1.thread == s.thread);
         // `;` separates frames, whitespace ends the stack.
-        let frame = s.name.replace(|c: char| c == ';' || c.is_whitespace(), "_");
+        let mut frame = s.name.replace(|c: char| c == ';' || c.is_whitespace(), "_");
+        if s.attr("abandoned") == Some("true") {
+            frame.push_str("[abandoned]");
+        }
         let stack = match parent {
             Some(at) => {
                 *folded.get_mut(&stacks[at]).expect("parent folded first") -= i128::from(s.dur_ns);
@@ -603,6 +608,27 @@ mod tests {
         ] {
             assert_eq!(count(name), n, "{name} in {tree:#?}");
         }
+    }
+
+    #[test]
+    fn an_abandoned_span_folds_under_its_own_frame() {
+        let mut waited = span(3, None, "worker.superstep", 0, 900);
+        waited
+            .attrs
+            .push(("abandoned".to_string(), "true".to_string()));
+        let spans = vec![
+            span(1, None, "worker.superstep", 0, 10),
+            span(2, Some(1), "worker.compute", 0, 4),
+            waited,
+            span(4, Some(3), "worker.compute", 0, 5),
+        ];
+        assert_eq!(
+            folded(&[Source::Local(&local(spans))]),
+            "driver;worker.superstep 6\n\
+             driver;worker.superstep;worker.compute 4\n\
+             driver;worker.superstep[abandoned] 895\n\
+             driver;worker.superstep[abandoned];worker.compute 5\n"
+        );
     }
 
     #[test]

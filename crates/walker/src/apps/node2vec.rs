@@ -12,9 +12,13 @@
 //!
 //! Instead of materializing the distribution per (t, v) pair — quadratic
 //! state — KnightKing samples a uniform candidate from `N(v)` and accepts
-//! it with probability `w(x)/w_max`. Each trial costs one neighbor probe
-//! (a binary search in `N(t)`), and the expected trial count is the
-//! rejection-sampling constant `w_max / E[w]`, independent of degree.
+//! it with probability `w(x)/w_max`, so the expected trial count is the
+//! rejection-sampling constant `w_max / E[w]`, independent of degree. A
+//! trial probes `N(t)` (a binary search) only when its uniform draw falls
+//! between the close and the far acceptance thresholds: below both it
+//! accepts and above both it rejects whatever the probe would say
+//! (KnightKing's lower-bound pre-acceptance), so walks are the ones a probe
+//! on every trial takes.
 
 use crate::walker::{WalkApp, Walker};
 use bpart_graph::{CsrGraph, VertexId};
@@ -22,30 +26,26 @@ use bpart_graph::{CsrGraph, VertexId};
 /// node2vec second-order walk.
 #[derive(Clone, Copy, Debug)]
 pub struct Node2vec {
-    /// Return parameter `p`.
-    pub p: f64,
-    /// In-out parameter `q`.
-    pub q: f64,
+    /// `w/w_max` of a return to the previous vertex (`1/p`).
+    accept_return: f64,
+    /// `w/w_max` of a candidate adjacent to the previous vertex (`1`).
+    accept_close: f64,
+    /// `w/w_max` of any other candidate (`1/q`).
+    accept_far: f64,
     walk_length: u32,
 }
 
 impl Node2vec {
-    /// node2vec with parameters `p`, `q` and a fixed walk length.
+    /// node2vec with return parameter `p`, in-out parameter `q` and a
+    /// fixed walk length.
     pub fn new(p: f64, q: f64, walk_length: u32) -> Self {
         assert!(p > 0.0 && q > 0.0, "p and q must be positive");
-        Node2vec { p, q, walk_length }
-    }
-
-    /// Unnormalized transition weight for candidate `x` given previous
-    /// vertex `prev`.
-    #[inline]
-    fn weight(&self, graph: &CsrGraph, prev: VertexId, x: VertexId) -> f64 {
-        if x == prev {
-            1.0 / self.p
-        } else if graph.is_out_neighbor(prev, x) {
-            1.0
-        } else {
-            1.0 / self.q
+        let w_max = (1.0 / p).max(1.0).max(1.0 / q);
+        Node2vec {
+            accept_return: (1.0 / p) / w_max,
+            accept_close: 1.0 / w_max,
+            accept_far: (1.0 / q) / w_max,
+            walk_length,
         }
     }
 }
@@ -61,18 +61,31 @@ impl WalkApp for Node2vec {
             return None;
         }
         // First step is first-order: uniform.
-        if walker.previous == VertexId::MAX {
+        let prev = walker.previous;
+        if prev == VertexId::MAX {
             return Some(nbrs[walker.rng.next_bounded(nbrs.len() as u64) as usize]);
         }
-        let w_max = (1.0 / self.p).max(1.0).max(1.0 / self.q);
+        // A draw below both the close and the far threshold accepts, and
+        // one at or above both rejects, whatever `N(prev)` holds.
+        let below = self.accept_close.min(self.accept_far);
+        let above = self.accept_close.max(self.accept_far);
         // Rejection sampling with a safety cap; the acceptance rate is at
         // least min(1/p, 1, 1/q) / w_max, so 64 trials virtually never
         // trip. Falling back to the last candidate keeps walks total.
         let mut candidate = nbrs[0];
         for _ in 0..64 {
             candidate = nbrs[walker.rng.next_bounded(nbrs.len() as u64) as usize];
-            let accept = self.weight(graph, walker.previous, candidate) / w_max;
-            if walker.rng.next_bool(accept) {
+            let u = walker.rng.next_f64();
+            let accepted = if candidate == prev {
+                u < self.accept_return
+            } else if u < below || u >= above {
+                u < below
+            } else if graph.is_out_neighbor(prev, candidate) {
+                u < self.accept_close
+            } else {
+                u < self.accept_far
+            };
+            if accepted {
                 return Some(candidate);
             }
         }

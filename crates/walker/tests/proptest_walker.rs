@@ -2,10 +2,57 @@
 //! partition invariance hold for arbitrary graphs, seeds and part counts.
 
 use bpart_core::{ChunkV, HashPartitioner, Partitioner};
-use bpart_graph::generate;
-use bpart_walker::{apps, WalkEngine, WalkStarts};
+use bpart_graph::{generate, CsrGraph, VertexId};
+use bpart_walker::{apps, WalkApp, WalkEngine, WalkStarts, Walker};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// node2vec as it was before its trials skipped the `N(prev)` probe: one
+/// probe and one Bernoulli draw at `w(x)/w_max` per trial. The oracle
+/// `apps::Node2vec`'s walks are held to.
+struct ProbingNode2vec {
+    p: f64,
+    q: f64,
+    walk_length: u32,
+}
+
+impl WalkApp for ProbingNode2vec {
+    fn walk_length(&self) -> u32 {
+        self.walk_length
+    }
+
+    fn next(&self, walker: &mut Walker, graph: &CsrGraph) -> Option<VertexId> {
+        let nbrs = graph.out_neighbors(walker.current);
+        if nbrs.is_empty() {
+            return None;
+        }
+        if walker.previous == VertexId::MAX {
+            return Some(nbrs[walker.rng.next_bounded(nbrs.len() as u64) as usize]);
+        }
+        let w_max = (1.0 / self.p).max(1.0).max(1.0 / self.q);
+        let mut candidate = nbrs[0];
+        for _ in 0..64 {
+            candidate = nbrs[walker.rng.next_bounded(nbrs.len() as u64) as usize];
+            let weight = if candidate == walker.previous {
+                1.0 / self.p
+            } else if graph.is_out_neighbor(walker.previous, candidate) {
+                1.0
+            } else {
+                1.0 / self.q
+            };
+            if walker.rng.next_bool(weight / w_max) {
+                return Some(candidate);
+            }
+        }
+        Some(candidate)
+    }
+
+    fn name(&self) -> &'static str {
+        "node2vec (probing)"
+    }
+}
+
+const PQ: [f64; 4] = [0.25, 1.0, 2.0, 4.0];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -57,6 +104,25 @@ proptest! {
             prop_assert!(run.message_walks <= run.total_steps, "{}", app.name());
             prop_assert!(run.iterations <= 5, "{}", app.name());
         }
+    }
+
+    #[test]
+    fn node2vec_walks_equal_the_probing_oracle(
+        seed in 0u64..500,
+        n in 8usize..80,
+        degree in 1usize..12,
+        p in 0usize..4,
+        q in 0usize..4,
+    ) {
+        let graph = Arc::new(generate::erdos_renyi(n, n * degree, seed));
+        let partition = Arc::new(ChunkV.partition(&graph, 3));
+        let engine = WalkEngine::default_for(graph.clone(), partition).with_recording();
+        let starts = WalkStarts::PerVertex(2);
+        let (p, q) = (PQ[p], PQ[q]);
+        let fast = engine.run(&apps::Node2vec::new(p, q, 12), &starts, seed);
+        let oracle = engine.run(&ProbingNode2vec { p, q, walk_length: 12 }, &starts, seed);
+        prop_assert_eq!(fast.paths, oracle.paths);
+        prop_assert_eq!(fast.total_steps, oracle.total_steps);
     }
 
     #[test]
