@@ -834,9 +834,8 @@ fn run_report(out: &AppOutput, oracle: Option<&AppOutput>, cut_ratio: f64, wall:
     }
     let r = &out.recovery;
     text.push_str(&format!(
-        "  recovery:        {} deaths, {} recoveries, {} respawns, {} replayed supersteps, \
-{} link retries\n",
-        r.worker_deaths, r.recoveries, r.respawns, r.replayed_supersteps, r.link_retries
+        "  recovery:        {} deaths, {} recoveries, {} respawns, {} replayed supersteps\n",
+        r.worker_deaths, r.recoveries, r.respawns, r.replayed_supersteps
     ));
     text.push_str(&format!("  wall time:       {wall:.2}s\n"));
     text.push_str(&machine_table(out));
@@ -890,7 +889,6 @@ fn run_history(
     rec.set_metric("recoveries", r.recoveries as f64);
     rec.set_metric("respawns", r.respawns as f64);
     rec.set_metric("replayed_supersteps", r.replayed_supersteps as f64);
-    rec.set_metric("link_retries", r.link_retries as f64);
 }
 
 fn convert_cmd(src: &str, dst: &str) -> Result<String, CliError> {
@@ -1203,14 +1201,14 @@ mod tests {
         for app in ["pagerank", "cc", "deepwalk"] {
             let clean = run_on(gp.clone(), app, None).unwrap();
             let untouched = "recovery:        0 deaths, 0 recoveries, 0 respawns, \
-                             0 replayed supersteps, 0 link retries";
+                             0 replayed supersteps\n";
             assert!(clean.contains(untouched), "{app}: {clean}");
 
             // crash at 3 with checkpoints every 2: rollback to the
             // superstep-2 checkpoint, so superstep 2 is replayed
             let faulted = run_on(gp.clone(), app, Some("crash@3:m1")).unwrap();
             let recovered = "recovery:        1 deaths, 1 recoveries, 0 respawns, \
-                             1 replayed supersteps, 0 link retries";
+                             1 replayed supersteps\n";
             assert!(faulted.contains(recovered), "{app}: {faulted}");
         }
 

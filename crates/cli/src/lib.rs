@@ -86,13 +86,8 @@ APPS (run):
   and --seed (default 42), cc none: a flag the app does not read is refused
 
 FAULT PLANS (run --fault-plan):
-  semicolon-separated clauses, e.g. \"crash@3:m1;straggle@0-9:m2:x4;seed=7\":
+  semicolon-separated crash clauses, e.g. \"crash@3:m1;crash@5:m0\":
   crash@S:mM            machine M crashes at superstep S
-  straggle@A-B:mM:xF    machine M runs F times slower on supersteps A..=B
-                        (threads backend only: it scales modelled time)
-  drop@A-B:mF->mT:P     link F->T drops (retransmits) messages with prob P
-  dup@A-B:mF->mT:P      link F->T duplicates messages with prob P
-  seed=N                seed for the per-link fault hashing
   Crashed supersteps roll back to the last checkpoint (--checkpoint-every)
   and replay; results are identical to a fault-free run.
 

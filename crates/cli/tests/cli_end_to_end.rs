@@ -204,14 +204,14 @@ fn a_text_graph_naming_vertex_u32_max_exits_with_one_error_line() {
 }
 
 /// A fault plan that names a machine the run does not have is one `bpart:
-/// …` line and exit 1 on both backends, for every clause kind: not an
-/// index panic in the process driver, not a phantom crash in the
-/// simulation.
+/// …` line and exit 1 on both backends: not an index panic in the process
+/// driver, not a phantom crash in the simulation. `m3` is the first machine
+/// past `--parts 3`.
 #[test]
 fn fault_plans_naming_a_missing_machine_exit_with_one_error_line() {
     let (gp, g) = small_graph("fault_plan.txt");
     for backend in ["threads", "process"] {
-        for plan in ["crash@1:m99", "straggle@0-2:m3:x2", "drop@0-2:m0->m3:0.5"] {
+        for plan in ["crash@1:m99", "crash@0:m3"] {
             let run = bpart()
                 .args(["run", &g, "--parts", "3", "--backend", backend])
                 .args(["--fault-plan", plan])
@@ -225,6 +225,39 @@ fn fault_plans_naming_a_missing_machine_exit_with_one_error_line() {
                 err.starts_with("bpart: fault plan names machine m"),
                 "{what}"
             );
+            assert!(!err.contains("panicked at"), "{what}");
+        }
+    }
+    std::fs::remove_file(gp).ok();
+}
+
+/// A fault plan holds crash clauses only: a straggler, link or seed clause
+/// is refused by name in one line on both backends, before anything runs.
+#[test]
+fn a_removed_fault_clause_exits_with_one_error_line() {
+    let (gp, g) = small_graph("removed_clause.bpgr");
+    for backend in ["threads", "process"] {
+        for clause in [
+            "straggle@0-5:m0:x10",
+            "drop@0-3:m0->m1:0.5",
+            "dup@0-3:m1->m0:0.5",
+            "seed=7",
+        ] {
+            let run = bpart()
+                .args(["run", &g, "--parts", "2", "--backend", backend])
+                .args(["--fault-plan", clause])
+                .output()
+                .expect("run");
+            let err = String::from_utf8_lossy(&run.stderr);
+            let what = format!("{backend} {clause}: {err}");
+            assert_eq!(run.status.code(), Some(1), "{what}");
+            assert_eq!(err.lines().count(), 1, "{what}");
+            assert!(err.starts_with("bpart: "), "{what}");
+            assert!(
+                err.contains(&format!("bad fault clause \"{clause}\"")),
+                "{what}"
+            );
+            assert!(err.contains("only crash@S:mM exists"), "{what}");
             assert!(!err.contains("panicked at"), "{what}");
         }
     }
@@ -441,24 +474,6 @@ fn partition_files_with_huge_part_counts_exit_with_one_error_line() {
     }
 }
 
-/// A straggle clause slows modelled compute, which only the threads backend
-/// has: the process backend refuses it by name instead of ignoring it.
-#[test]
-fn a_straggle_clause_on_the_process_backend_exits_with_one_error_line() {
-    let (gp, g) = small_graph("straggle_process.bpgr");
-    let run = [
-        "run", &g, "--parts", "2", "--app", "pagerank", "--iters", "3",
-    ];
-    let plan = ["--fault-plan", "straggle@0-5:m0:x10"];
-    refused_in_one_line(
-        &[&run[..], &["--backend", "process"], &plan].concat(),
-        "fault plan clause straggle@0-5:m0:x10 runs on the threads backend only",
-    );
-    let threads = bpart().args(run).args(plan).output().expect("run");
-    assert!(threads.status.success(), "{threads:?}");
-    std::fs::remove_file(gp).ok();
-}
-
 /// GD bisects recursively, so it takes only a power-of-two part count: any
 /// other is one `bpart: …` line naming the scheme and `--parts`, from
 /// `partition` and from `run` on either backend, not a partitioner panic.
@@ -481,51 +496,6 @@ fn gd_with_a_part_count_not_a_power_of_two_exits_with_one_error_line() {
         ];
         refused_in_one_line(&[&run[..], &gd].concat(), names);
     }
-    std::fs::remove_file(gp).ok();
-}
-
-/// A link clause from a machine to itself can inject nothing (no machine
-/// sends itself a message), so both backends refuse it by name instead of
-/// running a plan that never fires.
-#[test]
-fn a_self_link_clause_exits_with_one_error_line() {
-    let (gp, g) = small_graph("self_link.bpgr");
-    for backend in ["threads", "process"] {
-        let run = [
-            "run",
-            &g,
-            "--parts",
-            "2",
-            "--scheme",
-            "chunk-v",
-            "--backend",
-            backend,
-        ];
-        let plan = [
-            "--app",
-            "pagerank",
-            "--iters",
-            "4",
-            "--fault-plan",
-            "drop@0-3:m1->m1:1.0",
-        ];
-        refused_in_one_line(
-            &[&run[..], &plan].concat(),
-            "fault plan clause drop@0-3:m1->m1:1 never fires",
-        );
-    }
-    std::fs::remove_file(gp).ok();
-}
-
-/// A fault plan has one seed: a second `seed=` clause is refused by name
-/// rather than silently overriding the first.
-#[test]
-fn a_second_seed_clause_exits_with_one_error_line() {
-    let (gp, g) = small_graph("two_seeds.bpgr");
-    refused_in_one_line(
-        &["run", &g, "--parts", "2", "--fault-plan", "seed=1;seed=2"],
-        "bad fault clause \"seed=2\"",
-    );
     std::fs::remove_file(gp).ok();
 }
 

@@ -3,21 +3,20 @@
 //! [`run`] owns everything about a run that does not depend on what the
 //! machines are: the superstep counter and its replay high-water mark, the
 //! checkpoint cadence and the checkpoint, which injected crash fires when,
-//! link-fault accounting, straggler scaling, rollback and the strike rule
-//! (a machine lost twice at one superstep with no injected crash to explain
-//! it ends the run), and the [`IterationRecord`] plus the
-//! `compute`/`comm`/`replay` span attributes of every superstep. A
-//! [`Transport`] takes a superstep through the machines: it computes,
-//! delivers, snapshots and restores, and names the machines it lost.
+//! rollback and the strike rule (a machine lost twice at one superstep with
+//! no injected crash to explain it ends the run), and the
+//! [`IterationRecord`] plus the `compute`/`comm`/`replay` span attributes
+//! of every superstep. A [`Transport`] takes a superstep through the
+//! machines: it computes, delivers, snapshots and restores, and names the
+//! machines it lost.
 //!
 //! # The exchange
 //!
 //! The loop never sees a message. After the compute phase the transport
-//! reports how many messages each machine staged for each destination; the
-//! per-machine sent / received counts and the link-fault overhead are read
-//! off that `k × k` matrix, once the superstep completed: one abandoned at
-//! either barrier charges no link event. Moving the data is the
-//! transport's: machine `to` gets what `from` staged for it, for `from`
+//! reports how many messages each machine is charged for sending and
+//! receiving; the loop prices them once the superstep completed, so one
+//! abandoned at either barrier charges no communication. Moving the data is
+//! the transport's: machine `to` gets what `from` staged for it, for `from`
 //! ascending — the delivery order every bit-identity guarantee rests on.
 //!
 //! The initial state is re-derived, never stored: a loss before the first
@@ -92,6 +91,9 @@ impl<W, E> From<E> for Stop<W, E> {
 /// What a phase of transport `X` comes to.
 pub type Step<T, X> = Result<T, Stop<<X as Transport>::Why, <X as Transport>::Error>>;
 
+/// Per-machine `(sent, received)` message counts.
+pub type Traffic = (Vec<u64>, Vec<u64>);
+
 /// How a superstep reaches the machines: what [`run`] asks of a backend.
 pub trait Transport {
     /// Every machine's state at a superstep boundary.
@@ -110,16 +112,15 @@ pub trait Transport {
     /// Runs the compute phase of `superstep`. `crashes` are the machines
     /// the fault plan kills during it, each handed over once; `checkpoint`
     /// says whether the superstep ends in a snapshot. Returns the time each
-    /// machine is charged, and `counts[from][to]`: the messages `from`
-    /// staged for `to` (0 on the diagonal: what a machine keeps is no
-    /// message).
+    /// machine is charged, and the [`Traffic`] its communication phase is
+    /// charged for.
     fn compute(
         &mut self,
         superstep: usize,
         crashes: &[MachineId],
         checkpoint: bool,
         span: &mut SpanGuard,
-    ) -> Step<(Vec<f64>, Vec<Vec<u64>>), Self>;
+    ) -> Step<(Vec<f64>, Traffic), Self>;
 
     /// Hands every machine what the others staged for it, for the sender
     /// ascending; returns the further time each machine is charged.
@@ -129,14 +130,8 @@ pub trait Transport {
     /// the snapshot and the time each machine is charged for it.
     fn snapshot(&mut self) -> Result<(Self::Snapshot, Vec<f64>), Self::Error>;
 
-    /// Per-machine `(sent, received)` messages the communication phase is
-    /// charged for: by default what crossed the exchange.
-    fn traffic(&self, sent: &[u64], received: &[u64]) -> (Vec<u64>, Vec<u64>) {
-        (sent.to_vec(), received.to_vec())
-    }
-
     /// Each machine's communication time, given the messages it is charged
-    /// for sending and receiving, link-fault extras included.
+    /// for sending and receiving.
     fn comm(&self, sent: &[u64], received: &[u64]) -> Vec<f64>;
 
     /// Rolls every machine back after losing `lost`, to `snapshot` or, when
@@ -185,11 +180,6 @@ pub fn run<T: Transport>(
     // the run ever got, so replays can be flagged.
     let (mut superstep, mut high_water) = (0usize, 0usize);
     let mut strikes: HashMap<usize, u32> = HashMap::new();
-    let straggle = |faults: &FaultState, superstep: usize, compute: &mut [f64]| {
-        for (m, c) in compute.iter_mut().enumerate() {
-            *c *= faults.compute_factor(superstep, m as MachineId);
-        }
-    };
     let keep = |transport: &mut T, record: IterationRecord| {
         transport.recorded(&record);
         telemetry.record(record);
@@ -203,39 +193,14 @@ pub fn run<T: Transport>(
 
         // One attempt at the superstep: its record, or what stopped it.
         let mut attempt = || -> Step<IterationRecord, T> {
-            let (mut compute, counts) = transport.compute(superstep, &crashes, due, &mut span)?;
+            let (mut compute, (sent, received)) =
+                transport.compute(superstep, &crashes, due, &mut span)?;
             let mut add = |times: &[f64]| compute.iter_mut().zip(times).for_each(|(c, t)| *c += t);
             add(&transport.deliver(superstep)?);
             if due {
                 let (snapshot, cost) = transport.snapshot()?;
                 add(&cost);
                 checkpoint = Some((superstep + 1, snapshot));
-            }
-            straggle(&faults, superstep, &mut compute);
-
-            // Link faults act on the staged wire payload: a drop costs the
-            // sender a retransmission, a duplicate costs the receiver a
-            // discarded copy. Payloads still arrived exactly once.
-            let (mut sent, mut received) = (vec![0u64; k], vec![0u64; k]);
-            let (mut sent_extra, mut received_extra) = (vec![0u64; k], vec![0u64; k]);
-            let mut link_events = 0u64;
-            for (from, row) in counts.iter().enumerate() {
-                for (to, &count) in row.iter().enumerate() {
-                    sent[from] += count;
-                    received[to] += count;
-                    if faults.plan().has_link_faults() && count > 0 {
-                        let (f, t) = (from as MachineId, to as MachineId);
-                        let overhead = faults.link_overhead(superstep, f, t, count);
-                        sent_extra[from] += overhead.dropped;
-                        received_extra[to] += overhead.duplicated;
-                        link_events += overhead.total();
-                    }
-                }
-            }
-            let (mut sent, mut received) = transport.traffic(&sent, &received);
-            for m in 0..k {
-                sent[m] += sent_extra[m];
-                received[m] += received_extra[m];
             }
             let comm = transport.comm(&sent, &received);
             // Per-machine timings on the span (shortest round-trip `f64`
@@ -247,7 +212,6 @@ pub fn run<T: Transport>(
                 compute,
                 comm,
                 sent,
-                faults: link_events,
                 crashed: 0,
                 replay,
                 recovery: 0.0,
@@ -288,20 +252,17 @@ pub fn run<T: Transport>(
             // counts toward waiting. The exchange never completed, so no
             // comm is charged (the analyzer defaults it to zeros too).
             let compute = match lost.wasted {
-                Some(mut wasted) => {
-                    straggle(&faults, superstep, &mut wasted);
+                Some(wasted) => {
                     span.attr("compute", Timings(&wasted));
                     wasted
                 }
                 None => vec![0.0; k],
             };
-            let crashed = lost.machines.len() as u64;
             let record = IterationRecord {
                 compute,
                 comm: vec![0.0; k],
                 sent: vec![0; k],
-                faults: crashed,
-                crashed,
+                crashed: lost.machines.len() as u64,
                 replay,
                 recovery,
             };
@@ -374,8 +335,10 @@ pub trait Program: Sync {
     /// were restored already.
     fn rolled_back(&mut self, _superstep: usize) {}
 
-    /// As [`Transport::traffic`].
-    fn traffic(&self, sent: &[u64], received: &[u64]) -> (Vec<u64>, Vec<u64>) {
+    /// Per-machine `(sent, received)` messages the communication phase is
+    /// charged for, given what crossed the exchange; asked right after
+    /// [`Program::computed`]. By default what crossed it.
+    fn traffic(&self, sent: &[u64], received: &[u64]) -> Traffic {
         (sent.to_vec(), received.to_vec())
     }
 }
@@ -452,7 +415,7 @@ impl<P: Program> Transport for InProcess<'_, P> {
         crashes: &[MachineId],
         _checkpoint: bool,
         span: &mut SpanGuard,
-    ) -> Step<(Vec<f64>, Vec<Vec<u64>>), Self> {
+    ) -> Step<(Vec<f64>, Traffic), Self> {
         let program: &P = self.program;
         let results = for_each_machine(self.mode, self.machines, |_, s| program.compute(s));
         // A panicked machine may have half-updated its state; the superstep
@@ -469,13 +432,20 @@ impl<P: Program> Transport for InProcess<'_, P> {
             return Err(Stop::lost(crashes.to_vec(), Some(self.times(&work)), why));
         }
         let mut exchange = bpart_obs::span("cluster.exchange");
-        let counts: Vec<Vec<u64>> = self.machines.iter().map(Machine::staged).collect();
-        let messages: u64 = counts.iter().flatten().sum();
+        let k = self.machines.len();
+        let (mut sent, mut received) = (vec![0u64; k], vec![0u64; k]);
+        for (from, machine) in self.machines.iter().enumerate() {
+            for (to, count) in machine.staged().into_iter().enumerate() {
+                sent[from] += count;
+                received[to] += count;
+            }
+        }
+        let messages: u64 = sent.iter().sum();
         exchange.attr("messages", messages);
         let bytes = messages * std::mem::size_of::<<P::Machine as Machine>::Msg>() as u64;
         bpart_obs::metrics::counter("exchange.messages").add(messages);
         bpart_obs::metrics::counter("exchange.bytes").add(bytes);
-        Ok((self.times(&work), counts))
+        Ok((self.times(&work), self.program.traffic(&sent, &received)))
     }
 
     fn deliver(&mut self, superstep: usize) -> Step<Vec<f64>, Self> {
@@ -489,10 +459,6 @@ impl<P: Program> Transport for InProcess<'_, P> {
         let cost = self.state_times();
         bpart_obs::metrics::counter("cluster.checkpoints").inc();
         Ok((snapshot, cost))
-    }
-
-    fn traffic(&self, sent: &[u64], received: &[u64]) -> (Vec<u64>, Vec<u64>) {
-        self.program.traffic(sent, received)
     }
 
     fn comm(&self, sent: &[u64], received: &[u64]) -> Vec<f64> {
@@ -728,22 +694,6 @@ mod tests {
         assert!(nodes.iter().all(|n| n.deliveries == 3));
     }
 
-    #[test]
-    fn staged_matrix_counts_per_link() {
-        // Link faults are charged per directed link, off the staged
-        // counts: everything on 0 -> 1 is retransmitted, nothing else is.
-        let mut nodes = nodes(3);
-        let sends = vec![vec![(0, 1, 1), (0, 1, 2), (2, 0, 3), (1, 0, 4)]];
-        let faults = FaultPlan::new().drop_link(0, 0, 0, 1, 1.0);
-        let telemetry = run(&mut nodes, sends, faults).unwrap();
-        let record = &telemetry.records()[0];
-        assert_eq!(record.sent, [2 + 2, 1, 1]);
-        assert_eq!(record.faults, 2);
-        // The payloads still arrive exactly once.
-        assert_eq!(nodes[1].seen, [(0, 1), (0, 2)]);
-        assert_eq!(nodes[0].seen, [(1, 4), (2, 3)]);
-    }
-
     /// A loss before the first checkpoint re-derives the initial state:
     /// one `Program::reset` of every machine per recovery round, charged
     /// as restoring a checkpoint of the initial state (the slowest
@@ -852,15 +802,15 @@ mod tests {
             crashes: &[MachineId],
             _: bool,
             _: &mut SpanGuard,
-        ) -> Step<(Vec<f64>, Vec<Vec<u64>>), Self> {
+        ) -> Step<(Vec<f64>, Traffic), Self> {
             self.crashes.push((superstep, crashes.to_vec()));
             if !crashes.is_empty() {
                 return Err(lose(crashes.to_vec(), Some(vec![1.0; self.k])));
             }
             self.visit("compute", superstep)?;
-            let mut counts = vec![vec![0; self.k]; self.k];
-            counts[0][1] = 4;
-            Ok((vec![1.0; self.k], counts))
+            let (mut sent, mut received) = (vec![0; self.k], vec![0; self.k]);
+            (sent[0], received[1]) = (4, 4);
+            Ok((vec![1.0; self.k], (sent, received)))
         }
         fn deliver(&mut self, superstep: usize) -> Step<Vec<f64>, Self> {
             self.visit("deliver", superstep)?;
@@ -894,22 +844,22 @@ mod tests {
     }
 
     /// (a) A superstep abandoned at its second barrier is one wasted record
-    /// that charges no link event, and one recovery.
+    /// that charges no message, and one recovery.
     #[test]
-    fn a_machine_lost_at_delivery_charges_no_link_event() {
+    fn a_machine_lost_at_delivery_charges_no_message() {
         let mut fake = fake(2, 3);
         fake.script.insert(("deliver", 1), vec![vec![1]]);
-        let telemetry = loop_over(&mut fake, "drop@0-9:m0->m1:1.0", None).unwrap();
+        let telemetry = loop_over(&mut fake, "", None).unwrap();
         let records = telemetry.records();
         let wasted: Vec<_> = records.iter().filter(|r| r.crashed > 0).collect();
         assert_eq!(wasted.len(), 1);
-        assert_eq!((wasted[0].faults, wasted[0].crashed), (1, 1));
+        assert_eq!(wasted[0].crashed, 1);
         assert_eq!(wasted[0].compute, [0.0, 0.0]);
         assert_eq!(wasted[0].sent, [0, 0]);
         assert_eq!(telemetry.rollbacks(), 1);
-        // Supersteps 0, 0 again, 1 and 2 completed: 4 dropped messages each.
+        // Supersteps 0, 0 again, 1 and 2 completed: 4 messages each.
         assert_eq!(records.len(), 5);
-        assert_eq!(telemetry.total_faults() - telemetry.crashes(), 4 * 4);
+        assert_eq!(telemetry.total_messages(), 4 * 4);
         assert_eq!(fake.restores, [(0, vec![1])]);
     }
 

@@ -16,13 +16,12 @@
 //! * [`exec::for_each_machine`] — runs per-machine closures over disjoint
 //!   machine states, sequentially or on real threads (crossbeam scope);
 //!   a panicking closure surfaces as a recoverable per-machine failure,
-//! * [`fault::FaultPlan`] / [`fault::FaultState`] — deterministic fault
-//!   injection (machine crashes, stragglers, lossy links) applied at the
-//!   exchange barrier,
+//! * [`fault::FaultPlan`] / [`fault::FaultState`] — deterministic crash
+//!   injection applied at the exchange barrier,
 //! * [`bsp::run`] — the one superstep loop, for both engines and both
 //!   backends: it owns checkpoint/rollback recovery and every superstep's
-//!   accounting (read off per-destination counts: it never sees a
-//!   message), and takes the superstep through the machines by a
+//!   accounting (read off each machine's sent and received counts: it
+//!   never sees a message), and takes the superstep through the machines by a
 //!   [`bsp::Transport`]. [`bsp::drive`] is the in-process one, which takes
 //!   what a machine computes and how machines hand over what they staged
 //!   from a [`bsp::Program`]; both engines' kernels stage a superstep's
@@ -41,7 +40,7 @@ pub mod fault;
 pub mod telemetry;
 
 pub use cost::{CostModel, WorkUnits};
-pub use fault::{FaultPlan, FaultState, LinkOverhead, MachineFailure, UnrecoverableFailure};
+pub use fault::{FaultPlan, FaultState, MachineFailure, UnrecoverableFailure};
 pub use telemetry::{IterationRecord, Telemetry};
 
 use bpart_core::{PartId, Partition};

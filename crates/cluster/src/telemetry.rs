@@ -19,12 +19,8 @@ pub struct IterationRecord {
     pub comm: Vec<f64>,
     /// Messages sent per machine.
     pub sent: Vec<u64>,
-    /// Faults injected during this superstep (crashes fired plus messages
-    /// dropped or duplicated on faulty links).
-    pub faults: u64,
-    /// How many of `faults` were machines lost (an injected crash, or a
-    /// panic): nonzero exactly on a superstep that was abandoned and rolled
-    /// back. The rest of `faults` are link events.
+    /// Machines lost during this superstep (an injected crash, or a panic):
+    /// nonzero exactly on a superstep that was abandoned and rolled back.
     pub crashed: u64,
     /// True when this record re-executes a superstep already completed
     /// before a rollback (recovery replay).
@@ -50,9 +46,9 @@ impl IterationRecord {
 /// plumbing `&mut` through machine closures.
 ///
 /// Recording also feeds the process-wide [`bpart_obs`] metrics registry
-/// (`cluster.supersteps`, `cluster.messages`, `cluster.faults`,
-/// `cluster.replays`), so metric snapshots cover the BSP layer without a
-/// handle on the run's `Telemetry`.
+/// (`cluster.supersteps`, `cluster.messages`, `cluster.replays`), so
+/// metric snapshots cover the BSP layer without a handle on the run's
+/// `Telemetry`.
 #[derive(Debug, Default)]
 pub struct Telemetry {
     records: Mutex<Vec<IterationRecord>>,
@@ -68,7 +64,6 @@ impl Telemetry {
     pub fn record(&self, record: IterationRecord) {
         static SUPERSTEPS: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
         static MESSAGES: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
-        static FAULTS: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
         static REPLAYS: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
         static LAST_STEP_TIME: OnceLock<&'static bpart_obs::metrics::Gauge> = OnceLock::new();
         static STEP_TIME_HIST: OnceLock<&'static bpart_obs::metrics::Histogram> = OnceLock::new();
@@ -97,9 +92,6 @@ impl Telemetry {
         MESSAGES
             .get_or_init(|| bpart_obs::metrics::counter("cluster.messages"))
             .add(record.sent.iter().sum());
-        FAULTS
-            .get_or_init(|| bpart_obs::metrics::counter("cluster.faults"))
-            .add(record.faults);
         if record.replay {
             REPLAYS
                 .get_or_init(|| bpart_obs::metrics::counter("cluster.replays"))
@@ -148,12 +140,6 @@ impl Telemetry {
             .iter()
             .flat_map(|r| r.sent.iter().copied())
             .sum()
-    }
-
-    /// Total faults injected across all supersteps (crashes plus faulty
-    /// link events). Zero on a fault-free run.
-    pub fn total_faults(&self) -> u64 {
-        self.records.lock().iter().map(|r| r.faults).sum()
     }
 
     /// Machines lost across the run (injected crashes and panics) — the
@@ -250,7 +236,7 @@ mod tests {
         assert_eq!(t.waiting_ratio(), 0.0);
         assert!(t.summary().machines.is_empty());
         assert_eq!(t.total_messages(), 0);
-        assert_eq!(t.total_faults(), 0);
+        assert_eq!(t.crashes(), 0);
         assert_eq!(t.replayed_supersteps(), 0);
         assert_eq!(t.total_recovery_time(), 0.0);
     }
@@ -312,7 +298,6 @@ mod tests {
             compute: vec![2.0, 1.0],
             comm: vec![0.0, 0.0],
             sent: vec![0, 0],
-            faults: 1,
             crashed: 1,
             replay: false,
             recovery: 4.0,
@@ -321,12 +306,10 @@ mod tests {
             compute: vec![2.0, 1.0],
             comm: vec![1.0, 1.0],
             sent: vec![5, 5],
-            faults: 0,
             crashed: 0,
             replay: true,
             recovery: 0.0,
         });
-        assert_eq!(t.total_faults(), 1);
         assert_eq!((t.crashes(), t.rollbacks()), (1, 1));
         assert_eq!(t.replayed_supersteps(), 1);
         // Recovery time = 4.0 restore + 3.0 replayed superstep wall time.

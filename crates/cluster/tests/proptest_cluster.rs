@@ -4,9 +4,7 @@
 
 use bpart_cluster::bsp::{self, Machine, Program};
 use bpart_cluster::exec::{for_each_machine, ExecMode};
-use bpart_cluster::{
-    CostModel, FaultPlan, FaultState, IterationRecord, MachineId, Telemetry, WorkUnits,
-};
+use bpart_cluster::{CostModel, IterationRecord, MachineId, Telemetry, WorkUnits};
 use bpart_obs::SpanGuard;
 use proptest::prelude::*;
 
@@ -164,29 +162,6 @@ proptest! {
         let bigger = WorkUnits { steps: steps + 1, ..w };
         prop_assert!(m.compute_time(&bigger) > t);
         prop_assert!(m.comm_time(steps, edges) >= 0.0);
-    }
-
-    #[test]
-    fn link_overhead_is_deterministic_and_bounded(
-        seed in 0u64..1000,
-        superstep in 0usize..20,
-        messages in 0u64..500,
-        drop_p in 0.0f64..1.0,
-        dup_p in 0.0f64..1.0,
-    ) {
-        let plan = FaultPlan::new()
-            .with_seed(seed)
-            .drop_link(0, 19, 0, 1, drop_p)
-            .duplicate_link(0, 19, 0, 1, dup_p);
-        // Two independent states over the same plan see identical faults —
-        // the engines rely on this for replay determinism and for
-        // Sequential/Threaded agreement.
-        let a = FaultState::new(plan.clone()).link_overhead(superstep, 0, 1, messages);
-        let b = FaultState::new(plan).link_overhead(superstep, 0, 1, messages);
-        prop_assert_eq!(a.dropped, b.dropped);
-        prop_assert_eq!(a.duplicated, b.duplicated);
-        prop_assert!(a.dropped <= messages);
-        prop_assert!(a.duplicated <= messages);
     }
 
     #[test]

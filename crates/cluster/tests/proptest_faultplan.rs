@@ -6,37 +6,16 @@
 use bpart_cluster::FaultPlan;
 use proptest::prelude::*;
 
-/// Raw clause material: `(selector, first, extra, m1, m2, x)` becomes a
-/// crash / straggler / drop / dup clause (the stub proptest has no
-/// `prop_oneof`, so selection happens here).
-type RawClause = (u8, usize, usize, u32, u32, f64);
-
-fn build(seed: u64, clauses: &[RawClause]) -> FaultPlan {
-    let mut plan = FaultPlan::new().with_seed(seed);
-    for &(which, first, extra, m1, m2, x) in clauses {
-        let last = first + extra;
-        plan = match which % 4 {
-            0 => plan.crash(first, m1),
-            1 => plan.straggler(first, last, m1, 1.0 + x * 15.0),
-            2 => plan.drop_link(first, last, m1, m2, x),
-            _ => plan.duplicate_link(first, last, m1, m2, x),
-        };
-    }
-    plan
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn display_then_parse_is_identity(
-        seed in 0u64..u64::MAX,
-        clauses in prop::collection::vec(
-            (0u8..4, 0usize..30, 0usize..20, 0u32..8, 0u32..8, 0.0f64..1.0),
-            0..8,
-        ),
+        crashes in prop::collection::vec((0usize..30, 0u32..8), 0..8),
     ) {
-        let plan = build(seed, &clauses);
+        let plan = crashes
+            .iter()
+            .fold(FaultPlan::new(), |plan, &(superstep, m)| plan.crash(superstep, m));
         let spec = plan.to_string();
         let reparsed = FaultPlan::parse(&spec)
             .unwrap_or_else(|e| panic!("{spec:?} failed to parse: {e}"));
@@ -46,11 +25,30 @@ proptest! {
     }
 
     #[test]
-    fn parse_rejects_junk_clauses(pick in 0usize..6) {
-        // No bare word is a valid clause (every real clause contains
-        // '@' or '='), so parse must reject rather than ignore.
+    fn parse_rejects_junk_clauses(
+        pick in 0usize..6,
+        prefix in 0usize..4,
+        fields in (0usize..30, 0usize..30, 0u32..8, 0u32..8),
+        x in 0.0f64..16.0,
+    ) {
+        let (a, b, m1, m2) = fields;
+        // No bare word is a valid clause (a crash clause contains '@'), so
+        // parse must reject rather than ignore.
         let word = ["crash", "straggle", "drop", "dup", "seed", "banana"][pick];
         prop_assert!(FaultPlan::parse(word).is_err(), "{:?} unexpectedly parsed", word);
+        // Straggler, link and seed clauses are gone: well formed or not,
+        // alone or beside a valid crash, each is refused by name.
+        let removed = ["straggle@", "drop@", "dup@", "seed="][prefix];
+        let tail = match prefix {
+            0 => format!("{a}-{b}:m{m1}:x{x}"),
+            1 | 2 => format!("{a}-{b}:m{m1}->m{m2}:{}", x / 16.0),
+            _ => format!("{a}"),
+        };
+        let clause = format!("{removed}{tail}");
+        for spec in [clause.clone(), format!("crash@{a}:m{m1};{clause}")] {
+            let err = FaultPlan::parse(&spec).expect_err(&spec);
+            prop_assert!(err.to_string().contains(&format!("{clause:?}")), "{}", err);
+        }
     }
 }
 

@@ -42,7 +42,8 @@
 //! fires, what a lost machine costs and where the run resumes; the
 //! transport sends `StepBegin` (with the checkpoint flag), a `SIGKILL` for
 //! each crash the loop fired, collects `StepData` — whose row-segment
-//! counts are the loop's staged matrix — sends each worker its `Inbox` and
+//! counts, summed per sender and per receiver, are what the loop charges
+//! for communication — sends each worker its `Inbox` and
 //! collects `StepDone`, which brings the snapshot bytes the loop keeps and
 //! the compute and exchange times the worker measured, the loop's record.
 //!
@@ -66,7 +67,7 @@ use crate::step::WALK_FINAL_LEN;
 use crate::transport::rpc_rtt_histogram;
 use crate::wire::{path_triples, PATH_TRIPLE_LEN};
 use crate::{digest_bytes, digest_paths, AppOutput};
-use bpart_cluster::bsp::{self, Lost, Step, Stop, Transport};
+use bpart_cluster::bsp::{self, Lost, Step, Stop, Traffic, Transport};
 use bpart_cluster::{Cluster, FaultPlan, IterationRecord, MachineId};
 use bpart_graph::{CsrGraph, VertexId};
 use bpart_obs::{federation, tracer, SpanGuard};
@@ -92,9 +93,8 @@ pub struct ProcessConfig {
     pub heartbeat_interval: Duration,
     /// Silence longer than this declares a worker dead.
     pub heartbeat_timeout: Duration,
-    /// Fault plan: `crash@S:mM` clauses become real `SIGKILL`s of worker
-    /// processes; link clauses are charged by the superstep loop, off the
-    /// row-segment counts of each completed superstep.
+    /// Fault plan: each `crash@S:mM` clause becomes a real `SIGKILL` of
+    /// worker `M` during superstep `S`.
     pub faults: FaultPlan,
 }
 
@@ -973,7 +973,7 @@ impl Transport for Supervised<'_> {
         crashes: &[MachineId],
         checkpoint: bool,
         _span: &mut SpanGuard,
-    ) -> Step<(Vec<f64>, Vec<Vec<u64>>), Self> {
+    ) -> Step<(Vec<f64>, Traffic), Self> {
         let d = &mut *self.driver;
         let (k, step) = (d.cfg.workers, superstep as u64);
         d.broadcast(&DriverMsg::StepBegin {
@@ -996,11 +996,14 @@ impl Transport for Supervised<'_> {
             |msg| matches!(msg, WorkerMsg::StepData { superstep: s, .. } if *s == step),
         );
         self.step_data = step_data.map_err(|stop| blame(&mut self.killed, stop))?;
-        let rows = step_rows(&self.step_data, k)?;
-        let counts = rows
-            .iter()
-            .map(|row| row.iter().map(|seg| seg.count as u64).collect());
-        Ok((vec![0.0; k], counts.collect()))
+        let (mut sent, mut received) = (vec![0u64; k], vec![0u64; k]);
+        for (from, row) in step_rows(&self.step_data, k)?.iter().enumerate() {
+            for (to, seg) in row.iter().enumerate() {
+                sent[from] += seg.count as u64;
+                received[to] += seg.count as u64;
+            }
+        }
+        Ok((vec![0.0; k], (sent, received)))
     }
 
     /// Every worker's `Inbox` — the row segments addressed to it, in sender
@@ -1127,7 +1130,7 @@ impl Transport for Supervised<'_> {
     }
 
     /// Keeps the `dist.*` recovery counters live, each registered once a
-    /// recovery or a link clause makes it mean something.
+    /// recovery makes it mean something.
     fn recorded(&mut self, record: &IterationRecord) {
         let counter = bpart_obs::metrics::counter;
         if record.crashed > 0 {
@@ -1136,9 +1139,6 @@ impl Transport for Supervised<'_> {
         }
         if record.crashed > 0 || record.replay {
             counter("dist.replayed_supersteps").add(record.replay as u64);
-        }
-        if self.driver.cfg.faults.has_link_faults() {
-            counter("dist.link_retries").add(record.faults - record.crashed);
         }
     }
 

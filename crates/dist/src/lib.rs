@@ -52,7 +52,7 @@ use wire::{encode_all, Wire};
 pub struct ThreadsConfig {
     /// Sequential or one-thread-per-machine execution.
     pub mode: ExecMode,
-    /// Simulated fault plan (crashes, link faults).
+    /// Simulated crash plan.
     pub faults: FaultPlan,
 }
 
@@ -78,7 +78,8 @@ pub struct RecoveryStats {
     pub recoveries: u64,
     /// Supersteps re-executed after rollbacks.
     pub replayed_supersteps: u64,
-    /// Link-level retransmissions/dedups charged by the fault plan.
+    /// Always 0: a fault plan has no link clause left to charge. Kept
+    /// while the benchmark still reports `dist.link_retries` from it.
     pub link_retries: u64,
     /// Worker processes respawned (a simulated machine has none).
     pub respawns: u64,
@@ -135,9 +136,8 @@ impl AppOutput {
     /// A run of the superstep loop, mapped onto the one output the same way
     /// on both backends: every record it kept folded into `timing`, and the
     /// recovery counters read off them — a lost machine is a death, an
-    /// abandoned superstep (or restore) a recovery round, a re-executed
-    /// superstep a replay, and only dropped and duplicated messages are
-    /// link retries. The records are in cost-model units exactly when a cost
+    /// abandoned superstep (or restore) a recovery round, and a re-executed
+    /// superstep a replay. The records are in cost-model units exactly when a cost
     /// model ran, whose totals `modelled` is; `respawns` is the process
     /// transport's own count.
     pub(crate) fn of_loop(
@@ -152,7 +152,7 @@ impl AppOutput {
             worker_deaths: telemetry.crashes(),
             recoveries: telemetry.rollbacks(),
             replayed_supersteps: telemetry.replayed_supersteps() as u64,
-            link_retries: telemetry.total_faults() - telemetry.crashes(),
+            link_retries: 0,
             respawns,
         };
         AppOutput {
@@ -173,9 +173,7 @@ impl AppOutput {
 
 /// Runs a job on the chosen backend. The digest is computed the same way
 /// on both backends, so equal digests mean bit-identical results. A fault
-/// plan is refused when it names a machine the job does not have or has a
-/// link clause from a machine to itself, and on the process backend when it
-/// has a straggle clause.
+/// plan is refused when it names a machine the job does not have.
 pub fn run_job(spec: &JobSpec, backend: &Backend) -> Result<AppOutput, ClusterError> {
     let faults = match backend {
         Backend::Process(cfg) => &cfg.faults,
@@ -185,17 +183,6 @@ pub fn run_job(spec: &JobSpec, backend: &Backend) -> Result<AppOutput, ClusterEr
         let parts = spec.parts;
         return Err(ClusterError::unrecoverable(format!(
             "fault plan names machine m{m}, but the job has {parts} machines"
-        )));
-    }
-    if let (Backend::Process(_), Some(clause)) = (backend, faults.straggle_clause()) {
-        return Err(ClusterError::unrecoverable(format!(
-            "fault plan clause {clause} runs on the threads backend only: \
-             a straggler scales modelled compute time"
-        )));
-    }
-    if let Some(clause) = faults.self_link_clause() {
-        return Err(ClusterError::unrecoverable(format!(
-            "fault plan clause {clause} never fires: a machine sends itself no message"
         )));
     }
     let out = match backend {
@@ -397,8 +384,8 @@ mod tests {
         run_job(&spec, &Backend::Threads(cfg)).unwrap()
     }
 
-    /// The process backend reports `1 deaths, 1 recoveries, 0 link retries`
-    /// for these plans (`cli/tests/process_run.rs`); so must the simulation.
+    /// The process backend reports `1 deaths, 1 recoveries` for these plans
+    /// (`cli/tests/process_run.rs`); so must the simulation.
     #[test]
     fn a_simulated_crash_is_a_death_and_a_recovery_not_a_link_retry() {
         let walk = AppSpec::DeepWalk {
@@ -423,28 +410,5 @@ mod tests {
                 assert_eq!(out.digest, clean.digest, "{app:?} under {plan}");
             }
         }
-    }
-
-    #[test]
-    fn link_retries_are_the_simulator_s_link_events() {
-        let plan = "drop@1-4:m0->m2:0.5;dup@2-5:m2->m1:0.25;seed=9";
-        let out = threads_run(AppSpec::PageRank { iters: 6 }, plan);
-        let engine = bpart_engine::IterationEngine::new(
-            out.cluster.clone(),
-            CostModel::default(),
-            ExecMode::Sequential,
-        )
-        .with_faults(plan.parse().unwrap())
-        .with_checkpoint_every(2);
-        let events = engine
-            .run(&bpart_engine::apps::PageRank::new(6))
-            .telemetry
-            .total_faults();
-        assert!(events > 0, "the plan's links carry no traffic");
-        let expected = RecoveryStats {
-            link_retries: events,
-            ..RecoveryStats::default()
-        };
-        assert_eq!(out.recovery, expected);
     }
 }

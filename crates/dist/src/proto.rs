@@ -102,7 +102,7 @@ pub mod kind {
 
 /// One destination's worth of outgoing messages: the element count plus
 /// their back-to-back wire encoding. The count travels separately so the
-/// driver can do link-fault accounting without decoding app payloads.
+/// driver can charge communication without decoding app payloads.
 /// Owned where a worker encoded it, borrowed from the frame where it was
 /// received — the driver forwards segments without looking inside.
 #[derive(Clone, Debug, Default, PartialEq)]

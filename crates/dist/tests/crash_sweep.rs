@@ -7,11 +7,10 @@
 //! give the fault-free digest and superstep count, and read the same
 //! recovery counters as the simulation, with exactly one respawn.
 //!
-//! Tier 1 runs six fixed points, two per application, one crash beside
-//! lossy links (only completed supersteps charge link retries, on both
-//! backends), and every worker of a three-worker job killed at one
-//! superstep five times (one recovery round, as in the simulation). The
-//! whole sweep, which runs the last twenty times, is `#[ignore]`d:
+//! Tier 1 runs six fixed points, two per application, and every worker of
+//! a three-worker job killed at one superstep five times (one recovery
+//! round, as in the simulation). The whole sweep, which runs the last
+//! twenty times, is `#[ignore]`d:
 //!
 //! ```sh
 //! cargo test --release -p bpart-dist --test crash_sweep -- --ignored
@@ -72,18 +71,12 @@ fn process(faults: FaultPlan, workers: u32) -> Backend {
 /// Runs `crash@superstep:m{machine}` on both backends and checks the
 /// process run against the fault-free oracle and the simulated crash.
 fn crash_point(app: &AppSpec, superstep: u64, machine: u32) {
-    crash_plan(app, &format!("crash@{superstep}:m{machine}"));
+    kill_plan(app, WORKERS, &format!("crash@{superstep}:m{machine}"), 1);
 }
 
-/// Runs `plan`, which kills one worker once, on both backends and checks
-/// the process run against the fault-free oracle and the simulation;
-/// returns what the simulation counted.
-fn crash_plan(app: &AppSpec, plan: &str) -> RecoveryStats {
-    kill_plan(app, WORKERS, plan, 1)
-}
-
-/// The same for `plan` on a job of `parts` workers, `respawns` of which it
-/// kills.
+/// Runs `plan` on both backends, for a job of `parts` workers, `respawns`
+/// of which it kills, and checks the process run against the fault-free
+/// oracle and the simulation; returns what the simulation counted.
 fn kill_plan(app: &AppSpec, parts: u32, plan: &str, respawns: u64) -> RecoveryStats {
     let spec = spec(app.clone(), parts);
     let oracle = run_job(&spec, &threads(FaultPlan::new())).unwrap();
@@ -100,7 +93,6 @@ fn kill_plan(app: &AppSpec, parts: u32, plan: &str, respawns: u64) -> RecoverySt
         r.replayed_supersteps, s.replayed_supersteps,
         "{at}: replays {r:?}"
     );
-    assert_eq!(r.link_retries, s.link_retries, "{at}: link retries {r:?}");
     assert_eq!(r.respawns, respawns, "{at}: respawns {r:?}");
     simulated.recovery
 }
@@ -130,18 +122,6 @@ fn sampled_crash_points_recover_like_the_simulation() {
     ] {
         crash_point(app, superstep, machine);
     }
-}
-
-/// A lossy link beside the crash: link retries are charged for completed
-/// supersteps only, on both backends, so the counts agree whenever the
-/// killed worker's rows reached the driver before it died.
-#[test]
-fn a_crash_beside_a_lossy_link_charges_the_simulation_s_retries() {
-    let [pagerank, ..] = apps();
-    crash_plan(
-        &pagerank,
-        "crash@2:m1;drop@0-3:m0->m1:0.5;dup@1-3:m1->m0:0.5;seed=3",
-    );
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! Random small jobs on both backends: threads-`Sequential`,
 //! threads-`Threaded` and the process backend must agree on every job
-//! they run — digest, superstep count and link retries — and refuse the
-//! same jobs with the same message.
+//! they run — digest, superstep count and what recovery did — and refuse
+//! the same jobs with the same message.
 //!
 //! A job draws a graph seed, a machine count in 1..=3, a partitioning
-//! scheme, an application, a checkpoint cadence and, on two or more
-//! machines, an optional drop or duplicate clause between two of them.
+//! scheme, an application, a checkpoint cadence and an optional crash of
+//! any machine at one of the first three supersteps. A crash the process
+//! backend fires waits out its heartbeat timeout.
 
 use bpart_cluster::exec::ExecMode;
 use bpart_cluster::FaultPlan;
@@ -19,7 +20,7 @@ use std::time::Duration;
 
 /// What a backend made of a job: the numbers the backends must agree on,
 /// or why it refused the job (an error's message, or a panic's).
-type Outcome = Result<(u64, u64, u64), String>;
+type Outcome = Result<(u64, u64, u64, u64, u64), String>;
 
 fn outcome(spec: &JobSpec, backend: &Backend) -> Outcome {
     let out = catch_unwind(AssertUnwindSafe(|| run_job(spec, backend))).map_err(|panic| {
@@ -33,7 +34,13 @@ fn outcome(spec: &JobSpec, backend: &Backend) -> Outcome {
         recovery,
         ..
     } = out.map_err(|e| e.to_string())?;
-    Ok((digest, supersteps, recovery.link_retries))
+    Ok((
+        digest,
+        supersteps,
+        recovery.worker_deaths,
+        recovery.recoveries,
+        recovery.replayed_supersteps,
+    ))
 }
 
 fn app(which: usize, seed: u64) -> AppSpec {
@@ -48,18 +55,13 @@ fn app(which: usize, seed: u64) -> AppSpec {
     }
 }
 
-/// `clause` 0 adds nothing; 1 a drop clause, 2 a duplicate clause, on the
-/// link from `from` to a different machine picked by `to`.
-fn plan(k: u32, clause: u32, from: u32, to: u32) -> FaultPlan {
-    if k < 2 || clause == 0 {
-        return FaultPlan::new();
+/// `crash` 0 adds nothing; 1 crashes machine `machine % k` at superstep
+/// `superstep`.
+fn plan(k: u32, crash: u32, superstep: usize, machine: u32) -> FaultPlan {
+    match crash {
+        0 => FaultPlan::new(),
+        _ => FaultPlan::new().crash(superstep, machine % k),
     }
-    let from = from % k;
-    let to = (from + 1 + to % (k - 1)) % k;
-    let kind = if clause == 1 { "drop" } else { "dup" };
-    format!("{kind}@0-3:m{from}->m{to}:0.5;seed=3")
-        .parse()
-        .unwrap()
 }
 
 proptest! {
@@ -72,7 +74,7 @@ proptest! {
         scheme in 0usize..SCHEMES.len(),
         which in 0usize..3,
         cadence in 0usize..4,
-        link in (0u32..3, 0u32..3, 0u32..3),
+        crash in (0u32..2, 0usize..3, 0u32..3),
     ) {
         let spec = JobSpec {
             graph: GraphSource::ErdosRenyi { n: 48, m: 192, seed },
@@ -81,7 +83,7 @@ proptest! {
             app: app(which, seed),
             checkpoint_every: (cadence > 0).then_some(cadence as u32),
         };
-        let faults = plan(k, link.0, link.1, link.2);
+        let faults = plan(k, crash.0, crash.1, crash.2);
         let threads = |mode| {
             Backend::Threads(ThreadsConfig {
                 mode,

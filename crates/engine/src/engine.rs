@@ -404,7 +404,7 @@ mod tests {
             let faulted = faulted_engine(&graph, 4, plan, checkpoint_every).run(&PushMany(6));
             assert_eq!(clean.values, faulted.values, "ckpt {checkpoint_every:?}");
             assert_eq!(clean.iterations, faulted.iterations);
-            assert_eq!(faulted.telemetry.total_faults(), 1);
+            assert_eq!(faulted.telemetry.crashes(), 1);
             assert!(
                 faulted.telemetry.replayed_supersteps() > 0,
                 "rollback past completed supersteps must show as replays"
@@ -456,45 +456,13 @@ mod tests {
         .run(&PushMany(5));
         assert_eq!(clean.values, seq.values);
         assert_eq!(seq.values, thr.values);
-        assert_eq!(seq.telemetry.total_faults(), 3);
-        assert_eq!(thr.telemetry.total_faults(), 3);
+        assert_eq!(seq.telemetry.crashes(), 3);
+        assert_eq!(thr.telemetry.crashes(), 3);
         assert_eq!(
             seq.telemetry.replayed_supersteps(),
             thr.telemetry.replayed_supersteps()
         );
         assert_eq!(seq.telemetry.total_time(), thr.telemetry.total_time());
-    }
-
-    #[test]
-    fn stragglers_slow_the_clock_but_not_the_answer() {
-        let graph = Arc::new(generate::erdos_renyi(100, 600, 2));
-        let clean = faulted_engine(&graph, 4, FaultPlan::new(), None).run(&PushMany(4));
-        let slow = faulted_engine(&graph, 4, FaultPlan::new().straggler(0, 9, 2, 8.0), None)
-            .run(&PushMany(4));
-        assert_eq!(clean.values, slow.values);
-        assert_eq!(slow.telemetry.total_faults(), 0);
-        assert!(slow.telemetry.total_time() > clean.telemetry.total_time());
-        assert!(slow.telemetry.waiting_ratio() > clean.telemetry.waiting_ratio());
-    }
-
-    #[test]
-    fn link_faults_charge_retransmissions_without_changing_values() {
-        let graph = Arc::new(generate::complete(32));
-        let clean = faulted_engine(&graph, 4, FaultPlan::new(), None).run(&PushMany(3));
-        let lossy = faulted_engine(
-            &graph,
-            4,
-            FaultPlan::new()
-                .with_seed(5)
-                .drop_link(0, 9, 0, 1, 0.5)
-                .duplicate_link(0, 9, 2, 3, 0.5),
-            None,
-        )
-        .run(&PushMany(3));
-        assert_eq!(clean.values, lossy.values);
-        assert!(lossy.telemetry.total_faults() > 0);
-        assert!(lossy.telemetry.total_messages() > clean.telemetry.total_messages());
-        assert!(lossy.telemetry.total_time() > clean.telemetry.total_time());
     }
 
     #[test]
@@ -505,7 +473,7 @@ mod tests {
         // A crash scheduled past the end of the run never fires.
         assert_eq!(a.values, b.values);
         assert_eq!(a.telemetry.total_time(), b.telemetry.total_time());
-        assert_eq!(b.telemetry.total_faults(), 0);
+        assert_eq!(b.telemetry.crashes(), 0);
         assert_eq!(b.telemetry.replayed_supersteps(), 0);
     }
 

@@ -715,13 +715,13 @@ mod tests {
                     with_checkpoints(engine(mode)).run(&PanicOnce::new(inner.clone(), vertex, nth));
                 assert_eq!(panicked.values, clean.values, "{mode:?} {every:?}");
                 assert_eq!(panicked.iterations, clean.iterations);
-                assert_eq!(panicked.telemetry.total_faults(), 1);
+                assert_eq!(panicked.telemetry.crashes(), 1);
 
                 let plan = FaultPlan::new().crash(crash_at, cluster.owner(vertex));
                 let crashed = with_checkpoints(engine(mode).with_faults(plan)).run(&inner);
                 assert_eq!(crashed.values, clean.values, "{mode:?} {every:?}");
                 assert_eq!(crashed.iterations, clean.iterations);
-                assert_eq!(crashed.telemetry.total_faults(), 1);
+                assert_eq!(crashed.telemetry.crashes(), 1);
             }
         }
     }

@@ -409,7 +409,7 @@ mod tests {
             assert_eq!(clean.total_steps, run.total_steps);
             assert_eq!(clean.message_walks, run.message_walks);
             assert_eq!(clean.iterations, run.iterations);
-            assert_eq!(run.telemetry.total_faults(), 1);
+            assert_eq!(run.telemetry.crashes(), 1);
             assert!(run.telemetry.replayed_supersteps() > 0);
             assert!(run.telemetry.total_recovery_time() > 0.0);
         }
@@ -467,10 +467,7 @@ mod tests {
     fn faulted_exec_modes_agree() {
         let graph = Arc::new(generate::twitter_like().generate_scaled(0.01));
         let partition = Arc::new(ChunkV.partition(&graph, 4));
-        let plan = FaultPlan::new()
-            .crash(2, 1)
-            .straggler(0, 9, 3, 4.0)
-            .drop_link(0, 9, 0, 2, 0.5);
+        let plan = FaultPlan::new().crash(2, 1).crash(5, 3);
         let starts = WalkStarts::PerVertex(1);
         let app = DeepWalk::new(6);
         let seq = WalkEngine::new(
@@ -492,29 +489,11 @@ mod tests {
         .with_checkpoint_every(2)
         .run(&app, &starts, 17);
         assert_eq!(seq.paths, thr.paths);
-        assert_eq!(seq.telemetry.total_faults(), thr.telemetry.total_faults());
+        assert_eq!(seq.telemetry.crashes(), thr.telemetry.crashes());
         assert_eq!(
             seq.telemetry.replayed_supersteps(),
             thr.telemetry.replayed_supersteps()
         );
         assert_eq!(seq.telemetry.total_time(), thr.telemetry.total_time());
-    }
-
-    #[test]
-    fn link_faults_leave_trajectories_alone() {
-        let graph = Arc::new(generate::complete(16));
-        let starts = WalkStarts::PerVertex(2);
-        let app = DeepWalk::new(5);
-        let clean = engine(&graph, ChunkV, 4)
-            .with_recording()
-            .run(&app, &starts, 3);
-        let lossy = engine(&graph, ChunkV, 4)
-            .with_recording()
-            .with_faults(FaultPlan::new().with_seed(9).drop_link(0, 9, 1, 0, 0.6))
-            .run(&app, &starts, 3);
-        assert_eq!(clean.paths, lossy.paths);
-        assert_eq!(clean.message_walks, lossy.message_walks);
-        assert!(lossy.telemetry.total_faults() > 0);
-        assert!(lossy.telemetry.total_messages() > clean.telemetry.total_messages());
     }
 }

@@ -158,7 +158,7 @@ proptest! {
         prop_assert_eq!(clean.paths, faulted.paths);
         prop_assert_eq!(clean.total_steps, faulted.total_steps);
         prop_assert_eq!(clean.message_walks, faulted.message_walks);
-        prop_assert_eq!(faulted.telemetry.total_faults(), 1);
+        prop_assert_eq!(faulted.telemetry.crashes(), 1);
         prop_assert!(faulted.telemetry.total_recovery_time() > 0.0);
     }
 }
