@@ -231,36 +231,67 @@ fn fault_plans_naming_a_missing_machine_exit_with_one_error_line() {
     std::fs::remove_file(gp).ok();
 }
 
-/// A fault plan holds crash clauses only: a straggler, link or seed clause
-/// is refused by name in one line on both backends, before anything runs.
+/// Runs `plan` on both backends and asserts it is refused before anything
+/// runs: exit 1, one `bpart: … bad fault clause "…"` line naming `clause`
+/// and the one clause kind that exists, no panic.
+fn removed_clause_refused(g: &str, plan: &str, clause: &str) {
+    for backend in ["threads", "process"] {
+        let run = bpart()
+            .args(["run", g, "--parts", "2", "--backend", backend])
+            .args(["--fault-plan", plan])
+            .output()
+            .expect("run");
+        let err = String::from_utf8_lossy(&run.stderr);
+        let what = format!("{backend} {plan}: {err}");
+        assert_eq!(run.status.code(), Some(1), "{what}");
+        assert_eq!(err.lines().count(), 1, "{what}");
+        assert!(err.starts_with("bpart: "), "{what}");
+        assert!(
+            err.contains(&format!("bad fault clause \"{clause}\"")),
+            "{what}"
+        );
+        assert!(err.contains("only crash@S:mM exists"), "{what}");
+        assert!(!err.contains("panicked at"), "{what}");
+    }
+}
+
+/// A fault plan holds crash clauses only: a link or seed clause is refused
+/// by name in one line on both backends, before anything runs.
 #[test]
 fn a_removed_fault_clause_exits_with_one_error_line() {
     let (gp, g) = small_graph("removed_clause.bpgr");
-    for backend in ["threads", "process"] {
-        for clause in [
-            "straggle@0-5:m0:x10",
-            "drop@0-3:m0->m1:0.5",
-            "dup@0-3:m1->m0:0.5",
-            "seed=7",
-        ] {
-            let run = bpart()
-                .args(["run", &g, "--parts", "2", "--backend", backend])
-                .args(["--fault-plan", clause])
-                .output()
-                .expect("run");
-            let err = String::from_utf8_lossy(&run.stderr);
-            let what = format!("{backend} {clause}: {err}");
-            assert_eq!(run.status.code(), Some(1), "{what}");
-            assert_eq!(err.lines().count(), 1, "{what}");
-            assert!(err.starts_with("bpart: "), "{what}");
-            assert!(
-                err.contains(&format!("bad fault clause \"{clause}\"")),
-                "{what}"
-            );
-            assert!(err.contains("only crash@S:mM exists"), "{what}");
-            assert!(!err.contains("panicked at"), "{what}");
-        }
+    for clause in ["drop@0-3:m0->m1:0.5", "dup@0-3:m1->m0:0.5", "seed=7"] {
+        removed_clause_refused(&g, clause, clause);
     }
+    std::fs::remove_file(gp).ok();
+}
+
+/// Straggle clauses are gone from fault plans: the process backend refuses
+/// one by name instead of ignoring it, and so does the threads backend.
+#[test]
+fn a_straggle_clause_on_the_process_backend_exits_with_one_error_line() {
+    let (gp, g) = small_graph("straggle_process.bpgr");
+    let clause = "straggle@0-5:m0:x10";
+    removed_clause_refused(&g, clause, clause);
+    std::fs::remove_file(gp).ok();
+}
+
+/// A link clause from a machine to itself is refused by name on both
+/// backends, like every link clause, instead of a plan that never fires.
+#[test]
+fn a_self_link_clause_exits_with_one_error_line() {
+    let (gp, g) = small_graph("self_link.bpgr");
+    let clause = "drop@0-3:m1->m1:1.0";
+    removed_clause_refused(&g, clause, clause);
+    std::fs::remove_file(gp).ok();
+}
+
+/// A plan with two `seed=` clauses is refused at the first, by name, rather
+/// than one silently overriding the other.
+#[test]
+fn a_second_seed_clause_exits_with_one_error_line() {
+    let (gp, g) = small_graph("two_seeds.bpgr");
+    removed_clause_refused(&g, "seed=1;seed=2", "seed=1");
     std::fs::remove_file(gp).ok();
 }
 
