@@ -253,7 +253,7 @@ fn write_history(
 
 /// Parses one or more trace files and merges them into one view sorted by
 /// start timestamp. One `--trace-out` file already holds a whole run —
-/// a process-backend driver's spans and its workers', clock-aligned, in
+/// a process-backend driver's spans and its workers', on one clock, in
 /// disjoint id ranges; several files are for comparing runs, so when a
 /// file's ids collide with those seen so far they are shifted past them
 /// (parent links within the file move with them).
@@ -739,17 +739,6 @@ fn run_cmd(
     );
     text.push_str(&run_report(&out, oracle.as_ref(), cut_ratio, wall));
     if federated {
-        // Driver-side RPC round-trip quantiles, from the same shared
-        // bucket estimator as the bpart_federation_rtt_* series.
-        let registry = bpart_obs::metrics::capture();
-        let rtt = |q| registry.quantile("dist.rpc_rtt_ns", q);
-        if let (Some(p50), Some(p99)) = (rtt(0.5), rtt(0.99)) {
-            text.push_str(&format!(
-                "  rpc rtt:         p50 {:.2}ms, p99 {:.2}ms\n",
-                p50 / 1e6,
-                p99 / 1e6
-            ));
-        }
         let dead = federation::global().dead_workers();
         if dead > 0 {
             text.push_str(&format!(

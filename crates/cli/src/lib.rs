@@ -128,8 +128,8 @@ OBSERVABILITY (partition/run; see DESIGN.md §10–11):
   --trace-out FILE    dump hierarchical phase spans as JSON lines (on a
                       process-backend run the workers' too); render the
                       flame-style tree with `bpart report FILE`
-  --metrics-out FILE  dump the counter/gauge/histogram registry as a
-                      Prometheus-style text snapshot
+  --metrics-out FILE  dump the counter/gauge registry as a Prometheus-
+                      style text snapshot
   --serve-addr ADDR   serve /metrics /spans /healthz /progress over HTTP
                       while the job runs (e.g. 127.0.0.1:9090; port 0 picks
                       a free port, announced on stderr)

@@ -83,7 +83,6 @@ fn both_backends_print_one_report_and_write_one_record() {
     let own = [
         "oracle digest",
         "bit-identical",
-        "rpc rtt",
         "messages",
         "recovery time",
     ];

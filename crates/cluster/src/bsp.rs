@@ -279,8 +279,6 @@ pub fn run<T: Transport>(
 
 /// One machine's superstep kernel, as the in-process transport sees it.
 pub trait Machine: Send {
-    /// What travels between machines: the loop only ever asks its size.
-    type Msg;
     /// The state a checkpoint keeps.
     type Snapshot;
 
@@ -442,9 +440,7 @@ impl<P: Program> Transport for InProcess<'_, P> {
         }
         let messages: u64 = sent.iter().sum();
         exchange.attr("messages", messages);
-        let bytes = messages * std::mem::size_of::<<P::Machine as Machine>::Msg>() as u64;
         bpart_obs::metrics::counter("exchange.messages").add(messages);
-        bpart_obs::metrics::counter("exchange.bytes").add(bytes);
         Ok((self.times(&work), self.program.traffic(&sent, &received)))
     }
 
@@ -527,7 +523,6 @@ mod tests {
     }
 
     impl Machine for Node {
-        type Msg = u32;
         type Snapshot = u64;
 
         /// A self-message is allowed here, and counted.

@@ -65,27 +65,6 @@ impl Telemetry {
         static SUPERSTEPS: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
         static MESSAGES: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
         static REPLAYS: OnceLock<&'static bpart_obs::metrics::Counter> = OnceLock::new();
-        static LAST_STEP_TIME: OnceLock<&'static bpart_obs::metrics::Gauge> = OnceLock::new();
-        static STEP_TIME_HIST: OnceLock<&'static bpart_obs::metrics::Histogram> = OnceLock::new();
-        // Live view for `/progress`: the modelled wall time of the most
-        // recent superstep (a creeping value flags a straggler mid-run).
-        LAST_STEP_TIME
-            .get_or_init(|| bpart_obs::metrics::gauge("cluster.last_superstep_time"))
-            .set(record.wall_time());
-        // Distribution of modelled superstep times (cost-model units):
-        // the `le` buckets feed the shared quantile estimator, so alert
-        // `Quantile` rules and report percentiles can watch the BSP
-        // layer's tail without a handle on this `Telemetry`.
-        STEP_TIME_HIST
-            .get_or_init(|| {
-                bpart_obs::metrics::histogram(
-                    "cluster.superstep_time",
-                    &[
-                        1e2, 2.5e2, 5e2, 1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6,
-                    ],
-                )
-            })
-            .observe(record.wall_time());
         SUPERSTEPS
             .get_or_init(|| bpart_obs::metrics::counter("cluster.supersteps"))
             .inc();

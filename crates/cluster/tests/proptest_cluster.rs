@@ -18,7 +18,6 @@ struct Node {
 }
 
 impl Machine for Node {
-    type Msg = u16;
     type Snapshot = ();
 
     /// A self-message is allowed here, and counted.

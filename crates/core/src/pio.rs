@@ -44,13 +44,9 @@ use std::path::{Path, PathBuf};
 const MAGIC: [u8; 4] = *b"BPPT";
 const VERSION: u32 = 1;
 
-/// Writes the assignment as text, one part id per line.
-pub fn write_text<W: Write>(partition: &Partition, writer: W) -> Result<(), GraphError> {
-    write_text_assignment(partition.num_parts(), partition.assignment(), writer)
-}
-
-/// Writes a raw assignment as text — the out-of-core path's writer, where
-/// no [`Partition`] exists because the graph was never resident.
+/// Writes an assignment to `k` parts as text, one part id per line. It
+/// takes the raw assignment, not a [`Partition`], because the out-of-core
+/// path never holds the graph a `Partition` is tallied against.
 pub fn write_text_assignment<W: Write>(
     k: usize,
     assignment: &[PartId],
@@ -94,13 +90,8 @@ pub fn read_text<R: Read>(graph: &CsrGraph, reader: R) -> Result<Partition, Grap
     finish(graph, assignment)
 }
 
-/// Writes the assignment in the binary format.
-pub fn write_binary<W: Write>(partition: &Partition, writer: W) -> Result<(), GraphError> {
-    write_binary_assignment(partition.num_parts(), partition.assignment(), writer)
-}
-
-/// Writes a raw assignment in the binary format (see
-/// [`write_text_assignment`] for why the raw variant exists).
+/// Writes an assignment to `k` parts in the binary format (see
+/// [`write_text_assignment`] for why it takes the raw assignment).
 pub fn write_binary_assignment<W: Write>(
     k: usize,
     assignment: &[PartId],
@@ -724,7 +715,7 @@ mod tests {
     fn text_round_trip() {
         let (g, p) = sample();
         let mut buf = Vec::new();
-        write_text(&p, &mut buf).unwrap();
+        write_text_assignment(p.num_parts(), p.assignment(), &mut buf).unwrap();
         let q = read_text(&g, buf.as_slice()).unwrap();
         assert_eq!(p.assignment(), q.assignment());
         assert_eq!(p.num_parts(), q.num_parts());
@@ -734,7 +725,7 @@ mod tests {
     fn binary_round_trip() {
         let (g, p) = sample();
         let mut buf = Vec::new();
-        write_binary(&p, &mut buf).unwrap();
+        write_binary_assignment(p.num_parts(), p.assignment(), &mut buf).unwrap();
         let q = read_binary(&g, buf.as_slice()).unwrap();
         assert_eq!(p, q);
     }
@@ -746,10 +737,10 @@ mod tests {
         let g = generate::ring(8);
         let p = Partition::from_assignment(&g, 6, vec![0, 1, 0, 1, 0, 1, 0, 1]);
         let mut buf = Vec::new();
-        write_binary(&p, &mut buf).unwrap();
+        write_binary_assignment(p.num_parts(), p.assignment(), &mut buf).unwrap();
         assert_eq!(read_binary(&g, buf.as_slice()).unwrap().num_parts(), 6);
         let mut tbuf = Vec::new();
-        write_text(&p, &mut tbuf).unwrap();
+        write_text_assignment(p.num_parts(), p.assignment(), &mut tbuf).unwrap();
         assert_eq!(read_text(&g, tbuf.as_slice()).unwrap().num_parts(), 2);
     }
 
@@ -1096,25 +1087,10 @@ mod tests {
     }
 
     #[test]
-    fn raw_assignment_writers_match_partition_writers() {
-        let (_, p) = sample();
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        write_binary(&p, &mut a).unwrap();
-        write_binary_assignment(p.num_parts(), p.assignment(), &mut b).unwrap();
-        assert_eq!(a, b);
-        let mut ta = Vec::new();
-        let mut tb = Vec::new();
-        write_text(&p, &mut ta).unwrap();
-        write_text_assignment(p.num_parts(), p.assignment(), &mut tb).unwrap();
-        assert_eq!(ta, tb);
-    }
-
-    #[test]
     fn binary_rejects_wrong_graph_and_corruption() {
         let (g, p) = sample();
         let mut buf = Vec::new();
-        write_binary(&p, &mut buf).unwrap();
+        write_binary_assignment(p.num_parts(), p.assignment(), &mut buf).unwrap();
         let other = generate::ring(10);
         assert!(read_binary(&other, buf.as_slice()).is_err());
         let mut corrupt = buf.clone();

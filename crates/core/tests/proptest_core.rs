@@ -78,11 +78,11 @@ proptest! {
         let g = generate::erdos_renyi(80, 400, seed);
         let p = HashPartitioner::new(seed).partition(&g, k);
         let mut text = Vec::new();
-        pio::write_text(&p, &mut text).unwrap();
+        pio::write_text_assignment(p.num_parts(), p.assignment(), &mut text).unwrap();
         let q = pio::read_text(&g, text.as_slice()).unwrap();
         prop_assert_eq!(p.assignment(), q.assignment());
         let mut bin = Vec::new();
-        pio::write_binary(&p, &mut bin).unwrap();
+        pio::write_binary_assignment(p.num_parts(), p.assignment(), &mut bin).unwrap();
         let r = pio::read_binary(&g, bin.as_slice()).unwrap();
         prop_assert_eq!(&p, &r);
     }

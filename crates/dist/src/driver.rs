@@ -64,7 +64,6 @@ use crate::frame::{self, Frame, PayloadReader};
 use crate::proto::{kind, DriverMsg, Placement, RowSeg, WorkerMsg};
 use crate::spec::{AppSpec, JobSpec};
 use crate::step::WALK_FINAL_LEN;
-use crate::transport::rpc_rtt_histogram;
 use crate::wire::{path_triples, PATH_TRIPLE_LEN};
 use crate::{digest_bytes, digest_paths, AppOutput};
 use bpart_cluster::bsp::{self, Lost, Step, Stop, Traffic, Transport};
@@ -719,43 +718,19 @@ impl Driver {
         }
     }
 
-    /// Folds one worker `ObsReport` into the global federation store:
-    /// NTP-style clock sample from the `StepBegin` echo, then the
-    /// snapshot.
+    /// Folds one worker `ObsReport` into the global federation store.
     fn absorb_obs_report(&mut self, machine: usize, msg: WorkerMsg<'_>) {
         let WorkerMsg::ObsReport {
             epoch,
             seq,
-            echo_ns,
-            recv_ns,
-            send_ns,
             snapshot,
         } = msg
         else {
             return;
         };
-        if !federation::collection_enabled() {
-            return;
+        if federation::collection_enabled() {
+            federation::global().absorb(machine as u32, epoch, seq, snapshot);
         }
-        let t3 = tracer::now_ns();
-        let mut store = federation::global();
-        if echo_ns != 0 {
-            // t0=echo_ns (driver send), t1=recv_ns (worker recv),
-            // t2=send_ns (worker send), t3 (driver recv):
-            // rtt = (t3-t0) - (t2-t1), offset = ((t1-t0)+(t2-t3))/2
-            // with offset = worker clock - driver clock.
-            let rtt = t3
-                .saturating_sub(echo_ns)
-                .saturating_sub(send_ns.saturating_sub(recv_ns));
-            let offset = ((recv_ns as i128 - echo_ns as i128) + (send_ns as i128 - t3 as i128)) / 2;
-            rpc_rtt_histogram().observe(rtt as f64);
-            store.record_clock_sample(
-                machine as u32,
-                rtt,
-                offset.clamp(i64::MIN as i128, i64::MAX as i128) as i64,
-            );
-        }
-        store.absorb(machine as u32, epoch, seq, snapshot);
     }
 
     /// Respawns worker `m` and hands it what every worker was told at
@@ -981,7 +956,6 @@ impl Transport for Supervised<'_> {
             superstep: step,
             agg: self.agg,
             checkpoint,
-            sent_ns: tracer::now_ns(),
             obs: federation::collection_enabled(),
         })?;
         for &m in crashes {

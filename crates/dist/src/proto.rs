@@ -22,7 +22,7 @@
 //! 10    worker -> driver Final     { epoch, result }
 //! 11    worker -> driver Heartbeat { epoch }
 //! 12    driver -> worker Shutdown  { }
-//! 13    worker -> driver ObsReport { epoch, seq, step?, clock echoes, snapshot }
+//! 13    worker -> driver ObsReport { epoch, seq, snapshot }
 //! ```
 //!
 //! `Job` goes out the moment a worker joins; `Placement` follows once the
@@ -47,11 +47,8 @@
 //! ([`Placement::read_from`]), and the driver's reader threads do the same
 //! with every `Final`.
 //!
-//! `StepBegin` additionally carries the driver's send timestamp and an
-//! obs-collection flag; `ObsReport` echoes the timestamp back along with
-//! the worker's receive/send clocks, which is what lets the driver run
-//! its NTP-style clock-offset estimate. The report itself is one
-//! `bpart_obs::snapshot::Snapshot` — the worker as it would describe
+//! `StepBegin` additionally carries an obs-collection flag. An `ObsReport`
+//! is one `bpart_obs::snapshot::Snapshot` — the worker as it would describe
 //! itself on its own `/metrics`, `/spans` and `/profile` — encoded here
 //! like every other payload, so a corrupt one is a
 //! [`ClusterError::FrameCorrupt`] like any other.
@@ -63,7 +60,7 @@ use crate::wire::{self, encode_all, Reader, Sink, Wire};
 use bpart_cluster::{Cluster, MachineId};
 use bpart_core::PartId;
 use bpart_graph::{CsrGraph, OwnedLists, VertexId};
-use bpart_obs::snapshot::{HistogramValue, Metrics, Snapshot, Span};
+use bpart_obs::snapshot::{Metrics, Snapshot, Span};
 use std::borrow::Cow;
 use std::io::{Read, Write};
 
@@ -95,8 +92,7 @@ pub mod kind {
     pub const HEARTBEAT: u8 = 11;
     /// Driver tells the worker to exit cleanly.
     pub const SHUTDOWN: u8 = 12;
-    /// Worker ships a snapshot of itself (plus superstep timings and
-    /// clock echoes) to the driver's federation store.
+    /// Worker ships a snapshot of itself to the driver's federation store.
     pub const OBS_REPORT: u8 = 13;
 }
 
@@ -329,31 +325,6 @@ impl<'a> Placement<'a> {
     }
 }
 
-/// Bounds, buckets (one more than bounds), count, sum.
-impl Wire<'_> for HistogramValue {
-    fn put(&self, out: &mut (impl Sink + ?Sized)) {
-        self.bounds.put(out);
-        self.buckets.put(out);
-        (self.count, self.sum).put(out);
-    }
-    fn read(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
-        let h = HistogramValue {
-            bounds: r.read()?,
-            buckets: r.read()?,
-            count: r.read()?,
-            sum: r.read()?,
-        };
-        if h.buckets.len() != h.bounds.len() + 1 {
-            return Err(ClusterError::corrupt(format!(
-                "histogram of {} buckets for {} bounds",
-                h.buckets.len(),
-                h.bounds.len()
-            )));
-        }
-        Ok(h)
-    }
-}
-
 /// A span. Its parent is the one optional field that writes a `u64` behind
 /// its flag either way: `0` for a root.
 impl Wire<'_> for Span {
@@ -384,7 +355,6 @@ impl Wire<'_> for Snapshot {
     fn put(&self, out: &mut (impl Sink + ?Sized)) {
         self.metrics.counters.put(out);
         self.metrics.gauges.put(out);
-        self.metrics.histograms.put(out);
         self.spans.put(out);
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, ClusterError> {
@@ -392,7 +362,6 @@ impl Wire<'_> for Snapshot {
             metrics: Metrics {
                 counters: r.read()?,
                 gauges: r.read()?,
-                histograms: r.read()?,
             },
             spans: r.read()?,
         })
@@ -421,9 +390,6 @@ pub enum DriverMsg<'a> {
         agg: f64,
         /// Attach a state snapshot to `StepDone`.
         checkpoint: bool,
-        /// Driver clock (`tracer::now_ns`) at send; the worker echoes it
-        /// in `ObsReport` for clock-offset estimation.
-        sent_ns: u64,
         /// Whether obs federation collection is on: workers only enable
         /// tracing and ship `ObsReport`s when asked, so a no-obs run
         /// pays no federation overhead.
@@ -521,22 +487,16 @@ pub enum WorkerMsg<'a> {
         /// Recovery epoch.
         epoch: u32,
     },
-    /// The worker's snapshot of itself and the clock echoes for offset
-    /// estimation. Sent after each applied superstep (before `StepDone`)
-    /// and on a low-rate timer so a SIGKILLed worker still leaves its last
-    /// snapshot behind.
+    /// The worker's snapshot of itself. Sent after each applied superstep
+    /// (before `StepDone`), after an abandoned one and before hanging up,
+    /// so a SIGKILLed worker leaves the snapshot of its last finished
+    /// superstep behind.
     ObsReport {
         /// Recovery epoch.
         epoch: u32,
         /// Per-worker report sequence number (restarts on respawn; the
         /// bumped epoch keeps `(epoch, seq)` monotonic).
         seq: u64,
-        /// Echo of the driver's `StepBegin.sent_ns` (0 = no sample).
-        echo_ns: u64,
-        /// Worker clock at `StepBegin` receipt.
-        recv_ns: u64,
-        /// Worker clock at report send.
-        send_ns: u64,
         /// The worker now; its spans are those closed since its
         /// previous report.
         snapshot: Snapshot,
@@ -565,11 +525,10 @@ impl<'a> DriverMsg<'a> {
                 superstep,
                 agg,
                 checkpoint,
-                sent_ns,
                 obs,
             } => {
                 (*epoch, *superstep, *agg).put(out);
-                (*checkpoint, *sent_ns, *obs).put(out);
+                (*checkpoint, *obs).put(out);
                 kind::STEP_BEGIN
             }
             DriverMsg::Inbox {
@@ -610,7 +569,6 @@ impl<'a> DriverMsg<'a> {
                 superstep: r.read()?,
                 agg: r.read()?,
                 checkpoint: r.read()?,
-                sent_ns: r.read()?,
                 obs: r.read()?,
             },
             kind::INBOX => DriverMsg::Inbox {
@@ -710,13 +668,9 @@ impl<'a> WorkerMsg<'a> {
             WorkerMsg::ObsReport {
                 epoch,
                 seq,
-                echo_ns,
-                recv_ns,
-                send_ns,
                 snapshot,
             } => {
                 (*epoch, *seq).put(out);
-                (*echo_ns, *recv_ns, *send_ns).put(out);
                 snapshot.put(out);
                 kind::OBS_REPORT
             }
@@ -758,9 +712,6 @@ impl<'a> WorkerMsg<'a> {
             kind::OBS_REPORT => WorkerMsg::ObsReport {
                 epoch: r.read()?,
                 seq: r.read()?,
-                echo_ns: r.read()?,
-                recv_ns: r.read()?,
-                send_ns: r.read()?,
                 snapshot: r.read()?,
             },
             k => {
@@ -819,7 +770,6 @@ mod tests {
             superstep: 42,
             agg: 0.125,
             checkpoint: true,
-            sent_ns: 123_456_789,
             obs: true,
         });
         round_trip_driver(DriverMsg::StepBegin {
@@ -827,7 +777,6 @@ mod tests {
             superstep: 0,
             agg: 0.0,
             checkpoint: false,
-            sent_ns: 0,
             obs: false,
         });
         round_trip_driver(DriverMsg::Inbox {
@@ -898,29 +847,17 @@ mod tests {
         round_trip_worker(WorkerMsg::ObsReport {
             epoch: 0,
             seq: 1,
-            echo_ns: 0,
-            recv_ns: 0,
-            send_ns: 0,
             snapshot: Snapshot::default(),
         });
     }
 
-    /// An `ObsReport` with something in every field of its snapshot: all
-    /// three metric kinds, and a root and a child span with attributes.
+    /// An `ObsReport` with something in every field of its snapshot: both
+    /// metric kinds, and a root and a child span with attributes.
     pub(crate) fn obs_report() -> WorkerMsg<'static> {
         let mut metrics = Metrics::default();
         metrics.counters.insert("dist.frames".into(), 7);
         metrics.gauges.insert("part.edges".into(), -0.0);
         metrics.gauges.insert("tiny".into(), f64::MIN_POSITIVE);
-        metrics.histograms.insert(
-            "dist.frame_bytes".into(),
-            HistogramValue {
-                bounds: vec![64.0, 4096.0],
-                buckets: vec![4, 1, 0],
-                count: 5,
-                sum: 700.0,
-            },
-        );
         let span = |id, parent, name: &str, attrs: &[(&str, &str)]| Span {
             id,
             parent,
@@ -933,9 +870,6 @@ mod tests {
         WorkerMsg::ObsReport {
             epoch: 1,
             seq: 12,
-            echo_ns: 111,
-            recv_ns: 222,
-            send_ns: 333,
             snapshot: Snapshot {
                 metrics,
                 spans: vec![
@@ -956,7 +890,7 @@ mod tests {
     #[test]
     fn the_obs_report_fixture_is_pinned() {
         let bytes = obs_report().to_frame().unwrap();
-        let pin = (367, 0x2451_8d04_1bef_afec);
+        let pin = (255, 0x4e76_e284_a4ff_49d3);
         assert_eq!((bytes.len(), crate::digest_bytes(&bytes)), pin);
     }
 
@@ -977,11 +911,11 @@ mod tests {
             corrupt(&payload[..keep]);
         }
         corrupt(&[payload, &[0]].concat());
-        // The fixed fields end at byte 36; the counter count follows. A
+        // The fixed fields end at byte 12; the counter count follows. A
         // count the payload cannot hold ends at the underrun, with nothing
         // reserved for it.
         let mut greedy = payload.to_vec();
-        greedy[36..40].copy_from_slice(&u32::MAX.to_le_bytes());
+        greedy[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
         corrupt(&greedy);
     }
 
@@ -997,15 +931,12 @@ mod tests {
         let report = |snapshot| WorkerMsg::ObsReport {
             epoch: 0,
             seq: 0,
-            echo_ns: 0,
-            recv_ns: 0,
-            send_ns: 0,
             snapshot,
         };
         let is_corrupt =
             |r: Result<(), ClusterError>| matches!(r, Err(ClusterError::FrameCorrupt { .. }));
 
-        // One root span: its parent tag is the byte after the three empty
+        // One root span: its parent tag is the byte after the two empty
         // metric lists, the span count and the id.
         let one_span = report(Snapshot {
             spans: vec![Span {
@@ -1019,27 +950,14 @@ mod tests {
             }],
             ..Snapshot::default()
         });
-        let tag_at = 36 + 4 * 4 + 8;
+        let tag_at = 12 + 3 * 4 + 8;
         assert!(decode(&one_span, &|_| {}).is_ok());
         assert!(is_corrupt(decode(&one_span, &|p| p[tag_at] = 2)));
-
-        // A histogram needs one bucket more than it has bounds.
-        let mut lopsided = Snapshot::default();
-        lopsided.metrics.histograms.insert(
-            "h".into(),
-            HistogramValue {
-                bounds: vec![1.0],
-                buckets: vec![1],
-                count: 1,
-                sum: 1.0,
-            },
-        );
-        assert!(is_corrupt(decode(&report(lopsided), &|_| {})));
 
         // A name that is not UTF-8.
         let mut named = Snapshot::default();
         named.metrics.counters.insert("ab".into(), 1);
-        let name_at = 36 + 4 + 4;
+        let name_at = 12 + 4 + 4;
         assert!(is_corrupt(decode(&report(named), &|p| p[name_at] = 0xff)));
     }
 

@@ -11,46 +11,9 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
-
-/// Frame-size distribution (bytes on the wire, header included),
-/// observed on every [`SharedWriter::send`] in both driver and worker
-/// processes. Feeds `/metrics` and the federation view; the handle is
-/// cached so the hot send path never takes the registry lock.
-fn frame_bytes_histogram() -> &'static bpart_obs::metrics::Histogram {
-    static H: OnceLock<&'static bpart_obs::metrics::Histogram> = OnceLock::new();
-    H.get_or_init(|| {
-        bpart_obs::metrics::histogram(
-            "dist.frame_bytes",
-            &[
-                64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0, 1048576.0,
-            ],
-        )
-    })
-}
-
-/// RPC round-trip-time distribution in nanoseconds, observed by the
-/// driver from `ObsReport` clock echoes. Lives here with the other
-/// transport metrics; also the input to the clock-offset estimator.
-pub fn rpc_rtt_histogram() -> &'static bpart_obs::metrics::Histogram {
-    static H: OnceLock<&'static bpart_obs::metrics::Histogram> = OnceLock::new();
-    H.get_or_init(|| {
-        bpart_obs::metrics::histogram(
-            "dist.rpc_rtt_ns",
-            &[
-                50_000.0,
-                200_000.0,
-                1_000_000.0,
-                5_000_000.0,
-                25_000_000.0,
-                100_000_000.0,
-                1_000_000_000.0,
-            ],
-        )
-    })
-}
 
 /// Bounded exponential backoff: `base * 2^attempt` capped at `max`, with
 /// a deterministic ±25% jitter derived from `seed` so retry storms from
@@ -139,7 +102,6 @@ impl SharedWriter {
 
     /// Sends one already encoded frame atomically.
     pub fn send_frame(&self, bytes: &[u8]) -> Result<(), ClusterError> {
-        frame_bytes_histogram().observe(bytes.len() as f64);
         let mut stream = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         stream
             .write_all(bytes)
@@ -156,9 +118,7 @@ impl SharedWriter {
         result: impl Fn(&mut dyn Sink),
     ) -> Result<(), ClusterError> {
         let mut stream = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let len = write_final(&mut *stream, epoch, result)?;
-        frame_bytes_histogram().observe((frame::HEADER_LEN + len) as f64);
-        Ok(())
+        write_final(&mut *stream, epoch, result).map(drop)
     }
 }
 
@@ -270,29 +230,6 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, ClusterError::ConnReset { .. }));
         assert_eq!(retries, 2);
-    }
-
-    #[test]
-    fn shared_writer_observes_frame_size_distribution() {
-        // Satellite: every sent frame lands in the dist.frame_bytes
-        // histogram so the size distribution shows up on /metrics.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let peer = thread::spawn(move || listener.accept().map(|(s, _)| s));
-        let stream = TcpStream::connect(addr).unwrap();
-        let _held = peer.join().unwrap().unwrap();
-        let writer = SharedWriter::new(stream);
-        let before = frame_bytes_histogram().count();
-        for result in [&[0u8; 32][..], &[0u8; 2048]] {
-            let msg = WorkerMsg::Final { epoch: 0, result };
-            writer.send(&msg).expect("send");
-        }
-        assert_eq!(frame_bytes_histogram().count(), before + 2);
-        // The RTT histogram registers under its documented name.
-        assert_eq!(rpc_rtt_histogram().bounds().len(), 7);
-        let text = bpart_obs::metrics::prometheus_snapshot();
-        assert!(text.contains("dist_frame_bytes_bucket"), "{text}");
-        assert!(text.contains("dist_rpc_rtt_ns_count"), "{text}");
     }
 
     /// A connected `(worker-side writer, driver-side stream)` pair.

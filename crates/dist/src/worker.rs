@@ -226,22 +226,12 @@ struct ObsPosition {
 
 impl ObsPosition {
     /// Ships one `ObsReport` — a snapshot of this process as of now —
-    /// advancing the position. `echo` is `(driver sent_ns, worker
-    /// recv_ns)` from the last observed `StepBegin` (zeros = no clock
-    /// sample).
-    fn send(
-        &mut self,
-        writer: &SharedWriter,
-        epoch: u32,
-        echo: (u64, u64),
-    ) -> Result<(), ClusterError> {
+    /// advancing the position.
+    fn send(&mut self, writer: &SharedWriter, epoch: u32) -> Result<(), ClusterError> {
         self.seq += 1;
         writer.send(&WorkerMsg::ObsReport {
             epoch,
             seq: self.seq,
-            echo_ns: echo.0,
-            recv_ns: echo.1,
-            send_ns: tracer::now_ns(),
             snapshot: Snapshot::capture(&mut self.span_cursor),
         })
     }
@@ -259,8 +249,6 @@ struct PendingStep {
     /// When the `StepData` send completed — the exchange wait starts
     /// here and ends when the `Inbox` arrives.
     sent_at: Instant,
-    /// `(driver sent_ns, worker recv_ns)` clock echo for this step.
-    echo: (u64, u64),
 }
 
 /// Runs the worker protocol loop to completion (a clean `Shutdown`) or a
@@ -322,13 +310,11 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                 superstep,
                 agg,
                 checkpoint,
-                sent_ns,
                 obs,
             } => {
                 if e != current {
                     continue; // stale: sent before a recovery we joined
                 }
-                let recv_ns = tracer::now_ns();
                 if obs && reports.is_none() {
                     // Driver runs with obs on: arm local collection so
                     // snapshots and span deltas have content to ship.
@@ -359,7 +345,6 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                     checkpoint,
                     compute_ns,
                     sent_at: Instant::now(),
-                    echo: (sent_ns, recv_ns),
                 });
             }
             DriverMsg::Inbox {
@@ -393,7 +378,7 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                     // Close the span first so this step's own span is
                     // among those shipped with its report.
                     step_span = None;
-                    reports.send(&writer, e, step.echo)?;
+                    reports.send(&writer, e)?;
                 }
                 writer.send(&WorkerMsg::StepDone {
                     epoch: e,
@@ -416,7 +401,7 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                 if let (Some(mut g), Some(reports)) = (step_span.take(), &mut reports) {
                     g.attr("abandoned", "true");
                     drop(g);
-                    reports.send(&writer, current, (0, 0))?;
+                    reports.send(&writer, current)?;
                 }
                 app.restore(state)?;
                 epoch.store(e, Ordering::Relaxed);
@@ -436,7 +421,7 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), ClusterError> {
                     crate::publish_peak_rss();
                     // The last word before hanging up: what this process
                     // held. The driver waits for the hang-up either way.
-                    reports.send(&writer, current, (0, 0)).ok();
+                    reports.send(&writer, current).ok();
                 }
                 return Ok(());
             }

@@ -1,7 +1,8 @@
 //! End-to-end federation tests on the process backend: a `SIGKILL`ed
 //! worker must leave its last telemetry snapshot behind in the driver's
-//! federated store, and a run with observability off must ship no
-//! telemetry at all.
+//! federated store, the run's exported trace must put every worker's
+//! superstep inside the driver's with no clock offset applied, and a run
+//! with observability off must ship no telemetry at all.
 //!
 //! These live in their own test binary on purpose: the federation store
 //! is process-global, and sharing a process with the bit-identity tests
@@ -10,6 +11,8 @@
 use bpart_cluster::FaultPlan;
 use bpart_dist::{run_job, AppSpec, Backend, GraphSource, JobSpec, ProcessConfig};
 use bpart_obs::federation;
+use bpart_obs::snapshot::{self, Snapshot, Span};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -42,6 +45,42 @@ fn process(faults: FaultPlan) -> Backend {
     Backend::Process(cfg)
 }
 
+/// Allowed overhang of a worker's superstep past the driver's: the spread
+/// of the processes' Unix-time anchors, each read once beside an `Instant`.
+const SLACK_NS: i128 = 1_000_000;
+
+/// The largest overhang, in ns, of a finished `worker.superstep` past the
+/// driver's `cluster.superstep` of the same epoch and superstep (negative:
+/// every one lies inside with that margin), and how many were checked.
+/// Start times are compared exactly as exported.
+fn worst_overhang(spans: &[Span]) -> (i128, usize) {
+    let key = |s: &Span| {
+        (
+            s.attr("epoch").map(str::to_owned),
+            s.attr("superstep").map(str::to_owned),
+        )
+    };
+    let interval = |s: &Span| (i128::from(s.start_ns), i128::from(s.start_ns + s.dur_ns));
+    let driver: BTreeMap<_, _> = spans
+        .iter()
+        .filter(|s| s.name == "cluster.superstep")
+        .map(|s| (key(s), interval(s)))
+        .collect();
+    let finished = spans
+        .iter()
+        .filter(|s| s.name == "worker.superstep" && s.attr("abandoned") != Some("true"));
+    let (mut worst, mut checked) = (i128::MIN, 0);
+    for s in finished {
+        let Some(&(lo, hi)) = driver.get(&key(s)) else {
+            panic!("no driver superstep for {s:?}");
+        };
+        let (start, end) = interval(s);
+        worst = worst.max((lo - start).max(end - hi));
+        checked += 1;
+    }
+    (worst, checked)
+}
+
 /// Worker 1 is `SIGKILL`ed at superstep 3, and after the run the federated
 /// store still carries a death count on its `/metrics` series — the
 /// snapshot a later-killed worker leaves behind is exactly what the
@@ -51,7 +90,10 @@ fn sigkilled_worker_leaves_its_last_snapshot_in_the_federated_store() {
     let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     federation::reset();
     federation::set_collection_enabled(true);
+    bpart_obs::clear_trace();
+    bpart_obs::set_trace_enabled(true);
     let out = run_job(&spec(), &process(FaultPlan::new().crash(3, 1))).unwrap();
+    bpart_obs::set_trace_enabled(false);
     federation::set_collection_enabled(false);
     assert!(out.recovery.worker_deaths >= 1, "{:?}", out.recovery);
 
@@ -67,7 +109,7 @@ fn sigkilled_worker_leaves_its_last_snapshot_in_the_federated_store() {
     assert_eq!(store.dead_workers(), 0);
     assert!(!store.recovering, "recovery flag leaked past the run");
 
-    let local = bpart_obs::snapshot::Snapshot::default();
+    let local = Snapshot::default();
     let prom = bpart_obs::export::prometheus(&store.sources(&local));
     for w in 0..3 {
         assert!(
@@ -89,10 +131,23 @@ fn sigkilled_worker_leaves_its_last_snapshot_in_the_federated_store() {
         assert_eq!(obs.supersteps, out.supersteps, "worker {w}");
     }
 
-    // Clock samples were taken over the live RPC path.
+    // One clock: in the exported trace every superstep a worker finished
+    // lies inside the driver's of the same epoch and superstep.
+    let driver = Snapshot {
+        spans: snapshot::spans_since(&mut 0),
+        ..Snapshot::default()
+    };
+    let jsonl = bpart_obs::export::spans_jsonl(&store.sources(&driver));
+    let spans = bpart_obs::report::parse_trace_jsonl(&jsonl).unwrap();
+    let (worst, checked) = worst_overhang(&spans);
+    println!("{checked} worker supersteps; worst overhang past the driver's: {worst} ns");
     assert!(
-        store.workers.values().any(|w| w.clock.is_some()),
-        "no clock sample recorded"
+        checked > 0,
+        "no finished worker superstep in the trace:\n{jsonl}"
+    );
+    assert!(
+        worst <= SLACK_NS,
+        "a worker superstep overhangs the driver's by {worst} ns:\n{jsonl}"
     );
 }
 

@@ -8,7 +8,7 @@ use bpart_dist::error::ClusterError;
 use bpart_dist::frame::{self, PayloadReader, HEADER_LEN, MAX_PAYLOAD};
 use bpart_dist::proto::WorkerMsg;
 use bpart_dist::wire::Sink;
-use bpart_obs::snapshot::{HistogramValue, Snapshot, Span};
+use bpart_obs::snapshot::{Snapshot, Span};
 use proptest::prelude::*;
 
 /// A snapshot built from `seeds`, one entry of some kind per seed, so
@@ -25,16 +25,6 @@ fn snapshot_from(seeds: &[u64]) -> Snapshot {
             }
             1 => {
                 snapshot.metrics.gauges.insert(name, float);
-            }
-            2 => {
-                let bounds: Vec<f64> = (0..seed % 4).map(|b| b as f64).collect();
-                let h = HistogramValue {
-                    buckets: vec![seed; bounds.len() + 1],
-                    bounds,
-                    count: seed,
-                    sum: float,
-                };
-                snapshot.metrics.histograms.insert(name, h);
             }
             3 => snapshot.spans.push(Span {
                 id: seed,
@@ -235,9 +225,6 @@ proptest! {
         let msg = WorkerMsg::ObsReport {
             epoch: head.0,
             seq: head.1,
-            echo_ns: 1,
-            recv_ns: 2,
-            send_ns: 3,
             snapshot: snapshot_from(&seeds),
         };
         let bytes = msg.to_frame().unwrap();

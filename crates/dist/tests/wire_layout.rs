@@ -12,7 +12,7 @@ use bpart_dist::step::{IterWorker, WalkWorker, Worker};
 use bpart_dist::{digest_bytes, AppSpec, ClusterError, GraphSource, JobSpec};
 use bpart_engine::apps::{ConnectedComponents, PageRank};
 use bpart_graph::{generate, CsrGraph};
-use bpart_obs::snapshot::{HistogramValue, Snapshot, Span};
+use bpart_obs::snapshot::{Snapshot, Span};
 use bpart_walker::apps::DeepWalk;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -78,7 +78,6 @@ fn driver_msgs() -> Vec<(&'static str, DriverMsg<'static>)> {
                 superstep: 42,
                 agg: 0.125,
                 checkpoint: true,
-                sent_ns: 123_456_789,
                 obs: true,
             },
         ),
@@ -89,7 +88,6 @@ fn driver_msgs() -> Vec<(&'static str, DriverMsg<'static>)> {
                 superstep: 0,
                 agg: -0.0,
                 checkpoint: false,
-                sent_ns: 0,
                 obs: false,
             },
         ),
@@ -129,21 +127,12 @@ fn driver_msgs() -> Vec<(&'static str, DriverMsg<'static>)> {
 }
 
 /// A snapshot with every list of its encoding filled: counters, gauges,
-/// a histogram, and a root span and a child with attributes.
+/// and a root span and a child with attributes.
 fn snapshot() -> Snapshot {
     let mut snapshot = Snapshot::default();
     let metrics = &mut snapshot.metrics;
     metrics.counters.insert("dist.frames".into(), 7);
     metrics.gauges.insert("part.edges".into(), 1.5);
-    metrics.histograms.insert(
-        "dist.frame_bytes".into(),
-        HistogramValue {
-            bounds: vec![64.0, 4096.0],
-            buckets: vec![4, 1, 0],
-            count: 5,
-            sum: 700.0,
-        },
-    );
     let span = |id, parent, attrs: Vec<(String, String)>| Span {
         id,
         parent,
@@ -243,9 +232,6 @@ fn worker_msgs() -> Vec<(&'static str, WorkerMsg<'static>)> {
             WorkerMsg::ObsReport {
                 epoch: 1,
                 seq: 12,
-                echo_ns: 111,
-                recv_ns: 222,
-                send_ns: 333,
                 snapshot: snapshot(),
             },
         ),
@@ -345,8 +331,8 @@ const PINS: &[(&str, usize, u64)] = &[
     ("job/er/cc/-", 53, 0x6ff381e7270f4361),
     ("job/er/deepwalk/every", 73, 0x8d2f698c0f7d239d),
     ("job/er/deepwalk/-", 69, 0x9edfb4430e40dcd1),
-    ("step_begin/on", 43, 0xfbffd4866576fba6),
-    ("step_begin/off", 43, 0x0e3f8c9247ed660d),
+    ("step_begin/on", 35, 0x52c29fcd4a220dc7),
+    ("step_begin/off", 35, 0x1e8ea1cb92daf8bc),
     ("inbox", 53, 0xa8af995fa3f342fa),
     ("restore/state", 33, 0x15ba635810f39c07),
     ("restore/initial", 26, 0x0f3f026074cd3e12),
@@ -360,7 +346,7 @@ const PINS: &[(&str, usize, u64)] = &[
     ("step_done/bare", 58, 0x28c2da1bf45929af),
     ("final", 23, 0x3f46157e6b4c6896),
     ("heartbeat", 17, 0x2dd1499c0eaea1d4),
-    ("obs_report", 342, 0x79cd887a2c0a87fb),
+    ("obs_report", 230, 0x7fc74317eb47618c),
     ("final/streamed", 62, 0x3b0f774b60374ba8),
     ("placement/in-lists", 170, 0x1f8aa821413b9078),
     ("placement/out-only", 134, 0x33c6cedecff3ce38),
@@ -421,7 +407,6 @@ fn flags() -> Vec<(&'static str, Vec<u8>, Vec<u8>, Decode)> {
         superstep: 42,
         agg: 0.125,
         checkpoint,
-        sent_ns: 7,
         obs,
     };
     let restore = |state| DriverMsg::Restore {
@@ -455,9 +440,6 @@ fn flags() -> Vec<(&'static str, Vec<u8>, Vec<u8>, Decode)> {
     let report = |parent| WorkerMsg::ObsReport {
         epoch: 1,
         seq: 12,
-        echo_ns: 1,
-        recv_ns: 2,
-        send_ns: 3,
         snapshot: Snapshot {
             spans: vec![Span {
                 id: 5,

@@ -429,7 +429,6 @@ impl<P: VertexProgram> MachineStep<P> {
 
 /// The loop-facing half of the kernel: staged counts, checkpoints.
 impl<P: VertexProgram> Machine for MachineStep<P> {
-    type Msg = (VertexId, P::Accum);
     type Snapshot = Snapshot<P::Value>;
 
     /// One message per occupied send slot another machine owns.

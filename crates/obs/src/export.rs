@@ -18,10 +18,10 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use crate::federation::{rebase_ns, worker_label, worker_span_id_base, WorkerObs};
+use crate::federation::{worker_label, worker_span_id_base, WorkerObs};
 use crate::json::{Num, Str};
 use crate::metrics::sanitize_name;
-use crate::snapshot::{HistogramValue, Snapshot, Span};
+use crate::snapshot::{Snapshot, Span};
 use crate::tracer::SpanRecord;
 
 /// One process in a view.
@@ -68,20 +68,12 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-enum Series<'a> {
-    Counter(u64),
-    Gauge(f64),
-    Histogram(&'a HistogramValue),
-}
-
 /// The Prometheus text exposition (`/metrics`, `--metrics-out`).
 ///
 /// The local registry comes first, in name order with `# TYPE` lines. Each
 /// worker follows: what its driver knows of it (`bpart_federation_*`:
-/// staleness, deaths, clock estimate, report position), then the series of
-/// its latest snapshot by kind, every line labelled `worker="N"`. Last,
-/// the driver's RPC round-trip quantiles, from the bucket estimator
-/// `bpart report`'s percentile columns share.
+/// staleness, deaths, report position), then the series of its latest
+/// snapshot by kind, every line labelled `worker="N"`.
 ///
 /// Sanitisation can alias distinct names (`a.b` and `a_b` both become
 /// `a_b`); that is a caller bug the exposition must not hide, so colliding
@@ -93,16 +85,15 @@ pub fn prometheus(sources: &[Source<'_>]) -> String {
         let counters = metrics
             .counters
             .iter()
-            .map(|(n, &v)| (n, Series::Counter(v)));
-        let gauges = metrics.gauges.iter().map(|(n, &v)| (n, Series::Gauge(v)));
-        let histograms = metrics
-            .histograms
+            .map(|(n, v)| (n, "counter", v.to_string()));
+        let gauges = metrics
+            .gauges
             .iter()
-            .map(|(n, h)| (n, Series::Histogram(h)));
-        let mut series: Vec<_> = counters.chain(gauges).chain(histograms).collect();
+            .map(|(n, &v)| (n, "gauge", fmt_f64(v)));
+        let mut series: Vec<_> = counters.chain(gauges).collect();
 
         let mut sanitized: BTreeMap<String, Vec<&str>> = BTreeMap::new();
-        for (name, _) in &series {
+        for (name, ..) in &series {
             sanitized.entry(sanitize_name(name)).or_default().push(name);
         }
         for (pname, names) in sanitized.iter().filter(|(_, names)| names.len() > 1) {
@@ -120,7 +111,7 @@ pub fn prometheus(sources: &[Source<'_>]) -> String {
         // Scrapers diff these files: the local registry has always been in
         // name order with `# TYPE` lines, a worker's series grouped by kind
         // without.
-        let worker = match source {
+        let labels = match source {
             Source::Local(_) => {
                 series.sort_by(|a, b| a.0.cmp(b.0));
                 String::new()
@@ -132,60 +123,19 @@ pub fn prometheus(sources: &[Source<'_>]) -> String {
                 };
                 meta("stale", &u64::from(obs.stale));
                 meta("deaths", &obs.deaths);
-                if let Some(clock) = obs.clock {
-                    meta("clock_offset_ns", &clock.offset_ns);
-                    meta("rtt_ns", &clock.rtt_ns);
-                }
                 if let Some((epoch, seq)) = obs.key {
                     meta("seq", &seq);
                     meta("epoch", &epoch);
                 }
-                label
+                format!("{{{label}}}")
             }
         };
-        let labels = |le: &str| match (worker.as_str(), le) {
-            ("", "") => String::new(),
-            (one, "") | ("", one) => format!("{{{one}}}"),
-            (worker, le) => format!("{{{worker},{le}}}"),
-        };
-        for (name, value) in series {
+        for (name, kind, value) in series {
             let pname = sanitize_name(name);
-            let mut typed = |kind| {
-                if worker.is_empty() {
-                    let _ = writeln!(out, "# TYPE {pname} {kind}");
-                }
-            };
-            match value {
-                Series::Counter(v) => {
-                    typed("counter");
-                    let _ = writeln!(out, "{pname}{} {v}", labels(""));
-                }
-                Series::Gauge(v) => {
-                    typed("gauge");
-                    let _ = writeln!(out, "{pname}{} {}", labels(""), fmt_f64(v));
-                }
-                Series::Histogram(h) => {
-                    typed("histogram");
-                    let mut cumulative = 0u64;
-                    for (i, c) in h.buckets.iter().enumerate() {
-                        cumulative += c;
-                        let le = h.bounds.get(i).map_or("+Inf".to_string(), |&b| fmt_f64(b));
-                        let le = labels(&format!("le=\"{le}\""));
-                        let _ = writeln!(out, "{pname}_bucket{le} {cumulative}");
-                    }
-                    let _ = writeln!(out, "{pname}_sum{} {}", labels(""), fmt_f64(h.sum));
-                    let _ = writeln!(out, "{pname}_count{} {}", labels(""), h.count);
-                }
+            if labels.is_empty() {
+                let _ = writeln!(out, "# TYPE {pname} {kind}");
             }
-        }
-    }
-    for source in sources {
-        if let Source::Local(snapshot) = source {
-            for (q, tag) in [(0.5, "p50"), (0.9, "p90"), (0.99, "p99")] {
-                if let Some(v) = snapshot.metrics.quantile("dist.rpc_rtt_ns", q) {
-                    let _ = writeln!(out, "bpart_federation_rtt_{tag} {}", fmt_f64(v));
-                }
-            }
+            let _ = writeln!(out, "{pname}{labels} {value}");
         }
     }
     out
@@ -193,15 +143,13 @@ pub fn prometheus(sources: &[Source<'_>]) -> String {
 
 /// The `/progress` JSON object: the local registry under its *original*
 /// dotted names, grouped by kind, and — when the view has workers — a
-/// `"workers"` object with each one's report position, staleness, clock
-/// estimate, the counters of its latest snapshot and the supersteps it
-/// finished. Non-finite `f64`s
-/// become `null` (JSON has no NaN/Inf):
+/// `"workers"` object with each one's report position, staleness, the
+/// counters of its latest snapshot and the supersteps it finished.
+/// Non-finite `f64`s become `null` (JSON has no NaN/Inf):
 ///
 /// ```text
 /// {"counters":{"cluster.supersteps":41},
 ///  "gauges":{"cluster.progress_superstep":40},
-///  "histograms":{"walk.steps_per_block":{"count":7,"sum":120}},
 ///  "workers":{"0":{"stale":false,"deaths":0,"epoch":0,"seq":9,"counters":{},"supersteps":4}}}
 /// ```
 pub fn progress_json(sources: &[Source<'_>]) -> String {
@@ -220,12 +168,9 @@ pub fn progress_json(sources: &[Source<'_>]) -> String {
             Source::Local(snapshot) => {
                 let _ = write!(
                     out,
-                    "\"counters\":{},\"gauges\":{},\"histograms\":{}",
+                    "\"counters\":{},\"gauges\":{}",
                     counters(snapshot),
                     object(&snapshot.metrics.gauges, |&v| Num(v).to_string()),
-                    object(&snapshot.metrics.histograms, |h| {
-                        format!("{{\"count\":{},\"sum\":{}}}", h.count, Num(h.sum))
-                    }),
                 );
             }
             Source::Worker(worker, obs) => {
@@ -242,13 +187,6 @@ pub fn progress_json(sources: &[Source<'_>]) -> String {
                         ",\"epoch\":{epoch},\"seq\":{seq},\"counters\":{counters}"
                     );
                 }
-                if let Some(clock) = obs.clock {
-                    let _ = write!(
-                        entry,
-                        ",\"offset_ns\":{},\"rtt_ns\":{}",
-                        clock.offset_ns, clock.rtt_ns
-                    );
-                }
                 let _ = write!(entry, ",\"supersteps\":{}}}", obs.supersteps);
                 workers.push(entry);
             }
@@ -262,12 +200,13 @@ pub fn progress_json(sources: &[Source<'_>]) -> String {
 }
 
 /// Spans as JSONL (`/spans`, `--trace-out`), one object per line on one
-/// timeline. Local spans are written as recorded. A worker's are rebased
-/// onto the local clock by its estimated offset (saturating at zero) and
-/// moved into an id range of their incarnation's own, far above any live
-/// tracer id; a root `worker.superstep` parents under the local
-/// `cluster.superstep` of the same epoch and superstep when that span is in
-/// the view, so a report nests worker work under driver supersteps.
+/// timeline: every process stamps its spans on the same Unix-anchored
+/// clock ([`crate::tracer::now_ns`]), so start times are written as
+/// recorded. A worker's spans move into an id range of their
+/// incarnation's own, far above any live tracer id; a root
+/// `worker.superstep` parents under the local `cluster.superstep` of the
+/// same epoch and superstep when that span is in the view, so a report
+/// nests worker work under driver supersteps.
 pub fn spans_jsonl(sources: &[Source<'_>]) -> String {
     fn step_key(s: &Span) -> Option<(&str, &str)> {
         Some((s.attr("epoch")?, s.attr("superstep")?))
@@ -284,9 +223,9 @@ pub fn spans_jsonl(sources: &[Source<'_>]) -> String {
     }
     let mut out = String::new();
     for &source in sources {
-        let (worker, offset_ns) = match source {
-            Source::Local(_) => (None, 0),
-            Source::Worker(worker, obs) => (Some(worker), obs.clock.map_or(0, |c| c.offset_ns)),
+        let worker = match source {
+            Source::Local(_) => None,
+            Source::Worker(worker, _) => Some(worker),
         };
         for (epoch, s) in source.epoch_spans() {
             let base = worker.map_or(0, |w| worker_span_id_base(w, epoch));
@@ -309,7 +248,7 @@ pub fn spans_jsonl(sources: &[Source<'_>]) -> String {
                 base + s.id,
                 Str(&s.name),
                 s.thread,
-                rebase_ns(s.start_ns, offset_ns),
+                s.start_ns,
                 s.dur_ns,
                 attrs.join(","),
             );

@@ -18,12 +18,11 @@
 //! * **Worker identity is a label.** Federated series render with a
 //!   `worker="3"` label; [`worker_label`] is injective (decimal digits
 //!   only), so sanitisation can never alias two workers.
-//! * **Clocks are aligned, not trusted.** Each report echoes the
-//!   driver's `StepBegin` send timestamp plus the worker's receive/send
-//!   timestamps (all on [`crate::tracer::now_ns`], the clock spans are
-//!   recorded on). The driver runs the NTP-style estimate
-//!   `offset = ((t1−t0)+(t2−t3))/2`, keeps the minimum-RTT sample, and
-//!   worker spans are rebased by it when exported.
+//! * **One clock.** A worker stamps its spans on
+//!   [`crate::tracer::now_ns`], the Unix time its process read once and
+//!   advances on its monotonic clock, as the driver does. The driver binds
+//!   loopback and spawns its workers, so all of them share one host and
+//!   one timeline: a worker's spans are exported as they were recorded.
 //! * **Death leaves a snapshot behind.** [`FederationStore::mark_dead`]
 //!   flags the worker stale and counts the death; its last snapshot stays
 //!   until a fresh report (respawn) replaces it and clears the flag.
@@ -40,15 +39,6 @@ use crate::export::Source;
 use crate::json::Str;
 use crate::snapshot::Snapshot;
 
-/// The best clock sample of one worker.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ClockSample {
-    /// Round trip of the exchange the estimate came from.
-    pub rtt_ns: u64,
-    /// Estimated `worker_clock − driver_clock`.
-    pub offset_ns: i64,
-}
-
 /// Everything the driver holds about one worker.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WorkerObs {
@@ -63,9 +53,6 @@ pub struct WorkerObs {
     /// Supersteps the driver's barrier saw this worker finish: one past
     /// the highest (`/progress`).
     pub supersteps: u64,
-    /// The minimum-RTT clock sample (it bounds the offset error the
-    /// tightest); `None` until a report echoes a `StepBegin`.
-    pub clock: Option<ClockSample>,
     /// True between a detected death and the next fresh report.
     pub stale: bool,
     /// Observed deaths of this worker slot.
@@ -111,17 +98,6 @@ impl FederationStore {
         obs.supersteps = obs.supersteps.max(superstep + 1);
     }
 
-    /// Records one clock sample for `worker`; the minimum-RTT one is kept.
-    pub fn record_clock_sample(&mut self, worker: u32, rtt_ns: u64, offset_ns: i64) {
-        let obs = self.workers.entry(worker).or_default();
-        if obs
-            .clock
-            .map_or(true, |c| (rtt_ns, offset_ns) < (c.rtt_ns, c.offset_ns))
-        {
-            obs.clock = Some(ClockSample { rtt_ns, offset_ns });
-        }
-    }
-
     /// Marks `worker` dead: the stale flag raises and the death counts.
     pub fn mark_dead(&mut self, worker: u32) {
         let obs = self.workers.entry(worker).or_default();
@@ -162,13 +138,6 @@ impl FederationStore {
             self.recovering,
         )
     }
-}
-
-/// Rebases a worker-clock timestamp onto the driver clock by the
-/// estimated offset (`worker − driver`), saturating at zero/`u64::MAX`.
-pub fn rebase_ns(worker_ns: u64, offset_ns: i64) -> u64 {
-    let rebased = i128::from(worker_ns) - i128::from(offset_ns);
-    rebased.clamp(0, i128::from(u64::MAX)) as u64
 }
 
 /// The `worker="…"` label value for a worker id. Decimal digits only —
@@ -224,21 +193,12 @@ pub fn reset() {
 mod tests {
     use super::*;
     use crate::export;
-    use crate::snapshot::{HistogramValue, Metrics, Span};
+    use crate::snapshot::{Metrics, Span};
 
     fn sample_metrics(v: u64) -> Metrics {
         let mut m = Metrics::default();
         m.counters.insert("dist.frames".to_string(), v);
         m.gauges.insert("cluster.progress".to_string(), v as f64);
-        m.histograms.insert(
-            "dist.frame_bytes".to_string(),
-            HistogramValue {
-                bounds: vec![64.0, 4096.0],
-                buckets: vec![v, 1, 0],
-                count: v + 1,
-                sum: 100.0 * v as f64,
-            },
-        );
         m
     }
 
@@ -356,17 +316,13 @@ mod tests {
     fn prometheus_federated_labels_every_series() {
         let mut store = FederationStore::default();
         store.absorb(3, 0, 2, report(6));
-        store.record_clock_sample(3, 5000, -120);
         let local = Snapshot::default();
         let text = export::prometheus(&store.sources(&local));
         for line in [
             "dist_frames{worker=\"3\"} 6",
             "cluster_progress{worker=\"3\"} 6",
-            "dist_frame_bytes_bucket{worker=\"3\",le=\"64\"} 6",
-            "dist_frame_bytes_bucket{worker=\"3\",le=\"+Inf\"} 7",
             "bpart_federation_stale{worker=\"3\"} 0",
             "bpart_federation_seq{worker=\"3\"} 2",
-            "bpart_federation_clock_offset_ns{worker=\"3\"} -120",
         ] {
             assert!(text.contains(line), "missing {line}:\n{text}");
         }
@@ -412,26 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_federated_emits_rtt_quantiles() {
-        // Read from the local `dist.rpc_rtt_ns` histogram through the
-        // shared quantile estimator.
-        let mut local = Snapshot::default();
-        local.metrics.histograms.insert(
-            "dist.rpc_rtt_ns".to_string(),
-            HistogramValue {
-                bounds: vec![1_000.0, 1_000_000.0],
-                buckets: vec![2, 0, 0],
-                count: 2,
-                sum: 1100.0,
-            },
-        );
-        let text = export::prometheus(&FederationStore::default().sources(&local));
-        assert!(text.contains("bpart_federation_rtt_p50 500\n"), "{text}");
-        assert!(text.contains("bpart_federation_rtt_p90 "), "{text}");
-        assert!(text.contains("bpart_federation_rtt_p99 "), "{text}");
-    }
-
-    #[test]
     fn progress_json_lists_workers() {
         let mut store = FederationStore::default();
         store.absorb(0, 1, 4, report(3));
@@ -442,7 +378,7 @@ mod tests {
         let json = export::progress_json(&store.sources(&Snapshot::default()));
         assert_eq!(
             json,
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{},\"workers\":{\"0\":{\"stale\":false,\
+            "{\"counters\":{},\"gauges\":{},\"workers\":{\"0\":{\"stale\":false,\
              \"deaths\":0,\"epoch\":1,\"seq\":4,\"counters\":{\"dist.frames\":3},\"supersteps\":2}}}"
         );
     }
@@ -461,7 +397,6 @@ mod tests {
             ..Snapshot::default()
         };
         store.absorb(0, 0, 1, sent);
-        store.record_clock_sample(0, 100, 600);
         // The driver's span of the same (epoch, superstep) is in the view.
         let local = Snapshot {
             spans: vec![Span {
@@ -472,13 +407,14 @@ mod tests {
         };
         let jsonl = export::spans_jsonl(&store.sources(&local));
         let (root, nested) = ((1u64 << 40) + 1, (1u64 << 40) + 2);
-        // Root worker.superstep parents under driver span 42; timestamps
-        // are rebased by the 600ns offset (1000 → 400, saturating).
+        // Span ids are rebased into worker 0's range and the root
+        // worker.superstep parents under driver span 42; timestamps are
+        // written as the worker recorded them.
         for part in [
             format!("\"id\":{root},\"parent\":42,"),
             format!("\"id\":{nested},\"parent\":{root},"),
-            "\"start_ns\":400,".to_string(),
-            "\"start_ns\":1400,".to_string(),
+            "\"start_ns\":1000,".to_string(),
+            "\"start_ns\":2000,".to_string(),
         ] {
             assert!(jsonl.contains(&part), "missing {part}:\n{jsonl}");
         }
@@ -491,24 +427,6 @@ mod tests {
             alone.contains(&format!("\"id\":{root},\"parent\":null,")),
             "{alone}"
         );
-    }
-
-    #[test]
-    fn rebase_saturates_instead_of_wrapping() {
-        assert_eq!(rebase_ns(100, 600), 0);
-        assert_eq!(rebase_ns(100, -600), 700);
-        assert_eq!(rebase_ns(u64::MAX, -1), u64::MAX);
-        assert_eq!(rebase_ns(0, i64::MIN), i64::MIN.unsigned_abs());
-    }
-
-    #[test]
-    fn clock_samples_keep_the_min_rtt() {
-        let mut store = FederationStore::default();
-        store.record_clock_sample(0, 9000, 500);
-        store.record_clock_sample(0, 3000, -200);
-        store.record_clock_sample(0, 7000, 999);
-        let clock = store.workers[&0].clock.expect("sampled");
-        assert_eq!((clock.rtt_ns, clock.offset_ns), (3000, -200));
     }
 
     #[test]

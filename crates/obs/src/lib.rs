@@ -7,15 +7,16 @@
 //!
 //! * **Span tracer** ([`tracer`]) — hierarchical wall-time spans with
 //!   per-span `key=value` attributes and a bounded ring buffer of closed
-//!   spans. Parent/child nesting is tracked per thread, so spans opened on
-//!   the orchestrating thread nest naturally while worker threads get their
+//!   spans, stamped on a clock every process of a host shares.
+//!   Parent/child nesting is tracked per thread, so spans opened on the
+//!   orchestrating thread nest naturally while worker threads get their
 //!   own roots. Recording is gated by a runtime flag (one relaxed atomic
 //!   load when off), so the tracer can ship enabled in release builds.
-//! * **Metrics registry** ([`metrics`]) — named counters, gauges, and
-//!   fixed-bucket histograms backed by relaxed atomics; cheap enough to
-//!   stay on unconditionally. Handles are `&'static` and lock-free on the
-//!   hot path (the registry lock is only taken at lookup time, which call
-//!   sites cache in a `OnceLock`).
+//! * **Metrics registry** ([`metrics`]) — named counters and gauges
+//!   backed by relaxed atomics; cheap enough to stay on unconditionally.
+//!   Handles are `&'static` and lock-free on the hot path (the registry
+//!   lock is only taken at lookup time, which call sites cache in a
+//!   `OnceLock`).
 //! * **Snapshot** ([`snapshot`]) — one process at one instant: its
 //!   metrics and closed spans, captured locally or decoded from a
 //!   worker's report.
@@ -33,10 +34,10 @@
 //!   plus critical-path reconstruction over the span tree and straggler
 //!   detection.
 //! * **Federation** ([`federation`]) — what a multi-process driver alone
-//!   knows of its workers: each one's latest snapshot, clock offset,
-//!   staleness and progress, behind the `worker="N"`-labelled series, the
-//!   clock-aligned trace and the `/healthz` that counts deaths. It is
-//!   observability only: the superstep loop reads nothing from it.
+//!   knows of its workers: each one's latest snapshot, staleness and
+//!   progress, behind the `worker="N"`-labelled series, the one-timeline
+//!   trace and the `/healthz` that counts deaths. It is observability
+//!   only: the superstep loop reads nothing from it.
 //! * **Run history** ([`history`]) — one JSON record per run under
 //!   `results/history/`, diffed by `bpart obs diff` with watched-metric
 //!   regression gating.
@@ -45,8 +46,8 @@
 //!
 //! Span and metric names are dotted, `layer.phase[_unit]`:
 //! `stream.pass`, `stream.buffer`, `combine.layer`, `cluster.superstep`,
-//! `walker.superstep`, `multilevel.coarsen`; counters carry their unit as a
-//! suffix (`stream.score_ns`, `exchange.bytes`). Dots are sanitised to
+//! `walker.superstep`, `multilevel.coarsen`; metrics carry their unit as a
+//! suffix (`stream.score_ns`, `proc.peak_rss_bytes`). Dots are sanitised to
 //! underscores in the Prometheus exposition (dots are not legal there).
 //!
 //! ## Example

@@ -163,9 +163,8 @@ pub fn render_report(spans: &[Span]) -> String {
     }
 
     // Flat totals per span name, across all tree positions. Durations
-    // also land in log-spaced `le` buckets so the p50/p99 columns come
-    // from the same quantile estimator as the federation RTT series
-    // (`metrics::quantile_from_buckets`).
+    // also land in log-spaced `le` buckets, which the p50/p99 columns
+    // interpolate within.
     let mut flat: BTreeMap<&str, (u64, u64, Vec<u64>)> = BTreeMap::new();
     for s in spans {
         let e = flat
@@ -193,7 +192,7 @@ pub fn render_report(spans: &[Span]) -> String {
     );
     for (name, count, ns, buckets) in rows {
         let quant = |q: f64| {
-            crate::metrics::quantile_from_buckets(DUR_BOUNDS_NS, &buckets, q)
+            quantile_from_buckets(DUR_BOUNDS_NS, &buckets, q)
                 .map_or_else(|| "-".to_string(), |v| fmt_ns(v as u64))
         };
         let _ = writeln!(
@@ -214,6 +213,47 @@ const DUR_BOUNDS_NS: &[f64] = &[
     1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6, 2.5e6, 5e6, 1e7, 2.5e7, 5e7, 1e8,
     2.5e8, 5e8, 1e9, 2.5e9, 5e9, 1e10,
 ];
+
+/// Estimates the `q`-quantile (`0.0 ..= 1.0`) from Prometheus-style
+/// buckets: `bounds` are the finite ascending upper bounds, `buckets` the
+/// **non-cumulative** counts with the `+Inf` bucket last
+/// (`bounds.len() + 1` entries).
+///
+/// Uses Prometheus `histogram_quantile` semantics: linear interpolation
+/// within the bucket containing the rank, a lower edge of 0 for the first
+/// bucket, and the highest finite bound when the rank lands in `+Inf`
+/// (an unbounded bucket cannot be interpolated). Returns `None` for no
+/// observations, a malformed shape, or `q` outside `[0, 1]`.
+fn quantile_from_buckets(bounds: &[f64], buckets: &[u64], q: f64) -> Option<f64> {
+    if !(0.0..=1.0).contains(&q) || buckets.len() != bounds.len() + 1 {
+        return None;
+    }
+    let count: u64 = buckets.iter().sum();
+    if count == 0 {
+        return None;
+    }
+    // The observation rank the quantile falls on (1-based, clamped so
+    // q=0 maps into the first occupied bucket).
+    let rank = (q * count as f64).max(1.0);
+    let mut cumulative = 0u64;
+    for (i, &c) in buckets.iter().enumerate() {
+        cumulative += c;
+        if (cumulative as f64) < rank {
+            continue;
+        }
+        let Some(&upper) = bounds.get(i) else {
+            // Rank lands in +Inf: the best defensible point estimate is
+            // the largest finite bound (none ⇒ the buckets are all +Inf
+            // and carry no scale information).
+            return bounds.last().copied();
+        };
+        let lower = if i == 0 { 0.0 } else { bounds[i - 1] };
+        let below = cumulative - c;
+        let into = (rank - below as f64) / c as f64;
+        return Some(lower + (upper - lower) * into);
+    }
+    None
+}
 
 fn render_node(out: &mut String, node: &TreeNode, prefix: &str, last: bool, parent_ns: u64) {
     let branch = if last { "└─ " } else { "├─ " };
@@ -334,5 +374,41 @@ mod tests {
         assert!(text.contains("25.0%"));
         assert!(text.contains("per-phase totals"));
         assert!(render_report(&[]).contains("trace is empty"));
+    }
+
+    #[test]
+    fn quantile_interpolates_within_buckets() {
+        // 100 observations uniform over (0, 10]: bounds 5|10, 50 in each.
+        let bounds = [5.0, 10.0];
+        let buckets = [50, 50, 0];
+        // p50 sits exactly at the first bucket's upper edge.
+        assert_eq!(quantile_from_buckets(&bounds, &buckets, 0.5), Some(5.0));
+        // p75 is halfway through the second bucket.
+        assert_eq!(quantile_from_buckets(&bounds, &buckets, 0.75), Some(7.5));
+        // p0 clamps to rank 1 inside the first bucket, not below it.
+        let p0 = quantile_from_buckets(&bounds, &buckets, 0.0).unwrap();
+        assert!(p0 > 0.0 && p0 <= 5.0, "{p0}");
+        // p100 is the top of the last occupied bucket.
+        assert_eq!(quantile_from_buckets(&bounds, &buckets, 1.0), Some(10.0));
+    }
+
+    #[test]
+    fn quantile_handles_inf_bucket_and_bad_inputs() {
+        let bounds = [10.0, 1000.0];
+        // 99 fast, 1 slow: the p99.5 rank lands in the slow bucket and
+        // interpolates about halfway through it.
+        let p995 = quantile_from_buckets(&bounds, &[99, 1, 0], 0.995).unwrap();
+        assert!((500.0..=510.0).contains(&p995), "{p995}");
+        // Rank landing in +Inf degrades to the largest finite bound.
+        assert_eq!(
+            quantile_from_buckets(&bounds, &[0, 0, 5], 0.5),
+            Some(1000.0)
+        );
+        // No observations, bad q, and shape mismatch are all None.
+        assert_eq!(quantile_from_buckets(&bounds, &[0, 0, 0], 0.5), None);
+        assert_eq!(quantile_from_buckets(&bounds, &[1, 1, 1], 1.5), None);
+        assert_eq!(quantile_from_buckets(&bounds, &[1, 1], 0.5), None);
+        // No finite bounds at all: no scale information.
+        assert_eq!(quantile_from_buckets(&[], &[7], 0.5), None);
     }
 }

@@ -23,7 +23,8 @@ pub struct Span {
     pub name: String,
     /// Small per-thread ordinal (not the OS thread id).
     pub thread: u64,
-    /// Nanoseconds since the recording process's tracer epoch at open.
+    /// Unix time at open in nanoseconds ([`tracer::now_ns`]), so spans
+    /// of different processes of one host share a timeline.
     pub start_ns: u64,
     pub dur_ns: u64,
     /// Attributes in the order they were attached.
@@ -58,41 +59,11 @@ impl From<&SpanRecord> for Span {
     }
 }
 
-/// A histogram's full state.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HistogramValue {
-    /// Finite ascending upper bounds (the `+Inf` bucket is implicit).
-    pub bounds: Vec<f64>,
-    /// Non-cumulative per-bucket counts, `bounds.len() + 1` entries.
-    pub buckets: Vec<u64>,
-    pub count: u64,
-    pub sum: f64,
-}
-
 /// A process's metrics at an instant, by original (dotted) name.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Metrics {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, f64>,
-    pub histograms: BTreeMap<String, HistogramValue>,
-}
-
-impl Metrics {
-    /// Value of a counter or gauge; `None` when absent or a histogram
-    /// (those answer [`quantile`](Self::quantile) only).
-    pub fn scalar(&self, name: &str) -> Option<f64> {
-        self.counters
-            .get(name)
-            .map(|&v| v as f64)
-            .or_else(|| self.gauges.get(name).copied())
-    }
-
-    /// Estimated `q`-quantile of histogram `name`
-    /// ([`crate::metrics::quantile_from_buckets`]).
-    pub fn quantile(&self, name: &str, q: f64) -> Option<f64> {
-        let h = self.histograms.get(name)?;
-        crate::metrics::quantile_from_buckets(&h.bounds, &h.buckets, q)
-    }
 }
 
 /// One process at one instant. The fields are public and the type has a
@@ -166,7 +137,7 @@ mod tests {
             s.attr("k", 8);
         }
         let snapshot = Snapshot::capture(&mut 0);
-        assert_eq!(snapshot.metrics.scalar("t.snapshot.count"), Some(3.0));
+        assert_eq!(snapshot.metrics.counters["t.snapshot.count"], 3);
         let span = snapshot
             .spans
             .iter()
@@ -174,26 +145,5 @@ mod tests {
             .expect("span captured");
         assert_eq!(span.attr("k"), Some("8"));
         assert_eq!(span.attr("absent"), None);
-    }
-
-    #[test]
-    fn metrics_answer_scalars_and_quantiles_by_kind() {
-        let mut m = Metrics::default();
-        m.counters.insert("c".into(), 5);
-        m.gauges.insert("g".into(), 0.5);
-        m.histograms.insert(
-            "h".into(),
-            HistogramValue {
-                bounds: vec![5.0, 10.0],
-                buckets: vec![50, 50, 0],
-                count: 100,
-                sum: 0.0,
-            },
-        );
-        assert_eq!(m.scalar("c"), Some(5.0));
-        assert_eq!(m.scalar("g"), Some(0.5));
-        assert_eq!(m.scalar("h"), None);
-        assert_eq!(m.quantile("h", 0.75), Some(7.5));
-        assert_eq!(m.quantile("c", 0.5), None);
     }
 }

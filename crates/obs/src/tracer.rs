@@ -8,6 +8,12 @@
 //! spans are evicted and counted in [`dropped_spans`] so exports can report
 //! truncation instead of silently looking complete.
 //!
+//! Timestamps are on one clock for every process of a host: the tracer
+//! reads the Unix time once, beside the `Instant` it measures from, and
+//! stamps each span with that anchor plus the `Instant` elapsed since. So a
+//! worker's spans land on its driver's timeline as recorded, while every
+//! duration is still measured on the monotonic clock.
+//!
 //! Recording is gated by a process-wide flag ([`set_trace_enabled`]):
 //! when off, opening a span is one relaxed atomic load and no allocation,
 //! which is what lets instrumentation ship enabled in release builds.
@@ -22,7 +28,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// Default ring-buffer capacity (closed spans retained).
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
@@ -38,7 +44,7 @@ pub struct SpanRecord {
     pub name: &'static str,
     /// Small per-thread ordinal (not the OS thread id).
     pub thread: u64,
-    /// Nanoseconds since the tracer epoch at open.
+    /// Unix time at open in nanoseconds, on [`now_ns`]'s clock.
     pub start_ns: u64,
     /// Wall-time duration in nanoseconds.
     pub dur_ns: u64,
@@ -52,7 +58,8 @@ struct TracerState {
     next_thread_ord: AtomicU64,
     dropped: AtomicU64,
     capacity: AtomicUsize,
-    epoch: OnceLock<Instant>,
+    /// The anchor: an `Instant` and the Unix time read beside it, in ns.
+    epoch: OnceLock<(Instant, u64)>,
     ring: Mutex<Ring>,
 }
 
@@ -105,15 +112,16 @@ pub fn dropped_spans() -> u64 {
     state().dropped.load(Ordering::Relaxed)
 }
 
-/// Nanoseconds since the tracer epoch (initialising the epoch on first
-/// use). This is the clock `start_ns` is measured on, so timestamps taken
-/// here are directly comparable to recorded spans — the federation layer
-/// uses it for its clock-offset echoes so rebased worker spans land on
-/// the driver's span timeline.
+/// Unix time in nanoseconds: the anchor read once per process, plus the
+/// `Instant` elapsed since. This is the clock `start_ns` is measured on, so
+/// timestamps taken here are directly comparable to recorded spans, in
+/// this process and in any other on the host.
 pub fn now_ns() -> u64 {
-    let s = state();
-    let epoch = *s.epoch.get_or_init(Instant::now);
-    epoch.elapsed().as_nanos() as u64
+    let (at, unix_ns) = *state().epoch.get_or_init(|| {
+        let unix = SystemTime::now().duration_since(UNIX_EPOCH);
+        (Instant::now(), unix.map_or(0, |d| d.as_nanos() as u64))
+    });
+    unix_ns + at.elapsed().as_nanos() as u64
 }
 
 /// Discards all recorded spans and resets the eviction counter. Call
@@ -151,7 +159,6 @@ pub fn span(name: &'static str) -> SpanGuard {
     if !s.enabled.load(Ordering::Relaxed) {
         return SpanGuard { open: None };
     }
-    let epoch = *s.epoch.get_or_init(Instant::now);
     let id = s.next_span_id.fetch_add(1, Ordering::Relaxed);
     let (parent, thread) = OPEN.with(|open| {
         let mut open = open.borrow_mut();
@@ -165,7 +172,7 @@ pub fn span(name: &'static str) -> SpanGuard {
             parent,
             name,
             thread,
-            start_ns: epoch.elapsed().as_nanos() as u64,
+            start_ns: now_ns(),
             started: Instant::now(),
             attrs: Vec::new(),
         }),

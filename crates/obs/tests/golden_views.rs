@@ -1,24 +1,29 @@
 //! Golden fixture for every external observability format: one driver and
-//! two worker reports — one worker stale, one with a histogram, a clock
-//! offset and nested spans — and the exact bytes of every endpoint and of
-//! each source's span lines, in `fixtures/golden_views.txt`.
+//! two worker reports — one worker stale, one with nested spans — and the
+//! exact bytes of every endpoint and of each source's span lines, in
+//! `fixtures/golden_views.txt`.
 //!
 //! The fixture was pinned before `Snapshot` existed, through the encoders
 //! it replaced (the registry's and the federation store's, spliced
-//! together by the server), and has three edits since: the worker lines
+//! together by the server), and has four edits since: the worker lines
 //! that `/spans` gained when every view came to cover every source; the
 //! `/healthz` body that counts deaths where the alert rules' section was;
-//! and, when the flame view came to be folded from spans instead of
-//! sampled, a `/profile` of worker 1's spans' self times in nanoseconds
-//! (the driver's ring is empty, as for `/spans`) and worker 1's span ids,
-//! which moved into the range of the epoch (1) that recorded them.
+//! when the flame view came to be folded from spans instead of sampled, a
+//! `/profile` of worker 1's spans' self times in nanoseconds (the driver's
+//! ring is empty, as for `/spans`) and worker 1's span ids, which moved
+//! into the range of the epoch (1) that recorded them; and, when every
+//! process came to stamp its spans on one clock and the histogram kind
+//! went, the loss of the histogram, round-trip and clock-offset lines and
+//! of their `/progress` keys. Worker 1's spans were recorded 600 ns ahead
+//! of the driver's clock, and the fixture held them rebased onto it; they
+//! are now stamped at the rebased times, which is what one clock records.
 //!
 //! The driver is this process (its registry is global), so the test has a
 //! binary of its own.
 
 use bpart_obs::export::{self, Source};
 use bpart_obs::federation;
-use bpart_obs::snapshot::{HistogramValue, Snapshot, Span};
+use bpart_obs::snapshot::{Snapshot, Span};
 use bpart_obs::{metrics, serve};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -51,10 +56,6 @@ fn every_view_of_one_driver_and_two_workers_is_pinned() {
     metrics::counter("cluster.supersteps").add(41);
     metrics::gauge("dist.progress_superstep").set(40.0);
     metrics::gauge("golden.poisoned").set(f64::NAN);
-    let rtt = metrics::histogram("dist.rpc_rtt_ns", &[1_000.0, 1_000_000.0]);
-    for v in [500.0, 600.0, 2_000.0] {
-        rtt.observe(v);
-    }
 
     // ---- two worker reports ----------------------------------------------
     {
@@ -69,37 +70,27 @@ fn every_view_of_one_driver_and_two_workers_is_pinned() {
         store.finished(0, 0);
         store.mark_dead(0);
 
-        // Worker 1: a histogram, a clock offset, nested spans.
+        // Worker 1: nested spans.
         let mut w1 = Snapshot::default();
         w1.metrics.counters.insert("dist.frames".into(), 9);
         w1.metrics.gauges.insert("part.edges".into(), 130.5);
-        let frame_bytes = HistogramValue {
-            bounds: vec![64.0, 4096.0],
-            buckets: vec![4, 1, 0],
-            count: 5,
-            sum: 700.0,
-        };
-        w1.metrics
-            .histograms
-            .insert("dist.frame_bytes".into(), frame_bytes);
         w1.spans = vec![
             span(
                 1,
                 None,
                 "worker.superstep",
-                (10_000, 4_000),
+                (9_400, 4_000),
                 &[("superstep", "7"), ("epoch", "1")],
             ),
             span(
                 2,
                 Some(1),
                 "worker.compute",
-                (10_500, 3_000),
+                (9_900, 3_000),
                 &[("note", "a\"b")],
             ),
         ];
         store.absorb(1, 1, 2, w1);
-        store.record_clock_sample(1, 5_000, 600);
     }
 
     // ---- the views, as served ------------------------------------------------
@@ -143,26 +134,5 @@ fn every_view_of_one_driver_and_two_workers_is_pinned() {
     assert!(
         doc == golden,
         "views drifted from the fixture; actual:\n{doc}"
-    );
-
-    // What the pin cannot show: an observation past every bound lands in
-    // the `+Inf` bucket only, and `_count` still equals that bucket.
-    let overflow = metrics::histogram("golden.overflow", &[1.0]);
-    for v in [0.5, 7.0, 9.0] {
-        overflow.observe(v);
-    }
-    let exposition = metrics::prometheus_snapshot();
-    let lines: Vec<&str> = exposition
-        .lines()
-        .filter(|l| l.starts_with("golden_overflow"))
-        .collect();
-    assert_eq!(
-        lines,
-        [
-            "golden_overflow_bucket{le=\"1\"} 1",
-            "golden_overflow_bucket{le=\"+Inf\"} 3",
-            "golden_overflow_sum 16.5",
-            "golden_overflow_count 3",
-        ]
     );
 }

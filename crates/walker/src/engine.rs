@@ -126,15 +126,6 @@ impl<A: WalkApp + ?Sized> bsp::Program for Walk<'_, A> {
         let steps: u64 = out.iter().map(|w| w.steps).sum();
         span.attr("steps", steps);
         metrics::counter("walk.steps").add(steps);
-        // Per-machine steps in one superstep block: the load-skew signal of
-        // the paper's Fig. 4, bucketed in powers of ~4.
-        let per_block = metrics::histogram(
-            "walk.steps_per_block",
-            &[16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0],
-        );
-        for w in &out {
-            per_block.observe(w.steps as f64);
-        }
         out
     }
 

@@ -432,7 +432,6 @@ impl WalkStep {
 }
 
 impl Machine for WalkStep {
-    type Msg = Walker;
     type Snapshot = Snapshot;
 
     /// The rows' lengths.
